@@ -6,7 +6,7 @@ import (
 )
 
 // Coloring is the graph-coloring process-handshaking strategy of §3.3.1:
-// ranks exchange file views, build the overlap matrix W locally, color the
+// ranks exchange file views, build the overlap matrix W, color the
 // conflict graph with the greedy algorithm of Figure 5, and perform the
 // I/O in one phase per color. A barrier separates phases ("process
 // synchronization between any two steps is necessary"), and each phase's
@@ -30,24 +30,33 @@ func (s Coloring) Name() string {
 func (s Coloring) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
 	mine := extentsOf(maps)
 
-	// Handshake: exchange views, build W locally, color.
+	// Handshake: exchange views, build W, color. W and the coloring are
+	// the same on every rank, so they are computed once and shared.
 	hs := ctx.span(trace.PhaseHandshake)
-	var w OverlapMatrix
+	defer hs.Stop()
+	var build func() OverlapMatrix
 	if s.UseSpans {
 		spans, err := ExchangeSpans(ctx.Comm, mine)
 		if err != nil {
 			return err
 		}
-		w = BuildOverlapMatrixFromSpans(spans)
+		build = func() OverlapMatrix { return BuildOverlapMatrixFromSpans(spans) }
 	} else {
 		views, err := ExchangeViews(ctx.Comm, mine)
 		if err != nil {
 			return err
 		}
-		w = BuildOverlapMatrix(views)
+		build = func() OverlapMatrix { return BuildOverlapMatrix(views) }
 	}
-	colors, numColors := GreedyColor(w)
-	myColor := colors[ctx.Comm.Rank()]
+	type coloring struct {
+		colors    []int
+		numColors int
+	}
+	col := shared(ctx.Comm, func() coloring {
+		colors, numColors := GreedyColor(build())
+		return coloring{colors, numColors}
+	})
+	myColor, numColors := col.colors[ctx.Comm.Rank()], col.numColors
 	hs.Stop()
 
 	// One I/O phase per color, barrier-separated.

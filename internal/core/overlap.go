@@ -12,12 +12,13 @@ import (
 // diagonal is false by construction.
 type OverlapMatrix [][]bool
 
-// BuildOverlapMatrix computes W from every rank's file extents. Each rank
-// computes the identical matrix locally after the view exchange, exactly as
-// the paper prescribes ("The file views are used to construct the
-// overlapping matrix locally"). It runs the sorted-endpoint sweep of
-// internal/interval/index — one O(E log E) pass over all P views — instead
-// of P²/2 pairwise list merges.
+// BuildOverlapMatrix computes W from every rank's file extents. The paper
+// has each process build it locally after the view exchange ("The file
+// views are used to construct the overlapping matrix locally"); W is a pure
+// function of the exchanged views, so Coloring evaluates it once per
+// collective and shares the result (see shared), at no virtual cost on any
+// rank. It runs the merged-endpoint sweep of internal/interval/index — one
+// O(E log P) pass over all P views — instead of P²/2 pairwise list merges.
 func BuildOverlapMatrix(views []interval.List) OverlapMatrix {
 	return OverlapMatrix(index.SweepOverlaps(views))
 }
@@ -99,8 +100,9 @@ func (w OverlapMatrix) String() string {
 // GreedyColor implements the paper's Figure 5 greedy graph-coloring: visit
 // processes in rank order and give each the lowest color used by none of
 // its already-colored neighbours. It returns each rank's color and the
-// number of colors (= I/O phases). Every rank computes the identical result
-// locally.
+// number of colors (= I/O phases). Like W it is the same on every rank, and
+// Coloring computes it once per collective; both returned values are then
+// shared and read-only.
 //
 // For the paper's column-wise partitioning, where W is tridiagonal, this
 // yields 2 colors: even ranks then odd ranks (Figure 6).
@@ -149,6 +151,8 @@ func ValidColoring(w OverlapMatrix, colors []int) bool {
 // under the process-rank ordering policy: its view minus the union of all
 // higher ranks' views ("the higher ranked process wins the right to access
 // the overlapped regions while others surrender their writes", §3.3.2).
+// It is the per-rank definition ClipAll is tested against; RankOrder itself
+// shares one ClipAll per collective.
 func ClipForRank(views []interval.List, rank int) interval.List {
 	var higher interval.List
 	for j := rank + 1; j < len(views); j++ {
@@ -158,7 +162,7 @@ func ClipForRank(views []interval.List, rank int) interval.List {
 }
 
 // ClipAll computes every rank's clip in one sweep — each byte goes to the
-// highest rank writing it — in O(E log E) total instead of running
+// highest rank writing it — in O(E log P) total instead of running
 // ClipForRank's subtract per rank. result[r] equals ClipForRank(views, r).
 func ClipAll(views []interval.List) []interval.List {
 	return index.ClipAll(views)

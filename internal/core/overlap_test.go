@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -362,6 +363,56 @@ func TestClipAllMatchesClipForRank(t *testing.T) {
 			want := ClipForRank(views, rank)
 			if !clips[rank].Equal(want) {
 				t.Fatalf("ClipAll[%d] = %v, want %v\nviews=%v", rank, clips[rank], want, views)
+			}
+		}
+	}
+}
+
+// shapedViews draws the view shapes that stress the merged endpoint
+// schedule: empty views, one-extent views, copies of an earlier view,
+// chains of touching extents [a,x) [x,b), canonical views and unsorted
+// overlapping ones, on coordinates small enough that endpoints tie often.
+func shapedViews(r *rand.Rand, p int) []interval.List {
+	views := make([]interval.List, p)
+	for i := range views {
+		switch shape := r.Intn(6); {
+		case shape == 0:
+			// empty
+		case shape == 1:
+			views[i] = interval.List{ext(int64(r.Intn(60)), 1+int64(r.Intn(20)))}
+		case shape == 2 && i > 0:
+			views[i] = views[r.Intn(i)].Clone()
+		case shape == 3:
+			off := int64(r.Intn(20))
+			for k := r.Intn(6); k >= 0; k-- {
+				l := 1 + int64(r.Intn(8))
+				views[i] = append(views[i], ext(off, l))
+				off += l
+			}
+		case shape == 4:
+			views[i] = randViews(r, 1)[0].Normalize()
+		default:
+			views[i] = randViews(r, 1)[0]
+		}
+	}
+	return views
+}
+
+// TestSharedHandshakeAlgebraMatchesPerRankOracles pins what the strategies
+// now compute once per collective — the swept matrix and the one-sweep
+// clips — to the per-rank reference implementations they replaced, on the
+// adversarial shapes and at rank counts that leave odd runs in the merge.
+func TestSharedHandshakeAlgebraMatchesPerRankOracles(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	for round := 0; round < 400; round++ {
+		views := shapedViews(r, 1+r.Intn(17))
+		if got, want := BuildOverlapMatrix(views), BuildOverlapMatrixLinear(views); got.String() != want.String() {
+			t.Fatalf("round %d: swept matrix\n%v\nwant\n%v\nviews=%v", round, got, want, views)
+		}
+		clips := ClipAll(views)
+		for rank := range views {
+			if want := ClipForRank(views, rank); !slices.Equal(clips[rank], want) {
+				t.Fatalf("round %d: ClipAll[%d] = %v, want %v\nviews=%v", round, rank, clips[rank], want, views)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"atomio/internal/fileview"
+	"atomio/internal/interval"
 	"atomio/internal/trace"
 )
 
@@ -20,11 +21,14 @@ func (RankOrder) Name() string { return "ordering" }
 func (RankOrder) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
 	mine := extentsOf(maps)
 	hs := ctx.span(trace.PhaseHandshake)
+	defer hs.Stop()
 	views, err := ExchangeViews(ctx.Comm, mine)
 	if err != nil {
 		return err
 	}
-	keep := ClipForRank(views, ctx.Comm.Rank())
+	// One sweep clips every rank's view; each rank reads its own row.
+	clips := shared(ctx.Comm, func() []interval.List { return ClipAll(views) })
+	keep := clips[ctx.Comm.Rank()]
 	hs.Stop()
 	xfer := ctx.span(trace.PhaseTransfer)
 	ctx.Client.WriteV(clipSegments(buf, maps, keep))

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"atomio/internal/fileview"
@@ -38,20 +40,28 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 	mine := extentsOf(maps)
 
 	hs := ctx.span(trace.PhaseHandshake)
+	defer hs.Stop()
 	views, err := ExchangeViews(comm, mine)
 	if err != nil {
 		return err
 	}
-	var all interval.List
-	for _, v := range views {
-		all = all.Union(v)
+	// The aggregate span is the span of the per-view spans; it is empty
+	// exactly when every (canonical) view is.
+	spans := make(interval.List, len(views))
+	for r, v := range views {
+		spans[r] = v.Span()
 	}
-	if all.TotalLen() == 0 {
+	span := spans.Span()
+	hs.Stop()
+	if span.Empty() {
+		// Nothing to write anywhere; only the collective's closing
+		// synchronization remains.
+		sw := ctx.span(trace.PhaseSyncWait)
 		comm.Barrier()
+		sw.Stop()
 		return nil
 	}
-	domains := fileDomains(all.Span(), p)
-	hs.Stop()
+	domains := fileDomains(span, p)
 
 	// Phase 1: route each of my segments to the domain owners. Domains are
 	// sorted and disjoint, so each segment binary-searches its first owner
@@ -166,7 +176,7 @@ func mergePieces(recv [][]byte, domain interval.Extent) ([]pfs.Segment, error) {
 			}
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].Off < segs[j].Off })
+	slices.SortFunc(segs, func(a, b pfs.Segment) int { return cmp.Compare(a.Off, b.Off) })
 	return segs, nil
 }
 

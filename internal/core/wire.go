@@ -30,20 +30,40 @@ func DecodeExtents(b []byte) (interval.List, error) {
 	return out, nil
 }
 
+// shared evaluates compute once for the whole communicator (see
+// mpi.Comm.Shared) and returns the one read-only value on every rank. It is
+// how the handshake algebra — a pure function of the allgathered views that
+// the paper has every process evaluate locally — is computed once per
+// collective on the host while staying local, and free, in virtual time.
+func shared[T any](comm *mpi.Comm, compute func() T) T {
+	return comm.Shared(func() any { return compute() }).(T)
+}
+
 // ExchangeViews allgathers every rank's file extents — the process
 // handshake both the coloring and ordering strategies start with. The
 // result is indexed by rank. Extents are sent in canonical form.
+//
+// Every rank receives the same payloads, so they are decoded once and the
+// decoded views are shared: the result is the same slice on every rank and
+// is read-only.
 func ExchangeViews(comm *mpi.Comm, mine interval.List) ([]interval.List, error) {
 	all := comm.Allgather(EncodeExtents(mine.Normalize()))
-	out := make([]interval.List, len(all))
-	for r, b := range all {
-		l, err := DecodeExtents(b)
-		if err != nil {
-			return nil, fmt.Errorf("rank %d: %w", r, err)
-		}
-		out[r] = l
+	type decoded struct {
+		views []interval.List
+		err   error
 	}
-	return out, nil
+	d := shared(comm, func() decoded {
+		views := make([]interval.List, len(all))
+		for r, b := range all {
+			l, err := DecodeExtents(b)
+			if err != nil {
+				return decoded{err: fmt.Errorf("rank %d: %w", r, err)}
+			}
+			views[r] = l
+		}
+		return decoded{views: views}
+	})
+	return d.views, d.err
 }
 
 // ExchangeSpans allgathers only each rank's bounding span — the cheaper,

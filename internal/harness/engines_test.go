@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"atomio/internal/core"
 	"atomio/internal/platform"
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
+	"atomio/internal/sim/fault"
 )
 
 // runUnder executes the experiment under the named engine.
@@ -123,6 +125,37 @@ func TestEnginesByteIdenticalCheckpoint(t *testing.T) {
 		Steps:     3,
 		Compute:   5_000_000,
 	})
+}
+
+// TestEnginesByteIdenticalSharedHandshake pins every strategy whose
+// handshake is computed once per collective and shared between ranks: which
+// rank arrives first and runs the computation differs between the engines
+// (and, on the goroutine engine, between runs), and nothing observable may
+// depend on it. The writer-crash cells are the fleet's shape — rank 1 dies
+// after one segment, intents replay: the crash surrenders data, not control
+// flow, so the crashed rank still reaches every shared computation (mpi.Run
+// fails a world that ends with one unreached).
+func TestEnginesByteIdenticalSharedHandshake(t *testing.T) {
+	strategies := []core.Strategy{core.RankOrder{}, core.Coloring{}, core.Coloring{UseSpans: true}, core.TwoPhase{}}
+	for _, strat := range strategies {
+		e := Experiment{
+			Platform:  platform.IBMSP(),
+			M:         72,
+			N:         1152,
+			Procs:     9, // odd: the schedule merge leaves a run over at every level
+			Overlap:   6,
+			Pattern:   ColumnWise,
+			Strategy:  strat,
+			Servers:   2,
+			StoreData: true,
+			Verify:    true,
+		}
+		t.Run(strat.Name(), func(t *testing.T) { pinEngines(t, e) })
+
+		crash := fault.WriterCrashEarly()
+		e.Faults, e.Recovery = &crash, true
+		t.Run(strat.Name()+"+writer-crash", func(t *testing.T) { pinEngines(t, e) })
+	}
 }
 
 // TestEngineResolution checks the engine default chain: experiment override,

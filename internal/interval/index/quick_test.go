@@ -4,7 +4,9 @@ package index
 // randomized workloads, in the style of internal/interval/quick_test.go.
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"atomio/internal/interval"
@@ -81,6 +83,93 @@ func TestQuickIndexMatchesLinearScan(t *testing.T) {
 				if got[i] != want[i].v {
 					t.Fatalf("query %v: hit %d = %d, want %d", q, i, got[i], want[i].v)
 				}
+			}
+		}
+	}
+}
+
+// shapedViews draws p lists from the shapes the merge-based schedule has to
+// get right: empty lists, one-extent lists, exact copies of an earlier list
+// (every endpoint ties), chains of touching extents [a,x) [x,b) (a close
+// and an open at the same coordinate, within a list before normalization
+// and across lists after), already-canonical lists, and unsorted
+// overlapping ones. Coordinates are small so ties are the common case.
+func shapedViews(r *rand.Rand, p int) []interval.List {
+	views := make([]interval.List, p)
+	for i := range views {
+		switch shape := r.Intn(6); {
+		case shape == 0:
+			// empty
+		case shape == 1:
+			views[i] = interval.List{{Off: int64(r.Intn(60)), Len: 1 + int64(r.Intn(20))}}
+		case shape == 2 && i > 0:
+			views[i] = views[r.Intn(i)].Clone()
+		case shape == 3:
+			off := int64(r.Intn(20))
+			for k := r.Intn(6); k >= 0; k-- {
+				l := 1 + int64(r.Intn(8))
+				views[i] = append(views[i], interval.Extent{Off: off, Len: l})
+				off += l
+			}
+		case shape == 4:
+			views[i] = randList(r).Normalize()
+		default:
+			views[i] = randList(r)
+		}
+	}
+	return views
+}
+
+// TestQuickEventsMergeMatchesSort pins the P-way merge that builds the
+// endpoint schedule to a plain sort of the same events under the full key
+// (coordinate, close before open, list id), for run counts that leave odd
+// runs over at every merge level.
+func TestQuickEventsMergeMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	for round := 0; round < 400; round++ {
+		views := shapedViews(r, r.Intn(20))
+		var want []event
+		for i, l := range views {
+			for _, e := range l.Normalize() {
+				want = append(want, event{at: e.Off, start: true, id: int32(i)},
+					event{at: e.End(), start: false, id: int32(i)})
+			}
+		}
+		slices.SortFunc(want, func(a, b event) int {
+			switch {
+			case a.before(&b):
+				return -1
+			case b.before(&a):
+				return 1
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		if got := events(views); !slices.Equal(got, want) {
+			t.Fatalf("round %d: merged schedule\n%v\nwant sorted\n%v\nviews=%v", round, got, want, views)
+		}
+	}
+}
+
+// TestQuickSweepShapesMatchOracles checks both sweep drivers against their
+// brute-force oracles on the adversarial shapes.
+func TestQuickSweepShapesMatchOracles(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for round := 0; round < 400; round++ {
+		views := shapedViews(r, 1+r.Intn(17))
+		w := SweepOverlaps(views)
+		clips := ClipAll(views)
+		for i := range views {
+			for j := range views {
+				if want := i != j && views[i].Overlaps(views[j]); w[i][j] != want {
+					t.Fatalf("round %d: W[%d][%d] = %v, want %v\nviews=%v", round, i, j, w[i][j], want, views)
+				}
+			}
+			var higher interval.List
+			for _, v := range views[i+1:] {
+				higher = append(higher, v...)
+			}
+			if want := views[i].Subtract(higher); !slices.Equal(clips[i], want) {
+				t.Fatalf("round %d: clip[%d] = %v, want %v\nviews=%v", round, i, clips[i], want, views)
 			}
 		}
 	}

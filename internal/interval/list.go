@@ -1,6 +1,8 @@
 package interval
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -79,11 +81,8 @@ func (l List) Normalize() List {
 			tmp = append(tmp, e)
 		}
 	}
-	sort.Slice(tmp, func(i, j int) bool {
-		if tmp[i].Off != tmp[j].Off {
-			return tmp[i].Off < tmp[j].Off
-		}
-		return tmp[i].Len < tmp[j].Len
+	slices.SortFunc(tmp, func(a, b Extent) int {
+		return cmp.Or(cmp.Compare(a.Off, b.Off), cmp.Compare(a.Len, b.Len))
 	})
 	out := make(List, 0, len(tmp))
 	for _, e := range tmp {

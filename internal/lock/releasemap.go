@@ -1,6 +1,8 @@
 package lock
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"atomio/internal/interval"
@@ -66,7 +68,7 @@ func (m *releaseMap) record(e interval.Extent, at sim.VTime) {
 	for c := range cutSet {
 		cuts = append(cuts, c)
 	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+	slices.Sort(cuts)
 	for k := 0; k+1 < len(cuts); k++ {
 		piece := interval.Extent{Off: cuts[k], Len: cuts[k+1] - cuts[k]}
 		var v sim.VTime
@@ -86,7 +88,7 @@ func (m *releaseMap) record(e interval.Extent, at sim.VTime) {
 			out = append(out, relEntry{ext: piece, at: v})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ext.Off < out[j].ext.Off })
+	slices.SortFunc(out, func(a, b relEntry) int { return cmp.Compare(a.ext.Off, b.ext.Off) })
 	// Coalesce equal-valued neighbours to keep the map small.
 	merged := out[:0]
 	for _, en := range out {

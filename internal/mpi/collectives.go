@@ -131,6 +131,11 @@ func (c *Comm) Gather(data []byte, root int) [][]byte {
 // Allgather collects every rank's data on every rank, indexed by rank, using
 // the ring algorithm. Payload sizes may differ between ranks, so this also
 // serves as MPI_Allgatherv.
+//
+// The returned blocks are read-only: each rank copies its own contribution
+// once and the ring forwards that one buffer from hand to hand, so out[r]
+// is the same memory on every rank (P copies per collective instead of the
+// P² of copying at every hop). The caller may reuse data.
 func (c *Comm) Allgather(data []byte) [][]byte {
 	defer c.beginOp("allgather")()
 	tag := c.nextInternalTag()
@@ -143,10 +148,12 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 	ctx := c.internalCtx()
 	right := (c.rank + 1) % p
 	left := (c.rank - 1 + p) % p
-	// In step s we forward the block that originated at rank-s.
+	// In step s we forward the block that originated at rank-s: our own
+	// private copy first, then blocks received from the left, none of
+	// which is ever written again.
 	for s := 0; s < p-1; s++ {
 		sendIdx := (c.rank - s + p) % p
-		c.send(ctx, right, tag, out[sendIdx])
+		c.sendOwned(ctx, right, tag, out[sendIdx])
 		b, _ := c.recv(ctx, left, tag)
 		recvIdx := (c.rank - s - 1 + p) % p
 		out[recvIdx] = b

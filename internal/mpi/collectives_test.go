@@ -108,6 +108,27 @@ func TestAllgatherVariableSizes(t *testing.T) {
 	}
 }
 
+// TestAllgatherCallerMayReuseBuffer pins the one copy the ring still makes:
+// blocks are forwarded without copying, so a rank scribbling over its input
+// the moment Allgather returns — while slower ranks are still forwarding
+// that block — must not reach anyone's result.
+func TestAllgatherCallerMayReuseBuffer(t *testing.T) {
+	for _, p := range procCounts {
+		run(t, p, func(c *Comm) error {
+			mine := bytes.Repeat([]byte{byte(c.Rank() + 1)}, 64)
+			got := c.Allgather(mine)
+			clear(mine)
+			c.Barrier()
+			for r, d := range got {
+				if want := bytes.Repeat([]byte{byte(r + 1)}, 64); !bytes.Equal(d, want) {
+					return fmt.Errorf("rank %d entry %d = %v, want %v", c.Rank(), r, d, want)
+				}
+			}
+			return nil
+		})
+	}
+}
+
 func TestReduceSum(t *testing.T) {
 	for _, p := range procCounts {
 		run(t, p, func(c *Comm) error {

@@ -19,6 +19,7 @@ type Comm struct {
 	clock *sim.Clock
 
 	internalSeq int // sequence number for internal collective tags
+	sharedSeq   int // sequence number of Shared calls
 
 	// curOp labels the collective currently executing on this rank so its
 	// internal messages carry the collective's name in trace events. Only

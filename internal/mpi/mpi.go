@@ -89,10 +89,15 @@ type World struct {
 
 	ctxMu   sync.Mutex
 	nextCtx int
+
+	// shared is the memo table behind Comm.Shared: one entry per collective
+	// call in flight, dropped once every rank of its communicator arrived.
+	sharedMu sync.Mutex
+	shared   map[sharedKey]*sharedEntry
 }
 
 func newWorld(cfg Config) *World {
-	w := &World{cfg: cfg, size: cfg.Procs}
+	w := &World{cfg: cfg, size: cfg.Procs, shared: make(map[sharedKey]*sharedEntry)}
 	w.mailboxes = make([]*mailbox, cfg.Procs)
 	w.clocks = make([]*sim.Clock, cfg.Procs)
 	for i := range w.mailboxes {
@@ -260,7 +265,16 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 	if engErr != nil {
 		return res, engErr
 	}
-	return res, aborted
+	if aborted != nil {
+		return res, aborted
+	}
+	// A clean run leaves no Shared entry behind; one that does skipped a
+	// collective call on some rank, and its later Shared calls on that
+	// communicator paired up with the wrong peers.
+	if n := len(w.shared); n != 0 {
+		return res, fmt.Errorf("mpi: %d Shared calls were not reached by every rank of their communicator", n)
+	}
+	return res, nil
 }
 
 // MustRun is Run but panics on error; convenient in examples and benchmarks.

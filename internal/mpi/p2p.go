@@ -22,10 +22,19 @@ func (c *Comm) Send(to, tag int, data []byte) {
 }
 
 // send is the context-explicit core used by both user sends and internal
-// collective traffic. In a coordinated world the send is an admitted action
-// at the sender's post-overhead clock, so deliveries into every mailbox
-// happen in deterministic virtual-time order.
+// collective traffic. It copies the payload, so the caller may reuse data.
 func (c *Comm) send(ctx, to, tag int, data []byte) {
+	c.sendOwned(ctx, to, tag, append([]byte(nil), data...))
+}
+
+// sendOwned is send without the copy: data is handed to the receiver as-is,
+// so the caller must never write to it again. Collectives use it for
+// buffers they own outright (a private copy, or a block received from
+// another rank and merely forwarded). In a coordinated world the send is an
+// admitted action at the sender's post-overhead clock, so deliveries into
+// every mailbox happen in deterministic virtual-time order. The virtual
+// cost of a message depends only on len(data).
+func (c *Comm) sendOwned(ctx, to, tag int, data []byte) {
 	c.checkRank(to)
 	c.clock.Advance(c.world.cfg.SendOverhead)
 	if co := c.world.cfg.Coord; co != nil {
@@ -38,13 +47,11 @@ func (c *Comm) send(ctx, to, tag int, data []byte) {
 			Peer: c.group[to], Size: int64(len(data)),
 		})
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
 	c.world.mailboxes[c.group[to]].put(&message{
 		ctx:    ctx,
 		src:    c.rank,
 		tag:    tag,
-		data:   buf,
+		data:   data,
 		sentAt: c.clock.Now(),
 	})
 }

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"atomio/internal/core"
 	"atomio/internal/datatype"
 	"atomio/internal/mpi"
+	"atomio/internal/sim"
+	"atomio/internal/trace"
 	"atomio/internal/verify"
 	"atomio/internal/workload"
 )
@@ -358,4 +361,63 @@ func TestEmptyRankParticipatesInCollectives(t *testing.T) {
 		}
 		return f.Close()
 	})
+}
+
+// TestEmptyCollectiveWriteKeepsPhaseAccounting pins the phase breakdown of a
+// collective write in which every rank writes nothing: the handshake and
+// the closing synchronization still take virtual time, and every
+// nanosecond of it must land in some phase. (TwoPhase's zero-byte early
+// return used to leave its handshake span open and run its barrier outside
+// any span, so the whole write vanished from the breakdown.)
+func TestEmptyCollectiveWriteKeepsPhaseAccounting(t *testing.T) {
+	const p = 5
+	phases := []trace.Phase{trace.PhaseHandshake, trace.PhaseLockWait, trace.PhaseTransfer,
+		trace.PhaseSyncWait, trace.PhaseExchange}
+	for _, strat := range []core.Strategy{core.TwoPhase{}, core.Coloring{}, core.Coloring{UseSpans: true}, core.RankOrder{}} {
+		t.Run(strat.Name(), func(t *testing.T) {
+			fs := testFS()
+			rec := trace.NewRecorder(p).Ensure(phases...)
+			elapsed := make([]sim.VTime, p)
+			cfg := mpi.Config{
+				Procs: p, Timeout: 60 * time.Second,
+				Net:          sim.LinearCost{Latency: 20 * sim.Microsecond, BytesPerSec: 100 << 20},
+				SendOverhead: sim.Microsecond, RecvOverhead: sim.Microsecond,
+			}
+			_, err := mpi.Run(cfg, func(c *mpi.Comm) error {
+				f, err := Open(c, fs, nil, "empty.dat")
+				if err != nil {
+					return err
+				}
+				f.SetAtomicity(true)
+				if err := f.SetStrategy(strat); err != nil {
+					return err
+				}
+				f.SetTrace(rec)
+				start := c.Now()
+				if err := f.WriteAll(nil); err != nil {
+					return err
+				}
+				elapsed[c.Rank()] = c.Now() - start
+				return f.Close()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < p; r++ {
+				var sum sim.VTime
+				for _, ph := range phases {
+					sum += rec.Rank(r, ph)
+				}
+				if elapsed[r] == 0 {
+					t.Fatalf("rank %d: the empty collective took no virtual time; the test measures nothing", r)
+				}
+				if sum != elapsed[r] {
+					t.Errorf("rank %d: phases sum to %v, the write took %v", r, sum, elapsed[r])
+				}
+			}
+			if rec.Total(trace.PhaseHandshake) == 0 {
+				t.Error("no handshake time recorded")
+			}
+		})
+	}
 }

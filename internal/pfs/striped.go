@@ -1,7 +1,8 @@
 package pfs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"atomio/internal/interval"
@@ -178,7 +179,7 @@ func (st *stripedStore) mergeRead(off int64, buf []byte) {
 		})
 		sv.mu.Unlock()
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
+	slices.SortFunc(recs, func(a, b rec) int { return cmp.Compare(a.seq, b.seq) })
 	for _, r := range recs {
 		sv := st.servers[r.server]
 		sv.mu.Lock()

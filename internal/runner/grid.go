@@ -169,11 +169,12 @@ type ScalingPoint struct {
 }
 
 // ScalingPoints pairs process counts with per-rank extent counts. The
-// handshaking strategies decode all P views on every rank — O(P²·M)
-// extents live at the allgather — so the largest process counts carry
-// fewer extents per rank to keep a full simulation of thousands of ranks
-// runnable on one host: thousands of extents per rank at moderate P,
-// P=1024 with leaner views.
+// handshaking strategies' ring allgather moves every view past every rank —
+// P² messages carrying O(P²·M) extents in all, though each view is held in
+// memory and decoded only once per collective — so the largest process
+// counts carry fewer extents per rank to keep a full simulation of
+// thousands of ranks runnable on one host: thousands of extents per rank at
+// moderate P, P=1024 with leaner views.
 var ScalingPoints = []ScalingPoint{
 	{Procs: 64, M: 4096, N: 64 * 64},
 	{Procs: 256, M: 1024, N: 256 * 64},
