@@ -60,10 +60,6 @@ type (
 	// ServerStatsSummary condenses per-server stats into hot-server
 	// indicators.
 	ServerStatsSummary = harness.ServerStatsSummary
-	// SimEngine executes a simulation's rank bodies and orders their
-	// cross-rank interactions; every registered engine produces
-	// byte-identical virtual results (see sim.Engine).
-	SimEngine = sim.Engine
 	// FaultScript is a named, deterministic failure-injection script:
 	// seeded events over virtual time (server crash windows, lock-message
 	// faults, writer crashes) plus the lock-lease duration.
@@ -72,8 +68,8 @@ type (
 	// torn, or recovered-serializable.
 	Verdict = verify.Verdict
 	// TraceEvent is one structured virtual-time event of a traced run,
-	// totally ordered by (T, Actor, Seq) and byte-identical across engines,
-	// worker counts and lock-shard counts (see internal/obs).
+	// totally ordered by (T, Actor, Seq) and byte-identical across worker
+	// counts and lock-shard counts (see internal/obs).
 	TraceEvent = obs.Event
 	// TraceRecorder collects a traced run's event streams and metrics;
 	// Result.Events holds one when tracing was requested.
@@ -116,19 +112,12 @@ type Spec struct {
 	// Recovery enables write-ahead intent logging and post-run replay of
 	// fault-damaged extents.
 	Recovery bool
-	// Engine is the registered simulation-engine name; empty selects the
-	// event-loop default. Engines are host-performance choices only:
-	// virtual results are byte-identical across them.
-	Engine string
 	// Servers overrides the platform's simulated I/O-server count
 	// (0 keeps the platform default; a real model parameter).
 	Servers int
 	// LockShards overrides the lock manager's table shard count
 	// (0 keeps the platform default; output is invariant in it).
 	LockShards int
-	// SharedStore stores file bytes in the pre-striping shared store
-	// (the oracle layout; output is byte-identical either way).
-	SharedStore bool
 	// StoreData materializes file bytes (implied by Verify).
 	StoreData bool
 	// Verify checks MPI atomicity on the resulting file content.
@@ -233,14 +222,6 @@ func Recovery(on bool) Option {
 	return func(s *Spec) error { s.Recovery = on; return nil }
 }
 
-// Engine selects the simulation engine by registered name ("eventloop",
-// the single-threaded scheduler, or "goroutine", the one-goroutine-per-rank
-// oracle); the empty string keeps the event-loop default. Reported numbers
-// are byte-identical for any engine.
-func Engine(name string) Option {
-	return func(s *Spec) error { s.Engine = name; return nil }
-}
-
 // Servers overrides the simulated I/O-server count (0 keeps the platform
 // default). Server count is a real model parameter: reported numbers
 // change with it.
@@ -266,12 +247,6 @@ func LockShards(n int) Option {
 	}
 }
 
-// SharedStore selects the pre-striping shared file store (the oracle
-// layout) instead of per-server stores.
-func SharedStore(on bool) Option {
-	return func(s *Spec) error { s.SharedStore = on; return nil }
-}
-
 // StoreData materializes file bytes (needed for Verify; off by default so
 // large arrays stay memory-flat).
 func StoreData(on bool) Option {
@@ -290,9 +265,9 @@ func Trace(on bool) Option {
 }
 
 // TraceEvents records the structured virtual-time event stream and metrics
-// registry of the run. The stream is byte-identical across simulation
-// engines, worker counts and lock-shard counts; export it with
-// WriteTraceJSONL or WriteChromeTrace.
+// registry of the run. The stream is byte-identical across worker counts
+// and lock-shard counts; export it with WriteTraceJSONL or
+// WriteChromeTrace.
 func TraceEvents(on bool) Option {
 	return func(s *Spec) error { s.TraceEvents = on; return nil }
 }
@@ -442,7 +417,6 @@ func (s *Spec) experiment() (harness.Experiment, error) {
 		AtomicListIO: s.AtomicListIO || strat.Name() == "listio",
 		LockShards:   s.LockShards,
 		Servers:      s.Servers,
-		SharedStore:  s.SharedStore,
 		Recovery:     s.Recovery,
 		TraceEvents:  s.TraceEvents,
 		EventLimit:   s.TraceLimit,
@@ -456,13 +430,6 @@ func (s *Spec) experiment() (harness.Experiment, error) {
 			return zero, err
 		}
 		e.Faults = &script
-	}
-	if s.Engine != "" {
-		eng, err := EngineByName(s.Engine)
-		if err != nil {
-			return zero, err
-		}
-		e.Engine = eng
 	}
 	if s.Scenario != "" {
 		scen, err := ScenarioByName(s.Scenario)
@@ -541,7 +508,7 @@ func SummarizeServerStats(stats []ServerStats, makespan VTime) ServerStatsSummar
 // WriteTraceJSONL writes a traced run's event stream and metrics as compact
 // JSONL (schema atomio.trace/v1): a header line, one event per line in
 // (T, Actor, Seq) order, and a final metrics line. The output is
-// byte-identical across engines, worker counts and lock-shard counts.
+// byte-identical across worker counts and lock-shard counts.
 func WriteTraceJSONL(w io.Writer, r *TraceRecorder) error {
 	return obs.WriteJSONL(w, r)
 }

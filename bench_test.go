@@ -15,8 +15,6 @@ import (
 	"atomio/internal/harness"
 	"atomio/internal/platform"
 	"atomio/internal/runner"
-	"atomio/internal/sim"
-	"atomio/internal/sim/des"
 )
 
 // runExperiment executes e b.N times, reporting virtual bandwidth.
@@ -236,33 +234,6 @@ func BenchmarkDegraded(b *testing.B) {
 	}
 	for _, cell := range runner.DegradedGrid() {
 		b.Run(cell.ID, func(b *testing.B) { runExperiment(b, cell.Experiment) })
-	}
-}
-
-// BenchmarkEngines compares the two simulation engines on one mid-size
-// scaling cell (256 ranks, locking): identical virtual output by
-// construction — the cross-engine tests pin that — so ns/op is purely the
-// cost of the coordination substrate, goroutine parks versus the event
-// loop's heap pops. -short drops to the smallest scaling point so CI's
-// bench-smoke job stays quick.
-func BenchmarkEngines(b *testing.B) {
-	pt := runner.ScalingPoints[1]
-	if testing.Short() {
-		pt = runner.ScalingPoints[0]
-	}
-	e := harness.Experiment{
-		Platform: platform.IBMSP(),
-		M:        pt.M, N: pt.N, Procs: pt.Procs, Overlap: runner.ScalingOverlap,
-		Pattern:  harness.ColumnWise,
-		Strategy: core.Locking{},
-	}
-	for name, eng := range map[string]sim.Engine{
-		"goroutine": sim.Goroutines{},
-		"eventloop": des.New(),
-	} {
-		e := e
-		e.Engine = eng
-		b.Run(name, func(b *testing.B) { runExperiment(b, e) })
 	}
 }
 

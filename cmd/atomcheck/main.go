@@ -23,9 +23,8 @@ import (
 
 // config is the parsed command line.
 type config struct {
-	shape  *cli.Shape
-	procs  int
-	engine string
+	shape *cli.Shape
+	procs int
 }
 
 // parseFlags parses and validates the command line, printing diagnostics
@@ -36,14 +35,9 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	cfg := &config{}
 	cfg.shape = app.Shape(256, 2048, 16)
 	app.Flags.IntVar(&cfg.procs, "p", 8, "processes")
-	app.Flags.StringVar(&cfg.engine, "engine", "eventloop",
-		"simulation engine (output is identical either way)")
 	app.Check(func() error {
 		if cfg.procs < 1 {
 			return fmt.Errorf("-p must be positive, got %d", cfg.procs)
-		}
-		if _, err := atomio.EngineByName(cfg.engine); err != nil {
-			return fmt.Errorf("-engine: %v", err)
 		}
 		return nil
 	})
@@ -75,7 +69,6 @@ func main() {
 				atomio.Overlap(overlap),
 				atomio.Strategy(strategy),
 				atomio.Verify(true),
-				atomio.Engine(cfg.engine),
 			)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "atomcheck: %s/%s: %v\n", platformName, strategy, err)
@@ -94,10 +87,6 @@ func main() {
 	}
 
 	fmt.Println("\nnegative control (locking each segment separately, paper §3.2):")
-	eng, engErr := atomio.EngineByName(cfg.engine)
-	if engErr != nil {
-		fatal(engErr)
-	}
 	res, runErr := harness.Experiment{
 		Platform:  platform.Origin2000(),
 		M:         m,
@@ -108,7 +97,6 @@ func main() {
 		Strategy:  core.Locking{PerSegment: true},
 		StoreData: true,
 		Verify:    true,
-		Engine:    eng,
 	}.Run()
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "atomcheck: negative control: %v\n", runErr)

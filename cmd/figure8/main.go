@@ -7,8 +7,8 @@
 //
 //	figure8 [-platform name] [-size label] [-store] [-v]
 //	        [-workers N] [-progress] [-json file] [-csv file]
-//	        [-scale] [-maxp P] [-engine name] [-lockshards S]
-//	        [-shardsweep] [-servers N] [-sharedstore] [-degraded]
+//	        [-scale] [-maxp P] [-lockshards S]
+//	        [-shardsweep] [-servers N] [-degraded]
 //	        [-fleet] [-seed S] [-cells N]
 //	        [-trace-out file] [-trace-limit N] [-metrics]
 //
@@ -22,9 +22,7 @@
 // atomio.Scaling) and prints one row per cell; -json emits the same
 // atomio.bench/v1 records as the Figure 8 grid. -maxp raises (or lowers)
 // the grid's process-count ceiling: past 1024 the grid continues into the
-// locking-only extended points (2048–16384 ranks, see atomio.ScalingTo),
-// the regime the single-threaded event-loop engine (-engine eventloop, the
-// default) exists for.
+// locking-only extended points (2048–16384 ranks, see atomio.ScalingTo).
 //
 // -lockshards S partitions every cell's lock-manager table across S offset
 // stripes (see internal/lock). Reported numbers are byte-identical for any
@@ -34,15 +32,12 @@
 // count, printing virtual bandwidth (constant) next to wall time.
 //
 // -servers N overrides every cell's simulated I/O-server count (a real
-// model parameter: reported numbers change with it). -sharedstore runs
-// every cell on the pre-striping shared file store instead of per-server
-// stores; output is byte-identical either way, so diffing a -sharedstore
-// run against a default run is a live oracle check of the striped storage
-// subsystem. -degraded runs the degraded-server scenario grid instead
-// (atomio.Degraded): healthy baseline, one slow server, a hot server
-// absorbing skewed affinity, and a server-count rebalance, printing each
-// cell's bandwidth next to its hottest server's queue occupancy and byte
-// share; the emitted records carry per-server stats columns.
+// model parameter: reported numbers change with it). -degraded runs the
+// degraded-server scenario grid instead (atomio.Degraded): healthy
+// baseline, one slow server, a hot server absorbing skewed affinity, and a
+// server-count rebalance, printing each cell's bandwidth next to its
+// hottest server's queue occupancy and byte share; the emitted records
+// carry per-server stats columns.
 //
 // -fleet runs the seeded failure-injection fleet instead (atomio.Fleet):
 // -cells randomized (platform × strategy × pattern × fault-script ×
@@ -53,13 +48,13 @@
 // failure the offending cell is shrunk to a minimal reproducer and printed
 // before exiting non-zero. Fault decisions are pure functions of virtual
 // time, so the whole report — verdicts included — is byte-identical across
-// runs and engines for a fixed (seed, cells) pair.
+// runs for a fixed (seed, cells) pair.
 //
 // -trace-out records every cell's structured virtual-time event stream and
 // writes one trace file per cell: a ".json" path gets the Chrome
 // trace-event format (open it at ui.perfetto.dev), any other extension gets
 // atomio.trace/v1 JSONL (the format cmd/atomtrace consumes). The stream is
-// byte-identical across engines, worker counts and lock-shard counts.
+// byte-identical across worker counts and lock-shard counts.
 // -trace-limit bounds per-actor event memory for large-P cells. -metrics
 // alone records the metrics registry — message counts, queue depths, lock
 // waits — into the emitted records without keeping event streams.
@@ -133,11 +128,11 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 		if cfg.shardSweep && cfg.model.LockShards != 0 {
 			return errors.New("-shardsweep sweeps its own shard counts; -lockshards would be ignored")
 		}
-		if cfg.shardSweep && (cfg.model.Servers != 0 || cfg.model.SharedStore) {
-			return errors.New("-shardsweep fixes its own cell; -servers and -sharedstore would be ignored")
+		if cfg.shardSweep && cfg.model.Servers != 0 {
+			return errors.New("-shardsweep fixes its own cell; -servers would be ignored")
 		}
-		if cfg.degraded && (cfg.model.Servers != 0 || cfg.model.SharedStore || cfg.model.LockShards != 0) {
-			return errors.New("-degraded fixes its own scenarios; -servers, -sharedstore and -lockshards would be ignored")
+		if cfg.degraded && (cfg.model.Servers != 0 || cfg.model.LockShards != 0) {
+			return errors.New("-degraded fixes its own scenarios; -servers and -lockshards would be ignored")
 		}
 		if cfg.fleet && cfg.model.Servers != 0 {
 			return errors.New("-fleet fixes two I/O servers per cell; -servers would change the fault surface")
@@ -312,21 +307,17 @@ const shrinkBudget = 40
 
 // runFleet executes the seeded failure-injection fleet, prints one verdict
 // row per cell, and applies the fleet gate. The report carries no wall
-// times or engine names, so a fixed (seed, cells) pair prints
-// byte-identically across runs and engines — diffing two fleet runs is a
-// live determinism check. On gate failure the offending cell is shrunk to
-// a minimal reproducer and the command exits non-zero.
+// times, so a fixed (seed, cells) pair prints byte-identically across runs
+// — diffing two fleet runs is a live determinism check. On gate failure the
+// offending cell is shrunk to a minimal reproducer and the command exits
+// non-zero.
 func runFleet(cfg *config) {
 	cells := atomio.Fleet(cfg.seed, cfg.cells)
 	// The fleet pins its own server count (the fault surface), so the model
-	// group applies piecewise: the output-invariant knobs pass through, and
-	// -servers was rejected at flag time.
+	// group applies piecewise: the output-invariant -lockshards passes
+	// through, and -servers was rejected at flag time.
 	for i := range cells {
 		cells[i].Experiment.LockShards = cfg.model.LockShards
-		cells[i].Experiment.SharedStore = cfg.model.SharedStore
-	}
-	if err := atomio.ApplyEngine(cells, cfg.model.Engine); err != nil {
-		fatal(err)
 	}
 	cfg.trace.ApplyCells(cells)
 	results := atomio.RunGrid(cells, cfg.out.RunOptions("figure8"))

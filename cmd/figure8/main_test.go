@@ -19,18 +19,19 @@ func TestParseFlags(t *testing.T) {
 		{"empty", nil, true, ""},
 		{"full grid knobs", []string{"-platform", "Cplant", "-size", "32 MB", "-store", "-v",
 			"-workers", "2", "-progress", "-json", "a.json", "-csv", "b.csv",
-			"-lockshards", "4", "-servers", "7", "-sharedstore"}, true, ""},
+			"-lockshards", "4", "-servers", "7"}, true, ""},
 		{"scale", []string{"-scale", "-workers", "2"}, true, ""},
 		{"scale to 16k", []string{"-scale", "-maxp", "16384"}, true, ""},
 		{"scale lowered", []string{"-scale", "-maxp", "64"}, true, ""},
-		{"goroutine engine", []string{"-engine", "goroutine"}, true, ""},
+		{"goroutine engine", []string{"-engine", "goroutine"}, false, "flag provided but not defined: -engine"},
 		{"negative lockshards", []string{"-lockshards", "-1"}, false, "-lockshards must be non-negative"},
 		{"negative servers", []string{"-servers", "-1"}, false, "-servers must be non-negative"},
 		{"non-numeric workers", []string{"-workers", "x"}, false, "invalid value"},
 		{"two modes", []string{"-scale", "-shardsweep"}, false, "mutually exclusive"},
 		{"shardsweep with lockshards", []string{"-shardsweep", "-lockshards", "2"}, false, "would be ignored"},
 		{"shardsweep with servers", []string{"-shardsweep", "-servers", "3"}, false, "would be ignored"},
-		{"degraded with sharedstore", []string{"-degraded", "-sharedstore"}, false, "would be ignored"},
+		{"degraded with sharedstore", []string{"-degraded", "-sharedstore"}, false, "flag provided but not defined: -sharedstore"},
+		{"degraded with lockshards", []string{"-degraded", "-lockshards", "2"}, false, "would be ignored"},
 		{"scale with platform", []string{"-scale", "-platform", "Cplant"}, false, "incompatible"},
 		{"maxp without scale", []string{"-maxp", "2048"}, false, "-maxp is only meaningful with -scale"},
 		{"maxp too small", []string{"-scale", "-maxp", "32"}, false, "-maxp must be at least 64"},
@@ -38,7 +39,8 @@ func TestParseFlags(t *testing.T) {
 		{"non-numeric maxp", []string{"-scale", "-maxp", "x"}, false, "invalid value"},
 		{"fleet", []string{"-fleet"}, true, ""},
 		{"fleet seeded", []string{"-fleet", "-seed", "42", "-cells", "500", "-workers", "4"}, true, ""},
-		{"fleet with engine", []string{"-fleet", "-engine", "goroutine", "-sharedstore", "-lockshards", "2"}, true, ""},
+		{"fleet with engine", []string{"-fleet", "-engine", "eventloop"}, false, "flag provided but not defined: -engine"},
+		{"fleet with lockshards", []string{"-fleet", "-lockshards", "2"}, true, ""},
 		{"fleet with scale", []string{"-fleet", "-scale"}, false, "mutually exclusive"},
 		{"fleet with degraded", []string{"-fleet", "-degraded"}, false, "mutually exclusive"},
 		{"fleet with servers", []string{"-fleet", "-servers", "4"}, false, "fault surface"},
@@ -48,8 +50,7 @@ func TestParseFlags(t *testing.T) {
 		{"cells without fleet", []string{"-cells", "50"}, false, "only meaningful with -fleet"},
 		{"zero cells", []string{"-fleet", "-cells", "0"}, false, "-cells must be at least 1"},
 		{"non-numeric seed", []string{"-fleet", "-seed", "x"}, false, "invalid value"},
-		{"unknown engine", []string{"-engine", "threads"}, false, "-engine"},
-		{"empty engine keeps default", []string{"-engine", ""}, true, ""},
+		{"unknown engine", []string{"-engine", "threads"}, false, "flag provided but not defined: -engine"},
 		{"unknown flag", []string{"-nosuch"}, false, "not defined"},
 	}
 	for _, tc := range cases {
@@ -78,21 +79,21 @@ func TestParseFlags(t *testing.T) {
 // TestParseFlagsBinds checks the parsed values reach the config.
 func TestParseFlagsBinds(t *testing.T) {
 	cfg, err := parseFlags([]string{"-platform", "IBM SP", "-size", "1 GB", "-store",
-		"-workers", "5", "-lockshards", "2", "-servers", "6", "-sharedstore"}, io.Discard)
+		"-workers", "5", "-lockshards", "2", "-servers", "6"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.platform != "IBM SP" || cfg.size != "1 GB" || !cfg.store ||
 		cfg.out.Workers != 5 || cfg.model.LockShards != 2 ||
-		cfg.model.Servers != 6 || !cfg.model.SharedStore {
+		cfg.model.Servers != 6 {
 		t.Errorf("config = %+v out=%+v model=%+v", cfg, cfg.out, cfg.model)
 	}
 
-	cfg, err = parseFlags([]string{"-scale", "-maxp", "4096", "-engine", "goroutine"}, io.Discard)
+	cfg, err = parseFlags([]string{"-scale", "-maxp", "4096"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.scale || cfg.maxp != 4096 || cfg.model.Engine != "goroutine" {
+	if !cfg.scale || cfg.maxp != 4096 {
 		t.Errorf("scale config = %+v model=%+v", cfg, cfg.model)
 	}
 

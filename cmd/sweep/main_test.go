@@ -20,7 +20,7 @@ func TestParseFlags(t *testing.T) {
 		{"full", []string{"-platform", "IBM SP", "-m", "512", "-n", "4096", "-p", "2,4",
 			"-r", "8", "-pattern", "row", "-strategies", "coloring,ordering",
 			"-store", "-trace", "-workers", "2", "-json", "a.json",
-			"-lockshards", "2", "-servers", "3", "-sharedstore"}, true, ""},
+			"-lockshards", "2", "-servers", "3"}, true, ""},
 		{"bad shape", []string{"-m", "0"}, false, "must be positive"},
 		{"bad overlap", []string{"-r", "-1"}, false, "non-negative"},
 		{"empty procs", []string{"-p", ""}, false, "empty process list"},

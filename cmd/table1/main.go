@@ -7,10 +7,8 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"atomio"
 	"atomio/internal/cli"
@@ -20,7 +18,6 @@ import (
 type config struct {
 	params bool
 	json   bool
-	engine string
 }
 
 // parseFlags parses the command line, printing diagnostics to stderr.
@@ -30,14 +27,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	cfg := &config{}
 	app.Flags.BoolVar(&cfg.params, "params", false, "also print derived simulator parameters")
 	app.Flags.BoolVar(&cfg.json, "json", false, "emit the profiles as JSON instead of text")
-	app.Flags.StringVar(&cfg.engine, "engine", "eventloop",
-		"simulation engine the -params report annotates (table1 itself runs no simulation)")
-	app.Check(func() error {
-		if _, err := atomio.EngineByName(cfg.engine); err != nil {
-			return fmt.Errorf("-engine: %v", err)
-		}
-		return nil
-	})
 	if err := app.Parse(args); err != nil {
 		return nil, err
 	}
@@ -62,7 +51,5 @@ func main() {
 	if cfg.params {
 		os.Stdout.WriteString("\nDerived simulator parameters:\n")
 		os.Stdout.WriteString(atomio.PlatformParams())
-		fmt.Fprintf(os.Stdout, "\nSimulation engine: %s (registered: %s)\n",
-			cfg.engine, strings.Join(atomio.Engines(), ", "))
 	}
 }

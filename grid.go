@@ -58,13 +58,6 @@ type Grid struct {
 	// Servers overrides the simulated I/O-server count on every cell
 	// (0 keeps platform defaults; a real model parameter).
 	Servers int
-	// SharedStore runs every cell on the pre-striping shared store (the
-	// oracle layout; output is byte-identical either way).
-	SharedStore bool
-	// Engine is the registered simulation-engine name applied to every
-	// cell; empty keeps the event-loop default. Output is byte-identical
-	// for any engine.
-	Engine string
 	// TraceEvents records every cell's structured event stream and metrics
 	// registry; the metrics feed the messages / max_queue_depth /
 	// lock-wait columns of emitted records.
@@ -106,7 +99,6 @@ func (g Grid) Cells() ([]Cell, error) {
 		AtomicListIO:    g.AtomicListIO,
 		LockShards:      g.LockShards,
 		Servers:         g.Servers,
-		SharedStore:     g.SharedStore,
 		TraceEvents:     g.TraceEvents,
 		TraceLimit:      g.TraceLimit,
 	}
@@ -117,37 +109,7 @@ func (g Grid) Cells() ([]Cell, error) {
 		}
 		rg.Strategies = append(rg.Strategies, strat)
 	}
-	cells := rg.Cells()
-	if g.Engine != "" {
-		// Engines resolve here, not in the runner: the runner stays free
-		// of registry knowledge, and every cell of one grid runs under the
-		// same engine instance family.
-		eng, err := EngineByName(g.Engine)
-		if err != nil {
-			return nil, err
-		}
-		for i := range cells {
-			cells[i].Experiment.Engine = eng
-		}
-	}
-	return cells, nil
-}
-
-// ApplyEngine stamps the registered engine name onto every cell, leaving
-// cells untouched when name is empty. Grids built outside Grid.Cells (the
-// scaling, shard-sweep and degraded grids) route their -engine flag here.
-func ApplyEngine(cells []Cell, name string) error {
-	if name == "" {
-		return nil
-	}
-	eng, err := EngineByName(name)
-	if err != nil {
-		return err
-	}
-	for i := range cells {
-		cells[i].Experiment.Engine = eng
-	}
-	return nil
+	return rg.Cells(), nil
 }
 
 // WithPlatform narrows the grid to one platform by Table 1 name.
@@ -200,8 +162,8 @@ func Figure8() Grid {
 func Scaling() []Cell { return runner.ScalingGrid() }
 
 // ScalingTo returns the scaling cells with process counts up to maxP, which
-// may extend past the classic grid into the event-loop-scale points (2048,
-// 4096, 8192 and 16384 processes, locking strategy only — see
+// may extend past the classic grid into the extended points (2048, 4096,
+// 8192 and 16384 processes, locking strategy only — see
 // runner.ScalingGridTo).
 func ScalingTo(maxP int) []Cell { return runner.ScalingGridTo(maxP) }
 

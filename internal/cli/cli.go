@@ -1,10 +1,10 @@
 // Package cli is the shared command-line layer of the atomio binaries:
 // every flag the commands have in common — result emission (-workers,
 // -json, -csv, -progress), simulator model parameters (-lockshards,
-// -servers, -sharedstore), workload geometry (-m, -n, -r) and -platform —
-// is declared once here, validated once, and bound to the public facade's
-// types, so figure8, sweep, table1 and atomcheck cannot drift apart on
-// names, defaults or error text. The list-valued parsers (ParseProcs,
+// -servers), workload geometry (-m, -n, -r) and -platform — is declared
+// once here, validated once, and bound to the public facade's types, so
+// figure8, sweep, table1 and atomcheck cannot drift apart on names,
+// defaults or error text. The list-valued parsers (ParseProcs,
 // ParseStrategies, ParsePattern) resolve names through the facade's
 // registries, so unknown names are reported with the registered names.
 package cli
@@ -129,12 +129,10 @@ func (o *Output) RunOptions(name string) atomio.RunOptions {
 }
 
 // Model is the simulator model-parameter group figure8 and sweep share:
-// -lockshards, -servers, -sharedstore.
+// -lockshards, -servers.
 type Model struct {
-	LockShards  int
-	Servers     int
-	SharedStore bool
-	Engine      string
+	LockShards int
+	Servers    int
 }
 
 // Model registers the model-parameter group on the app, with validation.
@@ -144,10 +142,6 @@ func (a *App) Model() *Model {
 		"lock-table shards per manager (0 = platform default; output is identical for any value)")
 	a.Flags.IntVar(&m.Servers, "servers", 0,
 		"simulated I/O servers (0 = platform default; a real model parameter)")
-	a.Flags.BoolVar(&m.SharedStore, "sharedstore", false,
-		"store bytes in the pre-striping shared store (oracle layout; output is identical either way)")
-	a.Flags.StringVar(&m.Engine, "engine", "eventloop",
-		"simulation engine: "+strings.Join(atomio.Engines(), " or ")+" (output is identical either way)")
 	a.Check(m.validate)
 	return m
 }
@@ -159,11 +153,6 @@ func (m *Model) validate() error {
 	if m.Servers < 0 {
 		return fmt.Errorf("-servers must be non-negative, got %d", m.Servers)
 	}
-	if m.Engine != "" {
-		if _, err := atomio.EngineByName(m.Engine); err != nil {
-			return fmt.Errorf("-engine: %v", err)
-		}
-	}
 	return nil
 }
 
@@ -171,21 +160,14 @@ func (m *Model) validate() error {
 func (m *Model) Apply(g *atomio.Grid) {
 	g.LockShards = m.LockShards
 	g.Servers = m.Servers
-	g.SharedStore = m.SharedStore
-	g.Engine = m.Engine
 }
 
 // ApplyCells copies the group onto already-expanded cells (the grids that
-// enumerate cells directly, like the scaling grid). The engine name was
-// validated at flag time, so resolution cannot fail here.
+// enumerate cells directly, like the scaling grid).
 func (m *Model) ApplyCells(cells []atomio.Cell) {
 	for i := range cells {
 		cells[i].Experiment.LockShards = m.LockShards
 		cells[i].Experiment.Servers = m.Servers
-		cells[i].Experiment.SharedStore = m.SharedStore
-	}
-	if err := atomio.ApplyEngine(cells, m.Engine); err != nil {
-		panic(err)
 	}
 }
 

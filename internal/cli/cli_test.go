@@ -75,7 +75,9 @@ func TestModelValidation(t *testing.T) {
 		ok   bool
 	}{
 		{[]string{}, true},
-		{[]string{"-lockshards", "4", "-servers", "7", "-sharedstore"}, true},
+		{[]string{"-lockshards", "4", "-servers", "7"}, true},
+		{[]string{"-engine", "eventloop"}, false},
+		{[]string{"-sharedstore"}, false},
 		{[]string{"-lockshards", "-1"}, false},
 		{[]string{"-servers", "-2"}, false},
 		{[]string{"-servers", "x"}, false},
@@ -89,7 +91,7 @@ func TestModelValidation(t *testing.T) {
 			t.Errorf("Parse(%v) err = %v, want ok=%v", tc.args, err, tc.ok)
 		}
 		if tc.ok && len(tc.args) > 0 {
-			if m.LockShards != 4 || m.Servers != 7 || !m.SharedStore {
+			if m.LockShards != 4 || m.Servers != 7 {
 				t.Errorf("Parse(%v) model = %+v", tc.args, m)
 			}
 		}

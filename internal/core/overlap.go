@@ -23,26 +23,6 @@ func BuildOverlapMatrix(views []interval.List) OverlapMatrix {
 	return OverlapMatrix(index.SweepOverlaps(views))
 }
 
-// BuildOverlapMatrixLinear is the reference O(P²·E) pairwise implementation
-// BuildOverlapMatrix replaced. It is kept as the oracle the property tests
-// and the index benchmarks measure the sweep against.
-func BuildOverlapMatrixLinear(views []interval.List) OverlapMatrix {
-	p := len(views)
-	w := make(OverlapMatrix, p)
-	for i := range w {
-		w[i] = make([]bool, p)
-	}
-	for i := 0; i < p; i++ {
-		for j := i + 1; j < p; j++ {
-			if views[i].Overlaps(views[j]) {
-				w[i][j] = true
-				w[j][i] = true
-			}
-		}
-	}
-	return w
-}
-
 // BuildOverlapMatrixFromSpans computes a conservative W from bounding spans
 // only (two spans that intersect are treated as overlapping even if the
 // underlying non-contiguous views interleave without sharing bytes). It

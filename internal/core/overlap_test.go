@@ -315,6 +315,25 @@ func TestByNameAndAll(t *testing.T) {
 	}
 }
 
+// buildOverlapMatrixLinear is the reference O(P²·E) pairwise construction of
+// W that BuildOverlapMatrix's sweep is pinned to.
+func buildOverlapMatrixLinear(views []interval.List) OverlapMatrix {
+	p := len(views)
+	w := make(OverlapMatrix, p)
+	for i := range w {
+		w[i] = make([]bool, p)
+	}
+	for i := 0; i < p; i++ {
+		for j := i + 1; j < p; j++ {
+			if views[i].Overlaps(views[j]) {
+				w[i][j] = true
+				w[j][i] = true
+			}
+		}
+	}
+	return w
+}
+
 // TestSweepMatrixMatchesLinearOracle pins the sweep-line overlap matrix to
 // the pre-index pairwise implementation on randomized view sets.
 func TestSweepMatrixMatchesLinearOracle(t *testing.T) {
@@ -322,7 +341,7 @@ func TestSweepMatrixMatchesLinearOracle(t *testing.T) {
 	for round := 0; round < 300; round++ {
 		views := randViews(r, 1+r.Intn(9))
 		got := BuildOverlapMatrix(views)
-		want := BuildOverlapMatrixLinear(views)
+		want := buildOverlapMatrixLinear(views)
 		if got.String() != want.String() {
 			t.Fatalf("sweep matrix differs from linear oracle:\n%v\nwant\n%v\nviews=%v",
 				got, want, views)
@@ -406,7 +425,7 @@ func TestSharedHandshakeAlgebraMatchesPerRankOracles(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	for round := 0; round < 400; round++ {
 		views := shapedViews(r, 1+r.Intn(17))
-		if got, want := BuildOverlapMatrix(views), BuildOverlapMatrixLinear(views); got.String() != want.String() {
+		if got, want := BuildOverlapMatrix(views), buildOverlapMatrixLinear(views); got.String() != want.String() {
 			t.Fatalf("round %d: swept matrix\n%v\nwant\n%v\nviews=%v", round, got, want, views)
 		}
 		clips := ClipAll(views)

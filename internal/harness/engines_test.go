@@ -1,22 +1,24 @@
 package harness
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"atomio/internal/core"
+	"atomio/internal/obs"
 	"atomio/internal/platform"
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
 	"atomio/internal/sim/fault"
 )
 
-// runUnder executes the experiment under the named engine.
+// runUnder executes the experiment on the given engine.
 func runUnder(t *testing.T, e Experiment, eng sim.Engine) *Result {
 	t.Helper()
-	e.Engine = eng
-	res, err := e.Run()
+	res, err := e.run(eng)
 	if err != nil {
 		t.Fatalf("%s under %s: %v", e, eng.Name(), err)
 	}
@@ -158,19 +160,41 @@ func TestEnginesByteIdenticalSharedHandshake(t *testing.T) {
 	}
 }
 
-// TestEngineResolution checks the engine default chain: experiment override,
-// then platform profile, then the event-loop default.
-func TestEngineResolution(t *testing.T) {
-	e := Experiment{Platform: platform.Origin2000()}
-	if got := e.EngineName(); got != "eventloop" {
-		t.Fatalf("default engine = %q, want eventloop", got)
+// TestTraceByteIdenticalAcrossEngines pins what a traced run records to the
+// goroutine reference engine: the serialized event stream and the metrics
+// registry are identical on both engines, for the single lock table and the
+// sharded one.
+func TestTraceByteIdenticalAcrossEngines(t *testing.T) {
+	jsonl := func(t *testing.T, res *Result) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := obs.WriteJSONL(&buf, res.Events); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	e.Platform.Engine = sim.Goroutines{}
-	if got := e.EngineName(); got != "goroutine" {
-		t.Fatalf("platform engine = %q, want goroutine", got)
-	}
-	e.Engine = des.New()
-	if got := e.EngineName(); got != "eventloop" {
-		t.Fatalf("experiment engine = %q, want eventloop", got)
+	prof := platform.Origin2000()
+	for _, strat := range []core.Strategy{core.Locking{}, core.Coloring{}} {
+		for _, shards := range []int{1, 4} {
+			e := Experiment{
+				Platform: prof, M: 256, N: 2048, Procs: 4, Overlap: 8,
+				Pattern: ColumnWise, Strategy: strat,
+				LockShards: shards, TraceEvents: true,
+			}
+			t.Run(fmt.Sprintf("%s/shards=%d", strat.Name(), shards), func(t *testing.T) {
+				oracle := runUnder(t, e, sim.Goroutines{})
+				loop := runUnder(t, e, des.New())
+				want, got := jsonl(t, oracle), jsonl(t, loop)
+				if bytes.Count(got, []byte("\n")) < 10 {
+					t.Fatal("trace suspiciously small; test vacuous")
+				}
+				if !bytes.Equal(got, want) {
+					t.Error("event stream diverges between the engines")
+				}
+				if !reflect.DeepEqual(loop.Metrics, oracle.Metrics) {
+					t.Errorf("metrics diverge\n eventloop %+v\n goroutine %+v", loop.Metrics, oracle.Metrics)
+				}
+			})
+		}
 	}
 }

@@ -184,8 +184,8 @@ func TestFaultVerdictsByteIdenticalAcrossEngines(t *testing.T) {
 }
 
 // TestFaultGeneratedScriptsDeterministic sweeps seeded generated scripts
-// through both engines and both store layouts: verdict and replay set are a
-// function of the seed alone.
+// through both engines: verdict and replay set are a function of the seed
+// alone.
 func TestFaultGeneratedScriptsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-engine sweep")
@@ -204,12 +204,6 @@ func TestFaultGeneratedScriptsDeterministic(t *testing.T) {
 			}
 			if !reflect.DeepEqual(loop.Replayed, oracle.Replayed) {
 				t.Errorf("replay set diverges: eventloop %v, goroutine %v", loop.Replayed, oracle.Replayed)
-			}
-			shared := e
-			shared.SharedStore = true
-			twin := runUnder(t, shared, des.New())
-			if twin.Verdict != loop.Verdict {
-				t.Errorf("store layouts disagree: shared %q, striped %q", twin.Verdict, loop.Verdict)
 			}
 		})
 	}

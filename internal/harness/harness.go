@@ -83,7 +83,7 @@ type Experiment struct {
 	// TraceEvents records the structured virtual-time event stream and the
 	// metrics registry (see internal/obs): scheduler park/wake, MPI
 	// messages, lock grants, server queueing, fault instants. The stream is
-	// byte-identical across engines, worker counts and lock-shard counts.
+	// byte-identical across worker counts and lock-shard counts.
 	TraceEvents bool
 	// EventLimit bounds per-actor event memory when TraceEvents is on:
 	// > 0 keeps only the newest EventLimit events per actor (ring buffer),
@@ -102,11 +102,6 @@ type Experiment struct {
 	// keeps the platform default). Server count is a real model parameter:
 	// changing it changes virtual timings.
 	Servers int
-	// SharedStore stores file bytes in the pre-striping single shared
-	// store instead of per-server stores (see pfs.Config.SharedStore).
-	// The two layouts produce byte-identical output on every healthy
-	// configuration; the flag exists as a live oracle check.
-	SharedStore bool
 	// Scenario applies a per-server perturbation profile (nil = healthy).
 	// Profiles that slow servers or skew affinity produce output that is
 	// explicitly non-comparable to the healthy simulator's.
@@ -131,28 +126,7 @@ type Experiment struct {
 	// a faulted run keeps whatever the crash left behind — the fleet's
 	// negative control.
 	Recovery bool
-	// Engine selects the simulation engine: how rank bodies execute and
-	// how cross-rank interactions are ordered (see sim.Engine). Nil falls
-	// back to Platform.Engine, then to the event-loop scheduler
-	// (internal/sim/des). Virtual results are byte-identical across
-	// engines — the goroutine engine is kept as the oracle.
-	Engine sim.Engine
 }
-
-// engine resolves the experiment's simulation engine: the experiment's own,
-// else the platform's, else the event-loop default.
-func (e Experiment) engine() sim.Engine {
-	if e.Engine != nil {
-		return e.Engine
-	}
-	if e.Platform.Engine != nil {
-		return e.Platform.Engine
-	}
-	return des.New()
-}
-
-// EngineName reports the name of the engine the experiment would run under.
-func (e Experiment) EngineName() string { return e.engine().Name() }
 
 // Result is the outcome of one experiment.
 type Result struct {
@@ -194,7 +168,7 @@ type Result struct {
 	ServerStats []pfs.ServerStats
 	// RankTimes is every rank's final virtual clock, in rank order. The
 	// cross-engine property tests pin these per-rank values (not just the
-	// makespan) to the goroutine oracle.
+	// makespan) to the goroutine reference engine.
 	RankTimes []sim.VTime
 }
 
@@ -269,8 +243,14 @@ func (e Experiment) Views() ([]interval.List, error) {
 	return views, nil
 }
 
-// Run executes the experiment and returns its result.
-func (e Experiment) Run() (*Result, error) {
+// Run executes the experiment on the event-loop engine and returns its
+// result.
+func (e Experiment) Run() (*Result, error) { return e.run(des.New()) }
+
+// run executes the experiment on eng. Every caller outside this package's
+// tests passes the event loop; the cross-engine tests also pass the
+// goroutine reference engine and require identical results.
+func (e Experiment) run(eng sim.Engine) (*Result, error) {
 	if e.Strategy == nil {
 		return nil, fmt.Errorf("harness: nil strategy")
 	}
@@ -279,7 +259,6 @@ func (e Experiment) Run() (*Result, error) {
 	}
 	cfg := e.Platform.PFSConfig(e.StoreData)
 	cfg.AtomicListIO = e.AtomicListIO
-	cfg.SharedStore = e.SharedStore
 	cfg.WAL = e.Recovery
 	if e.Servers > 0 {
 		cfg.Servers = e.Servers
@@ -312,18 +291,16 @@ func (e Experiment) Run() (*Result, error) {
 		}
 	}
 
-	// One determinism coordinator spans the whole simulation — ranks, file
-	// system and lock manager — so every run of an experiment produces
-	// identical virtual timings regardless of engine choice, goroutine
-	// scheduling, or how many experiments execute concurrently (see
-	// sim.Coord and internal/sim/des).
-	eng := e.engine()
+	// One coordinator spans the whole simulation — ranks, file system and
+	// lock manager — so every run of an experiment produces identical
+	// virtual timings regardless of host scheduling or how many
+	// experiments execute concurrently (see sim.Coord and internal/sim/des).
 	coord := eng.NewCoord(e.Procs)
 
 	// Event tracing wraps the coordinator before any layer sees it, so the
 	// scheduler events (park/wake/resume) observe the same admission
-	// protocol every layer coordinates through. The engines unwrap tracers
-	// when they need their own concrete coordinator back.
+	// protocol every layer coordinates through. The engine unwraps tracers
+	// when it needs its own concrete coordinator back.
 	var events *obs.Recorder
 	if e.TraceEvents {
 		events = obs.NewRecorder(e.Procs, e.EventLimit)

@@ -7,58 +7,6 @@ import (
 	"atomio/internal/platform"
 )
 
-// TestSharedStoreInvariant pins the per-server storage subsystem to the
-// shared-store oracle at experiment level: for every platform, server count
-// override ∈ {0 (platform default), 1, 4} and store layout, the virtual
-// results are byte-identical and the verified file content stays atomic.
-func TestSharedStoreInvariant(t *testing.T) {
-	for _, prof := range platform.All() {
-		for _, servers := range []int{0, 1, 4} {
-			base := Experiment{
-				Platform:  prof,
-				M:         64,
-				N:         512,
-				Procs:     4,
-				Overlap:   8,
-				Pattern:   ColumnWise,
-				Strategy:  Methods(prof)[0],
-				StoreData: true,
-				Verify:    true,
-				Servers:   servers,
-			}
-			striped := base
-			oracle := base
-			oracle.SharedStore = true
-			resS, err := striped.Run()
-			if err != nil {
-				t.Fatalf("%s S=%d striped: %v", prof.Name, servers, err)
-			}
-			resO, err := oracle.Run()
-			if err != nil {
-				t.Fatalf("%s S=%d shared: %v", prof.Name, servers, err)
-			}
-			if resS.Makespan != resO.Makespan || resS.WrittenBytes != resO.WrittenBytes ||
-				resS.BandwidthMBs != resO.BandwidthMBs {
-				t.Fatalf("%s S=%d: layouts diverge: striped %v/%d, shared %v/%d",
-					prof.Name, servers, resS.Makespan, resS.WrittenBytes,
-					resO.Makespan, resO.WrittenBytes)
-			}
-			if !resS.Report.Atomic() || !resO.Report.Atomic() {
-				t.Fatalf("%s S=%d: atomicity lost", prof.Name, servers)
-			}
-			if len(resS.ServerStats) != len(resO.ServerStats) {
-				t.Fatalf("%s S=%d: stats lengths differ", prof.Name, servers)
-			}
-			for i := range resS.ServerStats {
-				if resS.ServerStats[i] != resO.ServerStats[i] {
-					t.Fatalf("%s S=%d: server %d stats diverge: %+v vs %+v",
-						prof.Name, servers, i, resS.ServerStats[i], resO.ServerStats[i])
-				}
-			}
-		}
-	}
-}
-
 // TestServersOverrideChangesModel pins that the server count is a real
 // model parameter: with client affinity, one server serializes every rank
 // and must be slower than eight.

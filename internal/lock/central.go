@@ -42,6 +42,7 @@ func NewCentral(cfg CentralConfig) *Central {
 		cfg:     cfg,
 		service: sim.NewResource("lockmgr"),
 		tbl:     newGrantTable(cfg.Shards, cfg.ShardStripe),
+		coord:   sim.Solo{},
 	}
 }
 
@@ -56,15 +57,16 @@ func (c *Central) Shards() int {
 	return 1
 }
 
-// SetCoord routes the manager's shared-state transitions through a
-// determinism coordinator (see sim.Coord); lock owners double as actor ids.
+// SetCoord routes the manager's shared-state transitions through the run's
+// coordinator (see sim.Coord); lock owners double as actor ids. Until it is
+// called the manager serves a single caller (sim.Solo).
 func (c *Central) SetCoord(co sim.Coord) {
 	c.coord = co
 	c.tbl.setCoord(co)
 }
 
 // SetObs routes lock events and metrics into a recorder. Events are
-// emitted at the manager level, on the owner's own goroutine, never inside
+// emitted at the manager level, by the owner itself, never inside
 // the grant table — so the trace is invariant in the shard count by
 // construction.
 func (c *Central) SetObs(o *obs.Recorder) { c.obs = o }
@@ -72,9 +74,7 @@ func (c *Central) SetObs(o *obs.Recorder) { c.obs = o }
 // Lock implements Manager: request travels to the manager, queues for
 // service, then waits out conflicting holders; the reply travels back.
 func (c *Central) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime) sim.VTime {
-	if c.coord != nil {
-		c.coord.Await(owner, at)
-	}
+	c.coord.Await(owner, at)
 	if c.obs != nil {
 		c.obs.Emit(obs.Event{
 			T: at, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockRequest,
@@ -106,9 +106,7 @@ func (c *Central) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime) si
 // it would delay unrelated later requests that carry earlier virtual
 // timestamps (see the conservative-timing notes in package sim).
 func (c *Central) Unlock(owner int, e interval.Extent, at sim.VTime) sim.VTime {
-	if c.coord != nil {
-		c.coord.Await(owner, at)
-	}
+	c.coord.Await(owner, at)
 	served := at + c.cfg.MsgCost + c.cfg.ServiceTime
 	if c.obs != nil {
 		// Dur spans until the manager actually frees the range, so the

@@ -59,6 +59,7 @@ func NewDistributed(cfg DistributedConfig) *Distributed {
 		cfg:     cfg,
 		service: sim.NewResource("tokenmgr"),
 		tbl:     newGrantTable(cfg.Shards, cfg.ShardStripe),
+		coord:   sim.Solo{},
 		tokens:  make(map[int]interval.List),
 	}
 }
@@ -74,8 +75,8 @@ func (d *Distributed) Shards() int {
 	return 1
 }
 
-// SetCoord routes the manager's shared-state transitions through a
-// determinism coordinator (see sim.Coord); lock owners double as actor ids.
+// SetCoord routes the manager's shared-state transitions through the run's
+// coordinator (see Central.SetCoord).
 func (d *Distributed) SetCoord(co sim.Coord) {
 	d.coord = co
 	d.tbl.setCoord(co)
@@ -87,9 +88,7 @@ func (d *Distributed) SetObs(o *obs.Recorder) { d.obs = o }
 
 // Lock implements Manager.
 func (d *Distributed) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime) sim.VTime {
-	if d.coord != nil {
-		d.coord.Await(owner, at)
-	}
+	d.coord.Await(owner, at)
 	if d.obs != nil {
 		d.obs.Emit(obs.Event{
 			T: at, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockRequest,
@@ -174,9 +173,7 @@ func (d *Distributed) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime
 
 // Unlock implements Manager: purely local — the token stays cached.
 func (d *Distributed) Unlock(owner int, e interval.Extent, at sim.VTime) sim.VTime {
-	if d.coord != nil {
-		d.coord.Await(owner, at)
-	}
+	d.coord.Await(owner, at)
 	released := at + d.cfg.LocalCost
 	if d.obs != nil {
 		d.obs.Emit(obs.Event{

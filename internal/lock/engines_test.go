@@ -17,6 +17,26 @@ type coordManager interface {
 	SetCoord(sim.Coord)
 }
 
+// engines returns the engines every blocking test runs on: the event loop,
+// and the goroutine reference engine it is pinned to.
+func engines() []sim.Engine { return []sim.Engine{des.New(), sim.Goroutines{}} }
+
+// onEngine runs body as actors 0..actors-1 of eng. setCoord hands the run's
+// coordinator to the structure under test first; bodies that sequence
+// themselves in virtual time (Await) get it too.
+func onEngine(t testing.TB, eng sim.Engine, actors int, setCoord func(sim.Coord), body func(id int, coord sim.Coord)) {
+	t.Helper()
+	coord := eng.NewCoord(actors)
+	setCoord(coord)
+	err := eng.Run(coord, actors, func(id int) {
+		defer coord.Done(id)
+		body(id, coord)
+	})
+	if err != nil {
+		t.Fatalf("engine %s: %v", eng.Name(), err)
+	}
+}
+
 // grantTableOf reaches the manager's table for relLatest probes.
 func grantTableOf(m Manager) grantTable {
 	switch m := m.(type) {
@@ -48,15 +68,11 @@ type engineTrace struct {
 func runLockWorkload(t *testing.T, mk func() coordManager, eng sim.Engine, seed int64, actors int) engineTrace {
 	t.Helper()
 	mgr := mk()
-	coord := eng.NewCoord(actors)
-	mgr.SetCoord(coord)
-
 	tr := engineTrace{
 		Grants:   make([][]sim.VTime, actors),
 		Releases: make([][]sim.VTime, actors),
 	}
-	err := eng.Run(coord, actors, func(owner int) {
-		defer coord.Done(owner)
+	onEngine(t, eng, actors, mgr.SetCoord, func(owner int, _ sim.Coord) {
 		rng := rand.New(rand.NewSource(seed + int64(owner)*7919))
 		now := sim.VTime(rng.Intn(100))
 		for i := 0; i < 20; i++ {
@@ -73,9 +89,6 @@ func runLockWorkload(t *testing.T, mk func() coordManager, eng sim.Engine, seed 
 			now = rel + sim.VTime(rng.Intn(20))*sim.Microsecond
 		}
 	})
-	if err != nil {
-		t.Fatalf("engine %s: %v", eng.Name(), err)
-	}
 	tbl := grantTableOf(mgr)
 	if n := tbl.holders(); n != 0 {
 		t.Fatalf("engine %s: %d locks still held after the workload", eng.Name(), n)

@@ -41,9 +41,7 @@ type Revoker interface {
 // current time, then stamp the release — so its cross-engine determinism
 // is inherited from the pinned Unlock path.
 func (c *Central) RevokeAt(owner int, e interval.Extent, at, releaseAt sim.VTime) {
-	if c.coord != nil {
-		c.coord.Await(owner, at)
-	}
+	c.coord.Await(owner, at)
 	// The grant may already be gone (duplicate release): ignore.
 	_ = c.tbl.release(owner, e, releaseAt)
 }
@@ -53,9 +51,7 @@ func (c *Central) RevokeAt(owner int, e interval.Extent, at, releaseAt sim.VTime
 // grant is revoked, matching a lease expiry that invalidates the lock but
 // not the client's token state.
 func (d *Distributed) RevokeAt(owner int, e interval.Extent, at, releaseAt sim.VTime) {
-	if d.coord != nil {
-		d.coord.Await(owner, at)
-	}
+	d.coord.Await(owner, at)
 	_ = d.tbl.release(owner, e, releaseAt)
 }
 

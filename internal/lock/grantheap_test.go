@@ -9,6 +9,7 @@ import (
 
 	"atomio/internal/interval"
 	"atomio/internal/sim"
+	"atomio/internal/sim/des"
 )
 
 // TestWakeHeapPopsInTicketSeqOrder pins the heap to a sort oracle on random
@@ -55,38 +56,60 @@ func TestWakeHeapPopsInTicketSeqOrder(t *testing.T) {
 	}
 }
 
+// massExtent is the one extent every mass-wakeup actor contends for.
+var massExtent = interval.Extent{Off: 0, Len: 100}
+
+// massWakeup runs the cascading mass wakeup the heap exists for on eng:
+// actor n takes massExtent exclusively, actors 0..n-1 queue behind it in the given
+// mode with ticket(owner), and once all of them are parked actor n calls
+// beforeRelease and releases. Each waiter calls granted when its acquire
+// returns.
+func massWakeup(t testing.TB, eng sim.Engine, tbl grantTable, n int, mode Mode,
+	ticket func(owner int) sim.VTime, beforeRelease func(), granted func(owner int)) {
+	t.Helper()
+	e := massExtent
+	onEngine(t, eng, n+1, tbl.setCoord, func(id int, coord sim.Coord) {
+		if id == n {
+			// The holder acts at virtual times 0 and 2, the waiters at 1:
+			// the engine admits the release only after every waiter parked.
+			tbl.acquire(n, e, Exclusive, 0)
+			coord.Await(n, 2)
+			beforeRelease()
+			if err := tbl.release(n, e, 500); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+		coord.Await(id, 1)
+		tbl.acquire(id, e, mode, ticket(id))
+		granted(id)
+	})
+}
+
 // massWakeupOrder blocks n exclusive waiters with shuffled tickets behind
 // one held lock, releases it, and returns the order in which the waiters
-// were granted as each one releases in turn — the cascading mass wakeup the
-// heap exists for.
-func massWakeupOrder(t *testing.T, tbl grantTable, n int) []int {
+// were granted as each one releases in turn.
+func massWakeupOrder(t *testing.T, eng sim.Engine, tbl grantTable, n int) []int {
 	t.Helper()
-	e := interval.Extent{Off: 0, Len: 100}
-	tbl.acquire(999, e, Exclusive, 0)
-
 	tickets := rand.New(rand.NewSource(int64(n))).Perm(n)
 	var mu sync.Mutex
 	var order []int
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(owner int) {
-			defer wg.Done()
-			tbl.acquire(owner, e, Exclusive, sim.VTime(1000+tickets[owner]))
+	massWakeup(t, eng, tbl, n, Exclusive,
+		func(owner int) sim.VTime { return sim.VTime(1000 + tickets[owner]) },
+		func() {
+			if w := tbl.waiters(); w != n {
+				t.Errorf("%d waiters parked at the release, want %d", w, n)
+			}
+		},
+		func(owner int) {
 			mu.Lock()
 			order = append(order, tickets[owner])
+			at := sim.VTime(2000 + len(order))
 			mu.Unlock()
-			if err := tbl.release(owner, e, sim.VTime(2000+len(order))); err != nil {
+			if err := tbl.release(owner, massExtent, at); err != nil {
 				t.Error(err)
 			}
-		}(i)
-	}
-	for tbl.waiters() < n {
-	}
-	if err := tbl.release(999, e, 500); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
+		})
 	return order
 }
 
@@ -96,17 +119,19 @@ func massWakeupOrder(t *testing.T, tbl grantTable, n int) []int {
 // sharded one (the extent spans several stripes of the 4-shard table).
 func TestMassWakeupGrantsInTicketOrder(t *testing.T) {
 	const n = 60
-	for name, tbl := range map[string]grantTable{
-		"table":   newTable(),
-		"sharded": newShardedTable(4, 16),
-	} {
-		order := massWakeupOrder(t, tbl, n)
-		if len(order) != n {
-			t.Fatalf("%s: %d grants, want %d", name, len(order), n)
-		}
-		for i := 1; i < len(order); i++ {
-			if order[i-1] >= order[i] {
-				t.Fatalf("%s: grant order %v not in ticket order at %d", name, order, i)
+	for _, eng := range engines() {
+		for name, tbl := range map[string]grantTable{
+			"table":   newTable(),
+			"sharded": newShardedTable(4, 16),
+		} {
+			order := massWakeupOrder(t, eng, tbl, n)
+			if len(order) != n {
+				t.Fatalf("%s/%s: %d grants, want %d", eng.Name(), name, len(order), n)
+			}
+			for i := 1; i < len(order); i++ {
+				if order[i-1] >= order[i] {
+					t.Fatalf("%s/%s: grant order %v not in ticket order at %d", eng.Name(), name, order, i)
+				}
 			}
 		}
 	}
@@ -114,30 +139,16 @@ func TestMassWakeupGrantsInTicketOrder(t *testing.T) {
 
 // BenchmarkMassWakeup measures a release fanning out to m shared waiters
 // blocked behind one exclusive lock — the mass-wakeup path the (ticket,
-// seq) heap makes O(m log m) instead of the old O(m²) candidate rescan.
+// seq) heap makes O(m log m) instead of the old O(m²) candidate rescan —
+// and the event loop resuming them.
 func BenchmarkMassWakeup(b *testing.B) {
 	for _, m := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("waiters=%d", m), func(b *testing.B) {
-			e := interval.Extent{Off: 0, Len: 1 << 20}
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				tbl := newTable()
-				tbl.acquire(0, e, Exclusive, 0)
-				var wg sync.WaitGroup
-				for w := 0; w < m; w++ {
-					wg.Add(1)
-					go func(owner int) {
-						defer wg.Done()
-						tbl.acquire(owner, e, Shared, sim.VTime(owner))
-					}(1 + w)
-				}
-				for tbl.waiters() < m {
-				}
-				b.StartTimer()
-				if err := tbl.release(0, e, 1); err != nil {
-					b.Fatal(err)
-				}
-				wg.Wait()
+				massWakeup(b, des.New(), newTable(), m, Shared,
+					func(owner int) sim.VTime { return sim.VTime(owner) },
+					b.StartTimer, func(int) {})
 			}
 		})
 	}

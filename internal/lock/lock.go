@@ -5,13 +5,16 @@
 // where clients cache byte-range tokens and conflicting requests pay a
 // revocation cost.
 //
-// Managers are shared by all rank goroutines of a run. Lock blocks the
-// caller (a real goroutine block) until the range can be granted, and
-// returns the virtual grant time, computed as the maximum of the request's
-// virtual arrival, the manager's service queue, and the virtual release
-// times of every conflicting lock that had to be waited out. Because the
-// caller really blocks until the conflicting holders really release, those
-// release timestamps are always available when needed (see package sim).
+// Managers are shared by all ranks of a run. Lock blocks the caller —
+// Block then Park on the run's sim.Coord, until the releaser's Wake — until
+// the range can be granted, and returns the virtual grant time, computed as
+// the maximum of the request's virtual arrival, the manager's service
+// queue, and the virtual release times of every conflicting lock that had
+// to be waited out. Because the caller sleeps until the conflicting holders
+// have released, those release timestamps are always available when needed
+// (see package sim). A manager that was never handed a coordinator
+// (SetCoord) serves a single caller: its coordinator is sim.Solo, under
+// which a contended Lock panics instead of hanging.
 //
 // Both managers run on a conflict-tracking grant table that can be
 // partitioned across S offset-stripe shards (CentralConfig.Shards,
@@ -144,10 +147,9 @@ type waiter struct {
 // Grant decisions are made by the releaser: release hands freed ranges to
 // eligible waiters in (ticket, seq) order and stamps their grant times
 // before any of them wakes, so the winner among competing waiters never
-// depends on goroutine wake-up order.
+// depends on wake-up order.
 type table struct {
 	mu        sync.Mutex
-	cond      *sync.Cond
 	granted   index.Index[*held]   // granted locks by byte range
 	waiting   index.Index[*waiter] // blocked requests by byte range
 	nextSeq   int64
@@ -156,11 +158,7 @@ type table struct {
 	sharedRel releaseMap // release times of past shared locks
 }
 
-func newTable() *table {
-	t := &table{}
-	t.cond = sync.NewCond(&t.mu)
-	return t
-}
+func newTable() *table { return &table{coord: sim.Solo{}} }
 
 // conflicts reports whether any granted lock conflicts with (owner, e, mode).
 // A lock never conflicts with the same owner's other locks. Only granted
@@ -220,15 +218,9 @@ func (t *table) acquire(owner int, e interval.Extent, mode Mode, earliest sim.VT
 	}
 	t.nextSeq++
 	t.waiting.Insert(e, w)
-	if t.coord != nil {
-		t.coord.Block(owner)
-		for !w.granted {
-			t.coord.Park(owner, &t.mu)
-		}
-	} else {
-		for !w.granted {
-			t.cond.Wait()
-		}
+	t.coord.Block(owner)
+	for !w.granted {
+		t.coord.Park(owner, &t.mu)
 	}
 	return w.grantAt
 }
@@ -287,8 +279,8 @@ func (t *table) release(owner int, e interval.Extent, releaseAt sim.VTime) error
 	// when popped: conflicts only grow during the loop (grants add locks,
 	// nothing is removed), so a popped conflicting candidate could never be
 	// granted by this release anyway — see wakeHeap. Each grant is stamped
-	// on the waiter and, in gated runs, published to the gate before the
-	// waiter can run.
+	// on the waiter and published to the coordinator before the waiter can
+	// run.
 	for {
 		c, ok := wake.pop()
 		if !ok {
@@ -300,11 +292,8 @@ func (t *table) release(owner int, e interval.Extent, releaseAt sim.VTime) error
 		t.waiting.Delete(c.w.ext, c.h)
 		c.w.grantAt = t.grantLocked(c.w.owner, c.w.ext, c.w.mode, c.w.minStart)
 		c.w.granted = true
-		if t.coord != nil {
-			t.coord.Wake(c.w.owner, c.w.grantAt)
-		}
+		t.coord.Wake(c.w.owner, c.w.grantAt)
 	}
-	t.cond.Broadcast()
 	return nil
 }
 

@@ -1,9 +1,8 @@
 package lock
 
 import (
-	"sync"
+	"strings"
 	"testing"
-	"time"
 
 	"atomio/internal/interval"
 	"atomio/internal/sim"
@@ -32,8 +31,8 @@ func newDistributedForTest() *Distributed {
 // managers returns every manager flavour under test, including sharded
 // variants with a deliberately tiny stripe so the test extents (offsets up
 // to ~1000) straddle shard boundaries and exercise the cross-shard paths.
-func managers() map[string]Manager {
-	return map[string]Manager{
+func managers() map[string]coordManager {
+	return map[string]coordManager{
 		"central":     newCentralForTest(),
 		"distributed": newDistributedForTest(),
 		"central/S4": NewCentral(CentralConfig{
@@ -59,90 +58,98 @@ func TestLockUnlockSingleOwner(t *testing.T) {
 	}
 }
 
-func TestNonOverlappingLocksDontWait(t *testing.T) {
+// TestSoloManagerServesOneCaller pins the no-engine default: a manager that
+// was never handed a coordinator grants and releases on the caller's own
+// goroutine, and a Lock that would have to wait fails at once — no peer
+// exists that could ever release — instead of hanging.
+func TestSoloManagerServesOneCaller(t *testing.T) {
 	for name, m := range managers() {
-		var wg sync.WaitGroup
-		grants := make([]sim.VTime, 8)
-		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
+		g := m.Lock(0, ext(0, 100), Exclusive, 0)
+		func() {
+			defer func() {
+				if p, _ := recover().(string); !strings.Contains(p, "blocking with no engine") {
+					t.Errorf("%s: contended Lock with no engine: recovered %q, want the Solo panic", name, p)
+				}
+			}()
+			m.Lock(1, ext(50, 100), Exclusive, 0)
+			t.Errorf("%s: contended Lock with no engine returned", name)
+		}()
+		m.Unlock(0, ext(0, 100), g)
+	}
+}
+
+func TestNonOverlappingLocksDontWait(t *testing.T) {
+	for _, eng := range engines() {
+		for name, m := range managers() {
+			grants := make([]sim.VTime, 8)
+			onEngine(t, eng, 8, m.SetCoord, func(i int, _ sim.Coord) {
 				grants[i] = m.Lock(i, ext(int64(i*100), 100), Exclusive, 0)
-			}(i)
-		}
-		wg.Wait()
-		// Nobody waits on a conflict; grants are bounded by message cost
-		// plus the service queue (central) or even less (distributed).
-		for i, g := range grants {
-			if g > 2*msg+8*svc+8*50*sim.Microsecond {
-				t.Errorf("%s: owner %d granted at %v, too late for no-conflict", name, i, g)
+				m.Unlock(i, ext(int64(i*100), 100), grants[i])
+			})
+			// Nobody waits on a conflict; grants are bounded by message cost
+			// plus the service queue (central) or even less (distributed).
+			for i, g := range grants {
+				if g > 2*msg+8*svc+8*50*sim.Microsecond {
+					t.Errorf("%s/%s: owner %d granted at %v, too late for no-conflict", eng.Name(), name, i, g)
+				}
 			}
-		}
-		for i := 0; i < 8; i++ {
-			m.Unlock(i, ext(int64(i*100), 100), grants[i])
 		}
 	}
 }
 
-func TestOverlappingExclusiveSerializes(t *testing.T) {
-	for name, m := range managers() {
-		// Owner 0 grabs [0,100) and holds it until virtual time 1ms.
-		g0 := m.Lock(0, ext(0, 100), Exclusive, 0)
-		release := g0 + sim.Millisecond
+// contend runs the two-owner conflict every blocking test below is a case
+// of: owner 0 takes e0 in mode0 at virtual time 0 and releases it at
+// releaseAt; owner 1 asks for e1 in mode1 one nanosecond after owner 0 did —
+// so the engine admits it second, while e0 is held — and releases at once.
+// It returns both grant times.
+func contend(t *testing.T, eng sim.Engine, m coordManager, e0 interval.Extent, mode0 Mode, releaseAt sim.VTime, e1 interval.Extent, mode1 Mode) (g0, g1 sim.VTime) {
+	t.Helper()
+	onEngine(t, eng, 2, m.SetCoord, func(owner int, _ sim.Coord) {
+		if owner == 0 {
+			g0 = m.Lock(0, e0, mode0, 0)
+			m.Unlock(0, e0, releaseAt)
+			return
+		}
+		g1 = m.Lock(1, e1, mode1, 1)
+		m.Unlock(1, e1, g1)
+	})
+	return g0, g1
+}
 
-		done := make(chan sim.VTime)
-		go func() {
-			// Owner 1 requests an overlapping range; must wait for the
-			// release and inherit its virtual time.
-			done <- m.Lock(1, ext(50, 100), Exclusive, 0)
-		}()
-		// Give the waiter a moment to really block.
-		time.Sleep(20 * time.Millisecond)
-		select {
-		case g := <-done:
-			t.Fatalf("%s: conflicting lock granted at %v while held", name, g)
-		default:
+func TestOverlappingExclusiveSerializes(t *testing.T) {
+	for _, eng := range engines() {
+		for name, m := range managers() {
+			// Owner 1's overlapping request must wait for owner 0's release
+			// and inherit its virtual time.
+			const release = sim.Millisecond
+			_, g1 := contend(t, eng, m, ext(0, 100), Exclusive, release, ext(50, 100), Exclusive)
+			if g1 < release {
+				t.Errorf("%s/%s: second grant %v precedes release %v", eng.Name(), name, g1, release)
+			}
 		}
-		m.Unlock(0, ext(0, 100), release)
-		g1 := <-done
-		if g1 < release {
-			t.Errorf("%s: second grant %v precedes release %v", name, g1, release)
-		}
-		m.Unlock(1, ext(50, 100), g1)
 	}
 }
 
 func TestSharedLocksCoexist(t *testing.T) {
-	for name, m := range managers() {
-		g0 := m.Lock(0, ext(0, 100), Shared, 0)
-		done := make(chan sim.VTime)
-		go func() { done <- m.Lock(1, ext(0, 100), Shared, 0) }()
-		select {
-		case g1 := <-done:
+	for _, eng := range engines() {
+		for name, m := range managers() {
+			const release = 10 * sim.Second
+			_, g1 := contend(t, eng, m, ext(0, 100), Shared, release, ext(0, 100), Shared)
 			if g1 > sim.Second {
-				t.Errorf("%s: shared lock delayed to %v", name, g1)
+				t.Errorf("%s/%s: shared lock delayed to %v behind a shared holder", eng.Name(), name, g1)
 			}
-			m.Unlock(1, ext(0, 100), g1)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: shared lock blocked on shared holder", name)
 		}
-		m.Unlock(0, ext(0, 100), g0)
 	}
 }
 
 func TestSharedBlocksExclusive(t *testing.T) {
-	m := newCentralForTest()
-	g0 := m.Lock(0, ext(0, 100), Shared, 0)
-	done := make(chan sim.VTime)
-	go func() { done <- m.Lock(1, ext(0, 100), Exclusive, 0) }()
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case <-done:
-		t.Fatal("exclusive granted alongside shared")
-	default:
+	for _, eng := range engines() {
+		const release = sim.Millisecond
+		_, g1 := contend(t, eng, newCentralForTest(), ext(0, 100), Shared, release, ext(0, 100), Exclusive)
+		if g1 < release {
+			t.Errorf("%s: exclusive granted at %v alongside a shared lock held until %v", eng.Name(), g1, release)
+		}
 	}
-	m.Unlock(0, ext(0, 100), g0+100)
-	<-done
 }
 
 func TestUnlockNotHeldPanics(t *testing.T) {
@@ -161,26 +168,22 @@ func TestUnlockNotHeldPanics(t *testing.T) {
 func TestCentralServiceQueueSerializesRequests(t *testing.T) {
 	// N simultaneous non-conflicting requests still queue at the central
 	// manager: the latest grant is at least N*ServiceTime after arrival.
-	m := newCentralForTest()
 	const n = 16
-	var wg sync.WaitGroup
-	grants := make([]sim.VTime, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+	for _, eng := range engines() {
+		m := newCentralForTest()
+		grants := make([]sim.VTime, n)
+		onEngine(t, eng, n, m.SetCoord, func(i int, _ sim.Coord) {
 			grants[i] = m.Lock(i, ext(int64(i*10), 10), Exclusive, 0)
-		}(i)
-	}
-	wg.Wait()
-	var latest sim.VTime
-	for _, g := range grants {
-		if g > latest {
-			latest = g
+		})
+		var latest sim.VTime
+		for _, g := range grants {
+			if g > latest {
+				latest = g
+			}
 		}
-	}
-	if want := msg + n*svc + msg; latest < want {
-		t.Fatalf("latest grant %v, want >= %v (central queueing)", latest, want)
+		if want := msg + n*svc + msg; latest < want {
+			t.Fatalf("%s: latest grant %v, want >= %v (central queueing)", eng.Name(), latest, want)
+		}
 	}
 }
 
@@ -250,19 +253,14 @@ func TestDistributedKeepsDisjointTokens(t *testing.T) {
 
 func TestGrantCarriesConflictReleaseTime(t *testing.T) {
 	// The virtual grant time of a waiter must be at least the *virtual*
-	// release time of the conflicting holder, even though the real wait
-	// is instantaneous.
-	m := newCentralForTest()
-	g0 := m.Lock(0, ext(0, 10), Exclusive, 0)
-	farFuture := g0 + 42*sim.Second
-	done := make(chan sim.VTime)
-	go func() { done <- m.Lock(1, ext(5, 10), Exclusive, 0) }()
-	time.Sleep(10 * time.Millisecond)
-	m.Unlock(0, ext(0, 10), farFuture)
-	if g1 := <-done; g1 < farFuture {
-		t.Fatalf("grant %v does not carry release time %v", g1, farFuture)
+	// release time of the conflicting holder, however far ahead that is.
+	for _, eng := range engines() {
+		const farFuture = 42 * sim.Second
+		_, g1 := contend(t, eng, newCentralForTest(), ext(0, 10), Exclusive, farFuture, ext(5, 10), Exclusive)
+		if g1 < farFuture {
+			t.Fatalf("%s: grant %v does not carry release time %v", eng.Name(), g1, farFuture)
+		}
 	}
-	m.Unlock(1, ext(5, 10), farFuture+1)
 }
 
 func TestModeString(t *testing.T) {

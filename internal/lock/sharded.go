@@ -77,8 +77,8 @@ type sheld struct {
 	handles []index.Handle // replica handle per covered shard
 }
 
-// swaiter is one blocked request. grantAt is stamped and granted closed by
-// the releaser, under every shard mutex the waiter's extent covers.
+// swaiter is one blocked request. grantAt is stamped by the releaser, under
+// every shard mutex the waiter's extent covers, before it Wakes the owner.
 type swaiter struct {
 	owner    int
 	ext      interval.Extent
@@ -87,7 +87,6 @@ type swaiter struct {
 	ticket   sim.VTime
 	seq      int64
 	grantAt  sim.VTime
-	granted  chan struct{}
 	shards   []int
 	handles  []index.Handle
 }
@@ -99,7 +98,7 @@ func newShardedTable(shards int, stripe int64) *shardedTable {
 	if stripe <= 0 {
 		panic(fmt.Sprintf("lock: shard stripe must be positive, got %d", stripe))
 	}
-	st := &shardedTable{stripe: stripe, shards: make([]*lockShard, shards)}
+	st := &shardedTable{stripe: stripe, shards: make([]*lockShard, shards), coord: sim.Solo{}}
 	for i := range st.shards {
 		st.shards[i] = &lockShard{}
 	}
@@ -254,12 +253,11 @@ func (st *shardedTable) acquire(owner int, e interval.Extent, mode Mode, earlies
 	w := &swaiter{
 		owner: owner, ext: e, mode: mode,
 		minStart: earliest, ticket: earliest,
-		granted: make(chan struct{}),
-		shards:  ids, handles: make([]index.Handle, 0, len(ids)),
+		shards: ids, handles: make([]index.Handle, 0, len(ids)),
 	}
 	// seq is table-wide: the (ticket, seq) grant order spans shards. The
-	// counter is taken while the waiter's shards are reserved, so under a
-	// gate the assignment order matches the single table's.
+	// counter is taken while the waiter's shards are reserved, so the
+	// assignment order matches the single table's.
 	st.seqMu.Lock()
 	w.seq = st.nextSeq
 	st.nextSeq++
@@ -268,19 +266,14 @@ func (st *shardedTable) acquire(owner int, e interval.Extent, mode Mode, earlies
 		w.handles = append(w.handles, st.shards[id].waiting.Insert(e, w))
 	}
 	st.nWaiting.Add(1)
-	if st.coord != nil {
-		// Announced under the shard mutexes, like the matching Wake, so
-		// the coordinator cannot admit anyone on a stale view of this
-		// actor. The park itself happens after the shards unlock; the
-		// wake token is buffered, so a Wake landing in that window (the
-		// releaser only needs the shard mutexes) is not lost.
-		st.coord.Block(owner)
-		st.unlockShards(ids)
-		st.coord.Park(owner, nil)
-		return w.grantAt
-	}
+	// Announced under the shard mutexes, like the matching Wake, so the
+	// coordinator cannot admit anyone on a stale view of this actor. The
+	// park itself happens after the shards unlock; a Wake landing in that
+	// window (the releaser only needs the shard mutexes) is kept by the
+	// coordinator, not lost.
+	st.coord.Block(owner)
 	st.unlockShards(ids)
-	<-w.granted
+	st.coord.Park(owner, nil)
 	return w.grantAt
 }
 
@@ -372,12 +365,9 @@ func (st *shardedTable) release(owner int, e interval.Extent, releaseAt sim.VTim
 		}
 		st.nWaiting.Add(-1)
 		w.grantAt = st.grantLocked(w.owner, w.ext, w.mode, w.minStart, w.shards)
-		if st.coord != nil {
-			// Published before the waiter can run (we still hold its
-			// shards), preserving the admission invariant.
-			st.coord.Wake(w.owner, w.grantAt)
-		}
-		close(w.granted)
+		// Published before the waiter can run (we still hold its shards),
+		// preserving the admission invariant.
+		st.coord.Wake(w.owner, w.grantAt)
 	}
 }
 

@@ -8,9 +8,10 @@ package lock
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"atomio/internal/interval"
 	"atomio/internal/sim"
@@ -79,18 +80,106 @@ type opOutcome struct {
 	shared  []sim.VTime
 }
 
-// scriptRunner applies ops to one grantTable, one at a time, waiting after
-// each acquire until it either granted or registered as a waiter, and after
-// each release until every waiter the release granted has reported back.
+// scriptOwners is the number of owner actors a script runs over. An owner
+// blocked in an acquire is parked and cannot issue another, so a script
+// keeps at most one blocked acquire per owner.
+const scriptOwners = 12
+
+// settleAt is the virtual time the driver announces when it waits for the
+// owners to come to rest: later than anything a script stamps, so every
+// owner woken before the announcement is admitted ahead of the driver.
+const settleAt = sim.VTime(1) << 50
+
+// scriptRunner applies ops to one grantTable, one at a time, from inside an
+// engine run: scriptOwners owner actors execute the acquires — and park in
+// the table when they conflict — while one driver actor posts the acquires,
+// issues the releases, and after each op lets the owners settle and
+// collects the grants they report.
 type scriptRunner struct {
-	t       *testing.T
-	tbl     grantTable
-	pending map[int]chan sim.VTime // blocked acquire op id -> grant channel
-	probes  []interval.Extent
+	t      *testing.T
+	tbl    grantTable
+	coord  sim.Coord
+	probes []interval.Extent
+
+	mu      sync.Mutex
+	inbox   []*scriptOp  // per owner: the acquire posted to it, if any
+	waiting []bool       // per owner: parked until the driver posts
+	quit    bool         // the script is over; idle owners return
+	granted []wokenGrant // grants reported since the driver last settled
 }
 
-func newScriptRunner(t *testing.T, tbl grantTable, probes []interval.Extent) *scriptRunner {
-	return &scriptRunner{t: t, tbl: tbl, pending: make(map[int]chan sim.VTime), probes: probes}
+// runScript runs drive as the driver of a fresh run of eng over tbl. drive
+// must leave no owner blocked in the table when it returns.
+func runScript(t *testing.T, eng sim.Engine, tbl grantTable, probes []interval.Extent, drive func(*scriptRunner)) {
+	t.Helper()
+	r := &scriptRunner{
+		t: t, tbl: tbl, probes: probes,
+		inbox: make([]*scriptOp, scriptOwners), waiting: make([]bool, scriptOwners),
+	}
+	setCoord := func(c sim.Coord) {
+		r.coord = c
+		tbl.setCoord(c)
+	}
+	onEngine(t, eng, scriptOwners+1, setCoord, func(id int, _ sim.Coord) {
+		if id < scriptOwners {
+			r.own(id)
+			return
+		}
+		drive(r)
+		r.mu.Lock()
+		r.quit = true
+		for owner := range r.waiting {
+			r.wakeLocked(owner)
+		}
+		r.mu.Unlock()
+	})
+}
+
+// own is an owner actor: it executes the acquires posted to it, reporting
+// each grant, until the script is over.
+func (r *scriptRunner) own(id int) {
+	for {
+		r.mu.Lock()
+		if r.inbox[id] == nil && !r.quit {
+			r.waiting[id] = true
+			r.coord.Block(id)
+			for r.inbox[id] == nil && !r.quit {
+				r.coord.Park(id, &r.mu)
+			}
+		}
+		op := r.inbox[id]
+		r.inbox[id] = nil
+		r.mu.Unlock()
+		if op == nil {
+			return
+		}
+		g := r.tbl.acquire(id, op.e, op.mode, op.earliest)
+		r.mu.Lock()
+		r.granted = append(r.granted, wokenGrant{id: op.id, grantAt: g})
+		r.mu.Unlock()
+	}
+}
+
+// wakeLocked wakes owner if it is parked waiting for the driver. Callers
+// hold r.mu.
+func (r *scriptRunner) wakeLocked(owner int) {
+	if r.waiting[owner] {
+		r.waiting[owner] = false
+		r.coord.Wake(owner, 0)
+	}
+}
+
+// settle lets every owner that can run do so until it rests — parked in the
+// table, or waiting for its next op — and returns the grants reported
+// meanwhile, in op-id order.
+func (r *scriptRunner) settle() []wokenGrant {
+	r.coord.Await(scriptOwners, settleAt)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := r.granted
+	r.granted = nil
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
 }
 
 func (r *scriptRunner) outcome(base opOutcome) opOutcome {
@@ -104,75 +193,36 @@ func (r *scriptRunner) outcome(base opOutcome) opOutcome {
 	return base
 }
 
+// apply runs one op from the driver actor and reports what it observably
+// did: an acquire either was granted at once or left its owner blocked; a
+// release granted some set of blocked acquires.
 func (r *scriptRunner) apply(op scriptOp) opOutcome {
 	if op.acquire {
-		before := r.tbl.waiters()
-		ch := make(chan sim.VTime, 1)
-		go func() { ch <- r.tbl.acquire(op.owner, op.e, op.mode, op.earliest) }()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			select {
-			case g := <-ch:
-				return r.outcome(opOutcome{granted: true, grantAt: g})
-			default:
-			}
-			if r.tbl.waiters() == before+1 {
-				r.pending[op.id] = ch
-				return r.outcome(opOutcome{})
-			}
-			if time.Now().After(deadline) {
-				r.t.Fatalf("acquire op %d neither granted nor blocked", op.id)
-			}
-			time.Sleep(20 * time.Microsecond)
+		r.mu.Lock()
+		r.inbox[op.owner] = &op
+		r.wakeLocked(op.owner)
+		r.mu.Unlock()
+		if got := r.settle(); len(got) == 1 && got[0].id == op.id {
+			return r.outcome(opOutcome{granted: true, grantAt: got[0].grantAt})
+		} else if len(got) != 0 {
+			r.t.Errorf("acquire op %d settled with grants %+v", op.id, got)
 		}
+		return r.outcome(opOutcome{})
 	}
-	before := r.tbl.waiters()
 	if err := r.tbl.release(op.owner, op.e, op.releaseAt); err != nil {
-		r.t.Fatalf("release of op %d: %v", op.releaseOf, err)
+		r.t.Errorf("release of op %d: %v", op.releaseOf, err)
 	}
-	// The release stamped every grant before returning; wait for the
-	// woken goroutines to report so the outcome is complete.
-	wake := before - r.tbl.waiters()
-	var woken []wokenGrant
-	deadline := time.Now().Add(10 * time.Second)
-	for len(woken) < wake {
-		advanced := false
-		for id, ch := range r.pending {
-			select {
-			case g := <-ch:
-				woken = append(woken, wokenGrant{id: id, grantAt: g})
-				delete(r.pending, id)
-				advanced = true
-			default:
-			}
-		}
-		if !advanced {
-			if time.Now().After(deadline) {
-				r.t.Fatalf("release woke %d of %d waiters", len(woken), wake)
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	// Report in op-id order; the (id, grantAt) set is what must match.
-	for i := range woken {
-		for j := i + 1; j < len(woken); j++ {
-			if woken[j].id < woken[i].id {
-				woken[i], woken[j] = woken[j], woken[i]
-			}
-		}
-	}
-	return r.outcome(opOutcome{woken: woken})
+	return r.outcome(opOutcome{woken: r.settle()})
 }
 
 // genScript builds a randomized workload by running it against the oracle
-// table, so releases always target currently granted locks. It returns the
-// ops, the oracle's outcome per op, and the probe extents used.
-func genScript(t *testing.T, r *rand.Rand, oracle grantTable, nOps int) ([]scriptOp, []opOutcome, []interval.Extent) {
+// table on eng, so releases always target currently granted locks. It
+// returns the ops, the oracle's outcome per op, and the probe extents used.
+func genScript(t *testing.T, eng sim.Engine, r *rand.Rand, oracle grantTable, nOps int) ([]scriptOp, []opOutcome, []interval.Extent) {
 	probes := make([]interval.Extent, 6)
 	for i := range probes {
 		probes[i] = ext(int64(r.Intn(1600)), int64(r.Intn(500)))
 	}
-	run := newScriptRunner(t, oracle, probes)
 
 	randExt := func() interval.Extent {
 		// Lengths up to ~4 stripes of 100; one op in 12 is empty.
@@ -198,50 +248,63 @@ func genScript(t *testing.T, r *rand.Rand, oracle grantTable, nOps int) ([]scrip
 		outcomes []opOutcome
 		live     []liveLock
 		blocked  = map[int]scriptOp{}
+		busy     [scriptOwners]bool // owner has a blocked acquire
 		now      sim.VTime
 	)
-	apply := func(op scriptOp) {
-		ops = append(ops, op)
-		out := run.apply(op)
-		outcomes = append(outcomes, out)
-		if op.acquire {
-			if out.granted {
-				live = append(live, liveLock{id: op.id, owner: op.owner, e: op.e})
+	runScript(t, eng, oracle, probes, func(run *scriptRunner) {
+		apply := func(op scriptOp) {
+			ops = append(ops, op)
+			out := run.apply(op)
+			outcomes = append(outcomes, out)
+			if op.acquire {
+				if out.granted {
+					live = append(live, liveLock{id: op.id, owner: op.owner, e: op.e})
+				} else {
+					blocked[op.id] = op
+					busy[op.owner] = true
+				}
 			} else {
-				blocked[op.id] = op
-			}
-		} else {
-			for _, w := range out.woken {
-				bop := blocked[w.id]
-				delete(blocked, w.id)
-				live = append(live, liveLock{id: bop.id, owner: bop.owner, e: bop.e})
+				for _, w := range out.woken {
+					bop := blocked[w.id]
+					delete(blocked, w.id)
+					busy[bop.owner] = false
+					live = append(live, liveLock{id: bop.id, owner: bop.owner, e: bop.e})
+				}
 			}
 		}
-	}
-	release := func(k int) {
-		l := live[k]
-		live = append(live[:k], live[k+1:]...)
-		now += sim.VTime(1 + r.Intn(50))
-		apply(scriptOp{owner: l.owner, e: l.e, releaseOf: l.id, releaseAt: now})
-	}
+		release := func(k int) {
+			l := live[k]
+			live = append(live[:k], live[k+1:]...)
+			now += sim.VTime(1 + r.Intn(50))
+			apply(scriptOp{owner: l.owner, e: l.e, releaseOf: l.id, releaseAt: now})
+		}
 
-	for i := 0; i < nOps; i++ {
-		if len(live) > 0 && (r.Intn(3) == 0 || len(blocked) > 8) {
-			release(r.Intn(len(live)))
-			continue
+		for i := 0; i < nOps; i++ {
+			var idle []int
+			for owner, b := range busy {
+				if !b {
+					idle = append(idle, owner)
+				}
+			}
+			// A blocked acquire conflicts with a live lock, so there is
+			// always something to release when no owner is idle.
+			if len(live) > 0 && (r.Intn(3) == 0 || len(blocked) > 8 || len(idle) == 0) {
+				release(r.Intn(len(live)))
+				continue
+			}
+			now += sim.VTime(r.Intn(20))
+			apply(scriptOp{
+				acquire: true, id: i, owner: idle[r.Intn(len(idle))],
+				e: randExt(), mode: randMode(),
+				// Duplicated tickets exercise the seq tie-break.
+				earliest: now - sim.VTime(r.Intn(30)),
+			})
 		}
-		now += sim.VTime(r.Intn(20))
-		apply(scriptOp{
-			acquire: true, id: i, owner: r.Intn(6),
-			e: randExt(), mode: randMode(),
-			// Duplicated tickets exercise the seq tie-break.
-			earliest: now - sim.VTime(r.Intn(30)),
-		})
-	}
-	// Drain: release everything so no goroutine stays blocked.
-	for len(live) > 0 {
-		release(r.Intn(len(live)))
-	}
+		// Drain: release everything so no owner stays blocked.
+		for len(live) > 0 {
+			release(r.Intn(len(live)))
+		}
+	})
 	if len(blocked) != 0 || oracle.waiters() != 0 || oracle.holders() != 0 {
 		t.Fatalf("drain left %d blocked, %d waiting, %d held",
 			len(blocked), oracle.waiters(), oracle.holders())
@@ -256,17 +319,24 @@ func genScript(t *testing.T, r *rand.Rand, oracle grantTable, nOps int) ([]scrip
 // grant times, wake sets, counts, and release history at every step.
 func TestShardedMatchesUnshardedOracle(t *testing.T) {
 	const stripe = 100
-	for round := 0; round < 4; round++ {
-		r := rand.New(rand.NewSource(int64(1000 + round)))
-		ops, want, probes := genScript(t, r, newTable(), 150)
-		for _, shards := range []int{2, 3, 4, 8} {
-			run := newScriptRunner(t, newShardedTable(shards, stripe), probes)
-			for i, op := range ops {
-				got := run.apply(op)
-				if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want[i]) {
-					t.Fatalf("round %d S=%d op %d (%+v):\n got %+v\nwant %+v",
-						round, shards, i, op, got, want[i])
-				}
+	for _, eng := range engines() {
+		for round := 0; round < 4; round++ {
+			r := rand.New(rand.NewSource(int64(1000 + round)))
+			ops, want, probes := genScript(t, eng, r, newTable(), 150)
+			for _, shards := range []int{2, 3, 4, 8} {
+				diverged := false
+				runScript(t, eng, newShardedTable(shards, stripe), probes, func(run *scriptRunner) {
+					// Past the first divergence the replay only keeps
+					// going so that every owner is released.
+					for i, op := range ops {
+						got := run.apply(op)
+						if !diverged && fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want[i]) {
+							diverged = true
+							t.Errorf("%s round %d S=%d op %d (%+v):\n got %+v\nwant %+v",
+								eng.Name(), round, shards, i, op, got, want[i])
+						}
+					}
+				})
 			}
 		}
 	}
@@ -277,50 +347,37 @@ func TestShardedMatchesUnshardedOracle(t *testing.T) {
 // only through their one shared shard, must block, and must inherit the
 // holder's virtual release time on grant.
 func TestCrossShardSpanBlocksAndGrants(t *testing.T) {
-	st := newShardedTable(4, 100)
-	g0 := st.acquire(0, ext(0, 280), Exclusive, 5) // shards 0,1,2
-	if g0 != 5 {
-		t.Fatalf("uncontended grant at %v, want 5", g0)
-	}
-	done := make(chan sim.VTime)
-	go func() { done <- st.acquire(1, ext(250, 150), Exclusive, 7) }() // shards 2,3
-	deadline := time.Now().Add(5 * time.Second)
-	for st.waiters() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("conflicting cross-shard span did not block")
+	for _, eng := range engines() {
+		st := newShardedTable(4, 100)
+		runScript(t, eng, st, nil, func(run *scriptRunner) {
+			wide := scriptOp{acquire: true, id: 0, owner: 0, e: ext(0, 280), mode: Exclusive, earliest: 5} // shards 0,1,2
+			if out := run.apply(wide); !out.granted || out.grantAt != 5 {
+				t.Errorf("uncontended grant: %+v, want granted at 5", out)
+			}
+			span := scriptOp{acquire: true, id: 1, owner: 1, e: ext(250, 150), mode: Exclusive, earliest: 7} // shards 2,3
+			if out := run.apply(span); out.granted || out.waiters != 1 {
+				t.Errorf("conflicting cross-shard span: %+v, want blocked", out)
+			}
+			// A span touching only shard 3 sails past the blocked waiter.
+			tail := scriptOp{acquire: true, id: 2, owner: 2, e: ext(300, 50), mode: Exclusive, earliest: 3}
+			if out := run.apply(tail); !out.granted || out.grantAt != 3 {
+				t.Errorf("disjoint shard-3 span: %+v, want granted at 3", out)
+			}
+			const releaseAt = 1000
+			// The waiter [250,400) also overlaps [300,350): it needs both
+			// releases.
+			if out := run.apply(scriptOp{owner: 0, e: wide.e, releaseAt: releaseAt}); len(out.woken) != 0 {
+				t.Errorf("granted %+v while the shard-3 conflict is still held", out.woken)
+			}
+			out := run.apply(scriptOp{owner: 2, e: tail.e, releaseOf: 2, releaseAt: releaseAt + 500})
+			if len(out.woken) != 1 || out.woken[0] != (wokenGrant{id: 1, grantAt: releaseAt + 500}) {
+				t.Errorf("cross-shard grant %+v, want op 1 at %d (latest conflicting release)", out.woken, releaseAt+500)
+			}
+			run.apply(scriptOp{owner: 1, e: span.e, releaseOf: 1, releaseAt: releaseAt + 600})
+		})
+		if st.holders() != 0 || st.waiters() != 0 {
+			t.Fatalf("%s: table not empty: %d held, %d waiting", eng.Name(), st.holders(), st.waiters())
 		}
-		time.Sleep(20 * time.Microsecond)
-	}
-	select {
-	case g := <-done:
-		t.Fatalf("granted at %v while conflicting span held", g)
-	default:
-	}
-	// A span touching only shard 3 sails past the blocked waiter.
-	if g := st.acquire(2, ext(300, 50), Exclusive, 3); g != 3 {
-		t.Fatalf("disjoint shard-3 span granted at %v, want 3", g)
-	}
-	const releaseAt = 1000
-	if err := st.release(0, ext(0, 280), releaseAt); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case g := <-done:
-		t.Fatalf("granted at %v while shard-3 conflict still held", g)
-	case <-time.After(20 * time.Millisecond):
-	}
-	// waiter [250,400) also overlaps [300,350): it needs both releases.
-	if err := st.release(2, ext(300, 50), releaseAt+500); err != nil {
-		t.Fatal(err)
-	}
-	if g := <-done; g != releaseAt+500 {
-		t.Fatalf("cross-shard grant at %v, want %d (latest conflicting release)", g, releaseAt+500)
-	}
-	if err := st.release(1, ext(250, 150), releaseAt+600); err != nil {
-		t.Fatal(err)
-	}
-	if st.holders() != 0 || st.waiters() != 0 {
-		t.Fatalf("table not empty: %d held, %d waiting", st.holders(), st.waiters())
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // Comm is a communicator: an ordered group of ranks with a private message
 // context, so that traffic on one communicator can never be matched by
-// receives on another. A Comm value is owned by a single rank goroutine and
-// must not be shared between goroutines.
+// receives on another. A Comm value is owned by a single rank and must not
+// be shared between ranks.
 type Comm struct {
 	world *World
 	ctx   int   // user-visible context id

@@ -27,20 +27,19 @@ func (abortError) Error() string { return "mpi: world aborted after failure on a
 // receivers scan for the first message matching (ctx, src, tag) in arrival
 // order, which preserves per-sender FIFO ordering as MPI requires.
 //
-// In a coordinated world (coord non-nil) the mailbox also mediates the
-// owner's blocked state: a receive that finds no match registers its
-// pattern, Blocks and Parks through the coordinator, and the sender whose
-// put satisfies the pattern Wakes the owner — under m.mu, before the owner
-// can run again — with a lower bound on the owner's post-receive virtual
-// time. That handshake is what keeps admissions deterministic across a
-// blocking receive, on both the goroutine and the event-loop engine.
+// The mailbox also mediates the owner's blocked state: a receive that finds
+// no match registers its pattern, Blocks and Parks through the coordinator,
+// and the sender whose put satisfies the pattern Wakes the owner — under
+// m.mu, before the owner can run again — with a lower bound on the owner's
+// post-receive virtual time. That handshake is what keeps admissions
+// deterministic across a blocking receive.
 type mailbox struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	queue   []*message
 	aborted bool
 
-	// Coordinated-world fields; zero in free-running worlds.
+	// coord is the world's coordinator and owner the mailbox's world rank;
+	// net and recvOverhead price the receive for the wake-up bound.
 	coord        sim.Coord
 	owner        int
 	net          sim.CostModel
@@ -48,16 +47,15 @@ type mailbox struct {
 	wait         *waitPattern // owner's registered blocked receive, if any
 }
 
-// waitPattern is the match pattern of a blocked gated receive.
+// waitPattern is the match pattern of a blocked receive.
 type waitPattern struct {
 	ctx, src, tag int
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
+// newMailbox returns a mailbox outside any world: under sim.Solo a receive
+// with no queued match panics instead of sleeping. newWorld hands each
+// mailbox the world's coordinator.
+func newMailbox() *mailbox { return &mailbox{coord: sim.Solo{}, net: sim.Free{}} }
 
 // matches reports whether msg satisfies the (ctx, src, tag) pattern.
 func matches(msg *message, ctx, src, tag int) bool {
@@ -73,10 +71,10 @@ func matches(msg *message, ctx, src, tag int) bool {
 	return true
 }
 
-// put enqueues a message and wakes any waiting receiver. In a coordinated
-// world, a put that satisfies the owner's registered receive wakes the
-// owner before the mailbox lock drops, publishing the earliest virtual time
-// the owner could act at after completing the receive.
+// put enqueues a message. A put that satisfies the owner's registered
+// receive wakes the owner before the mailbox lock drops, publishing the
+// earliest virtual time the owner could act at after completing the
+// receive.
 func (m *mailbox) put(msg *message) {
 	m.mu.Lock()
 	m.queue = append(m.queue, msg)
@@ -86,13 +84,11 @@ func (m *mailbox) put(msg *message) {
 		m.coord.Wake(m.owner, bound)
 	}
 	m.mu.Unlock()
-	m.cond.Broadcast()
 }
 
-// abort wakes any blocked receiver with a panic so a failure on one rank
-// cannot deadlock the rest of the world. A coordinated owner parked in a
-// registered receive is woken through the coordinator so it can observe the
-// abort and unwind.
+// abort marks the world aborted so a failure on one rank cannot deadlock
+// the rest: an owner parked in a registered receive is woken so it can
+// observe the abort and unwind with a panic.
 func (m *mailbox) abort() {
 	m.mu.Lock()
 	m.aborted = true
@@ -101,7 +97,6 @@ func (m *mailbox) abort() {
 		m.coord.Wake(m.owner, 0)
 	}
 	m.mu.Unlock()
-	m.cond.Broadcast()
 }
 
 // take removes and returns the first queued message matching the pattern,
@@ -119,10 +114,10 @@ func (m *mailbox) take(ctx, src, tag int) *message {
 // match blocks until a message matching the given context, source and tag is
 // available and removes it from the queue. src may be AnySource and tag may
 // be AnyTag. If the world is aborted while waiting, match panics with
-// abortError, which Run recovers. In a coordinated world the blocked state
-// is registered with the coordinator and the owner parks through it so
-// peers can keep making progress; the wake comes from the put that
-// satisfies the pattern (or from an abort).
+// abortError, which Run recovers. The blocked state is registered with the
+// coordinator and the owner parks through it so peers can keep making
+// progress; the wake comes from the put that satisfies the pattern (or from
+// an abort).
 func (m *mailbox) match(ctx, src, tag int) *message {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -134,16 +129,12 @@ func (m *mailbox) match(ctx, src, tag int) *message {
 		if m.aborted {
 			panic(abortError{})
 		}
-		if m.coord != nil {
-			if !registered {
-				m.wait = &waitPattern{ctx: ctx, src: src, tag: tag}
-				m.coord.Block(m.owner)
-				registered = true
-			}
-			m.coord.Park(m.owner, &m.mu)
-		} else {
-			m.cond.Wait()
+		if !registered {
+			m.wait = &waitPattern{ctx: ctx, src: src, tag: tag}
+			m.coord.Block(m.owner)
+			registered = true
 		}
+		m.coord.Park(m.owner, &m.mu)
 	}
 }
 

@@ -8,14 +8,14 @@
 // therefore the virtual-time cost of the handshaking strategies — match what
 // a real MPI implementation would incur.
 //
-// Ranks execute inside a World created by Run — as one real goroutine per
-// rank (the default sim.Goroutines engine) or as resumable coroutines of
-// the single-threaded event-loop scheduler (internal/sim/des), selected by
-// Config.Engine; virtual results are byte-identical either way. Every rank
+// Ranks execute inside a World created by Run, as resumable coroutines of
+// the single-threaded event-loop scheduler (internal/sim/des) unless
+// Config.Engine names another sim.Engine (tests pass the goroutine
+// reference engine; virtual results are byte-identical on it). Every rank
 // owns a virtual clock (see package sim); sends stamp messages with the
 // sender's clock and receives advance the receiver's clock to
-// max(local, sent+transfer), which yields causally consistent virtual
-// timings without any global coordination.
+// max(local, sent+transfer); the engine's coordinator admits sends in
+// (virtual time, rank) order, which makes the timings deterministic.
 //
 // Like package sync in the standard library, mpi treats misuse (invalid
 // ranks, mismatched collective calls) as programmer error and panics rather
@@ -32,6 +32,7 @@ import (
 
 	"atomio/internal/obs"
 	"atomio/internal/sim"
+	"atomio/internal/sim/des"
 )
 
 // Wildcards for Recv matching. Valid application tags are non-negative.
@@ -53,15 +54,17 @@ type Config struct {
 	// Timeout is the real-time limit for the whole run; it guards tests
 	// against communication deadlocks. Zero means 120 seconds.
 	Timeout time.Duration
-	// Coord, when non-nil, serializes every cross-rank interaction into
-	// deterministic virtual-time order (see sim.Coord; a *sim.Gate is the
-	// goroutine-engine implementation). It must be sized for exactly Procs
-	// actors. Nil runs the world free, as before.
-	Coord sim.Coord
-	// Engine executes the rank bodies. Nil uses sim.Goroutines (one real
-	// goroutine per rank). The event-loop engine (internal/sim/des)
-	// requires Coord to be its own coordinator.
+	// Engine executes the rank bodies. Nil means a fresh event-loop engine
+	// (internal/sim/des).
 	Engine sim.Engine
+	// Coord serializes every cross-rank interaction into deterministic
+	// virtual-time order (see sim.Coord). Set it — to a coordinator from
+	// Engine.NewCoord(Procs), possibly wrapped by a tracer — when the run
+	// shares it with a lock manager or file system (their SetCoord); nil
+	// means Run takes a fresh one from Engine. Setting Coord without
+	// Engine is an error: a coordinator only works on the engine it came
+	// from.
+	Coord sim.Coord
 	// Obs, when non-nil, receives an mpi.send/mpi.recv event (tagged with
 	// the enclosing collective, sized, with world-rank peers) for every
 	// message, plus message counters. Nil costs one pointer test per
@@ -79,8 +82,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// World is one running message-passing program: a set of rank goroutines,
-// their mailboxes and clocks, and the communicator context-id allocator.
+// World is one running message-passing program: its ranks' mailboxes and
+// clocks, and the communicator context-id allocator.
 type World struct {
 	cfg       Config
 	size      int
@@ -101,16 +104,12 @@ func newWorld(cfg Config) *World {
 	w.mailboxes = make([]*mailbox, cfg.Procs)
 	w.clocks = make([]*sim.Clock, cfg.Procs)
 	for i := range w.mailboxes {
-		w.mailboxes[i] = newMailbox()
-		if cfg.Coord != nil {
-			// The mailbox wakes its blocked owner through the coordinator;
-			// it needs the owner's id and the receive cost model to publish
-			// a sound lower bound on the owner's post-receive time.
-			w.mailboxes[i].coord = cfg.Coord
-			w.mailboxes[i].owner = i
-			w.mailboxes[i].net = cfg.Net
-			w.mailboxes[i].recvOverhead = cfg.RecvOverhead
-		}
+		// The mailbox wakes its blocked owner through the coordinator; it
+		// needs the owner's id and the receive cost model to publish a
+		// sound lower bound on the owner's post-receive time.
+		m := newMailbox()
+		m.coord, m.owner, m.net, m.recvOverhead = cfg.Coord, i, cfg.Net, cfg.RecvOverhead
+		w.mailboxes[i] = m
 		w.clocks[i] = sim.NewClock(0)
 	}
 	w.nextCtx = 1
@@ -165,17 +164,25 @@ func (e *RankError) Unwrap() error { return e.Err }
 // cfg.Timeout (a communication deadlock), Run returns an error instead of
 // hanging forever.
 //
-// cfg.Engine selects how ranks execute: real goroutines (the default) or
-// the single-threaded event-loop scheduler; cfg.Coord is the matching
-// coordinator. Virtual results are byte-identical across engines.
+// Ranks run on cfg.Engine and block through cfg.Coord; Run supplies the
+// event loop and its coordinator for whichever is unset (see Config).
 func Run(cfg Config, body RankFunc) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("mpi: Procs must be >= 1, got %d", cfg.Procs)
 	}
-	if cfg.Coord != nil && cfg.Coord.Actors() != cfg.Procs {
+	given := cfg.Coord
+	if cfg.Engine == nil {
+		if given != nil {
+			return nil, errors.New("mpi: Config.Coord set without Config.Engine")
+		}
+		cfg.Engine = des.New()
+	}
+	if given == nil {
+		cfg.Coord = cfg.Engine.NewCoord(cfg.Procs)
+	} else if given.Actors() != cfg.Procs {
 		return nil, fmt.Errorf("mpi: coordinator sized for %d actors, world has %d ranks",
-			cfg.Coord.Actors(), cfg.Procs)
+			given.Actors(), cfg.Procs)
 	}
 	w := newWorld(cfg)
 	ctx := w.allocCtx()
@@ -186,12 +193,9 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 
 	errs := make([]error, cfg.Procs)
 	rankBody := func(rank int) {
-		if cfg.Coord != nil {
-			// Retire the actor however the rank exits — normally, by
-			// error, or unwinding from an abort — so coordinated peers
-			// never wait on a dead rank.
-			defer cfg.Coord.Done(rank)
-		}
+		// Retire the actor however the rank exits — normally, by error, or
+		// unwinding from an abort — so peers never wait on a dead rank.
+		defer cfg.Coord.Done(rank)
 		defer func() {
 			if p := recover(); p != nil {
 				switch p := p.(type) {
@@ -217,19 +221,15 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 		}
 	}
 
-	eng := cfg.Engine
-	if eng == nil {
-		eng = sim.Goroutines{}
-	}
 	var engErr error
 	done := make(chan struct{})
 	go func() {
-		engErr = eng.Run(cfg.Coord, cfg.Procs, rankBody)
+		engErr = cfg.Engine.Run(cfg.Coord, cfg.Procs, rankBody)
 		close(done)
 	}()
 	select {
 	case <-done:
-	//atomiovet:allow simclock host-time watchdog against real rank-goroutine deadlock; wall time never reaches simulated results
+	//atomiovet:allow simclock host-time watchdog against a run that never returns; wall time never reaches simulated results
 	case <-time.After(cfg.Timeout):
 		return nil, fmt.Errorf("mpi: run timed out after %v (likely communication deadlock)", cfg.Timeout)
 	}

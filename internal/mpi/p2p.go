@@ -30,16 +30,14 @@ func (c *Comm) send(ctx, to, tag int, data []byte) {
 // sendOwned is send without the copy: data is handed to the receiver as-is,
 // so the caller must never write to it again. Collectives use it for
 // buffers they own outright (a private copy, or a block received from
-// another rank and merely forwarded). In a coordinated world the send is an
-// admitted action at the sender's post-overhead clock, so deliveries into
-// every mailbox happen in deterministic virtual-time order. The virtual
-// cost of a message depends only on len(data).
+// another rank and merely forwarded). The send is an admitted action at the
+// sender's post-overhead clock, so deliveries into every mailbox happen in
+// deterministic virtual-time order. The virtual cost of a message depends
+// only on len(data).
 func (c *Comm) sendOwned(ctx, to, tag int, data []byte) {
 	c.checkRank(to)
 	c.clock.Advance(c.world.cfg.SendOverhead)
-	if co := c.world.cfg.Coord; co != nil {
-		co.Await(c.group[c.rank], c.clock.Now())
-	}
+	c.world.cfg.Coord.Await(c.group[c.rank], c.clock.Now())
 	if o := c.world.cfg.Obs; o != nil {
 		o.Emit(obs.Event{
 			T: c.clock.Now(), Actor: c.group[c.rank],
@@ -109,20 +107,18 @@ func (c *Comm) Sendrecv(to, sendTag int, sendData []byte, from, recvTag int) ([]
 }
 
 // Request is a handle to a non-blocking operation. Wait must be called
-// exactly once, from the goroutine owning the communicator.
+// exactly once, by the rank owning the communicator.
 type Request struct {
-	c      *Comm
-	done   chan struct{}
-	msg    *message // set for receives
-	isRecv bool
-	data   []byte
-	status Status
-
-	// Coordinated worlds match lazily on the owning rank (a helper
-	// goroutine would bypass the coordinator's blocked-state handshake),
-	// so the pattern is kept on the request.
-	lazy          bool
+	c *Comm
+	// A receive is matched by its owning rank — in Wait, or earlier by a
+	// Test that finds the message queued — so a receive that has to sleep
+	// always does so through the coordinator. pending holds until Wait has
+	// consumed the message; sends complete inside Isend and never set it.
+	pending       bool
 	ctx, src, tag int
+	msg           *message
+	data          []byte
+	status        Status
 }
 
 // Isend starts a non-blocking send. Because sends are eager the operation
@@ -130,14 +126,11 @@ type Request struct {
 // the request API reads naturally.
 func (c *Comm) Isend(to, tag int, data []byte) *Request {
 	c.Send(to, tag, data)
-	r := &Request{c: c, done: make(chan struct{})}
-	close(r.done)
-	return r
+	return &Request{c: c}
 }
 
-// Irecv starts a non-blocking receive. A helper goroutine performs the
-// matching; the receiver's clock is advanced when Wait is called, so clock
-// accesses stay confined to the owning goroutine.
+// Irecv starts a non-blocking receive: it records the match pattern, and
+// the owning rank matches it in Wait (or Test).
 func (c *Comm) Irecv(from, tag int) *Request {
 	if from != AnySource {
 		c.checkRank(from)
@@ -145,59 +138,36 @@ func (c *Comm) Irecv(from, tag int) *Request {
 	if tag != AnyTag {
 		c.checkTag(tag)
 	}
-	r := &Request{c: c, done: make(chan struct{}), isRecv: true}
-	if c.world.cfg.Coord != nil {
-		r.lazy, r.ctx, r.src, r.tag = true, c.ctx, from, tag
-		return r
-	}
-	ctx := c.ctx
-	go func() {
-		r.msg = c.world.mailboxes[c.group[c.rank]].match(ctx, from, tag)
-		close(r.done)
-	}()
-	return r
+	return &Request{c: c, pending: true, ctx: c.ctx, src: from, tag: tag}
 }
 
 // Wait blocks until the operation completes and, for receives, returns the
 // payload and status.
 func (r *Request) Wait() ([]byte, Status) {
-	if r.lazy {
+	if r.pending {
 		if r.msg == nil {
 			c := r.c
 			r.msg = c.world.mailboxes[c.group[c.rank]].match(r.ctx, r.src, r.tag)
 		}
-		r.lazy = false
-	} else {
-		<-r.done
-	}
-	if r.isRecv && r.msg != nil {
 		r.c.applyRecvTiming(r.msg)
 		r.data = r.msg.data
 		r.status = Status{Source: r.msg.src, Tag: r.msg.tag, Len: len(r.msg.data)}
-		r.msg = nil
+		r.msg, r.pending = nil, false
 	}
 	return r.data, r.status
 }
 
-// Test reports whether the operation has completed without blocking. In a
-// coordinated world (Config.Coord set) a busy-wait on Test cannot make
-// progress: polling does not advance the rank's virtual clock, so a sender
-// whose message would complete this request is never admitted. Use Wait,
-// which blocks through the coordinator, instead of spinning on Test.
+// Test reports whether the operation has completed without blocking. A
+// busy-wait on Test cannot make progress: polling does not advance the
+// rank's virtual clock, so a sender whose message would complete this
+// request is never admitted. Use Wait, which blocks through the
+// coordinator, instead of spinning on Test.
 func (r *Request) Test() bool {
-	if r.lazy {
-		if r.msg == nil {
-			c := r.c
-			r.msg = c.world.mailboxes[c.group[c.rank]].tryMatch(r.ctx, r.src, r.tag)
-		}
-		return r.msg != nil
+	if r.pending && r.msg == nil {
+		c := r.c
+		r.msg = c.world.mailboxes[c.group[c.rank]].tryMatch(r.ctx, r.src, r.tag)
 	}
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
+	return !r.pending || r.msg != nil
 }
 
 // WaitAll waits on every request in order.

@@ -3,17 +3,31 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"atomio/internal/sim"
+	"atomio/internal/sim/des"
 )
 
+// run executes body on procs ranks twice — on the goroutine reference
+// engine, then on the event loop — requires the same per-rank virtual times
+// from both, and returns the event loop's result.
 func run(t *testing.T, procs int, body RankFunc) *Result {
 	t.Helper()
-	res, err := Run(Config{Procs: procs, Timeout: 30 * time.Second}, body)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	var res *Result
+	for _, eng := range []sim.Engine{sim.Goroutines{}, des.New()} {
+		r, err := Run(Config{Procs: procs, Engine: eng, Timeout: 30 * time.Second}, body)
+		if err != nil {
+			t.Fatalf("Run on %s: %v", eng.Name(), err)
+		}
+		if res != nil && !reflect.DeepEqual(r.Times, res.Times) {
+			t.Fatalf("rank times diverge: %s %v, goroutine %v", eng.Name(), r.Times, res.Times)
+		}
+		res = r
 	}
 	return res
 }
@@ -34,6 +48,51 @@ func TestRunSingleRank(t *testing.T) {
 func TestRunRejectsBadProcs(t *testing.T) {
 	if _, err := Run(Config{Procs: 0}, func(*Comm) error { return nil }); err == nil {
 		t.Fatal("expected error for Procs=0")
+	}
+}
+
+// TestRunEngineAndCoord tables the ways a Config can name its engine and
+// coordinator: Run supplies whichever is missing, and rejects up front the
+// combinations that cannot work — a coordinator with no engine to drive it
+// (which used to run the ranks on the wrong engine and die of a nil
+// dereference inside rank 0), or one sized for a different world.
+func TestRunEngineAndCoord(t *testing.T) {
+	loop := des.New()
+	cases := []struct {
+		name    string
+		cfg     Config
+		wantErr string
+	}{
+		{"neither", Config{}, ""},
+		{"engine only", Config{Engine: loop}, ""},
+		{"reference engine only", Config{Engine: sim.Goroutines{}}, ""},
+		{"engine and its coordinator", Config{Engine: loop, Coord: loop.NewCoord(2)}, ""},
+		{"coordinator only", Config{Coord: loop.NewCoord(2)}, "mpi: Config.Coord set without Config.Engine"},
+		{"coordinator of another size", Config{Engine: loop, Coord: loop.NewCoord(3)}, "coordinator sized for 3 actors"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Procs = 2
+			tc.cfg.Timeout = 30 * time.Second
+			var ran atomic.Bool
+			_, err := Run(tc.cfg, func(c *Comm) error {
+				ran.Store(true)
+				c.Barrier() // blocks: the ranks really go through the coordinator
+				return nil
+			})
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Run error = %v, want %q", err, tc.wantErr)
+			}
+			if ran.Load() {
+				t.Error("a rank ran before the configuration was rejected")
+			}
+		})
 	}
 }
 
@@ -191,14 +250,27 @@ func TestRequestTest(t *testing.T) {
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			req := c.Irecv(1, 0)
-			c.Send(1, 1, nil) // tell partner to go
-			for !req.Test() {
-				time.Sleep(time.Millisecond)
+			if req.Test() {
+				return fmt.Errorf("Test reported completion before anything was sent")
 			}
-			req.Wait()
+			c.Send(1, 1, nil) // tell partner to go
+			// Polling Test cannot make progress (see Request.Test); block
+			// on the partner's second message, which it sends after the
+			// one the request is waiting for.
+			c.Recv(1, 2)
+			if !req.Test() {
+				return fmt.Errorf("Test reported no completion with the message queued")
+			}
+			if data, _ := req.Wait(); string(data) != "x" {
+				return fmt.Errorf("Wait returned %q", data)
+			}
+			if !req.Test() {
+				return fmt.Errorf("Test reported no completion after Wait")
+			}
 		} else {
 			c.Recv(0, 1)
 			c.Send(0, 0, []byte("x"))
+			c.Send(0, 2, nil)
 		}
 		return nil
 	})

@@ -12,8 +12,9 @@ import (
 	"atomio/internal/sim/des"
 )
 
-// sharedWorlds are the three ways a world can execute: free-running
-// goroutines (no coordinator), gated goroutines, and the event loop.
+// sharedWorlds are the ways a world gets its engine: a Config free of one
+// (Run brings its own event loop), the goroutine reference engine, and an
+// event loop the caller hands over together with its coordinator.
 var sharedWorlds = []struct {
 	name string
 	eng  sim.Engine

@@ -187,9 +187,15 @@ func TestIndependentWriteAtomicWithLocking(t *testing.T) {
 	// §5: independent (non-collective) atomic writes are possible only
 	// through locking. Two ranks write overlapping contiguous ranges
 	// independently; the result must be single-source.
+	for _, eng := range engines() {
+		testIndependentWriteAtomicWithLocking(t, eng)
+	}
+}
+
+func testIndependentWriteAtomicWithLocking(t *testing.T, eng sim.Engine) {
 	fs := testFS()
 	mgr := testMgr()
-	run(t, 2, func(c *mpi.Comm) error {
+	runOn(t, eng, eng.NewCoord(2), fs, mgr, func(c *mpi.Comm) error {
 		f, err := Open(c, fs, mgr, "indep.dat")
 		if err != nil {
 			return err
@@ -237,9 +243,15 @@ func TestIndependentAtomicWriteWithoutLockingFails(t *testing.T) {
 func TestAtomicReadSeesCommittedData(t *testing.T) {
 	// Writer flushes under lock; reader's atomic read invalidates its
 	// cache and takes a shared lock, so it must observe the write.
+	for _, eng := range engines() {
+		testAtomicReadSeesCommittedData(t, eng)
+	}
+}
+
+func testAtomicReadSeesCommittedData(t *testing.T, eng sim.Engine) {
 	fs := cachingFS()
 	mgr := testMgr()
-	run(t, 2, func(c *mpi.Comm) error {
+	runOn(t, eng, eng.NewCoord(2), fs, mgr, func(c *mpi.Comm) error {
 		f, err := Open(c, fs, mgr, "rw.dat")
 		if err != nil {
 			return err

@@ -13,6 +13,7 @@ import (
 	"atomio/internal/mpi"
 	"atomio/internal/pfs"
 	"atomio/internal/sim"
+	"atomio/internal/sim/des"
 	"atomio/internal/verify"
 	"atomio/internal/workload"
 )
@@ -46,6 +47,8 @@ func testMgr() lock.Manager {
 	return lock.NewCentral(lock.CentralConfig{MsgCost: 5 * sim.Microsecond, ServiceTime: 2 * sim.Microsecond})
 }
 
+// run executes body on procs ranks whose file systems and lock managers
+// never make one rank wait for another; tests where they do use runOn.
 func run(t *testing.T, procs int, body mpi.RankFunc) {
 	t.Helper()
 	if _, err := mpi.Run(mpi.Config{Procs: procs, Timeout: 60 * time.Second}, body); err != nil {
@@ -53,12 +56,31 @@ func run(t *testing.T, procs int, body mpi.RankFunc) {
 	}
 }
 
+// engines returns the engines every test with contending ranks runs on: the
+// event loop, and the goroutine reference engine it is pinned to.
+func engines() []sim.Engine { return []sim.Engine{des.New(), sim.Goroutines{}} }
+
+// runOn executes body on the ranks of coord, a coordinator of eng that the
+// world shares with fs and mgr (nil for none), so ranks that contend for
+// servers or locks block on one another.
+func runOn(t *testing.T, eng sim.Engine, coord sim.Coord, fs *pfs.FileSystem, mgr lock.Manager, body mpi.RankFunc) {
+	t.Helper()
+	fs.SetCoord(coord)
+	if m, ok := mgr.(interface{ SetCoord(sim.Coord) }); ok {
+		m.SetCoord(coord)
+	}
+	cfg := mpi.Config{Procs: coord.Actors(), Engine: eng, Coord: coord, Timeout: 60 * time.Second}
+	if _, err := mpi.Run(cfg, body); err != nil {
+		t.Fatalf("run on %s: %v", eng.Name(), err)
+	}
+}
+
 // writeColumnWise runs the paper's column-wise concurrent overlapping write
 // with the given strategy and returns the per-rank views for verification.
-func writeColumnWise(t *testing.T, fs *pfs.FileSystem, mgr lock.Manager, m, n, p, r int, strat core.Strategy) []interval.List {
+func writeColumnWise(t *testing.T, eng sim.Engine, fs *pfs.FileSystem, mgr lock.Manager, m, n, p, r int, strat core.Strategy) []interval.List {
 	t.Helper()
 	views := make([]interval.List, p)
-	run(t, p, func(c *mpi.Comm) error {
+	runOn(t, eng, eng.NewCoord(p), fs, mgr, func(c *mpi.Comm) error {
 		piece, err := workload.ColumnWise(m, n, p, r, c.Rank())
 		if err != nil {
 			return err
@@ -99,17 +121,19 @@ func TestAtomicityAllStrategiesColumnWise(t *testing.T) {
 		for _, p := range []int{2, 4, 8} {
 			name := fmt.Sprintf("%s/P=%d", strat.Name(), p)
 			t.Run(name, func(t *testing.T) {
-				fs := testFS()
-				views := writeColumnWise(t, fs, testMgr(), 16, 64, p, 4, strat)
-				rep, err := verify.Check(fs, "shared.dat", views)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Atomic() {
-					t.Fatalf("strategy %s violated atomicity: %v", strat.Name(), rep.Violations[0])
-				}
-				if rep.Atoms == 0 {
-					t.Fatal("workload produced no overlaps; test is vacuous")
+				for _, eng := range engines() {
+					fs := testFS()
+					views := writeColumnWise(t, eng, fs, testMgr(), 16, 64, p, 4, strat)
+					rep, err := verify.Check(fs, "shared.dat", views)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !rep.Atomic() {
+						t.Fatalf("%s: strategy %s violated atomicity: %v", eng.Name(), strat.Name(), rep.Violations[0])
+					}
+					if rep.Atoms == 0 {
+						t.Fatal("workload produced no overlaps; test is vacuous")
+					}
 				}
 			})
 		}
@@ -120,14 +144,16 @@ func TestAtomicityWithWriteBehindCache(t *testing.T) {
 	// Same claim on a caching file system (sync/invalidate paths).
 	for _, strat := range append(core.All(), core.TwoPhase{}) {
 		t.Run(strat.Name(), func(t *testing.T) {
-			fs := cachingFS()
-			views := writeColumnWise(t, fs, testMgr(), 16, 64, 4, 4, strat)
-			rep, err := verify.Check(fs, "shared.dat", views)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Atomic() {
-				t.Fatalf("%s with cache: %v", strat.Name(), rep.Violations[0])
+			for _, eng := range engines() {
+				fs := cachingFS()
+				views := writeColumnWise(t, eng, fs, testMgr(), 16, 64, 4, 4, strat)
+				rep, err := verify.Check(fs, "shared.dat", views)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Atomic() {
+					t.Fatalf("%s: %s with cache: %v", eng.Name(), strat.Name(), rep.Violations[0])
+				}
 			}
 		})
 	}
@@ -140,7 +166,7 @@ func TestRankOrderingHighestRankWins(t *testing.T) {
 	for _, strat := range []core.Strategy{core.RankOrder{}, core.TwoPhase{}} {
 		t.Run(strat.Name(), func(t *testing.T) {
 			fs := testFS()
-			views := writeColumnWise(t, fs, nil, 8, 32, 4, 4, strat)
+			views := writeColumnWise(t, des.New(), fs, nil, 8, 32, 4, 4, strat)
 			rep, err := verify.Check(fs, "shared.dat", views)
 			if err != nil {
 				t.Fatal(err)
@@ -167,7 +193,7 @@ func TestColoringWithSpansStillAtomic(t *testing.T) {
 	// The conservative span-based handshake over-approximates conflicts
 	// (ablation A5) — it can only add colors, so atomicity must hold.
 	fs := testFS()
-	views := writeColumnWise(t, fs, nil, 16, 64, 4, 4, core.Coloring{UseSpans: true})
+	views := writeColumnWise(t, des.New(), fs, nil, 16, 64, 4, 4, core.Coloring{UseSpans: true})
 	rep, err := verify.Check(fs, "shared.dat", views)
 	if err != nil {
 		t.Fatal(err)
@@ -256,80 +282,58 @@ func TestFigure2AtomicVsNonAtomic(t *testing.T) {
 	// overlapped columns; atomic mode never does.
 	const m, n, p, r = 6, 8, 2, 2
 
-	// Part 1: non-atomic, zig-zag schedule -> interleaving.
-	fs := testFS()
-	views := make([]interval.List, p)
-	// Controller: strict alternation with per-row swap of who goes last:
-	// row i is written R0-then-R1 for even i, R1-then-R0 for odd i.
-	type req struct {
-		rank  int
-		seg   int
-		grant chan struct{}
-		done  chan struct{}
-	}
-	reqs := make(chan req, 4)
-	go func() {
-		pending := map[int]map[int]req{0: {}, 1: {}}
-		for seg := 0; seg < m; seg++ {
-			order := []int{0, 1}
-			if seg%2 == 1 {
-				order = []int{1, 0}
+	for _, eng := range engines() {
+		// Part 1: non-atomic, zig-zag schedule -> interleaving. Each
+		// segment write is admitted at its own virtual instant: row i is
+		// written R0-then-R1 for even i, R1-then-R0 for odd i, so who wrote
+		// the overlapped columns last alternates from row to row.
+		fs := testFS()
+		views := make([]interval.List, p)
+		coord := eng.NewCoord(p)
+		runOn(t, eng, coord, fs, nil, func(c *mpi.Comm) error {
+			piece, _ := workload.ColumnWise(m, n, p, r, c.Rank())
+			views[c.Rank()] = interval.List(piece.Filetype.Flatten())
+			f, err := Open(c, fs, nil, "fig2.dat")
+			if err != nil {
+				return err
 			}
-			for _, rank := range order {
-				r, ok := pending[rank][seg]
-				for !ok {
-					in := <-reqs
-					pending[in.rank][in.seg] = in
-					r, ok = pending[rank][seg]
+			f.SetView(0, datatype.Byte, piece.Filetype)
+			// MPI non-atomic mode.
+			rank := c.Rank()
+			f.Client().BeforeSegment = func(seg int) {
+				turn := rank
+				if seg%2 == 1 {
+					turn = 1 - rank
 				}
-				close(r.grant)
-				<-r.done
+				coord.Await(rank, sim.Second*sim.VTime(1+2*seg+turn))
 			}
-		}
-	}()
-	run(t, p, func(c *mpi.Comm) error {
-		piece, _ := workload.ColumnWise(m, n, p, r, c.Rank())
-		views[c.Rank()] = interval.List(piece.Filetype.Flatten())
-		f, err := Open(c, fs, nil, "fig2.dat")
+			buf := make([]byte, piece.BufBytes)
+			verify.Fill(c.Rank(), buf)
+			if err := f.WriteAll(buf); err != nil {
+				return err
+			}
+			f.Client().BeforeSegment = nil
+			return f.Close()
+		})
+		rep, err := verify.Check(fs, "fig2.dat", views)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		f.SetView(0, datatype.Byte, piece.Filetype)
-		// MPI non-atomic mode.
-		rank := c.Rank()
-		var cur req
-		f.Client().BeforeSegment = func(i int) {
-			cur = req{rank: rank, seg: i, grant: make(chan struct{}), done: make(chan struct{})}
-			reqs <- cur
-			<-cur.grant
+		if rep.Atomic() {
+			t.Fatalf("%s: non-atomic mode under adversarial schedule should interleave (Figure 2)", eng.Name())
 		}
-		f.Client().AfterSegment = func(i int) { close(cur.done) }
-		buf := make([]byte, piece.BufBytes)
-		verify.Fill(c.Rank(), buf)
-		if err := f.WriteAll(buf); err != nil {
-			return err
-		}
-		f.Client().BeforeSegment, f.Client().AfterSegment = nil, nil
-		return f.Close()
-	})
-	rep, err := verify.Check(fs, "fig2.dat", views)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Atomic() {
-		t.Fatal("non-atomic mode under adversarial schedule should interleave (Figure 2)")
-	}
 
-	// Part 2: atomic mode (any strategy) under concurrent execution
-	// never interleaves; covered exhaustively elsewhere, spot-check here.
-	fs2 := testFS()
-	views2 := writeColumnWise(t, fs2, testMgr(), m, n, p, r, core.Locking{})
-	rep2, err := verify.Check(fs2, "shared.dat", views2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep2.Atomic() {
-		t.Fatalf("atomic mode interleaved: %v", rep2.Violations)
+		// Part 2: atomic mode (any strategy) under concurrent execution
+		// never interleaves; covered exhaustively elsewhere, spot-check here.
+		fs2 := testFS()
+		views2 := writeColumnWise(t, eng, fs2, testMgr(), m, n, p, r, core.Locking{})
+		rep2, err := verify.Check(fs2, "shared.dat", views2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep2.Atomic() {
+			t.Fatalf("%s: atomic mode interleaved: %v", eng.Name(), rep2.Violations)
+		}
 	}
 }
 
@@ -349,10 +353,16 @@ func TestPerSegmentLockingViolatesMPIAtomicity(t *testing.T) {
 	// from rank 0 — every single write was locked, yet no serialization
 	// order of the two requests explains the result.
 	const m, n, p, r = 6, 8, 2, 2
+	for _, eng := range engines() {
+		testPerSegmentLocking(t, eng, m, n, p, r)
+	}
+}
+
+func testPerSegmentLocking(t *testing.T, eng sim.Engine, m, n, p, r int) {
 	fs := testFS()
 	mgr := testMgr()
 	views := make([]interval.List, p)
-	run(t, p, func(c *mpi.Comm) error {
+	runOn(t, eng, eng.NewCoord(p), fs, mgr, func(c *mpi.Comm) error {
 		piece, _ := workload.ColumnWise(m, n, p, r, c.Rank())
 		views[c.Rank()] = interval.List(piece.Filetype.Flatten())
 		f, err := Open(c, fs, mgr, "perseg.dat")
@@ -387,7 +397,7 @@ func TestPerSegmentLockingViolatesMPIAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Atomic() {
-		t.Fatal("per-segment locking should NOT satisfy MPI atomicity")
+		t.Fatalf("%s: per-segment locking should NOT satisfy MPI atomicity", eng.Name())
 	}
 	if len(rep.Violations) == 0 && rep.OrderViolation == nil {
 		t.Fatal("expected an order violation")

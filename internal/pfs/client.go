@@ -15,7 +15,7 @@ type Segment struct {
 }
 
 // Client is one process's handle to a file. A client is owned by a single
-// rank goroutine: it advances that rank's virtual clock as it charges I/O
+// rank: it advances that rank's virtual clock as it charges I/O
 // time and, when caching is enabled, holds that rank's private cache —
 // which is exactly what makes concurrent overlapping I/O interesting.
 type Client struct {
@@ -38,7 +38,8 @@ type Client struct {
 	// segment of a direct (non-cached) write landing in the file store.
 	// Tests use them to force deterministic interleavings of concurrent
 	// non-atomic writers — the failure injection behind the Figure 2
-	// reproduction. They may block.
+	// reproduction. A hook that has to wait for another client does so
+	// through the run's coordinator (Await at a chosen virtual time).
 	BeforeSegment func(segIndex int)
 	AfterSegment  func(segIndex int)
 }
@@ -162,11 +163,11 @@ func (c *Client) queueServerService(segs []Segment) {
 		})
 	}
 	now := c.clock.Now()
-	if co := c.fs.coord; co != nil && !c.inAtomic {
+	if !c.inAtomic {
 		// The whole batch books at `now` under one coordinator turn, so
 		// concurrent clients hit the per-server FCFS queues in
 		// deterministic virtual-time order.
-		co.Await(c.rank, now)
+		c.fs.coord.Await(c.rank, now)
 	}
 	// Book the per-server service in ascending server order: every queue
 	// is hit at the same `now`, but a fixed order keeps the booking
@@ -223,15 +224,13 @@ func (c *Client) WriteVAtomic(segs []Segment) error {
 	if !c.fs.cfg.AtomicListIO {
 		return ErrNoAtomicListIO
 	}
-	if co := c.fs.coord; co != nil {
-		// Take the coordinator turn for the whole atomic call: admission
-		// order determines the serialization of atomic vectored writes,
-		// and holding the turn keeps listioMu uncontended (a blocked real
-		// mutex would deadlock against the coordinator).
-		co.Await(c.rank, c.clock.Now())
-		c.inAtomic = true
-		defer func() { c.inAtomic = false }()
-	}
+	// Take the coordinator turn for the whole atomic call: admission order
+	// determines the serialization of atomic vectored writes, and holding
+	// the turn keeps listioMu uncontended (a blocked real mutex would
+	// deadlock against the coordinator).
+	c.fs.coord.Await(c.rank, c.clock.Now())
+	c.inAtomic = true
+	defer func() { c.inAtomic = false }()
 	c.f.listioMu.Lock()
 	defer c.f.listioMu.Unlock()
 	// Queue behind earlier atomic vectored writes in virtual time.

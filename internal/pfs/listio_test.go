@@ -2,11 +2,30 @@ package pfs
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"atomio/internal/sim"
+	"atomio/internal/sim/des"
 )
+
+// engines returns the engines every concurrent-client test runs on: the
+// event loop, and the goroutine reference engine it is pinned to.
+func engines() []sim.Engine { return []sim.Engine{des.New(), sim.Goroutines{}} }
+
+// onEngine runs body as clients 0..clients-1 of fs, concurrent actors of
+// eng booking the servers through the run's coordinator.
+func onEngine(t *testing.T, eng sim.Engine, fs *FileSystem, clients int, body func(rank int)) {
+	t.Helper()
+	coord := eng.NewCoord(clients)
+	fs.SetCoord(coord)
+	err := eng.Run(coord, clients, func(rank int) {
+		defer coord.Done(rank)
+		body(rank)
+	})
+	if err != nil {
+		t.Fatalf("engine %s: %v", eng.Name(), err)
+	}
+}
 
 func atomicFS() *FileSystem {
 	cfg := basicFS(2).Config()
@@ -42,32 +61,31 @@ func TestWriteVAtomicStoresData(t *testing.T) {
 }
 
 func TestWriteVAtomicNeverInterleaves(t *testing.T) {
+	for _, eng := range engines() {
+		testWriteVAtomicNeverInterleaves(t, eng)
+	}
+}
+
+func testWriteVAtomicNeverInterleaves(t *testing.T, eng sim.Engine) {
 	// Concurrent atomic vectored writes to the same overlapped region:
-	// the result must be entirely one writer's data, for every region,
-	// under heavy real concurrency.
+	// the result must be entirely one writer's data, for every region.
 	fs := atomicFS()
 	const writers = 8
 	const segCount = 16
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c, _ := fs.Open("f", w, sim.NewClock(0))
-			segs := make([]Segment, segCount)
-			for i := range segs {
-				data := make([]byte, 8)
-				for k := range data {
-					data[k] = byte(w + 1)
-				}
-				segs[i] = Segment{Off: int64(i * 16), Data: data}
+	onEngine(t, eng, fs, writers, func(w int) {
+		c, _ := fs.Open("f", w, sim.NewClock(0))
+		segs := make([]Segment, segCount)
+		for i := range segs {
+			data := make([]byte, 8)
+			for k := range data {
+				data[k] = byte(w + 1)
 			}
-			if err := c.WriteVAtomic(segs); err != nil {
-				t.Error(err)
-			}
-		}(w)
-	}
-	wg.Wait()
+			segs[i] = Segment{Off: int64(i * 16), Data: data}
+		}
+		if err := c.WriteVAtomic(segs); err != nil {
+			t.Error(err)
+		}
+	})
 	// Every 8-byte segment region must be uniform (single writer).
 	for i := 0; i < segCount; i++ {
 		snap, _ := fs.Snapshot("f", ext(int64(i*16), 8))
@@ -110,26 +128,26 @@ func TestWriteVAtomicSerializesVirtualTime(t *testing.T) {
 }
 
 func TestConcurrentDisjointWritersContentAndConservation(t *testing.T) {
-	// 16 goroutine clients writing disjoint striped regions: all content
+	for _, eng := range engines() {
+		testConcurrentDisjointWriters(t, eng)
+	}
+}
+
+func testConcurrentDisjointWriters(t *testing.T, eng sim.Engine) {
+	// 16 concurrent clients writing disjoint striped regions: all content
 	// lands correctly and the servers' total busy time equals the sum of
 	// the individual service demands (virtual work is conserved under
-	// real concurrency).
+	// concurrency).
 	fs := basicFS(4)
 	const writers, size = 16, 4096
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c, _ := fs.Open("f", w, sim.NewClock(0))
-			data := make([]byte, size)
-			for i := range data {
-				data[i] = byte(w)
-			}
-			c.WriteAt(int64(w*size), data)
-		}(w)
-	}
-	wg.Wait()
+	onEngine(t, eng, fs, writers, func(w int) {
+		c, _ := fs.Open("f", w, sim.NewClock(0))
+		data := make([]byte, size)
+		for i := range data {
+			data[i] = byte(w)
+		}
+		c.WriteAt(int64(w*size), data)
+	})
 	for w := 0; w < writers; w++ {
 		snap, _ := fs.Snapshot("f", ext(int64(w*size), size))
 		for i, b := range snap {

@@ -214,6 +214,7 @@ func New(cfg Config) (*FileSystem, error) {
 		servers: sim.NewPool("ioserver", cfg.Servers),
 		models:  models,
 		stats:   make([]serverCounter, cfg.Servers),
+		coord:   sim.Solo{},
 		files:   make(map[string]*file),
 	}, nil
 }
@@ -231,9 +232,10 @@ func MustNew(cfg Config) *FileSystem {
 // Config returns the file system's configuration.
 func (fs *FileSystem) Config() Config { return fs.cfg }
 
-// SetCoord routes server-queue bookings through a determinism coordinator
-// (see sim.Coord); client ranks double as coordinator actor ids. Call before
-// the run starts.
+// SetCoord routes server-queue bookings through the run's coordinator (see
+// sim.Coord); client ranks double as coordinator actor ids. Call before the
+// run starts. Until then the file system serves clients that never overlap
+// in execution (sim.Solo).
 func (fs *FileSystem) SetCoord(c sim.Coord) { fs.coord = c }
 
 // SetObs arms event tracing and the queue-depth gauge. Call before the run

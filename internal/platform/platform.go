@@ -79,12 +79,6 @@ type Profile struct {
 	// timings are invariant in the shard count — sharding multiplies
 	// host-side lock-service throughput only (see internal/lock).
 	LockShards int
-	// Engine, when non-nil, selects the simulation engine experiments on
-	// this profile run under (see sim.Engine). Nil defers to the harness
-	// default (the event-loop scheduler); virtual results are
-	// byte-identical across engines, so this is a host-performance knob,
-	// not a model parameter.
-	Engine sim.Engine
 }
 
 // SupportsLocking reports whether the platform has byte-range locking.

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"atomio/internal/obs"
+	"atomio/internal/sim/des"
 )
 
 // Schema identifies the emitted result format, for future trajectory
@@ -85,6 +86,7 @@ type Document struct {
 // their error string and zero metrics.
 func Records(results []CellResult) []Record {
 	out := make([]Record, len(results))
+	engine := des.New().Name() // the one engine harness.Experiment.Run uses
 	for i, r := range results {
 		e := r.Cell.Experiment
 		rec := Record{
@@ -96,7 +98,7 @@ func Records(results []CellResult) []Record {
 			Overlap:    e.Overlap,
 			Pattern:    e.Pattern.String(),
 			Strategy:   e.Strategy.Name(),
-			Engine:     e.EngineName(),
+			Engine:     engine,
 			LockShards: e.LockShards,
 			Servers:    e.Servers,
 			Recovery:   e.Recovery,

@@ -58,10 +58,6 @@ type Grid struct {
 	// (0 keeps platform defaults). Unlike LockShards this is a real model
 	// parameter: reported numbers change with it.
 	Servers int
-	// SharedStore runs every cell on the pre-striping shared file store
-	// (the oracle layout) instead of per-server stores. Reported numbers
-	// are byte-identical either way — the flag is a live oracle check.
-	SharedStore bool
 	// TraceEvents records every cell's structured event stream and metrics
 	// registry (see internal/obs); the metrics feed the messages /
 	// max_queue_depth / lock-wait columns of emitted records.
@@ -107,7 +103,6 @@ func (g Grid) Cells() []Cell {
 							AtomicListIO: g.AtomicListIO || strat.Name() == "listio",
 							LockShards:   g.LockShards,
 							Servers:      g.Servers,
-							SharedStore:  g.SharedStore,
 							TraceEvents:  g.TraceEvents,
 							EventLimit:   g.TraceLimit,
 						},

@@ -2,23 +2,21 @@ package sim
 
 import "sync"
 
-// Coord is the coordination surface a deterministic simulation runs on. It
-// generalizes *Gate so that the same rank programs — the mailbox waits in
-// internal/mpi, the grant-table waits in internal/lock, the server bookings
-// in internal/pfs — can be driven either by real goroutines synchronizing
-// through a Gate, or by a single-threaded event-loop scheduler resuming
-// coroutines (internal/sim/des). Both implementations admit actions in the
-// same lexicographic (virtual time, actor id) order, so a simulation
-// produces byte-identical virtual output on either.
+// Coord is the coordination surface a deterministic simulation runs on:
+// the mailbox waits in internal/mpi, the grant-table waits in internal/lock
+// and the server bookings in internal/pfs all go through it. The engine
+// behind it is the single-threaded event-loop scheduler (internal/sim/des);
+// *Gate is the goroutine-per-actor reference implementation that tests
+// compare the event loop against. Both admit actions in the same
+// lexicographic (virtual time, actor id) order, so a simulation produces
+// byte-identical virtual output on either.
 //
-// The Gate methods keep their contract (see Gate): Await announces an
-// action and blocks until it is globally earliest, Block marks the actor as
-// waiting on a peer, Done retires it. Park and Wake replace the ad-hoc
-// condition-variable and channel sleeps that used to sit next to
-// Block/Unblock: an actor that has Blocked calls Park to actually sleep,
-// and the peer that satisfies it calls Wake — Unblock plus the wake-up —
-// under the same shared-structure lock as the Block, so the admission state
-// and the sleeper's resumption can never disagree.
+// Every blocking site follows one protocol: under the lock of the shared
+// structure it is about to sleep on, the actor calls Block, then sleeps
+// with Park; the peer that satisfies it calls Wake under the same lock, so
+// the admission state and the sleeper's resumption can never disagree.
+// Await announces an action and blocks until it is globally earliest; Done
+// retires the actor.
 type Coord interface {
 	// Await announces that actor id wants to act at virtual time t and
 	// blocks until that action is the earliest one pending, then takes the
@@ -45,11 +43,11 @@ type Coord interface {
 	Actors() int
 }
 
-// Engine executes the actor bodies of one simulation. Implementations:
-// Goroutines (one real goroutine per actor, coordinated by a Gate — the
-// original engine, kept as the byte-identical oracle) and the event-loop
-// scheduler in internal/sim/des (every actor a resumable coroutine driven
-// by one event queue, no goroutine parking on the hot path).
+// Engine executes the actor bodies of one simulation. Production code runs
+// on the event-loop scheduler in internal/sim/des (every actor a resumable
+// coroutine driven by one event queue); Goroutines (one real goroutine per
+// actor, coordinated by a Gate) is the reference engine the cross-engine
+// tests pin it to.
 type Engine interface {
 	// Name is the engine's registry name ("goroutine", "eventloop").
 	Name() string
@@ -59,10 +57,9 @@ type Engine interface {
 	NewCoord(actors int) Coord
 	// Run executes body(id) for every actor 0..actors-1 and returns when
 	// all bodies have returned. c must be the coordinator the bodies block
-	// through: the Goroutines engine accepts any Coord (or nil for a
-	// free-running world); the event-loop engine requires its own. A
-	// non-nil error reports an engine-level failure (for example actors
-	// still asleep after every runnable one finished).
+	// through, from this engine's NewCoord. A non-nil error reports an
+	// engine-level failure (for example actors still asleep after every
+	// runnable one finished).
 	Run(c Coord, actors int, body func(id int)) error
 }
 
@@ -105,9 +102,9 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// Goroutines is the original engine: one real goroutine per actor,
-// coordinated by a Gate. It accepts any Coord (including nil for a
-// free-running world) because the bodies, not the engine, do the blocking.
+// Goroutines is the reference engine: one real goroutine per actor,
+// coordinated by a Gate. No binary or facade call reaches it; tests run a
+// world on it and on the event loop and require byte-identical results.
 type Goroutines struct{}
 
 // Name implements Engine.
@@ -131,3 +128,33 @@ func (Goroutines) Run(_ Coord, actors int, body func(id int)) error {
 }
 
 var _ Engine = Goroutines{}
+
+// Solo is the coordinator of a structure no engine drives: a lock manager,
+// file system or mailbox touched by one actor on the caller's own goroutine
+// (setup code, single-client tools, unit tests). With nobody to order
+// against, Await, Block, Wake and Done have nothing to do. Park panics: an
+// actor that must sleep needs a peer to wake it, and without an engine
+// there is none — the call would hang forever.
+type Solo struct{}
+
+// Await implements Coord.
+func (Solo) Await(int, VTime) {}
+
+// Block implements Coord.
+func (Solo) Block(int) {}
+
+// Park implements Coord by panicking (see Solo).
+func (Solo) Park(id int, _ sync.Locker) {
+	panic("sim: actor " + itoa(id) + " blocking with no engine: no peer can ever wake this actor")
+}
+
+// Wake implements Coord.
+func (Solo) Wake(int, VTime) {}
+
+// Done implements Coord.
+func (Solo) Done(int) {}
+
+// Actors implements Coord: Solo coordinates the one caller.
+func (Solo) Actors() int { return 1 }
+
+var _ Coord = Solo{}

@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// Gate makes a multi-goroutine simulation deterministic. The conservative
-// engine piggybacks virtual-time causality on real synchronization, but
-// shared facilities (a Resource's FCFS queue, a lock table, a mailbox) are
+// Gate is the coordinator of the Goroutines reference engine: it makes a
+// multi-goroutine simulation deterministic. Real goroutines piggyback
+// virtual-time causality on real synchronization, but shared facilities (a Resource's FCFS queue, a lock table, a mailbox) are
 // otherwise touched in *real* arrival order, which varies run to run: two
 // actors whose requests overlap in virtual time race for the queue, and the
 // loser's virtual completion — and therefore the reported bandwidth —
@@ -34,13 +34,10 @@ import (
 // Admission is decided on a lazy-deletion min-heap of (time, id) entries —
 // one live entry per actor, superseded entries invalidated by a per-actor
 // stamp — so each admission check costs O(log n) amortized instead of the
-// O(n) scan over all actors it used to be; at the P=16k scale the event-loop
-// engine targets, that keeps goroutine-oracle cross-checks affordable.
+// O(n) scan over all actors, which keeps cross-engine checks affordable at
+// the process counts the event loop is run at.
 //
-// A nil *Gate disables every integration point, preserving the free-running
-// behaviour for code that does not need determinism. A Gate is the Coord of
-// the Goroutines engine; Park/Wake sleep and resume through per-actor
-// tokens (see Coord).
+// Park/Wake sleep and resume through per-actor tokens (see Coord).
 type Gate struct {
 	mu      sync.Mutex
 	cond    *sync.Cond

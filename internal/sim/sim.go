@@ -10,14 +10,13 @@
 //     cannot complete before the send plus transfer cost)
 //   - using a shared FCFS resource:       start = max(t, resource free time)
 //
-// Because the simulation executes on real goroutines whose *real* blocking
-// relationships (channel receives, lock waits) mirror the virtual-time
-// dependencies, timestamps computed this way never violate causality: by the
-// time a goroutine needs a remote timestamp, the event producing it has
-// already happened for real. This is the classic "conservative simulation
-// piggybacked on real synchronization" construction and it is what lets the
-// whole repository produce stable bandwidth numbers on any host, including
-// single-CPU machines, without measuring wall-clock time.
+// Actors never read each other's clocks: an actor that needs a remote
+// timestamp blocks (through a Coord, see engine.go) until the event
+// producing it has happened, so timestamps computed this way never violate
+// causality. The engine admits actions in (virtual time, actor id) order,
+// which is what lets the whole repository produce stable bandwidth numbers
+// on any host, including single-CPU machines, without measuring wall-clock
+// time.
 package sim
 
 import (

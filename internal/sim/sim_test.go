@@ -162,3 +162,22 @@ func TestVTimeHelpers(t *testing.T) {
 		t.Fatalf("String = %q", Second.String())
 	}
 }
+
+// TestSoloParkPanics pins the contract of the no-engine coordinator: the
+// calls that only order actors do nothing, and the one call that would have
+// to sleep fails loudly, naming the actor and the reason.
+func TestSoloParkPanics(t *testing.T) {
+	var c Coord = Solo{}
+	c.Await(3, 10)
+	c.Block(3)
+	c.Wake(3, 20)
+	c.Done(3)
+	defer func() {
+		want := "sim: actor 3 blocking with no engine: no peer can ever wake this actor"
+		if p := recover(); p != want {
+			t.Fatalf("Park panicked with %v, want %q", p, want)
+		}
+	}()
+	c.Park(3, nil)
+	t.Fatal("Park returned")
+}

@@ -261,64 +261,6 @@ func findCycle(after map[int]map[int]bool) []int {
 	return nil
 }
 
-// StoresMatch compares the observable state of the named file between two
-// file systems: file size, written extents, and the bytes of every written
-// extent. It is the equivalence check behind the per-server storage
-// subsystem's oracle discipline — a striped file system and its
-// shared-store twin must match after any healthy workload (stripes
-// partition the byte space; affinity merges resolve by global write
-// order). Content is compared in bounded pieces so large sparse files
-// never materialize at once.
-func StoresMatch(a, b *pfs.FileSystem, name string) error {
-	sizeA, err := a.FileSize(name)
-	if err != nil {
-		return err
-	}
-	sizeB, err := b.FileSize(name)
-	if err != nil {
-		return err
-	}
-	if sizeA != sizeB {
-		return fmt.Errorf("verify: %s sizes differ: %d vs %d", name, sizeA, sizeB)
-	}
-	extA, err := a.WrittenExtents(name)
-	if err != nil {
-		return err
-	}
-	extB, err := b.WrittenExtents(name)
-	if err != nil {
-		return err
-	}
-	if !extA.Equal(extB) {
-		return fmt.Errorf("verify: %s written extents differ:\n  %v\n  %v", name, extA, extB)
-	}
-	const piece = 1 << 20
-	for _, e := range extA {
-		for off := e.Off; off < e.End(); off += piece {
-			n := e.End() - off
-			if n > piece {
-				n = piece
-			}
-			part := interval.Extent{Off: off, Len: n}
-			bufA, err := a.Snapshot(name, part)
-			if err != nil {
-				return err
-			}
-			bufB, err := b.Snapshot(name, part)
-			if err != nil {
-				return err
-			}
-			for i := range bufA {
-				if bufA[i] != bufB[i] {
-					return fmt.Errorf("verify: %s content differs at offset %d: %#x vs %#x",
-						name, off+int64(i), bufA[i], bufB[i])
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // distinctBytes returns the sorted distinct values in data (capped at 8,
 // enough for a diagnostic).
 func distinctBytes(data []byte) []byte {

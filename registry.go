@@ -8,8 +8,6 @@ import (
 	"atomio/internal/core"
 	"atomio/internal/pfs/scenario"
 	"atomio/internal/platform"
-	"atomio/internal/sim"
-	"atomio/internal/sim/des"
 	"atomio/internal/sim/fault"
 )
 
@@ -69,7 +67,6 @@ var (
 	strategyRegistry = newRegistry[core.Strategy]("strategy")
 	platformRegistry = newRegistry[Profile]("platform")
 	scenarioRegistry = newRegistry[scenario.Profile]("scenario")
-	engineRegistry   = newRegistry[SimEngine]("engine")
 	faultRegistry    = newRegistry[fault.Script]("fault script")
 )
 
@@ -105,21 +102,6 @@ func RegisterScenario(make func() scenario.Profile) error {
 	return scenarioRegistry.register(make().Name, make)
 }
 
-// RegisterEngine adds a simulation engine to the registry under the name
-// the constructed engine reports. Engines are host-performance choices:
-// every registered engine must produce byte-identical virtual results (the
-// cross-engine property tests pin the built-ins to each other).
-func RegisterEngine(make func() SimEngine) error {
-	if make == nil {
-		return fmt.Errorf("atomio: nil engine constructor")
-	}
-	e := make()
-	if e == nil {
-		return fmt.Errorf("atomio: engine constructor returned nil")
-	}
-	return engineRegistry.register(e.Name(), make)
-}
-
 // RegisterFault adds a named failure-injection script to the registry
 // under the constructed script's name. Scripts are pure data: the
 // constructor is re-run per lookup, so callers may mutate their copy.
@@ -146,11 +128,6 @@ func ScenarioByName(name string) (scenario.Profile, error) {
 	return scenarioRegistry.get(name)
 }
 
-// EngineByName returns a fresh instance of the registered simulation engine.
-func EngineByName(name string) (SimEngine, error) {
-	return engineRegistry.get(name)
-}
-
 // FaultByName returns a fresh copy of the registered failure-injection
 // script.
 func FaultByName(name string) (fault.Script, error) {
@@ -166,10 +143,6 @@ func Platforms() []string { return platformRegistry.list() }
 
 // Scenarios lists the registered scenario names in registration order.
 func Scenarios() []string { return scenarioRegistry.list() }
-
-// Engines lists the registered engine names in registration order (the
-// event-loop default first, then the goroutine oracle).
-func Engines() []string { return engineRegistry.list() }
 
 // Faults lists the registered fault-script names in registration order.
 func Faults() []string { return faultRegistry.list() }
@@ -191,9 +164,8 @@ func Profiles() []Profile {
 
 // The built-ins: the paper's strategies (plus the §3.2 listio and the
 // two-phase collective-buffering extensions), the Table 1 platforms, the
-// degraded-server scenarios the scenario grid sweeps, the simulation
-// engines, and the named failure-injection scripts the fault fleet draws
-// from.
+// degraded-server scenarios the scenario grid sweeps, and the named
+// failure-injection scripts the fault fleet draws from.
 func init() {
 	must := func(err error) {
 		if err != nil {
@@ -218,8 +190,6 @@ func init() {
 	must(RegisterScenario(func() scenario.Profile { return scenario.SlowServer(0, 4) }))
 	must(RegisterScenario(func() scenario.Profile { return scenario.HotSpot(0, 12) }))
 	must(RegisterScenario(func() scenario.Profile { return scenario.Rebalance(6) }))
-	must(RegisterEngine(func() SimEngine { return des.New() }))
-	must(RegisterEngine(func() SimEngine { return sim.Goroutines{} }))
 	for _, mk := range []func() fault.Script{
 		fault.ServerOutage, fault.ServerBlip, fault.UnlockDropLease,
 		fault.UnlockDupScript, fault.LockReorder, fault.WriterCrashEarly,
