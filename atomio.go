@@ -411,7 +411,7 @@ func (s *Spec) experiment() (harness.Experiment, error) {
 		Overlap:      s.Overlap,
 		Pattern:      pattern,
 		Strategy:     strat,
-		StoreData:    s.StoreData || s.Verify,
+		StoreData:    s.StoreData,
 		Verify:       s.Verify,
 		Trace:        s.Trace,
 		AtomicListIO: s.AtomicListIO || strat.Name() == "listio",

@@ -358,3 +358,33 @@ func TestScenarioSpecRun(t *testing.T) {
 		t.Errorf("slow-server makespan %v not above healthy %v", res.Makespan, healthy.Makespan)
 	}
 }
+
+// TestGridVerifyWithoutStoreData is the regression test for verification on
+// a file that stored nothing: Grid, unlike Spec, never forced StoreData on
+// for Verify, so a correct coloring run on IBM SP was checked against an
+// all-zero file and reported torn. Verify now implies StoreData inside the
+// harness, whichever way the cell was built.
+func TestGridVerifyWithoutStoreData(t *testing.T) {
+	cells, err := Grid{
+		Platforms:  []string{"IBM SP"},
+		Sizes:      []Size{{M: 64, N: 512}},
+		Procs:      []int{4},
+		Overlap:    8,
+		Strategies: []string{"coloring"},
+		Verify:     true,
+	}.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := RunGrid(cells, RunOptions{Workers: 1})
+	if err := FirstErr(results); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		rep := r.Result.Report
+		if r.Result.Verdict != "serializable" || rep.Atoms == 0 {
+			t.Errorf("%s: verdict %q over %d atoms, violations %v",
+				r.Cell.ID, r.Result.Verdict, rep.Atoms, rep.Violations)
+		}
+	}
+}

@@ -28,7 +28,7 @@ func (s Coloring) Name() string {
 
 // WriteAll implements Strategy.
 func (s Coloring) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
-	mine := extentsOf(maps)
+	mine := ExtentsOf(maps)
 
 	// Handshake: exchange views, build W, color. W and the coloring are
 	// the same on every rank, so they are computed once and shared.
@@ -63,7 +63,7 @@ func (s Coloring) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) er
 	for step := 0; step < numColors; step++ {
 		if step == myColor {
 			xfer := ctx.span(trace.PhaseTransfer)
-			ctx.Client.WriteV(segments(buf, maps))
+			ctx.Client.WriteV(Segments(buf, maps))
 			// Flush write-behind data so the write is visible before
 			// the next phase starts (the per-write file sync of §3).
 			ctx.Client.Sync()

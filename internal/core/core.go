@@ -84,7 +84,7 @@ func (ctx *Context) crashPoint(n int) (int, bool) {
 func segExtents(segs []pfs.Segment) interval.List {
 	out := make(interval.List, 0, len(segs))
 	for _, s := range segs {
-		out = append(out, interval.Extent{Off: s.Off, Len: int64(len(s.Data))})
+		out = append(out, interval.Extent{Off: s.Off, Len: s.Len()})
 	}
 	return out.Normalize()
 }
@@ -96,21 +96,34 @@ type Strategy interface {
 	// WriteAll collectively writes buf according to the precomputed
 	// request mapping (one entry per contiguous file segment, in logical
 	// buffer order), guaranteeing MPI atomic semantics for the overlaps.
+	// A nil buf is a timing-only request: the mapping alone says how many
+	// bytes go where, and the strategy issues payload-less segments — legal
+	// only on a file system that stores no data.
 	WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error
 }
 
-// segments materializes the pfs segments of a mapped request.
-func segments(buf []byte, maps []fileview.Mapping) []pfs.Segment {
+// segment is the piece of a request that lands at file offset off: the n
+// bytes of buf starting at index at, or — for a timing-only request, whose
+// buf is nil — a payload-less segment of the same length.
+func segment(buf []byte, off, at, n int64) pfs.Segment {
+	if buf == nil {
+		return pfs.Segment{Off: off, N: n}
+	}
+	return pfs.Segment{Off: off, Data: buf[at : at+n]}
+}
+
+// Segments lists the pfs segments of a mapped request, one per mapping.
+func Segments(buf []byte, maps []fileview.Mapping) []pfs.Segment {
 	segs := make([]pfs.Segment, len(maps))
 	for i, m := range maps {
-		segs[i] = pfs.Segment{Off: m.File.Off, Data: buf[m.Buf : m.Buf+m.File.Len]}
+		segs[i] = segment(buf, m.File.Off, m.Buf, m.File.Len)
 	}
 	return segs
 }
 
-// extentsOf lists the file extents of a mapped request in canonical order
+// ExtentsOf lists the file extents of a mapped request in canonical order
 // (fileview guarantees increasing, non-overlapping extents).
-func extentsOf(maps []fileview.Mapping) interval.List {
+func ExtentsOf(maps []fileview.Mapping) interval.List {
 	out := make(interval.List, len(maps))
 	for i, m := range maps {
 		out[i] = m.File
@@ -134,8 +147,7 @@ func clipSegments(buf []byte, maps []fileview.Mapping, keep interval.List) []pfs
 			if ov.Empty() {
 				continue
 			}
-			bufOff := m.Buf + (ov.Off - m.File.Off)
-			segs = append(segs, pfs.Segment{Off: ov.Off, Data: buf[bufOff : bufOff+ov.Len]})
+			segs = append(segs, segment(buf, ov.Off, m.Buf+(ov.Off-m.File.Off), ov.Len))
 		}
 	}
 	return segs

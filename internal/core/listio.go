@@ -21,7 +21,7 @@ func (ListIO) Name() string { return "listio" }
 
 // WriteAll implements Strategy.
 func (ListIO) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
-	return ctx.Client.WriteVAtomic(segments(buf, maps))
+	return ctx.Client.WriteVAtomic(Segments(buf, maps))
 }
 
 var _ Strategy = ListIO{}

@@ -45,16 +45,17 @@ func (s Locking) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) err
 	clock := ctx.Comm.Clock()
 	rank := ctx.Comm.Rank()
 	if s.PerSegment {
-		for _, m := range maps {
+		segs := Segments(buf, maps)
+		for i, m := range maps {
 			grant := ctx.LockMgr.Lock(rank, m.File, lock.Exclusive, clock.Now())
 			clock.AdvanceTo(grant)
-			ctx.Client.WriteAt(m.File.Off, buf[m.Buf:m.Buf+m.File.Len])
+			ctx.Client.WriteV(segs[i : i+1])
 			ctx.Client.Sync()
 			clock.AdvanceTo(ctx.LockMgr.Unlock(rank, m.File, clock.Now()))
 		}
 		return nil
 	}
-	span := extentsOf(maps).Span()
+	span := ExtentsOf(maps).Span()
 	if span.Empty() {
 		return nil
 	}
@@ -64,7 +65,7 @@ func (s Locking) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) err
 	lockSpan.Stop()
 	// While locked, all traffic goes to the servers: write and flush
 	// before releasing so the data is visible to the next lock holder.
-	segs := segments(buf, maps)
+	segs := Segments(buf, maps)
 	k, crashed := ctx.crashPoint(len(segs))
 	xfer := ctx.span(trace.PhaseTransfer)
 	ctx.Client.WriteV(segs[:k])

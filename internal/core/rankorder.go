@@ -19,7 +19,7 @@ func (RankOrder) Name() string { return "ordering" }
 
 // WriteAll implements Strategy.
 func (RankOrder) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
-	mine := extentsOf(maps)
+	mine := ExtentsOf(maps)
 	hs := ctx.span(trace.PhaseHandshake)
 	defer hs.Stop()
 	views, err := ExchangeViews(ctx.Comm, mine)

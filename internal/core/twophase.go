@@ -37,7 +37,7 @@ func (TwoPhase) Name() string { return "twophase" }
 func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
 	comm := ctx.Comm
 	p := comm.Size()
-	mine := extentsOf(maps)
+	mine := ExtentsOf(maps)
 
 	hs := ctx.span(trace.PhaseHandshake)
 	defer hs.Stop()
@@ -62,6 +62,16 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 		return nil
 	}
 	domains := fileDomains(span, p)
+	if buf == nil {
+		// The exchange ships real bytes by design, so a timing-only
+		// request becomes a zero request here: the routed messages keep
+		// the size they have when the application passes a buffer.
+		var n int64
+		for _, m := range maps {
+			n = max(n, m.Buf+m.File.Len)
+		}
+		buf = make([]byte, n)
+	}
 
 	// Phase 1: route each of my segments to the domain owners. Domains are
 	// sorted and disjoint, so each segment binary-searches its first owner
@@ -167,7 +177,7 @@ func mergePieces(recv [][]byte, domain interval.Extent) ([]pfs.Segment, error) {
 			return nil, fmt.Errorf("from rank %d: %w", src, err)
 		}
 		for _, piece := range pieces {
-			ext := interval.Extent{Off: piece.Off, Len: int64(len(piece.Data))}.Intersect(domain)
+			ext := interval.Extent{Off: piece.Off, Len: piece.Len()}.Intersect(domain)
 			for _, keep := range covered.Add(ext) {
 				segs = append(segs, pfs.Segment{
 					Off:  keep.Off,

@@ -32,10 +32,10 @@ func (t Contiguous) Flatten() []interval.Extent {
 	if t.Count == 0 || t.Size() == 0 {
 		return nil
 	}
-	if Dense(t.Base) {
+	base, dense := flattenBase(t.Base)
+	if dense {
 		return []interval.Extent{{Off: 0, Len: t.Size()}}
 	}
-	base := t.Base.Flatten()
 	var out []interval.Extent
 	for i := 0; i < t.Count; i++ {
 		out = appendShifted(out, base, int64(i)*t.Base.Extent())
@@ -88,14 +88,17 @@ func (t Vector) Extent() int64 {
 // Flatten implements Datatype.
 func (t Vector) Flatten() []interval.Extent {
 	be := t.Base.Extent()
+	base, dense := flattenBase(t.Base)
 	var out []interval.Extent
+	if dense {
+		out = make([]interval.Extent, 0, t.Count)
+	}
 	for i := 0; i < t.Count; i++ {
 		blockOff := int64(i) * int64(t.Stride) * be
-		if Dense(t.Base) {
+		if dense {
 			out = coalesce(out, interval.Extent{Off: blockOff, Len: int64(t.BlockLen) * t.Base.Size()})
 			continue
 		}
-		base := t.Base.Flatten()
 		for j := 0; j < t.BlockLen; j++ {
 			out = appendShifted(out, base, blockOff+int64(j)*be)
 		}
@@ -130,14 +133,17 @@ func (t Hvector) Extent() int64 {
 // Flatten implements Datatype.
 func (t Hvector) Flatten() []interval.Extent {
 	be := t.Base.Extent()
+	base, dense := flattenBase(t.Base)
 	var out []interval.Extent
+	if dense {
+		out = make([]interval.Extent, 0, t.Count)
+	}
 	for i := 0; i < t.Count; i++ {
 		blockOff := int64(i) * t.StrideBytes
-		if Dense(t.Base) {
+		if dense {
 			out = coalesce(out, interval.Extent{Off: blockOff, Len: int64(t.BlockLen) * t.Base.Size()})
 			continue
 		}
-		base := t.Base.Flatten()
 		for j := 0; j < t.BlockLen; j++ {
 			out = appendShifted(out, base, blockOff+int64(j)*be)
 		}

@@ -74,14 +74,23 @@ func (e Elem) String() string {
 // sufficient — an Indexed type whose first displacement is positive has
 // equal size and extent but a nonzero lower bound.
 func Dense(t Datatype) bool {
-	if t.Size() != t.Extent() {
-		return false
+	_, dense := flattenBase(t)
+	return dense
+}
+
+// flattenBase flattens a container's base type and reports whether it is
+// Dense. Flattening a base can be arbitrarily expensive and allocates, so a
+// container's Flatten calls this once, outside its block loop.
+func flattenBase(base Datatype) (flat []interval.Extent, dense bool) {
+	flat = base.Flatten()
+	switch {
+	case base.Size() != base.Extent():
+		return flat, false
+	case len(flat) == 0:
+		return flat, base.Size() == 0
+	default:
+		return flat, len(flat) == 1 && flat[0].Off == 0 && flat[0].Len == base.Size()
 	}
-	flat := t.Flatten()
-	if len(flat) == 0 {
-		return t.Size() == 0
-	}
-	return len(flat) == 1 && flat[0].Off == 0 && flat[0].Len == t.Size()
 }
 
 // coalesce appends seg to list, merging it with the last entry when they are

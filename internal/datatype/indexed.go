@@ -57,14 +57,17 @@ func (t Indexed) Extent() int64 {
 // Flatten implements Datatype.
 func (t Indexed) Flatten() []interval.Extent {
 	be := t.Base.Extent()
+	base, dense := flattenBase(t.Base)
 	var out []interval.Extent
+	if dense {
+		out = make([]interval.Extent, 0, len(t.BlockLens))
+	}
 	for i, bl := range t.BlockLens {
 		blockOff := int64(t.Disps[i]) * be
-		if Dense(t.Base) {
+		if dense {
 			out = coalesce(out, interval.Extent{Off: blockOff, Len: int64(bl) * t.Base.Size()})
 			continue
 		}
-		base := t.Base.Flatten()
 		for j := 0; j < bl; j++ {
 			out = appendShifted(out, base, blockOff+int64(j)*be)
 		}
@@ -124,13 +127,16 @@ func (t Hindexed) Extent() int64 {
 // Flatten implements Datatype.
 func (t Hindexed) Flatten() []interval.Extent {
 	be := t.Base.Extent()
+	base, dense := flattenBase(t.Base)
 	var out []interval.Extent
+	if dense {
+		out = make([]interval.Extent, 0, len(t.BlockLens))
+	}
 	for i, bl := range t.BlockLens {
-		if Dense(t.Base) {
+		if dense {
 			out = coalesce(out, interval.Extent{Off: t.DispBytes[i], Len: int64(bl) * t.Base.Size()})
 			continue
 		}
-		base := t.Base.Flatten()
 		for j := 0; j < bl; j++ {
 			out = appendShifted(out, base, t.DispBytes[i]+int64(j)*be)
 		}

@@ -97,15 +97,18 @@ func (t Subarray) Flatten() []interval.Extent {
 	}
 
 	idx := make([]int, nd-1) // current row index per leading dimension
+	baseFlat, dense := flattenBase(t.Base)
 	var out []interval.Extent
-	baseFlat := t.Base.Flatten()
+	if dense {
+		out = make([]interval.Extent, 0, rows)
+	}
 	for r := int64(0); r < rows; r++ {
 		// Element offset of this row's first element.
 		elemOff := int64(t.Starts[nd-1])
 		for d := 0; d < nd-1; d++ {
 			elemOff += int64(t.Starts[d]+idx[d]) * strides[d]
 		}
-		if Dense(t.Base) {
+		if dense {
 			out = coalesce(out, interval.Extent{Off: elemOff * be, Len: rowElems * t.Base.Size()})
 		} else {
 			for j := int64(0); j < rowElems; j++ {

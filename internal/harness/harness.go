@@ -69,8 +69,8 @@ type Experiment struct {
 	Pattern Pattern
 	// Strategy is the atomicity implementation under test.
 	Strategy core.Strategy
-	// StoreData materializes file bytes (needed for Verify; off for the
-	// 1 GB benchmark runs).
+	// StoreData materializes file bytes (implied by Verify; off for the
+	// 1 GB benchmark runs, which then carry offsets and lengths only).
 	StoreData bool
 	// Verify checks MPI atomicity on the resulting file content.
 	Verify bool
@@ -243,6 +243,15 @@ func (e Experiment) Views() ([]interval.List, error) {
 	return views, nil
 }
 
+// write issues one rank's n-byte collective write: from buf when the run
+// stores data, timing-only otherwise.
+func (e Experiment) write(f *mpiio.File, buf []byte, n int64) error {
+	if e.StoreData {
+		return f.WriteAll(buf)
+	}
+	return f.WriteAllSized(n)
+}
+
 // Run executes the experiment on the event-loop engine and returns its
 // result.
 func (e Experiment) Run() (*Result, error) { return e.run(des.New()) }
@@ -257,6 +266,8 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 	if e.Strategy.Name() == "locking" && !e.Platform.SupportsLocking() {
 		return nil, core.ErrNoLockManager
 	}
+	// Verification reads the file back, so it needs the bytes stored.
+	e.StoreData = e.StoreData || e.Verify
 	cfg := e.Platform.PFSConfig(e.StoreData)
 	cfg.AtomicListIO = e.AtomicListIO
 	cfg.WAL = e.Recovery
@@ -315,19 +326,26 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 		m.SetObs(events)
 	}
 
-	// One shared pattern buffer sized for the largest piece keeps memory
-	// flat for the 1 GB runs; Verify mode stamps per-rank buffers.
-	var maxPiece int64
-	for rank := 0; rank < e.Procs; rank++ {
-		p, err := e.piece(rank)
-		if err != nil {
-			return nil, err
-		}
-		if p.BufBytes > maxPiece {
-			maxPiece = p.BufBytes
-		}
+	// Only a run that stores bytes hands its ranks a buffer; any other
+	// writes lengths. Verify stamps per-rank buffers; without it the content
+	// is arbitrary and one shared buffer sized for the largest piece keeps
+	// memory flat. Whether a piece exists does not depend on the rank, so
+	// rank 0's reports a bad shape before any rank starts.
+	if _, err := e.piece(0); err != nil {
+		return nil, err
 	}
-	shared := make([]byte, maxPiece)
+	var shared []byte
+	if e.StoreData && !e.Verify {
+		var maxPiece int64
+		for rank := 0; rank < e.Procs; rank++ {
+			p, err := e.piece(rank)
+			if err != nil {
+				return nil, err
+			}
+			maxPiece = max(maxPiece, p.BufBytes)
+		}
+		shared = make([]byte, maxPiece)
+	}
 
 	var rec *trace.Recorder
 	if e.Trace || e.TraceEvents {
@@ -368,10 +386,13 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 			return err
 		}
 		views[c.Rank()] = interval.List(piece.Filetype.Flatten())
-		buf := shared[:piece.BufBytes]
-		if e.Verify {
+		var buf []byte
+		switch {
+		case e.Verify:
 			buf = make([]byte, piece.BufBytes)
 			verify.Fill(c.Rank(), buf)
+		case e.StoreData:
+			buf = shared[:piece.BufBytes]
 		}
 		for step := 0; step < steps; step++ {
 			if e.Compute > 0 {
@@ -396,7 +417,7 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 				f.SetFaults(inj)
 			}
 			start := c.Now()
-			if err := f.WriteAll(buf); err != nil {
+			if err := e.write(f, buf, piece.BufBytes); err != nil {
 				return err
 			}
 			if err := f.Close(); err != nil {

@@ -189,14 +189,14 @@ func (f *File) Close() error {
 	return nil
 }
 
-// checkRequest validates a request buffer against the view's etype.
-func (f *File) checkRequest(buf []byte) error {
+// checkRequest validates an n-byte request against the view's etype.
+func (f *File) checkRequest(n int64) error {
 	if f.closed {
 		return ErrClosed
 	}
-	if int64(len(buf))%f.view.Etype.Size() != 0 {
+	if n < 0 || n%f.view.Etype.Size() != 0 {
 		return fmt.Errorf("mpiio: request of %d bytes is not a whole number of etypes (%d bytes)",
-			len(buf), f.view.Etype.Size())
+			n, f.view.Etype.Size())
 	}
 	return nil
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"atomio/internal/core"
 	"atomio/internal/datatype"
+	"atomio/internal/interval"
 	"atomio/internal/mpi"
+	"atomio/internal/pfs"
 	"atomio/internal/sim"
 	"atomio/internal/trace"
 	"atomio/internal/verify"
@@ -141,6 +144,75 @@ func TestEtypeGranularityEnforced(t *testing.T) {
 	})
 }
 
+// TestWriteAllSized pins the timing-only collective write: it is refused
+// where bytes are needed or the length is malformed, and on a file system
+// that stores nothing it moves the file pointer, grows the file and charges
+// exactly what WriteAll charges for a buffer of that length.
+func TestWriteAllSized(t *testing.T) {
+	etype := datatype.Elem{Width: 8, Name: "double"}
+	open := func(c *mpi.Comm, fs *pfs.FileSystem) (*File, error) {
+		f, err := Open(c, fs, testMgr(), "sized.dat")
+		if err != nil {
+			return nil, err
+		}
+		if err := f.SetView(0, etype, datatype.NewVector(4, 1, 2, etype)); err != nil {
+			return nil, err
+		}
+		return f, f.SetAtomicity(true)
+	}
+	run(t, 1, func(c *mpi.Comm) error {
+		f, err := open(c, testFS())
+		if err != nil {
+			return err
+		}
+		if err := f.WriteAllSized(16); err == nil || !strings.Contains(err.Error(), "stores data") {
+			return fmt.Errorf("timing-only write on a storing file system: %v", err)
+		}
+		return f.Close()
+	})
+
+	cfg := testFS().Config()
+	cfg.StoreData = false
+	var sized, buffered sim.VTime
+	run(t, 1, func(c *mpi.Comm) error {
+		f, err := open(c, pfs.MustNew(cfg))
+		if err != nil {
+			return err
+		}
+		if err := f.WriteAllSized(12); err == nil || !strings.Contains(err.Error(), "whole number of etypes") {
+			return fmt.Errorf("1.5-etype timing-only write: %v", err)
+		}
+		if err := f.WriteAllSized(-8); err == nil {
+			return fmt.Errorf("negative timing-only write accepted")
+		}
+		if f.Tell() != 0 {
+			return fmt.Errorf("refused writes moved the file pointer to %d", f.Tell())
+		}
+		if err := f.WriteAllSized(24); err != nil {
+			return err
+		}
+		if f.Tell() != 3 || f.Client().BytesWritten() != 24 {
+			return fmt.Errorf("after 24 bytes: pointer %d, written %d", f.Tell(), f.Client().BytesWritten())
+		}
+		sized = c.Now()
+		return f.Close()
+	})
+	run(t, 1, func(c *mpi.Comm) error {
+		f, err := open(c, pfs.MustNew(cfg))
+		if err != nil {
+			return err
+		}
+		if err := f.WriteAll(make([]byte, 24)); err != nil {
+			return err
+		}
+		buffered = c.Now()
+		return f.Close()
+	})
+	if sized == 0 || sized != buffered {
+		t.Errorf("timing-only write finished at %v, buffered write at %v", sized, buffered)
+	}
+}
+
 func TestClosedFileErrors(t *testing.T) {
 	fs := testFS()
 	run(t, 1, func(c *mpi.Comm) error {
@@ -152,14 +224,15 @@ func TestClosedFileErrors(t *testing.T) {
 			return err
 		}
 		for name, op := range map[string]func() error{
-			"WriteAll":     func() error { return f.WriteAll([]byte("x")) },
-			"ReadAll":      func() error { return f.ReadAll(make([]byte, 1)) },
-			"SetView":      func() error { return f.SetView(0, datatype.Byte, datatype.Byte) },
-			"SetAtomicity": func() error { return f.SetAtomicity(true) },
-			"SetStrategy":  func() error { return f.SetStrategy(core.RankOrder{}) },
-			"Sync":         func() error { return f.Sync() },
-			"SeekSet":      func() error { return f.SeekSet(0) },
-			"Close":        func() error { return f.Close() },
+			"WriteAll":      func() error { return f.WriteAll([]byte("x")) },
+			"WriteAllSized": func() error { return f.WriteAllSized(1) },
+			"ReadAll":       func() error { return f.ReadAll(make([]byte, 1)) },
+			"SetView":       func() error { return f.SetView(0, datatype.Byte, datatype.Byte) },
+			"SetAtomicity":  func() error { return f.SetAtomicity(true) },
+			"SetStrategy":   func() error { return f.SetStrategy(core.RankOrder{}) },
+			"Sync":          func() error { return f.Sync() },
+			"SeekSet":       func() error { return f.SeekSet(0) },
+			"Close":         func() error { return f.Close() },
 		} {
 			if err := op(); !errors.Is(err, ErrClosed) {
 				return fmt.Errorf("%s on closed file: %v", name, err)
@@ -433,3 +506,6 @@ func TestEmptyCollectiveWriteKeepsPhaseAccounting(t *testing.T) {
 		})
 	}
 }
+
+// intervalExt abbreviates extent construction.
+func intervalExt(off, l int64) interval.Extent { return interval.Extent{Off: off, Len: l} }

@@ -1,6 +1,8 @@
 package mpiio
 
 import (
+	"fmt"
+
 	"atomio/internal/core"
 	"atomio/internal/lock"
 	"atomio/internal/obs"
@@ -14,28 +16,48 @@ import (
 // Figure 2 shows). Every rank of the communicator must call WriteAll
 // together; ranks may pass empty buffers.
 func (f *File) WriteAll(buf []byte) error {
-	if err := f.checkRequest(buf); err != nil {
+	return f.writeAll(buf, int64(len(buf)))
+}
+
+// WriteAllSized is the timing-only WriteAll: it collectively writes n bytes
+// whose content nobody will read, charging exactly what WriteAll charges
+// for an n-byte buffer while carrying only offsets and lengths down to the
+// servers. A file system that stores data has to be given the bytes, so
+// there the call is refused.
+func (f *File) WriteAllSized(n int64) error {
+	return f.writeAll(nil, n)
+}
+
+// writeAll is the collective write of n bytes: buf holds them, or is nil
+// for a timing-only request.
+func (f *File) writeAll(buf []byte, n int64) error {
+	if err := f.checkRequest(n); err != nil {
 		return err
 	}
-	maps := f.view.MapAt(f.pos, int64(len(buf)))
-	f.pos += int64(len(buf))
+	if buf == nil && n > 0 && f.fs.Config().StoreData {
+		return fmt.Errorf("mpiio: timing-only write of %d bytes to %q, whose file system stores data", n, f.name)
+	}
+	maps := f.view.MapAt(f.pos, n)
+	f.pos += n
 
 	if !f.atomic {
-		f.client.WriteV(mapsToSegments(buf, maps))
+		f.client.WriteV(core.Segments(buf, maps))
 		return nil
 	}
 	// Journal the full mapped request before the strategy runs: if fault
 	// injection damages any of these bytes, recovery replays the whole
-	// intent. A no-op unless the file system's write-ahead log is on.
-	if err := f.fs.LogIntent(f.name, f.comm.Rank(), mapsToSegments(buf, maps)); err != nil {
-		return err
-	}
-	if o := f.events; o != nil && f.fs.Config().WAL {
-		o.Emit(obs.Event{
-			T: f.comm.Clock().Now(), Actor: f.comm.Rank(), Layer: obs.LayerPFS,
-			Kind: obs.KindWALAppend, Peer: -1, Size: int64(len(buf)),
-		})
-		o.Count(f.comm.Rank(), obs.MetricWALAppends, 1)
+	// intent. Healthy configurations (no write-ahead log) build nothing.
+	if f.fs.Config().WAL {
+		if err := f.fs.LogIntent(f.name, f.comm.Rank(), core.Segments(buf, maps)); err != nil {
+			return err
+		}
+		if o := f.events; o != nil {
+			o.Emit(obs.Event{
+				T: f.comm.Clock().Now(), Actor: f.comm.Rank(), Layer: obs.LayerPFS,
+				Kind: obs.KindWALAppend, Peer: -1, Size: n,
+			})
+			o.Count(f.comm.Rank(), obs.MetricWALAppends, 1)
+		}
 	}
 	ctx := &core.Context{Comm: f.comm, Client: f.client, LockMgr: f.mgr, Trace: f.tracer, Fault: f.faults}
 	return f.strategy.WriteAll(ctx, buf, maps)
@@ -49,27 +71,27 @@ func (f *File) WriteAll(buf []byte) error {
 // non-collective I/O calls in MPI") — so an atomic independent write on a
 // lockless file system returns core.ErrNoLockManager.
 func (f *File) Write(buf []byte) error {
-	if err := f.checkRequest(buf); err != nil {
+	if err := f.checkRequest(int64(len(buf))); err != nil {
 		return err
 	}
 	maps := f.view.MapAt(f.pos, int64(len(buf)))
 	f.pos += int64(len(buf))
 
 	if !f.atomic {
-		f.client.WriteV(mapsToSegments(buf, maps))
+		f.client.WriteV(core.Segments(buf, maps))
 		return nil
 	}
 	if f.mgr == nil {
 		return core.ErrNoLockManager
 	}
 	clock := f.comm.Clock()
-	span := spanOf(maps)
+	span := core.ExtentsOf(maps).Span()
 	if span.Len == 0 {
 		return nil
 	}
 	grant := f.mgr.Lock(f.comm.Rank(), span, lock.Exclusive, clock.Now())
 	clock.AdvanceTo(grant)
-	f.client.WriteV(mapsToSegments(buf, maps))
+	f.client.WriteV(core.Segments(buf, maps))
 	f.client.Sync()
 	clock.AdvanceTo(f.mgr.Unlock(f.comm.Rank(), span, clock.Now()))
 	return nil
@@ -89,13 +111,13 @@ func (f *File) Read(buf []byte) error {
 }
 
 func (f *File) read(buf []byte) error {
-	if err := f.checkRequest(buf); err != nil {
+	if err := f.checkRequest(int64(len(buf))); err != nil {
 		return err
 	}
 	maps := f.view.MapAt(f.pos, int64(len(buf)))
 	f.pos += int64(len(buf))
 
-	segs := mapsToSegments(buf, maps)
+	segs := core.Segments(buf, maps)
 	if !f.atomic {
 		f.client.ReadV(segs)
 		return nil
@@ -104,7 +126,7 @@ func (f *File) read(buf []byte) error {
 	f.client.Invalidate()
 	if f.mgr != nil {
 		clock := f.comm.Clock()
-		span := spanOf(maps)
+		span := core.ExtentsOf(maps).Span()
 		if span.Len == 0 {
 			return nil
 		}

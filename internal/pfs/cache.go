@@ -1,6 +1,9 @@
 package pfs
 
 import (
+	"fmt"
+	"slices"
+
 	"atomio/internal/interval"
 	"atomio/internal/sim"
 )
@@ -60,14 +63,18 @@ func newCache(cfg CacheConfig, retain bool) *cache {
 // absorb records a write-behind write in write order.
 func (c *cache) absorb(segs []Segment) {
 	bs := c.cfg.blockSize()
+	c.dirtyExts = slices.Grow(c.dirtyExts, len(segs))
 	for _, s := range segs {
-		n := int64(len(s.Data))
+		n := s.Len()
 		if n == 0 {
 			continue
 		}
 		c.dirtyBytes += n
 		c.dirtyExts = append(c.dirtyExts, interval.Extent{Off: s.Off, Len: n})
 		if c.retain {
+			if s.Data == nil {
+				panic(fmt.Sprintf("pfs: payload-less segment [%d,+%d) absorbed by a cache that retains data", s.Off, n))
+			}
 			off, data := s.Off, s.Data
 			for len(data) > 0 {
 				b := off / bs
@@ -94,38 +101,46 @@ func (c *cache) absorb(segs []Segment) {
 }
 
 // takeDirty removes and returns the write-behind data as coalesced segments
-// in file order — the batching a write-behind cache exists to provide.
+// in file order — the batching a write-behind cache exists to provide. A
+// cache that retains nothing has only extents to give back, so its segments
+// are payload-less.
 func (c *cache) takeDirty() []Segment {
 	if c.dirtyBytes == 0 {
 		return nil
 	}
-	bs := c.cfg.blockSize()
 	exts := c.dirtyExts.Normalize()
 	segs := make([]Segment, len(exts))
 	for i, e := range exts {
-		buf := make([]byte, e.Len)
 		if c.retain {
-			off := e.Off
-			out := buf
-			for len(out) > 0 {
-				b := off / bs
-				bo := off % bs
-				take := bs - bo
-				if take > int64(len(out)) {
-					take = int64(len(out))
-				}
-				if blk, ok := c.dirtyData[b]; ok {
-					copy(out[:take], blk[bo:bo+take])
-				}
-				off += take
-				out = out[take:]
-			}
+			segs[i] = Segment{Off: e.Off, Data: c.dirtyCopy(e)}
+		} else {
+			segs[i] = Segment{Off: e.Off, N: e.Len}
 		}
-		segs[i] = Segment{Off: e.Off, Data: buf}
 	}
-	c.dirtyExts, c.dirtyBytes = nil, 0
-	c.dirtyData = make(map[int64][]byte)
+	// The segments hold no reference to exts, so the extent log's backing
+	// array serves the next batch.
+	c.dirtyExts, c.dirtyBytes = c.dirtyExts[:0], 0
+	clear(c.dirtyData)
 	return segs
+}
+
+// dirtyCopy assembles the retained bytes of dirty extent e from the
+// block-granular pieces.
+func (c *cache) dirtyCopy(e interval.Extent) []byte {
+	bs := c.cfg.blockSize()
+	buf := make([]byte, e.Len)
+	off, out := e.Off, buf
+	for len(out) > 0 {
+		b := off / bs
+		bo := off % bs
+		take := min(bs-bo, int64(len(out)))
+		if blk, ok := c.dirtyData[b]; ok {
+			copy(out[:take], blk[bo:bo+take])
+		}
+		off += take
+		out = out[take:]
+	}
+	return buf
 }
 
 // read serves a read through the cache, fetching missing blocks (plus
@@ -148,7 +163,7 @@ func (c *cache) read(cl *Client, off int64, buf []byte) {
 			runEnd++
 		}
 		fetch := runEnd - b + 1 + int64(c.cfg.ReadAheadBlocks)
-		cl.queueServerService([]Segment{{Off: b * bs, Data: make([]byte, fetch*bs)}})
+		cl.queueServerService([]Segment{{Off: b * bs, N: fetch * bs}})
 		cl.clock.Advance(cl.fs.cfg.ClientModel.Cost(fetch * bs))
 		for v := b; v < b+fetch; v++ {
 			c.valid[v] = true

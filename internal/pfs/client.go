@@ -2,16 +2,52 @@ package pfs
 
 import (
 	"errors"
-	"sort"
 
 	"atomio/internal/obs"
 	"atomio/internal/sim"
 )
 
-// Segment is one contiguous piece of a vectored request.
+// Segment is one contiguous piece of a vectored request. Its length is
+// authoritative and its bytes are optional: a segment with nil Data is
+// payload-less and stands for N bytes at Off whose content nobody reads —
+// all a file system that stores no data (Config.StoreData off) needs to
+// charge time. Every cost is computed from Len, so a payload-less segment
+// and a Data-carrying one of the same length are indistinguishable in
+// virtual time. A payload-less segment that reaches a place that needs
+// bytes — the content store of a storing file system, a retaining cache —
+// panics: it is a bug in the caller, never silently stored zeros.
 type Segment struct {
 	Off  int64
 	Data []byte
+	// N is the byte count of a payload-less segment; ignored when Data is
+	// non-nil.
+	N int64
+}
+
+// Len returns the segment's byte count.
+func (s Segment) Len() int64 {
+	if s.Data != nil {
+		return int64(len(s.Data))
+	}
+	return s.N
+}
+
+// slice returns the n-byte piece of s that starts from bytes into it,
+// payload-less if s is.
+func (s Segment) slice(from, n int64) Segment {
+	if s.Data == nil {
+		return Segment{Off: s.Off + from, N: n}
+	}
+	return Segment{Off: s.Off + from, Data: s.Data[from : from+n]}
+}
+
+// totalLen sums the byte counts of a vectored request.
+func totalLen(segs []Segment) int64 {
+	var total int64
+	for _, s := range segs {
+		total += s.Len()
+	}
+	return total
 }
 
 // Client is one process's handle to a file. A client is owned by a single
@@ -24,6 +60,7 @@ type Client struct {
 	clock *sim.Clock
 	rank  int
 	cache *cache
+	loads []load // queueServerService scratch, indexed by server
 
 	bytesWritten int64
 	bytesRead    int64
@@ -51,7 +88,7 @@ func (fs *FileSystem) Open(name string, rank int, clock *sim.Clock) (*Client, er
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{fs: fs, f: f, clock: clock, rank: rank}
+	c := &Client{fs: fs, f: f, clock: clock, rank: rank, loads: make([]load, fs.cfg.Servers)}
 	if fs.cfg.Cache.Enabled {
 		c.cache = newCache(fs.cfg.Cache, fs.cfg.StoreData)
 	}
@@ -78,10 +115,7 @@ func (c *Client) WriteAt(off int64, data []byte) {
 // data is absorbed into the client cache at memory cost and reaches the
 // servers at the next Sync; otherwise it is transferred immediately.
 func (c *Client) WriteV(segs []Segment) {
-	var total int64
-	for _, s := range segs {
-		total += int64(len(s.Data))
-	}
+	total := totalLen(segs)
 	c.bytesWritten += total
 	if c.cache != nil && c.fs.cfg.Cache.WriteBehind {
 		c.clock.Advance(c.fs.cfg.Cache.MemModel.Cost(total))
@@ -94,10 +128,7 @@ func (c *Client) WriteV(segs []Segment) {
 // transferWrite moves segments to the servers, charging client-side cost
 // serially and queueing per-server service on the server pool.
 func (c *Client) transferWrite(segs []Segment) {
-	var total int64
-	for _, s := range segs {
-		total += int64(len(s.Data))
-	}
+	total := totalLen(segs)
 	if total == 0 {
 		return
 	}
@@ -118,8 +149,8 @@ func (c *Client) transferWrite(segs []Segment) {
 		if c.BeforeSegment != nil {
 			c.BeforeSegment(i)
 		}
-		if len(s.Data) > 0 {
-			c.f.writeAt(s.Off, s.Data, c.rank)
+		if s.Len() > 0 {
+			c.f.writeAt(s, c.rank)
 		}
 		if c.AfterSegment != nil {
 			c.AfterSegment(i)
@@ -130,36 +161,33 @@ func (c *Client) transferWrite(segs []Segment) {
 	c.queueServerService(segs)
 }
 
+// load is the service one request batch asks of one server.
+type load struct {
+	bytes int64
+	reqs  int64
+}
+
 // queueServerService books per-server FCFS service for the given segments
 // and advances the client clock to the last completion.
 func (c *Client) queueServerService(segs []Segment) {
-	type load struct {
-		bytes int64
-		reqs  int64
-	}
-	loads := make(map[int]*load)
-	add := func(server int, n int64) {
-		l := loads[server]
-		if l == nil {
-			l = &load{}
-			loads[server] = l
-		}
-		l.bytes += n
-		l.reqs++
-	}
+	loads := c.loads
+	clear(loads)
 	for _, s := range segs {
-		n := int64(len(s.Data))
+		n := s.Len()
 		if n == 0 {
 			continue
 		}
 		if c.fs.cfg.Mode == ClientAffinity {
-			add(c.fs.serverFor(s.Off, c.rank), n)
+			l := &loads[c.fs.serverFor(s.Off, c.rank)]
+			l.bytes += n
+			l.reqs++
 			continue
 		}
 		// Split the segment at stripe boundaries (the same piece iterator
 		// the striped store routes storage with).
 		eachStripePiece(c.fs.cfg.StripeSize, c.fs.cfg.Servers, s.Off, n, func(server int, _, take int64) {
-			add(server, take)
+			loads[server].bytes += take
+			loads[server].reqs++
 		})
 	}
 	now := c.clock.Now()
@@ -172,14 +200,11 @@ func (c *Client) queueServerService(segs []Segment) {
 	// Book the per-server service in ascending server order: every queue
 	// is hit at the same `now`, but a fixed order keeps the booking
 	// sequence (and so any tie-breaking inside the queues) deterministic.
-	servers := make([]int, 0, len(loads))
-	for server := range loads {
-		servers = append(servers, server)
-	}
-	sort.Ints(servers)
 	var latest sim.VTime
-	for _, server := range servers {
-		l := loads[server]
+	for server, l := range loads {
+		if l.reqs == 0 {
+			continue
+		}
 		m := c.fs.serverModel(server)
 		svc := sim.VTime(l.reqs)*m.Latency +
 			sim.LinearCost{BytesPerSec: m.BytesPerSec}.Cost(l.bytes)
@@ -235,11 +260,7 @@ func (c *Client) WriteVAtomic(segs []Segment) error {
 	defer c.f.listioMu.Unlock()
 	// Queue behind earlier atomic vectored writes in virtual time.
 	c.clock.AdvanceTo(c.f.listioFreeAt)
-	var total int64
-	for _, s := range segs {
-		total += int64(len(s.Data))
-	}
-	c.bytesWritten += total
+	c.bytesWritten += totalLen(segs)
 	c.transferWrite(segs)
 	c.f.listioFreeAt = c.clock.Now()
 	return nil

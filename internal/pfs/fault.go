@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"bytes"
 	"sort"
 
 	"atomio/internal/interval"
@@ -49,7 +50,7 @@ func (c *Client) dropFaulted(segs []Segment) []Segment {
 	out := segs[:0:0]
 	var damaged interval.List
 	for _, s := range segs {
-		n := int64(len(s.Data))
+		n := s.Len()
 		if n == 0 {
 			out = append(out, s)
 			continue
@@ -69,7 +70,7 @@ func (c *Client) dropFaulted(segs []Segment) []Segment {
 			if in.ServerDropped(server, now) {
 				damaged = append(damaged, interval.Extent{Off: off, Len: take})
 			} else {
-				out = append(out, Segment{Off: off, Data: s.Data[off-s.Off : off-s.Off+take]})
+				out = append(out, s.slice(off-s.Off, take))
 			}
 		})
 	}
@@ -134,9 +135,10 @@ func (fs *FileSystem) Damaged(name string) (interval.List, error) {
 }
 
 // LogIntent appends rank's full mapped write request to the named file's
-// write-ahead intent log. Data is copied — the caller's buffers may be
-// reused. A no-op unless Config.WAL is on, so healthy configurations pay
-// nothing.
+// write-ahead intent log. On a file system that stores data the bytes are
+// copied — the caller's buffers may be reused; one that stores nothing logs
+// the extents alone. A no-op unless Config.WAL is on, so healthy
+// configurations pay nothing.
 func (fs *FileSystem) LogIntent(name string, rank int, segs []Segment) error {
 	if !fs.cfg.WAL {
 		return nil
@@ -151,12 +153,14 @@ func (fs *FileSystem) LogIntent(name string, rank int, segs []Segment) error {
 		f.intents = make(map[int][]Segment)
 	}
 	for _, s := range segs {
-		if len(s.Data) == 0 {
+		if s.Len() == 0 {
 			continue
 		}
-		data := make([]byte, len(s.Data))
-		copy(data, s.Data)
-		f.intents[rank] = append(f.intents[rank], Segment{Off: s.Off, Data: data})
+		intent := Segment{Off: s.Off, N: s.Len()}
+		if fs.cfg.StoreData && s.Data != nil {
+			intent = Segment{Off: s.Off, Data: bytes.Clone(s.Data)}
+		}
+		f.intents[rank] = append(f.intents[rank], intent)
 	}
 	return nil
 }
@@ -191,7 +195,7 @@ func (fs *FileSystem) Recover(name string) ([]int, error) {
 			continue
 		}
 		for _, s := range f.intents[rank] {
-			f.writeAt(s.Off, s.Data, rank)
+			f.writeAt(s, rank)
 		}
 		replayed = append(replayed, rank)
 	}
@@ -202,7 +206,7 @@ func (fs *FileSystem) Recover(name string) ([]int, error) {
 // extent.
 func intentsIntersect(segs []Segment, damaged interval.List) bool {
 	for _, s := range segs {
-		e := interval.Extent{Off: s.Off, Len: int64(len(s.Data))}
+		e := interval.Extent{Off: s.Off, Len: s.Len()}
 		for _, d := range damaged {
 			if e.Overlaps(d) {
 				return true

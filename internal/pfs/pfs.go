@@ -3,9 +3,11 @@
 // shared striped file, accessed by per-process clients that may cache with
 // the read-ahead and write-behind policies the paper discusses in §3.
 //
-// The simulator moves real bytes (so atomicity violations are observable in
-// actual file content) while accounting virtual time on the clients' clocks
-// and on per-server FCFS queues (see package sim). Aggregate bandwidth
+// With Config.StoreData on the simulator moves real bytes (so atomicity
+// violations are observable in actual file content); with it off requests
+// need only carry lengths (see Segment). Either way it accounts virtual time
+// on the clients' clocks and on per-server FCFS queues (see package sim),
+// from byte counts alone. Aggregate bandwidth
 // reported by the experiment harness is data volume divided by the virtual
 // makespan.
 package pfs
@@ -70,7 +72,8 @@ type Config struct {
 
 	// StoreData controls whether written bytes are materialized. Large
 	// benchmark runs disable it to account time without allocating the
-	// full file; correctness tests leave it on.
+	// full file — or any payload: their segments may be payload-less (see
+	// Segment); correctness tests leave it on.
 	StoreData bool
 
 	// WAL enables the per-file write-ahead intent log: collective writes

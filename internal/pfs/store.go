@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"fmt"
 	"sync"
 
 	"atomio/internal/interval"
@@ -73,17 +74,22 @@ func (fs *FileSystem) newFile(name string) *file {
 	return f
 }
 
-// writeAt stores data at off on behalf of rank and extends the file size.
-func (f *file) writeAt(off int64, data []byte, rank int) {
-	end := off + int64(len(data))
+// writeAt stores s on behalf of rank and extends the file size. A data-less
+// file only grows; a file with a content store needs the bytes.
+func (f *file) writeAt(s Segment, rank int) {
+	end := s.Off + s.Len()
 	f.mu.Lock()
 	if end > f.size {
 		f.size = end
 	}
 	f.mu.Unlock()
-	if f.content != nil && len(data) > 0 {
-		f.content.write(off, data, rank)
+	if f.content == nil || s.Len() == 0 {
+		return
 	}
+	if s.Data == nil {
+		panic(fmt.Sprintf("pfs: payload-less segment [%d,+%d) written to %q, which stores data", s.Off, s.N, f.name))
+	}
+	f.content.write(s.Off, s.Data, rank)
 }
 
 // readAt fills buf from off; bytes never written read as zero.
