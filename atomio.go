@@ -18,12 +18,17 @@
 //		atomio.Scenario("slow0x4"),
 //	)
 //
-// New validates an option list into a Spec; Spec.Run executes it. RunGrid
-// executes many cells on a worker pool; Figure8, Scaling, ShardSweep and
-// Degraded return the paper's evaluation grids; Fleet returns the seeded
-// failure-injection fleet. New subsystems plug in by registering a name
-// (RegisterStrategy, RegisterPlatform, RegisterScenario, RegisterFault)
-// rather than growing another struct field.
+// New applies an option list to the defaults and validates the result into
+// a Spec; Spec.Run executes it. A Spec is the internal layers' own
+// description of a cell (harness.Experiment) with the names resolved, so an
+// Option edits the very struct that runs, a Grid is a set of named axes
+// plus the same Options, and a new per-cell setting is one field there plus
+// one Option here. RunGrid executes many cells on a worker pool; Figure8,
+// Scaling, ShardSweep and Degraded return the paper's evaluation grids;
+// Fleet returns the seeded failure-injection fleet. New subsystems plug in
+// by registering a name (RegisterStrategy, RegisterPlatform,
+// RegisterScenario, RegisterFault) rather than growing another struct
+// field.
 package atomio
 
 import (
@@ -86,133 +91,86 @@ const (
 	RecoveredSerializable = verify.RecoveredSerializable
 )
 
-// Spec is a fully described experiment: every dimension is a plain value or
-// a registry name, resolved and validated by New. The zero value is not
-// usable; construct specs through New so defaults and validation apply.
+// Spec is a fully described experiment. It wraps the one struct every
+// layer describes a cell with, so its fields are the resolved values —
+// Platform a Profile, Strategy a registered strategy instance — and
+// Result.Experiment and Cell.Experiment are the same type. Construct specs
+// through New so defaults and validation apply; a field assigned afterwards
+// is checked again by Run.
 type Spec struct {
-	// Platform is the registered platform profile name.
-	Platform string
-	// M and N are the global array dimensions in bytes.
-	M, N int
-	// Procs is the number of simulated MPI processes.
-	Procs int
-	// Overlap is the number of overlapped rows/columns R.
-	Overlap int
-	// Pattern is the partitioning pattern: "column-wise", "row-wise" or
-	// "block-block" (NormalizePattern accepts the short forms).
-	Pattern string
-	// Strategy is the registered atomicity-strategy name.
-	Strategy string
-	// Scenario is the registered degraded-server scenario name; empty
-	// means healthy.
-	Scenario string
-	// Fault is the registered failure-injection script name; empty means
-	// no injected faults.
-	Fault string
-	// Recovery enables write-ahead intent logging and post-run replay of
-	// fault-damaged extents.
-	Recovery bool
-	// Servers overrides the platform's simulated I/O-server count
-	// (0 keeps the platform default; a real model parameter).
-	Servers int
-	// LockShards overrides the lock manager's table shard count
-	// (0 keeps the platform default; output is invariant in it).
-	LockShards int
-	// StoreData materializes file bytes (implied by Verify).
-	StoreData bool
-	// Verify checks MPI atomicity on the resulting file content.
-	Verify bool
-	// Trace records a per-phase virtual-time breakdown.
-	Trace bool
-	// TraceEvents records the structured virtual-time event stream and the
-	// metrics registry (Result.Events / Result.Metrics).
-	TraceEvents bool
-	// TraceLimit bounds per-actor event memory when TraceEvents is on
-	// (> 0 ring of newest events, 0 unbounded, < 0 metrics only).
-	TraceLimit int
-	// AtomicListIO grants the file system atomic vectored writes
-	// (implied by the "listio" strategy).
-	AtomicListIO bool
-	// Checkpoints repeats the collective write, one fresh file per dump
-	// within the same simulation (0 and 1 both mean a single write).
-	Checkpoints int
-	// Compute is virtual compute time advanced before each checkpoint.
-	Compute time.Duration
-	// Timeout overrides the run's real-time deadlock guard.
-	Timeout time.Duration
+	harness.Experiment
 }
 
-// Option configures a Spec under construction; options that receive
-// invalid input report it as an error from New.
+// Option edits a Spec under construction. Name-taking options resolve
+// through the registries when applied, so an unknown name fails New with
+// the registered names; ranges and bounds are checked once, by New, after
+// every option has been applied.
 type Option func(*Spec) error
 
 // Platform selects the platform profile by registered name.
 func Platform(name string) Option {
-	return func(s *Spec) error { s.Platform = name; return nil }
+	return func(s *Spec) (err error) { s.Platform, err = PlatformByName(name); return }
 }
 
 // Array sets the global array dimensions in bytes.
 func Array(m, n int) Option {
-	return func(s *Spec) error {
-		if m < 1 || n < 1 {
-			return fmt.Errorf("atomio: array shape %dx%d must be positive", m, n)
-		}
-		s.M, s.N = m, n
-		return nil
-	}
+	return func(s *Spec) error { s.M, s.N = m, n; return nil }
 }
 
 // Procs sets the number of simulated MPI processes.
 func Procs(p int) Option {
-	return func(s *Spec) error {
-		if p < 1 {
-			return fmt.Errorf("atomio: process count must be positive, got %d", p)
-		}
-		s.Procs = p
-		return nil
-	}
+	return func(s *Spec) error { s.Procs = p; return nil }
 }
 
 // Overlap sets the number of overlapped rows/columns R.
 func Overlap(r int) Option {
-	return func(s *Spec) error {
-		if r < 0 {
-			return fmt.Errorf("atomio: overlap must be non-negative, got %d", r)
-		}
-		s.Overlap = r
-		return nil
-	}
+	return func(s *Spec) error { s.Overlap = r; return nil }
 }
 
 // Pattern selects the partitioning pattern by name ("column", "row",
 // "block", or the long forms NormalizePattern accepts).
 func Pattern(name string) Option {
-	return func(s *Spec) error {
-		canon, err := NormalizePattern(name)
-		if err != nil {
-			return err
-		}
-		s.Pattern = canon
-		return nil
-	}
+	return func(s *Spec) (err error) { s.Pattern, err = patternOf(name); return }
 }
 
 // Strategy selects the atomicity strategy by registered name.
 func Strategy(name string) Option {
-	return func(s *Spec) error { s.Strategy = name; return nil }
+	return func(s *Spec) (err error) { s.Strategy, err = StrategyByName(name); return }
 }
 
 // Scenario selects a degraded-server scenario by registered name; the
 // empty string keeps the healthy configuration.
 func Scenario(name string) Option {
-	return func(s *Spec) error { s.Scenario = name; return nil }
+	return func(s *Spec) error {
+		s.Scenario = nil
+		if name == "" {
+			return nil
+		}
+		scen, err := ScenarioByName(name)
+		if err != nil {
+			return err
+		}
+		s.Scenario = &scen
+		return nil
+	}
 }
 
 // Fault selects a failure-injection script by registered name; the empty
 // string keeps the fault-free run. Fault decisions are pure functions of
 // virtual time, so a faulted run is as reproducible as a healthy one.
 func Fault(name string) Option {
-	return func(s *Spec) error { s.Fault = name; return nil }
+	return func(s *Spec) error {
+		s.Faults = nil
+		if name == "" {
+			return nil
+		}
+		script, err := FaultByName(name)
+		if err != nil {
+			return err
+		}
+		s.Faults = &script
+		return nil
+	}
 }
 
 // Recovery enables write-ahead intent logging during the run and replay
@@ -226,25 +184,13 @@ func Recovery(on bool) Option {
 // default). Server count is a real model parameter: reported numbers
 // change with it.
 func Servers(n int) Option {
-	return func(s *Spec) error {
-		if n < 0 {
-			return fmt.Errorf("atomio: servers must be non-negative, got %d", n)
-		}
-		s.Servers = n
-		return nil
-	}
+	return func(s *Spec) error { s.Servers = n; return nil }
 }
 
 // LockShards overrides the lock-table shard count (0 keeps the platform
 // default). Reported numbers are byte-identical for any value.
 func LockShards(n int) Option {
-	return func(s *Spec) error {
-		if n < 0 {
-			return fmt.Errorf("atomio: lock shards must be non-negative, got %d", n)
-		}
-		s.LockShards = n
-		return nil
-	}
+	return func(s *Spec) error { s.LockShards = n; return nil }
 }
 
 // StoreData materializes file bytes (needed for Verify; off by default so
@@ -276,68 +222,40 @@ func TraceEvents(on bool) Option {
 // only the newest n events per actor (ring buffer), 0 is unbounded, n < 0
 // records metrics only. Large-P cells use a ring.
 func TraceLimit(n int) Option {
-	return func(s *Spec) error { s.TraceLimit = n; return nil }
-}
-
-// AtomicListIO grants the simulated file system the §3.2 atomic
-// vectored-write capability (implied by the "listio" strategy).
-func AtomicListIO(on bool) Option {
-	return func(s *Spec) error { s.AtomicListIO = on; return nil }
+	return func(s *Spec) error { s.EventLimit = n; return nil }
 }
 
 // Checkpoints repeats the collective write n times, one fresh file per
 // dump within the same simulation — the periodic-checkpoint workload of
-// the paper's introduction.
+// the paper's introduction (0 and 1 both mean a single write).
 func Checkpoints(n int) Option {
-	return func(s *Spec) error {
-		if n < 0 {
-			return fmt.Errorf("atomio: checkpoints must be non-negative, got %d", n)
-		}
-		s.Checkpoints = n
-		return nil
-	}
+	return func(s *Spec) error { s.Steps = n; return nil }
 }
 
 // Compute advances every rank's clock by d of virtual compute time before
 // each checkpoint dump.
 func Compute(d time.Duration) Option {
-	return func(s *Spec) error {
-		if d < 0 {
-			return fmt.Errorf("atomio: compute time must be non-negative, got %v", d)
-		}
-		s.Compute = d
-		return nil
-	}
+	return func(s *Spec) error { s.Compute = sim.VTime(d); return nil }
 }
 
 // Timeout overrides the run's real-time deadlock guard (0 keeps the
 // simulator default; large-P runs need more).
 func Timeout(d time.Duration) Option {
-	return func(s *Spec) error {
-		if d < 0 {
-			return fmt.Errorf("atomio: timeout must be non-negative, got %v", d)
-		}
-		s.Timeout = d
-		return nil
-	}
+	return func(s *Spec) error { s.RunTimeout = d; return nil }
 }
 
-// New builds and validates a Spec from defaults plus options. Defaults are
-// a laptop-scale version of the paper's measured workload: the column-wise
-// overlapping write of a 1024x8192 array by 4 processes with 16 overlapped
-// columns, using the graph-coloring strategy on Origin2000. Unknown
-// platform, strategy, scenario or pattern names are reported with the list
-// of registered names.
-func New(opts ...Option) (*Spec, error) {
-	s := &Spec{
-		Platform: "Origin2000",
+// build applies options to the defaults without the final validation: a
+// Grid's shared settings need not be runnable on the default shape.
+func build(opts []Option) (*Spec, error) {
+	s := &Spec{harness.Experiment{
+		Platform: platform.Origin2000(),
 		M:        1024,
 		N:        8192,
 		Procs:    4,
 		Overlap:  16,
-		Pattern:  "column-wise",
-		Strategy: "coloring",
-	}
+		Pattern:  harness.ColumnWise,
+		Strategy: core.Coloring{},
+	}}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, fmt.Errorf("atomio: nil option")
@@ -346,10 +264,22 @@ func New(opts ...Option) (*Spec, error) {
 			return nil, err
 		}
 	}
-	if _, err := s.experiment(); err != nil {
+	return s, nil
+}
+
+// New builds and validates a Spec from defaults plus options. Defaults are
+// a laptop-scale version of the paper's measured workload: the column-wise
+// overlapping write of a 1024x8192 array by 4 processes with 16 overlapped
+// columns, using the graph-coloring strategy on Origin2000. Unknown
+// platform, strategy, scenario, fault or pattern names are reported with
+// the list of registered names; out-of-range values and incompatible
+// combinations are reported by the experiment's single Validate.
+func New(opts ...Option) (*Spec, error) {
+	s, err := build(opts)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return s, s.Validate()
 }
 
 // Run builds a Spec from the options and executes it — the one-call form
@@ -360,94 +290,6 @@ func Run(opts ...Option) (*Result, error) {
 		return nil, err
 	}
 	return s.Run()
-}
-
-// Run executes the spec and returns its result.
-func (s *Spec) Run() (*Result, error) {
-	e, err := s.experiment()
-	if err != nil {
-		return nil, err
-	}
-	return e.Run()
-}
-
-// experiment resolves the spec's names through the registries into the
-// internal experiment struct, validating every dimension.
-func (s *Spec) experiment() (harness.Experiment, error) {
-	var zero harness.Experiment
-	prof, err := PlatformByName(s.Platform)
-	if err != nil {
-		return zero, err
-	}
-	strat, err := StrategyByName(s.Strategy)
-	if err != nil {
-		return zero, err
-	}
-	pattern, err := patternOf(s.Pattern)
-	if err != nil {
-		return zero, err
-	}
-	if s.M < 1 || s.N < 1 {
-		return zero, fmt.Errorf("atomio: array shape %dx%d must be positive", s.M, s.N)
-	}
-	if s.Procs < 1 {
-		return zero, fmt.Errorf("atomio: process count must be positive, got %d", s.Procs)
-	}
-	if s.Overlap < 0 {
-		return zero, fmt.Errorf("atomio: overlap must be non-negative, got %d", s.Overlap)
-	}
-	if s.Servers < 0 || s.LockShards < 0 || s.Checkpoints < 0 {
-		return zero, fmt.Errorf("atomio: servers, lock shards and checkpoints must be non-negative")
-	}
-	if strat.Name() == "locking" && !prof.SupportsLocking() {
-		return zero, fmt.Errorf("atomio: strategy %q needs byte-range locking; platform %q has none",
-			strat.Name(), prof.Name)
-	}
-	e := harness.Experiment{
-		Platform:     prof,
-		M:            s.M,
-		N:            s.N,
-		Procs:        s.Procs,
-		Overlap:      s.Overlap,
-		Pattern:      pattern,
-		Strategy:     strat,
-		StoreData:    s.StoreData,
-		Verify:       s.Verify,
-		Trace:        s.Trace,
-		AtomicListIO: s.AtomicListIO || strat.Name() == "listio",
-		LockShards:   s.LockShards,
-		Servers:      s.Servers,
-		Recovery:     s.Recovery,
-		TraceEvents:  s.TraceEvents,
-		EventLimit:   s.TraceLimit,
-		Steps:        s.Checkpoints,
-		Compute:      sim.VTime(s.Compute),
-		RunTimeout:   s.Timeout,
-	}
-	if s.Fault != "" {
-		script, err := FaultByName(s.Fault)
-		if err != nil {
-			return zero, err
-		}
-		e.Faults = &script
-	}
-	if s.Scenario != "" {
-		scen, err := ScenarioByName(s.Scenario)
-		if err != nil {
-			return zero, err
-		}
-		// Dry-apply the scenario so incompatibilities (an affinity override
-		// on a non-affinity platform, say) surface at New, not at Run.
-		cfg := prof.PFSConfig(false)
-		if e.Servers > 0 {
-			cfg.Servers = e.Servers
-		}
-		if _, err := scen.Apply(cfg); err != nil {
-			return zero, err
-		}
-		e.Scenario = &scen
-	}
-	return e, nil
 }
 
 // Conflicts is the conflict structure of a spec's file views: the paper's
@@ -471,11 +313,10 @@ func (c *Conflicts) String() string {
 // Conflicts computes the spec's conflict structure without running the
 // simulation.
 func (s *Spec) Conflicts() (*Conflicts, error) {
-	e, err := s.experiment()
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	views, err := e.Views()
+	views, err := s.Views()
 	if err != nil {
 		return nil, err
 	}

@@ -143,6 +143,9 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 		if cfg.cells < 1 {
 			return fmt.Errorf("-cells must be at least 1 (the negative control), got %d", cfg.cells)
 		}
+		if cfg.cells > maxFleetCells {
+			return fmt.Errorf("-cells must be at most %d, got %d", maxFleetCells, cfg.cells)
+		}
 		if cfg.scale || cfg.shardSweep || cfg.degraded || cfg.fleet {
 			// These grids fix their own platform, shapes and data mode;
 			// reject flags that would otherwise be silently ignored.
@@ -169,52 +172,75 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	return cfg, nil
 }
 
+// maxFleetCells bounds -cells: the fleet is generated in memory, fault
+// script and all, before the first cell runs.
+const maxFleetCells = 1 << 16
+
 func main() {
 	cfg, err := parseFlags(os.Args[1:], os.Stderr)
 	if err != nil {
 		os.Exit(cli.ExitCode(err))
 	}
+	grid, cells, err := expand(cfg)
+	if err != nil {
+		fatal(err)
+	}
 	switch {
 	case cfg.shardSweep:
-		runShardSweep(cfg)
+		runShardSweep(cells, cfg)
 	case cfg.degraded:
-		runDegraded(cfg)
+		runDegraded(cells, cfg)
 	case cfg.fleet:
-		runFleet(cfg)
+		runFleet(cells, cfg)
 	case cfg.scale:
-		runScaling(cfg)
+		runScaling(cells, cfg)
 	default:
-		runFigure8(cfg)
+		runFigure8(grid, cells, cfg)
 	}
 }
 
-// runFigure8 executes the (possibly narrowed) Figure 8 grid and renders
-// the nine panels.
-func runFigure8(cfg *config) {
-	grid := atomio.Figure8()
-	grid.StoreData = cfg.store
-	cfg.model.Apply(&grid)
-	var err error
-	if cfg.platform != "" {
-		if grid, err = grid.WithPlatform(cfg.platform); err != nil {
-			fatal(err)
+// expand turns the parsed command line into the cells it runs — the
+// selected mode's cells, or the (possibly narrowed) Figure 8 grid — with the
+// model and tracing flags that were set applied to every one. The modes'
+// flag checks have already rejected the flags a mode would ignore.
+func expand(cfg *config) (grid atomio.Grid, cells []atomio.Cell, err error) {
+	switch {
+	case cfg.shardSweep:
+		cells = atomio.ShardSweep()
+	case cfg.degraded:
+		cells = atomio.Degraded()
+	case cfg.fleet:
+		cells = atomio.Fleet(cfg.seed, cfg.cells)
+	case cfg.scale:
+		cells = atomio.ScalingTo(cfg.maxp)
+	default:
+		grid = atomio.Figure8()
+		grid.Options = append(grid.Options, atomio.StoreData(cfg.store))
+		if cfg.platform != "" {
+			if grid, err = grid.WithPlatform(cfg.platform); err != nil {
+				return grid, nil, err
+			}
+		}
+		if cfg.size != "" {
+			if grid, err = grid.WithSize(cfg.size); err != nil {
+				return grid, nil, err
+			}
+		}
+		if cells, err = grid.Cells(); err != nil {
+			return grid, nil, err
 		}
 	}
-	if cfg.size != "" {
-		if grid, err = grid.WithSize(cfg.size); err != nil {
-			fatal(err)
-		}
-	}
+	return grid, cells, cli.Apply(cells, append(cfg.model.Options(), cfg.trace.Options()...)...)
+}
 
+// runFigure8 executes the Figure 8 grid's cells and renders the nine
+// panels.
+func runFigure8(grid atomio.Grid, cells []atomio.Cell, cfg *config) {
 	// Materialized runs hold each in-flight array's bytes in memory; the
 	// 1 GB cells would multiply that by the worker count, so -store runs
 	// one cell at a time unless the user explicitly asks for more.
 	if cfg.store && cfg.out.Workers == 0 {
 		cfg.out.Workers = 1
-	}
-	cells, err := grid.Cells()
-	if err != nil {
-		fatal(err)
 	}
 	results := runCells(cells, cfg)
 
@@ -244,7 +270,6 @@ func runFigure8(cfg *config) {
 // runCells executes cells with the shared progress/emit/error handling the
 // grids use, exiting non-zero on any cell failure.
 func runCells(cells []atomio.Cell, cfg *config) []atomio.CellResult {
-	cfg.trace.ApplyCells(cells)
 	results := atomio.RunGrid(cells, cfg.out.RunOptions("figure8"))
 	if err := atomio.FirstErr(results); err != nil {
 		fatal(err)
@@ -259,9 +284,7 @@ func runCells(cells []atomio.Cell, cfg *config) []atomio.CellResult {
 }
 
 // runScaling executes the large-P scaling grid and prints one row per cell.
-func runScaling(cfg *config) {
-	cells := atomio.ScalingTo(cfg.maxp)
-	cfg.model.ApplyCells(cells)
+func runScaling(cells []atomio.Cell, cfg *config) {
 	results := runCells(cells, cfg)
 	fmt.Printf("%-44s %10s %12s %12s\n", "cell", "P", "vMB/s", "vmakespan")
 	for _, r := range results {
@@ -274,8 +297,8 @@ func runScaling(cfg *config) {
 // runShardSweep executes the lock-shard sweep: one contended locking cell
 // per shard count. The virtual column is constant across rows — the
 // sharded table's determinism contract — while wall time tracks the host.
-func runShardSweep(cfg *config) {
-	results := runCells(atomio.ShardSweep(), cfg)
+func runShardSweep(cells []atomio.Cell, cfg *config) {
+	results := runCells(cells, cfg)
 	fmt.Printf("%-44s %8s %12s %12s %12s\n", "cell", "shards", "vMB/s", "vmakespan", "wall")
 	for _, r := range results {
 		res := r.Result
@@ -288,8 +311,8 @@ func runShardSweep(cfg *config) {
 // per cell with a per-server summary: the hottest server's queue occupancy
 // (busy time over the cell's makespan) and its share of the bytes moved —
 // the columns where a slow or hot server shows up.
-func runDegraded(cfg *config) {
-	results := runCells(atomio.Degraded(), cfg)
+func runDegraded(cells []atomio.Cell, cfg *config) {
+	results := runCells(cells, cfg)
 	fmt.Printf("%-44s %8s %12s %12s %10s %10s\n",
 		"cell", "servers", "vMB/s", "vmakespan", "hot busy", "hot bytes")
 	for _, r := range results {
@@ -311,15 +334,7 @@ const shrinkBudget = 40
 // — diffing two fleet runs is a live determinism check. On gate failure the
 // offending cell is shrunk to a minimal reproducer and the command exits
 // non-zero.
-func runFleet(cfg *config) {
-	cells := atomio.Fleet(cfg.seed, cfg.cells)
-	// The fleet pins its own server count (the fault surface), so the model
-	// group applies piecewise: the output-invariant -lockshards passes
-	// through, and -servers was rejected at flag time.
-	for i := range cells {
-		cells[i].Experiment.LockShards = cfg.model.LockShards
-	}
-	cfg.trace.ApplyCells(cells)
+func runFleet(cells []atomio.Cell, cfg *config) {
 	results := atomio.RunGrid(cells, cfg.out.RunOptions("figure8"))
 	if err := atomio.EmitFiles(cfg.out.JSON, cfg.out.CSV, results); err != nil {
 		fatal(err)

@@ -4,58 +4,72 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestParseFlags tables the figure8 command line: well-formed inputs
-// produce a config, malformed inputs produce a diagnostic under the
-// binary's name.
+// parseCases tables the figure8 command line: well-formed inputs produce a
+// config, malformed inputs produce a diagnostic under the binary's name.
+// The "too many" rows are values that pass every sign check and ran the
+// process out of memory before the experiment's bounds reached the flags.
+var parseCases = []struct {
+	name string
+	args []string
+	ok   bool
+	want string // diagnostic substring for the failing cases
+}{
+	{"empty", nil, true, ""},
+	{"full grid knobs", []string{"-platform", "Cplant", "-size", "32 MB", "-store", "-v",
+		"-workers", "2", "-progress", "-json", "a.json", "-csv", "b.csv",
+		"-lockshards", "4", "-servers", "7"}, true, ""},
+	{"scale", []string{"-scale", "-workers", "2"}, true, ""},
+	{"scale to 16k", []string{"-scale", "-maxp", "16384"}, true, ""},
+	{"scale lowered", []string{"-scale", "-maxp", "64"}, true, ""},
+	{"goroutine engine", []string{"-engine", "goroutine"}, false, "flag provided but not defined: -engine"},
+	{"negative lockshards", []string{"-lockshards", "-1"}, false, "-lockshards must be non-negative"},
+	{"negative servers", []string{"-servers", "-1"}, false, "-servers must be non-negative"},
+	{"non-numeric workers", []string{"-workers", "x"}, false, "invalid value"},
+	{"two modes", []string{"-scale", "-shardsweep"}, false, "mutually exclusive"},
+	{"shardsweep with lockshards", []string{"-shardsweep", "-lockshards", "2"}, false, "would be ignored"},
+	{"shardsweep with servers", []string{"-shardsweep", "-servers", "3"}, false, "would be ignored"},
+	{"degraded with sharedstore", []string{"-degraded", "-sharedstore"}, false, "flag provided but not defined: -sharedstore"},
+	{"degraded with lockshards", []string{"-degraded", "-lockshards", "2"}, false, "would be ignored"},
+	{"scale with platform", []string{"-scale", "-platform", "Cplant"}, false, "incompatible"},
+	{"maxp without scale", []string{"-maxp", "2048"}, false, "-maxp is only meaningful with -scale"},
+	{"maxp too small", []string{"-scale", "-maxp", "32"}, false, "-maxp must be at least 64"},
+	{"maxp too large", []string{"-scale", "-maxp", "32768"}, false, "-maxp must be at most 16384"},
+	{"non-numeric maxp", []string{"-scale", "-maxp", "x"}, false, "invalid value"},
+	{"fleet", []string{"-fleet"}, true, ""},
+	{"fleet seeded", []string{"-fleet", "-seed", "42", "-cells", "500", "-workers", "4"}, true, ""},
+	{"fleet with engine", []string{"-fleet", "-engine", "eventloop"}, false, "flag provided but not defined: -engine"},
+	{"fleet with lockshards", []string{"-fleet", "-lockshards", "2"}, true, ""},
+	{"fleet with scale", []string{"-fleet", "-scale"}, false, "mutually exclusive"},
+	{"fleet with degraded", []string{"-fleet", "-degraded"}, false, "mutually exclusive"},
+	{"fleet with servers", []string{"-fleet", "-servers", "4"}, false, "fault surface"},
+	{"fleet with platform", []string{"-fleet", "-platform", "Cplant"}, false, "incompatible"},
+	{"fleet with store", []string{"-fleet", "-store"}, false, "incompatible"},
+	{"seed without fleet", []string{"-seed", "2"}, false, "only meaningful with -fleet"},
+	{"cells without fleet", []string{"-cells", "50"}, false, "only meaningful with -fleet"},
+	{"zero cells", []string{"-fleet", "-cells", "0"}, false, "-cells must be at least 1"},
+	{"non-numeric seed", []string{"-fleet", "-seed", "x"}, false, "invalid value"},
+	{"unknown engine", []string{"-engine", "threads"}, false, "flag provided but not defined: -engine"},
+	{"unknown flag", []string{"-nosuch"}, false, "not defined"},
+	{"too many servers", []string{"-servers", "1073741824", "-platform", "Cplant", "-size", "32 MB"},
+		false, "figure8: -lockshards/-servers: harness: servers must be"},
+	{"too many lockshards", []string{"-lockshards", "268435456", "-platform", "Origin2000", "-size", "32 MB"},
+		false, "figure8: -lockshards/-servers: harness: lock shards must be"},
+	{"too many cells", []string{"-fleet", "-cells", "1000000000"}, false, "-cells must be at most"},
+}
+
 func TestParseFlags(t *testing.T) {
-	cases := []struct {
-		name string
-		args []string
-		ok   bool
-		want string // diagnostic substring for the failing cases
-	}{
-		{"empty", nil, true, ""},
-		{"full grid knobs", []string{"-platform", "Cplant", "-size", "32 MB", "-store", "-v",
-			"-workers", "2", "-progress", "-json", "a.json", "-csv", "b.csv",
-			"-lockshards", "4", "-servers", "7"}, true, ""},
-		{"scale", []string{"-scale", "-workers", "2"}, true, ""},
-		{"scale to 16k", []string{"-scale", "-maxp", "16384"}, true, ""},
-		{"scale lowered", []string{"-scale", "-maxp", "64"}, true, ""},
-		{"goroutine engine", []string{"-engine", "goroutine"}, false, "flag provided but not defined: -engine"},
-		{"negative lockshards", []string{"-lockshards", "-1"}, false, "-lockshards must be non-negative"},
-		{"negative servers", []string{"-servers", "-1"}, false, "-servers must be non-negative"},
-		{"non-numeric workers", []string{"-workers", "x"}, false, "invalid value"},
-		{"two modes", []string{"-scale", "-shardsweep"}, false, "mutually exclusive"},
-		{"shardsweep with lockshards", []string{"-shardsweep", "-lockshards", "2"}, false, "would be ignored"},
-		{"shardsweep with servers", []string{"-shardsweep", "-servers", "3"}, false, "would be ignored"},
-		{"degraded with sharedstore", []string{"-degraded", "-sharedstore"}, false, "flag provided but not defined: -sharedstore"},
-		{"degraded with lockshards", []string{"-degraded", "-lockshards", "2"}, false, "would be ignored"},
-		{"scale with platform", []string{"-scale", "-platform", "Cplant"}, false, "incompatible"},
-		{"maxp without scale", []string{"-maxp", "2048"}, false, "-maxp is only meaningful with -scale"},
-		{"maxp too small", []string{"-scale", "-maxp", "32"}, false, "-maxp must be at least 64"},
-		{"maxp too large", []string{"-scale", "-maxp", "32768"}, false, "-maxp must be at most 16384"},
-		{"non-numeric maxp", []string{"-scale", "-maxp", "x"}, false, "invalid value"},
-		{"fleet", []string{"-fleet"}, true, ""},
-		{"fleet seeded", []string{"-fleet", "-seed", "42", "-cells", "500", "-workers", "4"}, true, ""},
-		{"fleet with engine", []string{"-fleet", "-engine", "eventloop"}, false, "flag provided but not defined: -engine"},
-		{"fleet with lockshards", []string{"-fleet", "-lockshards", "2"}, true, ""},
-		{"fleet with scale", []string{"-fleet", "-scale"}, false, "mutually exclusive"},
-		{"fleet with degraded", []string{"-fleet", "-degraded"}, false, "mutually exclusive"},
-		{"fleet with servers", []string{"-fleet", "-servers", "4"}, false, "fault surface"},
-		{"fleet with platform", []string{"-fleet", "-platform", "Cplant"}, false, "incompatible"},
-		{"fleet with store", []string{"-fleet", "-store"}, false, "incompatible"},
-		{"seed without fleet", []string{"-seed", "2"}, false, "only meaningful with -fleet"},
-		{"cells without fleet", []string{"-cells", "50"}, false, "only meaningful with -fleet"},
-		{"zero cells", []string{"-fleet", "-cells", "0"}, false, "-cells must be at least 1"},
-		{"non-numeric seed", []string{"-fleet", "-seed", "x"}, false, "invalid value"},
-		{"unknown engine", []string{"-engine", "threads"}, false, "flag provided but not defined: -engine"},
-		{"unknown flag", []string{"-nosuch"}, false, "not defined"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseCases {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf strings.Builder
+			start := time.Now()
+			defer func() {
+				if d := time.Since(start); d > time.Second {
+					t.Errorf("parseFlags(%v) took %v", tc.args, d)
+				}
+			}()
 			cfg, err := parseFlags(tc.args, &buf)
 			if tc.ok {
 				if err != nil {
@@ -104,4 +118,28 @@ func TestParseFlagsBinds(t *testing.T) {
 	if !cfg.fleet || cfg.seed != 9 || cfg.cells != 64 {
 		t.Errorf("fleet config = %+v", cfg)
 	}
+}
+
+// FuzzParseFlags: no command line makes parseFlags panic, and every one it
+// accepts expands into cells the experiment's Validate can judge — an error
+// is fine ("-size 32" names no size), a panic or an allocation sized by an
+// unchecked flag is not. No cell is run. The seeds are the table's rows,
+// re-split on spaces.
+func FuzzParseFlags(f *testing.F) {
+	for _, tc := range parseCases {
+		f.Add(strings.Join(tc.args, " "))
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		cfg, err := parseFlags(strings.Fields(line), io.Discard)
+		if err != nil {
+			return
+		}
+		_, cells, err := expand(cfg)
+		if err != nil {
+			return
+		}
+		for _, c := range cells {
+			_ = c.Experiment.Validate()
+		}
+	})
 }

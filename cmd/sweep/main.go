@@ -70,36 +70,7 @@ func main() {
 	if err != nil {
 		os.Exit(cli.ExitCode(err))
 	}
-
-	prof, err := atomio.PlatformByName(cfg.platform)
-	if err != nil {
-		fatal(err)
-	}
-	var strategies []string
-	for _, name := range cfg.strategies {
-		if name == "locking" && !prof.SupportsLocking() {
-			fmt.Fprintf(os.Stderr, "sweep: skipping locking (%s has no byte-range locking)\n", prof.Name)
-			continue
-		}
-		strategies = append(strategies, name)
-	}
-	if len(strategies) == 0 {
-		fatal(fmt.Errorf("no runnable strategies on %s", prof.Name))
-	}
-
-	grid := atomio.Grid{
-		Platforms:  []string{prof.Name},
-		Sizes:      []atomio.Size{{M: cfg.shape.M, N: cfg.shape.N}},
-		Procs:      cfg.procs,
-		Overlap:    cfg.shape.Overlap,
-		Pattern:    cfg.pattern,
-		Strategies: strategies,
-		StoreData:  cfg.store,
-		Trace:      cfg.trace,
-	}
-	cfg.model.Apply(&grid)
-	cfg.events.Apply(&grid)
-	cells, err := grid.Cells()
+	prof, strategies, cells, err := expand(cfg, os.Stderr)
 	if err != nil {
 		fatal(err)
 	}
@@ -148,6 +119,38 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// expand turns the parsed command line into the cells it runs: one per
+// process count and runnable strategy (locking is skipped, with a warning,
+// on a platform without it), every flag applied as a facade option.
+func expand(cfg *config, stderr io.Writer) (prof atomio.Profile, strategies []string, cells []atomio.Cell, err error) {
+	if prof, err = atomio.PlatformByName(cfg.platform); err != nil {
+		return
+	}
+	for _, name := range cfg.strategies {
+		if name == "locking" && !prof.SupportsLocking() {
+			fmt.Fprintf(stderr, "sweep: skipping locking (%s has no byte-range locking)\n", prof.Name)
+			continue
+		}
+		strategies = append(strategies, name)
+	}
+	if len(strategies) == 0 {
+		err = fmt.Errorf("no runnable strategies on %s", prof.Name)
+		return
+	}
+	opts := []atomio.Option{
+		atomio.Overlap(cfg.shape.Overlap), atomio.Pattern(cfg.pattern),
+		atomio.StoreData(cfg.store), atomio.Trace(cfg.trace),
+	}
+	cells, err = atomio.Grid{
+		Platforms:  []string{prof.Name},
+		Sizes:      []atomio.Size{{M: cfg.shape.M, N: cfg.shape.N}},
+		Procs:      cfg.procs,
+		Strategies: strategies,
+		Options:    append(append(opts, cfg.model.Options()...), cfg.events.Options()...),
+	}.Cells()
+	return
 }
 
 func fatal(err error) { cli.Fatal("sweep", err) }

@@ -37,8 +37,8 @@ func ExampleRunGrid() {
 		Platforms:  []string{"IBM SP"},
 		Sizes:      []atomio.Size{{M: 64, N: 512}},
 		Procs:      []int{2, 4},
-		Overlap:    8,
 		Strategies: []string{"coloring", "ordering"},
+		Options:    []atomio.Option{atomio.Overlap(8)},
 	}
 	cells, err := grid.Cells()
 	if err != nil {

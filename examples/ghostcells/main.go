@@ -56,7 +56,9 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, name := range methods {
-		spec.Strategy = name
+		if spec.Strategy, err = atomio.StrategyByName(name); err != nil {
+			log.Fatal(err)
+		}
 		res, err := spec.Run()
 		if err != nil {
 			log.Fatal(err)

@@ -18,17 +18,20 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &Spec{
-		Platform: "Origin2000", M: 1024, N: 8192, Procs: 4, Overlap: 16,
-		Pattern: "column-wise", Strategy: "coloring",
-	}
+	o2k, _ := PlatformByName("Origin2000")
+	want := &Spec{harness.Experiment{
+		Platform: o2k, M: 1024, N: 8192, Procs: 4, Overlap: 16,
+		Pattern: harness.ColumnWise, Strategy: core.Coloring{},
+	}}
 	if !reflect.DeepEqual(s, want) {
 		t.Errorf("defaults = %+v, want %+v", s, want)
 	}
 }
 
 // TestNewValidation tables the rejected option combinations; every error
-// must identify the offending input.
+// must identify the offending input, and must arrive before anything is
+// allocated from the rejected value (the over-bound rows ran the process
+// out of memory when New let them through).
 func TestNewValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -39,25 +42,79 @@ func TestNewValidation(t *testing.T) {
 		{"unknown strategy", []Option{Strategy("two-phase")}, `unknown strategy "two-phase"`},
 		{"unknown scenario", []Option{Scenario("meltdown")}, `unknown scenario "meltdown"`},
 		{"unknown pattern", []Option{Pattern("diagonal")}, `unknown pattern "diagonal"`},
-		{"bad array", []Option{Array(0, 8)}, "must be positive"},
-		{"bad procs", []Option{Procs(0)}, "must be positive"},
-		{"bad overlap", []Option{Overlap(-1)}, "non-negative"},
-		{"bad servers", []Option{Servers(-1)}, "non-negative"},
-		{"bad lock shards", []Option{LockShards(-1)}, "non-negative"},
-		{"bad checkpoints", []Option{Checkpoints(-1)}, "non-negative"},
-		{"bad compute", []Option{Compute(-time.Second)}, "non-negative"},
-		{"bad timeout", []Option{Timeout(-time.Second)}, "non-negative"},
+		{"unknown fault", []Option{Fault("gremlins")}, `unknown fault script "gremlins"`},
+		{"bad array", []Option{Array(0, 8)}, "array shape 0x8 must be positive"},
+		{"array overflow", []Option{Array(1<<40, 1<<40), Procs(1), Overlap(0)}, "array shape"},
+		{"bad procs", []Option{Procs(0)}, "process count must be positive"},
+		{"too many procs", []Option{Array(1, 1<<22), Procs(1 << 22), Overlap(0)}, "process count must be"},
+		{"bad overlap", []Option{Overlap(-1)}, "overlap must be non-negative"},
+		{"bad servers", []Option{Servers(-1)}, "servers must be non-negative"},
+		{"too many servers", []Option{Servers(1 << 30)}, "servers must be"},
+		{"bad lock shards", []Option{LockShards(-1)}, "lock shards must be non-negative"},
+		{"too many lock shards", []Option{LockShards(1 << 28), Strategy("locking")}, "lock shards must be"},
+		{"bad checkpoints", []Option{Checkpoints(-1)}, "checkpoint steps must be non-negative"},
+		{"bad compute", []Option{Compute(-time.Second)}, "compute time must be non-negative"},
+		{"bad timeout", []Option{Timeout(-time.Second)}, "timeout must be non-negative"},
+		{"indivisible shape", []Option{Procs(3)}, "not divisible"},
 		{"nil option", []Option{nil}, "nil option"},
-		{"locking on Cplant", []Option{Platform("Cplant"), Strategy("locking")}, "has none"},
+		{"locking on Cplant", []Option{Platform("Cplant"), Strategy("locking")}, "no byte-range locking"},
 		{"affinity scenario off-platform",
 			[]Option{Platform("Origin2000"), Scenario("hotspot0")}, "client-affinity"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := New(tc.opts...); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("New(%s) error = %v, want substring %q", tc.name, err, tc.want)
+			start := time.Now()
+			if _, err := Run(tc.opts...); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run(%s) error = %v, want substring %q", tc.name, err, tc.want)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("Run(%s) took %v to fail", tc.name, d)
 			}
 		})
+	}
+}
+
+// TestEveryExperimentFieldHasAnOption keeps the facade complete: each
+// exported field of harness.Experiment — the one struct that describes a
+// cell — is set by a facade Option, or is listed here with the reason it
+// needs none. A field added without either fails with where to put it.
+func TestEveryExperimentFieldHasAnOption(t *testing.T) {
+	setters := map[string]Option{
+		"Platform": Platform("Cplant"), "M": Array(7, 9), "N": Array(7, 9), "Procs": Procs(2),
+		"Overlap": Overlap(2), "Pattern": Pattern("row"), "Strategy": Strategy("ordering"),
+		"StoreData": StoreData(true), "Verify": Verify(true), "Trace": Trace(true),
+		"TraceEvents": TraceEvents(true), "EventLimit": TraceLimit(16), "RunTimeout": Timeout(time.Minute),
+		"LockShards": LockShards(2), "Servers": Servers(3), "Scenario": Scenario("slow0x4"),
+		"Steps": Checkpoints(3), "Compute": Compute(time.Millisecond), "Faults": Fault("server-outage"),
+		"Recovery": Recovery(true),
+	}
+	derived := map[string]string{
+		"AtomicListIO": "implied by the listio strategy inside harness (a field only for capability probes)",
+	}
+	before, err := build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(before.Experiment)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		opt, ok := setters[name]
+		if _, isDerived := derived[name]; ok == isDerived {
+			t.Errorf("harness.Experiment.%s: add an Option for it in atomio.go and a row in this test's setters table "+
+				"(or a reason in derived), not both and not neither", name)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		after, err := build([]Option{opt})
+		if err != nil {
+			t.Fatalf("option for %s: %v", name, err)
+		}
+		was := reflect.ValueOf(before.Experiment).Field(i).Interface()
+		if now := reflect.ValueOf(after.Experiment).Field(i).Interface(); reflect.DeepEqual(was, now) {
+			t.Errorf("the option listed for harness.Experiment.%s leaves it at %v", name, was)
+		}
 	}
 }
 
@@ -116,70 +173,60 @@ func TestDegradedScenarioNamesRegistered(t *testing.T) {
 	}
 }
 
-// TestFigure8MatchesRunner pins the facade's Figure 8 grid to the
-// pre-redesign runner definition, cell for cell — the structural half of
-// the byte-identical-output contract.
+// TestFigure8MatchesRunner checks what naming the runner's grid adds: the
+// platform list is the paper's Table 1 three spelled out (not "every
+// registered platform", which later registrations would grow), and the
+// names resolve back to the runner's cells.
 func TestFigure8MatchesRunner(t *testing.T) {
+	if got := Figure8().Platforms; !reflect.DeepEqual(got, []string{"Cplant", "Origin2000", "IBM SP"}) {
+		t.Errorf("Figure8().Platforms = %v, want the Table 1 three by name", got)
+	}
 	cells, err := Figure8().Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runner.Figure8Grid().Cells()
-	if !reflect.DeepEqual(cells, want) {
+	if !reflect.DeepEqual(cells, runner.Figure8Grid().Cells()) {
 		t.Fatalf("facade Figure 8 cells differ from runner.Figure8Grid().Cells()")
-	}
-	for _, f := range []struct {
-		name  string
-		cells []Cell
-		want  []Cell
-	}{
-		{"Scaling", Scaling(), runner.ScalingGrid()},
-		{"ShardSweep", ShardSweep(), runner.ShardSweepGrid()},
-		{"Degraded", Degraded(), runner.DegradedGrid()},
-	} {
-		if !reflect.DeepEqual(f.cells, f.want) {
-			t.Errorf("facade %s cells differ from the runner grid", f.name)
-		}
 	}
 }
 
-// TestGridFacadeByteIdentical runs one small grid twice — hand-wired
-// runner structs versus the facade's name-resolved grid — and requires
-// identical records modulo wall-clock time.
+// TestGridFacadeByteIdentical checks a facade grid is the runner grid of
+// its resolved names: platform and strategy names reach the axes, every
+// Option reaches every cell, and the axes win over an Option for the same
+// field.
 func TestGridFacadeByteIdentical(t *testing.T) {
-	facade := Grid{
+	cells, err := Grid{
 		Platforms:  []string{"Origin2000", "IBM SP"},
 		Sizes:      []Size{{M: 128, N: 1024}},
 		Procs:      []int{2, 4},
-		Overlap:    8,
-		Pattern:    "column",
 		Strategies: []string{"locking", "ordering"},
-	}
-	cells, err := facade.Cells()
+		Options:    []Option{Overlap(8), Pattern("column"), Servers(3), TraceEvents(true), Procs(64)},
+	}.Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
 	o2k, _ := PlatformByName("Origin2000")
 	sp, _ := PlatformByName("IBM SP")
-	locking, _ := core.ByName("locking")
-	ordering, _ := core.ByName("ordering")
-	wired := runner.Grid{
+	want := runner.Grid{
 		Platforms:  []Profile{o2k, sp},
 		Sizes:      []Size{{M: 128, N: 1024}},
 		Procs:      []int{2, 4},
-		Overlap:    8,
-		Pattern:    harness.ColumnWise,
-		Strategies: []core.Strategy{locking, ordering},
+		Strategies: []core.Strategy{core.Locking{}, core.RankOrder{}},
+		Base: harness.Experiment{
+			Overlap: 8, Pattern: harness.ColumnWise, Servers: 3, TraceEvents: true,
+		},
 	}.Cells()
-
-	got := Records(RunGrid(cells, RunOptions{Workers: 2}))
-	want := Records(runner.Run(wired, runner.Options{Workers: 1}))
-	for i := range got {
-		got[i].WallNS = 0
-		want[i].WallNS = 0
+	if !reflect.DeepEqual(cells, want) {
+		t.Errorf("facade cells differ from the hand-wired runner grid:\n got %+v\nwant %+v", cells, want)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("facade-driven records differ from hand-wired records:\n got %+v\nwant %+v", got, want)
+	if _, err := (Grid{Platforms: []string{"VAX"}}).Cells(); err == nil {
+		t.Error("unknown platform name: want error")
+	}
+	if _, err := (Grid{Strategies: []string{"osmosis"}}).Cells(); err == nil {
+		t.Error("unknown strategy name: want error")
+	}
+	if _, err := (Grid{Options: []Option{Pattern("diagonal")}}).Cells(); err == nil {
+		t.Error("unknown pattern name in Options: want error")
 	}
 }
 
@@ -261,11 +308,7 @@ func TestConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := spec.experiment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	views, err := e.Views()
+	views, err := spec.Views()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,8 +403,7 @@ func TestScenarioSpecRun(t *testing.T) {
 }
 
 // TestGridVerifyWithoutStoreData is the regression test for verification on
-// a file that stored nothing: Grid, unlike Spec, never forced StoreData on
-// for Verify, so a correct coloring run on IBM SP was checked against an
+// a file that stored nothing: a Grid never forced StoreData on for Verify, so a correct coloring run on IBM SP was checked against an
 // all-zero file and reported torn. Verify now implies StoreData inside the
 // harness, whichever way the cell was built.
 func TestGridVerifyWithoutStoreData(t *testing.T) {
@@ -369,9 +411,8 @@ func TestGridVerifyWithoutStoreData(t *testing.T) {
 		Platforms:  []string{"IBM SP"},
 		Sizes:      []Size{{M: 64, N: 512}},
 		Procs:      []int{4},
-		Overlap:    8,
 		Strategies: []string{"coloring"},
-		Verify:     true,
+		Options:    []Option{Overlap(8), Verify(true)},
 	}.Cells()
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package atomio
 import (
 	"fmt"
 
-	"atomio/internal/harness"
 	"atomio/internal/platform"
 	"atomio/internal/runner"
 )
@@ -26,81 +25,52 @@ type (
 	ProgressFunc = runner.ProgressFunc
 )
 
-// Grid is a cross-product of experiment parameters with every dimension
-// named: platforms, strategies and the pattern are registry names resolved
-// when Cells is called. Cells enumerate in the paper's layout order:
-// sizes, then platforms, then process counts, then strategies.
+// Grid is a cross-product of experiment parameters: the axes are named —
+// platforms and strategies are registry names resolved when Cells is
+// called — and every setting the cells share is an Option, the same ones
+// New takes. Cells enumerate in the paper's layout order: sizes, then
+// platforms, then process counts, then strategies.
 type Grid struct {
 	// Platforms are registered platform names; empty means every
 	// registered platform in registration order.
 	Platforms []string
 	Sizes     []Size
 	Procs     []int
-	Overlap   int
-	// Pattern is the partitioning-pattern name; empty means the paper's
-	// column-wise pattern.
-	Pattern string
 	// Strategies are registered strategy names; empty means the paper's
 	// per-platform set, which omits locking on platforms without it.
 	Strategies []string
 	// SkipUnsupported drops locking cells on platforms without byte-range
 	// locking instead of producing cells that fail.
 	SkipUnsupported bool
-	StoreData       bool
-	Verify          bool
-	Trace           bool
-	// AtomicListIO grants the simulated file system atomic vectored
-	// writes; cells using the listio strategy get it regardless.
-	AtomicListIO bool
-	// LockShards overrides the lock-table shard count on every cell
-	// (0 keeps platform defaults; output is invariant in it).
-	LockShards int
-	// Servers overrides the simulated I/O-server count on every cell
-	// (0 keeps platform defaults; a real model parameter).
-	Servers int
-	// TraceEvents records every cell's structured event stream and metrics
-	// registry; the metrics feed the messages / max_queue_depth /
-	// lock-wait columns of emitted records.
-	TraceEvents bool
-	// TraceLimit bounds per-actor event memory on traced cells (> 0 ring
-	// of newest events, 0 unbounded, < 0 metrics only).
-	TraceLimit int
+	// Options set what every cell shares (Overlap, Pattern, StoreData,
+	// Verify, Servers, TraceEvents, ...) over New's defaults; the axes
+	// above override Platform, Array, Procs and Strategy per cell.
+	Options []Option
 }
 
 // Cells resolves the grid's names through the registries and expands it
-// into runnable cells with canonical IDs.
+// into runnable cells with canonical IDs. Cells are validated when run.
 func (g Grid) Cells() ([]Cell, error) {
-	names := g.Platforms
-	if len(names) == 0 {
-		names = Platforms()
-	}
-	profiles := make([]Profile, len(names))
-	for i, name := range names {
-		prof, err := PlatformByName(name)
-		if err != nil {
-			return nil, err
-		}
-		profiles[i] = prof
-	}
-	pattern, err := patternOf(g.Pattern)
+	base, err := build(g.Options)
 	if err != nil {
 		return nil, err
 	}
 	rg := runner.Grid{
-		Platforms:       profiles,
 		Sizes:           g.Sizes,
 		Procs:           g.Procs,
-		Overlap:         g.Overlap,
-		Pattern:         pattern,
 		SkipUnsupported: g.SkipUnsupported,
-		StoreData:       g.StoreData,
-		Verify:          g.Verify,
-		Trace:           g.Trace,
-		AtomicListIO:    g.AtomicListIO,
-		LockShards:      g.LockShards,
-		Servers:         g.Servers,
-		TraceEvents:     g.TraceEvents,
-		TraceLimit:      g.TraceLimit,
+		Base:            base.Experiment,
+	}
+	names := g.Platforms
+	if len(names) == 0 {
+		names = Platforms()
+	}
+	for _, name := range names {
+		prof, err := PlatformByName(name)
+		if err != nil {
+			return nil, err
+		}
+		rg.Platforms = append(rg.Platforms, prof)
 	}
 	for _, name := range g.Strategies {
 		strat, err := StrategyByName(name)
@@ -140,21 +110,21 @@ func (g Grid) WithSize(label string) (Grid, error) {
 
 // Figure8 is the paper's full Figure 8 evaluation: three array sizes on
 // three platforms, written by 4, 8 and 16 processes with every applicable
-// strategy, column-wise. The platform list is pinned to the paper's Table 1
-// platforms regardless of later registrations.
+// strategy, column-wise. It is the runner's grid with the platforms named,
+// so the platform list stays the paper's Table 1 three regardless of later
+// registrations.
 func Figure8() Grid {
-	sizes := make([]Size, len(harness.Figure8Sizes))
-	for i, s := range harness.Figure8Sizes {
-		sizes[i] = Size{M: harness.Figure8M, N: s.N, Label: s.Label}
+	rg := runner.Figure8Grid()
+	g := Grid{
+		Sizes:           rg.Sizes,
+		Procs:           append([]int(nil), rg.Procs...),
+		SkipUnsupported: rg.SkipUnsupported,
+		Options:         []Option{Overlap(rg.Base.Overlap), Pattern(rg.Base.Pattern.String())},
 	}
-	return Grid{
-		Platforms:       []string{"Cplant", "Origin2000", "IBM SP"},
-		Sizes:           sizes,
-		Procs:           append([]int(nil), harness.Figure8Procs...),
-		Overlap:         harness.Figure8Overlap,
-		Pattern:         "column-wise",
-		SkipUnsupported: true,
+	for _, prof := range rg.Platforms {
+		g.Platforms = append(g.Platforms, prof.Name)
 	}
+	return g
 }
 
 // Scaling returns the large-P scaling cells: process counts up to 1024

@@ -2,9 +2,12 @@
 // every flag the commands have in common — result emission (-workers,
 // -json, -csv, -progress), simulator model parameters (-lockshards,
 // -servers), workload geometry (-m, -n, -r) and -platform — is declared
-// once here, validated once, and bound to the public facade's types, so
+// once here, checked once, and bound to the public facade's types, so
 // figure8, sweep, table1 and atomcheck cannot drift apart on names,
-// defaults or error text. The list-valued parsers (ParseProcs,
+// defaults or error text. A group that configures cells (Model, Trace)
+// hands its set flags over as facade options — Options — and leaves ranges
+// and bounds to the experiment's own validation, which it reaches by
+// dry-running atomio.New. The list-valued parsers (ParseProcs,
 // ParseStrategies, ParsePattern) resolve names through the facade's
 // registries, so unknown names are reported with the registered names.
 package cli
@@ -153,22 +156,41 @@ func (m *Model) validate() error {
 	if m.Servers < 0 {
 		return fmt.Errorf("-servers must be non-negative, got %d", m.Servers)
 	}
+	// Upper bounds are the experiment's own rules: dry-run them.
+	if _, err := atomio.New(m.Options()...); err != nil {
+		return fmt.Errorf("-lockshards/-servers: %w", err)
+	}
 	return nil
 }
 
-// Apply copies the group onto a facade grid.
-func (m *Model) Apply(g *atomio.Grid) {
-	g.LockShards = m.LockShards
-	g.Servers = m.Servers
+// Options returns the facade options of the flags that were set. 0 keeps
+// each platform's default, so an unset flag contributes no option and
+// per-cell values (the shard sweep's, the fleet's server count) survive.
+func (m *Model) Options() []atomio.Option {
+	var opts []atomio.Option
+	if m.LockShards != 0 {
+		opts = append(opts, atomio.LockShards(m.LockShards))
+	}
+	if m.Servers != 0 {
+		opts = append(opts, atomio.Servers(m.Servers))
+	}
+	return opts
 }
 
-// ApplyCells copies the group onto already-expanded cells (the grids that
-// enumerate cells directly, like the scaling grid).
-func (m *Model) ApplyCells(cells []atomio.Cell) {
+// Apply applies options to already-expanded cells — the grids that
+// enumerate cells directly, like the scaling grid and the fleet. An
+// atomio.Grid takes the same options in its Options field.
+func Apply(cells []atomio.Cell, opts ...atomio.Option) error {
 	for i := range cells {
-		cells[i].Experiment.LockShards = m.LockShards
-		cells[i].Experiment.Servers = m.Servers
+		spec := atomio.Spec{Experiment: cells[i].Experiment}
+		for _, opt := range opts {
+			if err := opt(&spec); err != nil {
+				return err
+			}
+		}
+		cells[i].Experiment = spec.Experiment
 	}
+	return nil
 }
 
 // Trace is the event-tracing flag group the grid binaries share:
@@ -213,24 +235,13 @@ func (t *Trace) limit() int {
 	return t.Limit
 }
 
-// Apply copies the group onto a facade grid.
-func (t *Trace) Apply(g *atomio.Grid) {
+// Options returns the facade options the group asks for: none unless
+// tracing was requested.
+func (t *Trace) Options() []atomio.Option {
 	if !t.Enabled() {
-		return
+		return nil
 	}
-	g.TraceEvents = true
-	g.TraceLimit = t.limit()
-}
-
-// ApplyCells copies the group onto already-expanded cells.
-func (t *Trace) ApplyCells(cells []atomio.Cell) {
-	if !t.Enabled() {
-		return
-	}
-	for i := range cells {
-		cells[i].Experiment.TraceEvents = true
-		cells[i].Experiment.EventLimit = t.limit()
-	}
+	return []atomio.Option{atomio.TraceEvents(true), atomio.TraceLimit(t.limit())}
 }
 
 // Write emits the traces of completed cells. A run with one traced cell
@@ -325,7 +336,7 @@ func (a *App) Platform(def, usage string) *string {
 }
 
 // ParseProcs parses a comma-separated list of process counts, rejecting
-// empty, non-numeric and non-positive entries.
+// empty, non-numeric, non-positive and out-of-bounds entries.
 func ParseProcs(s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, fmt.Errorf("empty process list")
@@ -342,6 +353,11 @@ func ParseProcs(s string) ([]int, error) {
 		}
 		if v < 1 {
 			return nil, fmt.Errorf("process count must be positive, got %d", v)
+		}
+		// The upper bound is the experiment's own rule: dry-run it on a
+		// shape every count partitions.
+		if _, err := atomio.New(atomio.Array(1, v), atomio.Procs(v), atomio.Overlap(0)); err != nil {
+			return nil, err
 		}
 		procs = append(procs, v)
 	}

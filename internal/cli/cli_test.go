@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"atomio"
 )
 
 // TestParseProcs mirrors the contract the binaries rely on: trimmed,
@@ -19,10 +22,13 @@ func TestParseProcs(t *testing.T) {
 	if !reflect.DeepEqual(got, []int{4, 8, 16}) {
 		t.Errorf("got %v", got)
 	}
-	for _, bad := range []string{"", "  ", "4,,8", "4,x", "0", "-2", "4,8,"} {
+	for _, bad := range []string{"", "  ", "4,,8", "4,x", "0", "-2", "4,8,", "4194304"} {
 		if _, err := ParseProcs(bad); err == nil {
 			t.Errorf("ParseProcs(%q): want error", bad)
 		}
+	}
+	if _, err := ParseProcs("3,16384"); err != nil { // bounds, not divisibility of some default shape
+		t.Errorf("ParseProcs(3,16384): %v", err)
 	}
 }
 
@@ -68,33 +74,103 @@ func TestParseStrategies(t *testing.T) {
 	}
 }
 
-// TestModelValidation checks the shared -lockshards/-servers validation.
+// TestModelValidation checks the shared -lockshards/-servers validation:
+// the flag-level input checks, and the experiment's own bounds reached
+// through the facade — the two over-bound rows ran the process out of
+// memory when only the sign was checked.
 func TestModelValidation(t *testing.T) {
 	cases := []struct {
 		args []string
 		ok   bool
+		want string // diagnostic substring for the failing cases
 	}{
-		{[]string{}, true},
-		{[]string{"-lockshards", "4", "-servers", "7"}, true},
-		{[]string{"-engine", "eventloop"}, false},
-		{[]string{"-sharedstore"}, false},
-		{[]string{"-lockshards", "-1"}, false},
-		{[]string{"-servers", "-2"}, false},
-		{[]string{"-servers", "x"}, false},
+		{[]string{}, true, ""},
+		{[]string{"-lockshards", "4", "-servers", "7"}, true, ""},
+		{[]string{"-engine", "eventloop"}, false, "not defined"},
+		{[]string{"-sharedstore"}, false, "not defined"},
+		{[]string{"-lockshards", "-1"}, false, "-lockshards must be non-negative"},
+		{[]string{"-servers", "-2"}, false, "-servers must be non-negative"},
+		{[]string{"-servers", "x"}, false, "invalid value"},
+		{[]string{"-servers", "1073741824"}, false, "servers must be non-negative and at most"},
+		{[]string{"-lockshards", "268435456"}, false, "lock shards must be non-negative and at most"},
 	}
 	for _, tc := range cases {
+		var buf strings.Builder
 		app := New("test")
-		app.SetOutput(io.Discard)
+		app.SetOutput(&buf)
 		m := app.Model()
+		start := time.Now()
 		err := app.Parse(tc.args)
-		if (err == nil) != tc.ok {
-			t.Errorf("Parse(%v) err = %v, want ok=%v", tc.args, err, tc.ok)
+		if (err == nil) != tc.ok || !strings.Contains(buf.String(), tc.want) {
+			t.Errorf("Parse(%v) err = %v, diagnostic %q; want ok=%v with %q", tc.args, err, buf.String(), tc.ok, tc.want)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("Parse(%v) took %v", tc.args, d)
 		}
 		if tc.ok && len(tc.args) > 0 {
 			if m.LockShards != 4 || m.Servers != 7 {
 				t.Errorf("Parse(%v) model = %+v", tc.args, m)
 			}
 		}
+	}
+}
+
+// parseGroups parses args into a fresh Model and Trace group.
+func parseGroups(t *testing.T, args ...string) (*Model, *Trace) {
+	t.Helper()
+	app := New("test")
+	app.SetOutput(io.Discard)
+	m, tr := app.Model(), app.Trace()
+	if err := app.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return m, tr
+}
+
+// TestUnsetGroupsKeepPerCellValues is the regression test for the clobber
+// the Apply/ApplyCells twins had: a group whose flags were not given wrote
+// its zero values over every cell, erasing the shard sweep's own counts.
+func TestUnsetGroupsKeepPerCellValues(t *testing.T) {
+	m, tr := parseGroups(t)
+	if opts := append(m.Options(), tr.Options()...); len(opts) != 0 {
+		t.Fatalf("unset groups yield %d options, want none", len(opts))
+	}
+	cells := atomio.ShardSweep()
+	if err := Apply(cells, append(m.Options(), tr.Options()...)...); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{1, 2, 4, 8} {
+		if got := cells[i].Experiment.LockShards; got != want {
+			t.Errorf("cell %s has %d lock shards after an unset group, want %d", cells[i].ID, got, want)
+		}
+	}
+}
+
+// TestSetGroupsReachEveryCell checks set flags arrive on every cell both
+// ways a binary applies them: as a Grid's Options and onto pre-expanded
+// cells.
+func TestSetGroupsReachEveryCell(t *testing.T) {
+	m, tr := parseGroups(t, "-lockshards", "4", "-servers", "7", "-metrics")
+	opts := append(m.Options(), tr.Options()...)
+	grid := atomio.Figure8()
+	grid.Options = append(grid.Options, opts...)
+	gridCells, err := grid.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaling := atomio.ScalingTo(64)
+	if err := Apply(scaling, opts...); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range append(gridCells, scaling...) {
+		e := c.Experiment
+		if e.LockShards != 4 || e.Servers != 7 || !e.TraceEvents || e.EventLimit != -1 {
+			t.Errorf("cell %s: shards=%d servers=%d events=%v limit=%d", c.ID,
+				e.LockShards, e.Servers, e.TraceEvents, e.EventLimit)
+		}
+	}
+	if gridCells[0].Experiment.Overlap != 64 || scaling[0].Experiment.RunTimeout == 0 {
+		t.Error("applying the groups erased settings the cells already had")
 	}
 }
 

@@ -37,18 +37,6 @@ type Panel struct {
 	Label    string
 }
 
-// Figure8Panels enumerates the nine panels in the paper's layout order
-// (platforms across, sizes down).
-func Figure8Panels() []Panel {
-	var panels []Panel
-	for _, size := range Figure8Sizes {
-		for _, prof := range platform.All() {
-			panels = append(panels, Panel{Platform: prof, N: size.N, Label: size.Label})
-		}
-	}
-	return panels
-}
-
 // Methods returns the strategies measured on a platform: Cplant has no
 // locking ("our performance results on CPlant do not include the
 // experiments that use file locking").
@@ -65,41 +53,6 @@ type Series struct {
 	ByProcs    map[int]float64 // P -> MB/s
 	Written    map[int]int64   // P -> bytes physically written
 	MakespanMS map[int]float64 // P -> virtual milliseconds
-}
-
-// RunPanel measures every applicable strategy at every process count.
-// storeData should be false for the large arrays.
-func RunPanel(p Panel, storeData bool) ([]Series, error) {
-	var out []Series
-	for _, strat := range Methods(p.Platform) {
-		s := Series{
-			Method:     strat.Name(),
-			ByProcs:    make(map[int]float64),
-			Written:    make(map[int]int64),
-			MakespanMS: make(map[int]float64),
-		}
-		for _, procs := range Figure8Procs {
-			res, err := Experiment{
-				Platform:  p.Platform,
-				M:         Figure8M,
-				N:         p.N,
-				Procs:     procs,
-				Overlap:   Figure8Overlap,
-				Pattern:   ColumnWise,
-				Strategy:  strat,
-				StoreData: storeData,
-			}.Run()
-			if err != nil {
-				return nil, fmt.Errorf("panel %s/%s %s P=%d: %w",
-					p.Platform.Name, p.Label, strat.Name(), procs, err)
-			}
-			s.ByProcs[procs] = res.BandwidthMBs
-			s.Written[procs] = res.WrittenBytes
-			s.MakespanMS[procs] = res.Makespan.Seconds() * 1e3
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }
 
 // RenderPanel prints a panel the way the paper's subplots read: one row per

@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -75,8 +76,8 @@ type Experiment struct {
 	// Verify checks MPI atomicity on the resulting file content.
 	Verify bool
 	// AtomicListIO grants the simulated file system the §3.2 atomic
-	// vectored-write capability, enabling the core.ListIO strategy
-	// (ablation A6).
+	// vectored-write capability (ablation A6). The core.ListIO strategy
+	// implies it, so only a run probing the capability itself sets it.
 	AtomicListIO bool
 	// Trace records a per-phase virtual-time breakdown of the write.
 	Trace bool
@@ -252,6 +253,74 @@ func (e Experiment) write(f *mpiio.File, buf []byte, n int64) error {
 	return f.WriteAllSized(n)
 }
 
+// Upper bounds on the values a run sizes allocations from: past them
+// Validate reports an error instead of the process running out of memory.
+const (
+	// MaxProcs: every rank is a coroutine with its own stack and view; four
+	// times the largest scaling point (16384).
+	MaxProcs = 1 << 16
+	// MaxServers: the file system builds a queue, a cost model and a
+	// counter per server.
+	MaxServers = 1 << 16
+	// MaxLockShards: every shard is a lock table with its own maps.
+	MaxLockShards = 1 << 16
+)
+
+// Validate reports the first range, bound or compatibility rule the
+// experiment breaks — the one statement of what a runnable cell is. Run
+// applies it before building anything; the facade's New applies it last.
+func (e Experiment) Validate() error {
+	_, err := e.config()
+	return err
+}
+
+// config validates the experiment and resolves the file-system
+// configuration it runs on.
+func (e Experiment) config() (pfs.Config, error) {
+	var cfg pfs.Config
+	switch {
+	case e.M < 1 || e.N < 1:
+		return cfg, fmt.Errorf("harness: array shape %dx%d must be positive", e.M, e.N)
+	case int64(e.M) > math.MaxInt64/int64(e.N):
+		return cfg, fmt.Errorf("harness: array shape %dx%d exceeds int64 bytes", e.M, e.N)
+	case e.Procs < 1 || e.Procs > MaxProcs:
+		return cfg, fmt.Errorf("harness: process count must be positive and at most %d, got %d", MaxProcs, e.Procs)
+	case e.Overlap < 0:
+		return cfg, fmt.Errorf("harness: overlap must be non-negative, got %d", e.Overlap)
+	case e.Servers < 0 || e.Servers > MaxServers:
+		return cfg, fmt.Errorf("harness: servers must be non-negative and at most %d, got %d", MaxServers, e.Servers)
+	case e.LockShards < 0 || e.LockShards > MaxLockShards:
+		return cfg, fmt.Errorf("harness: lock shards must be non-negative and at most %d, got %d", MaxLockShards, e.LockShards)
+	case e.Steps < 0:
+		return cfg, fmt.Errorf("harness: checkpoint steps must be non-negative, got %d", e.Steps)
+	case e.Compute < 0:
+		return cfg, fmt.Errorf("harness: compute time must be non-negative, got %v", e.Compute)
+	case e.RunTimeout < 0:
+		return cfg, fmt.Errorf("harness: run timeout must be non-negative, got %v", e.RunTimeout)
+	case e.Strategy == nil:
+		return cfg, fmt.Errorf("harness: nil strategy")
+	case e.Strategy.Name() == "locking" && !e.Platform.SupportsLocking():
+		return cfg, fmt.Errorf("harness: strategy %q on platform %q: %w",
+			e.Strategy.Name(), e.Platform.Name, core.ErrNoLockManager)
+	}
+	// Whether a piece exists does not depend on the rank, so rank 0's
+	// reports a shape the pattern cannot partition.
+	if _, err := e.piece(0); err != nil {
+		return cfg, err
+	}
+	// Verification reads the file back, so it needs the bytes stored.
+	cfg = e.Platform.PFSConfig(e.StoreData || e.Verify)
+	cfg.AtomicListIO = e.AtomicListIO || e.Strategy.Name() == "listio"
+	cfg.WAL = e.Recovery
+	if e.Servers > 0 {
+		cfg.Servers = e.Servers
+	}
+	if e.Scenario != nil {
+		return e.Scenario.Apply(cfg)
+	}
+	return cfg, nil
+}
+
 // Run executes the experiment on the event-loop engine and returns its
 // result.
 func (e Experiment) Run() (*Result, error) { return e.run(des.New()) }
@@ -260,26 +329,11 @@ func (e Experiment) Run() (*Result, error) { return e.run(des.New()) }
 // tests passes the event loop; the cross-engine tests also pass the
 // goroutine reference engine and require identical results.
 func (e Experiment) run(eng sim.Engine) (*Result, error) {
-	if e.Strategy == nil {
-		return nil, fmt.Errorf("harness: nil strategy")
+	cfg, err := e.config()
+	if err != nil {
+		return nil, err
 	}
-	if e.Strategy.Name() == "locking" && !e.Platform.SupportsLocking() {
-		return nil, core.ErrNoLockManager
-	}
-	// Verification reads the file back, so it needs the bytes stored.
-	e.StoreData = e.StoreData || e.Verify
-	cfg := e.Platform.PFSConfig(e.StoreData)
-	cfg.AtomicListIO = e.AtomicListIO
-	cfg.WAL = e.Recovery
-	if e.Servers > 0 {
-		cfg.Servers = e.Servers
-	}
-	if e.Scenario != nil {
-		var err error
-		if cfg, err = e.Scenario.Apply(cfg); err != nil {
-			return nil, err
-		}
-	}
+	e.StoreData = cfg.StoreData
 	fs, err := pfs.New(cfg)
 	if err != nil {
 		return nil, err
@@ -329,11 +383,7 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 	// Only a run that stores bytes hands its ranks a buffer; any other
 	// writes lengths. Verify stamps per-rank buffers; without it the content
 	// is arbitrary and one shared buffer sized for the largest piece keeps
-	// memory flat. Whether a piece exists does not depend on the rank, so
-	// rank 0's reports a bad shape before any rank starts.
-	if _, err := e.piece(0); err != nil {
-		return nil, err
-	}
+	// memory flat.
 	var shared []byte
 	if e.StoreData && !e.Verify {
 		var maxPiece int64

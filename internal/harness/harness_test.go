@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -48,8 +49,37 @@ func TestExperimentRejectsLockingWithoutManager(t *testing.T) {
 		M:        64, N: 512, Procs: 4, Overlap: 8,
 		Strategy: core.Locking{},
 	}.Run()
-	if err != core.ErrNoLockManager {
+	if !errors.Is(err, core.ErrNoLockManager) {
 		t.Fatalf("err = %v, want ErrNoLockManager", err)
+	}
+}
+
+// TestRunValidatesBeforeBuilding checks a hand-built experiment — one that
+// never went through the facade's New — is still refused before anything is
+// sized from an absurd value: each of these ran the process out of memory
+// when Run built the file system, lock tables and ranks unchecked.
+func TestRunValidatesBeforeBuilding(t *testing.T) {
+	base := Experiment{
+		Platform: platform.Origin2000(), M: 1, N: 1 << 22, Procs: 4,
+		Pattern: ColumnWise, Strategy: core.Locking{},
+	}
+	for want, mutate := range map[string]func(*Experiment){
+		"servers":       func(e *Experiment) { e.Servers = MaxServers + 1 },
+		"lock shards":   func(e *Experiment) { e.LockShards = MaxLockShards + 1 },
+		"process count": func(e *Experiment) { e.Procs = 1 << 22 },
+		"array shape":   func(e *Experiment) { e.M = 1 << 62 },
+	} {
+		e := base
+		mutate(&e)
+		if _, err := e.Run(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Run with absurd %s: err = %v, want an error naming it", want, err)
+		}
+	}
+	// The bounds themselves are runnable values, not off-by-one rejections.
+	e := base
+	e.Servers, e.LockShards = MaxServers, MaxLockShards
+	if err := e.Validate(); err != nil {
+		t.Errorf("experiment at the bounds: %v", err)
 	}
 }
 
@@ -185,13 +215,19 @@ func TestFigure8Shape(t *testing.T) {
 	for _, prof := range platform.All() {
 		prof := prof
 		t.Run(prof.Name, func(t *testing.T) {
-			panel := Panel{Platform: prof, N: Figure8Sizes[0].N, Label: Figure8Sizes[0].Label}
-			series, err := RunPanel(panel, false)
-			if err != nil {
-				t.Fatal(err)
-			}
 			byName := map[string]Series{}
-			for _, s := range series {
+			for _, strat := range Methods(prof) {
+				s := Series{Method: strat.Name(), ByProcs: map[int]float64{}}
+				for _, procs := range Figure8Procs {
+					res, err := Experiment{
+						Platform: prof, M: Figure8M, N: Figure8Sizes[0].N, Procs: procs,
+						Overlap: Figure8Overlap, Pattern: ColumnWise, Strategy: strat,
+					}.Run()
+					if err != nil {
+						t.Fatalf("%s P=%d: %v", strat.Name(), procs, err)
+					}
+					s.ByProcs[procs] = res.BandwidthMBs
+				}
 				byName[s.Method] = s
 			}
 			coloring, ordering := byName["coloring"], byName["ordering"]
@@ -273,20 +309,6 @@ func TestRenderPanel(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestFigure8PanelEnumeration(t *testing.T) {
-	panels := Figure8Panels()
-	if len(panels) != 9 {
-		t.Fatalf("panels = %d, want 9", len(panels))
-	}
-	// Paper layout: sizes down, platforms across.
-	if panels[0].Platform.Name != "Cplant" || panels[0].Label != "32 MB" {
-		t.Fatalf("first panel = %+v", panels[0])
-	}
-	if panels[8].Platform.Name != "IBM SP" || panels[8].Label != "1 GB" {
-		t.Fatalf("last panel = %+v", panels[8])
 	}
 }
 

@@ -60,9 +60,8 @@ func TestPayloadlessRunMatchesStoredRun(t *testing.T) {
 					lengths, bytes := bothWays(t, Experiment{
 						Platform: prof,
 						M:        64, N: 512, Procs: 4, Overlap: 8,
-						Pattern:      pat,
-						Strategy:     strat,
-						AtomicListIO: strat.Name() == "listio",
+						Pattern:  pat,
+						Strategy: strat, // listio implies the capability it needs
 					})
 					sameTimings(t, lengths, bytes)
 				})

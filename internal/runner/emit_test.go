@@ -104,8 +104,8 @@ func TestCSVRoundTrip(t *testing.T) {
 // metrics registry and survive both emit formats exactly.
 func TestMetricsColumnsRoundTrip(t *testing.T) {
 	g := smallGrid()
-	g.TraceEvents = true
-	g.TraceLimit = -1
+	g.Base.TraceEvents = true
+	g.Base.EventLimit = -1
 	results := Run(g.Cells(), Options{Workers: 4})
 	recs := Records(results)
 

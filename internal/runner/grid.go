@@ -29,42 +29,23 @@ func (s Size) label() string {
 // share so they cannot drift from generated cell IDs.
 func SizeLabel(s Size) string { return s.label() }
 
-// Grid is a cross-product of experiment parameters. Cells enumerates it in
-// the paper's layout order: sizes, then platforms, then process counts,
-// then strategies — the order Figure 8 and the benchmark suite both use.
+// Grid is a cross-product of experiment parameters: four axes plus the
+// settings every cell shares. Cells enumerates it in the paper's layout
+// order: sizes, then platforms, then process counts, then strategies — the
+// order Figure 8 and the benchmark suite both use.
 type Grid struct {
 	Platforms []platform.Profile
 	Sizes     []Size
 	Procs     []int
-	Overlap   int
-	Pattern   harness.Pattern
 	// Strategies to measure; nil means the paper's per-platform set
 	// (harness.Methods), which omits locking on platforms without it.
 	Strategies []core.Strategy
 	// SkipUnsupported drops locking cells on platforms without byte-range
 	// locking instead of producing cells that fail.
 	SkipUnsupported bool
-	StoreData       bool
-	Verify          bool
-	Trace           bool
-	// AtomicListIO grants the simulated file system atomic vectored
-	// writes. Cells using the listio strategy get it regardless.
-	AtomicListIO bool
-	// LockShards overrides the lock manager's table shard count on every
-	// cell (0 keeps platform defaults). Reported numbers are invariant in
-	// the shard count; only host-side wall-clock can change.
-	LockShards int
-	// Servers overrides the simulated I/O-server count on every cell
-	// (0 keeps platform defaults). Unlike LockShards this is a real model
-	// parameter: reported numbers change with it.
-	Servers int
-	// TraceEvents records every cell's structured event stream and metrics
-	// registry (see internal/obs); the metrics feed the messages /
-	// max_queue_depth / lock-wait columns of emitted records.
-	TraceEvents bool
-	// TraceLimit bounds per-actor event memory when TraceEvents is on
-	// (> 0 ring of newest events, 0 unbounded, < 0 metrics only).
-	TraceLimit int
+	// Base carries every other setting (overlap, pattern, data mode, model
+	// parameters, tracing); each cell is Base with the axis fields set.
+	Base harness.Experiment
 }
 
 // CellID builds the canonical cell identifier used in Figure 8
@@ -87,53 +68,17 @@ func (g Grid) Cells() []Cell {
 					if g.SkipUnsupported && strat.Name() == "locking" && !prof.SupportsLocking() {
 						continue
 					}
+					e := g.Base
+					e.Platform, e.M, e.N, e.Procs, e.Strategy = prof, size.M, size.N, procs, strat
 					cells = append(cells, Cell{
-						ID: CellID(prof.Name, size.label(), procs, strat.Name()),
-						Experiment: harness.Experiment{
-							Platform:     prof,
-							M:            size.M,
-							N:            size.N,
-							Procs:        procs,
-							Overlap:      g.Overlap,
-							Pattern:      g.Pattern,
-							Strategy:     strat,
-							StoreData:    g.StoreData,
-							Verify:       g.Verify,
-							Trace:        g.Trace,
-							AtomicListIO: g.AtomicListIO || strat.Name() == "listio",
-							LockShards:   g.LockShards,
-							Servers:      g.Servers,
-							TraceEvents:  g.TraceEvents,
-							EventLimit:   g.TraceLimit,
-						},
+						ID:         CellID(prof.Name, size.label(), procs, strat.Name()),
+						Experiment: e,
 					})
 				}
 			}
 		}
 	}
 	return cells
-}
-
-// WithPlatform narrows the grid to one platform by Table 1 name.
-func (g Grid) WithPlatform(name string) (Grid, error) {
-	for _, prof := range g.Platforms {
-		if prof.Name == name {
-			g.Platforms = []platform.Profile{prof}
-			return g, nil
-		}
-	}
-	return g, fmt.Errorf("runner: no platform %q in grid", name)
-}
-
-// WithSize narrows the grid to one array size by label.
-func (g Grid) WithSize(label string) (Grid, error) {
-	for _, size := range g.Sizes {
-		if size.label() == label {
-			g.Sizes = []Size{size}
-			return g, nil
-		}
-	}
-	return g, fmt.Errorf("runner: no array size %q in grid", label)
 }
 
 // Figure8Grid is the paper's full Figure 8 evaluation: three array sizes on
@@ -149,9 +94,8 @@ func Figure8Grid() Grid {
 		Platforms:       platform.All(),
 		Sizes:           sizes,
 		Procs:           harness.Figure8Procs,
-		Overlap:         harness.Figure8Overlap,
-		Pattern:         harness.ColumnWise,
 		SkipUnsupported: true,
+		Base:            harness.Experiment{Overlap: harness.Figure8Overlap, Pattern: harness.ColumnWise},
 	}
 }
 

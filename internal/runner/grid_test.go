@@ -29,51 +29,30 @@ func TestFigure8GridShape(t *testing.T) {
 			t.Errorf("cell %s has M=%d R=%d", c.ID, c.Experiment.M, c.Experiment.Overlap)
 		}
 	}
-	// The enumeration order is the paper's layout: sizes outermost.
-	if !strings.Contains(cells[0].ID, "/32 MB/") {
-		t.Errorf("first cell %s is not a 32 MB cell", cells[0].ID)
+	// The enumeration order is the paper's panel layout: sizes down
+	// (outermost), platforms across in Table 1 order.
+	if !strings.HasPrefix(cells[0].ID, "Cplant/32 MB/") {
+		t.Errorf("first cell %s is not the Cplant 32 MB panel's", cells[0].ID)
 	}
-	if !strings.Contains(cells[len(cells)-1].ID, "/1 GB/") {
-		t.Errorf("last cell %s is not a 1 GB cell", cells[len(cells)-1].ID)
-	}
-}
-
-func TestGridFilters(t *testing.T) {
-	g, err := Figure8Grid().WithPlatform("IBM SP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err = g.WithSize("32 MB")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := g.Cells()
-	if len(cells) != 9 { // 3 procs × 3 strategies
-		t.Errorf("filtered grid has %d cells, want 9", len(cells))
-	}
-	for _, c := range cells {
-		if !strings.HasPrefix(c.ID, "IBM SP/32 MB/") {
-			t.Errorf("unexpected cell %s", c.ID)
-		}
-	}
-	if _, err := Figure8Grid().WithPlatform("VAX"); err == nil {
-		t.Error("WithPlatform(VAX): want error")
-	}
-	if _, err := Figure8Grid().WithSize("2 GB"); err == nil {
-		t.Error("WithSize(2 GB): want error")
+	if !strings.HasPrefix(cells[len(cells)-1].ID, "IBM SP/1 GB/") {
+		t.Errorf("last cell %s is not the IBM SP 1 GB panel's", cells[len(cells)-1].ID)
 	}
 }
 
-// TestGridListIO checks listio cells get the atomic vectored-write
-// capability their strategy requires.
+// TestGridListIO checks listio cells run without anyone granting them the
+// atomic vectored-write capability: the strategy implies it inside the
+// harness, and the grid copies Base without a per-strategy special case.
 func TestGridListIO(t *testing.T) {
 	g := smallGrid()
 	g.Strategies = []core.Strategy{core.RankOrder{}, core.ListIO{}}
-	for _, c := range g.Cells() {
-		want := c.Experiment.Strategy.Name() == "listio"
-		if c.Experiment.AtomicListIO != want {
-			t.Errorf("cell %s AtomicListIO=%v, want %v", c.ID, c.Experiment.AtomicListIO, want)
+	cells := g.Cells()
+	for _, c := range cells {
+		if c.Experiment.AtomicListIO {
+			t.Errorf("cell %s sets AtomicListIO; the harness derives it", c.ID)
 		}
+	}
+	if err := FirstErr(Run(cells, Options{Workers: 2})); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,7 +2,9 @@
 // harness.Experiment cells concurrently on a bounded worker pool, captures
 // per-cell errors without aborting sibling cells, preserves deterministic
 // result ordering regardless of scheduling, and emits results as JSON or CSV
-// for machine consumption.
+// for machine consumption. A Grid is axes plus a Base experiment — each cell
+// is Base with the axis fields set — so a per-cell setting is declared once,
+// on harness.Experiment, and never mirrored here.
 //
 // Every cell is one independent virtual-time simulation, so running cells in
 // parallel changes only wall-clock time, never the simulated results: the

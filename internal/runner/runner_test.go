@@ -18,10 +18,8 @@ func smallGrid() Grid {
 		Platforms:       platform.All(),
 		Sizes:           []Size{{M: 64, N: 256, Label: "16 KB"}},
 		Procs:           []int{2, 4},
-		Overlap:         4,
-		Pattern:         harness.ColumnWise,
 		SkipUnsupported: true,
-		StoreData:       true,
+		Base:            harness.Experiment{Overlap: 4, Pattern: harness.ColumnWise, StoreData: true},
 	}
 }
 

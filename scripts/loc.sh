@@ -4,7 +4,18 @@
 # fixtures (testdata/), the benchmark module (atombench/) and examples/.
 # One line per top-level package (the root package, cmd/<name>,
 # internal/<name> with its sub-packages), then the total.
+#
+# With -max N the script exits 1 when the total exceeds N: CI passes the
+# current ceiling, so the number can only grow in a diff that raises it.
 set -eu
+
+max=0
+if [ "${1:-}" = "-max" ] && [ -n "${2:-}" ]; then
+    max=$2
+elif [ $# -gt 0 ]; then
+    echo "usage: loc.sh [-max N]" >&2
+    exit 2
+fi
 
 cd "$(dirname "$0")/.."
 
@@ -17,7 +28,11 @@ git ls-files '*.go' |
         esac
         echo "$pkg $(wc -l <"$f")"
     done |
-    awk '{ n[$1] += $2; total += $2 }
+    awk -v max="$max" '{ n[$1] += $2; total += $2 }
          END { for (p in n) printf "%7d  %s\n", n[p], p | "sort -k2"
                close("sort -k2")
-               printf "%7d  total production lines\n", total }'
+               printf "%7d  total production lines\n", total
+               if (max > 0 && total > max) {
+                   printf "loc.sh: %d production lines exceed the ceiling of %d\n", total, max > "/dev/stderr"
+                   exit 1
+               } }'

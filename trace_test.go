@@ -68,12 +68,11 @@ func TestTraceByteIdenticalAcrossEnginesAndShards(t *testing.T) {
 // on four: per-cell traces must not depend on host-side parallelism.
 func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
 	grid := Grid{
-		Platforms:   []string{"Origin2000"},
-		Sizes:       []Size{{M: 128, N: 1024, Label: "128 KB"}},
-		Procs:       []int{4},
-		Overlap:     8,
-		Strategies:  []string{"locking", "coloring", "ordering"},
-		TraceEvents: true,
+		Platforms:  []string{"Origin2000"},
+		Sizes:      []Size{{M: 128, N: 1024, Label: "128 KB"}},
+		Procs:      []int{4},
+		Strategies: []string{"locking", "coloring", "ordering"},
+		Options:    []Option{Overlap(8), TraceEvents(true)},
 	}
 	runWith := func(workers int) [][]byte {
 		cells, err := grid.Cells()
