@@ -7,6 +7,7 @@
 //
 //	figure8 [-platform name] [-size label] [-store] [-v]
 //	        [-workers N] [-progress] [-json file] [-csv file]
+//	        [-cpuprofile file] [-memprofile file]
 //	        [-scale] [-maxp P] [-lockshards S]
 //	        [-shardsweep] [-servers N] [-degraded]
 //	        [-fleet] [-seed S] [-cells N]
@@ -270,7 +271,10 @@ func runFigure8(grid atomio.Grid, cells []atomio.Cell, cfg *config) {
 // runCells executes cells with the shared progress/emit/error handling the
 // grids use, exiting non-zero on any cell failure.
 func runCells(cells []atomio.Cell, cfg *config) []atomio.CellResult {
-	results := atomio.RunGrid(cells, cfg.out.RunOptions("figure8"))
+	results, err := cfg.out.Run("figure8", cells)
+	if err != nil {
+		fatal(err)
+	}
 	if err := atomio.FirstErr(results); err != nil {
 		fatal(err)
 	}
@@ -335,7 +339,10 @@ const shrinkBudget = 40
 // offending cell is shrunk to a minimal reproducer and the command exits
 // non-zero.
 func runFleet(cells []atomio.Cell, cfg *config) {
-	results := atomio.RunGrid(cells, cfg.out.RunOptions("figure8"))
+	results, err := cfg.out.Run("figure8", cells)
+	if err != nil {
+		fatal(err)
+	}
 	if err := atomio.EmitFiles(cfg.out.JSON, cfg.out.CSV, results); err != nil {
 		fatal(err)
 	}

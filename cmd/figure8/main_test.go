@@ -24,6 +24,9 @@ var parseCases = []struct {
 	{"scale", []string{"-scale", "-workers", "2"}, true, ""},
 	{"scale to 16k", []string{"-scale", "-maxp", "16384"}, true, ""},
 	{"scale lowered", []string{"-scale", "-maxp", "64"}, true, ""},
+	{"scale profiled", []string{"-scale", "-maxp", "4096", "-workers", "1",
+		"-cpuprofile", "cpu.pb.gz", "-memprofile", "mem.pb.gz"}, true, ""},
+	{"cpuprofile without a file", []string{"-cpuprofile"}, false, "flag needs an argument: -cpuprofile"},
 	{"goroutine engine", []string{"-engine", "goroutine"}, false, "flag provided but not defined: -engine"},
 	{"negative lockshards", []string{"-lockshards", "-1"}, false, "-lockshards must be non-negative"},
 	{"negative servers", []string{"-servers", "-1"}, false, "-servers must be non-negative"},

@@ -74,7 +74,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	results := atomio.RunGrid(cells, cfg.out.RunOptions("sweep"))
+	results, err := cfg.out.Run("sweep", cells)
+	if err != nil {
+		fatal(err)
+	}
 	if err := atomio.EmitFiles(cfg.out.JSON, cfg.out.CSV, results); err != nil {
 		fatal(err)
 	}

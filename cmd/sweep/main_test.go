@@ -23,6 +23,9 @@ var parseCases = []struct {
 		"-r", "8", "-pattern", "row", "-strategies", "coloring,ordering",
 		"-store", "-trace", "-workers", "2", "-json", "a.json",
 		"-lockshards", "2", "-servers", "3"}, true, ""},
+	{"profiled", []string{"-strategies", "locking", "-workers", "1",
+		"-cpuprofile", "cpu.pb.gz", "-memprofile", "mem.pb.gz"}, true, ""},
+	{"memprofile without a file", []string{"-memprofile"}, false, "flag needs an argument: -memprofile"},
 	{"bad shape", []string{"-m", "0"}, false, "must be positive"},
 	{"bad overlap", []string{"-r", "-1"}, false, "non-negative"},
 	{"empty procs", []string{"-p", ""}, false, "empty process list"},

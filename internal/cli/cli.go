@@ -1,7 +1,8 @@
 // Package cli is the shared command-line layer of the atomio binaries:
 // every flag the commands have in common — result emission (-workers,
-// -json, -csv, -progress), simulator model parameters (-lockshards,
-// -servers), workload geometry (-m, -n, -r) and -platform — is declared
+// -json, -csv, -progress), host profiles of the run (-cpuprofile,
+// -memprofile), simulator model parameters (-lockshards, -servers),
+// workload geometry (-m, -n, -r) and -platform — is declared
 // once here, checked once, and bound to the public facade's types, so
 // figure8, sweep, table1 and atomcheck cannot drift apart on names,
 // defaults or error text. A group that configures cells (Model, Trace)
@@ -19,6 +20,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -98,12 +101,14 @@ func ExitCode(err error) int {
 }
 
 // Output is the result-emission flag group every grid binary shares:
-// -workers, -json, -csv and (opt-in) -progress.
+// -workers, -json, -csv, (opt-in) -progress, and -cpuprofile/-memprofile.
 type Output struct {
-	Workers  int
-	JSON     string
-	CSV      string
-	Progress bool
+	Workers    int
+	JSON       string
+	CSV        string
+	Progress   bool
+	CPUProfile string
+	MemProfile string
 }
 
 // Output registers the result-emission group on the app.
@@ -115,7 +120,47 @@ func (a *App) Output(withProgress bool) *Output {
 	if withProgress {
 		a.Flags.BoolVar(&o.Progress, "progress", false, "report cell completions on stderr")
 	}
+	a.Flags.StringVar(&o.CPUProfile, "cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
+	a.Flags.StringVar(&o.MemProfile, "memprofile", "", "write a host allocation profile of the run to this file")
 	return o
+}
+
+// Run executes cells on the facade's worker pool under the group's flags,
+// inside the host profiles that were asked for. They measure the simulator,
+// not the simulation: host time never enters results or traces. Both files
+// are created before the first cell runs, so a bad path costs no run.
+func (o *Output) Run(name string, cells []atomio.Cell) ([]atomio.CellResult, error) {
+	var files [2]*os.File
+	for i, path := range []string{o.CPUProfile, o.MemProfile} {
+		if path == "" {
+			continue
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close() // for the error paths: success checks its own Close
+		files[i] = f
+	}
+	cpu, mem := files[0], files[1]
+	if cpu != nil {
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			return nil, err
+		}
+	}
+	results := atomio.RunGrid(cells, o.RunOptions(name))
+	var err error
+	if cpu != nil {
+		pprof.StopCPUProfile()
+		err = cpu.Close()
+	}
+	if mem != nil && err == nil {
+		runtime.GC() // the allocation profile is as of the last collection
+		if err = pprof.Lookup("allocs").WriteTo(mem, 0); err == nil {
+			err = mem.Close()
+		}
+	}
+	return results, err
 }
 
 // RunOptions binds the group to the facade's grid-run options, reporting

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -267,6 +269,42 @@ func TestOutputGroup(t *testing.T) {
 	}
 	if o.RunOptions("test").Progress != nil {
 		t.Error("progress callback without -progress")
+	}
+}
+
+// TestOutputRunWritesProfiles checks -cpuprofile and -memprofile wrap the
+// run: both files exist and hold a profile afterwards, the cells ran, and a
+// path that cannot be created is an error before any cell runs — the
+// binaries turn it into their exit-1 diagnostic — never a panic.
+func TestOutputRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	app := New("test")
+	app.SetOutput(io.Discard)
+	o := app.Output(false)
+	cpu, mem := filepath.Join(dir, "cpu.pb.gz"), filepath.Join(dir, "mem.pb.gz")
+	if err := app.Parse([]string{"-workers", "1", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	cells := atomio.ShardSweep()[:1]
+	results, err := o.Run("test", cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Err != nil || results[0].Result == nil {
+		t.Fatalf("profiled run returned %+v", results)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("profile %s: %v, %v — want a non-empty file", path, fi, err)
+		}
+	}
+	for _, bad := range []*Output{
+		{CPUProfile: filepath.Join(dir, "no-such-dir", "cpu.pb.gz")},
+		{MemProfile: filepath.Join(dir, "no-such-dir", "mem.pb.gz")},
+	} {
+		if results, err := bad.Run("test", cells); err == nil || results != nil {
+			t.Errorf("Run(%+v) = %v, %v; want an error and no run", bad, results, err)
+		}
 	}
 }
 

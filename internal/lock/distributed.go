@@ -1,7 +1,8 @@
 package lock
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"atomio/internal/interval"
@@ -46,11 +47,18 @@ type Distributed struct {
 	obs     *obs.Recorder
 
 	mu     sync.Mutex
-	tokens map[int]interval.List // owner -> cached token ranges
+	tokens []ownerTokens // cached token ranges, ascending by owner
 
 	localGrants  int64
 	serverGrants int64
 	revocations  int64
+}
+
+// ownerTokens is one client's cached token ranges. An owner gets its entry
+// with its first request and keeps it, possibly empty, when revoked.
+type ownerTokens struct {
+	owner int
+	toks  interval.List
 }
 
 // NewDistributed constructs a distributed token manager.
@@ -60,7 +68,6 @@ func NewDistributed(cfg DistributedConfig) *Distributed {
 		service: sim.NewResource("tokenmgr"),
 		tbl:     newGrantTable(cfg.Shards, cfg.ShardStripe),
 		coord:   sim.Solo{},
-		tokens:  make(map[int]interval.List),
 	}
 }
 
@@ -98,8 +105,12 @@ func (d *Distributed) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime
 	need := interval.List{e}
 
 	d.mu.Lock()
-	haveToken := d.tokens[owner].Contains(need)
-	if haveToken {
+	slot, known := slices.BinarySearchFunc(d.tokens, owner,
+		func(t ownerTokens, owner int) int { return cmp.Compare(t.owner, owner) })
+	if !known {
+		d.tokens = slices.Insert(d.tokens, slot, ownerTokens{owner: owner})
+	}
+	if d.tokens[slot].toks.Contains(need) {
 		d.localGrants++
 		d.mu.Unlock()
 		// Fast path: token cached locally. Still must not conflict with
@@ -121,25 +132,19 @@ func (d *Distributed) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime
 	}
 
 	// Slow path: ask the token server, revoking conflicting tokens.
-	// Revocation walks holders in owner order: the count feeds service
-	// time below, and a fixed order keeps any future per-holder cost
-	// model deterministic too.
-	holders := make([]int, 0, len(d.tokens))
-	for other := range d.tokens {
-		holders = append(holders, other)
-	}
-	sort.Ints(holders)
+	// Revocation walks holders in owner order — the order d.tokens is kept
+	// in: the count feeds service time below, and a fixed order keeps any
+	// future per-holder cost model deterministic too.
 	var revoked int
-	for _, other := range holders {
-		if other == owner {
-			continue
-		}
-		if toks := d.tokens[other]; toks.Overlaps(need) {
+	for i := range d.tokens {
+		t := &d.tokens[i]
+		if i == slot {
+			t.toks = t.toks.Union(need)
+		} else if t.toks.Overlaps(need) {
 			revoked++
-			d.tokens[other] = toks.Subtract(need)
+			t.toks = t.toks.Subtract(need)
 		}
 	}
-	d.tokens[owner] = d.tokens[owner].Union(need)
 	d.serverGrants++
 	d.revocations += int64(revoked)
 	d.mu.Unlock()

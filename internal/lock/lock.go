@@ -22,9 +22,10 @@
 // granted locks, its own waiter index, and its own slice of the release
 // history, with cross-shard span locks taken in ascending shard order and
 // grants handed out in table-wide deterministic (ticket, seq) order.
-// Sharding multiplies host-side lock-service throughput without touching
-// the simulation model: virtual timings are byte-identical for any shard
-// count (see shardedTable).
+// Sharding never touches the simulation model: virtual timings are
+// byte-identical for any shard count (see shardedTable). It splits mutexes
+// only concurrent callers contend on: on the single-threaded event loop it
+// buys no host time (the shard sweep's wall column is flat).
 package lock
 
 import (
@@ -117,9 +118,11 @@ type held struct {
 }
 
 // waiter tracks one blocked Lock call; minStart accumulates the virtual
-// release times of conflicting locks observed while waiting. ticket (the
-// request's original earliest-grant time) and seq (registration order)
+// release times of the overlapping locks released while it waited. ticket
+// (the request's original earliest-grant time) and seq (registration order)
 // define the deterministic order in which freed ranges are handed out.
+// blockers counts the granted locks blocking it, positive for as long as
+// it is registered (see readyList).
 type waiter struct {
 	owner    int
 	ext      interval.Extent
@@ -127,8 +130,25 @@ type waiter struct {
 	minStart sim.VTime
 	ticket   sim.VTime
 	seq      int64
+	blockers int
+	h        index.Handle // the waiter's entry in table.waiting
 	granted  bool
 	grantAt  sim.VTime
+}
+
+// released accounts for the release at virtual time at of a lock (holder,
+// held) overlapping w — stamped whether or not it blocked w — and reports
+// whether it was w's last blocker. Runs once per overlapping waiter per
+// release: it must not allocate.
+//
+//atomiovet:hotpath
+func (w *waiter) released(holder int, held Mode, at sim.VTime) bool {
+	w.minStart = max(w.minStart, at)
+	if !blocks(holder, held, w.owner, w.mode) {
+		return false
+	}
+	w.blockers--
+	return w.blockers == 0
 }
 
 // table is the shared conflict-tracking core of both managers. Besides the
@@ -139,9 +159,9 @@ type waiter struct {
 // happened long ago in real time.
 //
 // Granted locks and pending waiters are both kept in interval indexes
-// (internal/interval/index), so a conflict check touches only the locks
-// that actually overlap the request — O(log G + k) instead of a scan of all
-// G granted locks — and a release wakes only the waiters overlapping the
+// (internal/interval/index), so a request touches only the locks and
+// waiters that actually overlap it — O(log G + k) instead of a scan of all
+// G granted locks — and a release visits only the waiters overlapping the
 // freed range instead of rescanning the whole waiter list.
 //
 // Grant decisions are made by the releaser: release hands freed ranges to
@@ -152,6 +172,7 @@ type table struct {
 	mu        sync.Mutex
 	granted   index.Index[*held]   // granted locks by byte range
 	waiting   index.Index[*waiter] // blocked requests by byte range
+	ready     readyList[*waiter]   // release scratch
 	nextSeq   int64
 	coord     sim.Coord
 	exclRel   releaseMap // release times of past exclusive locks
@@ -160,25 +181,32 @@ type table struct {
 
 func newTable() *table { return &table{coord: sim.Solo{}} }
 
-// conflicts reports whether any granted lock conflicts with (owner, e, mode).
-// A lock never conflicts with the same owner's other locks. Only granted
-// locks overlapping e are visited. Runs once per grant decision: it must
-// not allocate.
+// blockers counts the granted locks that block (owner, e, mode), visiting
+// only those overlapping e. Runs once per request: it must not allocate.
 //
 //atomiovet:hotpath
-func (t *table) conflicts(owner int, e interval.Extent, mode Mode) bool {
-	conflict := false
+func (t *table) blockers(owner int, e interval.Extent, mode Mode) int {
+	n := 0
 	t.granted.Overlapping(e, func(_ interval.Extent, _ index.Handle, h *held) bool {
-		if h.owner == owner {
-			return true
-		}
-		if mode == Exclusive || h.mode == Exclusive {
-			conflict = true
-			return false
+		if blocks(h.owner, h.mode, owner, mode) {
+			n++
 		}
 		return true
 	})
-	return conflict
+	return n
+}
+
+// block charges a newly granted lock (owner, e, mode) to every waiter it
+// blocks. Runs once per grant: it must not allocate.
+//
+//atomiovet:hotpath
+func (t *table) block(owner int, e interval.Extent, mode Mode) {
+	t.waiting.Overlapping(e, func(_ interval.Extent, _ index.Handle, w *waiter) bool {
+		if blocks(owner, mode, w.owner, w.mode) {
+			w.blockers++
+		}
+		return true
+	})
 }
 
 // grantLocked registers (owner, e, mode) as granted and returns the grant
@@ -186,6 +214,7 @@ func (t *table) conflicts(owner int, e interval.Extent, mode Mode) bool {
 // past conflicting locks on the range. Callers hold t.mu.
 func (t *table) grantLocked(owner int, e interval.Extent, mode Mode, floor sim.VTime) sim.VTime {
 	t.granted.Insert(e, &held{owner: owner, ext: e, mode: mode})
+	t.block(owner, e, mode)
 	start := floor
 	// Serialize in virtual time after past conflicting releases: always
 	// after exclusive releases; after shared releases too when acquiring
@@ -209,15 +238,16 @@ func (t *table) grantLocked(owner int, e interval.Extent, mode Mode, floor sim.V
 func (t *table) acquire(owner int, e interval.Extent, mode Mode, earliest sim.VTime) sim.VTime {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.conflicts(owner, e, mode) {
+	n := t.blockers(owner, e, mode)
+	if n == 0 {
 		return t.grantLocked(owner, e, mode, earliest)
 	}
 	w := &waiter{
 		owner: owner, ext: e, mode: mode,
-		minStart: earliest, ticket: earliest, seq: t.nextSeq,
+		minStart: earliest, ticket: earliest, seq: t.nextSeq, blockers: n,
 	}
 	t.nextSeq++
-	t.waiting.Insert(e, w)
+	w.h = t.waiting.Insert(e, w)
 	t.coord.Block(owner)
 	for !w.granted {
 		t.coord.Park(owner, &t.mu)
@@ -228,7 +258,8 @@ func (t *table) acquire(owner int, e interval.Extent, mode Mode, earliest sim.VT
 // release drops owner's lock on e, records the virtual release time in the
 // range history, stamps overlapping waiters, and grants every waiter that
 // became eligible — in (ticket, seq) order, so the hand-off is
-// deterministic — before waking them.
+// deterministic — before waking them. A release of a lock that is not held
+// changes nothing.
 func (t *table) release(owner int, e interval.Extent, releaseAt sim.VTime) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -259,41 +290,21 @@ func (t *table) release(owner int, e interval.Extent, releaseAt sim.VTime) error
 	} else {
 		t.sharedRel.record(e, releaseAt)
 	}
-	// Only waiters overlapping the freed range can have been unblocked by
-	// this release (every waiter conflicts with some granted lock, and
-	// granting adds locks, never removes them), so they are the only grant
-	// candidates — no full waiter-list rescan.
-	type cand struct {
-		h index.Handle
-		w *waiter
-	}
-	var wake wakeHeap[cand]
-	t.waiting.Overlapping(e, func(_ interval.Extent, h index.Handle, w *waiter) bool {
-		if w.minStart < releaseAt {
-			w.minStart = releaseAt
+	// Only waiters overlapping the freed range can have lost a blocker;
+	// those left with none are the grant candidates. Each grant is stamped
+	// on the waiter and published to the coordinator before it can run.
+	t.waiting.Overlapping(e, func(_ interval.Extent, _ index.Handle, w *waiter) bool {
+		if w.released(hd.owner, hd.mode, releaseAt) {
+			t.ready.push(w.ticket, w.seq, w)
 		}
-		wake.push(w.ticket, w.seq, cand{h: h, w: w})
 		return true
 	})
-	// Grant candidates in (ticket, seq) order, discarding any that conflict
-	// when popped: conflicts only grow during the loop (grants add locks,
-	// nothing is removed), so a popped conflicting candidate could never be
-	// granted by this release anyway — see wakeHeap. Each grant is stamped
-	// on the waiter and published to the coordinator before the waiter can
-	// run.
-	for {
-		c, ok := wake.pop()
-		if !ok {
-			break
-		}
-		if t.conflicts(c.w.owner, c.w.ext, c.w.mode) {
-			continue
-		}
-		t.waiting.Delete(c.w.ext, c.h)
-		c.w.grantAt = t.grantLocked(c.w.owner, c.w.ext, c.w.mode, c.w.minStart)
-		c.w.granted = true
-		t.coord.Wake(c.w.owner, c.w.grantAt)
-	}
+	t.ready.handOff(func(w *waiter) bool { return w.blockers == 0 }, func(w *waiter) {
+		t.waiting.Delete(w.ext, w.h)
+		w.grantAt = t.grantLocked(w.owner, w.ext, w.mode, w.minStart)
+		w.granted = true
+		t.coord.Wake(w.owner, w.grantAt)
+	})
 	return nil
 }
 

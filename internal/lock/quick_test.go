@@ -6,15 +6,17 @@ package lock
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"atomio/internal/interval"
 	"atomio/internal/sim"
 )
 
-// linearConflicts is the pre-index conflict check: scan every granted lock.
-// It is the oracle the indexed table is compared against.
-func linearConflicts(granted []*held, owner int, e interval.Extent, mode Mode) bool {
+// linearBlockers is the pre-index conflict check, counting: scan every
+// granted lock. It is the oracle the indexed table is compared against.
+func linearBlockers(granted []*held, owner int, e interval.Extent, mode Mode) int {
+	n := 0
 	for _, h := range granted {
 		if h.owner == owner {
 			continue
@@ -23,15 +25,15 @@ func linearConflicts(granted []*held, owner int, e interval.Extent, mode Mode) b
 			continue
 		}
 		if mode == Exclusive || h.mode == Exclusive {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }
 
 // TestQuickConflictsMatchesLinearScan drives the table's granted index and
 // a mirror slice through random register/release sequences, checking every
-// conflict query against the linear oracle.
+// blocker count — the walk acquire decides on — against the linear oracle.
 func TestQuickConflictsMatchesLinearScan(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	randMode := func() Mode {
@@ -51,13 +53,15 @@ func TestQuickConflictsMatchesLinearScan(t *testing.T) {
 		for op := 0; op < 300; op++ {
 			switch {
 			case len(mirror) > 0 && r.Intn(3) == 0:
-				// Release a random live lock through the real path.
-				k := r.Intn(len(mirror))
-				h := mirror[k]
+				// Release a random live lock through the real path, which
+				// drops the owner's earliest-registered lock on that extent
+				// (a duplicate may differ in mode, and counts tell).
+				h := mirror[r.Intn(len(mirror))]
 				if err := tbl.release(h.owner, h.ext, sim.VTime(op)); err != nil {
 					t.Fatalf("release %v: %v", h, err)
 				}
-				mirror = append(mirror[:k], mirror[k+1:]...)
+				k := slices.IndexFunc(mirror, func(m *held) bool { return m.owner == h.owner && m.ext == h.ext })
+				mirror = slices.Delete(mirror, k, k+1)
 			default:
 				// Register a lock directly (grantLocked does not check
 				// conflicts; the table may hold mutually overlapping locks
@@ -81,10 +85,10 @@ func TestQuickConflictsMatchesLinearScan(t *testing.T) {
 				e := interval.Extent{Off: int64(r.Intn(400)), Len: int64(r.Intn(40))}
 				mode := randMode()
 				tbl.mu.Lock()
-				got := tbl.conflicts(owner, e, mode)
+				got := tbl.blockers(owner, e, mode)
 				tbl.mu.Unlock()
-				if want := linearConflicts(mirror, owner, e, mode); got != want {
-					t.Fatalf("conflicts(owner=%d, %v, %v) = %v, want %v (granted %v)",
+				if want := linearBlockers(mirror, owner, e, mode); got != want {
+					t.Fatalf("blockers(owner=%d, %v, %v) = %d, want %d (granted %v)",
 						owner, e, mode, got, want, mirror)
 				}
 			}
@@ -126,14 +130,14 @@ func BenchmarkConflicts(b *testing.B) {
 		q := interval.Extent{Off: int64(n/2)*128 + 100, Len: 8} // gap: no conflict
 		b.Run(fmt.Sprintf("indexed/G%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if tbl.conflicts(-1, q, Exclusive) {
+				if tbl.blockers(-1, q, Exclusive) != 0 {
 					b.Fatal("unexpected conflict")
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("linear/G%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if linearConflicts(mirror, -1, q, Exclusive) {
+				if linearBlockers(mirror, -1, q, Exclusive) != 0 {
 					b.Fatal("unexpected conflict")
 				}
 			}

@@ -1,7 +1,6 @@
 package lock
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 
@@ -12,9 +11,11 @@ import (
 // releaseMap remembers, per byte range, the latest virtual time at which a
 // lock on that range was released. Entries are kept sorted by offset and
 // disjoint; recording a release over an existing entry splits it so every
-// byte keeps the maximum release time seen. The zero value is ready to use.
+// byte keeps the maximum release time seen, and equal-valued neighbours are
+// coalesced. The zero value is ready to use.
 type releaseMap struct {
 	entries []relEntry
+	scratch []relEntry // record's replacement pieces, reused
 }
 
 type relEntry struct {
@@ -42,61 +43,49 @@ func (m *releaseMap) latest(e interval.Extent) sim.VTime {
 	return max
 }
 
-// record notes that a lock on e was released at virtual time `at`. The
-// affected window is rebuilt from elementary cut intervals, taking the
-// maximum time where ranges overlap — simple and obviously correct; release
-// maps stay small because equal-valued neighbours are coalesced.
+// window returns the index range [lo, hi) of the entries that overlap or
+// abut e — the only ones a record of e can change or coalesce with. It
+// must not allocate.
+//
+//atomiovet:hotpath
+func (m *releaseMap) window(e interval.Extent) (lo, hi int) {
+	lo = sort.Search(len(m.entries), func(i int) bool { return m.entries[i].ext.End() >= e.Off })
+	hi = lo + sort.Search(len(m.entries)-lo, func(i int) bool { return m.entries[lo+i].ext.Off > e.End() })
+	return lo, hi
+}
+
+// record notes that a lock on e was released at virtual time `at`. Only the
+// window of entries e touches is rebuilt, in offset order on the map's
+// scratch — each entry's part outside e unchanged, the maximum time where
+// it overlaps e, `at` where e covers bytes no entry does, equal-valued
+// neighbours coalesced as they are emitted — and spliced back in place
+// (the column-wise locking spans leave a sliver per rank in the history).
 func (m *releaseMap) record(e interval.Extent, at sim.VTime) {
 	if e.Empty() {
 		return
 	}
-	var out []relEntry
-	var affected []relEntry
-	for _, en := range m.entries {
-		if en.ext.Overlaps(e) {
-			affected = append(affected, en)
-		} else {
-			out = append(out, en)
+	lo, hi := m.window(e)
+	out := m.scratch[:0]
+	emit := func(off, end int64, v sim.VTime) {
+		if off >= end {
+			return
 		}
-	}
-	cutSet := map[int64]bool{e.Off: true, e.End(): true}
-	for _, en := range affected {
-		cutSet[en.ext.Off] = true
-		cutSet[en.ext.End()] = true
-	}
-	cuts := make([]int64, 0, len(cutSet))
-	for c := range cutSet {
-		cuts = append(cuts, c)
-	}
-	slices.Sort(cuts)
-	for k := 0; k+1 < len(cuts); k++ {
-		piece := interval.Extent{Off: cuts[k], Len: cuts[k+1] - cuts[k]}
-		var v sim.VTime
-		covered := false
-		if e.ContainsExtent(piece) {
-			v, covered = at, true
+		if n := len(out); n > 0 && out[n-1].at == v && out[n-1].ext.End() == off {
+			out[n-1].ext.Len += end - off
+			return
 		}
-		for _, en := range affected {
-			if en.ext.ContainsExtent(piece) {
-				covered = true
-				if en.at > v {
-					v = en.at
-				}
-			}
-		}
-		if covered {
-			out = append(out, relEntry{ext: piece, at: v})
-		}
+		out = append(out, relEntry{ext: interval.Extent{Off: off, Len: end - off}, at: v})
 	}
-	slices.SortFunc(out, func(a, b relEntry) int { return cmp.Compare(a.ext.Off, b.ext.Off) })
-	// Coalesce equal-valued neighbours to keep the map small.
-	merged := out[:0]
-	for _, en := range out {
-		if n := len(merged); n > 0 && merged[n-1].at == en.at && merged[n-1].ext.End() == en.ext.Off {
-			merged[n-1].ext.Len += en.ext.Len
-			continue
-		}
-		merged = append(merged, en)
+	pos := e.Off // bytes of e before pos are emitted
+	for _, en := range m.entries[lo:hi] {
+		from, to := max(en.ext.Off, e.Off), min(en.ext.End(), e.End())
+		emit(en.ext.Off, min(en.ext.End(), e.Off), en.at)
+		emit(pos, from, at)
+		emit(from, to, max(en.at, at))
+		emit(max(en.ext.Off, e.End()), en.ext.End(), en.at)
+		pos = max(pos, to)
 	}
-	m.entries = merged
+	emit(pos, e.End(), at)
+	m.entries = slices.Replace(m.entries, lo, hi, out...)
+	m.scratch = out[:0]
 }

@@ -153,3 +153,24 @@ func TestSharedAfterSharedNotSerialized(t *testing.T) {
 	}
 	c.Unlock(2, ext(0, 100), g2)
 }
+
+// TestReleaseMapRecordInPlace: on a warmed map a record that leaves the
+// entry count where it was — raising one entry, or changing nothing —
+// splices in place and allocates nothing.
+func TestReleaseMapRecordInPlace(t *testing.T) {
+	const n = 1000
+	var m releaseMap
+	for i := 0; i < n; i++ {
+		m.record(ext(int64(i)*10, 10), sim.VTime(1+i)) // neighbours differ: no coalescing
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		k++
+		e := ext(int64(1+k%(n-2))*10, 10)
+		m.record(e, sim.VTime(n+k)) // a new maximum, unlike either neighbour's
+		m.record(e, 1)              // older than what is recorded: no change
+	})
+	if allocs != 0 || len(m.entries) != n {
+		t.Errorf("record allocated %v objects per run and left %d entries, want 0 and %d", allocs, len(m.entries), n)
+	}
+}

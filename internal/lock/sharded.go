@@ -34,15 +34,19 @@ const DefaultShardStripe int64 = 64 << 10
 // unwind.
 //
 // Grant decisions stay global: waiters carry a table-wide (ticket, seq)
-// pair and a release grants eligible waiters in that order, exactly like
-// the single-mutex table. A release must therefore hold not only the freed
-// range's shards but every shard covered by a candidate waiter; the
-// candidate set is only discoverable under lock, so the release grows its
-// lock set to a fixpoint, dropping all mutexes before re-acquiring the
-// larger ascending set (still deadlock-free, and at most S rounds since
-// the set only grows). Virtual timing is invariant in the shard count:
-// grant times are computed from the same conflict sets and the same
-// release history as the single table, so a gated simulation produces
+// pair and a release grants eligible waiters in that order, through the
+// single-mutex table's hand-off (readyList). A release must therefore hold
+// not only the freed range's shards but every shard covered by a candidate
+// waiter; the candidate set is only discoverable under lock, so the
+// release grows its lock set to a fixpoint, dropping all mutexes before
+// re-acquiring the larger ascending set (still deadlock-free, and at most
+// S rounds since the set only grows). A waiter's blocker count is kept per
+// replica visit: an overlapping lock and waiter meet once in every shard
+// both cover — when either registers and when the lock is released — so
+// the count rises and falls by the same amount and is zero exactly when no
+// granted lock blocks the waiter. Virtual timing is invariant in the shard
+// count: grant times are computed from the same conflict sets and release
+// history as the single table, so a gated simulation produces
 // byte-identical output for any S.
 type shardedTable struct {
 	stripe int64
@@ -57,12 +61,14 @@ type shardedTable struct {
 }
 
 // lockShard is one offset-stripe partition: the granted and waiting extents
-// covering the shard's stripes, and the shard's slice of the release
-// history. All fields are guarded by mu.
+// covering the shard's stripes, the shard's slice of the release history,
+// and the scratch of the releases whose freed range starts in this shard.
+// All fields are guarded by mu.
 type lockShard struct {
 	mu        sync.Mutex
 	granted   index.Index[*sheld]
 	waiting   index.Index[*swaiter]
+	ready     readyList[*swaiter]
 	exclRel   releaseMap
 	sharedRel releaseMap
 }
@@ -79,6 +85,8 @@ type sheld struct {
 
 // swaiter is one blocked request. grantAt is stamped by the releaser, under
 // every shard mutex the waiter's extent covers, before it Wakes the owner.
+// blockers is raised under any one of those mutexes, hence atomic; it is
+// lowered and read for a grant only by a release holding all of them.
 type swaiter struct {
 	owner    int
 	ext      interval.Extent
@@ -86,9 +94,18 @@ type swaiter struct {
 	minStart sim.VTime
 	ticket   sim.VTime
 	seq      int64
+	blockers atomic.Int64
 	grantAt  sim.VTime
 	shards   []int
 	handles  []index.Handle
+}
+
+// released is waiter.released for one replica visit. It must not allocate.
+//
+//atomiovet:hotpath
+func (w *swaiter) released(holder int, held Mode, at sim.VTime) bool {
+	w.minStart = max(w.minStart, at)
+	return blocks(holder, held, w.owner, w.mode) && w.blockers.Add(-1) == 0
 }
 
 func newShardedTable(shards int, stripe int64) *shardedTable {
@@ -113,28 +130,22 @@ func (st *shardedTable) setCoord(c sim.Coord) { st.coord = c }
 // from) their offset's home shard only.
 func (st *shardedTable) shardIDs(e interval.Extent) []int {
 	s := len(st.shards)
-	if e.Empty() {
-		return []int{shardMod(floorDiv(e.Off, st.stripe), s)}
-	}
 	first := floorDiv(e.Off, st.stripe)
-	last := floorDiv(e.End()-1, st.stripe)
-	if last-first+1 >= int64(s) {
-		ids := make([]int, s)
-		for i := range ids {
-			ids[i] = i
-		}
-		return ids
+	if e.Empty() {
+		return []int{shardMod(first, s)}
 	}
+	// Consecutive stripes belong to consecutive shards: s of them cover all.
+	last := min(floorDiv(e.End()-1, st.stripe), first+int64(s)-1)
 	covered := make([]bool, s)
-	n := 0
 	for k := first; k <= last; k++ {
-		id := shardMod(k, s)
-		if !covered[id] {
-			covered[id] = true
-			n++
-		}
+		covered[shardMod(k, s)] = true
 	}
-	ids := make([]int, 0, n)
+	return ascending(covered)
+}
+
+// ascending lists the shard ids marked in covered.
+func ascending(covered []bool) []int {
+	ids := make([]int, 0, len(covered))
 	for id, c := range covered {
 		if c {
 			ids = append(ids, id)
@@ -184,31 +195,38 @@ func (st *shardedTable) unlockShards(ids []int) {
 	}
 }
 
-// conflictsLocked reports whether any granted lock conflicts with
-// (owner, e, mode). Callers hold the mutexes of ids = shardIDs(e). A
-// cross-shard lock may be visited once per shared shard; the answer is a
-// disjunction, so replicas cannot change it. Runs once per grant
-// decision: it must not allocate.
+// blockersLocked counts the granted locks that block (owner, e, mode), once
+// per replica visit. Callers hold the mutexes of ids = shardIDs(e). It must
+// not allocate.
 //
 //atomiovet:hotpath
-func (st *shardedTable) conflictsLocked(owner int, e interval.Extent, mode Mode, ids []int) bool {
+func (st *shardedTable) blockersLocked(owner int, e interval.Extent, mode Mode, ids []int) int64 {
+	var n int64
 	for _, id := range ids {
-		conflict := false
 		st.shards[id].granted.Overlapping(e, func(_ interval.Extent, _ index.Handle, h *sheld) bool {
-			if h.owner == owner {
-				return true
-			}
-			if mode == Exclusive || h.mode == Exclusive {
-				conflict = true
-				return false
+			if blocks(h.owner, h.mode, owner, mode) {
+				n++
 			}
 			return true
 		})
-		if conflict {
-			return true
-		}
 	}
-	return false
+	return n
+}
+
+// blockLocked charges a newly granted lock (owner, e, mode) to every waiter
+// it blocks, once per replica visit. Callers hold the mutexes of ids =
+// shardIDs(e). It must not allocate.
+//
+//atomiovet:hotpath
+func (st *shardedTable) blockLocked(owner int, e interval.Extent, mode Mode, ids []int) {
+	for _, id := range ids {
+		st.shards[id].waiting.Overlapping(e, func(_ interval.Extent, _ index.Handle, w *swaiter) bool {
+			if blocks(owner, mode, w.owner, w.mode) {
+				w.blockers.Add(1)
+			}
+			return true
+		})
+	}
 }
 
 // grantLocked installs (owner, e, mode) on every covered shard (commit
@@ -224,6 +242,7 @@ func (st *shardedTable) grantLocked(owner int, e interval.Extent, mode Mode, flo
 		hd.handles = append(hd.handles, st.shards[id].granted.Insert(e, hd))
 	}
 	st.nHeld.Add(1)
+	st.blockLocked(owner, e, mode, ids)
 	start := floor
 	for _, id := range ids {
 		if at := st.shards[id].exclRel.latest(e); at > start {
@@ -245,7 +264,8 @@ func (st *shardedTable) grantLocked(owner int, e interval.Extent, mode Mode, flo
 func (st *shardedTable) acquire(owner int, e interval.Extent, mode Mode, earliest sim.VTime) sim.VTime {
 	ids := st.shardIDs(e)
 	st.lockShards(ids)
-	if !st.conflictsLocked(owner, e, mode, ids) {
+	n := st.blockersLocked(owner, e, mode, ids)
+	if n == 0 {
 		g := st.grantLocked(owner, e, mode, earliest, ids)
 		st.unlockShards(ids)
 		return g
@@ -255,6 +275,7 @@ func (st *shardedTable) acquire(owner int, e interval.Extent, mode Mode, earlies
 		minStart: earliest, ticket: earliest,
 		shards: ids, handles: make([]index.Handle, 0, len(ids)),
 	}
+	w.blockers.Store(n)
 	// seq is table-wide: the (ticket, seq) grant order spans shards. The
 	// counter is taken while the waiter's shards are reserved, so the
 	// assignment order matches the single table's.
@@ -285,26 +306,14 @@ func (st *shardedTable) release(owner int, e interval.Extent, releaseAt sim.VTim
 	// Candidate waiters (those overlapping the freed range) may span shards
 	// beyond base, and granting one needs its shards locked too. The
 	// candidate set is only visible under lock, so grow the held set to a
-	// fixpoint: lock, collect, and if candidates need more shards, drop
+	// fixpoint: lock, look, and if candidates need more shards, drop
 	// everything and re-lock the larger ascending set. The set only grows,
-	// so this terminates within S rounds; candidates are re-collected each
-	// round, so grants that happened while unlocked are never acted on.
+	// so this terminates within S rounds; nothing is changed before the
+	// last one, so what happened while unlocked is never acted on.
 	locked := base
-	var cands []*swaiter
 	for {
 		st.lockShards(locked)
-		cands = cands[:0]
-		seen := make(map[*swaiter]bool)
-		for _, id := range base {
-			st.shards[id].waiting.Overlapping(e, func(_ interval.Extent, _ index.Handle, w *swaiter) bool {
-				if !seen[w] {
-					seen[w] = true
-					cands = append(cands, w)
-				}
-				return true
-			})
-		}
-		need := unionShards(len(st.shards), locked, cands)
+		need := st.waiterShards(base, e, locked)
 		if len(need) == len(locked) {
 			break
 		}
@@ -341,25 +350,17 @@ func (st *shardedTable) release(owner int, e interval.Extent, releaseAt sim.VTim
 	st.nHeld.Add(-1)
 	st.recordRelease(e, target.mode, releaseAt)
 
-	// Stamp the release time on every candidate, then grant candidates in
-	// (ticket, seq) order via the wake heap, discarding any that conflict
-	// when popped — the same hand-off as the single table, over the same
-	// candidate set (conflicts are monotone within the loop; see wakeHeap).
-	var wake wakeHeap[*swaiter]
-	for _, w := range cands {
-		if w.minStart < releaseAt {
-			w.minStart = releaseAt
-		}
-		wake.push(w.ticket, w.seq, w)
+	// The single table's hand-off over the same candidates: visited once
+	// per replica, a waiter can reach zero only on the last visit.
+	for _, id := range base {
+		st.shards[id].waiting.Overlapping(e, func(_ interval.Extent, _ index.Handle, w *swaiter) bool {
+			if w.released(target.owner, target.mode, releaseAt) {
+				firstShard.ready.push(w.ticket, w.seq, w)
+			}
+			return true
+		})
 	}
-	for {
-		w, ok := wake.pop()
-		if !ok {
-			return nil
-		}
-		if st.conflictsLocked(w.owner, w.ext, w.mode, w.shards) {
-			continue
-		}
+	firstShard.ready.handOff(func(w *swaiter) bool { return w.blockers.Load() == 0 }, func(w *swaiter) {
 		for i, id := range w.shards {
 			st.shards[id].waiting.Delete(w.ext, w.handles[i])
 		}
@@ -368,7 +369,8 @@ func (st *shardedTable) release(owner int, e interval.Extent, releaseAt sim.VTim
 		// Published before the waiter can run (we still hold its shards),
 		// preserving the admission invariant.
 		st.coord.Wake(w.owner, w.grantAt)
-	}
+	})
+	return nil
 }
 
 // clipStripeFactor bounds per-release history-record work: spans covering
@@ -417,32 +419,26 @@ func (st *shardedTable) recordRelease(e interval.Extent, mode Mode, releaseAt si
 	}
 }
 
-// unionShards merges an ascending id list with every candidate's covered
-// shards, returning the ascending union. s is the shard count.
-func unionShards(s int, ids []int, cands []*swaiter) []int {
-	covered := make([]bool, s)
-	n := 0
-	add := func(id int) {
-		if !covered[id] {
-			covered[id] = true
-			n++
-		}
+// waiterShards returns the ascending union of locked (a superset of base =
+// shardIDs(e)) and the shards covered by every waiter overlapping e.
+// Callers hold the mutexes of locked.
+func (st *shardedTable) waiterShards(base []int, e interval.Extent, locked []int) []int {
+	if len(locked) == len(st.shards) {
+		return locked
 	}
-	for _, id := range ids {
-		add(id)
+	covered := make([]bool, len(st.shards))
+	for _, id := range locked {
+		covered[id] = true
 	}
-	for _, w := range cands {
-		for _, id := range w.shards {
-			add(id)
-		}
+	for _, id := range base {
+		st.shards[id].waiting.Overlapping(e, func(_ interval.Extent, _ index.Handle, w *swaiter) bool {
+			for _, id := range w.shards {
+				covered[id] = true
+			}
+			return true
+		})
 	}
-	out := make([]int, 0, n)
-	for id, c := range covered {
-		if c {
-			out = append(out, id)
-		}
-	}
-	return out
+	return ascending(covered)
 }
 
 // holders returns the number of logical granted locks.

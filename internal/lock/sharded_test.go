@@ -61,6 +61,7 @@ type scriptOp struct {
 	earliest  sim.VTime
 	releaseOf int // release: the acquire op id whose lock is dropped
 	releaseAt sim.VTime
+	notHeld   bool // release: owner holds no lock on e; the table must refuse
 }
 
 // wokenGrant is one waiter granted by a release, identified by acquire op id.
@@ -69,11 +70,31 @@ type wokenGrant struct {
 	grantAt sim.VTime
 }
 
+// wake is one Wake a table issued: the owner it granted and the grant time.
+type wake struct {
+	owner int
+	at    sim.VTime
+}
+
+// wakeLog is the run's coordinator as the table under test sees it: it
+// records the table's Wakes, whose order is the order a release grants in.
+type wakeLog struct {
+	sim.Coord
+	wakes *[]wake
+}
+
+func (l wakeLog) Wake(id int, t sim.VTime) {
+	*l.wakes = append(*l.wakes, wake{owner: id, at: t})
+	l.Coord.Wake(id, t)
+}
+
 // opOutcome is everything observable after one op.
 type opOutcome struct {
 	granted bool      // acquire: granted immediately
 	grantAt sim.VTime // acquire: immediate grant time
+	refused bool      // release: the table returned an error
 	woken   []wokenGrant
+	order   []wake // release: the grants in the order the table made them
 	holders int
 	waiters int
 	excl    []sim.VTime // relLatest probes after the op
@@ -101,6 +122,8 @@ type scriptRunner struct {
 	coord  sim.Coord
 	probes []interval.Extent
 
+	wakes []wake // the table's Wakes since the last release began
+
 	mu      sync.Mutex
 	inbox   []*scriptOp  // per owner: the acquire posted to it, if any
 	waiting []bool       // per owner: parked until the driver posts
@@ -118,7 +141,7 @@ func runScript(t *testing.T, eng sim.Engine, tbl grantTable, probes []interval.E
 	}
 	setCoord := func(c sim.Coord) {
 		r.coord = c
-		tbl.setCoord(c)
+		tbl.setCoord(wakeLog{Coord: c, wakes: &r.wakes})
 	}
 	onEngine(t, eng, scriptOwners+1, setCoord, func(id int, _ sim.Coord) {
 		if id < scriptOwners {
@@ -209,10 +232,12 @@ func (r *scriptRunner) apply(op scriptOp) opOutcome {
 		}
 		return r.outcome(opOutcome{})
 	}
-	if err := r.tbl.release(op.owner, op.e, op.releaseAt); err != nil {
-		r.t.Errorf("release of op %d: %v", op.releaseOf, err)
+	r.wakes = nil
+	err := r.tbl.release(op.owner, op.e, op.releaseAt)
+	if (err != nil) != op.notHeld {
+		r.t.Errorf("release of op %d (held: %v): %v", op.releaseOf, !op.notHeld, err)
 	}
-	return r.outcome(opOutcome{woken: r.settle()})
+	return r.outcome(opOutcome{refused: err != nil, order: r.wakes, woken: r.settle()})
 }
 
 // genScript builds a randomized workload by running it against the oracle
