@@ -77,18 +77,31 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 	// sorted and disjoint, so each segment binary-searches its first owner
 	// and walks forward only while domains still intersect it — O(log P +
 	// owners touched) per segment instead of intersecting all P domains.
-	parts := make([][]byte, p)
-	for _, m := range maps {
-		lo := sort.Search(len(domains), func(i int) bool { return domains[i].End() > m.File.Off })
-		for owner := lo; owner < len(domains) && domains[owner].Off < m.File.End(); owner++ {
-			ov := m.File.Intersect(domains[owner])
-			if ov.Empty() {
-				continue
+	// The routing runs twice: once to size every owner's payload, once to
+	// fill it, so no payload grows by doubling.
+	route := func(piece func(owner int, ov interval.Extent, data []byte)) {
+		for _, m := range maps {
+			lo := sort.Search(len(domains), func(i int) bool { return domains[i].End() > m.File.Off })
+			for owner := lo; owner < len(domains) && domains[owner].Off < m.File.End(); owner++ {
+				ov := m.File.Intersect(domains[owner])
+				if ov.Empty() {
+					continue
+				}
+				piece(owner, ov, buf[m.Buf+(ov.Off-m.File.Off):m.Buf+(ov.Off-m.File.Off)+ov.Len])
 			}
-			data := buf[m.Buf+(ov.Off-m.File.Off) : m.Buf+(ov.Off-m.File.Off)+ov.Len]
-			parts[owner] = appendPiece(parts[owner], ov.Off, data)
 		}
 	}
+	sizes := make([]int64, p)
+	route(func(owner int, ov interval.Extent, _ []byte) { sizes[owner] += pieceHeader + ov.Len })
+	parts := make([][]byte, p)
+	for owner, n := range sizes {
+		if n > 0 {
+			parts[owner] = make([]byte, 0, n)
+		}
+	}
+	route(func(owner int, ov interval.Extent, data []byte) {
+		parts[owner] = appendPiece(parts[owner], ov.Off, data)
+	})
 	ex := ctx.span(trace.PhaseExchange)
 	recv := comm.Alltoall(parts)
 	ex.Stop()
@@ -135,6 +148,9 @@ func fileDomains(span interval.Extent, n int) []interval.Extent {
 	return out
 }
 
+// pieceHeader is the size of a routed piece's (offset, length) header.
+const pieceHeader = 16
+
 // appendPiece encodes one (offset, data) piece onto a routing payload.
 func appendPiece(payload []byte, off int64, data []byte) []byte {
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(off))
@@ -146,12 +162,12 @@ func appendPiece(payload []byte, off int64, data []byte) []byte {
 func decodePieces(payload []byte) ([]pfs.Segment, error) {
 	var out []pfs.Segment
 	for len(payload) > 0 {
-		if len(payload) < 16 {
+		if len(payload) < pieceHeader {
 			return nil, fmt.Errorf("core: truncated two-phase piece header")
 		}
 		off := int64(binary.LittleEndian.Uint64(payload))
 		n := int64(binary.LittleEndian.Uint64(payload[8:]))
-		payload = payload[16:]
+		payload = payload[pieceHeader:]
 		if n < 0 || n > int64(len(payload)) {
 			return nil, fmt.Errorf("core: truncated two-phase piece body")
 		}

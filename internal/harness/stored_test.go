@@ -1,0 +1,58 @@
+package harness_test
+
+import (
+	"runtime"
+	"testing"
+
+	"atomio/internal/core"
+	"atomio/internal/harness"
+	"atomio/internal/platform"
+)
+
+// TestStoredCellAllocatesWhatItStores holds the stored-byte path where
+// wall-clock cannot be asserted: a stored and verified 32 MB P=16
+// column-wise cell moves 38 MB of rank payload into a 32 MB file, and a
+// path that zeroes a 64 KB cache block per 576-byte piece, or keeps a
+// sparse chunk map per affinity server, allocates ten to thirty times that
+// (716 MB for IBM SP coloring, 1 103 MB for Cplant ordering). With the
+// cache lending the ranks' own slices and affinity servers keeping each
+// write's bytes the cells measure 120 MB and 150 MB.
+func TestStoredCellAllocatesWhatItStores(t *testing.T) {
+	cells := []struct {
+		prof     platform.Profile
+		strategy core.Strategy
+		maxBytes uint64
+	}{
+		{platform.IBMSP(), core.Coloring{}, 200 << 20},
+		{platform.Cplant(), core.RankOrder{}, 250 << 20},
+	}
+	for i, c := range cells {
+		e := harness.Experiment{
+			Platform: c.prof,
+			M:        harness.Figure8M, N: 8192, Procs: 16, Overlap: harness.Figure8Overlap,
+			Pattern:   harness.ColumnWise,
+			Strategy:  c.strategy,
+			StoreData: true, Verify: true,
+		}
+		if i == 0 {
+			if _, err := e.Run(); err != nil { // warm up lazy runtime state
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if !res.Report.Atomic() || res.Report.Atoms == 0 {
+			t.Fatalf("%s %s: verdict %q over %d atoms", c.prof.Name, c.strategy.Name(), res.Verdict, res.Report.Atoms)
+		}
+		allocated := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s %s allocated %d bytes", c.prof.Name, c.strategy.Name(), allocated)
+		if allocated > c.maxBytes {
+			t.Errorf("%s %s: stored cell allocated %d bytes, ceiling %d", c.prof.Name, c.strategy.Name(), allocated, c.maxBytes)
+		}
+	}
+}

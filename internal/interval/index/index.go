@@ -2,7 +2,7 @@
 // dynamic interval index with O(log n) insert/delete and output-sensitive
 // stabbing and range-overlap queries (Index), a sorted-endpoint k-way
 // sweep-line that computes all pairwise overlaps of many extent lists in a
-// single pass (SweepOverlaps, ClipAll), and a coverage set with
+// single pass (SweepOverlaps, ClipAll, SweepAtoms), and a coverage set with
 // binary-searched queries and splice insertion (Set).
 //
 // Every conflict-answering layer of the repository queries byte ranges —

@@ -1,6 +1,10 @@
 package index
 
-import "atomio/internal/interval"
+import (
+	"slices"
+
+	"atomio/internal/interval"
+)
 
 // event is one endpoint of the sweep: an extent of list id opening (start)
 // or closing at coordinate at. Extents are half-open, so a close at x
@@ -22,7 +26,7 @@ func (e *event) before(o *event) bool {
 }
 
 // events flattens the normalized lists into the sorted endpoint schedule
-// both sweep drivers walk. Normalization guarantees each list's extents are
+// every sweep driver walks. Normalization guarantees each list's extents are
 // disjoint, non-touching and non-empty, so a list is "active" over exactly
 // the bytes it covers, never nests with itself, and — the point here — its
 // own endpoints off₀ < end₀ < off₁ < end₁ < … are already in schedule
@@ -172,4 +176,38 @@ func ClipAll(views []interval.List) []interval.List {
 		prev = at
 	}
 	return out
+}
+
+// SweepAtoms partitions the bytes that two or more of the lists cover into
+// atoms — the pieces between neighbouring endpoints of the schedule, over
+// each of which the covering set is constant — and visits them in file
+// order with the covering lists' positions in ascending order. The slice is
+// reused from one call to the next: a visitor that keeps it copies it. The
+// visitor returns false to stop early; SweepAtoms reports whether the walk
+// ran to completion.
+func SweepAtoms(lists []interval.List, visit func(atom interval.Extent, covering []int) bool) bool {
+	var active []int // ascending
+	evs := events(lists)
+	prev := int64(0)
+	for k := 0; k < len(evs); {
+		at := evs[k].at
+		if len(active) >= 2 && at > prev {
+			if !visit(interval.Extent{Off: prev, Len: at - prev}, active) {
+				return false
+			}
+		}
+		for ; k < len(evs) && evs[k].at == at; k++ {
+			id := int(evs[k].id)
+			// A normalized list has one extent open at a time, so id is
+			// absent at its open and present at its close.
+			pos, _ := slices.BinarySearch(active, id)
+			if evs[k].start {
+				active = slices.Insert(active, pos, id)
+			} else {
+				active = slices.Delete(active, pos, pos+1)
+			}
+		}
+		prev = at
+	}
+	return true
 }

@@ -125,6 +125,40 @@ func TestSuccessiveWritesAdvancePointer(t *testing.T) {
 	}
 }
 
+// TestNonAtomicWriteLeavesBufferToCaller pins the one place a blocking write
+// returns before its bytes are flushed: a non-atomic write on a file system
+// that stores data behind a write-behind cache. MPI lets the application
+// reuse buf the moment the call returns, so what reaches the file at Close
+// must be what buf held at the call, for the independent and the collective
+// write alike.
+func TestNonAtomicWriteLeavesBufferToCaller(t *testing.T) {
+	fs := cachingFS()
+	run(t, 1, func(c *mpi.Comm) error {
+		f, err := Open(c, fs, nil, "reuse.dat")
+		if err != nil {
+			return err
+		}
+		f.SetAtomicity(false)
+		buf := []byte("first ")
+		if err := f.Write(buf); err != nil {
+			return err
+		}
+		copy(buf, "second")
+		if err := f.WriteAll(buf); err != nil {
+			return err
+		}
+		copy(buf, "XXXXXX")
+		return f.Close()
+	})
+	snap, err := fs.Snapshot("reuse.dat", intervalExt(0, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(snap) != "first second" {
+		t.Fatalf("file = %q: a write-behind cache kept the caller's buffer past the write", snap)
+	}
+}
+
 func TestEtypeGranularityEnforced(t *testing.T) {
 	fs := testFS()
 	run(t, 1, func(c *mpi.Comm) error {

@@ -1,6 +1,7 @@
 package mpiio
 
 import (
+	"bytes"
 	"fmt"
 
 	"atomio/internal/core"
@@ -41,7 +42,7 @@ func (f *File) writeAll(buf []byte, n int64) error {
 	f.pos += n
 
 	if !f.atomic {
-		f.client.WriteV(core.Segments(buf, maps))
+		f.client.WriteV(core.Segments(f.lendable(buf), maps))
 		return nil
 	}
 	// Journal the full mapped request before the strategy runs: if fault
@@ -63,6 +64,19 @@ func (f *File) writeAll(buf []byte, n int64) error {
 	return f.strategy.WriteAll(ctx, buf, maps)
 }
 
+// lendable returns the bytes a non-atomic write hands the client. A client
+// that borrows keeps what it is given until its next Sync (see pfs.Segment),
+// and a non-atomic write returns without one, while MPI lets the application
+// reuse buf as soon as a blocking write returns: such a client gets a
+// private copy. Every atomic strategy syncs before it returns and lends buf
+// itself.
+func (f *File) lendable(buf []byte) []byte {
+	if f.client.Borrows() {
+		return bytes.Clone(buf)
+	}
+	return buf
+}
+
 // Write performs an independent (non-collective) write through the view at
 // the current file pointer, like MPI_File_write. In atomic mode only
 // locking can guarantee atomicity — the handshaking strategies need to know
@@ -78,7 +92,7 @@ func (f *File) Write(buf []byte) error {
 	f.pos += int64(len(buf))
 
 	if !f.atomic {
-		f.client.WriteV(core.Segments(buf, maps))
+		f.client.WriteV(core.Segments(f.lendable(buf), maps))
 		return nil
 	}
 	if f.mgr == nil {

@@ -3,6 +3,7 @@ package pfs
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"atomio/internal/interval"
 	"atomio/internal/sim"
@@ -43,27 +44,26 @@ type cache struct {
 
 	valid map[int64]bool // readable blocks
 
-	// Write-behind state: which bytes are dirty, and (when retaining)
-	// their content in block-granular pieces, applied in write order so
-	// a client's own later writes win on overlap.
+	// Write-behind state: the log of dirty extents in write order and, when
+	// retaining, each entry's bytes beside it. The bytes are the caller's
+	// own slices, borrowed until the flush (see Segment): nothing is copied
+	// on the way in.
 	dirtyExts  interval.List
-	dirtyData  map[int64][]byte
+	dirtyBufs  [][]byte
 	dirtyBytes int64
 }
 
 func newCache(cfg CacheConfig, retain bool) *cache {
-	return &cache{
-		cfg:       cfg,
-		retain:    retain,
-		valid:     make(map[int64]bool),
-		dirtyData: make(map[int64][]byte),
-	}
+	return &cache{cfg: cfg, retain: retain, valid: make(map[int64]bool)}
 }
 
 // absorb records a write-behind write in write order.
 func (c *cache) absorb(segs []Segment) {
 	bs := c.cfg.blockSize()
 	c.dirtyExts = slices.Grow(c.dirtyExts, len(segs))
+	if c.retain {
+		c.dirtyBufs = slices.Grow(c.dirtyBufs, len(segs))
+	}
 	for _, s := range segs {
 		n := s.Len()
 		if n == 0 {
@@ -75,23 +75,7 @@ func (c *cache) absorb(segs []Segment) {
 			if s.Data == nil {
 				panic(fmt.Sprintf("pfs: payload-less segment [%d,+%d) absorbed by a cache that retains data", s.Off, n))
 			}
-			off, data := s.Off, s.Data
-			for len(data) > 0 {
-				b := off / bs
-				bo := off % bs
-				take := bs - bo
-				if take > int64(len(data)) {
-					take = int64(len(data))
-				}
-				blk, ok := c.dirtyData[b]
-				if !ok {
-					blk = make([]byte, bs)
-					c.dirtyData[b] = blk
-				}
-				copy(blk[bo:bo+take], data[:take])
-				off += take
-				data = data[take:]
-			}
+			c.dirtyBufs = append(c.dirtyBufs, s.Data)
 		}
 		// Written blocks are also readable until invalidated.
 		for b := s.Off / bs; b <= (s.Off+n-1)/bs; b++ {
@@ -103,44 +87,42 @@ func (c *cache) absorb(segs []Segment) {
 // takeDirty removes and returns the write-behind data as coalesced segments
 // in file order — the batching a write-behind cache exists to provide. A
 // cache that retains nothing has only extents to give back, so its segments
-// are payload-less.
+// are payload-less. A retaining cache whose log is already that list
+// (sorted, disjoint, non-touching) hands back the logged slices themselves;
+// any other log is replayed into one buffer per coalesced extent, in write
+// order, so a client's own later write wins an overlap.
 func (c *cache) takeDirty() []Segment {
 	if c.dirtyBytes == 0 {
 		return nil
 	}
+	lend := c.dirtyExts.IsCanonical()
 	exts := c.dirtyExts.Normalize()
 	segs := make([]Segment, len(exts))
-	for i, e := range exts {
-		if c.retain {
-			segs[i] = Segment{Off: e.Off, Data: c.dirtyCopy(e)}
-		} else {
+	switch {
+	case !c.retain:
+		for i, e := range exts {
 			segs[i] = Segment{Off: e.Off, N: e.Len}
+		}
+	case lend:
+		for i, e := range exts {
+			segs[i] = Segment{Off: e.Off, Data: c.dirtyBufs[i]}
+		}
+	default:
+		for i, e := range exts {
+			segs[i] = Segment{Off: e.Off, Data: make([]byte, e.Len)}
+		}
+		for k, e := range c.dirtyExts {
+			// Every logged extent lies inside one coalesced extent.
+			into := segs[sort.Search(len(exts), func(i int) bool { return exts[i].End() > e.Off })]
+			copy(into.Data[e.Off-into.Off:], c.dirtyBufs[k])
 		}
 	}
 	// The segments hold no reference to exts, so the extent log's backing
-	// array serves the next batch.
+	// array serves the next batch; the borrowed slices are let go.
 	c.dirtyExts, c.dirtyBytes = c.dirtyExts[:0], 0
-	clear(c.dirtyData)
+	clear(c.dirtyBufs)
+	c.dirtyBufs = c.dirtyBufs[:0]
 	return segs
-}
-
-// dirtyCopy assembles the retained bytes of dirty extent e from the
-// block-granular pieces.
-func (c *cache) dirtyCopy(e interval.Extent) []byte {
-	bs := c.cfg.blockSize()
-	buf := make([]byte, e.Len)
-	off, out := e.Off, buf
-	for len(out) > 0 {
-		b := off / bs
-		bo := off % bs
-		take := min(bs-bo, int64(len(out)))
-		if blk, ok := c.dirtyData[b]; ok {
-			copy(out[:take], blk[bo:bo+take])
-		}
-		off += take
-		out = out[take:]
-	}
-	return buf
 }
 
 // read serves a read through the cache, fetching missing blocks (plus
@@ -176,6 +158,15 @@ func (c *cache) read(cl *Client, off int64, buf []byte) {
 	// layers above, while the timing effects of caching are charged here).
 	cl.clock.Advance(c.cfg.MemModel.Cost(int64(len(buf))))
 	cl.f.readAt(off, buf)
+	// The store has not seen the client's unflushed writes; a client reads
+	// its own, so they go over the store's bytes in write order.
+	req := interval.Extent{Off: off, Len: int64(len(buf))}
+	for k, data := range c.dirtyBufs {
+		e := c.dirtyExts[k]
+		if ov := e.Intersect(req); !ov.Empty() {
+			copy(buf[ov.Off-off:ov.End()-off], data[ov.Off-e.Off:])
+		}
+	}
 }
 
 // invalidate drops clean cached blocks; dirty write-behind data survives.

@@ -57,8 +57,8 @@ func TestWriteBehindCoalescesAdjacentWrites(t *testing.T) {
 	c.Sync()
 	ops0, _ := fs.Servers().Member(0).Stats()
 	ops1, _ := fs.Servers().Member(1).Stats()
-	if ops0+ops1 != 1 {
-		t.Fatalf("flush produced %d server ops, want 1", ops0+ops1)
+	if reqs := fs.ServerStats()[0].Requests; ops0+ops1 != 1 || reqs != 1 {
+		t.Fatalf("flush produced %d server ops carrying %d requests, want 1 and 1", ops0+ops1, reqs)
 	}
 	snap, _ := fs.Snapshot("f", ext(60, 4))
 	if !bytes.Equal(snap, []byte{15, 15, 15, 15}) {
@@ -174,5 +174,45 @@ func TestWriteBehindWithoutStoreData(t *testing.T) {
 func TestCacheBlockSizeDefault(t *testing.T) {
 	if (CacheConfig{}).blockSize() != 64<<10 {
 		t.Fatal("default block size wrong")
+	}
+}
+
+// TestWriteBehindClientReadsItsOwnWrites pins the read overlay: a block a
+// write-behind write touched is a cache hit, the hit is served from the
+// store, and the store has not seen the write — so the client's unflushed
+// bytes have to be laid over what the store returns, in write order, and
+// only while they are unflushed.
+func TestWriteBehindClientReadsItsOwnWrites(t *testing.T) {
+	fs := cachingFS(0)
+	c, _ := fs.Open("f", 0, sim.NewClock(0))
+	other, _ := fs.Open("f", 1, sim.NewClock(0))
+	other.WriteAt(0, []byte("0123456789abcdef"))
+	other.Sync()
+
+	read := func() string {
+		buf := make([]byte, 16)
+		c.ReadAt(0, buf)
+		return string(buf)
+	}
+	c.WriteAt(4, []byte("mine"))
+	if got := read(); got != "0123mine89abcdef" {
+		t.Fatalf("read before sync = %q: own write invisible, or store bytes around it lost", got)
+	}
+	c.WriteAt(6, []byte("XY"))
+	if got := read(); got != "0123miXY89abcdef" {
+		t.Fatalf("read after overlapping write = %q, later write must win", got)
+	}
+	buf := make([]byte, 3)
+	c.ReadAt(5, buf) // starts inside the first entry, ends inside the second
+	if string(buf) != "iXY" {
+		t.Fatalf("partial read = %q", buf)
+	}
+
+	c.Sync()
+	other.WriteAt(4, []byte("them"))
+	other.Sync()
+	c.Invalidate()
+	if got := read(); got != "0123them89abcdef" {
+		t.Fatalf("read after sync, foreign overwrite and invalidate = %q: flushed bytes still overlaid", got)
 	}
 }

@@ -16,6 +16,10 @@ import (
 // virtual time. A payload-less segment that reaches a place that needs
 // bytes — the content store of a storing file system, a retaining cache —
 // panics: it is a bug in the caller, never silently stored zeros.
+//
+// Bytes handed to WriteV on a write-behind client are borrowed, not copied:
+// the caller must leave them alone until the client's next Sync or Close
+// returns, after which the store owns its own copy.
 type Segment struct {
 	Off  int64
 	Data []byte
@@ -123,6 +127,13 @@ func (c *Client) WriteV(segs []Segment) {
 		return
 	}
 	c.transferWrite(segs)
+}
+
+// Borrows reports whether WriteV keeps the caller's bytes until the next
+// Sync instead of copying or transferring them before it returns (see
+// Segment): true of a write-behind client on a file system that stores data.
+func (c *Client) Borrows() bool {
+	return c.cache != nil && c.cache.retain && c.fs.cfg.Cache.WriteBehind
 }
 
 // transferWrite moves segments to the servers, charging client-side cost

@@ -214,13 +214,23 @@ func coveredRead(written *index.Set, chunks map[int64][]byte, off int64, buf []b
 // written read as zero. It is the verification hook used by tests and the
 // atomicity checker.
 func (fs *FileSystem) Snapshot(name string, e interval.Extent) ([]byte, error) {
-	f, err := fs.lookup(name, false)
-	if err != nil {
+	buf := make([]byte, e.Len)
+	if err := fs.SnapshotInto(name, e.Off, buf); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, e.Len)
-	f.readAt(e.Off, buf)
 	return buf, nil
+}
+
+// SnapshotInto is Snapshot into the caller's buffer: it fills buf with the
+// named file's bytes from off on, for a reader that walks a file through
+// one buffer.
+func (fs *FileSystem) SnapshotInto(name string, off int64, buf []byte) error {
+	f, err := fs.lookup(name, false)
+	if err != nil {
+		return err
+	}
+	f.readAt(off, buf)
+	return nil
 }
 
 // WrittenExtents returns the canonical list of byte ranges ever written to

@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
 	"sync"
@@ -10,18 +11,28 @@ import (
 )
 
 // serverStore is one I/O server's private slice of a file's bytes: its own
-// sparse chunk store and written-extent index. Disjoint-server traffic
-// never contends on a shared store lock, and per-server structures stay a
-// factor of Servers smaller than the shared store's.
+// sparse chunk store (round-robin mode) or write records (affinity mode)
+// and written-extent index. Disjoint-server traffic never contends on a
+// shared store lock, and per-server structures stay a factor of Servers
+// smaller than the shared store's.
 type serverStore struct {
 	mu      sync.Mutex
 	chunks  map[int64][]byte
 	written index.Set
-	// segs records every affinity-mode write landed on this server as
-	// (extent → global write sequence), the metadata cross-server merge
-	// reads resolve overlaps with. Unused in round-robin mode, where a
-	// byte has exactly one home server.
-	segs index.Index[int64]
+	// segs holds every live affinity-mode write landed on this server, by
+	// extent. A server stores whatever its clients touch, anywhere in the
+	// file, so it keeps each write's bytes rather than a chunk grid it
+	// would fill sparsely. Unused in round-robin mode, where a byte has
+	// exactly one home server.
+	segs index.Index[affinityWrite]
+}
+
+// affinityWrite is one affinity-mode write as its server keeps it: the
+// store-wide sequence number cross-server merge reads resolve overlaps
+// with, and the server's own copy of the bytes, never written again.
+type affinityWrite struct {
+	seq  int64
+	data []byte
 }
 
 // stripedStore is the per-server content layout: the configured byte→server
@@ -37,11 +48,10 @@ type serverStore struct {
 // In ClientAffinity mode a write lands wholly on the writer's boot-assigned
 // server, so the same byte may be stored on several servers (one per
 // writer). Every write takes a store-wide sequence number, and a read
-// merges across all servers: it gathers the overlapping write records,
-// replays them in sequence order, and copies each winner's bytes from its
-// server — the cross-server merge that makes the layout observably
-// identical to the shared store, where the same writes land in the same
-// (sequence) order on one store.
+// merges across all servers: it gathers the overlapping write records and
+// replays their bytes in sequence order — the cross-server merge that makes
+// the layout observably identical to the shared store, where the same
+// writes land in the same (sequence) order on one store.
 //
 // File size and written extents are resolved by cheap cross-server merges:
 // size stays file-level (see file), extents are the normalized union of the
@@ -101,26 +111,25 @@ func (st *stripedStore) write(off int64, data []byte, rank int) {
 		sv := st.servers[st.serverForRank(rank)]
 		sv.mu.Lock()
 		// The sequence is taken under the server lock, so within one
-		// server chunk-content order and sequence order agree — which is
-		// what lets merge reads treat "highest sequence" and "latest
-		// arrival" as the same thing.
+		// server arrival order and sequence order agree — which is what
+		// lets merge reads treat "highest sequence" and "latest arrival"
+		// as the same thing.
 		st.seqMu.Lock()
 		seq := st.nextSeq
 		st.nextSeq++
 		st.seqMu.Unlock()
 		e := interval.Extent{Off: off, Len: int64(len(data))}
-		chunkWrite(sv.chunks, off, data)
 		sv.written.Add(e)
 		// Prune dead records: an older same-server record fully inside e
-		// can never win a merge again — its chunk bytes are overwritten
-		// and its sequence is lower — so the index stays proportional to
+		// can never win a merge again — its sequence is lower wherever it
+		// lies — so the index and the bytes it holds stay proportional to
 		// the live (visible) write extents, not to write history.
 		type deadRec struct {
 			ext interval.Extent
 			h   index.Handle
 		}
 		var dead []deadRec
-		sv.segs.Overlapping(e, func(ext interval.Extent, h index.Handle, _ int64) bool {
+		sv.segs.Overlapping(e, func(ext interval.Extent, h index.Handle, _ affinityWrite) bool {
 			if e.ContainsExtent(ext) {
 				dead = append(dead, deadRec{ext: ext, h: h})
 			}
@@ -129,7 +138,7 @@ func (st *stripedStore) write(off int64, data []byte, rank int) {
 		for _, d := range dead {
 			sv.segs.Delete(d.ext, d.h)
 		}
-		sv.segs.Insert(e, seq)
+		sv.segs.Insert(e, affinityWrite{seq: seq, data: bytes.Clone(data)})
 		sv.mu.Unlock()
 		return
 	}
@@ -155,36 +164,33 @@ func (st *stripedStore) read(off int64, buf []byte) {
 	})
 }
 
-// mergeRead is the affinity-mode scatter-gather: collect every server's
-// write records overlapping the request, replay them in global sequence
-// order, and copy each record's overlap from its server's chunks. A
-// record's chunk bytes are its own data wherever it is the highest-sequence
-// record (later same-server writes both overwrite the chunks and carry a
-// higher sequence), so the last copy into any byte is the globally latest
-// write — the shared store's arrival-order semantics.
+// mergeRead is the affinity-mode scatter-gather: collect the part of every
+// server's write records that overlaps the request and copy them into buf
+// in global sequence order, so the last copy into any byte is the globally
+// latest write — the shared store's arrival-order semantics. A record that
+// a later write only partly covers replays its stale bytes too; the later
+// write's higher sequence puts them right.
 func (st *stripedStore) mergeRead(off int64, buf []byte) {
 	clear(buf)
 	req := interval.Extent{Off: off, Len: int64(len(buf))}
 	type rec struct {
-		ext    interval.Extent
-		seq    int64
-		server int
+		seq  int64
+		off  int64 // relative to the request
+		data []byte
 	}
 	var recs []rec
-	for i, sv := range st.servers {
+	for _, sv := range st.servers {
 		sv.mu.Lock()
-		sv.segs.Overlapping(req, func(e interval.Extent, _ index.Handle, seq int64) bool {
-			recs = append(recs, rec{ext: e.Intersect(req), seq: seq, server: i})
+		sv.segs.Overlapping(req, func(e interval.Extent, _ index.Handle, w affinityWrite) bool {
+			part := e.Intersect(req)
+			recs = append(recs, rec{seq: w.seq, off: part.Off - off, data: w.data[part.Off-e.Off : part.End()-e.Off]})
 			return true
 		})
 		sv.mu.Unlock()
 	}
 	slices.SortFunc(recs, func(a, b rec) int { return cmp.Compare(a.seq, b.seq) })
 	for _, r := range recs {
-		sv := st.servers[r.server]
-		sv.mu.Lock()
-		chunkRead(sv.chunks, r.ext.Off, buf[r.ext.Off-off:r.ext.End()-off])
-		sv.mu.Unlock()
+		copy(buf[r.off:], r.data)
 	}
 }
 

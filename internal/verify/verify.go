@@ -10,9 +10,11 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 	"atomio/internal/pfs"
 )
 
@@ -83,56 +85,6 @@ type Report struct {
 // with some total serialization order of the write requests.
 func (r *Report) Atomic() bool { return len(r.Violations) == 0 && r.OrderViolation == nil }
 
-// atoms partitions the union of all views into maximal regions with a
-// constant covering set, returning only regions covered by 2+ writers.
-func atoms(views []interval.List) []struct {
-	region  interval.Extent
-	writers []int
-} {
-	norm := make([]interval.List, len(views))
-	cutsSet := make(map[int64]bool)
-	for i, v := range views {
-		norm[i] = v.Normalize()
-		for _, e := range norm[i] {
-			cutsSet[e.Off] = true
-			cutsSet[e.End()] = true
-		}
-	}
-	cuts := make([]int64, 0, len(cutsSet))
-	for c := range cutsSet {
-		cuts = append(cuts, c)
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-
-	var out []struct {
-		region  interval.Extent
-		writers []int
-	}
-	for k := 0; k+1 < len(cuts); k++ {
-		region := interval.Extent{Off: cuts[k], Len: cuts[k+1] - cuts[k]}
-		var writers []int
-		for i := range norm {
-			if containsOff(norm[i], region.Off) {
-				writers = append(writers, i)
-			}
-		}
-		if len(writers) >= 2 {
-			out = append(out, struct {
-				region  interval.Extent
-				writers []int
-			}{region, writers})
-		}
-	}
-	return out
-}
-
-// containsOff is interval.List.ContainsOffset for an already-canonical list
-// (no re-normalization; atoms runs over many cut points).
-func containsOff(l interval.List, off int64) bool {
-	i := sort.Search(len(l), func(i int) bool { return l[i].End() > off })
-	return i < len(l) && l[i].Contains(off)
-}
-
 // Check reads the overlapped atoms of the named file and verifies MPI
 // atomicity, assuming rank i wrote Marker(i) everywhere in views[i]:
 // every atom must hold exactly one covering writer's marker, and across
@@ -140,8 +92,8 @@ func containsOff(l interval.List, off int64) bool {
 // (each atom forces its winner to serialize after the atom's other
 // writers; those constraints must be acyclic).
 func Check(fs *pfs.FileSystem, name string, views []interval.List) (*Report, error) {
-	return checkAtoms(func(e interval.Extent) ([]byte, error) {
-		return fs.Snapshot(name, e)
+	return checkAtoms(func(off int64, buf []byte) error {
+		return fs.SnapshotInto(name, off, buf)
 	}, views)
 }
 
@@ -150,12 +102,12 @@ func Check(fs *pfs.FileSystem, name string, views []interval.List) (*Report, err
 // (never written). It is the file-system-free checker adversarial tests
 // and fuzzing drive with hand-constructed torn files.
 func CheckBytes(data []byte, views []interval.List) *Report {
-	rep, err := checkAtoms(func(e interval.Extent) ([]byte, error) {
-		buf := make([]byte, e.Len)
-		if e.Off < int64(len(data)) {
-			copy(buf, data[e.Off:])
+	rep, err := checkAtoms(func(off int64, buf []byte) error {
+		clear(buf)
+		if off < int64(len(data)) {
+			copy(buf, data[off:])
 		}
-		return buf, nil
+		return nil
 	}, views)
 	if err != nil {
 		// The in-memory reader never fails.
@@ -164,48 +116,68 @@ func CheckBytes(data []byte, views []interval.List) *Report {
 	return rep
 }
 
-// checkAtoms is the shared core of Check and CheckBytes: partition the
-// views into atoms, read each through the snapshot function, and apply the
+// readWindow is how much of the file one read of the checker fetches: atoms
+// arrive in file order, so a window read at one atom serves the atoms after
+// it, and a store is consulted once per window instead of once per atom.
+const readWindow = 1 << 20
+
+// checkAtoms is the shared core of Check and CheckBytes: sweep the views
+// into atoms — the regions covered by one constant set of two or more
+// writers — read each through a window filled by read, and apply the
 // single-marker and serialization-order rules.
-func checkAtoms(snapshot func(interval.Extent) ([]byte, error), views []interval.List) (*Report, error) {
+func checkAtoms(read func(off int64, buf []byte) error, views []interval.List) (*Report, error) {
 	rep := &Report{WinnerByRegion: make(map[interval.Extent]int)}
 	after := make(map[int]map[int]bool) // winner -> set of ranks it must follow
-	for _, a := range atoms(views) {
+	var (
+		end    int64  // where the last view ends: no atom reaches past it
+		win    []byte // file bytes [winOff, winOff+len(win))
+		winOff int64
+		err    error
+	)
+	for _, v := range views {
+		end = max(end, v.Span().End())
+	}
+	index.SweepAtoms(views, func(atom interval.Extent, writers []int) bool {
 		rep.Atoms++
-		rep.OverlappedBytes += a.region.Len
-		data, err := snapshot(a.region)
-		if err != nil {
-			return nil, err
+		rep.OverlappedBytes += atom.Len
+		if atom.End() > winOff+int64(len(win)) {
+			n := max(atom.Len, min(readWindow, end-atom.Off))
+			win, winOff = slices.Grow(win[:0], int(n))[:n], atom.Off
+			if err = read(winOff, win); err != nil {
+				return false
+			}
 		}
-		distinct := distinctBytes(data)
-		ok := len(distinct) == 1
+		distinct := distinctBytes(win[atom.Off-winOff : atom.End()-winOff])
 		winner := -1
-		if ok {
-			for _, w := range a.writers {
+		if len(distinct) == 1 {
+			for _, w := range writers {
 				if Marker(w) == distinct[0] {
 					winner = w
 					break
 				}
 			}
-			ok = winner >= 0
 		}
-		if !ok {
+		if winner < 0 {
 			rep.Violations = append(rep.Violations, Violation{
-				Region:  a.region,
-				Writers: a.writers,
+				Region:  atom,
+				Writers: slices.Clone(writers),
 				Markers: distinct,
 			})
-			continue
+			return true
 		}
-		rep.WinnerByRegion[a.region] = winner
+		rep.WinnerByRegion[atom] = winner
 		if after[winner] == nil {
 			after[winner] = make(map[int]bool)
 		}
-		for _, w := range a.writers {
+		for _, w := range writers {
 			if w != winner {
 				after[winner][w] = true
 			}
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	if cycle := findCycle(after); cycle != nil {
 		rep.OrderViolation = &OrderViolation{Cycle: cycle}
@@ -275,6 +247,6 @@ func distinctBytes(data []byte) []byte {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
