@@ -131,12 +131,22 @@ func ExtentsOf(maps []fileview.Mapping) interval.List {
 	return out
 }
 
+// SpanOf returns the extent from the first to the last byte of a mapped
+// request: ExtentsOf(maps).Span() without building the list.
+func SpanOf(maps []fileview.Mapping) (span interval.Extent) {
+	for _, m := range maps {
+		span, _ = span.Union(m.File)
+	}
+	return span
+}
+
 // clipSegments restricts a mapped request to the bytes in keep, preserving
 // buffer correspondence. It is the "re-calculation of each process's file
 // view" step of the rank-ordering strategy (§3.3.2).
 func clipSegments(buf []byte, maps []fileview.Mapping, keep interval.List) []pfs.Segment {
 	keep = keep.Normalize()
-	var segs []pfs.Segment
+	// A clipped view is cut from the mappings: one piece per kept extent.
+	segs := make([]pfs.Segment, 0, len(keep))
 	j := 0
 	for _, m := range maps {
 		for j < len(keep) && keep[j].End() <= m.File.Off {

@@ -55,7 +55,7 @@ func (s Locking) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) err
 		}
 		return nil
 	}
-	span := ExtentsOf(maps).Span()
+	span := SpanOf(maps)
 	if span.Empty() {
 		return nil
 	}

@@ -1,31 +1,34 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"atomio/internal/interval"
 	"atomio/internal/mpi"
 )
 
-// EncodeExtents serializes an extent list as (off, len) int64 pairs for the
-// view-exchange handshake.
+// EncodeExtents serializes an extent list as little-endian (off, len) int64
+// pairs for the view-exchange handshake: 16 bytes per extent, written once.
 func EncodeExtents(l interval.List) []byte {
-	vals := make([]int64, 0, 2*len(l))
-	for _, e := range l {
-		vals = append(vals, e.Off, e.Len)
+	b := make([]byte, 16*len(l))
+	for i, e := range l {
+		binary.LittleEndian.PutUint64(b[16*i:], uint64(e.Off))
+		binary.LittleEndian.PutUint64(b[16*i+8:], uint64(e.Len))
 	}
-	return mpi.EncodeInt64s(vals...)
+	return b
 }
 
-// DecodeExtents reverses EncodeExtents.
+// DecodeExtents reverses EncodeExtents. Wire bytes never panic: a payload
+// that is not a whole number of pairs is an error.
 func DecodeExtents(b []byte) (interval.List, error) {
-	vals := mpi.DecodeInt64s(b)
-	if len(vals)%2 != 0 {
-		return nil, fmt.Errorf("core: odd extent payload length %d", len(vals))
+	if len(b)%16 != 0 {
+		return nil, fmt.Errorf("core: extent payload of %d bytes is not a multiple of 16", len(b))
 	}
-	out := make(interval.List, len(vals)/2)
+	out := make(interval.List, len(b)/16)
 	for i := range out {
-		out[i] = interval.Extent{Off: vals[2*i], Len: vals[2*i+1]}
+		out[i].Off = int64(binary.LittleEndian.Uint64(b[16*i:]))
+		out[i].Len = int64(binary.LittleEndian.Uint64(b[16*i+8:]))
 	}
 	return out, nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -97,5 +99,33 @@ func TestEmptyViewExchange(t *testing.T) {
 			return fmt.Errorf("rank 1 view lost")
 		}
 		return nil
+	})
+}
+
+// FuzzDecodeExtents: DecodeExtents never panics on wire bytes — every length
+// that is not a whole number of 16-byte pairs is an error — a successful
+// decode re-encodes to the bytes it was given, and Decode(Encode(l)) == l.
+func FuzzDecodeExtents(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, 12)) // not a multiple of 8: used to panic in mpi.DecodeInt64s
+	f.Add(make([]byte, 8))  // one int64: half a pair
+	f.Add(make([]byte, 24)) // a pair and a half
+	f.Add(EncodeExtents(interval.List{{Off: 3, Len: 5}, {Off: -1, Len: 1 << 40}}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		l, err := DecodeExtents(b)
+		if err != nil {
+			if len(b)%16 == 0 {
+				t.Fatalf("%d-byte payload refused: %v", len(b), err)
+			}
+			return
+		}
+		enc := EncodeExtents(l)
+		if !bytes.Equal(enc, b) {
+			t.Fatalf("decoded %v re-encodes to %x, not the input %x", l, enc, b)
+		}
+		back, err := DecodeExtents(enc)
+		if err != nil || !slices.Equal(back, l) {
+			t.Fatalf("Decode(Encode(%v)) = %v, %v", l, back, err)
+		}
 	})
 }

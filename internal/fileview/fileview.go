@@ -28,6 +28,9 @@ type View struct {
 	Etype datatype.Datatype
 	// Filetype selects the visible file regions; it is tiled repeatedly.
 	Filetype datatype.Datatype
+	// flat is Filetype.Flatten(), computed once by New and read-only after.
+	// A literal View leaves it nil and flattens on every request instead.
+	flat []interval.Extent
 }
 
 // New constructs a view after validating the triple.
@@ -42,7 +45,7 @@ func New(disp int64, etype, filetype datatype.Datatype) View {
 		panic(fmt.Sprintf("fileview: filetype size %d not a multiple of etype size %d",
 			filetype.Size(), etype.Size()))
 	}
-	return View{Disp: disp, Etype: etype, Filetype: filetype}
+	return View{Disp: disp, Etype: etype, Filetype: filetype, flat: filetype.Flatten()}
 }
 
 // Mapping relates one contiguous file extent to the request-buffer offset
@@ -72,41 +75,51 @@ func (v View) MapAt(start, nbytes int64) []Mapping {
 	if tileSize <= 0 {
 		panic("fileview: request on a view whose filetype selects no bytes")
 	}
-	flat := v.Filetype.Flatten()
+	flat := v.flat
+	if flat == nil {
+		flat = v.Filetype.Flatten()
+	}
 	ext := v.Filetype.Extent()
 
+	// The first pass counts the mappings and the second fills them in: the
+	// result is allocated once, at its size, however many tiles coalesce.
 	var out []Mapping
-	var buf int64
-	skip := start % tileSize
-	remaining := nbytes
-	for tile := start / tileSize; remaining > 0; tile++ {
-		tileOff := v.Disp + tile*ext
-		for _, seg := range flat {
-			if remaining <= 0 {
-				break
+	for fill := false; ; fill = true {
+		n := 0
+		var cur Mapping // the mapping being extended, out[n-1]
+		skip := start % tileSize
+		remaining := nbytes
+		for tile := start / tileSize; remaining > 0; tile++ {
+			tileOff := v.Disp + tile*ext
+			for _, seg := range flat {
+				if remaining <= 0 {
+					break
+				}
+				if skip >= seg.Len {
+					skip -= seg.Len
+					continue
+				}
+				seg = interval.Extent{Off: seg.Off + skip, Len: seg.Len - skip}
+				skip = 0
+				take := min(seg.Len, remaining)
+				// Pieces are consecutive in the buffer: two that touch in the file are one.
+				if off := tileOff + seg.Off; n > 0 && cur.File.End() == off {
+					cur.File.Len += take
+				} else {
+					cur = Mapping{File: interval.Extent{Off: off, Len: take}, Buf: nbytes - remaining}
+					n++
+				}
+				if fill {
+					out[n-1] = cur
+				}
+				remaining -= take
 			}
-			if skip >= seg.Len {
-				skip -= seg.Len
-				continue
-			}
-			seg = interval.Extent{Off: seg.Off + skip, Len: seg.Len - skip}
-			skip = 0
-			take := seg.Len
-			if take > remaining {
-				take = remaining
-			}
-			fe := interval.Extent{Off: tileOff + seg.Off, Len: take}
-			if n := len(out); n > 0 && out[n-1].File.End() == fe.Off &&
-				out[n-1].Buf+out[n-1].File.Len == buf {
-				out[n-1].File.Len += take
-			} else {
-				out = append(out, Mapping{File: fe, Buf: buf})
-			}
-			buf += take
-			remaining -= take
 		}
+		if fill {
+			return out
+		}
+		out = make([]Mapping, n)
 	}
-	return out
 }
 
 // Extents returns the physical file extents of a request of nbytes, in

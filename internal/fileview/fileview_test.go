@@ -1,6 +1,7 @@
 package fileview
 
 import (
+	"slices"
 	"testing"
 
 	"atomio/internal/datatype"
@@ -261,4 +262,126 @@ func BenchmarkSpan(b *testing.B) {
 			b.Fatal("empty span")
 		}
 	}
+}
+
+// mapAtByAppend is MapAt as it was before the view kept its flattening: one
+// Flatten per call and a result grown from nil by append. It is the oracle
+// the counted, allocate-once MapAt is held to.
+func mapAtByAppend(v View, start, nbytes int64) []Mapping {
+	if nbytes == 0 {
+		return nil
+	}
+	tileSize := v.Filetype.Size()
+	flat := v.Filetype.Flatten()
+	ext := v.Filetype.Extent()
+
+	var out []Mapping
+	var buf int64
+	skip := start % tileSize
+	remaining := nbytes
+	for tile := start / tileSize; remaining > 0; tile++ {
+		tileOff := v.Disp + tile*ext
+		for _, seg := range flat {
+			if remaining <= 0 {
+				break
+			}
+			if skip >= seg.Len {
+				skip -= seg.Len
+				continue
+			}
+			seg = interval.Extent{Off: seg.Off + skip, Len: seg.Len - skip}
+			skip = 0
+			take := seg.Len
+			if take > remaining {
+				take = remaining
+			}
+			fe := interval.Extent{Off: tileOff + seg.Off, Len: take}
+			if n := len(out); n > 0 && out[n-1].File.End() == fe.Off &&
+				out[n-1].Buf+out[n-1].File.Len == buf {
+				out[n-1].File.Len += take
+			} else {
+				out = append(out, Mapping{File: fe, Buf: buf})
+			}
+			buf += take
+			remaining -= take
+		}
+	}
+	return out
+}
+
+// TestMapAtMatchesAppendOracle holds MapAt to the append-from-nil loop it
+// replaced, and to its own promise: the result is allocated at exactly its
+// length. Requests start and end at every alignment — mid-segment, mid-tile,
+// across one to five tiles — over the subarray shapes the harness uses, a
+// tiled vector, and views New did not build.
+func TestMapAtMatchesAppendOracle(t *testing.T) {
+	vector := datatype.NewVector(3, 2, 5, datatype.Byte) // 6 bytes in a 12-byte extent
+	types := map[string]datatype.Datatype{
+		"column-wise": datatype.NewSubarray([]int{6, 12}, []int{6, 3}, []int{0, 4}, datatype.Byte),
+		"row-wise":    datatype.NewSubarray([]int{6, 12}, []int{2, 12}, []int{3, 0}, datatype.Byte),
+		"block":       datatype.NewSubarray([]int{6, 12}, []int{3, 5}, []int{2, 6}, datatype.Byte),
+		"vector":      vector,
+		"padded":      datatype.NewResized(vector, 16),
+		"dense":       datatype.NewContiguous(4, datatype.Byte),
+	}
+	for name, ft := range types {
+		for _, v := range []View{
+			New(0, datatype.Byte, ft),
+			New(7, datatype.Byte, ft),
+			{Disp: 7, Etype: datatype.Byte, Filetype: ft}, // a literal: flattens on use
+		} {
+			tile := ft.Size()
+			for start := int64(0); start <= 2*tile; start++ {
+				for n := int64(0); start+n <= 5*tile+1; n++ {
+					got, want := v.MapAt(start, n), mapAtByAppend(v, start, n)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s %v MapAt(%d, %d) = %v, want %v", name, v, start, n, got, want)
+					}
+					if cap(got) != len(got) {
+						t.Fatalf("%s MapAt(%d, %d): %d mappings in a slice of %d", name, start, n, len(got), cap(got))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMapAtDefaultViewAllocatesOneMapping: the default view of a newly
+// opened file tiles one byte at a time, so a 1 MiB request walks a million
+// tiles that all coalesce. It must come back as one mapping in a slice of
+// one — never sized by tiles × segments.
+func TestMapAtDefaultViewAllocatesOneMapping(t *testing.T) {
+	v := New(0, datatype.Byte, datatype.NewContiguous(1, datatype.Byte))
+	var maps []Mapping
+	allocs := testing.AllocsPerRun(3, func() { maps = v.MapAt(5, 1<<20) })
+	if len(maps) != 1 || cap(maps) != 1 || maps[0] != (Mapping{File: ext(5, 1<<20)}) {
+		t.Fatalf("MapAt(5, 1 MiB) = %v (cap %d)", maps, cap(maps))
+	}
+	if allocs > 2 {
+		t.Fatalf("MapAt(5, 1 MiB) made %v allocations, want at most 2", allocs)
+	}
+}
+
+// TestNewFlattensOnce: the view owns its flattening — every request on a
+// view New built reads the one list.
+func TestNewFlattensOnce(t *testing.T) {
+	ft := &countingType{Datatype: datatype.NewVector(4, 2, 5, datatype.Byte)}
+	v := New(0, datatype.Byte, ft)
+	v.Map(8)
+	v.MapAt(3, 20)
+	v.Span(16)
+	if ft.flattened != 1 {
+		t.Fatalf("filetype flattened %d times, want once, by New", ft.flattened)
+	}
+}
+
+// countingType counts the Flatten calls made on the datatype it wraps.
+type countingType struct {
+	datatype.Datatype
+	flattened int
+}
+
+func (c *countingType) Flatten() []interval.Extent {
+	c.flattened++
+	return c.Datatype.Flatten()
 }

@@ -264,6 +264,8 @@ const (
 	MaxServers = 1 << 16
 	// MaxLockShards: every shard is a lock table with its own maps.
 	MaxLockShards = 1 << 16
+	// MaxSteps: every checkpoint step is a whole collective write.
+	MaxSteps = 1 << 16
 )
 
 // Validate reports the first range, bound or compatibility rule the
@@ -291,8 +293,10 @@ func (e Experiment) config() (pfs.Config, error) {
 		return cfg, fmt.Errorf("harness: servers must be non-negative and at most %d, got %d", MaxServers, e.Servers)
 	case e.LockShards < 0 || e.LockShards > MaxLockShards:
 		return cfg, fmt.Errorf("harness: lock shards must be non-negative and at most %d, got %d", MaxLockShards, e.LockShards)
-	case e.Steps < 0:
-		return cfg, fmt.Errorf("harness: checkpoint steps must be non-negative, got %d", e.Steps)
+	case e.Steps < 0 || e.Steps > MaxSteps:
+		return cfg, fmt.Errorf("harness: checkpoint steps must be non-negative and at most %d, got %d", MaxSteps, e.Steps)
+	case int64(e.M)*int64(e.N) > math.MaxInt64/int64(max(e.Steps, 1)):
+		return cfg, fmt.Errorf("harness: %d checkpoint steps of a %dx%d array exceed int64 bytes", e.Steps, e.M, e.N)
 	case e.Compute < 0:
 		return cfg, fmt.Errorf("harness: compute time must be non-negative, got %v", e.Compute)
 	case e.RunTimeout < 0:
@@ -435,10 +439,10 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		views[c.Rank()] = interval.List(piece.Filetype.Flatten())
 		var buf []byte
 		switch {
 		case e.Verify:
+			views[c.Rank()] = interval.List(piece.Filetype.Flatten()) // what Check compares the file to
 			buf = make([]byte, piece.BufBytes)
 			verify.Fill(c.Rank(), buf)
 		case e.StoreData:

@@ -68,6 +68,8 @@ func TestRunValidatesBeforeBuilding(t *testing.T) {
 		"lock shards":   func(e *Experiment) { e.LockShards = MaxLockShards + 1 },
 		"process count": func(e *Experiment) { e.Procs = 1 << 22 },
 		"array shape":   func(e *Experiment) { e.M = 1 << 62 },
+		"at most 65536": func(e *Experiment) { e.Steps = 1 << 40 },
+		"steps of a":    func(e *Experiment) { e.M, e.Steps = 1<<26, MaxSteps },
 	} {
 		e := base
 		mutate(&e)
@@ -77,7 +79,7 @@ func TestRunValidatesBeforeBuilding(t *testing.T) {
 	}
 	// The bounds themselves are runnable values, not off-by-one rejections.
 	e := base
-	e.Servers, e.LockShards = MaxServers, MaxLockShards
+	e.Servers, e.LockShards, e.Steps = MaxServers, MaxLockShards, MaxSteps
 	if err := e.Validate(); err != nil {
 		t.Errorf("experiment at the bounds: %v", err)
 	}

@@ -155,6 +155,9 @@ func ClipAll(views []interval.List) []interval.List {
 		// Emit the piece since the previous coordinate to the top rank.
 		if top >= 0 && at > prev {
 			l := out[top]
+			if l == nil { // a hint: a view split by higher ranks keeps more pieces
+				l = make(interval.List, 0, len(views[top]))
+			}
 			if n := len(l); n > 0 && l[n-1].End() == prev {
 				l[n-1].Len += at - prev
 			} else {

@@ -3,6 +3,7 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -12,6 +13,7 @@ import (
 
 // putInt64s appends vals to buf in little-endian order and returns buf.
 func putInt64s(buf []byte, vals ...int64) []byte {
+	buf = slices.Grow(buf, 8*len(vals))
 	for _, v := range vals {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}

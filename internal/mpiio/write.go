@@ -99,7 +99,7 @@ func (f *File) Write(buf []byte) error {
 		return core.ErrNoLockManager
 	}
 	clock := f.comm.Clock()
-	span := core.ExtentsOf(maps).Span()
+	span := core.SpanOf(maps)
 	if span.Len == 0 {
 		return nil
 	}
@@ -140,7 +140,7 @@ func (f *File) read(buf []byte) error {
 	f.client.Invalidate()
 	if f.mgr != nil {
 		clock := f.comm.Clock()
-		span := core.ExtentsOf(maps).Span()
+		span := core.SpanOf(maps)
 		if span.Len == 0 {
 			return nil
 		}

@@ -42,86 +42,103 @@ type cache struct {
 	cfg    CacheConfig
 	retain bool // keep written bytes (mirrors Config.StoreData)
 
-	valid map[int64]bool // readable blocks
+	valid interval.List // readable blocks: runs of block numbers, as marked
 
-	// Write-behind state: the log of dirty extents in write order and, when
-	// retaining, each entry's bytes beside it. The bytes are the caller's
-	// own slices, borrowed until the flush (see Segment): nothing is copied
-	// on the way in.
-	dirtyExts  interval.List
-	dirtyBufs  [][]byte
+	// Write-behind state: the log of unflushed writes in write order. The
+	// first batch after a flush is the caller's own slice and later ones go
+	// onto a copy of it; the bytes stay the caller's either way, borrowed
+	// until the flush (see Segment). The cache never writes through the log.
+	dirty      []Segment
 	dirtyBytes int64
 }
 
 func newCache(cfg CacheConfig, retain bool) *cache {
-	return &cache{cfg: cfg, retain: retain, valid: make(map[int64]bool)}
+	return &cache{cfg: cfg, retain: retain}
+}
+
+// markValid makes a run of blocks readable. Requests mostly arrive in file
+// order, so a run touching the newest extends it; any other is appended, with
+// room for the more runs the caller has yet to mark — one growth per batch.
+func (c *cache) markValid(run interval.Extent, more int) {
+	if n := len(c.valid); n > 0 {
+		if u, touching := c.valid[n-1].Union(run); touching {
+			c.valid[n-1] = u
+			return
+		}
+		c.valid = slices.Grow(c.valid, 1+more)
+	}
+	c.valid = append(c.valid, run)
 }
 
 // absorb records a write-behind write in write order.
 func (c *cache) absorb(segs []Segment) {
 	bs := c.cfg.blockSize()
-	c.dirtyExts = slices.Grow(c.dirtyExts, len(segs))
-	if c.retain {
-		c.dirtyBufs = slices.Grow(c.dirtyBufs, len(segs))
-	}
-	for _, s := range segs {
+	for i, s := range segs {
 		n := s.Len()
 		if n == 0 {
 			continue
 		}
-		c.dirtyBytes += n
-		c.dirtyExts = append(c.dirtyExts, interval.Extent{Off: s.Off, Len: n})
-		if c.retain {
-			if s.Data == nil {
-				panic(fmt.Sprintf("pfs: payload-less segment [%d,+%d) absorbed by a cache that retains data", s.Off, n))
-			}
-			c.dirtyBufs = append(c.dirtyBufs, s.Data)
+		if c.retain && s.Data == nil {
+			panic(fmt.Sprintf("pfs: payload-less segment [%d,+%d) absorbed by a cache that retains data", s.Off, n))
 		}
+		c.dirtyBytes += n
 		// Written blocks are also readable until invalidated.
-		for b := s.Off / bs; b <= (s.Off+n-1)/bs; b++ {
-			c.valid[b] = true
+		first := s.Off / bs
+		c.markValid(interval.Extent{Off: first, Len: (s.Off+n-1)/bs - first + 1}, len(segs)-1-i)
+	}
+	if len(c.dirty) == 0 {
+		// The log is the batch it was given. Clipped, so that a later
+		// append copies it out instead of writing into the caller's array.
+		c.dirty = slices.Clip(segs)
+		return
+	}
+	c.dirty = append(c.dirty, segs...)
+}
+
+// flushedForm reports whether segs is already what a flush sends: non-empty
+// segments in file order, no two touching (interval.List.IsCanonical).
+func flushedForm(segs []Segment) bool {
+	for i, s := range segs {
+		if s.Len() <= 0 || i > 0 && segs[i-1].Off+segs[i-1].Len() >= s.Off {
+			return false
 		}
 	}
+	return true
 }
 
 // takeDirty removes and returns the write-behind data as coalesced segments
-// in file order — the batching a write-behind cache exists to provide. A
-// cache that retains nothing has only extents to give back, so its segments
-// are payload-less. A retaining cache whose log is already that list
-// (sorted, disjoint, non-touching) hands back the logged slices themselves;
-// any other log is replayed into one buffer per coalesced extent, in write
-// order, so a client's own later write wins an overlap.
+// in file order — the batching a write-behind cache exists to provide. A log
+// already in that form is handed over as it stands, the caller's slice
+// included. Any other is normalized: a cache that retains nothing has only
+// extents to give back, so its segments are payload-less; a retaining cache
+// replays the log into one buffer per coalesced extent, in write order, so a
+// client's own later write wins an overlap.
 func (c *cache) takeDirty() []Segment {
-	if c.dirtyBytes == 0 {
-		return nil
+	// The borrow of the caller's slice ends here.
+	log := c.dirty
+	c.dirty, c.dirtyBytes = nil, 0
+	if flushedForm(log) {
+		return log
 	}
-	lend := c.dirtyExts.IsCanonical()
-	exts := c.dirtyExts.Normalize()
+	logged := make(interval.List, len(log))
+	for k, s := range log {
+		logged[k] = interval.Extent{Off: s.Off, Len: s.Len()}
+	}
+	exts := logged.Normalize()
 	segs := make([]Segment, len(exts))
-	switch {
-	case !c.retain:
-		for i, e := range exts {
-			segs[i] = Segment{Off: e.Off, N: e.Len}
+	for i, e := range exts {
+		segs[i] = Segment{Off: e.Off, N: e.Len}
+		if c.retain {
+			segs[i].Data = make([]byte, e.Len)
 		}
-	case lend:
-		for i, e := range exts {
-			segs[i] = Segment{Off: e.Off, Data: c.dirtyBufs[i]}
-		}
-	default:
-		for i, e := range exts {
-			segs[i] = Segment{Off: e.Off, Data: make([]byte, e.Len)}
-		}
-		for k, e := range c.dirtyExts {
+	}
+	for k, e := range logged {
+		if c.retain && !e.Empty() {
 			// Every logged extent lies inside one coalesced extent.
 			into := segs[sort.Search(len(exts), func(i int) bool { return exts[i].End() > e.Off })]
-			copy(into.Data[e.Off-into.Off:], c.dirtyBufs[k])
+			copy(into.Data[e.Off-into.Off:], log[k].Data)
 		}
 	}
-	// The segments hold no reference to exts, so the extent log's backing
-	// array serves the next batch; the borrowed slices are let go.
-	c.dirtyExts, c.dirtyBytes = c.dirtyExts[:0], 0
-	clear(c.dirtyBufs)
-	c.dirtyBufs = c.dirtyBufs[:0]
 	return segs
 }
 
@@ -137,19 +154,17 @@ func (c *cache) read(cl *Client, off int64, buf []byte) {
 
 	// Find missing block runs and fetch them with read-ahead.
 	for b := first; b <= last; b++ {
-		if c.valid[b] {
+		if c.valid.ContainsOffset(b) {
 			continue
 		}
 		runEnd := b
-		for runEnd+1 <= last && !c.valid[runEnd+1] {
+		for runEnd+1 <= last && !c.valid.ContainsOffset(runEnd+1) {
 			runEnd++
 		}
 		fetch := runEnd - b + 1 + int64(c.cfg.ReadAheadBlocks)
 		cl.queueServerService([]Segment{{Off: b * bs, N: fetch * bs}})
 		cl.clock.Advance(cl.fs.cfg.ClientModel.Cost(fetch * bs))
-		for v := b; v < b+fetch; v++ {
-			c.valid[v] = true
-		}
+		c.markValid(interval.Extent{Off: b, Len: fetch}, 0)
 		b = runEnd
 	}
 	// All blocks resident: serve at memory cost from the authoritative
@@ -161,15 +176,15 @@ func (c *cache) read(cl *Client, off int64, buf []byte) {
 	// The store has not seen the client's unflushed writes; a client reads
 	// its own, so they go over the store's bytes in write order.
 	req := interval.Extent{Off: off, Len: int64(len(buf))}
-	for k, data := range c.dirtyBufs {
-		e := c.dirtyExts[k]
-		if ov := e.Intersect(req); !ov.Empty() {
-			copy(buf[ov.Off-off:ov.End()-off], data[ov.Off-e.Off:])
+	for _, s := range c.dirty {
+		e := interval.Extent{Off: s.Off, Len: s.Len()}
+		if ov := e.Intersect(req); c.retain && !ov.Empty() {
+			copy(buf[ov.Off-off:ov.End()-off], s.Data[ov.Off-e.Off:])
 		}
 	}
 }
 
 // invalidate drops clean cached blocks; dirty write-behind data survives.
 func (c *cache) invalidate() {
-	c.valid = make(map[int64]bool)
+	c.valid = c.valid[:0]
 }

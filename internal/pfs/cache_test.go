@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"atomio/internal/sim"
@@ -214,5 +215,102 @@ func TestWriteBehindClientReadsItsOwnWrites(t *testing.T) {
 	c.Invalidate()
 	if got := read(); got != "0123them89abcdef" {
 		t.Fatalf("read after sync, foreign overwrite and invalidate = %q: flushed bytes still overlaid", got)
+	}
+}
+
+// TestValidRunsMatchBlockSet drives random write / read / invalidate scripts
+// through a caching client and through the per-block set its run list
+// replaced. After every step the readable blocks must be the set's, and
+// every read must take the misses the set predicts: as many fetches, of the
+// same sizes, at the same virtual cost. One server and one stripe, so a
+// fetch is one request and the clock can be worked out by hand.
+func TestValidRunsMatchBlockSet(t *testing.T) {
+	const (
+		bs        = 64
+		blocks    = 120
+		readAhead = 2
+	)
+	cfg := Config{
+		Servers:     1,
+		StripeSize:  1 << 30,
+		ServerModel: sim.LinearCost{Latency: 100 * sim.Microsecond, BytesPerSec: 1 << 20},
+		ClientModel: sim.LinearCost{Latency: 10 * sim.Microsecond, BytesPerSec: 8 << 20},
+		Cache: CacheConfig{
+			Enabled:         true,
+			BlockSize:       bs,
+			ReadAheadBlocks: readAhead,
+			WriteBehind:     true,
+			MemModel:        sim.LinearCost{Latency: 100, BytesPerSec: 1 << 30},
+		},
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		fs := MustNew(cfg)
+		clk := sim.NewClock(0)
+		c, _ := fs.Open("f", 0, clk)
+		set := make(map[int64]bool)
+		now := clk.Now()
+		var fetches, fetched int64
+		for op := 0; op < 300; op++ {
+			switch k := rnd.Intn(10); {
+			case k < 5:
+				// A vectored write, in file order more often than not; some
+				// segments span blocks, some touch the next, some are empty.
+				segs := make([]Segment, 1+rnd.Intn(6))
+				ascending := rnd.Intn(3) > 0
+				off := int64(rnd.Intn(blocks * bs / 2))
+				var total int64
+				for i := range segs {
+					if !ascending {
+						off = int64(rnd.Intn(blocks * bs))
+					}
+					segs[i] = Segment{Off: off, N: int64(rnd.Intn(3 * bs))}
+					off += segs[i].N + int64(rnd.Intn(4))*int64(rnd.Intn(2*bs))
+					total += segs[i].N
+					for b := segs[i].Off / bs; segs[i].N > 0 && b <= (segs[i].Off+segs[i].N-1)/bs; b++ {
+						set[b] = true
+					}
+				}
+				c.WriteV(segs)
+				now += cfg.Cache.MemModel.Cost(total)
+			case k < 9:
+				off, n := int64(rnd.Intn(blocks*bs)), 1+int64(rnd.Intn(6*bs))
+				for b, last := off/bs, (off+n-1)/bs; b <= last; b++ {
+					if set[b] {
+						continue
+					}
+					runEnd := b
+					for runEnd+1 <= last && !set[runEnd+1] {
+						runEnd++
+					}
+					fetch := runEnd - b + 1 + readAhead
+					fetches++
+					fetched += fetch * bs
+					now += cfg.ServerModel.Cost(fetch*bs) + cfg.ClientModel.Cost(fetch*bs)
+					for v := b; v < b+fetch; v++ {
+						set[v] = true
+					}
+					b = runEnd
+				}
+				now += cfg.Cache.MemModel.Cost(n)
+				c.ReadAt(off, make([]byte, n))
+			default:
+				c.Invalidate()
+				clear(set)
+			}
+			if clk.Now() != now {
+				t.Fatalf("seed %d op %d: clock %v, the block set predicts %v", seed, op, clk.Now(), now)
+			}
+			if st := fs.ServerStats()[0]; st.Requests != fetches || st.Bytes != fetched {
+				t.Fatalf("seed %d op %d: %d fetches of %d bytes in all, the block set predicts %d of %d",
+					seed, op, st.Requests, st.Bytes, fetches, fetched)
+			}
+			for b := int64(0); b < 2*blocks; b++ {
+				if got := c.cache.valid.ContainsOffset(b); got != set[b] {
+					t.Fatalf("seed %d op %d: block %d readable = %v, the block set says %v (runs %v)",
+						seed, op, b, got, set[b], c.cache.valid)
+				}
+			}
+		}
 	}
 }

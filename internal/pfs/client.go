@@ -19,7 +19,8 @@ import (
 //
 // Bytes handed to WriteV on a write-behind client are borrowed, not copied:
 // the caller must leave them alone until the client's next Sync or Close
-// returns, after which the store owns its own copy.
+// returns, after which the store owns its own copy. The slice of segments
+// is borrowed for as long, like its bytes, and is read-only to pfs.
 type Segment struct {
 	Off  int64
 	Data []byte
@@ -154,19 +155,25 @@ func (c *Client) transferWrite(segs []Segment) {
 	// the link cost, but a down server neither stores nor serves them.
 	segs = c.dropFaulted(segs)
 
-	// Store the bytes (per segment, so concurrent overlapping writers
-	// genuinely interleave in file content).
+	// Store the bytes (per segment, so concurrent overlapping writers genuinely
+	// interleave in file content). A data-less file only grows, once per batch.
+	var end int64
 	for i, s := range segs {
 		if c.BeforeSegment != nil {
 			c.BeforeSegment(i)
 		}
-		if s.Len() > 0 {
+		switch {
+		case s.Len() == 0:
+		case c.f.content == nil:
+			end = max(end, s.Off+s.Len())
+		default:
 			c.f.writeAt(s, c.rank)
 		}
 		if c.AfterSegment != nil {
 			c.AfterSegment(i)
 		}
 	}
+	c.f.growTo(end)
 
 	// Server-side: accumulate service per server and queue it.
 	c.queueServerService(segs)

@@ -74,15 +74,17 @@ func (fs *FileSystem) newFile(name string) *file {
 	return f
 }
 
+// growTo extends the file size to end if it is shorter.
+func (f *file) growTo(end int64) {
+	f.mu.Lock()
+	f.size = max(f.size, end)
+	f.mu.Unlock()
+}
+
 // writeAt stores s on behalf of rank and extends the file size. A data-less
 // file only grows; a file with a content store needs the bytes.
 func (f *file) writeAt(s Segment, rank int) {
-	end := s.Off + s.Len()
-	f.mu.Lock()
-	if end > f.size {
-		f.size = end
-	}
-	f.mu.Unlock()
+	f.growTo(s.Off + s.Len())
 	if f.content == nil || s.Len() == 0 {
 		return
 	}

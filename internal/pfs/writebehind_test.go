@@ -1,11 +1,14 @@
 package pfs
 
-// The write-behind extent log against a model, and the borrow it takes
-// against a poisoner. The cache lends the caller's slices when its log is
-// already the flush (sorted, disjoint, non-touching) and replays the log into
-// fresh buffers otherwise; either way the flush must be what the block-map
-// cache produced — dirtyExts.Normalize() in shape, later write wins in
-// content — and once Sync returns the store must own every byte it holds.
+// The write-behind log against a model, and the borrows it takes against a
+// poisoner. The log is the batch WriteV was handed — the caller's own slice
+// until a second batch arrives — and a flush hands it to the servers as it
+// stands when it is already the flush (sorted, disjoint, non-touching) and
+// replays it into fresh buffers otherwise. Either way the flush must be what
+// a cache that copies every batch into a log of its own produces — the logged
+// extents' Normalize() in shape, later write wins in content — pfs must never
+// write through a slice it was lent, and once Sync returns the store must own
+// every byte it holds and the cache no part of the caller's slice.
 
 import (
 	"bytes"
@@ -94,19 +97,44 @@ func flush(c *Client) []Segment {
 	return segs
 }
 
+// borrowed is one slice handed to WriteV beside a copy of its headers: until
+// the Sync pfs may read the slice, and it may never write it.
+type borrowed struct{ segs, was []Segment }
+
+func (b borrowed) intact() bool {
+	return slices.EqualFunc(b.segs, b.was, func(s, w Segment) bool {
+		return s.Off == w.Off && s.N == w.N && len(s.Data) == len(w.Data) &&
+			(len(s.Data) == 0 || &s.Data[0] == &w.Data[0])
+	})
+}
+
+// ownLog makes c's next WriteV land in a log the cache owns: an empty log is
+// seeded with one empty entry, so no batch is ever adopted. It is the
+// reference the adopting clients' flushes are held to.
+func ownLog(c *Client) {
+	if len(c.cache.dirty) == 0 {
+		c.cache.dirty = make([]Segment, 1, 8)
+	}
+}
+
 // TestWriteBehindLogMatchesModel drives random WriteV scripts from several
-// ranks through three file systems — a retaining write-behind cache, a
-// non-retaining one (StoreData off) and no cache at all — and a flat byte
-// image. The retaining cache must flush the segments the non-retaining one
-// does (which are dirtyExts.Normalize() by construction) at the same
-// virtual cost, and leave the file the cache-less clients and the image
-// hold when each batch is applied in write order at its Sync. Every caller
-// buffer is overwritten as soon as its Sync returns.
+// ranks through four file systems — a retaining write-behind cache, a
+// non-retaining one (StoreData off), a retaining one that never adopts the
+// caller's slice (ownLog) and no cache at all — and a flat byte image. All
+// three caches must flush the normalized form of the extents written since
+// the last Sync at the same virtual cost, a read before the Sync must see
+// the client's own unflushed bytes over the store's, and the file must be
+// the one the cache-less clients and the image hold when each batch is
+// applied in write order at its Sync. Batches arrive whole or one segment
+// per WriteV in any order — windows onto the caller's array with room behind
+// them — and no slice handed over may ever differ from the copy taken
+// before. Every caller buffer and every caller slice is overwritten as soon
+// as its Sync returns.
 func TestWriteBehindLogMatchesModel(t *testing.T) {
 	const (
 		ranks = 3
 		span  = 700
-		ops   = 300
+		ops   = 400
 	)
 	for _, mode := range []StripeMode{RoundRobin, ClientAffinity} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -114,27 +142,64 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 			lengths, direct := cfg, cfg
 			lengths.StoreData = false
 			direct.Cache = CacheConfig{}
-			fsA, fsB, fsC := MustNew(cfg), MustNew(lengths), MustNew(direct)
-			var cA, cB, cC [ranks]*Client
-			var clkA, clkB [ranks]*sim.Clock
+			fsA, fsB, fsC, fsN := MustNew(cfg), MustNew(lengths), MustNew(direct), MustNew(cfg)
+			var cA, cB, cC, cN [ranks]*Client
+			var clkA, clkB, clkN [ranks]*sim.Clock
 			for r := 0; r < ranks; r++ {
-				clkA[r], clkB[r] = sim.NewClock(0), sim.NewClock(0)
+				clkA[r], clkB[r], clkN[r] = sim.NewClock(0), sim.NewClock(0), sim.NewClock(0)
 				cA[r], _ = fsA.Open("f", r, clkA[r])
 				cB[r], _ = fsB.Open("f", r, clkB[r])
 				cC[r], _ = fsC.Open("f", r, sim.NewClock(0))
+				cN[r], _ = fsN.Open("f", r, clkN[r])
 			}
 			image := make([]byte, span+600) // room for a chain of touching segments past span
 			var pending [ranks][][]Segment
+			var lentOut [ranks][]borrowed
 			rnd := rand.New(rand.NewSource(19 + int64(mode)))
-			lent, touching, assembled := 0, 0, 0
+			lent, touching, assembled, windows, reads := 0, 0, 0, 0, 0
 			for op := 0; op < ops; op++ {
 				r := rnd.Intn(ranks)
 				if rnd.Intn(3) > 0 {
 					segs := scriptSegs(rnd, span)
-					cA[r].WriteV(segs)
-					cB[r].WriteV(segs)
-					pending[r] = append(pending[r], segs)
+					lentOut[r] = append(lentOut[r], borrowed{segs, slices.Clone(segs)})
+					batches := [][]Segment{segs}
+					if rnd.Intn(4) == 0 {
+						batches = batches[:0]
+						for _, i := range rnd.Perm(len(segs)) {
+							batches = append(batches, segs[i:i+1])
+						}
+						windows++
+					}
+					for _, batch := range batches {
+						ownLog(cN[r])
+						cA[r].WriteV(batch)
+						cB[r].WriteV(batch)
+						cN[r].WriteV(batch)
+						pending[r] = append(pending[r], batch)
+					}
 					continue
+				}
+				if rnd.Intn(2) == 0 {
+					// Read-your-own-writes, whoever's slice the log is. The
+					// non-retaining client reads too, to keep its clock and
+					// its readable blocks in step.
+					e := interval.Extent{Off: int64(rnd.Intn(span)), Len: 1 + int64(rnd.Intn(200))}
+					want := bytes.Clone(image[e.Off:e.End()])
+					for _, segs := range pending[r] {
+						for _, s := range segs {
+							if ov := e.Intersect(interval.Extent{Off: s.Off, Len: s.Len()}); !ov.Empty() {
+								copy(want[ov.Off-e.Off:ov.End()-e.Off], s.Data[ov.Off-s.Off:])
+							}
+						}
+					}
+					for _, c := range []*Client{cA[r], cB[r], cN[r]} {
+						got := make([]byte, e.Len)
+						c.ReadAt(e.Off, got)
+						if c != cB[r] && !bytes.Equal(got, want) {
+							t.Fatalf("op %d: rank %d read %v before its Sync:\ngot  %x\nwant %x", op, r, e, got, want)
+						}
+					}
+					reads++
 				}
 				var log interval.List
 				for _, segs := range pending[r] {
@@ -155,32 +220,42 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 				default:
 					assembled++
 				}
-				gotA, gotB := shapes(flush(cA[r])), shapes(flush(cB[r]))
-				if want := log.Normalize(); !slices.Equal(gotA, want) || !slices.Equal(gotB, want) {
-					t.Fatalf("op %d: flushed %v (retaining) and %v (not), want %v", op, gotA, gotB, want)
+				gotA, gotB, gotN := shapes(flush(cA[r])), shapes(flush(cB[r])), shapes(flush(cN[r]))
+				if want := log.Normalize(); !slices.Equal(gotA, want) || !slices.Equal(gotB, want) || !slices.Equal(gotN, want) {
+					t.Fatalf("op %d: flushed %v (retaining), %v (not) and %v (own log), want %v", op, gotA, gotB, gotN, want)
 				}
-				for _, segs := range pending[r] {
-					for _, s := range segs {
-						for i := range s.Data {
-							s.Data[i] = 0xEE
+				for _, b := range lentOut[r] {
+					if !b.intact() {
+						t.Fatalf("op %d: pfs wrote through a slice it was lent: %v, was %v", op, shapes(b.segs), shapes(b.was))
+					}
+					// The borrow is over: the bytes and the slice are the
+					// caller's to reuse.
+					for i, s := range b.segs {
+						for j := range s.Data {
+							s.Data[j] = 0xEE
 						}
+						b.segs[i] = Segment{Off: 1 << 40, Data: []byte{0xEE}}
 					}
 				}
-				pending[r] = nil
+				pending[r], lentOut[r] = nil, nil
 
-				if clkA[r].Now() != clkB[r].Now() {
-					t.Fatalf("op %d: rank %d clock %v retaining, %v not", op, r, clkA[r].Now(), clkB[r].Now())
+				if clkA[r].Now() != clkB[r].Now() || clkA[r].Now() != clkN[r].Now() {
+					t.Fatalf("op %d: rank %d clock %v retaining, %v not, %v with its own log",
+						op, r, clkA[r].Now(), clkB[r].Now(), clkN[r].Now())
 				}
-				if a, b := fsA.ServerStats(), fsB.ServerStats(); !reflect.DeepEqual(a, b) {
-					t.Fatalf("op %d: server stats differ:\nretaining %+v\nnot       %+v", op, a, b)
+				statsA := fsA.ServerStats()
+				if b, n := fsB.ServerStats(), fsN.ServerStats(); !reflect.DeepEqual(statsA, b) || !reflect.DeepEqual(statsA, n) {
+					t.Fatalf("op %d: server stats differ:\nretaining %+v\nnot       %+v\nown log   %+v", op, statsA, b, n)
 				}
 				part := interval.Extent{Off: int64(rnd.Intn(span)), Len: 1 + int64(rnd.Intn(200))}
 				for _, e := range []interval.Extent{{Off: 0, Len: int64(len(image))}, part} {
 					snapA, _ := fsA.Snapshot("f", e)
 					snapC, _ := fsC.Snapshot("f", e)
-					if want := image[e.Off:min(e.End(), int64(len(image)))]; !bytes.Equal(snapA[:len(want)], want) || !bytes.Equal(snapC[:len(want)], want) {
-						t.Fatalf("op %d: snapshot %v differs from the image\nwrite-behind %x\ncache-less   %x\nimage        %x",
-							op, e, snapA, snapC, want)
+					snapN, _ := fsN.Snapshot("f", e)
+					want := image[e.Off:min(e.End(), int64(len(image)))]
+					if !bytes.Equal(snapA[:len(want)], want) || !bytes.Equal(snapC[:len(want)], want) || !bytes.Equal(snapN[:len(want)], want) {
+						t.Fatalf("op %d: snapshot %v differs from the image\nwrite-behind %x\ncache-less   %x\nown log      %x\nimage        %x",
+							op, e, snapA, snapC, snapN, want)
 					}
 				}
 				extA, _ := fsA.WrittenExtents("f")
@@ -189,9 +264,10 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 					t.Fatalf("op %d: written extents %v through the cache, %v without", op, extA, extC)
 				}
 			}
-			if lent == 0 || touching == 0 || assembled == 0 {
-				t.Fatalf("script flushed %d canonical, %d disjoint but touching and %d overlapping logs; it must make all three",
-					lent, touching, assembled)
+			if lent == 0 || touching == 0 || assembled == 0 || windows == 0 || reads == 0 {
+				t.Fatalf("script flushed %d canonical, %d disjoint but touching and %d overlapping logs, wrote %d requests "+
+					"one segment at a time and read %d times before a Sync; it must do all five",
+					lent, touching, assembled, windows, reads)
 			}
 		})
 	}
@@ -220,8 +296,8 @@ func TestStoreOwnsItsBytesAfterSync(t *testing.T) {
 					bufs = append(bufs, buf)
 					c.WriteAt(off, buf)
 				}
-				if lend := c.cache.dirtyExts.IsCanonical(); lend != (log.name == "lent") {
-					t.Fatalf("log %v canonical = %v", c.cache.dirtyExts, lend)
+				if lend := flushedForm(c.cache.dirty); lend != (log.name == "lent") {
+					t.Fatalf("log %v in flushed form = %v", shapes(c.cache.dirty), lend)
 				}
 				c.Sync()
 				whole := interval.Extent{Off: 0, Len: 400}
