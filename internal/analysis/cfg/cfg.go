@@ -440,18 +440,6 @@ func (g *Graph) Reachable() map[*Block]bool {
 	return seen
 }
 
-// Preds computes the predecessor lists of every block, for backward
-// analyses.
-func (g *Graph) Preds() map[*Block][]*Block {
-	preds := make(map[*Block][]*Block, len(g.Blocks))
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
-			preds[s] = append(preds[s], b)
-		}
-	}
-	return preds
-}
-
 // Dump renders the graph in a compact textual form for tests and
 // debugging: one line per block, "i(kind): n nodes -> succ indexes".
 func (g *Graph) Dump() string {

@@ -73,7 +73,6 @@ func run(pass *analysis.Pass) error {
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	g := cfg.New(fd.Body)
 	spec := dataflow.Spec[dataflow.Set[string]]{
-		Dir:      dataflow.Forward,
 		Boundary: dataflow.Set[string]{},
 		Join:     dataflow.Intersect[string],
 		Equal:    dataflow.EqualSets[string],

@@ -1,11 +1,11 @@
 // Package dataflow solves iterative dataflow problems over the
 // control-flow graphs of internal/analysis/cfg: a generic worklist
 // solver parameterized by the client's lattice (join, equality,
-// transfer), plus two reusable facts the contract analyzers share —
-// reaching definitions (reaching.go) and a taint/escape walk
-// (taint.go). The solver is direction-agnostic (forward or backward)
-// and deliberately simple: analyzer inputs are single function bodies,
-// where a round-robin worklist converges in a handful of passes.
+// transfer), plus the reusable facts the contract analyzers share — a
+// taint walk (taint.go) and an escape walk (escape.go). The solver
+// propagates forward, along control flow, and is deliberately simple:
+// analyzer inputs are single function bodies, where a round-robin
+// worklist converges in a handful of passes.
 //
 // Must-properties ("the mutex is held on every path") and
 // may-properties ("some path acquires shard i first") differ only in
@@ -17,22 +17,9 @@ package dataflow
 
 import "atomio/internal/analysis/cfg"
 
-// Dir selects the propagation direction.
-type Dir int
-
-const (
-	// Forward propagates facts along control flow (entry to exit).
-	Forward Dir = iota
-	// Backward propagates facts against control flow (exit to entry).
-	Backward
-)
-
 // Spec describes one dataflow problem over fact type F.
 type Spec[F any] struct {
-	// Dir is the propagation direction.
-	Dir Dir
-	// Boundary is the fact entering the entry block (Forward) or
-	// leaving the exit block (Backward).
+	// Boundary is the fact entering the entry block.
 	Boundary F
 	// Join combines the fact arriving over one more edge into acc. It
 	// must not mutate src; it may mutate and return acc.
@@ -44,21 +31,19 @@ type Spec[F any] struct {
 	// mutate in and return it.
 	Transfer func(b *cfg.Block, in F) F
 	// EdgeTransfer, if non-nil, refines the fact flowing along the
-	// from→to edge (Forward direction: from's out fact). Branch-aware
-	// clients use it to learn the condition on the taken edge: for a
-	// block with Cond != nil, Succs[0] is the true edge and Succs[1]
-	// the false edge. It must not mutate the input fact.
+	// from→to edge (from's out fact). Branch-aware clients use it to
+	// learn the condition on the taken edge: for a block with Cond != nil,
+	// Succs[0] is the true edge and Succs[1] the false edge. It must not
+	// mutate the input fact.
 	EdgeTransfer func(from, to *cfg.Block, f F) F
 	// Copy clones a fact so Join/Transfer may mutate their accumulator
 	// safely. Required.
 	Copy func(F) F
 }
 
-// Result carries the solved facts in propagation order: In[b] is the
-// fact flowing into block b along the chosen direction (for Forward the
-// block's entry, for Backward the block's end), Out[b] the fact after
-// b's transfer. Blocks never reached by propagation are absent from
-// both maps.
+// Result carries the solved facts: In[b] is the fact at block b's entry,
+// Out[b] the fact after b's transfer. Blocks never reached by
+// propagation are absent from both maps.
 type Result[F any] struct {
 	In  map[*cfg.Block]F
 	Out map[*cfg.Block]F
@@ -70,21 +55,9 @@ func Solve[F any](g *cfg.Graph, s Spec[F]) *Result[F] {
 		In:  make(map[*cfg.Block]F),
 		Out: make(map[*cfg.Block]F),
 	}
-	// next returns the blocks a fact flows to, and flip swaps In/Out
-	// orientation, so one loop serves both directions.
-	var start *cfg.Block
-	succs := func(b *cfg.Block) []*cfg.Block { return b.Succs }
-	if s.Dir == Forward {
-		start = g.Entry
-	} else {
-		start = g.Exit
-		preds := g.Preds()
-		succs = func(b *cfg.Block) []*cfg.Block { return preds[b] }
-	}
-
-	res.In[start] = s.Copy(s.Boundary)
-	work := []*cfg.Block{start}
-	inWork := map[*cfg.Block]bool{start: true}
+	res.In[g.Entry] = s.Copy(s.Boundary)
+	work := []*cfg.Block{g.Entry}
+	inWork := map[*cfg.Block]bool{g.Entry: true}
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
@@ -92,14 +65,10 @@ func Solve[F any](g *cfg.Graph, s Spec[F]) *Result[F] {
 
 		out := s.Transfer(b, s.Copy(res.In[b]))
 		res.Out[b] = out
-		for _, nb := range succs(b) {
+		for _, nb := range b.Succs {
 			flow := out
 			if s.EdgeTransfer != nil {
-				if s.Dir == Forward {
-					flow = s.EdgeTransfer(b, nb, out)
-				} else {
-					flow = s.EdgeTransfer(nb, b, out)
-				}
+				flow = s.EdgeTransfer(b, nb, out)
 			}
 			old, seen := res.In[nb]
 			var merged F

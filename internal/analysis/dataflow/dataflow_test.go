@@ -56,7 +56,6 @@ func f(a int) int {
 	return x
 }`, "f")
 	spec := Spec[Set[string]]{
-		Dir:      Forward,
 		Boundary: Set[string]{},
 		Join:     Intersect[string],
 		Equal:    EqualSets[string],
@@ -94,7 +93,6 @@ func f(a int) int {
 	return x
 }`, "f")
 	spec := Spec[Set[string]]{
-		Dir:      Forward,
 		Boundary: Set[string]{},
 		Join:     Union[string],
 		Equal:    EqualSets[string],
@@ -129,7 +127,6 @@ func f(n int) int {
 	return x
 }`, "f")
 	spec := Spec[Set[string]]{
-		Dir:      Forward,
 		Boundary: Set[string]{},
 		Join:     Union[string],
 		Equal:    EqualSets[string],
@@ -147,57 +144,6 @@ func f(n int) int {
 	exit := res.In[g.Exit]
 	if !exit["0"] || !exit["7"] {
 		t.Errorf("loop-carried facts must reach exit: %v", exit)
-	}
-}
-
-func TestReachingDefsKill(t *testing.T) {
-	fd, g, info := checkFunc(t, `package p
-func f(a int) int {
-	x := 1
-	x = 2
-	return x
-}`, "f")
-	_ = fd
-	r := ReachingDefs(g, info)
-	// At the return, only the second assignment reaches.
-	var xVar *types.Var
-	for id, obj := range info.Defs {
-		if id.Name == "x" {
-			xVar = obj.(*types.Var)
-		}
-	}
-	if xVar == nil {
-		t.Fatal("no x variable")
-	}
-	defs := DefsOf(r.At(g.Exit, nil), xVar)
-	if len(defs) != 1 {
-		t.Fatalf("want exactly 1 reaching def of x at exit, got %d", len(defs))
-	}
-	as, ok := defs[0].(*ast.AssignStmt)
-	if !ok || types.ExprString(as.Rhs[0]) != "2" {
-		t.Errorf("the x = 2 assignment should be the surviving def, got %v", defs[0])
-	}
-}
-
-func TestReachingDefsBranchesMerge(t *testing.T) {
-	_, g, info := checkFunc(t, `package p
-func f(a int) int {
-	x := 1
-	if a > 0 {
-		x = 2
-	}
-	return x
-}`, "f")
-	r := ReachingDefs(g, info)
-	var xVar *types.Var
-	for id, obj := range info.Defs {
-		if id.Name == "x" {
-			xVar = obj.(*types.Var)
-		}
-	}
-	defs := DefsOf(r.At(g.Exit, nil), xVar)
-	if len(defs) != 2 {
-		t.Fatalf("want both defs of x reaching exit (branch may or may not run), got %d", len(defs))
 	}
 }
 

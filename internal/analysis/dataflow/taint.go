@@ -27,7 +27,6 @@ type TaintResult struct {
 func Taint(g *cfg.Graph, info *types.Info, isSource func(*ast.CallExpr) bool) *TaintResult {
 	t := &TaintResult{g: g, info: info, isSource: isSource}
 	spec := Spec[Set[*types.Var]]{
-		Dir:      Forward,
 		Boundary: Set[*types.Var]{},
 		Join:     Union[*types.Var],
 		Equal:    EqualSets[*types.Var],
@@ -237,4 +236,21 @@ func (t *TaintResult) exprTainted(e ast.Expr, fact Set[*types.Var]) bool {
 		return t.exprTainted(e.X, fact)
 	}
 	return false
+}
+
+// lhsVar resolves an assignment target to the local variable it names,
+// or nil for non-identifier targets (x.f, x[i], *p — stores through
+// memory, not redefinitions of a local).
+func lhsVar(info *types.Info, e ast.Expr) *types.Var {
+	id, ok := e.(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return nil
+	}
+	if v, ok := info.Defs[id].(*types.Var); ok {
+		return v
+	}
+	if v, ok := info.Uses[id].(*types.Var); ok {
+		return v
+	}
+	return nil
 }

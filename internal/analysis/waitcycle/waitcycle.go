@@ -97,7 +97,6 @@ func run(pass *analysis.Pass) error {
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	g := cfg.New(fd.Body)
 	spec := dataflow.Spec[fact]{
-		Dir:      dataflow.Forward,
 		Boundary: fact{held: dataflow.Set[mutexDesc]{}, conds: dataflow.Set[cond]{}},
 		Join: func(acc, src fact) fact {
 			acc.held = dataflow.Union(acc.held, src.held)

@@ -17,7 +17,7 @@ type CentralConfig struct {
 	// hence, limited").
 	ServiceTime sim.VTime
 	// Shards partitions the manager's lock table across this many
-	// offset-stripe shards (0 or 1 keeps the single table). Sharding
+	// offset-stripe shards (0 or less means one). Sharding
 	// changes host-side concurrency and data-structure size only — the
 	// simulated service model and every virtual timestamp are invariant
 	// in the shard count.
@@ -31,7 +31,7 @@ type CentralConfig struct {
 type Central struct {
 	cfg     CentralConfig
 	service *sim.Resource
-	tbl     grantTable
+	tbl     *table
 	coord   sim.Coord
 	obs     *obs.Recorder
 }
@@ -41,7 +41,7 @@ func NewCentral(cfg CentralConfig) *Central {
 	return &Central{
 		cfg:     cfg,
 		service: sim.NewResource("lockmgr"),
-		tbl:     newGrantTable(cfg.Shards, cfg.ShardStripe),
+		tbl:     newTable(cfg.Shards, cfg.ShardStripe),
 		coord:   sim.Solo{},
 	}
 }
@@ -50,12 +50,7 @@ func NewCentral(cfg CentralConfig) *Central {
 func (c *Central) Name() string { return "central" }
 
 // Shards returns the number of lock-table shards (at least 1).
-func (c *Central) Shards() int {
-	if c.cfg.Shards > 1 {
-		return c.cfg.Shards
-	}
-	return 1
-}
+func (c *Central) Shards() int { return len(c.tbl.shards) }
 
 // SetCoord routes the manager's shared-state transitions through the run's
 // coordinator (see sim.Coord); lock owners double as actor ids. Until it is

@@ -24,7 +24,7 @@ type DistributedConfig struct {
 	// revoked (a round trip to that client plus its flush work).
 	RevokeCost sim.VTime
 	// Shards partitions the manager's lock table across this many
-	// offset-stripe shards (0 or 1 keeps the single table); virtual
+	// offset-stripe shards (0 or less means one); virtual
 	// timing is invariant in the shard count (see CentralConfig.Shards).
 	Shards int
 	// ShardStripe is the offset-stripe width used to route requests to
@@ -42,7 +42,7 @@ type DistributedConfig struct {
 type Distributed struct {
 	cfg     DistributedConfig
 	service *sim.Resource
-	tbl     grantTable
+	tbl     *table
 	coord   sim.Coord
 	obs     *obs.Recorder
 
@@ -66,7 +66,7 @@ func NewDistributed(cfg DistributedConfig) *Distributed {
 	return &Distributed{
 		cfg:     cfg,
 		service: sim.NewResource("tokenmgr"),
-		tbl:     newGrantTable(cfg.Shards, cfg.ShardStripe),
+		tbl:     newTable(cfg.Shards, cfg.ShardStripe),
 		coord:   sim.Solo{},
 	}
 }
@@ -75,12 +75,7 @@ func NewDistributed(cfg DistributedConfig) *Distributed {
 func (d *Distributed) Name() string { return "distributed" }
 
 // Shards returns the number of lock-table shards (at least 1).
-func (d *Distributed) Shards() int {
-	if d.cfg.Shards > 1 {
-		return d.cfg.Shards
-	}
-	return 1
-}
+func (d *Distributed) Shards() int { return len(d.tbl.shards) }
 
 // SetCoord routes the manager's shared-state transitions through the run's
 // coordinator (see Central.SetCoord).

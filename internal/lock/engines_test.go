@@ -37,15 +37,15 @@ func onEngine(t testing.TB, eng sim.Engine, actors int, setCoord func(sim.Coord)
 	}
 }
 
-// grantTableOf reaches the manager's table for relLatest probes.
-func grantTableOf(m Manager) grantTable {
+// tableOf reaches the manager's table for relLatest probes.
+func tableOf(m Manager) *table {
 	switch m := m.(type) {
 	case *Central:
 		return m.tbl
 	case *Distributed:
 		return m.tbl
 	case *Faulty:
-		return grantTableOf(m.inner)
+		return tableOf(m.inner)
 	default:
 		panic(fmt.Sprintf("no grant table on %T", m))
 	}
@@ -89,7 +89,7 @@ func runLockWorkload(t *testing.T, mk func() coordManager, eng sim.Engine, seed 
 			now = rel + sim.VTime(rng.Intn(20))*sim.Microsecond
 		}
 	})
-	tbl := grantTableOf(mgr)
+	tbl := tableOf(mgr)
 	if n := tbl.holders(); n != 0 {
 		t.Fatalf("engine %s: %d locks still held after the workload", eng.Name(), n)
 	}

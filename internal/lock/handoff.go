@@ -14,45 +14,45 @@ func blocks(holder int, held Mode, owner int, mode Mode) bool {
 	return holder != owner && (held == Exclusive || mode == Exclusive)
 }
 
-// readyList is the scratch list a release hands freed ranges out of. Both
-// tables keep, per waiter, a count of the granted locks blocking it —
+// readyList is the scratch list a release hands freed ranges out of. The
+// table keeps, per waiter, a count of the granted locks blocking it —
 // raised when such a lock is granted, lowered when one is released — so
 // between operations every registered waiter's count is positive, and a
 // release pushes here the waiters it brings to zero: it can grant no
 // others, because granting only adds locks. The backing array is kept
-// across releases. W is the table's waiter representation.
-type readyList[W any] struct {
-	items []readyItem[W]
+// across releases.
+type readyList struct {
+	items []readyItem
 }
 
 // readyItem is one grant candidate, its ordering key copied beside it so
 // that selecting the minimum scans contiguous memory.
-type readyItem[W any] struct {
+type readyItem struct {
 	ticket sim.VTime
 	seq    int64
-	w      W
+	w      *waiter
 }
 
 // compare is the (ticket, seq) grant order.
-func (a readyItem[W]) compare(b readyItem[W]) int {
+func (a readyItem) compare(b readyItem) int {
 	return cmp.Or(cmp.Compare(a.ticket, b.ticket), cmp.Compare(a.seq, b.seq))
 }
 
-func (r *readyList[W]) push(ticket sim.VTime, seq int64, w W) {
-	r.items = append(r.items, readyItem[W]{ticket: ticket, seq: seq, w: w})
+func (r *readyList) push(w *waiter) {
+	r.items = append(r.items, readyItem{ticket: w.ticket, seq: w.seq, w: w})
 }
 
 // handOff empties the list, granting in (ticket, seq) order every pushed
-// waiter that is still ready at its turn: grant registers a waiter's lock,
-// which blocks the waiters it conflicts with, listed ones included. The
-// minimum goes first and only what it leaves ready is sorted: when all m
+// waiter that is still unblocked at its turn: grant registers a waiter's
+// lock, which blocks the waiters it conflicts with, listed ones included.
+// The minimum goes first and only what it leaves ready is sorted: when all m
 // waiters overlap (the paper's column-wise spans) every release readies
 // them all and the first grant blocks them all again, so the hand-off is
 // one O(m) scan and no sort; a wake-up of compatible waiters sorts once.
 // It must not allocate.
 //
 //atomiovet:hotpath
-func (r *readyList[W]) handOff(ready func(W) bool, grant func(W)) {
+func (r *readyList) handOff(grant func(*waiter)) {
 	items := r.items
 	r.items = items[:0]
 	if len(items) == 0 {
@@ -68,14 +68,14 @@ func (r *readyList[W]) handOff(ready func(W) bool, grant func(W)) {
 	items[first] = items[len(items)-1]
 	n := 0
 	for _, it := range items[:len(items)-1] {
-		if ready(it.w) {
+		if it.w.blockers.Load() == 0 {
 			items[n] = it
 			n++
 		}
 	}
-	slices.SortFunc(items[:n], readyItem[W].compare)
+	slices.SortFunc(items[:n], readyItem.compare)
 	for _, it := range items[:n] {
-		if ready(it.w) {
+		if it.w.blockers.Load() == 0 {
 			grant(it.w)
 		}
 	}

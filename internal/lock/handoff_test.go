@@ -22,7 +22,7 @@ var massExtent = interval.Extent{Off: 0, Len: 100}
 // with ticket(owner), and once all of them are parked actor n calls
 // beforeRelease and releases. Each waiter calls granted when its acquire
 // returns.
-func massWakeup(t testing.TB, eng sim.Engine, tbl grantTable, n int, mode Mode,
+func massWakeup(t testing.TB, eng sim.Engine, tbl *table, n int, mode Mode,
 	ticket func(owner int) sim.VTime, beforeRelease func(), granted func(owner int)) {
 	t.Helper()
 	e := massExtent
@@ -47,7 +47,7 @@ func massWakeup(t testing.TB, eng sim.Engine, tbl grantTable, n int, mode Mode,
 // massWakeupOrder blocks n exclusive waiters with shuffled tickets behind
 // one held lock, releases it, and returns the order in which the waiters
 // were granted as each one releases in turn.
-func massWakeupOrder(t *testing.T, eng sim.Engine, tbl grantTable, n int) []int {
+func massWakeupOrder(t *testing.T, eng sim.Engine, tbl *table, n int) []int {
 	t.Helper()
 	tickets := rand.New(rand.NewSource(int64(n))).Perm(n)
 	var mu sync.Mutex
@@ -73,14 +73,14 @@ func massWakeupOrder(t *testing.T, eng sim.Engine, tbl grantTable, n int) []int 
 
 // TestMassWakeupGrantsInTicketOrder pins the release hand-off to the
 // table's deterministic contract: overlapping exclusive waiters are
-// granted strictly in ticket order, on both the single-mutex table and the
-// sharded one (the extent spans several stripes of the 4-shard table).
+// granted strictly in ticket order, with one shard and with four (the
+// extent spans several stripes of the 4-shard table).
 func TestMassWakeupGrantsInTicketOrder(t *testing.T) {
 	const n = 60
 	for _, eng := range engines() {
-		for name, tbl := range map[string]grantTable{
-			"table":   newTable(),
-			"sharded": newShardedTable(4, 16),
+		for name, tbl := range map[string]*table{
+			"S1": newTable(1, 16),
+			"S4": newTable(4, 16),
 		} {
 			order := massWakeupOrder(t, eng, tbl, n)
 			if len(order) != n {
@@ -104,7 +104,7 @@ func BenchmarkMassWakeup(b *testing.B) {
 		b.Run(fmt.Sprintf("waiters=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				massWakeup(b, des.New(), newTable(), m, Shared,
+				massWakeup(b, des.New(), newTable(1, 0), m, Shared,
 					func(owner int) sim.VTime { return sim.VTime(owner) },
 					b.StartTimer, func(int) {})
 			}
@@ -112,11 +112,11 @@ func BenchmarkMassWakeup(b *testing.B) {
 	}
 }
 
-// lockModel is the brute-force reference the tables' hand-off is pinned to:
+// lockModel is the brute-force reference the table's hand-off is pinned to:
 // granted locks and waiters in plain slices, a linear conflict scan over
 // every granted lock, a rescan of every waiter for the first grantable one
 // in (ticket, seq) order after each grant, and a per-byte release history.
-// It shares no code and no data structure with the tables.
+// It shares no code and no data structure with the table.
 type lockModel struct {
 	granted      []modelLock
 	waiting      []*modelWaiter
@@ -168,7 +168,7 @@ func (m *lockModel) grant(l modelLock, floor sim.VTime) sim.VTime {
 	return at
 }
 
-// apply runs one op and returns what the tables must observably do with it.
+// apply runs one op and returns what the table must observably do with it.
 func (m *lockModel) apply(op scriptOp) opOutcome {
 	var out opOutcome
 	if op.acquire {
@@ -235,32 +235,23 @@ func (m *lockModel) observe(out opOutcome, probes []interval.Extent) opOutcome {
 // checkBlockerCounts asserts the invariant the hand-off rests on: between
 // operations every registered waiter's blockers equals the number of
 // granted locks blocking it — recomputed from the model, once per shard the
-// two share in the sharded table — and is positive.
-func checkBlockerCounts(t *testing.T, tbl grantTable, m *lockModel) {
+// two share — and is positive.
+func checkBlockerCounts(t *testing.T, tbl *table, m *lockModel) {
 	t.Helper()
 	got := map[int]int64{} // owner -> blockers; an owner has one blocked request at most
-	shared := func(a, b interval.Extent) int64 { return 1 }
-	switch tbl := tbl.(type) {
-	case *table:
-		tbl.waiting.All(func(_ interval.Extent, _ index.Handle, w *waiter) bool {
-			got[w.owner] = int64(w.blockers)
+	for _, sh := range tbl.shards {
+		sh.waiting.All(func(_ interval.Extent, _ index.Handle, w *waiter) bool {
+			got[w.owner] = w.blockers.Load()
 			return true
 		})
-	case *shardedTable:
-		for _, sh := range tbl.shards {
-			sh.waiting.All(func(_ interval.Extent, _ index.Handle, w *swaiter) bool {
-				got[w.owner] = w.blockers.Load()
-				return true
-			})
-		}
-		shared = func(a, b interval.Extent) (n int64) {
-			for _, id := range tbl.shardIDs(a) {
-				if slices.Contains(tbl.shardIDs(b), id) {
-					n++
-				}
+	}
+	shared := func(a, b interval.Extent) (n int64) {
+		for _, id := range tbl.shardIDs(a) {
+			if slices.Contains(tbl.shardIDs(b), id) {
+				n++
 			}
-			return n
 		}
+		return n
 	}
 	if len(got) != len(m.waiting) {
 		t.Errorf("%d waiters registered, model has %d", len(got), len(m.waiting))
@@ -289,27 +280,18 @@ var handOffExtents = []interval.Extent{
 // TestHandOffMatchesBruteForceModel drives random scripts — shared and
 // exclusive requests, one owner holding overlapping locks, duplicate, empty,
 // nested and crossing extents, releases of locks that are not held —
-// through both tables on the event loop and requires, after every step,
-// the model's grants (set, order and time), counts and release history,
-// and the blocker-count invariant. TestShardedMatchesUnshardedOracle
-// compares the tables with each other; they share the hand-off, so this is
-// the test that pins it.
+// through the table at several shard counts on the event loop and requires,
+// after every step, the model's grants (set, order and time), counts and
+// release history, and the blocker-count invariant.
+// TestShardedMatchesUnshardedOracle compares shard counts with each other;
+// they run the same hand-off, so this is the test that pins it.
 func TestHandOffMatchesBruteForceModel(t *testing.T) {
 	const stripe, rounds, nOps = 100, 40, 160
 	probes := []interval.Extent{ext(0, 1000), ext(0, 100), ext(120, 60), ext(250, 1), ext(399, 302), ext(990, 40)}
-	tables := []struct {
-		name string
-		mk   func() grantTable
-	}{
-		{"table", func() grantTable { return newTable() }},
-		{"S2", func() grantTable { return newShardedTable(2, stripe) }},
-		{"S4", func() grantTable { return newShardedTable(4, stripe) }},
-		{"S7", func() grantTable { return newShardedTable(7, stripe) }},
-	}
-	for _, tc := range tables {
+	for _, shards := range []int{1, 2, 4, 7} {
 		for round := 0; round < rounds && !t.Failed(); round++ {
 			r := rand.New(rand.NewSource(int64(round)))
-			tbl := tc.mk()
+			tbl := newTable(shards, stripe)
 			m := &lockModel{excl: map[int64]sim.VTime{}, shared: map[int64]sim.VTime{}}
 			runScript(t, des.New(), tbl, probes, func(run *scriptRunner) {
 				now := sim.VTime(1000)
@@ -320,7 +302,7 @@ func TestHandOffMatchesBruteForceModel(t *testing.T) {
 						return // past the first divergence, only drain
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%s round %d op %+v:\n got %+v\nwant %+v", tc.name, round, op, got, want)
+						t.Errorf("S%d round %d op %+v:\n got %+v\nwant %+v", shards, round, op, got, want)
 					}
 					checkBlockerCounts(t, tbl, m)
 				}
@@ -381,11 +363,7 @@ type parkCoord struct {
 	park func()
 }
 
-func (c parkCoord) Park(_ int, l sync.Locker) {
-	l.Unlock()
-	c.park()
-	l.Lock()
-}
+func (c parkCoord) Park(int, sync.Locker) { c.park() }
 
 // TestHandOffAllocationIndependentOfWaiters measures one steady-state
 // cycle of the contended chain — a request queues behind the holder, the
@@ -395,7 +373,7 @@ func (c parkCoord) Park(_ int, l sync.Locker) {
 // index nodes, whatever n is.
 func TestHandOffAllocationIndependentOfWaiters(t *testing.T) {
 	cycle := func(n int) float64 {
-		tbl := newTable()
+		tbl := newTable(1, 0)
 		tbl.acquire(0, massExtent, Exclusive, 0)
 		for i := 0; i < n; i++ {
 			// Solo's Park panics out of acquire, leaving the waiter queued.

@@ -15,8 +15,8 @@ import (
 
 // linearBlockers is the pre-index conflict check, counting: scan every
 // granted lock. It is the oracle the indexed table is compared against.
-func linearBlockers(granted []*held, owner int, e interval.Extent, mode Mode) int {
-	n := 0
+func linearBlockers(granted []*held, owner int, e interval.Extent, mode Mode) int64 {
+	var n int64
 	for _, h := range granted {
 		if h.owner == owner {
 			continue
@@ -31,6 +31,23 @@ func linearBlockers(granted []*held, owner int, e interval.Extent, mode Mode) in
 	return n
 }
 
+// register grants (owner, e, mode) without a conflict check: grantLocked
+// does none, and the table may hold mutually overlapping locks.
+func register(tbl *table, owner int, e interval.Extent, mode Mode) {
+	ids := tbl.shardIDs(e)
+	tbl.lockShards(ids)
+	tbl.grantLocked(owner, e, mode, 0, ids)
+	tbl.unlockShards(ids)
+}
+
+// countBlockers is the walk acquire decides on.
+func countBlockers(tbl *table, owner int, e interval.Extent, mode Mode) int64 {
+	ids := tbl.shardIDs(e)
+	tbl.lockShards(ids)
+	defer tbl.unlockShards(ids)
+	return tbl.blockersLocked(owner, e, mode, ids)
+}
+
 // TestQuickConflictsMatchesLinearScan drives the table's granted index and
 // a mirror slice through random register/release sequences, checking every
 // blocker count — the walk acquire decides on — against the linear oracle.
@@ -43,12 +60,7 @@ func TestQuickConflictsMatchesLinearScan(t *testing.T) {
 		return Exclusive
 	}
 	for round := 0; round < 30; round++ {
-		tbl := newTable()
-		type live struct {
-			owner int
-			ext   interval.Extent
-			mode  Mode
-		}
+		tbl := newTable(1, 0)
 		var mirror []*held
 		for op := 0; op < 300; op++ {
 			switch {
@@ -63,17 +75,14 @@ func TestQuickConflictsMatchesLinearScan(t *testing.T) {
 				k := slices.IndexFunc(mirror, func(m *held) bool { return m.owner == h.owner && m.ext == h.ext })
 				mirror = slices.Delete(mirror, k, k+1)
 			default:
-				// Register a lock directly (grantLocked does not check
-				// conflicts; the table may hold mutually overlapping locks
-				// from shared holders or the same owner).
+				// Register a lock directly, as shared holders or one owner
+				// may overlap.
 				h := &held{
 					owner: r.Intn(6),
 					ext:   interval.Extent{Off: int64(r.Intn(400)), Len: int64(r.Intn(40))},
 					mode:  randMode(),
 				}
-				tbl.mu.Lock()
-				tbl.grantLocked(h.owner, h.ext, h.mode, 0)
-				tbl.mu.Unlock()
+				register(tbl, h.owner, h.ext, h.mode)
 				mirror = append(mirror, h)
 			}
 			if got := tbl.holders(); got != len(mirror) {
@@ -84,9 +93,7 @@ func TestQuickConflictsMatchesLinearScan(t *testing.T) {
 				owner := r.Intn(6)
 				e := interval.Extent{Off: int64(r.Intn(400)), Len: int64(r.Intn(40))}
 				mode := randMode()
-				tbl.mu.Lock()
-				got := tbl.blockers(owner, e, mode)
-				tbl.mu.Unlock()
+				got := countBlockers(tbl, owner, e, mode)
 				if want := linearBlockers(mirror, owner, e, mode); got != want {
 					t.Fatalf("blockers(owner=%d, %v, %v) = %d, want %d (granted %v)",
 						owner, e, mode, got, want, mirror)
@@ -99,14 +106,12 @@ func TestQuickConflictsMatchesLinearScan(t *testing.T) {
 // TestReleaseUnknownLockErrs keeps the error path intact, including the
 // empty-extent lookup that overlap queries cannot see.
 func TestReleaseUnknownLockErrs(t *testing.T) {
-	tbl := newTable()
+	tbl := newTable(1, 0)
 	if err := tbl.release(0, interval.Extent{Off: 10, Len: 5}, 1); err == nil {
 		t.Fatal("release of unheld lock should fail")
 	}
 	empty := interval.Extent{Off: 7, Len: 0}
-	tbl.mu.Lock()
-	tbl.grantLocked(3, empty, Exclusive, 0)
-	tbl.mu.Unlock()
+	register(tbl, 3, empty, Exclusive)
 	if err := tbl.release(3, empty, 1); err != nil {
 		t.Fatalf("release of empty-extent lock: %v", err)
 	}
@@ -120,17 +125,17 @@ func TestReleaseUnknownLockErrs(t *testing.T) {
 // interval index exists for.
 func BenchmarkConflicts(b *testing.B) {
 	for _, n := range []int{512, 4096, 65536} {
-		tbl := newTable()
+		tbl := newTable(1, 0)
 		var mirror []*held
 		for i := 0; i < n; i++ {
 			h := &held{owner: i, ext: interval.Extent{Off: int64(i) * 128, Len: 96}, mode: Exclusive}
-			tbl.grantLocked(h.owner, h.ext, h.mode, 0)
+			register(tbl, h.owner, h.ext, h.mode)
 			mirror = append(mirror, h)
 		}
 		q := interval.Extent{Off: int64(n/2)*128 + 100, Len: 8} // gap: no conflict
 		b.Run(fmt.Sprintf("indexed/G%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if tbl.blockers(-1, q, Exclusive) != 0 {
+				if countBlockers(tbl, -1, q, Exclusive) != 0 {
 					b.Fatal("unexpected conflict")
 				}
 			}

@@ -1,13 +1,15 @@
 package lock
 
-// Tests pinning the sharded lock table to the single-mutex table on
-// randomized workloads whose spans straddle shard boundaries: grant
-// outcomes, grant order, grant times, holder/waiter counts, and the
-// observable release history must match the unsharded oracle exactly.
+// Tests pinning the lock table's behaviour to be the same for every shard
+// count, on randomized workloads whose spans straddle shard boundaries:
+// grant outcomes, grant order, grant times, holder/waiter counts, and the
+// observable release history at S > 1 must match the one-shard table's
+// exactly.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,7 +20,7 @@ import (
 )
 
 func TestShardIDs(t *testing.T) {
-	st := newShardedTable(4, 100)
+	st := newTable(4, 100)
 	cases := []struct {
 		e    interval.Extent
 		want []int
@@ -38,6 +40,29 @@ func TestShardIDs(t *testing.T) {
 		got := st.shardIDs(c.e)
 		if fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("shardIDs(%v) = %v, want %v", c.e, got, c.want)
+		}
+	}
+}
+
+// TestQuickShardIDsMatchMarkAndCollect pins the arithmetic shard list — a
+// window of 0..S-1, a wrapped range, or all of it — to the definition: mark
+// the shard of every covered stripe, collect the marks in ascending order.
+func TestQuickShardIDsMatchMarkAndCollect(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for i := 0; i < 20000; i++ {
+		s, stripe := 1+r.Intn(9), 1+int64(r.Intn(130))
+		e := interval.Extent{Off: int64(r.Intn(4000)) - 2000, Len: int64(r.Intn(int(stripe) * 12))}
+		if r.Intn(8) == 0 {
+			e.Len = 0
+		}
+		covered := make([]bool, s)
+		covered[shardMod(floorDiv(e.Off, stripe), s)] = true // an empty extent's home shard
+		for k := floorDiv(e.Off, stripe); k*stripe < e.End(); k++ {
+			covered[shardMod(k, s)] = true
+		}
+		got, want := newTable(s, stripe).shardIDs(e), ascending(covered)
+		if !slices.Equal(got, want) {
+			t.Fatalf("S=%d stripe=%d: shardIDs(%v) = %v, want %v", s, stripe, e, got, want)
 		}
 	}
 }
@@ -111,14 +136,14 @@ const scriptOwners = 12
 // owner woken before the announcement is admitted ahead of the driver.
 const settleAt = sim.VTime(1) << 50
 
-// scriptRunner applies ops to one grantTable, one at a time, from inside an
+// scriptRunner applies ops to one table, one at a time, from inside an
 // engine run: scriptOwners owner actors execute the acquires — and park in
 // the table when they conflict — while one driver actor posts the acquires,
 // issues the releases, and after each op lets the owners settle and
 // collects the grants they report.
 type scriptRunner struct {
 	t      *testing.T
-	tbl    grantTable
+	tbl    *table
 	coord  sim.Coord
 	probes []interval.Extent
 
@@ -133,7 +158,7 @@ type scriptRunner struct {
 
 // runScript runs drive as the driver of a fresh run of eng over tbl. drive
 // must leave no owner blocked in the table when it returns.
-func runScript(t *testing.T, eng sim.Engine, tbl grantTable, probes []interval.Extent, drive func(*scriptRunner)) {
+func runScript(t *testing.T, eng sim.Engine, tbl *table, probes []interval.Extent, drive func(*scriptRunner)) {
 	t.Helper()
 	r := &scriptRunner{
 		t: t, tbl: tbl, probes: probes,
@@ -243,7 +268,7 @@ func (r *scriptRunner) apply(op scriptOp) opOutcome {
 // genScript builds a randomized workload by running it against the oracle
 // table on eng, so releases always target currently granted locks. It
 // returns the ops, the oracle's outcome per op, and the probe extents used.
-func genScript(t *testing.T, eng sim.Engine, r *rand.Rand, oracle grantTable, nOps int) ([]scriptOp, []opOutcome, []interval.Extent) {
+func genScript(t *testing.T, eng sim.Engine, r *rand.Rand, oracle *table, nOps int) ([]scriptOp, []opOutcome, []interval.Extent) {
 	probes := make([]interval.Extent, 6)
 	for i := range probes {
 		probes[i] = ext(int64(r.Intn(1600)), int64(r.Intn(500)))
@@ -339,18 +364,19 @@ func genScript(t *testing.T, eng sim.Engine, r *rand.Rand, oracle grantTable, nO
 
 // TestShardedMatchesUnshardedOracle replays randomized workloads — spans
 // straddling 2-4 shards, wrap-around spans, empty extents, shared and
-// exclusive modes, duplicate tickets — against the single-mutex oracle and
-// sharded tables of several widths, requiring identical grant outcomes,
-// grant times, wake sets, counts, and release history at every step.
+// exclusive modes, duplicate tickets — recorded on the one-shard table,
+// against tables of several shard counts, requiring identical grant
+// outcomes, grant times, wake sets, counts, and release history at every
+// step.
 func TestShardedMatchesUnshardedOracle(t *testing.T) {
 	const stripe = 100
 	for _, eng := range engines() {
 		for round := 0; round < 4; round++ {
 			r := rand.New(rand.NewSource(int64(1000 + round)))
-			ops, want, probes := genScript(t, eng, r, newTable(), 150)
-			for _, shards := range []int{2, 3, 4, 8} {
+			ops, want, probes := genScript(t, eng, r, newTable(1, stripe), 150)
+			for _, shards := range []int{2, 3, 4, 7, 8} {
 				diverged := false
-				runScript(t, eng, newShardedTable(shards, stripe), probes, func(run *scriptRunner) {
+				runScript(t, eng, newTable(shards, stripe), probes, func(run *scriptRunner) {
 					// Past the first divergence the replay only keeps
 					// going so that every owner is released.
 					for i, op := range ops {
@@ -373,7 +399,7 @@ func TestShardedMatchesUnshardedOracle(t *testing.T) {
 // holder's virtual release time on grant.
 func TestCrossShardSpanBlocksAndGrants(t *testing.T) {
 	for _, eng := range engines() {
-		st := newShardedTable(4, 100)
+		st := newTable(4, 100)
 		runScript(t, eng, st, nil, func(run *scriptRunner) {
 			wide := scriptOp{acquire: true, id: 0, owner: 0, e: ext(0, 280), mode: Exclusive, earliest: 5} // shards 0,1,2
 			if out := run.apply(wide); !out.granted || out.grantAt != 5 {
@@ -406,10 +432,10 @@ func TestCrossShardSpanBlocksAndGrants(t *testing.T) {
 	}
 }
 
-// TestShardedReleaseUnknownLockErrs mirrors the unsharded error-path test,
-// including the empty-extent home-shard walk.
+// TestShardedReleaseUnknownLockErrs is TestReleaseUnknownLockErrs across
+// shards, including the empty-extent home-shard walk.
 func TestShardedReleaseUnknownLockErrs(t *testing.T) {
-	st := newShardedTable(4, 100)
+	st := newTable(4, 100)
 	if err := st.release(0, ext(10, 5), 1); err == nil {
 		t.Fatal("release of unheld lock should fail")
 	}
@@ -435,7 +461,7 @@ func BenchmarkShardedAcquireRelease(b *testing.B) {
 	const stripe int64 = 4 << 10
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("S%d", shards), func(b *testing.B) {
-			tbl := newGrantTable(shards, stripe)
+			tbl := newTable(shards, stripe)
 			var owners atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
 				owner := int(owners.Add(1))
@@ -456,20 +482,36 @@ func BenchmarkShardedAcquireRelease(b *testing.B) {
 
 func TestManagerShardsAccessor(t *testing.T) {
 	if got := newCentralForTest().Shards(); got != 1 {
-		t.Errorf("unsharded central Shards() = %d, want 1", got)
+		t.Errorf("central Shards() = %d by default, want 1", got)
 	}
 	c := NewCentral(CentralConfig{MsgCost: msg, ServiceTime: svc, Shards: 4, ShardStripe: 64})
 	if got := c.Shards(); got != 4 {
 		t.Errorf("central Shards() = %d, want 4", got)
 	}
-	if _, ok := c.tbl.(*shardedTable); !ok {
-		t.Errorf("central with Shards:4 runs on %T, want *shardedTable", c.tbl)
-	}
 	d := NewDistributed(DistributedConfig{MsgCost: msg, ServiceTime: svc, Shards: 8, ShardStripe: 64})
 	if got := d.Shards(); got != 8 {
 		t.Errorf("distributed Shards() = %d, want 8", got)
 	}
-	if _, ok := d.tbl.(*shardedTable); !ok {
-		t.Errorf("distributed with Shards:8 runs on %T, want *shardedTable", d.tbl)
+	// The table's constructor is the one clamp: nonsense counts and stripes
+	// still build a working one-shard manager.
+	for _, m := range []interface {
+		Manager
+		Shards() int
+	}{
+		NewCentral(CentralConfig{MsgCost: msg, ServiceTime: svc, Shards: -3, ShardStripe: -1}),
+		NewDistributed(DistributedConfig{MsgCost: msg, ServiceTime: svc, Shards: -3, ShardStripe: -1}),
+	} {
+		if got := m.Shards(); got != 1 {
+			t.Errorf("%s with Shards:-3: Shards() = %d, want 1", m.Name(), got)
+		}
+		if got := tableOf(m).stripe; got != DefaultShardStripe {
+			t.Errorf("%s with ShardStripe:-1: stripe = %d, want %d", m.Name(), got, DefaultShardStripe)
+		}
+		e := ext(DefaultShardStripe-10, 20) // would straddle two shards, if there were two
+		g := m.Lock(0, e, Exclusive, 0)
+		m.Unlock(0, e, g)
+		if n := tableOf(m).holders(); n != 0 {
+			t.Errorf("%s with Shards:-3: %d locks held after lock/unlock", m.Name(), n)
+		}
 	}
 }

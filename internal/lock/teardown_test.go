@@ -11,9 +11,9 @@ import (
 // TestDESTeardownUnwindsLockWaiter is the regression test for the
 // crash-path the fault layer leans on: an actor parked inside the lock
 // table's waiter index at event-loop teardown must be force-unwound with
-// sim.StoppedError — relocking the table mutex first, so acquire's
-// deferred unlock finds it held — and reported as a stall, leaving the
-// table usable (its mutex released, the wedged grant still registered).
+// sim.StoppedError and reported as a stall, leaving the table usable (no
+// shard mutex held — acquire parks after releasing them — and the wedged
+// grant still registered).
 //
 // The wedge is produced by the fault layer itself: a dropped unlock with
 // no lease leaves the range locked forever, so the second rank parks in
@@ -69,10 +69,11 @@ func TestDESTeardownUnwindsLockWaiter(t *testing.T) {
 			if !unwound {
 				t.Fatal("parked waiter was not unwound with sim.StoppedError")
 			}
-			// The unwind relocked and released the table mutex on its way
-			// out; these probes would deadlock if it had not. The wedged
-			// grant itself is still registered.
-			tbl := grantTableOf(inner)
+			// The wedged grant and the abandoned waiter are still
+			// registered, and no shard mutex was left held: relLatest takes
+			// them and would deadlock.
+			tbl := tableOf(inner)
+			tbl.relLatest(e)
 			if n := tbl.holders(); n != 1 {
 				t.Errorf("holders = %d after teardown, want the wedged grant", n)
 			}

@@ -276,12 +276,3 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 	}
 	return res, nil
 }
-
-// MustRun is Run but panics on error; convenient in examples and benchmarks.
-func MustRun(cfg Config, body RankFunc) *Result {
-	res, err := Run(cfg, body)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}

@@ -74,10 +74,10 @@ type Profile struct {
 	LockLocal    sim.VTime
 	LockRevoke   sim.VTime
 	// LockShards partitions the lock manager's byte-range table across
-	// this many offset-stripe shards (0 or 1 keeps the single table); the
-	// shard stripe follows the platform's file-stripe size. Virtual
-	// timings are invariant in the shard count — sharding multiplies
-	// host-side lock-service throughput only (see internal/lock).
+	// this many offset-stripe shards (0 means one); the shard stripe
+	// follows the platform's file-stripe size. Virtual timings are
+	// invariant in the shard count — sharding only splits the table's
+	// host-side mutexes and indexes (see internal/lock).
 	LockShards int
 }
 
