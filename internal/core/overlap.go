@@ -17,7 +17,7 @@ type OverlapMatrix [][]bool
 // views are used to construct the overlapping matrix locally"); W is a pure
 // function of the exchanged views, so Coloring evaluates it once per
 // collective and shares the result (see shared), at no virtual cost on any
-// rank. It runs the merged-endpoint sweep of internal/interval/index — one
+// rank. It runs the streamed merge-sweep of internal/interval/index — one
 // O(E log P) pass over all P views — instead of P²/2 pairwise list merges.
 func BuildOverlapMatrix(views []interval.List) OverlapMatrix {
 	return OverlapMatrix(index.SweepOverlaps(views))
@@ -131,30 +131,12 @@ func ValidColoring(w OverlapMatrix, colors []int) bool {
 // under the process-rank ordering policy: its view minus the union of all
 // higher ranks' views ("the higher ranked process wins the right to access
 // the overlapped regions while others surrender their writes", §3.3.2).
-// It is the per-rank definition ClipAll is tested against; RankOrder itself
-// shares one ClipAll per collective.
+// It is the per-rank definition index.ClipAll is tested against; RankOrder
+// itself shares one ClipAll per collective.
 func ClipForRank(views []interval.List, rank int) interval.List {
 	var higher interval.List
 	for j := rank + 1; j < len(views); j++ {
 		higher = append(higher, views[j]...)
 	}
 	return views[rank].Subtract(higher)
-}
-
-// ClipAll computes every rank's clip in one sweep — each byte goes to the
-// highest rank writing it — in O(E log P) total instead of running
-// ClipForRank's subtract per rank. result[r] equals ClipForRank(views, r).
-func ClipAll(views []interval.List) []interval.List {
-	return index.ClipAll(views)
-}
-
-// SurrenderedBytes returns the total bytes the ordering strategy avoids
-// writing, summed over ranks — the I/O-volume reduction of §3.3.2.
-func SurrenderedBytes(views []interval.List) int64 {
-	clips := ClipAll(views)
-	var saved int64
-	for r := range views {
-		saved += views[r].Normalize().TotalLen() - clips[r].TotalLen()
-	}
-	return saved
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 	"atomio/internal/workload"
 )
 
@@ -211,9 +212,17 @@ func TestFigure7ClippedViews(t *testing.T) {
 		t.Fatalf("clipped total = %d, want %d (no double writes)", total, m*n)
 	}
 
-	// Total surrendered bytes = (P-1) * R * M (§3.3.2 overhead analysis).
-	if got := SurrenderedBytes(views); got != int64((p-1)*r*m) {
-		t.Fatalf("surrendered = %d, want %d", got, (p-1)*r*m)
+	// Total surrendered bytes = (P-1) * R * M (§3.3.2 overhead analysis):
+	// what the views cover between them, less what the winners map keeps.
+	var surrendered int64
+	for _, v := range views {
+		surrendered += v.TotalLen()
+	}
+	for _, o := range index.Winners(views) {
+		surrendered -= o.Len
+	}
+	if surrendered != int64((p-1)*r*m) {
+		t.Fatalf("surrendered = %d, want %d", surrendered, (p-1)*r*m)
 	}
 }
 
@@ -339,7 +348,7 @@ func buildOverlapMatrixLinear(views []interval.List) OverlapMatrix {
 func TestSweepMatrixMatchesLinearOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for round := 0; round < 300; round++ {
-		views := randViews(r, 1+r.Intn(9))
+		views := randViews(r, 1+r.Intn(33))
 		got := BuildOverlapMatrix(views)
 		want := buildOverlapMatrixLinear(views)
 		if got.String() != want.String() {
@@ -376,8 +385,8 @@ func TestSpanMatrixMatchesPairwiseOracle(t *testing.T) {
 func TestClipAllMatchesClipForRank(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	for round := 0; round < 200; round++ {
-		views := randViews(r, 1+r.Intn(8))
-		clips := ClipAll(views)
+		views := randViews(r, 1+r.Intn(33))
+		clips := index.ClipAll(views)
 		for rank := range views {
 			want := ClipForRank(views, rank)
 			if !clips[rank].Equal(want) {
@@ -387,10 +396,11 @@ func TestClipAllMatchesClipForRank(t *testing.T) {
 	}
 }
 
-// shapedViews draws the view shapes that stress the merged endpoint
-// schedule: empty views, one-extent views, copies of an earlier view,
-// chains of touching extents [a,x) [x,b), canonical views and unsorted
-// overlapping ones, on coordinates small enough that endpoints tie often.
+// shapedViews draws the view shapes that stress the streamed merge and its
+// lazy closes: empty views, one-extent views, copies of an earlier view
+// (equal offsets across ranks), chains of touching and empty extents
+// [a,x) [x,x) [x,b), canonical views and unsorted overlapping ones, on
+// coordinates small enough that endpoints tie often.
 func shapedViews(r *rand.Rand, p int) []interval.List {
 	views := make([]interval.List, p)
 	for i := range views {
@@ -404,7 +414,7 @@ func shapedViews(r *rand.Rand, p int) []interval.List {
 		case shape == 3:
 			off := int64(r.Intn(20))
 			for k := r.Intn(6); k >= 0; k-- {
-				l := 1 + int64(r.Intn(8))
+				l := int64(r.Intn(9))
 				views[i] = append(views[i], ext(off, l))
 				off += l
 			}
@@ -420,15 +430,16 @@ func shapedViews(r *rand.Rand, p int) []interval.List {
 // TestSharedHandshakeAlgebraMatchesPerRankOracles pins what the strategies
 // now compute once per collective — the swept matrix and the one-sweep
 // clips — to the per-rank reference implementations they replaced, on the
-// adversarial shapes and at rank counts that leave odd runs in the merge.
+// adversarial shapes and at rank counts (1..33) that leave the merge's
+// tournament tree with leaves at two depths.
 func TestSharedHandshakeAlgebraMatchesPerRankOracles(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	for round := 0; round < 400; round++ {
-		views := shapedViews(r, 1+r.Intn(17))
+		views := shapedViews(r, 1+r.Intn(33))
 		if got, want := BuildOverlapMatrix(views), buildOverlapMatrixLinear(views); got.String() != want.String() {
 			t.Fatalf("round %d: swept matrix\n%v\nwant\n%v\nviews=%v", round, got, want, views)
 		}
-		clips := ClipAll(views)
+		clips := index.ClipAll(views)
 		for rank := range views {
 			if want := ClipForRank(views, rank); !slices.Equal(clips[rank], want) {
 				t.Fatalf("round %d: ClipAll[%d] = %v, want %v\nviews=%v", round, rank, clips[rank], want, views)

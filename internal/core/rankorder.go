@@ -3,6 +3,7 @@ package core
 import (
 	"atomio/internal/fileview"
 	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 	"atomio/internal/trace"
 )
 
@@ -27,7 +28,7 @@ func (RankOrder) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) err
 		return err
 	}
 	// One sweep clips every rank's view; each rank reads its own row.
-	clips := shared(ctx.Comm, func() []interval.List { return ClipAll(views) })
+	clips := shared(ctx.Comm, func() []interval.List { return index.ClipAll(views) })
 	keep := clips[ctx.Comm.Rank()]
 	hs.Stop()
 	xfer := ctx.span(trace.PhaseTransfer)

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 
 	"atomio/internal/fileview"
@@ -19,9 +18,9 @@ import (
 // paper's handshaking methods. Ranks exchange file views, the aggregate
 // span is split into P contiguous, disjoint *file domains*, and an exchange
 // phase routes every rank's data to the domain owners (alltoall). Each
-// owner merges the pieces it received — resolving overlaps with the same
-// highest-rank-wins rule as RankOrder — and issues one mostly-contiguous
-// write for its domain.
+// owner merges the pieces it received through index.Winners(views) — the
+// one highest-rank-wins map, shared per collective, that RankOrder's clips
+// are grouped from — and issues one mostly-contiguous write for its domain.
 //
 // MPI atomicity holds by construction: file domains are disjoint, so after
 // the exchange no two processes write the same byte, and every contested
@@ -45,15 +44,10 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 	if err != nil {
 		return err
 	}
-	// The aggregate span is the span of the per-view spans; it is empty
-	// exactly when every (canonical) view is.
-	spans := make(interval.List, len(views))
-	for r, v := range views {
-		spans[r] = v.Span()
-	}
-	span := spans.Span()
+	// Who owns which byte is the same on every rank: one sweep, shared.
+	owners := shared(comm, func() []index.Owned { return index.Winners(views) })
 	hs.Stop()
-	if span.Empty() {
+	if len(owners) == 0 {
 		// Nothing to write anywhere; only the collective's closing
 		// synchronization remains.
 		sw := ctx.span(trace.PhaseSyncWait)
@@ -61,6 +55,8 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 		sw.Stop()
 		return nil
 	}
+	// The runs cover what the views cover: first to last is the aggregate span.
+	span := interval.Extent{Off: owners[0].Off, Len: owners[len(owners)-1].End() - owners[0].Off}
 	domains := fileDomains(span, p)
 	if buf == nil {
 		// The exchange ships real bytes by design, so a timing-only
@@ -107,7 +103,7 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 	ex.Stop()
 
 	// Phase 2: merge received pieces highest-rank-wins and write my domain.
-	segs, err := mergePieces(recv, domains[comm.Rank()])
+	segs, err := mergePieces(recv, domains[comm.Rank()], owners)
 	if err != nil {
 		return err
 	}
@@ -158,52 +154,70 @@ func appendPiece(payload []byte, off int64, data []byte) []byte {
 	return append(payload, data...)
 }
 
-// decodePieces reverses appendPiece.
-func decodePieces(payload []byte) ([]pfs.Segment, error) {
-	var out []pfs.Segment
-	for len(payload) > 0 {
-		if len(payload) < pieceHeader {
-			return nil, fmt.Errorf("core: truncated two-phase piece header")
-		}
-		off := int64(binary.LittleEndian.Uint64(payload))
-		n := int64(binary.LittleEndian.Uint64(payload[8:]))
-		payload = payload[pieceHeader:]
-		if n < 0 || n > int64(len(payload)) {
-			return nil, fmt.Errorf("core: truncated two-phase piece body")
-		}
-		out = append(out, pfs.Segment{Off: off, Data: payload[:n]})
-		payload = payload[n:]
+// pieceCursor reads one source's payload front to back, a piece at a time.
+type pieceCursor struct {
+	rest []byte // the payload after the current piece
+	off  int64  // the current piece lands at off
+	data []byte
+}
+
+func (c *pieceCursor) end() int64 { return c.off + int64(len(c.data)) }
+
+// next reverses appendPiece for the first piece of c.rest and makes it the
+// current one. Pieces arrive in file order because fileview mappings are;
+// one that starts before after — where its predecessor ended — is an error.
+func (c *pieceCursor) next(after int64) error {
+	if len(c.rest) < pieceHeader {
+		return fmt.Errorf("core: truncated two-phase piece header")
 	}
-	return out, nil
+	off := int64(binary.LittleEndian.Uint64(c.rest))
+	n := int64(binary.LittleEndian.Uint64(c.rest[8:]))
+	body := c.rest[pieceHeader:]
+	switch {
+	case n < 0 || n > int64(len(body)):
+		return fmt.Errorf("core: truncated two-phase piece body (%d of %d bytes)", len(body), n)
+	case off < after:
+		return fmt.Errorf("core: two-phase piece at %d is out of order: its predecessor ends at %d", off, after)
+	}
+	c.off, c.data, c.rest = off, body[:n], body[n:]
+	return nil
 }
 
 // mergePieces combines the pieces received from every rank (indexed by
-// source rank) into disjoint segments covering at most the owner's domain,
-// with bytes from the highest sending rank winning every overlap. Pieces
-// are processed from the highest rank down; each claims only the bytes not
-// yet covered, tracked in an index.Set whose Add returns exactly the newly
-// covered parts — O(log n) per piece instead of a full-list subtract and
-// re-union.
-func mergePieces(recv [][]byte, domain interval.Extent) ([]pfs.Segment, error) {
-	var covered index.Set
-	var segs []pfs.Segment
-	for src := len(recv) - 1; src >= 0; src-- {
-		pieces, err := decodePieces(recv[src])
-		if err != nil {
-			return nil, fmt.Errorf("from rank %d: %w", src, err)
-		}
-		for _, piece := range pieces {
-			ext := interval.Extent{Off: piece.Off, Len: piece.Len()}.Intersect(domain)
-			for _, keep := range covered.Add(ext) {
-				segs = append(segs, pfs.Segment{
-					Off:  keep.Off,
-					Data: piece.Data[keep.Off-piece.Off : keep.End()-piece.Off],
-				})
+// source rank) into disjoint, offset-sorted segments covering at most the
+// owner's domain, with bytes from the highest sending rank winning every
+// overlap. It decides nothing itself: it walks the runs of owners — the
+// collective's shared index.Winners map — inside the domain with one cursor
+// per source, emitting one segment per (piece ∩ run). A payload that is
+// malformed, out of file order, or short of a run its sender's view wins is
+// an error naming the sender, never a panic.
+func mergePieces(recv [][]byte, domain interval.Extent, owners []index.Owned) (segs []pfs.Segment, err error) {
+	cursors := make([]pieceCursor, len(recv))
+	for src, payload := range recv {
+		cursors[src] = pieceCursor{rest: payload, off: math.MinInt64}
+	}
+	lo := sort.Search(len(owners), func(i int) bool { return owners[i].End() > domain.Off })
+	hi := max(lo, sort.Search(len(owners), func(i int) bool { return owners[i].Off >= domain.End() }))
+	segs = make([]pfs.Segment, 0, hi-lo) // exact unless a run spans several pieces
+	for _, o := range owners[lo:hi] {
+		c, run := &cursors[o.Rank], o.Intersect(domain)
+		for at := run.Off; at < run.End() && err == nil; {
+			switch {
+			case c.end() <= at && len(c.rest) > 0: // wholly before at: lost to higher ranks, or merged
+				err = c.next(c.end())
+			case c.end() <= at || c.off > at:
+				err = fmt.Errorf("core: two-phase pieces do not cover %v from %d, which the sender's view wins", run, at)
+			default:
+				n := min(c.end(), run.End())
+				segs = append(segs, pfs.Segment{Off: at, Data: c.data[at-c.off : n-c.off]})
+				at = n
 			}
 		}
+		if err != nil {
+			return nil, fmt.Errorf("from rank %d: %w", o.Rank, err)
+		}
 	}
-	slices.SortFunc(segs, func(a, b pfs.Segment) int { return cmp.Compare(a.Off, b.Off) })
-	return segs, nil
+	return segs, nil // pieces never reached lost to higher ranks: unread
 }
 
 var _ Strategy = TwoPhase{}

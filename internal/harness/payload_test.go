@@ -106,10 +106,11 @@ func TestPayloadlessRunMatchesStoredRunUnderFaults(t *testing.T) {
 // IBM SP P=8 column-wise cell of Figure 8 carries 4 096 extents per rank from
 // the filetype to the server queues and has nothing else to do on the host,
 // so it may allocate the lists it reads — the mapping, the segments, the
-// readable-block runs; for the handshaking strategies the exchanged views
-// and the sweep schedule — and little more: 81 / 209 / 225 B per extent
-// measured for locking / coloring / ordering, where growing, re-flattening
-// and re-logging the same lists cost 227 / 425 / 578. None of it may depend
+// readable-block runs; for the handshaking strategies the exchanged views,
+// which the sweep streams in O(P) scratch — and little more: 81 / 145 / 161 B
+// per extent measured for locking / coloring / ordering (209 / 225 while the
+// sweep built an endpoint schedule), where growing, re-flattening and
+// re-logging the same lists cost 227 / 425 / 578. None of it may depend
 // on the array size: the 1 GB cell has the extents of the 128 MB one (a
 // block map made it 28 % dearer). With payload buffers the 128 MB locking
 // cell allocated 190 MB.
@@ -119,8 +120,8 @@ func TestDatalessCellAllocatesNoPayload(t *testing.T) {
 		perExtent float64 // ceiling, bytes
 	}{
 		{core.Locking{}, 100},
-		{core.Coloring{}, 230},
-		{core.RankOrder{}, 290},
+		{core.Coloring{}, 160},
+		{core.RankOrder{}, 178},
 	} {
 		t.Run(tc.strategy.Name(), func(t *testing.T) {
 			var small float64

@@ -128,7 +128,7 @@ func BenchmarkIndexConflictQuery(b *testing.B) {
 }
 
 // BenchmarkSetAdd measures coverage-claiming throughput: n disjoint adds
-// followed by n fully-covered re-adds, the two-phase merge's access shape.
+// followed by n fully-covered re-adds, a rewritten file's written-set shape.
 func BenchmarkSetAdd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

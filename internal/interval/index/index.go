@@ -1,9 +1,9 @@
 // Package index provides fast spatial indexes over interval.Extent: a
 // dynamic interval index with O(log n) insert/delete and output-sensitive
-// stabbing and range-overlap queries (Index), a sorted-endpoint k-way
-// sweep-line that computes all pairwise overlaps of many extent lists in a
-// single pass (SweepOverlaps, ClipAll, SweepAtoms), and a coverage set with
-// binary-searched queries and splice insertion (Set).
+// stabbing and range-overlap queries (Index), a streamed k-way sweep-line
+// that computes the pairwise overlaps, ownership or atoms of many extent
+// lists in one pass and O(P) state (SweepOverlaps, Winners/ClipAll,
+// SweepAtoms), and a binary-searched, splice-inserted coverage set (Set).
 //
 // Every conflict-answering layer of the repository queries byte ranges —
 // the overlap matrix of the paper's Figure 5, byte-range lock conflicts,

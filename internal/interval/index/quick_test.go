@@ -6,8 +6,10 @@ package index
 import (
 	"cmp"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"atomio/internal/interval"
 )
@@ -88,12 +90,13 @@ func TestQuickIndexMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// shapedViews draws p lists from the shapes the merge-based schedule has to
-// get right: empty lists, one-extent lists, exact copies of an earlier list
-// (every endpoint ties), chains of touching extents [a,x) [x,b) (a close
-// and an open at the same coordinate, within a list before normalization
-// and across lists after), already-canonical lists, and unsorted
-// overlapping ones. Coordinates are small so ties are the common case.
+// shapedViews draws p lists from the shapes the streamed merge and the lazy
+// closes have to get right: empty lists, one-extent lists, exact copies of
+// an earlier list (every offset ties across lists), chains of touching and
+// empty extents [a,x) [x,x) [x,b) (a close and an open at the same
+// coordinate, within a list before normalization and across lists after),
+// already-canonical lists, and unsorted overlapping ones. Coordinates are
+// small so ties are the common case.
 func shapedViews(r *rand.Rand, p int) []interval.List {
 	views := make([]interval.List, p)
 	for i := range views {
@@ -107,7 +110,7 @@ func shapedViews(r *rand.Rand, p int) []interval.List {
 		case shape == 3:
 			off := int64(r.Intn(20))
 			for k := r.Intn(6); k >= 0; k-- {
-				l := 1 + int64(r.Intn(8))
+				l := int64(r.Intn(9))
 				views[i] = append(views[i], interval.Extent{Off: off, Len: l})
 				off += l
 			}
@@ -120,42 +123,62 @@ func shapedViews(r *rand.Rand, p int) []interval.List {
 	return views
 }
 
-// TestQuickEventsMergeMatchesSort pins the P-way merge that builds the
-// endpoint schedule to a plain sort of the same events under the full key
-// (coordinate, close before open, list id), for run counts that leave odd
-// runs over at every merge level.
-func TestQuickEventsMergeMatchesSort(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for round := 0; round < 400; round++ {
-		views := shapedViews(r, r.Intn(20))
-		var want []event
-		for i, l := range views {
-			for _, e := range l.Normalize() {
-				want = append(want, event{at: e.Off, start: true, id: int32(i)},
-					event{at: e.End(), start: false, id: int32(i)})
+// coverage is the per-byte model the sweep drivers are pinned to: for every
+// offset below the returned length, the ascending ids of the lists covering
+// it. It shares nothing with the merger — no order, no open set.
+func coverage(views []interval.List) [][]int {
+	var size int64
+	for _, v := range views {
+		size = max(size, v.Span().End())
+	}
+	cover := make([][]int, size)
+	for id, v := range views {
+		for _, e := range v.Normalize() {
+			for o := e.Off; o < e.End(); o++ {
+				cover[o] = append(cover[o], id)
 			}
 		}
-		slices.SortFunc(want, func(a, b event) int {
-			switch {
-			case a.before(&b):
-				return -1
-			case b.before(&a):
-				return 1
+	}
+	return cover
+}
+
+// TestQuickMergerMatchesSort pins the tournament tree's draw order to a
+// plain sort of the normalized extents by (offset, list id), for list counts
+// that leave leaves at two depths of the tree.
+func TestQuickMergerMatchesSort(t *testing.T) {
+	type drawn struct {
+		e  interval.Extent
+		id int
+	}
+	r := rand.New(rand.NewSource(6))
+	for round := 0; round < 400; round++ {
+		views := shapedViews(r, r.Intn(34))
+		var want []drawn
+		for i, l := range views {
+			for _, e := range l.Normalize() {
+				want = append(want, drawn{e, i})
 			}
-			return cmp.Compare(a.id, b.id)
+		}
+		slices.SortFunc(want, func(a, b drawn) int {
+			return cmp.Or(cmp.Compare(a.e.Off, b.e.Off), cmp.Compare(a.id, b.id))
 		})
-		if got := events(views); !slices.Equal(got, want) {
-			t.Fatalf("round %d: merged schedule\n%v\nwant sorted\n%v\nviews=%v", round, got, want, views)
+		var got []drawn
+		for m := newMerger(views); m.left > 0; {
+			e, id := m.next()
+			got = append(got, drawn{e, id})
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: merged order\n%v\nwant sorted\n%v\nviews=%v", round, got, want, views)
 		}
 	}
 }
 
-// TestQuickSweepShapesMatchOracles checks both sweep drivers against their
-// brute-force oracles on the adversarial shapes.
+// TestQuickSweepShapesMatchOracles checks the matrix and the clips against
+// their list-algebra oracles on the adversarial shapes, P = 1..33.
 func TestQuickSweepShapesMatchOracles(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for round := 0; round < 400; round++ {
-		views := shapedViews(r, 1+r.Intn(17))
+		views := shapedViews(r, 1+r.Intn(33))
 		w := SweepOverlaps(views)
 		clips := ClipAll(views)
 		for i := range views {
@@ -173,6 +196,114 @@ func TestQuickSweepShapesMatchOracles(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWinnersMatchesByteModel pins the ownership map to the per-byte
+// highest-rank array: runs ascend, cover exactly the written bytes, name the
+// highest covering rank and are maximal (neighbours that touch differ in
+// rank); and ClipAll is the same map grouped by rank.
+func TestWinnersMatchesByteModel(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for round := 0; round < 400; round++ {
+		views := shapedViews(r, 1+r.Intn(33))
+		cover := coverage(views)
+		owners := Winners(views)
+		owner := make([]int, len(cover)) // rank+1 of the run holding each byte, 0 = none
+		grouped := make([]interval.List, len(views))
+		for k, o := range owners {
+			if prev := k - 1; o.Empty() || k > 0 && (owners[prev].End() > o.Off || owners[prev].End() == o.Off && owners[prev].Rank == o.Rank) {
+				t.Fatalf("round %d: run %d of %v is empty, out of order or not maximal\nviews=%v", round, k, owners, views)
+			}
+			for b := o.Off; b < o.End(); b++ {
+				owner[b] = o.Rank + 1
+			}
+			grouped[o.Rank] = append(grouped[o.Rank], o.Extent)
+		}
+		for b, c := range cover {
+			if want := len(c); want > 0 && owner[b] != c[want-1]+1 || want == 0 && owner[b] != 0 {
+				t.Fatalf("round %d: byte %d goes to rank %d, covered by %v\nowners=%v\nviews=%v", round, b, owner[b]-1, c, owners, views)
+			}
+		}
+		if clips := ClipAll(views); !slices.EqualFunc(clips, grouped, slices.Equal[interval.List]) {
+			t.Fatalf("round %d: ClipAll = %v, Winners grouped by rank = %v", round, clips, grouped)
+		}
+	}
+}
+
+// TestSweepAtomsMatchesByteModel pins the atoms to the per-byte covering
+// sets: the maximal runs of bytes covered by one same set of two or more
+// lists, in file order.
+func TestSweepAtomsMatchesByteModel(t *testing.T) {
+	type atom struct {
+		e       interval.Extent
+		writers []int
+	}
+	r := rand.New(rand.NewSource(9))
+	for round := 0; round < 400; round++ {
+		views := shapedViews(r, 1+r.Intn(33))
+		var want []atom
+		for o, c := range coverage(views) {
+			if len(c) < 2 {
+				continue
+			}
+			if n := len(want); n > 0 && want[n-1].e.End() == int64(o) && slices.Equal(want[n-1].writers, c) {
+				want[n-1].e.Len++
+			} else {
+				want = append(want, atom{interval.Extent{Off: int64(o), Len: 1}, c})
+			}
+		}
+		var got []atom
+		SweepAtoms(views, func(e interval.Extent, writers []int) bool {
+			got = append(got, atom{e, slices.Clone(writers)})
+			return true
+		})
+		if !slices.EqualFunc(got, want, func(a, b atom) bool { return a.e == b.e && slices.Equal(a.writers, b.writers) }) {
+			t.Fatalf("round %d: atoms\n%v\nwant\n%v\nviews=%v", round, got, want, views)
+		}
+	}
+}
+
+// allocated reports the bytes f allocates, after one warm-up call.
+func allocated(f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSweepScratchIsIndependentOfExtentCount holds the sweep's memory: with
+// P fixed, 64 times the extents cost SweepOverlaps and SweepAtoms no more
+// bytes, and ClipAll and Winners only their output.
+func TestSweepScratchIsIndependentOfExtentCount(t *testing.T) {
+	const p = 16
+	var sink any
+	for _, d := range []struct {
+		name   string
+		run    func(views []interval.List)
+		perRun uintptr // output bytes per run of the ownership map: not scratch
+	}{
+		{"SweepOverlaps", func(v []interval.List) { sink = SweepOverlaps(v) }, 0},
+		{"SweepAtoms", func(v []interval.List) {
+			sink = SweepAtoms(v, func(interval.Extent, []int) bool { return true })
+		}, 0},
+		{"ClipAll", func(v []interval.List) { sink = ClipAll(v) }, unsafe.Sizeof(interval.Extent{})},
+		{"Winners", func(v []interval.List) { sink = Winners(v) }, unsafe.Sizeof(Owned{})},
+	} {
+		var scratch [2]int64
+		for i, extents := range []int{1 << 10, 1 << 16} {
+			// One run per extent: each overlap goes to the right-hand neighbour.
+			views := columnViews(p, extents/p, 64, 16)
+			scratch[i] = int64(allocated(func() { d.run(views) })) - int64(extents)*int64(d.perRun)
+		}
+		t.Logf("%s: %d B beside its output at E=1k, %d B at E=64k", d.name, scratch[0], scratch[1])
+		if scratch[1]-scratch[0] >= 1024 || scratch[0] > 64*p+4096 {
+			t.Errorf("%s allocates %d B beside its output at E=1k and %d B at E=64k: not O(P) scratch",
+				d.name, scratch[0], scratch[1])
+		}
+	}
+	_ = sink
 }
 
 // TestQuickSweepMatchesPairwise checks the sweep-line overlap matrix against

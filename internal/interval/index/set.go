@@ -11,10 +11,9 @@ import (
 // splice-based insertion — O(log n + k) per operation for k affected
 // entries. The zero value is an empty set.
 //
-// Set is what incremental coverage tracking wants: the two-phase merge
-// claims bytes highest-rank-first and needs each piece's newly covered
-// parts, and the sparse file store needs to answer "which parts of this
-// read were ever written" without walking its chunk map.
+// Set is what incremental coverage tracking wants: the sparse file store
+// answers "which parts of this read were ever written" from it without
+// walking its chunk map.
 type Set struct {
 	ext     interval.List
 	covered int64

@@ -1,122 +1,98 @@
 package index
 
 import (
+	"math"
 	"slices"
 
 	"atomio/internal/interval"
 )
 
-// event is one endpoint of the sweep: an extent of list id opening (start)
-// or closing at coordinate at. Extents are half-open, so a close at x
-// happens before an open at x.
-type event struct {
-	at    int64
-	start bool
-	id    int32
+// merger streams the extents of P lists in (Off, list id) order: a P-way
+// merge over the heads of the normalized lists, run as a tournament tree —
+// one comparison per level for each extent drawn. Normalization makes a
+// list's extents disjoint, non-touching, non-empty and ascending, so a list
+// has at most one extent open at a time and its next extent opens strictly
+// after the previous one closed.
+//
+// No close is ever scheduled. Each sweep driver keeps the end of every
+// list's latest extent and settles closes lazily, when the next extent
+// opens: an extent whose end ≤ the opening offset closes first (extents are
+// half-open: [a,x) and [x,b) are disjoint). A sweep therefore holds O(P)
+// state, whatever the number of extents.
+type merger struct {
+	lists []interval.List // what is left of each normalized list
+	head  []int64         // Off of each list's next extent; MaxInt64 once exhausted
+	tree  []int32         // node n holds the winner below it; leaf i is node P+i, the root node 1
+	left  int             // extents not yet drawn
 }
 
-// before is the schedule order: by coordinate, closes before opens ([a,x)
-// and [x,b) are disjoint). Ties beyond that go to the lower list id, which
-// mergeEvents gets from merging runs in id order, left run first.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return !e.start && o.start
-}
-
-// events flattens the normalized lists into the sorted endpoint schedule
-// every sweep driver walks. Normalization guarantees each list's extents are
-// disjoint, non-touching and non-empty, so a list is "active" over exactly
-// the bytes it covers, never nests with itself, and — the point here — its
-// own endpoints off₀ < end₀ < off₁ < end₁ < … are already in schedule
-// order. The schedule is therefore a P-way merge of P sorted runs, not a
-// sort: ⌈log₂ P⌉ linear passes instead of O(E log E) comparisons.
-func events(lists []interval.List) []event {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	evs := make([]event, 0, 2*total)
-	bounds := make([]int, 1, len(lists)+1) // run i is evs[bounds[i]:bounds[i+1]]
+func newMerger(lists []interval.List) *merger {
+	p := len(lists)
+	m := &merger{lists: make([]interval.List, p), head: make([]int64, p), tree: make([]int32, 2*p)}
+	// Seating the lists one by one builds the tree: a node is last replayed
+	// when the last list below it is seated, with every head below it final.
 	for i, l := range lists {
-		for _, e := range l.Normalize() {
-			evs = append(evs, event{at: e.Off, start: true, id: int32(i)},
-				event{at: e.End(), start: false, id: int32(i)})
-		}
-		bounds = append(bounds, len(evs))
+		m.lists[i], m.tree[p+i] = l.Normalize(), int32(i)
+		m.left += len(m.lists[i])
+		m.reseat(i)
 	}
-	return mergeEvents(evs, bounds)
+	return m
 }
 
-// mergeEvents merges the sorted runs laid end to end in evs into one sorted
-// schedule by bottom-up pairwise merging between evs and one scratch slice
-// of equal size. Each pass merges neighbouring runs and prefers the left
-// one on ties, so equal (at, start) events stay in list-id order.
-func mergeEvents(evs []event, bounds []int) []event {
-	src, dst := evs, make([]event, len(evs))
-	for len(bounds) > 2 {
-		merged := make([]int, 1, len(bounds)/2+2)
-		for r := 0; r+1 < len(bounds); r += 2 {
-			lo, mid, hi := bounds[r], bounds[r+1], bounds[r+1]
-			if r+2 < len(bounds) {
-				hi = bounds[r+2]
-			}
-			a, b, out := src[lo:mid], src[mid:hi], dst[lo:hi]
-			i, j, k := 0, 0, 0
-			for i < len(a) && j < len(b) {
-				if b[j].before(&a[i]) {
-					out[k] = b[j]
-					j++
-				} else {
-					out[k] = a[i]
-					i++
-				}
-				k++
-			}
-			k += copy(out[k:], a[i:])
-			copy(out[k:], b[j:])
-			merged = append(merged, hi)
-		}
-		bounds = merged
-		src, dst = dst, src
+// reseat re-reads list id's head and replays its matches up to the root: at
+// each node the child with the lower head offset wins, ties to the lower id.
+func (m *merger) reseat(id int) {
+	m.head[id] = math.MaxInt64
+	if l := m.lists[id]; len(l) > 0 {
+		m.head[id] = l[0].Off
 	}
-	return src
+	for n := (len(m.lists) + id) / 2; n >= 1; n /= 2 {
+		a, b := m.tree[2*n], m.tree[2*n+1]
+		if m.head[b] < m.head[a] || m.head[b] == m.head[a] && b < a {
+			a = b
+		}
+		m.tree[n] = a
+	}
+}
+
+// next draws the next extent and the id of its list; call it m.left times.
+func (m *merger) next() (interval.Extent, int) {
+	id := int(m.tree[1])
+	e := m.lists[id][0]
+	m.lists[id] = m.lists[id][1:]
+	m.left--
+	m.reseat(id)
+	return e, id
 }
 
 // SweepOverlaps computes the P×P boolean overlap matrix of the given extent
 // lists — W[i][j] reports whether lists i and j share at least one byte —
-// in one walk of the endpoint schedule: O(E log P + marked pairs) for E
-// total extents, instead of the O(P²·E) of pairwise list merges. The
-// diagonal is false by construction, matching the paper's Figure 5 matrix.
-//
-// When an extent opens, every list still open overlaps it. Normalized lists
-// keep at most one extent open at a time, so the active set is a plain
-// position-indexed slice.
+// in one streamed merge: O(E log P + marked pairs) for E total extents,
+// instead of the O(P²·E) of pairwise list merges, in O(P) scratch beside
+// the matrix. The diagonal is false by construction, matching the paper's
+// Figure 5 matrix. When an extent opens, every list still open overlaps it;
+// the lists that closed since the last open are dropped in the same pass.
 func SweepOverlaps(lists []interval.List) [][]bool {
 	p := len(lists)
 	w := make([][]bool, p)
 	for i := range w {
 		w[i] = make([]bool, p)
 	}
-	active := make([]int32, 0, p)
-	posOf := make([]int32, p) // id -> position in active; meaningful only while open
-	for _, ev := range events(lists) {
-		if !ev.start {
-			pos := posOf[ev.id]
-			last := int32(len(active) - 1)
-			active[pos] = active[last]
-			posOf[active[pos]] = pos
-			active = active[:last]
-			continue
-		}
-		row := w[ev.id]
+	active := make([]int32, 0, p) // lists opened and not yet seen closed
+	endOf := make([]int64, p)     // end of each list's latest extent
+	for m := newMerger(lists); m.left > 0; {
+		e, id := m.next()
+		row, open := w[id], active[:0]
 		for _, j := range active {
+			if endOf[j] <= e.Off { // closed; id's own previous extent always has
+				continue
+			}
 			row[j] = true
-			w[j][ev.id] = true
+			w[j][id] = true
+			open = append(open, j)
 		}
-		posOf[ev.id] = int32(len(active))
-		active = append(active, ev.id)
+		active = append(open, int32(id))
+		endOf[id] = e.End()
 	}
 	return w
 }
@@ -134,83 +110,108 @@ func SweepSpans(spans []interval.Extent) [][]bool {
 	return SweepOverlaps(lists)
 }
 
-// ClipAll computes every rank's clipped view under the highest-rank-wins
-// rule of the paper's §3.3.2 in a single sweep: result[r] covers exactly
-// the bytes of views[r] covered by no higher-ranked view (each byte goes to
-// the highest rank writing it). It is the all-ranks form of subtracting the
-// union of higher views from each view, in O(E log P) total instead of
-// O(P·E) per rank.
+// Owned is one run of the ownership map: Rank writes the bytes of Extent.
+type Owned struct {
+	interval.Extent
+	Rank int
+}
+
+// winners is the highest-rank-wins rule of the paper's §3.3.2, the one
+// implementation behind Winners and ClipAll: it partitions the union of the
+// views into maximal runs over which one rank is the highest writer and
+// emits them in file order. A rank's runs never touch (a higher rank owns
+// what lies between them) and two neighbouring runs differ in rank.
+func (m *merger) winners(emit func(run interval.Extent, rank int)) {
+	endOf := make([]int64, len(m.lists)) // end of each rank's latest extent
+	for r := range endOf {
+		endOf[r] = math.MinInt64 // never opened: closed everywhere
+	}
+	top, from := -1, int64(0) // the highest open rank owns [from, …)
+	// settle closes the top rank's extents ending at or before upto; the
+	// next highest rank still open inherits the bytes.
+	settle := func(upto int64) {
+		for top >= 0 && endOf[top] <= upto {
+			emit(interval.Extent{Off: from, Len: endOf[top] - from}, top)
+			from = endOf[top]
+			for top--; top >= 0 && endOf[top] <= from; top-- {
+			}
+		}
+	}
+	for m.left > 0 {
+		e, id := m.next()
+		settle(e.Off)
+		endOf[id] = e.End()
+		if id > top {
+			if top >= 0 && e.Off > from {
+				emit(interval.Extent{Off: from, Len: e.Off - from}, top)
+			}
+			top, from = id, e.Off
+		}
+	}
+	settle(math.MaxInt64)
+}
+
+// Winners computes the offset-sorted, coalesced map of who owns which bytes
+// under the highest-rank-wins rule: every byte any view covers appears in
+// exactly one run, owned by the highest rank whose view covers it.
+func Winners(views []interval.List) []Owned {
+	m := newMerger(views)
+	out := make([]Owned, 0, m.left) // a hint: exact when no extent is split
+	m.winners(func(run interval.Extent, rank int) { out = append(out, Owned{run, rank}) })
+	return out
+}
+
+// ClipAll computes every rank's clipped view under the same rule — Winners
+// grouped by rank: result[r] covers exactly the bytes of views[r] covered
+// by no higher-ranked view, the all-ranks form of subtracting the union of
+// higher views from each view in O(E log P) total, not O(P·E) per rank.
 func ClipAll(views []interval.List) []interval.List {
-	p := len(views)
-	out := make([]interval.List, p)
-	if p == 0 {
-		return out
-	}
-	active := make([]bool, p)
-	top := -1 // highest active rank, -1 when none
-	evs := events(views)
-	prev := int64(0)
-	for k := 0; k < len(evs); {
-		at := evs[k].at
-		// Emit the piece since the previous coordinate to the top rank.
-		if top >= 0 && at > prev {
-			l := out[top]
-			if l == nil { // a hint: a view split by higher ranks keeps more pieces
-				l = make(interval.List, 0, len(views[top]))
-			}
-			if n := len(l); n > 0 && l[n-1].End() == prev {
-				l[n-1].Len += at - prev
-			} else {
-				l = append(l, interval.Extent{Off: prev, Len: at - prev})
-			}
-			out[top] = l
+	out := make([]interval.List, len(views))
+	newMerger(views).winners(func(run interval.Extent, rank int) {
+		if out[rank] == nil { // a hint: a view split by higher ranks keeps more pieces
+			out[rank] = make(interval.List, 0, len(views[rank]))
 		}
-		// Apply every event at this coordinate, then re-settle the top.
-		for ; k < len(evs) && evs[k].at == at; k++ {
-			ev := evs[k]
-			active[ev.id] = ev.start
-			if ev.start && int(ev.id) > top {
-				top = int(ev.id)
-			}
-		}
-		for top >= 0 && !active[top] {
-			top--
-		}
-		prev = at
-	}
+		out[rank] = append(out[rank], run)
+	})
 	return out
 }
 
 // SweepAtoms partitions the bytes that two or more of the lists cover into
-// atoms — the pieces between neighbouring endpoints of the schedule, over
-// each of which the covering set is constant — and visits them in file
-// order with the covering lists' positions in ascending order. The slice is
-// reused from one call to the next: a visitor that keeps it copies it. The
-// visitor returns false to stop early; SweepAtoms reports whether the walk
-// ran to completion.
+// atoms — the pieces between neighbouring endpoints, over each of which the
+// covering set is constant — and visits them in file order with the
+// covering lists' positions in ascending order. The slice is reused from
+// one call to the next: a visitor that keeps it copies it. The visitor
+// returns false to stop early; SweepAtoms reports whether the walk ran to
+// completion.
 func SweepAtoms(lists []interval.List, visit func(atom interval.Extent, covering []int) bool) bool {
-	var active []int // ascending
-	evs := events(lists)
-	prev := int64(0)
-	for k := 0; k < len(evs); {
-		at := evs[k].at
-		if len(active) >= 2 && at > prev {
-			if !visit(interval.Extent{Off: prev, Len: at - prev}, active) {
+	var active []int                   // ascending
+	endOf := make([]int64, len(lists)) // end of each list's latest extent
+	pos := int64(0)                    // every atom before pos has been visited
+	// advance visits the atoms in [pos, upto), closing extents on the way.
+	advance := func(upto int64) bool {
+		for pos < upto && len(active) > 0 {
+			cut := upto
+			for _, j := range active {
+				cut = min(cut, endOf[j])
+			}
+			if len(active) >= 2 && !visit(interval.Extent{Off: pos, Len: cut - pos}, active) {
 				return false
 			}
+			active = slices.DeleteFunc(active, func(j int) bool { return endOf[j] <= cut })
+			pos = cut
 		}
-		for ; k < len(evs) && evs[k].at == at; k++ {
-			id := int(evs[k].id)
-			// A normalized list has one extent open at a time, so id is
-			// absent at its open and present at its close.
-			pos, _ := slices.BinarySearch(active, id)
-			if evs[k].start {
-				active = slices.Insert(active, pos, id)
-			} else {
-				active = slices.Delete(active, pos, pos+1)
-			}
-		}
-		prev = at
+		pos = upto
+		return true
 	}
-	return true
+	for m := newMerger(lists); m.left > 0; {
+		e, id := m.next()
+		if !advance(e.Off) {
+			return false
+		}
+		// A normalized list has one extent open at a time, so id is absent.
+		at, _ := slices.BinarySearch(active, id)
+		active = slices.Insert(active, at, id)
+		endOf[id] = e.End()
+	}
+	return advance(math.MaxInt64)
 }

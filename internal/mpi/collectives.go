@@ -235,6 +235,9 @@ func (c *Comm) Scatter(parts [][]byte, root int) []byte {
 
 // Alltoall sends parts[i] to rank i and returns the slice of payloads
 // received, indexed by source rank, using pairwise exchange.
+//
+// The parts are surrendered — handed to their receivers as-is, never to be
+// written again — and out[r] is read-only; only out[rank] is a private copy.
 func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 	defer c.beginOp("alltoall")()
 	tag := c.nextInternalTag()
@@ -248,7 +251,7 @@ func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 	for s := 1; s < p; s++ {
 		to := (c.rank + s) % p
 		from := (c.rank - s + p) % p
-		c.send(ctx, to, tag, parts[to])
+		c.sendOwned(ctx, to, tag, parts[to])
 		b, _ := c.recv(ctx, from, tag)
 		out[from] = b
 	}

@@ -197,17 +197,27 @@ func TestScatter(t *testing.T) {
 	}
 }
 
+// TestAlltoall checks the routing and pins the hand-over contract: a part is
+// surrendered to its receiver, which sees the sender's very bytes (no copy
+// on either side), while a rank's part for itself comes back as a private
+// copy.
 func TestAlltoall(t *testing.T) {
 	for _, p := range procCounts {
+		sent := make([][]*byte, p) // sent[src][dst]: where src built its part for dst
 		run(t, p, func(c *Comm) error {
 			parts := make([][]byte, c.Size())
+			sent[c.Rank()] = make([]*byte, c.Size())
 			for i := range parts {
 				parts[i] = EncodeInt64s(int64(c.Rank()*1000 + i))
+				sent[c.Rank()][i] = &parts[i][0]
 			}
 			got := c.Alltoall(parts)
 			for src, d := range got {
 				if v := DecodeInt64s(d)[0]; v != int64(src*1000+c.Rank()) {
 					return fmt.Errorf("from %d got %d", src, v)
+				}
+				if same := &d[0] == sent[src][c.Rank()]; same != (src != c.Rank()) {
+					return fmt.Errorf("rank %d: part from %d is the sender's buffer: %v", c.Rank(), src, same)
 				}
 			}
 			return nil

@@ -86,6 +86,16 @@ func TestStressCollectiveStorm(t *testing.T) {
 					return fmt.Errorf("dup allgather corrupted")
 				}
 			}
+			// Parts are surrendered to Alltoall: built fresh, never reused.
+			parts := make([][]byte, dup.Size())
+			for dst := range parts {
+				parts[dst] = EncodeInt64s(int64(iter), int64(c.Rank()), int64(dst))
+			}
+			for src, b := range dup.Alltoall(parts) {
+				if v := DecodeInt64s(b); v[0] != int64(iter) || v[1] != int64(src) || v[2] != int64(c.Rank()) {
+					return fmt.Errorf("dup alltoall iter %d: from %d got %v", iter, src, v)
+				}
+			}
 			subSum := DecodeInt64s(sub.Allreduce(EncodeInt64s(1), OpSumInt64))[0]
 			if subSum != int64(sub.Size()) {
 				return fmt.Errorf("sub allreduce = %d", subSum)
