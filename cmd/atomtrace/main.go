@@ -15,9 +15,10 @@
 // -scaling reads several traces of the same workload at different process
 // counts and fits the message-count growth exponent: the handshaking
 // strategies open with a ring allgather of all P file views, so their
-// message count grows ~P² — the scalability wall the paper's §4 discusses
-// and the tree-collectives roadmap item targets. An exponent near 2
-// confirms the quadratic regime; locking traces sit near 1.
+// message count grows ~P² — the cost the paper's §4 weighs against lock
+// contention. An exponent near 2 confirms the quadratic regime; locking
+// traces sit near 1. Given traces of both kinds (one that requested locks is
+// a locking run) it reports the smallest P at which the handshake ends first.
 //
 // Exit status is 0 on success, 1 on unreadable or malformed traces, 2 on
 // flag errors.
@@ -29,6 +30,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"time"
 
 	"atomio/internal/obs"
 )
@@ -87,8 +89,9 @@ func readTrace(path string) (*obs.TraceData, error) {
 	return t, nil
 }
 
-// reportScaling prints per-trace message counts in ascending process count
-// and the fitted growth exponents for total and allgather traffic.
+// reportScaling prints per-trace message counts and makespans in ascending
+// process count, the fitted growth exponents for total and allgather
+// traffic, and the process count from which the handshake beats locking.
 func reportScaling(w io.Writer, paths []string, traces []*obs.TraceData) {
 	order := make([]int, len(traces))
 	for i := range order {
@@ -98,9 +101,16 @@ func reportScaling(w io.Writer, paths []string, traces []*obs.TraceData) {
 		return traces[order[a]].Procs < traces[order[b]].Procs
 	})
 	var total, allgather []obs.ScalingPoint
-	fmt.Fprintf(w, "%-40s %8s %12s %12s\n", "trace", "P", "msgs", "allgather")
+	// ends[locking?][P] is the makespan of the trace of that kind at P.
+	ends := map[bool]map[int]time.Duration{false: {}, true: {}}
+	fmt.Fprintf(w, "%-40s %8s %12s %12s %14s\n", "trace", "P", "msgs", "allgather", "makespan")
 	for _, i := range order {
 		t := traces[i]
+		var end time.Duration
+		for _, e := range t.Events {
+			end = max(end, time.Duration(e.T)) // a run ends on an event
+		}
+		ends[t.Metrics.Counter(obs.MetricLockReqs) > 0][t.Procs] = end
 		msgs := obs.MessageCounts(t.Events)
 		var sum int64
 		for _, n := range msgs {
@@ -112,7 +122,7 @@ func reportScaling(w io.Writer, paths []string, traces []*obs.TraceData) {
 			sum = m.Counter(obs.MetricMsgs)
 			msgs[obs.TagAllgather] = m.Counter(obs.MetricMsgsPrefix + obs.TagAllgather)
 		}
-		fmt.Fprintf(w, "%-40s %8d %12d %12d\n", paths[i], t.Procs, sum, msgs[obs.TagAllgather])
+		fmt.Fprintf(w, "%-40s %8d %12d %12d %14v\n", paths[i], t.Procs, sum, msgs[obs.TagAllgather], end)
 		total = append(total, obs.ScalingPoint{Procs: t.Procs, Msgs: sum})
 		allgather = append(allgather, obs.ScalingPoint{Procs: t.Procs, Msgs: msgs[obs.TagAllgather]})
 	}
@@ -121,4 +131,11 @@ func reportScaling(w io.Writer, paths []string, traces []*obs.TraceData) {
 		fmt.Fprintf(w, ", allgather ~ P^%.2f", b)
 	}
 	fmt.Fprintln(w)
+	for _, i := range order { // ascending P
+		p := traces[i].Procs
+		if lock, hs := ends[true][p], ends[false][p]; 0 < hs && hs < lock {
+			fmt.Fprintf(w, "handshaking overtakes locking at P=%d (%v against %v)\n", p, hs, lock)
+			break
+		}
+	}
 }

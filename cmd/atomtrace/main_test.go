@@ -107,3 +107,42 @@ func TestRunExitCodes(t *testing.T) {
 		t.Errorf("malformed trace: exit %d, want 1", code)
 	}
 }
+
+// TestRunScalingReportsTheCrossover: given locking and handshaking traces of
+// the same process counts, -scaling names the smallest P at which the
+// handshake finishes first.
+func TestRunScalingReportsTheCrossover(t *testing.T) {
+	dir := t.TempDir()
+	// last is the trace's final event: its T is the makespan.
+	write := func(name string, procs int, last obs.Event, locking bool) string {
+		rec := obs.NewRecorder(procs, 0)
+		last.Layer, last.Kind = obs.LayerMPI, obs.KindSend
+		rec.Emit(last)
+		if locking {
+			rec.Count(0, obs.MetricLockReqs, int64(procs))
+		}
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := obs.WriteJSONL(f, rec); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// Locking wins at P=4, loses from P=8 on.
+	paths := []string{
+		write("lock-16.jsonl", 16, obs.Event{T: 900}, true), write("hs-16.jsonl", 16, obs.Event{T: 300}, false),
+		write("lock-4.jsonl", 4, obs.Event{T: 100}, true), write("hs-4.jsonl", 4, obs.Event{T: 200}, false),
+		write("lock-8.jsonl", 8, obs.Event{T: 400}, true), write("hs-8.jsonl", 8, obs.Event{T: 250}, false),
+	}
+	var out, errOut bytes.Buffer
+	if code := run(append([]string{"-scaling"}, paths...), &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if want := "handshaking overtakes locking at P=8 (250ns against 400ns)"; !strings.Contains(out.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, out.String())
+	}
+}

@@ -23,7 +23,7 @@
 // atomio.Scaling) and prints one row per cell; -json emits the same
 // atomio.bench/v1 records as the Figure 8 grid. -maxp raises (or lowers)
 // the grid's process-count ceiling: past 1024 the grid continues into the
-// locking-only extended points (2048–16384 ranks, see atomio.ScalingTo).
+// extended points (2048–16384 ranks, see atomio.ScalingTo).
 //
 // -lockshards S partitions every cell's lock-manager table across S offset
 // stripes (see internal/lock). Reported numbers are byte-identical for any
@@ -105,7 +105,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	app.Flags.BoolVar(&cfg.verbose, "v", false, "also print virtual makespans and written volumes")
 	app.Flags.BoolVar(&cfg.scale, "scale", false, "run the large-P scaling grid instead of Figure 8")
 	app.Flags.IntVar(&cfg.maxp, "maxp", 1024,
-		"largest process count of the -scale grid (past 1024: locking-only extended points up to 16384)")
+		"largest process count of the -scale grid (past 1024: the extended points, up to 16384)")
 	app.Flags.BoolVar(&cfg.shardSweep, "shardsweep", false, "run the lock-shard sweep instead of Figure 8")
 	app.Flags.BoolVar(&cfg.degraded, "degraded", false, "run the degraded-server scenario grid instead of Figure 8")
 	app.Flags.BoolVar(&cfg.fleet, "fleet", false, "run the seeded failure-injection fleet instead of Figure 8")

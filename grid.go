@@ -133,8 +133,7 @@ func Scaling() []Cell { return runner.ScalingGrid() }
 
 // ScalingTo returns the scaling cells with process counts up to maxP, which
 // may extend past the classic grid into the extended points (2048, 4096,
-// 8192 and 16384 processes, locking strategy only — see
-// runner.ScalingGridTo).
+// 8192 and 16384 processes — see runner.ScalingGridTo).
 func ScalingTo(maxP int) []Cell { return runner.ScalingGridTo(maxP) }
 
 // ShardSweep returns the lock-shard sweep cells: one contended locking

@@ -171,7 +171,7 @@ func TestSetGroupsReachEveryCell(t *testing.T) {
 				e.LockShards, e.Servers, e.TraceEvents, e.EventLimit)
 		}
 	}
-	if gridCells[0].Experiment.Overlap != 64 || scaling[0].Experiment.RunTimeout == 0 {
+	if gridCells[0].Experiment.Overlap != 64 || scaling[0].Experiment.Overlap != 16 {
 		t.Error("applying the groups erased settings the cells already had")
 	}
 }

@@ -10,15 +10,22 @@ package mpi
 // messages — and therefore the virtual-time cost of a handshake — track what
 // production MPI libraries do:
 //
-//	Barrier    dissemination, ceil(log2 P) rounds
+//	Barrier    dissemination, ceil(log2 P) rounds   (solved at a rendezvous)
 //	Bcast      binomial tree
 //	Gather     binomial tree (variable-size payloads carried in bundles)
-//	Allgather  ring, P-1 steps (handles variable sizes, i.e. allgatherv)
+//	Allgather  ring, P-1 steps (allgatherv too)     (solved at a rendezvous)
 //	Reduce     binomial tree
 //	Allreduce  reduce + broadcast
-//	Scatter    root-directed sends
 //	Alltoall   pairwise exchange, P-1 steps
-//	Scan       linear chain
+//
+// Barrier and Allgather keep that schedule — message counts, sizes, clocks,
+// trace events — but simulate no message: the ranks meet (rendezvous.go) and
+// the last to arrive runs the schedule as a recurrence over the P entry
+// clocks. Only a synchronizing collective may: every rank's exit is at or
+// after every rank's entry in virtual time, so parking the early arrivers
+// never holds back an action virtual time would have admitted sooner.
+// Alltoall and Allreduce qualify and are message-based for now; Bcast,
+// Gather and Reduce (a leaf may leave before a late rank enters) never do.
 
 // nextInternalTag returns the tag for the next collective call.
 func (c *Comm) nextInternalTag() int {
@@ -28,22 +35,15 @@ func (c *Comm) nextInternalTag() int {
 }
 
 // Barrier blocks until every rank of the communicator has entered it.
-// It uses the dissemination algorithm: in round k each rank signals
+// It is timed as the dissemination algorithm: in round k each rank signals
 // rank+2^k (mod P) and waits for a signal from rank-2^k (mod P).
 func (c *Comm) Barrier() {
 	defer c.beginOp("barrier")()
-	tag := c.nextInternalTag()
-	p := c.Size()
-	if p == 1 {
-		return
-	}
-	ctx := c.internalCtx()
-	for dist := 1; dist < p; dist *= 2 {
-		to := (c.rank + dist) % p
-		from := (c.rank - dist + p) % p
-		c.send(ctx, to, tag, nil)
-		c.recv(ctx, from, tag)
-	}
+	c.meet(nil, func(rv *rendezvous) {
+		for dist := 1; dist < c.Size(); dist *= 2 {
+			rv.step(c, dist, 0)
+		}
+	})
 }
 
 // Bcast distributes root's data to every rank along a binomial tree and
@@ -62,10 +62,7 @@ func (c *Comm) Bcast(data []byte, root int) []byte {
 	mask := 1
 	for mask < p {
 		if vrank&mask != 0 {
-			src := c.rank - mask
-			if src < 0 {
-				src += p
-			}
+			src := (c.rank - mask + p) % p
 			data, _ = c.recv(ctx, src, tag)
 			break
 		}
@@ -74,10 +71,7 @@ func (c *Comm) Bcast(data []byte, root int) []byte {
 	mask /= 2
 	for mask > 0 {
 		if vrank+mask < p {
-			dst := c.rank + mask
-			if dst >= p {
-				dst -= p
-			}
+			dst := (c.rank + mask) % p
 			c.send(ctx, dst, tag, data)
 		}
 		mask /= 2
@@ -102,18 +96,12 @@ func (c *Comm) Gather(data []byte, root int) [][]byte {
 	for mask < p {
 		if vrank&mask != 0 {
 			// Send my accumulated subtree to my parent and stop.
-			dst := c.rank - mask
-			if dst < 0 {
-				dst += p
-			}
+			dst := (c.rank - mask + p) % p
 			c.send(ctx, dst, tag, encodeBundle(acc))
 			return nil
 		}
 		if vrank+mask < p {
-			src := c.rank + mask
-			if src >= p {
-				src -= p
-			}
+			src := (c.rank + mask) % p
 			b, _ := c.recv(ctx, src, tag)
 			for r, d := range decodeBundle(b) {
 				acc[r] = d
@@ -128,37 +116,21 @@ func (c *Comm) Gather(data []byte, root int) [][]byte {
 	return out
 }
 
-// Allgather collects every rank's data on every rank, indexed by rank, using
-// the ring algorithm. Payload sizes may differ between ranks, so this also
-// serves as MPI_Allgatherv.
+// Allgather collects every rank's data on every rank, indexed by rank, timed
+// as the ring algorithm: in step s each rank forwards the block that
+// originated at rank-s to its right neighbour. Payload sizes may differ
+// between ranks, so this also serves as MPI_Allgatherv.
 //
-// The returned blocks are read-only: each rank copies its own contribution
-// once and the ring forwards that one buffer from hand to hand, so out[r]
-// is the same memory on every rank (P copies per collective instead of the
-// P² of copying at every hop). The caller may reuse data.
+// The result is read-only and shared: each rank copies its own contribution
+// once into the one table assembled at the rendezvous, and every rank
+// returns that same table. The caller may reuse data.
 func (c *Comm) Allgather(data []byte) [][]byte {
 	defer c.beginOp("allgather")()
-	tag := c.nextInternalTag()
-	p := c.Size()
-	out := make([][]byte, p)
-	out[c.rank] = append([]byte(nil), data...)
-	if p == 1 {
-		return out
-	}
-	ctx := c.internalCtx()
-	right := (c.rank + 1) % p
-	left := (c.rank - 1 + p) % p
-	// In step s we forward the block that originated at rank-s: our own
-	// private copy first, then blocks received from the left, none of
-	// which is ever written again.
-	for s := 0; s < p-1; s++ {
-		sendIdx := (c.rank - s + p) % p
-		c.sendOwned(ctx, right, tag, out[sendIdx])
-		b, _ := c.recv(ctx, left, tag)
-		recvIdx := (c.rank - s - 1 + p) % p
-		out[recvIdx] = b
-	}
-	return out
+	return c.meet(append([]byte(nil), data...), func(rv *rendezvous) {
+		for s := 0; s < c.Size()-1; s++ {
+			rv.step(c, 1, s)
+		}
+	}).blocks
 }
 
 // ReduceOp combines src into dst elementwise; both slices have equal length.
@@ -178,18 +150,12 @@ func (c *Comm) Reduce(data []byte, op ReduceOp, root int) []byte {
 	mask := 1
 	for mask < p {
 		if vrank&mask != 0 {
-			dst := c.rank - mask
-			if dst < 0 {
-				dst += p
-			}
+			dst := (c.rank - mask + p) % p
 			c.send(ctx, dst, tag, acc)
 			return nil
 		}
 		if vrank+mask < p {
-			src := c.rank + mask
-			if src >= p {
-				src -= p
-			}
+			src := (c.rank + mask) % p
 			b, _ := c.recv(ctx, src, tag)
 			if len(b) != len(acc) {
 				panic("mpi: Reduce length mismatch between ranks")
@@ -207,30 +173,6 @@ func (c *Comm) Allreduce(data []byte, op ReduceOp) []byte {
 	defer c.beginOp("allreduce")()
 	red := c.Reduce(data, op, 0)
 	return c.Bcast(red, 0)
-}
-
-// Scatter distributes parts[i] from root to rank i and returns the caller's
-// part. Only root's parts argument is consulted; it must have one entry per
-// rank.
-func (c *Comm) Scatter(parts [][]byte, root int) []byte {
-	defer c.beginOp("scatter")()
-	c.checkRank(root)
-	tag := c.nextInternalTag()
-	p := c.Size()
-	ctx := c.internalCtx()
-	if c.rank == root {
-		if len(parts) != p {
-			panic("mpi: Scatter needs one part per rank")
-		}
-		for r := 0; r < p; r++ {
-			if r != root {
-				c.send(ctx, r, tag, parts[r])
-			}
-		}
-		return append([]byte(nil), parts[root]...)
-	}
-	b, _ := c.recv(ctx, root, tag)
-	return b
 }
 
 // Alltoall sends parts[i] to rank i and returns the slice of payloads
@@ -256,26 +198,4 @@ func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 		out[from] = b
 	}
 	return out
-}
-
-// Scan computes the inclusive prefix reduction over ranks 0..r for each rank
-// r, using a linear chain.
-func (c *Comm) Scan(data []byte, op ReduceOp) []byte {
-	defer c.beginOp("scan")()
-	tag := c.nextInternalTag()
-	ctx := c.internalCtx()
-	acc := append([]byte(nil), data...)
-	if c.rank > 0 {
-		b, _ := c.recv(ctx, c.rank-1, tag)
-		if len(b) != len(acc) {
-			panic("mpi: Scan length mismatch between ranks")
-		}
-		prev := append([]byte(nil), b...)
-		op(prev, acc)
-		acc = prev
-	}
-	if c.rank < c.Size()-1 {
-		c.send(ctx, c.rank+1, tag, acc)
-	}
-	return acc
 }

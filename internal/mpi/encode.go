@@ -83,24 +83,10 @@ func decodeBundle(buf []byte) map[int][]byte {
 func OpSumInt64(dst, src []byte) { combineInt64(dst, src, func(a, b int64) int64 { return a + b }) }
 
 // OpMaxInt64 takes the elementwise maximum of int64 vectors.
-func OpMaxInt64(dst, src []byte) {
-	combineInt64(dst, src, func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
+func OpMaxInt64(dst, src []byte) { combineInt64(dst, src, func(a, b int64) int64 { return max(a, b) }) }
 
 // OpMinInt64 takes the elementwise minimum of int64 vectors.
-func OpMinInt64(dst, src []byte) {
-	combineInt64(dst, src, func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
+func OpMinInt64(dst, src []byte) { combineInt64(dst, src, func(a, b int64) int64 { return min(a, b) }) }
 
 func combineInt64(dst, src []byte, f func(a, b int64) int64) {
 	if len(dst) != len(src) || len(dst)%8 != 0 {

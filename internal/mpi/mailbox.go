@@ -17,8 +17,8 @@ type message struct {
 	sentAt sim.VTime
 }
 
-// errAborted is the panic value used to unwind ranks blocked in a receive
-// when another rank has failed; Run recovers it into a RankError.
+// abortError is the panic value used to unwind ranks blocked in a receive or
+// a rendezvous when another rank has failed; Run recovers it into a RankError.
 type abortError struct{}
 
 func (abortError) Error() string { return "mpi: world aborted after failure on another rank" }
@@ -144,11 +144,4 @@ func (m *mailbox) tryMatch(ctx, src, tag int) *message {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.take(ctx, src, tag)
-}
-
-// pending returns the number of queued messages, for tests.
-func (m *mailbox) pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queue)
 }

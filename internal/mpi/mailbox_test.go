@@ -15,7 +15,7 @@ func TestSoloMailbox(t *testing.T) {
 	if msg := m.match(1, AnySource, 7); string(msg.data) != "queued" || msg.src != 3 {
 		t.Fatalf("match returned %+v", msg)
 	}
-	if n := m.pending(); n != 0 {
+	if n := len(m.queue); n != 0 {
 		t.Fatalf("%d messages still queued", n)
 	}
 	defer func() {

@@ -2,11 +2,13 @@
 // subset the paper's atomicity strategies require: ranks with identities,
 // blocking matched point-to-point communication, non-blocking requests, and
 // the standard collective operations (barrier, broadcast, gather(v),
-// allgather(v), reduce, allreduce, scatter, alltoall, scan) implemented with
-// the textbook algorithms (dissemination barrier, binomial trees, ring
-// allgather, pairwise alltoall) so that message counts and volumes — and
-// therefore the virtual-time cost of the handshaking strategies — match what
-// a real MPI implementation would incur.
+// allgather(v), reduce, allreduce, alltoall) timed as the textbook
+// algorithms (dissemination barrier, binomial trees, ring allgather,
+// pairwise alltoall) so that message counts and volumes — and therefore the
+// virtual-time cost of the handshaking strategies — match what a real MPI
+// implementation would incur. The barrier and the allgather keep that
+// schedule but simulate no message: their ranks meet at a rendezvous that
+// solves it in closed form (see collectives.go for which collectives may).
 //
 // Ranks execute inside a World created by Run, as resumable coroutines of
 // the single-threaded event-loop scheduler (internal/sim/des) unless
@@ -17,10 +19,9 @@
 // max(local, sent+transfer); the engine's coordinator admits sends in
 // (virtual time, rank) order, which makes the timings deterministic.
 //
-// Like package sync in the standard library, mpi treats misuse (invalid
-// ranks, mismatched collective calls) as programmer error and panics rather
-// than returning errors; I/O-level failures are reported as errors by the
-// higher layers.
+// Like package sync, mpi treats misuse (invalid ranks, mismatched collective
+// calls) as programmer error and panics; I/O-level failures are reported as
+// errors by the higher layers.
 package mpi
 
 import (
@@ -83,24 +84,28 @@ func (c Config) withDefaults() Config {
 }
 
 // World is one running message-passing program: its ranks' mailboxes and
-// clocks, and the communicator context-id allocator.
+// clocks, and the bookkeeping of its communicators.
 type World struct {
 	cfg       Config
-	size      int
 	mailboxes []*mailbox
 	clocks    []*sim.Clock
 
-	ctxMu   sync.Mutex
-	nextCtx int
-
-	// shared is the memo table behind Comm.Shared: one entry per collective
-	// call in flight, dropped once every rank of its communicator arrived.
-	sharedMu sync.Mutex
+	// mu guards the communicator context-id allocator; the collective calls
+	// in flight (shared, the memo table behind Comm.Shared, and meetings,
+	// the rendezvous of the synchronizing collectives: an entry goes once
+	// every rank of its communicator arrived); which world ranks sleep in a
+	// rendezvous; and whether the world was aborted.
+	mu       sync.Mutex
+	nextCtx  int
 	shared   map[sharedKey]*sharedEntry
+	meetings map[sharedKey]*rendezvous
+	parked   []bool
+	aborted  bool
 }
 
 func newWorld(cfg Config) *World {
-	w := &World{cfg: cfg, size: cfg.Procs, shared: make(map[sharedKey]*sharedEntry)}
+	w := &World{cfg: cfg, nextCtx: 1, parked: make([]bool, cfg.Procs),
+		shared: make(map[sharedKey]*sharedEntry), meetings: make(map[sharedKey]*rendezvous)}
 	w.mailboxes = make([]*mailbox, cfg.Procs)
 	w.clocks = make([]*sim.Clock, cfg.Procs)
 	for i := range w.mailboxes {
@@ -112,22 +117,30 @@ func newWorld(cfg Config) *World {
 		w.mailboxes[i] = m
 		w.clocks[i] = sim.NewClock(0)
 	}
-	w.nextCtx = 1
 	return w
 }
 
-// abortAll wakes every rank blocked in a receive; used when a rank fails so
-// the failure surfaces immediately instead of as a run timeout (this mirrors
-// MPI's job-abort-on-error behaviour).
+// abortAll wakes every rank blocked in a receive or a rendezvous; used when
+// a rank fails so the failure surfaces immediately instead of as a run
+// timeout (this mirrors MPI's job-abort-on-error behaviour).
 func (w *World) abortAll() {
 	for _, m := range w.mailboxes {
 		m.abort()
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.aborted = true
+	for id, asleep := range w.parked {
+		if asleep {
+			w.parked[id] = false
+			w.cfg.Coord.Wake(id, 0)
+		}
+	}
 }
 
 func (w *World) allocCtx() int {
-	w.ctxMu.Lock()
-	defer w.ctxMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	c := w.nextCtx
 	w.nextCtx++
 	return c
@@ -158,9 +171,9 @@ func (e *RankError) Unwrap() error { return e.Err }
 // Run executes body on cfg.Procs ranks and waits for all of them. It returns
 // the per-rank virtual completion times and the first rank error, if any.
 // A rank that panics is reported as a RankError carrying the panic value.
-// When any rank fails, the world is aborted: ranks blocked in receives are
-// unwound immediately (MPI's job-abort-on-error behaviour), and the
-// root-cause error is the one reported. If the ranks do not finish within
+// When any rank fails, the world is aborted: ranks blocked in a receive or a
+// rendezvous are unwound immediately (MPI's job-abort-on-error behaviour),
+// and the root-cause error is the one reported. If the ranks do not finish within
 // cfg.Timeout (a communication deadlock), Run returns an error instead of
 // hanging forever.
 //
@@ -191,20 +204,18 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 		group[i] = i
 	}
 
-	errs := make([]error, cfg.Procs)
+	errs := make([]*RankError, cfg.Procs)
 	rankBody := func(rank int) {
 		// Retire the actor however the rank exits — normally, by error, or
 		// unwinding from an abort — so peers never wait on a dead rank.
 		defer cfg.Coord.Done(rank)
 		defer func() {
 			if p := recover(); p != nil {
-				switch p := p.(type) {
-				case abortError:
-					errs[rank] = &RankError{Rank: rank, Err: abortError{}}
-				case sim.StoppedError:
-					// Engine teardown unwound a stalled rank; like an
-					// abort, this is a consequence, not a root cause.
-					errs[rank] = &RankError{Rank: rank, Err: p}
+				switch p.(type) {
+				case abortError, sim.StoppedError:
+					// Unwound by a world abort, or by engine teardown of a
+					// stalled rank: a consequence, not a root cause.
+					errs[rank] = &RankError{Rank: rank, Err: p.(error)}
 				default:
 					errs[rank] = &RankError{
 						Rank: rank,
@@ -244,35 +255,32 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 	// Report the root-cause error: a rank that failed on its own, in
 	// preference to an engine-level stall, in preference to ranks that were
 	// merely unwound by the resulting abort or teardown.
-	var aborted error
+	var aborted *RankError
 	for _, e := range errs {
 		if e == nil {
 			continue
 		}
-		var re *RankError
-		if errors.As(e, &re) {
-			_, isAbort := re.Err.(abortError)
-			_, isStopped := re.Err.(sim.StoppedError)
-			if isAbort || isStopped {
-				if aborted == nil {
-					aborted = e
-				}
-				continue
+		switch e.Err.(type) {
+		case abortError, sim.StoppedError:
+			if aborted == nil {
+				aborted = e
 			}
+		default:
+			return res, e
 		}
-		return res, e
+	}
+	// A run that leaves a collective call in flight skipped it on some rank:
+	// the ranks asleep in its rendezvous stalled the engine, or, after a
+	// Shared call, the later ones on that communicator paired up wrongly.
+	if n := len(w.shared) + len(w.meetings); n != 0 {
+		return res, errors.Join(engErr,
+			fmt.Errorf("mpi: %d collectives were not reached by every rank of their communicator", n))
 	}
 	if engErr != nil {
 		return res, engErr
 	}
 	if aborted != nil {
 		return res, aborted
-	}
-	// A clean run leaves no Shared entry behind; one that does skipped a
-	// collective call on some rank, and its later Shared calls on that
-	// communicator paired up with the wrong peers.
-	if n := len(w.shared); n != 0 {
-		return res, fmt.Errorf("mpi: %d Shared calls were not reached by every rank of their communicator", n)
 	}
 	return res, nil
 }

@@ -1,6 +1,9 @@
 package mpi
 
-import "atomio/internal/obs"
+import (
+	"atomio/internal/obs"
+	"atomio/internal/sim"
+)
 
 // Status describes a received message.
 type Status struct {
@@ -39,11 +42,7 @@ func (c *Comm) sendOwned(ctx, to, tag int, data []byte) {
 	c.clock.Advance(c.world.cfg.SendOverhead)
 	c.world.cfg.Coord.Await(c.group[c.rank], c.clock.Now())
 	if o := c.world.cfg.Obs; o != nil {
-		o.Emit(obs.Event{
-			T: c.clock.Now(), Actor: c.group[c.rank],
-			Layer: obs.LayerMPI, Kind: obs.KindSend, Tag: c.curOp,
-			Peer: c.group[to], Size: int64(len(data)),
-		})
+		c.traceSend(o, c.clock.Now(), c.rank, to, len(data))
 	}
 	c.world.mailboxes[c.group[to]].put(&message{
 		ctx:    ctx,
@@ -75,26 +74,37 @@ func (c *Comm) recv(ctx, from, tag int) ([]byte, Status) {
 }
 
 // applyRecvTiming advances the receiver's clock for a matched message and
-// emits the delivery event (the one side message counters hang off).
+// traces the delivery.
 func (c *Comm) applyRecvTiming(msg *message) {
 	arrive := msg.sentAt + c.world.cfg.Net.Cost(int64(len(msg.data)))
 	c.clock.AdvanceTo(arrive)
 	c.clock.Advance(c.world.cfg.RecvOverhead)
 	if o := c.world.cfg.Obs; o != nil {
-		me := c.group[c.rank]
-		o.Emit(obs.Event{
-			T: c.clock.Now(), Actor: me,
-			Layer: obs.LayerMPI, Kind: obs.KindRecv, Tag: c.curOp,
-			Peer: c.group[msg.src], Size: int64(len(msg.data)),
-		})
-		o.Count(me, obs.MetricMsgs, 1)
-		o.Count(me, obs.MetricMsgBytes, int64(len(msg.data)))
-		op := c.curOp
-		if op == "" {
-			op = "p2p"
-		}
-		o.Count(me, obs.MetricMsgsPrefix+op, 1)
+		c.traceRecv(o, c.clock.Now(), c.rank, msg.src, len(msg.data))
 	}
+}
+
+// traceSend emits the event of rank from handing size bytes for rank to to
+// the network at t. from is the caller, or any rank of a collective the
+// caller is solving at a rendezvous.
+func (c *Comm) traceSend(o *obs.Recorder, t sim.VTime, from, to, size int) {
+	o.Emit(obs.Event{T: t, Actor: c.group[from], Layer: obs.LayerMPI, Kind: obs.KindSend,
+		Tag: c.curOp, Peer: c.group[to], Size: int64(size)})
+}
+
+// traceRecv emits the delivery event of those bytes, timing applied, at
+// rank to (the one side message counters hang off).
+func (c *Comm) traceRecv(o *obs.Recorder, t sim.VTime, to, from, size int) {
+	me := c.group[to]
+	o.Emit(obs.Event{T: t, Actor: me, Layer: obs.LayerMPI, Kind: obs.KindRecv,
+		Tag: c.curOp, Peer: c.group[from], Size: int64(size)})
+	o.Count(me, obs.MetricMsgs, 1)
+	o.Count(me, obs.MetricMsgBytes, int64(size))
+	op := c.curOp
+	if op == "" {
+		op = "p2p"
+	}
+	o.Count(me, obs.MetricMsgsPrefix+op, 1)
 }
 
 // Sendrecv sends sendData to rank `to` and then receives a message from

@@ -1,0 +1,250 @@
+package mpi
+
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"atomio/internal/obs"
+	"atomio/internal/sim"
+	"atomio/internal/sim/des"
+)
+
+var bothEngines = []sim.Engine{des.New(), sim.Goroutines{}}
+
+// scheduleCase is one randomized world of TestRendezvousMatchesMessageSchedule:
+// three collectives back to back (allgather, barrier, allgather of empty
+// blocks), each entered with its own per-rank skews.
+type scheduleCase struct {
+	procs  int
+	split  bool // run the collectives on a permuted-subset sub-communicator
+	cfg    Config
+	skews  [3][]sim.VTime
+	blocks [][]byte
+}
+
+func newScheduleCase(rng *rand.Rand, procs int, split bool) scheduleCase {
+	tc := scheduleCase{procs: procs, split: split, blocks: make([][]byte, procs)}
+	tc.cfg = Config{
+		Procs:        procs,
+		SendOverhead: sim.VTime(rng.Intn(3)) * 700,
+		RecvOverhead: sim.VTime(rng.Intn(3)) * 900,
+		Net:          sim.LinearCost{Latency: sim.VTime(rng.Intn(4)) * 1100, BytesPerSec: int64(rng.Intn(3)) << 24},
+		Timeout:      30 * time.Second,
+	}
+	for i := range tc.skews {
+		tc.skews[i] = make([]sim.VTime, procs)
+		for r := range tc.skews[i] {
+			// A handful of distinct values, so ties are the rule.
+			tc.skews[i][r] = sim.VTime(rng.Intn(4)) * 5000
+		}
+	}
+	for r := range tc.blocks {
+		n := []int{0, 1, 24, 1000, 64 << 10}[rng.Intn(5)]
+		tc.blocks[r] = make([]byte, n)
+		rng.Read(tc.blocks[r])
+	}
+	return tc
+}
+
+// mpiEvent is the engine-independent part of one mpi-layer trace event.
+type mpiEvent struct {
+	T         sim.VTime
+	Kind, Tag string
+	Peer      int
+	Size      int64
+}
+
+// scheduleResult is everything a world's collectives are observable by.
+type scheduleResult struct {
+	exits    [3][]sim.VTime
+	tables   [2][][][]byte // the two allgathers' results, by world rank
+	events   [][]mpiEvent  // by actor
+	counters map[string]int64
+}
+
+// run executes the case with the given Barrier and Allgather on eng.
+func (tc scheduleCase) run(t *testing.T, eng sim.Engine, barrier func(*Comm), allgather func(*Comm, []byte) [][]byte) scheduleResult {
+	t.Helper()
+	var res scheduleResult
+	for i := range res.exits {
+		res.exits[i] = make([]sim.VTime, tc.procs)
+	}
+	for i := range res.tables {
+		res.tables[i] = make([][][]byte, tc.procs)
+	}
+	rec := obs.NewRecorder(tc.procs, 0)
+	cfg := tc.cfg
+	cfg.Engine, cfg.Obs = eng, rec
+	cfg.Coord = obs.Trace(eng.NewCoord(tc.procs), rec)
+	_, err := Run(cfg, func(world *Comm) error {
+		c, me := world, world.Rank()
+		if tc.split {
+			// Every third rank sits out; the rest are ordered by a key that
+			// permutes them.
+			color := 0
+			if me%3 == 2 {
+				color = -1
+			}
+			if c = world.Split(color, (me*7)%tc.procs); c == nil {
+				return nil
+			}
+		}
+		c.Clock().Advance(tc.skews[0][me])
+		res.tables[0][me] = allgather(c, tc.blocks[me])
+		res.exits[0][me] = c.Now()
+		c.Clock().Advance(tc.skews[1][me])
+		barrier(c)
+		res.exits[1][me] = c.Now()
+		c.Clock().Advance(tc.skews[2][me])
+		res.tables[1][me] = allgather(c, nil)
+		res.exits[2][me] = c.Now()
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Run on %s: %v", eng.Name(), err)
+	}
+	res.events = make([][]mpiEvent, tc.procs)
+	for _, e := range rec.Events() {
+		if e.Layer == obs.LayerMPI {
+			res.events[e.Actor] = append(res.events[e.Actor], mpiEvent{T: e.T, Kind: e.Kind, Tag: e.Tag, Peer: e.Peer, Size: e.Size})
+		}
+	}
+	res.counters = map[string]int64{}
+	for _, name := range []string{obs.MetricMsgs, obs.MetricMsgBytes, obs.MetricMsgsPrefix + "barrier", obs.MetricMsgsPrefix + "allgather"} {
+		res.counters[name] = rec.Metrics().Counter(name)
+	}
+	return res
+}
+
+// TestRendezvousMatchesMessageSchedule pins the rendezvous to the message
+// loops it replaced: the same exit clocks, the same blocks, the same
+// per-actor mpi events and the same message counters, on both engines —
+// and pins the counts to their formulas.
+func TestRendezvousMatchesMessageSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cases := []scheduleCase{newScheduleCase(rng, 12, true), newScheduleCase(rng, 31, true)}
+	for p := 1; p <= 33; p++ {
+		cases = append(cases, newScheduleCase(rng, p, false))
+	}
+	for _, tc := range cases {
+		for _, eng := range bothEngines {
+			t.Run(fmt.Sprintf("P=%d/split=%v/%s", tc.procs, tc.split, eng.Name()), func(t *testing.T) {
+				got := tc.run(t, eng, (*Comm).Barrier, (*Comm).Allgather)
+				want := tc.run(t, eng, messageBarrier, messageAllgather)
+				if !reflect.DeepEqual(got.exits, want.exits) {
+					t.Errorf("exit clocks\n got %v\nwant %v", got.exits, want.exits)
+				}
+				if !reflect.DeepEqual(got.tables, want.tables) {
+					t.Error("allgathered blocks differ from the ring's")
+				}
+				for a := range want.events {
+					if !reflect.DeepEqual(got.events[a], want.events[a]) {
+						t.Errorf("actor %d: mpi events\n got %v\nwant %v", a, got.events[a], want.events[a])
+					}
+				}
+				if !reflect.DeepEqual(got.counters, want.counters) {
+					t.Errorf("counters: got %v, want %v", got.counters, want.counters)
+				}
+				if tc.split {
+					return // Split's own allgather and bcast are in the counts
+				}
+				p := int64(tc.procs)
+				if n, f := got.counters[obs.MetricMsgsPrefix+"barrier"], p*int64(bits.Len(uint(p-1))); n != f {
+					t.Errorf("barrier delivered %d messages, want P*ceil(log2 P) = %d", n, f)
+				}
+				if n, f := got.counters[obs.MetricMsgsPrefix+"allgather"], 2*p*(p-1); n != f {
+					t.Errorf("two allgathers delivered %d messages, want 2*P*(P-1) = %d", n, f)
+				}
+			})
+		}
+	}
+}
+
+// TestRendezvousWakesSleepersAtTheirExitClocks pins the wake bound: a rank
+// asleep in a collective is re-admitted at its own exit clock, not at the
+// solver's.
+func TestRendezvousWakesSleepersAtTheirExitClocks(t *testing.T) {
+	const p = 6
+	for _, eng := range bothEngines {
+		rec := obs.NewRecorder(p, 0)
+		exits := make([]sim.VTime, p)
+		cfg := Config{Procs: p, Engine: eng, Coord: obs.Trace(eng.NewCoord(p), rec),
+			SendOverhead: sim.Microsecond, RecvOverhead: 2 * sim.Microsecond,
+			Net: sim.LinearCost{Latency: 10 * sim.Microsecond}, Timeout: 30 * time.Second}
+		if _, err := Run(cfg, func(c *Comm) error {
+			c.Clock().Advance(sim.VTime(c.Rank()*c.Rank()) * 7 * sim.Microsecond)
+			c.Barrier()
+			exits[c.Rank()] = c.Now()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		wakes := 0
+		for _, e := range rec.Events() {
+			if e.Layer == obs.LayerSched && e.Kind == obs.KindWake {
+				wakes++
+				if e.T != exits[e.Actor] {
+					t.Errorf("%s: rank %d woken at %v, exits the barrier at %v", eng.Name(), e.Actor, e.T, exits[e.Actor])
+				}
+			}
+		}
+		if wakes != p-1 {
+			t.Errorf("%s: %d wakes, want one per sleeper (%d)", eng.Name(), wakes, p-1)
+		}
+	}
+}
+
+// TestAbortUnblocksRanksParkedInACollective: a rank that fails before a
+// collective its peers already sleep in surfaces as the root cause at once,
+// not as a stall report or a run timeout.
+func TestAbortUnblocksRanksParkedInACollective(t *testing.T) {
+	collectives := map[string]func(*Comm){
+		"barrier":   (*Comm).Barrier,
+		"allgather": func(c *Comm) { c.Allgather([]byte{1}) },
+	}
+	for name, collective := range collectives {
+		for _, eng := range bothEngines {
+			t.Run(name+"/"+eng.Name(), func(t *testing.T) {
+				start := time.Now()
+				_, err := Run(Config{Procs: 4, Engine: eng}, func(c *Comm) error {
+					if c.Rank() == 2 {
+						// Admitted after ranks 0, 1 and 3 went to sleep.
+						c.Clock().Advance(sim.Millisecond)
+						c.Send(3, 0, nil)
+						return errors.New("root cause")
+					}
+					collective(c)
+					return nil
+				})
+				var re *RankError
+				if !errors.As(err, &re) || re.Rank != 2 || !strings.Contains(err.Error(), "root cause") {
+					t.Fatalf("err = %v, want rank 2's own error", err)
+				}
+				if elapsed := time.Since(start); elapsed > 5*time.Second {
+					t.Fatalf("abort took %v; the parked ranks were not unwound", elapsed)
+				}
+			})
+		}
+	}
+}
+
+// TestCollectiveSkippedByOneRankFailsTheRun: the ranks that did call the
+// collective can never leave it, and the run says which kind of mistake
+// that is instead of only listing the stalled actors.
+func TestCollectiveSkippedByOneRankFailsTheRun(t *testing.T) {
+	_, err := Run(Config{Procs: 3, Timeout: 30 * time.Second}, func(c *Comm) error {
+		if c.Rank() != 1 {
+			c.Barrier()
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "1 collectives were not reached by every rank") {
+		t.Fatalf("run error = %v, want the stranded-rendezvous diagnostic", err)
+	}
+}

@@ -12,7 +12,7 @@ type sharedKey struct {
 
 // sharedEntry is the memo slot of one Shared call.
 type sharedEntry struct {
-	arrived int // ranks that have looked the entry up; guarded by World.sharedMu
+	arrived int // ranks that have looked the entry up; guarded by World.mu
 
 	mu   sync.Mutex
 	done bool
@@ -52,7 +52,7 @@ func (c *Comm) Shared(compute func() any) any {
 	key := sharedKey{ctx: c.ctx, seq: c.sharedSeq}
 	c.sharedSeq++
 
-	w.sharedMu.Lock()
+	w.mu.Lock()
 	e := w.shared[key]
 	if e == nil {
 		e = &sharedEntry{}
@@ -63,7 +63,7 @@ func (c *Comm) Shared(compute func() any) any {
 		// Every rank now holds e; the table need not.
 		delete(w.shared, key)
 	}
-	w.sharedMu.Unlock()
+	w.mu.Unlock()
 
 	return e.get(compute)
 }

@@ -141,7 +141,6 @@ func TestClockMonotonicThroughCollectives(t *testing.T) {
 			func() { c.Allgather(make([]byte, 64)) },
 			func() { c.Allreduce(EncodeInt64s(1, 2, 3), OpSumInt64) },
 			func() { c.Alltoall(make([][]byte, c.Size())) },
-			func() { c.Scan(EncodeInt64s(int64(c.Rank())), OpMaxInt64) },
 		}
 		for i, op := range ops {
 			op()

@@ -2,7 +2,7 @@ package runner
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"atomio/internal/core"
 	"atomio/internal/harness"
@@ -107,13 +107,9 @@ type ScalingPoint struct {
 	M, N  int
 }
 
-// ScalingPoints pairs process counts with per-rank extent counts. The
-// handshaking strategies' ring allgather moves every view past every rank —
-// P² messages carrying O(P²·M) extents in all, though each view is held in
-// memory and decoded only once per collective — so the largest process
-// counts carry fewer extents per rank to keep a full simulation of
-// thousands of ranks runnable on one host: thousands of extents per rank at
-// moderate P, P=1024 with leaner views.
+// ScalingPoints pairs process counts with per-rank extent counts: every
+// cell moves the same M·N = 16 MB, so the largest process counts carry fewer
+// extents per rank — thousands at moderate P, leaner views at P=1024.
 var ScalingPoints = []ScalingPoint{
 	{Procs: 64, M: 4096, N: 64 * 64},
 	{Procs: 256, M: 1024, N: 256 * 64},
@@ -122,11 +118,9 @@ var ScalingPoints = []ScalingPoint{
 
 // ExtendedScalingPoints continue the grid past the classic 1024-rank
 // ceiling, the regime the event-loop engine exists for: a P=16384 cell is
-// 16384 resumable coroutines in one scheduler loop, not 16384 OS-scheduled
-// goroutines. These points run the locking strategy only — the handshaking
-// strategies open with a ring allgather of all P views, which is O(P²)
-// messages (~268M at P=16384) and does not complete in useful time on one
-// host, while locking stays O(P) events per step.
+// 16384 coroutines in one scheduler loop, and a handshake's opening
+// allgather one rendezvous, not 268M simulated messages. (Two-phase I/O is
+// not in the grid: its Alltoall, still message-based, does not finish there.)
 var ExtendedScalingPoints = []ScalingPoint{
 	{Procs: 2048, M: 32, N: 2048 * 64},
 	{Procs: 4096, M: 16, N: 4096 * 64},
@@ -145,48 +139,31 @@ const ScalingOverlap = 16
 // shape, so it enumerates cells directly.
 func ScalingGrid() []Cell { return ScalingGridTo(1024) }
 
-// ScalingGridTo returns the scaling cells with process counts up to maxP:
-// the classic grid (every strategy, up to 1024 ranks) plus, past 1024, the
-// locking-only ExtendedScalingPoints. ScalingGridTo(1024) is exactly
-// ScalingGrid.
+// ScalingGridTo returns the scaling cells — ScalingPoints, then
+// ExtendedScalingPoints, every strategy on each — with process counts up to
+// maxP. ScalingGridTo(1024) is exactly ScalingGrid.
 func ScalingGridTo(maxP int) []Cell {
 	prof := platform.IBMSP()
 	var cells []Cell
-	add := func(pt ScalingPoint, strat core.Strategy) {
+	for _, pt := range append(slices.Clone(ScalingPoints), ExtendedScalingPoints...) {
+		if pt.Procs > maxP {
+			continue
+		}
 		label := fmt.Sprintf("%dx%d", pt.M, pt.N)
-		cells = append(cells, Cell{
-			ID: CellID(prof.Name, label, pt.Procs, strat.Name()),
-			Experiment: harness.Experiment{
-				Platform: prof,
-				M:        pt.M,
-				N:        pt.N,
-				Procs:    pt.Procs,
-				Overlap:  ScalingOverlap,
-				Pattern:  harness.ColumnWise,
-				Strategy: strat,
-				// A P=1024 handshake pushes ~P² simulated messages
-				// through one host; give the deadlock guard room.
-				RunTimeout: 30 * time.Minute,
-			},
-		})
-	}
-	for _, pt := range ScalingPoints {
-		if pt.Procs > maxP {
-			continue
-		}
 		for _, strat := range harness.Methods(prof) {
-			add(pt, strat)
+			cells = append(cells, Cell{
+				ID: CellID(prof.Name, label, pt.Procs, strat.Name()),
+				Experiment: harness.Experiment{
+					Platform: prof,
+					M:        pt.M,
+					N:        pt.N,
+					Procs:    pt.Procs,
+					Overlap:  ScalingOverlap,
+					Pattern:  harness.ColumnWise,
+					Strategy: strat,
+				},
+			})
 		}
-	}
-	locking, err := core.ByName("locking")
-	if err != nil {
-		panic(err)
-	}
-	for _, pt := range ExtendedScalingPoints {
-		if pt.Procs > maxP {
-			continue
-		}
-		add(pt, locking)
 	}
 	return cells
 }
