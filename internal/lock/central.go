@@ -117,7 +117,4 @@ func (c *Central) Unlock(owner int, e interval.Extent, at sim.VTime) sim.VTime {
 	return at + c.cfg.MsgCost
 }
 
-// Holders returns the number of currently granted locks.
-func (c *Central) Holders() int { return c.tbl.holders() }
-
 var _ Manager = (*Central)(nil)

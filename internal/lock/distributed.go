@@ -1,8 +1,8 @@
 package lock
 
 import (
-	"cmp"
 	"slices"
+	"sort"
 	"sync"
 
 	"atomio/internal/interval"
@@ -47,18 +47,20 @@ type Distributed struct {
 	obs     *obs.Recorder
 
 	mu     sync.Mutex
-	tokens []ownerTokens // cached token ranges, ascending by owner
+	runs   []tokenRun // every client's cached tokens, ascending by offset
+	others []int      // scratch: the owners one request revokes
 
 	localGrants  int64
 	serverGrants int64
 	revocations  int64
 }
 
-// ownerTokens is one client's cached token ranges. An owner gets its entry
-// with its first request and keeps it, possibly empty, when revoked.
-type ownerTokens struct {
+// tokenRun is a byte range whose token one client caches. Tokens are
+// exclusive, so all clients' tokens together form one disjoint range map:
+// runs never overlap, and an owner's touching runs are one run.
+type tokenRun struct {
+	ext   interval.Extent
 	owner int
-	toks  interval.List
 }
 
 // NewDistributed constructs a distributed token manager.
@@ -97,59 +99,33 @@ func (d *Distributed) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime
 			Tag: mode.String(), Peer: -1, Off: e.Off, Len: e.Len,
 		})
 	}
-	need := interval.List{e}
-
 	d.mu.Lock()
-	slot, known := slices.BinarySearchFunc(d.tokens, owner,
-		func(t ownerTokens, owner int) int { return cmp.Compare(t.owner, owner) })
-	if !known {
-		d.tokens = slices.Insert(d.tokens, slot, ownerTokens{owner: owner})
-	}
-	if d.tokens[slot].toks.Contains(need) {
+	// The runs overlapping e are [lo, hi); an owner's token covers e only
+	// within one run.
+	lo := sort.Search(len(d.runs), func(i int) bool { return d.runs[i].ext.End() > e.Off })
+	hi := lo + sort.Search(len(d.runs)-lo, func(i int) bool { return d.runs[lo+i].ext.Off >= e.End() })
+	local := e.Empty() || (lo < hi && d.runs[lo].owner == owner && d.runs[lo].ext.ContainsExtent(e))
+	revoked := 0
+	if local {
 		d.localGrants++
-		d.mu.Unlock()
-		// Fast path: token cached locally. Still must not conflict with
-		// this client's *active* locks from others — but by token
-		// exclusivity no other client can hold a conflicting token, so
-		// only table registration is needed.
-		ticket := at + d.cfg.LocalCost
-		grant := d.tbl.acquire(owner, e, mode, ticket)
-		if d.obs != nil {
-			d.obs.Emit(obs.Event{
-				T: grant, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockGrant,
-				Tag: mode.String(), Peer: -1, Off: e.Off, Len: e.Len,
-				Dur: grant - at, Aux: int64(ticket),
-			})
-			d.obs.Count(owner, obs.MetricLockReqs, 1)
-			d.obs.Observe(owner, obs.MetricLockWait, int64(grant-at))
-		}
-		return grant
+	} else {
+		revoked = d.take(lo, hi, owner, e)
+		d.serverGrants++
+		d.revocations += int64(revoked)
 	}
-
-	// Slow path: ask the token server, revoking conflicting tokens.
-	// Revocation walks holders in owner order — the order d.tokens is kept
-	// in: the count feeds service time below, and a fixed order keeps any
-	// future per-holder cost model deterministic too.
-	var revoked int
-	for i := range d.tokens {
-		t := &d.tokens[i]
-		if i == slot {
-			t.toks = t.toks.Union(need)
-		} else if t.toks.Overlaps(need) {
-			revoked++
-			t.toks = t.toks.Subtract(need)
-		}
-	}
-	d.serverGrants++
-	d.revocations += int64(revoked)
 	d.mu.Unlock()
 
-	arrive := at + d.cfg.MsgCost
-	_, served := d.service.Acquire(arrive, d.cfg.ServiceTime+sim.VTime(revoked)*d.cfg.RevokeCost)
+	// Fast path: by token exclusivity no other client can hold a conflicting
+	// token, so only table registration is needed. The slow path asks the
+	// token server across the network, which pays per revocation.
+	ticket, reply := at+d.cfg.LocalCost, sim.VTime(0)
+	if !local {
+		_, ticket = d.service.Acquire(at+d.cfg.MsgCost, d.cfg.ServiceTime+sim.VTime(revoked)*d.cfg.RevokeCost)
+		reply = d.cfg.MsgCost
+	}
 	// Revoked holders may still be actively using their locks; acquire
 	// waits them out and folds their release times into the grant.
-	grant := d.tbl.acquire(owner, e, mode, served)
-	ret := grant + d.cfg.MsgCost
+	ret := d.tbl.acquire(owner, e, mode, ticket) + reply
 	if d.obs != nil {
 		if revoked > 0 {
 			// Token revocation: Aux counts the holders whose cached tokens
@@ -163,12 +139,51 @@ func (d *Distributed) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime
 		d.obs.Emit(obs.Event{
 			T: ret, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockGrant,
 			Tag: mode.String(), Peer: -1, Off: e.Off, Len: e.Len,
-			Dur: ret - at, Aux: int64(served),
+			Dur: ret - at, Aux: int64(ticket),
 		})
 		d.obs.Count(owner, obs.MetricLockReqs, 1)
 		d.obs.Observe(owner, obs.MetricLockWait, int64(ret-at))
 	}
 	return ret
+}
+
+// take gives owner the token for non-empty e and returns how many other
+// owners it revokes: the runs [lo, hi) overlapping e keep only their parts
+// outside it, and owner's run over e absorbs the owner's runs it overlaps or
+// touches. Callers hold d.mu.
+func (d *Distributed) take(lo, hi, owner int, e interval.Extent) int {
+	others := d.others[:0]
+	for _, r := range d.runs[lo:hi] {
+		if r.owner != owner {
+			others = append(others, r.owner)
+		}
+	}
+	slices.Sort(others)
+	d.others = others[:0]
+	if lo > 0 && d.runs[lo-1].owner == owner && d.runs[lo-1].ext.End() == e.Off {
+		lo--
+	}
+	if hi < len(d.runs) && d.runs[hi].owner == owner && d.runs[hi].ext.Off == e.End() {
+		hi++
+	}
+	pieces := [3]tokenRun{1: {ext: e, owner: owner}} // left rest, e, right rest
+	from, to := 1, 2
+	if lo < hi {
+		if first := d.runs[lo]; first.owner == owner {
+			pieces[1].ext, _ = pieces[1].ext.Union(first.ext)
+		} else if first.ext.Off < e.Off {
+			pieces[0] = tokenRun{ext: interval.Extent{Off: first.ext.Off, Len: e.Off - first.ext.Off}, owner: first.owner}
+			from = 0
+		}
+		if last := d.runs[hi-1]; last.owner == owner {
+			pieces[1].ext, _ = pieces[1].ext.Union(last.ext)
+		} else if last.ext.End() > e.End() {
+			pieces[2] = tokenRun{ext: interval.Extent{Off: e.End(), Len: last.ext.End() - e.End()}, owner: last.owner}
+			to = 3
+		}
+	}
+	d.runs = slices.Replace(d.runs, lo, hi, pieces[from:to]...)
+	return len(slices.Compact(others))
 }
 
 // Unlock implements Manager: purely local — the token stays cached.

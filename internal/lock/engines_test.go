@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 
+	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
 )
@@ -49,6 +51,52 @@ func tableOf(m Manager) *table {
 	default:
 		panic(fmt.Sprintf("no grant table on %T", m))
 	}
+}
+
+// relLatest reports the latest recorded virtual release times of exclusive
+// and shared locks over any byte of e (the observable state of the release
+// history); the per-shard maxima combine as in grantLocked.
+func (t *table) relLatest(e interval.Extent) (excl, shared sim.VTime) {
+	ids := t.shardIDs(e)
+	t.lockShards(ids)
+	defer t.unlockShards(ids)
+	for _, id := range ids {
+		excl = max(excl, t.shards[id].exclRel.latest(e))
+		shared = max(shared, t.shards[id].sharedRel.latest(e))
+	}
+	return excl, shared
+}
+
+// granted returns every granted lock, once however many shards it covers.
+func (t *table) granted() []*held {
+	t.lockShards(t.ids)
+	defer t.unlockShards(t.ids)
+	seen := map[*held]bool{}
+	var out []*held
+	for _, sh := range t.shards {
+		sh.granted.All(func(_ interval.Extent, _ index.Handle, h *held) bool {
+			if !seen[h] {
+				seen[h] = true
+				out = append(out, h)
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// holders returns the number of currently granted locks.
+func (t *table) holders() int { return len(t.granted()) }
+
+// waiters returns the number of blocked requests: the members of every
+// granted lock's queues.
+func (t *table) waiters() (n int) {
+	for _, h := range t.granted() {
+		for _, r := range h.reps {
+			n += len(r.queue.items)
+		}
+	}
+	return n
 }
 
 // engineTrace is everything a workload observes from the lock service: each

@@ -60,7 +60,7 @@ func TestFaultyDroppedUnlockNoLeaseWedges(t *testing.T) {
 	e := ext(0, 64)
 	grant := f.Lock(0, e, Exclusive, 0)
 	f.Unlock(0, e, grant+sim.Microsecond)
-	if n := inner.Holders(); n != 1 {
+	if n := tableOf(inner).holders(); n != 1 {
 		t.Fatalf("holders = %d after a dropped unlock with no lease, want 1", n)
 	}
 }
@@ -74,7 +74,7 @@ func TestFaultyDuplicateUnlockIdempotent(t *testing.T) {
 	e := ext(0, 64)
 	grant := f.Lock(0, e, Exclusive, 0)
 	rel := f.Unlock(0, e, grant+sim.Microsecond)
-	if n := inner.Holders(); n != 0 {
+	if n := tableOf(inner).holders(); n != 0 {
 		t.Fatalf("holders = %d after duplicated unlock, want 0", n)
 	}
 	// The range must still be lockable with a sane grant time.

@@ -2,14 +2,15 @@ package lock
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"atomio/internal/interval"
-	"atomio/internal/interval/index"
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
 )
@@ -96,9 +97,9 @@ func TestMassWakeupGrantsInTicketOrder(t *testing.T) {
 }
 
 // BenchmarkMassWakeup measures a release fanning out to m shared waiters
-// blocked behind one exclusive lock — the mass-wakeup path, where the first
-// grant leaves every other waiter ready and the hand-off sorts them once —
-// and the event loop resuming them.
+// blocked behind one exclusive lock — the mass-wakeup path, where no grant
+// blocks the next and every member of the queue is granted in turn — and
+// the event loop resuming them.
 func BenchmarkMassWakeup(b *testing.B) {
 	for _, m := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("waiters=%d", m), func(b *testing.B) {
@@ -232,37 +233,33 @@ func (m *lockModel) observe(out opOutcome, probes []interval.Extent) opOutcome {
 	return out
 }
 
-// checkBlockerCounts asserts the invariant the hand-off rests on: between
-// operations every registered waiter's blockers equals the number of
-// granted locks blocking it — recomputed from the model, once per shard the
-// two share — and is positive.
-func checkBlockerCounts(t *testing.T, tbl *table, m *lockModel) {
+// checkWitnesses asserts the invariant the hand-off rests on: between
+// operations every registered waiter is in exactly one queue, and that
+// queue belongs to a currently granted lock — one the model holds — that
+// overlaps and blocks the waiter.
+func checkWitnesses(t *testing.T, tbl *table, m *lockModel) {
 	t.Helper()
-	got := map[int]int64{} // owner -> blockers; an owner has one blocked request at most
-	for _, sh := range tbl.shards {
-		sh.waiting.All(func(_ interval.Extent, _ index.Handle, w *waiter) bool {
-			got[w.owner] = w.blockers.Load()
-			return true
-		})
-	}
-	shared := func(a, b interval.Extent) (n int64) {
-		for _, id := range tbl.shardIDs(a) {
-			if slices.Contains(tbl.shardIDs(b), id) {
-				n++
+	queued := map[int]int{} // owner -> queues; an owner has one blocked request at most
+	for _, h := range tbl.granted() {
+		if !slices.ContainsFunc(m.granted, func(l modelLock) bool { return l.owner == h.owner && l.e == h.ext && l.mode == h.mode }) {
+			t.Errorf("table grants owner %d %v %v, the model does not", h.owner, h.ext, h.mode)
+		}
+		for _, r := range h.reps {
+			for _, w := range r.queue.items {
+				queued[w.owner]++
+				if !h.ext.Overlaps(w.ext) || !blocks(h.owner, h.mode, w.owner, w.mode) {
+					t.Errorf("owner %d's %v %v waiter queues behind owner %d's %v %v, which does not block it",
+						w.owner, w.ext, w.mode, h.owner, h.ext, h.mode)
+				}
 			}
 		}
-		return n
 	}
-	if len(got) != len(m.waiting) {
-		t.Errorf("%d waiters registered, model has %d", len(got), len(m.waiting))
+	if n := len(queued); n != len(m.waiting) {
+		t.Errorf("%d owners queued, model has %d waiters", n, len(m.waiting))
 	}
 	for _, w := range m.waiting {
-		var want int64
-		for _, l := range m.blockers(w.owner, w.e, w.mode) {
-			want += shared(l.e, w.e)
-		}
-		if got[w.owner] != want || want <= 0 {
-			t.Errorf("waiter %+v: blockers = %d, recomputed %d (must be equal and positive)", w.modelLock, got[w.owner], want)
+		if queued[w.owner] != 1 {
+			t.Errorf("waiter %+v is in %d queues, want 1", w.modelLock, queued[w.owner])
 		}
 	}
 }
@@ -282,7 +279,7 @@ var handOffExtents = []interval.Extent{
 // nested and crossing extents, releases of locks that are not held —
 // through the table at several shard counts on the event loop and requires,
 // after every step, the model's grants (set, order and time), counts and
-// release history, and the blocker-count invariant.
+// release history, and the witness invariant.
 // TestShardedMatchesUnshardedOracle compares shard counts with each other;
 // they run the same hand-off, so this is the test that pins it.
 func TestHandOffMatchesBruteForceModel(t *testing.T) {
@@ -304,7 +301,7 @@ func TestHandOffMatchesBruteForceModel(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("S%d round %d op %+v:\n got %+v\nwant %+v", shards, round, op, got, want)
 					}
-					checkBlockerCounts(t, tbl, m)
+					checkWitnesses(t, tbl, m)
 				}
 				release := func() {
 					// Release times need not rise with real time (virtual
@@ -365,43 +362,91 @@ type parkCoord struct {
 
 func (c parkCoord) Park(int, sync.Locker) { c.park() }
 
-// TestHandOffAllocationIndependentOfWaiters measures one steady-state
-// cycle of the contended chain — a request queues behind the holder, the
-// holder unlocks, the release readies every waiter, grants the request and
-// blocks the rest again — on a table with n further overlapping waiters.
-// What a cycle allocates is the new waiter, the granted lock and their two
-// index nodes, whatever n is.
-func TestHandOffAllocationIndependentOfWaiters(t *testing.T) {
-	cycle := func(n int) float64 {
-		tbl := newTable(1, 0)
-		tbl.acquire(0, massExtent, Exclusive, 0)
-		for i := 0; i < n; i++ {
-			// Solo's Park panics out of acquire, leaving the waiter queued.
-			func() {
-				defer func() { _ = recover() }()
-				tbl.acquire(2+i, massExtent, Exclusive, sim.VTime(1000+i))
-			}()
+// handOffChain builds the contended chain on a one-shard table: owner 0
+// holds massExtent with n further overlapping exclusive waiters queued
+// behind it. cycle runs one steady-state step: a request with the earliest
+// ticket of all queues behind the holder, the holder unlocks (from inside
+// the request's Park), and the release grants the request and leaves the n
+// waiters queued behind it.
+func handOffChain(t testing.TB, n int) (tbl *table, cycle func()) {
+	tbl = newTable(1, 0)
+	tbl.acquire(0, massExtent, Exclusive, 0)
+	for i := 0; i < n; i++ {
+		// Solo's Park panics out of acquire, leaving the waiter queued.
+		func() {
+			defer func() { _ = recover() }()
+			tbl.acquire(2+i, massExtent, Exclusive, sim.VTime(1000+i))
+		}()
+	}
+	holder, next, at := 0, 1, sim.VTime(0)
+	tbl.setCoord(parkCoord{park: func() {
+		at++
+		if err := tbl.release(holder, massExtent, at); err != nil {
+			t.Error(err)
 		}
-		holder, next, at := 0, 1, sim.VTime(0)
-		tbl.setCoord(parkCoord{park: func() {
-			at++
-			if err := tbl.release(holder, massExtent, at); err != nil {
-				t.Error(err)
-			}
-		}})
-		allocs := testing.AllocsPerRun(50, func() {
-			// The earliest ticket of all: the release inside Park grants it.
-			tbl.acquire(next, massExtent, Exclusive, 0)
-			holder, next = next, holder
-		})
+	}})
+	return tbl, func() {
+		tbl.acquire(next, massExtent, Exclusive, 0)
+		holder, next = next, holder
+	}
+}
+
+// TestHandOffAllocationIndependentOfWaiters measures one cycle of the
+// contended chain with n further overlapping waiters. What a cycle
+// allocates is the new waiter, the granted lock and its index node,
+// whatever n is: the queue moves to the new lock whole, in its own array.
+func TestHandOffAllocationIndependentOfWaiters(t *testing.T) {
+	allocs := func(n int) float64 {
+		tbl, cycle := handOffChain(t, n)
+		a := testing.AllocsPerRun(50, cycle)
 		if h, w := tbl.holders(), tbl.waiters(); h != 1 || w != n {
 			t.Errorf("n=%d: %d held, %d waiting after the cycles, want 1 and %d", n, h, w, n)
 		}
-		return allocs
+		return a
 	}
-	few, many := cycle(16), cycle(1024)
+	few, many := allocs(16), allocs(1024)
 	t.Logf("allocations per cycle: %v with 16 waiters, %v with 1024", few, many)
 	if few != many || few > 4 {
 		t.Errorf("a hand-off cycle allocates %v objects with 16 waiters and %v with 1024, want the same, at most 4", few, many)
+	}
+}
+
+// TestHandOffCostIndependentOfWaiters requires a cycle of the contended
+// chain behind 4096 waiters to cost less than 4× the cycle behind 16: a
+// release pops its queue's least member and moves the rest, so only the
+// heap's O(log n) sifts grow with n. A walk of the waiters per hand-off
+// costs ~100× here. The best of several timed batches discounts noise.
+func TestHandOffCostIndependentOfWaiters(t *testing.T) {
+	perCycle := func(n int) time.Duration {
+		_, cycle := handOffChain(t, n)
+		const cycles = 2000
+		best := time.Duration(math.MaxInt64)
+		for range 7 {
+			start := time.Now()
+			for range cycles {
+				cycle()
+			}
+			best = min(best, time.Since(start)/cycles)
+		}
+		return best
+	}
+	few, many := perCycle(16), perCycle(4096)
+	t.Logf("hand-off cycle: %v behind 16 waiters, %v behind 4096", few, many)
+	if many >= 4*few {
+		t.Errorf("a hand-off cycle costs %v behind 4096 waiters and %v behind 16, want less than 4×", many, few)
+	}
+}
+
+// BenchmarkHandOffChain measures one cycle of the contended chain.
+func BenchmarkHandOffChain(b *testing.B) {
+	for _, n := range []int{16, 4096} {
+		b.Run(fmt.Sprintf("waiters=%d", n), func(b *testing.B) {
+			_, cycle := handOffChain(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+		})
 	}
 }

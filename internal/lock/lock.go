@@ -18,10 +18,10 @@
 //
 // Both managers run on one conflict-tracking grant table (see table),
 // partitioned across S >= 1 offset-stripe shards (CentralConfig.Shards,
-// DistributedConfig.Shards): each shard owns its own interval index of
-// granted locks, its own waiter index, and its own slice of the release
-// history, with cross-shard span locks taken in ascending shard order and
-// grants handed out in table-wide deterministic (ticket, seq) order.
+// DistributedConfig.Shards): each shard owns an interval index of granted
+// locks, each with a queue of the waiters it blocks, and a slice of the
+// release history; cross-shard spans take their shards in ascending order,
+// and grants go out in table-wide deterministic (ticket, seq) order.
 // Sharding never touches the simulation model: virtual timings are
 // byte-identical for any shard count. It splits mutexes only concurrent
 // callers contend on: on the single-threaded event loop it buys no host

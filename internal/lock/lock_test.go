@@ -278,11 +278,11 @@ func TestManagerNames(t *testing.T) {
 func TestHoldersCount(t *testing.T) {
 	c := newCentralForTest()
 	g := c.Lock(0, ext(0, 10), Exclusive, 0)
-	if c.Holders() != 1 {
+	if tableOf(c).holders() != 1 {
 		t.Fatal("holders != 1")
 	}
 	c.Unlock(0, ext(0, 10), g)
-	if c.Holders() != 0 {
+	if tableOf(c).holders() != 0 {
 		t.Fatal("holders != 0 after unlock")
 	}
 }

@@ -40,17 +40,20 @@ func register(tbl *table, owner int, e interval.Extent, mode Mode) {
 	tbl.unlockShards(ids)
 }
 
-// countBlockers is the walk acquire decides on.
-func countBlockers(tbl *table, owner int, e interval.Extent, mode Mode) int64 {
+// witness is the query acquire decides on.
+func witness(tbl *table, owner int, e interval.Extent, mode Mode) *held {
 	ids := tbl.shardIDs(e)
 	tbl.lockShards(ids)
 	defer tbl.unlockShards(ids)
-	return tbl.blockersLocked(owner, e, mode, ids)
+	h, _ := tbl.witnessLocked(owner, e, mode, ids)
+	return h
 }
 
 // TestQuickConflictsMatchesLinearScan drives the table's granted index and
 // a mirror slice through random register/release sequences, checking every
-// blocker count — the walk acquire decides on — against the linear oracle.
+// witness query — the one acquire decides on — against the linear oracle:
+// nil exactly when it counts no blocker, otherwise a lock that overlaps and
+// blocks the request.
 func TestQuickConflictsMatchesLinearScan(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	randMode := func() Mode {
@@ -93,9 +96,11 @@ func TestQuickConflictsMatchesLinearScan(t *testing.T) {
 				owner := r.Intn(6)
 				e := interval.Extent{Off: int64(r.Intn(400)), Len: int64(r.Intn(40))}
 				mode := randMode()
-				got := countBlockers(tbl, owner, e, mode)
-				if want := linearBlockers(mirror, owner, e, mode); got != want {
-					t.Fatalf("blockers(owner=%d, %v, %v) = %d, want %d (granted %v)",
+				got := witness(tbl, owner, e, mode)
+				want := linearBlockers(mirror, owner, e, mode)
+				if (got == nil) != (want == 0) ||
+					got != nil && (!got.ext.Overlaps(e) || !blocks(got.owner, got.mode, owner, mode)) {
+					t.Fatalf("witness(owner=%d, %v, %v) = %+v with %d blockers (granted %v)",
 						owner, e, mode, got, want, mirror)
 				}
 			}
@@ -135,7 +140,7 @@ func BenchmarkConflicts(b *testing.B) {
 		q := interval.Extent{Off: int64(n/2)*128 + 100, Len: 8} // gap: no conflict
 		b.Run(fmt.Sprintf("indexed/G%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if countBlockers(tbl, -1, q, Exclusive) != 0 {
+				if witness(tbl, -1, q, Exclusive) != nil {
 					b.Fatal("unexpected conflict")
 				}
 			}

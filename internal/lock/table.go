@@ -2,6 +2,7 @@ package lock
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,17 +22,17 @@ const DefaultShardStripe int64 = 64 << 10
 // time of past exclusive and shared locks (the per-range analogue of
 // sim.Resource's free time): a lock request serializes in virtual time after
 // every conflicting lock ever released on its range, even when the releases
-// happened long ago in real time. Granted locks and pending waiters are kept
-// in interval indexes (internal/interval/index), so a request touches only
-// the locks and waiters that actually overlap it — O(log G + k).
+// happened long ago in real time. Granted locks are kept in interval indexes
+// (internal/interval/index), so a request touches only the locks that
+// actually overlap it, up to the first that blocks it — O(log G + k).
 //
 // The byte range is partitioned across S >= 1 independently locked shards
 // by offset stripe: byte b belongs to shard (b/stripe) mod S, and each shard
-// owns its own index of granted locks, its own waiter index, and its own
-// slice of the release history. Requests touch only the shards their extent
-// covers, so non-overlapping traffic to different stripes never contends on
-// a shared mutex. With S = 1 every extent covers the one shard and the
-// table is a single mutex around a single index.
+// owns its own index of granted locks, its own index of shared waiters, and
+// its own slice of the release history. Requests touch only the shards their
+// extent covers, so non-overlapping traffic to different stripes never
+// contends on a shared mutex. With S = 1 every extent covers the one shard
+// and the table is a single mutex around a single index.
 //
 // A span covering several stripes is a cross-shard lock. Its extent is
 // replicated into every covered shard's index (two overlapping extents
@@ -44,62 +45,54 @@ const DefaultShardStripe int64 = 64 << 10
 // order, commit = install the grant (or waiter) on all of them, then
 // unwind.
 //
-// Grant decisions are made by the releaser and stay global: waiters carry a
-// table-wide (ticket, seq) pair, and a release hands freed ranges to the
-// eligible ones in that order (readyList), stamping their grant times
-// before any of them wakes, so the winner among competing waiters never
-// depends on wake-up order. A release must therefore hold not only the
-// freed range's shards but every shard covered by a candidate waiter; the
-// candidate set is only discoverable under lock, so the release grows its
-// lock set to a fixpoint, dropping all mutexes before re-acquiring the
-// larger ascending set (still deadlock-free, and at most S rounds since the
-// set only grows). A waiter's blocker count is kept per replica visit: an
-// overlapping lock and waiter meet once in every shard both cover — when
-// either registers and when the lock is released — so the count rises and
-// falls by the same amount and is zero exactly when no granted lock blocks
-// the waiter. Virtual timing is invariant in the shard count: grant times
-// are computed from the same conflict sets and release history whatever S
-// is, so a gated simulation produces byte-identical output for any S.
+// A blocked request queues behind one witness, the first granted lock found
+// blocking it: each replica of a granted lock carries a (ticket, seq)
+// min-heap guarded by its shard's mutex, so every waiter is in exactly one
+// queue, whose lock blocks it. A release can therefore unblock only its own
+// queue's members; it pops them in table-wide (ticket, seq) order — each
+// queues behind another lock still blocking it or is granted — and stamps
+// grant times before any of them wakes, so the winner among competing
+// waiters never depends on wake-up order. Virtual timing is invariant in
+// the shard count: grant times are computed from the same conflict sets and
+// release history whatever S is, so a gated simulation produces
+// byte-identical output for any S.
 type table struct {
 	stripe int64
 	shards []*lockShard
 	ids    []int // 0..S-1: shardIDs hands out windows of it
 	coord  sim.Coord
 
-	nextSeq  atomic.Int64 // waiter registration order, table-wide
-	nHeld    atomic.Int64 // logical granted locks (replicas counted once)
-	nWaiting atomic.Int64 // registered waiters
+	nextSeq atomic.Int64 // waiter registration order, table-wide
 }
 
-// lockShard is one offset-stripe partition: the granted and waiting extents
-// covering the shard's stripes, the shard's slice of the release history,
-// and the scratch of the releases whose freed range starts in this shard.
-// All fields are guarded by mu.
+// lockShard is one offset-stripe partition: its granted locks (with their
+// replicas' queues), shared waiters and slice of the release history, all
+// guarded by mu.
 type lockShard struct {
 	mu        sync.Mutex
 	granted   index.Index[*held]
-	waiting   index.Index[*waiter]
-	ready     readyList
-	exclRel   releaseMap // release times of past exclusive locks
-	sharedRel releaseMap // release times of past shared locks
+	waiting   index.Index[*waiter] // shared waiters only: see release
+	exclRel   releaseMap           // release times of past exclusive locks
+	sharedRel releaseMap           // release times of past shared locks
 }
 
-// replicas locates the copies of one extent in the shard indexes.
-type replicas struct {
-	shards  []int          // covered shard ids, ascending
-	handles []index.Handle // replica handle per covered shard
-	one     [1]index.Handle
+// replicas locates the copies of one extent in the shard indexes: per
+// covered shard, an index handle (R), or a handle and a wait queue.
+type replicas[R any] struct {
+	shards []int // covered shard ids, ascending
+	reps   []R   // per covered shard
+	one    [1]R
 }
 
 // cover sets the covered shards. An extent inside one shard — every extent
-// of a one-shard table — keeps its single handle in the struct itself, so
+// of a one-shard table — keeps its single replica in the struct itself, so
 // registering it allocates nothing beyond the lock or waiter.
-func (r *replicas) cover(ids []int) {
+func (r *replicas[R]) cover(ids []int) {
 	r.shards = ids
 	if len(ids) == 1 {
-		r.handles = r.one[:0]
+		r.reps = r.one[:0]
 	} else {
-		r.handles = make([]index.Handle, 0, len(ids))
+		r.reps = make([]R, 0, len(ids))
 	}
 }
 
@@ -108,19 +101,23 @@ type held struct {
 	owner int
 	ext   interval.Extent
 	mode  Mode
-	replicas
+	replicas[grantReplica]
+}
+
+// grantReplica is a granted lock's copy in one shard: its index handle and
+// the waiters queued behind it there.
+type grantReplica struct {
+	handle index.Handle
+	queue  waitQueue
 }
 
 // waiter is one blocked request. minStart accumulates the virtual release
-// times of the overlapping locks released while it waited; ticket (the
-// request's original earliest-grant time) and seq (registration order)
-// define the deterministic order in which freed ranges are handed out.
-// grantAt is stamped by the releaser, under every shard mutex the waiter's
-// extent covers, before it Wakes the owner. blockers counts, per replica
-// visit, the granted locks blocking it, positive for as long as it is
-// registered (see readyList); it is raised under any one of those mutexes,
-// hence atomic, and lowered and read for a grant only by a release holding
-// all of them.
+// times of the overlapping shared locks released while it waited (see
+// release); ticket (the request's original earliest-grant time) and seq
+// (registration order) define the deterministic order in which freed ranges
+// are handed out. grantAt is stamped by the releaser, under every shard
+// mutex the waiter's extent covers, before it Wakes the owner. Only shared
+// waiters are indexed; an exclusive one keeps its shards and no handles.
 type waiter struct {
 	owner    int
 	ext      interval.Extent
@@ -128,20 +125,15 @@ type waiter struct {
 	minStart sim.VTime
 	ticket   sim.VTime
 	seq      int64
-	blockers atomic.Int64
 	grantAt  sim.VTime
-	replicas
+	replicas[index.Handle]
 }
 
-// released accounts, for one replica visit, for the release at virtual time
-// at of a lock (holder, held) overlapping w — stamped whether or not it
-// blocked w — and reports whether it was w's last blocker. Runs once per
-// overlapping waiter per release: it must not allocate.
-//
-//atomiovet:hotpath
-func (w *waiter) released(holder int, held Mode, at sim.VTime) bool {
-	w.minStart = max(w.minStart, at)
-	return blocks(holder, held, w.owner, w.mode) && w.blockers.Add(-1) == 0
+// blocks reports whether a granted lock (holder, held) keeps a request
+// (owner, mode) waiting: a lock never conflicts with its owner's other
+// locks, and two shared locks coexist.
+func blocks(holder int, held Mode, owner int, mode Mode) bool {
+	return holder != owner && (held == Exclusive || mode == Exclusive)
 }
 
 // newTable builds a table of the given shard count and stripe width;
@@ -245,73 +237,57 @@ func (t *table) unlockShards(ids []int) {
 	}
 }
 
-// blockersLocked counts the granted locks that block (owner, e, mode), once
-// per replica visit, visiting only those overlapping e. Callers hold the
-// mutexes of ids = shardIDs(e). Runs once per request: it must not
-// allocate.
+// witnessLocked returns a granted lock that blocks (owner, e, mode) and the
+// wait queue of its replica in a shard of ids, or nil when none does: the
+// overlap walk stops at the first blocker. Callers hold the mutexes of ids
+// = shardIDs(e). Runs once per request and once per queued waiter a release
+// pops: it must not allocate.
 //
 //atomiovet:hotpath
-func (t *table) blockersLocked(owner int, e interval.Extent, mode Mode, ids []int) int64 {
-	var n int64
+func (t *table) witnessLocked(owner int, e interval.Extent, mode Mode, ids []int) (*held, *waitQueue) {
+	var found *held
 	for _, id := range ids {
 		t.shards[id].granted.Overlapping(e, func(_ interval.Extent, _ index.Handle, h *held) bool {
 			if blocks(h.owner, h.mode, owner, mode) {
-				n++
+				found = h
+				return false
 			}
 			return true
 		})
+		if found != nil {
+			i, _ := slices.BinarySearch(found.shards, id)
+			return found, &found.reps[i].queue
+		}
 	}
-	return n
-}
-
-// blockLocked charges a newly granted lock (owner, e, mode) to every waiter
-// it blocks, once per replica visit. Callers hold the mutexes of ids =
-// shardIDs(e). Runs once per grant: it must not allocate.
-//
-//atomiovet:hotpath
-func (t *table) blockLocked(owner int, e interval.Extent, mode Mode, ids []int) {
-	for _, id := range ids {
-		t.shards[id].waiting.Overlapping(e, func(_ interval.Extent, _ index.Handle, w *waiter) bool {
-			if blocks(owner, mode, w.owner, w.mode) {
-				w.blockers.Add(1)
-			}
-			return true
-		})
-	}
+	return nil, nil
 }
 
 // grantLocked installs (owner, e, mode) on every covered shard (commit
-// phase) and returns the grant time: the request's accumulated floor plus
-// the virtual release times of past conflicting locks on the range — always
-// after exclusive releases; after shared releases too when acquiring
-// exclusively. Any past release overlapping e is recorded in some shard both
-// cover, so the per-shard maxes combine to the answer over the whole range.
-// Callers hold the mutexes of ids = shardIDs(e).
-func (t *table) grantLocked(owner int, e interval.Extent, mode Mode, floor sim.VTime, ids []int) sim.VTime {
+// phase) and returns the lock and its grant time: the request's accumulated
+// floor plus the virtual release times of past conflicting locks on the
+// range — always after exclusive releases; after shared releases too when
+// acquiring exclusively. Any past release overlapping e is recorded in some
+// shard both cover, so the per-shard maxes combine to the answer over the
+// whole range. Callers hold the mutexes of ids = shardIDs(e).
+func (t *table) grantLocked(owner int, e interval.Extent, mode Mode, floor sim.VTime, ids []int) (*held, sim.VTime) {
 	hd := &held{owner: owner, ext: e, mode: mode}
 	hd.cover(ids)
 	for _, id := range ids {
-		hd.handles = append(hd.handles, t.shards[id].granted.Insert(e, hd))
+		hd.reps = append(hd.reps, grantReplica{handle: t.shards[id].granted.Insert(e, hd)})
 	}
-	t.nHeld.Add(1)
-	t.blockLocked(owner, e, mode, ids)
 	start := floor
 	for _, id := range ids {
-		if at := t.shards[id].exclRel.latest(e); at > start {
-			start = at
-		}
+		start = max(start, t.shards[id].exclRel.latest(e))
 		if mode == Exclusive {
-			if at := t.shards[id].sharedRel.latest(e); at > start {
-				start = at
-			}
+			start = max(start, t.shards[id].sharedRel.latest(e))
 		}
 	}
-	return start
+	return hd, start
 }
 
 // acquire blocks until (owner, e, mode) is grantable, then registers the
 // lock: reserve the covered shards in ascending order, grant immediately
-// when conflict-free, otherwise register a waiter on every covered shard and
+// when conflict-free, otherwise queue a waiter behind one blocking lock and
 // park until a releaser stamps the grant. earliest is the virtual time
 // before which the grant cannot happen (request arrival + service); the
 // returned time additionally covers the virtual release times of all
@@ -319,9 +295,9 @@ func (t *table) grantLocked(owner int, e interval.Extent, mode Mode, floor sim.V
 func (t *table) acquire(owner int, e interval.Extent, mode Mode, earliest sim.VTime) sim.VTime {
 	ids := t.shardIDs(e)
 	t.lockShards(ids)
-	n := t.blockersLocked(owner, e, mode, ids)
-	if n == 0 {
-		g := t.grantLocked(owner, e, mode, earliest, ids)
+	witness, queue := t.witnessLocked(owner, e, mode, ids)
+	if witness == nil {
+		_, g := t.grantLocked(owner, e, mode, earliest, ids)
 		t.unlockShards(ids)
 		return g
 	}
@@ -331,12 +307,15 @@ func (t *table) acquire(owner int, e interval.Extent, mode Mode, earliest sim.VT
 		owner: owner, ext: e, mode: mode,
 		minStart: earliest, ticket: earliest, seq: t.nextSeq.Add(1),
 	}
-	w.blockers.Store(n)
-	w.cover(ids)
-	for _, id := range ids {
-		w.handles = append(w.handles, t.shards[id].waiting.Insert(e, w))
+	if mode == Shared {
+		w.cover(ids)
+		for _, id := range ids {
+			w.reps = append(w.reps, t.shards[id].waiting.Insert(e, w))
+		}
+	} else {
+		w.shards = ids
 	}
-	t.nWaiting.Add(1)
+	queue.push(w)
 	// Announced under the shard mutexes, like the matching Wake, so the
 	// coordinator cannot admit anyone on a stale view of this actor. The
 	// park itself happens after the shards unlock; a Wake landing in that
@@ -349,23 +328,27 @@ func (t *table) acquire(owner int, e interval.Extent, mode Mode, earliest sim.VT
 }
 
 // release drops owner's lock on exactly e, records the virtual release time
-// in every covered shard's history, stamps overlapping waiters, and grants
-// every waiter that became eligible — in table-wide (ticket, seq) order, so
-// the hand-off is deterministic — before waking them. A release of a lock
-// that is not held changes nothing.
+// in every covered shard's history, stamps the waiters that history misses,
+// and hands the freed range to the lock's queued waiters — in table-wide
+// (ticket, seq) order, so the hand-off is deterministic — before waking
+// them. A release of a lock that is not held changes nothing.
 func (t *table) release(owner int, e interval.Extent, releaseAt sim.VTime) error {
 	base := t.shardIDs(e)
-	// Candidate waiters (those overlapping the freed range) may span shards
-	// beyond base, and granting one needs its shards locked too. The
-	// candidate set is only visible under lock, so grow the held set to a
-	// fixpoint: lock, look, and if candidates need more shards, drop
-	// everything and re-lock the larger ascending set. The set only grows,
-	// so this terminates within S rounds; nothing is changed before the
-	// last one, so what happened while unlocked is never acted on.
+	// The lock's queued waiters may span shards beyond base, and granting
+	// one needs its shards locked too. They are only visible under lock, so
+	// grow the held set to a fixpoint: lock, look, and if they need more
+	// shards, drop everything and re-lock the larger ascending set. The set
+	// only grows, so this terminates within S rounds; nothing is changed
+	// before the last one, so what happened while unlocked is never acted on.
 	locked := base
+	var target *held
 	for {
 		t.lockShards(locked)
-		need := t.waiterShards(base, e, locked)
+		if target = t.locateLocked(owner, e, base[0]); target == nil {
+			t.unlockShards(locked)
+			return fmt.Errorf("lock: owner %d does not hold %v", owner, e)
+		}
+		need := t.queuedShards(target, locked)
 		if len(need) == len(locked) {
 			break
 		}
@@ -374,11 +357,67 @@ func (t *table) release(owner int, e interval.Extent, releaseAt sim.VTime) error
 	}
 	defer t.unlockShards(locked)
 
-	// Locate owner's earliest-registered lock on exactly e in the freed
-	// range's first shard: replicas exist on every covered shard, the index
-	// visits overlapping locks in (offset, insertion) order, and per-shard
-	// insertion order preserves the global one. Empty extents overlap
-	// nothing and need the full walk of their home shard.
+	for i, id := range target.shards {
+		t.shards[id].granted.Delete(target.ext, target.reps[i].handle)
+	}
+	t.recordRelease(e, target.mode, releaseAt)
+	// A waiter's grant time covers every overlapping release while it
+	// waited. grantLocked reads them back from the history, except a shared
+	// release for a shared waiter: stamped here, the reason shared waiters
+	// alone are indexed.
+	if target.mode == Shared {
+		for _, id := range base {
+			t.shards[id].waiting.Overlapping(e, func(_ interval.Extent, _ index.Handle, w *waiter) bool {
+				w.minStart = max(w.minStart, releaseAt)
+				return true
+			})
+		}
+	}
+
+	// Only target's queue can hold waiters the release unblocks: every
+	// other waiter's witness is still granted. Pop them in (ticket, seq)
+	// order; each queues behind a lock that still blocks it — granted
+	// earlier, or just now in this loop — or is the least unblocked waiter.
+	// The replicas' queues merge into the first's, where whole queues move.
+	q := target.reps[0].queue
+	for _, r := range target.reps[1:] {
+		for _, w := range r.queue.items {
+			q.push(w)
+		}
+	}
+	for len(q.items) > 0 {
+		w := q.pop()
+		if witness, queue := t.witnessLocked(w.owner, w.ext, w.mode, w.shards); witness != nil {
+			queue.push(w)
+			continue
+		}
+		if w.mode == Shared {
+			for i, id := range w.shards {
+				t.shards[id].waiting.Delete(w.ext, w.reps[i])
+			}
+		}
+		var g *held
+		g, w.grantAt = t.grantLocked(w.owner, w.ext, w.mode, w.minStart, w.shards)
+		// Published before the waiter can run (we still hold its shards),
+		// preserving the admission invariant.
+		t.coord.Wake(w.owner, w.grantAt)
+		// Every member's extent contains the core and no member is g's
+		// owner (an owner parks in acquire, so it had one waiter: w), so an
+		// exclusive grant over the core blocks them all: the rest of the
+		// queue moves behind it whole.
+		if g.mode == Exclusive && g.ext.Overlaps(q.core) {
+			g.reps[0].queue, q = q, waitQueue{}
+		}
+	}
+	return nil
+}
+
+// locateLocked returns owner's earliest-registered lock on exactly e, or
+// nil, from e's first shard: the index visits overlapping locks in (offset,
+// insertion) order, and per-shard insertion order preserves the global one.
+// Empty extents overlap nothing: their home shard is walked whole. Callers
+// hold the shard's mutex.
+func (t *table) locateLocked(owner int, e interval.Extent, first int) *held {
 	var target *held
 	locate := func(_ interval.Extent, _ index.Handle, h *held) bool {
 		if h.owner == owner && h.ext == e {
@@ -387,43 +426,39 @@ func (t *table) release(owner int, e interval.Extent, releaseAt sim.VTime) error
 		}
 		return true
 	}
-	firstShard := t.shards[base[0]]
 	if e.Empty() {
-		firstShard.granted.All(locate)
+		t.shards[first].granted.All(locate)
 	} else {
-		firstShard.granted.Overlapping(e, locate)
+		t.shards[first].granted.Overlapping(e, locate)
 	}
-	if target == nil {
-		return fmt.Errorf("lock: owner %d does not hold %v", owner, e)
-	}
-	for i, id := range target.shards {
-		t.shards[id].granted.Delete(target.ext, target.handles[i])
-	}
-	t.nHeld.Add(-1)
-	t.recordRelease(e, target.mode, releaseAt)
+	return target
+}
 
-	// Only waiters overlapping the freed range can have lost a blocker;
-	// those left with none are the grant candidates. Visited once per
-	// replica, a waiter can reach zero only on the last visit.
-	for _, id := range base {
-		t.shards[id].waiting.Overlapping(e, func(_ interval.Extent, _ index.Handle, w *waiter) bool {
-			if w.released(target.owner, target.mode, releaseAt) {
-				firstShard.ready.push(w)
-			}
-			return true
-		})
+// queuedShards returns the ascending union of locked and the shards covered
+// by every waiter queued behind target, stopping once that is all of them.
+// Callers hold the mutexes of locked, which include target's shards.
+func (t *table) queuedShards(target *held, locked []int) []int {
+	if len(locked) == len(t.shards) {
+		return locked
 	}
-	firstShard.ready.handOff(func(w *waiter) {
-		for i, id := range w.shards {
-			t.shards[id].waiting.Delete(w.ext, w.handles[i])
+	covered, n := make([]bool, len(t.shards)), 0
+	mark := func(ids []int) {
+		for _, id := range ids {
+			if !covered[id] {
+				covered[id] = true
+				n++
+			}
 		}
-		t.nWaiting.Add(-1)
-		w.grantAt = t.grantLocked(w.owner, w.ext, w.mode, w.minStart, w.shards)
-		// Published before the waiter can run (we still hold its shards),
-		// preserving the admission invariant.
-		t.coord.Wake(w.owner, w.grantAt)
-	})
-	return nil
+	}
+	mark(locked)
+	for _, r := range target.reps {
+		for _, w := range r.queue.items {
+			if mark(w.shards); n == len(t.shards) {
+				return t.ids
+			}
+		}
+	}
+	return ascending(covered)
 }
 
 // clipStripeFactor bounds per-release history-record work: spans covering
@@ -470,50 +505,4 @@ func (t *table) recordRelease(e interval.Extent, mode Mode, releaseAt sim.VTime)
 		}
 		rm(shardMod(k, s)).record(interval.Extent{Off: off, Len: end - off}, releaseAt)
 	}
-}
-
-// waiterShards returns the ascending union of locked (a superset of base =
-// shardIDs(e)) and the shards covered by every waiter overlapping e.
-// Callers hold the mutexes of locked.
-func (t *table) waiterShards(base []int, e interval.Extent, locked []int) []int {
-	if len(locked) == len(t.shards) {
-		return locked
-	}
-	covered := make([]bool, len(t.shards))
-	for _, id := range locked {
-		covered[id] = true
-	}
-	for _, id := range base {
-		t.shards[id].waiting.Overlapping(e, func(_ interval.Extent, _ index.Handle, w *waiter) bool {
-			for _, id := range w.shards {
-				covered[id] = true
-			}
-			return true
-		})
-	}
-	return ascending(covered)
-}
-
-// holders returns the number of currently granted locks.
-func (t *table) holders() int { return int(t.nHeld.Load()) }
-
-// waiters returns the number of blocked requests.
-func (t *table) waiters() int { return int(t.nWaiting.Load()) }
-
-// relLatest reports the latest recorded virtual release times of exclusive
-// and shared locks over any byte of e (the observable state of the release
-// history); the per-shard maxima combine as in grantLocked.
-func (t *table) relLatest(e interval.Extent) (excl, shared sim.VTime) {
-	ids := t.shardIDs(e)
-	t.lockShards(ids)
-	defer t.unlockShards(ids)
-	for _, id := range ids {
-		if at := t.shards[id].exclRel.latest(e); at > excl {
-			excl = at
-		}
-		if at := t.shards[id].sharedRel.latest(e); at > shared {
-			shared = at
-		}
-	}
-	return excl, shared
 }

@@ -10,14 +10,14 @@ import (
 
 // TestDESTeardownUnwindsLockWaiter is the regression test for the
 // crash-path the fault layer leans on: an actor parked inside the lock
-// table's waiter index at event-loop teardown must be force-unwound with
+// table's wait queues at event-loop teardown must be force-unwound with
 // sim.StoppedError and reported as a stall, leaving the table usable (no
 // shard mutex held — acquire parks after releasing them — and the wedged
 // grant still registered).
 //
 // The wedge is produced by the fault layer itself: a dropped unlock with
 // no lease leaves the range locked forever, so the second rank parks in
-// the waiter index and nobody ever wakes it.
+// the wedged grant's queue and nobody ever wakes it.
 func TestDESTeardownUnwindsLockWaiter(t *testing.T) {
 	flavours := []struct {
 		name string
