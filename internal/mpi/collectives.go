@@ -2,7 +2,7 @@ package mpi
 
 // Collective operations. All of them are collective in the MPI sense: every
 // rank of the communicator must call them in the same order. Each call uses
-// a fresh internal tag drawn from a per-communicator sequence, which is
+// a fresh tag drawn from a per-communicator sequence, which is
 // identical on all ranks precisely because the calls are collective, so
 // successive collectives can never match each other's traffic.
 //
@@ -11,11 +11,8 @@ package mpi
 // production MPI libraries do:
 //
 //	Barrier    dissemination, ceil(log2 P) rounds   (solved at a rendezvous)
-//	Bcast      binomial tree
-//	Gather     binomial tree (variable-size payloads carried in bundles)
+//	bcast      binomial tree (only Dup uses it)
 //	Allgather  ring, P-1 steps (allgatherv too)     (solved at a rendezvous)
-//	Reduce     binomial tree
-//	Allreduce  reduce + broadcast
 //	Alltoall   pairwise exchange, P-1 steps
 //
 // Barrier and Allgather keep that schedule — message counts, sizes, clocks,
@@ -24,13 +21,13 @@ package mpi
 // clocks. Only a synchronizing collective may: every rank's exit is at or
 // after every rank's entry in virtual time, so parking the early arrivers
 // never holds back an action virtual time would have admitted sooner.
-// Alltoall and Allreduce qualify and are message-based for now; Bcast,
-// Gather and Reduce (a leaf may leave before a late rank enters) never do.
+// Alltoall qualifies and is message-based for now; bcast (a leaf may leave
+// before a late rank enters) never does.
 
-// nextInternalTag returns the tag for the next collective call.
-func (c *Comm) nextInternalTag() int {
-	t := c.internalSeq
-	c.internalSeq++
+// nextTag returns the tag for the next collective call.
+func (c *Comm) nextTag() int {
+	t := c.tagSeq
+	c.tagSeq++
 	return t
 }
 
@@ -46,24 +43,23 @@ func (c *Comm) Barrier() {
 	})
 }
 
-// Bcast distributes root's data to every rank along a binomial tree and
+// bcast distributes root's data to every rank along a binomial tree and
 // returns it. Non-root ranks pass nil (any value they pass is ignored).
-func (c *Comm) Bcast(data []byte, root int) []byte {
+func (c *Comm) bcast(data []byte, root int) []byte {
 	defer c.beginOp("bcast")()
 	c.checkRank(root)
-	tag := c.nextInternalTag()
+	tag := c.nextTag()
 	p := c.Size()
 	if p == 1 {
 		return data
 	}
-	ctx := c.internalCtx()
 	vrank := (c.rank - root + p) % p
 
 	mask := 1
 	for mask < p {
 		if vrank&mask != 0 {
 			src := (c.rank - mask + p) % p
-			data, _ = c.recv(ctx, src, tag)
+			data = c.recv(src, tag)
 			break
 		}
 		mask *= 2
@@ -72,48 +68,11 @@ func (c *Comm) Bcast(data []byte, root int) []byte {
 	for mask > 0 {
 		if vrank+mask < p {
 			dst := (c.rank + mask) % p
-			c.send(ctx, dst, tag, data)
+			c.send(dst, tag, data)
 		}
 		mask /= 2
 	}
 	return data
-}
-
-// Gather collects every rank's data at root along a binomial tree. At root
-// it returns a slice indexed by rank; elsewhere it returns nil. Payload
-// sizes may differ between ranks (MPI_Gatherv behaviour).
-func (c *Comm) Gather(data []byte, root int) [][]byte {
-	defer c.beginOp("gather")()
-	c.checkRank(root)
-	tag := c.nextInternalTag()
-	p := c.Size()
-	ctx := c.internalCtx()
-	vrank := (c.rank - root + p) % p
-
-	// Accumulate (origin rank, payload) pairs from my binomial subtree.
-	acc := map[int][]byte{c.rank: data}
-	mask := 1
-	for mask < p {
-		if vrank&mask != 0 {
-			// Send my accumulated subtree to my parent and stop.
-			dst := (c.rank - mask + p) % p
-			c.send(ctx, dst, tag, encodeBundle(acc))
-			return nil
-		}
-		if vrank+mask < p {
-			src := (c.rank + mask) % p
-			b, _ := c.recv(ctx, src, tag)
-			for r, d := range decodeBundle(b) {
-				acc[r] = d
-			}
-		}
-		mask *= 2
-	}
-	out := make([][]byte, p)
-	for r, d := range acc {
-		out[r] = d
-	}
-	return out
 }
 
 // Allgather collects every rank's data on every rank, indexed by rank, timed
@@ -133,48 +92,6 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 	}).blocks
 }
 
-// ReduceOp combines src into dst elementwise; both slices have equal length.
-type ReduceOp func(dst, src []byte)
-
-// Reduce combines every rank's equal-length data with op along a binomial
-// tree rooted at root. At root it returns the reduction; elsewhere nil.
-func (c *Comm) Reduce(data []byte, op ReduceOp, root int) []byte {
-	defer c.beginOp("reduce")()
-	c.checkRank(root)
-	tag := c.nextInternalTag()
-	p := c.Size()
-	ctx := c.internalCtx()
-	vrank := (c.rank - root + p) % p
-
-	acc := append([]byte(nil), data...)
-	mask := 1
-	for mask < p {
-		if vrank&mask != 0 {
-			dst := (c.rank - mask + p) % p
-			c.send(ctx, dst, tag, acc)
-			return nil
-		}
-		if vrank+mask < p {
-			src := (c.rank + mask) % p
-			b, _ := c.recv(ctx, src, tag)
-			if len(b) != len(acc) {
-				panic("mpi: Reduce length mismatch between ranks")
-			}
-			op(acc, b)
-		}
-		mask *= 2
-	}
-	return acc
-}
-
-// Allreduce combines every rank's equal-length data with op and returns the
-// result on every rank (reduce to rank 0 followed by broadcast).
-func (c *Comm) Allreduce(data []byte, op ReduceOp) []byte {
-	defer c.beginOp("allreduce")()
-	red := c.Reduce(data, op, 0)
-	return c.Bcast(red, 0)
-}
-
 // Alltoall sends parts[i] to rank i and returns the slice of payloads
 // received, indexed by source rank, using pairwise exchange.
 //
@@ -182,20 +99,18 @@ func (c *Comm) Allreduce(data []byte, op ReduceOp) []byte {
 // written again — and out[r] is read-only; only out[rank] is a private copy.
 func (c *Comm) Alltoall(parts [][]byte) [][]byte {
 	defer c.beginOp("alltoall")()
-	tag := c.nextInternalTag()
+	tag := c.nextTag()
 	p := c.Size()
 	if len(parts) != p {
 		panic("mpi: Alltoall needs one part per rank")
 	}
-	ctx := c.internalCtx()
 	out := make([][]byte, p)
 	out[c.rank] = append([]byte(nil), parts[c.rank]...)
 	for s := 1; s < p; s++ {
 		to := (c.rank + s) % p
 		from := (c.rank - s + p) % p
-		c.sendOwned(ctx, to, tag, parts[to])
-		b, _ := c.recv(ctx, from, tag)
-		out[from] = b
+		c.sendOwned(to, tag, parts[to])
+		out[from] = c.recv(from, tag)
 	}
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Typed payload helpers. Messages are byte slices; these helpers encode and
@@ -41,71 +40,4 @@ func DecodeInt64s(buf []byte) []int64 {
 		panic(fmt.Sprintf("mpi: int64 payload length %d not a multiple of 8", len(buf)))
 	}
 	return getInt64s(buf, len(buf)/8)
-}
-
-// encodeBundle serializes a set of (rank, payload) pairs for tree-based
-// gather. Layout: count, then per entry rank, length, bytes.
-func encodeBundle(m map[int][]byte) []byte {
-	ranks := make([]int, 0, len(m))
-	for r := range m {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(ranks)))
-	for _, r := range ranks {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m[r])))
-		buf = append(buf, m[r]...)
-	}
-	return buf
-}
-
-// decodeBundle reverses encodeBundle.
-func decodeBundle(buf []byte) map[int][]byte {
-	n := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	out := make(map[int][]byte, n)
-	for i := uint32(0); i < n; i++ {
-		r := binary.LittleEndian.Uint32(buf)
-		l := binary.LittleEndian.Uint32(buf[4:])
-		buf = buf[8:]
-		d := make([]byte, l)
-		copy(d, buf[:l])
-		buf = buf[l:]
-		out[int(r)] = d
-	}
-	return out
-}
-
-// Standard reduction operators over little-endian int64 payloads.
-
-// OpSumInt64 adds int64 vectors elementwise.
-func OpSumInt64(dst, src []byte) { combineInt64(dst, src, func(a, b int64) int64 { return a + b }) }
-
-// OpMaxInt64 takes the elementwise maximum of int64 vectors.
-func OpMaxInt64(dst, src []byte) { combineInt64(dst, src, func(a, b int64) int64 { return max(a, b) }) }
-
-// OpMinInt64 takes the elementwise minimum of int64 vectors.
-func OpMinInt64(dst, src []byte) { combineInt64(dst, src, func(a, b int64) int64 { return min(a, b) }) }
-
-func combineInt64(dst, src []byte, f func(a, b int64) int64) {
-	if len(dst) != len(src) || len(dst)%8 != 0 {
-		panic("mpi: int64 reduce payload length mismatch")
-	}
-	for i := 0; i < len(dst); i += 8 {
-		a := int64(binary.LittleEndian.Uint64(dst[i:]))
-		b := int64(binary.LittleEndian.Uint64(src[i:]))
-		binary.LittleEndian.PutUint64(dst[i:], uint64(f(a, b)))
-	}
-}
-
-// OpBOr is a bytewise bitwise-or, used to reduce boolean bitmaps such as the
-// overlap matrix W of the graph-coloring strategy.
-func OpBOr(dst, src []byte) {
-	if len(dst) != len(src) {
-		panic("mpi: bor payload length mismatch")
-	}
-	for i := range dst {
-		dst[i] |= src[i]
-	}
 }

@@ -57,18 +57,11 @@ type waitPattern struct {
 // mailbox the world's coordinator.
 func newMailbox() *mailbox { return &mailbox{coord: sim.Solo{}, net: sim.Free{}} }
 
-// matches reports whether msg satisfies the (ctx, src, tag) pattern.
+// matches reports whether msg is the one the (ctx, src, tag) pattern names.
+// Matching is exact — there are no wildcards — so which message a receive
+// takes never depends on the order in which senders were admitted.
 func matches(msg *message, ctx, src, tag int) bool {
-	if msg.ctx != ctx {
-		return false
-	}
-	if src != AnySource && msg.src != src {
-		return false
-	}
-	if tag != AnyTag && msg.tag != tag {
-		return false
-	}
-	return true
+	return msg.ctx == ctx && msg.src == src && msg.tag == tag
 }
 
 // put enqueues a message. A put that satisfies the owner's registered
@@ -112,12 +105,11 @@ func (m *mailbox) take(ctx, src, tag int) *message {
 }
 
 // match blocks until a message matching the given context, source and tag is
-// available and removes it from the queue. src may be AnySource and tag may
-// be AnyTag. If the world is aborted while waiting, match panics with
-// abortError, which Run recovers. The blocked state is registered with the
-// coordinator and the owner parks through it so peers can keep making
-// progress; the wake comes from the put that satisfies the pattern (or from
-// an abort).
+// available and removes it from the queue. If the world is aborted while
+// waiting, match panics with abortError, which Run recovers. The blocked
+// state is registered with the coordinator and the owner parks through it so
+// peers can keep making progress; the wake comes from the put that satisfies
+// the pattern (or from an abort).
 func (m *mailbox) match(ctx, src, tag int) *message {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -136,12 +128,4 @@ func (m *mailbox) match(ctx, src, tag int) *message {
 		}
 		m.coord.Park(m.owner, &m.mu)
 	}
-}
-
-// tryMatch removes and returns the first matching queued message without
-// blocking, or nil if none has arrived.
-func (m *mailbox) tryMatch(ctx, src, tag int) *message {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.take(ctx, src, tag)
 }

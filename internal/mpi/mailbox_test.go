@@ -12,7 +12,7 @@ import (
 func TestSoloMailbox(t *testing.T) {
 	m := newMailbox()
 	m.put(&message{ctx: 1, src: 3, tag: 7, data: []byte("queued")})
-	if msg := m.match(1, AnySource, 7); string(msg.data) != "queued" || msg.src != 3 {
+	if msg := m.match(1, 3, 7); string(msg.data) != "queued" || msg.src != 3 {
 		t.Fatalf("match returned %+v", msg)
 	}
 	if n := len(m.queue); n != 0 {
@@ -23,6 +23,6 @@ func TestSoloMailbox(t *testing.T) {
 			t.Errorf("match on an empty mailbox with no engine: recovered %q, want the Solo panic", p)
 		}
 	}()
-	m.match(1, AnySource, 7)
+	m.match(1, 3, 7)
 	t.Error("match on an empty mailbox with no engine returned")
 }

@@ -1,14 +1,16 @@
 // Package mpi is an in-process message-passing runtime modelled on the MPI
 // subset the paper's atomicity strategies require: ranks with identities,
-// blocking matched point-to-point communication, non-blocking requests, and
-// the standard collective operations (barrier, broadcast, gather(v),
-// allgather(v), reduce, allreduce, alltoall) timed as the textbook
-// algorithms (dissemination barrier, binomial trees, ring allgather,
-// pairwise alltoall) so that message counts and volumes — and therefore the
-// virtual-time cost of the handshaking strategies — match what a real MPI
-// implementation would incur. The barrier and the allgather keep that
-// schedule but simulate no message: their ranks meet at a rendezvous that
-// solves it in closed form (see collectives.go for which collectives may).
+// communicators with private contexts (Dup), and the collectives the
+// handshakes use — barrier, allgather(v) and alltoall, plus the broadcast
+// inside Dup — timed as the textbook algorithms (dissemination barrier,
+// ring allgather, pairwise alltoall, binomial-tree broadcast) so that message
+// counts and volumes — and therefore the virtual-time cost of the
+// handshaking strategies — match what a real MPI implementation would incur.
+// The barrier and the allgather keep that schedule but simulate no message:
+// their ranks meet at a rendezvous that solves it in closed form (see
+// collectives.go for which collectives may). Messages match on the exact
+// (context, source, tag): there are no wildcards and no user-level
+// point-to-point calls.
 //
 // Ranks execute inside a World created by Run, as resumable coroutines of
 // the single-threaded event-loop scheduler (internal/sim/des) unless
@@ -34,12 +36,6 @@ import (
 	"atomio/internal/obs"
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
-)
-
-// Wildcards for Recv matching. Valid application tags are non-negative.
-const (
-	AnySource = -1
-	AnyTag    = -1
 )
 
 // Config describes a World to be run.
@@ -173,7 +169,9 @@ func (e *RankError) Unwrap() error { return e.Err }
 // A rank that panics is reported as a RankError carrying the panic value.
 // When any rank fails, the world is aborted: ranks blocked in a receive or a
 // rendezvous are unwound immediately (MPI's job-abort-on-error behaviour),
-// and the root-cause error is the one reported. If the ranks do not finish within
+// and the root-cause error is the one reported. A run that otherwise ends
+// cleanly but leaves a collective half-entered or a message unreceived fails
+// too: some rank skipped a call its peers made. If the ranks do not finish within
 // cfg.Timeout (a communication deadlock), Run returns an error instead of
 // hanging forever.
 //
@@ -272,9 +270,21 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 	// A run that leaves a collective call in flight skipped it on some rank:
 	// the ranks asleep in its rendezvous stalled the engine, or, after a
 	// Shared call, the later ones on that communicator paired up wrongly.
+	// A message still queued was sent to a receive no rank ever made.
+	stranded := []error{engErr}
 	if n := len(w.shared) + len(w.meetings); n != 0 {
-		return res, errors.Join(engErr,
+		stranded = append(stranded,
 			fmt.Errorf("mpi: %d collectives were not reached by every rank of their communicator", n))
+	}
+	queued := 0
+	for _, m := range w.mailboxes {
+		queued += len(m.queue)
+	}
+	if queued != 0 {
+		stranded = append(stranded, fmt.Errorf("mpi: %d messages were sent but never received", queued))
+	}
+	if len(stranded) > 1 {
+		return res, errors.Join(stranded...)
 	}
 	if engErr != nil {
 		return res, engErr

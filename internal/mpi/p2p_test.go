@@ -32,6 +32,26 @@ func run(t *testing.T, procs int, body RankFunc) *Result {
 	return res
 }
 
+// subCtx is the first context id subComm callers use: far above the ids
+// Run and Dup allocate in any world of this suite, so never one of theirs.
+const subCtx = 1 << 20
+
+// subComm returns the calling rank's communicator over the world ranks in
+// members, in that order (communicator rank i is world rank members[i]),
+// under the fixed context id ctx — or nil when the caller is not a member.
+// It is how tests build the permuted sub-communicators MPI_Comm_split would:
+// every member must pass the same members and ctx, and no other
+// communicator of the world may use ctx.
+func subComm(c *Comm, members []int, ctx int) *Comm {
+	me := c.group[c.rank]
+	for i, w := range members {
+		if w == me {
+			return &Comm{world: c.world, ctx: ctx, rank: i, group: members, clock: c.clock}
+		}
+	}
+	return nil
+}
+
 func TestRunSingleRank(t *testing.T) {
 	res := run(t, 1, func(c *Comm) error {
 		if c.Rank() != 0 || c.Size() != 1 {
@@ -123,7 +143,7 @@ func TestRunRecoversPanic(t *testing.T) {
 
 func TestRunDeadlockTimeout(t *testing.T) {
 	_, err := Run(Config{Procs: 2, Timeout: 200 * time.Millisecond}, func(c *Comm) error {
-		c.Recv(AnySource, 0) // nobody sends: deadlock
+		c.recv(1-c.Rank(), 0) // nobody sends: deadlock
 		return nil
 	})
 	if err == nil {
@@ -131,18 +151,15 @@ func TestRunDeadlockTimeout(t *testing.T) {
 	}
 }
 
+// The tests from here to TestRecvTiming drive the mailbox through the
+// package's own send and recv: the message layer under bcast and Alltoall.
+
 func TestSendRecvBasic(t *testing.T) {
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 7, []byte("hello"))
-		} else {
-			data, st := c.Recv(0, 7)
-			if !bytes.Equal(data, []byte("hello")) {
-				return fmt.Errorf("data = %q", data)
-			}
-			if st.Source != 0 || st.Tag != 7 || st.Len != 5 {
-				return fmt.Errorf("status = %+v", st)
-			}
+			c.send(1, 7, []byte("hello"))
+		} else if data := c.recv(0, 7); !bytes.Equal(data, []byte("hello")) {
+			return fmt.Errorf("data = %q", data)
 		}
 		return nil
 	})
@@ -152,13 +169,10 @@ func TestSendCopiesPayload(t *testing.T) {
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := []byte("aaaa")
-			c.Send(1, 0, buf)
+			c.send(1, 0, buf)
 			copy(buf, "zzzz") // must not affect the in-flight message
-		} else {
-			data, _ := c.Recv(0, 0)
-			if string(data) != "aaaa" {
-				return fmt.Errorf("message mutated after send: %q", data)
-			}
+		} else if data := c.recv(0, 0); string(data) != "aaaa" {
+			return fmt.Errorf("message mutated after send: %q", data)
 		}
 		return nil
 	})
@@ -167,12 +181,12 @@ func TestSendCopiesPayload(t *testing.T) {
 func TestTagMatching(t *testing.T) {
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 1, []byte("one"))
-			c.Send(1, 2, []byte("two"))
+			c.send(1, 1, []byte("one"))
+			c.send(1, 2, []byte("two"))
 		} else {
 			// Receive out of send order by tag.
-			d2, _ := c.Recv(0, 2)
-			d1, _ := c.Recv(0, 1)
+			d2 := c.recv(0, 2)
+			d1 := c.recv(0, 1)
 			if string(d1) != "one" || string(d2) != "two" {
 				return fmt.Errorf("tag matching broken: %q %q", d1, d2)
 			}
@@ -186,12 +200,11 @@ func TestPerSenderFIFO(t *testing.T) {
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				c.Send(1, 3, EncodeInt64s(int64(i)))
+				c.send(1, 3, EncodeInt64s(int64(i)))
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				d, _ := c.Recv(0, 3)
-				if got := DecodeInt64s(d)[0]; got != int64(i) {
+				if got := DecodeInt64s(c.recv(0, 3))[0]; got != int64(i) {
 					return fmt.Errorf("message %d arrived as %d", i, got)
 				}
 			}
@@ -200,90 +213,15 @@ func TestPerSenderFIFO(t *testing.T) {
 	})
 }
 
-func TestAnySourceAnyTag(t *testing.T) {
-	run(t, 3, func(c *Comm) error {
-		if c.Rank() == 0 {
-			seen := map[int]bool{}
-			for i := 0; i < 2; i++ {
-				_, st := c.Recv(AnySource, AnyTag)
-				seen[st.Source] = true
-			}
-			if !seen[1] || !seen[2] {
-				return fmt.Errorf("sources seen: %v", seen)
-			}
-		} else {
-			c.Send(0, c.Rank()+10, nil)
-		}
-		return nil
-	})
-}
-
+// TestSendrecvExchange pins the eager send pairwise exchange relies on:
+// every rank sends before it receives, all at once, and none deadlocks.
 func TestSendrecvExchange(t *testing.T) {
 	run(t, 4, func(c *Comm) error {
 		p := c.Size()
 		right, left := (c.Rank()+1)%p, (c.Rank()-1+p)%p
-		data, _ := c.Sendrecv(right, 5, EncodeInt64s(int64(c.Rank())), left, 5)
-		if got := DecodeInt64s(data)[0]; got != int64(left) {
+		c.send(right, 5, EncodeInt64s(int64(c.Rank())))
+		if got := DecodeInt64s(c.recv(left, 5))[0]; got != int64(left) {
 			return fmt.Errorf("got %d from left, want %d", got, left)
-		}
-		return nil
-	})
-}
-
-func TestIsendIrecvWait(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			req := c.Isend(1, 9, []byte("async"))
-			req.Wait()
-		} else {
-			req := c.Irecv(0, 9)
-			data, st := req.Wait()
-			if string(data) != "async" || st.Source != 0 {
-				return fmt.Errorf("irecv got %q from %d", data, st.Source)
-			}
-		}
-		return nil
-	})
-}
-
-func TestRequestTest(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			req := c.Irecv(1, 0)
-			if req.Test() {
-				return fmt.Errorf("Test reported completion before anything was sent")
-			}
-			c.Send(1, 1, nil) // tell partner to go
-			// Polling Test cannot make progress (see Request.Test); block
-			// on the partner's second message, which it sends after the
-			// one the request is waiting for.
-			c.Recv(1, 2)
-			if !req.Test() {
-				return fmt.Errorf("Test reported no completion with the message queued")
-			}
-			if data, _ := req.Wait(); string(data) != "x" {
-				return fmt.Errorf("Wait returned %q", data)
-			}
-			if !req.Test() {
-				return fmt.Errorf("Test reported no completion after Wait")
-			}
-		} else {
-			c.Recv(0, 1)
-			c.Send(0, 0, []byte("x"))
-			c.Send(0, 2, nil)
-		}
-		return nil
-	})
-}
-
-func TestWaitAll(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			a := c.Irecv(1, 0)
-			b := c.Irecv(1, 1)
-			WaitAll(a, b)
-		} else {
-			WaitAll(c.Isend(0, 0, nil), c.Isend(0, 1, nil))
 		}
 		return nil
 	})
@@ -291,45 +229,32 @@ func TestWaitAll(t *testing.T) {
 
 func TestInvalidRankPanics(t *testing.T) {
 	_, err := Run(Config{Procs: 1}, func(c *Comm) error {
-		c.Send(5, 0, nil)
+		c.send(5, 0, nil)
 		return nil
 	})
-	if err == nil {
-		t.Fatal("expected panic-derived error for invalid rank")
+	if err == nil || !strings.Contains(err.Error(), "rank 5 out of range") {
+		t.Fatalf("err = %v, want the invalid-rank panic", err)
 	}
 }
 
-func TestNegativeTagPanics(t *testing.T) {
-	// Rank 1 blocks in Recv; the abort from rank 0's panic must unwind it
-	// promptly rather than leaving the run to time out.
-	start := time.Now()
-	_, err := Run(Config{Procs: 2}, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, -3, nil)
-		} else {
-			c.Recv(0, AnyTag)
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected panic-derived error for negative tag")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("abort took %v; blocked rank was not unwound", elapsed)
-	}
-}
-
+// TestAbortUnblocksPeersAndReportsRootCause: ranks blocked in a receive
+// that can never match are unwound at once by the failing rank's abort, and
+// that rank's error is the one reported.
 func TestAbortUnblocksPeersAndReportsRootCause(t *testing.T) {
+	start := time.Now()
 	_, err := Run(Config{Procs: 4}, func(c *Comm) error {
 		if c.Rank() == 2 {
 			return fmt.Errorf("root cause")
 		}
-		c.Recv(AnySource, 0) // would deadlock without abort
+		c.recv(2, 0) // would deadlock without abort
 		return nil
 	})
 	re, ok := err.(*RankError)
 	if !ok || re.Rank != 2 {
 		t.Fatalf("err = %v, want root-cause RankError from rank 2", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("abort took %v; blocked ranks were not unwound", elapsed)
 	}
 }
 
@@ -344,9 +269,9 @@ func TestRecvTiming(t *testing.T) {
 	}
 	res, err := Run(cfg, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, 0, make([]byte, 1024))
+			c.send(1, 0, make([]byte, 1024))
 		} else {
-			c.Recv(0, 0)
+			c.recv(0, 0)
 		}
 		return nil
 	})

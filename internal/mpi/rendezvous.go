@@ -3,7 +3,7 @@ package mpi
 import "atomio/internal/sim"
 
 // rendezvous is the meeting point of one synchronizing collective call,
-// held in World.meetings under the call's (internal context, tag) until its
+// held in World.meetings under the call's (context, tag) until its
 // last rank arrives. Every rank deposits its entry clock and its block; the
 // last one solves the collective's message schedule as arithmetic (step)
 // and wakes the others at their exit clocks. Guarded by World.mu.
@@ -22,7 +22,7 @@ type rendezvous struct {
 // entry clocks, so which rank solves is the same on every engine.
 func (c *Comm) meet(block []byte, solve func(rv *rendezvous)) *rendezvous {
 	w, p, me := c.world, len(c.group), c.group[c.rank]
-	key := sharedKey{ctx: c.internalCtx(), seq: c.nextInternalTag()}
+	key := sharedKey{ctx: c.ctx, seq: c.nextTag()}
 	coord := w.cfg.Coord
 	coord.Await(me, c.clock.Now())
 	w.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +23,7 @@ var bothEngines = []sim.Engine{des.New(), sim.Goroutines{}}
 // blocks), each entered with its own per-rank skews.
 type scheduleCase struct {
 	procs  int
-	split  bool // run the collectives on a permuted-subset sub-communicator
+	split  bool // run the collectives on the permuted subset of the world
 	cfg    Config
 	skews  [3][]sim.VTime
 	blocks [][]byte
@@ -50,6 +51,21 @@ func newScheduleCase(rng *rand.Rand, procs int, split bool) scheduleCase {
 		rng.Read(tc.blocks[r])
 	}
 	return tc
+}
+
+// subset is the group of a split case: every third rank sits out, and the
+// rest are ordered by the key 7·rank mod P (ties by rank), which permutes
+// them.
+func (tc scheduleCase) subset() []int {
+	var members []int
+	for r := 0; r < tc.procs; r++ {
+		if r%3 != 2 {
+			members = append(members, r)
+		}
+	}
+	key := func(r int) int { return (r * 7) % tc.procs }
+	sort.SliceStable(members, func(i, j int) bool { return key(members[i]) < key(members[j]) })
+	return members
 }
 
 // mpiEvent is the engine-independent part of one mpi-layer trace event.
@@ -85,13 +101,7 @@ func (tc scheduleCase) run(t *testing.T, eng sim.Engine, barrier func(*Comm), al
 	_, err := Run(cfg, func(world *Comm) error {
 		c, me := world, world.Rank()
 		if tc.split {
-			// Every third rank sits out; the rest are ordered by a key that
-			// permutes them.
-			color := 0
-			if me%3 == 2 {
-				color = -1
-			}
-			if c = world.Split(color, (me*7)%tc.procs); c == nil {
+			if c = subComm(world, tc.subset(), subCtx); c == nil {
 				return nil
 			}
 		}
@@ -151,10 +161,10 @@ func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 				if !reflect.DeepEqual(got.counters, want.counters) {
 					t.Errorf("counters: got %v, want %v", got.counters, want.counters)
 				}
-				if tc.split {
-					return // Split's own allgather and bcast are in the counts
-				}
 				p := int64(tc.procs)
+				if tc.split {
+					p = int64(len(tc.subset()))
+				}
 				if n, f := got.counters[obs.MetricMsgsPrefix+"barrier"], p*int64(bits.Len(uint(p-1))); n != f {
 					t.Errorf("barrier delivered %d messages, want P*ceil(log2 P) = %d", n, f)
 				}
@@ -216,7 +226,7 @@ func TestAbortUnblocksRanksParkedInACollective(t *testing.T) {
 					if c.Rank() == 2 {
 						// Admitted after ranks 0, 1 and 3 went to sleep.
 						c.Clock().Advance(sim.Millisecond)
-						c.Send(3, 0, nil)
+						c.send(3, 0, nil)
 						return errors.New("root cause")
 					}
 					collective(c)

@@ -3,7 +3,7 @@ package mpi
 import "sync"
 
 // sharedKey names one Shared call: the communicator's context (unique per
-// communicator within a World, so Dup'd and Split communicators never
+// communicator within a World, so a communicator and its Dup never
 // collide) and that communicator's call sequence, which is identical on
 // every rank precisely because Shared is collective.
 type sharedKey struct {

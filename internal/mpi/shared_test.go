@@ -84,8 +84,8 @@ func TestSharedComputesOncePerCall(t *testing.T) {
 }
 
 // TestSharedIsolatesCommunicators interleaves Shared calls on the world, a
-// Dup of it and Split halves of it: each communicator must see only its own
-// values, whatever order the communicators are used in.
+// Dup of it and its even and odd halves: each communicator must see only its
+// own values, whatever order the communicators are used in.
 func TestSharedIsolatesCommunicators(t *testing.T) {
 	type tagged struct {
 		comm string
@@ -97,7 +97,7 @@ func TestSharedIsolatesCommunicators(t *testing.T) {
 			var computes sync.Map // tagged -> *atomic.Int32
 			runShared(t, wf.eng, p, func(c *Comm) error {
 				dup := c.Dup()
-				half := c.Split(c.Rank()%2, c.Rank())
+				half := subComm(c, parity(p, c.Rank()%2), subCtx+c.Rank()%2)
 				comms := []struct {
 					name string
 					c    *Comm
@@ -144,6 +144,15 @@ func TestSharedIsolatesCommunicators(t *testing.T) {
 			}
 		})
 	}
+}
+
+// parity returns the ranks below p whose parity is bit, ascending.
+func parity(p, bit int) []int {
+	var ranks []int
+	for r := bit; r < p; r += 2 {
+		ranks = append(ranks, r)
+	}
+	return ranks
 }
 
 // TestSharedPanicReachesEveryRank pins the failure mode: a compute that

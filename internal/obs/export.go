@@ -103,6 +103,11 @@ func ReadJSONL(r io.Reader) (*TraceData, error) {
 			t.Procs = line.Procs
 			t.Dropped = line.Dropped
 		case line.Metrics != nil:
+			for _, k := range sortedHistKeys(line.Metrics.Hists) {
+				if line.Metrics.Hists[k] == nil {
+					return nil, fmt.Errorf("obs: trace histogram %q is null", k)
+				}
+			}
 			t.Metrics = line.Metrics
 		case line.Layer != "":
 			e := Event{

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -353,6 +354,10 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 		parse64(16, &rec.MakespanNS)
 		if err == nil {
 			rec.BandwidthMBs, err = strconv.ParseFloat(row[17], 64)
+		}
+		// A cell's bandwidth is always finite (and JSON cannot carry NaN).
+		if err == nil && (math.IsNaN(rec.BandwidthMBs) || math.IsInf(rec.BandwidthMBs, 0)) {
+			err = fmt.Errorf("bandwidth_mbs %q is not finite", row[17])
 		}
 		parse64(18, &rec.WallNS)
 		if err == nil {
