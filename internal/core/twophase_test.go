@@ -248,7 +248,7 @@ func TestQuickMergeMatchesHighestRankModel(t *testing.T) {
 // setMergePieces is the merge as it stood before the shared winners map —
 // the oracle of TestMergeSegmentsMatchSetMerge. Pieces are processed from
 // the highest rank down; each claims only the bytes not yet covered, tracked
-// in an index.Set whose Add returns exactly the newly covered parts, and the
+// in an index.Set whose Visit finds the parts an Add newly covers, and the
 // claims are sorted into file order at the end.
 func setMergePieces(recv [][]byte, domain interval.Extent) ([]pfs.Segment, error) {
 	var covered index.Set
@@ -260,12 +260,16 @@ func setMergePieces(recv [][]byte, domain interval.Extent) ([]pfs.Segment, error
 		}
 		for _, piece := range pieces {
 			ext := interval.Extent{Off: piece.Off, Len: piece.Len()}.Intersect(domain)
-			for _, keep := range covered.Add(ext) {
-				segs = append(segs, pfs.Segment{
-					Off:  keep.Off,
-					Data: piece.Data[keep.Off-piece.Off : keep.End()-piece.Off],
-				})
-			}
+			covered.Visit(ext, func(keep interval.Extent, claimed bool) bool {
+				if !claimed {
+					segs = append(segs, pfs.Segment{
+						Off:  keep.Off,
+						Data: piece.Data[keep.Off-piece.Off : keep.End()-piece.Off],
+					})
+				}
+				return true
+			})
+			covered.Add(ext)
 		}
 	}
 	slices.SortFunc(segs, func(a, b pfs.Segment) int { return cmp.Compare(a.Off, b.Off) })

@@ -3,7 +3,8 @@
 // stabbing and range-overlap queries (Index), a streamed k-way sweep-line
 // that computes the pairwise overlaps, ownership or atoms of many extent
 // lists in one pass and O(P) state (SweepOverlaps, Winners/ClipAll,
-// SweepAtoms), and a binary-searched, splice-inserted coverage set (Set).
+// SweepAtoms), and a coverage set that appends on Add and sorts on read
+// (Set).
 //
 // Every conflict-answering layer of the repository queries byte ranges —
 // the overlap matrix of the paper's Figure 5, byte-range lock conflicts,

@@ -98,30 +98,49 @@ func TestIndexEmptyExtents(t *testing.T) {
 	}
 }
 
-func TestSetAddReturnsNewParts(t *testing.T) {
+// uncovered returns the parts of e that s does not cover — what Add(e)
+// newly covers — from Visit's uncovered runs.
+func uncovered(s *Set, e interval.Extent) interval.List {
+	var out interval.List
+	s.Visit(e, func(part interval.Extent, covered bool) bool {
+		if !covered {
+			out = append(out, part)
+		}
+		return true
+	})
+	return out
+}
+
+func TestSetVisitFindsNewParts(t *testing.T) {
 	var s Set
-	if got := s.Add(ext(10, 10)); len(got) != 1 || got[0] != ext(10, 10) {
-		t.Fatalf("first Add = %v", got)
+	if got := uncovered(&s, ext(10, 10)); len(got) != 1 || got[0] != ext(10, 10) {
+		t.Fatalf("first Add's new parts = %v", got)
 	}
+	s.Add(ext(10, 10))
 	// Overlapping add: only [20,25) is new.
-	if got := s.Add(ext(15, 10)); len(got) != 1 || got[0] != ext(20, 5) {
-		t.Fatalf("overlap Add = %v, want [[20,25)]", got)
+	if got := uncovered(&s, ext(15, 10)); len(got) != 1 || got[0] != ext(20, 5) {
+		t.Fatalf("overlap Add's new parts = %v, want [[20,25)]", got)
 	}
+	s.Add(ext(15, 10))
 	// Straddling add with a hole: [5,10) and [25,30) are new.
-	got := s.Add(ext(5, 25))
+	got := uncovered(&s, ext(5, 25))
 	if len(got) != 2 || got[0] != ext(5, 5) || got[1] != ext(25, 5) {
-		t.Fatalf("straddle Add = %v", got)
+		t.Fatalf("straddle Add's new parts = %v", got)
 	}
+	s.Add(ext(5, 25))
 	if s.Len() != 1 || s.CoveredBytes() != 25 {
 		t.Fatalf("set = %v (%d bytes), want one extent of 25", s.Extents(), s.CoveredBytes())
 	}
-	// Touching extents coalesce.
+	// Touching extents coalesce, also when they arrive out of order and
+	// unsettled: [40,45) is bridged to the rest by [35,40) added after it.
 	s.Add(ext(30, 5))
-	if s.Len() != 1 {
-		t.Fatalf("touching add did not coalesce: %v", s.Extents())
+	s.Add(ext(40, 5))
+	s.Add(ext(35, 5))
+	if s.Len() != 1 || s.CoveredBytes() != 40 {
+		t.Fatalf("touching adds did not coalesce: %v", s.Extents())
 	}
-	if s.Add(ext(6, 20)) != nil {
-		t.Fatal("fully covered Add returned parts")
+	if got := uncovered(&s, ext(6, 20)); got != nil {
+		t.Fatalf("fully covered extent has new parts %v", got)
 	}
 }
 

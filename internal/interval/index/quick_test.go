@@ -379,8 +379,10 @@ func TestQuickClipAllMatchesSubtract(t *testing.T) {
 }
 
 // TestQuickSetMatchesListAlgebra drives a Set and an interval.List through
-// the same adds, checking Add's newly-covered parts against Subtract and
-// Visit/Covers against the accumulated union.
+// the same adds. At random points between adds — so the set settles after
+// runs of arbitrary length — it checks Visit's uncovered runs (what the
+// next Add newly covers) against Subtract, and the canonical list,
+// CoveredBytes, Visit and Covers against the accumulated union.
 func TestQuickSetMatchesListAlgebra(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for round := 0; round < 100; round++ {
@@ -388,12 +390,17 @@ func TestQuickSetMatchesListAlgebra(t *testing.T) {
 		var mirror interval.List // canonical accumulated coverage
 		for op := 0; op < 60; op++ {
 			e := randExtent(r)
-			wantNew := (interval.List{e}).Subtract(mirror)
-			gotNew := interval.List(s.Add(e))
-			if !gotNew.Equal(wantNew) {
-				t.Fatalf("Add(%v) new parts = %v, want %v (set %v)", e, gotNew, wantNew, mirror)
+			if r.Intn(4) == 0 {
+				wantNew := (interval.List{e}).Subtract(mirror)
+				if gotNew := uncovered(&s, e); !gotNew.Equal(wantNew) {
+					t.Fatalf("new parts of %v = %v, want %v (set %v)", e, gotNew, wantNew, mirror)
+				}
 			}
+			s.Add(e)
 			mirror = mirror.Union(interval.List{e})
+			if r.Intn(4) != 0 && op < 59 {
+				continue
+			}
 			if !s.Extents().Equal(mirror) {
 				t.Fatalf("set extents = %v, want %v", s.Extents(), mirror)
 			}
@@ -423,5 +430,26 @@ func TestQuickSetMatchesListAlgebra(t *testing.T) {
 				t.Fatalf("Covers(%v) = %v, want %v", q, s.Covers(q), !s.Covers(q))
 			}
 		}
+	}
+}
+
+// TestSetSettlesLongAddRuns pins the settle Add triggers itself: through a
+// run of adds with no query the pending list stays shorter than the
+// canonical list or 4096 entries, whichever is longer, and the set it
+// settles into is exact — here the bridging shape, where every second add
+// joins two canonical extents.
+func TestSetSettlesLongAddRuns(t *testing.T) {
+	const floor = 1 << 12
+	pieces := bridging(3*floor + 7)
+	var s Set
+	for k, e := range pieces {
+		s.Add(e)
+		if len(s.pending) >= max(len(s.ext), floor) {
+			t.Fatalf("after add %d: %d pending beside %d canonical", k, len(s.pending), len(s.ext))
+		}
+	}
+	want := interval.List{{Off: 0, Len: int64(len(pieces)) * bridgeWidth}}
+	if got := s.Extents(); !got.Equal(want) || s.CoveredBytes() != want.TotalLen() {
+		t.Fatalf("settled to %v (%d bytes), want %v", got, s.CoveredBytes(), want)
 	}
 }

@@ -174,15 +174,15 @@ func TestRankOrderingHighestRankWins(t *testing.T) {
 			if !rep.Atomic() {
 				t.Fatalf("violations: %v", rep.Violations)
 			}
-			for region, winner := range rep.WinnerByRegion {
+			for _, won := range rep.WinnerByRegion {
 				max := -1
 				for rank, v := range views {
-					if v.ContainsOffset(region.Off) && rank > max {
+					if v.ContainsOffset(won.Off) && rank > max {
 						max = rank
 					}
 				}
-				if winner != max {
-					t.Fatalf("region %v won by %d, want highest rank %d", region, winner, max)
+				if won.Rank != max {
+					t.Fatalf("region %v won by %d, want highest rank %d", won.Extent, won.Rank, max)
 				}
 			}
 		})

@@ -11,17 +11,14 @@ import (
 )
 
 // faultFS builds a 2-server round-robin file system with a small stripe
-// and the given script armed.
+// and the given script armed, on the shared-store oracle when shared.
 func faultFS(t *testing.T, script fault.Script, shared bool) *FileSystem {
 	t.Helper()
-	fs := MustNew(Config{
-		Servers:     2,
-		StripeSize:  8,
-		StoreData:   true,
-		WAL:         true,
-		SharedStore: shared,
-	})
+	fs := MustNew(Config{Servers: 2, StripeSize: 8, StoreData: true, WAL: true})
 	fs.SetFault(fault.New(script))
+	if shared {
+		withSharedStore(fs)
+	}
 	return fs
 }
 

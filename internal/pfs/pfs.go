@@ -97,14 +97,6 @@ type Config struct {
 	// caching (every request goes to the servers).
 	Cache CacheConfig
 
-	// SharedStore stores file bytes in the pre-striping single shared
-	// store instead of per-server stores. The two layouts are observably
-	// identical on every healthy configuration (stripes partition the byte
-	// space; affinity merges resolve by global write order), which is why
-	// the shared store survives as the property-test oracle the per-server
-	// subsystem is pinned against.
-	SharedStore bool
-
 	// Degraded overrides the service model of individual servers (index →
 	// model), the per-server perturbation hook behind slow-server
 	// scenarios. Entries must be non-nil and in [0, Servers). A run with

@@ -12,13 +12,12 @@ import (
 // storeChunk is the allocation granularity of the sparse file stores.
 const storeChunk = 1 << 16
 
-// content is the byte-storage layer of one file. Two implementations exist:
-// sharedStore, the original single store every server writes into (kept as
-// the property-test oracle), and stripedStore, the per-server subsystem in
-// which each simulated I/O server owns its own chunk store and
-// written-extent index (see striped.go). Both expose the same observable
-// file: on any healthy configuration reads, written extents and snapshots
-// are identical, which is what the striped quick-tests pin.
+// content is the byte-storage layer of one file: stripedStore, the
+// per-server subsystem in which each simulated I/O server owns its own
+// chunk store and written-extent index (see striped.go). The pfs tests pin
+// it against a second implementation, the pre-striping single store every
+// server writes into: on any healthy configuration reads, written extents
+// and snapshots are identical.
 //
 // Implementations do their own locking; rank identifies the writing client
 // for affinity-mode storage routing.
@@ -63,12 +62,7 @@ type file struct {
 // newFile creates a file backed by the configured store layout.
 func (fs *FileSystem) newFile(name string) *file {
 	f := &file{name: name}
-	if !fs.cfg.StoreData {
-		return f
-	}
-	if fs.cfg.SharedStore {
-		f.content = &sharedStore{chunks: make(map[int64][]byte)}
-	} else {
+	if fs.cfg.StoreData {
 		f.content = newStripedStore(fs.cfg)
 	}
 	return f
@@ -120,42 +114,6 @@ func (f *file) sizeNow() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.size
-}
-
-// sharedStore is the pre-striping content layout: one chunked byte store
-// and one written-extent set shared by every server. Store-level locking
-// keeps each individual segment write atomic at byte granularity only to
-// the degree a real file system would — two concurrent writes to the same
-// bytes land in arrival order, so concurrent overlapping segment writes
-// genuinely interleave.
-//
-// written tracks the byte ranges ever stored (an index.Set: canonical,
-// binary-searched), so reads partition themselves into written parts served
-// from chunks and holes zero-filled directly — sparse reads do not walk the
-// chunk map chunk by chunk.
-type sharedStore struct {
-	mu      sync.Mutex
-	chunks  map[int64][]byte
-	written index.Set
-}
-
-func (s *sharedStore) write(off int64, data []byte, _ int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.written.Add(interval.Extent{Off: off, Len: int64(len(data))})
-	chunkWrite(s.chunks, off, data)
-}
-
-func (s *sharedStore) read(off int64, buf []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	coveredRead(&s.written, s.chunks, off, buf)
-}
-
-func (s *sharedStore) extents() interval.List {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.written.Extents()
 }
 
 // chunkWrite copies data into a sparse chunk map at off, allocating chunks

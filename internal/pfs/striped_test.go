@@ -9,11 +9,53 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 	"atomio/internal/sim"
 )
+
+// sharedStore is the pre-striping content layout, kept as the oracle: one
+// chunked byte store and one written-extent set shared by every server.
+// Store-level locking keeps each individual segment write atomic at byte
+// granularity only to the degree a real file system would — two concurrent
+// writes to the same bytes land in arrival order, so concurrent overlapping
+// segment writes genuinely interleave. The two layouts are observably
+// identical on every healthy configuration: stripes partition the byte
+// space, and affinity merges resolve by global write order.
+type sharedStore struct {
+	mu      sync.Mutex
+	chunks  map[int64][]byte
+	written index.Set
+}
+
+func (s *sharedStore) write(off int64, data []byte, _ int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.written.Add(interval.Extent{Off: off, Len: int64(len(data))})
+	chunkWrite(s.chunks, off, data)
+}
+
+func (s *sharedStore) read(off int64, buf []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	coveredRead(&s.written, s.chunks, off, buf)
+}
+
+func (s *sharedStore) extents() interval.List {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.written.Extents()
+}
+
+// withSharedStore gives fs's file "f" — the one file the oracle tests
+// use — the shared-store layout, before anything opens it.
+func withSharedStore(fs *FileSystem) *FileSystem {
+	fs.files["f"] = &file{name: "f", content: &sharedStore{chunks: make(map[int64][]byte)}}
+	return fs
+}
 
 // oraclePair builds the same file system twice: once on per-server stores,
 // once on the shared-store oracle layout.
@@ -28,9 +70,7 @@ func oraclePair(servers int, mode StripeMode) (striped, shared *FileSystem) {
 		StoreData:    true,
 		AtomicListIO: true,
 	}
-	ocfg := cfg
-	ocfg.SharedStore = true
-	return MustNew(cfg), MustNew(ocfg)
+	return MustNew(cfg), withSharedStore(MustNew(cfg))
 }
 
 // TestStripedStoreMatchesSharedOracle drives randomized read/write/listio
@@ -162,7 +202,7 @@ func TestStripedStoreMatchesSharedOracle(t *testing.T) {
 // different servers' stores.
 func TestAffinityOverwriteAcrossServers(t *testing.T) {
 	fsS, fsO := oraclePair(4, ClientAffinity)
-	for _, fs := range []*FileSystem{fsS, fsO} {
+	for i, fs := range []*FileSystem{fsS, fsO} {
 		c0, _ := fs.Open("f", 0, sim.NewClock(0)) // server 0
 		c1, _ := fs.Open("f", 1, sim.NewClock(0)) // server 1
 		c0.WriteAt(10, []byte("aaaaaaaa"))
@@ -174,7 +214,7 @@ func TestAffinityOverwriteAcrossServers(t *testing.T) {
 		buf := make([]byte, 10)
 		c1.ReadAt(9, buf)
 		if string(buf) != want {
-			t.Fatalf("shared=%v: merged read = %q, want %q", fs.cfg.SharedStore, buf, want)
+			t.Fatalf("shared=%v: merged read = %q, want %q", i == 1, buf, want)
 		}
 	}
 }

@@ -148,14 +148,23 @@ func WriteJSON(w io.Writer, recs []Record) error {
 	return enc.Encode(Document{Schema: Schema, Records: recs})
 }
 
-// ReadJSON parses a document written by WriteJSON.
+// ReadJSON parses a document written by WriteJSON. The input must be that
+// one document: anything but whitespace after it is an error.
 func ReadJSON(r io.Reader) ([]Record, error) {
+	dec := json.NewDecoder(r)
 	var doc Document
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("runner: decoding JSON results: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("runner: JSON results continue after the document")
 	}
 	if doc.Schema != Schema {
 		return nil, fmt.Errorf("runner: unexpected schema %q (want %q)", doc.Schema, Schema)
+	}
+	for i, rec := range doc.Records { // an empty list reads as absent, as WriteJSON omits it
+		doc.Records[i].Replayed = append([]int(nil), rec.Replayed...)
+		doc.Records[i].ServerStats = append([]ServerStat(nil), rec.ServerStats...)
 	}
 	return doc.Records, nil
 }

@@ -61,6 +61,9 @@ func TestJSONRoundTrip(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(`{"schema":"other/v9","records":[]}`)); err == nil {
 		t.Error("ReadJSON: want schema mismatch error")
 	}
+	if _, err := ReadJSON(strings.NewReader(buf.String() + "}")); err == nil {
+		t.Error("ReadJSON: want an error for data after the document")
+	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {

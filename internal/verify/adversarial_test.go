@@ -34,8 +34,8 @@ func TestCheckBytesCleanSerial(t *testing.T) {
 	if !rep.Atomic() {
 		t.Fatalf("clean serial file rejected: %+v", rep)
 	}
-	if got := rep.WinnerByRegion[interval.Extent{Off: 5, Len: 10}]; got != 1 {
-		t.Errorf("winner = %d, want 1", got)
+	if got, ok := rep.Winner(interval.Extent{Off: 5, Len: 10}); !ok || got != 1 {
+		t.Errorf("winner = %d, %v, want 1", got, ok)
 	}
 	if Classify(rep, false) != Serializable {
 		t.Errorf("verdict = %v, want %v", Classify(rep, false), Serializable)

@@ -9,6 +9,7 @@
 package verify
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -24,11 +25,14 @@ import (
 // at most 16.
 func Marker(rank int) byte { return byte(1 + rank%255) }
 
-// Fill stamps buf with rank's marker.
+// Fill stamps buf with rank's marker by chunked copy, as bytes.Repeat
+// fills: each copy doubles the stamped prefix.
 func Fill(rank int, buf []byte) {
-	m := Marker(rank)
-	for i := range buf {
-		buf[i] = m
+	if len(buf) > 0 {
+		buf[0] = Marker(rank)
+		for n := 1; n < len(buf); n *= 2 {
+			copy(buf[n:], buf[:n])
+		}
 	}
 }
 
@@ -76,14 +80,26 @@ type Report struct {
 	// order exists).
 	OrderViolation *OrderViolation
 	// WinnerByRegion records which covering rank's marker each clean atom
-	// held, for policy checks such as highest-rank-wins.
-	WinnerByRegion map[interval.Extent]int
+	// held, for policy checks such as highest-rank-wins: one run per clean
+	// atom, in file order.
+	WinnerByRegion []index.Owned
 }
 
 // Atomic reports whether the outcome satisfies MPI atomicity: every
 // multi-writer atom holds one writer's data AND the winners are consistent
 // with some total serialization order of the write requests.
 func (r *Report) Atomic() bool { return len(r.Violations) == 0 && r.OrderViolation == nil }
+
+// Winner returns the rank whose marker the clean atom held, and false when
+// atom is not a clean atom of the check.
+func (r *Report) Winner(atom interval.Extent) (int, bool) {
+	won := r.WinnerByRegion
+	i := sort.Search(len(won), func(i int) bool { return won[i].Off >= atom.Off })
+	if i == len(won) || won[i].Extent != atom {
+		return 0, false
+	}
+	return won[i].Rank, true
+}
 
 // Check reads the overlapped atoms of the named file and verifies MPI
 // atomicity, assuming rank i wrote Marker(i) everywhere in views[i]:
@@ -124,18 +140,22 @@ const readWindow = 1 << 20
 // checkAtoms is the shared core of Check and CheckBytes: sweep the views
 // into atoms — the regions covered by one constant set of two or more
 // writers — read each through a window filled by read, and apply the
-// single-marker and serialization-order rules.
+// single-marker and serialization-order rules. A clean atom allocates
+// nothing: WinnerByRegion is sized for as many atoms as the views have
+// extents.
 func checkAtoms(read func(off int64, buf []byte) error, views []interval.List) (*Report, error) {
-	rep := &Report{WinnerByRegion: make(map[interval.Extent]int)}
+	rep := &Report{}
 	after := make(map[int]map[int]bool) // winner -> set of ranks it must follow
 	var (
-		end    int64  // where the last view ends: no atom reaches past it
-		win    []byte // file bytes [winOff, winOff+len(win))
-		winOff int64
-		err    error
+		end     int64  // where the last view ends: no atom reaches past it
+		extents int    // a hint for the number of atoms
+		win     []byte // file bytes [winOff, winOff+len(win))
+		winOff  int64
+		err     error
 	)
 	for _, v := range views {
 		end = max(end, v.Span().End())
+		extents += len(v)
 	}
 	index.SweepAtoms(views, func(atom interval.Extent, writers []int) bool {
 		rep.Atoms++
@@ -147,11 +167,11 @@ func checkAtoms(read func(off int64, buf []byte) error, views []interval.List) (
 				return false
 			}
 		}
-		distinct := distinctBytes(win[atom.Off-winOff : atom.End()-winOff])
+		data := win[atom.Off-winOff : atom.End()-winOff]
 		winner := -1
-		if len(distinct) == 1 {
+		if bytes.Equal(data[1:], data[:len(data)-1]) { // every byte is data[0]
 			for _, w := range writers {
-				if Marker(w) == distinct[0] {
+				if Marker(w) == data[0] {
 					winner = w
 					break
 				}
@@ -161,11 +181,14 @@ func checkAtoms(read func(off int64, buf []byte) error, views []interval.List) (
 			rep.Violations = append(rep.Violations, Violation{
 				Region:  atom,
 				Writers: slices.Clone(writers),
-				Markers: distinct,
+				Markers: distinctBytes(data),
 			})
 			return true
 		}
-		rep.WinnerByRegion[atom] = winner
+		if rep.WinnerByRegion == nil {
+			rep.WinnerByRegion = make([]index.Owned, 0, extents)
+		}
+		rep.WinnerByRegion = append(rep.WinnerByRegion, index.Owned{Extent: atom, Rank: winner})
 		if after[winner] == nil {
 			after[winner] = make(map[int]bool)
 		}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"atomio/internal/interval"
@@ -34,11 +35,13 @@ func TestMarkerAndFill(t *testing.T) {
 	if Marker(0) == 0 {
 		t.Fatal("marker 0 must not collide with unwritten bytes")
 	}
-	buf := make([]byte, 4)
-	Fill(3, buf)
-	for _, b := range buf {
-		if b != 4 {
-			t.Fatal("fill wrong")
+	for _, n := range []int{0, 1, 4, 3<<13 + 5} {
+		buf := make([]byte, n)
+		Fill(3, buf)
+		for i, b := range buf {
+			if b != 4 {
+				t.Fatalf("fill of %d bytes: byte %d is %d", n, i, b)
+			}
 		}
 	}
 }
@@ -59,8 +62,8 @@ func TestCleanOverlapPasses(t *testing.T) {
 	if rep.Atoms != 1 || rep.OverlappedBytes != 50 {
 		t.Fatalf("atoms=%d bytes=%d", rep.Atoms, rep.OverlappedBytes)
 	}
-	if rep.WinnerByRegion[ext(50, 50)] != 1 {
-		t.Fatalf("winner = %d, want 1", rep.WinnerByRegion[ext(50, 50)])
+	if w, ok := rep.Winner(ext(50, 50)); !ok || w != 1 {
+		t.Fatalf("winner = %d, %v, want 1", w, ok)
 	}
 }
 
@@ -117,7 +120,10 @@ func TestTripleOverlapAtoms(t *testing.T) {
 	if rep.Atoms != 2 {
 		t.Fatalf("atoms = %d, want 2", rep.Atoms)
 	}
-	if rep.WinnerByRegion[ext(30, 30)] != 1 || rep.WinnerByRegion[ext(60, 30)] != 2 {
+	if w, _ := rep.Winner(ext(30, 30)); w != 1 {
+		t.Fatalf("winners = %v", rep.WinnerByRegion)
+	}
+	if w, _ := rep.Winner(ext(60, 30)); w != 2 {
 		t.Fatalf("winners = %v", rep.WinnerByRegion)
 	}
 }
@@ -169,6 +175,41 @@ func TestNoOverlapNoAtoms(t *testing.T) {
 	}
 	if rep.Atoms != 0 || !rep.Atomic() {
 		t.Fatalf("rep = %+v", rep)
+	}
+}
+
+// TestCleanAtomsAllocateNothing pins the clean-atom path: checking a clean
+// image allocates as much at 4 096 atoms as at 8 192 — no map entry, byte
+// slice or slice growth per atom — and Winner finds every atom's winner in
+// the file-ordered WinnerByRegion. The collector is off while it counts:
+// a cycle started by the image's own buffers allocates too.
+func TestCleanAtomsAllocateNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(atoms int) float64 {
+		views := []interval.List{make(interval.List, atoms), make(interval.List, atoms)}
+		data := make([]byte, atoms*100)
+		for i := range atoms {
+			off := int64(i) * 100
+			views[0][i], views[1][i] = ext(off, 60), ext(off+40, 40)
+			Fill(0, data[off:off+60])
+			Fill(1, data[off+40:off+80]) // rank 1 wins [off+40, off+60)
+		}
+		rep := CheckBytes(data, views)
+		if !rep.Atomic() || rep.Atoms != atoms || len(rep.WinnerByRegion) != atoms {
+			t.Fatalf("%d atoms: report %d atoms, %d winners, atomic %v", atoms, rep.Atoms, len(rep.WinnerByRegion), rep.Atomic())
+		}
+		for i := range atoms {
+			if w, ok := rep.Winner(ext(int64(i)*100+40, 20)); !ok || w != 1 {
+				t.Fatalf("atom %d: winner %d, %v, want 1", i, w, ok)
+			}
+		}
+		if _, ok := rep.Winner(ext(40, 19)); ok {
+			t.Fatal("Winner answered for a region that is not an atom")
+		}
+		return testing.AllocsPerRun(5, func() { CheckBytes(data, views) })
+	}
+	if small, large := allocs(4096), allocs(8192); small != large {
+		t.Fatalf("CheckBytes allocates %v objects at 4096 atoms and %v at 8192", small, large)
 	}
 }
 
