@@ -1,10 +1,9 @@
 // Package coordcontract machine-enforces the sim.Coord calling
-// convention that PR 9's race was a violation of: Block and Wake — and
-// Park when it is handed a locker — must run with the owning shared
-// structure's mutex held, acquired on every path into the call with no
-// unlock in between. The contract is what keeps admission state and
-// sleeper resumption agreeing on both engines: the waker needs the same
-// lock the sleeper Blocked under, so the two sides are mutex-ordered.
+// convention: Wake — and Park when it is handed a locker — must run with
+// the owning shared structure's mutex held, acquired on every path into
+// the call with no unlock in between. The contract is what keeps a wake
+// and the sleeper's resumption agreeing: the waker needs the same lock the
+// sleeper parked under, so the two sides are mutex-ordered.
 //
 // The check is flow-sensitive (internal/analysis/cfg + dataflow): a
 // must-held analysis tracks the set of mutexes certainly held at every
@@ -17,11 +16,9 @@
 // Two deliberate exemptions, both grounded in the Coord contract
 // (internal/sim/engine.go):
 //
-//   - Park(id, nil) may run after the structure unlocks. The wake token
-//     is buffered per actor, so a Wake landing between the unlock and
-//     the park is not lost; determinism rests on Block and Wake, which
-//     this analyzer still checks. (The sharded lock table's
-//     reserve/park window is this shape.)
+//   - Park(id, nil) may run after the structure unlocks: the engine runs
+//     one actor at a time, so no Wake can land between the unlock and the
+//     park. (The sharded lock table's reserve/park window is this shape.)
 //   - A Coord method calling the same method on an inner Coord — a
 //     forwarding wrapper like obs.CoordTracer — inherits its caller's
 //     obligation instead of owning one.
@@ -40,7 +37,7 @@ import (
 // Analyzer is the coordcontract pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "coordcontract",
-	Doc:  "sim.Coord Block/Wake/Park(locker) sites must hold the owning structure's mutex on every path",
+	Doc:  "sim.Coord Wake/Park(locker) sites must hold the owning structure's mutex on every path",
 	Run:  run,
 }
 
@@ -50,7 +47,7 @@ var scope = []string{"internal/lock", "internal/mpi", "internal/pfs", "internal/
 
 // checked is the set of Coord methods carrying the under-lock
 // obligation.
-var checked = map[string]bool{"Block": true, "Wake": true, "Park": true}
+var checked = map[string]bool{"Wake": true, "Park": true}
 
 func run(pass *analysis.Pass) error {
 	if !analysis.InAnyScope(analysis.ModuleRel(pass.Pkg.Path()), scope) {
@@ -134,14 +131,14 @@ func checkNode(pass *analysis.Pass, fd *ast.FuncDecl, n ast.Node, held dataflow.
 			}
 			l := lockerArg(call.Args[1])
 			if l == "" {
-				// Park(id, nil): token-buffered, legal after unlock.
+				// Park(id, nil): legal after unlock (see package doc).
 				return true
 			}
 			if !held[l] {
 				pass.Reportf(call.Pos(),
 					"sim.Coord.Park sleeps on %s without holding it on every path into the call: acquire it first, with no unlock in between (the coordinator relocks it around the sleep)", l)
 			}
-		case "Block", "Wake":
+		case "Wake":
 			if len(held) == 0 {
 				pass.Reportf(call.Pos(),
 					"sim.Coord.%s called without the owning structure's mutex held on every path into the call: admission state and sleeper resumption can disagree (the PR 9 race class) — acquire the mutex first, with no unlock in between", name)
@@ -151,7 +148,7 @@ func checkNode(pass *analysis.Pass, fd *ast.FuncDecl, n ast.Node, held dataflow.
 	})
 }
 
-// coordCall matches call as <expr>.Block/Wake/Park(...) where the
+// coordCall matches call as <expr>.Wake/Park(...) where the
 // receiver's static type is sim.Coord (the interface itself — every
 // production call site and wrapper goes through the interface).
 func coordCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {

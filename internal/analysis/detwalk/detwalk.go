@@ -4,9 +4,9 @@
 // either the loop only collects keys that are subsequently sorted in
 // the same function, or every statement in the body is commutative
 // accumulation (counters, +=/|=-style folds, keyed writes into another
-// map, min/max tracking). Anything else is exactly the bug class PR 1's
-// sim.Gate was built to evict: host-dependent order leaking into
-// simulated output. Deliberate exceptions carry //atomiovet:allow with
+// map, min/max tracking). Anything else is exactly the bug class the
+// (virtual time, actor id) admission order exists to evict: host-dependent
+// order leaking into simulated output. Deliberate exceptions carry //atomiovet:allow with
 // a written reason.
 package detwalk
 

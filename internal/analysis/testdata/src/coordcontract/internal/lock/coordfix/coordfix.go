@@ -1,5 +1,5 @@
 // Package coordfix is a coordcontract fixture: its virtualized path
-// lies under internal/lock, where sim.Coord Block/Wake/Park(locker)
+// lies under internal/lock, where sim.Coord Wake/Park(locker)
 // sites must hold the owning structure's mutex on every path into the
 // call.
 package coordfix
@@ -17,7 +17,7 @@ type table struct {
 }
 
 // wakeUnderLock is the canonical legal shape: Wake under the same
-// mutex the sleeper Blocked under.
+// mutex the sleeper parked under.
 func (t *table) wakeUnderLock(id int, at sim.VTime) {
 	t.mu.Lock()
 	t.ready = true
@@ -31,17 +31,17 @@ func (t *table) wakeUnderLock(id int, at sim.VTime) {
 func (t *table) parkUnderDeferredUnlock(id int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.coord.Block(id)
 	for !t.ready {
 		t.coord.Park(id, &t.mu)
 	}
 }
 
 // parkNilAfterUnlock mirrors the sharded table's reserve/park window:
-// a nil locker parks on the buffered wake token, legal after unlock.
+// a nil locker parks after the unlock, legal because the engine runs one
+// actor at a time.
 func (t *table) parkNilAfterUnlock(id int) {
 	t.mu.Lock()
-	t.coord.Block(id)
+	t.ready = false
 	t.mu.Unlock()
 	t.coord.Park(id, nil)
 }
@@ -82,10 +82,10 @@ func (t *table) wakeOneArmUnlocked(id int, at sim.VTime, bail bool) {
 	t.coord.Wake(id, at) // want "Wake called without the owning structure.s mutex held"
 }
 
-// blockNoLock sleeps without admission protection.
-func (t *table) blockNoLock(id int) {
-	t.coord.Block(id) // want "Block called without the owning structure.s mutex held"
-	t.coord.Park(id, nil)
+// parkNoLock hands Park a mutex it never took: the coordinator would
+// unlock a mutex nobody holds.
+func (t *table) parkNoLock(id int) {
+	t.coord.Park(id, &t.mu) // want "Park sleeps on t.mu without holding it"
 }
 
 type pair struct {
@@ -99,7 +99,6 @@ type pair struct {
 func (p *pair) parkWrongMutex(id int) {
 	p.a.Lock()
 	defer p.a.Unlock()
-	p.coord.Block(id)
 	for !p.ready {
 		p.coord.Park(id, &p.b) // want "Park sleeps on p.b without holding it"
 	}
@@ -134,6 +133,5 @@ type tracer struct {
 	inner sim.Coord
 }
 
-func (t *tracer) Block(id int)               { t.inner.Block(id) }
 func (t *tracer) Park(id int, l sync.Locker) { t.inner.Park(id, l) }
 func (t *tracer) Wake(id int, at sim.VTime)  { t.inner.Wake(id, at) }

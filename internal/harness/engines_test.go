@@ -11,8 +11,8 @@ import (
 	"atomio/internal/obs"
 	"atomio/internal/platform"
 	"atomio/internal/sim"
-	"atomio/internal/sim/des"
 	"atomio/internal/sim/fault"
+	"atomio/internal/verify"
 )
 
 // runUnder executes the experiment on the given engine.
@@ -25,50 +25,25 @@ func runUnder(t *testing.T, e Experiment, eng sim.Engine) *Result {
 	return res
 }
 
-// pinEngines runs the experiment under both engines and fails on any
-// difference in virtual output: per-rank clocks, makespan, I/O time,
-// written volume, bandwidth, per-server stats, and — when Verify is on —
-// the atomicity report derived from the actual file contents.
-func pinEngines(t *testing.T, e Experiment) {
+// checkDelayed runs e under eight single-delay schedules drawn from seed:
+// each keeps Run's verdict without tearing, and a strategy that picks
+// winners by rule keeps Run's winners.
+func checkDelayed(t *testing.T, e Experiment, identity schedule, want *Result, seed int64) {
 	t.Helper()
-	oracle := runUnder(t, e, sim.Goroutines{})
-	loop := runUnder(t, e, des.New())
-
-	if !reflect.DeepEqual(loop.RankTimes, oracle.RankTimes) {
-		t.Errorf("per-rank clocks diverge\n eventloop %v\n goroutine %v", loop.RankTimes, oracle.RankTimes)
-	}
-	if loop.Makespan != oracle.Makespan {
-		t.Errorf("makespan diverges: eventloop %v, goroutine %v", loop.Makespan, oracle.Makespan)
-	}
-	if loop.IOTime != oracle.IOTime {
-		t.Errorf("I/O time diverges: eventloop %v, goroutine %v", loop.IOTime, oracle.IOTime)
-	}
-	if loop.WrittenBytes != oracle.WrittenBytes {
-		t.Errorf("written bytes diverge: eventloop %d, goroutine %d", loop.WrittenBytes, oracle.WrittenBytes)
-	}
-	if loop.BandwidthMBs != oracle.BandwidthMBs {
-		t.Errorf("bandwidth diverges: eventloop %v, goroutine %v", loop.BandwidthMBs, oracle.BandwidthMBs)
-	}
-	if !reflect.DeepEqual(loop.ServerStats, oracle.ServerStats) {
-		t.Errorf("server stats diverge\n eventloop %+v\n goroutine %+v", loop.ServerStats, oracle.ServerStats)
-	}
-	if (loop.Report == nil) != (oracle.Report == nil) {
-		t.Fatalf("report presence diverges: eventloop %v, goroutine %v", loop.Report, oracle.Report)
-	}
-	if loop.Report != nil && !reflect.DeepEqual(loop.Report, oracle.Report) {
-		t.Errorf("atomicity report diverges\n eventloop %+v\n goroutine %+v", loop.Report, oracle.Report)
-	}
-	if loop.Verdict != oracle.Verdict {
-		t.Errorf("verdict diverges: eventloop %q, goroutine %q", loop.Verdict, oracle.Verdict)
-	}
-	if !reflect.DeepEqual(loop.Replayed, oracle.Replayed) {
-		t.Errorf("replay set diverges: eventloop %v, goroutine %v", loop.Replayed, oracle.Replayed)
+	for _, s := range seededDelays(t, e, identity, rand.New(rand.NewSource(seed)), 8) {
+		if s.res.Verdict == verify.Torn || s.res.Verdict != want.Verdict {
+			t.Errorf("delays %v: verdict %q, Run's is %q", s.delays, s.res.Verdict, want.Verdict)
+		}
+		if deterministicPolicy(e.Strategy) && winners(s.res) != winners(want) {
+			t.Errorf("delays %v: atom winners %v, Run's are %v", s.delays, []byte(winners(s.res)), []byte(winners(want)))
+		}
 	}
 }
 
-// TestEnginesByteIdenticalRandomized pins the event-loop engine to the
-// goroutine oracle on seeded random workloads across platforms, strategies,
-// patterns and server counts. Each seed fully determines its workload, so a
+// TestEnginesByteIdenticalRandomized pins the explorer's zero-delay
+// schedule to Run on seeded random workloads across platforms, strategies,
+// patterns and server counts, and checks eight single-delay schedules of
+// each. Each seed fully determines its workload and its delays, so a
 // failure reproduces by seed.
 func TestEnginesByteIdenticalRandomized(t *testing.T) {
 	profiles := platform.All()
@@ -106,15 +81,18 @@ func TestEnginesByteIdenticalRandomized(t *testing.T) {
 			StoreData: true,
 			Verify:    true,
 		}
-		t.Run(e.String(), func(t *testing.T) { pinEngines(t, e) })
+		t.Run(e.String(), func(t *testing.T) {
+			identity, want := pinIdentity(t, e)
+			checkDelayed(t, e, identity, want, int64(seed))
+		})
 	}
 }
 
 // TestEnginesByteIdenticalCheckpoint pins a multi-step checkpoint run with
 // compute gaps — the workload where server-queue and cache state carries
-// across collective writes.
+// across collective writes — and checks single-delay schedules of it.
 func TestEnginesByteIdenticalCheckpoint(t *testing.T) {
-	pinEngines(t, Experiment{
+	e := Experiment{
 		Platform:  platform.IBMSP(),
 		M:         64,
 		N:         512,
@@ -126,17 +104,20 @@ func TestEnginesByteIdenticalCheckpoint(t *testing.T) {
 		Verify:    true,
 		Steps:     3,
 		Compute:   5_000_000,
-	})
+	}
+	identity, want := pinIdentity(t, e)
+	checkDelayed(t, e, identity, want, 1)
 }
 
 // TestEnginesByteIdenticalSharedHandshake pins every strategy whose
-// handshake is computed once per collective and shared between ranks: which
-// rank arrives first and runs the computation differs between the engines
-// (and, on the goroutine engine, between runs), and nothing observable may
-// depend on it. The writer-crash cells are the fleet's shape — rank 1 dies
-// after one segment, intents replay: the crash surrenders data, not control
-// flow, so the crashed rank still reaches every shared computation (mpi.Run
-// fails a world that ends with one unreached).
+// handshake is computed once per collective and shared between ranks, and
+// checks single-delay schedules of each: which rank arrives first and runs
+// the computation differs between schedules, and neither the verdict nor
+// the winners may depend on it. The writer-crash cells are the fleet's
+// shape — rank 1 dies after one segment, intents replay: the crash
+// surrenders data, not control flow, so the crashed rank still reaches
+// every shared computation (mpi.Run fails a world that ends with one
+// unreached).
 func TestEnginesByteIdenticalSharedHandshake(t *testing.T) {
 	strategies := []core.Strategy{core.RankOrder{}, core.Coloring{}, core.Coloring{UseSpans: true}, core.TwoPhase{}}
 	for _, strat := range strategies {
@@ -152,19 +133,25 @@ func TestEnginesByteIdenticalSharedHandshake(t *testing.T) {
 			StoreData: true,
 			Verify:    true,
 		}
-		t.Run(strat.Name(), func(t *testing.T) { pinEngines(t, e) })
+		t.Run(strat.Name(), func(t *testing.T) {
+			identity, want := pinIdentity(t, e)
+			checkDelayed(t, e, identity, want, 1)
+		})
 
 		crash := fault.WriterCrashEarly()
 		e.Faults, e.Recovery = &crash, true
-		t.Run(strat.Name()+"+writer-crash", func(t *testing.T) { pinEngines(t, e) })
+		t.Run(strat.Name()+"+writer-crash", func(t *testing.T) {
+			identity, want := pinIdentity(t, e)
+			checkDelayed(t, e, identity, want, 1)
+		})
 	}
 }
 
-// TestTraceByteIdenticalAcrossEngines pins what a traced run records to the
-// goroutine reference engine: the serialized event stream and the metrics
-// registry are identical on both engines, for the single lock table and the
-// sharded one.
-func TestTraceByteIdenticalAcrossEngines(t *testing.T) {
+// TestTraceByteIdenticalAcrossShards pins what a traced run records: the
+// serialized event stream and the metrics registry are identical for the
+// single lock table and the sharded one, and under the explorer's
+// zero-delay schedule.
+func TestTraceByteIdenticalAcrossShards(t *testing.T) {
 	jsonl := func(t *testing.T, res *Result) []byte {
 		t.Helper()
 		var buf bytes.Buffer
@@ -175,6 +162,7 @@ func TestTraceByteIdenticalAcrossEngines(t *testing.T) {
 	}
 	prof := platform.Origin2000()
 	for _, strat := range []core.Strategy{core.Locking{}, core.Coloring{}} {
+		var unsharded *Result
 		for _, shards := range []int{1, 4} {
 			e := Experiment{
 				Platform: prof, M: 256, N: 2048, Procs: 4, Overlap: 8,
@@ -182,17 +170,24 @@ func TestTraceByteIdenticalAcrossEngines(t *testing.T) {
 				LockShards: shards, TraceEvents: true,
 			}
 			t.Run(fmt.Sprintf("%s/shards=%d", strat.Name(), shards), func(t *testing.T) {
-				oracle := runUnder(t, e, sim.Goroutines{})
-				loop := runUnder(t, e, des.New())
-				want, got := jsonl(t, oracle), jsonl(t, loop)
+				res, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if unsharded == nil {
+					unsharded = res
+				}
+				got := jsonl(t, res)
 				if bytes.Count(got, []byte("\n")) < 10 {
 					t.Fatal("trace suspiciously small; test vacuous")
 				}
-				if !bytes.Equal(got, want) {
-					t.Error("event stream diverges between the engines")
-				}
-				if !reflect.DeepEqual(loop.Metrics, oracle.Metrics) {
-					t.Errorf("metrics diverge\n eventloop %+v\n goroutine %+v", loop.Metrics, oracle.Metrics)
+				for name, want := range map[string]*Result{"one shard": unsharded, "zero-delay schedule": runSchedule(t, e, nil).res} {
+					if !bytes.Equal(got, jsonl(t, want)) {
+						t.Errorf("event stream diverges from the %s run's", name)
+					}
+					if !reflect.DeepEqual(res.Metrics, want.Metrics) {
+						t.Errorf("metrics diverge from the %s run's\n got %+v\nwant %+v", name, res.Metrics, want.Metrics)
+					}
 				}
 			})
 		}

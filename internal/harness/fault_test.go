@@ -6,8 +6,6 @@ import (
 
 	"atomio/internal/core"
 	"atomio/internal/platform"
-	"atomio/internal/sim"
-	"atomio/internal/sim/des"
 	"atomio/internal/sim/fault"
 	"atomio/internal/verify"
 )
@@ -161,10 +159,10 @@ func TestFaultHealthyRunUnaffected(t *testing.T) {
 	}
 }
 
-// TestFaultVerdictsByteIdenticalAcrossEngines is the cross-engine fault
-// determinism property: for every builtin fault script, with and without
-// recovery, the event-loop and goroutine engines must produce identical
-// verdicts, replay sets, reports, timings and server stats.
+// TestFaultVerdictsByteIdenticalAcrossEngines pins the explorer's
+// zero-delay schedule to Run under every builtin fault script, with and
+// without recovery: identical verdicts, replay sets, reports, timings and
+// server stats. TestExploreFaults explores the delayed schedules.
 func TestFaultVerdictsByteIdenticalAcrossEngines(t *testing.T) {
 	for _, script := range fault.Builtins() {
 		script := script
@@ -177,19 +175,16 @@ func TestFaultVerdictsByteIdenticalAcrossEngines(t *testing.T) {
 				e := faultExperiment("locking")
 				e.Faults = &script
 				e.Recovery = recovery
-				pinEngines(t, e)
+				pinIdentity(t, e)
 			})
 		}
 	}
 }
 
-// TestFaultGeneratedScriptsDeterministic sweeps seeded generated scripts
-// through both engines: verdict and replay set are a function of the seed
-// alone.
+// TestFaultGeneratedScriptsDeterministic runs seeded generated scripts
+// under every single-delay schedule: the verdict and replay set are a
+// function of the seed alone, whatever the schedule.
 func TestFaultGeneratedScriptsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-engine sweep")
-	}
 	p := fault.GenParams{Servers: 2, Ranks: 4, LockFaults: true, WriterCrash: true}
 	for seed := uint64(1); seed <= 6; seed++ {
 		script := fault.Generate(seed, p)
@@ -197,14 +192,16 @@ func TestFaultGeneratedScriptsDeterministic(t *testing.T) {
 		e.Faults = &script
 		e.Recovery = true
 		t.Run(script.Name, func(t *testing.T) {
-			oracle := runUnder(t, e, sim.Goroutines{})
-			loop := runUnder(t, e, des.New())
-			if loop.Verdict != oracle.Verdict {
-				t.Errorf("verdict diverges: eventloop %q, goroutine %q", loop.Verdict, oracle.Verdict)
-			}
-			if !reflect.DeepEqual(loop.Replayed, oracle.Replayed) {
-				t.Errorf("replay set diverges: eventloop %v, goroutine %v", loop.Replayed, oracle.Replayed)
-			}
+			var identity *Result
+			explore(t, e, 1, func(s schedule) {
+				if identity == nil {
+					identity = s.res
+				}
+				if s.res.Verdict == verify.Torn || s.res.Verdict != identity.Verdict || !reflect.DeepEqual(s.res.Replayed, identity.Replayed) {
+					t.Errorf("delays %v: verdict %q replayed %v, the zero-delay schedule's are %q %v",
+						s.delays, s.res.Verdict, s.res.Replayed, identity.Verdict, identity.Replayed)
+				}
+			})
 		})
 	}
 }

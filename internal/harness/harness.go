@@ -169,8 +169,8 @@ type Result struct {
 	// scenarios.
 	ServerStats []pfs.ServerStats
 	// RankTimes is every rank's final virtual clock, in rank order. The
-	// cross-engine property tests pin these per-rank values (not just the
-	// makespan) to the goroutine reference engine.
+	// schedule explorer's tests pin these per-rank values (not just the
+	// makespan) between its identity schedule and Run.
 	RankTimes []sim.VTime
 }
 
@@ -331,8 +331,8 @@ func (e Experiment) config() (pfs.Config, error) {
 func (e Experiment) Run() (*Result, error) { return e.run(des.New()) }
 
 // run executes the experiment on eng. Every caller outside this package's
-// tests passes the event loop; the cross-engine tests also pass the
-// goroutine reference engine and require identical results.
+// tests passes the event loop; the schedule explorer passes an event loop
+// that delays chosen announcements, to admit actions in other legal orders.
 func (e Experiment) run(eng sim.Engine) (*Result, error) {
 	cfg, err := e.config()
 	if err != nil {

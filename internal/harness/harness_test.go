@@ -273,9 +273,9 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestBandwidthRepeatable(t *testing.T) {
-	// Virtual-time bandwidth must be stable across runs: goroutine
-	// scheduling may permute queue orders, but totals are conserved, so
-	// repeated experiments agree within a small tolerance.
+	// Virtual-time bandwidth must be stable across runs: the engine admits
+	// actions in (virtual time, actor id) order, so repeated experiments
+	// agree within a small tolerance.
 	e := Experiment{
 		Platform: platform.IBMSP(),
 		M:        512, N: 8192, Procs: 8, Overlap: 32,

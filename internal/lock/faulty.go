@@ -38,8 +38,8 @@ type Revoker interface {
 
 // RevokeAt implements Revoker for the central manager. It follows Unlock's
 // coordination protocol exactly — take the owner's turn at the caller's
-// current time, then stamp the release — so its cross-engine determinism
-// is inherited from the pinned Unlock path.
+// current time, then stamp the release — so its determinism is inherited
+// from the Unlock path.
 func (c *Central) RevokeAt(owner int, e interval.Extent, at, releaseAt sim.VTime) {
 	c.coord.Await(owner, at)
 	// The grant may already be gone (duplicate release): ignore.

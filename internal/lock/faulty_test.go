@@ -1,12 +1,9 @@
 package lock
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
 	"atomio/internal/sim"
-	"atomio/internal/sim/des"
 )
 
 // plan is a scripted FaultPlan for direct tests.
@@ -148,39 +145,6 @@ func TestFaultyName(t *testing.T) {
 	}
 	if f.Unwrap().Name() != "central" {
 		t.Errorf("Unwrap().Name = %q", f.Unwrap().Name())
-	}
-}
-
-// TestFaultyByteIdenticalAcrossEngines extends the cross-engine pinning to
-// faulted workloads: a contended multi-actor workload with a dropped
-// unlock (lease-revoked), a duplicated unlock and a delayed lock must
-// produce identical grant and release times under both engines.
-func TestFaultyByteIdenticalAcrossEngines(t *testing.T) {
-	p := plan{
-		delays: map[[2]int]sim.VTime{{2, 0}: 2 * sim.Millisecond},
-		drops:  map[[2]int]bool{{0, 0}: true},
-		dups:   map[[2]int]bool{{1, 1}: true},
-	}
-	const lease = 5 * sim.Millisecond
-	for _, flavour := range []struct {
-		name string
-		mk   func() coordManager
-	}{
-		{"central", func() coordManager { return NewFaulty(newCentralForTest(), p, lease) }},
-		{"central-sharded", func() coordManager {
-			return NewFaulty(NewCentral(CentralConfig{MsgCost: msg, ServiceTime: svc, Shards: 4, ShardStripe: 128}), p, lease)
-		}},
-		{"distributed", func() coordManager { return NewFaulty(newDistributedForTest(), p, lease) }},
-	} {
-		for seed := int64(0); seed < 2; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", flavour.name, seed), func(t *testing.T) {
-				oracle := runLockWorkload(t, flavour.mk, sim.Goroutines{}, seed, 8)
-				loop := runLockWorkload(t, flavour.mk, des.New(), seed, 8)
-				if !reflect.DeepEqual(loop, oracle) {
-					t.Errorf("faulted traces diverge\n eventloop %+v\n goroutine %+v", loop, oracle)
-				}
-			})
-		}
 	}
 }
 

@@ -12,22 +12,21 @@ import (
 
 	"atomio/internal/interval"
 	"atomio/internal/sim"
-	"atomio/internal/sim/des"
 )
 
 // massExtent is the one extent every mass-wakeup actor contends for.
 var massExtent = interval.Extent{Off: 0, Len: 100}
 
-// massWakeup runs the cascading mass wakeup on eng: actor n takes
+// massWakeup runs the cascading mass wakeup: actor n takes
 // massExtent exclusively, actors 0..n-1 queue behind it in the given mode
 // with ticket(owner), and once all of them are parked actor n calls
 // beforeRelease and releases. Each waiter calls granted when its acquire
 // returns.
-func massWakeup(t testing.TB, eng sim.Engine, tbl *table, n int, mode Mode,
+func massWakeup(t testing.TB, tbl *table, n int, mode Mode,
 	ticket func(owner int) sim.VTime, beforeRelease func(), granted func(owner int)) {
 	t.Helper()
 	e := massExtent
-	onEngine(t, eng, n+1, tbl.setCoord, func(id int, coord sim.Coord) {
+	onEngine(t, n+1, tbl.setCoord, func(id int, coord sim.Coord) {
 		if id == n {
 			// The holder acts at virtual times 0 and 2, the waiters at 1:
 			// the engine admits the release only after every waiter parked.
@@ -48,12 +47,12 @@ func massWakeup(t testing.TB, eng sim.Engine, tbl *table, n int, mode Mode,
 // massWakeupOrder blocks n exclusive waiters with shuffled tickets behind
 // one held lock, releases it, and returns the order in which the waiters
 // were granted as each one releases in turn.
-func massWakeupOrder(t *testing.T, eng sim.Engine, tbl *table, n int) []int {
+func massWakeupOrder(t *testing.T, tbl *table, n int) []int {
 	t.Helper()
 	tickets := rand.New(rand.NewSource(int64(n))).Perm(n)
 	var mu sync.Mutex
 	var order []int
-	massWakeup(t, eng, tbl, n, Exclusive,
+	massWakeup(t, tbl, n, Exclusive,
 		func(owner int) sim.VTime { return sim.VTime(1000 + tickets[owner]) },
 		func() {
 			if w := tbl.waiters(); w != n {
@@ -78,19 +77,17 @@ func massWakeupOrder(t *testing.T, eng sim.Engine, tbl *table, n int) []int {
 // extent spans several stripes of the 4-shard table).
 func TestMassWakeupGrantsInTicketOrder(t *testing.T) {
 	const n = 60
-	for _, eng := range engines() {
-		for name, tbl := range map[string]*table{
-			"S1": newTable(1, 16),
-			"S4": newTable(4, 16),
-		} {
-			order := massWakeupOrder(t, eng, tbl, n)
-			if len(order) != n {
-				t.Fatalf("%s/%s: %d grants, want %d", eng.Name(), name, len(order), n)
-			}
-			for i := 1; i < len(order); i++ {
-				if order[i-1] >= order[i] {
-					t.Fatalf("%s/%s: grant order %v not in ticket order at %d", eng.Name(), name, order, i)
-				}
+	for name, tbl := range map[string]*table{
+		"S1": newTable(1, 16),
+		"S4": newTable(4, 16),
+	} {
+		order := massWakeupOrder(t, tbl, n)
+		if len(order) != n {
+			t.Fatalf("%s: %d grants, want %d", name, len(order), n)
+		}
+		for i := 1; i < len(order); i++ {
+			if order[i-1] >= order[i] {
+				t.Fatalf("%s: grant order %v not in ticket order at %d", name, order, i)
 			}
 		}
 	}
@@ -105,7 +102,7 @@ func BenchmarkMassWakeup(b *testing.B) {
 		b.Run(fmt.Sprintf("waiters=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				massWakeup(b, des.New(), newTable(1, 0), m, Shared,
+				massWakeup(b, newTable(1, 0), m, Shared,
 					func(owner int) sim.VTime { return sim.VTime(owner) },
 					b.StartTimer, func(int) {})
 			}
@@ -290,7 +287,7 @@ func TestHandOffMatchesBruteForceModel(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(round)))
 			tbl := newTable(shards, stripe)
 			m := &lockModel{excl: map[int64]sim.VTime{}, shared: map[int64]sim.VTime{}}
-			runScript(t, des.New(), tbl, probes, func(run *scriptRunner) {
+			runScript(t, tbl, probes, func(run *scriptRunner) {
 				now := sim.VTime(1000)
 				step := func(op scriptOp) {
 					want := m.observe(m.apply(op), probes)

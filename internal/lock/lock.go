@@ -6,8 +6,8 @@
 // revocation cost.
 //
 // Managers are shared by all ranks of a run. Lock blocks the caller —
-// Block then Park on the run's sim.Coord, until the releaser's Wake — until
-// the range can be granted, and returns the virtual grant time, computed as
+// parked on the run's sim.Coord until the releaser's Wake — until the range
+// can be granted, and returns the virtual grant time, computed as
 // the maximum of the request's virtual arrival, the manager's service
 // queue, and the virtual release times of every conflicting lock that had
 // to be waited out. Because the caller sleeps until the conflicting holders

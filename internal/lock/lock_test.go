@@ -79,19 +79,17 @@ func TestSoloManagerServesOneCaller(t *testing.T) {
 }
 
 func TestNonOverlappingLocksDontWait(t *testing.T) {
-	for _, eng := range engines() {
-		for name, m := range managers() {
-			grants := make([]sim.VTime, 8)
-			onEngine(t, eng, 8, m.SetCoord, func(i int, _ sim.Coord) {
-				grants[i] = m.Lock(i, ext(int64(i*100), 100), Exclusive, 0)
-				m.Unlock(i, ext(int64(i*100), 100), grants[i])
-			})
-			// Nobody waits on a conflict; grants are bounded by message cost
-			// plus the service queue (central) or even less (distributed).
-			for i, g := range grants {
-				if g > 2*msg+8*svc+8*50*sim.Microsecond {
-					t.Errorf("%s/%s: owner %d granted at %v, too late for no-conflict", eng.Name(), name, i, g)
-				}
+	for name, m := range managers() {
+		grants := make([]sim.VTime, 8)
+		onEngine(t, 8, m.SetCoord, func(i int, _ sim.Coord) {
+			grants[i] = m.Lock(i, ext(int64(i*100), 100), Exclusive, 0)
+			m.Unlock(i, ext(int64(i*100), 100), grants[i])
+		})
+		// Nobody waits on a conflict; grants are bounded by message cost
+		// plus the service queue (central) or even less (distributed).
+		for i, g := range grants {
+			if g > 2*msg+8*svc+8*50*sim.Microsecond {
+				t.Errorf("%s: owner %d granted at %v, too late for no-conflict", name, i, g)
 			}
 		}
 	}
@@ -102,9 +100,9 @@ func TestNonOverlappingLocksDontWait(t *testing.T) {
 // releaseAt; owner 1 asks for e1 in mode1 one nanosecond after owner 0 did —
 // so the engine admits it second, while e0 is held — and releases at once.
 // It returns both grant times.
-func contend(t *testing.T, eng sim.Engine, m coordManager, e0 interval.Extent, mode0 Mode, releaseAt sim.VTime, e1 interval.Extent, mode1 Mode) (g0, g1 sim.VTime) {
+func contend(t *testing.T, m coordManager, e0 interval.Extent, mode0 Mode, releaseAt sim.VTime, e1 interval.Extent, mode1 Mode) (g0, g1 sim.VTime) {
 	t.Helper()
-	onEngine(t, eng, 2, m.SetCoord, func(owner int, _ sim.Coord) {
+	onEngine(t, 2, m.SetCoord, func(owner int, _ sim.Coord) {
 		if owner == 0 {
 			g0 = m.Lock(0, e0, mode0, 0)
 			m.Unlock(0, e0, releaseAt)
@@ -117,38 +115,32 @@ func contend(t *testing.T, eng sim.Engine, m coordManager, e0 interval.Extent, m
 }
 
 func TestOverlappingExclusiveSerializes(t *testing.T) {
-	for _, eng := range engines() {
-		for name, m := range managers() {
-			// Owner 1's overlapping request must wait for owner 0's release
-			// and inherit its virtual time.
-			const release = sim.Millisecond
-			_, g1 := contend(t, eng, m, ext(0, 100), Exclusive, release, ext(50, 100), Exclusive)
-			if g1 < release {
-				t.Errorf("%s/%s: second grant %v precedes release %v", eng.Name(), name, g1, release)
-			}
+	for name, m := range managers() {
+		// Owner 1's overlapping request must wait for owner 0's release
+		// and inherit its virtual time.
+		const release = sim.Millisecond
+		_, g1 := contend(t, m, ext(0, 100), Exclusive, release, ext(50, 100), Exclusive)
+		if g1 < release {
+			t.Errorf("%s: second grant %v precedes release %v", name, g1, release)
 		}
 	}
 }
 
 func TestSharedLocksCoexist(t *testing.T) {
-	for _, eng := range engines() {
-		for name, m := range managers() {
-			const release = 10 * sim.Second
-			_, g1 := contend(t, eng, m, ext(0, 100), Shared, release, ext(0, 100), Shared)
-			if g1 > sim.Second {
-				t.Errorf("%s/%s: shared lock delayed to %v behind a shared holder", eng.Name(), name, g1)
-			}
+	for name, m := range managers() {
+		const release = 10 * sim.Second
+		_, g1 := contend(t, m, ext(0, 100), Shared, release, ext(0, 100), Shared)
+		if g1 > sim.Second {
+			t.Errorf("%s: shared lock delayed to %v behind a shared holder", name, g1)
 		}
 	}
 }
 
 func TestSharedBlocksExclusive(t *testing.T) {
-	for _, eng := range engines() {
-		const release = sim.Millisecond
-		_, g1 := contend(t, eng, newCentralForTest(), ext(0, 100), Shared, release, ext(0, 100), Exclusive)
-		if g1 < release {
-			t.Errorf("%s: exclusive granted at %v alongside a shared lock held until %v", eng.Name(), g1, release)
-		}
+	const release = sim.Millisecond
+	_, g1 := contend(t, newCentralForTest(), ext(0, 100), Shared, release, ext(0, 100), Exclusive)
+	if g1 < release {
+		t.Errorf("exclusive granted at %v alongside a shared lock held until %v", g1, release)
 	}
 }
 
@@ -169,21 +161,19 @@ func TestCentralServiceQueueSerializesRequests(t *testing.T) {
 	// N simultaneous non-conflicting requests still queue at the central
 	// manager: the latest grant is at least N*ServiceTime after arrival.
 	const n = 16
-	for _, eng := range engines() {
-		m := newCentralForTest()
-		grants := make([]sim.VTime, n)
-		onEngine(t, eng, n, m.SetCoord, func(i int, _ sim.Coord) {
-			grants[i] = m.Lock(i, ext(int64(i*10), 10), Exclusive, 0)
-		})
-		var latest sim.VTime
-		for _, g := range grants {
-			if g > latest {
-				latest = g
-			}
+	m := newCentralForTest()
+	grants := make([]sim.VTime, n)
+	onEngine(t, n, m.SetCoord, func(i int, _ sim.Coord) {
+		grants[i] = m.Lock(i, ext(int64(i*10), 10), Exclusive, 0)
+	})
+	var latest sim.VTime
+	for _, g := range grants {
+		if g > latest {
+			latest = g
 		}
-		if want := msg + n*svc + msg; latest < want {
-			t.Fatalf("%s: latest grant %v, want >= %v (central queueing)", eng.Name(), latest, want)
-		}
+	}
+	if want := msg + n*svc + msg; latest < want {
+		t.Fatalf("latest grant %v, want >= %v (central queueing)", latest, want)
 	}
 }
 
@@ -254,12 +244,10 @@ func TestDistributedKeepsDisjointTokens(t *testing.T) {
 func TestGrantCarriesConflictReleaseTime(t *testing.T) {
 	// The virtual grant time of a waiter must be at least the *virtual*
 	// release time of the conflicting holder, however far ahead that is.
-	for _, eng := range engines() {
-		const farFuture = 42 * sim.Second
-		_, g1 := contend(t, eng, newCentralForTest(), ext(0, 10), Exclusive, farFuture, ext(5, 10), Exclusive)
-		if g1 < farFuture {
-			t.Fatalf("%s: grant %v does not carry release time %v", eng.Name(), g1, farFuture)
-		}
+	const farFuture = 42 * sim.Second
+	_, g1 := contend(t, newCentralForTest(), ext(0, 10), Exclusive, farFuture, ext(5, 10), Exclusive)
+	if g1 < farFuture {
+		t.Fatalf("grant %v does not carry release time %v", g1, farFuture)
 	}
 }
 

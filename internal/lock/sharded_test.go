@@ -156,9 +156,9 @@ type scriptRunner struct {
 	granted []wokenGrant // grants reported since the driver last settled
 }
 
-// runScript runs drive as the driver of a fresh run of eng over tbl. drive
+// runScript runs drive as the driver of a fresh run over tbl. drive
 // must leave no owner blocked in the table when it returns.
-func runScript(t *testing.T, eng sim.Engine, tbl *table, probes []interval.Extent, drive func(*scriptRunner)) {
+func runScript(t *testing.T, tbl *table, probes []interval.Extent, drive func(*scriptRunner)) {
 	t.Helper()
 	r := &scriptRunner{
 		t: t, tbl: tbl, probes: probes,
@@ -168,7 +168,7 @@ func runScript(t *testing.T, eng sim.Engine, tbl *table, probes []interval.Exten
 		r.coord = c
 		tbl.setCoord(wakeLog{Coord: c, wakes: &r.wakes})
 	}
-	onEngine(t, eng, scriptOwners+1, setCoord, func(id int, _ sim.Coord) {
+	onEngine(t, scriptOwners+1, setCoord, func(id int, _ sim.Coord) {
 		if id < scriptOwners {
 			r.own(id)
 			return
@@ -190,7 +190,6 @@ func (r *scriptRunner) own(id int) {
 		r.mu.Lock()
 		if r.inbox[id] == nil && !r.quit {
 			r.waiting[id] = true
-			r.coord.Block(id)
 			for r.inbox[id] == nil && !r.quit {
 				r.coord.Park(id, &r.mu)
 			}
@@ -266,9 +265,9 @@ func (r *scriptRunner) apply(op scriptOp) opOutcome {
 }
 
 // genScript builds a randomized workload by running it against the oracle
-// table on eng, so releases always target currently granted locks. It
+// table, so releases always target currently granted locks. It
 // returns the ops, the oracle's outcome per op, and the probe extents used.
-func genScript(t *testing.T, eng sim.Engine, r *rand.Rand, oracle *table, nOps int) ([]scriptOp, []opOutcome, []interval.Extent) {
+func genScript(t *testing.T, r *rand.Rand, oracle *table, nOps int) ([]scriptOp, []opOutcome, []interval.Extent) {
 	probes := make([]interval.Extent, 6)
 	for i := range probes {
 		probes[i] = ext(int64(r.Intn(1600)), int64(r.Intn(500)))
@@ -301,7 +300,7 @@ func genScript(t *testing.T, eng sim.Engine, r *rand.Rand, oracle *table, nOps i
 		busy     [scriptOwners]bool // owner has a blocked acquire
 		now      sim.VTime
 	)
-	runScript(t, eng, oracle, probes, func(run *scriptRunner) {
+	runScript(t, oracle, probes, func(run *scriptRunner) {
 		apply := func(op scriptOp) {
 			ops = append(ops, op)
 			out := run.apply(op)
@@ -370,25 +369,23 @@ func genScript(t *testing.T, eng sim.Engine, r *rand.Rand, oracle *table, nOps i
 // step.
 func TestShardedMatchesUnshardedOracle(t *testing.T) {
 	const stripe = 100
-	for _, eng := range engines() {
-		for round := 0; round < 4; round++ {
-			r := rand.New(rand.NewSource(int64(1000 + round)))
-			ops, want, probes := genScript(t, eng, r, newTable(1, stripe), 150)
-			for _, shards := range []int{2, 3, 4, 7, 8} {
-				diverged := false
-				runScript(t, eng, newTable(shards, stripe), probes, func(run *scriptRunner) {
-					// Past the first divergence the replay only keeps
-					// going so that every owner is released.
-					for i, op := range ops {
-						got := run.apply(op)
-						if !diverged && fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want[i]) {
-							diverged = true
-							t.Errorf("%s round %d S=%d op %d (%+v):\n got %+v\nwant %+v",
-								eng.Name(), round, shards, i, op, got, want[i])
-						}
+	for round := 0; round < 4; round++ {
+		r := rand.New(rand.NewSource(int64(1000 + round)))
+		ops, want, probes := genScript(t, r, newTable(1, stripe), 150)
+		for _, shards := range []int{2, 3, 4, 7, 8} {
+			diverged := false
+			runScript(t, newTable(shards, stripe), probes, func(run *scriptRunner) {
+				// Past the first divergence the replay only keeps
+				// going so that every owner is released.
+				for i, op := range ops {
+					got := run.apply(op)
+					if !diverged && fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want[i]) {
+						diverged = true
+						t.Errorf("round %d S=%d op %d (%+v):\n got %+v\nwant %+v",
+							round, shards, i, op, got, want[i])
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -398,37 +395,35 @@ func TestShardedMatchesUnshardedOracle(t *testing.T) {
 // only through their one shared shard, must block, and must inherit the
 // holder's virtual release time on grant.
 func TestCrossShardSpanBlocksAndGrants(t *testing.T) {
-	for _, eng := range engines() {
-		st := newTable(4, 100)
-		runScript(t, eng, st, nil, func(run *scriptRunner) {
-			wide := scriptOp{acquire: true, id: 0, owner: 0, e: ext(0, 280), mode: Exclusive, earliest: 5} // shards 0,1,2
-			if out := run.apply(wide); !out.granted || out.grantAt != 5 {
-				t.Errorf("uncontended grant: %+v, want granted at 5", out)
-			}
-			span := scriptOp{acquire: true, id: 1, owner: 1, e: ext(250, 150), mode: Exclusive, earliest: 7} // shards 2,3
-			if out := run.apply(span); out.granted || out.waiters != 1 {
-				t.Errorf("conflicting cross-shard span: %+v, want blocked", out)
-			}
-			// A span touching only shard 3 sails past the blocked waiter.
-			tail := scriptOp{acquire: true, id: 2, owner: 2, e: ext(300, 50), mode: Exclusive, earliest: 3}
-			if out := run.apply(tail); !out.granted || out.grantAt != 3 {
-				t.Errorf("disjoint shard-3 span: %+v, want granted at 3", out)
-			}
-			const releaseAt = 1000
-			// The waiter [250,400) also overlaps [300,350): it needs both
-			// releases.
-			if out := run.apply(scriptOp{owner: 0, e: wide.e, releaseAt: releaseAt}); len(out.woken) != 0 {
-				t.Errorf("granted %+v while the shard-3 conflict is still held", out.woken)
-			}
-			out := run.apply(scriptOp{owner: 2, e: tail.e, releaseOf: 2, releaseAt: releaseAt + 500})
-			if len(out.woken) != 1 || out.woken[0] != (wokenGrant{id: 1, grantAt: releaseAt + 500}) {
-				t.Errorf("cross-shard grant %+v, want op 1 at %d (latest conflicting release)", out.woken, releaseAt+500)
-			}
-			run.apply(scriptOp{owner: 1, e: span.e, releaseOf: 1, releaseAt: releaseAt + 600})
-		})
-		if st.holders() != 0 || st.waiters() != 0 {
-			t.Fatalf("%s: table not empty: %d held, %d waiting", eng.Name(), st.holders(), st.waiters())
+	st := newTable(4, 100)
+	runScript(t, st, nil, func(run *scriptRunner) {
+		wide := scriptOp{acquire: true, id: 0, owner: 0, e: ext(0, 280), mode: Exclusive, earliest: 5} // shards 0,1,2
+		if out := run.apply(wide); !out.granted || out.grantAt != 5 {
+			t.Errorf("uncontended grant: %+v, want granted at 5", out)
 		}
+		span := scriptOp{acquire: true, id: 1, owner: 1, e: ext(250, 150), mode: Exclusive, earliest: 7} // shards 2,3
+		if out := run.apply(span); out.granted || out.waiters != 1 {
+			t.Errorf("conflicting cross-shard span: %+v, want blocked", out)
+		}
+		// A span touching only shard 3 sails past the blocked waiter.
+		tail := scriptOp{acquire: true, id: 2, owner: 2, e: ext(300, 50), mode: Exclusive, earliest: 3}
+		if out := run.apply(tail); !out.granted || out.grantAt != 3 {
+			t.Errorf("disjoint shard-3 span: %+v, want granted at 3", out)
+		}
+		const releaseAt = 1000
+		// The waiter [250,400) also overlaps [300,350): it needs both
+		// releases.
+		if out := run.apply(scriptOp{owner: 0, e: wide.e, releaseAt: releaseAt}); len(out.woken) != 0 {
+			t.Errorf("granted %+v while the shard-3 conflict is still held", out.woken)
+		}
+		out := run.apply(scriptOp{owner: 2, e: tail.e, releaseOf: 2, releaseAt: releaseAt + 500})
+		if len(out.woken) != 1 || out.woken[0] != (wokenGrant{id: 1, grantAt: releaseAt + 500}) {
+			t.Errorf("cross-shard grant %+v, want op 1 at %d (latest conflicting release)", out.woken, releaseAt+500)
+		}
+		run.apply(scriptOp{owner: 1, e: span.e, releaseOf: 1, releaseAt: releaseAt + 600})
+	})
+	if st.holders() != 0 || st.waiters() != 0 {
+		t.Fatalf("table not empty: %d held, %d waiting", st.holders(), st.waiters())
 	}
 }
 

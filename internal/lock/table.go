@@ -316,12 +316,8 @@ func (t *table) acquire(owner int, e interval.Extent, mode Mode, earliest sim.VT
 		w.shards = ids
 	}
 	queue.push(w)
-	// Announced under the shard mutexes, like the matching Wake, so the
-	// coordinator cannot admit anyone on a stale view of this actor. The
-	// park itself happens after the shards unlock; a Wake landing in that
-	// window (the releaser only needs the shard mutexes) is kept by the
-	// coordinator, not lost.
-	t.coord.Block(owner)
+	// The park happens after the shards unlock: the engine runs one actor
+	// at a time, so no releaser can Wake this one in between.
 	t.unlockShards(ids)
 	t.coord.Park(owner, nil)
 	return w.grantAt

@@ -11,7 +11,6 @@ import (
 	"atomio/internal/interval"
 	"atomio/internal/obs"
 	"atomio/internal/sim"
-	"atomio/internal/sim/des"
 )
 
 // ownerTokens is one client's cached token ranges in the per-owner model.
@@ -132,7 +131,7 @@ func runTokenWorkload(t *testing.T, m tokenManager, seed int64, owners int) toke
 	rec := obs.NewRecorder(owners, 0)
 	m.SetObs(rec)
 	out := tokenRecord{grants: make([][]sim.VTime, owners)}
-	onEngine(t, des.New(), owners, m.SetCoord, func(owner int, _ sim.Coord) {
+	onEngine(t, owners, m.SetCoord, func(owner int, _ sim.Coord) {
 		r := rand.New(rand.NewSource(seed*7919 + int64(owner)))
 		now := sim.VTime(r.Intn(100)) * sim.Microsecond
 		var last, before interval.Extent

@@ -28,9 +28,9 @@ func (abortError) Error() string { return "mpi: world aborted after failure on a
 // order, which preserves per-sender FIFO ordering as MPI requires.
 //
 // The mailbox also mediates the owner's blocked state: a receive that finds
-// no match registers its pattern, Blocks and Parks through the coordinator,
-// and the sender whose put satisfies the pattern Wakes the owner — under
-// m.mu, before the owner can run again — with a lower bound on the owner's
+// no match registers its pattern and Parks through the coordinator, and the
+// sender whose put satisfies the pattern Wakes the owner — under m.mu,
+// before the owner can run again — with a lower bound on the owner's
 // post-receive virtual time. That handshake is what keeps admissions
 // deterministic across a blocking receive.
 type mailbox struct {
@@ -106,14 +106,13 @@ func (m *mailbox) take(ctx, src, tag int) *message {
 
 // match blocks until a message matching the given context, source and tag is
 // available and removes it from the queue. If the world is aborted while
-// waiting, match panics with abortError, which Run recovers. The blocked
-// state is registered with the coordinator and the owner parks through it so
-// peers can keep making progress; the wake comes from the put that satisfies
-// the pattern (or from an abort).
+// waiting, match panics with abortError, which Run recovers. The owner
+// registers its pattern and parks through the coordinator so peers can keep
+// making progress; the wake comes from the put that satisfies the pattern
+// (or from an abort), which clears the registration.
 func (m *mailbox) match(ctx, src, tag int) *message {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	registered := false
 	for {
 		if msg := m.take(ctx, src, tag); msg != nil {
 			return msg
@@ -121,11 +120,7 @@ func (m *mailbox) match(ctx, src, tag int) *message {
 		if m.aborted {
 			panic(abortError{})
 		}
-		if !registered {
-			m.wait = &waitPattern{ctx: ctx, src: src, tag: tag}
-			m.coord.Block(m.owner)
-			registered = true
-		}
+		m.wait = &waitPattern{ctx: ctx, src: src, tag: tag}
 		m.coord.Park(m.owner, &m.mu)
 	}
 }

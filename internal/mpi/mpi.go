@@ -14,8 +14,8 @@
 //
 // Ranks execute inside a World created by Run, as resumable coroutines of
 // the single-threaded event-loop scheduler (internal/sim/des) unless
-// Config.Engine names another sim.Engine (tests pass the goroutine
-// reference engine; virtual results are byte-identical on it). Every rank
+// Config.Engine names another sim.Engine (internal/harness's schedule
+// explorer passes one that reorders admissions). Every rank
 // owns a virtual clock (see package sim); sends stamp messages with the
 // sender's clock and receives advance the receiver's clock to
 // max(local, sent+transfer); the engine's coordinator admits sends in

@@ -38,7 +38,6 @@ func (c *Comm) meet(block []byte, solve func(rv *rendezvous)) *rendezvous {
 	rv.clock[c.rank], rv.blocks[c.rank] = c.clock.Now(), block
 	if rv.arrived++; rv.arrived < p {
 		w.parked[me] = true
-		coord.Block(me)
 		coord.Park(me, &w.mu)
 		if w.aborted {
 			panic(abortError{})
@@ -50,8 +49,8 @@ func (c *Comm) meet(block []byte, solve func(rv *rendezvous)) *rendezvous {
 			rv.cost[i] = w.cfg.Net.Cost(int64(len(b)))
 		}
 		solve(rv)
-		// The sleepers' trace events were appended between their Block and
-		// this Wake, the window obs.CoordTracer's cross-actor append uses.
+		// Every sleeper appended its park event before this Wake appends
+		// its wake (see obs.CoordTracer).
 		for r, id := range c.group {
 			if r != c.rank {
 				w.parked[id] = false

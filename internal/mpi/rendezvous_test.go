@@ -16,7 +16,8 @@ import (
 	"atomio/internal/sim/des"
 )
 
-var bothEngines = []sim.Engine{des.New(), sim.Goroutines{}}
+// loop is the engine every world here runs on; subtests carry its name.
+var loop = des.New()
 
 // scheduleCase is one randomized world of TestRendezvousMatchesMessageSchedule:
 // three collectives back to back (allgather, barrier, allgather of empty
@@ -84,8 +85,8 @@ type scheduleResult struct {
 	counters map[string]int64
 }
 
-// run executes the case with the given Barrier and Allgather on eng.
-func (tc scheduleCase) run(t *testing.T, eng sim.Engine, barrier func(*Comm), allgather func(*Comm, []byte) [][]byte) scheduleResult {
+// run executes the case with the given Barrier and Allgather.
+func (tc scheduleCase) run(t *testing.T, barrier func(*Comm), allgather func(*Comm, []byte) [][]byte) scheduleResult {
 	t.Helper()
 	var res scheduleResult
 	for i := range res.exits {
@@ -96,8 +97,8 @@ func (tc scheduleCase) run(t *testing.T, eng sim.Engine, barrier func(*Comm), al
 	}
 	rec := obs.NewRecorder(tc.procs, 0)
 	cfg := tc.cfg
-	cfg.Engine, cfg.Obs = eng, rec
-	cfg.Coord = obs.Trace(eng.NewCoord(tc.procs), rec)
+	cfg.Engine, cfg.Obs = loop, rec
+	cfg.Coord = obs.Trace(loop.NewCoord(tc.procs), rec)
 	_, err := Run(cfg, func(world *Comm) error {
 		c, me := world, world.Rank()
 		if tc.split {
@@ -117,7 +118,7 @@ func (tc scheduleCase) run(t *testing.T, eng sim.Engine, barrier func(*Comm), al
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Run on %s: %v", eng.Name(), err)
+		t.Fatalf("Run: %v", err)
 	}
 	res.events = make([][]mpiEvent, tc.procs)
 	for _, e := range rec.Events() {
@@ -134,8 +135,8 @@ func (tc scheduleCase) run(t *testing.T, eng sim.Engine, barrier func(*Comm), al
 
 // TestRendezvousMatchesMessageSchedule pins the rendezvous to the message
 // loops it replaced: the same exit clocks, the same blocks, the same
-// per-actor mpi events and the same message counters, on both engines —
-// and pins the counts to their formulas.
+// per-actor mpi events and the same message counters — and pins the counts
+// to their formulas.
 func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cases := []scheduleCase{newScheduleCase(rng, 12, true), newScheduleCase(rng, 31, true)}
@@ -143,36 +144,34 @@ func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 		cases = append(cases, newScheduleCase(rng, p, false))
 	}
 	for _, tc := range cases {
-		for _, eng := range bothEngines {
-			t.Run(fmt.Sprintf("P=%d/split=%v/%s", tc.procs, tc.split, eng.Name()), func(t *testing.T) {
-				got := tc.run(t, eng, (*Comm).Barrier, (*Comm).Allgather)
-				want := tc.run(t, eng, messageBarrier, messageAllgather)
-				if !reflect.DeepEqual(got.exits, want.exits) {
-					t.Errorf("exit clocks\n got %v\nwant %v", got.exits, want.exits)
+		t.Run(fmt.Sprintf("P=%d/split=%v/%s", tc.procs, tc.split, loop.Name()), func(t *testing.T) {
+			got := tc.run(t, (*Comm).Barrier, (*Comm).Allgather)
+			want := tc.run(t, messageBarrier, messageAllgather)
+			if !reflect.DeepEqual(got.exits, want.exits) {
+				t.Errorf("exit clocks\n got %v\nwant %v", got.exits, want.exits)
+			}
+			if !reflect.DeepEqual(got.tables, want.tables) {
+				t.Error("allgathered blocks differ from the ring's")
+			}
+			for a := range want.events {
+				if !reflect.DeepEqual(got.events[a], want.events[a]) {
+					t.Errorf("actor %d: mpi events\n got %v\nwant %v", a, got.events[a], want.events[a])
 				}
-				if !reflect.DeepEqual(got.tables, want.tables) {
-					t.Error("allgathered blocks differ from the ring's")
-				}
-				for a := range want.events {
-					if !reflect.DeepEqual(got.events[a], want.events[a]) {
-						t.Errorf("actor %d: mpi events\n got %v\nwant %v", a, got.events[a], want.events[a])
-					}
-				}
-				if !reflect.DeepEqual(got.counters, want.counters) {
-					t.Errorf("counters: got %v, want %v", got.counters, want.counters)
-				}
-				p := int64(tc.procs)
-				if tc.split {
-					p = int64(len(tc.subset()))
-				}
-				if n, f := got.counters[obs.MetricMsgsPrefix+"barrier"], p*int64(bits.Len(uint(p-1))); n != f {
-					t.Errorf("barrier delivered %d messages, want P*ceil(log2 P) = %d", n, f)
-				}
-				if n, f := got.counters[obs.MetricMsgsPrefix+"allgather"], 2*p*(p-1); n != f {
-					t.Errorf("two allgathers delivered %d messages, want 2*P*(P-1) = %d", n, f)
-				}
-			})
-		}
+			}
+			if !reflect.DeepEqual(got.counters, want.counters) {
+				t.Errorf("counters: got %v, want %v", got.counters, want.counters)
+			}
+			p := int64(tc.procs)
+			if tc.split {
+				p = int64(len(tc.subset()))
+			}
+			if n, f := got.counters[obs.MetricMsgsPrefix+"barrier"], p*int64(bits.Len(uint(p-1))); n != f {
+				t.Errorf("barrier delivered %d messages, want P*ceil(log2 P) = %d", n, f)
+			}
+			if n, f := got.counters[obs.MetricMsgsPrefix+"allgather"], 2*p*(p-1); n != f {
+				t.Errorf("two allgathers delivered %d messages, want 2*P*(P-1) = %d", n, f)
+			}
+		})
 	}
 }
 
@@ -181,32 +180,30 @@ func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 // solver's.
 func TestRendezvousWakesSleepersAtTheirExitClocks(t *testing.T) {
 	const p = 6
-	for _, eng := range bothEngines {
-		rec := obs.NewRecorder(p, 0)
-		exits := make([]sim.VTime, p)
-		cfg := Config{Procs: p, Engine: eng, Coord: obs.Trace(eng.NewCoord(p), rec),
-			SendOverhead: sim.Microsecond, RecvOverhead: 2 * sim.Microsecond,
-			Net: sim.LinearCost{Latency: 10 * sim.Microsecond}, Timeout: 30 * time.Second}
-		if _, err := Run(cfg, func(c *Comm) error {
-			c.Clock().Advance(sim.VTime(c.Rank()*c.Rank()) * 7 * sim.Microsecond)
-			c.Barrier()
-			exits[c.Rank()] = c.Now()
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		wakes := 0
-		for _, e := range rec.Events() {
-			if e.Layer == obs.LayerSched && e.Kind == obs.KindWake {
-				wakes++
-				if e.T != exits[e.Actor] {
-					t.Errorf("%s: rank %d woken at %v, exits the barrier at %v", eng.Name(), e.Actor, e.T, exits[e.Actor])
-				}
+	rec := obs.NewRecorder(p, 0)
+	exits := make([]sim.VTime, p)
+	cfg := Config{Procs: p, Engine: loop, Coord: obs.Trace(loop.NewCoord(p), rec),
+		SendOverhead: sim.Microsecond, RecvOverhead: 2 * sim.Microsecond,
+		Net: sim.LinearCost{Latency: 10 * sim.Microsecond}, Timeout: 30 * time.Second}
+	if _, err := Run(cfg, func(c *Comm) error {
+		c.Clock().Advance(sim.VTime(c.Rank()*c.Rank()) * 7 * sim.Microsecond)
+		c.Barrier()
+		exits[c.Rank()] = c.Now()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wakes := 0
+	for _, e := range rec.Events() {
+		if e.Layer == obs.LayerSched && e.Kind == obs.KindWake {
+			wakes++
+			if e.T != exits[e.Actor] {
+				t.Errorf("rank %d woken at %v, exits the barrier at %v", e.Actor, e.T, exits[e.Actor])
 			}
 		}
-		if wakes != p-1 {
-			t.Errorf("%s: %d wakes, want one per sleeper (%d)", eng.Name(), wakes, p-1)
-		}
+	}
+	if wakes != p-1 {
+		t.Errorf("%d wakes, want one per sleeper (%d)", wakes, p-1)
 	}
 }
 
@@ -219,28 +216,26 @@ func TestAbortUnblocksRanksParkedInACollective(t *testing.T) {
 		"allgather": func(c *Comm) { c.Allgather([]byte{1}) },
 	}
 	for name, collective := range collectives {
-		for _, eng := range bothEngines {
-			t.Run(name+"/"+eng.Name(), func(t *testing.T) {
-				start := time.Now()
-				_, err := Run(Config{Procs: 4, Engine: eng}, func(c *Comm) error {
-					if c.Rank() == 2 {
-						// Admitted after ranks 0, 1 and 3 went to sleep.
-						c.Clock().Advance(sim.Millisecond)
-						c.send(3, 0, nil)
-						return errors.New("root cause")
-					}
-					collective(c)
-					return nil
-				})
-				var re *RankError
-				if !errors.As(err, &re) || re.Rank != 2 || !strings.Contains(err.Error(), "root cause") {
-					t.Fatalf("err = %v, want rank 2's own error", err)
+		t.Run(name+"/"+loop.Name(), func(t *testing.T) {
+			start := time.Now()
+			_, err := Run(Config{Procs: 4, Engine: loop}, func(c *Comm) error {
+				if c.Rank() == 2 {
+					// Admitted after ranks 0, 1 and 3 went to sleep.
+					c.Clock().Advance(sim.Millisecond)
+					c.send(3, 0, nil)
+					return errors.New("root cause")
 				}
-				if elapsed := time.Since(start); elapsed > 5*time.Second {
-					t.Fatalf("abort took %v; the parked ranks were not unwound", elapsed)
-				}
+				collective(c)
+				return nil
 			})
-		}
+			var re *RankError
+			if !errors.As(err, &re) || re.Rank != 2 || !strings.Contains(err.Error(), "root cause") {
+				t.Fatalf("err = %v, want rank 2's own error", err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("abort took %v; the parked ranks were not unwound", elapsed)
+			}
+		})
 	}
 }
 

@@ -13,14 +13,13 @@ import (
 )
 
 // sharedWorlds are the ways a world gets its engine: a Config free of one
-// (Run brings its own event loop), the goroutine reference engine, and an
-// event loop the caller hands over together with its coordinator.
+// (Run brings its own event loop), and an event loop the caller hands over
+// together with its coordinator.
 var sharedWorlds = []struct {
 	name string
 	eng  sim.Engine
 }{
 	{"free", nil},
-	{"goroutine", sim.Goroutines{}},
 	{"eventloop", des.New()},
 }
 

@@ -176,15 +176,13 @@ func TestMailboxPendingDrains(t *testing.T) {
 		c.recv((c.Rank()+p-1)%p, 0)
 		return nil
 	})
-	for _, eng := range bothEngines {
-		_, err := Run(Config{Procs: 3, Engine: eng, Timeout: 30 * time.Second}, func(c *Comm) error {
-			if c.Rank() == 0 {
-				c.send(2, 0, []byte("lost"))
-			}
-			return nil
-		})
-		if err == nil || !strings.Contains(err.Error(), "mpi: 1 messages were sent but never received") {
-			t.Errorf("%s: run error = %v, want the unreceived-message diagnostic", eng.Name(), err)
+	_, err := Run(Config{Procs: 3, Timeout: 30 * time.Second}, func(c *Comm) error {
+		if c.Rank() == 0 {
+			c.send(2, 0, []byte("lost"))
 		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "mpi: 1 messages were sent but never received") {
+		t.Errorf("run error = %v, want the unreceived-message diagnostic", err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"atomio/internal/mpi"
 	"atomio/internal/pfs"
 	"atomio/internal/sim"
+	"atomio/internal/sim/des"
 	"atomio/internal/trace"
 	"atomio/internal/verify"
 	"atomio/internal/workload"
@@ -294,15 +295,9 @@ func TestIndependentWriteAtomicWithLocking(t *testing.T) {
 	// §5: independent (non-collective) atomic writes are possible only
 	// through locking. Two ranks write overlapping contiguous ranges
 	// independently; the result must be single-source.
-	for _, eng := range engines() {
-		testIndependentWriteAtomicWithLocking(t, eng)
-	}
-}
-
-func testIndependentWriteAtomicWithLocking(t *testing.T, eng sim.Engine) {
 	fs := testFS()
 	mgr := testMgr()
-	runOn(t, eng, eng.NewCoord(2), fs, mgr, func(c *mpi.Comm) error {
+	runOn(t, des.New().NewCoord(2), fs, mgr, func(c *mpi.Comm) error {
 		f, err := Open(c, fs, mgr, "indep.dat")
 		if err != nil {
 			return err
@@ -350,15 +345,9 @@ func TestIndependentAtomicWriteWithoutLockingFails(t *testing.T) {
 func TestAtomicReadSeesCommittedData(t *testing.T) {
 	// Writer flushes under lock; reader's atomic read invalidates its
 	// cache and takes a shared lock, so it must observe the write.
-	for _, eng := range engines() {
-		testAtomicReadSeesCommittedData(t, eng)
-	}
-}
-
-func testAtomicReadSeesCommittedData(t *testing.T, eng sim.Engine) {
 	fs := cachingFS()
 	mgr := testMgr()
-	runOn(t, eng, eng.NewCoord(2), fs, mgr, func(c *mpi.Comm) error {
+	runOn(t, des.New().NewCoord(2), fs, mgr, func(c *mpi.Comm) error {
 		f, err := Open(c, fs, mgr, "rw.dat")
 		if err != nil {
 			return err

@@ -22,19 +22,17 @@ func listioFS() *pfs.FileSystem {
 func TestListIOStrategyIsAtomic(t *testing.T) {
 	// The §3.2 extension: one atomic vectored call per rank satisfies MPI
 	// atomicity with no locks and no handshake.
-	for _, eng := range engines() {
-		fs := listioFS()
-		views := writeColumnWise(t, eng, fs, nil, 16, 64, 4, 4, core.ListIO{})
-		rep, err := verify.Check(fs, "shared.dat", views)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Atomic() {
-			t.Fatalf("%s: listio violated atomicity: %v", eng.Name(), rep.Violations)
-		}
-		if rep.Atoms == 0 {
-			t.Fatal("vacuous: no overlap atoms")
-		}
+	fs := listioFS()
+	views := writeColumnWise(t, fs, nil, 16, 64, 4, 4, core.ListIO{})
+	rep, err := verify.Check(fs, "shared.dat", views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Atomic() {
+		t.Fatalf("listio violated atomicity: %v", rep.Violations)
+	}
+	if rep.Atoms == 0 {
+		t.Fatal("vacuous: no overlap atoms")
 	}
 }
 

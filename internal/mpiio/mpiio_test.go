@@ -56,31 +56,27 @@ func run(t *testing.T, procs int, body mpi.RankFunc) {
 	}
 }
 
-// engines returns the engines every test with contending ranks runs on: the
-// event loop, and the goroutine reference engine it is pinned to.
-func engines() []sim.Engine { return []sim.Engine{des.New(), sim.Goroutines{}} }
-
-// runOn executes body on the ranks of coord, a coordinator of eng that the
-// world shares with fs and mgr (nil for none), so ranks that contend for
+// runOn executes body on the ranks of coord, an event-loop coordinator that
+// the world shares with fs and mgr (nil for none), so ranks that contend for
 // servers or locks block on one another.
-func runOn(t *testing.T, eng sim.Engine, coord sim.Coord, fs *pfs.FileSystem, mgr lock.Manager, body mpi.RankFunc) {
+func runOn(t *testing.T, coord sim.Coord, fs *pfs.FileSystem, mgr lock.Manager, body mpi.RankFunc) {
 	t.Helper()
 	fs.SetCoord(coord)
 	if m, ok := mgr.(interface{ SetCoord(sim.Coord) }); ok {
 		m.SetCoord(coord)
 	}
-	cfg := mpi.Config{Procs: coord.Actors(), Engine: eng, Coord: coord, Timeout: 60 * time.Second}
+	cfg := mpi.Config{Procs: coord.Actors(), Engine: des.New(), Coord: coord, Timeout: 60 * time.Second}
 	if _, err := mpi.Run(cfg, body); err != nil {
-		t.Fatalf("run on %s: %v", eng.Name(), err)
+		t.Fatalf("run: %v", err)
 	}
 }
 
 // writeColumnWise runs the paper's column-wise concurrent overlapping write
 // with the given strategy and returns the per-rank views for verification.
-func writeColumnWise(t *testing.T, eng sim.Engine, fs *pfs.FileSystem, mgr lock.Manager, m, n, p, r int, strat core.Strategy) []interval.List {
+func writeColumnWise(t *testing.T, fs *pfs.FileSystem, mgr lock.Manager, m, n, p, r int, strat core.Strategy) []interval.List {
 	t.Helper()
 	views := make([]interval.List, p)
-	runOn(t, eng, eng.NewCoord(p), fs, mgr, func(c *mpi.Comm) error {
+	runOn(t, des.New().NewCoord(p), fs, mgr, func(c *mpi.Comm) error {
 		piece, err := workload.ColumnWise(m, n, p, r, c.Rank())
 		if err != nil {
 			return err
@@ -121,19 +117,17 @@ func TestAtomicityAllStrategiesColumnWise(t *testing.T) {
 		for _, p := range []int{2, 4, 8} {
 			name := fmt.Sprintf("%s/P=%d", strat.Name(), p)
 			t.Run(name, func(t *testing.T) {
-				for _, eng := range engines() {
-					fs := testFS()
-					views := writeColumnWise(t, eng, fs, testMgr(), 16, 64, p, 4, strat)
-					rep, err := verify.Check(fs, "shared.dat", views)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !rep.Atomic() {
-						t.Fatalf("%s: strategy %s violated atomicity: %v", eng.Name(), strat.Name(), rep.Violations[0])
-					}
-					if rep.Atoms == 0 {
-						t.Fatal("workload produced no overlaps; test is vacuous")
-					}
+				fs := testFS()
+				views := writeColumnWise(t, fs, testMgr(), 16, 64, p, 4, strat)
+				rep, err := verify.Check(fs, "shared.dat", views)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rep.Atomic() {
+					t.Fatalf("strategy %s violated atomicity: %v", strat.Name(), rep.Violations[0])
+				}
+				if rep.Atoms == 0 {
+					t.Fatal("workload produced no overlaps; test is vacuous")
 				}
 			})
 		}
@@ -144,16 +138,14 @@ func TestAtomicityWithWriteBehindCache(t *testing.T) {
 	// Same claim on a caching file system (sync/invalidate paths).
 	for _, strat := range append(core.All(), core.TwoPhase{}) {
 		t.Run(strat.Name(), func(t *testing.T) {
-			for _, eng := range engines() {
-				fs := cachingFS()
-				views := writeColumnWise(t, eng, fs, testMgr(), 16, 64, 4, 4, strat)
-				rep, err := verify.Check(fs, "shared.dat", views)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rep.Atomic() {
-					t.Fatalf("%s: %s with cache: %v", eng.Name(), strat.Name(), rep.Violations[0])
-				}
+			fs := cachingFS()
+			views := writeColumnWise(t, fs, testMgr(), 16, 64, 4, 4, strat)
+			rep, err := verify.Check(fs, "shared.dat", views)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Atomic() {
+				t.Fatalf("%s with cache: %v", strat.Name(), rep.Violations[0])
 			}
 		})
 	}
@@ -166,7 +158,7 @@ func TestRankOrderingHighestRankWins(t *testing.T) {
 	for _, strat := range []core.Strategy{core.RankOrder{}, core.TwoPhase{}} {
 		t.Run(strat.Name(), func(t *testing.T) {
 			fs := testFS()
-			views := writeColumnWise(t, des.New(), fs, nil, 8, 32, 4, 4, strat)
+			views := writeColumnWise(t, fs, nil, 8, 32, 4, 4, strat)
 			rep, err := verify.Check(fs, "shared.dat", views)
 			if err != nil {
 				t.Fatal(err)
@@ -193,7 +185,7 @@ func TestColoringWithSpansStillAtomic(t *testing.T) {
 	// The conservative span-based handshake over-approximates conflicts
 	// (ablation A5) — it can only add colors, so atomicity must hold.
 	fs := testFS()
-	views := writeColumnWise(t, des.New(), fs, nil, 16, 64, 4, 4, core.Coloring{UseSpans: true})
+	views := writeColumnWise(t, fs, nil, 16, 64, 4, 4, core.Coloring{UseSpans: true})
 	rep, err := verify.Check(fs, "shared.dat", views)
 	if err != nil {
 		t.Fatal(err)
@@ -282,58 +274,56 @@ func TestFigure2AtomicVsNonAtomic(t *testing.T) {
 	// overlapped columns; atomic mode never does.
 	const m, n, p, r = 6, 8, 2, 2
 
-	for _, eng := range engines() {
-		// Part 1: non-atomic, zig-zag schedule -> interleaving. Each
-		// segment write is admitted at its own virtual instant: row i is
-		// written R0-then-R1 for even i, R1-then-R0 for odd i, so who wrote
-		// the overlapped columns last alternates from row to row.
-		fs := testFS()
-		views := make([]interval.List, p)
-		coord := eng.NewCoord(p)
-		runOn(t, eng, coord, fs, nil, func(c *mpi.Comm) error {
-			piece, _ := workload.ColumnWise(m, n, p, r, c.Rank())
-			views[c.Rank()] = interval.List(piece.Filetype.Flatten())
-			f, err := Open(c, fs, nil, "fig2.dat")
-			if err != nil {
-				return err
-			}
-			f.SetView(0, datatype.Byte, piece.Filetype)
-			// MPI non-atomic mode.
-			rank := c.Rank()
-			f.Client().BeforeSegment = func(seg int) {
-				turn := rank
-				if seg%2 == 1 {
-					turn = 1 - rank
-				}
-				coord.Await(rank, sim.Second*sim.VTime(1+2*seg+turn))
-			}
-			buf := make([]byte, piece.BufBytes)
-			verify.Fill(c.Rank(), buf)
-			if err := f.WriteAll(buf); err != nil {
-				return err
-			}
-			f.Client().BeforeSegment = nil
-			return f.Close()
-		})
-		rep, err := verify.Check(fs, "fig2.dat", views)
+	// Part 1: non-atomic, zig-zag schedule -> interleaving. Each
+	// segment write is admitted at its own virtual instant: row i is
+	// written R0-then-R1 for even i, R1-then-R0 for odd i, so who wrote
+	// the overlapped columns last alternates from row to row.
+	fs := testFS()
+	views := make([]interval.List, p)
+	coord := des.New().NewCoord(p)
+	runOn(t, coord, fs, nil, func(c *mpi.Comm) error {
+		piece, _ := workload.ColumnWise(m, n, p, r, c.Rank())
+		views[c.Rank()] = interval.List(piece.Filetype.Flatten())
+		f, err := Open(c, fs, nil, "fig2.dat")
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if rep.Atomic() {
-			t.Fatalf("%s: non-atomic mode under adversarial schedule should interleave (Figure 2)", eng.Name())
+		f.SetView(0, datatype.Byte, piece.Filetype)
+		// MPI non-atomic mode.
+		rank := c.Rank()
+		f.Client().BeforeSegment = func(seg int) {
+			turn := rank
+			if seg%2 == 1 {
+				turn = 1 - rank
+			}
+			coord.Await(rank, sim.Second*sim.VTime(1+2*seg+turn))
 		}
+		buf := make([]byte, piece.BufBytes)
+		verify.Fill(c.Rank(), buf)
+		if err := f.WriteAll(buf); err != nil {
+			return err
+		}
+		f.Client().BeforeSegment = nil
+		return f.Close()
+	})
+	rep, err := verify.Check(fs, "fig2.dat", views)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Atomic() {
+		t.Fatalf("non-atomic mode under adversarial schedule should interleave (Figure 2)")
+	}
 
-		// Part 2: atomic mode (any strategy) under concurrent execution
-		// never interleaves; covered exhaustively elsewhere, spot-check here.
-		fs2 := testFS()
-		views2 := writeColumnWise(t, eng, fs2, testMgr(), m, n, p, r, core.Locking{})
-		rep2, err := verify.Check(fs2, "shared.dat", views2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep2.Atomic() {
-			t.Fatalf("%s: atomic mode interleaved: %v", eng.Name(), rep2.Violations)
-		}
+	// Part 2: atomic mode (any strategy) under concurrent execution
+	// never interleaves; covered exhaustively elsewhere, spot-check here.
+	fs2 := testFS()
+	views2 := writeColumnWise(t, fs2, testMgr(), m, n, p, r, core.Locking{})
+	rep2, err := verify.Check(fs2, "shared.dat", views2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep2.Atomic() {
+		t.Fatalf("atomic mode interleaved: %v", rep2.Violations)
 	}
 }
 
@@ -353,16 +343,10 @@ func TestPerSegmentLockingViolatesMPIAtomicity(t *testing.T) {
 	// from rank 0 — every single write was locked, yet no serialization
 	// order of the two requests explains the result.
 	const m, n, p, r = 6, 8, 2, 2
-	for _, eng := range engines() {
-		testPerSegmentLocking(t, eng, m, n, p, r)
-	}
-}
-
-func testPerSegmentLocking(t *testing.T, eng sim.Engine, m, n, p, r int) {
 	fs := testFS()
 	mgr := testMgr()
 	views := make([]interval.List, p)
-	runOn(t, eng, eng.NewCoord(p), fs, mgr, func(c *mpi.Comm) error {
+	runOn(t, des.New().NewCoord(p), fs, mgr, func(c *mpi.Comm) error {
 		piece, _ := workload.ColumnWise(m, n, p, r, c.Rank())
 		views[c.Rank()] = interval.List(piece.Filetype.Flatten())
 		f, err := Open(c, fs, mgr, "perseg.dat")
@@ -397,7 +381,7 @@ func testPerSegmentLocking(t *testing.T, eng sim.Engine, m, n, p, r int) {
 		t.Fatal(err)
 	}
 	if rep.Atomic() {
-		t.Fatalf("%s: per-segment locking should NOT satisfy MPI atomicity", eng.Name())
+		t.Fatalf("per-segment locking should NOT satisfy MPI atomicity")
 	}
 	if len(rep.Violations) == 0 && rep.OrderViolation == nil {
 		t.Fatal("expected an order violation")

@@ -11,12 +11,11 @@ import (
 // sleeper's stream) publishing the wake bound, and a sched.resume when the
 // sleeper runs again.
 //
-// Thread safety leans entirely on the Coord contract: Wake is called under
-// the same shared-structure lock as the sleeper's Block, so the sleeper's
-// park append (made in Block, under that lock) is mutex-ordered before the
-// waker's wake append, and the wake append happens-before the sleeper's
-// resume append because the inner Park returns only after the matching
-// Wake. Outside that window only the owning actor touches its slot.
+// The one cross-actor append — the waker's sched.wake on the sleeper's
+// stream — is ordered by the engine, which runs one actor at a time: the
+// sleeper appends its park before the inner Park yields, so before any
+// waker runs, and its resume only after the inner Park returns, which the
+// matching Wake precedes. Otherwise only the owning actor touches its slot.
 type CoordTracer struct {
 	inner sim.Coord
 	rec   *Recorder
@@ -47,23 +46,13 @@ func (t *CoordTracer) Await(id int, at sim.VTime) {
 	t.inner.Await(id, at)
 }
 
-// Block implements sim.Coord and emits the park event. Emission happens
-// here rather than in Park because Block always runs under the shared
-// structure's lock while Park may run after it is dropped (the sharded
-// lock table's reserve/park window): the waker needs that same lock
-// before it can Wake, so the park append is mutex-ordered before the
-// wake append and the park timestamp cannot race with the wake bound.
-func (t *CoordTracer) Block(id int) {
+// Park implements sim.Coord, emitting the park event before the inner
+// Park yields and the resume event when the sleeper runs again. The resume
+// timestamp reflects the wake bound published while parked: the inner Park
+// returns only after the matching Wake, which set lastT.
+func (t *CoordTracer) Park(id int, l sync.Locker) {
 	t.rec.Emit(Event{T: t.lastT[id], Actor: id, Layer: LayerSched, Kind: KindPark, Peer: -1})
 	t.rec.Count(id, MetricParks, 1)
-	t.inner.Block(id)
-}
-
-// Park implements sim.Coord, emitting the resume event when the sleeper
-// runs again. The resume timestamp reflects the wake bound published
-// while parked: the inner Park returns only after the matching Wake, and
-// that handoff orders Wake's lastT write before this read.
-func (t *CoordTracer) Park(id int, l sync.Locker) {
 	t.inner.Park(id, l)
 	t.rec.Emit(Event{T: t.lastT[id], Actor: id, Layer: LayerSched, Kind: KindResume, Peer: -1})
 }

@@ -7,12 +7,11 @@
 // (virtual time, actor id, per-actor sequence number). Events are appended
 // to per-actor streams — an actor appends to its own stream, and the only
 // cross-actor append (a waker stamping a sched.wake onto a blocked actor's
-// stream) is ordered by the sim.Coord protocol: the sleeper's park append
-// happens in Block under the shared structure's lock the waker must hold
-// to Wake, and the sleeper's resume append happens only after the inner
-// Park returns, which the matching Wake precedes. Because both simulation
-// engines admit actions in identical (virtual time, actor id) order, the
-// merged stream is byte-identical across engines, worker counts and
+// stream) is ordered by the engine, which runs one actor at a time: the
+// sleeper's park append happens before its Park yields, and its resume
+// append only after the inner Park returns, which the matching Wake
+// precedes. Because the engine admits actions in (virtual time, actor id)
+// order, the merged stream is byte-identical across worker counts and
 // lock-shard counts.
 //
 // Memory: NewRecorder's limit selects unbounded capture (0), a per-actor

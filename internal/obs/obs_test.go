@@ -219,17 +219,25 @@ func TestWriteChromeIsValidTraceJSON(t *testing.T) {
 }
 
 // fakeCoord counts protocol calls so the tracer's pass-through is checkable.
+// Its Park runs onPark in place of the peers an engine runs while the actor
+// sleeps.
 type fakeCoord struct {
-	actors                              int
-	awaits, blocks, parks, wakes, dones int
+	actors                      int
+	awaits, parks, wakes, dones int
+	onPark                      func()
 }
 
 func (f *fakeCoord) Await(id int, at sim.VTime) { f.awaits++ }
-func (f *fakeCoord) Block(id int)               { f.blocks++ }
-func (f *fakeCoord) Park(id int, l sync.Locker) { f.parks++ }
 func (f *fakeCoord) Wake(id int, at sim.VTime)  { f.wakes++ }
 func (f *fakeCoord) Done(id int)                { f.dones++ }
 func (f *fakeCoord) Actors() int                { return f.actors }
+
+func (f *fakeCoord) Park(id int, l sync.Locker) {
+	f.parks++
+	if f.onPark != nil {
+		f.onPark()
+	}
+}
 
 func TestCoordTracer(t *testing.T) {
 	if c := (&fakeCoord{actors: 2}); Trace(c, nil) != sim.Coord(c) {
@@ -242,14 +250,14 @@ func TestCoordTracer(t *testing.T) {
 	if !ok || tracer.Unwrap() != sim.Coord(inner) {
 		t.Fatalf("Trace returned %T; want a CoordTracer wrapping inner", c)
 	}
-	// The protocol order every call site follows: announce time, Block
-	// under the shared lock, Wake from the peer, Park until the token.
+	// The protocol order every call site follows: announce time, Park,
+	// and a peer Wakes the sleeper, publishing the wake bound onto actor
+	// 0's stream.
+	inner.onPark = func() { c.Wake(0, 250) }
 	c.Await(0, 100)
-	c.Block(0)
-	c.Wake(0, 250) // publishes the wake bound onto actor 0's stream
 	c.Park(0, nil)
 	c.Done(0)
-	if inner.awaits != 1 || inner.wakes != 1 || inner.parks != 1 || inner.blocks != 1 || inner.dones != 1 {
+	if inner.awaits != 1 || inner.wakes != 1 || inner.parks != 1 || inner.dones != 1 {
 		t.Errorf("calls not passed through: %+v", inner)
 	}
 	events := rec.Events()

@@ -8,14 +8,11 @@ import (
 	"atomio/internal/sim/des"
 )
 
-// engines returns the engines every concurrent-client test runs on: the
-// event loop, and the goroutine reference engine it is pinned to.
-func engines() []sim.Engine { return []sim.Engine{des.New(), sim.Goroutines{}} }
-
 // onEngine runs body as clients 0..clients-1 of fs, concurrent actors of
-// eng booking the servers through the run's coordinator.
-func onEngine(t *testing.T, eng sim.Engine, fs *FileSystem, clients int, body func(rank int)) {
+// the event loop booking the servers through the run's coordinator.
+func onEngine(t *testing.T, fs *FileSystem, clients int, body func(rank int)) {
 	t.Helper()
+	eng := des.New()
 	coord := eng.NewCoord(clients)
 	fs.SetCoord(coord)
 	err := eng.Run(coord, clients, func(rank int) {
@@ -23,7 +20,7 @@ func onEngine(t *testing.T, eng sim.Engine, fs *FileSystem, clients int, body fu
 		body(rank)
 	})
 	if err != nil {
-		t.Fatalf("engine %s: %v", eng.Name(), err)
+		t.Fatalf("run: %v", err)
 	}
 }
 
@@ -61,18 +58,12 @@ func TestWriteVAtomicStoresData(t *testing.T) {
 }
 
 func TestWriteVAtomicNeverInterleaves(t *testing.T) {
-	for _, eng := range engines() {
-		testWriteVAtomicNeverInterleaves(t, eng)
-	}
-}
-
-func testWriteVAtomicNeverInterleaves(t *testing.T, eng sim.Engine) {
 	// Concurrent atomic vectored writes to the same overlapped region:
 	// the result must be entirely one writer's data, for every region.
 	fs := atomicFS()
 	const writers = 8
 	const segCount = 16
-	onEngine(t, eng, fs, writers, func(w int) {
+	onEngine(t, fs, writers, func(w int) {
 		c, _ := fs.Open("f", w, sim.NewClock(0))
 		segs := make([]Segment, segCount)
 		for i := range segs {
@@ -128,19 +119,13 @@ func TestWriteVAtomicSerializesVirtualTime(t *testing.T) {
 }
 
 func TestConcurrentDisjointWritersContentAndConservation(t *testing.T) {
-	for _, eng := range engines() {
-		testConcurrentDisjointWriters(t, eng)
-	}
-}
-
-func testConcurrentDisjointWriters(t *testing.T, eng sim.Engine) {
 	// 16 concurrent clients writing disjoint striped regions: all content
 	// lands correctly and the servers' total busy time equals the sum of
 	// the individual service demands (virtual work is conserved under
 	// concurrency).
 	fs := basicFS(4)
 	const writers, size = 16, 4096
-	onEngine(t, eng, fs, writers, func(w int) {
+	onEngine(t, fs, writers, func(w int) {
 		c, _ := fs.Open("f", w, sim.NewClock(0))
 		data := make([]byte, size)
 		for i := range data {

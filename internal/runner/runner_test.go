@@ -55,11 +55,12 @@ func TestRunOrderDeterministic(t *testing.T) {
 }
 
 // TestRunRepeatable runs the same grid twice — once sequentially, once
-// concurrently — and requires identical simulated metrics: the determinism
-// gate (sim.Gate) makes every cell's virtual timings independent of
-// goroutine scheduling, which is what lets `figure8 -workers N` reproduce
-// `-workers 1` byte for byte. The grid includes locking cells on both the
-// central (Origin2000) and distributed (IBM SP) lock managers.
+// concurrently — and requires identical simulated metrics: the engine's
+// (virtual time, actor id) admission order makes every cell's virtual
+// timings independent of host scheduling, which is what lets
+// `figure8 -workers N` reproduce `-workers 1` byte for byte. The grid
+// includes locking cells on both the central (Origin2000) and distributed
+// (IBM SP) lock managers.
 func TestRunRepeatable(t *testing.T) {
 	cells := smallGrid().Cells()
 	a := Records(Run(cells, Options{Workers: 1}))

@@ -1,18 +1,17 @@
-// Package des is the event-loop simulation engine: a single-threaded
-// discrete-event scheduler that runs every simulated rank as a resumable
-// coroutine and replaces the goroutine engine's park/wake per simulated
-// event with a heap pop and a coroutine switch.
+// Package des is the simulation engine: a single-threaded discrete-event
+// scheduler that runs every simulated rank as a resumable coroutine, so a
+// simulated event costs a heap pop and a coroutine switch.
 //
 // The scheduler maintains one event queue keyed lexicographically by
-// (virtual time, actor id) — the exact admission key of sim.Gate — with a
-// per-actor sequence stamp for lazy invalidation. Await pushes the actor's
-// announcement and yields; the main loop pops the globally earliest valid
-// event and resumes its actor, which then runs exclusively until its next
-// Await, Park or return. Because only one actor ever runs at a time, the
-// "turn" of the gate protocol is implicit, Block..Park windows are atomic,
-// and the admission order — and therefore every virtual timestamp the
-// simulation produces — is byte-identical to the goroutine engine's (a
-// property pinned by cross-engine tests in internal/harness).
+// (virtual time, actor id), with a per-actor sequence stamp for lazy
+// invalidation. Await pushes the actor's announcement and yields; the main
+// loop pops the globally earliest valid event and resumes its actor, which
+// then runs exclusively until its next Await, Park or return. Because only
+// one actor ever runs at a time, the exclusive turn of the sim.Coord
+// protocol is implicit, nothing runs between a structure's unlock and a
+// Park that follows it, and every virtual timestamp a simulation produces
+// is a function of its inputs alone. internal/harness's schedule explorer
+// wraps this engine to admit actions in other legal orders.
 //
 // Teardown mirrors the abort semantics of the rank runtimes: when the queue
 // drains while actors are still parked (a peer they were waiting on failed),
@@ -146,8 +145,8 @@ type actor struct {
 // scheduler implements sim.Coord for the event-loop engine. All state is
 // touched only from the scheduler's own goroutine (the main loop and the
 // coroutines it resumes run strictly one at a time), so no field needs a
-// mutex. Park's Locker gymnastics exist purely for protocol compatibility
-// with the goroutine engine's real blocking.
+// mutex. Park still releases its locker: the peers that run while the
+// actor sleeps lock the same structure.
 type scheduler struct {
 	n     int
 	pub   []sim.VTime // last announced action time per actor
@@ -185,7 +184,7 @@ func (s *scheduler) announce(id int) {
 // Await implements sim.Coord: announce (pub[id], id) — pub raised to t —
 // and yield to the scheduler, which resumes this actor when its
 // announcement is the globally earliest. On return the actor runs
-// exclusively, which is the event-loop form of holding the gate turn.
+// exclusively: the event-loop form of holding the turn.
 func (s *scheduler) Await(id int, t sim.VTime) {
 	if t > s.pub[id] {
 		s.pub[id] = t
@@ -197,11 +196,6 @@ func (s *scheduler) Await(id int, t sim.VTime) {
 	}
 	s.state[id] = running
 }
-
-// Block implements sim.Coord. Single-threadedness makes the Block..Park
-// window atomic — no other actor can run, so no Wake can race past it —
-// and a parked actor has no queue entry to exclude; nothing to record.
-func (s *scheduler) Block(id int) {}
 
 // Park implements sim.Coord: yield without an announcement, so the actor
 // sleeps until a peer's Wake re-announces it. A non-nil l is unlocked

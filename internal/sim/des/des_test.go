@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"atomio/internal/obs"
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
 )
@@ -15,10 +16,10 @@ type event struct {
 	T  sim.VTime
 }
 
-// TestSchedulerAdmitsInVirtualOrder mirrors the gate's admission test: the
-// global admission order must be the merge of all actor timelines sorted by
-// (time, id). Under the event loop this is a pure heap property, so one run
-// is already deterministic; a few trials guard the seeding path anyway.
+// TestSchedulerAdmitsInVirtualOrder checks that the global admission order
+// is the merge of all actor timelines sorted by (time, id). This is a pure
+// heap property, so one run is already deterministic; a few trials guard
+// the seeding path anyway.
 func TestSchedulerAdmitsInVirtualOrder(t *testing.T) {
 	plans := [][]sim.VTime{
 		{5, 40, 41},
@@ -102,7 +103,6 @@ func TestSchedulerParkWake(t *testing.T) {
 			got = append(got, event{1, 50})
 		case 2:
 			// Park immediately; only actor 0's Wake can resume us.
-			coord.Block(2)
 			coord.Park(2, nil)
 			coord.Await(2, 100)
 			got = append(got, event{2, 100})
@@ -135,7 +135,6 @@ func TestSchedulerStall(t *testing.T) {
 					unwound = true
 				}
 			}()
-			coord.Block(0)
 			coord.Park(0, nil) // never woken
 		}
 	})
@@ -147,11 +146,14 @@ func TestSchedulerStall(t *testing.T) {
 	}
 }
 
-// TestSchedulerRejectsForeignCoord checks Run validates its coordinator.
+// TestSchedulerRejectsForeignCoord checks Run validates its coordinator,
+// bare or behind a tracer it unwraps.
 func TestSchedulerRejectsForeignCoord(t *testing.T) {
 	eng := des.New()
-	if err := eng.Run(sim.NewGate(2), 2, func(int) {}); err == nil {
-		t.Fatal("run accepted a gate coordinator")
+	for _, c := range []sim.Coord{sim.Solo{}, obs.Trace(sim.Solo{}, obs.NewRecorder(1, 0))} {
+		if err := eng.Run(c, 1, func(int) {}); err == nil || !strings.Contains(err.Error(), "needs its own coordinator") {
+			t.Fatalf("run on %T: error %v, want a foreign-coordinator rejection", c, err)
+		}
 	}
 	if err := eng.Run(eng.NewCoord(3), 2, func(int) {}); err == nil {
 		t.Fatal("run accepted a mis-sized coordinator")

@@ -5,37 +5,29 @@ import "sync"
 // Coord is the coordination surface a deterministic simulation runs on:
 // the mailbox waits in internal/mpi, the grant-table waits in internal/lock
 // and the server bookings in internal/pfs all go through it. The engine
-// behind it is the single-threaded event-loop scheduler (internal/sim/des);
-// *Gate is the goroutine-per-actor reference implementation that tests
-// compare the event loop against. Both admit actions in the same
-// lexicographic (virtual time, actor id) order, so a simulation produces
-// byte-identical virtual output on either.
+// behind it is the single-threaded event-loop scheduler (internal/sim/des),
+// which admits actions in lexicographic (virtual time, actor id) order, so
+// a simulation's virtual output is a function of its inputs alone.
 //
 // Every blocking site follows one protocol: under the lock of the shared
-// structure it is about to sleep on, the actor calls Block, then sleeps
-// with Park; the peer that satisfies it calls Wake under the same lock, so
-// the admission state and the sleeper's resumption can never disagree.
-// Await announces an action and blocks until it is globally earliest; Done
-// retires the actor.
+// structure it is about to sleep on, the actor sleeps with Park; the peer
+// that satisfies it calls Wake under the same lock. Await announces an
+// action and blocks until it is globally earliest; Done retires the actor.
 type Coord interface {
 	// Await announces that actor id wants to act at virtual time t and
 	// blocks until that action is the earliest one pending, then takes the
 	// exclusive turn (released by the actor's next Coord call).
 	Await(id int, t VTime)
-	// Block marks the actor as waiting on another actor, excluding it from
-	// admission decisions. Call under the lock of the shared structure the
-	// actor is about to sleep on, then sleep with Park.
-	Block(id int)
-	// Park puts the Blocked actor to sleep until a peer Wakes it. If l is
-	// non-nil it is unlocked while parked and relocked before Park returns
-	// (the condition-variable protocol); the caller rechecks its predicate.
-	// A nil l parks without touching any lock.
+	// Park puts the actor to sleep until a peer Wakes it; a sleeping actor
+	// never constrains admissions. If l is non-nil it is unlocked while
+	// parked and relocked before Park returns (the condition-variable
+	// protocol); the caller rechecks its predicate. A nil l parks without
+	// touching any lock.
 	Park(id int, l sync.Locker)
 	// Wake marks a parked actor live again, publishing t as a lower bound
 	// on its next action time, and resumes its Park. It is called by the
-	// actor doing the waking, under the same shared-structure lock as the
-	// corresponding Block, before the sleeper can run again. Wake and Park
-	// pair one-to-one.
+	// actor doing the waking, under the shared-structure lock the sleeper
+	// parked under. Wake and Park pair one-to-one.
 	Wake(id int, t VTime)
 	// Done retires an actor: it no longer constrains admissions.
 	Done(id int)
@@ -43,13 +35,13 @@ type Coord interface {
 	Actors() int
 }
 
-// Engine executes the actor bodies of one simulation. Production code runs
-// on the event-loop scheduler in internal/sim/des (every actor a resumable
-// coroutine driven by one event queue); Goroutines (one real goroutine per
-// actor, coordinated by a Gate) is the reference engine the cross-engine
-// tests pin it to.
+// Engine executes the actor bodies of one simulation: the event-loop
+// scheduler in internal/sim/des, every actor a resumable coroutine driven
+// by one event queue. The interface is the seam tests substitute through —
+// internal/harness's schedule explorer wraps the event loop to admit
+// actions in other legal orders.
 type Engine interface {
-	// Name is the engine's registry name ("goroutine", "eventloop").
+	// Name is the engine's registry name ("eventloop").
 	Name() string
 	// NewCoord returns a coordinator of this engine's flavour for actors
 	// 0..actors-1. Pass it to Run and to every structure the simulation
@@ -102,46 +94,16 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// Goroutines is the reference engine: one real goroutine per actor,
-// coordinated by a Gate. No binary or facade call reaches it; tests run a
-// world on it and on the event loop and require byte-identical results.
-type Goroutines struct{}
-
-// Name implements Engine.
-func (Goroutines) Name() string { return "goroutine" }
-
-// NewCoord implements Engine: goroutine worlds coordinate through a Gate.
-func (Goroutines) NewCoord(actors int) Coord { return NewGate(actors) }
-
-// Run implements Engine: spawn the bodies and wait for all of them.
-func (Goroutines) Run(_ Coord, actors int, body func(id int)) error {
-	var wg sync.WaitGroup
-	for i := 0; i < actors; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			body(id)
-		}(i)
-	}
-	wg.Wait()
-	return nil
-}
-
-var _ Engine = Goroutines{}
-
 // Solo is the coordinator of a structure no engine drives: a lock manager,
 // file system or mailbox touched by one actor on the caller's own goroutine
 // (setup code, single-client tools, unit tests). With nobody to order
-// against, Await, Block, Wake and Done have nothing to do. Park panics: an
+// against, Await, Wake and Done have nothing to do. Park panics: an
 // actor that must sleep needs a peer to wake it, and without an engine
 // there is none — the call would hang forever.
 type Solo struct{}
 
 // Await implements Coord.
 func (Solo) Await(int, VTime) {}
-
-// Block implements Coord.
-func (Solo) Block(int) {}
 
 // Park implements Coord by panicking (see Solo).
 func (Solo) Park(id int, _ sync.Locker) {

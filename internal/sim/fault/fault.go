@@ -6,13 +6,12 @@
 // extents recorded as damage; a lock fault fires on the owner's n-th lock
 // or unlock operation (program order, which is deterministic per rank); a
 // writer crash kills a rank after a fixed number of write segments. Because
-// every decision depends only on values that are byte-identical across the
-// goroutine and event-loop engines, a faulted run is exactly as
-// reproducible as a healthy one: same seed, same verdict, either engine.
+// every decision depends only on virtual values, a faulted run is exactly
+// as reproducible as a healthy one: same seed, same verdict.
 //
 // The package deliberately has no "at wall moment t, mutate state" hook:
-// store writes race in real time under the goroutine engine, so any
-// trigger-at-moment mutation would be nondeterministic. "Server s loses
+// host time is not part of the model, so any trigger-at-moment mutation
+// would make a run depend on the host. "Server s loses
 // its unsynced chunk store when it crashes" is modeled as a drop window
 // opening at virtual time zero (the bytes were never durable), not as a
 // retroactive wipe.

@@ -116,8 +116,7 @@ func (Free) Cost(int64) VTime { return 0 }
 
 // Resource is a shared, serially used facility (a disk head, an I/O server's
 // service loop, a lock manager's request queue) that processes requests
-// first-come-first-served in virtual time. It is safe for concurrent use by
-// multiple actor goroutines.
+// first-come-first-served in virtual time. It is safe for concurrent use.
 type Resource struct {
 	mu     sync.Mutex
 	name   string
@@ -136,8 +135,8 @@ func (r *Resource) Name() string { return r.name }
 // needing `dur` of service. It returns the virtual start and completion
 // times. The caller's clock should be advanced to the returned end time.
 //
-// Ties between concurrent callers are resolved by real arrival order at the
-// mutex; for callers with identical virtual arrival times the aggregate
+// Callers book in the order the engine admits them, (virtual time, actor
+// id); for callers with identical virtual arrival times the aggregate
 // completion time is order-independent.
 func (r *Resource) Acquire(at, dur VTime) (start, end VTime) {
 	if dur < 0 {

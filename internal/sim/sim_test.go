@@ -169,7 +169,6 @@ func TestVTimeHelpers(t *testing.T) {
 func TestSoloParkPanics(t *testing.T) {
 	var c Coord = Solo{}
 	c.Await(3, 10)
-	c.Block(3)
 	c.Wake(3, 20)
 	c.Done(3)
 	defer func() {

@@ -44,9 +44,9 @@ func traceBytes(t *testing.T, s *Spec) []byte {
 
 // TestTraceByteIdenticalAcrossEnginesAndShards asserts the determinism
 // contract the facade can observe: the serialized event stream of a traced
-// cell is byte-identical under every lock-shard count. The engine axis —
-// the same bytes from the goroutine reference engine — is pinned below the
-// facade, by internal/harness's TestTraceByteIdenticalAcrossEngines.
+// cell is byte-identical under every lock-shard count. That the schedule
+// explorer's zero-delay engine records the same bytes is pinned below the
+// facade, by internal/harness's TestTraceByteIdenticalAcrossShards.
 func TestTraceByteIdenticalAcrossEnginesAndShards(t *testing.T) {
 	for _, strategy := range []string{"locking", "coloring"} {
 		t.Run(strategy, func(t *testing.T) {
