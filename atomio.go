@@ -238,12 +238,6 @@ func Compute(d time.Duration) Option {
 	return func(s *Spec) error { s.Compute = sim.VTime(d); return nil }
 }
 
-// Timeout overrides the run's real-time deadlock guard (0 keeps the
-// simulator default; large-P runs need more).
-func Timeout(d time.Duration) Option {
-	return func(s *Spec) error { s.RunTimeout = d; return nil }
-}
-
 // build applies options to the defaults without the final validation: a
 // Grid's shared settings need not be runnable on the default shape.
 func build(opts []Option) (*Spec, error) {

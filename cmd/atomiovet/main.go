@@ -1,11 +1,12 @@
 // Command atomiovet is the repo's static-analysis gate: one multichecker
 // binary running the custom contract analyzers (detwalk, simclock,
-// vtflow, shardorder, waitcycle, coordcontract, hotalloc, layering,
-// registry) alongside the vet-hardening passes (shadow, copylocks,
-// nilness) over every package. It machine-enforces the invariants the
-// determinism and deadlock-freedom arguments rest on; CI runs
-// `go run ./cmd/atomiovet ./...` as the lint job and fails on any
-// diagnostic. Exceptions are written in the code as
+// shardorder, waitcycle, coordcontract, layering, registry) alongside the
+// vet-hardening passes (shadow, nilness) over every package. It
+// machine-enforces the invariants the determinism and deadlock-freedom
+// arguments rest on, and only those no test or `go vet` pass checks:
+// each analyzer's catalogued mutant (testdata/mutants) passes every other
+// check. CI runs `go run ./cmd/atomiovet ./...` as the lint job and fails
+// on any diagnostic. Exceptions are written in the code as
 // `//atomiovet:allow <analyzer> <reason>` comments — the suppression
 // parser rejects allows with no reason, unknown analyzer names, and
 // stale allows that no longer fire.
@@ -25,14 +26,12 @@ import (
 	"atomio/internal/analysis"
 	"atomio/internal/analysis/coordcontract"
 	"atomio/internal/analysis/detwalk"
-	"atomio/internal/analysis/hotalloc"
 	"atomio/internal/analysis/layering"
 	"atomio/internal/analysis/load"
 	"atomio/internal/analysis/registrycheck"
 	"atomio/internal/analysis/shardorder"
 	"atomio/internal/analysis/simclock"
 	"atomio/internal/analysis/stdvet"
-	"atomio/internal/analysis/vtflow"
 	"atomio/internal/analysis/waitcycle"
 )
 
@@ -40,15 +39,12 @@ import (
 var analyzers = []*analysis.Analyzer{
 	detwalk.Analyzer,
 	simclock.Analyzer,
-	vtflow.Analyzer,
 	shardorder.Analyzer,
 	waitcycle.Analyzer,
 	coordcontract.Analyzer,
-	hotalloc.Analyzer,
 	layering.Analyzer,
 	registrycheck.Analyzer,
 	stdvet.Shadow,
-	stdvet.Copylocks,
 	stdvet.Nilness,
 }
 

@@ -59,11 +59,11 @@ func TestWriteJSON(t *testing.T) {
 		{
 			name: "order and escaping",
 			diags: []analysis.Diagnostic{
-				{Pos: token.Position{Filename: "a.go", Line: 1, Column: 1}, Analyzer: "vtflow", Message: `taint "wall" reaches sink`},
-				{Pos: token.Position{Filename: "b.go", Line: 2, Column: 2}, Analyzer: "hotalloc", Message: "append may grow"},
+				{Pos: token.Position{Filename: "a.go", Line: 1, Column: 1}, Analyzer: "shadow", Message: `declaration of "err" shadows`},
+				{Pos: token.Position{Filename: "b.go", Line: 2, Column: 2}, Analyzer: "simclock", Message: "time.Now reads the host clock"},
 			},
-			want: `{"file":"a.go","line":1,"col":1,"analyzer":"vtflow","message":"taint \"wall\" reaches sink"}` + "\n" +
-				`{"file":"b.go","line":2,"col":2,"analyzer":"hotalloc","message":"append may grow"}` + "\n",
+			want: `{"file":"a.go","line":1,"col":1,"analyzer":"shadow","message":"declaration of \"err\" shadows"}` + "\n" +
+				`{"file":"b.go","line":2,"col":2,"analyzer":"simclock","message":"time.Now reads the host clock"}` + "\n",
 		},
 	}
 	for _, tc := range cases {

@@ -54,7 +54,6 @@ func TestNewValidation(t *testing.T) {
 		{"too many lock shards", []Option{LockShards(1 << 28), Strategy("locking")}, "lock shards must be"},
 		{"bad checkpoints", []Option{Checkpoints(-1)}, "checkpoint steps must be non-negative"},
 		{"bad compute", []Option{Compute(-time.Second)}, "compute time must be non-negative"},
-		{"bad timeout", []Option{Timeout(-time.Second)}, "timeout must be non-negative"},
 		{"indivisible shape", []Option{Procs(3)}, "not divisible"},
 		{"nil option", []Option{nil}, "nil option"},
 		{"locking on Cplant", []Option{Platform("Cplant"), Strategy("locking")}, "no byte-range locking"},
@@ -83,7 +82,7 @@ func TestEveryExperimentFieldHasAnOption(t *testing.T) {
 		"Platform": Platform("Cplant"), "M": Array(7, 9), "N": Array(7, 9), "Procs": Procs(2),
 		"Overlap": Overlap(2), "Pattern": Pattern("row"), "Strategy": Strategy("ordering"),
 		"StoreData": StoreData(true), "Verify": Verify(true), "Trace": Trace(true),
-		"TraceEvents": TraceEvents(true), "EventLimit": TraceLimit(16), "RunTimeout": Timeout(time.Minute),
+		"TraceEvents": TraceEvents(true), "EventLimit": TraceLimit(16),
 		"LockShards": LockShards(2), "Servers": Servers(3), "Scenario": Scenario("slow0x4"),
 		"Steps": Checkpoints(3), "Compute": Compute(time.Millisecond), "Faults": Fault("server-outage"),
 		"Recovery": Recovery(true),

@@ -1,8 +1,8 @@
 // Package dataflow solves iterative dataflow problems over the
 // control-flow graphs of internal/analysis/cfg: a generic worklist
 // solver parameterized by the client's lattice (join, equality,
-// transfer), plus the reusable facts the contract analyzers share — a
-// taint walk (taint.go) and an escape walk (escape.go). The solver
+// transfer), plus the set-shaped facts its clients, coordcontract and
+// waitcycle, share. The solver
 // propagates forward, along control flow, and is deliberately simple:
 // analyzer inputs are single function bodies, where a round-robin
 // worklist converges in a handful of passes.

@@ -1,12 +1,14 @@
 // Package simclock forbids host wall-clock and unseeded randomness
-// inside the simulation packages, so virtual time (the only time the
-// paper's figures report) can never be contaminated by the machine the
-// simulation happens to run on. PR 1's determinism contract — figure8
-// output byte-identical at any worker count — survives only while
+// anywhere in the module but the analysis suite, so virtual time (the
+// only time the paper's figures report) can never be contaminated by the
+// machine the simulation happens to run on. The determinism contract —
+// figure8 output byte-identical at any worker count — survives only while
 // time.Now, time.Since, and math/rand's process-seeded global source
-// stay out of every package that feeds simulated output; the runner's
-// wall_ns measurement sites are the sanctioned exceptions, carried as
-// //atomiovet:allow comments with their rationale.
+// stay out of every package that feeds simulated output, and the binaries
+// print that output. The runner's wall_ns measurement site is the one
+// sanctioned exception, carried as //atomiovet:allow comments with its
+// rationale; that its value stays beside the results, never inside them,
+// is pinned by runner's TestRunRepeatable and TestRunOrderDeterministic.
 package simclock
 
 import (
@@ -19,20 +21,20 @@ import (
 // Analyzer is the simclock pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "simclock",
-	Doc:  "forbid wall-clock reads and unseeded randomness in simulation packages",
+	Doc:  "forbid wall-clock reads and unseeded randomness everywhere but the analysis suite",
 	Run:  run,
 }
 
-// outside lists the module subtrees that are not simulation code: the
-// binaries and flag layer may report host wall time, and the analysis
-// suite never touches virtual time at all. Everything else is in scope.
-var outside = []string{"cmd", "examples", "internal/cli", "internal/analysis"}
+// outside lists the module subtrees the pass skips: the analysis suite,
+// which never touches virtual time and whose fixtures break contracts on
+// purpose. Everything else is in scope, the binaries included: a
+// wall-clock read anywhere else needs a reasoned allow.
+var outside = []string{"internal/analysis"}
 
-// WallClock is the banned surface of package time: functions that read
+// wallClock is the banned surface of package time: functions that read
 // or schedule against the host clock. Pure conversions and constants
-// (time.Duration, time.Unix arithmetic) stay legal. Exported because
-// vtflow uses the same set as its taint sources.
-var WallClock = map[string]bool{
+// (time.Duration, time.Unix arithmetic) stay legal.
+var wallClock = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"Tick": true, "After": true, "AfterFunc": true,
 	"NewTimer": true, "NewTicker": true,
@@ -72,9 +74,9 @@ func run(pass *analysis.Pass) error {
 			}
 			switch pkgName.Imported().Path() {
 			case "time":
-				if WallClock[sel.Sel.Name] {
+				if wallClock[sel.Sel.Name] {
 					pass.Reportf(call.Pos(),
-						"time.%s reads the host clock: simulation packages report virtual time only (use sim.VTime)",
+						"time.%s reads the host clock: results are virtual time only (use sim.VTime); a host-time measurement needs a reasoned allow",
 						sel.Sel.Name)
 				}
 			case "math/rand", "math/rand/v2":

@@ -10,5 +10,6 @@ import (
 func TestFixtures(t *testing.T) {
 	analyzertest.Run(t, simclock.Analyzer,
 		"./internal/analysis/testdata/src/simclock/internal/sim/clockfix",
-		"./internal/analysis/testdata/src/simclock/internal/cli/clockok")
+		"./internal/analysis/testdata/src/simclock/cmd/wallfix",
+		"./internal/analysis/testdata/src/simclock/internal/analysis/clockok")
 }

@@ -2,12 +2,12 @@
 // atomiovet multichecker, so one binary runs the custom contract
 // analyzers and the general-correctness passes together: Shadow (an
 // inner := rebinds a name whose outer binding is still used afterwards
-// — the classic swallowed-err shape), Copylocks (a value containing a
-// sync/sync.atomic type is copied by assignment, argument, or range),
-// and Nilness (a pointer compared to nil immediately after it was
-// provably non-nil, or dereferenced on the branch where it is nil).
-// They are adjacent to, not clones of, upstream vet's passes: narrower
-// where upstream needs SSA, deliberately zero-config.
+// — the classic swallowed-err shape) and Nilness (a pointer compared to
+// nil immediately after it was provably non-nil, or dereferenced on the
+// branch where it is nil). Neither is in `go vet ./...`'s default set;
+// copying a lock by value is, so it is left to vet's copylocks. They are
+// adjacent to, not clones of, upstream's passes: narrower where upstream
+// needs SSA, deliberately zero-config.
 package stdvet
 
 import (
@@ -24,14 +24,6 @@ var Shadow = &analysis.Analyzer{
 	Name: "shadow",
 	Doc:  "inner declaration shadows an outer variable that is used after the inner scope ends",
 	Run:  runShadow,
-}
-
-// Copylocks reports by-value copies of types that transitively contain
-// sync or sync/atomic state.
-var Copylocks = &analysis.Analyzer{
-	Name: "copylocks",
-	Doc:  "lock-bearing values must not be copied",
-	Run:  runCopylocks,
 }
 
 // Nilness reports trivially decidable nil mistakes.
@@ -116,96 +108,6 @@ func usedAfter(pass *analysis.Pass, obj types.Object, end token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// --- copylocks ---
-
-func runCopylocks(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				for _, rhs := range st.Rhs {
-					checkCopy(pass, rhs, "assignment")
-				}
-			case *ast.RangeStmt:
-				if st.Value != nil {
-					if tv, ok := pass.Info.Types[st.X]; ok {
-						switch seq := tv.Type.Underlying().(type) {
-						case *types.Slice:
-							reportLock(pass, st.Value.Pos(), seq.Elem(), "range value")
-						case *types.Array:
-							reportLock(pass, st.Value.Pos(), seq.Elem(), "range value")
-						}
-					}
-				}
-			case *ast.CallExpr:
-				for _, arg := range st.Args {
-					checkCopy(pass, arg, "call argument")
-				}
-			case *ast.FuncDecl:
-				if st.Recv != nil {
-					for _, field := range st.Recv.List {
-						if tv, ok := pass.Info.Types[field.Type]; ok {
-							reportLock(pass, field.Pos(), tv.Type, "receiver")
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// checkCopy reports when expr copies an existing lock-bearing value: an
-// identifier, field, index, or dereference (fresh composite literals
-// and function results are initializations, not copies).
-func checkCopy(pass *analysis.Pass, expr ast.Expr, what string) {
-	switch expr.(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-	default:
-		return
-	}
-	if tv, ok := pass.Info.Types[expr]; ok && tv.IsValue() {
-		reportLock(pass, expr.Pos(), tv.Type, what)
-	}
-}
-
-// reportLock reports if t (by value) transitively contains sync state.
-func reportLock(pass *analysis.Pass, pos token.Pos, t types.Type, what string) {
-	if path := lockPath(t, make(map[types.Type]bool)); path != "" {
-		pass.Reportf(pos, "%s copies lock value: %s contains %s", what, t.String(), path)
-	}
-}
-
-// lockPath returns the name of the sync/sync.atomic type t transitively
-// contains by value, or "".
-func lockPath(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if pkg := obj.Pkg(); pkg != nil && (pkg.Path() == "sync" || pkg.Path() == "sync/atomic") {
-			if _, isStruct := named.Underlying().(*types.Struct); isStruct {
-				return pkg.Path() + "." + obj.Name()
-			}
-		}
-		return lockPath(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if p := lockPath(u.Field(i).Type(), seen); p != "" {
-				return p
-			}
-		}
-	case *types.Array:
-		return lockPath(u.Elem(), seen)
-	}
-	return ""
 }
 
 // --- nilness ---

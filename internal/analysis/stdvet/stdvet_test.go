@@ -12,11 +12,6 @@ func TestShadowFixtures(t *testing.T) {
 		"./internal/analysis/testdata/src/stdvet/shadowfix")
 }
 
-func TestCopylocksFixtures(t *testing.T) {
-	analyzertest.Run(t, stdvet.Copylocks,
-		"./internal/analysis/testdata/src/stdvet/copylocksfix")
-}
-
 func TestNilnessFixtures(t *testing.T) {
 	analyzertest.Run(t, stdvet.Nilness,
 		"./internal/analysis/testdata/src/stdvet/nilnessfix")

@@ -1,6 +1,6 @@
 // Package clockok is a simclock fixture: its virtualized path lies under
-// internal/cli, outside the simulation scope, so wall-clock reads are not
-// simclock's business here.
+// internal/analysis, the one subtree outside the pass's scope, so
+// wall-clock reads are not simclock's business here.
 package clockok
 
 import "time"

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"atomio/internal/interval"
 	"atomio/internal/mpi"
@@ -13,7 +12,7 @@ import (
 
 func runRanks(t *testing.T, procs int, body mpi.RankFunc) {
 	t.Helper()
-	if _, err := mpi.Run(mpi.Config{Procs: procs, Timeout: 30 * time.Second}, body); err != nil {
+	if _, err := mpi.Run(mpi.Config{Procs: procs}, body); err != nil {
 		t.Fatal(err)
 	}
 }

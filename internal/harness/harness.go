@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"atomio/internal/core"
 	"atomio/internal/datatype"
@@ -91,10 +90,6 @@ type Experiment struct {
 	// > 0 keeps only the newest EventLimit events per actor (ring buffer),
 	// 0 is unbounded, < 0 records metrics only. Large-P cells use a ring.
 	EventLimit int
-	// RunTimeout overrides the MPI run's real-time deadlock guard (0 uses
-	// the mpi package default). Large-P scaling cells push millions of
-	// simulated messages through one host and need more than the default.
-	RunTimeout time.Duration
 	// LockShards overrides the platform's lock-table shard count (0 keeps
 	// the platform default). Virtual timings — and therefore every
 	// reported number — are byte-identical for any value; sharding
@@ -300,8 +295,6 @@ func (e Experiment) config() (pfs.Config, error) {
 		return cfg, fmt.Errorf("harness: %d checkpoint steps of a %dx%d array exceed int64 bytes", e.Steps, e.M, e.N)
 	case e.Compute < 0:
 		return cfg, fmt.Errorf("harness: compute time must be non-negative, got %v", e.Compute)
-	case e.RunTimeout < 0:
-		return cfg, fmt.Errorf("harness: run timeout must be non-negative, got %v", e.RunTimeout)
 	case e.Strategy == nil:
 		return cfg, fmt.Errorf("harness: nil strategy")
 	case e.Strategy.Name() == "locking" && !e.Platform.SupportsLocking():
@@ -432,9 +425,6 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 	mpiCfg.Coord = coord
 	mpiCfg.Engine = eng
 	mpiCfg.Obs = events
-	if e.RunTimeout > 0 {
-		mpiCfg.Timeout = e.RunTimeout
-	}
 	res, runErr := mpi.Run(mpiCfg, func(c *mpi.Comm) error {
 		piece, err := e.piece(c.Rank())
 		if err != nil {

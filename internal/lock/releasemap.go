@@ -24,9 +24,8 @@ type relEntry struct {
 }
 
 // latest returns the maximum recorded release time over any byte of e,
-// or 0. Runs once per grant decision: it must not allocate.
-//
-//atomiovet:hotpath
+// or 0. Runs once per grant decision: it must not allocate
+// (TestHandOffAllocationIndependentOfWaiters).
 func (m *releaseMap) latest(e interval.Extent) sim.VTime {
 	if e.Empty() {
 		return 0
@@ -45,9 +44,7 @@ func (m *releaseMap) latest(e interval.Extent) sim.VTime {
 
 // window returns the index range [lo, hi) of the entries that overlap or
 // abut e — the only ones a record of e can change or coalesce with. It
-// must not allocate.
-//
-//atomiovet:hotpath
+// must not allocate (TestReleaseMapRecordInPlace).
 func (m *releaseMap) window(e interval.Extent) (lo, hi int) {
 	lo = sort.Search(len(m.entries), func(i int) bool { return m.entries[i].ext.End() >= e.Off })
 	hi = lo + sort.Search(len(m.entries)-lo, func(i int) bool { return m.entries[lo+i].ext.Off > e.End() })

@@ -218,9 +218,7 @@ func shardMod(k int64, s int) int {
 // lockShards takes the mutexes of ids in ascending order (reserve phase).
 // Every caller orders ids ascending, which is what makes cross-shard
 // operations deadlock-free. On the hot path of every acquire/release: it
-// must not allocate.
-//
-//atomiovet:hotpath
+// must not allocate (TestHandOffAllocationIndependentOfWaiters).
 func (t *table) lockShards(ids []int) {
 	for _, id := range ids {
 		t.shards[id].mu.Lock()
@@ -228,9 +226,8 @@ func (t *table) lockShards(ids []int) {
 }
 
 // unlockShards releases the mutexes of ids in descending order. On the
-// hot path of every acquire/release: it must not allocate.
-//
-//atomiovet:hotpath
+// hot path of every acquire/release: it must not allocate
+// (TestHandOffAllocationIndependentOfWaiters).
 func (t *table) unlockShards(ids []int) {
 	for i := len(ids) - 1; i >= 0; i-- {
 		t.shards[ids[i]].mu.Unlock()
@@ -241,9 +238,7 @@ func (t *table) unlockShards(ids []int) {
 // wait queue of its replica in a shard of ids, or nil when none does: the
 // overlap walk stops at the first blocker. Callers hold the mutexes of ids
 // = shardIDs(e). Runs once per request and once per queued waiter a release
-// pops: it must not allocate.
-//
-//atomiovet:hotpath
+// pops: it must not allocate (TestHandOffAllocationIndependentOfWaiters).
 func (t *table) witnessLocked(owner int, e interval.Extent, mode Mode, ids []int) (*held, *waitQueue) {
 	var found *held
 	for _, id := range ids {

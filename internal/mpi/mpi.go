@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"atomio/internal/obs"
 	"atomio/internal/sim"
@@ -48,9 +47,6 @@ type Config struct {
 	// charged to the sender and receiver respectively.
 	SendOverhead sim.VTime
 	RecvOverhead sim.VTime
-	// Timeout is the real-time limit for the whole run; it guards tests
-	// against communication deadlocks. Zero means 120 seconds.
-	Timeout time.Duration
 	// Engine executes the rank bodies. Nil means a fresh event-loop engine
 	// (internal/sim/des).
 	Engine sim.Engine
@@ -72,9 +68,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Net == nil {
 		c.Net = sim.Free{}
-	}
-	if c.Timeout == 0 {
-		c.Timeout = 120 * time.Second
 	}
 	return c
 }
@@ -117,8 +110,8 @@ func newWorld(cfg Config) *World {
 }
 
 // abortAll wakes every rank blocked in a receive or a rendezvous; used when
-// a rank fails so the failure surfaces immediately instead of as a run
-// timeout (this mirrors MPI's job-abort-on-error behaviour).
+// a rank fails so the failure surfaces as its own error instead of as an
+// engine stall (this mirrors MPI's job-abort-on-error behaviour).
 func (w *World) abortAll() {
 	for _, m := range w.mailboxes {
 		m.abort()
@@ -171,9 +164,9 @@ func (e *RankError) Unwrap() error { return e.Err }
 // rendezvous are unwound immediately (MPI's job-abort-on-error behaviour),
 // and the root-cause error is the one reported. A run that otherwise ends
 // cleanly but leaves a collective half-entered or a message unreceived fails
-// too: some rank skipped a call its peers made. If the ranks do not finish within
-// cfg.Timeout (a communication deadlock), Run returns an error instead of
-// hanging forever.
+// too: some rank skipped a call its peers made. A communication deadlock
+// cannot hang: the engine reports the ranks still waiting on peers once no
+// rank can run, and Run returns that stall.
 //
 // Ranks run on cfg.Engine and block through cfg.Coord; Run supplies the
 // event loop and its coordinator for whichever is unset (see Config).
@@ -230,18 +223,7 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 		}
 	}
 
-	var engErr error
-	done := make(chan struct{})
-	go func() {
-		engErr = cfg.Engine.Run(cfg.Coord, cfg.Procs, rankBody)
-		close(done)
-	}()
-	select {
-	case <-done:
-	//atomiovet:allow simclock host-time watchdog against a run that never returns; wall time never reaches simulated results
-	case <-time.After(cfg.Timeout):
-		return nil, fmt.Errorf("mpi: run timed out after %v (likely communication deadlock)", cfg.Timeout)
-	}
+	engErr := cfg.Engine.Run(cfg.Coord, cfg.Procs, rankBody)
 
 	res := &Result{Times: make([]sim.VTime, cfg.Procs)}
 	for i, c := range w.clocks {

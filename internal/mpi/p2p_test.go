@@ -15,7 +15,7 @@ import (
 // run executes body on procs ranks and returns the result.
 func run(t *testing.T, procs int, body RankFunc) *Result {
 	t.Helper()
-	res, err := Run(Config{Procs: procs, Timeout: 30 * time.Second}, body)
+	res, err := Run(Config{Procs: procs}, body)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -89,7 +89,6 @@ func TestRunEngineAndCoord(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Procs = 2
-			tc.cfg.Timeout = 30 * time.Second
 			var ran atomic.Bool
 			_, err := Run(tc.cfg, func(c *Comm) error {
 				ran.Store(true)
@@ -137,13 +136,16 @@ func TestRunRecoversPanic(t *testing.T) {
 	}
 }
 
-func TestRunDeadlockTimeout(t *testing.T) {
-	_, err := Run(Config{Procs: 2, Timeout: 200 * time.Millisecond}, func(c *Comm) error {
+// TestRunDeadlockReportsStall: a communication deadlock cannot hang Run.
+// Once no rank can run, the engine reports the ranks still waiting on
+// peers, and that stall is Run's error.
+func TestRunDeadlockReportsStall(t *testing.T) {
+	_, err := Run(Config{Procs: 2}, func(c *Comm) error {
 		c.recv(1-c.Rank(), 0) // nobody sends: deadlock
 		return nil
 	})
-	if err == nil {
-		t.Fatal("expected timeout error")
+	if err == nil || !strings.HasPrefix(err.Error(), "des: ") || !strings.Contains(err.Error(), "still waiting on peers") {
+		t.Fatalf("err = %v, want the des stall report", err)
 	}
 }
 

@@ -37,7 +37,6 @@ func newScheduleCase(rng *rand.Rand, procs int, split bool) scheduleCase {
 		SendOverhead: sim.VTime(rng.Intn(3)) * 700,
 		RecvOverhead: sim.VTime(rng.Intn(3)) * 900,
 		Net:          sim.LinearCost{Latency: sim.VTime(rng.Intn(4)) * 1100, BytesPerSec: int64(rng.Intn(3)) << 24},
-		Timeout:      30 * time.Second,
 	}
 	for i := range tc.skews {
 		tc.skews[i] = make([]sim.VTime, procs)
@@ -184,7 +183,7 @@ func TestRendezvousWakesSleepersAtTheirExitClocks(t *testing.T) {
 	exits := make([]sim.VTime, p)
 	cfg := Config{Procs: p, Engine: loop, Coord: obs.Trace(loop.NewCoord(p), rec),
 		SendOverhead: sim.Microsecond, RecvOverhead: 2 * sim.Microsecond,
-		Net: sim.LinearCost{Latency: 10 * sim.Microsecond}, Timeout: 30 * time.Second}
+		Net: sim.LinearCost{Latency: 10 * sim.Microsecond}}
 	if _, err := Run(cfg, func(c *Comm) error {
 		c.Clock().Advance(sim.VTime(c.Rank()*c.Rank()) * 7 * sim.Microsecond)
 		c.Barrier()
@@ -209,7 +208,7 @@ func TestRendezvousWakesSleepersAtTheirExitClocks(t *testing.T) {
 
 // TestAbortUnblocksRanksParkedInACollective: a rank that fails before a
 // collective its peers already sleep in surfaces as the root cause at once,
-// not as a stall report or a run timeout.
+// not as a stall report.
 func TestAbortUnblocksRanksParkedInACollective(t *testing.T) {
 	collectives := map[string]func(*Comm){
 		"barrier":   (*Comm).Barrier,
@@ -243,7 +242,7 @@ func TestAbortUnblocksRanksParkedInACollective(t *testing.T) {
 // collective can never leave it, and the run says which kind of mistake
 // that is instead of only listing the stalled actors.
 func TestCollectiveSkippedByOneRankFailsTheRun(t *testing.T) {
-	_, err := Run(Config{Procs: 3, Timeout: 30 * time.Second}, func(c *Comm) error {
+	_, err := Run(Config{Procs: 3}, func(c *Comm) error {
 		if c.Rank() != 1 {
 			c.Barrier()
 		}

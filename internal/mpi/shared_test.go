@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
@@ -28,7 +27,7 @@ var sharedWorlds = []struct {
 // test here also checks that the table drains.
 func runShared(t *testing.T, eng sim.Engine, procs int, body RankFunc) {
 	t.Helper()
-	cfg := Config{Procs: procs, Timeout: 30 * time.Second, SendOverhead: sim.Microsecond}
+	cfg := Config{Procs: procs, SendOverhead: sim.Microsecond}
 	if eng != nil {
 		cfg.Engine = eng
 		cfg.Coord = eng.NewCoord(procs)
@@ -158,7 +157,7 @@ func parity(p, bit int) []int {
 // panics does so on the rank that ran it, and no other rank is handed a
 // half-made value — the run fails with the panic as its cause.
 func TestSharedPanicReachesEveryRank(t *testing.T) {
-	_, err := Run(Config{Procs: 4, Timeout: 30 * time.Second}, func(c *Comm) error {
+	_, err := Run(Config{Procs: 4}, func(c *Comm) error {
 		c.Shared(func() any { panic("bad compute") })
 		return nil
 	})
@@ -171,7 +170,7 @@ func TestSharedPanicReachesEveryRank(t *testing.T) {
 // skips a Shared call strands the entry its peers made, and Run reports it
 // instead of letting the next call on that communicator pair up wrongly.
 func TestSharedSkippedCallFailsTheRun(t *testing.T) {
-	_, err := Run(Config{Procs: 3, Timeout: 30 * time.Second}, func(c *Comm) error {
+	_, err := Run(Config{Procs: 3}, func(c *Comm) error {
 		if c.Rank() != 1 {
 			c.Shared(func() any { return 0 })
 		}

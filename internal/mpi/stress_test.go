@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"atomio/internal/sim"
 )
@@ -176,7 +175,7 @@ func TestMailboxPendingDrains(t *testing.T) {
 		c.recv((c.Rank()+p-1)%p, 0)
 		return nil
 	})
-	_, err := Run(Config{Procs: 3, Timeout: 30 * time.Second}, func(c *Comm) error {
+	_, err := Run(Config{Procs: 3}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.send(2, 0, []byte("lost"))
 		}

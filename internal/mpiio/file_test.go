@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"atomio/internal/core"
 	"atomio/internal/datatype"
@@ -487,7 +486,7 @@ func TestEmptyCollectiveWriteKeepsPhaseAccounting(t *testing.T) {
 			rec := trace.NewRecorder(p).Ensure(phases...)
 			elapsed := make([]sim.VTime, p)
 			cfg := mpi.Config{
-				Procs: p, Timeout: 60 * time.Second,
+				Procs:        p,
 				Net:          sim.LinearCost{Latency: 20 * sim.Microsecond, BytesPerSec: 100 << 20},
 				SendOverhead: sim.Microsecond, RecvOverhead: sim.Microsecond,
 			}

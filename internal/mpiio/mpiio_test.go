@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"atomio/internal/core"
 	"atomio/internal/datatype"
@@ -51,7 +50,7 @@ func testMgr() lock.Manager {
 // never make one rank wait for another; tests where they do use runOn.
 func run(t *testing.T, procs int, body mpi.RankFunc) {
 	t.Helper()
-	if _, err := mpi.Run(mpi.Config{Procs: procs, Timeout: 60 * time.Second}, body); err != nil {
+	if _, err := mpi.Run(mpi.Config{Procs: procs}, body); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
@@ -65,7 +64,7 @@ func runOn(t *testing.T, coord sim.Coord, fs *pfs.FileSystem, mgr lock.Manager, 
 	if m, ok := mgr.(interface{ SetCoord(sim.Coord) }); ok {
 		m.SetCoord(coord)
 	}
-	cfg := mpi.Config{Procs: coord.Actors(), Engine: des.New(), Coord: coord, Timeout: 60 * time.Second}
+	cfg := mpi.Config{Procs: coord.Actors(), Engine: des.New(), Coord: coord}
 	if _, err := mpi.Run(cfg, body); err != nil {
 		t.Fatalf("run: %v", err)
 	}
