@@ -1,9 +1,10 @@
 // Command atomiovet is the repo's static-analysis gate: one multichecker
 // binary running the custom contract analyzers (detwalk, simclock,
-// shardorder, waitcycle, coordcontract, layering, registry) alongside the
-// vet-hardening passes (shadow, nilness) over every package. It
-// machine-enforces the invariants the determinism and deadlock-freedom
-// arguments rest on, and only those no test or `go vet` pass checks:
+// layering, registry) alongside the vet-hardening passes (shadow, nilness)
+// over every package. It machine-enforces the invariants the determinism
+// argument rests on — among them that simulator packages stay on the
+// engine's one thread, with no goroutines and no locks — and only those
+// no test or `go vet` pass checks:
 // each analyzer's catalogued mutant (testdata/mutants) passes every other
 // check. CI runs `go run ./cmd/atomiovet ./...` as the lint job and fails
 // on any diagnostic. Exceptions are written in the code as
@@ -24,24 +25,18 @@ import (
 	"os"
 
 	"atomio/internal/analysis"
-	"atomio/internal/analysis/coordcontract"
 	"atomio/internal/analysis/detwalk"
 	"atomio/internal/analysis/layering"
 	"atomio/internal/analysis/load"
 	"atomio/internal/analysis/registrycheck"
-	"atomio/internal/analysis/shardorder"
 	"atomio/internal/analysis/simclock"
 	"atomio/internal/analysis/stdvet"
-	"atomio/internal/analysis/waitcycle"
 )
 
 // analyzers is the full suite, custom contracts first.
 var analyzers = []*analysis.Analyzer{
 	detwalk.Analyzer,
 	simclock.Analyzer,
-	shardorder.Analyzer,
-	waitcycle.Analyzer,
-	coordcontract.Analyzer,
 	layering.Analyzer,
 	registrycheck.Analyzer,
 	stdvet.Shadow,

@@ -50,11 +50,11 @@ func TestWriteJSON(t *testing.T) {
 		{
 			name: "single",
 			diags: []analysis.Diagnostic{{
-				Pos:      token.Position{Filename: "internal/lock/lock.go", Line: 7, Column: 3},
-				Analyzer: "coordcontract",
-				Message:  "Wake without lock",
+				Pos:      token.Position{Filename: "internal/pfs/pfs.go", Line: 7, Column: 3},
+				Analyzer: "simclock",
+				Message:  "go statement inside a cell",
 			}},
-			want: `{"file":"internal/lock/lock.go","line":7,"col":3,"analyzer":"coordcontract","message":"Wake without lock"}` + "\n",
+			want: `{"file":"internal/pfs/pfs.go","line":7,"col":3,"analyzer":"simclock","message":"go statement inside a cell"}` + "\n",
 		},
 		{
 			name: "order and escaping",
@@ -82,7 +82,7 @@ func TestWriteJSON(t *testing.T) {
 // TestRunExitCodes pins the process contract: 0 clean, 1 findings, 2
 // flag or load failure — with findings on stdout and errors on stderr.
 func TestRunExitCodes(t *testing.T) {
-	const fixture = "../../internal/analysis/testdata/src/coordcontract/internal/lock/coordfix"
+	const fixture = "../../internal/analysis/testdata/src/simclock/internal/pfs/threadfix"
 	cases := []struct {
 		name string
 		args []string
@@ -122,7 +122,7 @@ func TestRunExitCodes(t *testing.T) {
 // TestRunJSONOutput checks that -json output is parseable JSON lines
 // carrying the same findings as the text rendering.
 func TestRunJSONOutput(t *testing.T) {
-	const fixture = "../../internal/analysis/testdata/src/coordcontract/internal/lock/coordfix"
+	const fixture = "../../internal/analysis/testdata/src/simclock/internal/pfs/threadfix"
 	var stdout, stderr bytes.Buffer
 	if got := run([]string{"-json", fixture}, &stdout, &stderr); got != 1 {
 		t.Fatalf("run -json over fixture = %d, want 1 (stderr: %s)", got, stderr.String())

@@ -27,7 +27,7 @@
 //
 // -lockshards S partitions every cell's lock-manager table across S offset
 // stripes (see internal/lock). Reported numbers are byte-identical for any
-// S — sharding changes host-side lock-service concurrency only — which
+// S — sharding changes only the host-side partition of the table — which
 // makes the flag a live determinism check. -shardsweep runs the dedicated
 // shard sweep (atomio.ShardSweep): one contended locking cell per shard
 // count, printing virtual bandwidth (constant) next to wall time.

@@ -28,8 +28,8 @@ func TestLoadRealPackage(t *testing.T) {
 		t.Fatal("no files parsed")
 	}
 	// The type of a selector on an imported type must resolve through
-	// export data: find any sync.Mutex-typed field use.
-	sawMutex := false
+	// export data: find any sim.VTime-typed selector.
+	sawVTime := false
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -42,15 +42,15 @@ func TestLoadRealPackage(t *testing.T) {
 			}
 			if named, ok := tv.Type.(*types.Named); ok {
 				obj := named.Obj()
-				if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Mutex" {
-					sawMutex = true
+				if obj.Pkg() != nil && obj.Pkg().Path() == "atomio/internal/sim" && obj.Name() == "VTime" {
+					sawVTime = true
 				}
 			}
 			return true
 		})
 	}
-	if !sawMutex {
-		t.Error("no sync.Mutex selector resolved; export-data importing is broken")
+	if !sawVTime {
+		t.Error("no sim.VTime selector resolved; export-data importing is broken")
 	}
 }
 

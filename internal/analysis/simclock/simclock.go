@@ -9,11 +9,19 @@
 // sanctioned exception, carried as //atomiovet:allow comments with its
 // rationale; that its value stays beside the results, never inside them,
 // is pinned by runner's TestRunRepeatable and TestRunOrderDeterministic.
+//
+// The same contract needs one thread inside a cell. The event-loop engine
+// runs one actor at a time, so no simulator structure carries a lock, and
+// a goroutine started inside a cell would race on all of them. So in the
+// internal packages every go statement and every import of sync or
+// sync/atomic is reported too. internal/runner is exempt: its worker pool
+// runs whole cells in parallel, and cells share no simulator state.
 package simclock
 
 import (
 	"go/ast"
 	"go/types"
+	"strconv"
 
 	"atomio/internal/analysis"
 )
@@ -21,7 +29,7 @@ import (
 // Analyzer is the simclock pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "simclock",
-	Doc:  "forbid wall-clock reads and unseeded randomness everywhere but the analysis suite",
+	Doc:  "forbid wall-clock reads and unseeded randomness, and goroutines and sync inside a cell",
 	Run:  run,
 }
 
@@ -30,6 +38,11 @@ var Analyzer = &analysis.Analyzer{
 // purpose. Everything else is in scope, the binaries included: a
 // wall-clock read anywhere else needs a reasoned allow.
 var outside = []string{"internal/analysis"}
+
+// threaded is the subtree whose packages run inside a cell, on the
+// engine's one thread, and pool the one package in it that runs cells on
+// a worker pool.
+const threaded, pool = "internal", "internal/runner"
 
 // wallClock is the banned surface of package time: functions that read
 // or schedule against the host clock. Pure conversions and constants
@@ -54,8 +67,22 @@ func run(pass *analysis.Pass) error {
 	if analysis.InAnyScope(rel, outside) {
 		return nil
 	}
+	oneThread := analysis.HasPathPrefix(rel, threaded) && !analysis.HasPathPrefix(rel, pool)
 	for _, f := range pass.Files {
+		if oneThread {
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); path == "sync" || path == "sync/atomic" {
+					pass.Reportf(imp.Pos(),
+						"import of %s inside a cell: the engine runs one actor at a time, so simulator state needs no locks",
+						path)
+				}
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok && oneThread {
+				pass.Reportf(g.Pos(),
+					"go statement inside a cell: every actor runs on the engine's one thread (a peer that must run is a Coord actor)")
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true

@@ -10,6 +10,8 @@ import (
 func TestFixtures(t *testing.T) {
 	analyzertest.Run(t, simclock.Analyzer,
 		"./internal/analysis/testdata/src/simclock/internal/sim/clockfix",
+		"./internal/analysis/testdata/src/simclock/internal/pfs/threadfix",
+		"./internal/analysis/testdata/src/simclock/internal/runner/poolok",
 		"./internal/analysis/testdata/src/simclock/cmd/wallfix",
 		"./internal/analysis/testdata/src/simclock/internal/analysis/clockok")
 }

@@ -122,7 +122,15 @@ func (a *App) Output(withProgress bool) *Output {
 	}
 	a.Flags.StringVar(&o.CPUProfile, "cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
 	a.Flags.StringVar(&o.MemProfile, "memprofile", "", "write a host allocation profile of the run to this file")
+	a.Check(o.validate)
 	return o
+}
+
+func (o *Output) validate() error {
+	if o.Workers < 0 {
+		return fmt.Errorf("-workers must be non-negative, got %d", o.Workers)
+	}
+	return nil
 }
 
 // Run executes cells on the facade's worker pool under the group's flags,

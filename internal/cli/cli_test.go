@@ -117,6 +117,34 @@ func TestModelValidation(t *testing.T) {
 	}
 }
 
+// TestOutputValidation checks -workers: 0 means all CPUs, and a negative
+// count is rejected with the same diagnostic shape and exit status as
+// -lockshards -1 instead of silently running on all CPUs.
+func TestOutputValidation(t *testing.T) {
+	cases := []struct {
+		args []string
+		code int
+		want string // diagnostic substring
+	}{
+		{[]string{}, 0, ""},
+		{[]string{"-workers", "0"}, 0, ""},
+		{[]string{"-workers", "3"}, 0, ""},
+		{[]string{"-workers", "-3"}, 1, "test: -workers must be non-negative, got -3"},
+		{[]string{"-workers", "x"}, 2, "invalid value"},
+	}
+	for _, tc := range cases {
+		var buf strings.Builder
+		app := New("test")
+		app.SetOutput(&buf)
+		app.Output(false)
+		err := app.Parse(tc.args)
+		if ExitCode(err) != tc.code || !strings.Contains(buf.String(), tc.want) {
+			t.Errorf("Parse(%v): exit %d, diagnostic %q; want exit %d with %q",
+				tc.args, ExitCode(err), buf.String(), tc.code, tc.want)
+		}
+	}
+}
+
 // parseGroups parses args into a fresh Model and Trace group.
 func parseGroups(t *testing.T, args ...string) (*Model, *Trace) {
 	t.Helper()

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 
 	"atomio/internal/core"
@@ -83,8 +82,8 @@ func (c *delayCoord) Await(id int, t sim.VTime) {
 }
 
 // Park implements sim.Coord.
-func (c *delayCoord) Park(id int, l sync.Locker) {
-	c.Coord.Park(id, l)
+func (c *delayCoord) Park(id int) {
+	c.Coord.Park(id)
 	c.order = append(c.order, byte(2*id+1))
 }
 

@@ -93,7 +93,7 @@ type Experiment struct {
 	// LockShards overrides the platform's lock-table shard count (0 keeps
 	// the platform default). Virtual timings — and therefore every
 	// reported number — are byte-identical for any value; sharding
-	// changes host-side lock-service concurrency only (see internal/lock).
+	// changes only the host-side partition of the table (see internal/lock).
 	LockShards int
 	// Servers overrides the platform's simulated I/O-server count (0
 	// keeps the platform default). Server count is a real model parameter:

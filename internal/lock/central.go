@@ -18,7 +18,7 @@ type CentralConfig struct {
 	ServiceTime sim.VTime
 	// Shards partitions the manager's lock table across this many
 	// offset-stripe shards (0 or less means one). Sharding
-	// changes host-side concurrency and data-structure size only — the
+	// changes host-side data-structure size only — the
 	// simulated service model and every virtual timestamp are invariant
 	// in the shard count.
 	Shards int

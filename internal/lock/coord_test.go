@@ -50,12 +50,9 @@ func tableOf(m Manager) *table {
 
 // relLatest reports the latest recorded virtual release times of exclusive
 // and shared locks over any byte of e (the observable state of the release
-// history); the per-shard maxima combine as in grantLocked.
+// history); the per-shard maxima combine as in grant.
 func (t *table) relLatest(e interval.Extent) (excl, shared sim.VTime) {
-	ids := t.shardIDs(e)
-	t.lockShards(ids)
-	defer t.unlockShards(ids)
-	for _, id := range ids {
+	for _, id := range t.shardIDs(e) {
 		excl = max(excl, t.shards[id].exclRel.latest(e))
 		shared = max(shared, t.shards[id].sharedRel.latest(e))
 	}
@@ -64,8 +61,6 @@ func (t *table) relLatest(e interval.Extent) (excl, shared sim.VTime) {
 
 // granted returns every granted lock, once however many shards it covers.
 func (t *table) granted() []*held {
-	t.lockShards(t.ids)
-	defer t.unlockShards(t.ids)
 	seen := map[*held]bool{}
 	var out []*held
 	for _, sh := range t.shards {

@@ -3,7 +3,6 @@ package lock
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"atomio/internal/interval"
 	"atomio/internal/obs"
@@ -46,7 +45,6 @@ type Distributed struct {
 	coord   sim.Coord
 	obs     *obs.Recorder
 
-	mu     sync.Mutex
 	runs   []tokenRun // every client's cached tokens, ascending by offset
 	others []int      // scratch: the owners one request revokes
 
@@ -99,7 +97,6 @@ func (d *Distributed) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime
 			Tag: mode.String(), Peer: -1, Off: e.Off, Len: e.Len,
 		})
 	}
-	d.mu.Lock()
 	// The runs overlapping e are [lo, hi); an owner's token covers e only
 	// within one run.
 	lo := sort.Search(len(d.runs), func(i int) bool { return d.runs[i].ext.End() > e.Off })
@@ -113,7 +110,6 @@ func (d *Distributed) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime
 		d.serverGrants++
 		d.revocations += int64(revoked)
 	}
-	d.mu.Unlock()
 
 	// Fast path: by token exclusivity no other client can hold a conflicting
 	// token, so only table registration is needed. The slow path asks the
@@ -150,7 +146,7 @@ func (d *Distributed) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime
 // take gives owner the token for non-empty e and returns how many other
 // owners it revokes: the runs [lo, hi) overlapping e keep only their parts
 // outside it, and owner's run over e absorbs the owner's runs it overlaps or
-// touches. Callers hold d.mu.
+// touches.
 func (d *Distributed) take(lo, hi, owner int, e interval.Extent) int {
 	others := d.others[:0]
 	for _, r := range d.runs[lo:hi] {
@@ -204,8 +200,6 @@ func (d *Distributed) Unlock(owner int, e interval.Extent, at sim.VTime) sim.VTi
 
 // Stats reports fast-path grants, server grants, and token revocations.
 func (d *Distributed) Stats() (localGrants, serverGrants, revocations int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.localGrants, d.serverGrants, d.revocations
 }
 

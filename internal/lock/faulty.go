@@ -1,8 +1,6 @@
 package lock
 
 import (
-	"sync"
-
 	"atomio/internal/interval"
 	"atomio/internal/obs"
 	"atomio/internal/sim"
@@ -69,7 +67,6 @@ type Faulty struct {
 	lease sim.VTime
 	obs   *obs.Recorder
 
-	mu        sync.Mutex
 	lockOps   map[int]int
 	unlockOps map[int]int
 	grants    map[grantKey]sim.VTime
@@ -119,9 +116,7 @@ func (f *Faulty) SetObs(o *obs.Recorder) {
 func (f *Faulty) Unwrap() Manager { return f.inner }
 
 // nextOp returns and advances owner's per-class operation index.
-func nextOp(mu *sync.Mutex, ops map[int]int, owner int) int {
-	mu.Lock()
-	defer mu.Unlock()
+func nextOp(ops map[int]int, owner int) int {
 	op := ops[owner]
 	ops[owner] = op + 1
 	return op
@@ -130,11 +125,9 @@ func nextOp(mu *sync.Mutex, ops map[int]int, owner int) int {
 // Lock implements Manager: the request is issued at at plus any scripted
 // delay, and the grant time is remembered for lease accounting.
 func (f *Faulty) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime) sim.VTime {
-	op := nextOp(&f.mu, f.lockOps, owner)
+	op := nextOp(f.lockOps, owner)
 	grant := f.inner.Lock(owner, e, mode, at+f.plan.LockDelay(owner, op))
-	f.mu.Lock()
 	f.grants[grantKey{owner, e}] = grant
-	f.mu.Unlock()
 	return grant
 }
 
@@ -143,12 +136,10 @@ func (f *Faulty) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime) sim
 // one the range stays locked. A duplicated unlock delivers the release
 // twice; the second copy is an idempotent no-op.
 func (f *Faulty) Unlock(owner int, e interval.Extent, at sim.VTime) sim.VTime {
-	op := nextOp(&f.mu, f.unlockOps, owner)
-	f.mu.Lock()
+	op := nextOp(f.unlockOps, owner)
 	key := grantKey{owner, e}
 	grant, ok := f.grants[key]
 	delete(f.grants, key)
-	f.mu.Unlock()
 	if !ok {
 		grant = at
 	}

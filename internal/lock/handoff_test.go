@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -50,7 +49,6 @@ func massWakeup(t testing.TB, tbl *table, n int, mode Mode,
 func massWakeupOrder(t *testing.T, tbl *table, n int) []int {
 	t.Helper()
 	tickets := rand.New(rand.NewSource(int64(n))).Perm(n)
-	var mu sync.Mutex
 	var order []int
 	massWakeup(t, tbl, n, Exclusive,
 		func(owner int) sim.VTime { return sim.VTime(1000 + tickets[owner]) },
@@ -60,10 +58,8 @@ func massWakeupOrder(t *testing.T, tbl *table, n int) []int {
 			}
 		},
 		func(owner int) {
-			mu.Lock()
 			order = append(order, tickets[owner])
 			at := sim.VTime(2000 + len(order))
-			mu.Unlock()
 			if err := tbl.release(owner, massExtent, at); err != nil {
 				t.Error(err)
 			}
@@ -357,7 +353,7 @@ type parkCoord struct {
 	park func()
 }
 
-func (c parkCoord) Park(int, sync.Locker) { c.park() }
+func (c parkCoord) Park(int) { c.park() }
 
 // handOffChain builds the contended chain on a one-shard table: owner 0
 // holds massExtent with n further overlapping exclusive waiters queued
@@ -393,8 +389,7 @@ func handOffChain(t testing.TB, n int) (tbl *table, cycle func()) {
 // allocates is the new waiter, the granted lock and its index node,
 // whatever n is: the queue moves to the new lock whole, in its own array.
 // The count is exact, so one more object anywhere on the hand-off path —
-// witnessLocked, the queue heap, the shard mutex loops, the release
-// history — fails it.
+// witness, the queue heap, the release history — fails it.
 func TestHandOffAllocationIndependentOfWaiters(t *testing.T) {
 	allocs := func(n int) float64 {
 		tbl, cycle := handOffChain(t, n)

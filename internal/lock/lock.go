@@ -20,12 +20,12 @@
 // partitioned across S >= 1 offset-stripe shards (CentralConfig.Shards,
 // DistributedConfig.Shards): each shard owns an interval index of granted
 // locks, each with a queue of the waiters it blocks, and a slice of the
-// release history; cross-shard spans take their shards in ascending order,
-// and grants go out in table-wide deterministic (ticket, seq) order.
-// Sharding never touches the simulation model: virtual timings are
-// byte-identical for any shard count. It splits mutexes only concurrent
-// callers contend on: on the single-threaded event loop it buys no host
-// time (the shard sweep's wall column is flat).
+// release history; cross-shard spans are replicated into every shard they
+// cover, and grants go out in table-wide deterministic (ticket, seq)
+// order. Sharding never touches the simulation model: virtual timings are
+// byte-identical for any shard count. The engine runs one actor at a time,
+// so nothing is locked and sharding buys no host time (the shard sweep's
+// wall column is flat).
 package lock
 
 import (

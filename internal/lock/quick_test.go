@@ -31,21 +31,15 @@ func linearBlockers(granted []*held, owner int, e interval.Extent, mode Mode) in
 	return n
 }
 
-// register grants (owner, e, mode) without a conflict check: grantLocked
-// does none, and the table may hold mutually overlapping locks.
+// register grants (owner, e, mode) without a conflict check: grant does
+// none, and the table may hold mutually overlapping locks.
 func register(tbl *table, owner int, e interval.Extent, mode Mode) {
-	ids := tbl.shardIDs(e)
-	tbl.lockShards(ids)
-	tbl.grantLocked(owner, e, mode, 0, ids)
-	tbl.unlockShards(ids)
+	tbl.grant(owner, e, mode, 0, tbl.shardIDs(e))
 }
 
 // witness is the query acquire decides on.
 func witness(tbl *table, owner int, e interval.Extent, mode Mode) *held {
-	ids := tbl.shardIDs(e)
-	tbl.lockShards(ids)
-	defer tbl.unlockShards(ids)
-	h, _ := tbl.witnessLocked(owner, e, mode, ids)
+	h, _ := tbl.witness(owner, e, mode, tbl.shardIDs(e))
 	return h
 }
 

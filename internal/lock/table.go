@@ -3,8 +3,6 @@ package lock
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
@@ -26,33 +24,29 @@ const DefaultShardStripe int64 = 64 << 10
 // (internal/interval/index), so a request touches only the locks that
 // actually overlap it, up to the first that blocks it — O(log G + k).
 //
-// The byte range is partitioned across S >= 1 independently locked shards
-// by offset stripe: byte b belongs to shard (b/stripe) mod S, and each shard
-// owns its own index of granted locks, its own index of shared waiters, and
-// its own slice of the release history. Requests touch only the shards their
-// extent covers, so non-overlapping traffic to different stripes never
-// contends on a shared mutex. With S = 1 every extent covers the one shard
-// and the table is a single mutex around a single index.
+// The byte range is partitioned across S >= 1 shards by offset stripe (the
+// partitioned coverage structure of CT-CPP): byte b belongs to shard
+// (b/stripe) mod S, and each shard owns its own index of granted locks, its
+// own index of shared waiters, and its own slice of the release history.
+// Requests touch only the shards their extent covers. With S = 1 every
+// extent covers the one shard and the table is a single index.
 //
 // A span covering several stripes is a cross-shard lock. Its extent is
 // replicated into every covered shard's index (two overlapping extents
 // always share a covered shard — the shard of any common byte — so
 // per-shard overlap queries answer exactly the global conflict question,
-// with the index's extent test filtering same-shard non-overlaps). Shard
-// mutexes are always acquired in ascending shard order and released in
-// reverse — the two-phase reserve/commit protocol that makes cross-shard
-// operations deadlock-free: reserve = take every covered shard's mutex in
-// order, commit = install the grant (or waiter) on all of them, then
-// unwind.
+// with the index's extent test filtering same-shard non-overlaps). The
+// engine runs one actor at a time, so a request reads and updates all its
+// shards in one step, with no lock of its own.
 //
 // A blocked request queues behind one witness, the first granted lock found
 // blocking it: each replica of a granted lock carries a (ticket, seq)
-// min-heap guarded by its shard's mutex, so every waiter is in exactly one
-// queue, whose lock blocks it. A release can therefore unblock only its own
-// queue's members; it pops them in table-wide (ticket, seq) order — each
-// queues behind another lock still blocking it or is granted — and stamps
-// grant times before any of them wakes, so the winner among competing
-// waiters never depends on wake-up order. Virtual timing is invariant in
+// min-heap, so every waiter is in exactly one queue, whose lock blocks it.
+// A release can therefore unblock only its own queue's members; it pops
+// them in table-wide (ticket, seq) order — each queues behind another lock
+// still blocking it or is granted — and stamps grant times before any of
+// them wakes, so the winner among competing waiters never depends on
+// wake-up order. Virtual timing is invariant in
 // the shard count: grant times are computed from the same conflict sets and
 // release history whatever S is, so a gated simulation produces
 // byte-identical output for any S.
@@ -62,14 +56,12 @@ type table struct {
 	ids    []int // 0..S-1: shardIDs hands out windows of it
 	coord  sim.Coord
 
-	nextSeq atomic.Int64 // waiter registration order, table-wide
+	nextSeq int64 // waiter registration order, table-wide
 }
 
 // lockShard is one offset-stripe partition: its granted locks (with their
-// replicas' queues), shared waiters and slice of the release history, all
-// guarded by mu.
+// replicas' queues), shared waiters and slice of the release history.
 type lockShard struct {
-	mu        sync.Mutex
 	granted   index.Index[*held]
 	waiting   index.Index[*waiter] // shared waiters only: see release
 	exclRel   releaseMap           // release times of past exclusive locks
@@ -115,9 +107,9 @@ type grantReplica struct {
 // times of the overlapping shared locks released while it waited (see
 // release); ticket (the request's original earliest-grant time) and seq
 // (registration order) define the deterministic order in which freed ranges
-// are handed out. grantAt is stamped by the releaser, under every shard
-// mutex the waiter's extent covers, before it Wakes the owner. Only shared
-// waiters are indexed; an exclusive one keeps its shards and no handles.
+// are handed out. grantAt is stamped by the releaser before it Wakes the
+// owner. Only shared waiters are indexed; an exclusive one keeps its shards
+// and no handles.
 type waiter struct {
 	owner    int
 	ext      interval.Extent
@@ -138,8 +130,7 @@ func blocks(holder int, held Mode, owner int, mode Mode) bool {
 
 // newTable builds a table of the given shard count and stripe width;
 // shards <= 0 means one shard, stripe <= 0 DefaultShardStripe. The choice
-// never changes virtual timing — only host-side data-structure and mutex
-// granularity.
+// never changes virtual timing — only the host-side partition.
 func newTable(shards int, stripe int64) *table {
 	shards = max(shards, 1)
 	if stripe <= 0 {
@@ -185,17 +176,6 @@ func (t *table) shardIDs(e interval.Extent) []int {
 	return ids
 }
 
-// ascending lists the shard ids marked in covered.
-func ascending(covered []bool) []int {
-	ids := make([]int, 0, len(covered))
-	for id, c := range covered {
-		if c {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
 // floorDiv is integer division rounding toward negative infinity, so stripe
 // routing stays consistent for any offset.
 func floorDiv(a, b int64) int64 {
@@ -215,31 +195,12 @@ func shardMod(k int64, s int) int {
 	return m
 }
 
-// lockShards takes the mutexes of ids in ascending order (reserve phase).
-// Every caller orders ids ascending, which is what makes cross-shard
-// operations deadlock-free. On the hot path of every acquire/release: it
-// must not allocate (TestHandOffAllocationIndependentOfWaiters).
-func (t *table) lockShards(ids []int) {
-	for _, id := range ids {
-		t.shards[id].mu.Lock()
-	}
-}
-
-// unlockShards releases the mutexes of ids in descending order. On the
-// hot path of every acquire/release: it must not allocate
+// witness returns a granted lock that blocks (owner, e, mode) and the wait
+// queue of its replica in a shard of ids = shardIDs(e), or nil when none
+// does: the overlap walk stops at the first blocker. Runs once per request
+// and once per queued waiter a release pops: it must not allocate
 // (TestHandOffAllocationIndependentOfWaiters).
-func (t *table) unlockShards(ids []int) {
-	for i := len(ids) - 1; i >= 0; i-- {
-		t.shards[ids[i]].mu.Unlock()
-	}
-}
-
-// witnessLocked returns a granted lock that blocks (owner, e, mode) and the
-// wait queue of its replica in a shard of ids, or nil when none does: the
-// overlap walk stops at the first blocker. Callers hold the mutexes of ids
-// = shardIDs(e). Runs once per request and once per queued waiter a release
-// pops: it must not allocate (TestHandOffAllocationIndependentOfWaiters).
-func (t *table) witnessLocked(owner int, e interval.Extent, mode Mode, ids []int) (*held, *waitQueue) {
+func (t *table) witness(owner int, e interval.Extent, mode Mode, ids []int) (*held, *waitQueue) {
 	var found *held
 	for _, id := range ids {
 		t.shards[id].granted.Overlapping(e, func(_ interval.Extent, _ index.Handle, h *held) bool {
@@ -257,14 +218,13 @@ func (t *table) witnessLocked(owner int, e interval.Extent, mode Mode, ids []int
 	return nil, nil
 }
 
-// grantLocked installs (owner, e, mode) on every covered shard (commit
-// phase) and returns the lock and its grant time: the request's accumulated
-// floor plus the virtual release times of past conflicting locks on the
-// range — always after exclusive releases; after shared releases too when
-// acquiring exclusively. Any past release overlapping e is recorded in some
-// shard both cover, so the per-shard maxes combine to the answer over the
-// whole range. Callers hold the mutexes of ids = shardIDs(e).
-func (t *table) grantLocked(owner int, e interval.Extent, mode Mode, floor sim.VTime, ids []int) (*held, sim.VTime) {
+// grant installs (owner, e, mode) on every shard of ids = shardIDs(e) and
+// returns the lock and its grant time: the request's accumulated floor plus
+// the virtual release times of past conflicting locks on the range — always
+// after exclusive releases; after shared releases too when acquiring
+// exclusively. Any past release overlapping e is recorded in some shard both
+// cover, so the per-shard maxes combine to the answer over the whole range.
+func (t *table) grant(owner int, e interval.Extent, mode Mode, floor sim.VTime, ids []int) (*held, sim.VTime) {
 	hd := &held{owner: owner, ext: e, mode: mode}
 	hd.cover(ids)
 	for _, id := range ids {
@@ -281,26 +241,24 @@ func (t *table) grantLocked(owner int, e interval.Extent, mode Mode, floor sim.V
 }
 
 // acquire blocks until (owner, e, mode) is grantable, then registers the
-// lock: reserve the covered shards in ascending order, grant immediately
-// when conflict-free, otherwise queue a waiter behind one blocking lock and
-// park until a releaser stamps the grant. earliest is the virtual time
-// before which the grant cannot happen (request arrival + service); the
-// returned time additionally covers the virtual release times of all
-// conflicting locks on the range, past and waited-out alike.
+// lock: grant immediately when conflict-free, otherwise queue a waiter
+// behind one blocking lock and park until a releaser stamps the grant.
+// earliest is the virtual time before which the grant cannot happen
+// (request arrival + service); the returned time additionally covers the
+// virtual release times of all conflicting locks on the range, past and
+// waited-out alike.
 func (t *table) acquire(owner int, e interval.Extent, mode Mode, earliest sim.VTime) sim.VTime {
 	ids := t.shardIDs(e)
-	t.lockShards(ids)
-	witness, queue := t.witnessLocked(owner, e, mode, ids)
+	witness, queue := t.witness(owner, e, mode, ids)
 	if witness == nil {
-		_, g := t.grantLocked(owner, e, mode, earliest, ids)
-		t.unlockShards(ids)
+		_, g := t.grant(owner, e, mode, earliest, ids)
 		return g
 	}
-	// seq is table-wide — the (ticket, seq) grant order spans shards — and
-	// taken while the waiter's shards are reserved.
+	// seq is table-wide: the (ticket, seq) grant order spans shards.
+	t.nextSeq++
 	w := &waiter{
 		owner: owner, ext: e, mode: mode,
-		minStart: earliest, ticket: earliest, seq: t.nextSeq.Add(1),
+		minStart: earliest, ticket: earliest, seq: t.nextSeq,
 	}
 	if mode == Shared {
 		w.cover(ids)
@@ -311,10 +269,7 @@ func (t *table) acquire(owner int, e interval.Extent, mode Mode, earliest sim.VT
 		w.shards = ids
 	}
 	queue.push(w)
-	// The park happens after the shards unlock: the engine runs one actor
-	// at a time, so no releaser can Wake this one in between.
-	t.unlockShards(ids)
-	t.coord.Park(owner, nil)
+	t.coord.Park(owner)
 	return w.grantAt
 }
 
@@ -325,35 +280,16 @@ func (t *table) acquire(owner int, e interval.Extent, mode Mode, earliest sim.VT
 // them. A release of a lock that is not held changes nothing.
 func (t *table) release(owner int, e interval.Extent, releaseAt sim.VTime) error {
 	base := t.shardIDs(e)
-	// The lock's queued waiters may span shards beyond base, and granting
-	// one needs its shards locked too. They are only visible under lock, so
-	// grow the held set to a fixpoint: lock, look, and if they need more
-	// shards, drop everything and re-lock the larger ascending set. The set
-	// only grows, so this terminates within S rounds; nothing is changed
-	// before the last one, so what happened while unlocked is never acted on.
-	locked := base
-	var target *held
-	for {
-		t.lockShards(locked)
-		if target = t.locateLocked(owner, e, base[0]); target == nil {
-			t.unlockShards(locked)
-			return fmt.Errorf("lock: owner %d does not hold %v", owner, e)
-		}
-		need := t.queuedShards(target, locked)
-		if len(need) == len(locked) {
-			break
-		}
-		t.unlockShards(locked)
-		locked = need
+	target := t.locate(owner, e, base[0])
+	if target == nil {
+		return fmt.Errorf("lock: owner %d does not hold %v", owner, e)
 	}
-	defer t.unlockShards(locked)
-
 	for i, id := range target.shards {
 		t.shards[id].granted.Delete(target.ext, target.reps[i].handle)
 	}
 	t.recordRelease(e, target.mode, releaseAt)
 	// A waiter's grant time covers every overlapping release while it
-	// waited. grantLocked reads them back from the history, except a shared
+	// waited. grant reads them back from the history, except a shared
 	// release for a shared waiter: stamped here, the reason shared waiters
 	// alone are indexed.
 	if target.mode == Shared {
@@ -378,7 +314,7 @@ func (t *table) release(owner int, e interval.Extent, releaseAt sim.VTime) error
 	}
 	for len(q.items) > 0 {
 		w := q.pop()
-		if witness, queue := t.witnessLocked(w.owner, w.ext, w.mode, w.shards); witness != nil {
+		if witness, queue := t.witness(w.owner, w.ext, w.mode, w.shards); witness != nil {
 			queue.push(w)
 			continue
 		}
@@ -388,9 +324,7 @@ func (t *table) release(owner int, e interval.Extent, releaseAt sim.VTime) error
 			}
 		}
 		var g *held
-		g, w.grantAt = t.grantLocked(w.owner, w.ext, w.mode, w.minStart, w.shards)
-		// Published before the waiter can run (we still hold its shards),
-		// preserving the admission invariant.
+		g, w.grantAt = t.grant(w.owner, w.ext, w.mode, w.minStart, w.shards)
 		t.coord.Wake(w.owner, w.grantAt)
 		// Every member's extent contains the core and no member is g's
 		// owner (an owner parks in acquire, so it had one waiter: w), so an
@@ -403,12 +337,11 @@ func (t *table) release(owner int, e interval.Extent, releaseAt sim.VTime) error
 	return nil
 }
 
-// locateLocked returns owner's earliest-registered lock on exactly e, or
-// nil, from e's first shard: the index visits overlapping locks in (offset,
+// locate returns owner's earliest-registered lock on exactly e, or nil,
+// from e's first shard: the index visits overlapping locks in (offset,
 // insertion) order, and per-shard insertion order preserves the global one.
-// Empty extents overlap nothing: their home shard is walked whole. Callers
-// hold the shard's mutex.
-func (t *table) locateLocked(owner int, e interval.Extent, first int) *held {
+// Empty extents overlap nothing: their home shard is walked whole.
+func (t *table) locate(owner int, e interval.Extent, first int) *held {
 	var target *held
 	locate := func(_ interval.Extent, _ index.Handle, h *held) bool {
 		if h.owner == owner && h.ext == e {
@@ -425,33 +358,6 @@ func (t *table) locateLocked(owner int, e interval.Extent, first int) *held {
 	return target
 }
 
-// queuedShards returns the ascending union of locked and the shards covered
-// by every waiter queued behind target, stopping once that is all of them.
-// Callers hold the mutexes of locked, which include target's shards.
-func (t *table) queuedShards(target *held, locked []int) []int {
-	if len(locked) == len(t.shards) {
-		return locked
-	}
-	covered, n := make([]bool, len(t.shards)), 0
-	mark := func(ids []int) {
-		for _, id := range ids {
-			if !covered[id] {
-				covered[id] = true
-				n++
-			}
-		}
-	}
-	mark(locked)
-	for _, r := range target.reps {
-		for _, w := range r.queue.items {
-			if mark(w.shards); n == len(t.shards) {
-				return t.ids
-			}
-		}
-	}
-	return ascending(covered)
-}
-
 // clipStripeFactor bounds per-release history-record work: spans covering
 // up to clipStripeFactor stripes per shard are clipped stripe by stripe;
 // wider ones fall back to whole-extent replication.
@@ -466,7 +372,7 @@ const clipStripeFactor = 4
 // records rather than one per covered stripe. Both forms answer latest()
 // exactly: any past release overlapping a later request shares a covered
 // shard with it, and recorded pieces never claim bytes their release did
-// not cover. Callers hold the mutexes of e's covered shards.
+// not cover.
 func (t *table) recordRelease(e interval.Extent, mode Mode, releaseAt sim.VTime) {
 	if e.Empty() {
 		return

@@ -40,7 +40,6 @@ func (d *listDistributed) Lock(owner int, e interval.Extent, mode Mode, at sim.V
 	}
 	need := interval.List{e}
 
-	d.mu.Lock()
 	slot, known := slices.BinarySearchFunc(d.tokens, owner,
 		func(t ownerTokens, owner int) int { return cmp.Compare(t.owner, owner) })
 	if !known {
@@ -48,7 +47,6 @@ func (d *listDistributed) Lock(owner int, e interval.Extent, mode Mode, at sim.V
 	}
 	if d.tokens[slot].toks.Contains(need) {
 		d.localGrants++
-		d.mu.Unlock()
 		ticket := at + d.cfg.LocalCost
 		grant := d.tbl.acquire(owner, e, mode, ticket)
 		if d.obs != nil {
@@ -74,7 +72,6 @@ func (d *listDistributed) Lock(owner int, e interval.Extent, mode Mode, at sim.V
 	}
 	d.serverGrants++
 	d.revocations += int64(revoked)
-	d.mu.Unlock()
 
 	_, served := d.service.Acquire(at+d.cfg.MsgCost, d.cfg.ServiceTime+sim.VTime(revoked)*d.cfg.RevokeCost)
 	ret := d.tbl.acquire(owner, e, mode, served) + d.cfg.MsgCost

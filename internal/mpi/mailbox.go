@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"sync"
-
-	"atomio/internal/sim"
-)
+import "atomio/internal/sim"
 
 // message is one in-flight point-to-point message. src is the sender's rank
 // within the communicator identified by ctx; sentAt is the sender's virtual
@@ -29,12 +25,10 @@ func (abortError) Error() string { return "mpi: world aborted after failure on a
 //
 // The mailbox also mediates the owner's blocked state: a receive that finds
 // no match registers its pattern and Parks through the coordinator, and the
-// sender whose put satisfies the pattern Wakes the owner — under m.mu,
-// before the owner can run again — with a lower bound on the owner's
-// post-receive virtual time. That handshake is what keeps admissions
-// deterministic across a blocking receive.
+// sender whose put satisfies the pattern Wakes the owner with a lower bound
+// on the owner's post-receive virtual time. That handshake is what keeps
+// admissions deterministic across a blocking receive.
 type mailbox struct {
-	mu      sync.Mutex
 	queue   []*message
 	aborted bool
 
@@ -65,35 +59,30 @@ func matches(msg *message, ctx, src, tag int) bool {
 }
 
 // put enqueues a message. A put that satisfies the owner's registered
-// receive wakes the owner before the mailbox lock drops, publishing the
-// earliest virtual time the owner could act at after completing the
-// receive.
+// receive wakes the owner, publishing the earliest virtual time the owner
+// could act at after completing the receive.
 func (m *mailbox) put(msg *message) {
-	m.mu.Lock()
 	m.queue = append(m.queue, msg)
 	if m.wait != nil && matches(msg, m.wait.ctx, m.wait.src, m.wait.tag) {
 		bound := msg.sentAt + m.net.Cost(int64(len(msg.data))) + m.recvOverhead
 		m.wait = nil
 		m.coord.Wake(m.owner, bound)
 	}
-	m.mu.Unlock()
 }
 
 // abort marks the world aborted so a failure on one rank cannot deadlock
 // the rest: an owner parked in a registered receive is woken so it can
 // observe the abort and unwind with a panic.
 func (m *mailbox) abort() {
-	m.mu.Lock()
 	m.aborted = true
 	if m.wait != nil {
 		m.wait = nil
 		m.coord.Wake(m.owner, 0)
 	}
-	m.mu.Unlock()
 }
 
 // take removes and returns the first queued message matching the pattern,
-// or nil. Callers hold m.mu.
+// or nil.
 func (m *mailbox) take(ctx, src, tag int) *message {
 	for i, msg := range m.queue {
 		if matches(msg, ctx, src, tag) {
@@ -111,8 +100,6 @@ func (m *mailbox) take(ctx, src, tag int) *message {
 // making progress; the wake comes from the put that satisfies the pattern
 // (or from an abort), which clears the registration.
 func (m *mailbox) match(ctx, src, tag int) *message {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for {
 		if msg := m.take(ctx, src, tag); msg != nil {
 			return msg
@@ -121,6 +108,6 @@ func (m *mailbox) match(ctx, src, tag int) *message {
 			panic(abortError{})
 		}
 		m.wait = &waitPattern{ctx: ctx, src: src, tag: tag}
-		m.coord.Park(m.owner, &m.mu)
+		m.coord.Park(m.owner)
 	}
 }

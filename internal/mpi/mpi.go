@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 
 	"atomio/internal/obs"
 	"atomio/internal/sim"
@@ -79,12 +78,12 @@ type World struct {
 	mailboxes []*mailbox
 	clocks    []*sim.Clock
 
-	// mu guards the communicator context-id allocator; the collective calls
-	// in flight (shared, the memo table behind Comm.Shared, and meetings,
-	// the rendezvous of the synchronizing collectives: an entry goes once
-	// every rank of its communicator arrived); which world ranks sleep in a
-	// rendezvous; and whether the world was aborted.
-	mu       sync.Mutex
+	// Cross-rank bookkeeping: the communicator context-id allocator; the
+	// collective calls in flight (shared, the memo table behind
+	// Comm.Shared, and meetings, the rendezvous of the synchronizing
+	// collectives: an entry goes once every rank of its communicator
+	// arrived); which world ranks sleep in a rendezvous; and whether the
+	// world was aborted.
 	nextCtx  int
 	shared   map[sharedKey]*sharedEntry
 	meetings map[sharedKey]*rendezvous
@@ -116,8 +115,6 @@ func (w *World) abortAll() {
 	for _, m := range w.mailboxes {
 		m.abort()
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.aborted = true
 	for id, asleep := range w.parked {
 		if asleep {
@@ -128,8 +125,6 @@ func (w *World) abortAll() {
 }
 
 func (w *World) allocCtx() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	c := w.nextCtx
 	w.nextCtx++
 	return c

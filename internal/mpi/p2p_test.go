@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,9 +88,9 @@ func TestRunEngineAndCoord(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Procs = 2
-			var ran atomic.Bool
+			var ran bool
 			_, err := Run(tc.cfg, func(c *Comm) error {
-				ran.Store(true)
+				ran = true
 				c.Barrier() // blocks: the ranks really go through the coordinator
 				return nil
 			})
@@ -104,7 +103,7 @@ func TestRunEngineAndCoord(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("Run error = %v, want %q", err, tc.wantErr)
 			}
-			if ran.Load() {
+			if ran {
 				t.Error("a rank ran before the configuration was rejected")
 			}
 		})

@@ -6,7 +6,7 @@ import "atomio/internal/sim"
 // held in World.meetings under the call's (context, tag) until its
 // last rank arrives. Every rank deposits its entry clock and its block; the
 // last one solves the collective's message schedule as arithmetic (step)
-// and wakes the others at their exit clocks. Guarded by World.mu.
+// and wakes the others at their exit clocks.
 type rendezvous struct {
 	arrived int
 	clock   []sim.VTime // by communicator rank: entry clocks, then exit clocks
@@ -25,8 +25,6 @@ func (c *Comm) meet(block []byte, solve func(rv *rendezvous)) *rendezvous {
 	key := sharedKey{ctx: c.ctx, seq: c.nextTag()}
 	coord := w.cfg.Coord
 	coord.Await(me, c.clock.Now())
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.aborted {
 		panic(abortError{})
 	}
@@ -38,7 +36,7 @@ func (c *Comm) meet(block []byte, solve func(rv *rendezvous)) *rendezvous {
 	rv.clock[c.rank], rv.blocks[c.rank] = c.clock.Now(), block
 	if rv.arrived++; rv.arrived < p {
 		w.parked[me] = true
-		coord.Park(me, &w.mu)
+		coord.Park(me)
 		if w.aborted {
 			panic(abortError{})
 		}

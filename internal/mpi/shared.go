@@ -1,7 +1,5 @@
 package mpi
 
-import "sync"
-
 // sharedKey names one Shared call: the communicator's context (unique per
 // communicator within a World, so a communicator and its Dup never
 // collide) and that communicator's call sequence, which is identical on
@@ -12,19 +10,15 @@ type sharedKey struct {
 
 // sharedEntry is the memo slot of one Shared call.
 type sharedEntry struct {
-	arrived int // ranks that have looked the entry up; guarded by World.mu
-
-	mu   sync.Mutex
-	done bool
-	val  any
+	arrived int // ranks that have looked the entry up
+	done    bool
+	val     any
 }
 
 // get returns the entry's value, running compute if no rank has yet. done
 // is set only when compute returns, so a panicking compute panics on every
 // rank with its own cause instead of handing the others a nil value.
 func (e *sharedEntry) get(compute func() any) any {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if !e.done {
 		e.val = compute()
 		e.done = true
@@ -52,7 +46,6 @@ func (c *Comm) Shared(compute func() any) any {
 	key := sharedKey{ctx: c.ctx, seq: c.sharedSeq}
 	c.sharedSeq++
 
-	w.mu.Lock()
 	e := w.shared[key]
 	if e == nil {
 		e = &sharedEntry{}
@@ -63,7 +56,6 @@ func (c *Comm) Shared(compute func() any) any {
 		// Every rank now holds e; the table need not.
 		delete(w.shared, key)
 	}
-	w.mu.Unlock()
 
 	return e.get(compute)
 }

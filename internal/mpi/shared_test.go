@@ -3,8 +3,6 @@ package mpi
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"atomio/internal/sim"
@@ -42,13 +40,13 @@ func TestSharedComputesOncePerCall(t *testing.T) {
 	for _, wf := range sharedWorlds {
 		for _, p := range procCounts {
 			t.Run(fmt.Sprintf("%s/P=%d", wf.name, p), func(t *testing.T) {
-				var computes [calls]atomic.Int32
+				var computes [calls]int
 				got := make([][calls]*int, p)
 				runShared(t, wf.eng, p, func(c *Comm) error {
 					for i := 0; i < calls; i++ {
 						before := c.Now()
 						v := c.Shared(func() any {
-							computes[i].Add(1)
+							computes[i]++
 							n := i
 							return &n
 						}).(*int)
@@ -64,7 +62,7 @@ func TestSharedComputesOncePerCall(t *testing.T) {
 					return nil
 				})
 				for i := 0; i < calls; i++ {
-					if n := computes[i].Load(); n != 1 {
+					if n := computes[i]; n != 1 {
 						t.Errorf("call %d: compute ran %d times, want 1", i, n)
 					}
 					for r := range got {
@@ -92,7 +90,7 @@ func TestSharedIsolatesCommunicators(t *testing.T) {
 	for _, wf := range sharedWorlds {
 		t.Run(wf.name, func(t *testing.T) {
 			const p = 6
-			var computes sync.Map // tagged -> *atomic.Int32
+			computes := map[tagged]int{}
 			runShared(t, wf.eng, p, func(c *Comm) error {
 				dup := c.Dup()
 				half := subComm(c, parity(p, c.Rank()%2), subCtx+c.Rank()%2)
@@ -115,8 +113,7 @@ func TestSharedIsolatesCommunicators(t *testing.T) {
 						cm := comms[k]
 						want := tagged{cm.name, call}
 						got := cm.c.Shared(func() any {
-							n, _ := computes.LoadOrStore(want, new(atomic.Int32))
-							n.(*atomic.Int32).Add(1)
+							computes[want]++
 							return want
 						}).(tagged)
 						if got != want {
@@ -129,15 +126,12 @@ func TestSharedIsolatesCommunicators(t *testing.T) {
 				}
 				return nil
 			})
-			entries := 0
-			computes.Range(func(k, v any) bool {
-				entries++
-				if n := v.(*atomic.Int32).Load(); n != 1 {
+			for k, n := range computes {
+				if n != 1 {
 					t.Errorf("%v computed %d times, want 1", k, n)
 				}
-				return true
-			})
-			if want := 4 * 3; entries != want { // world, dup, half0, half1 × 3 calls
+			}
+			if entries, want := len(computes), 4*3; entries != want { // world, dup, half0, half1 × 3 calls
 				t.Errorf("%d distinct computes, want %d", entries, want)
 			}
 		})

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"sync"
-
-	"atomio/internal/sim"
-)
+import "atomio/internal/sim"
 
 // CoordTracer wraps a sim.Coord and emits scheduler events: a sched.park
 // when an actor goes to sleep, a sched.wake (stamped by the waker, on the
@@ -50,10 +46,10 @@ func (t *CoordTracer) Await(id int, at sim.VTime) {
 // Park yields and the resume event when the sleeper runs again. The resume
 // timestamp reflects the wake bound published while parked: the inner Park
 // returns only after the matching Wake, which set lastT.
-func (t *CoordTracer) Park(id int, l sync.Locker) {
+func (t *CoordTracer) Park(id int) {
 	t.rec.Emit(Event{T: t.lastT[id], Actor: id, Layer: LayerSched, Kind: KindPark, Peer: -1})
 	t.rec.Count(id, MetricParks, 1)
-	t.inner.Park(id, l)
+	t.inner.Park(id)
 	t.rec.Emit(Event{T: t.lastT[id], Actor: id, Layer: LayerSched, Kind: KindResume, Peer: -1})
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"atomio/internal/sim"
@@ -232,7 +231,7 @@ func (f *fakeCoord) Wake(id int, at sim.VTime)  { f.wakes++ }
 func (f *fakeCoord) Done(id int)                { f.dones++ }
 func (f *fakeCoord) Actors() int                { return f.actors }
 
-func (f *fakeCoord) Park(id int, l sync.Locker) {
+func (f *fakeCoord) Park(id int) {
 	f.parks++
 	if f.onPark != nil {
 		f.onPark()
@@ -255,7 +254,7 @@ func TestCoordTracer(t *testing.T) {
 	// 0's stream.
 	inner.onPark = func() { c.Wake(0, 250) }
 	c.Await(0, 100)
-	c.Park(0, nil)
+	c.Park(0)
 	c.Done(0)
 	if inner.awaits != 1 || inner.wakes != 1 || inner.parks != 1 || inner.dones != 1 {
 		t.Errorf("calls not passed through: %+v", inner)

@@ -226,8 +226,8 @@ func (c *Client) queueServerService(segs []Segment) {
 		m := c.fs.serverModel(server)
 		svc := sim.VTime(l.reqs)*m.Latency +
 			sim.LinearCost{BytesPerSec: m.BytesPerSec}.Cost(l.bytes)
-		c.fs.stats[server].requests.Add(l.reqs)
-		c.fs.stats[server].bytes.Add(l.bytes)
+		c.fs.stats[server].requests += l.reqs
+		c.fs.stats[server].bytes += l.bytes
 		start, end := c.fs.servers.Member(server).Acquire(now, svc)
 		if o := c.fs.obs; o != nil {
 			depth := c.fs.noteBooking(server, now, end)
@@ -262,20 +262,18 @@ var ErrNoAtomicListIO = errors.New("pfs: file system does not provide atomic lis
 // every other WriteVAtomic on the same file — the lio_listio-with-POSIX-
 // atomicity capability of the paper's §3.2. It bypasses the write-behind
 // cache (the data must be committed as one unit) and serializes with other
-// atomic vectored writes in both real execution and virtual time.
+// atomic vectored writes in virtual time.
 func (c *Client) WriteVAtomic(segs []Segment) error {
 	if !c.fs.cfg.AtomicListIO {
 		return ErrNoAtomicListIO
 	}
 	// Take the coordinator turn for the whole atomic call: admission order
-	// determines the serialization of atomic vectored writes, and holding
-	// the turn keeps listioMu uncontended (a blocked real mutex would
-	// deadlock against the coordinator).
+	// determines the serialization of atomic vectored writes, and nothing
+	// inside the call yields the turn, so its segment stores are
+	// indivisible.
 	c.fs.coord.Await(c.rank, c.clock.Now())
 	c.inAtomic = true
 	defer func() { c.inAtomic = false }()
-	c.f.listioMu.Lock()
-	defer c.f.listioMu.Unlock()
 	// Queue behind earlier atomic vectored writes in virtual time.
 	c.clock.AdvanceTo(c.f.listioFreeAt)
 	c.bytesWritten += totalLen(segs)

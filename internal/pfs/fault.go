@@ -111,10 +111,8 @@ func (c *Client) Damage(exts interval.List) {
 
 // recordDamage unions extents into the file's damage set. The set is
 // canonical and union is commutative, so the result is independent of the
-// real-time order concurrent clients record in.
+// order clients record in.
 func (f *file) recordDamage(exts interval.List) {
-	f.damageMu.Lock()
-	defer f.damageMu.Unlock()
 	for _, e := range exts {
 		if !e.Empty() {
 			f.damage.Add(e)
@@ -129,8 +127,6 @@ func (fs *FileSystem) Damaged(name string) (interval.List, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.damageMu.Lock()
-	defer f.damageMu.Unlock()
 	return f.damage.Extents(), nil
 }
 
@@ -147,8 +143,6 @@ func (fs *FileSystem) LogIntent(name string, rank int, segs []Segment) error {
 	if err != nil {
 		return err
 	}
-	f.walMu.Lock()
-	defer f.walMu.Unlock()
 	if f.intents == nil {
 		f.intents = make(map[int][]Segment)
 	}
@@ -176,14 +170,10 @@ func (fs *FileSystem) Recover(name string) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.damageMu.Lock()
 	damaged := f.damage.Extents()
-	f.damageMu.Unlock()
 	if len(damaged) == 0 {
 		return nil, nil
 	}
-	f.walMu.Lock()
-	defer f.walMu.Unlock()
 	ranks := make([]int, 0, len(f.intents))
 	for rank := range f.intents {
 		ranks = append(ranks, rank)

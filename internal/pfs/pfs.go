@@ -15,8 +15,6 @@ package pfs
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"atomio/internal/obs"
 	"atomio/internal/sim"
@@ -174,20 +172,17 @@ type FileSystem struct {
 
 	// qdPending tracks, per server, the end times of bookings not yet
 	// finished — the live queue-depth gauge. Ends are monotone per server
-	// (sim.Resource's free time only grows), so a FIFO suffices. Guarded
-	// by qdMu; only touched when obs is armed.
-	qdMu      sync.Mutex
+	// (sim.Resource's free time only grows), so a FIFO suffices. Only
+	// touched when obs is armed.
 	qdPending [][]sim.VTime
 
-	mu    sync.Mutex
 	files map[string]*file
 }
 
-// serverCounter accumulates one server's traffic. Counters are atomic so
-// concurrent rank goroutines can book without sharing the pool mutexes.
+// serverCounter accumulates one server's traffic.
 type serverCounter struct {
-	bytes    atomic.Int64
-	requests atomic.Int64
+	bytes    int64
+	requests int64
 }
 
 // New creates a file system, or returns an error describing why the
@@ -248,8 +243,6 @@ func (fs *FileSystem) SetObs(o *obs.Recorder) {
 // included). Bookings are admitted in deterministic virtual-time order in
 // coordinated runs, so the depth sequence is deterministic too.
 func (fs *FileSystem) noteBooking(server int, now, end sim.VTime) int64 {
-	fs.qdMu.Lock()
-	defer fs.qdMu.Unlock()
 	q := fs.qdPending[server]
 	for len(q) > 0 && q[0] <= now {
 		q = q[1:]
@@ -264,8 +257,6 @@ func (fs *FileSystem) Servers() *sim.Pool { return fs.servers }
 
 // lookup returns the named file, creating it if requested.
 func (fs *FileSystem) lookup(name string, create bool) (*file, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f, ok := fs.files[name]
 	if !ok {
 		if !create {
@@ -279,8 +270,6 @@ func (fs *FileSystem) lookup(name string, create bool) (*file, error) {
 
 // Remove deletes a file.
 func (fs *FileSystem) Remove(name string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if _, ok := fs.files[name]; !ok {
 		return fmt.Errorf("pfs: file %q does not exist", name)
 	}
@@ -332,8 +321,8 @@ func (fs *FileSystem) ServerStats() []ServerStats {
 		_, busy := fs.servers.Member(i).Stats()
 		out[i] = ServerStats{
 			Server:   i,
-			Requests: fs.stats[i].requests.Load(),
-			Bytes:    fs.stats[i].bytes.Load(),
+			Requests: fs.stats[i].requests,
+			Bytes:    fs.stats[i].bytes,
 			Busy:     busy,
 			FreeAt:   fs.servers.Member(i).FreeAt(),
 		}

@@ -2,7 +2,6 @@ package pfs
 
 import (
 	"fmt"
-	"sync"
 
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
@@ -19,8 +18,7 @@ const storeChunk = 1 << 16
 // server writes into: on any healthy configuration reads, written extents
 // and snapshots are identical.
 //
-// Implementations do their own locking; rank identifies the writing client
-// for affinity-mode storage routing.
+// rank identifies the writing client for affinity-mode storage routing.
 type content interface {
 	// write stores data at off on behalf of the given client rank.
 	write(off int64, data []byte, rank int)
@@ -35,27 +33,18 @@ type content interface {
 // data-less runs), and the atomic-listio serialization point. Which content
 // layout backs it is decided by the file system's configuration.
 type file struct {
-	name string
-
-	mu   sync.Mutex
-	size int64
-
+	name    string
+	size    int64
 	content content
 
-	// Atomic-listio serialization: listioMu makes the segment stores of
-	// one WriteVAtomic indivisible in real execution, and listioFreeAt is
-	// the virtual time at which the file's listio facility next becomes
-	// idle (guarded by listioMu).
-	listioMu     sync.Mutex
+	// listioFreeAt is the virtual time at which the file's atomic-listio
+	// facility next becomes idle.
 	listioFreeAt sim.VTime
 
 	// Fault bookkeeping (see fault.go): damage is the set of byte ranges
 	// surrendered to injected faults, intents the write-ahead log that
 	// Recover replays over them. Both stay empty on healthy runs.
-	damageMu sync.Mutex
-	damage   index.Set
-
-	walMu   sync.Mutex
+	damage  index.Set
 	intents map[int][]Segment
 }
 
@@ -70,9 +59,7 @@ func (fs *FileSystem) newFile(name string) *file {
 
 // growTo extends the file size to end if it is shorter.
 func (f *file) growTo(end int64) {
-	f.mu.Lock()
 	f.size = max(f.size, end)
-	f.mu.Unlock()
 }
 
 // writeAt stores s on behalf of rank and extends the file size. A data-less
@@ -109,15 +96,8 @@ func (f *file) writtenExtents() interval.List {
 	return f.content.extents()
 }
 
-// sizeNow returns the current file size.
-func (f *file) sizeNow() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.size
-}
-
 // chunkWrite copies data into a sparse chunk map at off, allocating chunks
-// on demand. Callers hold the store's lock.
+// on demand.
 func chunkWrite(chunks map[int64][]byte, off int64, data []byte) {
 	for len(data) > 0 {
 		ci := off / storeChunk
@@ -138,8 +118,7 @@ func chunkWrite(chunks map[int64][]byte, off int64, data []byte) {
 }
 
 // chunkRead fills buf from the chunk map at off. Every byte of the request
-// must have been written (its chunk allocated); callers hold the store's
-// lock.
+// must have been written (its chunk allocated).
 func chunkRead(chunks map[int64][]byte, off int64, buf []byte) {
 	for len(buf) > 0 {
 		ci := off / storeChunk
@@ -156,7 +135,7 @@ func chunkRead(chunks map[int64][]byte, off int64, buf []byte) {
 
 // coveredRead serves a read from a (written set, chunk map) pair: written
 // parts come from chunks, holes are zero-filled without consulting the
-// chunk map. Callers hold the store's lock.
+// chunk map.
 func coveredRead(written *index.Set, chunks map[int64][]byte, off int64, buf []byte) {
 	req := interval.Extent{Off: off, Len: int64(len(buf))}
 	written.Visit(req, func(part interval.Extent, covered bool) bool {
@@ -211,5 +190,5 @@ func (fs *FileSystem) FileSize(name string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return f.sizeNow(), nil
+	return f.size, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"slices"
-	"sync"
 
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
@@ -12,11 +11,9 @@ import (
 
 // serverStore is one I/O server's private slice of a file's bytes: its own
 // sparse chunk store (round-robin mode) or write records (affinity mode)
-// and written-extent index. Disjoint-server traffic never contends on a
-// shared store lock, and per-server structures stay a factor of Servers
+// and written-extent index. Per-server structures stay a factor of Servers
 // smaller than the shared store's.
 type serverStore struct {
-	mu      sync.Mutex
 	chunks  map[int64][]byte
 	written index.Set
 	// segs holds every live affinity-mode write landed on this server, by
@@ -61,9 +58,7 @@ type stripedStore struct {
 	stripe   int64
 	affinity []int
 	servers  []*serverStore
-
-	seqMu   sync.Mutex
-	nextSeq int64
+	nextSeq  int64
 }
 
 func newStripedStore(cfg Config) *stripedStore {
@@ -109,15 +104,10 @@ func eachStripePiece(stripe int64, servers int, off, n int64, f func(server int,
 func (st *stripedStore) write(off int64, data []byte, rank int) {
 	if st.mode == ClientAffinity {
 		sv := st.servers[st.serverForRank(rank)]
-		sv.mu.Lock()
-		// The sequence is taken under the server lock, so within one
-		// server arrival order and sequence order agree — which is what
-		// lets merge reads treat "highest sequence" and "latest arrival"
-		// as the same thing.
-		st.seqMu.Lock()
+		// Sequence order is arrival order, which is what lets merge reads
+		// treat "highest sequence" and "latest arrival" as the same thing.
 		seq := st.nextSeq
 		st.nextSeq++
-		st.seqMu.Unlock()
 		e := interval.Extent{Off: off, Len: int64(len(data))}
 		sv.written.Add(e)
 		// Prune dead records: an older same-server record fully inside e
@@ -139,15 +129,12 @@ func (st *stripedStore) write(off int64, data []byte, rank int) {
 			sv.segs.Delete(d.ext, d.h)
 		}
 		sv.segs.Insert(e, affinityWrite{seq: seq, data: bytes.Clone(data)})
-		sv.mu.Unlock()
 		return
 	}
 	eachStripePiece(st.stripe, len(st.servers), off, int64(len(data)), func(server int, pieceOff, n int64) {
 		sv := st.servers[server]
-		sv.mu.Lock()
 		chunkWrite(sv.chunks, pieceOff, data[pieceOff-off:pieceOff-off+n])
 		sv.written.Add(interval.Extent{Off: pieceOff, Len: n})
-		sv.mu.Unlock()
 	})
 }
 
@@ -158,9 +145,7 @@ func (st *stripedStore) read(off int64, buf []byte) {
 	}
 	eachStripePiece(st.stripe, len(st.servers), off, int64(len(buf)), func(server int, pieceOff, n int64) {
 		sv := st.servers[server]
-		sv.mu.Lock()
 		coveredRead(&sv.written, sv.chunks, pieceOff, buf[pieceOff-off:pieceOff-off+n])
-		sv.mu.Unlock()
 	})
 }
 
@@ -180,13 +165,11 @@ func (st *stripedStore) mergeRead(off int64, buf []byte) {
 	}
 	var recs []rec
 	for _, sv := range st.servers {
-		sv.mu.Lock()
 		sv.segs.Overlapping(req, func(e interval.Extent, _ index.Handle, w affinityWrite) bool {
 			part := e.Intersect(req)
 			recs = append(recs, rec{seq: w.seq, off: part.Off - off, data: w.data[part.Off-e.Off : part.End()-e.Off]})
 			return true
 		})
-		sv.mu.Unlock()
 	}
 	slices.SortFunc(recs, func(a, b rec) int { return cmp.Compare(a.seq, b.seq) })
 	for _, r := range recs {
@@ -197,9 +180,7 @@ func (st *stripedStore) mergeRead(off int64, buf []byte) {
 func (st *stripedStore) extents() interval.List {
 	var all interval.List
 	for _, sv := range st.servers {
-		sv.mu.Lock()
 		all = append(all, sv.written.Extents()...)
-		sv.mu.Unlock()
 	}
 	return all.Normalize()
 }

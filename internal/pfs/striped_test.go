@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"atomio/internal/interval"
@@ -19,34 +18,26 @@ import (
 
 // sharedStore is the pre-striping content layout, kept as the oracle: one
 // chunked byte store and one written-extent set shared by every server.
-// Store-level locking keeps each individual segment write atomic at byte
-// granularity only to the degree a real file system would — two concurrent
-// writes to the same bytes land in arrival order, so concurrent overlapping
-// segment writes genuinely interleave. The two layouts are observably
+// Two writes to the same bytes land in arrival order, so overlapping
+// segment writes from different ranks genuinely interleave. The two
+// layouts are observably
 // identical on every healthy configuration: stripes partition the byte
 // space, and affinity merges resolve by global write order.
 type sharedStore struct {
-	mu      sync.Mutex
 	chunks  map[int64][]byte
 	written index.Set
 }
 
 func (s *sharedStore) write(off int64, data []byte, _ int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.written.Add(interval.Extent{Off: off, Len: int64(len(data))})
 	chunkWrite(s.chunks, off, data)
 }
 
 func (s *sharedStore) read(off int64, buf []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	coveredRead(&s.written, s.chunks, off, buf)
 }
 
 func (s *sharedStore) extents() interval.List {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.written.Extents()
 }
 

@@ -77,7 +77,7 @@ type Profile struct {
 	// this many offset-stripe shards (0 means one); the shard stripe
 	// follows the platform's file-stripe size. Virtual timings are
 	// invariant in the shard count — sharding only splits the table's
-	// host-side mutexes and indexes (see internal/lock).
+	// host-side indexes (see internal/lock).
 	LockShards int
 }
 

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -60,11 +61,30 @@ func TestRunOrderDeterministic(t *testing.T) {
 // timings independent of host scheduling, which is what lets
 // `figure8 -workers N` reproduce `-workers 1` byte for byte. The grid
 // includes locking cells on both the central (Origin2000) and distributed
-// (IBM SP) lock managers.
+// (IBM SP) lock managers, and one cell of each structure that lost its
+// mutex when the engine went single-threaded: TwoPhase (Comm.Shared and
+// Alltoall), list I/O (the file's listio queue), a four-shard lock table
+// and a traced cell (the pfs queue-depth gauge). Under -race this shows
+// that no such structure is shared between cells on different workers.
 func TestRunRepeatable(t *testing.T) {
 	cells := smallGrid().Cells()
-	a := Records(Run(cells, Options{Workers: 1}))
-	b := Records(Run(cells, Options{Workers: 8}))
+	base := harness.Experiment{
+		Platform: platform.Origin2000(), M: 64, N: 256, Procs: 4, Overlap: 4,
+		Pattern: harness.ColumnWise, StoreData: true,
+	}
+	twophase, listio, sharded, traced := base, base, base, base
+	twophase.Strategy = core.TwoPhase{}
+	listio.Strategy = core.ListIO{}
+	sharded.Strategy, sharded.LockShards = core.Locking{}, 4
+	traced.Strategy, traced.TraceEvents = core.Locking{}, true
+	for _, e := range []harness.Experiment{twophase, listio, sharded, traced} {
+		cells = append(cells, Cell{ID: fmt.Sprintf("extra-%d", len(cells)), Experiment: e})
+	}
+	seq := Run(cells, Options{Workers: 1})
+	if err := FirstErr(seq); err != nil {
+		t.Fatal(err)
+	}
+	a, b := Records(seq), Records(Run(cells, Options{Workers: 8}))
 	for i := range a {
 		a[i].WallNS, b[i].WallNS = 0, 0 // real time legitimately differs
 	}

@@ -8,9 +8,9 @@
 // loop pops the globally earliest valid event and resumes its actor, which
 // then runs exclusively until its next Await, Park or return. Because only
 // one actor ever runs at a time, the exclusive turn of the sim.Coord
-// protocol is implicit, nothing runs between a structure's unlock and a
-// Park that follows it, and every virtual timestamp a simulation produces
-// is a function of its inputs alone. internal/harness's schedule explorer
+// protocol is implicit, the structures actors share need no locks, and
+// every virtual timestamp a simulation produces is a function of its
+// inputs alone. internal/harness's schedule explorer
 // wraps this engine to admit actions in other legal orders.
 //
 // Teardown mirrors the abort semantics of the rank runtimes: when the queue
@@ -24,7 +24,6 @@ package des
 import (
 	"fmt"
 	"iter"
-	"sync"
 
 	"atomio/internal/sim"
 )
@@ -145,8 +144,7 @@ type actor struct {
 // scheduler implements sim.Coord for the event-loop engine. All state is
 // touched only from the scheduler's own goroutine (the main loop and the
 // coroutines it resumes run strictly one at a time), so no field needs a
-// mutex. Park still releases its locker: the peers that run while the
-// actor sleeps lock the same structure.
+// mutex.
 type scheduler struct {
 	n     int
 	pub   []sim.VTime // last announced action time per actor
@@ -198,19 +196,10 @@ func (s *scheduler) Await(id int, t sim.VTime) {
 }
 
 // Park implements sim.Coord: yield without an announcement, so the actor
-// sleeps until a peer's Wake re-announces it. A non-nil l is unlocked
-// while parked and relocked before returning — including before the
-// StoppedError unwind, so the caller's deferred Unlock finds the lock held.
-func (s *scheduler) Park(id int, l sync.Locker) {
+// sleeps until a peer's Wake re-announces it.
+func (s *scheduler) Park(id int) {
 	s.state[id] = parked
-	if l != nil {
-		l.Unlock()
-	}
-	ok := s.acts[id].yield(struct{}{})
-	if l != nil {
-		l.Lock()
-	}
-	if !ok {
+	if !s.acts[id].yield(struct{}{}) {
 		panic(sim.StoppedError{Actor: id})
 	}
 	s.state[id] = running

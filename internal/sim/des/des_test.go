@@ -103,7 +103,7 @@ func TestSchedulerParkWake(t *testing.T) {
 			got = append(got, event{1, 50})
 		case 2:
 			// Park immediately; only actor 0's Wake can resume us.
-			coord.Park(2, nil)
+			coord.Park(2)
 			coord.Await(2, 100)
 			got = append(got, event{2, 100})
 		}
@@ -135,7 +135,7 @@ func TestSchedulerStall(t *testing.T) {
 					unwound = true
 				}
 			}()
-			coord.Park(0, nil) // never woken
+			coord.Park(0) // never woken
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "stalled: [0]") {

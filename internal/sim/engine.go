@@ -1,7 +1,5 @@
 package sim
 
-import "sync"
-
 // Coord is the coordination surface a deterministic simulation runs on:
 // the mailbox waits in internal/mpi, the grant-table waits in internal/lock
 // and the server bookings in internal/pfs all go through it. The engine
@@ -9,9 +7,10 @@ import "sync"
 // which admits actions in lexicographic (virtual time, actor id) order, so
 // a simulation's virtual output is a function of its inputs alone.
 //
-// Every blocking site follows one protocol: under the lock of the shared
-// structure it is about to sleep on, the actor sleeps with Park; the peer
-// that satisfies it calls Wake under the same lock. Await announces an
+// One actor runs at a time, so the structures it touches need no locks.
+// Every blocking site follows one protocol: an actor whose predicate on a
+// shared structure fails sleeps with Park and rechecks the predicate when
+// it resumes; the peer that satisfies it calls Wake. Await announces an
 // action and blocks until it is globally earliest; Done retires the actor.
 type Coord interface {
 	// Await announces that actor id wants to act at virtual time t and
@@ -19,15 +18,12 @@ type Coord interface {
 	// exclusive turn (released by the actor's next Coord call).
 	Await(id int, t VTime)
 	// Park puts the actor to sleep until a peer Wakes it; a sleeping actor
-	// never constrains admissions. If l is non-nil it is unlocked while
-	// parked and relocked before Park returns (the condition-variable
-	// protocol); the caller rechecks its predicate. A nil l parks without
-	// touching any lock.
-	Park(id int, l sync.Locker)
+	// never constrains admissions. The caller rechecks its predicate when
+	// Park returns.
+	Park(id int)
 	// Wake marks a parked actor live again, publishing t as a lower bound
 	// on its next action time, and resumes its Park. It is called by the
-	// actor doing the waking, under the shared-structure lock the sleeper
-	// parked under. Wake and Park pair one-to-one.
+	// actor doing the waking. Wake and Park pair one-to-one.
 	Wake(id int, t VTime)
 	// Done retires an actor: it no longer constrains admissions.
 	Done(id int)
@@ -106,7 +102,7 @@ type Solo struct{}
 func (Solo) Await(int, VTime) {}
 
 // Park implements Coord by panicking (see Solo).
-func (Solo) Park(id int, _ sync.Locker) {
+func (Solo) Park(id int) {
 	panic("sim: actor " + itoa(id) + " blocking with no engine: no peer can ever wake this actor")
 }
 

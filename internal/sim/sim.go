@@ -21,7 +21,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -116,9 +115,9 @@ func (Free) Cost(int64) VTime { return 0 }
 
 // Resource is a shared, serially used facility (a disk head, an I/O server's
 // service loop, a lock manager's request queue) that processes requests
-// first-come-first-served in virtual time. It is safe for concurrent use.
+// first-come-first-served in virtual time. It is not safe for concurrent
+// use: the engine runs one actor at a time, and that is the only caller.
 type Resource struct {
-	mu     sync.Mutex
 	name   string
 	freeAt VTime
 	busy   VTime // total busy time, for utilization reporting
@@ -142,8 +141,6 @@ func (r *Resource) Acquire(at, dur VTime) (start, end VTime) {
 	if dur < 0 {
 		panic(fmt.Sprintf("sim: negative service time %v on %s", dur, r.name))
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	start = MaxVTime(at, r.freeAt)
 	end = start + dur
 	r.freeAt = end
@@ -154,22 +151,16 @@ func (r *Resource) Acquire(at, dur VTime) (start, end VTime) {
 
 // FreeAt returns the virtual time at which the resource next becomes idle.
 func (r *Resource) FreeAt() VTime {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.freeAt
 }
 
 // Stats returns the number of operations served and total busy time.
 func (r *Resource) Stats() (ops int64, busy VTime) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.ops, r.busy
 }
 
 // Reset returns the resource to the idle state at virtual time zero.
 func (r *Resource) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.freeAt, r.busy, r.ops = 0, 0, 0
 }
 

