@@ -301,7 +301,7 @@ type Conflicts struct {
 
 // String renders W as 0/1 rows, matching the paper's Figure 6 notation.
 func (c *Conflicts) String() string {
-	return core.OverlapMatrix(c.Overlaps).String()
+	return core.FormatMatrix(c.Overlaps)
 }
 
 // Conflicts computes the spec's conflict structure without running the
@@ -316,7 +316,7 @@ func (s *Spec) Conflicts() (*Conflicts, error) {
 	}
 	w := core.BuildOverlapMatrix(views)
 	colors, phases := core.GreedyColor(w)
-	return &Conflicts{Overlaps: w, Colors: colors, Phases: phases}, nil
+	return &Conflicts{Overlaps: w.Dense(), Colors: colors, Phases: phases}, nil
 }
 
 // Methods returns the names of the strategies the paper measures on a

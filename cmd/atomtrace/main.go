@@ -18,7 +18,8 @@
 // message count grows ~P² — the cost the paper's §4 weighs against lock
 // contention. An exponent near 2 confirms the quadratic regime; locking
 // traces sit near 1. Given traces of both kinds (one that requested locks is
-// a locking run) it reports the smallest P at which the handshake ends first.
+// a locking run) it reports the smallest P at which a handshake — the
+// fastest, when traces of several strategies share a P — ends first.
 //
 // Exit status is 0 on success, 1 on unreadable or malformed traces, 2 on
 // flag errors.
@@ -101,7 +102,8 @@ func reportScaling(w io.Writer, paths []string, traces []*obs.TraceData) {
 		return traces[order[a]].Procs < traces[order[b]].Procs
 	})
 	var total, allgather []obs.ScalingPoint
-	// ends[locking?][P] is the makespan of the trace of that kind at P.
+	// ends[locking?][P] is the shortest makespan among the traces of that
+	// kind at P: a sweep writes one trace per handshaking strategy.
 	ends := map[bool]map[int]time.Duration{false: {}, true: {}}
 	fmt.Fprintf(w, "%-40s %8s %12s %12s %14s\n", "trace", "P", "msgs", "allgather", "makespan")
 	for _, i := range order {
@@ -110,7 +112,10 @@ func reportScaling(w io.Writer, paths []string, traces []*obs.TraceData) {
 		for _, e := range t.Events {
 			end = max(end, time.Duration(e.T)) // a run ends on an event
 		}
-		ends[t.Metrics.Counter(obs.MetricLockReqs) > 0][t.Procs] = end
+		kind := ends[t.Metrics.Counter(obs.MetricLockReqs) > 0]
+		if prev, ok := kind[t.Procs]; !ok || end < prev {
+			kind[t.Procs] = end
+		}
 		msgs := obs.MessageCounts(t.Events)
 		var sum int64
 		for _, n := range msgs {

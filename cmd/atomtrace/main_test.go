@@ -110,7 +110,8 @@ func TestRunExitCodes(t *testing.T) {
 
 // TestRunScalingReportsTheCrossover: given locking and handshaking traces of
 // the same process counts, -scaling names the smallest P at which the
-// handshake finishes first.
+// fastest handshake finishes first, whatever order slower handshakes of the
+// same P come in.
 func TestRunScalingReportsTheCrossover(t *testing.T) {
 	dir := t.TempDir()
 	// last is the trace's final event: its T is the makespan.
@@ -137,6 +138,7 @@ func TestRunScalingReportsTheCrossover(t *testing.T) {
 		write("lock-16.jsonl", 16, obs.Event{T: 900}, true), write("hs-16.jsonl", 16, obs.Event{T: 300}, false),
 		write("lock-4.jsonl", 4, obs.Event{T: 100}, true), write("hs-4.jsonl", 4, obs.Event{T: 200}, false),
 		write("lock-8.jsonl", 8, obs.Event{T: 400}, true), write("hs-8.jsonl", 8, obs.Event{T: 250}, false),
+		write("slow-hs-8.jsonl", 8, obs.Event{T: 500}, false),
 	}
 	var out, errOut bytes.Buffer
 	if code := run(append([]string{"-scaling"}, paths...), &out, &errOut); code != 0 {

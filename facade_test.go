@@ -312,7 +312,7 @@ func TestConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := core.BuildOverlapMatrix(views)
-	if !reflect.DeepEqual(c.Overlaps, [][]bool(w)) {
+	if !reflect.DeepEqual(c.Overlaps, w.Dense()) {
 		t.Error("Conflicts.Overlaps differs from core.BuildOverlapMatrix")
 	}
 	colors, phases := core.GreedyColor(w)

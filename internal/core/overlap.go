@@ -7,10 +7,12 @@ import (
 	"atomio/internal/interval/index"
 )
 
-// OverlapMatrix is the P×P boolean matrix W of the paper's Figure 5:
-// W[i][j] is true when process i's file view overlaps process j's. The
-// diagonal is false by construction.
-type OverlapMatrix [][]bool
+// OverlapMatrix is the paper's P×P matrix W of Figure 5 stored by its ones:
+// w[i] lists, ascending, the ranks j whose views overlap rank i's (W[i][j]
+// true). The diagonal is empty by construction. Rows hold O(P + edges)
+// entries where the matrix holds P² cells; Dense and String give back the
+// matrix itself, to print Figures 5 and 6.
+type OverlapMatrix [][]int32
 
 // BuildOverlapMatrix computes W from every rank's file extents. The paper
 // has each process build it locally after the view exchange ("The file
@@ -32,32 +34,23 @@ func BuildOverlapMatrixFromSpans(spans []interval.Extent) OverlapMatrix {
 	return OverlapMatrix(index.SweepSpans(spans))
 }
 
-// Degree returns the number of processes rank i overlaps.
-func (w OverlapMatrix) Degree(i int) int {
-	n := 0
-	for _, b := range w[i] {
-		if b {
-			n++
+// Dense returns W as the P×P boolean matrix.
+func (w OverlapMatrix) Dense() [][]bool {
+	out := make([][]bool, len(w))
+	for i, row := range w {
+		out[i] = make([]bool, len(w))
+		for _, j := range row {
+			out[i][j] = true
 		}
 	}
-	return n
-}
-
-// HasAnyOverlap reports whether any pair of processes overlaps; if not,
-// every strategy degenerates to a plain concurrent write.
-func (w OverlapMatrix) HasAnyOverlap() bool {
-	for i := range w {
-		for _, b := range w[i] {
-			if b {
-				return true
-			}
-		}
-	}
-	return false
+	return out
 }
 
 // String renders W as 0/1 rows, matching the paper's Figure 6 notation.
-func (w OverlapMatrix) String() string {
+func (w OverlapMatrix) String() string { return FormatMatrix(w.Dense()) }
+
+// FormatMatrix renders a boolean matrix as 0/1 rows, Figure 6's notation.
+func FormatMatrix(w [][]bool) string {
 	var b strings.Builder
 	for i, row := range w {
 		if i > 0 {
@@ -82,49 +75,28 @@ func (w OverlapMatrix) String() string {
 // its already-colored neighbours. It returns each rank's color and the
 // number of colors (= I/O phases). Like W it is the same on every rank, and
 // Coloring computes it once per collective; both returned values are then
-// shared and read-only.
+// shared and read-only. It walks W's rows once, in O(P + edges), with one
+// scratch: taken[c] == i+1 marks color c as used by a neighbour of rank i.
 //
 // For the paper's column-wise partitioning, where W is tridiagonal, this
 // yields 2 colors: even ranks then odd ranks (Figure 6).
 func GreedyColor(w OverlapMatrix) (colors []int, numColors int) {
-	p := len(w)
-	colors = make([]int, p)
-	for i := range colors {
-		colors[i] = -1
-	}
-	for i := 0; i < p; i++ {
-		used := make([]bool, p)
-		for j := 0; j < i; j++ {
-			if w[i][j] && colors[j] >= 0 {
-				used[colors[j]] = true
+	colors = make([]int, len(w))
+	taken := make([]int, len(w)) // a rank has fewer neighbours than P, so colors stay below P
+	for i, row := range w {
+		for _, j := range row {
+			if int(j) < i {
+				taken[colors[j]] = i + 1
 			}
 		}
 		c := 0
-		for used[c] {
+		for taken[c] == i+1 {
 			c++
 		}
 		colors[i] = c
-		if c+1 > numColors {
-			numColors = c + 1
-		}
-	}
-	if p > 0 && numColors == 0 {
-		numColors = 1
+		numColors = max(numColors, c+1)
 	}
 	return colors, numColors
-}
-
-// ValidColoring reports whether colors assigns different colors to every
-// overlapping pair — the invariant the property tests pin down.
-func ValidColoring(w OverlapMatrix, colors []int) bool {
-	for i := range w {
-		for j := range w[i] {
-			if w[i][j] && colors[i] == colors[j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ClipForRank returns the part of views[rank] that rank actually writes

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -31,28 +33,70 @@ func TestBuildOverlapMatrixColumnWise(t *testing.T) {
 	// Figure 6's W matrix for P=4 column-wise: tridiagonal.
 	views := columnWiseViews(t, 8, 16, 4, 2)
 	w := BuildOverlapMatrix(views)
-	want := OverlapMatrix{
-		{false, true, false, false},
-		{true, false, true, false},
-		{false, true, false, true},
-		{false, false, true, false},
-	}
-	for i := range want {
-		for j := range want[i] {
-			if w[i][j] != want[i][j] {
-				t.Fatalf("W =\n%v\nwant tridiagonal (mismatch at %d,%d)", w, i, j)
-			}
-		}
+	want := OverlapMatrix{{1}, {0, 2}, {1, 3}, {2}}
+	if !slices.EqualFunc(w, want, slices.Equal[[]int32]) {
+		t.Fatalf("W =\n%v\nwant tridiagonal rows %v", w, want)
 	}
 	if got := w.String(); got != "0 1 0 0\n1 0 1 0\n0 1 0 1\n0 0 1 0" {
 		t.Fatalf("W render = %q", got)
 	}
-	if w.Degree(0) != 1 || w.Degree(1) != 2 {
-		t.Fatal("degrees wrong")
+}
+
+// sparse converts a dense boolean matrix to W's rows.
+func sparse(dense [][]bool) OverlapMatrix {
+	w := make(OverlapMatrix, len(dense))
+	for i, row := range dense {
+		w[i] = []int32{}
+		for j, v := range row {
+			if v {
+				w[i] = append(w[i], int32(j))
+			}
+		}
 	}
-	if !w.HasAnyOverlap() {
-		t.Fatal("overlap not detected")
+	return w
+}
+
+// TestColoringMemoryIsLinearInP pins W and its coloring to O(P + edges)
+// bytes. At P=16384 ranks that each overlap their right-hand neighbour, W
+// is tridiagonal; building and coloring it allocate a few hundred bytes per
+// rank, where the P×P matrix and a P-sized scratch per rank colored took
+// 2·P² bytes (537 MB).
+func TestColoringMemoryIsLinearInP(t *testing.T) {
+	const p = 16384
+	views := make([]interval.List, p)
+	for r := range views {
+		views[r] = interval.List{ext(int64(r)*64, 80)}
 	}
+	var colors []int
+	var num int
+	least := uint64(math.MaxUint64) // of three runs: TotalAlloc counts the whole process
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		colors, num = GreedyColor(BuildOverlapMatrix(views))
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if num != 2 || colors[p-1] != (p-1)%2 {
+		t.Fatalf("%d colors, rank %d has color %d: want the two-coloring by parity", num, p-1, colors[p-1])
+	}
+	if least > 256*p {
+		t.Errorf("building and coloring W at P=%d allocated %d bytes, %d per rank: want O(P + edges), at most 256 per rank",
+			p, least, least/p)
+	}
+}
+
+// validColoring reports whether colors assigns different colors to every
+// overlapping pair — the invariant the property tests pin down.
+func validColoring(w OverlapMatrix, colors []int) bool {
+	for i, row := range w {
+		for _, j := range row {
+			if colors[i] == colors[j] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestFigure6TwoColoring(t *testing.T) {
@@ -69,19 +113,19 @@ func TestFigure6TwoColoring(t *testing.T) {
 			t.Fatalf("rank %d color %d, want parity %d", rank, c, rank%2)
 		}
 	}
-	if !ValidColoring(w, colors) {
+	if !validColoring(w, colors) {
 		t.Fatal("coloring invalid")
 	}
 }
 
 func TestGreedyColoringAlgorithm(t *testing.T) {
 	// Hand-checked instance: a triangle plus a pendant vertex.
-	w := OverlapMatrix{
+	w := sparse([][]bool{
 		{false, true, true, false},
 		{true, false, true, false},
 		{true, true, false, true},
 		{false, false, true, false},
-	}
+	})
 	colors, num := GreedyColor(w)
 	want := []int{0, 1, 2, 0}
 	for i := range want {
@@ -96,8 +140,10 @@ func TestGreedyColoringAlgorithm(t *testing.T) {
 
 func TestGreedyColoringNoOverlapsOneColor(t *testing.T) {
 	w := BuildOverlapMatrix([]interval.List{{ext(0, 10)}, {ext(20, 10)}, {ext(40, 10)}})
-	if w.HasAnyOverlap() {
-		t.Fatal("disjoint views reported overlapping")
+	for i, row := range w {
+		if len(row) != 0 {
+			t.Fatalf("disjoint views reported overlapping: row %d = %v", i, row)
+		}
 	}
 	colors, num := GreedyColor(w)
 	if num != 1 {
@@ -126,19 +172,20 @@ func TestQuickGreedyColoringAlwaysValid(t *testing.T) {
 	f := func(seed int64, pRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := int(pRaw%16) + 1
-		w := make(OverlapMatrix, p)
-		for i := range w {
-			w[i] = make([]bool, p)
+		dense := make([][]bool, p)
+		for i := range dense {
+			dense[i] = make([]bool, p)
 		}
 		for i := 0; i < p; i++ {
 			for j := i + 1; j < p; j++ {
 				if r.Intn(3) == 0 {
-					w[i][j], w[j][i] = true, true
+					dense[i][j], dense[j][i] = true, true
 				}
 			}
 		}
+		w := sparse(dense)
 		colors, num := GreedyColor(w)
-		if !ValidColoring(w, colors) {
+		if !validColoring(w, colors) {
 			return false
 		}
 		for _, c := range colors {
@@ -149,9 +196,7 @@ func TestQuickGreedyColoringAlwaysValid(t *testing.T) {
 		// Greedy bound: at most max-degree+1 colors.
 		maxDeg := 0
 		for i := range w {
-			if d := w.Degree(i); d > maxDeg {
-				maxDeg = d
-			}
+			maxDeg = max(maxDeg, len(w[i]))
 		}
 		return num <= maxDeg+1
 	}
@@ -287,12 +332,12 @@ func TestBuildOverlapMatrixFromSpansIsConservative(t *testing.T) {
 		{ext(0, 2), ext(10, 2)},
 		{ext(5, 2), ext(15, 2)},
 	}
-	exact := BuildOverlapMatrix(views)
+	exact := BuildOverlapMatrix(views).Dense()
 	if exact[0][1] {
 		t.Fatal("exact matrix wrong")
 	}
 	spans := []interval.Extent{views[0].Span(), views[1].Span()}
-	cons := BuildOverlapMatrixFromSpans(spans)
+	cons := BuildOverlapMatrixFromSpans(spans).Dense()
 	if !cons[0][1] || !cons[1][0] {
 		t.Fatal("span matrix should be conservative")
 	}
@@ -328,7 +373,7 @@ func TestByNameAndAll(t *testing.T) {
 // W that BuildOverlapMatrix's sweep is pinned to.
 func buildOverlapMatrixLinear(views []interval.List) OverlapMatrix {
 	p := len(views)
-	w := make(OverlapMatrix, p)
+	w := make([][]bool, p)
 	for i := range w {
 		w[i] = make([]bool, p)
 	}
@@ -340,7 +385,7 @@ func buildOverlapMatrixLinear(views []interval.List) OverlapMatrix {
 			}
 		}
 	}
-	return w
+	return sparse(w)
 }
 
 // TestSweepMatrixMatchesLinearOracle pins the sweep-line overlap matrix to
@@ -368,7 +413,7 @@ func TestSpanMatrixMatchesPairwiseOracle(t *testing.T) {
 		for i := range spans {
 			spans[i] = ext(int64(r.Intn(250)), int64(r.Intn(40)))
 		}
-		got := BuildOverlapMatrixFromSpans(spans)
+		got := BuildOverlapMatrixFromSpans(spans).Dense()
 		for i := 0; i < p; i++ {
 			for j := 0; j < p; j++ {
 				want := i != j && spans[i].Overlaps(spans[j])

@@ -1,14 +1,14 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"atomio/internal/fileview"
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
+	"atomio/internal/mpi"
 	"atomio/internal/pfs"
 	"atomio/internal/trace"
 )
@@ -35,7 +35,6 @@ func (TwoPhase) Name() string { return "twophase" }
 // WriteAll implements Strategy.
 func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
 	comm := ctx.Comm
-	p := comm.Size()
 	mine := ExtentsOf(maps)
 
 	hs := ctx.span(trace.PhaseHandshake)
@@ -57,53 +56,16 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 	}
 	// The runs cover what the views cover: first to last is the aggregate span.
 	span := interval.Extent{Off: owners[0].Off, Len: owners[len(owners)-1].End() - owners[0].Off}
-	domains := fileDomains(span, p)
-	if buf == nil {
-		// The exchange ships real bytes by design, so a timing-only
-		// request becomes a zero request here: the routed messages keep
-		// the size they have when the application passes a buffer.
-		var n int64
-		for _, m := range maps {
-			n = max(n, m.Buf+m.File.Len)
-		}
-		buf = make([]byte, n)
-	}
+	domains := newFileDomains(span, comm.Size())
 
-	// Phase 1: route each of my segments to the domain owners. Domains are
-	// sorted and disjoint, so each segment binary-searches its first owner
-	// and walks forward only while domains still intersect it — O(log P +
-	// owners touched) per segment instead of intersecting all P domains.
-	// The routing runs twice: once to size every owner's payload, once to
-	// fill it, so no payload grows by doubling.
-	route := func(piece func(owner int, ov interval.Extent, data []byte)) {
-		for _, m := range maps {
-			lo := sort.Search(len(domains), func(i int) bool { return domains[i].End() > m.File.Off })
-			for owner := lo; owner < len(domains) && domains[owner].Off < m.File.End(); owner++ {
-				ov := m.File.Intersect(domains[owner])
-				if ov.Empty() {
-					continue
-				}
-				piece(owner, ov, buf[m.Buf+(ov.Off-m.File.Off):m.Buf+(ov.Off-m.File.Off)+ov.Len])
-			}
-		}
-	}
-	sizes := make([]int64, p)
-	route(func(owner int, ov interval.Extent, _ []byte) { sizes[owner] += pieceHeader + ov.Len })
-	parts := make([][]byte, p)
-	for owner, n := range sizes {
-		if n > 0 {
-			parts[owner] = make([]byte, 0, n)
-		}
-	}
-	route(func(owner int, ov interval.Extent, data []byte) {
-		parts[owner] = appendPiece(parts[owner], ov.Off, data)
-	})
+	// Phase 1: route each of my segments to the domain owners.
+	parts := route(buf, maps, domains)
 	ex := ctx.span(trace.PhaseExchange)
 	recv := comm.Alltoall(parts)
 	ex.Stop()
 
 	// Phase 2: merge received pieces highest-rank-wins and write my domain.
-	segs, err := mergePieces(recv, domains[comm.Rank()], owners)
+	segs, err := mergePieces(recv, domains.at(comm.Rank()), owners)
 	if err != nil {
 		return err
 	}
@@ -120,6 +82,9 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 	ctx.Client.Sync()
 	ctx.Client.Invalidate()
 	xfer.Stop()
+	// The barrier also ends the exchange's loan: the owners' segments point
+	// into the senders' buffers, which stay untouched until every owner's
+	// Sync above has handed its bytes to the store.
 	sw := ctx.span(trace.PhaseSyncWait)
 	comm.Barrier()
 	sw.Stop()
@@ -128,93 +93,131 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 
 // fileDomains splits span into n contiguous disjoint domains of near-equal
 // size (the last absorbs the remainder). Domains may be empty when the span
-// is smaller than n bytes.
-func fileDomains(span interval.Extent, n int) []interval.Extent {
-	out := make([]interval.Extent, n)
-	chunk := span.Len / int64(n)
-	off := span.Off
-	for i := 0; i < n; i++ {
-		l := chunk
-		if i == n-1 {
-			l = span.End() - off
-		}
-		out[i] = interval.Extent{Off: off, Len: l}
-		off += l
-	}
-	return out
+// is smaller than n bytes. They are arithmetic — any domain, and the owner
+// of any offset, in O(1) — so no rank holds a list of all n.
+type fileDomains struct {
+	span  interval.Extent
+	n     int
+	chunk int64
 }
 
-// pieceHeader is the size of a routed piece's (offset, length) header.
+func newFileDomains(span interval.Extent, n int) fileDomains {
+	return fileDomains{span: span, n: n, chunk: span.Len / int64(n)}
+}
+
+// at returns domain i.
+func (d fileDomains) at(i int) interval.Extent {
+	off := d.span.Off + int64(i)*d.chunk
+	if i == d.n-1 {
+		return interval.Extent{Off: off, Len: d.span.End() - off}
+	}
+	return interval.Extent{Off: off, Len: d.chunk}
+}
+
+// owner returns the first domain that ends after off.
+func (d fileDomains) owner(off int64) int {
+	if d.chunk == 0 { // every domain but the last is empty
+		return d.n - 1
+	}
+	return int(min(max(off-d.span.Off, 0)/d.chunk, int64(d.n-1)))
+}
+
+// pieceHeader is the size of a routed piece's (offset, length) header on the
+// wire the exchange is timed as.
 const pieceHeader = 16
 
-// appendPiece encodes one (offset, data) piece onto a routing payload.
-func appendPiece(payload []byte, off int64, data []byte) []byte {
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(off))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(data)))
-	return append(payload, data...)
-}
-
-// pieceCursor reads one source's payload front to back, a piece at a time.
-type pieceCursor struct {
-	rest []byte // the payload after the current piece
-	off  int64  // the current piece lands at off
+// piece is one routed piece of a request: the bytes it puts at Extent, nil
+// when the request is timing-only.
+type piece struct {
+	interval.Extent
 	data []byte
 }
 
-func (c *pieceCursor) end() int64 { return c.off + int64(len(c.data)) }
-
-// next reverses appendPiece for the first piece of c.rest and makes it the
-// current one. Pieces arrive in file order because fileview mappings are;
-// one that starts before after — where its predecessor ended — is an error.
-func (c *pieceCursor) next(after int64) error {
-	if len(c.rest) < pieceHeader {
-		return fmt.Errorf("core: truncated two-phase piece header")
+// route cuts a request at the domain boundaries into pieces and groups them
+// into one Alltoall part per owner. Mappings ascend in file order and so do
+// domains, so the parts come out in ascending owner order, and each mapping
+// starts at its first owner and walks forward only while domains still
+// intersect it — O(1 + owners touched) per mapping. A part's Size is what
+// the wire would carry, a header plus the bytes of each piece, whether or
+// not the request has bytes: a timing-only exchange moves none and costs
+// the same. Its Data is the []piece, which points into buf — shared with the
+// owner, never copied. The walk runs twice, to count and then to fill, so
+// each list is allocated once, at its size.
+func route(buf []byte, maps []fileview.Mapping, domains fileDomains) []mpi.Part {
+	each := func(visit func(owner int, ov interval.Extent, at int64)) {
+		for _, m := range maps {
+			for owner := domains.owner(m.File.Off); owner < domains.n && domains.at(owner).Off < m.File.End(); owner++ {
+				if ov := m.File.Intersect(domains.at(owner)); !ov.Empty() {
+					visit(owner, ov, m.Buf+(ov.Off-m.File.Off))
+				}
+			}
+		}
 	}
-	off := int64(binary.LittleEndian.Uint64(c.rest))
-	n := int64(binary.LittleEndian.Uint64(c.rest[8:]))
-	body := c.rest[pieceHeader:]
-	switch {
-	case n < 0 || n > int64(len(body)):
-		return fmt.Errorf("core: truncated two-phase piece body (%d of %d bytes)", len(body), n)
-	case off < after:
-		return fmt.Errorf("core: two-phase piece at %d is out of order: its predecessor ends at %d", off, after)
+	npieces, nparts, last := 0, 0, -1
+	each(func(owner int, _ interval.Extent, _ int64) {
+		npieces++
+		if owner != last {
+			nparts, last = nparts+1, owner
+		}
+	})
+	pieces, parts := make([]piece, 0, npieces), make([]mpi.Part, 0, nparts)
+	first := 0 // the current part's first piece
+	each(func(owner int, ov interval.Extent, at int64) {
+		if n := len(parts); n == 0 || parts[n-1].Peer != owner {
+			if n > 0 {
+				parts[n-1].Data = pieces[first:]
+			}
+			parts, first = append(parts, mpi.Part{Peer: owner}), len(pieces)
+		}
+		var data []byte
+		if buf != nil {
+			data = buf[at : at+ov.Len]
+		}
+		pieces = append(pieces, piece{ov, data})
+		parts[len(parts)-1].Size += pieceHeader + ov.Len
+	})
+	if n := len(parts); n > 0 {
+		parts[n-1].Data = pieces[first:]
 	}
-	c.off, c.data, c.rest = off, body[:n], body[n:]
-	return nil
+	return parts
 }
 
-// mergePieces combines the pieces received from every rank (indexed by
-// source rank) into disjoint, offset-sorted segments covering at most the
-// owner's domain, with bytes from the highest sending rank winning every
-// overlap. It decides nothing itself: it walks the runs of owners — the
-// collective's shared index.Winners map — inside the domain with one cursor
-// per source, emitting one segment per (piece ∩ run). A payload that is
-// malformed, out of file order, or short of a run its sender's view wins is
-// an error naming the sender, never a panic.
-func mergePieces(recv [][]byte, domain interval.Extent, owners []index.Owned) (segs []pfs.Segment, err error) {
-	cursors := make([]pieceCursor, len(recv))
-	for src, payload := range recv {
-		cursors[src] = pieceCursor{rest: payload, off: math.MinInt64}
+// mergePieces combines the parts received from every rank (in ascending
+// sender order, as Alltoall delivers them) into disjoint, offset-sorted
+// segments covering at most the owner's domain, with the pieces of the
+// highest sending rank winning every overlap. It decides nothing itself: it
+// walks the runs of owners — the collective's shared index.Winners map —
+// inside the domain with one cursor per sender, emitting one segment per
+// (piece ∩ run). Pieces short of a run their sender's view wins are an
+// error naming the sender, never a panic.
+func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned) (segs []pfs.Segment, err error) {
+	rest := make([][]piece, len(recv)) // by sender's place in recv: its pieces not yet passed
+	for k, pt := range recv {
+		rest[k], _ = pt.Data.([]piece)
 	}
 	lo := sort.Search(len(owners), func(i int) bool { return owners[i].End() > domain.Off })
 	hi := max(lo, sort.Search(len(owners), func(i int) bool { return owners[i].Off >= domain.End() }))
 	segs = make([]pfs.Segment, 0, hi-lo) // exact unless a run spans several pieces
 	for _, o := range owners[lo:hi] {
-		c, run := &cursors[o.Rank], o.Intersect(domain)
-		for at := run.Off; at < run.End() && err == nil; {
-			switch {
-			case c.end() <= at && len(c.rest) > 0: // wholly before at: lost to higher ranks, or merged
-				err = c.next(c.end())
-			case c.end() <= at || c.off > at:
-				err = fmt.Errorf("core: two-phase pieces do not cover %v from %d, which the sender's view wins", run, at)
-			default:
-				n := min(c.end(), run.End())
-				segs = append(segs, pfs.Segment{Off: at, Data: c.data[at-c.off : n-c.off]})
-				at = n
-			}
+		k, found := slices.BinarySearchFunc(recv, o.Rank, func(pt mpi.Part, rank int) int { return pt.Peer - rank })
+		var ps []piece
+		if found {
+			ps = rest[k]
 		}
-		if err != nil {
-			return nil, fmt.Errorf("from rank %d: %w", o.Rank, err)
+		run := o.Intersect(domain)
+		for at := run.Off; at < run.End(); {
+			for len(ps) > 0 && ps[0].End() <= at { // wholly before at: lost to higher ranks, or merged
+				ps = ps[1:]
+			}
+			if len(ps) == 0 || ps[0].Off > at {
+				return nil, fmt.Errorf("from rank %d: core: two-phase pieces do not cover %v from %d, which the sender's view wins", o.Rank, run, at)
+			}
+			n := min(ps[0].End(), run.End())
+			segs = append(segs, segment(ps[0].data, at, at-ps[0].Off, n-at))
+			at = n
+		}
+		if found {
+			rest[k] = ps
 		}
 	}
 	return segs, nil // pieces never reached lost to higher ranks: unread

@@ -3,9 +3,6 @@ package core
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
-	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -16,93 +13,83 @@ import (
 	"atomio/internal/fileview"
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
+	"atomio/internal/mpi"
 	"atomio/internal/pfs"
 	"atomio/internal/workload"
 )
 
+// domainList lists every domain of d.
+func domainList(d fileDomains) []interval.Extent {
+	out := make([]interval.Extent, d.n)
+	for i := range out {
+		out[i] = d.at(i)
+	}
+	return out
+}
+
 func TestFileDomains(t *testing.T) {
-	d := fileDomains(ext(100, 10), 3)
-	want := []interval.Extent{ext(100, 3), ext(103, 3), ext(106, 4)}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("domains = %v, want %v", d, want)
-		}
+	d := domainList(newFileDomains(ext(100, 10), 3))
+	if want := []interval.Extent{ext(100, 3), ext(103, 3), ext(106, 4)}; !slices.Equal(d, want) {
+		t.Fatalf("domains = %v, want %v", d, want)
 	}
-	// Disjoint, covering, ordered — for any split.
-	d = fileDomains(ext(0, 1), 4)
-	var total int64
-	for i, e := range d {
-		total += e.Len
-		if i > 0 && d[i-1].End() != e.Off {
-			t.Fatalf("domains not contiguous: %v", d)
+	// Disjoint, covering, ordered — for any split — and owner(off) is the
+	// first domain ending after off, as a search over the list finds it.
+	for _, tc := range []struct {
+		span interval.Extent
+		n    int
+	}{{ext(0, 1), 4}, {ext(5, 3), 3}, {ext(7, 100), 7}, {ext(0, 1<<20), 1}, {ext(64, 640), 64}} {
+		doms := newFileDomains(tc.span, tc.n)
+		d := domainList(doms)
+		var total int64
+		for i, e := range d {
+			total += e.Len
+			if i > 0 && d[i-1].End() != e.Off {
+				t.Fatalf("domains not contiguous: %v", d)
+			}
 		}
-	}
-	if total != 1 {
-		t.Fatalf("domains don't cover span: %v", d)
+		if total != tc.span.Len {
+			t.Fatalf("domains don't cover span %v: %v", tc.span, d)
+		}
+		for off := tc.span.Off; off < tc.span.End(); off++ {
+			want := slices.IndexFunc(d, func(e interval.Extent) bool { return e.End() > off })
+			if got := doms.owner(off); got != want {
+				t.Fatalf("span %v / %d: owner(%d) = %d, want %d", tc.span, tc.n, off, got, want)
+			}
+		}
 	}
 }
 
-// decodePieces reads a whole payload with the merge's piece reader, order
-// check off: the codec has no opinion on order, the merge enforces it.
-func decodePieces(payload []byte) ([]pfs.Segment, error) {
-	var out []pfs.Segment
-	for c := (pieceCursor{rest: payload}); len(c.rest) > 0; {
-		if err := c.next(math.MinInt64); err != nil {
-			return out, err
-		}
-		out = append(out, pfs.Segment{Off: c.off, Data: c.data})
-	}
-	return out, nil
+// part is a received part of pieces from rank from.
+func part(from int, pieces ...piece) mpi.Part { return mpi.Part{Peer: from, Data: pieces} }
+
+// filled is a piece of n bytes of fill at off.
+func filled(off, n int64, fill byte) piece {
+	return piece{ext(off, n), bytes.Repeat([]byte{fill}, int(n))}
 }
 
-func TestPieceCodecRoundTrip(t *testing.T) {
-	payload := appendPiece(nil, 42, []byte("hello"))
-	payload = appendPiece(payload, 1000, []byte{})
-	payload = appendPiece(payload, 7, []byte{1, 2, 3})
-	segs, err := decodePieces(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 3 {
-		t.Fatalf("segs = %v", segs)
-	}
-	if segs[0].Off != 42 || string(segs[0].Data) != "hello" {
-		t.Fatalf("seg0 = %+v", segs[0])
-	}
-	if segs[1].Off != 1000 || len(segs[1].Data) != 0 {
-		t.Fatalf("seg1 = %+v", segs[1])
-	}
-	if _, err := decodePieces([]byte{1, 2, 3}); err == nil {
-		t.Fatal("truncated header accepted")
-	}
-	long := appendPiece(nil, 0, []byte("abc"))
-	if _, err := decodePieces(long[:len(long)-1]); err == nil {
-		t.Fatal("truncated body accepted")
-	}
-}
-
-// viewsOf recovers the views a set of routed payloads came from: each
-// source's view is the union of its pieces (as far as they decode).
-func viewsOf(recv [][]byte) []interval.List {
+// viewsOf recovers the views a set of received parts came from: each
+// sender's view is the union of its pieces.
+func viewsOf(recv []mpi.Part) []interval.List {
 	views := make([]interval.List, len(recv))
-	for src, payload := range recv {
-		pieces, _ := decodePieces(payload)
-		views[src] = segExtents(pieces)
+	for k, pt := range recv {
+		views[k] = nil
+		for _, pc := range pt.Data.([]piece) {
+			views[k] = append(views[k], pc.Extent)
+		}
+		views[k] = views[k].Normalize()
 	}
 	return views
 }
 
-// mergeReceived merges recv against the winners map of its own pieces.
-func mergeReceived(recv [][]byte, domain interval.Extent) ([]pfs.Segment, error) {
+// mergeReceived merges recv, sent by ranks 0..len-1, against the winners map
+// of its own pieces.
+func mergeReceived(recv []mpi.Part, domain interval.Extent) ([]pfs.Segment, error) {
 	return mergePieces(recv, domain, index.Winners(viewsOf(recv)))
 }
 
 func TestMergePiecesHighestRankWins(t *testing.T) {
 	domain := ext(0, 100)
-	recv := make([][]byte, 3)
-	recv[0] = appendPiece(nil, 0, bytes.Repeat([]byte{1}, 50))
-	recv[1] = appendPiece(nil, 25, bytes.Repeat([]byte{2}, 50))
-	recv[2] = appendPiece(nil, 40, bytes.Repeat([]byte{3}, 20))
+	recv := []mpi.Part{part(0, filled(0, 50, 1)), part(1, filled(25, 50, 2)), part(2, filled(40, 20, 3))}
 	segs, err := mergeReceived(recv, domain)
 	if err != nil {
 		t.Fatal(err)
@@ -135,8 +122,7 @@ func TestMergePiecesHighestRankWins(t *testing.T) {
 }
 
 func TestMergePiecesClampsToDomain(t *testing.T) {
-	recv := [][]byte{appendPiece(nil, 0, bytes.Repeat([]byte{9}, 100))}
-	segs, err := mergeReceived(recv, ext(40, 20))
+	segs, err := mergeReceived([]mpi.Part{part(0, filled(0, 100, 9))}, ext(40, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,49 +131,43 @@ func TestMergePiecesClampsToDomain(t *testing.T) {
 	}
 }
 
-// TestMergePiecesFailsLoudly feeds the merge every way a payload can break
-// the cursor walk's assumptions: each is an error naming the sender.
+// TestMergePiecesFailsLoudly feeds the merge pieces that fall short of a run
+// the winners map gives their sender: each is an error naming the sender.
 func TestMergePiecesFailsLoudly(t *testing.T) {
 	domain := ext(0, 100)
-	low := appendPiece(nil, 0, bytes.Repeat([]byte{1}, 50))
-	good := appendPiece(appendPiece(nil, 10, []byte("abcd")), 20, []byte("efgh"))
+	low := part(0, filled(0, 50, 1))
 	owners := index.Winners([]interval.List{{ext(0, 50)}, {ext(10, 4), ext(20, 4)}})
-	if _, err := mergePieces([][]byte{low, good}, domain, owners); err != nil {
-		t.Fatalf("well-formed payloads: %v", err)
+	if _, err := mergePieces([]mpi.Part{low, part(1, filled(10, 4, 2), filled(20, 4, 2))}, domain, owners); err != nil {
+		t.Fatalf("covering pieces: %v", err)
 	}
-	negative := binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 10), 1<<63)
 	for name, tc := range map[string]struct {
-		payload []byte
-		want    string
+		recv []mpi.Part
+		want string
 	}{
-		"truncated header":     {good[:len(good)-10], "truncated two-phase piece header"},
-		"truncated body":       {good[:len(good)-1], "truncated two-phase piece body"},
-		"negative length":      {negative, "truncated two-phase piece body"},
-		"descending":           {appendPiece(appendPiece(appendPiece(nil, 10, []byte("abcd")), 5, []byte("zz")), 20, []byte("efgh")), "out of order"},
-		"self-overlapping":     {appendPiece(appendPiece(nil, 10, []byte("abcd")), 12, []byte("efgh")), "out of order"},
-		"gap inside a run":     {appendPiece(appendPiece(nil, 10, []byte("ab")), 20, []byte("efgh")), "do not cover [10,14) from 12"},
-		"run starts uncovered": {appendPiece(appendPiece(nil, 11, []byte("bcd")), 20, []byte("efgh")), "do not cover [10,14) from 10"},
-		"pieces end early":     {appendPiece(nil, 10, []byte("abcd")), "do not cover [20,24) from 20"},
-		"no pieces at all":     {nil, "do not cover [10,14) from 10"},
+		"gap inside a run":     {[]mpi.Part{low, part(1, filled(10, 2, 2), filled(20, 4, 2))}, "do not cover [10,14) from 12"},
+		"run starts uncovered": {[]mpi.Part{low, part(1, filled(11, 3, 2), filled(20, 4, 2))}, "do not cover [10,14) from 10"},
+		"pieces end early":     {[]mpi.Part{low, part(1, filled(10, 4, 2))}, "do not cover [20,24) from 20"},
+		"no pieces at all":     {[]mpi.Part{low, part(1)}, "do not cover [10,14) from 10"},
+		"no part at all":       {[]mpi.Part{low}, "do not cover [10,14) from 10"},
 	} {
-		_, err := mergePieces([][]byte{low, tc.payload}, domain, owners)
+		_, err := mergePieces(tc.recv, domain, owners)
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "from rank 1") {
 			t.Errorf("%s: err = %v, want one from rank 1 containing %q", name, err, tc.want)
 		}
 	}
 }
 
-// randPieces draws one source's payload the way the routing produces it:
+// randPieces draws one sender's pieces the way the routing produces them:
 // ascending, disjoint (at times touching) pieces filled with fill.
-func randPieces(r *rand.Rand, dom int64, fill byte) []byte {
-	var payload []byte
+func randPieces(r *rand.Rand, dom int64, fill byte) []piece {
+	var out []piece
 	off := int64(r.Intn(20))
 	for k := r.Intn(5); k > 0 && off < dom; k-- {
 		n := min(1+int64(r.Intn(30)), dom-off)
-		payload = appendPiece(payload, off, bytes.Repeat([]byte{fill}, int(n)))
+		out = append(out, filled(off, n, fill))
 		off += n + int64(r.Intn(3)/2*r.Intn(20)) // touching two times in three
 	}
-	return payload
+	return out
 }
 
 func TestQuickMergeMatchesHighestRankModel(t *testing.T) {
@@ -195,14 +175,13 @@ func TestQuickMergeMatchesHighestRankModel(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		const dom = 120
 		p := 1 + r.Intn(4)
-		recv := make([][]byte, p)
+		recv := make([]mpi.Part, p)
 		model := make([]int, dom) // winning rank+1 per byte, 0 = unwritten
 		for src := range recv {
-			recv[src] = randPieces(r, dom, byte(src+1))
-			pieces, _ := decodePieces(recv[src])
-			for _, piece := range pieces {
+			recv[src] = part(src, randPieces(r, dom, byte(src+1))...)
+			for _, pc := range recv[src].Data.([]piece) {
 				// src ascends, so the later (higher) rank always wins.
-				for o := piece.Off; o < piece.Off+piece.Len(); o++ {
+				for o := pc.Off; o < pc.End(); o++ {
 					model[o] = src + 1
 				}
 			}
@@ -226,19 +205,7 @@ func TestQuickMergeMatchesHighestRankModel(t *testing.T) {
 				return false
 			}
 		}
-		// The same pieces out of file order are an error, not a merge — shown
-		// on the top rank, all of whose pieces the merge must read.
-		src := p - 1
-		pieces, _ := decodePieces(recv[src])
-		if len(pieces) < 2 {
-			return true
-		}
-		recv[src] = nil
-		for k := len(pieces) - 1; k >= 0; k-- {
-			recv[src] = appendPiece(recv[src], pieces[k].Off, pieces[k].Data)
-		}
-		_, err = mergeReceived(recv, ext(0, dom))
-		return err != nil && strings.Contains(err.Error(), fmt.Sprintf("from rank %d", src))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -250,21 +217,17 @@ func TestQuickMergeMatchesHighestRankModel(t *testing.T) {
 // the highest rank down; each claims only the bytes not yet covered, tracked
 // in an index.Set whose Visit finds the parts an Add newly covers, and the
 // claims are sorted into file order at the end.
-func setMergePieces(recv [][]byte, domain interval.Extent) ([]pfs.Segment, error) {
+func setMergePieces(recv []mpi.Part, domain interval.Extent) []pfs.Segment {
 	var covered index.Set
 	var segs []pfs.Segment
-	for src := len(recv) - 1; src >= 0; src-- {
-		pieces, err := decodePieces(recv[src])
-		if err != nil {
-			return nil, fmt.Errorf("from rank %d: %w", src, err)
-		}
-		for _, piece := range pieces {
-			ext := interval.Extent{Off: piece.Off, Len: piece.Len()}.Intersect(domain)
+	for k := len(recv) - 1; k >= 0; k-- {
+		for _, pc := range recv[k].Data.([]piece) {
+			ext := pc.Intersect(domain)
 			covered.Visit(ext, func(keep interval.Extent, claimed bool) bool {
 				if !claimed {
 					segs = append(segs, pfs.Segment{
 						Off:  keep.Off,
-						Data: piece.Data[keep.Off-piece.Off : keep.End()-piece.Off],
+						Data: pc.data[keep.Off-pc.Off : keep.End()-pc.Off],
 					})
 				}
 				return true
@@ -273,7 +236,7 @@ func setMergePieces(recv [][]byte, domain interval.Extent) ([]pfs.Segment, error
 		}
 	}
 	slices.SortFunc(segs, func(a, b pfs.Segment) int { return cmp.Compare(a.Off, b.Off) })
-	return segs, nil
+	return segs
 }
 
 // TestMergeSegmentsMatchSetMerge pins the cursor merge to its predecessor,
@@ -281,6 +244,7 @@ func setMergePieces(recv [][]byte, domain interval.Extent) ([]pfs.Segment, error
 // segment points at — on the three partitioning patterns, with every
 // mapping cut in two touching halves (non-canonical, as a fileview over a
 // split datatype produces) and domain boundaries that fall inside pieces.
+// The pieces are the ones route cuts, so the routing is pinned too.
 // Segment-for-segment matters beyond content: crashPoint counts segments
 // and WriteV charges per segment.
 func TestMergeSegmentsMatchSetMerge(t *testing.T) {
@@ -310,21 +274,22 @@ func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 		}
 		owners := index.Winners(views)
 		span := ext(owners[0].Off, owners[len(owners)-1].End()-owners[0].Off)
-		for _, domains := range [][]interval.Extent{fileDomains(span, p), fileDomains(span, 7), {span}} {
-			for _, domain := range domains {
-				recv := make([][]byte, p)
-				for rank, mm := range maps {
-					for _, mp := range mm {
-						if ov := mp.File.Intersect(domain); !ov.Empty() {
-							recv[rank] = appendPiece(recv[rank], ov.Off, bytes.Repeat([]byte{byte(rank + 1)}, int(ov.Len)))
-						}
-					}
+		for _, n := range []int{p, 7, 1} {
+			domains := newFileDomains(span, n)
+			inbox := make([][]mpi.Part, n) // by owner
+			for rank, mm := range maps {
+				buf := bytes.Repeat([]byte{byte(rank + 1)}, int(ExtentsOf(mm).TotalLen()))
+				for _, pt := range route(buf, mm, domains) {
+					inbox[pt.Peer] = append(inbox[pt.Peer], mpi.Part{Peer: rank, Size: pt.Size, Data: pt.Data})
 				}
+			}
+			for owner, recv := range inbox {
+				domain := domains.at(owner)
 				got, err := mergePieces(recv, domain, owners)
 				if err != nil {
 					t.Fatalf("%s %v: %v", name, domain, err)
 				}
-				want, _ := setMergePieces(recv, domain)
+				want := setMergePieces(recv, domain)
 				same := func(a, b pfs.Segment) bool {
 					return a.Off == b.Off && len(a.Data) == len(b.Data) && unsafe.SliceData(a.Data) == unsafe.SliceData(b.Data)
 				}
@@ -337,19 +302,37 @@ func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 	}
 }
 
-// FuzzMergePieces: whatever three ranks send, the merge returns an error or
-// offset-sorted, disjoint, non-empty segments inside the domain whose Data
-// is a window of what was received. The winners map comes from the pieces
-// that decode — or, with swap, from the wrong ranks' pieces, so that it
-// promises bytes the payloads do not hold.
+// fuzzPieces reads one sender's pieces from b: an offset step (signed, so
+// pieces need not ascend) and a length byte, then that many bytes of data —
+// windows of b itself, fewer at its end.
+func fuzzPieces(b []byte) []piece {
+	var out []piece
+	off := int64(0)
+	for len(b) >= 2 {
+		off += int64(int8(b[0]))
+		n := min(int(b[1]), len(b)-2)
+		out = append(out, piece{ext(off, int64(n)), b[2 : 2+n]})
+		b = b[2+n:]
+	}
+	return out
+}
+
+// FuzzMergePieces: whatever pieces three ranks send, the merge returns an
+// error or offset-sorted, disjoint, non-empty segments inside the domain
+// whose Data is a window of what was sent. The winners map comes from the
+// pieces — or, with swap, from the wrong ranks' pieces, so that it promises
+// bytes the senders do not hold.
 func FuzzMergePieces(f *testing.F) {
-	f.Add(appendPiece(nil, 0, bytes.Repeat([]byte{1}, 50)), appendPiece(nil, 25, bytes.Repeat([]byte{2}, 50)),
-		appendPiece(nil, 40, bytes.Repeat([]byte{3}, 20)), int64(0), int64(100), false)
-	f.Add(appendPiece(nil, 0, bytes.Repeat([]byte{9}, 100)), []byte{}, []byte{}, int64(40), int64(20), true)
-	f.Add(appendPiece(appendPiece(appendPiece(nil, 42, []byte("hello")), 1000, []byte{}), 7, []byte{1, 2, 3}),
-		[]byte{1, 2, 3}, appendPiece(nil, 0, []byte("abc"))[:18], int64(0), int64(2000), false)
+	f.Add([]byte{0, 50}, []byte{25, 50}, []byte{40, 20}, int64(0), int64(100), false)
+	f.Add([]byte{0, 100}, []byte{}, []byte{}, int64(40), int64(20), true)
+	f.Add([]byte{42, 5, 'h', 'e', 'l', 'l', 'o', 100, 0, 0x80, 3, 1, 2, 3}, []byte{1, 2, 3},
+		[]byte{0, 3, 'a', 'b', 'c'}, int64(-200), int64(400), false)
 	f.Fuzz(func(t *testing.T, a, b, c []byte, off, n int64, swap bool) {
-		recv := [][]byte{a, b, c}
+		sent := [][]byte{a, b, c}
+		recv := make([]mpi.Part, len(sent))
+		for k, s := range sent {
+			recv[k] = part(k, fuzzPieces(s)...)
+		}
 		views := viewsOf(recv)
 		if swap {
 			views[0], views[2] = views[2], views[0]
@@ -365,11 +348,11 @@ func FuzzMergePieces(f *testing.F) {
 				t.Fatalf("segment [%d,+%d) after %d in domain %v", s.Off, len(s.Data), at, domain)
 			}
 			at = s.Off + int64(len(s.Data))
-			if !slices.ContainsFunc(recv, func(payload []byte) bool {
-				lo, hi := uintptr(unsafe.Pointer(unsafe.SliceData(payload))), uintptr(unsafe.Pointer(unsafe.SliceData(s.Data)))
-				return lo <= hi && hi+uintptr(len(s.Data)) <= lo+uintptr(len(payload))
+			if !slices.ContainsFunc(sent, func(b []byte) bool {
+				lo, hi := uintptr(unsafe.Pointer(unsafe.SliceData(b))), uintptr(unsafe.Pointer(unsafe.SliceData(s.Data)))
+				return lo <= hi && hi+uintptr(len(s.Data)) <= lo+uintptr(len(b))
 			}) {
-				t.Fatalf("segment at %d does not alias a received payload", s.Off)
+				t.Fatalf("segment at %d does not alias a sent window", s.Off)
 			}
 		}
 	})

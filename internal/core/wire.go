@@ -72,16 +72,24 @@ func ExchangeViews(comm *mpi.Comm, mine interval.List) ([]interval.List, error) 
 // ExchangeSpans allgathers only each rank's bounding span — the cheaper,
 // conservative handshake sufficient to build an overlap matrix when views
 // are known to be interval-like. Used by the handshake-cost ablation (A5).
+// Like ExchangeViews it decodes once and shares the read-only result.
 func ExchangeSpans(comm *mpi.Comm, mine interval.List) ([]interval.Extent, error) {
 	span := mine.Span()
 	all := comm.Allgather(mpi.EncodeInt64s(span.Off, span.Len))
-	out := make([]interval.Extent, len(all))
-	for r, b := range all {
-		vals := mpi.DecodeInt64s(b)
-		if len(vals) != 2 {
-			return nil, fmt.Errorf("core: bad span payload from rank %d", r)
-		}
-		out[r] = interval.Extent{Off: vals[0], Len: vals[1]}
+	type decoded struct {
+		spans []interval.Extent
+		err   error
 	}
-	return out, nil
+	d := shared(comm, func() decoded {
+		spans := make([]interval.Extent, len(all))
+		for r, b := range all {
+			vals := mpi.DecodeInt64s(b)
+			if len(vals) != 2 {
+				return decoded{err: fmt.Errorf("core: bad span payload from rank %d", r)}
+			}
+			spans[r] = interval.Extent{Off: vals[0], Len: vals[1]}
+		}
+		return decoded{spans: spans}
+	})
+	return d.spans, d.err
 }

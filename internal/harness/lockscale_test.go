@@ -7,20 +7,14 @@ import (
 	"atomio/internal/runner"
 )
 
-// TestLockingCellAllocationGrowsLinearly holds the lock hand-off's
-// allocation behaviour where no analyzer can see it: in the IBM SP scaling
-// cells every rank's locked span overlaps every other's, so the P writers
-// hand one lock down a chain, and a request that rebuilt anything sized by
-// its waiters made the cell's allocation quadratic in P (a per-release wake
-// heap, a sorted holder list per token request and a rebuilt release
-// history: 78 MB at P=1024, 279 MB at P=2048, 3.6×). With per-waiter
-// conflict counts and in-place updates only the per-rank setup grows
-// (20 MB, 29 MB); the ceilings leave that room and no more.
-func TestLockingCellAllocationGrowsLinearly(t *testing.T) {
+// scalingAllocation runs the strategy's P=1024 and P=2048 scaling cells and
+// returns the bytes each allocated, by P.
+func scalingAllocation(t *testing.T, strategy string) (small, large uint64) {
+	t.Helper()
 	allocated := map[int]uint64{}
 	for _, c := range runner.ScalingGridTo(2048) {
 		e := c.Experiment
-		if e.Strategy.Name() != "locking" || e.Procs < 1024 {
+		if e.Strategy.Name() != strategy || e.Procs < 1024 {
 			continue
 		}
 		if len(allocated) == 0 {
@@ -37,13 +31,50 @@ func TestLockingCellAllocationGrowsLinearly(t *testing.T) {
 		allocated[e.Procs] = after.TotalAlloc - before.TotalAlloc
 		t.Logf("%s allocated %d bytes", c.ID, allocated[e.Procs])
 	}
-	small, large := allocated[1024], allocated[2048]
+	small, large = allocated[1024], allocated[2048]
 	if small == 0 || large == 0 {
-		t.Fatalf("scaling grid has no P=1024 and P=2048 locking cells: %v", allocated)
+		t.Fatalf("scaling grid has no P=1024 and P=2048 %s cells: %v", strategy, allocated)
 	}
-	const maxRatio, maxBytes = 2.5, 64 << 20
+	return small, large
+}
+
+// checkLinear fails when the P=2048 cell allocated more than maxRatio times
+// the P=1024 cell, or more than maxBytes.
+func checkLinear(t *testing.T, small, large uint64, maxRatio float64, maxBytes uint64) {
+	t.Helper()
 	if ratio := float64(large) / float64(small); ratio > maxRatio || large > maxBytes {
 		t.Errorf("P=2048 allocated %d bytes, %.2f× the P=1024 cell's %d; ceilings %d bytes and %.1f×",
 			large, ratio, small, maxBytes, maxRatio)
+	}
+}
+
+// TestLockingCellAllocationGrowsLinearly holds the lock hand-off's
+// allocation behaviour where no analyzer can see it: in the IBM SP scaling
+// cells every rank's locked span overlaps every other's, so the P writers
+// hand one lock down a chain, and a request that rebuilt anything sized by
+// its waiters made the cell's allocation quadratic in P (a per-release wake
+// heap, a sorted holder list per token request and a rebuilt release
+// history: 78 MB at P=1024, 279 MB at P=2048, 3.6×). With per-waiter
+// conflict counts and in-place updates only the per-rank setup grows
+// (20 MB, 29 MB); the ceilings leave that room and no more.
+func TestLockingCellAllocationGrowsLinearly(t *testing.T) {
+	small, large := scalingAllocation(t, "locking")
+	checkLinear(t, small, large, 2.5, 64<<20)
+}
+
+// TestHandshakeCellAllocationGrowsLinearly holds the same line for the
+// strategies whose handshake algebra once held P² cells. Coloring's overlap
+// matrix was a [][]bool with a P-sized scratch per rank colored (14 MB at
+// P=1024, 23 MB at P=2048, 1.6×); two-phase I/O built P parts and P file
+// domains on every rank and sent P-1 messages from each (246 MB, 877 MB,
+// 3.6×). With adjacency rows, arithmetic domains and a sparse alltoall
+// solved at one rendezvous only the per-rank setup grows (12 MB and 15 MB;
+// 28 MB and 31 MB).
+func TestHandshakeCellAllocationGrowsLinearly(t *testing.T) {
+	for _, strategy := range []string{"coloring", "twophase"} {
+		t.Run(strategy, func(t *testing.T) {
+			small, large := scalingAllocation(t, strategy)
+			checkLinear(t, small, large, 1.5, 64<<20)
+		})
 	}
 }

@@ -63,7 +63,7 @@ func BenchmarkOverlapMatrixSweep(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				w := SweepOverlaps(views)
-				if !w[0][1] {
+				if !linked(w, 0, 1) {
 					b.Fatal("neighbours must overlap")
 				}
 			}

@@ -184,8 +184,8 @@ func TestQuickSweepShapesMatchOracles(t *testing.T) {
 		clips := ClipAll(views)
 		for i := range views {
 			for j := range views {
-				if want := i != j && views[i].Overlaps(views[j]); w[i][j] != want {
-					t.Fatalf("round %d: W[%d][%d] = %v, want %v\nviews=%v", round, i, j, w[i][j], want, views)
+				if want := i != j && views[i].Overlaps(views[j]); linked(w, i, j) != want {
+					t.Fatalf("round %d: W[%d][%d] = %v, want %v\nviews=%v", round, i, j, !want, want, views)
 				}
 			}
 			var higher interval.List
@@ -327,9 +327,9 @@ func TestQuickSweepMatchesPairwise(t *testing.T) {
 		for i := 0; i < p; i++ {
 			for j := 0; j < p; j++ {
 				want := i != j && views[i].Overlaps(views[j])
-				if got[i][j] != want {
+				if linked(got, i, j) != want {
 					t.Fatalf("round %d: W[%d][%d] = %v, want %v\nviews=%v",
-						round, i, j, got[i][j], want, views)
+						round, i, j, !want, want, views)
 				}
 			}
 		}
@@ -350,8 +350,8 @@ func TestQuickSweepSpansMatchesPairwise(t *testing.T) {
 		for i := 0; i < p; i++ {
 			for j := 0; j < p; j++ {
 				want := i != j && spans[i].Overlaps(spans[j])
-				if got[i][j] != want {
-					t.Fatalf("W[%d][%d] = %v, want %v for %v", i, j, got[i][j], want, spans)
+				if linked(got, i, j) != want {
+					t.Fatalf("W[%d][%d] = %v, want %v for %v", i, j, !want, want, spans)
 				}
 			}
 		}

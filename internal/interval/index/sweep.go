@@ -65,30 +65,38 @@ func (m *merger) next() (interval.Extent, int) {
 	return e, id
 }
 
-// SweepOverlaps computes the P×P boolean overlap matrix of the given extent
-// lists — W[i][j] reports whether lists i and j share at least one byte —
-// in one streamed merge: O(E log P + marked pairs) for E total extents,
-// instead of the O(P²·E) of pairwise list merges, in O(P) scratch beside
-// the matrix. The diagonal is false by construction, matching the paper's
-// Figure 5 matrix. When an extent opens, every list still open overlaps it;
-// the lists that closed since the last open are dropped in the same pass.
-func SweepOverlaps(lists []interval.List) [][]bool {
+// SweepOverlaps computes the overlap graph of the given extent lists as
+// adjacency rows: row i lists, ascending and once each, the lists j ≠ i that
+// share at least one byte with list i — the columns of the ones in row i of
+// the paper's Figure 5 matrix W. One streamed merge does it, in O(E log P +
+// found pairs · log degree) for E total extents instead of the O(P²·E) of
+// pairwise list merges, and in O(P + edges) memory instead of P² cells.
+// When an extent opens, every list still open overlaps it; the lists that
+// closed since the last open are dropped in the same pass.
+func SweepOverlaps(lists []interval.List) [][]int32 {
 	p := len(lists)
-	w := make([][]bool, p)
+	w := make([][]int32, p)
+	// Every row starts with room for two neighbours, the column-wise degree,
+	// carved from one allocation; only a row that outgrows it reallocates.
+	slab := make([]int32, 2*p)
 	for i := range w {
-		w[i] = make([]bool, p)
+		w[i] = slab[2*i : 2*i : 2*i+2]
 	}
 	active := make([]int32, 0, p) // lists opened and not yet seen closed
 	endOf := make([]int64, p)     // end of each list's latest extent
 	for m := newMerger(lists); m.left > 0; {
 		e, id := m.next()
-		row, open := w[id], active[:0]
+		open := active[:0]
 		for _, j := range active {
 			if endOf[j] <= e.Off { // closed; id's own previous extent always has
 				continue
 			}
-			row[j] = true
-			w[j][id] = true
+			// Rows are symmetric, so a pair absent from id's row is new to both.
+			if at, found := slices.BinarySearch(w[id], j); !found {
+				w[id] = slices.Insert(w[id], at, j)
+				at, _ = slices.BinarySearch(w[j], int32(id))
+				w[j] = slices.Insert(w[j], at, int32(id))
+			}
 			open = append(open, j)
 		}
 		active = append(open, int32(id))
@@ -97,12 +105,12 @@ func SweepOverlaps(lists []interval.List) [][]bool {
 	return w
 }
 
-// SweepSpans computes the conservative span-overlap matrix — two spans that
+// SweepSpans computes the conservative span-overlap graph — two spans that
 // intersect count as overlapping even if the underlying non-contiguous
 // views interleave without sharing bytes. It runs the same sweep core as
 // SweepOverlaps over one-extent lists, so span mode and exact mode cannot
 // drift apart.
-func SweepSpans(spans []interval.Extent) [][]bool {
+func SweepSpans(spans []interval.Extent) [][]int32 {
 	lists := make([]interval.List, len(spans))
 	for i, s := range spans {
 		lists[i] = interval.List{s}

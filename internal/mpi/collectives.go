@@ -13,16 +13,16 @@ package mpi
 //	Barrier    dissemination, ceil(log2 P) rounds   (solved at a rendezvous)
 //	bcast      binomial tree (only Dup uses it)
 //	Allgather  ring, P-1 steps (allgatherv too)     (solved at a rendezvous)
-//	Alltoall   pairwise exchange, P-1 steps
+//	Alltoall   pairwise exchange, P-1 steps         (solved at a rendezvous)
 //
-// Barrier and Allgather keep that schedule — message counts, sizes, clocks,
-// trace events — but simulate no message: the ranks meet (rendezvous.go) and
-// the last to arrive runs the schedule as a recurrence over the P entry
-// clocks. Only a synchronizing collective may: every rank's exit is at or
-// after every rank's entry in virtual time, so parking the early arrivers
-// never holds back an action virtual time would have admitted sooner.
-// Alltoall qualifies and is message-based for now; bcast (a leaf may leave
-// before a late rank enters) never does.
+// Barrier, Allgather and Alltoall keep that schedule — message counts,
+// sizes, clocks, trace events — but simulate no message: the ranks meet
+// (rendezvous.go) and the last to arrive runs the schedule as a recurrence
+// over the P entry clocks. Only a synchronizing collective may: every rank's
+// exit is at or after every rank's entry in virtual time, so parking the
+// early arrivers never holds back an action virtual time would have
+// admitted sooner. bcast (a leaf may leave before a late rank enters) never
+// does.
 
 // nextTag returns the tag for the next collective call.
 func (c *Comm) nextTag() int {
@@ -36,7 +36,7 @@ func (c *Comm) nextTag() int {
 // rank+2^k (mod P) and waits for a signal from rank-2^k (mod P).
 func (c *Comm) Barrier() {
 	defer c.beginOp("barrier")()
-	c.meet(nil, func(rv *rendezvous) {
+	c.meet(nil, nil, func(rv *rendezvous) {
 		for dist := 1; dist < c.Size(); dist *= 2 {
 			rv.step(c, dist, 0)
 		}
@@ -85,32 +85,44 @@ func (c *Comm) bcast(data []byte, root int) []byte {
 // returns that same table. The caller may reuse data.
 func (c *Comm) Allgather(data []byte) [][]byte {
 	defer c.beginOp("allgather")()
-	return c.meet(append([]byte(nil), data...), func(rv *rendezvous) {
+	return c.meet(append([]byte(nil), data...), nil, func(rv *rendezvous) {
 		for s := 0; s < c.Size()-1; s++ {
 			rv.step(c, 1, s)
 		}
 	}).blocks
 }
 
-// Alltoall sends parts[i] to rank i and returns the slice of payloads
-// received, indexed by source rank, using pairwise exchange.
+// Part is one message of an Alltoall: Size modelled bytes between the
+// calling rank and rank Peer — the receiver of a part handed to Alltoall,
+// the sender of one it returns. Data rides along by reference and may be
+// anything, or nil when only the timing matters; it is never copied, and
+// its size is never read, so Size alone prices the message.
+type Part struct {
+	Peer int
+	Size int64
+	Data any
+}
+
+// Alltoall sends each part to its Peer and returns the parts sent to this
+// rank, in ascending sender order, timed as the pairwise exchange: in step
+// s = 1..P-1 each rank sends its part for rank+s and receives the one from
+// rank-s. The form is sparse — parts name distinct peers in ascending
+// order, and a peer without a part is sent an empty message — so a rank
+// that routes to few peers costs O(parts), not P, in host memory. A part
+// for the caller itself is delivered untimed.
 //
-// The parts are surrendered — handed to their receivers as-is, never to be
-// written again — and out[r] is read-only; only out[rank] is a private copy.
-func (c *Comm) Alltoall(parts [][]byte) [][]byte {
+// Data is shared, not copied: a receiver reads the sender's very value, so
+// neither side may write what it points at until both are done with it —
+// in practice until a later synchronizing collective. The returned slice
+// is read-only.
+func (c *Comm) Alltoall(parts []Part) []Part {
 	defer c.beginOp("alltoall")()
-	tag := c.nextTag()
-	p := c.Size()
-	if len(parts) != p {
-		panic("mpi: Alltoall needs one part per rank")
+	for i, pt := range parts {
+		c.checkRank(pt.Peer)
+		if i > 0 && pt.Peer <= parts[i-1].Peer {
+			panic("mpi: Alltoall parts must name distinct peers in ascending order")
+		}
 	}
-	out := make([][]byte, p)
-	out[c.rank] = append([]byte(nil), parts[c.rank]...)
-	for s := 1; s < p; s++ {
-		to := (c.rank + s) % p
-		from := (c.rank - s + p) % p
-		c.sendOwned(to, tag, parts[to])
-		out[from] = c.recv(from, tag)
-	}
-	return out
+	rv := c.meet(nil, parts, func(rv *rendezvous) { rv.exchange(c) })
+	return rv.inbox[rv.starts[c.rank]:rv.starts[c.rank+1]]
 }

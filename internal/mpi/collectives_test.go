@@ -3,6 +3,8 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"atomio/internal/sim"
@@ -101,31 +103,50 @@ func TestAllgatherCallerMayReuseBuffer(t *testing.T) {
 	}
 }
 
-// TestAlltoall checks the routing and pins the hand-over contract: a part is
-// surrendered to its receiver, which sees the sender's very bytes (no copy
-// on either side), while a rank's part for itself comes back as a private
-// copy.
+// TestAlltoall checks the routing and pins the hand-over contract: each
+// receiver gets, in ascending sender order, the very value its sender
+// handed over (no copy), and nothing from a sender without a part for it.
 func TestAlltoall(t *testing.T) {
 	for _, p := range procCounts {
-		sent := make([][]*byte, p) // sent[src][dst]: where src built its part for dst
 		run(t, p, func(c *Comm) error {
-			parts := make([][]byte, c.Size())
-			sent[c.Rank()] = make([]*byte, c.Size())
-			for i := range parts {
-				parts[i] = EncodeInt64s(int64(c.Rank()*1000 + i))
-				sent[c.Rank()][i] = &parts[i][0]
+			// Rank r sends to itself and to the ranks r+1 and r+3 above it.
+			var parts []Part
+			for _, to := range []int{c.Rank(), c.Rank() + 1, c.Rank() + 3} {
+				if to < c.Size() && (len(parts) == 0 || to > parts[len(parts)-1].Peer) {
+					parts = append(parts, Part{Peer: to, Size: int64(to), Data: &[2]int{c.Rank(), to}})
+				}
 			}
 			got := c.Alltoall(parts)
-			for src, d := range got {
-				if v := DecodeInt64s(d)[0]; v != int64(src*1000+c.Rank()) {
-					return fmt.Errorf("from %d got %d", src, v)
+			var from []int
+			for _, pt := range got {
+				if d := pt.Data.(*[2]int); *d != [2]int{pt.Peer, c.Rank()} || pt.Size != int64(c.Rank()) {
+					return fmt.Errorf("rank %d: part %+v from %d", c.Rank(), *d, pt.Peer)
 				}
-				if same := &d[0] == sent[src][c.Rank()]; same != (src != c.Rank()) {
-					return fmt.Errorf("rank %d: part from %d is the sender's buffer: %v", c.Rank(), src, same)
+				from = append(from, pt.Peer)
+			}
+			var want []int
+			for _, src := range []int{c.Rank() - 3, c.Rank() - 1, c.Rank()} {
+				if src >= 0 {
+					want = append(want, src)
 				}
+			}
+			if !slices.Equal(from, want) {
+				return fmt.Errorf("rank %d received from %v, want %v", c.Rank(), from, want)
 			}
 			return nil
 		})
+	}
+}
+
+// TestAlltoallRejectsUnorderedParts: parts must name distinct peers in
+// ascending order, as the schedule walks them.
+func TestAlltoallRejectsUnorderedParts(t *testing.T) {
+	_, err := Run(Config{Procs: 3}, func(c *Comm) error {
+		c.Alltoall([]Part{{Peer: 2}, {Peer: 1}})
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "distinct peers in ascending order") {
+		t.Fatalf("run error = %v, want the part-order panic", err)
 	}
 }
 
@@ -214,6 +235,24 @@ func messageBarrier(c *Comm) {
 		c.send(to, tag, nil)
 		c.recv(from, tag)
 	}
+}
+
+// messageAlltoall is the pairwise alltoall as simulated messages, the oracle
+// of Alltoall's timing: in step s a rank sends rank+s a message of its part's
+// size — empty without one — and receives from rank-s. It delivers no part.
+func messageAlltoall(c *Comm, parts []Part) []Part {
+	defer c.beginOp("alltoall")()
+	tag := c.nextTag()
+	p := c.Size()
+	size := make([]int64, p)
+	for _, pt := range parts {
+		size[pt.Peer] = pt.Size
+	}
+	for s := 1; s < p; s++ {
+		c.sendOwned((c.rank+s)%p, tag, make([]byte, size[(c.rank+s)%p]))
+		c.recv((c.rank-s+p)%p, tag)
+	}
+	return nil
 }
 
 // messageAllgather is the ring allgather as simulated messages, the oracle

@@ -6,11 +6,11 @@
 // ring allgather, pairwise alltoall, binomial-tree broadcast) so that message
 // counts and volumes — and therefore the virtual-time cost of the
 // handshaking strategies — match what a real MPI implementation would incur.
-// The barrier and the allgather keep that schedule but simulate no message:
-// their ranks meet at a rendezvous that solves it in closed form (see
-// collectives.go for which collectives may). Messages match on the exact
-// (context, source, tag): there are no wildcards and no user-level
-// point-to-point calls.
+// The barrier, the allgather and the alltoall keep that schedule but
+// simulate no message: their ranks meet at a rendezvous that solves it in
+// closed form (see collectives.go for which collectives may). Messages
+// match on the exact (context, source, tag): there are no wildcards and no
+// user-level point-to-point calls.
 //
 // Ranks execute inside a World created by Run, as resumable coroutines of
 // the single-threaded event-loop scheduler (internal/sim/des) unless

@@ -26,7 +26,7 @@ func (c *Comm) sendOwned(to, tag int, data []byte) {
 	c.clock.Advance(c.world.cfg.SendOverhead)
 	c.world.cfg.Coord.Await(c.group[c.rank], c.clock.Now())
 	if o := c.world.cfg.Obs; o != nil {
-		c.traceSend(o, c.clock.Now(), c.rank, to, len(data))
+		c.traceSend(o, c.clock.Now(), c.rank, to, int64(len(data)))
 	}
 	c.world.mailboxes[c.group[to]].put(&message{
 		ctx:    c.ctx,
@@ -46,7 +46,7 @@ func (c *Comm) recv(from, tag int) []byte {
 	c.clock.AdvanceTo(msg.sentAt + c.world.cfg.Net.Cost(int64(len(msg.data))))
 	c.clock.Advance(c.world.cfg.RecvOverhead)
 	if o := c.world.cfg.Obs; o != nil {
-		c.traceRecv(o, c.clock.Now(), c.rank, msg.src, len(msg.data))
+		c.traceRecv(o, c.clock.Now(), c.rank, msg.src, int64(len(msg.data)))
 	}
 	return msg.data
 }
@@ -54,18 +54,18 @@ func (c *Comm) recv(from, tag int) []byte {
 // traceSend emits the event of rank from handing size bytes for rank to to
 // the network at t. from is the caller, or any rank of a collective the
 // caller is solving at a rendezvous.
-func (c *Comm) traceSend(o *obs.Recorder, t sim.VTime, from, to, size int) {
+func (c *Comm) traceSend(o *obs.Recorder, t sim.VTime, from, to int, size int64) {
 	o.Emit(obs.Event{T: t, Actor: c.group[from], Layer: obs.LayerMPI, Kind: obs.KindSend,
-		Tag: c.curOp, Peer: c.group[to], Size: int64(size)})
+		Tag: c.curOp, Peer: c.group[to], Size: size})
 }
 
 // traceRecv emits the delivery event of those bytes, timing applied, at
 // rank to (the one side message counters hang off).
-func (c *Comm) traceRecv(o *obs.Recorder, t sim.VTime, to, from, size int) {
+func (c *Comm) traceRecv(o *obs.Recorder, t sim.VTime, to, from int, size int64) {
 	me := c.group[to]
 	o.Emit(obs.Event{T: t, Actor: me, Layer: obs.LayerMPI, Kind: obs.KindRecv,
-		Tag: c.curOp, Peer: c.group[from], Size: int64(size)})
+		Tag: c.curOp, Peer: c.group[from], Size: size})
 	o.Count(me, obs.MetricMsgs, 1)
-	o.Count(me, obs.MetricMsgBytes, int64(size))
+	o.Count(me, obs.MetricMsgBytes, size)
 	o.Count(me, obs.MetricMsgsPrefix+c.curOp, 1)
 }

@@ -149,7 +149,7 @@ func TestRunDeadlockReportsStall(t *testing.T) {
 }
 
 // The tests from here to TestRecvTiming drive the mailbox through the
-// package's own send and recv: the message layer under bcast and Alltoall.
+// package's own send and recv: the message layer under bcast.
 
 func TestSendRecvBasic(t *testing.T) {
 	run(t, 2, func(c *Comm) error {

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,18 +21,22 @@ import (
 var loop = des.New()
 
 // scheduleCase is one randomized world of TestRendezvousMatchesMessageSchedule:
-// three collectives back to back (allgather, barrier, allgather of empty
-// blocks), each entered with its own per-rank skews.
+// four collectives back to back (allgather, barrier, allgather of empty
+// blocks, sparse alltoall), each entered with its own per-rank skews.
 type scheduleCase struct {
 	procs  int
 	split  bool // run the collectives on the permuted subset of the world
 	cfg    Config
-	skews  [3][]sim.VTime
+	skews  [4][]sim.VTime
 	blocks [][]byte
+	seed   int64 // of every rank's alltoall parts
 }
 
+// sizes are the message sizes the cases draw from.
+var sizes = []int{0, 1, 24, 1000, 64 << 10}
+
 func newScheduleCase(rng *rand.Rand, procs int, split bool) scheduleCase {
-	tc := scheduleCase{procs: procs, split: split, blocks: make([][]byte, procs)}
+	tc := scheduleCase{procs: procs, split: split, blocks: make([][]byte, procs), seed: rng.Int63()}
 	tc.cfg = Config{
 		Procs:        procs,
 		SendOverhead: sim.VTime(rng.Intn(3)) * 700,
@@ -46,11 +51,25 @@ func newScheduleCase(rng *rand.Rand, procs int, split bool) scheduleCase {
 		}
 	}
 	for r := range tc.blocks {
-		n := []int{0, 1, 24, 1000, 64 << 10}[rng.Intn(5)]
+		n := sizes[rng.Intn(len(sizes))]
 		tc.blocks[r] = make([]byte, n)
 		rng.Read(tc.blocks[r])
 	}
 	return tc
+}
+
+// parts draws the alltoall parts of rank of a communicator of size ranks:
+// about half the peers, the rank itself included at times, and sizes that
+// are zero at times too, with the (sender, receiver) pair as Data.
+func (tc scheduleCase) parts(rank, size int) []Part {
+	rng := rand.New(rand.NewSource(tc.seed + int64(rank)))
+	var out []Part
+	for peer := range size {
+		if rng.Intn(2) == 0 {
+			out = append(out, Part{Peer: peer, Size: int64(sizes[rng.Intn(len(sizes))]), Data: [2]int{rank, peer}})
+		}
+	}
+	return out
 }
 
 // subset is the group of a split case: every third rank sits out, and the
@@ -78,14 +97,15 @@ type mpiEvent struct {
 
 // scheduleResult is everything a world's collectives are observable by.
 type scheduleResult struct {
-	exits    [3][]sim.VTime
-	tables   [2][][][]byte // the two allgathers' results, by world rank
-	events   [][]mpiEvent  // by actor
-	counters map[string]int64
+	exits     [4][]sim.VTime
+	tables    [2][][][]byte // the two allgathers' results, by world rank
+	delivered [][]Part      // the alltoall's results, by world rank
+	events    [][]mpiEvent  // by actor
+	counters  map[string]int64
 }
 
-// run executes the case with the given Barrier and Allgather.
-func (tc scheduleCase) run(t *testing.T, barrier func(*Comm), allgather func(*Comm, []byte) [][]byte) scheduleResult {
+// run executes the case with the given Barrier, Allgather and Alltoall.
+func (tc scheduleCase) run(t *testing.T, barrier func(*Comm), allgather func(*Comm, []byte) [][]byte, alltoall func(*Comm, []Part) []Part) scheduleResult {
 	t.Helper()
 	var res scheduleResult
 	for i := range res.exits {
@@ -94,6 +114,7 @@ func (tc scheduleCase) run(t *testing.T, barrier func(*Comm), allgather func(*Co
 	for i := range res.tables {
 		res.tables[i] = make([][][]byte, tc.procs)
 	}
+	res.delivered = make([][]Part, tc.procs)
 	rec := obs.NewRecorder(tc.procs, 0)
 	cfg := tc.cfg
 	cfg.Engine, cfg.Obs = loop, rec
@@ -114,6 +135,9 @@ func (tc scheduleCase) run(t *testing.T, barrier func(*Comm), allgather func(*Co
 		c.Clock().Advance(tc.skews[2][me])
 		res.tables[1][me] = allgather(c, nil)
 		res.exits[2][me] = c.Now()
+		c.Clock().Advance(tc.skews[3][me])
+		res.delivered[me] = alltoall(c, tc.parts(c.Rank(), c.Size()))
+		res.exits[3][me] = c.Now()
 		return nil
 	})
 	if err != nil {
@@ -126,7 +150,7 @@ func (tc scheduleCase) run(t *testing.T, barrier func(*Comm), allgather func(*Co
 		}
 	}
 	res.counters = map[string]int64{}
-	for _, name := range []string{obs.MetricMsgs, obs.MetricMsgBytes, obs.MetricMsgsPrefix + "barrier", obs.MetricMsgsPrefix + "allgather"} {
+	for _, name := range []string{obs.MetricMsgs, obs.MetricMsgBytes, obs.MetricMsgsPrefix + "barrier", obs.MetricMsgsPrefix + "allgather", obs.MetricMsgsPrefix + "alltoall"} {
 		res.counters[name] = rec.Metrics().Counter(name)
 	}
 	return res
@@ -144,13 +168,33 @@ func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("P=%d/split=%v/%s", tc.procs, tc.split, loop.Name()), func(t *testing.T) {
-			got := tc.run(t, (*Comm).Barrier, (*Comm).Allgather)
-			want := tc.run(t, messageBarrier, messageAllgather)
+			got := tc.run(t, (*Comm).Barrier, (*Comm).Allgather, (*Comm).Alltoall)
+			want := tc.run(t, messageBarrier, messageAllgather, messageAlltoall)
 			if !reflect.DeepEqual(got.exits, want.exits) {
 				t.Errorf("exit clocks\n got %v\nwant %v", got.exits, want.exits)
 			}
 			if !reflect.DeepEqual(got.tables, want.tables) {
 				t.Error("allgathered blocks differ from the ring's")
+			}
+			members := tc.subset()
+			if !tc.split {
+				members = nil
+				for r := range tc.procs {
+					members = append(members, r)
+				}
+			}
+			for me, world := range members {
+				var want []Part
+				for from := range members {
+					for _, pt := range tc.parts(from, len(members)) {
+						if pt.Peer == me {
+							want = append(want, Part{Peer: from, Size: pt.Size, Data: [2]int{from, me}})
+						}
+					}
+				}
+				if !slices.Equal(got.delivered[world], want) {
+					t.Errorf("rank %d received %v, want %v", me, got.delivered[world], want)
+				}
 			}
 			for a := range want.events {
 				if !reflect.DeepEqual(got.events[a], want.events[a]) {
@@ -169,6 +213,9 @@ func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 			}
 			if n, f := got.counters[obs.MetricMsgsPrefix+"allgather"], 2*p*(p-1); n != f {
 				t.Errorf("two allgathers delivered %d messages, want 2*P*(P-1) = %d", n, f)
+			}
+			if n, f := got.counters[obs.MetricMsgsPrefix+"alltoall"], p*(p-1); n != f {
+				t.Errorf("alltoall delivered %d messages, want P*(P-1) = %d", n, f)
 			}
 		})
 	}
@@ -213,6 +260,7 @@ func TestAbortUnblocksRanksParkedInACollective(t *testing.T) {
 	collectives := map[string]func(*Comm){
 		"barrier":   (*Comm).Barrier,
 		"allgather": func(c *Comm) { c.Allgather([]byte{1}) },
+		"alltoall":  func(c *Comm) { c.Alltoall([]Part{{Peer: 3, Size: 8}}) },
 	}
 	for name, collective := range collectives {
 		t.Run(name+"/"+loop.Name(), func(t *testing.T) {

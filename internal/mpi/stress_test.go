@@ -88,13 +88,13 @@ func TestStressCollectiveStorm(t *testing.T) {
 					return fmt.Errorf("dup allgather corrupted")
 				}
 			}
-			// Parts are surrendered to Alltoall: built fresh, never reused.
-			parts := make([][]byte, dup.Size())
+			// Parts are shared with their receivers: built fresh, never reused.
+			parts := make([]Part, dup.Size())
 			for dst := range parts {
-				parts[dst] = EncodeInt64s(int64(iter), int64(c.Rank()), int64(dst))
+				parts[dst] = Part{Peer: dst, Size: 24, Data: EncodeInt64s(int64(iter), int64(c.Rank()), int64(dst))}
 			}
-			for src, b := range dup.Alltoall(parts) {
-				if v := DecodeInt64s(b); v[0] != int64(iter) || v[1] != int64(src) || v[2] != int64(c.Rank()) {
+			for src, pt := range dup.Alltoall(parts) {
+				if v := DecodeInt64s(pt.Data.([]byte)); pt.Peer != src || v[0] != int64(iter) || v[1] != int64(src) || v[2] != int64(c.Rank()) {
 					return fmt.Errorf("dup alltoall iter %d: from %d got %v", iter, src, v)
 				}
 			}
@@ -124,7 +124,7 @@ func TestClockMonotonicThroughCollectives(t *testing.T) {
 			func() { c.Barrier() },
 			func() { c.bcast(make([]byte, 100), 2) },
 			func() { c.Allgather(make([]byte, 64)) },
-			func() { c.Alltoall(make([][]byte, c.Size())) },
+			func() { c.Alltoall(nil) },
 		}
 		for i, op := range ops {
 			op()
@@ -170,7 +170,7 @@ func TestMailboxPendingDrains(t *testing.T) {
 	run(t, 3, func(c *Comm) error {
 		p := c.Size()
 		c.bcast(EncodeInt64s(7), 1)
-		c.Alltoall(make([][]byte, p))
+		c.Alltoall(nil)
 		c.send((c.Rank()+1)%p, 0, []byte("x"))
 		c.recv((c.Rank()+p-1)%p, 0)
 		return nil

@@ -119,8 +119,8 @@ var ScalingPoints = []ScalingPoint{
 // ExtendedScalingPoints continue the grid past the classic 1024-rank
 // ceiling, the regime the event-loop engine exists for: a P=16384 cell is
 // 16384 coroutines in one scheduler loop, and a handshake's opening
-// allgather one rendezvous, not 268M simulated messages. (Two-phase I/O is
-// not in the grid: its Alltoall, still message-based, does not finish there.)
+// allgather — or two-phase I/O's alltoall — one rendezvous, not 268M
+// simulated messages.
 var ExtendedScalingPoints = []ScalingPoint{
 	{Procs: 2048, M: 32, N: 2048 * 64},
 	{Procs: 4096, M: 16, N: 4096 * 64},
@@ -135,13 +135,14 @@ const ScalingOverlap = 16
 // ScalingGrid is the large-P scaling study the interval index exists for:
 // process counts up to 1024 with non-contiguous interleaved views, run
 // column-wise on one locking-capable platform with the paper's strategy
-// set. Unlike Figure8Grid it pairs each process count with its own array
-// shape, so it enumerates cells directly.
+// set and two-phase I/O. Unlike Figure8Grid it pairs each process count
+// with its own array shape, so it enumerates cells directly.
 func ScalingGrid() []Cell { return ScalingGridTo(1024) }
 
 // ScalingGridTo returns the scaling cells — ScalingPoints, then
-// ExtendedScalingPoints, every strategy on each — with process counts up to
-// maxP. ScalingGridTo(1024) is exactly ScalingGrid.
+// ExtendedScalingPoints, the paper's strategies and two-phase I/O on each —
+// with process counts up to maxP. ScalingGridTo(1024) is exactly
+// ScalingGrid.
 func ScalingGridTo(maxP int) []Cell {
 	prof := platform.IBMSP()
 	var cells []Cell
@@ -150,7 +151,7 @@ func ScalingGridTo(maxP int) []Cell {
 			continue
 		}
 		label := fmt.Sprintf("%dx%d", pt.M, pt.N)
-		for _, strat := range harness.Methods(prof) {
+		for _, strat := range append(harness.Methods(prof), core.TwoPhase{}) {
 			cells = append(cells, Cell{
 				ID: CellID(prof.Name, label, pt.Procs, strat.Name()),
 				Experiment: harness.Experiment{

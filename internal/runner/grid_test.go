@@ -58,8 +58,8 @@ func TestGridListIO(t *testing.T) {
 
 func TestScalingGridCells(t *testing.T) {
 	cells := ScalingGrid()
-	if len(cells) != len(ScalingPoints)*3 {
-		t.Fatalf("cells = %d, want %d points x 3 strategies", len(cells), len(ScalingPoints))
+	if len(cells) != len(ScalingPoints)*4 {
+		t.Fatalf("cells = %d, want %d points x 4 strategies", len(cells), len(ScalingPoints))
 	}
 	seen := map[string]bool{}
 	for _, c := range cells {
@@ -112,6 +112,42 @@ func TestScalingSmallestCellRuns(t *testing.T) {
 		}
 		if res.Makespan <= 0 || res.BandwidthMBs <= 0 {
 			t.Fatalf("%s: degenerate result %+v", c.ID, res)
+		}
+	}
+}
+
+// TestScalingGridShape checks the paper's qualitative Figure 8 claims on
+// the scaling grid, where every point moves the same 16 MB: at every P,
+// ordering is at least as fast as coloring and both beat locking; locking
+// does not gain from more processes; and two-phase I/O, which turns every
+// rank's non-contiguous request into one write per domain, beats them all.
+// (Unlike Figure 8's fixed-shape panels, the handshakes do not rise here:
+// their P² traffic grows while the file does not.)
+func TestScalingGridShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the scaling grid")
+	}
+	bw := map[string]map[int]float64{} // strategy -> P -> MB/s
+	for _, r := range Run(ScalingGrid(), Options{Workers: 2}) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Cell.ID, r.Err)
+		}
+		name := r.Cell.Experiment.Strategy.Name()
+		if bw[name] == nil {
+			bw[name] = map[int]float64{}
+		}
+		bw[name][r.Cell.Experiment.Procs] = r.Result.BandwidthMBs
+	}
+	first := ScalingPoints[0].Procs
+	for _, pt := range ScalingPoints {
+		p := pt.Procs
+		lock, col, ord, two := bw["locking"][p], bw["coloring"][p], bw["ordering"][p], bw["twophase"][p]
+		if !(lock < col && col <= ord && ord < two) {
+			t.Errorf("P=%d: want locking < coloring <= ordering < twophase, got %.2f / %.2f / %.2f / %.2f MB/s",
+				p, lock, col, ord, two)
+		}
+		if lock > bw["locking"][first]*1.1 {
+			t.Errorf("locking gains from processes: P=%d %.2f MB/s against P=%d %.2f", p, lock, first, bw["locking"][first])
 		}
 	}
 }
