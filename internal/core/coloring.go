@@ -1,7 +1,7 @@
 package core
 
 import (
-	"atomio/internal/fileview"
+	"atomio/internal/interval"
 	"atomio/internal/trace"
 )
 
@@ -27,25 +27,17 @@ func (s Coloring) Name() string {
 }
 
 // WriteAll implements Strategy.
-func (s Coloring) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
-	mine := ExtentsOf(maps)
-
+func (s Coloring) WriteAll(ctx *Context, buf []byte, req interval.List) error {
 	// Handshake: exchange views, build W, color. W and the coloring are
 	// the same on every rank, so they are computed once and shared.
 	hs := ctx.span(trace.PhaseHandshake)
 	defer hs.Stop()
 	var build func() OverlapMatrix
 	if s.UseSpans {
-		spans, err := ExchangeSpans(ctx.Comm, mine)
-		if err != nil {
-			return err
-		}
+		spans := ExchangeSpans(ctx.Comm, req)
 		build = func() OverlapMatrix { return BuildOverlapMatrixFromSpans(spans) }
 	} else {
-		views, err := ExchangeViews(ctx.Comm, mine)
-		if err != nil {
-			return err
-		}
+		views := ExchangeViews(ctx.Comm, req)
 		build = func() OverlapMatrix { return BuildOverlapMatrix(views) }
 	}
 	type coloring struct {
@@ -63,7 +55,7 @@ func (s Coloring) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) er
 	for step := 0; step < numColors; step++ {
 		if step == myColor {
 			xfer := ctx.span(trace.PhaseTransfer)
-			ctx.Client.WriteV(Segments(buf, maps))
+			ctx.Client.WriteV(Segments(buf, req))
 			// Flush write-behind data so the write is visible before
 			// the next phase starts (the per-write file sync of §3).
 			ctx.Client.Sync()

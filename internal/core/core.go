@@ -19,7 +19,6 @@ package core
 import (
 	"fmt"
 
-	"atomio/internal/fileview"
 	"atomio/internal/interval"
 	"atomio/internal/lock"
 	"atomio/internal/mpi"
@@ -93,13 +92,15 @@ func segExtents(segs []pfs.Segment) interval.List {
 type Strategy interface {
 	// Name returns the strategy's short name as used in the paper's plots.
 	Name() string
-	// WriteAll collectively writes buf according to the precomputed
-	// request mapping (one entry per contiguous file segment, in logical
-	// buffer order), guaranteeing MPI atomic semantics for the overlaps.
-	// A nil buf is a timing-only request: the mapping alone says how many
-	// bytes go where, and the strategy issues payload-less segments — legal
-	// only on a file system that stores no data.
-	WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error
+	// WriteAll collectively writes buf to the request's file extents, one
+	// per contiguous file segment, listed in buffer order: extent i takes
+	// the bytes of buf that follow the lengths of the extents before it.
+	// The request is lent — typically the file view's own stored tile —
+	// and read-only. It guarantees MPI atomic semantics for the overlaps.
+	// A nil buf is a timing-only request: the extents alone say how many
+	// bytes go where, and the strategy issues payload-less segments —
+	// legal only on a file system that stores no data.
+	WriteAll(ctx *Context, buf []byte, req interval.List) error
 }
 
 // segment is the piece of a request that lands at file offset off: the n
@@ -112,53 +113,38 @@ func segment(buf []byte, off, at, n int64) pfs.Segment {
 	return pfs.Segment{Off: off, Data: buf[at : at+n]}
 }
 
-// Segments lists the pfs segments of a mapped request, one per mapping.
-func Segments(buf []byte, maps []fileview.Mapping) []pfs.Segment {
-	segs := make([]pfs.Segment, len(maps))
-	for i, m := range maps {
-		segs[i] = segment(buf, m.File.Off, m.Buf, m.File.Len)
+// Segments lists the pfs segments of a request, one per extent.
+func Segments(buf []byte, req interval.List) []pfs.Segment {
+	segs := make([]pfs.Segment, len(req))
+	var at int64 // buffer offset of e: the lengths before it
+	for i, e := range req {
+		segs[i] = segment(buf, e.Off, at, e.Len)
+		at += e.Len
 	}
 	return segs
 }
 
-// ExtentsOf lists the file extents of a mapped request in canonical order
-// (fileview guarantees increasing, non-overlapping extents).
-func ExtentsOf(maps []fileview.Mapping) interval.List {
-	out := make(interval.List, len(maps))
-	for i, m := range maps {
-		out[i] = m.File
-	}
-	return out
-}
-
-// SpanOf returns the extent from the first to the last byte of a mapped
-// request: ExtentsOf(maps).Span() without building the list.
-func SpanOf(maps []fileview.Mapping) (span interval.Extent) {
-	for _, m := range maps {
-		span, _ = span.Union(m.File)
-	}
-	return span
-}
-
-// clipSegments restricts a mapped request to the bytes in keep, preserving
-// buffer correspondence. It is the "re-calculation of each process's file
-// view" step of the rank-ordering strategy (§3.3.2).
-func clipSegments(buf []byte, maps []fileview.Mapping, keep interval.List) []pfs.Segment {
+// clipSegments restricts a request to the bytes in keep, preserving buffer
+// correspondence. It is the "re-calculation of each process's file view"
+// step of the rank-ordering strategy (§3.3.2).
+func clipSegments(buf []byte, req, keep interval.List) []pfs.Segment {
 	keep = keep.Normalize()
-	// A clipped view is cut from the mappings: one piece per kept extent.
+	// A clipped view is cut from the request: one piece per kept extent.
 	segs := make([]pfs.Segment, 0, len(keep))
 	j := 0
-	for _, m := range maps {
-		for j < len(keep) && keep[j].End() <= m.File.Off {
+	var at int64 // buffer offset of e: the lengths before it
+	for _, e := range req {
+		for j < len(keep) && keep[j].End() <= e.Off {
 			j++
 		}
-		for k := j; k < len(keep) && keep[k].Off < m.File.End(); k++ {
-			ov := m.File.Intersect(keep[k])
+		for k := j; k < len(keep) && keep[k].Off < e.End(); k++ {
+			ov := e.Intersect(keep[k])
 			if ov.Empty() {
 				continue
 			}
-			segs = append(segs, segment(buf, ov.Off, m.Buf+(ov.Off-m.File.Off), ov.Len))
+			segs = append(segs, segment(buf, ov.Off, at+(ov.Off-e.Off), ov.Len))
 		}
+		at += e.Len
 	}
 	return segs
 }

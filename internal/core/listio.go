@@ -1,7 +1,7 @@
 package core
 
 import (
-	"atomio/internal/fileview"
+	"atomio/internal/interval"
 )
 
 // ListIO is the hypothetical fourth implementation the paper sketches in
@@ -20,8 +20,8 @@ type ListIO struct{}
 func (ListIO) Name() string { return "listio" }
 
 // WriteAll implements Strategy.
-func (ListIO) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
-	return ctx.Client.WriteVAtomic(Segments(buf, maps))
+func (ListIO) WriteAll(ctx *Context, buf []byte, req interval.List) error {
+	return ctx.Client.WriteVAtomic(Segments(buf, req))
 }
 
 var _ Strategy = ListIO{}

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 
-	"atomio/internal/fileview"
+	"atomio/internal/interval"
 	"atomio/internal/lock"
 	"atomio/internal/trace"
 )
@@ -38,24 +38,24 @@ func (s Locking) Name() string {
 }
 
 // WriteAll implements Strategy.
-func (s Locking) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
+func (s Locking) WriteAll(ctx *Context, buf []byte, req interval.List) error {
 	if ctx.LockMgr == nil {
 		return ErrNoLockManager
 	}
 	clock := ctx.Comm.Clock()
 	rank := ctx.Comm.Rank()
 	if s.PerSegment {
-		segs := Segments(buf, maps)
-		for i, m := range maps {
-			grant := ctx.LockMgr.Lock(rank, m.File, lock.Exclusive, clock.Now())
+		segs := Segments(buf, req)
+		for i, e := range req {
+			grant := ctx.LockMgr.Lock(rank, e, lock.Exclusive, clock.Now())
 			clock.AdvanceTo(grant)
 			ctx.Client.WriteV(segs[i : i+1])
 			ctx.Client.Sync()
-			clock.AdvanceTo(ctx.LockMgr.Unlock(rank, m.File, clock.Now()))
+			clock.AdvanceTo(ctx.LockMgr.Unlock(rank, e, clock.Now()))
 		}
 		return nil
 	}
-	span := SpanOf(maps)
+	span := req.Span()
 	if span.Empty() {
 		return nil
 	}
@@ -65,7 +65,7 @@ func (s Locking) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) err
 	lockSpan.Stop()
 	// While locked, all traffic goes to the servers: write and flush
 	// before releasing so the data is visible to the next lock holder.
-	segs := Segments(buf, maps)
+	segs := Segments(buf, req)
 	k, crashed := ctx.crashPoint(len(segs))
 	xfer := ctx.span(trace.PhaseTransfer)
 	ctx.Client.WriteV(segs[:k])

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"atomio/internal/fileview"
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
 	"atomio/internal/trace"
@@ -19,20 +18,16 @@ type RankOrder struct{}
 func (RankOrder) Name() string { return "ordering" }
 
 // WriteAll implements Strategy.
-func (RankOrder) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
-	mine := ExtentsOf(maps)
+func (RankOrder) WriteAll(ctx *Context, buf []byte, req interval.List) error {
 	hs := ctx.span(trace.PhaseHandshake)
 	defer hs.Stop()
-	views, err := ExchangeViews(ctx.Comm, mine)
-	if err != nil {
-		return err
-	}
+	views := ExchangeViews(ctx.Comm, req)
 	// One sweep clips every rank's view; each rank reads its own row.
 	clips := shared(ctx.Comm, func() []interval.List { return index.ClipAll(views) })
 	keep := clips[ctx.Comm.Rank()]
 	hs.Stop()
 	xfer := ctx.span(trace.PhaseTransfer)
-	ctx.Client.WriteV(clipSegments(buf, maps, keep))
+	ctx.Client.WriteV(clipSegments(buf, req, keep))
 	// Flush so the collective completes with data visible to all; no
 	// barrier is needed because no two ranks touch the same byte.
 	ctx.Client.Sync()

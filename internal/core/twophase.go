@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"atomio/internal/fileview"
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
 	"atomio/internal/mpi"
@@ -33,16 +32,11 @@ type TwoPhase struct{}
 func (TwoPhase) Name() string { return "twophase" }
 
 // WriteAll implements Strategy.
-func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) error {
+func (TwoPhase) WriteAll(ctx *Context, buf []byte, req interval.List) error {
 	comm := ctx.Comm
-	mine := ExtentsOf(maps)
-
 	hs := ctx.span(trace.PhaseHandshake)
 	defer hs.Stop()
-	views, err := ExchangeViews(comm, mine)
-	if err != nil {
-		return err
-	}
+	views := ExchangeViews(comm, req)
 	// Who owns which byte is the same on every rank: one sweep, shared.
 	owners := shared(comm, func() []index.Owned { return index.Winners(views) })
 	hs.Stop()
@@ -59,7 +53,7 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, maps []fileview.Mapping) erro
 	domains := newFileDomains(span, comm.Size())
 
 	// Phase 1: route each of my segments to the domain owners.
-	parts := route(buf, maps, domains)
+	parts := route(buf, req, domains)
 	ex := ctx.span(trace.PhaseExchange)
 	recv := comm.Alltoall(parts)
 	ex.Stop()
@@ -134,23 +128,25 @@ type piece struct {
 }
 
 // route cuts a request at the domain boundaries into pieces and groups them
-// into one Alltoall part per owner. Mappings ascend in file order and so do
-// domains, so the parts come out in ascending owner order, and each mapping
+// into one Alltoall part per owner. Extents ascend in file order and so do
+// domains, so the parts come out in ascending owner order, and each extent
 // starts at its first owner and walks forward only while domains still
-// intersect it — O(1 + owners touched) per mapping. A part's Size is what
+// intersect it — O(1 + owners touched) per extent. A part's Size is what
 // the wire would carry, a header plus the bytes of each piece, whether or
 // not the request has bytes: a timing-only exchange moves none and costs
 // the same. Its Data is the []piece, which points into buf — shared with the
 // owner, never copied. The walk runs twice, to count and then to fill, so
 // each list is allocated once, at its size.
-func route(buf []byte, maps []fileview.Mapping, domains fileDomains) []mpi.Part {
+func route(buf []byte, req interval.List, domains fileDomains) []mpi.Part {
 	each := func(visit func(owner int, ov interval.Extent, at int64)) {
-		for _, m := range maps {
-			for owner := domains.owner(m.File.Off); owner < domains.n && domains.at(owner).Off < m.File.End(); owner++ {
-				if ov := m.File.Intersect(domains.at(owner)); !ov.Empty() {
-					visit(owner, ov, m.Buf+(ov.Off-m.File.Off))
+		var at int64 // buffer offset of e: the lengths before it
+		for _, e := range req {
+			for owner := domains.owner(e.Off); owner < domains.n && domains.at(owner).Off < e.End(); owner++ {
+				if ov := e.Intersect(domains.at(owner)); !ov.Empty() {
+					visit(owner, ov, at+(ov.Off-e.Off))
 				}
 			}
+			at += e.Len
 		}
 	}
 	npieces, nparts, last := 0, 0, -1

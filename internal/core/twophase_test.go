@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 	"unsafe"
 
-	"atomio/internal/fileview"
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
 	"atomio/internal/mpi"
@@ -242,7 +241,7 @@ func setMergePieces(recv []mpi.Part, domain interval.Extent) []pfs.Segment {
 // TestMergeSegmentsMatchSetMerge pins the cursor merge to its predecessor,
 // segment for segment — offsets, lengths and the very bytes of recv each
 // segment points at — on the three partitioning patterns, with every
-// mapping cut in two touching halves (non-canonical, as a fileview over a
+// extent cut in two touching halves (non-canonical, as a fileview over a
 // split datatype produces) and domain boundaries that fall inside pieces.
 // The pieces are the ones route cuts, so the routing is pinned too.
 // Segment-for-segment matters beyond content: crashPoint counts segments
@@ -255,31 +254,27 @@ func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 		"block":  func(rank int) (workload.Piece, error) { return workload.BlockBlock(m, n, 2, 2, r, rank) },
 	}
 	for name, pattern := range patterns {
-		maps := make([][]fileview.Mapping, p)
+		reqs := make([]interval.List, p)
 		views := make([]interval.List, p)
-		for rank := range maps {
+		for rank := range reqs {
 			piece, err := pattern(rank)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var at int64
 			for _, e := range piece.Filetype.Flatten() {
 				half := e.Len / 2
-				maps[rank] = append(maps[rank],
-					fileview.Mapping{File: ext(e.Off, half), Buf: at},
-					fileview.Mapping{File: ext(e.Off+half, e.Len-half), Buf: at + half})
-				at += e.Len
+				reqs[rank] = append(reqs[rank], ext(e.Off, half), ext(e.Off+half, e.Len-half))
 			}
-			views[rank] = ExtentsOf(maps[rank]).Normalize()
+			views[rank] = reqs[rank].Normalize()
 		}
 		owners := index.Winners(views)
 		span := ext(owners[0].Off, owners[len(owners)-1].End()-owners[0].Off)
 		for _, n := range []int{p, 7, 1} {
 			domains := newFileDomains(span, n)
 			inbox := make([][]mpi.Part, n) // by owner
-			for rank, mm := range maps {
-				buf := bytes.Repeat([]byte{byte(rank + 1)}, int(ExtentsOf(mm).TotalLen()))
-				for _, pt := range route(buf, mm, domains) {
+			for rank, req := range reqs {
+				buf := bytes.Repeat([]byte{byte(rank + 1)}, int(req.TotalLen()))
+				for _, pt := range route(buf, req, domains) {
 					inbox[pt.Peer] = append(inbox[pt.Peer], mpi.Part{Peer: rank, Size: pt.Size, Data: pt.Data})
 				}
 			}

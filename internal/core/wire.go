@@ -9,7 +9,8 @@ import (
 )
 
 // EncodeExtents serializes an extent list as little-endian (off, len) int64
-// pairs for the view-exchange handshake: 16 bytes per extent, written once.
+// pairs: 16 bytes per extent, the size ExchangeViews prices a view at.
+// Kept only as the pin of atombench's core.wire_ns_per_extent probe.
 func EncodeExtents(l interval.List) []byte {
 	b := make([]byte, 16*len(l))
 	for i, e := range l {
@@ -21,6 +22,7 @@ func EncodeExtents(l interval.List) []byte {
 
 // DecodeExtents reverses EncodeExtents. Wire bytes never panic: a payload
 // that is not a whole number of pairs is an error.
+// Kept only as the pin of atombench's core.wire_ns_per_extent probe.
 func DecodeExtents(b []byte) (interval.List, error) {
 	if len(b)%16 != 0 {
 		return nil, fmt.Errorf("core: extent payload of %d bytes is not a multiple of 16", len(b))
@@ -44,52 +46,22 @@ func shared[T any](comm *mpi.Comm, compute func() T) T {
 
 // ExchangeViews allgathers every rank's file extents — the process
 // handshake both the coloring and ordering strategies start with. The
-// result is indexed by rank. Extents are sent in canonical form.
+// result is indexed by rank. Extents are sent in canonical form, priced as
+// the 16 bytes per extent EncodeExtents would put on the wire.
 //
-// Every rank receives the same payloads, so they are decoded once and the
-// decoded views are shared: the result is the same slice on every rank and
-// is read-only.
-func ExchangeViews(comm *mpi.Comm, mine interval.List) ([]interval.List, error) {
-	all := comm.Allgather(EncodeExtents(mine.Normalize()))
-	type decoded struct {
-		views []interval.List
-		err   error
-	}
-	d := shared(comm, func() decoded {
-		views := make([]interval.List, len(all))
-		for r, b := range all {
-			l, err := DecodeExtents(b)
-			if err != nil {
-				return decoded{err: fmt.Errorf("rank %d: %w", r, err)}
-			}
-			views[r] = l
-		}
-		return decoded{views: views}
-	})
-	return d.views, d.err
+// Views travel by reference: row r of the result is rank r's own canonical
+// list (its request itself when that is already canonical), and the result
+// is the same table on every rank. All of it is read-only.
+func ExchangeViews(comm *mpi.Comm, mine interval.List) []interval.List {
+	mine = mine.Normalize()
+	return mpi.AllgatherOf(comm, mine, 16*int64(len(mine)))
 }
 
 // ExchangeSpans allgathers only each rank's bounding span — the cheaper,
 // conservative handshake sufficient to build an overlap matrix when views
 // are known to be interval-like. Used by the handshake-cost ablation (A5).
-// Like ExchangeViews it decodes once and shares the read-only result.
-func ExchangeSpans(comm *mpi.Comm, mine interval.List) ([]interval.Extent, error) {
-	span := mine.Span()
-	all := comm.Allgather(mpi.EncodeInt64s(span.Off, span.Len))
-	type decoded struct {
-		spans []interval.Extent
-		err   error
-	}
-	d := shared(comm, func() decoded {
-		spans := make([]interval.Extent, len(all))
-		for r, b := range all {
-			vals := mpi.DecodeInt64s(b)
-			if len(vals) != 2 {
-				return decoded{err: fmt.Errorf("core: bad span payload from rank %d", r)}
-			}
-			spans[r] = interval.Extent{Off: vals[0], Len: vals[1]}
-		}
-		return decoded{spans: spans}
-	})
-	return d.spans, d.err
+// A span is priced as its two int64s; the result, as ExchangeViews', is one
+// read-only table shared by every rank.
+func ExchangeSpans(comm *mpi.Comm, mine interval.List) []interval.Extent {
+	return mpi.AllgatherOf(comm, mine.Span(), 16)
 }

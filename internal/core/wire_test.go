@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"atomio/internal/interval"
 	"atomio/internal/mpi"
@@ -17,16 +18,21 @@ func runRanks(t *testing.T, procs int, body mpi.RankFunc) {
 	}
 }
 
+// TestExchangeViews checks the exchanged views and pins how they travel:
+// row r is rank r's own (canonical) list, not a copy, and every rank holds
+// the one table.
 func TestExchangeViews(t *testing.T) {
-	runRanks(t, 5, func(c *mpi.Comm) error {
+	const p = 5
+	sent := make([]interval.List, p)
+	tables := make([][]interval.List, p)
+	runRanks(t, p, func(c *mpi.Comm) error {
 		mine := interval.List{
 			{Off: int64(c.Rank() * 100), Len: 10},
 			{Off: int64(c.Rank()*100 + 50), Len: 5},
 		}
-		views, err := ExchangeViews(c, mine)
-		if err != nil {
-			return err
-		}
+		sent[c.Rank()] = mine
+		views := ExchangeViews(c, mine)
+		tables[c.Rank()] = views
 		if len(views) != c.Size() {
 			return fmt.Errorf("got %d views", len(views))
 		}
@@ -41,16 +47,21 @@ func TestExchangeViews(t *testing.T) {
 		}
 		return nil
 	})
+	for r, views := range tables {
+		if unsafe.SliceData(views) != unsafe.SliceData(tables[0]) {
+			t.Errorf("rank %d holds its own table, not the shared one", r)
+		}
+		if unsafe.SliceData(views[r]) != unsafe.SliceData(sent[r]) {
+			t.Errorf("row %d is a copy of rank %d's list, not the list itself", r, r)
+		}
+	}
 }
 
 func TestExchangeViewsNormalizes(t *testing.T) {
 	runRanks(t, 2, func(c *mpi.Comm) error {
 		// Messy input: unsorted, touching extents.
 		mine := interval.List{{Off: 10, Len: 5}, {Off: 0, Len: 10}}
-		views, err := ExchangeViews(c, mine)
-		if err != nil {
-			return err
-		}
+		views := ExchangeViews(c, mine)
 		if !views[c.Rank()].IsCanonical() {
 			return fmt.Errorf("exchanged view not canonical: %v", views[c.Rank()])
 		}
@@ -67,10 +78,7 @@ func TestExchangeSpans(t *testing.T) {
 			{Off: int64(c.Rank() * 10), Len: 2},
 			{Off: int64(c.Rank()*10 + 6), Len: 2},
 		}
-		spans, err := ExchangeSpans(c, mine)
-		if err != nil {
-			return err
-		}
+		spans := ExchangeSpans(c, mine)
 		for r, s := range spans {
 			want := interval.Extent{Off: int64(r * 10), Len: 8}
 			if s != want {
@@ -87,10 +95,7 @@ func TestEmptyViewExchange(t *testing.T) {
 		if c.Rank() == 1 {
 			mine = interval.List{{Off: 5, Len: 5}}
 		}
-		views, err := ExchangeViews(c, mine)
-		if err != nil {
-			return err
-		}
+		views := ExchangeViews(c, mine)
 		if len(views[0]) != 0 || len(views[2]) != 0 {
 			return fmt.Errorf("empty views decoded non-empty")
 		}

@@ -29,7 +29,8 @@ type Datatype interface {
 	// i*Extent().
 	Extent() int64
 	// Flatten returns the type map as segments relative to offset 0, in
-	// logical order, with adjacent segments coalesced.
+	// logical order, with adjacent segments coalesced. Every call returns
+	// a fresh list that the caller owns.
 	Flatten() []interval.Extent
 	// String returns a short constructor-style description.
 	String() string

@@ -4,14 +4,15 @@
 // byte stream.
 //
 // A view tiles its filetype repeatedly starting at the displacement: tile i
-// occupies file offsets [Disp + i*Extent(filetype), ...). Mapping a request
-// of n bytes walks the tiles' flattened segments in logical order, producing
-// the (file extent, buffer offset) pairs an MPI-IO implementation hands to
-// the file system.
+// occupies file offsets [Disp + i*Extent(filetype), ...). A request of n
+// bytes walks the tiles' flattened segments in logical order, producing the
+// file extents an MPI-IO implementation hands to the file system, in the
+// order the buffer's bytes stream into them.
 package fileview
 
 import (
 	"fmt"
+	"slices"
 
 	"atomio/internal/datatype"
 	"atomio/internal/interval"
@@ -28,9 +29,11 @@ type View struct {
 	Etype datatype.Datatype
 	// Filetype selects the visible file regions; it is tiled repeatedly.
 	Filetype datatype.Datatype
-	// flat is Filetype.Flatten(), computed once by New and read-only after.
-	// A literal View leaves it nil and flattens on every request instead.
-	flat []interval.Extent
+	// tile is the view's first tile: Filetype.Flatten() shifted to Disp,
+	// computed once by New. Extents lends it out, so nothing writes it
+	// after New. A literal View leaves it nil and flattens on every request
+	// instead.
+	tile interval.List
 }
 
 // New constructs a view after validating the triple.
@@ -45,26 +48,27 @@ func New(disp int64, etype, filetype datatype.Datatype) View {
 		panic(fmt.Sprintf("fileview: filetype size %d not a multiple of etype size %d",
 			filetype.Size(), etype.Size()))
 	}
-	return View{Disp: disp, Etype: etype, Filetype: filetype, flat: filetype.Flatten()}
+	tile := interval.List(filetype.Flatten())
+	for i := range tile {
+		tile[i].Off += disp
+	}
+	return View{Disp: disp, Etype: etype, Filetype: filetype, tile: slices.Clip(tile)}
 }
 
-// Mapping relates one contiguous file extent to the request-buffer offset
-// its bytes stream from (for writes) or into (for reads).
-type Mapping struct {
-	File interval.Extent
-	Buf  int64
-}
-
-// Map converts a request of nbytes starting at view position 0 into the
-// ordered list of (file extent, buffer offset) pairs. Adjacent file segments
-// are coalesced. Map panics if nbytes is negative or if the view's filetype
-// selects no bytes while nbytes is positive.
-func (v View) Map(nbytes int64) []Mapping { return v.MapAt(0, nbytes) }
-
-// MapAt is Map starting at logical view position start (in bytes of the
-// view's linear stream), the position an MPI file pointer would hold after
-// writing start bytes through the view.
-func (v View) MapAt(start, nbytes int64) []Mapping {
+// Extents returns the file extents of a request of nbytes starting at
+// logical view position start (in bytes of the view's linear stream, the
+// position an MPI file pointer holds after writing start bytes through the
+// view), in buffer order: extent i streams from the buffer bytes that follow
+// the lengths of the extents before it. Pieces consecutive in the buffer
+// that touch in the file are one extent. Filetype segments increase within
+// a tile and tiles advance, so the list is ordered and non-overlapping.
+//
+// A request of exactly the first tile of a view New built returns the
+// view's stored tile itself, with no allocation: the result is read-only.
+// Any other request allocates its list once, at its size. Extents panics if
+// start or nbytes is negative, or if the filetype selects no bytes while
+// nbytes is positive.
+func (v View) Extents(start, nbytes int64) interval.List {
 	if start < 0 || nbytes < 0 {
 		panic(fmt.Sprintf("fileview: negative request start %d or size %d", start, nbytes))
 	}
@@ -75,23 +79,26 @@ func (v View) MapAt(start, nbytes int64) []Mapping {
 	if tileSize <= 0 {
 		panic("fileview: request on a view whose filetype selects no bytes")
 	}
-	flat := v.flat
-	if flat == nil {
-		flat = v.Filetype.Flatten()
+	tile, base := v.tile, int64(0)
+	switch {
+	case tile == nil:
+		tile, base = v.Filetype.Flatten(), v.Disp
+	case start == 0 && nbytes == tileSize:
+		return tile
 	}
 	ext := v.Filetype.Extent()
 
-	// The first pass counts the mappings and the second fills them in: the
+	// The first pass counts the extents and the second fills them in: the
 	// result is allocated once, at its size, however many tiles coalesce.
-	var out []Mapping
+	var out interval.List
 	for fill := false; ; fill = true {
 		n := 0
-		var cur Mapping // the mapping being extended, out[n-1]
+		var cur interval.Extent // the extent being extended, out[n-1]
 		skip := start % tileSize
 		remaining := nbytes
-		for tile := start / tileSize; remaining > 0; tile++ {
-			tileOff := v.Disp + tile*ext
-			for _, seg := range flat {
+		for t := start / tileSize; remaining > 0; t++ {
+			tileOff := base + t*ext
+			for _, seg := range tile {
 				if remaining <= 0 {
 					break
 				}
@@ -103,10 +110,10 @@ func (v View) MapAt(start, nbytes int64) []Mapping {
 				skip = 0
 				take := min(seg.Len, remaining)
 				// Pieces are consecutive in the buffer: two that touch in the file are one.
-				if off := tileOff + seg.Off; n > 0 && cur.File.End() == off {
-					cur.File.Len += take
+				if off := tileOff + seg.Off; n > 0 && cur.End() == off {
+					cur.Len += take
 				} else {
-					cur = Mapping{File: interval.Extent{Off: off, Len: take}, Buf: nbytes - remaining}
+					cur = interval.Extent{Off: off, Len: take}
 					n++
 				}
 				if fill {
@@ -118,19 +125,32 @@ func (v View) MapAt(start, nbytes int64) []Mapping {
 		if fill {
 			return out
 		}
-		out = make([]Mapping, n)
+		out = make(interval.List, n)
 	}
 }
 
-// Extents returns the physical file extents of a request of nbytes, in
-// logical order. The result is ordered and non-overlapping (a valid
-// interval.List in canonical order) because filetype segments are increasing
-// within a tile and tiles advance monotonically.
-func (v View) Extents(nbytes int64) interval.List {
-	maps := v.Map(nbytes)
-	out := make(interval.List, len(maps))
-	for i, m := range maps {
-		out[i] = m.File
+// Mapping is one extent of Extents with its buffer offset spelled out.
+// Mapping and Map are kept only as the pin of atombench's fileview.map_ns_per_seg probe.
+type Mapping struct {
+	File interval.Extent
+	Buf  int64
+}
+
+// Map is MapAt(0, nbytes), kept only as the pin of atombench's fileview.map_ns_per_seg probe.
+func (v View) Map(nbytes int64) []Mapping { return v.MapAt(0, nbytes) }
+
+// MapAt is Extents(start, nbytes) as mappings: each extent with its buffer
+// offset, the sum of the lengths before it.
+func (v View) MapAt(start, nbytes int64) []Mapping {
+	req := v.Extents(start, nbytes)
+	if len(req) == 0 {
+		return nil
+	}
+	out := make([]Mapping, len(req))
+	var at int64
+	for i, e := range req {
+		out[i] = Mapping{File: e, Buf: at}
+		at += e.Len
 	}
 	return out
 }
@@ -144,8 +164,8 @@ func (v View) Span(nbytes int64) interval.Extent {
 	if nbytes == 0 {
 		return interval.Extent{}
 	}
-	first := v.MapAt(0, 1)[0].File
-	last := v.MapAt(nbytes-1, 1)[0].File
+	first := v.Extents(0, 1)[0]
+	last := v.Extents(nbytes-1, 1)[0]
 	lo, hi := first.Off, last.End()
 	if last.Off < lo {
 		lo = last.Off
@@ -160,7 +180,7 @@ func (v View) Span(nbytes int64) interval.Extent {
 // file extent (the row-wise partitioning case of §3.2, where plain POSIX
 // atomicity suffices).
 func (v View) Contiguous(nbytes int64) bool {
-	return len(v.Map(nbytes)) <= 1
+	return len(v.Extents(0, nbytes)) <= 1
 }
 
 // String describes the view.

@@ -3,6 +3,7 @@ package fileview
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"atomio/internal/datatype"
 	"atomio/internal/interval"
@@ -95,7 +96,7 @@ func TestMapTilesCoalesceAcrossBoundary(t *testing.T) {
 func TestDisplacementShiftsEverything(t *testing.T) {
 	ft := datatype.NewVector(2, 1, 4, datatype.Byte)
 	v := New(1000, datatype.Byte, ft)
-	got := v.Extents(2)
+	got := v.Extents(0, 2)
 	want := interval.List{ext(1000, 1), ext(1004, 1)}
 	if !got.Equal(want) {
 		t.Fatalf("extents = %v, want %v", got, want)
@@ -105,7 +106,7 @@ func TestDisplacementShiftsEverything(t *testing.T) {
 func TestExtentsAreCanonicalOrder(t *testing.T) {
 	ft := datatype.NewSubarray([]int{8, 8}, []int{8, 2}, []int{0, 2}, datatype.Byte)
 	v := New(0, datatype.Byte, ft)
-	exts := v.Extents(16)
+	exts := v.Extents(0, 16)
 	if !exts.IsCanonical() {
 		t.Fatalf("extents not canonical: %v", exts)
 	}
@@ -119,7 +120,7 @@ func TestMultiTileRequestOfSubarray(t *testing.T) {
 	// slab; extent of a subarray = whole array size.
 	ft := datatype.NewSubarray([]int{2, 4}, []int{2, 2}, []int{0, 0}, datatype.Byte)
 	v := New(0, datatype.Byte, ft)
-	got := v.Extents(8)
+	got := v.Extents(0, 8)
 	want := interval.List{ext(0, 2), ext(4, 2), ext(8, 2), ext(12, 2)}
 	if !got.Equal(want) {
 		t.Fatalf("extents = %v, want %v", got, want)
@@ -169,7 +170,7 @@ func TestMapAtResumesMidStream(t *testing.T) {
 	// exactly the extents Map(start+n) produces after the first start bytes.
 	ft := datatype.NewSubarray([]int{4, 8}, []int{4, 3}, []int{0, 2}, datatype.Byte)
 	v := New(0, datatype.Byte, ft)
-	full := v.Extents(24) // two tiles worth
+	full := v.Extents(0, 24) // two tiles worth
 	for start := int64(0); start <= 20; start += 5 {
 		n := int64(24) - start
 		got := v.MapAt(start, n)
@@ -242,7 +243,7 @@ func TestSpanMatchesExtentsSpan(t *testing.T) {
 	for _, v := range views {
 		tile := v.Filetype.Size()
 		for nbytes := int64(0); nbytes <= 4*tile+1; nbytes++ {
-			want := v.Extents(nbytes).Span()
+			want := v.Extents(0, nbytes).Span()
 			got := v.Span(nbytes)
 			if got != want {
 				t.Fatalf("%v Span(%d) = %v, want %v", v, nbytes, got, want)
@@ -340,6 +341,16 @@ func TestMapAtMatchesAppendOracle(t *testing.T) {
 					if cap(got) != len(got) {
 						t.Fatalf("%s MapAt(%d, %d): %d mappings in a slice of %d", name, start, n, len(got), cap(got))
 					}
+					// The walker itself, the whole-tile request that lends the stored tile included.
+					req := v.Extents(start, n)
+					if len(req) != len(want) || cap(req) != len(req) {
+						t.Fatalf("%s %v Extents(%d, %d) = %v (cap %d), want the extents of %v", name, v, start, n, req, cap(req), want)
+					}
+					for i, m := range want {
+						if req[i] != m.File {
+							t.Fatalf("%s %v Extents(%d, %d) = %v, want the extents of %v", name, v, start, n, req, want)
+						}
+					}
 				}
 			}
 		}
@@ -359,6 +370,29 @@ func TestMapAtDefaultViewAllocatesOneMapping(t *testing.T) {
 	}
 	if allocs > 2 {
 		t.Fatalf("MapAt(5, 1 MiB) made %v allocations, want at most 2", allocs)
+	}
+}
+
+// TestExtentsLendsTheStoredTile: a request of exactly the first tile —
+// every benchmark cell's request — is the view's stored tile itself, shifted
+// to the displacement, with no allocation; the same request on a literal
+// view walks its own list.
+func TestExtentsLendsTheStoredTile(t *testing.T) {
+	ft := datatype.NewSubarray([]int{64, 256}, []int{64, 8}, []int{0, 40}, datatype.Byte)
+	v := New(128, datatype.Byte, ft)
+	var req interval.List
+	if allocs := testing.AllocsPerRun(10, func() { req = v.Extents(0, ft.Size()) }); allocs != 0 {
+		t.Fatalf("whole-tile Extents made %v allocations, want 0", allocs)
+	}
+	if want := interval.List(ft.Flatten()).Shift(128); !req.Equal(want) || cap(req) != len(req) {
+		t.Fatalf("whole-tile Extents = %v (cap %d), want %v", req, cap(req), want)
+	}
+	if again := v.Extents(0, ft.Size()); unsafe.SliceData(again) != unsafe.SliceData(req) {
+		t.Fatal("two whole-tile requests returned different lists, not the stored tile")
+	}
+	literal := View{Disp: 128, Etype: datatype.Byte, Filetype: ft}
+	if own := literal.Extents(0, ft.Size()); !own.Equal(req) || unsafe.SliceData(own) == unsafe.SliceData(req) {
+		t.Fatalf("literal view's whole-tile Extents = %v, want a copy of %v", own, req)
 	}
 }
 

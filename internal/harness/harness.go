@@ -433,7 +433,6 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 		var buf []byte
 		switch {
 		case e.Verify:
-			views[c.Rank()] = interval.List(piece.Filetype.Flatten()) // what Check compares the file to
 			buf = bytes.Repeat([]byte{verify.Marker(c.Rank())}, int(piece.BufBytes))
 		case e.StoreData:
 			buf = shared[:piece.BufBytes]
@@ -448,6 +447,10 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 			}
 			if err := f.SetView(0, datatype.Byte, piece.Filetype); err != nil {
 				return err
+			}
+			if e.Verify {
+				// What Check compares the file to: the request itself, lent by the view.
+				views[c.Rank()] = f.View().Extents(0, piece.BufBytes)
 			}
 			if err := f.SetAtomicity(true); err != nil {
 				return err

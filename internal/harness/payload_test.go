@@ -105,23 +105,21 @@ func TestPayloadlessRunMatchesStoredRunUnderFaults(t *testing.T) {
 // payload-less path, in the unit the path works in: bytes per extent. An
 // IBM SP P=8 column-wise cell of Figure 8 carries 4 096 extents per rank from
 // the filetype to the server queues and has nothing else to do on the host,
-// so it may allocate the lists it reads — the mapping, the segments, the
-// readable-block runs; for the handshaking strategies the exchanged views,
-// which the sweep streams in O(P) scratch — and little more: 81 / 145 / 161 B
-// per extent measured for locking / coloring / ordering (209 / 225 while the
-// sweep built an endpoint schedule), where growing, re-flattening and
-// re-logging the same lists cost 227 / 425 / 578. None of it may depend
-// on the array size: the 1 GB cell has the extents of the 128 MB one (a
-// block map made it 28 % dearer). With payload buffers the 128 MB locking
-// cell allocated 190 MB.
+// so it may allocate the lists it reads — the flattened tile, which is the
+// request and the exchanged view, the segments, the readable-block runs,
+// ordering's clips — and little more: 57 / 57 / 73 B per extent measured
+// for locking / coloring / ordering. None of it may depend on the array
+// size: the 1 GB cell has the extents of the 128 MB one (a block map made
+// it 28 % dearer). With payload buffers the 128 MB locking cell allocated
+// 190 MB.
 func TestDatalessCellAllocatesNoPayload(t *testing.T) {
 	for _, tc := range []struct {
 		strategy  core.Strategy
 		perExtent float64 // ceiling, bytes
 	}{
-		{core.Locking{}, 100},
-		{core.Coloring{}, 160},
-		{core.RankOrder{}, 178},
+		{core.Locking{}, 70},
+		{core.Coloring{}, 70},
+		{core.RankOrder{}, 90},
 	} {
 		t.Run(tc.strategy.Name(), func(t *testing.T) {
 			var small float64

@@ -12,10 +12,10 @@ package mpi
 //
 //	Barrier    dissemination, ceil(log2 P) rounds   (solved at a rendezvous)
 //	bcast      binomial tree (only Dup uses it)
-//	Allgather  ring, P-1 steps (allgatherv too)     (solved at a rendezvous)
+//	AllgatherOf ring, P-1 steps (allgatherv too)    (solved at a rendezvous)
 //	Alltoall   pairwise exchange, P-1 steps         (solved at a rendezvous)
 //
-// Barrier, Allgather and Alltoall keep that schedule — message counts,
+// Barrier, AllgatherOf and Alltoall keep that schedule — message counts,
 // sizes, clocks, trace events — but simulate no message: the ranks meet
 // (rendezvous.go) and the last to arrive runs the schedule as a recurrence
 // over the P entry clocks. Only a synchronizing collective may: every rank's
@@ -36,7 +36,7 @@ func (c *Comm) nextTag() int {
 // rank+2^k (mod P) and waits for a signal from rank-2^k (mod P).
 func (c *Comm) Barrier() {
 	defer c.beginOp("barrier")()
-	c.meet(nil, nil, func(rv *rendezvous) {
+	c.meet(0, nil, func(rv *rendezvous) {
 		for dist := 1; dist < c.Size(); dist *= 2 {
 			rv.step(c, dist, 0)
 		}
@@ -75,21 +75,34 @@ func (c *Comm) bcast(data []byte, root int) []byte {
 	return data
 }
 
-// Allgather collects every rank's data on every rank, indexed by rank, timed
-// as the ring algorithm: in step s each rank forwards the block that
-// originated at rank-s to its right neighbour. Payload sizes may differ
-// between ranks, so this also serves as MPI_Allgatherv.
+// AllgatherOf collects every rank's block on every rank, indexed by rank,
+// timed as the ring algorithm: in step s each rank forwards the block that
+// originated at rank-s to its right neighbour. A block is priced as a
+// message of size bytes, which may differ between ranks, so this also
+// serves as MPI_Allgatherv; its own size is never read.
 //
-// The result is read-only and shared: each rank copies its own contribution
-// once into the one table assembled at the rendezvous, and every rank
-// returns that same table. The caller may reuse data.
-func (c *Comm) Allgather(data []byte) [][]byte {
+// Blocks are shared, not copied, as Alltoall's parts are: each rank's block
+// is placed by reference in the one table assembled at the rendezvous, and
+// every rank returns that same table. The table is read-only, and no rank
+// may write its block while any rank can still read the table.
+func AllgatherOf[T any](c *Comm, block T, size int64) []T {
 	defer c.beginOp("allgather")()
-	return c.meet(append([]byte(nil), data...), nil, func(rv *rendezvous) {
+	return c.meet(size, func(rv *rendezvous) {
+		if rv.table == nil {
+			rv.table = make([]T, c.Size())
+		}
+		rv.table.([]T)[c.rank] = block
+	}, func(rv *rendezvous) {
 		for s := 0; s < c.Size()-1; s++ {
 			rv.step(c, 1, s)
 		}
-	}).blocks
+	}).table.([]T)
+}
+
+// Allgather is AllgatherOf of a private copy of data, priced at its length.
+// Kept only as the pin of atombench's mpi.allgather_ns_per_msg probe.
+func (c *Comm) Allgather(data []byte) [][]byte {
+	return AllgatherOf(c, append([]byte(nil), data...), int64(len(data)))
 }
 
 // Part is one message of an Alltoall: Size modelled bytes between the
@@ -123,6 +136,13 @@ func (c *Comm) Alltoall(parts []Part) []Part {
 			panic("mpi: Alltoall parts must name distinct peers in ascending order")
 		}
 	}
-	rv := c.meet(nil, parts, func(rv *rendezvous) { rv.exchange(c) })
+	rv := c.meet(0, func(rv *rendezvous) {
+		if len(parts) > 0 {
+			if rv.parts == nil {
+				rv.parts = make([][]Part, c.Size())
+			}
+			rv.parts[c.rank] = parts
+		}
+	}, func(rv *rendezvous) { rv.exchange(c) })
 	return rv.inbox[rv.starts[c.rank]:rv.starts[c.rank+1]]
 }

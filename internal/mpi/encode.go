@@ -6,9 +6,9 @@ import (
 	"slices"
 )
 
-// Typed payload helpers. Messages are byte slices; these helpers encode and
-// decode the small fixed-width integer payloads the atomicity handshakes
-// exchange (file offsets, counts, colors). Little-endian throughout.
+// Integer payload helpers. Messages are byte slices; these helpers encode
+// and decode the fixed-width integers Dup broadcasts (a context id).
+// Little-endian throughout.
 
 // putInt64s appends vals to buf in little-endian order and returns buf.
 func putInt64s(buf []byte, vals ...int64) []byte {
@@ -29,15 +29,4 @@ func getInt64s(buf []byte, n int) []int64 {
 		out[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	return out
-}
-
-// EncodeInt64s encodes vals as a message payload.
-func EncodeInt64s(vals ...int64) []byte { return putInt64s(nil, vals...) }
-
-// DecodeInt64s decodes every int64 in the payload.
-func DecodeInt64s(buf []byte) []int64 {
-	if len(buf)%8 != 0 {
-		panic(fmt.Sprintf("mpi: int64 payload length %d not a multiple of 8", len(buf)))
-	}
-	return getInt64s(buf, len(buf)/8)
 }

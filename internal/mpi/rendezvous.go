@@ -8,17 +8,18 @@ import (
 
 // rendezvous is the meeting point of one synchronizing collective call,
 // held in World.meetings under the call's (context, tag) until its
-// last rank arrives. Every rank deposits its entry clock and its block or
-// its alltoall parts; the last one solves the collective's message schedule
-// as arithmetic (step) and wakes the others at their exit clocks.
+// last rank arrives. Every rank deposits its entry clock and the size of its
+// block, and an allgather's block or an alltoall's parts; the last one
+// solves the collective's message schedule as arithmetic (step) and wakes
+// the others at their exit clocks.
 type rendezvous struct {
 	arrived int
 	clock   []sim.VTime // by communicator rank: entry clocks, then exit clocks
-	blocks  [][]byte    // by communicator rank; all empty for a barrier or an alltoall
-	parts   [][]Part    // by communicator rank: an alltoall's parts; nil while none has any
+	size    []int64     // by communicator rank: the size of a message carrying block i (an alltoall's: see exchange)
+	cost    []sim.VTime // transfer cost of a message of size[i]
 	next    []sim.VTime // the solver's second clock buffer
-	cost    []sim.VTime // transfer cost of a message carrying blocks[i] (an alltoall's: see exchange)
-	size    []int64     // an alltoall's message sizes, indexed as cost; nil for the others
+	table   any         // an allgather's []T of blocks, by communicator rank; nil for the others
+	parts   [][]Part    // by communicator rank: an alltoall's parts; nil while none has any
 
 	// An alltoall's deliveries: receiver q's parts are inbox[starts[q]:starts[q+1]].
 	inbox  []Part
@@ -26,11 +27,12 @@ type rendezvous struct {
 }
 
 // meet takes the calling rank through the rendezvous of the next collective
-// call: deposit, then sleep until the last arriver has run solve — or, as
-// the last arriver, run it and wake every peer — and advance to the exit
-// clock solve left in rv.clock. Ranks arrive as admitted actions at their
-// entry clocks, so which rank solves is the same on every engine.
-func (c *Comm) meet(block []byte, parts []Part, solve func(rv *rendezvous)) *rendezvous {
+// call: deposit (its block priced at size bytes, then whatever deposit
+// adds), then sleep until the last arriver has run solve — or, as the last
+// arriver, run it and wake every peer — and advance to the exit clock solve
+// left in rv.clock. Ranks arrive as admitted actions at their entry clocks,
+// so which rank solves is the same on every engine.
+func (c *Comm) meet(size int64, deposit func(rv *rendezvous), solve func(rv *rendezvous)) *rendezvous {
 	w, p, me := c.world, len(c.group), c.group[c.rank]
 	key := sharedKey{ctx: c.ctx, seq: c.nextTag()}
 	coord := w.cfg.Coord
@@ -40,15 +42,12 @@ func (c *Comm) meet(block []byte, parts []Part, solve func(rv *rendezvous)) *ren
 	}
 	rv := w.meetings[key]
 	if rv == nil {
-		rv = &rendezvous{clock: make([]sim.VTime, p), blocks: make([][]byte, p)}
+		rv = &rendezvous{clock: make([]sim.VTime, p), size: make([]int64, p)}
 		w.meetings[key] = rv
 	}
-	rv.clock[c.rank], rv.blocks[c.rank] = c.clock.Now(), block
-	if len(parts) > 0 {
-		if rv.parts == nil {
-			rv.parts = make([][]Part, p)
-		}
-		rv.parts[c.rank] = parts
+	rv.clock[c.rank], rv.size[c.rank] = c.clock.Now(), size
+	if deposit != nil {
+		deposit(rv)
 	}
 	if rv.arrived++; rv.arrived < p {
 		w.parked[me] = true
@@ -59,8 +58,8 @@ func (c *Comm) meet(block []byte, parts []Part, solve func(rv *rendezvous)) *ren
 	} else {
 		delete(w.meetings, key)
 		rv.next, rv.cost = make([]sim.VTime, p), make([]sim.VTime, p)
-		for i, b := range rv.blocks {
-			rv.cost[i] = w.cfg.Net.Cost(int64(len(b)))
+		for i, n := range rv.size {
+			rv.cost[i] = w.cfg.Net.Cost(n)
 		}
 		solve(rv)
 		// Every sleeper appended its park event before this Wake appends
@@ -95,20 +94,11 @@ func (rv *rendezvous) step(c *Comm, dist, s int) {
 		}
 		rv.next[r] = max(rv.clock[r], rv.clock[from]+rv.cost[b]) + so + ro
 		if o != nil {
-			c.traceSend(o, rv.clock[r]+so, r, (r+dist)%p, rv.sizeOf((r-s+p)%p))
-			c.traceRecv(o, rv.next[r], r, from, rv.sizeOf(b))
+			c.traceSend(o, rv.clock[r]+so, r, (r+dist)%p, rv.size[(r-s+p)%p])
+			c.traceRecv(o, rv.next[r], r, from, rv.size[b])
 		}
 	}
 	rv.clock, rv.next = rv.next, rv.clock
-}
-
-// sizeOf is the size of a message carrying block i, which step prices as
-// cost[i].
-func (rv *rendezvous) sizeOf(i int) int64 {
-	if rv.size != nil {
-		return rv.size[i]
-	}
-	return int64(len(rv.blocks[i]))
 }
 
 // exchange runs an alltoall's pairwise schedule: in round s = 1..P-1 rank r
@@ -119,7 +109,6 @@ func (rv *rendezvous) sizeOf(i int) int64 {
 func (rv *rendezvous) exchange(c *Comm) {
 	p, net := len(rv.clock), c.world.cfg.Net
 	empty := net.Cost(0)
-	rv.size = make([]int64, p)
 	sends, round := rv.bucket(p, func(from int, pt Part) int { return (pt.Peer - from + p) % p })
 	for s := 1; s < p; s++ {
 		now := sends[round[s]:round[s+1]] // Peer names the sender

@@ -158,8 +158,9 @@ func (tc scheduleCase) run(t *testing.T, barrier func(*Comm), allgather func(*Co
 
 // TestRendezvousMatchesMessageSchedule pins the rendezvous to the message
 // loops it replaced: the same exit clocks, the same blocks, the same
-// per-actor mpi events and the same message counters — and pins the counts
-// to their formulas.
+// per-actor mpi events and the same message counters — for byte blocks and
+// for typed blocks priced at the bytes' length — and pins the counts to
+// their formulas.
 func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cases := []scheduleCase{newScheduleCase(rng, 12, true), newScheduleCase(rng, 31, true)}
@@ -203,6 +204,22 @@ func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.counters, want.counters) {
 				t.Errorf("counters: got %v, want %v", got.counters, want.counters)
+			}
+			// A typed block priced at n bytes is timed, traced and counted
+			// as a []byte of length n, and arrives as itself.
+			typed := tc.run(t, (*Comm).Barrier, func(c *Comm, b []byte) [][]byte {
+				for r, block := range AllgatherOf(c, c.Rank(), int64(len(b))) {
+					if block != r {
+						t.Errorf("rank %d: typed table row %d holds rank %d's block", c.Rank(), r, block)
+					}
+				}
+				return nil
+			}, (*Comm).Alltoall)
+			if !reflect.DeepEqual(typed.exits, want.exits) {
+				t.Errorf("typed allgather: exit clocks\n got %v\nwant %v", typed.exits, want.exits)
+			}
+			if !reflect.DeepEqual(typed.events, want.events) || !reflect.DeepEqual(typed.counters, want.counters) {
+				t.Error("typed allgather: mpi events or counters differ from the ring's over []byte blocks")
 			}
 			p := int64(tc.procs)
 			if tc.split {

@@ -71,7 +71,8 @@ func runOn(t *testing.T, coord sim.Coord, fs *pfs.FileSystem, mgr lock.Manager, 
 }
 
 // writeColumnWise runs the paper's column-wise concurrent overlapping write
-// with the given strategy and returns the per-rank views for verification.
+// with the given strategy and returns the per-rank views for verification:
+// each rank's request, which is its view's stored tile, lent to the strategy.
 func writeColumnWise(t *testing.T, fs *pfs.FileSystem, mgr lock.Manager, m, n, p, r int, strat core.Strategy) []interval.List {
 	t.Helper()
 	views := make([]interval.List, p)
@@ -80,8 +81,6 @@ func writeColumnWise(t *testing.T, fs *pfs.FileSystem, mgr lock.Manager, m, n, p
 		if err != nil {
 			return err
 		}
-		views[c.Rank()] = interval.List(piece.Filetype.Flatten())
-
 		f, err := Open(c, fs, mgr, "shared.dat")
 		if err != nil {
 			return err
@@ -89,6 +88,7 @@ func writeColumnWise(t *testing.T, fs *pfs.FileSystem, mgr lock.Manager, m, n, p
 		if err := f.SetView(0, datatype.Byte, piece.Filetype); err != nil {
 			return err
 		}
+		views[c.Rank()] = f.View().Extents(0, piece.BufBytes)
 		if err := f.SetAtomicity(true); err != nil {
 			return err
 		}
@@ -130,6 +130,32 @@ func TestAtomicityAllStrategiesColumnWise(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStrategiesLeaveTheLentTileUnwritten: a rank's request is its view's
+// stored tile, lent to the strategy and, through the view exchange, to every
+// rank, so no strategy may write it. After a full cell of each of the five,
+// every rank's tile still equals a fresh flattening of its filetype.
+func TestStrategiesLeaveTheLentTileUnwritten(t *testing.T) {
+	const m, n, p, r = 16, 64, 4, 4
+	for _, strat := range []core.Strategy{core.Locking{}, core.Coloring{}, core.RankOrder{}, core.TwoPhase{}, core.ListIO{}} {
+		t.Run(strat.Name(), func(t *testing.T) {
+			fs := testFS()
+			if _, ok := strat.(core.ListIO); ok {
+				fs = listioFS()
+			}
+			tiles := writeColumnWise(t, fs, testMgr(), m, n, p, r, strat)
+			for rank, tile := range tiles {
+				piece, err := workload.ColumnWise(m, n, p, r, rank)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := interval.List(piece.Filetype.Flatten()); !tile.Equal(want) {
+					t.Errorf("rank %d's tile after the cell is %v, want %v", rank, tile, want)
+				}
+			}
+		})
 	}
 }
 

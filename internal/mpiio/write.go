@@ -38,18 +38,18 @@ func (f *File) writeAll(buf []byte, n int64) error {
 	if buf == nil && n > 0 && f.fs.Config().StoreData {
 		return fmt.Errorf("mpiio: timing-only write of %d bytes to %q, whose file system stores data", n, f.name)
 	}
-	maps := f.view.MapAt(f.pos, n)
+	req := f.view.Extents(f.pos, n)
 	f.pos += n
 
 	if !f.atomic {
-		f.client.WriteV(core.Segments(f.lendable(buf), maps))
+		f.client.WriteV(core.Segments(f.lendable(buf), req))
 		return nil
 	}
-	// Journal the full mapped request before the strategy runs: if fault
+	// Journal the full request before the strategy runs: if fault
 	// injection damages any of these bytes, recovery replays the whole
 	// intent. Healthy configurations (no write-ahead log) build nothing.
 	if f.fs.Config().WAL {
-		if err := f.fs.LogIntent(f.name, f.comm.Rank(), core.Segments(buf, maps)); err != nil {
+		if err := f.fs.LogIntent(f.name, f.comm.Rank(), core.Segments(buf, req)); err != nil {
 			return err
 		}
 		if o := f.events; o != nil {
@@ -61,7 +61,7 @@ func (f *File) writeAll(buf []byte, n int64) error {
 		}
 	}
 	ctx := &core.Context{Comm: f.comm, Client: f.client, LockMgr: f.mgr, Trace: f.tracer, Fault: f.faults}
-	return f.strategy.WriteAll(ctx, buf, maps)
+	return f.strategy.WriteAll(ctx, buf, req)
 }
 
 // lendable returns the bytes a non-atomic write hands the client. A client
@@ -88,24 +88,24 @@ func (f *File) Write(buf []byte) error {
 	if err := f.checkRequest(int64(len(buf))); err != nil {
 		return err
 	}
-	maps := f.view.MapAt(f.pos, int64(len(buf)))
+	req := f.view.Extents(f.pos, int64(len(buf)))
 	f.pos += int64(len(buf))
 
 	if !f.atomic {
-		f.client.WriteV(core.Segments(f.lendable(buf), maps))
+		f.client.WriteV(core.Segments(f.lendable(buf), req))
 		return nil
 	}
 	if f.mgr == nil {
 		return core.ErrNoLockManager
 	}
 	clock := f.comm.Clock()
-	span := core.SpanOf(maps)
+	span := req.Span()
 	if span.Len == 0 {
 		return nil
 	}
 	grant := f.mgr.Lock(f.comm.Rank(), span, lock.Exclusive, clock.Now())
 	clock.AdvanceTo(grant)
-	f.client.WriteV(core.Segments(buf, maps))
+	f.client.WriteV(core.Segments(buf, req))
 	f.client.Sync()
 	clock.AdvanceTo(f.mgr.Unlock(f.comm.Rank(), span, clock.Now()))
 	return nil
@@ -128,10 +128,10 @@ func (f *File) read(buf []byte) error {
 	if err := f.checkRequest(int64(len(buf))); err != nil {
 		return err
 	}
-	maps := f.view.MapAt(f.pos, int64(len(buf)))
+	req := f.view.Extents(f.pos, int64(len(buf)))
 	f.pos += int64(len(buf))
 
-	segs := core.Segments(buf, maps)
+	segs := core.Segments(buf, req)
 	if !f.atomic {
 		f.client.ReadV(segs)
 		return nil
@@ -140,7 +140,7 @@ func (f *File) read(buf []byte) error {
 	f.client.Invalidate()
 	if f.mgr != nil {
 		clock := f.comm.Clock()
-		span := core.SpanOf(maps)
+		span := req.Span()
 		if span.Len == 0 {
 			return nil
 		}

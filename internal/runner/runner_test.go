@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"atomio/internal/core"
-	"atomio/internal/fileview"
 	"atomio/internal/harness"
+	"atomio/internal/interval"
 	"atomio/internal/platform"
 )
 
@@ -132,7 +132,7 @@ func TestRunFailingCellIsolated(t *testing.T) {
 type panicStrategy struct{}
 
 func (panicStrategy) Name() string { return "panic" }
-func (panicStrategy) WriteAll(*core.Context, []byte, []fileview.Mapping) error {
+func (panicStrategy) WriteAll(*core.Context, []byte, interval.List) error {
 	panic("deliberate test panic")
 }
 
