@@ -2,6 +2,7 @@ package core
 
 import (
 	"atomio/internal/interval"
+	"atomio/internal/pfs"
 	"atomio/internal/trace"
 )
 
@@ -55,7 +56,7 @@ func (s Coloring) WriteAll(ctx *Context, buf []byte, req interval.List) error {
 	for step := 0; step < numColors; step++ {
 		if step == myColor {
 			xfer := ctx.span(trace.PhaseTransfer)
-			ctx.Client.WriteV(Segments(buf, req))
+			ctx.Client.Write(pfs.Lend(buf, req))
 			// Flush write-behind data so the write is visible before
 			// the next phase starts (the per-write file sync of §3).
 			ctx.Client.Sync()

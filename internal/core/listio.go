@@ -2,6 +2,7 @@ package core
 
 import (
 	"atomio/internal/interval"
+	"atomio/internal/pfs"
 )
 
 // ListIO is the hypothetical fourth implementation the paper sketches in
@@ -21,7 +22,7 @@ func (ListIO) Name() string { return "listio" }
 
 // WriteAll implements Strategy.
 func (ListIO) WriteAll(ctx *Context, buf []byte, req interval.List) error {
-	return ctx.Client.WriteVAtomic(Segments(buf, req))
+	return ctx.Client.WriteAtomic(pfs.Lend(buf, req))
 }
 
 var _ Strategy = ListIO{}

@@ -5,6 +5,7 @@ import (
 
 	"atomio/internal/interval"
 	"atomio/internal/lock"
+	"atomio/internal/pfs"
 	"atomio/internal/trace"
 )
 
@@ -44,12 +45,12 @@ func (s Locking) WriteAll(ctx *Context, buf []byte, req interval.List) error {
 	}
 	clock := ctx.Comm.Clock()
 	rank := ctx.Comm.Rank()
+	b := pfs.Lend(buf, req)
 	if s.PerSegment {
-		segs := Segments(buf, req)
 		for i, e := range req {
 			grant := ctx.LockMgr.Lock(rank, e, lock.Exclusive, clock.Now())
 			clock.AdvanceTo(grant)
-			ctx.Client.WriteV(segs[i : i+1])
+			ctx.Client.Write(b.Slice(i, i+1))
 			ctx.Client.Sync()
 			clock.AdvanceTo(ctx.LockMgr.Unlock(rank, e, clock.Now()))
 		}
@@ -65,16 +66,15 @@ func (s Locking) WriteAll(ctx *Context, buf []byte, req interval.List) error {
 	lockSpan.Stop()
 	// While locked, all traffic goes to the servers: write and flush
 	// before releasing so the data is visible to the next lock holder.
-	segs := Segments(buf, req)
-	k, crashed := ctx.crashPoint(len(segs))
+	k, crashed := ctx.crashPoint(len(req))
 	xfer := ctx.span(trace.PhaseTransfer)
-	ctx.Client.WriteV(segs[:k])
+	ctx.Client.Write(b.Slice(0, k))
 	if crashed {
-		// The writer dies mid-request: the remaining segments are never
-		// issued and their extents become damage. The lock still comes
-		// back (lease revocation on the real system); charging it as a
-		// normal release keeps the run deterministic.
-		ctx.Client.Damage(segExtents(segs[k:]))
+		// The writer dies mid-request: the remaining extents are never
+		// issued and become damage. The lock still comes back (lease
+		// revocation on the real system); charging it as a normal release
+		// keeps the run deterministic.
+		ctx.Client.Damage(req[k:].Normalize())
 	}
 	ctx.Client.Sync()
 	xfer.Stop()

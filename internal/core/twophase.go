@@ -52,31 +52,31 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, req interval.List) error {
 	span := interval.Extent{Off: owners[0].Off, Len: owners[len(owners)-1].End() - owners[0].Off}
 	domains := newFileDomains(span, comm.Size())
 
-	// Phase 1: route each of my segments to the domain owners.
+	// Phase 1: route each of my extents to the domain owners.
 	parts := route(buf, req, domains)
 	ex := ctx.span(trace.PhaseExchange)
 	recv := comm.Alltoall(parts)
 	ex.Stop()
 
 	// Phase 2: merge received pieces highest-rank-wins and write my domain.
-	segs, err := mergePieces(recv, domains.at(comm.Rank()), owners)
+	merged, err := mergePieces(recv, domains.at(comm.Rank()), owners)
 	if err != nil {
 		return err
 	}
-	k, crashed := ctx.crashPoint(len(segs))
+	k, crashed := ctx.crashPoint(len(merged.Ext))
 	xfer := ctx.span(trace.PhaseTransfer)
-	ctx.Client.WriteV(segs[:k])
+	ctx.Client.Write(merged.Slice(0, k))
 	if crashed {
 		// The domain owner dies between the exchange and its domain
-		// write — the partial two-phase commit. The unissued segments
+		// write — the partial two-phase commit. The unissued extents
 		// become damage; the collective still completes (barrier below)
 		// so the surviving ranks return.
-		ctx.Client.Damage(segExtents(segs[k:]))
+		ctx.Client.Damage(merged.Ext[k:].Normalize())
 	}
 	ctx.Client.Sync()
 	ctx.Client.Invalidate()
 	xfer.Stop()
-	// The barrier also ends the exchange's loan: the owners' segments point
+	// The barrier also ends the exchange's loan: the owners' batches point
 	// into the senders' buffers, which stay untouched until every owner's
 	// Sync above has handed its bytes to the store.
 	sw := ctx.span(trace.PhaseSyncWait)
@@ -125,6 +125,15 @@ const pieceHeader = 16
 type piece struct {
 	interval.Extent
 	data []byte
+}
+
+// bytes returns the piece's bytes at file offsets [from, to), nil when it
+// has none.
+func (p piece) bytes(from, to int64) []byte {
+	if p.data == nil {
+		return nil
+	}
+	return p.data[from-p.Off : to-p.Off]
 }
 
 // route cuts a request at the domain boundaries into pieces and groups them
@@ -179,21 +188,28 @@ func route(buf []byte, req interval.List, domains fileDomains) []mpi.Part {
 }
 
 // mergePieces combines the parts received from every rank (in ascending
-// sender order, as Alltoall delivers them) into disjoint, offset-sorted
-// segments covering at most the owner's domain, with the pieces of the
-// highest sending rank winning every overlap. It decides nothing itself: it
-// walks the runs of owners — the collective's shared index.Winners map —
-// inside the domain with one cursor per sender, emitting one segment per
-// (piece ∩ run). Pieces short of a run their sender's view wins are an
-// error naming the sender, never a panic.
-func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned) (segs []pfs.Segment, err error) {
+// sender order, as Alltoall delivers them) into one batch of disjoint,
+// offset-sorted extents covering at most the owner's domain, with the
+// pieces of the highest sending rank winning every overlap; it carries
+// bytes only when the pieces do. It decides nothing itself: it walks the
+// runs of owners — the collective's shared index.Winners map — inside the
+// domain with one cursor per sender, emitting one extent per (piece ∩ run).
+// Pieces short of a run their sender's view wins are an error naming the
+// sender, never a panic.
+func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned) (pfs.Batch, error) {
 	rest := make([][]piece, len(recv)) // by sender's place in recv: its pieces not yet passed
+	stored := false
 	for k, pt := range recv {
 		rest[k], _ = pt.Data.([]piece)
+		stored = stored || len(rest[k]) > 0 && rest[k][0].data != nil
 	}
 	lo := sort.Search(len(owners), func(i int) bool { return owners[i].End() > domain.Off })
 	hi := max(lo, sort.Search(len(owners), func(i int) bool { return owners[i].Off >= domain.End() }))
-	segs = make([]pfs.Segment, 0, hi-lo) // exact unless a run spans several pieces
+	var merged pfs.Batch
+	merged.Ext = make(interval.List, 0, hi-lo) // exact unless a run spans several pieces
+	if stored {
+		merged.Data = make([][]byte, 0, hi-lo)
+	}
 	for _, o := range owners[lo:hi] {
 		k, found := slices.BinarySearchFunc(recv, o.Rank, func(pt mpi.Part, rank int) int { return pt.Peer - rank })
 		var ps []piece
@@ -206,17 +222,20 @@ func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned) 
 				ps = ps[1:]
 			}
 			if len(ps) == 0 || ps[0].Off > at {
-				return nil, fmt.Errorf("from rank %d: core: two-phase pieces do not cover %v from %d, which the sender's view wins", o.Rank, run, at)
+				return pfs.Batch{}, fmt.Errorf("from rank %d: core: two-phase pieces do not cover %v from %d, which the sender's view wins", o.Rank, run, at)
 			}
 			n := min(ps[0].End(), run.End())
-			segs = append(segs, segment(ps[0].data, at, at-ps[0].Off, n-at))
+			merged.Ext = append(merged.Ext, interval.Extent{Off: at, Len: n - at})
+			if stored {
+				merged.Data = append(merged.Data, ps[0].bytes(at, n))
+			}
 			at = n
 		}
 		if found {
 			rest[k] = ps
 		}
 	}
-	return segs, nil // pieces never reached lost to higher ranks: unread
+	return merged, nil // pieces never reached lost to higher ranks: unread
 }
 
 var _ Strategy = TwoPhase{}

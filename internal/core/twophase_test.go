@@ -80,10 +80,32 @@ func viewsOf(recv []mpi.Part) []interval.List {
 	return views
 }
 
+// segsOf lists a batch extent by extent, each with its bytes.
+func segsOf(b pfs.Batch) []pfs.Segment {
+	segs := make([]pfs.Segment, len(b.Ext))
+	for i, e := range b.Ext {
+		segs[i] = pfs.Segment{Off: e.Off, N: e.Len}
+		if b.Data != nil {
+			segs[i].Data = b.Data[i]
+		}
+	}
+	return segs
+}
+
+// shapesOf lists the extents of segments.
+func shapesOf(segs []pfs.Segment) interval.List {
+	out := make(interval.List, len(segs))
+	for i, s := range segs {
+		out[i] = ext(s.Off, s.Len())
+	}
+	return out
+}
+
 // mergeReceived merges recv, sent by ranks 0..len-1, against the winners map
 // of its own pieces.
 func mergeReceived(recv []mpi.Part, domain interval.Extent) ([]pfs.Segment, error) {
-	return mergePieces(recv, domain, index.Winners(viewsOf(recv)))
+	merged, err := mergePieces(recv, domain, index.Winners(viewsOf(recv)))
+	return segsOf(merged), err
 }
 
 func TestMergePiecesHighestRankWins(t *testing.T) {
@@ -244,8 +266,8 @@ func setMergePieces(recv []mpi.Part, domain interval.Extent) []pfs.Segment {
 // extent cut in two touching halves (non-canonical, as a fileview over a
 // split datatype produces) and domain boundaries that fall inside pieces.
 // The pieces are the ones route cuts, so the routing is pinned too.
-// Segment-for-segment matters beyond content: crashPoint counts segments
-// and WriteV charges per segment.
+// Segment-for-segment matters beyond content: crashPoint counts extents
+// and a write charges per extent.
 func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 	const m, n, p, r = 24, 48, 4, 4
 	patterns := map[string]func(rank int) (workload.Piece, error){
@@ -280,7 +302,8 @@ func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 			}
 			for owner, recv := range inbox {
 				domain := domains.at(owner)
-				got, err := mergePieces(recv, domain, owners)
+				merged, err := mergePieces(recv, domain, owners)
+				got := segsOf(merged)
 				if err != nil {
 					t.Fatalf("%s %v: %v", name, domain, err)
 				}
@@ -290,7 +313,7 @@ func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 				}
 				if len(want) == 0 || !slices.EqualFunc(got, want, same) {
 					t.Fatalf("%s %v: cursor merge gave %d segments, set merge %d, or they differ:\n%v\nwant\n%v",
-						name, domain, len(got), len(want), segExtents(got), segExtents(want))
+						name, domain, len(got), len(want), shapesOf(got), shapesOf(want))
 				}
 			}
 		}
@@ -333,10 +356,11 @@ func FuzzMergePieces(f *testing.F) {
 			views[0], views[2] = views[2], views[0]
 		}
 		domain := ext(off, n)
-		segs, err := mergePieces(recv, domain, index.Winners(views))
+		merged, err := mergePieces(recv, domain, index.Winners(views))
 		if err != nil {
 			return
 		}
+		segs := segsOf(merged)
 		at := domain.Off
 		for _, s := range segs {
 			if len(s.Data) == 0 || s.Off < at || s.Off+int64(len(s.Data)) > domain.End() {

@@ -68,13 +68,20 @@ func TestLockingCellAllocationGrowsLinearly(t *testing.T) {
 // P=1024, 23 MB at P=2048, 1.6×); two-phase I/O built P parts and P file
 // domains on every rank and sent P-1 messages from each (246 MB, 877 MB,
 // 3.6×). With adjacency rows, arithmetic domains and a sparse alltoall
-// solved at one rendezvous only the per-rank setup grows (12 MB and 15 MB;
-// 28 MB and 31 MB).
+// solved at one rendezvous only the per-rank setup grows. Once the writes
+// stopped copying their extents into segments, coloring's cell fell to
+// 3.4 MB and 6.2 MB (1.82×: what is left is mostly per-rank setup, so the
+// ceiling is linear, 2×) and two-phase's to 19 MB and 22 MB (1.15×, under
+// the 1.5× it was held to before); the byte ceilings catch a P² matrix.
 func TestHandshakeCellAllocationGrowsLinearly(t *testing.T) {
-	for _, strategy := range []string{"coloring", "twophase"} {
-		t.Run(strategy, func(t *testing.T) {
-			small, large := scalingAllocation(t, strategy)
-			checkLinear(t, small, large, 1.5, 64<<20)
+	for _, tc := range []struct {
+		strategy string
+		maxRatio float64
+		maxBytes uint64
+	}{{"coloring", 2.0, 8 << 20}, {"twophase", 1.5, 32 << 20}} {
+		t.Run(tc.strategy, func(t *testing.T) {
+			small, large := scalingAllocation(t, tc.strategy)
+			checkLinear(t, small, large, tc.maxRatio, tc.maxBytes)
 		})
 	}
 }

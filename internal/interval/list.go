@@ -70,31 +70,48 @@ func (l List) IsCanonical() bool {
 // modified. A list that is already canonical is returned as-is, with no
 // allocation — the hot path of every set-algebra call, since flattened
 // datatypes and exchanged views arrive canonical. The result therefore may
-// alias the receiver; callers must not write through it.
+// alias the receiver; callers must not write through it. Any other result is
+// allocated at its size, after a sorted copy when the list is not in offset
+// order.
 func (l List) Normalize() List {
 	if l.IsCanonical() {
 		return l
 	}
-	tmp := make(List, 0, len(l))
-	for _, e := range l {
-		if !e.Empty() {
-			tmp = append(tmp, e)
-		}
+	byOff := func(a, b Extent) int { return cmp.Compare(a.Off, b.Off) }
+	if slices.IsSortedFunc(l, byOff) {
+		return coalesce(l)
 	}
-	slices.SortFunc(tmp, func(a, b Extent) int {
-		return cmp.Or(cmp.Compare(a.Off, b.Off), cmp.Compare(a.Len, b.Len))
-	})
-	out := make(List, 0, len(tmp))
-	for _, e := range tmp {
-		if n := len(out); n > 0 && out[n-1].End() >= e.Off {
-			if e.End() > out[n-1].End() {
-				out[n-1].Len = e.End() - out[n-1].Off
+	tmp := slices.Clone(l)
+	slices.SortFunc(tmp, byOff)
+	return coalesce(tmp)
+}
+
+// coalesce returns the canonical form of l, which is in offset order: the
+// first pass counts the runs of overlapping and touching extents, the second
+// fills them in, so the result is allocated once, at its size.
+func coalesce(l List) List {
+	var out List
+	for fill := false; ; fill = true {
+		n := 0
+		var cur Extent // the run being extended, out[n-1]
+		for _, e := range l {
+			switch {
+			case e.Empty():
+				continue
+			case n > 0 && cur.End() >= e.Off:
+				cur.Len = max(cur.End(), e.End()) - cur.Off
+			default:
+				cur, n = e, n+1
 			}
-			continue
+			if fill {
+				out[n-1] = cur
+			}
 		}
-		out = append(out, e)
+		if fill {
+			return out
+		}
+		out = make(List, n)
 	}
-	return out
 }
 
 // Union returns the canonical union of l and m.

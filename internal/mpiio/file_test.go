@@ -19,53 +19,105 @@ import (
 	"atomio/internal/workload"
 )
 
+// stamp is rank's byte at buffer offset i: a buffer byte names its writer
+// and its place, so a byte stored from the wrong buffer offset shows.
+func stamp(rank int, i int64) byte {
+	return byte((uint32(i)*2654435761 + uint32(rank)*40503) >> 24)
+}
+
+// TestWriteReadRoundTripThroughView writes position-stamped buffers through
+// overlapping column-wise views with each of the five strategies, directly
+// and through a write-behind cache, and reads them back through the same
+// views. Every file byte must be the stamped byte some rank whose view
+// covers it holds at that byte's place in its buffer — the highest such
+// rank's under ordering and twophase, which give contested bytes to the
+// highest writer — and every byte read back must be the file's byte at the
+// place the view maps it to: the scatter and the gather must invert.
 func TestWriteReadRoundTripThroughView(t *testing.T) {
-	// Write through a column-wise view and read the same bytes back
-	// through the same view: the scatter/gather must invert exactly.
-	fs := testFS()
-	run(t, 4, func(c *mpi.Comm) error {
-		piece, _ := workload.ColumnWise(16, 64, 4, 4, c.Rank())
-		f, err := Open(c, fs, testMgr(), "rt.dat")
-		if err != nil {
-			return err
-		}
-		f.SetView(0, datatype.Byte, piece.Filetype)
-		f.SetAtomicity(true)
-		f.SetStrategy(core.RankOrder{})
-		out := make([]byte, piece.BufBytes)
-		for i := range out {
-			out[i] = byte(c.Rank()*50 + i%50)
-		}
-		if err := f.WriteAll(out); err != nil {
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			return err
-		}
-		// Rewind and read back; with rank ordering the surrendered
-		// bytes hold the higher rank's data, so compare only the bytes
-		// this rank kept.
-		if err := f.SeekSet(0); err != nil {
-			return err
-		}
-		in := make([]byte, piece.BufBytes)
-		if err := f.ReadAll(in); err != nil {
-			return err
-		}
-		// Check a definitely-owned region: the columns this rank kept
-		// under rank ordering (interior columns, away from both the
-		// higher neighbour's claim and the lower neighbour's overlap).
-		for row := 0; row < piece.Rows; row++ {
-			for col := 4; col < piece.Cols-4; col++ {
-				idx := row*piece.Cols + col
-				if in[idx] != out[idx] {
-					return fmt.Errorf("rank %d byte (%d,%d): got %d want %d",
-						c.Rank(), row, col, in[idx], out[idx])
+	const m, n, p, r = 16, 64, 4, 4
+	strategies := []core.Strategy{core.Locking{}, core.Coloring{}, core.RankOrder{}, core.TwoPhase{}, core.ListIO{}}
+	for _, cached := range []bool{false, true} {
+		for _, strat := range strategies {
+			t.Run(fmt.Sprintf("%s/cached=%v", strat.Name(), cached), func(t *testing.T) {
+				cfg := testFS().Config()
+				cfg.AtomicListIO = true
+				if cached {
+					cfg.Cache = cachingFS().Config().Cache
 				}
-			}
+				fs, mgr := pfs.MustNew(cfg), testMgr()
+				reqs, ins := make([]interval.List, p), make([][]byte, p)
+				runOn(t, des.New().NewCoord(p), fs, mgr, func(c *mpi.Comm) error {
+					piece, err := workload.ColumnWise(m, n, p, r, c.Rank())
+					if err != nil {
+						return err
+					}
+					f, err := Open(c, fs, mgr, "rt.dat")
+					if err != nil {
+						return err
+					}
+					f.SetView(0, datatype.Byte, piece.Filetype)
+					f.SetAtomicity(true)
+					f.SetStrategy(strat)
+					out := make([]byte, piece.BufBytes)
+					for i := range out {
+						out[i] = stamp(c.Rank(), int64(i))
+					}
+					if err := f.WriteAll(out); err != nil {
+						return err
+					}
+					if err := f.Sync(); err != nil {
+						return err
+					}
+					if err := f.SeekSet(0); err != nil {
+						return err
+					}
+					in := make([]byte, piece.BufBytes)
+					if err := f.ReadAll(in); err != nil {
+						return err
+					}
+					reqs[c.Rank()], ins[c.Rank()] = f.View().Extents(0, piece.BufBytes), in
+					return f.Close()
+				})
+				file, err := fs.Snapshot("rt.dat", interval.Extent{Off: 0, Len: m * n})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// at[rank][x] is the buffer offset rank writes file byte x from, -1 for none.
+				at := make([][]int64, p)
+				for rank, req := range reqs {
+					at[rank] = make([]int64, m*n)
+					for x := range at[rank] {
+						at[rank][x] = -1
+					}
+					var i int64
+					for _, e := range req {
+						for x := e.Off; x < e.End(); x++ {
+							at[rank][x], i = i, i+1
+						}
+					}
+				}
+				highestWins := strat.Name() == "ordering" || strat.Name() == "twophase"
+				for x, got := range file {
+					var want []byte // the stamps got may be
+					for rank := p - 1; rank >= 0; rank-- {
+						if i := at[rank][x]; i >= 0 && (!highestWins || len(want) == 0) {
+							want = append(want, stamp(rank, i))
+						}
+					}
+					if len(want) == 0 || !bytes.Contains(want, []byte{got}) {
+						t.Fatalf("file byte %d (row %d, column %d) = %#x, want one of %#x", x, x/n, x%n, got, want)
+					}
+				}
+				for rank, in := range ins {
+					for x, i := range at[rank] {
+						if i >= 0 && in[i] != file[x] {
+							t.Fatalf("rank %d read buffer byte %d = %#x, the file holds %#x at %d", rank, i, in[i], file[x], x)
+						}
+					}
+				}
+			})
 		}
-		return f.Close()
-	})
+	}
 }
 
 func TestSeekTell(t *testing.T) {

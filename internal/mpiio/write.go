@@ -7,6 +7,7 @@ import (
 	"atomio/internal/core"
 	"atomio/internal/lock"
 	"atomio/internal/obs"
+	"atomio/internal/pfs"
 )
 
 // WriteAll collectively writes buf through the file view at the current
@@ -42,14 +43,14 @@ func (f *File) writeAll(buf []byte, n int64) error {
 	f.pos += n
 
 	if !f.atomic {
-		f.client.WriteV(core.Segments(f.lendable(buf), req))
+		f.client.Write(pfs.Lend(f.lendable(buf), req))
 		return nil
 	}
 	// Journal the full request before the strategy runs: if fault
 	// injection damages any of these bytes, recovery replays the whole
 	// intent. Healthy configurations (no write-ahead log) build nothing.
 	if f.fs.Config().WAL {
-		if err := f.fs.LogIntent(f.name, f.comm.Rank(), core.Segments(buf, req)); err != nil {
+		if err := f.fs.LogIntent(f.name, f.comm.Rank(), pfs.Lend(buf, req)); err != nil {
 			return err
 		}
 		if o := f.events; o != nil {
@@ -65,7 +66,7 @@ func (f *File) writeAll(buf []byte, n int64) error {
 }
 
 // lendable returns the bytes a non-atomic write hands the client. A client
-// that borrows keeps what it is given until its next Sync (see pfs.Segment),
+// that borrows keeps what it is given until its next Sync (see pfs.Batch),
 // and a non-atomic write returns without one, while MPI lets the application
 // reuse buf as soon as a blocking write returns: such a client gets a
 // private copy. Every atomic strategy syncs before it returns and lends buf
@@ -92,7 +93,7 @@ func (f *File) Write(buf []byte) error {
 	f.pos += int64(len(buf))
 
 	if !f.atomic {
-		f.client.WriteV(core.Segments(f.lendable(buf), req))
+		f.client.Write(pfs.Lend(f.lendable(buf), req))
 		return nil
 	}
 	if f.mgr == nil {
@@ -105,7 +106,7 @@ func (f *File) Write(buf []byte) error {
 	}
 	grant := f.mgr.Lock(f.comm.Rank(), span, lock.Exclusive, clock.Now())
 	clock.AdvanceTo(grant)
-	f.client.WriteV(core.Segments(buf, req))
+	f.client.Write(pfs.Lend(buf, req))
 	f.client.Sync()
 	clock.AdvanceTo(f.mgr.Unlock(f.comm.Rank(), span, clock.Now()))
 	return nil
@@ -131,9 +132,9 @@ func (f *File) read(buf []byte) error {
 	req := f.view.Extents(f.pos, int64(len(buf)))
 	f.pos += int64(len(buf))
 
-	segs := core.Segments(buf, req)
+	b := pfs.Lend(buf, req)
 	if !f.atomic {
-		f.client.ReadV(segs)
+		f.client.Read(b)
 		return nil
 	}
 	// Atomic reads must observe committed data, not stale cache (§3).
@@ -146,10 +147,10 @@ func (f *File) read(buf []byte) error {
 		}
 		grant := f.mgr.Lock(f.comm.Rank(), span, lock.Shared, clock.Now())
 		clock.AdvanceTo(grant)
-		f.client.ReadV(segs)
+		f.client.Read(b)
 		clock.AdvanceTo(f.mgr.Unlock(f.comm.Rank(), span, clock.Now()))
 		return nil
 	}
-	f.client.ReadV(segs)
+	f.client.Read(b)
 	return nil
 }

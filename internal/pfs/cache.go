@@ -44,11 +44,10 @@ type cache struct {
 
 	valid interval.List // readable blocks: runs of block numbers, as marked
 
-	// Write-behind state: the log of unflushed writes in write order. The
-	// first batch after a flush is the caller's own slice and later ones go
-	// onto a copy of it; the bytes stay the caller's either way, borrowed
-	// until the flush (see Segment). The cache never writes through the log.
-	dirty      []Segment
+	// Write-behind state: the log of unflushed batches in write order, each
+	// the caller's own, borrowed until the flush (see Batch). The cache never
+	// writes through the log.
+	dirty      []Batch
 	dirtyBytes int64
 }
 
@@ -71,75 +70,130 @@ func (c *cache) markValid(run interval.Extent, more int) {
 }
 
 // absorb records a write-behind write in write order.
-func (c *cache) absorb(segs []Segment) {
+func (c *cache) absorb(b Batch) {
 	bs := c.cfg.blockSize()
-	for i, s := range segs {
-		n := s.Len()
-		if n == 0 {
+	for i, e := range b.Ext {
+		if e.Empty() {
 			continue
 		}
-		if c.retain && s.Data == nil {
-			panic(fmt.Sprintf("pfs: payload-less segment [%d,+%d) absorbed by a cache that retains data", s.Off, n))
+		if d := b.bytes(i); c.retain && int64(len(d)) != e.Len {
+			if d == nil {
+				panic(fmt.Sprintf("pfs: payload-less extent %v absorbed by a cache that retains data", e))
+			}
+			panic(fmt.Sprintf("pfs: extent %v absorbed with %d bytes", e, len(d)))
 		}
-		c.dirtyBytes += n
+		c.dirtyBytes += e.Len
 		// Written blocks are also readable until invalidated.
-		first := s.Off / bs
-		c.markValid(interval.Extent{Off: first, Len: (s.Off+n-1)/bs - first + 1}, len(segs)-1-i)
+		first := e.Off / bs
+		c.markValid(interval.Extent{Off: first, Len: (e.End()-1)/bs - first + 1}, len(b.Ext)-1-i)
 	}
-	if len(c.dirty) == 0 {
-		// The log is the batch it was given. Clipped, so that a later
-		// append copies it out instead of writing into the caller's array.
-		c.dirty = slices.Clip(segs)
-		return
+	if len(b.Ext) > 0 {
+		c.dirty = append(c.dirty, b)
 	}
-	c.dirty = append(c.dirty, segs...)
 }
 
-// flushedForm reports whether segs is already what a flush sends: non-empty
-// segments in file order, no two touching (interval.List.IsCanonical).
-func flushedForm(segs []Segment) bool {
-	for i, s := range segs {
-		if s.Len() <= 0 || i > 0 && segs[i-1].Off+segs[i-1].Len() >= s.Off {
-			return false
-		}
-	}
-	return true
-}
-
-// takeDirty removes and returns the write-behind data as coalesced segments
-// in file order — the batching a write-behind cache exists to provide. A log
-// already in that form is handed over as it stands, the caller's slice
-// included. Any other is normalized: a cache that retains nothing has only
-// extents to give back, so its segments are payload-less; a retaining cache
-// replays the log into one buffer per coalesced extent, in write order, so a
-// client's own later write wins an overlap.
-func (c *cache) takeDirty() []Segment {
-	// The borrow of the caller's slice ends here.
+// takeDirty empties the write-behind log and returns what a flush sends:
+// coalesced extents in file order — the batching a write-behind cache exists
+// to provide. A log of one batch already in that form (canonical) is handed
+// over as it stands. Any other is normalized into a payload-less batch; a
+// retaining cache also returns the log it is to be stored from, so a
+// client's own later write wins an overlap and no byte is copied before the
+// store copies it.
+func (c *cache) takeDirty() (Batch, *assembly) {
 	log := c.dirty
-	c.dirty, c.dirtyBytes = nil, 0
-	if flushedForm(log) {
-		return log
+	c.dirty, c.dirtyBytes = log[:0], 0
+	defer clear(log) // the borrow of the caller's batches ends with the flush
+	switch {
+	case len(log) == 0:
+		return Batch{}, nil
+	case len(log) == 1 && log[0].Ext.IsCanonical():
+		return log[0], nil
 	}
-	logged := make(interval.List, len(log))
-	for k, s := range log {
-		logged[k] = interval.Extent{Off: s.Off, Len: s.Len()}
-	}
-	exts := logged.Normalize()
-	segs := make([]Segment, len(exts))
-	for i, e := range exts {
-		segs[i] = Segment{Off: e.Off, N: e.Len}
-		if c.retain {
-			segs[i].Data = make([]byte, e.Len)
+	logged := log[0].Ext
+	if len(log) > 1 {
+		n := 0
+		for _, b := range log {
+			n += len(b.Ext)
+		}
+		logged = make(interval.List, 0, n)
+		for _, b := range log {
+			logged = append(logged, b.Ext...)
 		}
 	}
-	for k, e := range logged {
-		if c.retain && !e.Empty() {
-			// Every logged extent lies inside one coalesced extent.
-			into := segs[sort.Search(len(exts), func(i int) bool { return exts[i].End() > e.Off })]
-			copy(into.Data[e.Off-into.Off:], log[k].Data)
+	flushed := Batch{Ext: logged.Normalize()}
+	if !c.retain {
+		return flushed, nil
+	}
+	return flushed, newAssembly(log, flushed.Ext)
+}
+
+// piece is one logged extent's bytes, at off.
+type piece struct {
+	off  int64
+	data []byte
+}
+
+// assembly is a retaining cache's log as its flush stores it: the logged
+// pieces grouped by the coalesced extent each lies in, in write order
+// within a group. The pieces are the caller's bytes, not a copy.
+type assembly struct {
+	exts   interval.List // the coalesced extents, canonical
+	ends   []int32       // group j is pieces[ends[j-1]:ends[j]], from 0 for j = 0
+	pieces []piece
+}
+
+// newAssembly groups log's pieces by the extent of exts — the log's
+// normalized extents — each lies in: a counting sort, stable, so write
+// order holds within a group.
+func newAssembly(log []Batch, exts interval.List) *assembly {
+	a := &assembly{exts: exts, ends: make([]int32, len(exts))}
+	j := 0 // the group of the last piece: a log mostly runs in file order
+	group := func(e interval.Extent) int {
+		if !exts[j].ContainsExtent(e) {
+			j = a.group(e.Off)
+		}
+		return j
+	}
+	n := int32(0)
+	for _, b := range log {
+		for _, e := range b.Ext {
+			if !e.Empty() {
+				a.ends[group(e)]++
+				n++
+			}
 		}
 	}
-	return segs
+	var at int32 // ends[j] becomes group j's start, and the fill moves it to its end
+	for j, count := range a.ends {
+		a.ends[j], at = at, at+count
+	}
+	a.pieces = make([]piece, n)
+	for _, b := range log {
+		for i, e := range b.Ext {
+			if !e.Empty() {
+				g := group(e)
+				a.pieces[a.ends[g]] = piece{e.Off, b.Data[i]}
+				a.ends[g]++
+			}
+		}
+	}
+	return a
+}
+
+// group returns the index of the coalesced extent holding offset off.
+func (a *assembly) group(off int64) int {
+	return sort.Search(len(a.exts), func(j int) bool { return a.exts[j].End() > off })
+}
+
+// source returns where the bytes of e, which lies inside one coalesced
+// extent, are stored from: that extent's pieces, in write order.
+func (a *assembly) source(e interval.Extent) source {
+	j := a.group(e.Off)
+	var start int32
+	if j > 0 {
+		start = a.ends[j-1]
+	}
+	return source{pieces: a.pieces[start:a.ends[j]]}
 }
 
 // read serves a read through the cache, fetching missing blocks (plus
@@ -162,7 +216,7 @@ func (c *cache) read(cl *Client, off int64, buf []byte) {
 			runEnd++
 		}
 		fetch := runEnd - b + 1 + int64(c.cfg.ReadAheadBlocks)
-		cl.queueServerService([]Segment{{Off: b * bs, N: fetch * bs}})
+		cl.queueServerService(interval.List{{Off: b * bs, Len: fetch * bs}})
 		cl.clock.Advance(cl.fs.cfg.ClientModel.Cost(fetch * bs))
 		c.markValid(interval.Extent{Off: b, Len: fetch}, 0)
 		b = runEnd
@@ -176,10 +230,11 @@ func (c *cache) read(cl *Client, off int64, buf []byte) {
 	// The store has not seen the client's unflushed writes; a client reads
 	// its own, so they go over the store's bytes in write order.
 	req := interval.Extent{Off: off, Len: int64(len(buf))}
-	for _, s := range c.dirty {
-		e := interval.Extent{Off: s.Off, Len: s.Len()}
-		if ov := e.Intersect(req); c.retain && !ov.Empty() {
-			copy(buf[ov.Off-off:ov.End()-off], s.Data[ov.Off-e.Off:])
+	for _, b := range c.dirty {
+		for i, e := range b.Ext {
+			if ov := e.Intersect(req); c.retain && !ov.Empty() {
+				copy(buf[ov.Off-off:ov.End()-off], b.Data[i][ov.Off-e.Off:])
+			}
 		}
 	}
 }

@@ -3,56 +3,65 @@ package pfs
 import (
 	"errors"
 
+	"atomio/internal/interval"
 	"atomio/internal/obs"
 	"atomio/internal/sim"
 )
 
-// Segment is one contiguous piece of a vectored request. Its length is
-// authoritative and its bytes are optional: a segment with nil Data is
-// payload-less and stands for N bytes at Off whose content nobody reads —
-// all a file system that stores no data (Config.StoreData off) needs to
-// charge time. Every cost is computed from Len, so a payload-less segment
-// and a Data-carrying one of the same length are indistinguishable in
-// virtual time. A payload-less segment that reaches a place that needs
-// bytes — the content store of a storing file system, a retaining cache —
-// panics: it is a bug in the caller, never silently stored zeros.
+// Batch is one vectored request: the file extents it writes, in the order
+// the request streams them, and each extent's bytes. Its extents are
+// authoritative and its bytes are optional: a batch with nil Data is
+// payload-less and stands for the bytes its extents cover, whose content
+// nobody reads — all a file system that stores no data (Config.StoreData
+// off) needs to charge time. Every cost is computed from the extents, so a
+// payload-less batch and a Data-carrying one of the same extents are
+// indistinguishable in virtual time. Otherwise Data[i] holds exactly the
+// Ext[i].Len bytes of extent i. Where bytes are needed — the content store
+// of a storing file system, a retaining cache — missing bytes, or bytes of
+// another length, panic: it is a bug in the caller, never silently stored
+// zeros or a cut record.
 //
-// Bytes handed to WriteV on a write-behind client are borrowed, not copied:
-// the caller must leave them alone until the client's next Sync or Close
-// returns, after which the store owns its own copy. The slice of segments
-// is borrowed for as long, like its bytes, and is read-only to pfs.
-type Segment struct {
-	Off  int64
-	Data []byte
-	// N is the byte count of a payload-less segment; ignored when Data is
-	// non-nil.
-	N int64
+// A batch is lent, not copied: its list, its Data slice and the bytes stay
+// the caller's and are read-only to pfs. Handed to Write on a write-behind
+// client they are borrowed until the client's next Sync or Close returns,
+// after which the store owns its own copy of every byte; anywhere else the
+// loan ends when the call returns.
+type Batch struct {
+	Ext  interval.List
+	Data [][]byte
 }
 
-// Len returns the segment's byte count.
-func (s Segment) Len() int64 {
-	if s.Data != nil {
-		return int64(len(s.Data))
+// Lend returns the batch that streams buf through ext, in order: extent i
+// takes the bytes of buf that follow the lengths of the extents before it.
+// A nil buf lends a payload-less batch, with nothing allocated.
+func Lend(buf []byte, ext interval.List) Batch {
+	if buf == nil {
+		return Batch{Ext: ext}
 	}
-	return s.N
+	data := make([][]byte, len(ext))
+	var at int64 // buffer offset of e: the lengths before it
+	for i, e := range ext {
+		data[i] = buf[at : at+e.Len]
+		at += e.Len
+	}
+	return Batch{Ext: ext, Data: data}
 }
 
-// slice returns the n-byte piece of s that starts from bytes into it,
-// payload-less if s is.
-func (s Segment) slice(from, n int64) Segment {
-	if s.Data == nil {
-		return Segment{Off: s.Off + from, N: n}
+// Slice returns the batch of extents [i, j).
+func (b Batch) Slice(i, j int) Batch {
+	s := Batch{Ext: b.Ext[i:j]}
+	if b.Data != nil {
+		s.Data = b.Data[i:j]
 	}
-	return Segment{Off: s.Off + from, Data: s.Data[from : from+n]}
+	return s
 }
 
-// totalLen sums the byte counts of a vectored request.
-func totalLen(segs []Segment) int64 {
-	var total int64
-	for _, s := range segs {
-		total += s.Len()
+// bytes returns extent i's bytes, nil when the batch is payload-less.
+func (b Batch) bytes(i int) []byte {
+	if b.Data == nil {
+		return nil
 	}
-	return total
+	return b.Data[i]
 }
 
 // Client is one process's handle to a file. A client is owned by a single
@@ -70,14 +79,15 @@ type Client struct {
 	bytesWritten int64
 	bytesRead    int64
 
-	// inAtomic marks a WriteVAtomic in progress: the client already holds
+	// inAtomic marks a WriteAtomic in progress: the client already holds
 	// the coordinator turn for the whole call, so inner server bookings
 	// must not re-enter the coordinator (the turn is what serializes
 	// atomic listio calls).
 	inAtomic bool
 
 	// BeforeSegment and AfterSegment, when non-nil, run around each
-	// segment of a direct (non-cached) write landing in the file store.
+	// extent of a write landing in the file store, by its index in the
+	// batch.
 	// Tests use them to force deterministic interleavings of concurrent
 	// non-atomic writers — the failure injection behind the Figure 2
 	// reproduction. A hook that has to wait for another client does so
@@ -110,64 +120,68 @@ func (c *Client) BytesWritten() int64 { return c.bytesWritten }
 // BytesRead returns the total bytes this client has read.
 func (c *Client) BytesRead() int64 { return c.bytesRead }
 
-// WriteAt writes one contiguous segment.
+// WriteAt writes one contiguous extent.
 func (c *Client) WriteAt(off int64, data []byte) {
-	c.WriteV([]Segment{{Off: off, Data: data}})
+	c.Write(Batch{Ext: interval.List{{Off: off, Len: int64(len(data))}}, Data: [][]byte{data}})
 }
 
-// WriteV writes a vectored request: the lio_listio-style multi-segment
-// write the paper discusses in §3.2. With write-behind caching enabled the
-// data is absorbed into the client cache at memory cost and reaches the
-// servers at the next Sync; otherwise it is transferred immediately.
-func (c *Client) WriteV(segs []Segment) {
-	total := totalLen(segs)
+// Write writes a vectored request: the lio_listio-style multi-extent write
+// the paper discusses in §3.2. With write-behind caching enabled the batch
+// is absorbed into the client cache at memory cost and reaches the servers
+// at the next Sync; otherwise it is transferred immediately.
+func (c *Client) Write(b Batch) {
+	total := b.Ext.TotalLen()
 	c.bytesWritten += total
 	if c.cache != nil && c.fs.cfg.Cache.WriteBehind {
 		c.clock.Advance(c.fs.cfg.Cache.MemModel.Cost(total))
-		c.cache.absorb(segs)
+		c.cache.absorb(b)
 		return
 	}
-	c.transferWrite(segs)
+	c.transferWrite(b, nil)
 }
 
-// Borrows reports whether WriteV keeps the caller's bytes until the next
+// Borrows reports whether Write keeps the caller's bytes until the next
 // Sync instead of copying or transferring them before it returns (see
-// Segment): true of a write-behind client on a file system that stores data.
+// Batch): true of a write-behind client on a file system that stores data.
 func (c *Client) Borrows() bool {
 	return c.cache != nil && c.cache.retain && c.fs.cfg.Cache.WriteBehind
 }
 
-// transferWrite moves segments to the servers, charging client-side cost
-// serially and queueing per-server service on the server pool.
-func (c *Client) transferWrite(segs []Segment) {
-	total := totalLen(segs)
+// transferWrite moves a batch to the servers, charging client-side cost
+// serially and queueing per-server service on the server pool. A flush of a
+// retaining cache passes the log its payload-less batch of coalesced
+// extents is assembled from; every other caller passes nil.
+func (c *Client) transferWrite(b Batch, log *assembly) {
+	total := b.Ext.TotalLen()
 	if total == 0 {
 		return
 	}
-	// Client-side: link transfer plus per-extra-segment processing.
+	// Client-side: link transfer plus per-extra-extent processing.
 	cost := c.fs.cfg.ClientModel.Cost(total)
-	if n := len(segs); n > 1 {
+	if n := len(b.Ext); n > 1 {
 		cost += sim.VTime(n-1) * c.fs.cfg.SegOverhead
 	}
 	c.clock.Advance(cost)
 
 	// Surrender the pieces routed to crashed servers: the client has paid
 	// the link cost, but a down server neither stores nor serves them.
-	segs = c.dropFaulted(segs)
+	b = c.dropFaulted(b)
 
-	// Store the bytes (per segment, so concurrent overlapping writers genuinely
+	// Store the bytes (per extent, so concurrent overlapping writers genuinely
 	// interleave in file content). A data-less file only grows, once per batch.
 	var end int64
-	for i, s := range segs {
+	for i, e := range b.Ext {
 		if c.BeforeSegment != nil {
 			c.BeforeSegment(i)
 		}
 		switch {
-		case s.Len() == 0:
+		case e.Empty():
 		case c.f.content == nil:
-			end = max(end, s.Off+s.Len())
+			end = max(end, e.End())
+		case log != nil:
+			c.f.writeAt(e, log.source(e), c.rank)
 		default:
-			c.f.writeAt(s, c.rank)
+			c.f.writeAt(e, source{data: b.bytes(i)}, c.rank)
 		}
 		if c.AfterSegment != nil {
 			c.AfterSegment(i)
@@ -176,7 +190,7 @@ func (c *Client) transferWrite(segs []Segment) {
 	c.f.growTo(end)
 
 	// Server-side: accumulate service per server and queue it.
-	c.queueServerService(segs)
+	c.queueServerService(b.Ext)
 }
 
 // load is the service one request batch asks of one server.
@@ -185,25 +199,24 @@ type load struct {
 	reqs  int64
 }
 
-// queueServerService books per-server FCFS service for the given segments
+// queueServerService books per-server FCFS service for the given extents
 // and advances the client clock to the last completion.
-func (c *Client) queueServerService(segs []Segment) {
+func (c *Client) queueServerService(ext interval.List) {
 	loads := c.loads
 	clear(loads)
-	for _, s := range segs {
-		n := s.Len()
-		if n == 0 {
+	for _, e := range ext {
+		if e.Empty() {
 			continue
 		}
 		if c.fs.cfg.Mode == ClientAffinity {
-			l := &loads[c.fs.serverFor(s.Off, c.rank)]
-			l.bytes += n
+			l := &loads[c.fs.serverFor(e.Off, c.rank)]
+			l.bytes += e.Len
 			l.reqs++
 			continue
 		}
-		// Split the segment at stripe boundaries (the same piece iterator
+		// Split the extent at stripe boundaries (the same piece iterator
 		// the striped store routes storage with).
-		eachStripePiece(c.fs.cfg.StripeSize, c.fs.cfg.Servers, s.Off, n, func(server int, _, take int64) {
+		eachStripePiece(c.fs.cfg.StripeSize, c.fs.cfg.Servers, e.Off, e.Len, func(server int, _, take int64) {
 			loads[server].bytes += take
 			loads[server].reqs++
 		})
@@ -254,30 +267,30 @@ func (c *Client) queueServerService(segs []Segment) {
 	c.clock.AdvanceTo(latest)
 }
 
-// ErrNoAtomicListIO is returned by WriteVAtomic on file systems without the
+// ErrNoAtomicListIO is returned by WriteAtomic on file systems without the
 // atomic vectored-write capability.
 var ErrNoAtomicListIO = errors.New("pfs: file system does not provide atomic listio")
 
-// WriteVAtomic performs a vectored write that is atomic with respect to
-// every other WriteVAtomic on the same file — the lio_listio-with-POSIX-
+// WriteAtomic performs a vectored write that is atomic with respect to
+// every other WriteAtomic on the same file — the lio_listio-with-POSIX-
 // atomicity capability of the paper's §3.2. It bypasses the write-behind
 // cache (the data must be committed as one unit) and serializes with other
 // atomic vectored writes in virtual time.
-func (c *Client) WriteVAtomic(segs []Segment) error {
+func (c *Client) WriteAtomic(b Batch) error {
 	if !c.fs.cfg.AtomicListIO {
 		return ErrNoAtomicListIO
 	}
 	// Take the coordinator turn for the whole atomic call: admission order
 	// determines the serialization of atomic vectored writes, and nothing
-	// inside the call yields the turn, so its segment stores are
+	// inside the call yields the turn, so its extent stores are
 	// indivisible.
 	c.fs.coord.Await(c.rank, c.clock.Now())
 	c.inAtomic = true
 	defer func() { c.inAtomic = false }()
 	// Queue behind earlier atomic vectored writes in virtual time.
 	c.clock.AdvanceTo(c.f.listioFreeAt)
-	c.bytesWritten += totalLen(segs)
-	c.transferWrite(segs)
+	c.bytesWritten += b.Ext.TotalLen()
+	c.transferWrite(b, nil)
 	c.f.listioFreeAt = c.clock.Now()
 	return nil
 }
@@ -294,10 +307,11 @@ func (c *Client) ReadAt(off int64, buf []byte) {
 	c.transferRead(off, buf)
 }
 
-// ReadV reads a vectored request segment by segment.
-func (c *Client) ReadV(segs []Segment) {
-	for _, s := range segs {
-		c.ReadAt(s.Off, s.Data)
+// Read reads a vectored request extent by extent, into each extent's
+// bytes.
+func (c *Client) Read(b Batch) {
+	for i, e := range b.Ext {
+		c.ReadAt(e.Off, b.Data[i])
 	}
 }
 
@@ -308,7 +322,7 @@ func (c *Client) transferRead(off int64, buf []byte) {
 	}
 	c.clock.Advance(c.fs.cfg.ClientModel.Cost(int64(len(buf))))
 	c.f.readAt(off, buf)
-	c.queueServerService([]Segment{{Off: off, Data: buf}})
+	c.queueServerService(interval.List{{Off: off, Len: int64(len(buf))}})
 }
 
 // Sync flushes write-behind data to the servers and waits for it, the
@@ -318,11 +332,11 @@ func (c *Client) Sync() {
 	if c.cache == nil {
 		return
 	}
-	segs := c.cache.takeDirty()
-	if len(segs) == 0 {
+	b, log := c.cache.takeDirty()
+	if len(b.Ext) == 0 {
 		return
 	}
-	c.transferWrite(segs)
+	c.transferWrite(b, log)
 }
 
 // Invalidate discards cached *clean* data so subsequent reads fetch fresh
@@ -347,4 +361,42 @@ func (c *Client) DirtyBytes() int64 {
 func (c *Client) Close() error {
 	c.Sync()
 	return nil
+}
+
+// Segment is one contiguous piece of a vectored request in the form WriteV
+// takes: the bytes at Off, or — when Data is nil — N payload-less bytes.
+type Segment struct {
+	Off  int64
+	Data []byte
+	// N is the byte count of a payload-less segment; ignored when Data is
+	// non-nil.
+	N int64
+}
+
+// Len returns the segment's byte count.
+func (s Segment) Len() int64 {
+	if s.Data != nil {
+		return int64(len(s.Data))
+	}
+	return s.N
+}
+
+// WriteV is Write for a request given as segments, which it lends as a
+// batch: the bytes are borrowed as Write borrows them, the slice is not.
+func (c *Client) WriteV(segs []Segment) { c.Write(batchOf(segs)) }
+
+// batchOf is the batch of segs: payload-less unless some segment has bytes,
+// and then with nil bytes for each payload-less one.
+func batchOf(segs []Segment) Batch {
+	b := Batch{Ext: make(interval.List, len(segs))}
+	for i, s := range segs {
+		b.Ext[i] = interval.Extent{Off: s.Off, Len: s.Len()}
+		if s.Data != nil {
+			if b.Data == nil {
+				b.Data = make([][]byte, len(segs))
+			}
+			b.Data[i] = s.Data
+		}
+	}
+	return b
 }

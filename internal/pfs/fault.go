@@ -1,7 +1,7 @@
 package pfs
 
 import (
-	"bytes"
+	"slices"
 	"sort"
 
 	"atomio/internal/interval"
@@ -39,38 +39,49 @@ func (fs *FileSystem) Fault() *fault.Injector { return fs.fault }
 
 // dropFaulted partitions a write request over its target servers and
 // removes the pieces routed to servers that are down at the client's
-// current virtual time, recording their extents as damage. Healthy runs
-// return segs unchanged.
-func (c *Client) dropFaulted(segs []Segment) []Segment {
+// current virtual time, recording their extents as damage. A surviving
+// piece's bytes are a slice of its extent's. Healthy runs return b
+// unchanged.
+func (c *Client) dropFaulted(b Batch) Batch {
 	in := c.fs.fault
 	if in == nil || !in.HasServerFaults() {
-		return segs
+		return b
 	}
 	now := c.clock.Now()
-	out := segs[:0:0]
+	out := Batch{Ext: make(interval.List, 0, len(b.Ext))}
+	if b.Data != nil {
+		out.Data = make([][]byte, 0, len(b.Ext))
+	}
+	// keep adds the part p of extent i.
+	keep := func(i int, p interval.Extent) {
+		out.Ext = append(out.Ext, p)
+		if b.Data != nil {
+			from := p.Off - b.Ext[i].Off
+			out.Data = append(out.Data, b.Data[i][from:from+p.Len])
+		}
+	}
 	var damaged interval.List
-	for _, s := range segs {
-		n := s.Len()
-		if n == 0 {
-			out = append(out, s)
+	for i, e := range b.Ext {
+		if e.Empty() {
+			keep(i, e)
 			continue
 		}
 		if c.fs.cfg.Mode == ClientAffinity {
-			// Affinity mode: the whole segment has one home server.
-			if in.ServerDropped(c.fs.serverFor(s.Off, c.rank), now) {
-				damaged = append(damaged, interval.Extent{Off: s.Off, Len: n})
+			// Affinity mode: the whole extent has one home server.
+			if in.ServerDropped(c.fs.serverFor(e.Off, c.rank), now) {
+				damaged = append(damaged, e)
 			} else {
-				out = append(out, s)
+				keep(i, e)
 			}
 			continue
 		}
 		// Round-robin: split at stripe boundaries with the same piece
 		// iterator that routes queueing and storage.
-		eachStripePiece(c.fs.cfg.StripeSize, c.fs.cfg.Servers, s.Off, n, func(server int, off, take int64) {
+		eachStripePiece(c.fs.cfg.StripeSize, c.fs.cfg.Servers, e.Off, e.Len, func(server int, off, take int64) {
 			if in.ServerDropped(server, now) {
 				damaged = append(damaged, interval.Extent{Off: off, Len: take})
 			} else {
-				out = append(out, s.slice(off-s.Off, take))
+				keep(i, interval.Extent{Off: off, Len: take})
 			}
 		})
 	}
@@ -131,11 +142,11 @@ func (fs *FileSystem) Damaged(name string) (interval.List, error) {
 }
 
 // LogIntent appends rank's full mapped write request to the named file's
-// write-ahead intent log. On a file system that stores data the bytes are
-// copied — the caller's buffers may be reused; one that stores nothing logs
-// the extents alone. A no-op unless Config.WAL is on, so healthy
-// configurations pay nothing.
-func (fs *FileSystem) LogIntent(name string, rank int, segs []Segment) error {
+// write-ahead intent log. The batch is copied — the caller's is lent for the
+// call — in one clone of its extents and, on a file system that stores
+// data, one of its bytes; one that stores nothing logs the extents alone. A
+// no-op unless Config.WAL is on, so healthy configurations pay nothing.
+func (fs *FileSystem) LogIntent(name string, rank int, b Batch) error {
 	if !fs.cfg.WAL {
 		return nil
 	}
@@ -144,18 +155,21 @@ func (fs *FileSystem) LogIntent(name string, rank int, segs []Segment) error {
 		return err
 	}
 	if f.intents == nil {
-		f.intents = make(map[int][]Segment)
+		f.intents = make(map[int][]Batch)
 	}
-	for _, s := range segs {
-		if s.Len() == 0 {
-			continue
+	intent := Batch{Ext: slices.Clone(b.Ext)}
+	if fs.cfg.StoreData && b.Data != nil {
+		buf := make([]byte, 0, b.Ext.TotalLen())
+		intent.Data = make([][]byte, len(b.Data))
+		for i, d := range b.Data {
+			if d != nil {
+				at := len(buf)
+				buf = append(buf, d...)
+				intent.Data[i] = buf[at:len(buf):len(buf)]
+			}
 		}
-		intent := Segment{Off: s.Off, N: s.Len()}
-		if fs.cfg.StoreData && s.Data != nil {
-			intent = Segment{Off: s.Off, Data: bytes.Clone(s.Data)}
-		}
-		f.intents[rank] = append(f.intents[rank], intent)
 	}
+	f.intents[rank] = append(f.intents[rank], intent)
 	return nil
 }
 
@@ -184,22 +198,27 @@ func (fs *FileSystem) Recover(name string) ([]int, error) {
 		if !intentsIntersect(f.intents[rank], damaged) {
 			continue
 		}
-		for _, s := range f.intents[rank] {
-			f.writeAt(s, rank)
+		for _, b := range f.intents[rank] {
+			for i, e := range b.Ext {
+				if !e.Empty() {
+					f.writeAt(e, source{data: b.bytes(i)}, rank)
+				}
+			}
 		}
 		replayed = append(replayed, rank)
 	}
 	return replayed, nil
 }
 
-// intentsIntersect reports whether any logged segment overlaps any damaged
+// intentsIntersect reports whether any logged extent overlaps any damaged
 // extent.
-func intentsIntersect(segs []Segment, damaged interval.List) bool {
-	for _, s := range segs {
-		e := interval.Extent{Off: s.Off, Len: s.Len()}
-		for _, d := range damaged {
-			if e.Overlaps(d) {
-				return true
+func intentsIntersect(intents []Batch, damaged interval.List) bool {
+	for _, b := range intents {
+		for _, e := range b.Ext {
+			for _, d := range damaged {
+				if e.Overlaps(d) {
+					return true
+				}
 			}
 		}
 	}

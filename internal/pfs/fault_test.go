@@ -83,10 +83,10 @@ func TestRecoverReplaysDamagedIntents(t *testing.T) {
 
 	seg0 := []Segment{{Off: 0, Data: bytes.Repeat([]byte{1}, 16)}}  // stripes 0,1
 	seg1 := []Segment{{Off: 16, Data: bytes.Repeat([]byte{2}, 16)}} // stripes 2,3
-	if err := fs.LogIntent("f", 0, seg0); err != nil {
+	if err := fs.LogIntent("f", 0, batchOf(seg0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.LogIntent("f", 1, seg1); err != nil {
+	if err := fs.LogIntent("f", 1, batchOf(seg1)); err != nil {
 		t.Fatal(err)
 	}
 	c0.WriteV(seg0)
@@ -117,8 +117,8 @@ func TestRecoverSkipsUntouchedRanks(t *testing.T) {
 
 	seg0 := []Segment{{Off: 0, Data: bytes.Repeat([]byte{1}, 8)}} // stripe 0 → dropped
 	seg1 := []Segment{{Off: 8, Data: bytes.Repeat([]byte{2}, 8)}} // stripe 1 → survives
-	fs.LogIntent("f", 0, seg0)
-	fs.LogIntent("f", 1, seg1)
+	fs.LogIntent("f", 0, batchOf(seg0))
+	fs.LogIntent("f", 1, batchOf(seg1))
 	c0.WriteV(seg0)
 	c1.WriteV(seg1)
 
@@ -136,7 +136,7 @@ func TestRecoverNoDamage(t *testing.T) {
 	fs := faultFS(t, fault.Script{}, false)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
 	seg := []Segment{{Off: 0, Data: []byte{1, 2, 3}}}
-	fs.LogIntent("f", 0, seg)
+	fs.LogIntent("f", 0, batchOf(seg))
 	c.WriteV(seg)
 	replayed, err := fs.Recover("f")
 	if err != nil {
@@ -154,7 +154,7 @@ func TestLogIntentDisabled(t *testing.T) {
 	fs.SetFault(fault.New(fault.ServerOutage()))
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
 	seg := []Segment{{Off: 0, Data: bytes.Repeat([]byte{1}, 8)}}
-	if err := fs.LogIntent("f", 0, seg); err != nil {
+	if err := fs.LogIntent("f", 0, batchOf(seg)); err != nil {
 		t.Fatal(err)
 	}
 	c.WriteV(seg)

@@ -33,7 +33,7 @@ func atomicFS() *FileSystem {
 func TestWriteVAtomicRequiresCapability(t *testing.T) {
 	fs := basicFS(1)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	err := c.WriteVAtomic([]Segment{{Off: 0, Data: []byte("x")}})
+	err := c.WriteAtomic(batchOf([]Segment{{Off: 0, Data: []byte("x")}}))
 	if !errors.Is(err, ErrNoAtomicListIO) {
 		t.Fatalf("err = %v", err)
 	}
@@ -42,10 +42,10 @@ func TestWriteVAtomicRequiresCapability(t *testing.T) {
 func TestWriteVAtomicStoresData(t *testing.T) {
 	fs := atomicFS()
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	if err := c.WriteVAtomic([]Segment{
+	if err := c.WriteAtomic(batchOf([]Segment{
 		{Off: 0, Data: []byte("AA")},
 		{Off: 10, Data: []byte("BB")},
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	snap, _ := fs.Snapshot("f", ext(0, 12))
@@ -73,7 +73,7 @@ func TestWriteVAtomicNeverInterleaves(t *testing.T) {
 			}
 			segs[i] = Segment{Off: int64(i * 16), Data: data}
 		}
-		if err := c.WriteVAtomic(segs); err != nil {
+		if err := c.WriteAtomic(batchOf(segs)); err != nil {
 			t.Error(err)
 		}
 	})
@@ -107,10 +107,10 @@ func TestWriteVAtomicSerializesVirtualTime(t *testing.T) {
 	clkA, clkB := sim.NewClock(0), sim.NewClock(0)
 	a, _ := fs.Open("f", 0, clkA)
 	b, _ := fs.Open("f", 1, clkB)
-	if err := a.WriteVAtomic([]Segment{{Off: 0, Data: make([]byte, 1<<20)}}); err != nil {
+	if err := a.WriteAtomic(batchOf([]Segment{{Off: 0, Data: make([]byte, 1<<20)}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.WriteVAtomic([]Segment{{Off: 0, Data: make([]byte, 1<<20)}}); err != nil {
+	if err := b.WriteAtomic(batchOf([]Segment{{Off: 0, Data: make([]byte, 1<<20)}})); err != nil {
 		t.Fatal(err)
 	}
 	if clkB.Now() < clkA.Now() {

@@ -5,7 +5,7 @@
 //
 // With Config.StoreData on the simulator moves real bytes (so atomicity
 // violations are observable in actual file content); with it off requests
-// need only carry lengths (see Segment). Either way it accounts virtual time
+// need only carry extents (see Batch). Either way it accounts virtual time
 // on the clients' clocks and on per-server FCFS queues (see package sim),
 // from byte counts alone. Aggregate bandwidth
 // reported by the experiment harness is data volume divided by the virtual
@@ -70,8 +70,8 @@ type Config struct {
 
 	// StoreData controls whether written bytes are materialized. Large
 	// benchmark runs disable it to account time without allocating the
-	// full file — or any payload: their segments may be payload-less (see
-	// Segment); correctness tests leave it on.
+	// full file — or any payload: their batches may be payload-less (see
+	// Batch); correctness tests leave it on.
 	StoreData bool
 
 	// WAL enables the per-file write-ahead intent log: collective writes
@@ -82,7 +82,7 @@ type Config struct {
 
 	// AtomicListIO grants the file system the hypothetical capability the
 	// paper discusses in §3.2: POSIX atomicity extended to
-	// lio_listio-style vectored requests. When set, Client.WriteVAtomic
+	// lio_listio-style vectored requests. When set, Client.WriteAtomic
 	// executes a whole multi-segment write atomically with respect to
 	// every other atomic vectored write on the same file (the file system
 	// internally serializes such calls). No 2003 file system provided

@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -111,7 +112,7 @@ func TestDropFaultedSplitsPayloadless(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			survivors = shapes(c.dropFaulted(segs))
+			survivors = c.dropFaulted(batchOf(segs)).Ext
 			damage, _ = fs.Damaged("f")
 			return survivors, damage
 		}
@@ -142,12 +143,12 @@ func TestWALWithoutStoreDataLogsExtents(t *testing.T) {
 	seg0 := []Segment{{Off: 0, Data: make([]byte, 8)}} // stripe 0 → dropped
 	seg1 := []Segment{{Off: 8, N: 8}}                  // stripe 1 → survives
 	for rank, segs := range [][]Segment{seg0, seg1} {
-		if err := fs.LogIntent("f", rank, segs); err != nil {
+		if err := fs.LogIntent("f", rank, batchOf(segs)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	f, _ := fs.lookup("f", false)
-	for rank, want := range [][]Segment{{{Off: 0, N: 8}}, {{Off: 8, N: 8}}} {
+	for rank, want := range [][]Batch{{{Ext: interval.List{{Off: 0, Len: 8}}}}, {{Ext: interval.List{{Off: 8, Len: 8}}}}} {
 		if got := f.intents[rank]; !reflect.DeepEqual(got, want) {
 			t.Errorf("rank %d intents = %+v, want %+v", rank, got, want)
 		}
@@ -167,8 +168,9 @@ func TestWALWithoutStoreDataLogsExtents(t *testing.T) {
 }
 
 // TestPayloadlessRefusedWhereBytesAreNeeded pins the other half of the
-// contract: a payload-less segment reaching a content store or a retaining
-// cache is a caller bug and panics — it never becomes stored zeros.
+// contract: a payload-less segment, or bytes of the wrong length, reaching a
+// content store or a retaining cache is a caller bug and panics — it never
+// becomes stored zeros.
 func TestPayloadlessRefusedWhereBytesAreNeeded(t *testing.T) {
 	segs := []Segment{{Off: 0, N: 16}}
 
@@ -186,9 +188,21 @@ func TestPayloadlessRefusedWhereBytesAreNeeded(t *testing.T) {
 	fs = MustNew(Config{Servers: 2, StripeSize: 8, StoreData: true, WAL: true})
 	fs.SetFault(fault.New(fault.ServerOutage()))
 	c, _ = fs.Open("f", 0, sim.NewClock(0))
-	if err := fs.LogIntent("f", 0, segs); err != nil {
+	if err := fs.LogIntent("f", 0, batchOf(segs)); err != nil {
 		t.Fatal(err)
 	}
 	c.Damage(interval.List{{Off: 0, Len: 16}})
 	mustPanic(t, "stores data", func() { fs.Recover("f") })
+
+	// Bytes that disagree with their extent's length are refused too, never
+	// zero-filled or cut to fit.
+	for _, n := range []int{8, 24} {
+		short := Batch{Ext: interval.List{{Off: 0, Len: 16}}, Data: [][]byte{make([]byte, n)}}
+		fs = basicFS(2)
+		c, _ = fs.Open("f", 0, sim.NewClock(0))
+		mustPanic(t, fmt.Sprintf("with %d bytes", n), func() { c.Write(short) })
+		fs = cachingFS(0)
+		c, _ = fs.Open("f", 0, sim.NewClock(0))
+		mustPanic(t, fmt.Sprintf("with %d bytes", n), func() { c.Write(short) })
+	}
 }

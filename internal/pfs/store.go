@@ -20,8 +20,9 @@ const storeChunk = 1 << 16
 //
 // rank identifies the writing client for affinity-mode storage routing.
 type content interface {
-	// write stores data at off on behalf of the given client rank.
-	write(off int64, data []byte, rank int)
+	// write stores the bytes of e, which src supplies, on behalf of the
+	// given client rank.
+	write(e interval.Extent, src source, rank int)
 	// read fills buf from off; bytes never written read as zero.
 	read(off int64, buf []byte)
 	// extents returns the canonical list of byte ranges ever stored,
@@ -45,7 +46,7 @@ type file struct {
 	// surrendered to injected faults, intents the write-ahead log that
 	// Recover replays over them. Both stay empty on healthy runs.
 	damage  index.Set
-	intents map[int][]Segment
+	intents map[int][]Batch
 }
 
 // newFile creates a file backed by the configured store layout.
@@ -62,17 +63,43 @@ func (f *file) growTo(end int64) {
 	f.size = max(f.size, end)
 }
 
-// writeAt stores s on behalf of rank and extends the file size. A data-less
-// file only grows; a file with a content store needs the bytes.
-func (f *file) writeAt(s Segment, rank int) {
-	f.growTo(s.Off + s.Len())
-	if f.content == nil || s.Len() == 0 {
+// source is where a stored extent's bytes come from: a slice that is
+// exactly them, or — for a write-behind flush — the logged pieces of the
+// coalesced extent that holds it, in write order.
+type source struct {
+	data   []byte
+	pieces []piece
+}
+
+// each calls f with the runs of e's bytes in the order they are to be
+// copied: a later run overwrites an earlier one where they overlap.
+func (s source) each(e interval.Extent, f func(off int64, data []byte)) {
+	if s.pieces == nil {
+		f(e.Off, s.data)
 		return
 	}
-	if s.Data == nil {
-		panic(fmt.Sprintf("pfs: payload-less segment [%d,+%d) written to %q, which stores data", s.Off, s.N, f.name))
+	for _, p := range s.pieces {
+		if ov := e.Intersect(interval.Extent{Off: p.off, Len: int64(len(p.data))}); !ov.Empty() {
+			f(ov.Off, p.data[ov.Off-p.off:ov.End()-p.off])
+		}
 	}
-	f.content.write(s.Off, s.Data, rank)
+}
+
+// writeAt stores e's bytes from src on behalf of rank and extends the file
+// size. A data-less file only grows; a file with a content store needs the
+// bytes, exactly e.Len of them.
+func (f *file) writeAt(e interval.Extent, src source, rank int) {
+	f.growTo(e.End())
+	if f.content == nil || e.Empty() {
+		return
+	}
+	switch {
+	case src.data == nil && src.pieces == nil:
+		panic(fmt.Sprintf("pfs: payload-less extent %v written to %q, which stores data", e, f.name))
+	case src.pieces == nil && int64(len(src.data)) != e.Len:
+		panic(fmt.Sprintf("pfs: extent %v written to %q with %d bytes", e, f.name, len(src.data)))
+	}
+	f.content.write(e, src, rank)
 }
 
 // readAt fills buf from off; bytes never written read as zero.

@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"bytes"
 	"cmp"
 	"slices"
 
@@ -101,14 +100,13 @@ func eachStripePiece(stripe int64, servers int, off, n int64, f func(server int,
 	}
 }
 
-func (st *stripedStore) write(off int64, data []byte, rank int) {
+func (st *stripedStore) write(e interval.Extent, src source, rank int) {
 	if st.mode == ClientAffinity {
 		sv := st.servers[st.serverForRank(rank)]
 		// Sequence order is arrival order, which is what lets merge reads
 		// treat "highest sequence" and "latest arrival" as the same thing.
 		seq := st.nextSeq
 		st.nextSeq++
-		e := interval.Extent{Off: off, Len: int64(len(data))}
 		sv.written.Add(e)
 		// Prune dead records: an older same-server record fully inside e
 		// can never win a merge again — its sequence is lower wherever it
@@ -128,13 +126,19 @@ func (st *stripedStore) write(off int64, data []byte, rank int) {
 		for _, d := range dead {
 			sv.segs.Delete(d.ext, d.h)
 		}
-		sv.segs.Insert(e, affinityWrite{seq: seq, data: bytes.Clone(data)})
+		// The record is the server's own copy, assembled from src.
+		data := make([]byte, e.Len)
+		src.each(e, func(off int64, run []byte) { copy(data[off-e.Off:], run) })
+		sv.segs.Insert(e, affinityWrite{seq: seq, data: data})
 		return
 	}
-	eachStripePiece(st.stripe, len(st.servers), off, int64(len(data)), func(server int, pieceOff, n int64) {
-		sv := st.servers[server]
-		chunkWrite(sv.chunks, pieceOff, data[pieceOff-off:pieceOff-off+n])
-		sv.written.Add(interval.Extent{Off: pieceOff, Len: n})
+	src.each(e, func(off int64, run []byte) {
+		eachStripePiece(st.stripe, len(st.servers), off, int64(len(run)), func(server int, pieceOff, n int64) {
+			chunkWrite(st.servers[server].chunks, pieceOff, run[pieceOff-off:pieceOff-off+n])
+		})
+	})
+	eachStripePiece(st.stripe, len(st.servers), e.Off, e.Len, func(server int, off, n int64) {
+		st.servers[server].written.Add(interval.Extent{Off: off, Len: n})
 	})
 }
 

@@ -28,9 +28,9 @@ type sharedStore struct {
 	written index.Set
 }
 
-func (s *sharedStore) write(off int64, data []byte, _ int) {
-	s.written.Add(interval.Extent{Off: off, Len: int64(len(data))})
-	chunkWrite(s.chunks, off, data)
+func (s *sharedStore) write(e interval.Extent, src source, _ int) {
+	s.written.Add(e)
+	src.each(e, func(off int64, data []byte) { chunkWrite(s.chunks, off, data) })
 }
 
 func (s *sharedStore) read(off int64, buf []byte) {
@@ -113,10 +113,10 @@ func TestStripedStoreMatchesSharedOracle(t *testing.T) {
 						cO[r].WriteV(segs)
 					case 2: // atomic listio write
 						segs := randSegs(1 + rnd.Intn(3))
-						if err := cS[r].WriteVAtomic(segs); err != nil {
+						if err := cS[r].WriteAtomic(batchOf(segs)); err != nil {
 							t.Fatal(err)
 						}
-						if err := cO[r].WriteVAtomic(segs); err != nil {
+						if err := cO[r].WriteAtomic(batchOf(segs)); err != nil {
 							t.Fatal(err)
 						}
 					case 3: // read
@@ -135,8 +135,8 @@ func TestStripedStoreMatchesSharedOracle(t *testing.T) {
 							segsS[i].Data = make([]byte, len(s.Data))
 							segsO[i] = Segment{Off: s.Off, Data: make([]byte, len(s.Data))}
 						}
-						cS[r].ReadV(segsS)
-						cO[r].ReadV(segsO)
+						cS[r].Read(batchOf(segsS))
+						cO[r].Read(batchOf(segsO))
 						for i := range segsS {
 							if !bytes.Equal(segsS[i].Data, segsO[i].Data) {
 								t.Fatalf("op %d: vectored read seg %d differs", op, i)

@@ -1,14 +1,15 @@
 package pfs
 
 // The write-behind log against a model, and the borrows it takes against a
-// poisoner. The log is the batch WriteV was handed — the caller's own slice
-// until a second batch arrives — and a flush hands it to the servers as it
-// stands when it is already the flush (sorted, disjoint, non-touching) and
-// replays it into fresh buffers otherwise. Either way the flush must be what
-// a cache that copies every batch into a log of its own produces — the logged
-// extents' Normalize() in shape, later write wins in content — pfs must never
-// write through a slice it was lent, and once Sync returns the store must own
-// every byte it holds and the cache no part of the caller's slice.
+// poisoner. The log is the batches Write was lent, in write order, and a
+// flush hands a log of one batch to the servers as it stands when it is
+// already the flush (sorted, disjoint, non-touching); any other it books as
+// the logged extents' Normalize() and stores from the logged pieces, in
+// write order, with no copy in between. Either way the flush must be what a
+// cache that always assembles produces — the logged extents' Normalize() in
+// shape, later write wins in content — pfs must never write through a slice
+// it was lent, and once Sync returns the store must own every byte it holds
+// and the cache no part of the caller's batches.
 
 import (
 	"bytes"
@@ -88,13 +89,13 @@ func scriptSegs(rnd *rand.Rand, span int) []Segment {
 	return segs
 }
 
-// flush is Client.Sync returning what it flushed.
-func flush(c *Client) []Segment {
-	segs := c.cache.takeDirty()
-	if len(segs) > 0 {
-		c.transferWrite(segs)
+// flush is Client.Sync returning the extents it flushed.
+func flush(c *Client) interval.List {
+	b, log := c.cache.takeDirty()
+	if len(b.Ext) > 0 {
+		c.transferWrite(b, log)
 	}
-	return segs
+	return b.Ext
 }
 
 // borrowed is one slice handed to WriteV beside a copy of its headers: until
@@ -108,19 +109,19 @@ func (b borrowed) intact() bool {
 	})
 }
 
-// ownLog makes c's next WriteV land in a log the cache owns: an empty log is
-// seeded with one empty entry, so no batch is ever adopted. It is the
-// reference the adopting clients' flushes are held to.
+// ownLog makes c's next flush assemble: an empty log is seeded with one empty
+// batch, so it is never one batch handed over as it stands. It is the
+// reference the other clients' flushes are held to.
 func ownLog(c *Client) {
 	if len(c.cache.dirty) == 0 {
-		c.cache.dirty = make([]Segment, 1, 8)
+		c.cache.dirty = append(c.cache.dirty, Batch{})
 	}
 }
 
 // TestWriteBehindLogMatchesModel drives random WriteV scripts from several
 // ranks through four file systems — a retaining write-behind cache, a
-// non-retaining one (StoreData off), a retaining one that never adopts the
-// caller's slice (ownLog) and no cache at all — and a flat byte image. All
+// non-retaining one (StoreData off), a retaining one that always assembles
+// its flush (ownLog) and no cache at all — and a flat byte image. All
 // three caches must flush the normalized form of the extents written since
 // the last Sync at the same virtual cost, a read before the Sync must see
 // the client's own unflushed bytes over the store's, and the file must be
@@ -211,16 +212,17 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 						}
 					}
 				}
+				dirty := cA[r].cache.dirty
 				switch {
 				case len(log) == 0:
-				case log.IsCanonical():
-					lent++
+				case len(dirty) == 1 && dirty[0].Ext.IsCanonical():
+					lent++ // the flush hands the one batch on as it stands
 				case log.TotalLen() == log.Normalize().TotalLen():
-					touching++ // in file order and disjoint, but not coalesced
+					touching++ // disjoint, assembled from more than one batch or not coalesced
 				default:
 					assembled++
 				}
-				gotA, gotB, gotN := shapes(flush(cA[r])), shapes(flush(cB[r])), shapes(flush(cN[r]))
+				gotA, gotB, gotN := flush(cA[r]), flush(cB[r]), flush(cN[r])
 				if want := log.Normalize(); !slices.Equal(gotA, want) || !slices.Equal(gotB, want) || !slices.Equal(gotN, want) {
 					t.Fatalf("op %d: flushed %v (retaining), %v (not) and %v (own log), want %v", op, gotA, gotB, gotN, want)
 				}
@@ -265,7 +267,7 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 				}
 			}
 			if lent == 0 || touching == 0 || assembled == 0 || windows == 0 || reads == 0 {
-				t.Fatalf("script flushed %d canonical, %d disjoint but touching and %d overlapping logs, wrote %d requests "+
+				t.Fatalf("script flushed %d logs of one canonical batch, %d other disjoint and %d overlapping logs, wrote %d requests "+
 					"one segment at a time and read %d times before a Sync; it must do all five",
 					lent, touching, assembled, windows, reads)
 			}
@@ -291,13 +293,22 @@ func TestStoreOwnsItsBytesAfterSync(t *testing.T) {
 				fs := MustNew(writeBehindConfig(mode))
 				c, _ := fs.Open("f", 1, sim.NewClock(0))
 				var bufs [][]byte
+				var segs []Segment
 				for i, off := range log.offs {
 					buf := bytes.Repeat([]byte{byte('a' + i)}, 30)
 					bufs = append(bufs, buf)
-					c.WriteAt(off, buf)
+					segs = append(segs, Segment{Off: off, Data: buf})
 				}
-				if lend := flushedForm(c.cache.dirty); lend != (log.name == "lent") {
-					t.Fatalf("log %v in flushed form = %v", shapes(c.cache.dirty), lend)
+				if log.name == "lent" {
+					c.WriteV(segs) // one canonical batch: the flush lends it on
+				} else {
+					for _, s := range segs {
+						c.WriteAt(s.Off, s.Data)
+					}
+				}
+				dirty := c.cache.dirty
+				if lend := len(dirty) == 1 && dirty[0].Ext.IsCanonical(); lend != (log.name == "lent") {
+					t.Fatalf("log of %d batches, the first %v: lent as it stands = %v", len(dirty), dirty[0].Ext, lend)
 				}
 				c.Sync()
 				whole := interval.Extent{Off: 0, Len: 400}
