@@ -205,13 +205,9 @@ func Verify(on bool) Option {
 	return func(s *Spec) error { s.Verify = on; return nil }
 }
 
-// Trace records a per-phase virtual-time breakdown of the write.
-func Trace(on bool) Option {
-	return func(s *Spec) error { s.Trace = on; return nil }
-}
-
 // TraceEvents records the structured virtual-time event stream and metrics
-// registry of the run. The stream is byte-identical across worker counts
+// registry of the run, per-phase virtual time included (see
+// Result.PhaseBreakdown). The stream is byte-identical across worker counts
 // and lock-shard counts; export it with WriteTraceJSONL or
 // WriteChromeTrace.
 func TraceEvents(on bool) Option {

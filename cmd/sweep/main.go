@@ -112,11 +112,11 @@ func main() {
 	}
 	if cfg.trace {
 		for _, r := range results {
-			if r.Err != nil || r.Result.Phases == nil {
+			if r.Err != nil {
 				continue
 			}
 			fmt.Printf("\nP=%d %s phase breakdown:\n%s",
-				r.Cell.Experiment.Procs, r.Cell.Experiment.Strategy.Name(), r.Result.Phases.Render())
+				r.Cell.Experiment.Procs, r.Cell.Experiment.Strategy.Name(), r.Result.PhaseBreakdown())
 		}
 	}
 	if failed {
@@ -144,7 +144,12 @@ func expand(cfg *config, stderr io.Writer) (prof atomio.Profile, strategies []st
 	}
 	opts := []atomio.Option{
 		atomio.Overlap(cfg.shape.Overlap), atomio.Pattern(cfg.pattern),
-		atomio.StoreData(cfg.store), atomio.Trace(cfg.trace),
+		atomio.StoreData(cfg.store),
+	}
+	if cfg.trace {
+		// The breakdown is read from the phase counters: record metrics
+		// only, unless -trace-out (applied after) keeps the events too.
+		opts = append(opts, atomio.TraceEvents(true), atomio.TraceLimit(-1))
 	}
 	cells, err = atomio.Grid{
 		Platforms:  []string{prof.Name},

@@ -81,7 +81,7 @@ func TestEveryExperimentFieldHasAnOption(t *testing.T) {
 	setters := map[string]Option{
 		"Platform": Platform("Cplant"), "M": Array(7, 9), "N": Array(7, 9), "Procs": Procs(2),
 		"Overlap": Overlap(2), "Pattern": Pattern("row"), "Strategy": Strategy("ordering"),
-		"StoreData": StoreData(true), "Verify": Verify(true), "Trace": Trace(true),
+		"StoreData": StoreData(true), "Verify": Verify(true),
 		"TraceEvents": TraceEvents(true), "EventLimit": TraceLimit(16),
 		"LockShards": LockShards(2), "Servers": Servers(3), "Scenario": Scenario("slow0x4"),
 		"Steps": Checkpoints(3), "Compute": Compute(time.Millisecond), "Faults": Fault("server-outage"),

@@ -85,12 +85,12 @@ var Layers = []Layer{
 	},
 	{
 		Match: "internal/mpiio",
-		Allow: []string{"internal/core", "internal/datatype", "internal/fileview", "internal/interval", "internal/lock", "internal/mpi", "internal/obs", "internal/pfs", "internal/trace"},
+		Allow: []string{"internal/core", "internal/datatype", "internal/fileview", "internal/interval", "internal/lock", "internal/mpi", "internal/obs", "internal/pfs"},
 		Why:   "MPI_File handles tie communicator, file system, locks, views, and strategy together",
 	},
 	{
 		Match: "internal/core",
-		Allow: []string{"internal/fileview", "internal/interval", "internal/lock", "internal/mpi", "internal/pfs", "internal/trace"},
+		Allow: []string{"internal/fileview", "internal/interval", "internal/lock", "internal/mpi", "internal/obs", "internal/pfs", "internal/trace"},
 		Why:   "the paper's strategies; never the harness or runner above them",
 	},
 	{

@@ -22,6 +22,7 @@ import (
 	"atomio/internal/interval"
 	"atomio/internal/lock"
 	"atomio/internal/mpi"
+	"atomio/internal/obs"
 	"atomio/internal/pfs"
 	"atomio/internal/trace"
 )
@@ -35,17 +36,18 @@ type Context struct {
 	// LockMgr is the platform's lock manager; nil when the file system
 	// has no byte-range locking (Cplant ENFS).
 	LockMgr lock.Manager
-	// Trace, when non-nil, receives per-phase virtual-time breakdowns
-	// (handshake / lock wait / transfer / sync wait / exchange).
-	Trace *trace.Recorder
+	// Obs, when non-nil, receives the rank's phase spans and per-phase
+	// virtual-time counters (handshake / lock wait / transfer / sync wait /
+	// exchange).
+	Obs *obs.Recorder
 	// Fault, when non-nil, is the failure-injection plan consulted for
 	// writer crashes.
 	Fault Faults
 }
 
-// span opens a trace span for this rank; no-op when tracing is off.
-func (ctx *Context) span(p trace.Phase) *trace.Span {
-	return trace.Start(ctx.Trace, ctx.Comm.Rank(), p, ctx.Comm.Clock())
+// span opens a phase span for this rank; no-op when tracing is off.
+func (ctx *Context) span(p trace.Phase) trace.Span {
+	return trace.Start(ctx.Obs, ctx.Comm.Rank(), p, ctx.Comm.Clock())
 }
 
 // Faults is the slice of the failure-injection surface a strategy consults:
@@ -112,9 +114,4 @@ func ByName(name string) (Strategy, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %q", name)
 	}
-}
-
-// All returns the three strategies in the paper's presentation order.
-func All() []Strategy {
-	return []Strategy{Locking{}, Coloring{}, RankOrder{}}
 }

@@ -1,7 +1,10 @@
-// Package datatype implements the MPI derived-datatype constructors the
-// paper's file views are built from: contiguous, vector/hvector,
-// indexed/hindexed, N-dimensional subarray, struct, and resized types over
-// elementary types.
+// Package datatype implements the MPI datatypes the paper's file views are
+// built from, and no others: elementary types (Byte), Contiguous — the
+// default view every file opens with — and Subarray, the one constructor
+// the paper's Figure 4 code calls (MPI_Type_create_subarray) to build the
+// column-wise, row-wise and block-block views of internal/workload. MPI's
+// other constructors (vector, indexed, struct, resized, darray) describe
+// views no workload here builds, so they are not implemented.
 //
 // A datatype describes a *type map*: an ordered sequence of byte segments
 // relative to a start address (or file displacement). Flatten returns that
@@ -23,9 +26,8 @@ type Datatype interface {
 	// Size returns the number of data bytes in one instance of the type
 	// (the sum of segment lengths, excluding holes).
 	Size() int64
-	// Extent returns the span of one instance including holes: the
-	// distance from the first byte to one past the last, possibly
-	// overridden by Resized. Tiling a type places copy i at offset
+	// Extent returns the span of one instance including holes (for a
+	// subarray, the whole array). Tiling a type places copy i at offset
 	// i*Extent().
 	Extent() int64
 	// Flatten returns the type map as segments relative to offset 0, in
@@ -67,21 +69,14 @@ func (e Elem) String() string {
 	return fmt.Sprintf("elem(%d)", e.Width)
 }
 
-// Dense reports whether one instance of t is a single contiguous run
-// starting at offset 0 and filling its whole extent (no holes, no leading
-// lower-bound gap). Dense types allow fast-path flattening of containers
-// that repeat them: a container can emit one segment per block instead of
-// shifting the base's type map per element. Size()==Extent() alone is not
-// sufficient — an Indexed type whose first displacement is positive has
-// equal size and extent but a nonzero lower bound.
-func Dense(t Datatype) bool {
-	_, dense := flattenBase(t)
-	return dense
-}
-
 // flattenBase flattens a container's base type and reports whether it is
-// Dense. Flattening a base can be arbitrarily expensive and allocates, so a
-// container's Flatten calls this once, outside its block loop.
+// dense: one instance is a single contiguous run starting at offset 0 and
+// filling its whole extent (no holes, no leading gap). A container can then
+// emit one segment per block instead of shifting the base's type map per
+// element. Size()==Extent() alone is not sufficient — a type whose data
+// starts past offset 0 can have equal size and extent. Flattening a base
+// can be arbitrarily expensive and allocates, so a container's Flatten
+// calls this once, outside its block loop.
 func flattenBase(base Datatype) (flat []interval.Extent, dense bool) {
 	flat = base.Flatten()
 	switch {

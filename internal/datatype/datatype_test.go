@@ -1,6 +1,7 @@
 package datatype
 
 import (
+	"fmt"
 	"testing"
 
 	"atomio/internal/interval"
@@ -33,6 +34,25 @@ func checkFlat(t *testing.T, dt Datatype) []interval.Extent {
 	return flat
 }
 
+// padded is a test-only datatype with the holes MPI's resized and indexed
+// types make and no production view has: Base's type map shifted by Lead
+// bytes inside an extent of Ext bytes.
+type padded struct {
+	Base      Datatype
+	Lead, Ext int64
+}
+
+func (t padded) Size() int64   { return t.Base.Size() }
+func (t padded) Extent() int64 { return t.Ext }
+func (t padded) Flatten() []interval.Extent {
+	flat := t.Base.Flatten()
+	for i := range flat {
+		flat[i].Off += t.Lead
+	}
+	return flat
+}
+func (t padded) String() string { return fmt.Sprintf("padded(%s, %d, %d)", t.Base, t.Lead, t.Ext) }
+
 func TestByte(t *testing.T) {
 	if Byte.Size() != 1 || Byte.Extent() != 1 {
 		t.Fatal("Byte size/extent != 1")
@@ -48,7 +68,7 @@ func TestByte(t *testing.T) {
 
 func TestElem(t *testing.T) {
 	d := Elem{8, "double"}
-	if d.Size() != 8 || !Dense(d) {
+	if _, dense := flattenBase(d); d.Size() != 8 || !dense {
 		t.Fatal("double elem wrong")
 	}
 	if (Elem{0, ""}).Flatten() != nil {
@@ -74,8 +94,8 @@ func TestContiguous(t *testing.T) {
 }
 
 func TestContiguousOfSparseBase(t *testing.T) {
-	// Base: 2 bytes at offset 0 within extent 5 (via resize).
-	base := NewResized(NewContiguous(2, Byte), 5)
+	// Base: 2 bytes at offset 0 within extent 5.
+	base := padded{Base: NewContiguous(2, Byte), Ext: 5}
 	c := NewContiguous(3, base)
 	if c.Size() != 6 || c.Extent() != 15 {
 		t.Fatalf("size/extent = %d/%d", c.Size(), c.Extent())
@@ -96,112 +116,6 @@ func TestNegativeContiguousPanics(t *testing.T) {
 		}
 	}()
 	NewContiguous(-1, Byte)
-}
-
-func TestVector(t *testing.T) {
-	// 3 blocks of 2 bytes, stride 5: segments at 0,5,10.
-	v := NewVector(3, 2, 5, Byte)
-	if v.Size() != 6 {
-		t.Fatalf("size = %d", v.Size())
-	}
-	if v.Extent() != 12 { // 2*5 + 2
-		t.Fatalf("extent = %d", v.Extent())
-	}
-	flat := checkFlat(t, v)
-	want := []interval.Extent{ext(0, 2), ext(5, 2), ext(10, 2)}
-	for i := range want {
-		if flat[i] != want[i] {
-			t.Fatalf("flat = %v, want %v", flat, want)
-		}
-	}
-}
-
-func TestVectorCoalescesWhenStrideEqualsBlock(t *testing.T) {
-	v := NewVector(4, 3, 3, Byte)
-	flat := checkFlat(t, v)
-	if len(flat) != 1 || flat[0] != (ext(0, 12)) {
-		t.Fatalf("dense vector should coalesce: %v", flat)
-	}
-}
-
-func TestVectorOverlapPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for overlapping vector blocks")
-		}
-	}()
-	NewVector(2, 5, 3, Byte)
-}
-
-func TestHvector(t *testing.T) {
-	h := Hvector{Count: 2, BlockLen: 3, StrideBytes: 10, Base: Byte}
-	if h.Extent() != 13 {
-		t.Fatalf("extent = %d", h.Extent())
-	}
-	flat := checkFlat(t, h)
-	want := []interval.Extent{ext(0, 3), ext(10, 3)}
-	for i := range want {
-		if flat[i] != want[i] {
-			t.Fatalf("flat = %v", flat)
-		}
-	}
-}
-
-func TestIndexed(t *testing.T) {
-	ix := NewIndexed([]int{2, 1, 3}, []int{0, 4, 10}, Byte)
-	if ix.Size() != 6 || ix.Extent() != 13 {
-		t.Fatalf("size/extent = %d/%d", ix.Size(), ix.Extent())
-	}
-	flat := checkFlat(t, ix)
-	want := []interval.Extent{ext(0, 2), ext(4, 1), ext(10, 3)}
-	for i := range want {
-		if flat[i] != want[i] {
-			t.Fatalf("flat = %v", flat)
-		}
-	}
-}
-
-func TestIndexedWithWideBase(t *testing.T) {
-	// Base of width 4: displacements are in base extents.
-	ix := NewIndexed([]int{1, 2}, []int{0, 2}, Elem{4, "int"})
-	flat := checkFlat(t, ix)
-	want := []interval.Extent{ext(0, 4), ext(8, 8)}
-	for i := range want {
-		if flat[i] != want[i] {
-			t.Fatalf("flat = %v, want %v", flat, want)
-		}
-	}
-}
-
-func TestIndexedValidation(t *testing.T) {
-	for name, f := range map[string]func(){
-		"length mismatch": func() { NewIndexed([]int{1}, []int{0, 1}, Byte) },
-		"negative block":  func() { NewIndexed([]int{-1}, []int{0}, Byte) },
-		"out of order":    func() { NewIndexed([]int{2, 2}, []int{0, 1}, Byte) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestHindexedAndFromExtents(t *testing.T) {
-	exts := []interval.Extent{ext(3, 2), ext(10, 5), ext(100, 1)}
-	h := FromExtents(exts)
-	if h.Size() != 8 || h.Extent() != 98 {
-		t.Fatalf("size/extent = %d/%d", h.Size(), h.Extent())
-	}
-	flat := checkFlat(t, h)
-	for i := range exts {
-		if flat[i] != exts[i] {
-			t.Fatalf("FromExtents round trip failed: %v vs %v", flat, exts)
-		}
-	}
 }
 
 func TestSubarrayColumnWise(t *testing.T) {
@@ -293,44 +207,21 @@ func TestSubarrayValidation(t *testing.T) {
 	}
 }
 
-func TestStruct(t *testing.T) {
-	s := NewStruct(
-		[]int{2, 1},
-		[]int64{0, 10},
-		[]Datatype{Elem{4, "int"}, NewVector(2, 1, 3, Byte)},
-	)
-	if s.Size() != 10 { // 2*4 + 2*1
-		t.Fatalf("size = %d", s.Size())
-	}
-	flat := checkFlat(t, s)
-	want := []interval.Extent{ext(0, 8), ext(10, 1), ext(13, 1)}
-	if len(flat) != len(want) {
-		t.Fatalf("flat = %v, want %v", flat, want)
-	}
-	for i := range want {
-		if flat[i] != want[i] {
-			t.Fatalf("flat = %v, want %v", flat, want)
+func TestFlattenBaseDense(t *testing.T) {
+	for _, tc := range []struct {
+		dt    Datatype
+		dense bool
+	}{
+		{NewContiguous(3, Byte), true},
+		{NewSubarray([]int{2, 4}, []int{2, 4}, []int{0, 0}, Byte), true},
+		{NewSubarray([]int{2, 4}, []int{1, 4}, []int{1, 0}, Byte), false},
+		{padded{Base: NewContiguous(3, Byte), Ext: 8}, false},
+		// Equal size and extent, but the data starts past offset 0.
+		{padded{Base: NewContiguous(2, Byte), Lead: 1, Ext: 2}, false},
+	} {
+		if _, dense := flattenBase(tc.dt); dense != tc.dense {
+			t.Errorf("%s: dense = %v, want %v", tc.dt, dense, tc.dense)
 		}
-	}
-}
-
-func TestStructValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for overlapping struct fields")
-		}
-	}()
-	NewStruct([]int{4, 1}, []int64{0, 2}, []Datatype{Byte, Byte})
-}
-
-func TestResizedControlsTiling(t *testing.T) {
-	r := NewResized(NewContiguous(3, Byte), 8)
-	if r.Size() != 3 || r.Extent() != 8 {
-		t.Fatalf("size/extent = %d/%d", r.Size(), r.Extent())
-	}
-	checkFlat(t, r)
-	if !Dense(NewContiguous(3, Byte)) || Dense(r) {
-		t.Fatal("Dense misclassifies")
 	}
 }
 
@@ -338,13 +229,7 @@ func TestStringers(t *testing.T) {
 	// Smoke-test every String implementation.
 	for _, dt := range []Datatype{
 		NewContiguous(2, Byte),
-		NewVector(1, 1, 1, Byte),
-		Hvector{1, 1, 1, Byte},
-		NewIndexed([]int{1}, []int{0}, Byte),
-		NewHindexed([]int{1}, []int64{0}, Byte),
 		NewSubarray([]int{2}, []int{1}, []int{0}, Byte),
-		NewStruct(nil, nil, nil),
-		NewResized(Byte, 4),
 	} {
 		if dt.String() == "" {
 			t.Errorf("%T has empty String()", dt)

@@ -176,13 +176,6 @@ func (v View) Span(nbytes int64) interval.Extent {
 	return interval.Extent{Off: lo, Len: hi - lo}
 }
 
-// Contiguous reports whether a request of nbytes maps to a single contiguous
-// file extent (the row-wise partitioning case of §3.2, where plain POSIX
-// atomicity suffices).
-func (v View) Contiguous(nbytes int64) bool {
-	return len(v.Extents(0, nbytes)) <= 1
-}
-
 // String describes the view.
 func (v View) String() string {
 	return fmt.Sprintf("view(disp=%d, etype=%s, filetype=%s)", v.Disp, v.Etype, v.Filetype)

@@ -1,6 +1,7 @@
 package fileview
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"unsafe"
@@ -16,9 +17,6 @@ func TestWholeFileByteView(t *testing.T) {
 	maps := v.Map(100)
 	if len(maps) != 1 || maps[0].File != ext(0, 100) || maps[0].Buf != 0 {
 		t.Fatalf("whole-file map = %+v", maps)
-	}
-	if !v.Contiguous(100) {
-		t.Fatal("whole-file view should be contiguous")
 	}
 }
 
@@ -46,9 +44,6 @@ func TestColumnWiseViewSingleTile(t *testing.T) {
 			t.Errorf("segment %d buf = %d, want %d", i, m.Buf, i*3)
 		}
 	}
-	if v.Contiguous(12) {
-		t.Fatal("column-wise view must be non-contiguous")
-	}
 	if got := v.Span(12); got != ext(3, 39) {
 		t.Fatalf("span = %v, want [3,42)", got)
 	}
@@ -69,7 +64,7 @@ func TestMapPartialRequestCutsSegment(t *testing.T) {
 func TestMapTilesRepeat(t *testing.T) {
 	// Filetype: 2 bytes data in an extent of 8 -> tile i contributes
 	// [8i, 8i+2). A 6-byte request needs 3 tiles.
-	ft := datatype.NewResized(datatype.NewContiguous(2, datatype.Byte), 8)
+	ft := strided{count: 1, block: 2, ext: 8}
 	v := New(0, datatype.Byte, ft)
 	maps := v.Map(6)
 	want := []interval.Extent{ext(0, 2), ext(8, 2), ext(16, 2)}
@@ -94,7 +89,7 @@ func TestMapTilesCoalesceAcrossBoundary(t *testing.T) {
 }
 
 func TestDisplacementShiftsEverything(t *testing.T) {
-	ft := datatype.NewVector(2, 1, 4, datatype.Byte)
+	ft := strided{count: 2, block: 1, stride: 4}
 	v := New(1000, datatype.Byte, ft)
 	got := v.Extents(0, 2)
 	want := interval.List{ext(1000, 1), ext(1004, 1)}
@@ -236,9 +231,9 @@ func TestSpanMatchesExtentsSpan(t *testing.T) {
 	views := []View{
 		New(0, datatype.Byte, datatype.NewContiguous(4, datatype.Byte)),
 		New(7, datatype.Byte, datatype.NewContiguous(3, datatype.Byte)),
-		New(0, datatype.Byte, datatype.NewVector(4, 2, 5, datatype.Byte)),
-		New(11, datatype.Byte, datatype.NewVector(3, 3, 8, datatype.Byte)),
-		New(2, datatype.Byte, datatype.NewVector(1, 2, 9, datatype.Byte)),
+		New(0, datatype.Byte, strided{count: 4, block: 2, stride: 5}),
+		New(11, datatype.Byte, strided{count: 3, block: 3, stride: 8}),
+		New(2, datatype.Byte, strided{count: 1, block: 2, stride: 9}),
 	}
 	for _, v := range views {
 		tile := v.Filetype.Size()
@@ -255,7 +250,7 @@ func TestSpanMatchesExtentsSpan(t *testing.T) {
 // BenchmarkSpan measures Span on a many-tile request; the direct
 // computation must not scale with the number of tiles.
 func BenchmarkSpan(b *testing.B) {
-	v := New(0, datatype.Byte, datatype.NewVector(1, 64, 4096, datatype.Byte))
+	v := New(0, datatype.Byte, strided{count: 1, block: 64, stride: 4096})
 	const nbytes = 64 * 100000 // 100k tiles
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -316,13 +311,13 @@ func mapAtByAppend(v View, start, nbytes int64) []Mapping {
 // across one to five tiles — over the subarray shapes the harness uses, a
 // tiled vector, and views New did not build.
 func TestMapAtMatchesAppendOracle(t *testing.T) {
-	vector := datatype.NewVector(3, 2, 5, datatype.Byte) // 6 bytes in a 12-byte extent
+	vector := strided{count: 3, block: 2, stride: 5} // 6 bytes in a 12-byte extent
 	types := map[string]datatype.Datatype{
 		"column-wise": datatype.NewSubarray([]int{6, 12}, []int{6, 3}, []int{0, 4}, datatype.Byte),
 		"row-wise":    datatype.NewSubarray([]int{6, 12}, []int{2, 12}, []int{3, 0}, datatype.Byte),
 		"block":       datatype.NewSubarray([]int{6, 12}, []int{3, 5}, []int{2, 6}, datatype.Byte),
 		"vector":      vector,
-		"padded":      datatype.NewResized(vector, 16),
+		"padded":      strided{count: 3, block: 2, stride: 5, ext: 16},
 		"dense":       datatype.NewContiguous(4, datatype.Byte),
 	}
 	for name, ft := range types {
@@ -399,7 +394,7 @@ func TestExtentsLendsTheStoredTile(t *testing.T) {
 // TestNewFlattensOnce: the view owns its flattening — every request on a
 // view New built reads the one list.
 func TestNewFlattensOnce(t *testing.T) {
-	ft := &countingType{Datatype: datatype.NewVector(4, 2, 5, datatype.Byte)}
+	ft := &countingType{Datatype: strided{count: 4, block: 2, stride: 5}}
 	v := New(0, datatype.Byte, ft)
 	v.Map(8)
 	v.MapAt(3, 20)
@@ -407,6 +402,31 @@ func TestNewFlattensOnce(t *testing.T) {
 	if ft.flattened != 1 {
 		t.Fatalf("filetype flattened %d times, want once, by New", ft.flattened)
 	}
+}
+
+// strided is a test-only filetype with the holes MPI_Type_vector and
+// MPI_Type_create_resized make and no production view has: count blocks of
+// block bytes, stride bytes apart (block < stride), in an extent of ext
+// bytes — or, when ext is 0, the vector's extent, which ends at the last
+// block's end.
+type strided struct{ count, block, stride, ext int64 }
+
+func (t strided) Size() int64 { return t.count * t.block }
+func (t strided) Extent() int64 {
+	if t.ext > 0 {
+		return t.ext
+	}
+	return (t.count-1)*t.stride + t.block
+}
+func (t strided) Flatten() []interval.Extent {
+	out := make([]interval.Extent, t.count)
+	for i := range out {
+		out[i] = interval.Extent{Off: int64(i) * t.stride, Len: t.block}
+	}
+	return out
+}
+func (t strided) String() string {
+	return fmt.Sprintf("strided(%d, %d, %d, %d)", t.count, t.block, t.stride, t.ext)
 }
 
 // countingType counts the Flatten calls made on the datatype it wraps.

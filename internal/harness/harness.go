@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"atomio/internal/core"
 	"atomio/internal/datatype"
@@ -79,12 +80,11 @@ type Experiment struct {
 	// vectored-write capability (ablation A6). The core.ListIO strategy
 	// implies it, so only a run probing the capability itself sets it.
 	AtomicListIO bool
-	// Trace records a per-phase virtual-time breakdown of the write.
-	Trace bool
 	// TraceEvents records the structured virtual-time event stream and the
 	// metrics registry (see internal/obs): scheduler park/wake, MPI
-	// messages, lock grants, server queueing, fault instants. The stream is
-	// byte-identical across worker counts and lock-shard counts.
+	// messages, lock grants, server queueing, fault instants, and each
+	// rank's phase spans and per-phase counters (see PhaseBreakdown). The
+	// stream is byte-identical across worker counts and lock-shard counts.
 	TraceEvents bool
 	// EventLimit bounds per-actor event memory when TraceEvents is on:
 	// > 0 keeps only the newest EventLimit events per actor (ring buffer),
@@ -153,8 +153,6 @@ type Result struct {
 	// over fault damage, ascending (nil when Recovery is off or nothing
 	// was damaged).
 	Replayed []int
-	// Phases is the per-phase breakdown (nil unless Trace).
-	Phases *trace.Recorder
 	// Events is the structured event recorder (nil unless TraceEvents).
 	Events *obs.Recorder
 	// Metrics is the merged metrics snapshot (nil unless TraceEvents).
@@ -167,6 +165,28 @@ type Result struct {
 	// schedule explorer's tests pin these per-rank values (not just the
 	// makespan) between its identity schedule and Run.
 	RankTimes []sim.VTime
+}
+
+// PhaseBreakdown renders the run's per-phase virtual time: one row per
+// phase with the largest and the mean per-rank total, read from the phase
+// counters a traced run records ("" unless TraceEvents).
+func (r *Result) PhaseBreakdown() string {
+	if r.Events == nil {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-12s %12s %12s\n", "phase", "max/rank", "mean/rank")
+	procs := r.Events.Actors()
+	for _, p := range trace.Phases {
+		var total, most sim.VTime
+		for rank := 0; rank < procs; rank++ {
+			d := sim.VTime(r.Events.Counter(rank, trace.Counter(p)))
+			total += d
+			most = max(most, d)
+		}
+		fmt.Fprintf(&b, "%-12s %12v %12v\n", p, most, total/sim.VTime(procs))
+	}
+	return b.String()
 }
 
 // ServerStatsSummary condenses a run's per-server statistics into the two
@@ -395,14 +415,6 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 		shared = make([]byte, maxPiece)
 	}
 
-	var rec *trace.Recorder
-	if e.Trace || e.TraceEvents {
-		rec = trace.NewRecorder(e.Procs).Ensure(
-			trace.PhaseHandshake, trace.PhaseLockWait, trace.PhaseTransfer,
-			trace.PhaseSyncWait, trace.PhaseExchange)
-		rec.SetEvents(events)
-	}
-
 	// A single-step run writes "experiment.dat"; checkpoint runs write one
 	// fresh file per step within the same simulation, so server queues and
 	// caches carry over between dumps exactly as they would in a long-
@@ -458,7 +470,6 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 			if err := f.SetStrategy(e.Strategy); err != nil {
 				return err
 			}
-			f.SetTrace(rec)
 			f.SetEvents(events)
 			if inj != nil {
 				f.SetFaults(inj)
@@ -545,9 +556,6 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 			}
 		}
 		out.Verdict = verify.Classify(out.Report, len(out.Replayed) > 0)
-	}
-	if e.Trace {
-		out.Phases = rec
 	}
 	if events != nil {
 		out.Events = events

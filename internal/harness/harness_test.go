@@ -7,6 +7,7 @@ import (
 
 	"atomio/internal/core"
 	"atomio/internal/platform"
+	"atomio/internal/sim"
 	"atomio/internal/trace"
 )
 
@@ -136,14 +137,15 @@ func TestOrderingWritesFewerBytes(t *testing.T) {
 }
 
 func TestPhaseBreakdownMatchesStrategyStructure(t *testing.T) {
-	// The trace must attribute time where each strategy actually spends
-	// it: locking waits on locks, the handshaking strategies exchange
-	// views, coloring barriers between phases, two-phase exchanges data.
+	// The phase counters must attribute time where each strategy actually
+	// spends it: locking waits on locks, the handshaking strategies
+	// exchange views, coloring barriers between phases, two-phase
+	// exchanges data.
 	base := Experiment{
 		Platform: platform.Origin2000(),
 		M:        256, N: 2048, Procs: 8, Overlap: 16,
-		Pattern: ColumnWise,
-		Trace:   true,
+		Pattern:     ColumnWise,
+		TraceEvents: true, EventLimit: -1,
 	}
 	runWith := func(s core.Strategy) *Result {
 		e := base
@@ -152,56 +154,67 @@ func TestPhaseBreakdownMatchesStrategyStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Phases == nil {
+		if res.Events == nil {
 			t.Fatal("trace missing")
 		}
 		return res
 	}
+	// total sums a phase's counter over ranks; most is its largest rank.
+	total := func(res *Result, p trace.Phase) sim.VTime {
+		return sim.VTime(res.Metrics.Counter(trace.Counter(p)))
+	}
+	most := func(res *Result, p trace.Phase) sim.VTime {
+		var m int64
+		for rank := 0; rank < res.Events.Actors(); rank++ {
+			m = max(m, res.Events.Counter(rank, trace.Counter(p)))
+		}
+		return sim.VTime(m)
+	}
 
 	lockRes := runWith(core.Locking{})
-	if lockRes.Phases.Total(trace.PhaseLockWait) == 0 {
+	if total(lockRes, trace.PhaseLockWait) == 0 {
 		t.Error("locking recorded no lock wait")
 	}
-	if lockRes.Phases.Total(trace.PhaseHandshake) != 0 {
+	if total(lockRes, trace.PhaseHandshake) != 0 {
 		t.Error("locking should not handshake")
 	}
 	// Serialized writers: aggregate lock wait exceeds aggregate transfer.
-	if lockRes.Phases.Total(trace.PhaseLockWait) <= lockRes.Phases.Total(trace.PhaseTransfer) {
+	if total(lockRes, trace.PhaseLockWait) <= total(lockRes, trace.PhaseTransfer) {
 		t.Errorf("locking lockwait %v <= transfer %v",
-			lockRes.Phases.Total(trace.PhaseLockWait), lockRes.Phases.Total(trace.PhaseTransfer))
+			total(lockRes, trace.PhaseLockWait), total(lockRes, trace.PhaseTransfer))
 	}
 
 	colorRes := runWith(core.Coloring{})
-	if colorRes.Phases.Total(trace.PhaseHandshake) == 0 {
+	if total(colorRes, trace.PhaseHandshake) == 0 {
 		t.Error("coloring recorded no handshake")
 	}
-	if colorRes.Phases.Total(trace.PhaseSyncWait) == 0 {
+	if total(colorRes, trace.PhaseSyncWait) == 0 {
 		t.Error("coloring recorded no barrier wait")
 	}
-	if colorRes.Phases.Total(trace.PhaseLockWait) != 0 {
+	if total(colorRes, trace.PhaseLockWait) != 0 {
 		t.Error("coloring should not lock")
 	}
 
 	orderRes := runWith(core.RankOrder{})
-	if orderRes.Phases.Total(trace.PhaseHandshake) == 0 {
+	if total(orderRes, trace.PhaseHandshake) == 0 {
 		t.Error("ordering recorded no handshake")
 	}
-	if orderRes.Phases.Total(trace.PhaseSyncWait) != 0 {
+	if total(orderRes, trace.PhaseSyncWait) != 0 {
 		t.Error("ordering needs no barriers")
 	}
 	// Ordering's whole point: its non-transfer overhead is small, so
 	// transfer dominates its critical path.
-	if orderRes.Phases.Max(trace.PhaseTransfer) <= orderRes.Phases.Max(trace.PhaseHandshake) {
+	if most(orderRes, trace.PhaseTransfer) <= most(orderRes, trace.PhaseHandshake) {
 		t.Errorf("ordering transfer %v <= handshake %v",
-			orderRes.Phases.Max(trace.PhaseTransfer), orderRes.Phases.Max(trace.PhaseHandshake))
+			most(orderRes, trace.PhaseTransfer), most(orderRes, trace.PhaseHandshake))
 	}
 
 	twoRes := runWith(core.TwoPhase{})
-	if twoRes.Phases.Total(trace.PhaseExchange) == 0 {
+	if total(twoRes, trace.PhaseExchange) == 0 {
 		t.Error("two-phase recorded no exchange")
 	}
-	if s := twoRes.Phases.Render(); !strings.Contains(s, "exchange") {
-		t.Errorf("render missing exchange:\n%s", s)
+	if s := twoRes.PhaseBreakdown(); !strings.Contains(s, "exchange") {
+		t.Errorf("breakdown missing exchange:\n%s", s)
 	}
 }
 

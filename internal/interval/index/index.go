@@ -33,8 +33,8 @@ type node[T any] struct {
 
 // Index is a dynamic interval index over interval.Extent implemented as an
 // augmented treap. The zero value is an empty index ready for use. An Index
-// is not safe for concurrent use; callers guard it with their own locks
-// (the lock table holds its mutex around every call).
+// is not safe for concurrent use: its caller, the lock table, runs on the
+// engine's one thread, one actor at a time, so it takes no locks.
 //
 // Treap priorities come from a deterministic xorshift stream, so the tree
 // shape — and therefore every iteration order — is a pure function of the
@@ -83,12 +83,6 @@ func (ix *Index[T]) Overlapping(e interval.Extent, visit func(e interval.Extent,
 		return true
 	}
 	return overlapping(ix.root, e, visit)
-}
-
-// Stab visits every stored extent containing offset off, in (Off, Handle)
-// order, with the same early-stop contract as Overlapping.
-func (ix *Index[T]) Stab(off int64, visit func(e interval.Extent, h Handle, v T) bool) bool {
-	return ix.Overlapping(interval.Extent{Off: off, Len: 1}, visit)
 }
 
 // All visits every stored extent in (Off, Handle) order.

@@ -65,18 +65,6 @@ func (s *Set) settle() {
 	s.ext, s.pending = slices.Replace(s.ext, lo, hi, merged...), p[:0]
 }
 
-// Len returns the number of canonical extents.
-func (s *Set) Len() int {
-	s.settle()
-	return len(s.ext)
-}
-
-// CoveredBytes returns the total number of covered bytes.
-func (s *Set) CoveredBytes() int64 {
-	s.settle()
-	return s.ext.TotalLen()
-}
-
 // Extents returns a copy of the canonical extent list.
 func (s *Set) Extents() interval.List {
 	s.settle()
@@ -117,15 +105,4 @@ func (s *Set) Visit(e interval.Extent, f func(part interval.Extent, covered bool
 		return f(interval.Extent{Off: cur, Len: e.End() - cur}, false)
 	}
 	return true
-}
-
-// Covers reports whether every byte of e is covered. The empty extent is
-// covered by definition.
-func (s *Set) Covers(e interval.Extent) bool {
-	if e.Empty() {
-		return true
-	}
-	s.settle()
-	i := sort.Search(len(s.ext), func(k int) bool { return s.ext[k].End() > e.Off })
-	return i < len(s.ext) && s.ext[i].ContainsExtent(e)
 }

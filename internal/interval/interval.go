@@ -99,9 +99,6 @@ func (e Extent) Subtract(o Extent) []Extent {
 // Shift returns the extent displaced by d bytes.
 func (e Extent) Shift(d int64) Extent { return Extent{Off: e.Off + d, Len: e.Len} }
 
-// Clamp returns the part of e that lies inside bounds.
-func (e Extent) Clamp(bounds Extent) Extent { return e.Intersect(bounds) }
-
 // String formats the extent as [off,end).
 func (e Extent) String() string { return fmt.Sprintf("[%d,%d)", e.Off, e.End()) }
 

@@ -158,8 +158,8 @@ func TestExtentShiftClamp(t *testing.T) {
 	if got := (Extent{5, 3}).Shift(100); got != (Extent{105, 3}) {
 		t.Errorf("Shift = %v", got)
 	}
-	if got := (Extent{5, 10}).Clamp(Extent{8, 100}); got != (Extent{8, 7}) {
-		t.Errorf("Clamp = %v", got)
+	if got := (Extent{5, 10}).Intersect(Extent{8, 100}); got != (Extent{8, 7}) {
+		t.Errorf("clamped to a window = %v", got)
 	}
 }
 

@@ -232,11 +232,6 @@ func (l List) ContainsOffset(off int64) bool {
 	return i < len(a) && a[i].Contains(off)
 }
 
-// Clamp returns the canonical part of l inside bounds.
-func (l List) Clamp(bounds Extent) List {
-	return l.Intersect(List{bounds})
-}
-
 // Shift returns a copy of the list with every extent displaced by d bytes.
 func (l List) Shift(d int64) List {
 	out := make(List, len(l))

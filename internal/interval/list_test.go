@@ -166,8 +166,8 @@ func TestListContainsOffset(t *testing.T) {
 
 func TestListClampShiftClone(t *testing.T) {
 	a := List{{0, 10}, {20, 10}}
-	if got := a.Clamp(Extent{5, 18}); !got.Equal(List{{5, 5}, {20, 3}}) {
-		t.Errorf("Clamp = %v", got)
+	if got := a.Intersect(List{{5, 18}}); !got.Equal(List{{5, 5}, {20, 3}}) {
+		t.Errorf("clamped to a window = %v", got)
 	}
 	if got := a.Shift(100); !got.Equal(List{{100, 10}, {120, 10}}) {
 		t.Errorf("Shift = %v", got)

@@ -198,9 +198,4 @@ func (d *Distributed) Unlock(owner int, e interval.Extent, at sim.VTime) sim.VTi
 	return released
 }
 
-// Stats reports fast-path grants, server grants, and token revocations.
-func (d *Distributed) Stats() (localGrants, serverGrants, revocations int64) {
-	return d.localGrants, d.serverGrants, d.revocations
-}
-
 var _ Manager = (*Distributed)(nil)

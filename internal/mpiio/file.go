@@ -25,7 +25,6 @@ import (
 	"atomio/internal/mpi"
 	"atomio/internal/obs"
 	"atomio/internal/pfs"
-	"atomio/internal/trace"
 )
 
 // ErrClosed is returned for operations on a closed file.
@@ -42,7 +41,6 @@ type File struct {
 	pos      int64 // file pointer, in bytes of the view's linear stream
 	atomic   bool
 	strategy core.Strategy
-	tracer   *trace.Recorder
 	events   *obs.Recorder
 	faults   core.Faults
 	closed   bool
@@ -139,14 +137,10 @@ func (f *File) Strategy() core.Strategy { return f.strategy }
 // entry applies.
 func (f *File) SetFaults(p core.Faults) { f.faults = p }
 
-// SetTrace attaches a phase recorder that atomic collective writes report
-// their virtual-time breakdown to (handshake, lock wait, transfer, ...).
-// Pass nil to disable. Local (non-collective).
-func (f *File) SetTrace(rec *trace.Recorder) { f.tracer = rec }
-
 // SetEvents attaches an event recorder for MPI-IO-layer instants this handle
-// emits (write-ahead-log appends). Pass nil to disable. Local
-// (non-collective).
+// emits (write-ahead-log appends) and for the phase spans and per-phase
+// counters of its atomic collective writes (handshake, lock wait,
+// transfer, ...). Pass nil to disable. Local (non-collective).
 func (f *File) SetEvents(o *obs.Recorder) { f.events = o }
 
 // Tell returns the file pointer in etype units.

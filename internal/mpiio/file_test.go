@@ -11,6 +11,7 @@ import (
 	"atomio/internal/datatype"
 	"atomio/internal/interval"
 	"atomio/internal/mpi"
+	"atomio/internal/obs"
 	"atomio/internal/pfs"
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
@@ -241,7 +242,7 @@ func TestWriteAllSized(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if err := f.SetView(0, etype, datatype.NewVector(4, 1, 2, etype)); err != nil {
+		if err := f.SetView(0, etype, datatype.NewSubarray([]int{4, 2}, []int{4, 1}, []int{0, 0}, etype)); err != nil {
 			return nil, err
 		}
 		return f, f.SetAtomicity(true)
@@ -530,12 +531,10 @@ func TestEmptyRankParticipatesInCollectives(t *testing.T) {
 // any span, so the whole write vanished from the breakdown.)
 func TestEmptyCollectiveWriteKeepsPhaseAccounting(t *testing.T) {
 	const p = 5
-	phases := []trace.Phase{trace.PhaseHandshake, trace.PhaseLockWait, trace.PhaseTransfer,
-		trace.PhaseSyncWait, trace.PhaseExchange}
 	for _, strat := range []core.Strategy{core.TwoPhase{}, core.Coloring{}, core.Coloring{UseSpans: true}, core.RankOrder{}} {
 		t.Run(strat.Name(), func(t *testing.T) {
 			fs := testFS()
-			rec := trace.NewRecorder(p).Ensure(phases...)
+			rec := obs.NewRecorder(p, -1)
 			elapsed := make([]sim.VTime, p)
 			cfg := mpi.Config{
 				Procs:        p,
@@ -551,7 +550,7 @@ func TestEmptyCollectiveWriteKeepsPhaseAccounting(t *testing.T) {
 				if err := f.SetStrategy(strat); err != nil {
 					return err
 				}
-				f.SetTrace(rec)
+				f.SetEvents(rec)
 				start := c.Now()
 				if err := f.WriteAll(nil); err != nil {
 					return err
@@ -564,8 +563,8 @@ func TestEmptyCollectiveWriteKeepsPhaseAccounting(t *testing.T) {
 			}
 			for r := 0; r < p; r++ {
 				var sum sim.VTime
-				for _, ph := range phases {
-					sum += rec.Rank(r, ph)
+				for _, ph := range trace.Phases {
+					sum += sim.VTime(rec.Counter(r, trace.Counter(ph)))
 				}
 				if elapsed[r] == 0 {
 					t.Fatalf("rank %d: the empty collective took no virtual time; the test measures nothing", r)
@@ -574,7 +573,7 @@ func TestEmptyCollectiveWriteKeepsPhaseAccounting(t *testing.T) {
 					t.Errorf("rank %d: phases sum to %v, the write took %v", r, sum, elapsed[r])
 				}
 			}
-			if rec.Total(trace.PhaseHandshake) == 0 {
+			if rec.Metrics().Counter(trace.Counter(trace.PhaseHandshake)) == 0 {
 				t.Error("no handshake time recorded")
 			}
 		})

@@ -111,7 +111,7 @@ func TestAtomicityAllStrategiesColumnWise(t *testing.T) {
 	// The repository's central claim: the paper's three strategies — and
 	// the two-phase collective-buffering extension — all produce MPI
 	// atomic results for the column-wise overlapping write.
-	strategies := append(core.All(), core.TwoPhase{})
+	strategies := []core.Strategy{core.Locking{}, core.Coloring{}, core.RankOrder{}, core.TwoPhase{}}
 	for _, strat := range strategies {
 		for _, p := range []int{2, 4, 8} {
 			name := fmt.Sprintf("%s/P=%d", strat.Name(), p)
@@ -161,7 +161,7 @@ func TestStrategiesLeaveTheLentTileUnwritten(t *testing.T) {
 
 func TestAtomicityWithWriteBehindCache(t *testing.T) {
 	// Same claim on a caching file system (sync/invalidate paths).
-	for _, strat := range append(core.All(), core.TwoPhase{}) {
+	for _, strat := range []core.Strategy{core.Locking{}, core.Coloring{}, core.RankOrder{}, core.TwoPhase{}} {
 		t.Run(strat.Name(), func(t *testing.T) {
 			fs := cachingFS()
 			views := writeColumnWise(t, fs, testMgr(), 16, 64, 4, 4, strat)

@@ -61,7 +61,7 @@ func (f *File) writeAll(buf []byte, n int64) error {
 			o.Count(f.comm.Rank(), obs.MetricWALAppends, 1)
 		}
 	}
-	ctx := &core.Context{Comm: f.comm, Client: f.client, LockMgr: f.mgr, Trace: f.tracer, Fault: f.faults}
+	ctx := &core.Context{Comm: f.comm, Client: f.client, LockMgr: f.mgr, Obs: f.events, Fault: f.faults}
 	return f.strategy.WriteAll(ctx, buf, req)
 }
 

@@ -18,7 +18,7 @@ import (
 func FuzzReadJSONL(f *testing.F) {
 	res, err := harness.Experiment{
 		Platform: platform.Origin2000(), M: 8, N: 64, Procs: 2, Overlap: 4,
-		Pattern: harness.ColumnWise, Strategy: core.Locking{}, Trace: true, TraceEvents: true,
+		Pattern: harness.ColumnWise, Strategy: core.Locking{}, TraceEvents: true,
 	}.Run()
 	if err != nil {
 		f.Fatal(err)

@@ -34,7 +34,7 @@ const (
 	LayerLock  = "lock"  // byte-range lock service
 	LayerPFS   = "pfs"   // I/O servers and WAL
 	LayerFault = "fault" // injected failure instants
-	LayerPhase = "phase" // trace.Recorder phase spans
+	LayerPhase = "phase" // trace.Span phase spans
 )
 
 // Event kinds, grouped by layer.
@@ -60,7 +60,7 @@ const (
 	KindCrash        = "crash"  // fault: writer crash truncated a write
 	KindUnlockDrop   = "udrop"  // fault: unlock message dropped
 	KindUnlockDup    = "udup"   // fault: unlock message duplicated
-	KindPhaseSpan    = "span"   // phase: one trace.Recorder span (Tag = phase)
+	KindPhaseSpan    = "span"   // phase: one trace.Span (Tag = phase)
 )
 
 // TagAllgather is the collective tag of the view-exchange allgather — the
@@ -92,8 +92,8 @@ type Event struct {
 
 // stream is one actor's private event and metrics shard. Only the owning
 // actor appends, except for the coordinator wake path documented on the
-// package; no per-stream lock is needed because those appends are ordered
-// by the Coord protocol's shared-structure lock.
+// package; no per-stream lock is needed because the engine runs one actor
+// at a time, so every append happens on its one thread.
 type stream struct {
 	seq     int64
 	events  []Event
@@ -165,6 +165,15 @@ func (r *Recorder) Count(actor int, name string, d int64) {
 		s.counters = make(map[string]int64)
 	}
 	s.counters[name] += d
+}
+
+// Counter reads one actor's counter (0 when absent or nil): the per-actor
+// value the merged Metrics snapshot sums away.
+func (r *Recorder) Counter(actor int, name string) int64 {
+	if r == nil {
+		return 0
+	}
+	return r.streams[actor].counters[name]
 }
 
 // MaxGauge raises the named gauge on actor's shard to v if v is larger.

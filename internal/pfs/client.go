@@ -117,9 +117,6 @@ func (c *Client) Rank() int { return c.rank }
 // cache or directly).
 func (c *Client) BytesWritten() int64 { return c.bytesWritten }
 
-// BytesRead returns the total bytes this client has read.
-func (c *Client) BytesRead() int64 { return c.bytesRead }
-
 // WriteAt writes one contiguous extent.
 func (c *Client) WriteAt(off int64, data []byte) {
 	c.Write(Batch{Ext: interval.List{{Off: off, Len: int64(len(data))}}, Data: [][]byte{data}})
@@ -347,14 +344,6 @@ func (c *Client) Invalidate() {
 	if c.cache != nil {
 		c.cache.invalidate()
 	}
-}
-
-// DirtyBytes returns the amount of write-behind data not yet flushed.
-func (c *Client) DirtyBytes() int64 {
-	if c.cache == nil {
-		return 0
-	}
-	return c.cache.dirtyBytes
 }
 
 // Close flushes any write-behind data and releases the handle.

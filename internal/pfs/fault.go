@@ -34,9 +34,6 @@ import (
 // run starts (alongside SetCoord); nil disarms.
 func (fs *FileSystem) SetFault(in *fault.Injector) { fs.fault = in }
 
-// Fault returns the armed injector, or nil on healthy runs.
-func (fs *FileSystem) Fault() *fault.Injector { return fs.fault }
-
 // dropFaulted partitions a write request over its target servers and
 // removes the pieces routed to servers that are down at the client's
 // current virtual time, recording their extents as damage. A surviving
@@ -129,16 +126,6 @@ func (f *file) recordDamage(exts interval.List) {
 			f.damage.Add(e)
 		}
 	}
-}
-
-// Damaged returns the canonical list of byte ranges the named file has
-// surrendered to injected faults.
-func (fs *FileSystem) Damaged(name string) (interval.List, error) {
-	f, err := fs.lookup(name, false)
-	if err != nil {
-		return nil, err
-	}
-	return f.damage.Extents(), nil
 }
 
 // LogIntent appends rank's full mapped write request to the named file's

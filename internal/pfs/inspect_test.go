@@ -1,0 +1,33 @@
+package pfs
+
+// State only the tests read: what faults surrendered, what a client read
+// and still holds dirty, and the server pool behind the file system.
+
+import (
+	"atomio/internal/interval"
+	"atomio/internal/sim"
+)
+
+// Damaged returns the canonical list of byte ranges the named file has
+// surrendered to injected faults.
+func (fs *FileSystem) Damaged(name string) (interval.List, error) {
+	f, err := fs.lookup(name, false)
+	if err != nil {
+		return nil, err
+	}
+	return f.damage.Extents(), nil
+}
+
+// BytesRead returns the total bytes this client has read.
+func (c *Client) BytesRead() int64 { return c.bytesRead }
+
+// DirtyBytes returns the amount of write-behind data not yet flushed.
+func (c *Client) DirtyBytes() int64 {
+	if c.cache == nil {
+		return 0
+	}
+	return c.cache.dirtyBytes
+}
+
+// Servers exposes the server pool (for utilization reporting in benches).
+func (fs *FileSystem) Servers() *sim.Pool { return fs.servers }

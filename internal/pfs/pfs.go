@@ -252,9 +252,6 @@ func (fs *FileSystem) noteBooking(server int, now, end sim.VTime) int64 {
 	return int64(len(q))
 }
 
-// Servers exposes the server pool (for utilization reporting in benches).
-func (fs *FileSystem) Servers() *sim.Pool { return fs.servers }
-
 // lookup returns the named file, creating it if requested.
 func (fs *FileSystem) lookup(name string, create bool) (*file, error) {
 	f, ok := fs.files[name]

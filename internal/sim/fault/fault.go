@@ -171,9 +171,6 @@ func New(s Script) *Injector {
 	return in
 }
 
-// Script returns the script the injector was built from.
-func (in *Injector) Script() Script { return in.script }
-
 // Lease returns the script's lock-lease duration.
 func (in *Injector) Lease() sim.VTime { return in.script.Lease }
 

@@ -127,9 +127,6 @@ type Resource struct {
 // NewResource returns a named idle resource.
 func NewResource(name string) *Resource { return &Resource{name: name} }
 
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
-
 // Acquire books the resource for a request arriving at virtual time `at`
 // needing `dur` of service. It returns the virtual start and completion
 // times. The caller's clock should be advanced to the returned end time.
@@ -159,11 +156,6 @@ func (r *Resource) Stats() (ops int64, busy VTime) {
 	return r.ops, r.busy
 }
 
-// Reset returns the resource to the idle state at virtual time zero.
-func (r *Resource) Reset() {
-	r.freeAt, r.busy, r.ops = 0, 0, 0
-}
-
 // Pool is a set of identical parallel resources with a shared name prefix,
 // e.g. the I/O servers of a parallel file system. Requests are directed to a
 // specific member (by striping) or to the least-loaded member.
@@ -188,22 +180,3 @@ func (p *Pool) Size() int { return len(p.members) }
 
 // Member returns member i.
 func (p *Pool) Member(i int) *Resource { return p.members[i] }
-
-// Reset resets every member.
-func (p *Pool) Reset() {
-	for _, m := range p.members {
-		m.Reset()
-	}
-}
-
-// MaxFreeAt returns the latest FreeAt over all members — the virtual time at
-// which the whole pool has drained.
-func (p *Pool) MaxFreeAt() VTime {
-	var t VTime
-	for _, m := range p.members {
-		if f := m.FreeAt(); f > t {
-			t = f
-		}
-	}
-	return t
-}

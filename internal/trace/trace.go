@@ -1,18 +1,16 @@
-// Package trace records per-rank virtual-time phase breakdowns — how long
-// each rank spent in the handshake, waiting for locks, moving data, and
-// synchronizing — the observability a production MPI-IO stack exposes
-// through tools like Darshan. The harness attaches a Recorder per
-// experiment; strategies and layers report spans voluntarily.
+// Package trace names the phases of an atomic collective write — the
+// handshake, waiting for locks, moving data, synchronizing — and times
+// them: a Span opened at a phase's start and stopped at its end records
+// one phase.span event and adds its virtual duration to the rank's
+// phase.<p>.ns counter in the run's obs.Recorder. Those counters are the
+// per-rank phase breakdown (the observability a production MPI-IO stack
+// exposes through tools like Darshan); nothing else stores it.
 //
-// Recorders are safe for concurrent use by rank goroutines: each rank
-// writes only its own slot.
+// Like every obs call, a span is made and stopped by the rank that owns
+// it, on the engine's one thread: one actor at a time, no locks.
 package trace
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"atomio/internal/obs"
 	"atomio/internal/sim"
 )
@@ -29,141 +27,42 @@ const (
 	PhaseExchange  Phase = "exchange"  // two-phase data redistribution
 )
 
-// Recorder accumulates per-rank, per-phase virtual durations.
-type Recorder struct {
-	phases map[Phase][]sim.VTime // phase -> per-rank total
-	procs  int
-	events *obs.Recorder // mirrors closed spans as phase.span events
-}
+// Phases lists every phase, sorted by name: the rows of a breakdown table.
+var Phases = []Phase{PhaseExchange, PhaseHandshake, PhaseLockWait, PhaseSyncWait, PhaseTransfer}
 
-// NewRecorder returns a recorder for the given number of ranks.
-func NewRecorder(procs int) *Recorder {
-	if procs < 1 {
-		panic(fmt.Sprintf("trace: procs = %d", procs))
-	}
-	return &Recorder{phases: make(map[Phase][]sim.VTime), procs: procs}
-}
+// Counter names the per-rank obs counter that accumulates p's virtual ns.
+func Counter(p Phase) string { return obs.MetricPhasePrefix + string(p) + ".ns" }
 
-// Procs returns the rank count.
-func (r *Recorder) Procs() int { return r.procs }
-
-// SetEvents mirrors every closed span into the event recorder as a
-// phase.span event, pinning the two observability layers together: the
-// per-phase totals and the event-derived totals are sums over the same
-// spans (a property test holds them equal). Call before the ranks start.
-func (r *Recorder) SetEvents(o *obs.Recorder) { r.events = o }
-
-// Add charges d of virtual time to (rank, phase). It must be called only
-// from the rank's own goroutine (ranks never share slots); registering a
-// new phase is synchronized by the caller's collective structure, so the
-// common map is pre-grown on first use per phase via Ensure.
-func (r *Recorder) Add(rank int, p Phase, d sim.VTime) {
-	if d < 0 {
-		panic(fmt.Sprintf("trace: negative duration %v", d))
-	}
-	slots, ok := r.phases[p]
-	if !ok {
-		panic(fmt.Sprintf("trace: phase %q not registered; call Ensure first", p))
-	}
-	slots[rank] += d
-}
-
-// Ensure registers phases up front (not concurrency-safe; call before the
-// ranks start).
-func (r *Recorder) Ensure(phases ...Phase) *Recorder {
-	for _, p := range phases {
-		if _, ok := r.phases[p]; !ok {
-			r.phases[p] = make([]sim.VTime, r.procs)
-		}
-	}
-	return r
-}
-
-// Total returns the sum over ranks for a phase.
-func (r *Recorder) Total(p Phase) sim.VTime {
-	var t sim.VTime
-	for _, d := range r.phases[p] {
-		t += d
-	}
-	return t
-}
-
-// Rank returns one rank's duration in a phase.
-func (r *Recorder) Rank(rank int, p Phase) sim.VTime {
-	if slots, ok := r.phases[p]; ok {
-		return slots[rank]
-	}
-	return 0
-}
-
-// Max returns the maximum per-rank duration for a phase — the critical-path
-// contribution.
-func (r *Recorder) Max(p Phase) sim.VTime {
-	var m sim.VTime
-	for _, d := range r.phases[p] {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// Phases lists the registered phases in deterministic order.
-func (r *Recorder) Phases() []Phase {
-	out := make([]Phase, 0, len(r.phases))
-	for p := range r.phases {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Render prints a per-phase summary table (max and mean across ranks).
-func (r *Recorder) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-12s %12s %12s\n", "phase", "max/rank", "mean/rank")
-	for _, p := range r.Phases() {
-		total := r.Total(p)
-		mean := total / sim.VTime(r.procs)
-		fmt.Fprintf(&b, "%-12s %12v %12v\n", p, r.Max(p), mean)
-	}
-	return b.String()
-}
-
-// Span measures one contiguous phase occurrence: create it at the start,
+// Span measures one contiguous phase occurrence: Start it at the start,
 // Stop it at the end.
 type Span struct {
-	rec   *Recorder
+	rec   *obs.Recorder
 	rank  int
 	phase Phase
 	start sim.VTime
 	clock *sim.Clock
-	done  bool
 }
 
 // Start opens a span on the rank's clock. A nil recorder yields a no-op
 // span, so instrumented code paths need no conditionals.
-func Start(rec *Recorder, rank int, p Phase, clock *sim.Clock) *Span {
+func Start(rec *obs.Recorder, rank int, p Phase, clock *sim.Clock) Span {
 	if rec == nil {
-		return nil
+		return Span{}
 	}
-	return &Span{rec: rec, rank: rank, phase: p, start: clock.Now(), clock: clock}
+	return Span{rec: rec, rank: rank, phase: p, start: clock.Now(), clock: clock}
 }
 
-// Stop closes the span, charging the elapsed virtual time. Safe on nil and
-// idempotent.
+// Stop closes the span: it emits the phase.span event and charges the
+// elapsed virtual time to the rank's phase counter. Idempotent.
 func (s *Span) Stop() {
-	if s == nil || s.done {
+	if s.rec == nil {
 		return
 	}
-	s.done = true
 	d := s.clock.Now() - s.start
-	s.rec.Add(s.rank, s.phase, d)
-	if o := s.rec.events; o != nil {
-		o.Emit(obs.Event{
-			T: s.start, Actor: s.rank, Layer: obs.LayerPhase, Kind: obs.KindPhaseSpan,
-			Tag: string(s.phase), Peer: -1, Dur: d,
-		})
-		o.Count(s.rank, obs.MetricPhasePrefix+string(s.phase)+".ns", int64(d))
-	}
+	s.rec.Emit(obs.Event{
+		T: s.start, Actor: s.rank, Layer: obs.LayerPhase, Kind: obs.KindPhaseSpan,
+		Tag: string(s.phase), Peer: -1, Dur: d,
+	})
+	s.rec.Count(s.rank, Counter(s.phase), int64(d))
+	s.rec = nil
 }

@@ -1,90 +1,30 @@
 package trace
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
+	"atomio/internal/obs"
 	"atomio/internal/sim"
 )
 
-func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder(4).Ensure(PhaseTransfer, PhaseLockWait)
-	r.Add(0, PhaseTransfer, 10)
-	r.Add(1, PhaseTransfer, 30)
-	r.Add(0, PhaseTransfer, 5)
-	if got := r.Total(PhaseTransfer); got != 45 {
-		t.Fatalf("Total = %v", got)
-	}
-	if got := r.Max(PhaseTransfer); got != 30 {
-		t.Fatalf("Max = %v", got)
-	}
-	if got := r.Rank(0, PhaseTransfer); got != 15 {
-		t.Fatalf("Rank = %v", got)
-	}
-	if got := r.Rank(2, PhaseLockWait); got != 0 {
-		t.Fatalf("untouched rank = %v", got)
-	}
-	if got := r.Rank(0, Phase("unknown")); got != 0 {
-		t.Fatalf("unknown phase = %v", got)
-	}
-	if r.Procs() != 4 {
-		t.Fatal("procs")
-	}
-}
-
-func TestRecorderPhasesSortedAndRendered(t *testing.T) {
-	r := NewRecorder(2).Ensure(PhaseTransfer, PhaseHandshake, PhaseSyncWait)
-	phases := r.Phases()
-	for i := 1; i < len(phases); i++ {
-		if phases[i-1] >= phases[i] {
-			t.Fatalf("phases not sorted: %v", phases)
-		}
-	}
-	r.Add(0, PhaseHandshake, sim.Millisecond)
-	out := r.Render()
-	for _, want := range []string{"phase", "max/rank", "handshake", "1ms"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestAddUnregisteredPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewRecorder(1).Add(0, PhaseTransfer, 1)
-}
-
-func TestNegativeDurationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewRecorder(1).Ensure(PhaseTransfer).Add(0, PhaseTransfer, -1)
-}
-
-func TestZeroProcsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewRecorder(0)
-}
-
 func TestSpan(t *testing.T) {
-	r := NewRecorder(1).Ensure(PhaseLockWait)
+	rec := obs.NewRecorder(2, 0)
 	clk := sim.NewClock(100)
-	s := Start(r, 0, PhaseLockWait, clk)
+	s := Start(rec, 1, PhaseLockWait, clk)
 	clk.Advance(40)
 	s.Stop()
 	s.Stop() // idempotent
-	if got := r.Rank(0, PhaseLockWait); got != 40 {
-		t.Fatalf("span recorded %v", got)
+	if got := rec.Counter(1, Counter(PhaseLockWait)); got != 40 {
+		t.Fatalf("rank 1 lockwait counter = %d, want 40", got)
+	}
+	if got := rec.Counter(0, Counter(PhaseLockWait)); got != 0 {
+		t.Fatalf("rank 0 lockwait counter = %d, want 0", got)
+	}
+	want := []obs.Event{{T: 100, Actor: 1, Layer: obs.LayerPhase, Kind: obs.KindPhaseSpan,
+		Tag: "lockwait", Peer: -1, Dur: 40}}
+	if got := rec.Events(); !slices.Equal(got, want) {
+		t.Fatalf("events = %+v, want %+v", got, want)
 	}
 }
 
@@ -93,4 +33,15 @@ func TestNilRecorderSpanIsNoOp(t *testing.T) {
 	s := Start(nil, 0, PhaseTransfer, clk)
 	clk.Advance(10)
 	s.Stop() // must not panic
+}
+
+func TestPhasesSortedAndComplete(t *testing.T) {
+	if !slices.IsSorted(Phases) {
+		t.Fatalf("Phases not sorted: %v", Phases)
+	}
+	for _, p := range []Phase{PhaseHandshake, PhaseLockWait, PhaseTransfer, PhaseSyncWait, PhaseExchange} {
+		if !slices.Contains(Phases, p) {
+			t.Errorf("Phases misses %q", p)
+		}
+	}
 }

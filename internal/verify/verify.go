@@ -90,17 +90,6 @@ type Report struct {
 // with some total serialization order of the write requests.
 func (r *Report) Atomic() bool { return len(r.Violations) == 0 && r.OrderViolation == nil }
 
-// Winner returns the rank whose marker the clean atom held, and false when
-// atom is not a clean atom of the check.
-func (r *Report) Winner(atom interval.Extent) (int, bool) {
-	won := r.WinnerByRegion
-	i := sort.Search(len(won), func(i int) bool { return won[i].Off >= atom.Off })
-	if i == len(won) || won[i].Extent != atom {
-		return 0, false
-	}
-	return won[i].Rank, true
-}
-
 // Check reads the overlapped atoms of the named file and verifies MPI
 // atomicity, assuming rank i wrote Marker(i) everywhere in views[i]:
 // every atom must hold exactly one covering writer's marker, and across
@@ -111,25 +100,6 @@ func Check(fs *pfs.FileSystem, name string, views []interval.List) (*Report, err
 	return checkAtoms(func(off int64, buf []byte) error {
 		return fs.SnapshotInto(name, off, buf)
 	}, views)
-}
-
-// CheckBytes runs the atomicity check against an in-memory file image:
-// offset o of the file is data[o], and offsets past the end read as zero
-// (never written). It is the file-system-free checker adversarial tests
-// and fuzzing drive with hand-constructed torn files.
-func CheckBytes(data []byte, views []interval.List) *Report {
-	rep, err := checkAtoms(func(off int64, buf []byte) error {
-		clear(buf)
-		if off < int64(len(data)) {
-			copy(buf, data[off:])
-		}
-		return nil
-	}, views)
-	if err != nil {
-		// The in-memory reader never fails.
-		panic(err)
-	}
-	return rep
 }
 
 // readWindow is how much of the file one read of the checker fetches: atoms
