@@ -191,7 +191,7 @@ func route(buf []byte, req interval.List, domains fileDomains) []mpi.Part {
 // sender order, as Alltoall delivers them) into one batch of disjoint,
 // offset-sorted extents covering at most the owner's domain, with the
 // pieces of the highest sending rank winning every overlap; it carries
-// bytes only when the pieces do. It decides nothing itself: it walks the
+// bytes, and the rank each extent's bytes are from, only when the pieces do. It decides nothing itself: it walks the
 // runs of owners — the collective's shared index.Winners map — inside the
 // domain with one cursor per sender, emitting one extent per (piece ∩ run).
 // Pieces short of a run their sender's view wins are an error naming the
@@ -208,7 +208,7 @@ func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned) 
 	var merged pfs.Batch
 	merged.Ext = make(interval.List, 0, hi-lo) // exact unless a run spans several pieces
 	if stored {
-		merged.Data = make([][]byte, 0, hi-lo)
+		merged.Data, merged.Writers = make([][]byte, 0, hi-lo), make([]int, 0, hi-lo)
 	}
 	for _, o := range owners[lo:hi] {
 		k, found := slices.BinarySearchFunc(recv, o.Rank, func(pt mpi.Part, rank int) int { return pt.Peer - rank })
@@ -228,6 +228,7 @@ func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned) 
 			merged.Ext = append(merged.Ext, interval.Extent{Off: at, Len: n - at})
 			if stored {
 				merged.Data = append(merged.Data, ps[0].bytes(at, n))
+				merged.Writers = append(merged.Writers, o.Rank)
 			}
 			at = n
 		}

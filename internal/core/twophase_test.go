@@ -262,7 +262,7 @@ func setMergePieces(recv []mpi.Part, domain interval.Extent) []pfs.Segment {
 
 // TestMergeSegmentsMatchSetMerge pins the cursor merge to its predecessor,
 // segment for segment — offsets, lengths and the very bytes of recv each
-// segment points at — on the three partitioning patterns, with every
+// segment points at, credited to their sender — on the three partitioning patterns, with every
 // extent cut in two touching halves (non-canonical, as a fileview over a
 // split datatype produces) and domain boundaries that fall inside pieces.
 // The pieces are the ones route cuts, so the routing is pinned too.
@@ -306,6 +306,11 @@ func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 				got := segsOf(merged)
 				if err != nil {
 					t.Fatalf("%s %v: %v", name, domain, err)
+				}
+				for i, d := range merged.Data { // each sender's buffer holds rank+1
+					if merged.Writers[i] != int(d[0])-1 {
+						t.Fatalf("%s %v: extent %v credited to rank %d, its bytes are rank %d's", name, domain, merged.Ext[i], merged.Writers[i], d[0]-1)
+					}
 				}
 				want := setMergePieces(recv, domain)
 				same := func(a, b pfs.Segment) bool {

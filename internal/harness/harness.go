@@ -6,7 +6,6 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -74,7 +73,7 @@ type Experiment struct {
 	// StoreData materializes file bytes (implied by Verify; off for the
 	// 1 GB benchmark runs, which then carry offsets and lengths only).
 	StoreData bool
-	// Verify checks MPI atomicity on the resulting file content.
+	// Verify checks MPI atomicity on who wrote the resulting file's bytes.
 	Verify bool
 	// AtomicListIO grants the simulated file system the §3.2 atomic
 	// vectored-write capability (ablation A6). The core.ListIO strategy
@@ -326,7 +325,8 @@ func (e Experiment) config() (pfs.Config, error) {
 	if _, err := e.piece(0); err != nil {
 		return cfg, err
 	}
-	// Verification reads the file back, so it needs the bytes stored.
+	// Verification reads who wrote the file from the store's records, so
+	// it needs the bytes stored.
 	cfg = e.Platform.PFSConfig(e.StoreData || e.Verify)
 	cfg.AtomicListIO = e.AtomicListIO || e.Strategy.Name() == "listio"
 	cfg.WAL = e.Recovery
@@ -399,11 +399,11 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 	}
 
 	// Only a run that stores bytes hands its ranks a buffer; any other
-	// writes lengths. Verify stamps per-rank buffers; without it the content
-	// is arbitrary and one shared buffer sized for the largest piece keeps
-	// memory flat.
+	// writes lengths. The content is arbitrary — the store keeps who wrote
+	// each byte, which is what verification checks — so one shared buffer
+	// sized for the largest piece keeps memory flat.
 	var shared []byte
-	if e.StoreData && !e.Verify {
+	if e.StoreData || e.Verify {
 		var maxPiece int64
 		for rank := 0; rank < e.Procs; rank++ {
 			p, err := e.piece(rank)
@@ -443,10 +443,7 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 			return err
 		}
 		var buf []byte
-		switch {
-		case e.Verify:
-			buf = bytes.Repeat([]byte{verify.Marker(c.Rank())}, int(piece.BufBytes))
-		case e.StoreData:
+		if shared != nil {
 			buf = shared[:piece.BufBytes]
 		}
 		for step := 0; step < steps; step++ {

@@ -7,22 +7,23 @@ import (
 	"atomio/internal/core"
 	"atomio/internal/harness"
 	"atomio/internal/platform"
+	"atomio/internal/verify"
 )
 
 // TestStoredCellAllocatesWhatItStores holds the stored-byte path where
 // wall-clock cannot be asserted: a stored and verified 32 MB P=16
 // column-wise cell moves 38 MB of rank payload into a 32 MB file, and a
 // path that zeroes a 64 KB cache block per 576-byte piece, or keeps a
-// sparse chunk map per affinity server, allocates ten to thirty times that
-// (716 MB for IBM SP coloring, 1 103 MB for Cplant ordering). With the
-// cache lending the ranks' own slices and affinity servers keeping each
-// write's bytes the cells measure 120 MB and 150 MB.
+// sparse chunk map per server, allocates ten to thirty times that (716 MB
+// for IBM SP coloring, 1 103 MB for Cplant ordering). With every rank
+// lending one shared buffer and each server keeping one record per write
+// call the cells measure 50 MB and 46 MB: the records' copy of the bytes.
 //
 // The object count is the per-piece bookkeeping: ~129 300 and ~260 200
 // objects while the written set returned each add's newly covered parts and
 // the verifier kept a map entry and a byte slice per atom; ~1 860 and
-// ~132 710 with a set that sorts on read and clean atoms that allocate
-// nothing. What Cplant has left is each affinity write's own record.
+// ~132 710 while Cplant's servers kept a record per extent; ~2 000 and
+// ~1 100 with a record per (write call, server).
 func TestStoredCellAllocatesWhatItStores(t *testing.T) {
 	cells := []struct {
 		prof       platform.Profile
@@ -30,8 +31,8 @@ func TestStoredCellAllocatesWhatItStores(t *testing.T) {
 		maxBytes   uint64
 		maxObjects uint64
 	}{
-		{platform.IBMSP(), core.Coloring{}, 200 << 20, 4_000},
-		{platform.Cplant(), core.RankOrder{}, 250 << 20, 265_000},
+		{platform.IBMSP(), core.Coloring{}, 80 << 20, 4_000},
+		{platform.Cplant(), core.RankOrder{}, 80 << 20, 2_500},
 	}
 	for i, c := range cells {
 		e := harness.Experiment{
@@ -64,6 +65,38 @@ func TestStoredCellAllocatesWhatItStores(t *testing.T) {
 		}
 		if objects > c.maxObjects {
 			t.Errorf("%s %s: stored cell allocated %d objects, ceiling %d", c.prof.Name, c.strategy.Name(), objects, c.maxObjects)
+		}
+	}
+}
+
+// TestStoredCellPastMarkerWrap runs a stored, verified column-wise cell at
+// P=1024 — four times the ranks a marker byte tells apart — for all five
+// strategies. Each must be serializable, and every overlap atom's winner
+// must be one of the two ranks whose columns meet there, by its exact id;
+// for ordering and two-phase I/O, whose serialization is rank order, the
+// higher one.
+func TestStoredCellPastMarkerWrap(t *testing.T) {
+	const m, p, w, r = 2, 1024, 4, 2
+	for _, s := range []core.Strategy{core.Locking{}, core.Coloring{}, core.RankOrder{}, core.TwoPhase{}, core.ListIO{}} {
+		res, err := harness.Experiment{
+			Platform: platform.IBMSP(),
+			M:        m, N: p * w, Procs: p, Overlap: r,
+			Pattern:   harness.ColumnWise,
+			Strategy:  s,
+			StoreData: true, Verify: true,
+		}.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != verify.Serializable || len(res.Report.WinnerByRegion) != m*(p-1) {
+			t.Fatalf("%s: verdict %q with %d clean atoms, want %d", s.Name(), res.Verdict, len(res.Report.WinnerByRegion), m*(p-1))
+		}
+		rankOrder := s.Name() == "ordering" || s.Name() == "twophase"
+		for _, won := range res.Report.WinnerByRegion {
+			high := int(won.Off%(p*w)+r/2) / w // the columns of ranks high-1 and high meet here
+			if won.Rank != high && (rankOrder || won.Rank != high-1) {
+				t.Fatalf("%s: atom %v won by rank %d, between ranks %d and %d", s.Name(), won.Extent, won.Rank, high-1, high)
+			}
 		}
 	}
 }

@@ -41,6 +41,7 @@ func (c CacheConfig) blockSize() int64 {
 type cache struct {
 	cfg    CacheConfig
 	retain bool // keep written bytes (mirrors Config.StoreData)
+	rank   int  // the client's: the writer of its own bytes
 
 	valid interval.List // readable blocks: runs of block numbers, as marked
 
@@ -51,8 +52,8 @@ type cache struct {
 	dirtyBytes int64
 }
 
-func newCache(cfg CacheConfig, retain bool) *cache {
-	return &cache{cfg: cfg, retain: retain}
+func newCache(cfg CacheConfig, retain bool, rank int) *cache {
+	return &cache{cfg: cfg, retain: retain, rank: rank}
 }
 
 // markValid makes a run of blocks readable. Requests mostly arrive in file
@@ -124,13 +125,15 @@ func (c *cache) takeDirty() (Batch, *assembly) {
 	if !c.retain {
 		return flushed, nil
 	}
-	return flushed, newAssembly(log, flushed.Ext)
+	return flushed, newAssembly(log, flushed.Ext, c.rank)
 }
 
-// piece is one logged extent's bytes, at off.
+// piece is one logged extent's bytes, at off, and the rank whose data they
+// are.
 type piece struct {
-	off  int64
-	data []byte
+	off    int64
+	data   []byte
+	writer int
 }
 
 // assembly is a retaining cache's log as its flush stores it: the logged
@@ -144,8 +147,8 @@ type assembly struct {
 
 // newAssembly groups log's pieces by the extent of exts — the log's
 // normalized extents — each lies in: a counting sort, stable, so write
-// order holds within a group.
-func newAssembly(log []Batch, exts interval.List) *assembly {
+// order holds within a group. A piece no batch names a writer for is rank's.
+func newAssembly(log []Batch, exts interval.List, rank int) *assembly {
 	a := &assembly{exts: exts, ends: make([]int32, len(exts))}
 	j := 0 // the group of the last piece: a log mostly runs in file order
 	group := func(e interval.Extent) int {
@@ -172,7 +175,7 @@ func newAssembly(log []Batch, exts interval.List) *assembly {
 		for i, e := range b.Ext {
 			if !e.Empty() {
 				g := group(e)
-				a.pieces[a.ends[g]] = piece{e.Off, b.Data[i]}
+				a.pieces[a.ends[g]] = piece{e.Off, b.Data[i], b.writer(i, rank)}
 				a.ends[g]++
 			}
 		}

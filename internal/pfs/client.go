@@ -29,6 +29,11 @@ import (
 type Batch struct {
 	Ext  interval.List
 	Data [][]byte
+	// Writers, when non-nil, names for each extent the rank whose data it
+	// carries: an aggregator writing on other ranks' behalf. Nil means
+	// every extent is the writing client's own. A storing file system
+	// keeps it with the bytes (see FileSystem.Owners).
+	Writers []int
 }
 
 // Lend returns the batch that streams buf through ext, in order: extent i
@@ -53,7 +58,18 @@ func (b Batch) Slice(i, j int) Batch {
 	if b.Data != nil {
 		s.Data = b.Data[i:j]
 	}
+	if b.Writers != nil {
+		s.Writers = b.Writers[i:j]
+	}
 	return s
+}
+
+// writer returns the rank whose data extent i is, own unless Writers says.
+func (b Batch) writer(i, own int) int {
+	if b.Writers == nil {
+		return own
+	}
+	return b.Writers[i]
 }
 
 // bytes returns extent i's bytes, nil when the batch is payload-less.
@@ -74,7 +90,8 @@ type Client struct {
 	clock *sim.Clock
 	rank  int
 	cache *cache
-	loads []load // queueServerService scratch, indexed by server
+	loads []load     // queueServerService scratch, indexed by server
+	call  *writeCall // the store's view of the write call in progress; nil if it stores nothing
 
 	bytesWritten int64
 	bytesRead    int64
@@ -104,8 +121,11 @@ func (fs *FileSystem) Open(name string, rank int, clock *sim.Clock) (*Client, er
 		return nil, err
 	}
 	c := &Client{fs: fs, f: f, clock: clock, rank: rank, loads: make([]load, fs.cfg.Servers)}
+	if f.content != nil {
+		c.call = new(writeCall)
+	}
 	if fs.cfg.Cache.Enabled {
-		c.cache = newCache(fs.cfg.Cache, fs.cfg.StoreData)
+		c.cache = newCache(fs.cfg.Cache, fs.cfg.StoreData, rank)
 	}
 	return c, nil
 }
@@ -166,6 +186,9 @@ func (c *Client) transferWrite(b Batch, log *assembly) {
 
 	// Store the bytes (per extent, so concurrent overlapping writers genuinely
 	// interleave in file content). A data-less file only grows, once per batch.
+	if c.f.content != nil {
+		c.call.begin(&c.fs.cfg, b.Ext, c.rank)
+	}
 	var end int64
 	for i, e := range b.Ext {
 		if c.BeforeSegment != nil {
@@ -176,9 +199,9 @@ func (c *Client) transferWrite(b Batch, log *assembly) {
 		case c.f.content == nil:
 			end = max(end, e.End())
 		case log != nil:
-			c.f.writeAt(e, log.source(e), c.rank)
+			c.f.writeAt(c.call, e, log.source(e))
 		default:
-			c.f.writeAt(e, source{data: b.bytes(i)}, c.rank)
+			c.f.writeAt(c.call, e, source{data: b.bytes(i), writer: b.writer(i, c.rank)})
 		}
 		if c.AfterSegment != nil {
 			c.AfterSegment(i)
@@ -190,34 +213,11 @@ func (c *Client) transferWrite(b Batch, log *assembly) {
 	c.queueServerService(b.Ext)
 }
 
-// load is the service one request batch asks of one server.
-type load struct {
-	bytes int64
-	reqs  int64
-}
-
 // queueServerService books per-server FCFS service for the given extents
 // and advances the client clock to the last completion.
 func (c *Client) queueServerService(ext interval.List) {
 	loads := c.loads
-	clear(loads)
-	for _, e := range ext {
-		if e.Empty() {
-			continue
-		}
-		if c.fs.cfg.Mode == ClientAffinity {
-			l := &loads[c.fs.serverFor(e.Off, c.rank)]
-			l.bytes += e.Len
-			l.reqs++
-			continue
-		}
-		// Split the extent at stripe boundaries (the same piece iterator
-		// the striped store routes storage with).
-		eachStripePiece(c.fs.cfg.StripeSize, c.fs.cfg.Servers, e.Off, e.Len, func(server int, _, take int64) {
-			loads[server].bytes += take
-			loads[server].reqs++
-		})
-	}
+	c.fs.cfg.tally(loads, ext, c.rank)
 	now := c.clock.Now()
 	if !c.inAtomic {
 		// The whole batch books at `now` under one coordinator turn, so

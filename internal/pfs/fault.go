@@ -56,6 +56,9 @@ func (c *Client) dropFaulted(b Batch) Batch {
 			from := p.Off - b.Ext[i].Off
 			out.Data = append(out.Data, b.Data[i][from:from+p.Len])
 		}
+		if b.Writers != nil {
+			out.Writers = append(out.Writers, b.Writers[i])
+		}
 	}
 	var damaged interval.List
 	for i, e := range b.Ext {
@@ -65,7 +68,7 @@ func (c *Client) dropFaulted(b Batch) Batch {
 		}
 		if c.fs.cfg.Mode == ClientAffinity {
 			// Affinity mode: the whole extent has one home server.
-			if in.ServerDropped(c.fs.serverFor(e.Off, c.rank), now) {
+			if in.ServerDropped(c.fs.cfg.serverFor(e.Off, c.rank), now) {
 				damaged = append(damaged, e)
 			} else {
 				keep(i, e)
@@ -181,14 +184,16 @@ func (fs *FileSystem) Recover(name string) ([]int, error) {
 	}
 	sort.Ints(ranks)
 	var replayed []int
+	var call writeCall
 	for _, rank := range ranks {
 		if !intentsIntersect(f.intents[rank], damaged) {
 			continue
 		}
 		for _, b := range f.intents[rank] {
+			call.begin(&fs.cfg, b.Ext, rank)
 			for i, e := range b.Ext {
 				if !e.Empty() {
-					f.writeAt(e, source{data: b.bytes(i)}, rank)
+					f.writeAt(&call, e, source{data: b.bytes(i), writer: rank})
 				}
 			}
 		}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 
+	"atomio/internal/interval"
 	"atomio/internal/obs"
 	"atomio/internal/sim"
 	"atomio/internal/sim/fault"
@@ -276,15 +277,44 @@ func (fs *FileSystem) Remove(name string) error {
 
 // serverFor returns the server index holding byte offset off for the given
 // client rank.
-func (fs *FileSystem) serverFor(off int64, clientRank int) int {
-	switch fs.cfg.Mode {
+func (c *Config) serverFor(off int64, clientRank int) int {
+	switch c.Mode {
 	case ClientAffinity:
-		if len(fs.cfg.Affinity) > 0 {
-			return fs.cfg.Affinity[clientRank%len(fs.cfg.Affinity)]
+		if len(c.Affinity) > 0 {
+			return c.Affinity[clientRank%len(c.Affinity)]
 		}
-		return clientRank % fs.cfg.Servers
+		return clientRank % c.Servers
 	default:
-		return int((off / fs.cfg.StripeSize) % int64(fs.cfg.Servers))
+		return int((off / c.StripeSize) % int64(c.Servers))
+	}
+}
+
+// load is the service one request batch asks of one server.
+type load struct {
+	bytes int64
+	reqs  int64
+}
+
+// tally fills loads, indexed by server, with the bytes and pieces the
+// extents put on each server when client rank writes or reads them: whole
+// extents on the client's server in affinity mode, stripe pieces on their
+// home servers in round-robin mode.
+func (c *Config) tally(loads []load, ext interval.List, rank int) {
+	clear(loads)
+	for _, e := range ext {
+		if e.Empty() {
+			continue
+		}
+		if c.Mode == ClientAffinity {
+			l := &loads[c.serverFor(e.Off, rank)]
+			l.bytes += e.Len
+			l.reqs++
+			continue
+		}
+		eachStripePiece(c.StripeSize, c.Servers, e.Off, e.Len, func(server int, _, take int64) {
+			loads[server].bytes += take
+			loads[server].reqs++
+		})
 	}
 }
 

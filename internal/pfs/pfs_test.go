@@ -54,15 +54,25 @@ func TestUnwrittenBytesReadZero(t *testing.T) {
 	}
 }
 
-func TestWriteCrossesChunkBoundary(t *testing.T) {
-	fs := basicFS(1)
+// TestWriteCrossesStripeBoundary writes one extent over four stripes of
+// three servers and reads it back whole and from inside: each server keeps
+// its pieces, and a read puts them back in place.
+func TestWriteCrossesStripeBoundary(t *testing.T) {
+	fs := basicFS(3)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	data := bytes.Repeat([]byte{7}, 3*storeChunk)
-	c.WriteAt(storeChunk-5, data)
+	data := make([]byte, 3*16+10)
+	for i := range data {
+		data[i] = byte(i + 1)
+	}
+	c.WriteAt(16-5, data)
 	buf := make([]byte, len(data))
-	c.ReadAt(storeChunk-5, buf)
+	c.ReadAt(16-5, buf)
 	if !bytes.Equal(buf, data) {
-		t.Fatal("cross-chunk write corrupted")
+		t.Fatalf("cross-stripe write read back as %v", buf)
+	}
+	c.ReadAt(20, buf[:20])
+	if !bytes.Equal(buf[:20], data[9:29]) {
+		t.Fatalf("read from inside = %v, want %v", buf[:20], data[9:29])
 	}
 }
 

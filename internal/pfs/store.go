@@ -1,33 +1,25 @@
 package pfs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
 	"atomio/internal/sim"
 )
 
-// storeChunk is the allocation granularity of the sparse file stores.
-const storeChunk = 1 << 16
-
-// content is the byte-storage layer of one file: stripedStore, the
-// per-server subsystem in which each simulated I/O server owns its own
-// chunk store and written-extent index (see striped.go). The pfs tests pin
-// it against a second implementation, the pre-striping single store every
-// server writes into: on any healthy configuration reads, written extents
-// and snapshots are identical.
-//
-// rank identifies the writing client for affinity-mode storage routing.
+// content is the byte-storage layer of one file: stripedStore, in which
+// each simulated I/O server keeps its own write records (see striped.go).
+// The pfs tests pin it against a second implementation, a flat image every
+// server writes into: on any healthy configuration reads, written extents,
+// owners and snapshots are identical.
 type content interface {
-	// write stores the bytes of e, which src supplies, on behalf of the
-	// given client rank.
-	write(e interval.Extent, src source, rank int)
-	// read fills buf from off; bytes never written read as zero.
-	read(off int64, buf []byte)
-	// extents returns the canonical list of byte ranges ever stored,
-	// merged across servers.
-	extents() interval.List
+	write(call *writeCall, e interval.Extent, src source) // e's bytes, from src, as the call's next extent
+	read(off int64, buf []byte)                           // bytes never written read as zero
+	extents() interval.List                               // every byte range ever stored, canonical
+	owners() []index.Owned                                // file-ordered runs of the rank that wrote last
 }
 
 // file is one file's server-side state: its size, its content store (nil for
@@ -53,7 +45,7 @@ type file struct {
 func (fs *FileSystem) newFile(name string) *file {
 	f := &file{name: name}
 	if fs.cfg.StoreData {
-		f.content = newStripedStore(fs.cfg)
+		f.content = &stripedStore{cfg: fs.cfg, servers: make([][]*record, fs.cfg.Servers)}
 	}
 	return f
 }
@@ -64,31 +56,64 @@ func (f *file) growTo(end int64) {
 }
 
 // source is where a stored extent's bytes come from: a slice that is
-// exactly them, or — for a write-behind flush — the logged pieces of the
-// coalesced extent that holds it, in write order.
+// exactly them, written as writer's, or — for a write-behind flush — the
+// logged pieces of the coalesced extent that holds it, in write order.
 type source struct {
 	data   []byte
+	writer int
 	pieces []piece
 }
 
-// each calls f with the runs of e's bytes in the order they are to be
-// copied: a later run overwrites an earlier one where they overlap.
-func (s source) each(e interval.Extent, f func(off int64, data []byte)) {
+// each calls f with the runs of e's bytes in ascending file order, and the
+// rank whose data each run is. Where logged pieces overlap, the run is cut
+// from the one written last: a flush stores what its client would read.
+func (s source) each(e interval.Extent, f func(off int64, data []byte, writer int)) {
 	if s.pieces == nil {
-		f(e.Off, s.data)
+		f(e.Off, s.data, s.writer)
 		return
 	}
-	for _, p := range s.pieces {
-		if ov := e.Intersect(interval.Extent{Off: p.off, Len: int64(len(p.data))}); !ov.Empty() {
-			f(ov.Off, p.data[ov.Off-p.off:ov.End()-p.off])
+	clip := func(p piece) interval.Extent {
+		return e.Intersect(interval.Extent{Off: p.off, Len: int64(len(p.data))})
+	}
+	emit := func(run interval.Extent, p piece) {
+		if !run.Empty() {
+			f(run.Off, p.data[run.Off-p.off:run.End()-p.off], p.writer)
 		}
+	}
+	ascending := true
+	for k := 1; k < len(s.pieces); k++ {
+		ascending = ascending && s.pieces[k-1].off+int64(len(s.pieces[k-1].data)) <= s.pieces[k].off
+	}
+	if ascending {
+		for _, p := range s.pieces {
+			emit(clip(p), p)
+		}
+		return
+	}
+	// Later pieces win: walk them newest first, each keeping what no later
+	// one covers, then store the runs kept in file order.
+	var covered index.Set
+	runs := make([]index.Owned, 0, len(s.pieces)) // a run and the piece it is cut from
+	for k := len(s.pieces) - 1; k >= 0; k-- {
+		run := clip(s.pieces[k])
+		covered.Visit(run, func(part interval.Extent, done bool) bool {
+			if !done {
+				runs = append(runs, index.Owned{Extent: part, Rank: k})
+			}
+			return true
+		})
+		covered.Add(run)
+	}
+	slices.SortFunc(runs, func(a, b index.Owned) int { return cmp.Compare(a.Off, b.Off) })
+	for _, run := range runs {
+		emit(run.Extent, s.pieces[run.Rank])
 	}
 }
 
-// writeAt stores e's bytes from src on behalf of rank and extends the file
-// size. A data-less file only grows; a file with a content store needs the
-// bytes, exactly e.Len of them.
-func (f *file) writeAt(e interval.Extent, src source, rank int) {
+// writeAt stores e's bytes from src as the call's next extent and extends
+// the file size. A data-less file only grows; a file with a content store
+// needs the bytes, exactly e.Len of them.
+func (f *file) writeAt(call *writeCall, e interval.Extent, src source) {
 	f.growTo(e.End())
 	if f.content == nil || e.Empty() {
 		return
@@ -99,14 +124,11 @@ func (f *file) writeAt(e interval.Extent, src source, rank int) {
 	case src.pieces == nil && int64(len(src.data)) != e.Len:
 		panic(fmt.Sprintf("pfs: extent %v written to %q with %d bytes", e, f.name, len(src.data)))
 	}
-	f.content.write(e, src, rank)
+	f.content.write(call, e, src)
 }
 
 // readAt fills buf from off; bytes never written read as zero.
 func (f *file) readAt(off int64, buf []byte) {
-	if len(buf) == 0 {
-		return
-	}
 	if f.content == nil {
 		clear(buf)
 		return
@@ -114,101 +136,39 @@ func (f *file) readAt(off int64, buf []byte) {
 	f.content.read(off, buf)
 }
 
-// writtenExtents returns the canonical list of byte ranges ever stored.
-// Data-less files track no extents.
-func (f *file) writtenExtents() interval.List {
-	if f.content == nil {
-		return nil
-	}
-	return f.content.extents()
-}
-
-// chunkWrite copies data into a sparse chunk map at off, allocating chunks
-// on demand.
-func chunkWrite(chunks map[int64][]byte, off int64, data []byte) {
-	for len(data) > 0 {
-		ci := off / storeChunk
-		co := off % storeChunk
-		n := int64(len(data))
-		if n > storeChunk-co {
-			n = storeChunk - co
-		}
-		c, ok := chunks[ci]
-		if !ok {
-			c = make([]byte, storeChunk)
-			chunks[ci] = c
-		}
-		copy(c[co:co+n], data[:n])
-		off += n
-		data = data[n:]
-	}
-}
-
-// chunkRead fills buf from the chunk map at off. Every byte of the request
-// must have been written (its chunk allocated).
-func chunkRead(chunks map[int64][]byte, off int64, buf []byte) {
-	for len(buf) > 0 {
-		ci := off / storeChunk
-		co := off % storeChunk
-		n := int64(len(buf))
-		if n > storeChunk-co {
-			n = storeChunk - co
-		}
-		copy(buf[:n], chunks[ci][co:co+n])
-		off += n
-		buf = buf[n:]
-	}
-}
-
-// coveredRead serves a read from a (written set, chunk map) pair: written
-// parts come from chunks, holes are zero-filled without consulting the
-// chunk map.
-func coveredRead(written *index.Set, chunks map[int64][]byte, off int64, buf []byte) {
-	req := interval.Extent{Off: off, Len: int64(len(buf))}
-	written.Visit(req, func(part interval.Extent, covered bool) bool {
-		dst := buf[part.Off-off : part.End()-off]
-		if covered {
-			chunkRead(chunks, part.Off, dst)
-		} else {
-			clear(dst)
-		}
-		return true
-	})
-}
-
 // Snapshot copies the bytes of extent e out of the named file; offsets never
-// written read as zero. It is the verification hook used by tests and the
-// atomicity checker.
+// written read as zero.
 func (fs *FileSystem) Snapshot(name string, e interval.Extent) ([]byte, error) {
-	buf := make([]byte, e.Len)
-	if err := fs.SnapshotInto(name, e.Off, buf); err != nil {
+	f, err := fs.lookup(name, false)
+	if err != nil {
 		return nil, err
 	}
+	buf := make([]byte, e.Len)
+	f.readAt(e.Off, buf)
 	return buf, nil
 }
 
-// SnapshotInto is Snapshot into the caller's buffer: it fills buf with the
-// named file's bytes from off on, for a reader that walks a file through
-// one buffer.
-func (fs *FileSystem) SnapshotInto(name string, off int64, buf []byte) error {
-	f, err := fs.lookup(name, false)
-	if err != nil {
-		return err
-	}
-	f.readAt(off, buf)
-	return nil
-}
-
 // WrittenExtents returns the canonical list of byte ranges ever written to
-// the named file — the union of the per-server dirty-extent indexes (or the
-// shared store's single index). Data-less runs (StoreData off) track no
-// extents and return an empty list.
+// the named file — the union of every server's write records. Data-less
+// runs (StoreData off) track no extents and return an empty list.
 func (fs *FileSystem) WrittenExtents(name string) (interval.List, error) {
 	f, err := fs.lookup(name, false)
-	if err != nil {
+	if err != nil || f.content == nil {
 		return nil, err
 	}
-	return f.writtenExtents(), nil
+	return f.content.extents(), nil
+}
+
+// Owners returns who wrote the named file: its stored bytes as file-ordered
+// maximal runs, each owned by the rank whose data the latest write to those
+// bytes carried. Bytes never written belong to no run. It is what
+// verification checks MPI atomicity against. Data-less runs return nil.
+func (fs *FileSystem) Owners(name string) ([]index.Owned, error) {
+	f, err := fs.lookup(name, false)
+	if err != nil || f.content == nil {
+		return nil, err
+	}
+	return f.content.owners(), nil
 }
 
 // FileSize returns the current size of the named file.

@@ -3,188 +3,188 @@ package pfs
 import (
 	"cmp"
 	"slices"
+	"sort"
+	"strings"
 
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
 )
 
-// serverStore is one I/O server's private slice of a file's bytes: its own
-// sparse chunk store (round-robin mode) or write records (affinity mode)
-// and written-extent index. Per-server structures stay a factor of Servers
-// smaller than the shared store's.
-type serverStore struct {
-	chunks  map[int64][]byte
-	written index.Set
-	// segs holds every live affinity-mode write landed on this server, by
-	// extent. A server stores whatever its clients touch, anywhere in the
-	// file, so it keeps each write's bytes rather than a chunk grid it
-	// would fill sparsely. Unused in round-robin mode, where a byte has
-	// exactly one home server.
-	segs index.Index[affinityWrite]
+// record is one write call's pieces on one server: their extents in file
+// order, their bytes back to back, and the rank each piece's data is from —
+// the client's own, or the ones an aggregator names (Batch.Writers). seq is
+// the store-wide order records were opened in: where records overlap, the
+// higher seq holds the file's bytes.
+type record struct {
+	seq     int64
+	ext     interval.List // ascending, disjoint
+	at      []int64       // where each extent's bytes start in data
+	writers []int         // the rank whose data each extent is
+	// data is a strings.Builder because its Grow, unlike make or append,
+	// does not zero the room it reserves: every byte is copied in anyway.
+	data strings.Builder
 }
 
-// affinityWrite is one affinity-mode write as its server keeps it: the
-// store-wide sequence number cross-server merge reads resolve overlaps
-// with, and the server's own copy of the bytes, never written again.
-type affinityWrite struct {
-	seq  int64
-	data []byte
+// writeCall is one write call on its way into the store: its open record
+// on each server and what it has yet to store there, which sizes the next
+// record it opens. A record takes the call's pieces only while no other
+// call stores in between and while they ascend past its last extent; then
+// the call opens a new one, later in seq, so interleaved writes still land
+// piece by piece in arrival order.
+type writeCall struct {
+	rank int       // the client: its server in affinity mode
+	open []*record // per server: the call's open record, or nil
+	left []load    // per server: the bytes and pieces not yet stored
+}
+
+// begin starts the call: client rank writes the extents ext.
+func (call *writeCall) begin(cfg *Config, ext interval.List, rank int) {
+	if call.open == nil {
+		call.open, call.left = make([]*record, cfg.Servers), make([]load, cfg.Servers)
+	}
+	call.rank = rank
+	clear(call.open)
+	cfg.tally(call.left, ext, rank)
 }
 
 // stripedStore is the per-server content layout: the configured byte→server
-// mapping routes storage as well as queueing.
-//
-// In RoundRobin mode the stripes partition the byte space — every byte has
-// exactly one home server — so writes scatter and reads gather stripe
-// pieces, and the split is semantics-preserving by construction: each
-// server's store holds exactly the shared store's bytes for its stripes,
-// overlapping writes to a byte meet in that byte's home server and land in
-// arrival order, exactly as in the shared store.
-//
-// In ClientAffinity mode a write lands wholly on the writer's boot-assigned
-// server, so the same byte may be stored on several servers (one per
-// writer). Every write takes a store-wide sequence number, and a read
-// merges across all servers: it gathers the overlapping write records and
-// replays their bytes in sequence order — the cross-server merge that makes
-// the layout observably identical to the shared store, where the same
-// writes land in the same (sequence) order on one store.
-//
-// File size and written extents are resolved by cheap cross-server merges:
-// size stays file-level (see file), extents are the normalized union of the
-// per-server indexes.
+// mapping routes storage as well as queueing, and every server keeps an
+// append-only list of records. In RoundRobin mode a call's extents are cut
+// at stripe boundaries, each piece stored on its home server; in
+// ClientAffinity mode they land whole on the writer's boot-assigned server,
+// so a byte may be stored on several servers. One read path serves both: a
+// read replays the overlapping records in seq order — arrival order, as on
+// one shared store — and owners resolves the same order into who wrote
+// each byte.
 type stripedStore struct {
-	mode     StripeMode
-	stripe   int64
-	affinity []int
-	servers  []*serverStore
-	nextSeq  int64
-}
-
-func newStripedStore(cfg Config) *stripedStore {
-	st := &stripedStore{
-		mode:     cfg.Mode,
-		stripe:   cfg.StripeSize,
-		affinity: cfg.Affinity,
-		servers:  make([]*serverStore, cfg.Servers),
-	}
-	for i := range st.servers {
-		st.servers[i] = &serverStore{chunks: make(map[int64][]byte)}
-	}
-	return st
-}
-
-// serverForRank is the affinity-mode rank→server map (mirrors
-// FileSystem.serverFor; duplicated so the store stays self-contained).
-func (st *stripedStore) serverForRank(rank int) int {
-	if len(st.affinity) > 0 {
-		return st.affinity[rank%len(st.affinity)]
-	}
-	return rank % len(st.servers)
+	cfg     Config
+	servers [][]*record
+	seq     int64      // records opened so far
+	last    *writeCall // the call that stored last
 }
 
 // eachStripePiece splits [off, off+n) at stripe boundaries and calls f with
 // each piece and its round-robin home server. It is the single definition
-// of the stripe→server map, shared by queue routing
-// (Client.queueServerService) and storage routing (stripedStore) — the two
-// must never diverge.
+// of the stripe→server map, shared by queue routing (Config.tally) and
+// storage routing (stripedStore) — the two must never diverge.
 func eachStripePiece(stripe int64, servers int, off, n int64, f func(server int, off, n int64)) {
 	for n > 0 {
-		inStripe := stripe - off%stripe
-		take := n
-		if take > inStripe {
-			take = inStripe
-		}
+		take := min(n, stripe-off%stripe)
 		f(int((off/stripe)%int64(servers)), off, take)
 		off += take
 		n -= take
 	}
 }
 
-func (st *stripedStore) write(e interval.Extent, src source, rank int) {
-	if st.mode == ClientAffinity {
-		sv := st.servers[st.serverForRank(rank)]
-		// Sequence order is arrival order, which is what lets merge reads
-		// treat "highest sequence" and "latest arrival" as the same thing.
-		seq := st.nextSeq
-		st.nextSeq++
-		sv.written.Add(e)
-		// Prune dead records: an older same-server record fully inside e
-		// can never win a merge again — its sequence is lower wherever it
-		// lies — so the index and the bytes it holds stay proportional to
-		// the live (visible) write extents, not to write history.
-		type deadRec struct {
-			ext interval.Extent
-			h   index.Handle
-		}
-		var dead []deadRec
-		sv.segs.Overlapping(e, func(ext interval.Extent, h index.Handle, _ affinityWrite) bool {
-			if e.ContainsExtent(ext) {
-				dead = append(dead, deadRec{ext: ext, h: h})
-			}
-			return true
-		})
-		for _, d := range dead {
-			sv.segs.Delete(d.ext, d.h)
-		}
-		// The record is the server's own copy, assembled from src.
-		data := make([]byte, e.Len)
-		src.each(e, func(off int64, run []byte) { copy(data[off-e.Off:], run) })
-		sv.segs.Insert(e, affinityWrite{seq: seq, data: data})
-		return
+func (st *stripedStore) write(call *writeCall, e interval.Extent, src source) {
+	if st.last != call {
+		// Another call stored since this one last did: its records are
+		// closed, so what follows lands after that call's pieces.
+		st.last = call
+		clear(call.open)
 	}
-	src.each(e, func(off int64, run []byte) {
-		eachStripePiece(st.stripe, len(st.servers), off, int64(len(run)), func(server int, pieceOff, n int64) {
-			chunkWrite(st.servers[server].chunks, pieceOff, run[pieceOff-off:pieceOff-off+n])
+	src.each(e, func(off int64, data []byte, writer int) {
+		if st.cfg.Mode == ClientAffinity {
+			st.put(call, st.cfg.serverFor(off, call.rank), off, data, writer)
+			return
+		}
+		eachStripePiece(st.cfg.StripeSize, len(st.servers), off, int64(len(data)), func(server int, pieceOff, n int64) {
+			st.put(call, server, pieceOff, data[pieceOff-off:pieceOff-off+n], writer)
 		})
 	})
-	eachStripePiece(st.stripe, len(st.servers), e.Off, e.Len, func(server int, off, n int64) {
-		st.servers[server].written.Add(interval.Extent{Off: off, Len: n})
-	})
+}
+
+// put stores one piece on server: in the call's open record there if the
+// piece follows its last extent, else in a new record sized for what the
+// call has left to store on the server.
+func (st *stripedStore) put(call *writeCall, server int, off int64, data []byte, writer int) {
+	n := int64(len(data))
+	left := &call.left[server]
+	r := call.open[server]
+	if r == nil || r.ext[len(r.ext)-1].End() > off {
+		pieces := max(left.reqs, 1)
+		r = &record{
+			seq:     st.seq,
+			ext:     make(interval.List, 0, pieces),
+			at:      make([]int64, 0, pieces),
+			writers: make([]int, 0, pieces),
+		}
+		r.data.Grow(int(max(left.bytes, n)))
+		st.seq++
+		st.servers[server] = append(st.servers[server], r)
+		call.open[server] = r
+	}
+	if k := len(r.ext) - 1; k >= 0 && r.ext[k].End() == off && r.writers[k] == writer {
+		r.ext[k].Len += n
+	} else {
+		r.ext = append(r.ext, interval.Extent{Off: off, Len: n})
+		r.at = append(r.at, int64(r.data.Len()))
+		r.writers = append(r.writers, writer)
+	}
+	r.data.Write(data)
+	left.bytes -= n
+	left.reqs--
+}
+
+// inSeq returns every server's records, merged into seq order.
+func (st *stripedStore) inSeq() []*record {
+	var all []*record
+	for _, recs := range st.servers {
+		all = append(all, recs...)
+	}
+	slices.SortFunc(all, func(a, b *record) int { return cmp.Compare(a.seq, b.seq) })
+	return all
+}
+
+// each calls f with every extent of r that overlaps q and the index of the
+// extent, found by binary search.
+func (r *record) each(q interval.Extent, f func(i int, part interval.Extent)) {
+	for i := sort.Search(len(r.ext), func(i int) bool { return r.ext[i].End() > q.Off }); i < len(r.ext) && r.ext[i].Off < q.End(); i++ {
+		f(i, r.ext[i].Intersect(q))
+	}
 }
 
 func (st *stripedStore) read(off int64, buf []byte) {
-	if st.mode == ClientAffinity {
-		st.mergeRead(off, buf)
-		return
-	}
-	eachStripePiece(st.stripe, len(st.servers), off, int64(len(buf)), func(server int, pieceOff, n int64) {
-		sv := st.servers[server]
-		coveredRead(&sv.written, sv.chunks, pieceOff, buf[pieceOff-off:pieceOff-off+n])
-	})
-}
-
-// mergeRead is the affinity-mode scatter-gather: collect the part of every
-// server's write records that overlaps the request and copy them into buf
-// in global sequence order, so the last copy into any byte is the globally
-// latest write — the shared store's arrival-order semantics. A record that
-// a later write only partly covers replays its stale bytes too; the later
-// write's higher sequence puts them right.
-func (st *stripedStore) mergeRead(off int64, buf []byte) {
 	clear(buf)
 	req := interval.Extent{Off: off, Len: int64(len(buf))}
-	type rec struct {
-		seq  int64
-		off  int64 // relative to the request
-		data []byte
-	}
-	var recs []rec
-	for _, sv := range st.servers {
-		sv.segs.Overlapping(req, func(e interval.Extent, _ index.Handle, w affinityWrite) bool {
-			part := e.Intersect(req)
-			recs = append(recs, rec{seq: w.seq, off: part.Off - off, data: w.data[part.Off-e.Off : part.End()-e.Off]})
-			return true
+	for _, r := range st.inSeq() {
+		r.each(req, func(i int, part interval.Extent) {
+			from := r.at[i] + part.Off - r.ext[i].Off
+			copy(buf[part.Off-off:part.End()-off], r.data.String()[from:])
 		})
-	}
-	slices.SortFunc(recs, func(a, b rec) int { return cmp.Compare(a.seq, b.seq) })
-	for _, r := range recs {
-		copy(buf[r.off:], r.data)
 	}
 }
 
 func (st *stripedStore) extents() interval.List {
 	var all interval.List
-	for _, sv := range st.servers {
-		all = append(all, sv.written.Extents()...)
+	for _, recs := range st.servers {
+		for _, r := range recs {
+			all = append(all, r.ext...)
+		}
 	}
 	return all.Normalize()
+}
+
+// owners is index.Winners over the records in seq order — the latest record
+// holding a byte owns it — with each run handed to the writers of the
+// record's extents it spans, and touching runs of one rank joined.
+func (st *stripedStore) owners() []index.Owned {
+	recs := st.inSeq()
+	lists := make([]interval.List, len(recs))
+	for i, r := range recs {
+		lists[i] = r.ext
+	}
+	runs := index.Winners(lists)
+	out := make([]index.Owned, 0, len(runs))
+	for _, run := range runs {
+		r := recs[run.Rank]
+		r.each(run.Extent, func(i int, part interval.Extent) {
+			if n := len(out); n > 0 && out[n-1].Rank == r.writers[i] && out[n-1].End() == part.Off {
+				out[n-1].Len += part.Len
+				return
+			}
+			out = append(out, index.Owned{Extent: part, Rank: r.writers[i]})
+		})
+	}
+	return out
 }

@@ -3,12 +3,15 @@ package pfs
 // Property tests pinning the per-server striped store to the shared-store
 // oracle: on any healthy configuration the two layouts must be observably
 // identical — same read bytes, same snapshots, same written extents, same
-// file sizes, and byte-identical virtual clocks after every operation.
+// owners, same file sizes, and byte-identical virtual clocks after every
+// operation.
 
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"atomio/internal/interval"
@@ -17,34 +20,61 @@ import (
 )
 
 // sharedStore is the pre-striping content layout, kept as the oracle: one
-// chunked byte store and one written-extent set shared by every server.
-// Two writes to the same bytes land in arrival order, so overlapping
-// segment writes from different ranks genuinely interleave. The two
-// layouts are observably
-// identical on every healthy configuration: stripes partition the byte
-// space, and affinity merges resolve by global write order.
+// flat image of the file every server writes into, the rank whose data each
+// byte is, and the set of bytes ever written. Two writes to the same bytes
+// land in arrival order, so overlapping segment writes from different ranks
+// genuinely interleave. The two layouts are observably identical on every
+// healthy configuration: stripes partition the byte space, and records
+// replay in global write order.
 type sharedStore struct {
-	chunks  map[int64][]byte
+	data    []byte
+	writer  []int
 	written index.Set
 }
 
-func (s *sharedStore) write(e interval.Extent, src source, _ int) {
+func (s *sharedStore) write(_ *writeCall, e interval.Extent, src source) {
+	if grow := int(e.End()) - len(s.data); grow > 0 {
+		s.data = append(s.data, make([]byte, grow)...)
+		s.writer = append(s.writer, make([]int, grow)...)
+	}
 	s.written.Add(e)
-	src.each(e, func(off int64, data []byte) { chunkWrite(s.chunks, off, data) })
+	src.each(e, func(off int64, data []byte, writer int) {
+		copy(s.data[off:], data)
+		for i := range data {
+			s.writer[off+int64(i)] = writer
+		}
+	})
 }
 
 func (s *sharedStore) read(off int64, buf []byte) {
-	coveredRead(&s.written, s.chunks, off, buf)
+	clear(buf)
+	if off < int64(len(s.data)) {
+		copy(buf, s.data[off:])
+	}
 }
 
 func (s *sharedStore) extents() interval.List {
 	return s.written.Extents()
 }
 
+func (s *sharedStore) owners() []index.Owned {
+	var out []index.Owned
+	for _, e := range s.written.Extents() {
+		for off := e.Off; off < e.End(); off++ {
+			if n := len(out); n > 0 && out[n-1].End() == off && out[n-1].Rank == s.writer[off] {
+				out[n-1].Len++
+				continue
+			}
+			out = append(out, index.Owned{Extent: interval.Extent{Off: off, Len: 1}, Rank: s.writer[off]})
+		}
+	}
+	return out
+}
+
 // withSharedStore gives fs's file "f" — the one file the oracle tests
 // use — the shared-store layout, before anything opens it.
 func withSharedStore(fs *FileSystem) *FileSystem {
-	fs.files["f"] = &file{name: "f", content: &sharedStore{chunks: make(map[int64][]byte)}}
+	fs.files["f"] = &file{name: "f", content: &sharedStore{}}
 	return fs
 }
 
@@ -160,6 +190,11 @@ func TestStripedStoreMatchesSharedOracle(t *testing.T) {
 				if !extS.Equal(extO) {
 					t.Fatalf("written extents differ:\nstriped %v\nshared  %v", extS, extO)
 				}
+				ownS, _ := fsS.Owners("f")
+				ownO, _ := fsO.Owners("f")
+				if !reflect.DeepEqual(ownS, ownO) {
+					t.Fatalf("owners differ:\nstriped %v\nshared  %v", ownS, ownO)
+				}
 				sizeS, _ := fsS.FileSize("f")
 				sizeO, _ := fsO.FileSize("f")
 				if sizeS != sizeO {
@@ -218,32 +253,37 @@ func TestRoundRobinStripesPartitionServers(t *testing.T) {
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
 	c.WriteAt(0, bytes.Repeat([]byte{1}, 64)) // one full stripe per server
 	st := fs.files["f"].content.(*stripedStore)
-	for i, sv := range st.servers {
+	for i, recs := range st.servers {
 		want := interval.List{{Off: int64(i) * 16, Len: 16}}
-		if got := sv.written.Extents(); !got.Equal(want) {
-			t.Fatalf("server %d stores %v, want %v", i, got, want)
+		if len(recs) != 1 || !recs[0].ext.Equal(want) {
+			t.Fatalf("server %d stores %d records, want one of %v", i, len(recs), want)
 		}
 	}
 }
 
-// TestAffinitySegRecordsPruned pins the merge-metadata bound: overwriting
-// the same range repeatedly must not grow the per-server record index —
-// superseded records are pruned on write.
-func TestAffinitySegRecordsPruned(t *testing.T) {
-	cfg := basicFS(2).Config()
-	cfg.Mode = ClientAffinity
-	fs := MustNew(cfg)
-	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	for i := 0; i < 100; i++ {
-		c.WriteAt(0, bytes.Repeat([]byte{byte(i)}, 64))
-	}
-	st := fs.files["f"].content.(*stripedStore)
-	if n := st.servers[0].segs.Len(); n != 1 {
-		t.Fatalf("server 0 holds %d seg records after 100 identical overwrites, want 1", n)
-	}
-	buf := make([]byte, 64)
-	c.ReadAt(0, buf)
-	if buf[0] != 99 || buf[63] != 99 {
-		t.Fatalf("pruning lost the latest write: %v", buf[:4])
+// TestStoredWriteAllocatesPerRecord pins the record layout's bookkeeping: a
+// stored write allocates a constant number of objects per (call, server) —
+// the record and its lists, each at its size — so a batch of 4096 extents,
+// spread over every server, allocates as many as a batch of 16.
+func TestStoredWriteAllocatesPerRecord(t *testing.T) {
+	for _, mode := range []StripeMode{RoundRobin, ClientAffinity} {
+		allocs := func(extents int) float64 {
+			b := Batch{Ext: make(interval.List, extents), Data: make([][]byte, extents)}
+			buf := make([]byte, 8*extents)
+			for i := range b.Ext {
+				b.Ext[i], b.Data[i] = interval.Extent{Off: int64(i) * 40, Len: 8}, buf[8*i:8*i+8]
+			}
+			return testing.AllocsPerRun(100, func() {
+				fs := MustNew(Config{Servers: 4, StripeSize: 16, Mode: mode, StoreData: true})
+				c, _ := fs.Open("f", 1, sim.NewClock(0))
+				c.Write(b)
+			})
+		}
+		// One object either way is slack for the race detector's runtime,
+		// which allocates differently for large objects; a per-extent or
+		// per-growth allocation would show as thousands or a dozen.
+		if small, large := allocs(16), allocs(4096); math.Abs(small-large) > 1 {
+			t.Errorf("%s: a stored write of 16 extents allocates %v objects, of 4096 extents %v", mode, small, large)
+		}
 	}
 }

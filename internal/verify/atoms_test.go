@@ -154,11 +154,12 @@ func TestSweepAtomsMatchesCutOracle(t *testing.T) {
 	}
 }
 
-// TestCheckWindowedMatchesCheckBytes holds the windowed file read to the
-// in-memory image: on a stored column-wise file in each stripe mode, Check
-// (one store read per window) and CheckBytes (the whole image) must give
+// TestCheckWindowedMatchesCheckBytes holds the owner runs the store keeps
+// to the bytes it holds (the name is from when Check read those bytes
+// through a window): on a stored column-wise file in each stripe mode, Check
+// (the records' writers) and CheckBytes (the snapshot's markers) must give
 // reports equal field for field — on the clean file, which includes an atom
-// longer than the window, and on the file torn the way the pinned fleet
+// spanning many stripes, and on the file torn the way the pinned fleet
 // control tears it, every other stripe of the overlaps missing.
 func TestCheckWindowedMatchesCheckBytes(t *testing.T) {
 	const (
@@ -167,9 +168,9 @@ func TestCheckWindowedMatchesCheckBytes(t *testing.T) {
 		stripe = 4096
 	)
 	views := columnViews(p, rows, 4096, 256)
-	// Two more ranks share one region half again as long as the window,
-	// past the array, and a third overlaps its tail.
-	big := ext(int64(rows)*p*4096+stripe, readWindow+readWindow/2)
+	// Two more ranks share one region of many stripes past the array, and
+	// a third overlaps its tail.
+	big := ext(int64(rows)*p*4096+stripe, 1<<20+1<<19)
 	views = append(views, interval.List{big}, interval.List{big}, interval.List{ext(big.End()-100, 300)})
 
 	for _, mode := range []pfs.StripeMode{pfs.RoundRobin, pfs.ClientAffinity} {
@@ -212,7 +213,7 @@ func TestCheckWindowedMatchesCheckBytes(t *testing.T) {
 				}
 				want := CheckBytes(image, views)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("windowed check %+v\nimage check %+v", got, want)
+					t.Fatalf("owner check %+v\nimage check %+v", got, want)
 				}
 				if got.Atomic() == torn || got.Atoms < rows*(p-1) {
 					t.Fatalf("torn=%v: atomic=%v over %d atoms, %d violations", torn, got.Atomic(), got.Atoms, len(got.Violations))

@@ -1,32 +1,47 @@
 package verify
 
 // The file-system-free side of the checker, which only tests drive:
-// CheckBytes runs Check's algorithm over an in-memory image, and Winner
-// reads one atom's verdict back out of a report.
+// CheckBytes runs Check's algorithm over an in-memory image of marker
+// bytes, and Winner reads one atom's verdict back out of a report.
 
 import (
 	"sort"
 
 	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 )
 
-// CheckBytes runs the atomicity check against an in-memory file image:
-// offset o of the file is data[o], and offsets past the end read as zero
-// (never written). It is the file-system-free checker adversarial tests
-// and fuzzing drive with hand-constructed torn files.
+// CheckBytes runs the atomicity check against an in-memory file image of
+// marker bytes: offset o of the file is data[o], written by rank data[o]-1,
+// and zero bytes — and offsets past the end — were never written. It is
+// the file-system-free checker adversarial tests and fuzzing drive with
+// hand-constructed torn files, and the byte oracle Check's owner runs are
+// held to.
 func CheckBytes(data []byte, views []interval.List) *Report {
-	rep, err := checkAtoms(func(off int64, buf []byte) error {
-		clear(buf)
-		if off < int64(len(data)) {
-			copy(buf, data[off:])
+	return checkAtoms(markerRuns(data), views)
+}
+
+// markerRuns turns an image of marker bytes into owner runs: maximal runs
+// of one nonzero byte b, owned by rank b-1. It counts the runs first, so
+// the list is allocated once, at its size.
+func markerRuns(data []byte) []index.Owned {
+	n := 0
+	for i, b := range data {
+		if b != 0 && (i == 0 || data[i-1] != b) {
+			n++
 		}
-		return nil
-	}, views)
-	if err != nil {
-		// The in-memory reader never fails.
-		panic(err)
 	}
-	return rep
+	runs := make([]index.Owned, 0, n)
+	for i, b := range data {
+		switch {
+		case b == 0:
+		case i > 0 && data[i-1] == b:
+			runs[len(runs)-1].Len++
+		default:
+			runs = append(runs, index.Owned{Extent: interval.Extent{Off: int64(i), Len: 1}, Rank: int(b) - 1})
+		}
+	}
+	return runs
 }
 
 // Winner returns the rank whose marker the clean atom held, and false when

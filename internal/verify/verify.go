@@ -1,18 +1,18 @@
-// Package verify checks MPI atomicity on the simulated file system's actual
-// bytes. Writers stamp their buffers with a per-rank marker; after a
-// concurrent overlapping write, the file is partitioned into atoms (maximal
-// regions covered by the same set of writers) and MPI atomicity requires
-// every multi-writer atom to contain the marker of exactly one of its
-// covering writers ("the results of the overlapped regions shall contain
-// data from only one of the MPI processes", §2.2). Interleaved atoms are
-// reported as violations — the non-atomic outcome of Figure 2.
+// Package verify checks MPI atomicity on who wrote the simulated file
+// system's bytes. The store keeps, with every write, the rank whose data it
+// carries (pfs.FileSystem.Owners); after a concurrent overlapping write the
+// file is partitioned into atoms (maximal regions covered by the same set of
+// writers) and MPI atomicity requires every multi-writer atom to hold the
+// data of exactly one of its covering writers ("the results of the
+// overlapped regions shall contain data from only one of the MPI
+// processes", §2.2). Interleaved atoms are reported as violations — the
+// non-atomic outcome of Figure 2.
 package verify
 
 import (
-	"bytes"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
@@ -20,9 +20,9 @@ import (
 )
 
 // Marker returns the stamp byte of a rank. Zero is reserved for
-// never-written bytes, so markers start at 1. With more than 255 ranks
-// markers wrap and the checker loses precision; the paper's experiments use
-// at most 16.
+// never-written bytes, so markers start at 1. Check does not read them — it
+// takes each byte's writer from the store — but a buffer stamped with them
+// makes a snapshot show who wrote it.
 func Marker(rank int) byte { return byte(1 + rank%255) }
 
 // Fill stamps buf with rank's marker by chunked copy, as bytes.Repeat
@@ -42,14 +42,15 @@ type Violation struct {
 	Region interval.Extent
 	// Writers are the ranks whose views cover the atom.
 	Writers []int
-	// Markers are the distinct byte values found in the atom.
-	Markers []byte
+	// Found are the distinct ranks whose data the atom holds, ascending,
+	// with -1 for bytes never written (at most 8, enough for a diagnostic).
+	Found []int
 }
 
 // Error renders the violation.
 func (v Violation) Error() string {
-	return fmt.Sprintf("verify: region %v covered by ranks %v contains mixed markers %v",
-		v.Region, v.Writers, v.Markers)
+	return fmt.Sprintf("verify: region %v covered by ranks %v holds data of ranks %v",
+		v.Region, v.Writers, v.Found)
 }
 
 // OrderViolation reports that, although every atom was uniform, no single
@@ -79,7 +80,7 @@ type Report struct {
 	// individually clean but mutually inconsistent (no serialization
 	// order exists).
 	OrderViolation *OrderViolation
-	// WinnerByRegion records which covering rank's marker each clean atom
+	// WinnerByRegion records which covering rank's data each clean atom
 	// held, for policy checks such as highest-rank-wins: one run per clean
 	// atom, in file order.
 	WinnerByRegion []index.Owned
@@ -90,68 +91,52 @@ type Report struct {
 // with some total serialization order of the write requests.
 func (r *Report) Atomic() bool { return len(r.Violations) == 0 && r.OrderViolation == nil }
 
-// Check reads the overlapped atoms of the named file and verifies MPI
-// atomicity, assuming rank i wrote Marker(i) everywhere in views[i]:
-// every atom must hold exactly one covering writer's marker, and across
-// atoms the winners must admit a total serialization order of the writers
-// (each atom forces its winner to serialize after the atom's other
-// writers; those constraints must be acyclic).
+// Check verifies MPI atomicity of the named file against the views the
+// ranks wrote, views[i] being rank i's: every atom must hold the data of
+// exactly one covering writer — one owner run over all of it, of a rank
+// among its writers — and across atoms the winners must admit a total
+// serialization order of the writers (each atom forces its winner to
+// serialize after the atom's other writers; those constraints must be
+// acyclic).
 func Check(fs *pfs.FileSystem, name string, views []interval.List) (*Report, error) {
-	return checkAtoms(func(off int64, buf []byte) error {
-		return fs.SnapshotInto(name, off, buf)
-	}, views)
+	owners, err := fs.Owners(name)
+	if err != nil {
+		return nil, err
+	}
+	return checkAtoms(owners, views), nil
 }
 
-// readWindow is how much of the file one read of the checker fetches: atoms
-// arrive in file order, so a window read at one atom serves the atoms after
-// it, and a store is consulted once per window instead of once per atom.
-const readWindow = 1 << 20
-
-// checkAtoms is the shared core of Check and CheckBytes: sweep the views
-// into atoms — the regions covered by one constant set of two or more
-// writers — read each through a window filled by read, and apply the
-// single-marker and serialization-order rules. A clean atom allocates
-// nothing: WinnerByRegion is sized for as many atoms as the views have
-// extents.
-func checkAtoms(read func(off int64, buf []byte) error, views []interval.List) (*Report, error) {
+// checkAtoms is the core of Check: sweep the views into atoms — the regions
+// covered by one constant set of two or more writers — and apply the
+// one-writer and serialization-order rules to each against owners, the
+// file's owner runs in file order. Atoms arrive in file order too, so one
+// cursor walks the runs. A clean atom allocates nothing: WinnerByRegion is
+// sized for as many atoms as the views have extents.
+func checkAtoms(owners []index.Owned, views []interval.List) *Report {
 	rep := &Report{}
 	after := make(map[int]map[int]bool) // winner -> set of ranks it must follow
-	var (
-		end     int64  // where the last view ends: no atom reaches past it
-		extents int    // a hint for the number of atoms
-		win     []byte // file bytes [winOff, winOff+len(win))
-		winOff  int64
-		err     error
-	)
+	extents := 0                        // a hint for the number of atoms
 	for _, v := range views {
-		end = max(end, v.Span().End())
 		extents += len(v)
 	}
+	next := 0 // the first run that ends past the atoms swept so far
 	index.SweepAtoms(views, func(atom interval.Extent, writers []int) bool {
 		rep.Atoms++
 		rep.OverlappedBytes += atom.Len
-		if atom.End() > winOff+int64(len(win)) {
-			n := max(atom.Len, min(readWindow, end-atom.Off))
-			win, winOff = slices.Grow(win[:0], int(n))[:n], atom.Off
-			if err = read(winOff, win); err != nil {
-				return false
-			}
+		for next < len(owners) && owners[next].End() <= atom.Off {
+			next++
 		}
-		data := win[atom.Off-winOff : atom.End()-winOff]
 		winner := -1
-		if bytes.Equal(data[1:], data[:len(data)-1]) { // every byte is data[0]
-			for _, w := range writers {
-				if Marker(w) == data[0] {
-					winner = w
-					break
-				}
+		if next < len(owners) {
+			if run := owners[next]; run.Off <= atom.Off && run.End() >= atom.End() && slices.Contains(writers, run.Rank) {
+				winner = run.Rank
 			}
 		}
 		if winner < 0 {
 			rep.Violations = append(rep.Violations, Violation{
 				Region:  atom,
 				Writers: slices.Clone(writers),
-				Markers: distinctBytes(data),
+				Found:   found(owners[next:], atom),
 			})
 			return true
 		}
@@ -169,17 +154,43 @@ func checkAtoms(read func(off int64, buf []byte) error, views []interval.List) (
 		}
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
 	if cycle := findCycle(after); cycle != nil {
 		rep.OrderViolation = &OrderViolation{Cycle: cycle}
 	}
-	return rep, nil
+	return rep
+}
+
+// found returns the distinct ranks of the runs that hold a part of atom,
+// ascending, with -1 first if a part is never written (capped at 8). runs
+// starts with the first run that ends past atom's start.
+func found(runs []index.Owned, atom interval.Extent) []int {
+	var out []int
+	add := func(rank int) {
+		if len(out) < 8 && !slices.Contains(out, rank) {
+			out = append(out, rank)
+		}
+	}
+	at := atom.Off // the first byte not yet accounted for
+	for _, run := range runs {
+		if run.Off >= atom.End() {
+			break
+		}
+		if run.Off > at {
+			add(-1)
+		}
+		add(run.Rank)
+		at = run.End()
+	}
+	if at < atom.End() {
+		add(-1)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // findCycle looks for a cycle in the "must serialize after" digraph and
-// returns it (ending where it starts), or nil.
+// returns it (ending where it starts), or nil. It walks nodes and edges in
+// ascending order, so the cycle it reports is the same on every run.
 func findCycle(after map[int]map[int]bool) []int {
 	const (
 		white = 0
@@ -193,7 +204,7 @@ func findCycle(after map[int]map[int]bool) []int {
 	dfs = func(u int) bool {
 		color[u] = grey
 		stack = append(stack, u)
-		for v := range after[u] {
+		for _, v := range slices.Sorted(maps.Keys(after[u])) {
 			switch color[v] {
 			case grey:
 				// Found: slice the stack from v's position.
@@ -213,33 +224,10 @@ func findCycle(after map[int]map[int]bool) []int {
 		color[u] = black
 		return false
 	}
-	nodes := make([]int, 0, len(after))
-	for u := range after {
-		nodes = append(nodes, u)
-	}
-	sort.Ints(nodes)
-	for _, u := range nodes {
+	for _, u := range slices.Sorted(maps.Keys(after)) {
 		if color[u] == white && dfs(u) {
 			return cycle
 		}
 	}
 	return nil
-}
-
-// distinctBytes returns the sorted distinct values in data (capped at 8,
-// enough for a diagnostic).
-func distinctBytes(data []byte) []byte {
-	var seen [256]bool
-	var out []byte
-	for _, b := range data {
-		if !seen[b] {
-			seen[b] = true
-			out = append(out, b)
-			if len(out) == 8 {
-				break
-			}
-		}
-	}
-	slices.Sort(out)
-	return out
 }

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"atomio/internal/interval"
@@ -81,7 +82,7 @@ func TestInterleavingDetected(t *testing.T) {
 		t.Fatal("interleaving not detected")
 	}
 	v := rep.Violations[0]
-	if v.Region != ext(50, 50) || len(v.Markers) != 2 {
+	if v.Region != ext(50, 50) || !slices.Equal(v.Found, []int{0, 1}) {
 		t.Fatalf("violation = %+v", v)
 	}
 	if v.Error() == "" {
