@@ -24,7 +24,7 @@
 // Option edits the very struct that runs, a Grid is a set of named axes
 // plus the same Options, and a new per-cell setting is one field there plus
 // one Option here. RunGrid executes many cells on a worker pool; Figure8,
-// Scaling, ShardSweep and Degraded return the paper's evaluation grids;
+// Scaling and Degraded return the paper's evaluation grids;
 // Fleet returns the seeded failure-injection fleet. New subsystems plug in
 // by registering a name (RegisterStrategy, RegisterPlatform,
 // RegisterScenario, RegisterFault) rather than growing another struct
@@ -74,7 +74,7 @@ type (
 	Verdict = verify.Verdict
 	// TraceEvent is one structured virtual-time event of a traced run,
 	// totally ordered by (T, Actor, Seq) and byte-identical across worker
-	// counts and lock-shard counts (see internal/obs).
+	// counts (see internal/obs).
 	TraceEvent = obs.Event
 	// TraceRecorder collects a traced run's event streams and metrics;
 	// Result.Events holds one when tracing was requested.
@@ -187,12 +187,6 @@ func Servers(n int) Option {
 	return func(s *Spec) error { s.Servers = n; return nil }
 }
 
-// LockShards overrides the lock-table shard count (0 keeps the platform
-// default). Reported numbers are byte-identical for any value.
-func LockShards(n int) Option {
-	return func(s *Spec) error { s.LockShards = n; return nil }
-}
-
 // StoreData materializes file bytes (needed for Verify; off by default so
 // large arrays stay memory-flat).
 func StoreData(on bool) Option {
@@ -207,9 +201,8 @@ func Verify(on bool) Option {
 
 // TraceEvents records the structured virtual-time event stream and metrics
 // registry of the run, per-phase virtual time included (see
-// Result.PhaseBreakdown). The stream is byte-identical across worker counts
-// and lock-shard counts; export it with WriteTraceJSONL or
-// WriteChromeTrace.
+// Result.PhaseBreakdown). The stream is byte-identical across worker
+// counts; export it with WriteTraceJSONL or WriteChromeTrace.
 func TraceEvents(on bool) Option {
 	return func(s *Spec) error { s.TraceEvents = on; return nil }
 }
@@ -339,7 +332,7 @@ func SummarizeServerStats(stats []ServerStats, makespan VTime) ServerStatsSummar
 // WriteTraceJSONL writes a traced run's event stream and metrics as compact
 // JSONL (schema atomio.trace/v1): a header line, one event per line in
 // (T, Actor, Seq) order, and a final metrics line. The output is
-// byte-identical across worker counts and lock-shard counts.
+// byte-identical across worker counts.
 func WriteTraceJSONL(w io.Writer, r *TraceRecorder) error {
 	return obs.WriteJSONL(w, r)
 }

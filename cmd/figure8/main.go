@@ -8,8 +8,7 @@
 //	figure8 [-platform name] [-size label] [-store] [-v]
 //	        [-workers N] [-progress] [-json file] [-csv file]
 //	        [-cpuprofile file] [-memprofile file]
-//	        [-scale] [-maxp P] [-lockshards S]
-//	        [-shardsweep] [-servers N] [-degraded]
+//	        [-scale] [-maxp P] [-servers N] [-degraded]
 //	        [-fleet] [-seed S] [-cells N]
 //	        [-trace-out file] [-trace-limit N] [-metrics]
 //
@@ -24,13 +23,6 @@
 // atomio.bench/v1 records as the Figure 8 grid. -maxp raises (or lowers)
 // the grid's process-count ceiling: past 1024 the grid continues into the
 // extended points (2048–16384 ranks, see atomio.ScalingTo).
-//
-// -lockshards S partitions every cell's lock-manager table across S offset
-// stripes (see internal/lock). Reported numbers are byte-identical for any
-// S — sharding changes only the host-side partition of the table — which
-// makes the flag a live determinism check. -shardsweep runs the dedicated
-// shard sweep (atomio.ShardSweep): one contended locking cell per shard
-// count, printing virtual bandwidth (constant) next to wall time.
 //
 // -servers N overrides every cell's simulated I/O-server count (a real
 // model parameter: reported numbers change with it). -degraded runs the
@@ -55,7 +47,7 @@
 // writes one trace file per cell: a ".json" path gets the Chrome
 // trace-event format (open it at ui.perfetto.dev), any other extension gets
 // atomio.trace/v1 JSONL (the format cmd/atomtrace consumes). The stream is
-// byte-identical across worker counts and lock-shard counts.
+// byte-identical across worker counts.
 // -trace-limit bounds per-actor event memory for large-P cells. -metrics
 // alone records the metrics registry — message counts, queue depths, lock
 // waits — into the emitted records without keeping event streams.
@@ -77,20 +69,19 @@ import (
 
 // config is the parsed command line.
 type config struct {
-	platform   string
-	size       string
-	store      bool
-	verbose    bool
-	scale      bool
-	maxp       int
-	shardSweep bool
-	degraded   bool
-	fleet      bool
-	seed       uint64
-	cells      int
-	out        *cli.Output
-	model      *cli.Model
-	trace      *cli.Trace
+	platform string
+	size     string
+	store    bool
+	verbose  bool
+	scale    bool
+	maxp     int
+	degraded bool
+	fleet    bool
+	seed     uint64
+	cells    int
+	out      *cli.Output
+	model    *cli.Model
+	trace    *cli.Trace
 }
 
 // parseFlags parses and validates the command line, printing diagnostics
@@ -106,7 +97,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	app.Flags.BoolVar(&cfg.scale, "scale", false, "run the large-P scaling grid instead of Figure 8")
 	app.Flags.IntVar(&cfg.maxp, "maxp", 1024,
 		"largest process count of the -scale grid (past 1024: the extended points, up to 16384)")
-	app.Flags.BoolVar(&cfg.shardSweep, "shardsweep", false, "run the lock-shard sweep instead of Figure 8")
 	app.Flags.BoolVar(&cfg.degraded, "degraded", false, "run the degraded-server scenario grid instead of Figure 8")
 	app.Flags.BoolVar(&cfg.fleet, "fleet", false, "run the seeded failure-injection fleet instead of Figure 8")
 	app.Flags.Uint64Var(&cfg.seed, "seed", 1, "fleet PRNG seed; (seed, cells) reproduces the fleet exactly")
@@ -118,22 +108,16 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	cfg.trace = app.Trace()
 	app.Check(func() error {
 		exclusive := 0
-		for _, f := range []bool{cfg.scale, cfg.shardSweep, cfg.degraded, cfg.fleet} {
+		for _, f := range []bool{cfg.scale, cfg.degraded, cfg.fleet} {
 			if f {
 				exclusive++
 			}
 		}
 		if exclusive > 1 {
-			return errors.New("-scale, -shardsweep, -degraded and -fleet are mutually exclusive")
+			return errors.New("-scale, -degraded and -fleet are mutually exclusive")
 		}
-		if cfg.shardSweep && cfg.model.LockShards != 0 {
-			return errors.New("-shardsweep sweeps its own shard counts; -lockshards would be ignored")
-		}
-		if cfg.shardSweep && cfg.model.Servers != 0 {
-			return errors.New("-shardsweep fixes its own cell; -servers would be ignored")
-		}
-		if cfg.degraded && (cfg.model.Servers != 0 || cfg.model.LockShards != 0) {
-			return errors.New("-degraded fixes its own scenarios; -servers and -lockshards would be ignored")
+		if cfg.degraded && cfg.model.Servers != 0 {
+			return errors.New("-degraded fixes its own scenarios; -servers would be ignored")
 		}
 		if cfg.fleet && cfg.model.Servers != 0 {
 			return errors.New("-fleet fixes two I/O servers per cell; -servers would change the fault surface")
@@ -147,11 +131,11 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 		if cfg.cells > maxFleetCells {
 			return fmt.Errorf("-cells must be at most %d, got %d", maxFleetCells, cfg.cells)
 		}
-		if cfg.scale || cfg.shardSweep || cfg.degraded || cfg.fleet {
+		if cfg.scale || cfg.degraded || cfg.fleet {
 			// These grids fix their own platform, shapes and data mode;
 			// reject flags that would otherwise be silently ignored.
 			if *platformFlag != "" || *sizeFlag != "" || cfg.store || cfg.verbose {
-				return errors.New("-scale/-shardsweep/-degraded/-fleet are incompatible with -platform, -size, -store and -v")
+				return errors.New("-scale/-degraded/-fleet are incompatible with -platform, -size, -store and -v")
 			}
 		}
 		if cfg.maxp != 1024 && !cfg.scale {
@@ -187,8 +171,6 @@ func main() {
 		fatal(err)
 	}
 	switch {
-	case cfg.shardSweep:
-		runShardSweep(cells, cfg)
 	case cfg.degraded:
 		runDegraded(cells, cfg)
 	case cfg.fleet:
@@ -206,8 +188,6 @@ func main() {
 // flag checks have already rejected the flags a mode would ignore.
 func expand(cfg *config) (grid atomio.Grid, cells []atomio.Cell, err error) {
 	switch {
-	case cfg.shardSweep:
-		cells = atomio.ShardSweep()
 	case cfg.degraded:
 		cells = atomio.Degraded()
 	case cfg.fleet:
@@ -295,19 +275,6 @@ func runScaling(cells []atomio.Cell, cfg *config) {
 		res := r.Result
 		fmt.Printf("%-44s %10d %12.2f %12s\n",
 			r.Cell.ID, r.Cell.Experiment.Procs, res.BandwidthMBs, res.Makespan)
-	}
-}
-
-// runShardSweep executes the lock-shard sweep: one contended locking cell
-// per shard count. The virtual column is constant across rows — the
-// sharded table's determinism contract — while wall time tracks the host.
-func runShardSweep(cells []atomio.Cell, cfg *config) {
-	results := runCells(cells, cfg)
-	fmt.Printf("%-44s %8s %12s %12s %12s\n", "cell", "shards", "vMB/s", "vmakespan", "wall")
-	for _, r := range results {
-		res := r.Result
-		fmt.Printf("%-44s %8d %12.2f %12s %12s\n",
-			r.Cell.ID, r.Cell.Experiment.LockShards, res.BandwidthMBs, res.Makespan, r.Wall.Round(1e6))
 	}
 }
 

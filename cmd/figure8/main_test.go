@@ -20,7 +20,7 @@ var parseCases = []struct {
 	{"empty", nil, true, ""},
 	{"full grid knobs", []string{"-platform", "Cplant", "-size", "32 MB", "-store", "-v",
 		"-workers", "2", "-progress", "-json", "a.json", "-csv", "b.csv",
-		"-lockshards", "4", "-servers", "7"}, true, ""},
+		"-servers", "7"}, true, ""},
 	{"scale", []string{"-scale", "-workers", "2"}, true, ""},
 	{"scale to 16k", []string{"-scale", "-maxp", "16384"}, true, ""},
 	{"scale lowered", []string{"-scale", "-maxp", "64"}, true, ""},
@@ -28,14 +28,11 @@ var parseCases = []struct {
 		"-cpuprofile", "cpu.pb.gz", "-memprofile", "mem.pb.gz"}, true, ""},
 	{"cpuprofile without a file", []string{"-cpuprofile"}, false, "flag needs an argument: -cpuprofile"},
 	{"goroutine engine", []string{"-engine", "goroutine"}, false, "flag provided but not defined: -engine"},
-	{"negative lockshards", []string{"-lockshards", "-1"}, false, "-lockshards must be non-negative"},
 	{"negative servers", []string{"-servers", "-1"}, false, "-servers must be non-negative"},
 	{"non-numeric workers", []string{"-workers", "x"}, false, "invalid value"},
-	{"two modes", []string{"-scale", "-shardsweep"}, false, "mutually exclusive"},
-	{"shardsweep with lockshards", []string{"-shardsweep", "-lockshards", "2"}, false, "would be ignored"},
-	{"shardsweep with servers", []string{"-shardsweep", "-servers", "3"}, false, "would be ignored"},
+	{"two modes", []string{"-scale", "-degraded"}, false, "mutually exclusive"},
 	{"degraded with sharedstore", []string{"-degraded", "-sharedstore"}, false, "flag provided but not defined: -sharedstore"},
-	{"degraded with lockshards", []string{"-degraded", "-lockshards", "2"}, false, "would be ignored"},
+	{"degraded with servers", []string{"-degraded", "-servers", "3"}, false, "would be ignored"},
 	{"scale with platform", []string{"-scale", "-platform", "Cplant"}, false, "incompatible"},
 	{"maxp without scale", []string{"-maxp", "2048"}, false, "-maxp is only meaningful with -scale"},
 	{"maxp too small", []string{"-scale", "-maxp", "32"}, false, "-maxp must be at least 64"},
@@ -44,7 +41,6 @@ var parseCases = []struct {
 	{"fleet", []string{"-fleet"}, true, ""},
 	{"fleet seeded", []string{"-fleet", "-seed", "42", "-cells", "500", "-workers", "4"}, true, ""},
 	{"fleet with engine", []string{"-fleet", "-engine", "eventloop"}, false, "flag provided but not defined: -engine"},
-	{"fleet with lockshards", []string{"-fleet", "-lockshards", "2"}, true, ""},
 	{"fleet with scale", []string{"-fleet", "-scale"}, false, "mutually exclusive"},
 	{"fleet with degraded", []string{"-fleet", "-degraded"}, false, "mutually exclusive"},
 	{"fleet with servers", []string{"-fleet", "-servers", "4"}, false, "fault surface"},
@@ -57,9 +53,7 @@ var parseCases = []struct {
 	{"unknown engine", []string{"-engine", "threads"}, false, "flag provided but not defined: -engine"},
 	{"unknown flag", []string{"-nosuch"}, false, "not defined"},
 	{"too many servers", []string{"-servers", "1073741824", "-platform", "Cplant", "-size", "32 MB"},
-		false, "figure8: -lockshards/-servers: harness: servers must be"},
-	{"too many lockshards", []string{"-lockshards", "268435456", "-platform", "Origin2000", "-size", "32 MB"},
-		false, "figure8: -lockshards/-servers: harness: lock shards must be"},
+		false, "figure8: -servers: harness: servers must be"},
 	{"too many cells", []string{"-fleet", "-cells", "1000000000"}, false, "-cells must be at most"},
 }
 
@@ -96,13 +90,12 @@ func TestParseFlags(t *testing.T) {
 // TestParseFlagsBinds checks the parsed values reach the config.
 func TestParseFlagsBinds(t *testing.T) {
 	cfg, err := parseFlags([]string{"-platform", "IBM SP", "-size", "1 GB", "-store",
-		"-workers", "5", "-lockshards", "2", "-servers", "6"}, io.Discard)
+		"-workers", "5", "-servers", "6"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.platform != "IBM SP" || cfg.size != "1 GB" || !cfg.store ||
-		cfg.out.Workers != 5 || cfg.model.LockShards != 2 ||
-		cfg.model.Servers != 6 {
+		cfg.out.Workers != 5 || cfg.model.Servers != 6 {
 		t.Errorf("config = %+v out=%+v model=%+v", cfg, cfg.out, cfg.model)
 	}
 

@@ -22,7 +22,7 @@ var parseCases = []struct {
 	{"full", []string{"-platform", "IBM SP", "-m", "512", "-n", "4096", "-p", "2,4",
 		"-r", "8", "-pattern", "row", "-strategies", "coloring,ordering",
 		"-store", "-trace", "-workers", "2", "-json", "a.json",
-		"-lockshards", "2", "-servers", "3"}, true, ""},
+		"-servers", "3"}, true, ""},
 	{"profiled", []string{"-strategies", "locking", "-workers", "1",
 		"-cpuprofile", "cpu.pb.gz", "-memprofile", "mem.pb.gz"}, true, ""},
 	{"memprofile without a file", []string{"-memprofile"}, false, "flag needs an argument: -memprofile"},
@@ -35,13 +35,11 @@ var parseCases = []struct {
 	{"empty pattern", []string{"-pattern", ""}, false, "empty pattern"},
 	{"unknown strategy", []string{"-strategies", "osmosis"}, false, "registered:"},
 	{"empty strategy entry", []string{"-strategies", "locking,,ordering"}, false, "empty entry"},
-	{"negative lockshards", []string{"-lockshards", "-1"}, false, "non-negative"},
 	{"negative servers", []string{"-servers", "-9"}, false, "non-negative"},
 	{"unknown flag", []string{"-nosuch"}, false, "not defined"},
 	{"too many procs", []string{"-m", "1", "-n", "4194304", "-p", "4194304", "-r", "0", "-strategies", "ordering"},
 		false, "sweep: harness: process count must be"},
 	{"too many servers", []string{"-servers", "1073741824"}, false, "harness: servers must be"},
-	{"too many lockshards", []string{"-lockshards", "268435456"}, false, "harness: lock shards must be"},
 }
 
 func TestParseFlags(t *testing.T) {

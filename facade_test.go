@@ -50,8 +50,6 @@ func TestNewValidation(t *testing.T) {
 		{"bad overlap", []Option{Overlap(-1)}, "overlap must be non-negative"},
 		{"bad servers", []Option{Servers(-1)}, "servers must be non-negative"},
 		{"too many servers", []Option{Servers(1 << 30)}, "servers must be"},
-		{"bad lock shards", []Option{LockShards(-1)}, "lock shards must be non-negative"},
-		{"too many lock shards", []Option{LockShards(1 << 28), Strategy("locking")}, "lock shards must be"},
 		{"bad checkpoints", []Option{Checkpoints(-1)}, "checkpoint steps must be non-negative"},
 		{"bad compute", []Option{Compute(-time.Second)}, "compute time must be non-negative"},
 		{"indivisible shape", []Option{Procs(3)}, "not divisible"},
@@ -83,7 +81,7 @@ func TestEveryExperimentFieldHasAnOption(t *testing.T) {
 		"Overlap": Overlap(2), "Pattern": Pattern("row"), "Strategy": Strategy("ordering"),
 		"StoreData": StoreData(true), "Verify": Verify(true),
 		"TraceEvents": TraceEvents(true), "EventLimit": TraceLimit(16),
-		"LockShards": LockShards(2), "Servers": Servers(3), "Scenario": Scenario("slow0x4"),
+		"Servers": Servers(3), "Scenario": Scenario("slow0x4"),
 		"Steps": Checkpoints(3), "Compute": Compute(time.Millisecond), "Faults": Fault("server-outage"),
 		"Recovery": Recovery(true),
 	}

@@ -136,10 +136,6 @@ func Scaling() []Cell { return runner.ScalingGrid() }
 // 8192 and 16384 processes — see runner.ScalingGridTo).
 func ScalingTo(maxP int) []Cell { return runner.ScalingGridTo(maxP) }
 
-// ShardSweep returns the lock-shard sweep cells: one contended locking
-// cell per shard count, byte-identical simulated output across the sweep.
-func ShardSweep() []Cell { return runner.ShardSweepGrid() }
-
 // Degraded returns the degraded-server scenario cells: healthy baseline,
 // one slow server, a hot server absorbing skewed affinity, and a
 // server-count rebalance. Perturbed cells are explicitly non-comparable to

@@ -1,7 +1,7 @@
 // Package cli is the shared command-line layer of the atomio binaries:
 // every flag the commands have in common — result emission (-workers,
 // -json, -csv, -progress), host profiles of the run (-cpuprofile,
-// -memprofile), simulator model parameters (-lockshards, -servers),
+// -memprofile), simulator model parameters (-servers),
 // workload geometry (-m, -n, -r) and -platform — is declared
 // once here, checked once, and bound to the public facade's types, so
 // figure8, sweep, table1 and atomcheck cannot drift apart on names,
@@ -185,17 +185,14 @@ func (o *Output) RunOptions(name string) atomio.RunOptions {
 }
 
 // Model is the simulator model-parameter group figure8 and sweep share:
-// -lockshards, -servers.
+// -servers.
 type Model struct {
-	LockShards int
-	Servers    int
+	Servers int
 }
 
 // Model registers the model-parameter group on the app, with validation.
 func (a *App) Model() *Model {
 	m := &Model{}
-	a.Flags.IntVar(&m.LockShards, "lockshards", 0,
-		"lock-table shards per manager (0 = platform default; output is identical for any value)")
 	a.Flags.IntVar(&m.Servers, "servers", 0,
 		"simulated I/O servers (0 = platform default; a real model parameter)")
 	a.Check(m.validate)
@@ -203,27 +200,22 @@ func (a *App) Model() *Model {
 }
 
 func (m *Model) validate() error {
-	if m.LockShards < 0 {
-		return fmt.Errorf("-lockshards must be non-negative, got %d", m.LockShards)
-	}
 	if m.Servers < 0 {
 		return fmt.Errorf("-servers must be non-negative, got %d", m.Servers)
 	}
 	// Upper bounds are the experiment's own rules: dry-run them.
 	if _, err := atomio.New(m.Options()...); err != nil {
-		return fmt.Errorf("-lockshards/-servers: %w", err)
+		return fmt.Errorf("-servers: %w", err)
 	}
 	return nil
 }
 
 // Options returns the facade options of the flags that were set. 0 keeps
 // each platform's default, so an unset flag contributes no option and
-// per-cell values (the shard sweep's, the fleet's server count) survive.
+// per-cell values (the fleet's and the degraded grid's server counts)
+// survive.
 func (m *Model) Options() []atomio.Option {
 	var opts []atomio.Option
-	if m.LockShards != 0 {
-		opts = append(opts, atomio.LockShards(m.LockShards))
-	}
 	if m.Servers != 0 {
 		opts = append(opts, atomio.Servers(m.Servers))
 	}

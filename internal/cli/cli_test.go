@@ -76,10 +76,10 @@ func TestParseStrategies(t *testing.T) {
 	}
 }
 
-// TestModelValidation checks the shared -lockshards/-servers validation:
-// the flag-level input checks, and the experiment's own bounds reached
-// through the facade — the two over-bound rows ran the process out of
-// memory when only the sign was checked.
+// TestModelValidation checks the shared -servers validation: the
+// flag-level input checks, and the experiment's own bounds reached through
+// the facade — the over-bound row ran the process out of memory when only
+// the sign was checked.
 func TestModelValidation(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -87,14 +87,12 @@ func TestModelValidation(t *testing.T) {
 		want string // diagnostic substring for the failing cases
 	}{
 		{[]string{}, true, ""},
-		{[]string{"-lockshards", "4", "-servers", "7"}, true, ""},
+		{[]string{"-servers", "7"}, true, ""},
 		{[]string{"-engine", "eventloop"}, false, "not defined"},
 		{[]string{"-sharedstore"}, false, "not defined"},
-		{[]string{"-lockshards", "-1"}, false, "-lockshards must be non-negative"},
 		{[]string{"-servers", "-2"}, false, "-servers must be non-negative"},
 		{[]string{"-servers", "x"}, false, "invalid value"},
 		{[]string{"-servers", "1073741824"}, false, "servers must be non-negative and at most"},
-		{[]string{"-lockshards", "268435456"}, false, "lock shards must be non-negative and at most"},
 	}
 	for _, tc := range cases {
 		var buf strings.Builder
@@ -110,7 +108,7 @@ func TestModelValidation(t *testing.T) {
 			t.Errorf("Parse(%v) took %v", tc.args, d)
 		}
 		if tc.ok && len(tc.args) > 0 {
-			if m.LockShards != 4 || m.Servers != 7 {
+			if m.Servers != 7 {
 				t.Errorf("Parse(%v) model = %+v", tc.args, m)
 			}
 		}
@@ -119,7 +117,7 @@ func TestModelValidation(t *testing.T) {
 
 // TestOutputValidation checks -workers: 0 means all CPUs, and a negative
 // count is rejected with the same diagnostic shape and exit status as
-// -lockshards -1 instead of silently running on all CPUs.
+// -servers -1 instead of silently running on all CPUs.
 func TestOutputValidation(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -159,19 +157,19 @@ func parseGroups(t *testing.T, args ...string) (*Model, *Trace) {
 
 // TestUnsetGroupsKeepPerCellValues is the regression test for the clobber
 // the Apply/ApplyCells twins had: a group whose flags were not given wrote
-// its zero values over every cell, erasing the shard sweep's own counts.
+// its zero values over every cell, erasing the fleet's own server count.
 func TestUnsetGroupsKeepPerCellValues(t *testing.T) {
 	m, tr := parseGroups(t)
 	if opts := append(m.Options(), tr.Options()...); len(opts) != 0 {
 		t.Fatalf("unset groups yield %d options, want none", len(opts))
 	}
-	cells := atomio.ShardSweep()
+	cells := atomio.Fleet(1, 8)
 	if err := Apply(cells, append(m.Options(), tr.Options()...)...); err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []int{1, 2, 4, 8} {
-		if got := cells[i].Experiment.LockShards; got != want {
-			t.Errorf("cell %s has %d lock shards after an unset group, want %d", cells[i].ID, got, want)
+	for _, c := range cells {
+		if got := c.Experiment.Servers; got != 2 {
+			t.Errorf("cell %s has %d servers after an unset group, want the fleet's 2", c.ID, got)
 		}
 	}
 }
@@ -180,7 +178,7 @@ func TestUnsetGroupsKeepPerCellValues(t *testing.T) {
 // ways a binary applies them: as a Grid's Options and onto pre-expanded
 // cells.
 func TestSetGroupsReachEveryCell(t *testing.T) {
-	m, tr := parseGroups(t, "-lockshards", "4", "-servers", "7", "-metrics")
+	m, tr := parseGroups(t, "-servers", "7", "-metrics")
 	opts := append(m.Options(), tr.Options()...)
 	grid := atomio.Figure8()
 	grid.Options = append(grid.Options, opts...)
@@ -194,9 +192,9 @@ func TestSetGroupsReachEveryCell(t *testing.T) {
 	}
 	for _, c := range append(gridCells, scaling...) {
 		e := c.Experiment
-		if e.LockShards != 4 || e.Servers != 7 || !e.TraceEvents || e.EventLimit != -1 {
-			t.Errorf("cell %s: shards=%d servers=%d events=%v limit=%d", c.ID,
-				e.LockShards, e.Servers, e.TraceEvents, e.EventLimit)
+		if e.Servers != 7 || !e.TraceEvents || e.EventLimit != -1 {
+			t.Errorf("cell %s: servers=%d events=%v limit=%d", c.ID,
+				e.Servers, e.TraceEvents, e.EventLimit)
 		}
 	}
 	if gridCells[0].Experiment.Overlap != 64 || scaling[0].Experiment.Overlap != 16 {
@@ -239,7 +237,7 @@ func TestExitCode(t *testing.T) {
 	app = New("test")
 	app.SetOutput(io.Discard)
 	app.Model()
-	if err := app.Parse([]string{"-lockshards", "-1"}); ExitCode(err) != 1 {
+	if err := app.Parse([]string{"-servers", "-1"}); ExitCode(err) != 1 {
 		t.Errorf("validation: ExitCode = %d, want 1", ExitCode(err))
 	}
 	app = New("test")
@@ -261,11 +259,11 @@ func TestValidationErrorPrinted(t *testing.T) {
 	app.Model()
 	first := errors.New("first check failed")
 	app.Check(func() error { return first })
-	err := app.Parse([]string{"-lockshards", "-3"})
+	err := app.Parse([]string{"-servers", "-3"})
 	if err == nil {
 		t.Fatal("want error")
 	}
-	if !strings.Contains(err.Error(), "-lockshards") {
+	if !strings.Contains(err.Error(), "-servers") {
 		t.Errorf("model check should fail before the later check, got %v", err)
 	}
 	if got := buf.String(); !strings.HasPrefix(got, "mybinary: ") {
@@ -313,7 +311,11 @@ func TestOutputRunWritesProfiles(t *testing.T) {
 	if err := app.Parse([]string{"-workers", "1", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
 		t.Fatal(err)
 	}
-	cells := atomio.ShardSweep()[:1]
+	cells, err := atomio.Figure8().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells = cells[:1]
 	results, err := o.Run("test", cells)
 	if err != nil {
 		t.Fatal(err)

@@ -155,27 +155,6 @@ func (v View) MapAt(start, nbytes int64) []Mapping {
 	return out
 }
 
-// Span returns the single extent from the first to the last byte a request
-// of nbytes touches — the range the byte-range locking strategy must lock.
-// Only the first and last logical byte are mapped (two O(filetype-segment)
-// walks), not the full request: a column-wise request of thousands of tiles
-// no longer materializes its extent list just to take first-to-last.
-func (v View) Span(nbytes int64) interval.Extent {
-	if nbytes == 0 {
-		return interval.Extent{}
-	}
-	first := v.Extents(0, 1)[0]
-	last := v.Extents(nbytes-1, 1)[0]
-	lo, hi := first.Off, last.End()
-	if last.Off < lo {
-		lo = last.Off
-	}
-	if first.End() > hi {
-		hi = first.End()
-	}
-	return interval.Extent{Off: lo, Len: hi - lo}
-}
-
 // String describes the view.
 func (v View) String() string {
 	return fmt.Sprintf("view(disp=%d, etype=%s, filetype=%s)", v.Disp, v.Etype, v.Filetype)

@@ -44,9 +44,6 @@ func TestColumnWiseViewSingleTile(t *testing.T) {
 			t.Errorf("segment %d buf = %d, want %d", i, m.Buf, i*3)
 		}
 	}
-	if got := v.Span(12); got != ext(3, 39) {
-		t.Fatalf("span = %v, want [3,42)", got)
-	}
 }
 
 func TestMapPartialRequestCutsSegment(t *testing.T) {
@@ -223,43 +220,6 @@ func TestBufferOffsetsArePerfectPartition(t *testing.T) {
 	}
 }
 
-// TestSpanMatchesExtentsSpan pins the direct first/last-byte Span against
-// the full-materialization definition across view shapes: contiguous,
-// strided vectors (with and without a tail gap), displacement, and request
-// sizes cutting tiles at every alignment.
-func TestSpanMatchesExtentsSpan(t *testing.T) {
-	views := []View{
-		New(0, datatype.Byte, datatype.NewContiguous(4, datatype.Byte)),
-		New(7, datatype.Byte, datatype.NewContiguous(3, datatype.Byte)),
-		New(0, datatype.Byte, strided{count: 4, block: 2, stride: 5}),
-		New(11, datatype.Byte, strided{count: 3, block: 3, stride: 8}),
-		New(2, datatype.Byte, strided{count: 1, block: 2, stride: 9}),
-	}
-	for _, v := range views {
-		tile := v.Filetype.Size()
-		for nbytes := int64(0); nbytes <= 4*tile+1; nbytes++ {
-			want := v.Extents(0, nbytes).Span()
-			got := v.Span(nbytes)
-			if got != want {
-				t.Fatalf("%v Span(%d) = %v, want %v", v, nbytes, got, want)
-			}
-		}
-	}
-}
-
-// BenchmarkSpan measures Span on a many-tile request; the direct
-// computation must not scale with the number of tiles.
-func BenchmarkSpan(b *testing.B) {
-	v := New(0, datatype.Byte, strided{count: 1, block: 64, stride: 4096})
-	const nbytes = 64 * 100000 // 100k tiles
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if sp := v.Span(nbytes); sp.Empty() {
-			b.Fatal("empty span")
-		}
-	}
-}
-
 // mapAtByAppend is MapAt as it was before the view kept its flattening: one
 // Flatten per call and a result grown from nil by append. It is the oracle
 // the counted, allocate-once MapAt is held to.
@@ -398,7 +358,6 @@ func TestNewFlattensOnce(t *testing.T) {
 	v := New(0, datatype.Byte, ft)
 	v.Map(8)
 	v.MapAt(3, 20)
-	v.Span(16)
 	if ft.flattened != 1 {
 		t.Fatalf("filetype flattened %d times, want once, by New", ft.flattened)
 	}

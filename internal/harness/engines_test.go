@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -147,11 +146,10 @@ func TestEnginesByteIdenticalSharedHandshake(t *testing.T) {
 	}
 }
 
-// TestTraceByteIdenticalAcrossShards pins what a traced run records: the
-// serialized event stream and the metrics registry are identical for the
-// single lock table and the sharded one, and under the explorer's
-// zero-delay schedule.
-func TestTraceByteIdenticalAcrossShards(t *testing.T) {
+// TestTraceByteIdenticalUnderZeroDelaySchedule pins what a traced run
+// records: the serialized event stream and the metrics registry are
+// identical on the engine and under the explorer's zero-delay schedule.
+func TestTraceByteIdenticalUnderZeroDelaySchedule(t *testing.T) {
 	jsonl := func(t *testing.T, res *Result) []byte {
 		t.Helper()
 		var buf bytes.Buffer
@@ -162,34 +160,26 @@ func TestTraceByteIdenticalAcrossShards(t *testing.T) {
 	}
 	prof := platform.Origin2000()
 	for _, strat := range []core.Strategy{core.Locking{}, core.Coloring{}} {
-		var unsharded *Result
-		for _, shards := range []int{1, 4} {
-			e := Experiment{
-				Platform: prof, M: 256, N: 2048, Procs: 4, Overlap: 8,
-				Pattern: ColumnWise, Strategy: strat,
-				LockShards: shards, TraceEvents: true,
-			}
-			t.Run(fmt.Sprintf("%s/shards=%d", strat.Name(), shards), func(t *testing.T) {
-				res, err := e.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if unsharded == nil {
-					unsharded = res
-				}
-				got := jsonl(t, res)
-				if bytes.Count(got, []byte("\n")) < 10 {
-					t.Fatal("trace suspiciously small; test vacuous")
-				}
-				for name, want := range map[string]*Result{"one shard": unsharded, "zero-delay schedule": runSchedule(t, e, nil).res} {
-					if !bytes.Equal(got, jsonl(t, want)) {
-						t.Errorf("event stream diverges from the %s run's", name)
-					}
-					if !reflect.DeepEqual(res.Metrics, want.Metrics) {
-						t.Errorf("metrics diverge from the %s run's\n got %+v\nwant %+v", name, res.Metrics, want.Metrics)
-					}
-				}
-			})
+		e := Experiment{
+			Platform: prof, M: 256, N: 2048, Procs: 4, Overlap: 8,
+			Pattern: ColumnWise, Strategy: strat, TraceEvents: true,
 		}
+		t.Run(strat.Name(), func(t *testing.T) {
+			res, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := jsonl(t, res)
+			if bytes.Count(got, []byte("\n")) < 10 {
+				t.Fatal("trace suspiciously small; test vacuous")
+			}
+			want := runSchedule(t, e, nil).res
+			if !bytes.Equal(got, jsonl(t, want)) {
+				t.Error("event stream diverges from the zero-delay schedule run's")
+			}
+			if !reflect.DeepEqual(res.Metrics, want.Metrics) {
+				t.Errorf("metrics diverge from the zero-delay schedule run's\n got %+v\nwant %+v", res.Metrics, want.Metrics)
+			}
+		})
 	}
 }

@@ -83,17 +83,12 @@ type Experiment struct {
 	// metrics registry (see internal/obs): scheduler park/wake, MPI
 	// messages, lock grants, server queueing, fault instants, and each
 	// rank's phase spans and per-phase counters (see PhaseBreakdown). The
-	// stream is byte-identical across worker counts and lock-shard counts.
+	// stream is byte-identical across worker counts.
 	TraceEvents bool
 	// EventLimit bounds per-actor event memory when TraceEvents is on:
 	// > 0 keeps only the newest EventLimit events per actor (ring buffer),
 	// 0 is unbounded, < 0 records metrics only. Large-P cells use a ring.
 	EventLimit int
-	// LockShards overrides the platform's lock-table shard count (0 keeps
-	// the platform default). Virtual timings — and therefore every
-	// reported number — are byte-identical for any value; sharding
-	// changes only the host-side partition of the table (see internal/lock).
-	LockShards int
 	// Servers overrides the platform's simulated I/O-server count (0
 	// keeps the platform default). Server count is a real model parameter:
 	// changing it changes virtual timings.
@@ -277,8 +272,6 @@ const (
 	// MaxServers: the file system builds a queue, a cost model and a
 	// counter per server.
 	MaxServers = 1 << 16
-	// MaxLockShards: every shard is a lock table with its own maps.
-	MaxLockShards = 1 << 16
 	// MaxSteps: every checkpoint step is a whole collective write.
 	MaxSteps = 1 << 16
 )
@@ -306,8 +299,6 @@ func (e Experiment) config() (pfs.Config, error) {
 		return cfg, fmt.Errorf("harness: overlap must be non-negative, got %d", e.Overlap)
 	case e.Servers < 0 || e.Servers > MaxServers:
 		return cfg, fmt.Errorf("harness: servers must be non-negative and at most %d, got %d", MaxServers, e.Servers)
-	case e.LockShards < 0 || e.LockShards > MaxLockShards:
-		return cfg, fmt.Errorf("harness: lock shards must be non-negative and at most %d, got %d", MaxLockShards, e.LockShards)
 	case e.Steps < 0 || e.Steps > MaxSteps:
 		return cfg, fmt.Errorf("harness: checkpoint steps must be non-negative and at most %d, got %d", MaxSteps, e.Steps)
 	case int64(e.M)*int64(e.N) > math.MaxInt64/int64(max(e.Steps, 1)):
@@ -356,11 +347,7 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof := e.Platform
-	if e.LockShards > 0 {
-		prof.LockShards = e.LockShards
-	}
-	mgr := prof.NewLockManager()
+	mgr := e.Platform.NewLockManager()
 
 	// Failure injection: the injector filters server traffic inside the
 	// file system, and lock-message faults wrap the manager in the faulty

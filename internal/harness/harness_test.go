@@ -66,7 +66,6 @@ func TestRunValidatesBeforeBuilding(t *testing.T) {
 	}
 	for want, mutate := range map[string]func(*Experiment){
 		"servers":       func(e *Experiment) { e.Servers = MaxServers + 1 },
-		"lock shards":   func(e *Experiment) { e.LockShards = MaxLockShards + 1 },
 		"process count": func(e *Experiment) { e.Procs = 1 << 22 },
 		"array shape":   func(e *Experiment) { e.M = 1 << 62 },
 		"at most 65536": func(e *Experiment) { e.Steps = 1 << 40 },
@@ -80,7 +79,7 @@ func TestRunValidatesBeforeBuilding(t *testing.T) {
 	}
 	// The bounds themselves are runnable values, not off-by-one rejections.
 	e := base
-	e.Servers, e.LockShards, e.Steps = MaxServers, MaxLockShards, MaxSteps
+	e.Servers, e.Steps = MaxServers, MaxSteps
 	if err := e.Validate(); err != nil {
 		t.Errorf("experiment at the bounds: %v", err)
 	}
@@ -331,41 +330,5 @@ func TestPatternString(t *testing.T) {
 	if ColumnWise.String() != "column-wise" || RowWise.String() != "row-wise" ||
 		BlockBlock.String() != "block-block" || Pattern(9).String() == "" {
 		t.Fatal("pattern strings")
-	}
-}
-
-// TestLockShardsInvariant pins the sharded lock service's determinism
-// contract at the harness level: the full simulated result of a locking
-// experiment — makespan, bandwidth, bytes written — is byte-identical for
-// any lock-table shard count, on both manager flavours.
-func TestLockShardsInvariant(t *testing.T) {
-	for _, prof := range []platform.Profile{platform.Origin2000(), platform.IBMSP()} {
-		t.Run(prof.Name, func(t *testing.T) {
-			base := Experiment{
-				Platform: prof,
-				M:        64, N: 512, Procs: 8, Overlap: 8,
-				Pattern:  ColumnWise,
-				Strategy: core.Locking{},
-			}
-			want, err := base.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, shards := range []int{1, 4, 8} {
-				e := base
-				e.LockShards = shards
-				got, err := e.Run()
-				if err != nil {
-					t.Fatalf("S=%d: %v", shards, err)
-				}
-				if got.Makespan != want.Makespan ||
-					got.BandwidthMBs != want.BandwidthMBs ||
-					got.WrittenBytes != want.WrittenBytes {
-					t.Fatalf("S=%d diverged: got (%v, %v, %d), want (%v, %v, %d)",
-						shards, got.Makespan, got.BandwidthMBs, got.WrittenBytes,
-						want.Makespan, want.BandwidthMBs, want.WrittenBytes)
-				}
-			}
-		})
 	}
 }

@@ -16,15 +16,6 @@ type CentralConfig struct {
 	// locking protocols is central managed and its scalability is,
 	// hence, limited").
 	ServiceTime sim.VTime
-	// Shards partitions the manager's lock table across this many
-	// offset-stripe shards (0 or less means one). Sharding
-	// changes host-side data-structure size only — the
-	// simulated service model and every virtual timestamp are invariant
-	// in the shard count.
-	Shards int
-	// ShardStripe is the offset-stripe width used to route requests to
-	// shards; 0 selects DefaultShardStripe.
-	ShardStripe int64
 }
 
 // Central is a centrally managed byte-range lock service.
@@ -41,16 +32,13 @@ func NewCentral(cfg CentralConfig) *Central {
 	return &Central{
 		cfg:     cfg,
 		service: sim.NewResource("lockmgr"),
-		tbl:     newTable(cfg.Shards, cfg.ShardStripe),
+		tbl:     newTable(),
 		coord:   sim.Solo{},
 	}
 }
 
 // Name implements Manager.
 func (c *Central) Name() string { return "central" }
-
-// Shards returns the number of lock-table shards (at least 1).
-func (c *Central) Shards() int { return len(c.tbl.shards) }
 
 // SetCoord routes the manager's shared-state transitions through the run's
 // coordinator (see sim.Coord); lock owners double as actor ids. Until it is
@@ -62,8 +50,7 @@ func (c *Central) SetCoord(co sim.Coord) {
 
 // SetObs routes lock events and metrics into a recorder. Events are
 // emitted at the manager level, by the owner itself, never inside
-// the grant table — so the trace is invariant in the shard count by
-// construction.
+// the grant table.
 func (c *Central) SetObs(o *obs.Recorder) { c.obs = o }
 
 // Lock implements Manager: request travels to the manager, queues for

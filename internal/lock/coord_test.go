@@ -50,41 +50,29 @@ func tableOf(m Manager) *table {
 
 // relLatest reports the latest recorded virtual release times of exclusive
 // and shared locks over any byte of e (the observable state of the release
-// history); the per-shard maxima combine as in grant.
+// history).
 func (t *table) relLatest(e interval.Extent) (excl, shared sim.VTime) {
-	for _, id := range t.shardIDs(e) {
-		excl = max(excl, t.shards[id].exclRel.latest(e))
-		shared = max(shared, t.shards[id].sharedRel.latest(e))
-	}
-	return excl, shared
+	return t.exclRel.latest(e), t.sharedRel.latest(e)
 }
 
-// granted returns every granted lock, once however many shards it covers.
-func (t *table) granted() []*held {
-	seen := map[*held]bool{}
+// locks returns every granted lock.
+func (t *table) locks() []*held {
 	var out []*held
-	for _, sh := range t.shards {
-		sh.granted.All(func(_ interval.Extent, _ index.Handle, h *held) bool {
-			if !seen[h] {
-				seen[h] = true
-				out = append(out, h)
-			}
-			return true
-		})
-	}
+	t.granted.All(func(_ interval.Extent, _ index.Handle, h *held) bool {
+		out = append(out, h)
+		return true
+	})
 	return out
 }
 
 // holders returns the number of currently granted locks.
-func (t *table) holders() int { return len(t.granted()) }
+func (t *table) holders() int { return t.granted.Len() }
 
 // waiters returns the number of blocked requests: the members of every
-// granted lock's queues.
+// granted lock's queue.
 func (t *table) waiters() (n int) {
-	for _, h := range t.granted() {
-		for _, r := range h.reps {
-			n += len(r.queue.items)
-		}
+	for _, h := range t.locks() {
+		n += len(h.queue.items)
 	}
 	return n
 }

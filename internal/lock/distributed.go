@@ -22,13 +22,6 @@ type DistributedConfig struct {
 	// RevokeCost is charged per conflicting holder whose token must be
 	// revoked (a round trip to that client plus its flush work).
 	RevokeCost sim.VTime
-	// Shards partitions the manager's lock table across this many
-	// offset-stripe shards (0 or less means one); virtual
-	// timing is invariant in the shard count (see CentralConfig.Shards).
-	Shards int
-	// ShardStripe is the offset-stripe width used to route requests to
-	// shards; 0 selects DefaultShardStripe.
-	ShardStripe int64
 }
 
 // Distributed is a GPFS-style distributed byte-range token manager: after a
@@ -66,16 +59,13 @@ func NewDistributed(cfg DistributedConfig) *Distributed {
 	return &Distributed{
 		cfg:     cfg,
 		service: sim.NewResource("tokenmgr"),
-		tbl:     newTable(cfg.Shards, cfg.ShardStripe),
+		tbl:     newTable(),
 		coord:   sim.Solo{},
 	}
 }
 
 // Name implements Manager.
 func (d *Distributed) Name() string { return "distributed" }
-
-// Shards returns the number of lock-table shards (at least 1).
-func (d *Distributed) Shards() int { return len(d.tbl.shards) }
 
 // SetCoord routes the manager's shared-state transitions through the run's
 // coordinator (see Central.SetCoord).
@@ -85,7 +75,7 @@ func (d *Distributed) SetCoord(co sim.Coord) {
 }
 
 // SetObs routes lock events and metrics into a recorder (see
-// Central.SetObs for the shard-invariance argument).
+// Central.SetObs).
 func (d *Distributed) SetObs(o *obs.Recorder) { d.obs = o }
 
 // Lock implements Manager.

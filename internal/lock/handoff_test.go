@@ -6,12 +6,189 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"atomio/internal/interval"
 	"atomio/internal/sim"
 )
+
+// scriptOp is one step of a recorded lock workload.
+type scriptOp struct {
+	acquire   bool
+	id        int // acquire op id
+	owner     int
+	e         interval.Extent
+	mode      Mode
+	earliest  sim.VTime
+	releaseOf int // release: the acquire op id whose lock is dropped
+	releaseAt sim.VTime
+	notHeld   bool // release: owner holds no lock on e; the table must refuse
+}
+
+// wokenGrant is one waiter granted by a release, identified by acquire op id.
+type wokenGrant struct {
+	id      int
+	grantAt sim.VTime
+}
+
+// wake is one Wake a table issued: the owner it granted and the grant time.
+type wake struct {
+	owner int
+	at    sim.VTime
+}
+
+// wakeLog is the run's coordinator as the table under test sees it: it
+// records the table's Wakes, whose order is the order a release grants in.
+type wakeLog struct {
+	sim.Coord
+	wakes *[]wake
+}
+
+func (l wakeLog) Wake(id int, t sim.VTime) {
+	*l.wakes = append(*l.wakes, wake{owner: id, at: t})
+	l.Coord.Wake(id, t)
+}
+
+// opOutcome is everything observable after one op.
+type opOutcome struct {
+	granted bool      // acquire: granted immediately
+	grantAt sim.VTime // acquire: immediate grant time
+	refused bool      // release: the table returned an error
+	woken   []wokenGrant
+	order   []wake // release: the grants in the order the table made them
+	holders int
+	waiters int
+	excl    []sim.VTime // relLatest probes after the op
+	shared  []sim.VTime
+}
+
+// scriptOwners is the number of owner actors a script runs over. An owner
+// blocked in an acquire is parked and cannot issue another, so a script
+// keeps at most one blocked acquire per owner.
+const scriptOwners = 12
+
+// settleAt is the virtual time the driver announces when it waits for the
+// owners to come to rest: later than anything a script stamps, so every
+// owner woken before the announcement is admitted ahead of the driver.
+const settleAt = sim.VTime(1) << 50
+
+// scriptRunner applies ops to one table, one at a time, from inside an
+// engine run: scriptOwners owner actors execute the acquires — and park in
+// the table when they conflict — while one driver actor posts the acquires,
+// issues the releases, and after each op lets the owners settle and
+// collects the grants they report.
+type scriptRunner struct {
+	t      *testing.T
+	tbl    *table
+	coord  sim.Coord
+	probes []interval.Extent
+
+	wakes []wake // the table's Wakes since the last release began
+
+	inbox   []*scriptOp  // per owner: the acquire posted to it, if any
+	waiting []bool       // per owner: parked until the driver posts
+	quit    bool         // the script is over; idle owners return
+	granted []wokenGrant // grants reported since the driver last settled
+}
+
+// runScript runs drive as the driver of a fresh run over tbl. drive
+// must leave no owner blocked in the table when it returns.
+func runScript(t *testing.T, tbl *table, probes []interval.Extent, drive func(*scriptRunner)) {
+	t.Helper()
+	r := &scriptRunner{
+		t: t, tbl: tbl, probes: probes,
+		inbox: make([]*scriptOp, scriptOwners), waiting: make([]bool, scriptOwners),
+	}
+	setCoord := func(c sim.Coord) {
+		r.coord = c
+		tbl.setCoord(wakeLog{Coord: c, wakes: &r.wakes})
+	}
+	onEngine(t, scriptOwners+1, setCoord, func(id int, _ sim.Coord) {
+		if id < scriptOwners {
+			r.own(id)
+			return
+		}
+		drive(r)
+		r.quit = true
+		for owner := range r.waiting {
+			r.wake(owner)
+		}
+	})
+}
+
+// own is an owner actor: it executes the acquires posted to it, reporting
+// each grant, until the script is over.
+func (r *scriptRunner) own(id int) {
+	for {
+		if r.inbox[id] == nil && !r.quit {
+			r.waiting[id] = true
+			for r.inbox[id] == nil && !r.quit {
+				r.coord.Park(id)
+			}
+		}
+		op := r.inbox[id]
+		r.inbox[id] = nil
+		if op == nil {
+			return
+		}
+		g := r.tbl.acquire(id, op.e, op.mode, op.earliest)
+		r.granted = append(r.granted, wokenGrant{id: op.id, grantAt: g})
+	}
+}
+
+// wake wakes owner if it is parked waiting for the driver.
+func (r *scriptRunner) wake(owner int) {
+	if r.waiting[owner] {
+		r.waiting[owner] = false
+		r.coord.Wake(owner, 0)
+	}
+}
+
+// settle lets every owner that can run do so until it rests — parked in the
+// table, or waiting for its next op — and returns the grants reported
+// meanwhile, in op-id order.
+func (r *scriptRunner) settle() []wokenGrant {
+	r.coord.Await(scriptOwners, settleAt)
+	out := r.granted
+	r.granted = nil
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+func (r *scriptRunner) outcome(base opOutcome) opOutcome {
+	base.holders = r.tbl.holders()
+	base.waiters = r.tbl.waiters()
+	for _, p := range r.probes {
+		e, s := r.tbl.relLatest(p)
+		base.excl = append(base.excl, e)
+		base.shared = append(base.shared, s)
+	}
+	return base
+}
+
+// apply runs one op from the driver actor and reports what it observably
+// did: an acquire either was granted at once or left its owner blocked; a
+// release granted some set of blocked acquires.
+func (r *scriptRunner) apply(op scriptOp) opOutcome {
+	if op.acquire {
+		r.inbox[op.owner] = &op
+		r.wake(op.owner)
+		if got := r.settle(); len(got) == 1 && got[0].id == op.id {
+			return r.outcome(opOutcome{granted: true, grantAt: got[0].grantAt})
+		} else if len(got) != 0 {
+			r.t.Errorf("acquire op %d settled with grants %+v", op.id, got)
+		}
+		return r.outcome(opOutcome{})
+	}
+	r.wakes = nil
+	err := r.tbl.release(op.owner, op.e, op.releaseAt)
+	if (err != nil) != op.notHeld {
+		r.t.Errorf("release of op %d (held: %v): %v", op.releaseOf, !op.notHeld, err)
+	}
+	return r.outcome(opOutcome{refused: err != nil, order: r.wakes, woken: r.settle()})
+}
 
 // massExtent is the one extent every mass-wakeup actor contends for.
 var massExtent = interval.Extent{Off: 0, Len: 100}
@@ -69,22 +246,16 @@ func massWakeupOrder(t *testing.T, tbl *table, n int) []int {
 
 // TestMassWakeupGrantsInTicketOrder pins the release hand-off to the
 // table's deterministic contract: overlapping exclusive waiters are
-// granted strictly in ticket order, with one shard and with four (the
-// extent spans several stripes of the 4-shard table).
+// granted strictly in ticket order.
 func TestMassWakeupGrantsInTicketOrder(t *testing.T) {
 	const n = 60
-	for name, tbl := range map[string]*table{
-		"S1": newTable(1, 16),
-		"S4": newTable(4, 16),
-	} {
-		order := massWakeupOrder(t, tbl, n)
-		if len(order) != n {
-			t.Fatalf("%s: %d grants, want %d", name, len(order), n)
-		}
-		for i := 1; i < len(order); i++ {
-			if order[i-1] >= order[i] {
-				t.Fatalf("%s: grant order %v not in ticket order at %d", name, order, i)
-			}
+	order := massWakeupOrder(t, newTable(), n)
+	if len(order) != n {
+		t.Fatalf("%d grants, want %d", len(order), n)
+	}
+	for i := 1; i < len(order); i++ {
+		if order[i-1] >= order[i] {
+			t.Fatalf("grant order %v not in ticket order at %d", order, i)
 		}
 	}
 }
@@ -98,7 +269,7 @@ func BenchmarkMassWakeup(b *testing.B) {
 		b.Run(fmt.Sprintf("waiters=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				massWakeup(b, newTable(1, 0), m, Shared,
+				massWakeup(b, newTable(), m, Shared,
 					func(owner int) sim.VTime { return sim.VTime(owner) },
 					b.StartTimer, func(int) {})
 			}
@@ -233,17 +404,15 @@ func (m *lockModel) observe(out opOutcome, probes []interval.Extent) opOutcome {
 func checkWitnesses(t *testing.T, tbl *table, m *lockModel) {
 	t.Helper()
 	queued := map[int]int{} // owner -> queues; an owner has one blocked request at most
-	for _, h := range tbl.granted() {
+	for _, h := range tbl.locks() {
 		if !slices.ContainsFunc(m.granted, func(l modelLock) bool { return l.owner == h.owner && l.e == h.ext && l.mode == h.mode }) {
 			t.Errorf("table grants owner %d %v %v, the model does not", h.owner, h.ext, h.mode)
 		}
-		for _, r := range h.reps {
-			for _, w := range r.queue.items {
-				queued[w.owner]++
-				if !h.ext.Overlaps(w.ext) || !blocks(h.owner, h.mode, w.owner, w.mode) {
-					t.Errorf("owner %d's %v %v waiter queues behind owner %d's %v %v, which does not block it",
-						w.owner, w.ext, w.mode, h.owner, h.ext, h.mode)
-				}
+		for _, w := range h.queue.items {
+			queued[w.owner]++
+			if !h.ext.Overlaps(w.ext) || !blocks(h.owner, h.mode, w.owner, w.mode) {
+				t.Errorf("owner %d's %v %v waiter queues behind owner %d's %v %v, which does not block it",
+					w.owner, w.ext, w.mode, h.owner, h.ext, h.mode)
 			}
 		}
 	}
@@ -258,9 +427,8 @@ func checkWitnesses(t *testing.T, tbl *table, m *lockModel) {
 }
 
 // handOffExtents seeds the random scripts with the shapes that matter:
-// spans nested in and crossing one another, spans straddling and exactly
-// filling the 100-byte stripes, and empty extents; drawing from a pool is
-// what makes duplicate extents common.
+// spans nested in, abutting and crossing one another, and empty extents;
+// drawing from a pool is what makes duplicate extents common.
 var handOffExtents = []interval.Extent{
 	ext(0, 1000), ext(100, 300), ext(150, 100), ext(250, 300), ext(95, 10),
 	ext(0, 100), ext(100, 100), ext(400, 350), ext(700, 300), ext(0, 251),
@@ -270,79 +438,75 @@ var handOffExtents = []interval.Extent{
 // TestHandOffMatchesBruteForceModel drives random scripts — shared and
 // exclusive requests, one owner holding overlapping locks, duplicate, empty,
 // nested and crossing extents, releases of locks that are not held —
-// through the table at several shard counts on the event loop and requires,
-// after every step, the model's grants (set, order and time), counts and
-// release history, and the witness invariant.
-// TestShardedMatchesUnshardedOracle compares shard counts with each other;
-// they run the same hand-off, so this is the test that pins it.
+// through the table on the event loop and requires, after every step, the
+// model's grants (set, order and time), counts and release history, and the
+// witness invariant.
 func TestHandOffMatchesBruteForceModel(t *testing.T) {
-	const stripe, rounds, nOps = 100, 40, 160
+	const rounds, nOps = 160, 160
 	probes := []interval.Extent{ext(0, 1000), ext(0, 100), ext(120, 60), ext(250, 1), ext(399, 302), ext(990, 40)}
-	for _, shards := range []int{1, 2, 4, 7} {
-		for round := 0; round < rounds && !t.Failed(); round++ {
-			r := rand.New(rand.NewSource(int64(round)))
-			tbl := newTable(shards, stripe)
-			m := &lockModel{excl: map[int64]sim.VTime{}, shared: map[int64]sim.VTime{}}
-			runScript(t, tbl, probes, func(run *scriptRunner) {
-				now := sim.VTime(1000)
-				step := func(op scriptOp) {
-					want := m.observe(m.apply(op), probes)
-					got := run.apply(op)
-					if t.Failed() {
-						return // past the first divergence, only drain
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("S%d round %d op %+v:\n got %+v\nwant %+v", shards, round, op, got, want)
-					}
-					checkWitnesses(t, tbl, m)
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		r := rand.New(rand.NewSource(int64(round)))
+		tbl := newTable()
+		m := &lockModel{excl: map[int64]sim.VTime{}, shared: map[int64]sim.VTime{}}
+		runScript(t, tbl, probes, func(run *scriptRunner) {
+			now := sim.VTime(1000)
+			step := func(op scriptOp) {
+				want := m.observe(m.apply(op), probes)
+				got := run.apply(op)
+				if t.Failed() {
+					return // past the first divergence, only drain
 				}
-				release := func() {
-					// Release times need not rise with real time (virtual
-					// clocks are per rank): only then can a late stamp from a
-					// lock that was not even blocking decide a grant time.
-					l := m.granted[r.Intn(len(m.granted))]
-					now += sim.VTime(1 + r.Intn(50))
-					step(scriptOp{owner: l.owner, e: l.e, releaseOf: l.id, releaseAt: now - sim.VTime(r.Intn(300))})
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("round %d op %+v:\n got %+v\nwant %+v", round, op, got, want)
 				}
-				for i := 0; i < nOps && !t.Failed(); i++ {
-					var idle []int
-					for owner := 0; owner < scriptOwners; owner++ {
-						if !slices.ContainsFunc(m.waiting, func(w *modelWaiter) bool { return w.owner == owner }) {
-							idle = append(idle, owner)
-						}
-					}
-					e := handOffExtents[r.Intn(len(handOffExtents))]
-					if r.Intn(2) == 0 {
-						e = ext(int64(r.Intn(1000)), int64(r.Intn(400)))
-					}
-					switch k := r.Intn(10); {
-					case k == 0:
-						// Nobody holds exactly this: an unheld extent, or a
-						// held or waited-for one under the wrong owner.
-						owner := r.Intn(scriptOwners)
-						if slices.ContainsFunc(m.granted, func(l modelLock) bool { return l.owner == owner && l.e == e }) {
-							continue
-						}
-						step(scriptOp{owner: owner, e: e, releaseOf: -1, releaseAt: now, notHeld: true})
-					case len(m.granted) > 0 && (k < 4 || len(m.waiting) > 8 || len(idle) == 0):
-						release()
-					default:
-						now += sim.VTime(r.Intn(20))
-						mode := Exclusive
-						if r.Intn(2) == 0 {
-							mode = Shared
-						}
-						// Duplicated tickets exercise the seq tie-break.
-						step(scriptOp{acquire: true, id: i, owner: idle[r.Intn(len(idle))], e: e, mode: mode,
-							earliest: now - sim.VTime(r.Intn(30))})
+				checkWitnesses(t, tbl, m)
+			}
+			release := func() {
+				// Release times need not rise with real time (virtual
+				// clocks are per rank): only then can a late stamp from a
+				// lock that was not even blocking decide a grant time.
+				l := m.granted[r.Intn(len(m.granted))]
+				now += sim.VTime(1 + r.Intn(50))
+				step(scriptOp{owner: l.owner, e: l.e, releaseOf: l.id, releaseAt: now - sim.VTime(r.Intn(300))})
+			}
+			for i := 0; i < nOps && !t.Failed(); i++ {
+				var idle []int
+				for owner := 0; owner < scriptOwners; owner++ {
+					if !slices.ContainsFunc(m.waiting, func(w *modelWaiter) bool { return w.owner == owner }) {
+						idle = append(idle, owner)
 					}
 				}
-				// Drain, so that no owner is left blocked in the table.
-				for len(m.granted) > 0 {
+				e := handOffExtents[r.Intn(len(handOffExtents))]
+				if r.Intn(2) == 0 {
+					e = ext(int64(r.Intn(1000)), int64(r.Intn(400)))
+				}
+				switch k := r.Intn(10); {
+				case k == 0:
+					// Nobody holds exactly this: an unheld extent, or a
+					// held or waited-for one under the wrong owner.
+					owner := r.Intn(scriptOwners)
+					if slices.ContainsFunc(m.granted, func(l modelLock) bool { return l.owner == owner && l.e == e }) {
+						continue
+					}
+					step(scriptOp{owner: owner, e: e, releaseOf: -1, releaseAt: now, notHeld: true})
+				case len(m.granted) > 0 && (k < 4 || len(m.waiting) > 8 || len(idle) == 0):
 					release()
+				default:
+					now += sim.VTime(r.Intn(20))
+					mode := Exclusive
+					if r.Intn(2) == 0 {
+						mode = Shared
+					}
+					// Duplicated tickets exercise the seq tie-break.
+					step(scriptOp{acquire: true, id: i, owner: idle[r.Intn(len(idle))], e: e, mode: mode,
+						earliest: now - sim.VTime(r.Intn(30))})
 				}
-			})
-		}
+			}
+			// Drain, so that no owner is left blocked in the table.
+			for len(m.granted) > 0 {
+				release()
+			}
+		})
 	}
 }
 
@@ -355,14 +519,14 @@ type parkCoord struct {
 
 func (c parkCoord) Park(int) { c.park() }
 
-// handOffChain builds the contended chain on a one-shard table: owner 0
+// handOffChain builds the contended chain: owner 0
 // holds massExtent with n further overlapping exclusive waiters queued
 // behind it. cycle runs one steady-state step: a request with the earliest
 // ticket of all queues behind the holder, the holder unlocks (from inside
 // the request's Park), and the release grants the request and leaves the n
 // waiters queued behind it.
 func handOffChain(t testing.TB, n int) (tbl *table, cycle func()) {
-	tbl = newTable(1, 0)
+	tbl = newTable()
 	tbl.acquire(0, massExtent, Exclusive, 0)
 	for i := 0; i < n; i++ {
 		// Solo's Park panics out of acquire, leaving the waiter queued.

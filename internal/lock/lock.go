@@ -16,16 +16,11 @@
 // (SetCoord) serves a single caller: its coordinator is sim.Solo, under
 // which a contended Lock panics instead of hanging.
 //
-// Both managers run on one conflict-tracking grant table (see table),
-// partitioned across S >= 1 offset-stripe shards (CentralConfig.Shards,
-// DistributedConfig.Shards): each shard owns an interval index of granted
-// locks, each with a queue of the waiters it blocks, and a slice of the
-// release history; cross-shard spans are replicated into every shard they
-// cover, and grants go out in table-wide deterministic (ticket, seq)
-// order. Sharding never touches the simulation model: virtual timings are
-// byte-identical for any shard count. The engine runs one actor at a time,
-// so nothing is locked and sharding buys no host time (the shard sweep's
-// wall column is flat).
+// Both managers run on one conflict-tracking grant table (see table): an
+// interval index of granted locks, each with a queue of the waiters it
+// blocks, and the range history of past releases; grants go out in
+// deterministic (ticket, seq) order. The engine runs one actor at a time,
+// so the table takes no lock of its own.
 package lock
 
 import (

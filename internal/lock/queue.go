@@ -2,8 +2,7 @@ package lock
 
 import "atomio/internal/interval"
 
-// waitQueue is one granted-lock replica's queue: the waiters that lock
-// witnesses, as a (ticket, seq) min-heap, and their common core — the
+// waitQueue is one granted lock's queue: the waiters that lock witnesses, as a (ticket, seq) min-heap, and their common core — the
 // intersection of the extents pushed since the queue was last empty, which
 // every member's extent therefore contains.
 type waitQueue struct {

@@ -34,13 +34,7 @@ func linearBlockers(granted []*held, owner int, e interval.Extent, mode Mode) in
 // register grants (owner, e, mode) without a conflict check: grant does
 // none, and the table may hold mutually overlapping locks.
 func register(tbl *table, owner int, e interval.Extent, mode Mode) {
-	tbl.grant(owner, e, mode, 0, tbl.shardIDs(e))
-}
-
-// witness is the query acquire decides on.
-func witness(tbl *table, owner int, e interval.Extent, mode Mode) *held {
-	h, _ := tbl.witness(owner, e, mode, tbl.shardIDs(e))
-	return h
+	tbl.grant(owner, e, mode, 0)
 }
 
 // TestQuickConflictsMatchesLinearScan drives the table's granted index and
@@ -57,7 +51,7 @@ func TestQuickConflictsMatchesLinearScan(t *testing.T) {
 		return Exclusive
 	}
 	for round := 0; round < 30; round++ {
-		tbl := newTable(1, 0)
+		tbl := newTable()
 		var mirror []*held
 		for op := 0; op < 300; op++ {
 			switch {
@@ -90,7 +84,7 @@ func TestQuickConflictsMatchesLinearScan(t *testing.T) {
 				owner := r.Intn(6)
 				e := interval.Extent{Off: int64(r.Intn(400)), Len: int64(r.Intn(40))}
 				mode := randMode()
-				got := witness(tbl, owner, e, mode)
+				got := tbl.witness(owner, e, mode)
 				want := linearBlockers(mirror, owner, e, mode)
 				if (got == nil) != (want == 0) ||
 					got != nil && (!got.ext.Overlaps(e) || !blocks(got.owner, got.mode, owner, mode)) {
@@ -105,7 +99,7 @@ func TestQuickConflictsMatchesLinearScan(t *testing.T) {
 // TestReleaseUnknownLockErrs keeps the error path intact, including the
 // empty-extent lookup that overlap queries cannot see.
 func TestReleaseUnknownLockErrs(t *testing.T) {
-	tbl := newTable(1, 0)
+	tbl := newTable()
 	if err := tbl.release(0, interval.Extent{Off: 10, Len: 5}, 1); err == nil {
 		t.Fatal("release of unheld lock should fail")
 	}
@@ -124,7 +118,7 @@ func TestReleaseUnknownLockErrs(t *testing.T) {
 // interval index exists for.
 func BenchmarkConflicts(b *testing.B) {
 	for _, n := range []int{512, 4096, 65536} {
-		tbl := newTable(1, 0)
+		tbl := newTable()
 		var mirror []*held
 		for i := 0; i < n; i++ {
 			h := &held{owner: i, ext: interval.Extent{Off: int64(i) * 128, Len: 96}, mode: Exclusive}
@@ -134,7 +128,7 @@ func BenchmarkConflicts(b *testing.B) {
 		q := interval.Extent{Off: int64(n/2)*128 + 100, Len: 8} // gap: no conflict
 		b.Run(fmt.Sprintf("indexed/G%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if witness(tbl, -1, q, Exclusive) != nil {
+				if tbl.witness(-1, q, Exclusive) != nil {
 					b.Fatal("unexpected conflict")
 				}
 			}

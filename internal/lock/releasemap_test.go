@@ -114,7 +114,7 @@ func TestTableSerializesAcrossRealTimeGaps(t *testing.T) {
 func TestTableRangeHistoryIsPerRange(t *testing.T) {
 	// At the conflict-table level (below the manager's FCFS service
 	// queue), only overlapping history delays a grant.
-	tbl := newTable(1, 0)
+	tbl := newTable()
 	tbl.acquire(0, ext(0, 100), Exclusive, 0)
 	if err := tbl.release(0, ext(0, 100), sim.Second); err != nil {
 		t.Fatal(err)

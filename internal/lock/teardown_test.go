@@ -11,9 +11,8 @@ import (
 // TestDESTeardownUnwindsLockWaiter is the regression test for the
 // crash-path the fault layer leans on: an actor parked inside the lock
 // table's wait queues at event-loop teardown must be force-unwound with
-// sim.StoppedError and reported as a stall, leaving the table usable (no
-// shard mutex held — acquire parks after releasing them — and the wedged
-// grant still registered).
+// sim.StoppedError and reported as a stall, leaving the table usable (the
+// wedged grant still registered).
 //
 // The wedge is produced by the fault layer itself: a dropped unlock with
 // no lease leaves the range locked forever, so the second rank parks in
@@ -24,9 +23,6 @@ func TestDESTeardownUnwindsLockWaiter(t *testing.T) {
 		mk   func() coordManager
 	}{
 		{"central", func() coordManager { return newCentralForTest() }},
-		{"central-sharded", func() coordManager {
-			return NewCentral(CentralConfig{MsgCost: msg, ServiceTime: svc, Shards: 4, ShardStripe: 64})
-		}},
 		{"distributed", func() coordManager { return newDistributedForTest() }},
 	}
 	for _, flavour := range flavours {
@@ -38,8 +34,6 @@ func TestDESTeardownUnwindsLockWaiter(t *testing.T) {
 			coord := eng.NewCoord(2)
 			mgr.SetCoord(coord)
 
-			// Span two shard stripes so the sharded flavour parks on the
-			// cross-shard acquire path.
 			e := ext(0, 128)
 			var unwound bool
 			err := eng.Run(coord, 2, func(owner int) {
@@ -70,10 +64,8 @@ func TestDESTeardownUnwindsLockWaiter(t *testing.T) {
 				t.Fatal("parked waiter was not unwound with sim.StoppedError")
 			}
 			// The wedged grant and the abandoned waiter are still
-			// registered, and no shard mutex was left held: relLatest takes
-			// them and would deadlock.
+			// registered.
 			tbl := tableOf(inner)
-			tbl.relLatest(e)
 			if n := tbl.holders(); n != 1 {
 				t.Errorf("holders = %d after teardown, want the wedged grant", n)
 			}

@@ -173,34 +173,32 @@ func runTokenWorkload(t *testing.T, m tokenManager, seed int64, owners int) toke
 
 // TestTokenRunsMatchPerOwnerLists pins the distributed manager's one
 // disjoint run list to the per-owner token lists it replaced, on seeded
-// contended scripts over 8 owners, both modes and S ∈ {1, 4}: the same fast
+// contended scripts over 8 owners and both modes: the same fast
 // and server grants and revocations, every grant time, and every revoke
 // event with its Aux (the number of holders revoked).
 func TestTokenRunsMatchPerOwnerLists(t *testing.T) {
 	const owners = 8
 	var local, revoked int64
-	for _, shards := range []int{1, 4} {
-		cfg := DistributedConfig{
-			LocalCost: sim.Microsecond, MsgCost: msg, ServiceTime: svc,
-			RevokeCost: 3 * sim.Microsecond, Shards: shards, ShardStripe: 128,
-		}
-		for seed := int64(0); seed < 16; seed++ {
-			t.Run(fmt.Sprintf("S%d/seed%d", shards, seed), func(t *testing.T) {
-				got := runTokenWorkload(t, NewDistributed(cfg), seed, owners)
-				want := runTokenWorkload(t, &listDistributed{Distributed: NewDistributed(cfg)}, seed, owners)
-				if got.stats != want.stats {
-					t.Errorf("Stats() = %v, per-owner lists give %v", got.stats, want.stats)
-				}
-				if !reflect.DeepEqual(got.grants, want.grants) {
-					t.Errorf("grant times diverge\n runs  %v\n lists %v", got.grants, want.grants)
-				}
-				if !reflect.DeepEqual(got.revokes, want.revokes) {
-					t.Errorf("revoke events diverge\n runs  %+v\n lists %+v", got.revokes, want.revokes)
-				}
-				local += got.stats[0]
-				revoked += got.stats[2]
-			})
-		}
+	cfg := DistributedConfig{
+		LocalCost: sim.Microsecond, MsgCost: msg, ServiceTime: svc,
+		RevokeCost: 3 * sim.Microsecond,
+	}
+	for seed := int64(0); seed < 16; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			got := runTokenWorkload(t, NewDistributed(cfg), seed, owners)
+			want := runTokenWorkload(t, &listDistributed{Distributed: NewDistributed(cfg)}, seed, owners)
+			if got.stats != want.stats {
+				t.Errorf("Stats() = %v, per-owner lists give %v", got.stats, want.stats)
+			}
+			if !reflect.DeepEqual(got.grants, want.grants) {
+				t.Errorf("grant times diverge\n runs  %v\n lists %v", got.grants, want.grants)
+			}
+			if !reflect.DeepEqual(got.revokes, want.revokes) {
+				t.Errorf("revoke events diverge\n runs  %+v\n lists %+v", got.revokes, want.revokes)
+			}
+			local += got.stats[0]
+			revoked += got.stats[2]
+		})
 	}
 	t.Logf("%d fast-path grants, %d revocations", local, revoked)
 	if local == 0 || revoked == 0 {

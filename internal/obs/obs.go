@@ -11,8 +11,7 @@
 // sleeper's park append happens before its Park yields, and its resume
 // append only after the inner Park returns, which the matching Wake
 // precedes. Because the engine admits actions in (virtual time, actor id)
-// order, the merged stream is byte-identical across worker counts and
-// lock-shard counts.
+// order, the merged stream is byte-identical across worker counts.
 //
 // Memory: NewRecorder's limit selects unbounded capture (0), a per-actor
 // ring buffer keeping the newest events (limit > 0, for P=16384 runs), or

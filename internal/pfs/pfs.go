@@ -266,15 +266,6 @@ func (fs *FileSystem) lookup(name string, create bool) (*file, error) {
 	return f, nil
 }
 
-// Remove deletes a file.
-func (fs *FileSystem) Remove(name string) error {
-	if _, ok := fs.files[name]; !ok {
-		return fmt.Errorf("pfs: file %q does not exist", name)
-	}
-	delete(fs.files, name)
-	return nil
-}
-
 // serverFor returns the server index holding byte offset off for the given
 // client rank.
 func (c *Config) serverFor(off int64, clientRank int) int {

@@ -93,19 +93,6 @@ func TestSnapshotAndFileSize(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	fs := basicFS(1)
-	if _, err := fs.Open("f", 0, sim.NewClock(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove("f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove("f"); err == nil {
-		t.Fatal("double remove should fail")
-	}
-}
-
 func TestWriteVSegmentsLandSeparately(t *testing.T) {
 	fs := basicFS(4)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))

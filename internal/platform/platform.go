@@ -73,12 +73,6 @@ type Profile struct {
 	LockService  sim.VTime
 	LockLocal    sim.VTime
 	LockRevoke   sim.VTime
-	// LockShards partitions the lock manager's byte-range table across
-	// this many offset-stripe shards (0 means one); the shard stripe
-	// follows the platform's file-stripe size. Virtual timings are
-	// invariant in the shard count — sharding only splits the table's
-	// host-side indexes (see internal/lock).
-	LockShards int
 }
 
 // SupportsLocking reports whether the platform has byte-range locking.
@@ -117,8 +111,6 @@ func (p Profile) NewLockManager() lock.Manager {
 		return lock.NewCentral(lock.CentralConfig{
 			MsgCost:     p.LockMsgCost,
 			ServiceTime: p.LockService,
-			Shards:      p.LockShards,
-			ShardStripe: p.StripeSize,
 		})
 	case DistributedLocking:
 		return lock.NewDistributed(lock.DistributedConfig{
@@ -126,8 +118,6 @@ func (p Profile) NewLockManager() lock.Manager {
 			MsgCost:     p.LockMsgCost,
 			ServiceTime: p.LockService,
 			RevokeCost:  p.LockRevoke,
-			Shards:      p.LockShards,
-			ShardStripe: p.StripeSize,
 		})
 	default:
 		return nil
@@ -247,14 +237,4 @@ func IBMSP() Profile {
 // All returns the three platforms in the paper's Table 1 order.
 func All() []Profile {
 	return []Profile{Cplant(), Origin2000(), IBMSP()}
-}
-
-// ByName looks a profile up by its Table 1 name.
-func ByName(name string) (Profile, error) {
-	for _, p := range All() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("platform: unknown platform %q", name)
 }

@@ -89,16 +89,6 @@ func TestMPIConfigWiring(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	p, err := ByName("IBM SP")
-	if err != nil || p.FSName != "GPFS" {
-		t.Fatalf("ByName = %+v, %v", p, err)
-	}
-	if _, err := ByName("Cray T3E"); err == nil {
-		t.Fatal("expected error for unknown platform")
-	}
-}
-
 func TestTable1Render(t *testing.T) {
 	out := Table1()
 	for _, want := range []string{

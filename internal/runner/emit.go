@@ -29,7 +29,6 @@ type Record struct {
 	Pattern      string  `json:"pattern"`
 	Strategy     string  `json:"strategy"`
 	Engine       string  `json:"engine"`
-	LockShards   int     `json:"lock_shards,omitempty"`
 	Servers      int     `json:"servers,omitempty"`
 	Scenario     string  `json:"scenario,omitempty"`
 	Fault        string  `json:"fault,omitempty"`
@@ -90,19 +89,18 @@ func Records(results []CellResult) []Record {
 	for i, r := range results {
 		e := r.Cell.Experiment
 		rec := Record{
-			ID:         r.Cell.ID,
-			Platform:   e.Platform.Name,
-			M:          e.M,
-			N:          e.N,
-			Procs:      e.Procs,
-			Overlap:    e.Overlap,
-			Pattern:    e.Pattern.String(),
-			Strategy:   e.Strategy.Name(),
-			Engine:     engine,
-			LockShards: e.LockShards,
-			Servers:    e.Servers,
-			Recovery:   e.Recovery,
-			WallNS:     r.Wall.Nanoseconds(),
+			ID:       r.Cell.ID,
+			Platform: e.Platform.Name,
+			M:        e.M,
+			N:        e.N,
+			Procs:    e.Procs,
+			Overlap:  e.Overlap,
+			Pattern:  e.Pattern.String(),
+			Strategy: e.Strategy.Name(),
+			Engine:   engine,
+			Servers:  e.Servers,
+			Recovery: e.Recovery,
+			WallNS:   r.Wall.Nanoseconds(),
 		}
 		if e.Scenario != nil {
 			rec.Scenario = e.Scenario.Name
@@ -176,7 +174,7 @@ func EmitFiles(jsonPath, csvPath string, results []CellResult) error {
 // "server:requests:bytes:busy_ns:free_at_ns" joined by ';'.
 var csvHeader = []string{
 	"id", "platform", "m", "n", "procs", "overlap", "pattern", "strategy",
-	"engine", "lock_shards", "servers", "scenario", "fault", "recovery",
+	"engine", "servers", "scenario", "fault", "recovery",
 	"array_bytes", "written_bytes", "makespan_ns", "bandwidth_mbs",
 	"wall_ns", "verdict", "replayed", "server_stats",
 	"messages", "max_queue_depth", "lock_wait_p50_ns", "lock_wait_p99_ns",
@@ -214,7 +212,6 @@ func WriteCSV(w io.Writer, recs []Record) error {
 			strconv.Itoa(r.M), strconv.Itoa(r.N),
 			strconv.Itoa(r.Procs), strconv.Itoa(r.Overlap),
 			r.Pattern, r.Strategy, r.Engine,
-			strconv.Itoa(r.LockShards),
 			strconv.Itoa(r.Servers),
 			r.Scenario,
 			r.Fault,

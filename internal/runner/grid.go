@@ -169,18 +169,11 @@ func ScalingGridTo(maxP int) []Cell {
 	return cells
 }
 
-// ShardSweepShards are the lock-table shard counts the shard sweep runs.
-var ShardSweepShards = []int{1, 2, 4, 8}
-
-// ShardSweepGrid sweeps the lock-table shard count on one contended
-// multi-stripe locking cell: P ranks writing column-wise with interleaved
-// non-contiguous views on the central-manager platform, so every rank's
-// span lock crosses many offset stripes and every shard count exercises the
-// cross-shard reserve/commit path. One cell per S in ShardSweepShards, each
-// emitting a normal atomio.bench/v1 record (cell IDs carry an "+S<n>"
-// suffix on the size label). The simulated numbers are byte-identical
-// across the sweep — that invariance is the point; wall_ns is where the
-// shard count shows up.
+// ShardSweepGrid returns four identical copies of one contended locking
+// cell: P ranks writing column-wise with interleaved non-contiguous views on
+// the central-manager platform. Its cell IDs, "+S<n>" size-label suffixes
+// included, are names the benchmark's lock-scale workload pins; the function
+// goes when that workload stops calling it.
 func ShardSweepGrid() []Cell {
 	prof := platform.Origin2000()
 	const m, n, procs = 512, 64 * 64, 64
@@ -190,18 +183,17 @@ func ShardSweepGrid() []Cell {
 	}
 	label := fmt.Sprintf("%dx%d", m, n)
 	var cells []Cell
-	for _, s := range ShardSweepShards {
+	for _, s := range []int{1, 2, 4, 8} {
 		cells = append(cells, Cell{
 			ID: CellID(prof.Name, fmt.Sprintf("%s+S%d", label, s), procs, strat.Name()),
 			Experiment: harness.Experiment{
-				Platform:   prof,
-				M:          m,
-				N:          n,
-				Procs:      procs,
-				Overlap:    ScalingOverlap,
-				Pattern:    harness.ColumnWise,
-				Strategy:   strat,
-				LockShards: s,
+				Platform: prof,
+				M:        m,
+				N:        n,
+				Procs:    procs,
+				Overlap:  ScalingOverlap,
+				Pattern:  harness.ColumnWise,
+				Strategy: strat,
 			},
 		})
 	}

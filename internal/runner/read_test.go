@@ -109,8 +109,8 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 	recs := make([]Record, 0, len(rows)-1)
 	for n, row := range rows[1:] {
 		rec := Record{ID: row[0], Platform: row[1], Pattern: row[6], Strategy: row[7],
-			Engine: row[8], Scenario: row[11], Fault: row[12], Verdict: row[19],
-			Error: row[26]}
+			Engine: row[8], Scenario: row[10], Fault: row[11], Verdict: row[18],
+			Error: row[25]}
 		var err error
 		parse := func(i int, dst *int) {
 			if err == nil {
@@ -126,32 +126,31 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 		parse(3, &rec.N)
 		parse(4, &rec.Procs)
 		parse(5, &rec.Overlap)
-		parse(9, &rec.LockShards)
-		parse(10, &rec.Servers)
+		parse(9, &rec.Servers)
 		if err == nil {
-			rec.Recovery, err = strconv.ParseBool(row[13])
+			rec.Recovery, err = strconv.ParseBool(row[12])
 		}
-		parse64(14, &rec.ArrayBytes)
-		parse64(15, &rec.WrittenBytes)
-		parse64(16, &rec.MakespanNS)
+		parse64(13, &rec.ArrayBytes)
+		parse64(14, &rec.WrittenBytes)
+		parse64(15, &rec.MakespanNS)
 		if err == nil {
-			rec.BandwidthMBs, err = strconv.ParseFloat(row[17], 64)
+			rec.BandwidthMBs, err = strconv.ParseFloat(row[16], 64)
 		}
 		// A cell's bandwidth is always finite (and JSON cannot carry NaN).
 		if err == nil && (math.IsNaN(rec.BandwidthMBs) || math.IsInf(rec.BandwidthMBs, 0)) {
-			err = fmt.Errorf("bandwidth_mbs %q is not finite", row[17])
+			err = fmt.Errorf("bandwidth_mbs %q is not finite", row[16])
 		}
-		parse64(18, &rec.WallNS)
+		parse64(17, &rec.WallNS)
 		if err == nil {
-			rec.Replayed, err = parseReplayed(row[20])
+			rec.Replayed, err = parseReplayed(row[19])
 		}
 		if err == nil {
-			rec.ServerStats, err = parseServerStats(row[21])
+			rec.ServerStats, err = parseServerStats(row[20])
 		}
-		parse64(22, &rec.Messages)
-		parse64(23, &rec.MaxQueueDepth)
-		parse64(24, &rec.LockWaitP50NS)
-		parse64(25, &rec.LockWaitP99NS)
+		parse64(21, &rec.Messages)
+		parse64(22, &rec.MaxQueueDepth)
+		parse64(23, &rec.LockWaitP50NS)
+		parse64(24, &rec.LockWaitP99NS)
 		if err != nil {
 			return nil, fmt.Errorf("runner: CSV row %d: %w", n+2, err)
 		}

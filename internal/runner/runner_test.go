@@ -63,8 +63,8 @@ func TestRunOrderDeterministic(t *testing.T) {
 // includes locking cells on both the central (Origin2000) and distributed
 // (IBM SP) lock managers, and one cell of each structure that lost its
 // mutex when the engine went single-threaded: TwoPhase (Comm.Shared and
-// Alltoall), list I/O (the file's listio queue), a four-shard lock table
-// and a traced cell (the pfs queue-depth gauge). Under -race this shows
+// Alltoall), list I/O (the file's listio queue) and a traced cell (the pfs
+// queue-depth gauge). Under -race this shows
 // that no such structure is shared between cells on different workers.
 func TestRunRepeatable(t *testing.T) {
 	cells := smallGrid().Cells()
@@ -72,12 +72,11 @@ func TestRunRepeatable(t *testing.T) {
 		Platform: platform.Origin2000(), M: 64, N: 256, Procs: 4, Overlap: 4,
 		Pattern: harness.ColumnWise, StoreData: true,
 	}
-	twophase, listio, sharded, traced := base, base, base, base
+	twophase, listio, traced := base, base, base
 	twophase.Strategy = core.TwoPhase{}
 	listio.Strategy = core.ListIO{}
-	sharded.Strategy, sharded.LockShards = core.Locking{}, 4
 	traced.Strategy, traced.TraceEvents = core.Locking{}, true
-	for _, e := range []harness.Experiment{twophase, listio, sharded, traced} {
+	for _, e := range []harness.Experiment{twophase, listio, traced} {
 		cells = append(cells, Cell{ID: fmt.Sprintf("extra-%d", len(cells)), Experiment: e})
 	}
 	seq := Run(cells, Options{Workers: 1})

@@ -43,28 +43,6 @@ func traceBytes(t *testing.T, s *Spec) []byte {
 	return buf.Bytes()
 }
 
-// TestTraceByteIdenticalAcrossShards asserts the determinism
-// contract the facade can observe: the serialized event stream of a traced
-// cell is byte-identical under every lock-shard count. That the schedule
-// explorer's zero-delay engine records the same bytes is pinned below the
-// facade, by internal/harness's TestTraceByteIdenticalAcrossShards.
-func TestTraceByteIdenticalAcrossShards(t *testing.T) {
-	for _, strategy := range []string{"locking", "coloring"} {
-		t.Run(strategy, func(t *testing.T) {
-			base := traceBytes(t, traceSpec(t, strategy))
-			if len(bytes.Split(base, []byte("\n"))) < 10 {
-				t.Fatal("baseline trace suspiciously small; test vacuous")
-			}
-			for _, shards := range []int{1, 8} {
-				got := traceBytes(t, traceSpec(t, strategy, LockShards(shards)))
-				if !bytes.Equal(got, base) {
-					t.Errorf("trace diverges under shards=%d", shards)
-				}
-			}
-		})
-	}
-}
-
 // TestTraceByteIdenticalAcrossWorkers runs a traced grid on one worker and
 // on four: per-cell traces must not depend on host-side parallelism.
 func TestTraceByteIdenticalAcrossWorkers(t *testing.T) {
