@@ -187,8 +187,9 @@ func Servers(n int) Option {
 	return func(s *Spec) error { s.Servers = n; return nil }
 }
 
-// StoreData materializes file bytes (needed for Verify; off by default so
-// large arrays stay memory-flat).
+// StoreData keeps who wrote each byte of the file, which Verify checks
+// (and implies). No cell carries a payload either way, so even the 1 GB
+// arrays stay memory-flat.
 func StoreData(on bool) Option {
 	return func(s *Spec) error { s.StoreData = on; return nil }
 }

@@ -92,7 +92,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	cfg := &config{}
 	platformFlag := app.Platform("", "run only this platform (Cplant, Origin2000, IBM SP)")
 	sizeFlag := app.Flags.String("size", "", "run only this array size (32 MB, 128 MB, 1 GB)")
-	app.Flags.BoolVar(&cfg.store, "store", false, "materialize file bytes (needs memory for large sizes)")
+	app.Flags.BoolVar(&cfg.store, "store", false, "keep who wrote each byte of every file")
 	app.Flags.BoolVar(&cfg.verbose, "v", false, "also print virtual makespans and written volumes")
 	app.Flags.BoolVar(&cfg.scale, "scale", false, "run the large-P scaling grid instead of Figure 8")
 	app.Flags.IntVar(&cfg.maxp, "maxp", 1024,
@@ -102,8 +102,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	app.Flags.Uint64Var(&cfg.seed, "seed", 1, "fleet PRNG seed; (seed, cells) reproduces the fleet exactly")
 	app.Flags.IntVar(&cfg.cells, "cells", 200, "fleet cell count, including the pinned negative control")
 	cfg.out = app.Output(true)
-	// -store clamps the worker count (see runFigure8); say so in the help.
-	app.Flags.Lookup("workers").Usage = "concurrent cells (0 = all CPUs, or 1 when -store is set)"
 	cfg.model = app.Model()
 	cfg.trace = app.Trace()
 	app.Check(func() error {
@@ -217,12 +215,6 @@ func expand(cfg *config) (grid atomio.Grid, cells []atomio.Cell, err error) {
 // runFigure8 executes the Figure 8 grid's cells and renders the nine
 // panels.
 func runFigure8(grid atomio.Grid, cells []atomio.Cell, cfg *config) {
-	// Materialized runs hold each in-flight array's bytes in memory; the
-	// 1 GB cells would multiply that by the worker count, so -store runs
-	// one cell at a time unless the user explicitly asks for more.
-	if cfg.store && cfg.out.Workers == 0 {
-		cfg.out.Workers = 1
-	}
 	results := runCells(cells, cfg)
 
 	for _, size := range grid.Sizes {

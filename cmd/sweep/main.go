@@ -50,7 +50,7 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	patternFlag := app.Flags.String("pattern", "column", "partitioning: column, row, block")
 	strategiesFlag := app.Flags.String("strategies", "locking,coloring,ordering",
 		"comma-separated strategies (locking, coloring, ordering, twophase, listio)")
-	app.Flags.BoolVar(&cfg.store, "store", false, "materialize file bytes")
+	app.Flags.BoolVar(&cfg.store, "store", false, "keep who wrote each byte of every file")
 	app.Flags.BoolVar(&cfg.trace, "trace", false, "print per-phase virtual-time breakdowns")
 	cfg.out = app.Output(false)
 	cfg.model = app.Model()

@@ -59,7 +59,7 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, req interval.List) error {
 	ex.Stop()
 
 	// Phase 2: merge received pieces highest-rank-wins and write my domain.
-	merged, err := mergePieces(recv, domains.at(comm.Rank()), owners)
+	merged, err := mergePieces(recv, domains.at(comm.Rank()), owners, ctx.Client.KeepsWriters())
 	if err != nil {
 		return err
 	}
@@ -190,13 +190,15 @@ func route(buf []byte, req interval.List, domains fileDomains) []mpi.Part {
 // mergePieces combines the parts received from every rank (in ascending
 // sender order, as Alltoall delivers them) into one batch of disjoint,
 // offset-sorted extents covering at most the owner's domain, with the
-// pieces of the highest sending rank winning every overlap; it carries
-// bytes, and the rank each extent's bytes are from, only when the pieces do. It decides nothing itself: it walks the
-// runs of owners — the collective's shared index.Winners map — inside the
-// domain with one cursor per sender, emitting one extent per (piece ∩ run).
-// Pieces short of a run their sender's view wins are an error naming the
-// sender, never a panic.
-func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned) (pfs.Batch, error) {
+// pieces of the highest sending rank winning every overlap. It carries
+// bytes only when the pieces do, and the rank each extent's data is from
+// whenever writers is set — the file keeps who wrote each byte, and the
+// aggregator writes on other ranks' behalf. It decides nothing itself: it
+// walks the runs of owners — the collective's shared index.Winners map —
+// inside the domain with one cursor per sender, emitting one extent per
+// (piece ∩ run). Pieces short of a run their sender's view wins are an
+// error naming the sender, never a panic.
+func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned, writers bool) (pfs.Batch, error) {
 	rest := make([][]piece, len(recv)) // by sender's place in recv: its pieces not yet passed
 	stored := false
 	for k, pt := range recv {
@@ -208,7 +210,10 @@ func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned) 
 	var merged pfs.Batch
 	merged.Ext = make(interval.List, 0, hi-lo) // exact unless a run spans several pieces
 	if stored {
-		merged.Data, merged.Writers = make([][]byte, 0, hi-lo), make([]int, 0, hi-lo)
+		merged.Data = make([][]byte, 0, hi-lo)
+	}
+	if writers {
+		merged.Writers = make([]int, 0, hi-lo)
 	}
 	for _, o := range owners[lo:hi] {
 		k, found := slices.BinarySearchFunc(recv, o.Rank, func(pt mpi.Part, rank int) int { return pt.Peer - rank })
@@ -228,6 +233,8 @@ func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned) 
 			merged.Ext = append(merged.Ext, interval.Extent{Off: at, Len: n - at})
 			if stored {
 				merged.Data = append(merged.Data, ps[0].bytes(at, n))
+			}
+			if writers {
 				merged.Writers = append(merged.Writers, o.Rank)
 			}
 			at = n

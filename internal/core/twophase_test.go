@@ -104,7 +104,7 @@ func shapesOf(segs []pfs.Segment) interval.List {
 // mergeReceived merges recv, sent by ranks 0..len-1, against the winners map
 // of its own pieces.
 func mergeReceived(recv []mpi.Part, domain interval.Extent) ([]pfs.Segment, error) {
-	merged, err := mergePieces(recv, domain, index.Winners(viewsOf(recv)))
+	merged, err := mergePieces(recv, domain, index.Winners(viewsOf(recv)), true)
 	return segsOf(merged), err
 }
 
@@ -158,7 +158,7 @@ func TestMergePiecesFailsLoudly(t *testing.T) {
 	domain := ext(0, 100)
 	low := part(0, filled(0, 50, 1))
 	owners := index.Winners([]interval.List{{ext(0, 50)}, {ext(10, 4), ext(20, 4)}})
-	if _, err := mergePieces([]mpi.Part{low, part(1, filled(10, 4, 2), filled(20, 4, 2))}, domain, owners); err != nil {
+	if _, err := mergePieces([]mpi.Part{low, part(1, filled(10, 4, 2), filled(20, 4, 2))}, domain, owners, true); err != nil {
 		t.Fatalf("covering pieces: %v", err)
 	}
 	for name, tc := range map[string]struct {
@@ -171,7 +171,7 @@ func TestMergePiecesFailsLoudly(t *testing.T) {
 		"no pieces at all":     {[]mpi.Part{low, part(1)}, "do not cover [10,14) from 10"},
 		"no part at all":       {[]mpi.Part{low}, "do not cover [10,14) from 10"},
 	} {
-		_, err := mergePieces(tc.recv, domain, owners)
+		_, err := mergePieces(tc.recv, domain, owners, true)
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "from rank 1") {
 			t.Errorf("%s: err = %v, want one from rank 1 containing %q", name, err, tc.want)
 		}
@@ -293,16 +293,20 @@ func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 		span := ext(owners[0].Off, owners[len(owners)-1].End()-owners[0].Off)
 		for _, n := range []int{p, 7, 1} {
 			domains := newFileDomains(span, n)
-			inbox := make([][]mpi.Part, n) // by owner
+			inbox := make([][]mpi.Part, n)  // by owner
+			timing := make([][]mpi.Part, n) // the same, routed timing-only
 			for rank, req := range reqs {
 				buf := bytes.Repeat([]byte{byte(rank + 1)}, int(req.TotalLen()))
 				for _, pt := range route(buf, req, domains) {
 					inbox[pt.Peer] = append(inbox[pt.Peer], mpi.Part{Peer: rank, Size: pt.Size, Data: pt.Data})
 				}
+				for _, pt := range route(nil, req, domains) {
+					timing[pt.Peer] = append(timing[pt.Peer], mpi.Part{Peer: rank, Size: pt.Size, Data: pt.Data})
+				}
 			}
 			for owner, recv := range inbox {
 				domain := domains.at(owner)
-				merged, err := mergePieces(recv, domain, owners)
+				merged, err := mergePieces(recv, domain, owners, true)
 				got := segsOf(merged)
 				if err != nil {
 					t.Fatalf("%s %v: %v", name, domain, err)
@@ -311,6 +315,16 @@ func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 					if merged.Writers[i] != int(d[0])-1 {
 						t.Fatalf("%s %v: extent %v credited to rank %d, its bytes are rank %d's", name, domain, merged.Ext[i], merged.Writers[i], d[0]-1)
 					}
+				}
+				// Without bytes, a file that keeps writers still learns them
+				// all; one that keeps nothing is handed extents alone.
+				bare, err := mergePieces(timing[owner], domain, owners, true)
+				if err != nil || bare.Data != nil || !bare.Ext.Equal(merged.Ext) || !slices.Equal(bare.Writers, merged.Writers) {
+					t.Fatalf("%s %v: timing-only merge %v %v credits %v, want %v %v: %v",
+						name, domain, bare.Ext, bare.Data != nil, bare.Writers, merged.Ext, merged.Writers, err)
+				}
+				if lengths, _ := mergePieces(timing[owner], domain, owners, false); lengths.Data != nil || lengths.Writers != nil {
+					t.Fatalf("%s %v: a merge for a file that keeps no writers carries data %v, writers %v", name, domain, lengths.Data != nil, lengths.Writers)
 				}
 				want := setMergePieces(recv, domain)
 				same := func(a, b pfs.Segment) bool {
@@ -361,7 +375,7 @@ func FuzzMergePieces(f *testing.F) {
 			views[0], views[2] = views[2], views[0]
 		}
 		domain := ext(off, n)
-		merged, err := mergePieces(recv, domain, index.Winners(views))
+		merged, err := mergePieces(recv, domain, index.Winners(views), true)
 		if err != nil {
 			return
 		}

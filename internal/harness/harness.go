@@ -70,8 +70,8 @@ type Experiment struct {
 	Pattern Pattern
 	// Strategy is the atomicity implementation under test.
 	Strategy core.Strategy
-	// StoreData materializes file bytes (implied by Verify; off for the
-	// 1 GB benchmark runs, which then carry offsets and lengths only).
+	// StoreData keeps who wrote each byte of the file (implied by Verify).
+	// Either way every rank writes offsets and lengths only, no payload.
 	StoreData bool
 	// Verify checks MPI atomicity on who wrote the resulting file's bytes.
 	Verify bool
@@ -254,15 +254,6 @@ func (e Experiment) Views() ([]interval.List, error) {
 	return views, nil
 }
 
-// write issues one rank's n-byte collective write: from buf when the run
-// stores data, timing-only otherwise.
-func (e Experiment) write(f *mpiio.File, buf []byte, n int64) error {
-	if e.StoreData {
-		return f.WriteAll(buf)
-	}
-	return f.WriteAllSized(n)
-}
-
 // Upper bounds on the values a run sizes allocations from: past them
 // Validate reports an error instead of the process running out of memory.
 const (
@@ -316,8 +307,7 @@ func (e Experiment) config() (pfs.Config, error) {
 	if _, err := e.piece(0); err != nil {
 		return cfg, err
 	}
-	// Verification reads who wrote the file from the store's records, so
-	// it needs the bytes stored.
+	// Verification reads who wrote the file from the store's records.
 	cfg = e.Platform.PFSConfig(e.StoreData || e.Verify)
 	cfg.AtomicListIO = e.AtomicListIO || e.Strategy.Name() == "listio"
 	cfg.WAL = e.Recovery
@@ -342,7 +332,6 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.StoreData = cfg.StoreData
 	fs, err := pfs.New(cfg)
 	if err != nil {
 		return nil, err
@@ -385,23 +374,6 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 		m.SetObs(events)
 	}
 
-	// Only a run that stores bytes hands its ranks a buffer; any other
-	// writes lengths. The content is arbitrary — the store keeps who wrote
-	// each byte, which is what verification checks — so one shared buffer
-	// sized for the largest piece keeps memory flat.
-	var shared []byte
-	if e.StoreData || e.Verify {
-		var maxPiece int64
-		for rank := 0; rank < e.Procs; rank++ {
-			p, err := e.piece(rank)
-			if err != nil {
-				return nil, err
-			}
-			maxPiece = max(maxPiece, p.BufBytes)
-		}
-		shared = make([]byte, maxPiece)
-	}
-
 	// A single-step run writes "experiment.dat"; checkpoint runs write one
 	// fresh file per step within the same simulation, so server queues and
 	// caches carry over between dumps exactly as they would in a long-
@@ -429,10 +401,6 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		var buf []byte
-		if shared != nil {
-			buf = shared[:piece.BufBytes]
-		}
 		for step := 0; step < steps; step++ {
 			if e.Compute > 0 {
 				c.Clock().Advance(e.Compute)
@@ -459,7 +427,9 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 				f.SetFaults(inj)
 			}
 			start := c.Now()
-			if err := e.write(f, buf, piece.BufBytes); err != nil {
+			// The content is nobody's concern: the store keeps who wrote
+			// each byte, which is what verification checks.
+			if err := f.WriteAllSized(piece.BufBytes); err != nil {
 				return err
 			}
 			if err := f.Close(); err != nil {

@@ -10,20 +10,22 @@ import (
 	"atomio/internal/verify"
 )
 
-// TestStoredCellAllocatesWhatItStores holds the stored-byte path where
+// TestStoredCellAllocatesWhatItStores holds the stored path where
 // wall-clock cannot be asserted: a stored and verified 32 MB P=16
-// column-wise cell moves 38 MB of rank payload into a 32 MB file, and a
-// path that zeroes a 64 KB cache block per 576-byte piece, or keeps a
-// sparse chunk map per server, allocates ten to thirty times that (716 MB
-// for IBM SP coloring, 1 103 MB for Cplant ordering). With every rank
-// lending one shared buffer and each server keeping one record per write
-// call the cells measure 50 MB and 46 MB: the records' copy of the bytes.
+// column-wise cell writes 38 MB of rank data into a 32 MB file, and the
+// store keeps who wrote it, not the bytes. A path that zeroes a 64 KB cache
+// block per 576-byte piece, or keeps a sparse chunk map per server,
+// allocated 716 MB for IBM SP coloring and 1 103 MB for Cplant ordering;
+// with every rank lending one shared buffer that each server's records
+// copied, 50 MB and 46 MB. With no payload the cells measure 7.6 MB and
+// 8.4 MB: write records, cache block lists and the verifier's atoms.
 //
 // The object count is the per-piece bookkeeping: ~129 300 and ~260 200
 // objects while the written set returned each add's newly covered parts and
 // the verifier kept a map entry and a byte slice per atom; ~1 860 and
 // ~132 710 while Cplant's servers kept a record per extent; ~2 000 and
-// ~1 100 with a record per (write call, server).
+// ~1 100 with a record per (write call, server) holding bytes; ~1 570 and
+// ~1 000 with records of extents and writers alone.
 func TestStoredCellAllocatesWhatItStores(t *testing.T) {
 	cells := []struct {
 		prof       platform.Profile
@@ -31,8 +33,8 @@ func TestStoredCellAllocatesWhatItStores(t *testing.T) {
 		maxBytes   uint64
 		maxObjects uint64
 	}{
-		{platform.IBMSP(), core.Coloring{}, 80 << 20, 4_000},
-		{platform.Cplant(), core.RankOrder{}, 80 << 20, 2_500},
+		{platform.IBMSP(), core.Coloring{}, 12 << 20, 3_000},
+		{platform.Cplant(), core.RankOrder{}, 12 << 20, 2_000},
 	}
 	for i, c := range cells {
 		e := harness.Experiment{

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"atomio/internal/core"
 	"atomio/internal/datatype"
 	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 	"atomio/internal/mpi"
 	"atomio/internal/obs"
 	"atomio/internal/pfs"
@@ -232,9 +234,11 @@ func TestEtypeGranularityEnforced(t *testing.T) {
 }
 
 // TestWriteAllSized pins the timing-only collective write: it is refused
-// where bytes are needed or the length is malformed, and on a file system
-// that stores nothing it moves the file pointer, grows the file and charges
-// exactly what WriteAll charges for a buffer of that length.
+// where the length is malformed; on a file system that stores nothing it
+// moves the file pointer, grows the file and charges exactly what WriteAll
+// charges for a buffer of that length; on one that stores data it keeps who
+// wrote each byte, and a ReadAll of those bytes fails, naming them, instead
+// of returning zeros.
 func TestWriteAllSized(t *testing.T) {
 	etype := datatype.Elem{Width: 8, Name: "double"}
 	open := func(c *mpi.Comm, fs *pfs.FileSystem) (*File, error) {
@@ -247,16 +251,29 @@ func TestWriteAllSized(t *testing.T) {
 		}
 		return f, f.SetAtomicity(true)
 	}
-	run(t, 1, func(c *mpi.Comm) error {
-		f, err := open(c, testFS())
+	stored := testFS()
+	_, err := mpi.Run(mpi.Config{Procs: 1}, func(c *mpi.Comm) error {
+		f, err := open(c, stored)
 		if err != nil {
 			return err
 		}
-		if err := f.WriteAllSized(16); err == nil || !strings.Contains(err.Error(), "stores data") {
-			return fmt.Errorf("timing-only write on a storing file system: %v", err)
+		if err := f.WriteAllSized(16); err != nil {
+			return err
 		}
-		return f.Close()
+		if err := f.SeekSet(0); err != nil {
+			return err
+		}
+		buf := bytes.Repeat([]byte{0xff}, 16)
+		err = f.ReadAll(buf)
+		return fmt.Errorf("ReadAll of bytes written timing-only returned %v, read %x", err, buf)
 	})
+	if err == nil || !strings.Contains(err.Error(), "reaches [0,8), which was written without its bytes") {
+		t.Errorf("ReadAll after a timing-only write on a storing file system: %v", err)
+	}
+	owners, _ := stored.Owners("sized.dat")
+	if want := []index.Owned{{Extent: interval.Extent{Off: 0, Len: 8}}, {Extent: interval.Extent{Off: 16, Len: 8}}}; !reflect.DeepEqual(owners, want) {
+		t.Errorf("timing-only write stored owners %#v, want %#v", owners, want)
+	}
 
 	cfg := testFS().Config()
 	cfg.StoreData = false

@@ -2,7 +2,6 @@ package mpiio
 
 import (
 	"bytes"
-	"fmt"
 
 	"atomio/internal/core"
 	"atomio/internal/lock"
@@ -24,8 +23,8 @@ func (f *File) WriteAll(buf []byte) error {
 // WriteAllSized is the timing-only WriteAll: it collectively writes n bytes
 // whose content nobody will read, charging exactly what WriteAll charges
 // for an n-byte buffer while carrying only offsets and lengths down to the
-// servers. A file system that stores data has to be given the bytes, so
-// there the call is refused.
+// servers. A file system that stores data keeps who wrote them, which is
+// what verification checks; reading them back fails.
 func (f *File) WriteAllSized(n int64) error {
 	return f.writeAll(nil, n)
 }
@@ -35,9 +34,6 @@ func (f *File) WriteAllSized(n int64) error {
 func (f *File) writeAll(buf []byte, n int64) error {
 	if err := f.checkRequest(n); err != nil {
 		return err
-	}
-	if buf == nil && n > 0 && f.fs.Config().StoreData {
-		return fmt.Errorf("mpiio: timing-only write of %d bytes to %q, whose file system stores data", n, f.name)
 	}
 	req := f.view.Extents(f.pos, n)
 	f.pos += n

@@ -40,7 +40,7 @@ func (c CacheConfig) blockSize() int64 {
 // staleness is the point being modelled.
 type cache struct {
 	cfg    CacheConfig
-	retain bool // keep written bytes (mirrors Config.StoreData)
+	retain bool // log what a flush stores: writers, and bytes if given (mirrors Config.StoreData)
 	rank   int  // the client's: the writer of its own bytes
 
 	valid interval.List // readable blocks: runs of block numbers, as marked
@@ -77,10 +77,7 @@ func (c *cache) absorb(b Batch) {
 		if e.Empty() {
 			continue
 		}
-		if d := b.bytes(i); c.retain && int64(len(d)) != e.Len {
-			if d == nil {
-				panic(fmt.Sprintf("pfs: payload-less extent %v absorbed by a cache that retains data", e))
-			}
+		if d := b.bytes(i); c.retain && d != nil && int64(len(d)) != e.Len {
 			panic(fmt.Sprintf("pfs: extent %v absorbed with %d bytes", e, len(d)))
 		}
 		c.dirtyBytes += e.Len
@@ -128,17 +125,17 @@ func (c *cache) takeDirty() (Batch, *assembly) {
 	return flushed, newAssembly(log, flushed.Ext, c.rank)
 }
 
-// piece is one logged extent's bytes, at off, and the rank whose data they
-// are.
+// piece is one logged extent, the n bytes at off: the rank whose data they
+// are, and the bytes themselves when the batch carried them.
 type piece struct {
-	off    int64
+	off, n int64
 	data   []byte
 	writer int
 }
 
 // assembly is a retaining cache's log as its flush stores it: the logged
 // pieces grouped by the coalesced extent each lies in, in write order
-// within a group. The pieces are the caller's bytes, not a copy.
+// within a group. Any bytes are the caller's, not a copy.
 type assembly struct {
 	exts   interval.List // the coalesced extents, canonical
 	ends   []int32       // group j is pieces[ends[j-1]:ends[j]], from 0 for j = 0
@@ -175,7 +172,7 @@ func newAssembly(log []Batch, exts interval.List, rank int) *assembly {
 		for i, e := range b.Ext {
 			if !e.Empty() {
 				g := group(e)
-				a.pieces[a.ends[g]] = piece{e.Off, b.Data[i], b.writer(i, rank)}
+				a.pieces[a.ends[g]] = piece{e.Off, e.Len, b.bytes(i), b.writer(i, rank)}
 				a.ends[g]++
 			}
 		}
@@ -236,7 +233,11 @@ func (c *cache) read(cl *Client, off int64, buf []byte) {
 	for _, b := range c.dirty {
 		for i, e := range b.Ext {
 			if ov := e.Intersect(req); c.retain && !ov.Empty() {
-				copy(buf[ov.Off-off:ov.End()-off], b.Data[i][ov.Off-e.Off:])
+				d := b.bytes(i)
+				if d == nil {
+					panic(fmt.Sprintf("pfs: read of %v reaches %v, which was written without its bytes", req, ov))
+				}
+				copy(buf[ov.Off-off:ov.End()-off], d[ov.Off-e.Off:])
 			}
 		}
 	}

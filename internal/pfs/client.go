@@ -12,14 +12,13 @@ import (
 // the request streams them, and each extent's bytes. Its extents are
 // authoritative and its bytes are optional: a batch with nil Data is
 // payload-less and stands for the bytes its extents cover, whose content
-// nobody reads — all a file system that stores no data (Config.StoreData
-// off) needs to charge time. Every cost is computed from the extents, so a
-// payload-less batch and a Data-carrying one of the same extents are
-// indistinguishable in virtual time. Otherwise Data[i] holds exactly the
-// Ext[i].Len bytes of extent i. Where bytes are needed — the content store
-// of a storing file system, a retaining cache — missing bytes, or bytes of
-// another length, panic: it is a bug in the caller, never silently stored
-// zeros or a cut record.
+// nobody reads. Every cost is computed from the extents, so a payload-less
+// batch and a Data-carrying one of the same extents are indistinguishable
+// in virtual time, and a storing file system (Config.StoreData) keeps who
+// wrote each byte of either. Otherwise Data[i] holds exactly the Ext[i].Len
+// bytes of extent i; bytes of another length panic when written. A read
+// that reaches bytes written without their payload panics and names them:
+// it is a bug in the caller, never silently read zeros.
 //
 // A batch is lent, not copied: its list, its Data slice and the bytes stay
 // the caller's and are read-only to pfs. Handed to Write on a write-behind
@@ -163,6 +162,11 @@ func (c *Client) Write(b Batch) {
 func (c *Client) Borrows() bool {
 	return c.cache != nil && c.cache.retain && c.fs.cfg.Cache.WriteBehind
 }
+
+// KeepsWriters reports whether the file keeps who wrote each byte
+// (Config.StoreData): there a batch written on other ranks' behalf must
+// name them in Writers.
+func (c *Client) KeepsWriters() bool { return c.f.content != nil }
 
 // transferWrite moves a batch to the servers, charging client-side cost
 // serially and queueing per-server service on the server pool. A flush of a

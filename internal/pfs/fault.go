@@ -133,8 +133,8 @@ func (f *file) recordDamage(exts interval.List) {
 
 // LogIntent appends rank's full mapped write request to the named file's
 // write-ahead intent log. The batch is copied — the caller's is lent for the
-// call — in one clone of its extents and, on a file system that stores
-// data, one of its bytes; one that stores nothing logs the extents alone. A
+// call — in one clone of its extents and, when a file system that stores
+// data is handed bytes, one of them; any other logs the extents alone. A
 // no-op unless Config.WAL is on, so healthy configurations pay nothing.
 func (fs *FileSystem) LogIntent(name string, rank int, b Batch) error {
 	if !fs.cfg.WAL {

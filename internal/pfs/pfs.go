@@ -3,9 +3,10 @@
 // shared striped file, accessed by per-process clients that may cache with
 // the read-ahead and write-behind policies the paper discusses in §3.
 //
-// With Config.StoreData on the simulator moves real bytes (so atomicity
-// violations are observable in actual file content); with it off requests
-// need only carry extents (see Batch). Either way it accounts virtual time
+// With Config.StoreData on, every file keeps who wrote each byte (so
+// atomicity violations are observable in the file), and the bytes
+// themselves where the writes carried them; requests need only carry
+// extents either way (see Batch). It accounts virtual time
 // on the clients' clocks and on per-server FCFS queues (see package sim),
 // from byte counts alone. Aggregate bandwidth
 // reported by the experiment harness is data volume divided by the virtual
@@ -69,10 +70,9 @@ type Config struct {
 	// that dominates the column-wise pattern.
 	SegOverhead sim.VTime
 
-	// StoreData controls whether written bytes are materialized. Large
-	// benchmark runs disable it to account time without allocating the
-	// full file — or any payload: their batches may be payload-less (see
-	// Batch); correctness tests leave it on.
+	// StoreData keeps who wrote each byte of every file — write records
+	// of extents and writers, plus the bytes of any batch that carries
+	// them (see Batch). Off, a file keeps only its size.
 	StoreData bool
 
 	// WAL enables the per-file write-ahead intent log: collective writes

@@ -1,12 +1,14 @@
 package pfs
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 	"atomio/internal/sim"
 	"atomio/internal/sim/fault"
 )
@@ -168,22 +170,42 @@ func TestWALWithoutStoreDataLogsExtents(t *testing.T) {
 }
 
 // TestPayloadlessRefusedWhereBytesAreNeeded pins the other half of the
-// contract: a payload-less segment, or bytes of the wrong length, reaching a
-// content store or a retaining cache is a caller bug and panics — it never
-// becomes stored zeros.
+// contract: a storing file system keeps who wrote a payload-less segment —
+// directly, through a write-behind log and through a write-ahead replay —
+// but a read that needs its bytes panics and names the extent: Snapshot,
+// ReadAt, and a cached ReadAt before and after the flush. Nothing ever
+// reads invented zeros. Bytes of the wrong length are refused when written,
+// never zero-filled or cut to fit.
 func TestPayloadlessRefusedWhereBytesAreNeeded(t *testing.T) {
 	segs := []Segment{{Off: 0, N: 16}}
+	const unread = "[0,16), which was written without its bytes"
+	kept := func(fs *FileSystem) {
+		t.Helper()
+		exts, _ := fs.WrittenExtents("f")
+		owners, _ := fs.Owners("f")
+		want := interval.Extent{Off: 0, Len: 16}
+		if !exts.Equal(interval.List{want}) || !reflect.DeepEqual(owners, []index.Owned{{Extent: want}}) {
+			t.Errorf("stored %v owned by %v, want [0,16) by rank 0", exts, owners)
+		}
+	}
 
 	fs := basicFS(2)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	mustPanic(t, "stores data", func() { c.WriteV(segs) })
-	if exts, _ := fs.WrittenExtents("f"); len(exts) != 0 {
-		t.Errorf("refused write stored %v", exts)
+	c.WriteV(segs)
+	kept(fs)
+	mustPanic(t, "read of [0,32) reaches "+unread, func() { fs.Snapshot("f", interval.Extent{Off: 0, Len: 32}) })
+	mustPanic(t, "reaches [4,12), which was written without its bytes", func() { c.ReadAt(4, make([]byte, 8)) })
+	if buf, _ := fs.Snapshot("f", interval.Extent{Off: 16, Len: 8}); !bytes.Equal(buf, make([]byte, 8)) {
+		t.Errorf("bytes never written read %x", buf)
 	}
 
 	fs = cachingFS(0)
 	c, _ = fs.Open("f", 0, sim.NewClock(0))
-	mustPanic(t, "retains data", func() { c.WriteV(segs) })
+	c.WriteV(segs)
+	mustPanic(t, unread, func() { c.ReadAt(0, make([]byte, 32)) }) // from the log
+	c.Sync()
+	kept(fs)
+	mustPanic(t, unread, func() { c.ReadAt(0, make([]byte, 32)) }) // from the store
 
 	fs = MustNew(Config{Servers: 2, StripeSize: 8, StoreData: true, WAL: true})
 	fs.SetFault(fault.New(fault.ServerOutage()))
@@ -192,10 +214,12 @@ func TestPayloadlessRefusedWhereBytesAreNeeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Damage(interval.List{{Off: 0, Len: 16}})
-	mustPanic(t, "stores data", func() { fs.Recover("f") })
+	if replayed, err := fs.Recover("f"); err != nil || !reflect.DeepEqual(replayed, []int{0}) {
+		t.Fatalf("replayed %v, %v", replayed, err)
+	}
+	kept(fs)
+	mustPanic(t, "read of [0,16) reaches [0,8), which", func() { fs.Snapshot("f", interval.Extent{Off: 0, Len: 16}) }) // stripe 0
 
-	// Bytes that disagree with their extent's length are refused too, never
-	// zero-filled or cut to fit.
 	for _, n := range []int{8, 24} {
 		short := Batch{Ext: interval.List{{Off: 0, Len: 16}}, Data: [][]byte{make([]byte, n)}}
 		fs = basicFS(2)

@@ -10,14 +10,15 @@ import (
 	"atomio/internal/sim"
 )
 
-// content is the byte-storage layer of one file: stripedStore, in which
-// each simulated I/O server keeps its own write records (see striped.go).
+// content is the storage layer of one file — who wrote each byte, and its
+// bytes where the writes carried them: stripedStore, in which each
+// simulated I/O server keeps its own write records (see striped.go).
 // The pfs tests pin it against a second implementation, a flat image every
 // server writes into: on any healthy configuration reads, written extents,
 // owners and snapshots are identical.
 type content interface {
-	write(call *writeCall, e interval.Extent, src source) // e's bytes, from src, as the call's next extent
-	read(off int64, buf []byte)                           // bytes never written read as zero
+	write(call *writeCall, e interval.Extent, src source) // e's writer and any bytes, from src, as the call's next extent
+	read(off int64, buf []byte)                           // bytes never written read as zero; stored without payload, panic
 	extents() interval.List                               // every byte range ever stored, canonical
 	owners() []index.Owned                                // file-ordered runs of the rank that wrote last
 }
@@ -56,33 +57,40 @@ func (f *file) growTo(end int64) {
 }
 
 // source is where a stored extent's bytes come from: a slice that is
-// exactly them, written as writer's, or — for a write-behind flush — the
-// logged pieces of the coalesced extent that holds it, in write order.
+// exactly them (nil when the batch carries none), written as writer's, or —
+// for a write-behind flush — the logged pieces of the coalesced extent that
+// holds it, in write order.
 type source struct {
 	data   []byte
 	writer int
 	pieces []piece
 }
 
-// each calls f with the runs of e's bytes in ascending file order, and the
-// rank whose data each run is. Where logged pieces overlap, the run is cut
-// from the one written last: a flush stores what its client would read.
-func (s source) each(e interval.Extent, f func(off int64, data []byte, writer int)) {
+// each calls f with the runs of e in ascending file order, each run's bytes
+// (nil when it has none) and the rank whose data it is. Where logged pieces
+// overlap, the run is cut from the one written last: a flush stores what its
+// client would read.
+func (s source) each(e interval.Extent, f func(run interval.Extent, data []byte, writer int)) {
 	if s.pieces == nil {
-		f(e.Off, s.data, s.writer)
+		f(e, s.data, s.writer)
 		return
 	}
 	clip := func(p piece) interval.Extent {
-		return e.Intersect(interval.Extent{Off: p.off, Len: int64(len(p.data))})
+		return e.Intersect(interval.Extent{Off: p.off, Len: p.n})
 	}
 	emit := func(run interval.Extent, p piece) {
-		if !run.Empty() {
-			f(run.Off, p.data[run.Off-p.off:run.End()-p.off], p.writer)
+		if run.Empty() {
+			return
 		}
+		var data []byte
+		if p.data != nil {
+			data = p.data[run.Off-p.off : run.End()-p.off]
+		}
+		f(run, data, p.writer)
 	}
 	ascending := true
 	for k := 1; k < len(s.pieces); k++ {
-		ascending = ascending && s.pieces[k-1].off+int64(len(s.pieces[k-1].data)) <= s.pieces[k].off
+		ascending = ascending && s.pieces[k-1].off+s.pieces[k-1].n <= s.pieces[k].off
 	}
 	if ascending {
 		for _, p := range s.pieces {
@@ -110,24 +118,22 @@ func (s source) each(e interval.Extent, f func(off int64, data []byte, writer in
 	}
 }
 
-// writeAt stores e's bytes from src as the call's next extent and extends
-// the file size. A data-less file only grows; a file with a content store
-// needs the bytes, exactly e.Len of them.
+// writeAt stores e, from src, as the call's next extent and extends the
+// file size. A data-less file only grows; a file with a content store keeps
+// who wrote e, and its bytes when src carries them — exactly e.Len of them.
 func (f *file) writeAt(call *writeCall, e interval.Extent, src source) {
 	f.growTo(e.End())
 	if f.content == nil || e.Empty() {
 		return
 	}
-	switch {
-	case src.data == nil && src.pieces == nil:
-		panic(fmt.Sprintf("pfs: payload-less extent %v written to %q, which stores data", e, f.name))
-	case src.pieces == nil && int64(len(src.data)) != e.Len:
+	if src.data != nil && int64(len(src.data)) != e.Len {
 		panic(fmt.Sprintf("pfs: extent %v written to %q with %d bytes", e, f.name, len(src.data)))
 	}
 	f.content.write(call, e, src)
 }
 
-// readAt fills buf from off; bytes never written read as zero.
+// readAt fills buf from off; bytes never written read as zero, and bytes
+// stored without their payload panic: no read ever invents them.
 func (f *file) readAt(off int64, buf []byte) {
 	if f.content == nil {
 		clear(buf)
@@ -137,7 +143,8 @@ func (f *file) readAt(off int64, buf []byte) {
 }
 
 // Snapshot copies the bytes of extent e out of the named file; offsets never
-// written read as zero.
+// written read as zero. It panics, naming the range, if e reaches bytes
+// written without their payload.
 func (fs *FileSystem) Snapshot(name string, e interval.Extent) ([]byte, error) {
 	f, err := fs.lookup(name, false)
 	if err != nil {

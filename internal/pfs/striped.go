@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -11,15 +12,15 @@ import (
 )
 
 // record is one write call's pieces on one server: their extents in file
-// order, their bytes back to back, and the rank each piece's data is from —
-// the client's own, or the ones an aggregator names (Batch.Writers). seq is
-// the store-wide order records were opened in: where records overlap, the
-// higher seq holds the file's bytes.
+// order, the rank each piece's data is from — the client's own, or the ones
+// an aggregator names (Batch.Writers) — and, when the pieces carried bytes,
+// those back to back. seq is the store-wide order records were opened in:
+// where records overlap, the higher seq holds the file's bytes.
 type record struct {
 	seq     int64
 	ext     interval.List // ascending, disjoint
-	at      []int64       // where each extent's bytes start in data
 	writers []int         // the rank whose data each extent is
+	at      []int64       // where each extent's bytes start in data; nil: no bytes
 	// data is a strings.Builder because its Grow, unlike make or append,
 	// does not zero the room it reserves: every byte is copied in anyway.
 	data strings.Builder
@@ -83,33 +84,39 @@ func (st *stripedStore) write(call *writeCall, e interval.Extent, src source) {
 		st.last = call
 		clear(call.open)
 	}
-	src.each(e, func(off int64, data []byte, writer int) {
+	src.each(e, func(run interval.Extent, data []byte, writer int) {
 		if st.cfg.Mode == ClientAffinity {
-			st.put(call, st.cfg.serverFor(off, call.rank), off, data, writer)
+			st.put(call, st.cfg.serverFor(run.Off, call.rank), run.Off, run.Len, data, writer)
 			return
 		}
-		eachStripePiece(st.cfg.StripeSize, len(st.servers), off, int64(len(data)), func(server int, pieceOff, n int64) {
-			st.put(call, server, pieceOff, data[pieceOff-off:pieceOff-off+n], writer)
+		eachStripePiece(st.cfg.StripeSize, len(st.servers), run.Off, run.Len, func(server int, off, n int64) {
+			var part []byte
+			if data != nil {
+				part = data[off-run.Off : off-run.Off+n]
+			}
+			st.put(call, server, off, n, part, writer)
 		})
 	})
 }
 
-// put stores one piece on server: in the call's open record there if the
-// piece follows its last extent, else in a new record sized for what the
-// call has left to store on the server.
-func (st *stripedStore) put(call *writeCall, server int, off int64, data []byte, writer int) {
-	n := int64(len(data))
+// put stores the n-byte piece at off on server, with its bytes when data is
+// not nil: in the call's open record there if the piece follows its last
+// extent and has bytes exactly when the record does, else in a new record
+// sized for what the call has left to store on the server.
+func (st *stripedStore) put(call *writeCall, server int, off, n int64, data []byte, writer int) {
 	left := &call.left[server]
 	r := call.open[server]
-	if r == nil || r.ext[len(r.ext)-1].End() > off {
+	if r == nil || r.ext[len(r.ext)-1].End() > off || (r.at == nil) != (data == nil) {
 		pieces := max(left.reqs, 1)
 		r = &record{
 			seq:     st.seq,
 			ext:     make(interval.List, 0, pieces),
-			at:      make([]int64, 0, pieces),
 			writers: make([]int, 0, pieces),
 		}
-		r.data.Grow(int(max(left.bytes, n)))
+		if data != nil {
+			r.at = make([]int64, 0, pieces)
+			r.data.Grow(int(max(left.bytes, n)))
+		}
 		st.seq++
 		st.servers[server] = append(st.servers[server], r)
 		call.open[server] = r
@@ -118,8 +125,10 @@ func (st *stripedStore) put(call *writeCall, server int, off int64, data []byte,
 		r.ext[k].Len += n
 	} else {
 		r.ext = append(r.ext, interval.Extent{Off: off, Len: n})
-		r.at = append(r.at, int64(r.data.Len()))
 		r.writers = append(r.writers, writer)
+		if data != nil {
+			r.at = append(r.at, int64(r.data.Len()))
+		}
 	}
 	r.data.Write(data)
 	left.bytes -= n
@@ -149,6 +158,9 @@ func (st *stripedStore) read(off int64, buf []byte) {
 	req := interval.Extent{Off: off, Len: int64(len(buf))}
 	for _, r := range st.inSeq() {
 		r.each(req, func(i int, part interval.Extent) {
+			if r.at == nil {
+				panic(fmt.Sprintf("pfs: read of %v reaches %v, which was written without its bytes", req, part))
+			}
 			from := r.at[i] + part.Off - r.ext[i].Off
 			copy(buf[part.Off-off:part.End()-off], r.data.String()[from:])
 		})

@@ -38,10 +38,10 @@ func (s *sharedStore) write(_ *writeCall, e interval.Extent, src source) {
 		s.writer = append(s.writer, make([]int, grow)...)
 	}
 	s.written.Add(e)
-	src.each(e, func(off int64, data []byte, writer int) {
-		copy(s.data[off:], data)
-		for i := range data {
-			s.writer[off+int64(i)] = writer
+	src.each(e, func(run interval.Extent, data []byte, writer int) {
+		copy(s.data[run.Off:], data)
+		for off := run.Off; off < run.End(); off++ {
+			s.writer[off] = writer
 		}
 	})
 }

@@ -79,7 +79,7 @@ type Profile struct {
 func (p Profile) SupportsLocking() bool { return p.LockStyle != NoLocking }
 
 // PFSConfig returns the file-system configuration for this platform.
-// storeData selects whether file bytes are materialized.
+// storeData selects whether files keep who wrote each byte.
 func (p Profile) PFSConfig(storeData bool) pfs.Config {
 	return pfs.Config{
 		Servers:     p.SimServers,

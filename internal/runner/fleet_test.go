@@ -40,7 +40,7 @@ func TestFleetGridDeterministic(t *testing.T) {
 }
 
 // TestFleetGridShape checks the structural invariants every fleet cell must
-// carry: verification on, materialized bytes, two servers, a fault script
+// carry: verification on, stored writers, two servers, a fault script
 // with a positive lease, and the pinned negative control at cell 0.
 func TestFleetGridShape(t *testing.T) {
 	cells := FleetGrid(1, 30)
