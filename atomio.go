@@ -187,15 +187,9 @@ func Servers(n int) Option {
 	return func(s *Spec) error { s.Servers = n; return nil }
 }
 
-// StoreData keeps who wrote each byte of the file, which Verify checks
-// (and implies). No cell carries a payload either way, so even the 1 GB
-// arrays stay memory-flat.
-func StoreData(on bool) Option {
-	return func(s *Spec) error { s.StoreData = on; return nil }
-}
-
-// Verify checks MPI atomicity on the resulting file content; it implies
-// StoreData.
+// Verify keeps who wrote each byte of the file and checks MPI atomicity on
+// it. No cell carries a payload either way, so even the 1 GB arrays stay
+// memory-flat.
 func Verify(on bool) Option {
 	return func(s *Spec) error { s.Verify = on; return nil }
 }

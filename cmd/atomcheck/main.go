@@ -88,15 +88,14 @@ func main() {
 
 	fmt.Println("\nnegative control (locking each segment separately, paper §3.2):")
 	res, runErr := harness.Experiment{
-		Platform:  platform.Origin2000(),
-		M:         m,
-		N:         n,
-		Procs:     procs,
-		Overlap:   overlap,
-		Pattern:   harness.ColumnWise,
-		Strategy:  core.Locking{PerSegment: true},
-		StoreData: true,
-		Verify:    true,
+		Platform: platform.Origin2000(),
+		M:        m,
+		N:        n,
+		Procs:    procs,
+		Overlap:  overlap,
+		Pattern:  harness.ColumnWise,
+		Strategy: core.Locking{PerSegment: true},
+		Verify:   true,
 	}.Run()
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "atomcheck: negative control: %v\n", runErr)

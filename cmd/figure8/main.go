@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	figure8 [-platform name] [-size label] [-store] [-v]
+//	figure8 [-platform name] [-size label] [-v]
 //	        [-workers N] [-progress] [-json file] [-csv file]
 //	        [-cpuprofile file] [-memprofile file]
 //	        [-scale] [-maxp P] [-servers N] [-degraded]
@@ -71,7 +71,6 @@ import (
 type config struct {
 	platform string
 	size     string
-	store    bool
 	verbose  bool
 	scale    bool
 	maxp     int
@@ -92,7 +91,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	cfg := &config{}
 	platformFlag := app.Platform("", "run only this platform (Cplant, Origin2000, IBM SP)")
 	sizeFlag := app.Flags.String("size", "", "run only this array size (32 MB, 128 MB, 1 GB)")
-	app.Flags.BoolVar(&cfg.store, "store", false, "keep who wrote each byte of every file")
 	app.Flags.BoolVar(&cfg.verbose, "v", false, "also print virtual makespans and written volumes")
 	app.Flags.BoolVar(&cfg.scale, "scale", false, "run the large-P scaling grid instead of Figure 8")
 	app.Flags.IntVar(&cfg.maxp, "maxp", 1024,
@@ -132,8 +130,8 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 		if cfg.scale || cfg.degraded || cfg.fleet {
 			// These grids fix their own platform, shapes and data mode;
 			// reject flags that would otherwise be silently ignored.
-			if *platformFlag != "" || *sizeFlag != "" || cfg.store || cfg.verbose {
-				return errors.New("-scale/-degraded/-fleet are incompatible with -platform, -size, -store and -v")
+			if *platformFlag != "" || *sizeFlag != "" || cfg.verbose {
+				return errors.New("-scale/-degraded/-fleet are incompatible with -platform, -size and -v")
 			}
 		}
 		if cfg.maxp != 1024 && !cfg.scale {
@@ -194,7 +192,6 @@ func expand(cfg *config) (grid atomio.Grid, cells []atomio.Cell, err error) {
 		cells = atomio.ScalingTo(cfg.maxp)
 	default:
 		grid = atomio.Figure8()
-		grid.Options = append(grid.Options, atomio.StoreData(cfg.store))
 		if cfg.platform != "" {
 			if grid, err = grid.WithPlatform(cfg.platform); err != nil {
 				return grid, nil, err

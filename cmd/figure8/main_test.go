@@ -18,7 +18,7 @@ var parseCases = []struct {
 	want string // diagnostic substring for the failing cases
 }{
 	{"empty", nil, true, ""},
-	{"full grid knobs", []string{"-platform", "Cplant", "-size", "32 MB", "-store", "-v",
+	{"full grid knobs", []string{"-platform", "Cplant", "-size", "32 MB", "-v",
 		"-workers", "2", "-progress", "-json", "a.json", "-csv", "b.csv",
 		"-servers", "7"}, true, ""},
 	{"scale", []string{"-scale", "-workers", "2"}, true, ""},
@@ -45,7 +45,8 @@ var parseCases = []struct {
 	{"fleet with degraded", []string{"-fleet", "-degraded"}, false, "mutually exclusive"},
 	{"fleet with servers", []string{"-fleet", "-servers", "4"}, false, "fault surface"},
 	{"fleet with platform", []string{"-fleet", "-platform", "Cplant"}, false, "incompatible"},
-	{"fleet with store", []string{"-fleet", "-store"}, false, "incompatible"},
+	{"fleet with store", []string{"-fleet", "-store"}, false, "flag provided but not defined: -store"},
+	{"store", []string{"-store", "-platform", "Cplant", "-size", "32 MB"}, false, "flag provided but not defined: -store"},
 	{"seed without fleet", []string{"-seed", "2"}, false, "only meaningful with -fleet"},
 	{"cells without fleet", []string{"-cells", "50"}, false, "only meaningful with -fleet"},
 	{"zero cells", []string{"-fleet", "-cells", "0"}, false, "-cells must be at least 1"},
@@ -89,12 +90,12 @@ func TestParseFlags(t *testing.T) {
 
 // TestParseFlagsBinds checks the parsed values reach the config.
 func TestParseFlagsBinds(t *testing.T) {
-	cfg, err := parseFlags([]string{"-platform", "IBM SP", "-size", "1 GB", "-store",
+	cfg, err := parseFlags([]string{"-platform", "IBM SP", "-size", "1 GB",
 		"-workers", "5", "-servers", "6"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.platform != "IBM SP" || cfg.size != "1 GB" || !cfg.store ||
+	if cfg.platform != "IBM SP" || cfg.size != "1 GB" ||
 		cfg.out.Workers != 5 || cfg.model.Servers != 6 {
 		t.Errorf("config = %+v out=%+v model=%+v", cfg, cfg.out, cfg.model)
 	}

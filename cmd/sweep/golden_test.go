@@ -23,8 +23,8 @@ func TestMain(m *testing.M) {
 
 // TestTraceGolden pins sweep's stdout — the bandwidth table and every
 // cell's -trace phase breakdown — for Origin2000, the four strategies
-// that report phases, P ∈ {2, 4}, without and with -store (regenerate
-// with `go test ./cmd/sweep -run TestTraceGolden -update`). The numbers are
+// that report phases, P ∈ {2, 4} (regenerate with
+// `go test ./cmd/sweep -run TestTraceGolden -update`). The numbers are
 // virtual time, so the output is the same on any host.
 func TestTraceGolden(t *testing.T) {
 	base := []string{"-platform", "Origin2000", "-m", "256", "-n", "1024", "-p", "2,4", "-r", "8",
@@ -34,7 +34,6 @@ func TestTraceGolden(t *testing.T) {
 		args   []string
 	}{
 		{"trace.golden", base},
-		{"trace_store.golden", append(append([]string(nil), base...), "-store")},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], tc.args...)

@@ -31,7 +31,6 @@ type config struct {
 	procs      []int
 	pattern    string
 	strategies []string
-	store      bool
 	trace      bool
 	out        *cli.Output
 	model      *cli.Model
@@ -50,7 +49,6 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	patternFlag := app.Flags.String("pattern", "column", "partitioning: column, row, block")
 	strategiesFlag := app.Flags.String("strategies", "locking,coloring,ordering",
 		"comma-separated strategies (locking, coloring, ordering, twophase, listio)")
-	app.Flags.BoolVar(&cfg.store, "store", false, "keep who wrote each byte of every file")
 	app.Flags.BoolVar(&cfg.trace, "trace", false, "print per-phase virtual-time breakdowns")
 	cfg.out = app.Output(false)
 	cfg.model = app.Model()
@@ -144,7 +142,6 @@ func expand(cfg *config, stderr io.Writer) (prof atomio.Profile, strategies []st
 	}
 	opts := []atomio.Option{
 		atomio.Overlap(cfg.shape.Overlap), atomio.Pattern(cfg.pattern),
-		atomio.StoreData(cfg.store),
 	}
 	if cfg.trace {
 		// The breakdown is read from the phase counters: record metrics

@@ -21,7 +21,7 @@ var parseCases = []struct {
 	{"defaults", nil, true, ""},
 	{"full", []string{"-platform", "IBM SP", "-m", "512", "-n", "4096", "-p", "2,4",
 		"-r", "8", "-pattern", "row", "-strategies", "coloring,ordering",
-		"-store", "-trace", "-workers", "2", "-json", "a.json",
+		"-trace", "-workers", "2", "-json", "a.json",
 		"-servers", "3"}, true, ""},
 	{"profiled", []string{"-strategies", "locking", "-workers", "1",
 		"-cpuprofile", "cpu.pb.gz", "-memprofile", "mem.pb.gz"}, true, ""},
@@ -37,6 +37,7 @@ var parseCases = []struct {
 	{"empty strategy entry", []string{"-strategies", "locking,,ordering"}, false, "empty entry"},
 	{"negative servers", []string{"-servers", "-9"}, false, "non-negative"},
 	{"unknown flag", []string{"-nosuch"}, false, "not defined"},
+	{"store", []string{"-store"}, false, "flag provided but not defined: -store"},
 	{"too many procs", []string{"-m", "1", "-n", "4194304", "-p", "4194304", "-r", "0", "-strategies", "ordering"},
 		false, "sweep: harness: process count must be"},
 	{"too many servers", []string{"-servers", "1073741824"}, false, "harness: servers must be"},

@@ -79,7 +79,7 @@ func TestEveryExperimentFieldHasAnOption(t *testing.T) {
 	setters := map[string]Option{
 		"Platform": Platform("Cplant"), "M": Array(7, 9), "N": Array(7, 9), "Procs": Procs(2),
 		"Overlap": Overlap(2), "Pattern": Pattern("row"), "Strategy": Strategy("ordering"),
-		"StoreData": StoreData(true), "Verify": Verify(true),
+		"Verify":      Verify(true),
 		"TraceEvents": TraceEvents(true), "EventLimit": TraceLimit(16),
 		"Servers": Servers(3), "Scenario": Scenario("slow0x4"),
 		"Steps": Checkpoints(3), "Compute": Compute(time.Millisecond), "Faults": Fault("server-outage"),
@@ -87,6 +87,7 @@ func TestEveryExperimentFieldHasAnOption(t *testing.T) {
 	}
 	derived := map[string]string{
 		"AtomicListIO": "implied by the listio strategy inside harness (a field only for capability probes)",
+		"StoreData":    "no effect: Verify alone keeps the file's write records (a field only the benchmark module sets)",
 	}
 	before, err := build(nil)
 	if err != nil {
@@ -400,9 +401,10 @@ func TestScenarioSpecRun(t *testing.T) {
 }
 
 // TestGridVerifyWithoutStoreData is the regression test for verification on
-// a file that stored nothing: a Grid never forced StoreData on for Verify, so a correct coloring run on IBM SP was checked against an
-// all-zero file and reported torn. Verify now implies StoreData inside the
-// harness, whichever way the cell was built.
+// a file that stored nothing: a Grid once never forced StoreData on for
+// Verify, so a correct coloring run on IBM SP was checked against an
+// all-zero file and reported torn. Verify alone now keeps the file's write
+// records inside the harness, whichever way the cell was built.
 func TestGridVerifyWithoutStoreData(t *testing.T) {
 	cells, err := Grid{
 		Platforms:  []string{"IBM SP"},

@@ -42,9 +42,9 @@ type Grid struct {
 	// SkipUnsupported drops locking cells on platforms without byte-range
 	// locking instead of producing cells that fail.
 	SkipUnsupported bool
-	// Options set what every cell shares (Overlap, Pattern, StoreData,
-	// Verify, Servers, TraceEvents, ...) over New's defaults; the axes
-	// above override Platform, Array, Procs and Strategy per cell.
+	// Options set what every cell shares (Overlap, Pattern, Verify,
+	// Servers, TraceEvents, ...) over New's defaults; the axes above
+	// override Platform, Array, Procs and Strategy per cell.
 	Options []Option
 }
 

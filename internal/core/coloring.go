@@ -28,7 +28,7 @@ func (s Coloring) Name() string {
 }
 
 // WriteAll implements Strategy.
-func (s Coloring) WriteAll(ctx *Context, buf []byte, req interval.List) error {
+func (s Coloring) WriteAll(ctx *Context, req interval.List) error {
 	// Handshake: exchange views, build W, color. W and the coloring are
 	// the same on every rank, so they are computed once and shared.
 	hs := ctx.span(trace.PhaseHandshake)
@@ -56,7 +56,7 @@ func (s Coloring) WriteAll(ctx *Context, buf []byte, req interval.List) error {
 	for step := 0; step < numColors; step++ {
 		if step == myColor {
 			xfer := ctx.span(trace.PhaseTransfer)
-			ctx.Client.Write(pfs.Lend(buf, req))
+			ctx.Client.Write(pfs.Batch{Ext: req})
 			// Flush write-behind data so the write is visible before
 			// the next phase starts (the per-write file sync of §3).
 			ctx.Client.Sync()

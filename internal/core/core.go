@@ -85,16 +85,13 @@ func (ctx *Context) crashPoint(n int) (int, bool) {
 type Strategy interface {
 	// Name returns the strategy's short name as used in the paper's plots.
 	Name() string
-	// WriteAll collectively writes buf to the request's file extents, one
-	// per contiguous file segment, listed in buffer order: extent i takes
-	// the bytes of buf that follow the lengths of the extents before it.
-	// The request is canonical, as fileview.View.Extents builds it, and
-	// lent — typically the file view's own stored tile — and read-only.
-	// It guarantees MPI atomic semantics for the overlaps. A nil buf is a
-	// timing-only request: the extents alone say how many bytes go where,
-	// and the strategy issues payload-less batches — legal only on a file
-	// system that stores no data.
-	WriteAll(ctx *Context, buf []byte, req interval.List) error
+	// WriteAll collectively writes the request's file extents, one per
+	// contiguous file segment, in buffer order: the extents alone say how
+	// many bytes go where. The request is canonical, as
+	// fileview.View.Extents builds it, and lent — typically the file
+	// view's own stored tile — and read-only. It guarantees MPI atomic
+	// semantics for the overlaps.
+	WriteAll(ctx *Context, req interval.List) error
 }
 
 // ByName returns the strategy with the given name ("locking", "coloring",

@@ -21,8 +21,8 @@ type ListIO struct{}
 func (ListIO) Name() string { return "listio" }
 
 // WriteAll implements Strategy.
-func (ListIO) WriteAll(ctx *Context, buf []byte, req interval.List) error {
-	return ctx.Client.WriteAtomic(pfs.Lend(buf, req))
+func (ListIO) WriteAll(ctx *Context, req interval.List) error {
+	return ctx.Client.WriteAtomic(pfs.Batch{Ext: req})
 }
 
 var _ Strategy = ListIO{}

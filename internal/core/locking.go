@@ -39,13 +39,13 @@ func (s Locking) Name() string {
 }
 
 // WriteAll implements Strategy.
-func (s Locking) WriteAll(ctx *Context, buf []byte, req interval.List) error {
+func (s Locking) WriteAll(ctx *Context, req interval.List) error {
 	if ctx.LockMgr == nil {
 		return ErrNoLockManager
 	}
 	clock := ctx.Comm.Clock()
 	rank := ctx.Comm.Rank()
-	b := pfs.Lend(buf, req)
+	b := pfs.Batch{Ext: req}
 	if s.PerSegment {
 		for i, e := range req {
 			grant := ctx.LockMgr.Lock(rank, e, lock.Exclusive, clock.Now())

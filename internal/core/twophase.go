@@ -32,7 +32,7 @@ type TwoPhase struct{}
 func (TwoPhase) Name() string { return "twophase" }
 
 // WriteAll implements Strategy.
-func (TwoPhase) WriteAll(ctx *Context, buf []byte, req interval.List) error {
+func (TwoPhase) WriteAll(ctx *Context, req interval.List) error {
 	comm := ctx.Comm
 	hs := ctx.span(trace.PhaseHandshake)
 	defer hs.Stop()
@@ -53,7 +53,7 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, req interval.List) error {
 	domains := newFileDomains(span, comm.Size())
 
 	// Phase 1: route each of my extents to the domain owners.
-	parts := route(buf, req, domains)
+	parts := route(req, domains)
 	ex := ctx.span(trace.PhaseExchange)
 	recv := comm.Alltoall(parts)
 	ex.Stop()
@@ -76,9 +76,6 @@ func (TwoPhase) WriteAll(ctx *Context, buf []byte, req interval.List) error {
 	ctx.Client.Sync()
 	ctx.Client.Invalidate()
 	xfer.Stop()
-	// The barrier also ends the exchange's loan: the owners' batches point
-	// into the senders' buffers, which stay untouched until every owner's
-	// Sync above has handed its bytes to the store.
 	sw := ctx.span(trace.PhaseSyncWait)
 	comm.Barrier()
 	sw.Stop()
@@ -120,65 +117,42 @@ func (d fileDomains) owner(off int64) int {
 // wire the exchange is timed as.
 const pieceHeader = 16
 
-// piece is one routed piece of a request: the bytes it puts at Extent, nil
-// when the request is timing-only.
-type piece struct {
-	interval.Extent
-	data []byte
-}
-
-// bytes returns the piece's bytes at file offsets [from, to), nil when it
-// has none.
-func (p piece) bytes(from, to int64) []byte {
-	if p.data == nil {
-		return nil
-	}
-	return p.data[from-p.Off : to-p.Off]
-}
-
 // route cuts a request at the domain boundaries into pieces and groups them
 // into one Alltoall part per owner. Extents ascend in file order and so do
 // domains, so the parts come out in ascending owner order, and each extent
 // starts at its first owner and walks forward only while domains still
 // intersect it — O(1 + owners touched) per extent. A part's Size is what
-// the wire would carry, a header plus the bytes of each piece, whether or
-// not the request has bytes: a timing-only exchange moves none and costs
-// the same. Its Data is the []piece, which points into buf — shared with the
-// owner, never copied. The walk runs twice, to count and then to fill, so
-// each list is allocated once, at its size.
-func route(buf []byte, req interval.List, domains fileDomains) []mpi.Part {
-	each := func(visit func(owner int, ov interval.Extent, at int64)) {
-		var at int64 // buffer offset of e: the lengths before it
+// the wire would carry, a header plus the bytes of each piece; its Data is
+// the pieces' extents, an interval.List shared with the owner, never
+// copied. The walk runs twice, to count and then to fill, so each list is
+// allocated once, at its size.
+func route(req interval.List, domains fileDomains) []mpi.Part {
+	each := func(visit func(owner int, ov interval.Extent)) {
 		for _, e := range req {
 			for owner := domains.owner(e.Off); owner < domains.n && domains.at(owner).Off < e.End(); owner++ {
 				if ov := e.Intersect(domains.at(owner)); !ov.Empty() {
-					visit(owner, ov, at+(ov.Off-e.Off))
+					visit(owner, ov)
 				}
 			}
-			at += e.Len
 		}
 	}
 	npieces, nparts, last := 0, 0, -1
-	each(func(owner int, _ interval.Extent, _ int64) {
+	each(func(owner int, _ interval.Extent) {
 		npieces++
 		if owner != last {
 			nparts, last = nparts+1, owner
 		}
 	})
-	pieces, parts := make([]piece, 0, npieces), make([]mpi.Part, 0, nparts)
+	pieces, parts := make(interval.List, 0, npieces), make([]mpi.Part, 0, nparts)
 	first := 0 // the current part's first piece
-	each(func(owner int, ov interval.Extent, at int64) {
+	each(func(owner int, ov interval.Extent) {
 		if n := len(parts); n == 0 || parts[n-1].Peer != owner {
 			if n > 0 {
 				parts[n-1].Data = pieces[first:]
 			}
 			parts, first = append(parts, mpi.Part{Peer: owner}), len(pieces)
 		}
-		var data []byte
-		if buf != nil {
-			data = buf[at : at+ov.Len]
-		}
-		pieces = append(pieces, piece{ov, data})
+		pieces = append(pieces, ov)
 		parts[len(parts)-1].Size += pieceHeader + ov.Len
 	})
 	if n := len(parts); n > 0 {
@@ -190,34 +164,28 @@ func route(buf []byte, req interval.List, domains fileDomains) []mpi.Part {
 // mergePieces combines the parts received from every rank (in ascending
 // sender order, as Alltoall delivers them) into one batch of disjoint,
 // offset-sorted extents covering at most the owner's domain, with the
-// pieces of the highest sending rank winning every overlap. It carries
-// bytes only when the pieces do, and the rank each extent's data is from
-// whenever writers is set — the file keeps who wrote each byte, and the
-// aggregator writes on other ranks' behalf. It decides nothing itself: it
-// walks the runs of owners — the collective's shared index.Winners map —
-// inside the domain with one cursor per sender, emitting one extent per
-// (piece ∩ run). Pieces short of a run their sender's view wins are an
+// pieces of the highest sending rank winning every overlap. It names the
+// rank each extent's data is from whenever writers is set — the file keeps
+// who wrote each byte, and the aggregator writes on other ranks' behalf.
+// It decides nothing itself: it walks the runs of owners — the
+// collective's shared index.Winners map — inside the domain with one
+// cursor per sender, emitting one extent per (piece ∩ run). Pieces short of a run their sender's view wins are an
 // error naming the sender, never a panic.
 func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned, writers bool) (pfs.Batch, error) {
-	rest := make([][]piece, len(recv)) // by sender's place in recv: its pieces not yet passed
-	stored := false
+	rest := make([]interval.List, len(recv)) // by sender's place in recv: its pieces not yet passed
 	for k, pt := range recv {
-		rest[k], _ = pt.Data.([]piece)
-		stored = stored || len(rest[k]) > 0 && rest[k][0].data != nil
+		rest[k], _ = pt.Data.(interval.List)
 	}
 	lo := sort.Search(len(owners), func(i int) bool { return owners[i].End() > domain.Off })
 	hi := max(lo, sort.Search(len(owners), func(i int) bool { return owners[i].Off >= domain.End() }))
 	var merged pfs.Batch
 	merged.Ext = make(interval.List, 0, hi-lo) // exact unless a run spans several pieces
-	if stored {
-		merged.Data = make([][]byte, 0, hi-lo)
-	}
 	if writers {
 		merged.Writers = make([]int, 0, hi-lo)
 	}
 	for _, o := range owners[lo:hi] {
 		k, found := slices.BinarySearchFunc(recv, o.Rank, func(pt mpi.Part, rank int) int { return pt.Peer - rank })
-		var ps []piece
+		var ps interval.List
 		if found {
 			ps = rest[k]
 		}
@@ -231,9 +199,6 @@ func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned, 
 			}
 			n := min(ps[0].End(), run.End())
 			merged.Ext = append(merged.Ext, interval.Extent{Off: at, Len: n - at})
-			if stored {
-				merged.Data = append(merged.Data, ps[0].bytes(at, n))
-			}
 			if writers {
 				merged.Writers = append(merged.Writers, o.Rank)
 			}

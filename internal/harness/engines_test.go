@@ -70,15 +70,14 @@ func TestEnginesByteIdenticalRandomized(t *testing.T) {
 			// Scale rows with the process count so every pattern's
 			// partition stays taller than the overlap, and keep both
 			// dimensions divisible by a block-block grid side.
-			M:         procs * 8 * (1 + rng.Intn(2)),
-			N:         side * 256 * (1 + rng.Intn(3)),
-			Procs:     procs,
-			Overlap:   2 * (1 + rng.Intn(3)),
-			Pattern:   pattern,
-			Strategy:  strat,
-			Servers:   []int{0, 1, 4}[rng.Intn(3)],
-			StoreData: true,
-			Verify:    true,
+			M:        procs * 8 * (1 + rng.Intn(2)),
+			N:        side * 256 * (1 + rng.Intn(3)),
+			Procs:    procs,
+			Overlap:  2 * (1 + rng.Intn(3)),
+			Pattern:  pattern,
+			Strategy: strat,
+			Servers:  []int{0, 1, 4}[rng.Intn(3)],
+			Verify:   true,
 		}
 		t.Run(e.String(), func(t *testing.T) {
 			identity, want := pinIdentity(t, e)
@@ -92,17 +91,16 @@ func TestEnginesByteIdenticalRandomized(t *testing.T) {
 // across collective writes — and checks single-delay schedules of it.
 func TestEnginesByteIdenticalCheckpoint(t *testing.T) {
 	e := Experiment{
-		Platform:  platform.IBMSP(),
-		M:         64,
-		N:         512,
-		Procs:     8,
-		Overlap:   8,
-		Pattern:   ColumnWise,
-		Strategy:  Methods(platform.IBMSP())[0],
-		StoreData: true,
-		Verify:    true,
-		Steps:     3,
-		Compute:   5_000_000,
+		Platform: platform.IBMSP(),
+		M:        64,
+		N:        512,
+		Procs:    8,
+		Overlap:  8,
+		Pattern:  ColumnWise,
+		Strategy: Methods(platform.IBMSP())[0],
+		Verify:   true,
+		Steps:    3,
+		Compute:  5_000_000,
 	}
 	identity, want := pinIdentity(t, e)
 	checkDelayed(t, e, identity, want, 1)
@@ -121,16 +119,15 @@ func TestEnginesByteIdenticalSharedHandshake(t *testing.T) {
 	strategies := []core.Strategy{core.RankOrder{}, core.Coloring{}, core.Coloring{UseSpans: true}, core.TwoPhase{}}
 	for _, strat := range strategies {
 		e := Experiment{
-			Platform:  platform.IBMSP(),
-			M:         72,
-			N:         1152,
-			Procs:     9, // odd: the schedule merge leaves a run over at every level
-			Overlap:   6,
-			Pattern:   ColumnWise,
-			Strategy:  strat,
-			Servers:   2,
-			StoreData: true,
-			Verify:    true,
+			Platform: platform.IBMSP(),
+			M:        72,
+			N:        1152,
+			Procs:    9, // odd: the schedule merge leaves a run over at every level
+			Overlap:  6,
+			Pattern:  ColumnWise,
+			Strategy: strat,
+			Servers:  2,
+			Verify:   true,
 		}
 		t.Run(strat.Name(), func(t *testing.T) {
 			identity, want := pinIdentity(t, e)

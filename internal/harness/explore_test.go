@@ -234,7 +234,7 @@ func TestExploreStrategies(t *testing.T) {
 			for _, pattern := range []Pattern{ColumnWise, RowWise} {
 				e := Experiment{
 					Platform: platform.IBMSP(), M: 12, N: 24, Procs: p, Overlap: 2,
-					Pattern: pattern, Strategy: strat, Servers: 2, StoreData: true, Verify: true,
+					Pattern: pattern, Strategy: strat, Servers: 2, Verify: true,
 				}
 				t.Run(fmt.Sprintf("P=%d/%s/%s", p, strat.Name(), pattern), func(t *testing.T) {
 					t.Parallel()

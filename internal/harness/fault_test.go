@@ -26,16 +26,15 @@ func faultExperiment(strategy string) Experiment {
 		panic("faultExperiment: unknown strategy " + strategy)
 	}
 	return Experiment{
-		Platform:  platform.Origin2000(),
-		M:         32,
-		N:         512,
-		Procs:     4,
-		Overlap:   4,
-		Pattern:   ColumnWise,
-		Strategy:  strat,
-		Servers:   2,
-		StoreData: true,
-		Verify:    true,
+		Platform: platform.Origin2000(),
+		M:        32,
+		N:        512,
+		Procs:    4,
+		Overlap:  4,
+		Pattern:  ColumnWise,
+		Strategy: strat,
+		Servers:  2,
+		Verify:   true,
 	}
 }
 

@@ -70,10 +70,12 @@ type Experiment struct {
 	Pattern Pattern
 	// Strategy is the atomicity implementation under test.
 	Strategy core.Strategy
-	// StoreData keeps who wrote each byte of the file (implied by Verify).
-	// Either way every rank writes offsets and lengths only, no payload.
+	// StoreData has no effect: Verify alone decides whether the file keeps
+	// who wrote each byte. It is kept only because the benchmark module
+	// sets it.
 	StoreData bool
-	// Verify checks MPI atomicity on who wrote the resulting file's bytes.
+	// Verify keeps who wrote each byte of the file and checks MPI atomicity
+	// on it. Every rank writes offsets and lengths only, either way.
 	Verify bool
 	// AtomicListIO grants the simulated file system the §3.2 atomic
 	// vectored-write capability (ablation A6). The core.ListIO strategy
@@ -307,8 +309,9 @@ func (e Experiment) config() (pfs.Config, error) {
 	if _, err := e.piece(0); err != nil {
 		return cfg, err
 	}
-	// Verification reads who wrote the file from the store's records.
-	cfg = e.Platform.PFSConfig(e.StoreData || e.Verify)
+	// Verification reads who wrote the file from the store's records, which
+	// nothing else reads.
+	cfg = e.Platform.PFSConfig(e.Verify)
 	cfg.AtomicListIO = e.AtomicListIO || e.Strategy.Name() == "listio"
 	cfg.WAL = e.Recovery
 	if e.Servers > 0 {
@@ -429,7 +432,7 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 			start := c.Now()
 			// The content is nobody's concern: the store keeps who wrote
 			// each byte, which is what verification checks.
-			if err := f.WriteAllSized(piece.BufBytes); err != nil {
+			if err := f.WriteAll(piece.BufBytes); err != nil {
 				return err
 			}
 			if err := f.Close(); err != nil {

@@ -17,15 +17,14 @@ func TestExperimentVerifiedSmall(t *testing.T) {
 		for _, strat := range Methods(prof) {
 			t.Run(prof.Name+"/"+strat.Name(), func(t *testing.T) {
 				res, err := Experiment{
-					Platform:  prof,
-					M:         64,
-					N:         512,
-					Procs:     4,
-					Overlap:   8,
-					Pattern:   ColumnWise,
-					Strategy:  strat,
-					StoreData: true,
-					Verify:    true,
+					Platform: prof,
+					M:        64,
+					N:        512,
+					Procs:    4,
+					Overlap:  8,
+					Pattern:  ColumnWise,
+					Strategy: strat,
+					Verify:   true,
 				}.Run()
 				if err != nil {
 					t.Fatal(err)
@@ -90,10 +89,9 @@ func TestExperimentPatterns(t *testing.T) {
 		res, err := Experiment{
 			Platform: platform.Origin2000(),
 			M:        64, N: 256, Procs: 4, Overlap: 4,
-			Pattern:   pat,
-			Strategy:  core.RankOrder{},
-			StoreData: true,
-			Verify:    true,
+			Pattern:  pat,
+			Strategy: core.RankOrder{},
+			Verify:   true,
 		}.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", pat, err)
@@ -116,7 +114,6 @@ func TestOrderingWritesFewerBytes(t *testing.T) {
 	base := Experiment{
 		Platform: platform.Origin2000(),
 		M:        256, N: 4096, Procs: 8, Overlap: 32,
-		StoreData: false,
 	}
 	withStrategy := func(s core.Strategy) int64 {
 		e := base

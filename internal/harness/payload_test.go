@@ -13,57 +13,61 @@ import (
 // sameTimings requires two runs of one cell to agree on everything virtual
 // time decides: the makespan, every rank's clock, the written volume and
 // every server's traffic and queue state.
-func sameTimings(t *testing.T, lengths, bytes *Result) {
+func sameTimings(t *testing.T, bare, kept *Result) {
 	t.Helper()
-	if lengths.Makespan == 0 {
+	if bare.Makespan == 0 {
 		t.Fatal("run charged no time; the comparison is vacuous")
 	}
-	if lengths.Makespan != bytes.Makespan || lengths.WrittenBytes != bytes.WrittenBytes {
-		t.Errorf("StoreData off: makespan %v, %d bytes written; on: %v, %d",
-			lengths.Makespan, lengths.WrittenBytes, bytes.Makespan, bytes.WrittenBytes)
+	if bare.Makespan != kept.Makespan || bare.WrittenBytes != kept.WrittenBytes {
+		t.Errorf("records off: makespan %v, %d bytes written; on: %v, %d",
+			bare.Makespan, bare.WrittenBytes, kept.Makespan, kept.WrittenBytes)
 	}
-	if !reflect.DeepEqual(lengths.RankTimes, bytes.RankTimes) {
-		t.Errorf("rank times differ: StoreData off %v, on %v", lengths.RankTimes, bytes.RankTimes)
+	if !reflect.DeepEqual(bare.RankTimes, kept.RankTimes) {
+		t.Errorf("rank times differ: records off %v, on %v", bare.RankTimes, kept.RankTimes)
 	}
-	if !reflect.DeepEqual(lengths.ServerStats, bytes.ServerStats) {
-		t.Errorf("server stats differ: StoreData off %+v, on %+v", lengths.ServerStats, bytes.ServerStats)
+	if !reflect.DeepEqual(bare.ServerStats, kept.ServerStats) {
+		t.Errorf("server stats differ: records off %+v, on %+v", bare.ServerStats, kept.ServerStats)
 	}
-	if !reflect.DeepEqual(lengths.Replayed, bytes.Replayed) {
-		t.Errorf("replayed ranks differ: StoreData off %v, on %v", lengths.Replayed, bytes.Replayed)
+	if !reflect.DeepEqual(bare.Replayed, kept.Replayed) {
+		t.Errorf("replayed ranks differ: records off %v, on %v", bare.Replayed, kept.Replayed)
 	}
 }
 
-// bothWays runs e storing nothing and storing bytes.
-func bothWays(t *testing.T, e Experiment) (lengths, bytes *Result) {
+// bothWays runs e keeping no records and keeping who wrote every byte —
+// the records Verify turns on, and checks.
+func bothWays(t *testing.T, e Experiment) (bare, kept *Result) {
 	t.Helper()
 	var err error
-	e.StoreData = false
-	if lengths, err = e.Run(); err != nil {
-		t.Fatalf("StoreData off: %v", err)
+	e.Verify = false
+	if bare, err = e.Run(); err != nil {
+		t.Fatalf("records off: %v", err)
 	}
-	e.StoreData = true
-	if bytes, err = e.Run(); err != nil {
-		t.Fatalf("StoreData on: %v", err)
+	e.Verify = true
+	if kept, err = e.Run(); err != nil {
+		t.Fatalf("records on: %v", err)
 	}
-	return lengths, bytes
+	if kept.Verdict == "" {
+		t.Fatal("the verified run reports no verdict")
+	}
+	return bare, kept
 }
 
-// TestPayloadlessRunMatchesStoredRun pins the payload-less data path to the
-// byte-moving one: a run that stores nothing carries offsets and lengths
-// only, and must charge exactly what the same cell charges when every byte
-// is moved and stored — for every strategy on every platform and pattern.
+// TestPayloadlessRunMatchesStoredRun pins the run that keeps no records to
+// the one that keeps who wrote every byte: both carry offsets and lengths
+// only, and must charge exactly the same — for every strategy on every
+// platform and pattern. Record keeping is bookkeeping, never a cost.
 func TestPayloadlessRunMatchesStoredRun(t *testing.T) {
 	for _, prof := range platform.All() {
 		for _, strat := range append(Methods(prof), core.TwoPhase{}, core.ListIO{}) {
 			for _, pat := range []Pattern{ColumnWise, RowWise, BlockBlock} {
 				t.Run(prof.Name+"/"+strat.Name()+"/"+pat.String(), func(t *testing.T) {
-					lengths, bytes := bothWays(t, Experiment{
+					bare, kept := bothWays(t, Experiment{
 						Platform: prof,
 						M:        64, N: 512, Procs: 4, Overlap: 8,
 						Pattern:  pat,
 						Strategy: strat, // listio implies the capability it needs
 					})
-					sameTimings(t, lengths, bytes)
+					sameTimings(t, bare, kept)
 				})
 			}
 		}
@@ -72,7 +76,7 @@ func TestPayloadlessRunMatchesStoredRun(t *testing.T) {
 
 // TestPayloadlessRunMatchesStoredRunUnderFaults extends the pin to the fault
 // filter and the write-ahead log: dropped stripes, a crashed writer's
-// unissued segments and the replay decision depend on lengths alone.
+// unissued segments and the replay decision do not depend on the records.
 func TestPayloadlessRunMatchesStoredRunUnderFaults(t *testing.T) {
 	outage := fault.ServerOutage()
 	crash := fault.Script{Events: []fault.Event{{Kind: fault.WriterCrash, Owner: 1, Segments: 1}}}
@@ -89,12 +93,11 @@ func TestPayloadlessRunMatchesStoredRunUnderFaults(t *testing.T) {
 	} {
 		t.Run(tc.name+"/"+tc.strategy, func(t *testing.T) {
 			e := faultExperiment(tc.strategy)
-			e.Verify = false
 			e.Faults = &tc.script
 			e.Recovery = true
-			lengths, bytes := bothWays(t, e)
-			sameTimings(t, lengths, bytes)
-			if len(bytes.Replayed) == 0 {
+			bare, kept := bothWays(t, e)
+			sameTimings(t, bare, kept)
+			if len(kept.Replayed) == 0 {
 				t.Error("nothing was replayed; the fault did no damage")
 			}
 		})

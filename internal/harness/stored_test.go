@@ -40,9 +40,9 @@ func TestStoredCellAllocatesWhatItStores(t *testing.T) {
 		e := harness.Experiment{
 			Platform: c.prof,
 			M:        harness.Figure8M, N: 8192, Procs: 16, Overlap: harness.Figure8Overlap,
-			Pattern:   harness.ColumnWise,
-			Strategy:  c.strategy,
-			StoreData: true, Verify: true,
+			Pattern:  harness.ColumnWise,
+			Strategy: c.strategy,
+			Verify:   true,
 		}
 		if i == 0 {
 			if _, err := e.Run(); err != nil { // warm up lazy runtime state
@@ -83,9 +83,9 @@ func TestStoredCellPastMarkerWrap(t *testing.T) {
 		res, err := harness.Experiment{
 			Platform: platform.IBMSP(),
 			M:        m, N: p * w, Procs: p, Overlap: r,
-			Pattern:   harness.ColumnWise,
-			Strategy:  s,
-			StoreData: true, Verify: true,
+			Pattern:  harness.ColumnWise,
+			Strategy: s,
+			Verify:   true,
 		}.Run()
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,8 @@
 // Package mpiio is the MPI-IO layer of the reproduction: files opened on a
 // communicator, file views set from derived datatypes, collective and
-// independent reads and writes, and the MPI atomic mode implemented by the
-// strategies of package core.
+// independent writes, and the MPI atomic mode implemented by the
+// strategies of package core. Writes carry sizes, not buffers: the file
+// system keeps who wrote each byte, never its content.
 //
 // The API mirrors the MPI-2 calls the paper's Figure 4 code uses:
 //
@@ -9,7 +10,6 @@
 //	MPI_File_set_view        -> File.SetView
 //	MPI_File_set_atomicity   -> File.SetAtomicity
 //	MPI_File_write_all       -> File.WriteAll
-//	MPI_File_read_all        -> File.ReadAll
 //	MPI_File_sync            -> File.Sync
 //	MPI_File_close           -> File.Close
 package mpiio

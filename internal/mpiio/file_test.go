@@ -1,10 +1,10 @@
 package mpiio
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,24 +18,14 @@ import (
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
 	"atomio/internal/trace"
-	"atomio/internal/verify"
 	"atomio/internal/workload"
 )
 
-// stamp is rank's byte at buffer offset i: a buffer byte names its writer
-// and its place, so a byte stored from the wrong buffer offset shows.
-func stamp(rank int, i int64) byte {
-	return byte((uint32(i)*2654435761 + uint32(rank)*40503) >> 24)
-}
-
-// TestWriteReadRoundTripThroughView writes position-stamped buffers through
-// overlapping column-wise views with each of the five strategies, directly
-// and through a write-behind cache, and reads them back through the same
-// views. Every file byte must be the stamped byte some rank whose view
-// covers it holds at that byte's place in its buffer — the highest such
-// rank's under ordering and twophase, which give contested bytes to the
-// highest writer — and every byte read back must be the file's byte at the
-// place the view maps it to: the scatter and the gather must invert.
+// TestWriteReadRoundTripThroughView writes through overlapping column-wise
+// views with each of the five strategies, directly and through a
+// write-behind cache. Exactly the bytes some view covers must be written,
+// each owned by a rank whose view covers it — the highest such rank under
+// ordering and twophase, which give contested bytes to the highest writer.
 func TestWriteReadRoundTripThroughView(t *testing.T) {
 	const m, n, p, r = 16, 64, 4, 4
 	strategies := []core.Strategy{core.Locking{}, core.Coloring{}, core.RankOrder{}, core.TwoPhase{}, core.ListIO{}}
@@ -48,7 +38,7 @@ func TestWriteReadRoundTripThroughView(t *testing.T) {
 					cfg.Cache = cachingFS().Config().Cache
 				}
 				fs, mgr := pfs.MustNew(cfg), testMgr()
-				reqs, ins := make([]interval.List, p), make([][]byte, p)
+				reqs := make([]interval.List, p)
 				runOn(t, des.New().NewCoord(p), fs, mgr, func(c *mpi.Comm) error {
 					piece, err := workload.ColumnWise(m, n, p, r, c.Rank())
 					if err != nil {
@@ -61,61 +51,35 @@ func TestWriteReadRoundTripThroughView(t *testing.T) {
 					f.SetView(0, datatype.Byte, piece.Filetype)
 					f.SetAtomicity(true)
 					f.SetStrategy(strat)
-					out := make([]byte, piece.BufBytes)
-					for i := range out {
-						out[i] = stamp(c.Rank(), int64(i))
-					}
-					if err := f.WriteAll(out); err != nil {
+					if err := f.WriteAll(piece.BufBytes); err != nil {
 						return err
 					}
-					if err := f.Sync(); err != nil {
-						return err
-					}
-					if err := f.SeekSet(0); err != nil {
-						return err
-					}
-					in := make([]byte, piece.BufBytes)
-					if err := f.ReadAll(in); err != nil {
-						return err
-					}
-					reqs[c.Rank()], ins[c.Rank()] = f.View().Extents(0, piece.BufBytes), in
+					reqs[c.Rank()] = f.View().Extents(0, piece.BufBytes)
 					return f.Close()
 				})
-				file, err := fs.Snapshot("rt.dat", interval.Extent{Off: 0, Len: m * n})
+				owners, err := fs.Owners("rt.dat")
 				if err != nil {
 					t.Fatal(err)
 				}
-				// at[rank][x] is the buffer offset rank writes file byte x from, -1 for none.
-				at := make([][]int64, p)
-				for rank, req := range reqs {
-					at[rank] = make([]int64, m*n)
-					for x := range at[rank] {
-						at[rank][x] = -1
-					}
-					var i int64
-					for _, e := range req {
-						for x := e.Off; x < e.End(); x++ {
-							at[rank][x], i = i, i+1
-						}
+				owner := make([]int, m*n) // each byte's writer, -1 for none
+				for x := range owner {
+					owner[x] = -1
+				}
+				for _, o := range owners {
+					for x := o.Off; x < o.End(); x++ {
+						owner[x] = o.Rank
 					}
 				}
 				highestWins := strat.Name() == "ordering" || strat.Name() == "twophase"
-				for x, got := range file {
-					var want []byte // the stamps got may be
+				for x, got := range owner {
+					var want []int // the ranks got may be
 					for rank := p - 1; rank >= 0; rank-- {
-						if i := at[rank][x]; i >= 0 && (!highestWins || len(want) == 0) {
-							want = append(want, stamp(rank, i))
+						if reqs[rank].ContainsOffset(int64(x)) && (!highestWins || len(want) == 0) {
+							want = append(want, rank)
 						}
 					}
-					if len(want) == 0 || !bytes.Contains(want, []byte{got}) {
-						t.Fatalf("file byte %d (row %d, column %d) = %#x, want one of %#x", x, x/n, x%n, got, want)
-					}
-				}
-				for rank, in := range ins {
-					for x, i := range at[rank] {
-						if i >= 0 && in[i] != file[x] {
-							t.Fatalf("rank %d read buffer byte %d = %#x, the file holds %#x at %d", rank, i, in[i], file[x], x)
-						}
+					if len(want) == 0 && got != -1 || len(want) > 0 && !slices.Contains(want, got) {
+						t.Fatalf("file byte %d (row %d, column %d) owned by %d, want one of %v", x, x/n, x%n, got, want)
 					}
 				}
 			})
@@ -136,7 +100,7 @@ func TestSeekTell(t *testing.T) {
 		if f.Tell() != 0 {
 			return fmt.Errorf("fresh Tell = %d", f.Tell())
 		}
-		if err := f.WriteAll(make([]byte, 8)); err != nil { // 2 etypes
+		if err := f.WriteAll(8); err != nil { // 2 etypes
 			return err
 		}
 		if f.Tell() != 2 {
@@ -163,54 +127,20 @@ func TestSuccessiveWritesAdvancePointer(t *testing.T) {
 			return err
 		}
 		f.SetAtomicity(false)
-		if err := f.WriteAll([]byte("abc")); err != nil {
+		if err := f.WriteAll(3); err != nil {
 			return err
 		}
-		if err := f.WriteAll([]byte("def")); err != nil {
+		if err := f.WriteAll(3); err != nil {
 			return err
 		}
 		return f.Close()
 	})
-	snap, err := fs.Snapshot("adv.dat", intervalExt(0, 6))
+	owners, err := fs.Owners("adv.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(snap) != "abcdef" {
-		t.Fatalf("file = %q", snap)
-	}
-}
-
-// TestNonAtomicWriteLeavesBufferToCaller pins the one place a blocking write
-// returns before its bytes are flushed: a non-atomic write on a file system
-// that stores data behind a write-behind cache. MPI lets the application
-// reuse buf the moment the call returns, so what reaches the file at Close
-// must be what buf held at the call, for the independent and the collective
-// write alike.
-func TestNonAtomicWriteLeavesBufferToCaller(t *testing.T) {
-	fs := cachingFS()
-	run(t, 1, func(c *mpi.Comm) error {
-		f, err := Open(c, fs, nil, "reuse.dat")
-		if err != nil {
-			return err
-		}
-		f.SetAtomicity(false)
-		buf := []byte("first ")
-		if err := f.Write(buf); err != nil {
-			return err
-		}
-		copy(buf, "second")
-		if err := f.WriteAll(buf); err != nil {
-			return err
-		}
-		copy(buf, "XXXXXX")
-		return f.Close()
-	})
-	snap, err := fs.Snapshot("reuse.dat", intervalExt(0, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(snap) != "first second" {
-		t.Fatalf("file = %q: a write-behind cache kept the caller's buffer past the write", snap)
+	if want := []index.Owned{{Extent: intervalExt(0, 6)}}; !reflect.DeepEqual(owners, want) {
+		t.Fatalf("owners = %v, want %v", owners, want)
 	}
 }
 
@@ -223,97 +153,54 @@ func TestEtypeGranularityEnforced(t *testing.T) {
 		}
 		etype := datatype.Elem{Width: 8, Name: "double"}
 		f.SetView(0, etype, datatype.NewContiguous(4, etype))
-		if err := f.WriteAll(make([]byte, 12)); err == nil {
+		if err := f.WriteAll(12); err == nil {
 			return fmt.Errorf("1.5-etype write accepted")
 		}
-		if err := f.WriteAll(make([]byte, 16)); err != nil {
+		if err := f.WriteAll(16); err != nil {
 			return err
 		}
 		return f.Close()
 	})
 }
 
-// TestWriteAllSized pins the timing-only collective write: it is refused
-// where the length is malformed; on a file system that stores nothing it
-// moves the file pointer, grows the file and charges exactly what WriteAll
-// charges for a buffer of that length; on one that stores data it keeps who
-// wrote each byte, and a ReadAll of those bytes fails, naming them, instead
-// of returning zeros.
+// TestWriteAllSized pins the sized collective write: it is refused where
+// the length is malformed, without moving the file pointer; otherwise it
+// moves the pointer, counts the bytes written and, on a file system that
+// stores data, keeps who wrote each byte its view maps.
 func TestWriteAllSized(t *testing.T) {
 	etype := datatype.Elem{Width: 8, Name: "double"}
-	open := func(c *mpi.Comm, fs *pfs.FileSystem) (*File, error) {
+	fs := testFS()
+	run(t, 1, func(c *mpi.Comm) error {
 		f, err := Open(c, fs, testMgr(), "sized.dat")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := f.SetView(0, etype, datatype.NewSubarray([]int{4, 2}, []int{4, 1}, []int{0, 0}, etype)); err != nil {
-			return nil, err
-		}
-		return f, f.SetAtomicity(true)
-	}
-	stored := testFS()
-	_, err := mpi.Run(mpi.Config{Procs: 1}, func(c *mpi.Comm) error {
-		f, err := open(c, stored)
-		if err != nil {
 			return err
 		}
-		if err := f.WriteAllSized(16); err != nil {
+		if err := f.SetAtomicity(true); err != nil {
 			return err
 		}
-		if err := f.SeekSet(0); err != nil {
-			return err
+		if err := f.WriteAll(12); err == nil || !strings.Contains(err.Error(), "whole number of etypes") {
+			return fmt.Errorf("1.5-etype write: %v", err)
 		}
-		buf := bytes.Repeat([]byte{0xff}, 16)
-		err = f.ReadAll(buf)
-		return fmt.Errorf("ReadAll of bytes written timing-only returned %v, read %x", err, buf)
-	})
-	if err == nil || !strings.Contains(err.Error(), "reaches [0,8), which was written without its bytes") {
-		t.Errorf("ReadAll after a timing-only write on a storing file system: %v", err)
-	}
-	owners, _ := stored.Owners("sized.dat")
-	if want := []index.Owned{{Extent: interval.Extent{Off: 0, Len: 8}}, {Extent: interval.Extent{Off: 16, Len: 8}}}; !reflect.DeepEqual(owners, want) {
-		t.Errorf("timing-only write stored owners %#v, want %#v", owners, want)
-	}
-
-	cfg := testFS().Config()
-	cfg.StoreData = false
-	var sized, buffered sim.VTime
-	run(t, 1, func(c *mpi.Comm) error {
-		f, err := open(c, pfs.MustNew(cfg))
-		if err != nil {
-			return err
-		}
-		if err := f.WriteAllSized(12); err == nil || !strings.Contains(err.Error(), "whole number of etypes") {
-			return fmt.Errorf("1.5-etype timing-only write: %v", err)
-		}
-		if err := f.WriteAllSized(-8); err == nil {
-			return fmt.Errorf("negative timing-only write accepted")
+		if err := f.WriteAll(-8); err == nil {
+			return fmt.Errorf("negative write accepted")
 		}
 		if f.Tell() != 0 {
 			return fmt.Errorf("refused writes moved the file pointer to %d", f.Tell())
 		}
-		if err := f.WriteAllSized(24); err != nil {
+		if err := f.WriteAll(24); err != nil {
 			return err
 		}
 		if f.Tell() != 3 || f.Client().BytesWritten() != 24 {
 			return fmt.Errorf("after 24 bytes: pointer %d, written %d", f.Tell(), f.Client().BytesWritten())
 		}
-		sized = c.Now()
 		return f.Close()
 	})
-	run(t, 1, func(c *mpi.Comm) error {
-		f, err := open(c, pfs.MustNew(cfg))
-		if err != nil {
-			return err
-		}
-		if err := f.WriteAll(make([]byte, 24)); err != nil {
-			return err
-		}
-		buffered = c.Now()
-		return f.Close()
-	})
-	if sized == 0 || sized != buffered {
-		t.Errorf("timing-only write finished at %v, buffered write at %v", sized, buffered)
+	owners, _ := fs.Owners("sized.dat")
+	if want := []index.Owned{{Extent: intervalExt(0, 8)}, {Extent: intervalExt(16, 8)}, {Extent: intervalExt(32, 8)}}; !reflect.DeepEqual(owners, want) {
+		t.Errorf("stored owners %v, want %v", owners, want)
 	}
 }
 
@@ -328,15 +215,14 @@ func TestClosedFileErrors(t *testing.T) {
 			return err
 		}
 		for name, op := range map[string]func() error{
-			"WriteAll":      func() error { return f.WriteAll([]byte("x")) },
-			"WriteAllSized": func() error { return f.WriteAllSized(1) },
-			"ReadAll":       func() error { return f.ReadAll(make([]byte, 1)) },
-			"SetView":       func() error { return f.SetView(0, datatype.Byte, datatype.Byte) },
-			"SetAtomicity":  func() error { return f.SetAtomicity(true) },
-			"SetStrategy":   func() error { return f.SetStrategy(core.RankOrder{}) },
-			"Sync":          func() error { return f.Sync() },
-			"SeekSet":       func() error { return f.SeekSet(0) },
-			"Close":         func() error { return f.Close() },
+			"WriteAll":     func() error { return f.WriteAll(1) },
+			"Write":        func() error { return f.Write(1) },
+			"SetView":      func() error { return f.SetView(0, datatype.Byte, datatype.Byte) },
+			"SetAtomicity": func() error { return f.SetAtomicity(true) },
+			"SetStrategy":  func() error { return f.SetStrategy(core.RankOrder{}) },
+			"Sync":         func() error { return f.Sync() },
+			"SeekSet":      func() error { return f.SeekSet(0) },
+			"Close":        func() error { return f.Close() },
 		} {
 			if err := op(); !errors.Is(err, ErrClosed) {
 				return fmt.Errorf("%s on closed file: %v", name, err)
@@ -373,25 +259,17 @@ func TestIndependentWriteAtomicWithLocking(t *testing.T) {
 		}
 		f.SetAtomicity(true)
 		// Overlapping whole-file views (contiguous).
-		buf := make([]byte, 64)
-		verify.Fill(c.Rank(), buf)
-		if err := f.Write(buf); err != nil {
+		if err := f.Write(64); err != nil {
 			return err
 		}
 		return f.Close()
 	})
-	snap, err := fs.Snapshot("indep.dat", intervalExt(0, 64))
+	owners, err := fs.Owners("indep.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := snap[0]
-	for i, b := range snap {
-		if b != first {
-			t.Fatalf("independent atomic writes interleaved at byte %d: %v", i, snap[:16])
-		}
-	}
-	if first != verify.Marker(0) && first != verify.Marker(1) {
-		t.Fatalf("foreign data %d", first)
+	if len(owners) != 1 || owners[0].Extent != intervalExt(0, 64) || owners[0].Rank > 1 {
+		t.Fatalf("independent atomic writes interleaved: owners %v", owners)
 	}
 }
 
@@ -403,43 +281,9 @@ func TestIndependentAtomicWriteWithoutLockingFails(t *testing.T) {
 			return err
 		}
 		f.SetAtomicity(true)
-		err = f.Write(make([]byte, 8))
+		err = f.Write(8)
 		if !errors.Is(err, core.ErrNoLockManager) {
 			return fmt.Errorf("err = %v, want ErrNoLockManager (paper §5)", err)
-		}
-		return f.Close()
-	})
-}
-
-func TestAtomicReadSeesCommittedData(t *testing.T) {
-	// Writer flushes under lock; reader's atomic read invalidates its
-	// cache and takes a shared lock, so it must observe the write.
-	fs := cachingFS()
-	mgr := testMgr()
-	runOn(t, des.New().NewCoord(2), fs, mgr, func(c *mpi.Comm) error {
-		f, err := Open(c, fs, mgr, "rw.dat")
-		if err != nil {
-			return err
-		}
-		f.SetAtomicity(true)
-		if c.Rank() == 0 {
-			buf := bytes.Repeat([]byte{42}, 128)
-			if err := f.Write(buf); err != nil {
-				return err
-			}
-		}
-		// Order the read after the write.
-		c.Barrier()
-		if c.Rank() == 1 {
-			in := make([]byte, 128)
-			if err := f.Read(in); err != nil {
-				return err
-			}
-			for i, b := range in {
-				if b != 42 {
-					return fmt.Errorf("byte %d = %d, want 42", i, b)
-				}
-			}
 		}
 		return f.Close()
 	})
@@ -485,9 +329,7 @@ func TestMultiTileWriteAppendsSlabs(t *testing.T) {
 		f.SetView(0, datatype.Byte, piece.Filetype)
 		f.SetAtomicity(true)
 		f.SetStrategy(core.RankOrder{})
-		buf := make([]byte, 2*piece.BufBytes)
-		verify.Fill(c.Rank(), buf)
-		if err := f.WriteAll(buf); err != nil {
+		if err := f.WriteAll(2 * piece.BufBytes); err != nil {
 			return err
 		}
 		return f.Close()
@@ -499,14 +341,13 @@ func TestMultiTileWriteAppendsSlabs(t *testing.T) {
 	if size != 2*4*8 {
 		t.Fatalf("file size = %d, want two full slabs (%d)", size, 2*4*8)
 	}
-	// Both slabs' overlap columns hold the higher rank's marker.
+	// Both slabs' overlap columns hold the higher rank's data.
+	owners, _ := fs.Owners("tiles.dat")
 	for slab := int64(0); slab < 2; slab++ {
 		off := slab*32 + 3 // row 0, overlapped column 3 of that slab
-		snap, _ := fs.Snapshot("tiles.dat", intervalExt(off, 2))
-		for _, b := range snap {
-			if b != verify.Marker(1) {
-				t.Fatalf("slab %d overlap byte = %d, want rank 1 marker", slab, b)
-			}
+		i := slices.IndexFunc(owners, func(o index.Owned) bool { return o.Contains(off) })
+		if i < 0 || owners[i].Rank != 1 || !owners[i].Contains(off+1) {
+			t.Fatalf("slab %d overlap [%d,%d) in owners %v, want rank 1's", slab, off, off+2, owners)
 		}
 	}
 }
@@ -527,12 +368,12 @@ func TestEmptyRankParticipatesInCollectives(t *testing.T) {
 			if err := f.SetStrategy(strat); err != nil {
 				return err
 			}
-			var buf []byte
+			var n int64
 			if c.Rank() != 1 { // rank 1 writes nothing
-				buf = bytes.Repeat([]byte{byte(c.Rank() + 1)}, 32)
+				n = 32
 				f.SeekSet(int64(c.Rank()) * 16) // overlapping ranges
 			}
-			if err := f.WriteAll(buf); err != nil {
+			if err := f.WriteAll(n); err != nil {
 				return err
 			}
 		}
@@ -569,7 +410,7 @@ func TestEmptyCollectiveWriteKeepsPhaseAccounting(t *testing.T) {
 				}
 				f.SetEvents(rec)
 				start := c.Now()
-				if err := f.WriteAll(nil); err != nil {
+				if err := f.WriteAll(0); err != nil {
 					return err
 				}
 				elapsed[c.Rank()] = c.Now() - start

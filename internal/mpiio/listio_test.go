@@ -47,7 +47,7 @@ func TestListIORequiresCapability(t *testing.T) {
 		f.SetView(0, datatype.Byte, piece.Filetype)
 		f.SetAtomicity(true)
 		f.SetStrategy(core.ListIO{})
-		err = f.WriteAll(make([]byte, piece.BufBytes))
+		err = f.WriteAll(piece.BufBytes)
 		if !errors.Is(err, pfs.ErrNoAtomicListIO) {
 			return fmt.Errorf("err = %v, want ErrNoAtomicListIO", err)
 		}
@@ -69,7 +69,7 @@ func TestListIOSerializesInVirtualTime(t *testing.T) {
 		f.SetView(0, datatype.Byte, piece.Filetype)
 		f.SetAtomicity(true)
 		f.SetStrategy(core.ListIO{})
-		if err := f.WriteAll(make([]byte, piece.BufBytes)); err != nil {
+		if err := f.WriteAll(piece.BufBytes); err != nil {
 			return err
 		}
 		times[c.Rank()] = int64(c.Now())

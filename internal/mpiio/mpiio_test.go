@@ -97,9 +97,7 @@ func writeColumnWise(t *testing.T, fs *pfs.FileSystem, mgr lock.Manager, m, n, p
 				return err
 			}
 		}
-		buf := make([]byte, piece.BufBytes)
-		verify.Fill(c.Rank(), buf)
-		if err := f.WriteAll(buf); err != nil {
+		if err := f.WriteAll(piece.BufBytes); err != nil {
 			return err
 		}
 		return f.Close()
@@ -234,8 +232,7 @@ func TestRankOrderingReducesIOVolume(t *testing.T) {
 		f.SetView(0, datatype.Byte, piece.Filetype)
 		f.SetAtomicity(true)
 		f.SetStrategy(core.RankOrder{})
-		buf := make([]byte, piece.BufBytes)
-		if err := f.WriteAll(buf); err != nil {
+		if err := f.WriteAll(piece.BufBytes); err != nil {
 			return err
 		}
 		written[c.Rank()] = f.Client().BytesWritten()
@@ -264,7 +261,7 @@ func TestLockingRequiresLockManager(t *testing.T) {
 		f.SetView(0, datatype.Byte, piece.Filetype)
 		f.SetAtomicity(true)
 		f.SetStrategy(core.Locking{})
-		err = f.WriteAll(make([]byte, piece.BufBytes))
+		err = f.WriteAll(piece.BufBytes)
 		if !errors.Is(err, core.ErrNoLockManager) {
 			return fmt.Errorf("err = %v, want ErrNoLockManager", err)
 		}
@@ -323,9 +320,7 @@ func TestFigure2AtomicVsNonAtomic(t *testing.T) {
 			}
 			coord.Await(rank, sim.Second*sim.VTime(1+2*seg+turn))
 		}
-		buf := make([]byte, piece.BufBytes)
-		verify.Fill(c.Rank(), buf)
-		if err := f.WriteAll(buf); err != nil {
+		if err := f.WriteAll(piece.BufBytes); err != nil {
 			return err
 		}
 		f.Client().BeforeSegment = nil
@@ -389,13 +384,11 @@ func TestPerSegmentLockingViolatesMPIAtomicity(t *testing.T) {
 		if c.Rank() == 1 {
 			halves[0], halves[1] = halves[1], halves[0]
 		}
-		buf := make([]byte, piece.BufBytes/2)
-		verify.Fill(c.Rank(), buf)
 		for _, half := range halves {
 			if err := f.SetView(0, datatype.Byte, half); err != nil {
 				return err
 			}
-			if err := f.WriteAll(buf); err != nil {
+			if err := f.WriteAll(piece.BufBytes / 2); err != nil {
 				return err
 			}
 		}

@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -40,7 +39,7 @@ func (c CacheConfig) blockSize() int64 {
 // staleness is the point being modelled.
 type cache struct {
 	cfg    CacheConfig
-	retain bool // log what a flush stores: writers, and bytes if given (mirrors Config.StoreData)
+	retain bool // log whose data a flush stores (mirrors Config.StoreData)
 	rank   int  // the client's: the writer of its own bytes
 
 	valid interval.List // readable blocks: runs of block numbers, as marked
@@ -77,9 +76,6 @@ func (c *cache) absorb(b Batch) {
 		if e.Empty() {
 			continue
 		}
-		if d := b.bytes(i); c.retain && d != nil && int64(len(d)) != e.Len {
-			panic(fmt.Sprintf("pfs: extent %v absorbed with %d bytes", e, len(d)))
-		}
 		c.dirtyBytes += e.Len
 		// Written blocks are also readable until invalidated.
 		first := e.Off / bs
@@ -93,10 +89,9 @@ func (c *cache) absorb(b Batch) {
 // takeDirty empties the write-behind log and returns what a flush sends:
 // coalesced extents in file order — the batching a write-behind cache exists
 // to provide. A log of one batch already in that form (canonical) is handed
-// over as it stands. Any other is normalized into a payload-less batch; a
-// retaining cache also returns the log it is to be stored from, so a
-// client's own later write wins an overlap and no byte is copied before the
-// store copies it.
+// over as it stands. Any other is normalized into one batch; a retaining
+// cache also returns the log it is to be stored from, so a client's own
+// later write wins an overlap.
 func (c *cache) takeDirty() (Batch, *assembly) {
 	log := c.dirty
 	c.dirty, c.dirtyBytes = log[:0], 0
@@ -125,17 +120,16 @@ func (c *cache) takeDirty() (Batch, *assembly) {
 	return flushed, newAssembly(log, flushed.Ext, c.rank)
 }
 
-// piece is one logged extent, the n bytes at off: the rank whose data they
-// are, and the bytes themselves when the batch carried them.
+// piece is one logged extent, the n bytes at off, and the rank whose data
+// they are.
 type piece struct {
 	off, n int64
-	data   []byte
 	writer int
 }
 
 // assembly is a retaining cache's log as its flush stores it: the logged
 // pieces grouped by the coalesced extent each lies in, in write order
-// within a group. Any bytes are the caller's, not a copy.
+// within a group.
 type assembly struct {
 	exts   interval.List // the coalesced extents, canonical
 	ends   []int32       // group j is pieces[ends[j-1]:ends[j]], from 0 for j = 0
@@ -172,7 +166,7 @@ func newAssembly(log []Batch, exts interval.List, rank int) *assembly {
 		for i, e := range b.Ext {
 			if !e.Empty() {
 				g := group(e)
-				a.pieces[a.ends[g]] = piece{e.Off, e.Len, b.bytes(i), b.writer(i, rank)}
+				a.pieces[a.ends[g]] = piece{e.Off, e.Len, b.writer(i, rank)}
 				a.ends[g]++
 			}
 		}
@@ -185,8 +179,8 @@ func (a *assembly) group(off int64) int {
 	return sort.Search(len(a.exts), func(j int) bool { return a.exts[j].End() > off })
 }
 
-// source returns where the bytes of e, which lies inside one coalesced
-// extent, are stored from: that extent's pieces, in write order.
+// source returns where e, which lies inside one coalesced extent, is stored
+// from: that extent's pieces, in write order.
 func (a *assembly) source(e interval.Extent) source {
 	j := a.group(e.Off)
 	var start int32
@@ -196,15 +190,13 @@ func (a *assembly) source(e interval.Extent) source {
 	return source{pieces: a.pieces[start:a.ends[j]]}
 }
 
-// read serves a read through the cache, fetching missing blocks (plus
-// read-ahead) from the servers.
-func (c *cache) read(cl *Client, off int64, buf []byte) {
-	if len(buf) == 0 {
-		return
-	}
+// read charges a read of the n bytes at off through the cache: missing
+// blocks (plus read-ahead) are fetched from the servers, and the whole read
+// is served at memory cost.
+func (c *cache) read(cl *Client, off, n int64) {
 	bs := c.cfg.blockSize()
 	first := off / bs
-	last := (off + int64(len(buf)) - 1) / bs
+	last := (off + n - 1) / bs
 
 	// Find missing block runs and fetch them with read-ahead.
 	for b := first; b <= last; b++ {
@@ -221,26 +213,7 @@ func (c *cache) read(cl *Client, off int64, buf []byte) {
 		c.markValid(interval.Extent{Off: b, Len: fetch}, 0)
 		b = runEnd
 	}
-	// All blocks resident: serve at memory cost from the authoritative
-	// store (the simulation keeps one copy of file bytes; per-client
-	// *contents* staleness is governed by the lock/sync protocol of the
-	// layers above, while the timing effects of caching are charged here).
-	cl.clock.Advance(c.cfg.MemModel.Cost(int64(len(buf))))
-	cl.f.readAt(off, buf)
-	// The store has not seen the client's unflushed writes; a client reads
-	// its own, so they go over the store's bytes in write order.
-	req := interval.Extent{Off: off, Len: int64(len(buf))}
-	for _, b := range c.dirty {
-		for i, e := range b.Ext {
-			if ov := e.Intersect(req); c.retain && !ov.Empty() {
-				d := b.bytes(i)
-				if d == nil {
-					panic(fmt.Sprintf("pfs: read of %v reaches %v, which was written without its bytes", req, ov))
-				}
-				copy(buf[ov.Off-off:ov.End()-off], d[ov.Off-e.Off:])
-			}
-		}
-	}
+	cl.clock.Advance(c.cfg.MemModel.Cost(n))
 }
 
 // invalidate drops clean cached blocks; dirty write-behind data survives.

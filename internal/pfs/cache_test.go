@@ -1,10 +1,10 @@
 package pfs
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
+	"atomio/internal/interval"
 	"atomio/internal/sim"
 )
 
@@ -29,7 +29,7 @@ func cachingFS(readAhead int) *FileSystem {
 func TestWriteBehindDefersServerTraffic(t *testing.T) {
 	fs := cachingFS(0)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	c.WriteAt(0, []byte("deferred"))
+	writeAt(c, 0, 8)
 	if got := c.DirtyBytes(); got != 8 {
 		t.Fatalf("dirty = %d", got)
 	}
@@ -41,9 +41,8 @@ func TestWriteBehindDefersServerTraffic(t *testing.T) {
 	if c.DirtyBytes() != 0 {
 		t.Fatal("sync left dirty bytes")
 	}
-	snap, _ := fs.Snapshot("f", ext(0, 8))
-	if string(snap) != "deferred" {
-		t.Fatalf("after sync file = %q", snap)
+	if got := image(t, fs, "f", 0, 8); got != "00000000" {
+		t.Fatalf("after sync owners = %q", got)
 	}
 }
 
@@ -53,7 +52,7 @@ func TestWriteBehindCoalescesAdjacentWrites(t *testing.T) {
 	c, _ := fs.Open("f", 0, clk)
 	// 16 adjacent 4-byte writes become one 64-byte flush: one server op.
 	for i := 0; i < 16; i++ {
-		c.WriteAt(int64(4*i), []byte{byte(i), byte(i), byte(i), byte(i)})
+		writeAs(c, int64(4*i), 4, i%10)
 	}
 	c.Sync()
 	ops0, _ := fs.Servers().Member(0).Stats()
@@ -61,34 +60,31 @@ func TestWriteBehindCoalescesAdjacentWrites(t *testing.T) {
 	if reqs := fs.ServerStats()[0].Requests; ops0+ops1 != 1 || reqs != 1 {
 		t.Fatalf("flush produced %d server ops carrying %d requests, want 1 and 1", ops0+ops1, reqs)
 	}
-	snap, _ := fs.Snapshot("f", ext(60, 4))
-	if !bytes.Equal(snap, []byte{15, 15, 15, 15}) {
-		t.Fatalf("coalesced data wrong: %v", snap)
+	if got := image(t, fs, "f", 52, 12); got != "333344445555" {
+		t.Fatalf("coalesced owners wrong: %q", got)
 	}
 }
 
 func TestWriteBehindLaterWriteWinsOnOverlap(t *testing.T) {
 	fs := cachingFS(0)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	c.WriteAt(0, []byte("aaaaaaaa"))
-	c.WriteAt(2, []byte("BB"))
+	writeAt(c, 0, 8)
+	writeAs(c, 2, 2, 7)
 	c.Sync()
-	snap, _ := fs.Snapshot("f", ext(0, 8))
-	if string(snap) != "aaBBaaaa" {
-		t.Fatalf("overlap resolution = %q", snap)
+	if got := image(t, fs, "f", 0, 8); got != "00770000" {
+		t.Fatalf("overlap resolution = %q", got)
 	}
 }
 
 func TestCloseFlushes(t *testing.T) {
 	fs := cachingFS(0)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	c.WriteAt(0, []byte("bye"))
+	writeAt(c, 0, 3)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := fs.Snapshot("f", ext(0, 3))
-	if string(snap) != "bye" {
-		t.Fatalf("close did not flush: %q", snap)
+	if got := image(t, fs, "f", 0, 3); got != "000" {
+		t.Fatalf("close did not flush: %q", got)
 	}
 }
 
@@ -96,16 +92,15 @@ func TestReadAheadPrefetches(t *testing.T) {
 	fs := cachingFS(4)
 	clk := sim.NewClock(0)
 	c, _ := fs.Open("f", 0, clk)
-	c.WriteAt(0, make([]byte, 5*64))
+	writeAt(c, 0, 5*64)
 	c.Sync()
 	c.Invalidate()
 
-	buf := make([]byte, 8)
-	c.ReadAt(0, buf) // miss: fetches block 0 + 4 read-ahead blocks
+	c.ReadAt(0, 8) // miss: fetches block 0 + 4 read-ahead blocks
 	t1 := clk.Now()
-	c.ReadAt(64, buf) // hit thanks to read-ahead
+	c.ReadAt(64, 8) // hit thanks to read-ahead
 	t2 := clk.Now()
-	c.ReadAt(2*64, buf) // hit
+	c.ReadAt(2*64, 8) // hit
 	t3 := clk.Now()
 
 	missCost := t1
@@ -122,17 +117,16 @@ func TestInvalidateForcesRefetch(t *testing.T) {
 	fs := cachingFS(0)
 	clk := sim.NewClock(0)
 	c, _ := fs.Open("f", 0, clk)
-	c.WriteAt(0, make([]byte, 64))
+	writeAt(c, 0, 64)
 	c.Sync()
 
-	buf := make([]byte, 8)
-	c.ReadAt(0, buf)
+	c.ReadAt(0, 8)
 	t1 := clk.Now()
-	c.ReadAt(0, buf) // cached (the write validated the block)
+	c.ReadAt(0, 8) // cached (the write validated the block)
 	hit := clk.Now() - t1
 	c.Invalidate()
 	t2 := clk.Now()
-	c.ReadAt(0, buf) // must refetch
+	c.ReadAt(0, 8) // must refetch
 	miss := clk.Now() - t2
 	if miss <= hit {
 		t.Fatalf("post-invalidate read (%v) should cost more than a hit (%v)", miss, hit)
@@ -142,15 +136,14 @@ func TestInvalidateForcesRefetch(t *testing.T) {
 func TestInvalidatePreservesDirtyData(t *testing.T) {
 	fs := cachingFS(0)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	c.WriteAt(0, []byte("keep"))
+	writeAt(c, 0, 4)
 	c.Invalidate()
 	if c.DirtyBytes() != 4 {
 		t.Fatal("invalidate dropped dirty data")
 	}
 	c.Sync()
-	snap, _ := fs.Snapshot("f", ext(0, 4))
-	if string(snap) != "keep" {
-		t.Fatalf("data lost: %q", snap)
+	if got := image(t, fs, "f", 0, 4); got != "0000" {
+		t.Fatalf("data lost: %q", got)
 	}
 }
 
@@ -160,7 +153,7 @@ func TestWriteBehindWithoutStoreData(t *testing.T) {
 	fs := MustNew(cfg)
 	clk := sim.NewClock(0)
 	c, _ := fs.Open("f", 0, clk)
-	c.WriteAt(0, make([]byte, 128))
+	writeAt(c, 0, 128)
 	before := clk.Now()
 	c.Sync()
 	if clk.Now() <= before {
@@ -178,43 +171,34 @@ func TestCacheBlockSizeDefault(t *testing.T) {
 	}
 }
 
-// TestWriteBehindClientReadsItsOwnWrites pins the read overlay: a block a
-// write-behind write touched is a cache hit, the hit is served from the
-// store, and the store has not seen the write — so the client's unflushed
-// bytes have to be laid over what the store returns, in write order, and
-// only while they are unflushed.
+// TestWriteBehindClientReadsItsOwnWrites pins what a write-behind client's
+// read of its own unflushed write costs: the blocks the write touched are
+// readable, so the read is served at memory cost with no server request,
+// while the file still holds the other client's data until the Sync.
 func TestWriteBehindClientReadsItsOwnWrites(t *testing.T) {
 	fs := cachingFS(0)
-	c, _ := fs.Open("f", 0, sim.NewClock(0))
+	clk := sim.NewClock(0)
+	c, _ := fs.Open("f", 0, clk)
 	other, _ := fs.Open("f", 1, sim.NewClock(0))
-	other.WriteAt(0, []byte("0123456789abcdef"))
+	writeAt(other, 0, 16)
 	other.Sync()
 
-	read := func() string {
-		buf := make([]byte, 16)
-		c.ReadAt(0, buf)
-		return string(buf)
+	writeAt(c, 4, 4)
+	requests := fs.ServerStats()[0].Requests
+	before := clk.Now()
+	c.ReadAt(0, 16)
+	if got, want := clk.Now()-before, fs.Config().Cache.MemModel.Cost(16); got != want {
+		t.Fatalf("read of an own unflushed block cost %v, want the memory cost %v", got, want)
 	}
-	c.WriteAt(4, []byte("mine"))
-	if got := read(); got != "0123mine89abcdef" {
-		t.Fatalf("read before sync = %q: own write invisible, or store bytes around it lost", got)
+	if got := fs.ServerStats()[0].Requests; got != requests {
+		t.Fatalf("read of an own unflushed block booked %d server requests", got-requests)
 	}
-	c.WriteAt(6, []byte("XY"))
-	if got := read(); got != "0123miXY89abcdef" {
-		t.Fatalf("read after overlapping write = %q, later write must win", got)
+	if got := image(t, fs, "f", 0, 16); got != "1111111111111111" {
+		t.Fatalf("owners before the Sync = %q: the write reached the file early", got)
 	}
-	buf := make([]byte, 3)
-	c.ReadAt(5, buf) // starts inside the first entry, ends inside the second
-	if string(buf) != "iXY" {
-		t.Fatalf("partial read = %q", buf)
-	}
-
 	c.Sync()
-	other.WriteAt(4, []byte("them"))
-	other.Sync()
-	c.Invalidate()
-	if got := read(); got != "0123them89abcdef" {
-		t.Fatalf("read after sync, foreign overwrite and invalidate = %q: flushed bytes still overlaid", got)
+	if got := image(t, fs, "f", 0, 16); got != "1111000011111111" {
+		t.Fatalf("owners after the Sync = %q", got)
 	}
 }
 
@@ -256,22 +240,23 @@ func TestValidRunsMatchBlockSet(t *testing.T) {
 			case k < 5:
 				// A vectored write, in file order more often than not; some
 				// segments span blocks, some touch the next, some are empty.
-				segs := make([]Segment, 1+rnd.Intn(6))
+				exts := make(interval.List, 1+rnd.Intn(6))
 				ascending := rnd.Intn(3) > 0
 				off := int64(rnd.Intn(blocks * bs / 2))
 				var total int64
-				for i := range segs {
+				for i := range exts {
 					if !ascending {
 						off = int64(rnd.Intn(blocks * bs))
 					}
-					segs[i] = Segment{Off: off, N: int64(rnd.Intn(3 * bs))}
-					off += segs[i].N + int64(rnd.Intn(4))*int64(rnd.Intn(2*bs))
-					total += segs[i].N
-					for b := segs[i].Off / bs; segs[i].N > 0 && b <= (segs[i].Off+segs[i].N-1)/bs; b++ {
+					e := interval.Extent{Off: off, Len: int64(rnd.Intn(3 * bs))}
+					exts[i] = e
+					off += e.Len + int64(rnd.Intn(4))*int64(rnd.Intn(2*bs))
+					total += e.Len
+					for b := e.Off / bs; e.Len > 0 && b <= (e.End()-1)/bs; b++ {
 						set[b] = true
 					}
 				}
-				c.WriteV(segs)
+				c.Write(Batch{Ext: exts})
 				now += cfg.Cache.MemModel.Cost(total)
 			case k < 9:
 				off, n := int64(rnd.Intn(blocks*bs)), 1+int64(rnd.Intn(6*bs))
@@ -293,7 +278,7 @@ func TestValidRunsMatchBlockSet(t *testing.T) {
 					b = runEnd
 				}
 				now += cfg.Cache.MemModel.Cost(n)
-				c.ReadAt(off, make([]byte, n))
+				c.ReadAt(off, n)
 			default:
 				c.Invalidate()
 				clear(set)

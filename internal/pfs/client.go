@@ -9,54 +9,27 @@ import (
 )
 
 // Batch is one vectored request: the file extents it writes, in the order
-// the request streams them, and each extent's bytes. Its extents are
-// authoritative and its bytes are optional: a batch with nil Data is
-// payload-less and stands for the bytes its extents cover, whose content
-// nobody reads. Every cost is computed from the extents, so a payload-less
-// batch and a Data-carrying one of the same extents are indistinguishable
-// in virtual time, and a storing file system (Config.StoreData) keeps who
-// wrote each byte of either. Otherwise Data[i] holds exactly the Ext[i].Len
-// bytes of extent i; bytes of another length panic when written. A read
-// that reaches bytes written without their payload panics and names them:
-// it is a bug in the caller, never silently read zeros.
+// the request streams them, and whose data each one is. Every cost is
+// computed from the extents, and a storing file system (Config.StoreData)
+// keeps who wrote each byte; no byte of content travels.
 //
-// A batch is lent, not copied: its list, its Data slice and the bytes stay
-// the caller's and are read-only to pfs. Handed to Write on a write-behind
-// client they are borrowed until the client's next Sync or Close returns,
-// after which the store owns its own copy of every byte; anywhere else the
-// loan ends when the call returns.
+// A batch is lent, not copied: its lists stay the caller's and are
+// read-only to pfs. Handed to Write on a write-behind client they are
+// borrowed until the client's next Sync or Close returns, after which the
+// store holds its own records; anywhere else the loan ends when the call
+// returns.
 type Batch struct {
-	Ext  interval.List
-	Data [][]byte
+	Ext interval.List
 	// Writers, when non-nil, names for each extent the rank whose data it
 	// carries: an aggregator writing on other ranks' behalf. Nil means
 	// every extent is the writing client's own. A storing file system
-	// keeps it with the bytes (see FileSystem.Owners).
+	// keeps it (see FileSystem.Owners).
 	Writers []int
-}
-
-// Lend returns the batch that streams buf through ext, in order: extent i
-// takes the bytes of buf that follow the lengths of the extents before it.
-// A nil buf lends a payload-less batch, with nothing allocated.
-func Lend(buf []byte, ext interval.List) Batch {
-	if buf == nil {
-		return Batch{Ext: ext}
-	}
-	data := make([][]byte, len(ext))
-	var at int64 // buffer offset of e: the lengths before it
-	for i, e := range ext {
-		data[i] = buf[at : at+e.Len]
-		at += e.Len
-	}
-	return Batch{Ext: ext, Data: data}
 }
 
 // Slice returns the batch of extents [i, j).
 func (b Batch) Slice(i, j int) Batch {
 	s := Batch{Ext: b.Ext[i:j]}
-	if b.Data != nil {
-		s.Data = b.Data[i:j]
-	}
 	if b.Writers != nil {
 		s.Writers = b.Writers[i:j]
 	}
@@ -69,14 +42,6 @@ func (b Batch) writer(i, own int) int {
 		return own
 	}
 	return b.Writers[i]
-}
-
-// bytes returns extent i's bytes, nil when the batch is payload-less.
-func (b Batch) bytes(i int) []byte {
-	if b.Data == nil {
-		return nil
-	}
-	return b.Data[i]
 }
 
 // Client is one process's handle to a file. A client is owned by a single
@@ -93,7 +58,6 @@ type Client struct {
 	call  *writeCall // the store's view of the write call in progress; nil if it stores nothing
 
 	bytesWritten int64
-	bytesRead    int64
 
 	// inAtomic marks a WriteAtomic in progress: the client already holds
 	// the coordinator turn for the whole call, so inner server bookings
@@ -136,11 +100,6 @@ func (c *Client) Rank() int { return c.rank }
 // cache or directly).
 func (c *Client) BytesWritten() int64 { return c.bytesWritten }
 
-// WriteAt writes one contiguous extent.
-func (c *Client) WriteAt(off int64, data []byte) {
-	c.Write(Batch{Ext: interval.List{{Off: off, Len: int64(len(data))}}, Data: [][]byte{data}})
-}
-
 // Write writes a vectored request: the lio_listio-style multi-extent write
 // the paper discusses in §3.2. With write-behind caching enabled the batch
 // is absorbed into the client cache at memory cost and reaches the servers
@@ -156,13 +115,6 @@ func (c *Client) Write(b Batch) {
 	c.transferWrite(b, nil)
 }
 
-// Borrows reports whether Write keeps the caller's bytes until the next
-// Sync instead of copying or transferring them before it returns (see
-// Batch): true of a write-behind client on a file system that stores data.
-func (c *Client) Borrows() bool {
-	return c.cache != nil && c.cache.retain && c.fs.cfg.Cache.WriteBehind
-}
-
 // KeepsWriters reports whether the file keeps who wrote each byte
 // (Config.StoreData): there a batch written on other ranks' behalf must
 // name them in Writers.
@@ -170,8 +122,8 @@ func (c *Client) KeepsWriters() bool { return c.f.content != nil }
 
 // transferWrite moves a batch to the servers, charging client-side cost
 // serially and queueing per-server service on the server pool. A flush of a
-// retaining cache passes the log its payload-less batch of coalesced
-// extents is assembled from; every other caller passes nil.
+// retaining cache passes the log its batch of coalesced extents is
+// assembled from; every other caller passes nil.
 func (c *Client) transferWrite(b Batch, log *assembly) {
 	total := b.Ext.TotalLen()
 	if total == 0 {
@@ -188,8 +140,9 @@ func (c *Client) transferWrite(b Batch, log *assembly) {
 	// the link cost, but a down server neither stores nor serves them.
 	b = c.dropFaulted(b)
 
-	// Store the bytes (per extent, so concurrent overlapping writers genuinely
-	// interleave in file content). A data-less file only grows, once per batch.
+	// Store who wrote each extent (per extent, so concurrent overlapping
+	// writers genuinely interleave in the file). A file that stores nothing
+	// only grows, once per batch.
 	if c.f.content != nil {
 		c.call.begin(&c.fs.cfg, b.Ext, c.rank)
 	}
@@ -205,7 +158,7 @@ func (c *Client) transferWrite(b Batch, log *assembly) {
 		case log != nil:
 			c.f.writeAt(c.call, e, log.source(e))
 		default:
-			c.f.writeAt(c.call, e, source{data: b.bytes(i), writer: b.writer(i, c.rank)})
+			c.f.writeAt(c.call, e, source{writer: b.writer(i, c.rank)})
 		}
 		if c.AfterSegment != nil {
 			c.AfterSegment(i)
@@ -296,34 +249,19 @@ func (c *Client) WriteAtomic(b Batch) error {
 	return nil
 }
 
-// ReadAt fills buf from the file at off. With caching enabled, whole cache
-// blocks are fetched (plus read-ahead) and hits are served at memory cost;
-// otherwise the read goes straight to the servers.
-func (c *Client) ReadAt(off int64, buf []byte) {
-	c.bytesRead += int64(len(buf))
+// ReadAt reads the n bytes at off for their cost alone: with caching
+// enabled, whole cache blocks are fetched (plus read-ahead) and hits are
+// served at memory cost; otherwise the read goes straight to the servers.
+func (c *Client) ReadAt(off, n int64) {
+	if n <= 0 {
+		return
+	}
 	if c.cache != nil {
-		c.cache.read(c, off, buf)
+		c.cache.read(c, off, n)
 		return
 	}
-	c.transferRead(off, buf)
-}
-
-// Read reads a vectored request extent by extent, into each extent's
-// bytes.
-func (c *Client) Read(b Batch) {
-	for i, e := range b.Ext {
-		c.ReadAt(e.Off, b.Data[i])
-	}
-}
-
-// transferRead fetches bytes from the servers with full cost accounting.
-func (c *Client) transferRead(off int64, buf []byte) {
-	if len(buf) == 0 {
-		return
-	}
-	c.clock.Advance(c.fs.cfg.ClientModel.Cost(int64(len(buf))))
-	c.f.readAt(off, buf)
-	c.queueServerService(interval.List{{Off: off, Len: int64(len(buf))}})
+	c.clock.Advance(c.fs.cfg.ClientModel.Cost(n))
+	c.queueServerService(interval.List{{Off: off, Len: n}})
 }
 
 // Sync flushes write-behind data to the servers and waits for it, the
@@ -357,39 +295,18 @@ func (c *Client) Close() error {
 }
 
 // Segment is one contiguous piece of a vectored request in the form WriteV
-// takes: the bytes at Off, or — when Data is nil — N payload-less bytes.
+// takes: len(Data) bytes at Off. WriteV reads the length alone.
 type Segment struct {
 	Off  int64
 	Data []byte
-	// N is the byte count of a payload-less segment; ignored when Data is
-	// non-nil.
-	N int64
 }
 
-// Len returns the segment's byte count.
-func (s Segment) Len() int64 {
-	if s.Data != nil {
-		return int64(len(s.Data))
-	}
-	return s.N
-}
-
-// WriteV is Write for a request given as segments, which it lends as a
-// batch: the bytes are borrowed as Write borrows them, the slice is not.
-func (c *Client) WriteV(segs []Segment) { c.Write(batchOf(segs)) }
-
-// batchOf is the batch of segs: payload-less unless some segment has bytes,
-// and then with nil bytes for each payload-less one.
-func batchOf(segs []Segment) Batch {
+// WriteV is Write for a request given as segments: the batch of their
+// extents, each len(Data) bytes long.
+func (c *Client) WriteV(segs []Segment) {
 	b := Batch{Ext: make(interval.List, len(segs))}
 	for i, s := range segs {
-		b.Ext[i] = interval.Extent{Off: s.Off, Len: s.Len()}
-		if s.Data != nil {
-			if b.Data == nil {
-				b.Data = make([][]byte, len(segs))
-			}
-			b.Data[i] = s.Data
-		}
+		b.Ext[i] = interval.Extent{Off: s.Off, Len: int64(len(s.Data))}
 	}
-	return b
+	c.Write(b)
 }

@@ -24,7 +24,7 @@ func TestDegradedServerSlowsItsQueue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.WriteAt(off, make([]byte, 16))
+		writeAt(c, off, 16)
 		return clk.Now()
 	}
 	if h, d := write(fsH, 0), write(fsD, 0); d <= h {
@@ -44,7 +44,7 @@ func TestAffinityOverrideRoutesQueueing(t *testing.T) {
 	fs := MustNew(cfg)
 	for rank := 0; rank < 4; rank++ {
 		c, _ := fs.Open("f", rank, sim.NewClock(0))
-		c.WriteAt(int64(rank)*64, make([]byte, 64))
+		writeAt(c, int64(rank)*64, 64)
 	}
 	for i, s := range fs.ServerStats() {
 		wantBytes := int64(0)
@@ -62,8 +62,8 @@ func TestAffinityOverrideRoutesQueueing(t *testing.T) {
 func TestServerStatsAccumulate(t *testing.T) {
 	fs := basicFS(4) // stripe 16
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	c.WriteAt(0, make([]byte, 128)) // 2 stripes per server
-	c.ReadAt(0, make([]byte, 64))   // 1 stripe per server
+	writeAt(c, 0, 128) // 2 stripes per server
+	c.ReadAt(0, 64)    // 1 stripe per server
 	for _, s := range fs.ServerStats() {
 		if s.Requests != 3 {
 			t.Fatalf("server %d requests = %d, want 3 (2 write stripes + 1 read stripe)", s.Server, s.Requests)

@@ -13,7 +13,7 @@ import (
 //
 // Injected server crashes act at the write path: a write piece routed to a
 // server whose drop window is open at the piece's virtual time is
-// discarded — no bytes stored, no service booked — and its extent is
+// discarded — nothing stored, no service booked — and its extent is
 // recorded in the file's damage set. The decision is a pure function of
 // the writing client's own clock and the script, so faulted runs stay
 // byte-identical across engines and across the shared and striped store
@@ -37,8 +37,7 @@ func (fs *FileSystem) SetFault(in *fault.Injector) { fs.fault = in }
 // dropFaulted partitions a write request over its target servers and
 // removes the pieces routed to servers that are down at the client's
 // current virtual time, recording their extents as damage. A surviving
-// piece's bytes are a slice of its extent's. Healthy runs return b
-// unchanged.
+// piece keeps its extent's writer. Healthy runs return b unchanged.
 func (c *Client) dropFaulted(b Batch) Batch {
 	in := c.fs.fault
 	if in == nil || !in.HasServerFaults() {
@@ -46,16 +45,9 @@ func (c *Client) dropFaulted(b Batch) Batch {
 	}
 	now := c.clock.Now()
 	out := Batch{Ext: make(interval.List, 0, len(b.Ext))}
-	if b.Data != nil {
-		out.Data = make([][]byte, 0, len(b.Ext))
-	}
 	// keep adds the part p of extent i.
 	keep := func(i int, p interval.Extent) {
 		out.Ext = append(out.Ext, p)
-		if b.Data != nil {
-			from := p.Off - b.Ext[i].Off
-			out.Data = append(out.Data, b.Data[i][from:from+p.Len])
-		}
 		if b.Writers != nil {
 			out.Writers = append(out.Writers, b.Writers[i])
 		}
@@ -132,10 +124,9 @@ func (f *file) recordDamage(exts interval.List) {
 }
 
 // LogIntent appends rank's full mapped write request to the named file's
-// write-ahead intent log. The batch is copied — the caller's is lent for the
-// call — in one clone of its extents and, when a file system that stores
-// data is handed bytes, one of them; any other logs the extents alone. A
-// no-op unless Config.WAL is on, so healthy configurations pay nothing.
+// write-ahead intent log. The batch's extents are cloned — the caller's are
+// lent for the call — and replay writes them as rank's. A no-op unless
+// Config.WAL is on, so healthy configurations pay nothing.
 func (fs *FileSystem) LogIntent(name string, rank int, b Batch) error {
 	if !fs.cfg.WAL {
 		return nil
@@ -147,19 +138,7 @@ func (fs *FileSystem) LogIntent(name string, rank int, b Batch) error {
 	if f.intents == nil {
 		f.intents = make(map[int][]Batch)
 	}
-	intent := Batch{Ext: slices.Clone(b.Ext)}
-	if fs.cfg.StoreData && b.Data != nil {
-		buf := make([]byte, 0, b.Ext.TotalLen())
-		intent.Data = make([][]byte, len(b.Data))
-		for i, d := range b.Data {
-			if d != nil {
-				at := len(buf)
-				buf = append(buf, d...)
-				intent.Data[i] = buf[at:len(buf):len(buf)]
-			}
-		}
-	}
-	f.intents[rank] = append(f.intents[rank], intent)
+	f.intents[rank] = append(f.intents[rank], Batch{Ext: slices.Clone(b.Ext)})
 	return nil
 }
 
@@ -191,9 +170,9 @@ func (fs *FileSystem) Recover(name string) ([]int, error) {
 		}
 		for _, b := range f.intents[rank] {
 			call.begin(&fs.cfg, b.Ext, rank)
-			for i, e := range b.Ext {
+			for _, e := range b.Ext {
 				if !e.Empty() {
-					f.writeAt(&call, e, source{data: b.bytes(i), writer: rank})
+					f.writeAt(&call, e, source{writer: rank})
 				}
 			}
 		}

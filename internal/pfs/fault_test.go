@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -23,24 +22,16 @@ func faultFS(t *testing.T, script fault.Script, shared bool) *FileSystem {
 }
 
 // TestServerCrashDropsStripes pins the drop semantics: with server 0 down
-// forever, exactly the stripes homed on server 0 read back as zeros and
+// forever, exactly the stripes homed on server 0 are owned by nobody and
 // appear in the damage set, for both store layouts.
 func TestServerCrashDropsStripes(t *testing.T) {
 	for _, shared := range []bool{false, true} {
 		fs := faultFS(t, fault.ServerOutage(), shared)
 		c, _ := fs.Open("f", 0, sim.NewClock(0))
-		data := bytes.Repeat([]byte{7}, 32) // 4 stripes: s0 s1 s0 s1
-		c.WriteAt(0, data)
-
-		got, err := fs.Snapshot("f", interval.Extent{Off: 0, Len: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]byte, 32)
-		copy(want[8:16], data[8:16])   // stripe 1 → server 1
-		copy(want[24:32], data[24:32]) // stripe 3 → server 1
-		if !bytes.Equal(got, want) {
-			t.Errorf("shared=%v: file = % x, want % x", shared, got, want)
+		writeAt(c, 0, 32) // 4 stripes: s0 s1 s0 s1
+		// Stripes 1 and 3 → server 1.
+		if got, want := image(t, fs, "f", 0, 32), "........00000000........00000000"; got != want {
+			t.Errorf("shared=%v: owners = %q, want %q", shared, got, want)
 		}
 
 		damaged, err := fs.Damaged("f")
@@ -62,35 +53,41 @@ func TestServerCrashWindowCloses(t *testing.T) {
 	}}, false)
 	clk := sim.NewClock(0)
 	c, _ := fs.Open("f", 0, clk)
-	c.WriteAt(0, []byte{1, 2, 3, 4}) // dropped: window open at t=0... but client cost advances first
+	writeAt(c, 0, 4) // dropped: the window is open
+	if got := image(t, fs, "f", 0, 4); got != "...." {
+		t.Errorf("write inside the window stored: %q", got)
+	}
 	clk.AdvanceTo(time200())
-	c.WriteAt(0, []byte{5, 6, 7, 8}) // window closed
-	got, _ := fs.Snapshot("f", interval.Extent{Off: 0, Len: 4})
-	if !bytes.Equal(got, []byte{5, 6, 7, 8}) {
-		t.Errorf("post-restart write lost: % x", got)
+	writeAs(c, 0, 4, 5) // window closed
+	if got := image(t, fs, "f", 0, 4); got != "5555" {
+		t.Errorf("post-restart write lost: %q", got)
 	}
 }
 
 func time200() sim.VTime { return 200 * sim.Microsecond }
 
 // TestRecoverReplaysDamagedIntents pins the WAL path: after a crash drops
-// rank 1's stripes, Recover replays exactly the ranks whose intents
-// intersect the damage, in rank order, and the file heals.
+// server 0's stripes of both ranks' writes, Recover replays exactly the
+// ranks whose intents intersect the damage, in rank order, and the file
+// heals, each replayed byte owned by the rank that logged it.
 func TestRecoverReplaysDamagedIntents(t *testing.T) {
 	fs := faultFS(t, fault.ServerOutage(), false)
 	c0, _ := fs.Open("f", 0, sim.NewClock(0))
 	c1, _ := fs.Open("f", 1, sim.NewClock(0))
 
-	seg0 := []Segment{{Off: 0, Data: bytes.Repeat([]byte{1}, 16)}}  // stripes 0,1
-	seg1 := []Segment{{Off: 16, Data: bytes.Repeat([]byte{2}, 16)}} // stripes 2,3
-	if err := fs.LogIntent("f", 0, batchOf(seg0)); err != nil {
+	b0 := Batch{Ext: interval.List{{Off: 0, Len: 16}}}  // stripes 0,1
+	b1 := Batch{Ext: interval.List{{Off: 16, Len: 16}}} // stripes 2,3
+	if err := fs.LogIntent("f", 0, b0); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.LogIntent("f", 1, batchOf(seg1)); err != nil {
+	if err := fs.LogIntent("f", 1, b1); err != nil {
 		t.Fatal(err)
 	}
-	c0.WriteV(seg0)
-	c1.WriteV(seg1)
+	c0.Write(b0)
+	c1.Write(b1)
+	if got, want := image(t, fs, "f", 0, 32), "........00000000........11111111"; got != want {
+		t.Fatalf("owners before recovery = %q, want %q", got, want)
+	}
 
 	replayed, err := fs.Recover("f")
 	if err != nil {
@@ -99,10 +96,8 @@ func TestRecoverReplaysDamagedIntents(t *testing.T) {
 	if want := []int{0, 1}; !reflect.DeepEqual(replayed, want) {
 		t.Fatalf("replayed = %v, want %v", replayed, want)
 	}
-	got, _ := fs.Snapshot("f", interval.Extent{Off: 0, Len: 32})
-	want := append(bytes.Repeat([]byte{1}, 16), bytes.Repeat([]byte{2}, 16)...)
-	if !bytes.Equal(got, want) {
-		t.Errorf("recovered file = % x, want % x", got, want)
+	if got, want := image(t, fs, "f", 0, 32), "00000000000000001111111111111111"; got != want {
+		t.Errorf("recovered owners = %q, want %q", got, want)
 	}
 }
 
@@ -115,12 +110,12 @@ func TestRecoverSkipsUntouchedRanks(t *testing.T) {
 	c0, _ := fs.Open("f", 0, sim.NewClock(0))
 	c1, _ := fs.Open("f", 1, sim.NewClock(0))
 
-	seg0 := []Segment{{Off: 0, Data: bytes.Repeat([]byte{1}, 8)}} // stripe 0 → dropped
-	seg1 := []Segment{{Off: 8, Data: bytes.Repeat([]byte{2}, 8)}} // stripe 1 → survives
-	fs.LogIntent("f", 0, batchOf(seg0))
-	fs.LogIntent("f", 1, batchOf(seg1))
-	c0.WriteV(seg0)
-	c1.WriteV(seg1)
+	b0 := Batch{Ext: interval.List{{Off: 0, Len: 8}}} // stripe 0 → dropped
+	b1 := Batch{Ext: interval.List{{Off: 8, Len: 8}}} // stripe 1 → survives
+	fs.LogIntent("f", 0, b0)
+	fs.LogIntent("f", 1, b1)
+	c0.Write(b0)
+	c1.Write(b1)
 
 	replayed, err := fs.Recover("f")
 	if err != nil {
@@ -135,9 +130,9 @@ func TestRecoverSkipsUntouchedRanks(t *testing.T) {
 func TestRecoverNoDamage(t *testing.T) {
 	fs := faultFS(t, fault.Script{}, false)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	seg := []Segment{{Off: 0, Data: []byte{1, 2, 3}}}
-	fs.LogIntent("f", 0, batchOf(seg))
-	c.WriteV(seg)
+	b := Batch{Ext: interval.List{{Off: 0, Len: 3}}}
+	fs.LogIntent("f", 0, b)
+	c.Write(b)
 	replayed, err := fs.Recover("f")
 	if err != nil {
 		t.Fatal(err)
@@ -153,11 +148,11 @@ func TestLogIntentDisabled(t *testing.T) {
 	fs := MustNew(Config{Servers: 2, StripeSize: 8, StoreData: true})
 	fs.SetFault(fault.New(fault.ServerOutage()))
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	seg := []Segment{{Off: 0, Data: bytes.Repeat([]byte{1}, 8)}}
-	if err := fs.LogIntent("f", 0, batchOf(seg)); err != nil {
+	b := Batch{Ext: interval.List{{Off: 0, Len: 8}}}
+	if err := fs.LogIntent("f", 0, b); err != nil {
 		t.Fatal(err)
 	}
-	c.WriteV(seg)
+	c.Write(b)
 	replayed, err := fs.Recover("f")
 	if err != nil {
 		t.Fatal(err)
@@ -174,12 +169,10 @@ func TestDamageAffinityMode(t *testing.T) {
 	fs.SetFault(fault.New(fault.ServerOutage())) // server 0 = rank 0's home
 	c0, _ := fs.Open("f", 0, sim.NewClock(0))
 	c1, _ := fs.Open("f", 1, sim.NewClock(0))
-	c0.WriteAt(0, bytes.Repeat([]byte{1}, 4))
-	c1.WriteAt(4, bytes.Repeat([]byte{2}, 4))
-	got, _ := fs.Snapshot("f", interval.Extent{Off: 0, Len: 8})
-	want := []byte{0, 0, 0, 0, 2, 2, 2, 2}
-	if !bytes.Equal(got, want) {
-		t.Errorf("file = % x, want % x", got, want)
+	writeAt(c0, 0, 4)
+	writeAt(c1, 4, 4)
+	if got, want := image(t, fs, "f", 0, 8), "....1111"; got != want {
+		t.Errorf("owners = %q, want %q", got, want)
 	}
 	damaged, _ := fs.Damaged("f")
 	if want := (interval.List{{Off: 0, Len: 4}}); !reflect.DeepEqual(damaged, want) {

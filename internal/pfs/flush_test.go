@@ -1,18 +1,18 @@
 package pfs
 
-// The write-behind flush against the copy it replaced. A flush that is not
-// already one canonical batch books the logged extents' Normalize() and
+// The write-behind flush against independent expectations. A flush that is
+// not already one canonical batch books the logged extents' Normalize() and
 // stores each coalesced extent straight from the logged pieces, in write
-// order. Before, it replayed the log into one fresh buffer per coalesced
-// extent and stored those; that version is kept here as the oracle.
+// order. In shape, server traffic and events it must be the flush it
+// replaced, which booked the normalized extents as one batch; in ownership,
+// every stored byte must be the last logged writer's.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 
 	"atomio/internal/interval"
@@ -21,45 +21,32 @@ import (
 	"atomio/internal/sim/fault"
 )
 
-// copyingTakeDirty is the flush of a write-behind log as it stood before the
-// store assembled from the log: a log already in flushed form goes as it
-// stands, any other is normalized and replayed, in write order, into one
-// buffer per coalesced extent.
-func copyingTakeDirty(log []Segment) []Segment {
-	logged := make(interval.List, len(log))
-	for k, s := range log {
-		logged[k] = interval.Extent{Off: s.Off, Len: s.Len()}
-	}
-	if logged.IsCanonical() {
-		return log
-	}
-	exts := logged.Normalize()
-	segs := make([]Segment, len(exts))
-	for i, e := range exts {
-		segs[i] = Segment{Off: e.Off, Data: make([]byte, e.Len)}
-	}
-	for k, e := range logged {
-		if !e.Empty() {
-			into := segs[sort.Search(len(exts), func(i int) bool { return exts[i].End() > e.Off })]
-			copy(into.Data[e.Off-into.Off:], log[k].Data)
-		}
-	}
-	return segs
+// logged is one logged write: n bytes at off, writer's data.
+type logged struct {
+	off, n int64
+	writer int
 }
 
-// filledSeg is n bytes of fill at off.
-func filledSeg(off, n int64, fill byte) Segment {
-	return Segment{Off: off, Data: bytes.Repeat([]byte{fill}, int(n))}
+// writes is the batch of ws, in order.
+func writes(ws ...logged) Batch {
+	var b Batch
+	for _, w := range ws {
+		b.Ext = append(b.Ext, interval.Extent{Off: w.off, Len: w.n})
+		b.Writers = append(b.Writers, w.writer)
+	}
+	return b
 }
 
 // TestFlushStoresFromTheLog runs the same logs — touching, overlapping and
-// self-overwriting batches, then random ones — through a write-behind
-// client's Sync and through the copying oracle, in both stripe modes, with
-// and without a window in which the writer's affinity server (and the
-// stripes it homes) drops writes. After every flush the two file systems
-// must hold the same bytes, written extents and damage, have booked the
-// same requests and bytes on every server, and have emitted the same
-// events, fault drops included.
+// self-overwriting batches, then random ones, their extents named for
+// distinct writers — through a write-behind client's Sync and through the
+// flush it replaced, which books the log's normalized extents as one batch,
+// in both stripe modes, with and without a window in which the writer's
+// affinity server (and the stripes it homes) drops writes. After every flush
+// the two file systems must hold the same written extents and damage, have
+// booked the same requests and bytes on every server, and have emitted the
+// same events, fault drops included; and every byte the flush stored must
+// be owned by the writer logged last for it.
 func TestFlushStoresFromTheLog(t *testing.T) {
 	const (
 		rank   = 1 // affinity mode homes it on server 1
@@ -67,11 +54,11 @@ func TestFlushStoresFromTheLog(t *testing.T) {
 		random = 60
 		step   = sim.Millisecond // each log is flushed a step after the last
 	)
-	named := [][][]Segment{
-		{{filledSeg(0, 10, 'a'), filledSeg(10, 10, 'b')}, {filledSeg(20, 45, 'c')}},                           // touching
-		{{filledSeg(0, 50, 'a')}, {filledSeg(25, 50, 'b'), filledSeg(60, 40, 'c')}},                           // overlapping
-		{{filledSeg(8, 30, 'a'), filledSeg(8, 30, 'b')}, {filledSeg(8, 30, 'c'), filledSeg(0, 8, 'd')}},       // self-overwriting
-		{{filledSeg(100, 90, 'e'), filledSeg(40, 30, 'f'), filledSeg(70, 30, 'g')}, {filledSeg(95, 10, 'h')}}, // out of order
+	named := [][]Batch{
+		{writes(logged{0, 10, 2}, logged{10, 10, 3}), writes(logged{20, 45, 4})},                      // touching
+		{writes(logged{0, 50, 2}), writes(logged{25, 50, 3}, logged{60, 40, 4})},                      // overlapping
+		{writes(logged{8, 30, 2}, logged{8, 30, 3}), writes(logged{8, 30, 4}, logged{0, 8, 5})},       // self-overwriting
+		{writes(logged{100, 90, 6}, logged{40, 30, 7}, logged{70, 30, 8}), writes(logged{95, 10, 9})}, // out of order
 	}
 	for _, mode := range []StripeMode{RoundRobin, ClientAffinity} {
 		for _, window := range []bool{false, true} {
@@ -89,54 +76,78 @@ func TestFlushStoresFromTheLog(t *testing.T) {
 					return fs, c, clk, rec
 				}
 				fsA, cA, clkA, recA := open() // flushes from the log
-				fsB, cB, clkB, recB := open() // flushes copies
+				fsB, cB, clkB, recB := open() // books the normalized extents as one batch
 				rnd := rand.New(rand.NewSource(int64(mode)*2 + 7))
 				logs := named
 				for range random {
-					log := make([][]Segment, 1+rnd.Intn(4))
+					log := make([]Batch, 1+rnd.Intn(4))
 					for i := range log {
-						log[i] = scriptSegs(rnd, span)
+						log[i] = scriptBatch(rnd, span, 10)
 					}
 					logs = append(logs, log)
 				}
-				assembled := 0
+				model := slices.Repeat([]int{-1}, span+600) // each byte's writer
+				assembled, seen := 0, 0
 				for k, log := range logs {
 					clkA.AdvanceTo(sim.VTime(k) * step)
 					clkB.AdvanceTo(sim.VTime(k) * step)
-					var all []Segment
-					for _, batch := range log {
-						cA.WriteV(batch)
-						cB.WriteV(batch)
-						all = append(all, batch...)
+					var all interval.List
+					for _, b := range log {
+						cA.Write(b)
+						cB.Write(b)
+						all = append(all, b.Ext...)
 					}
 					if d := cA.cache.dirty; len(d) != 1 || !d[0].Ext.IsCanonical() {
 						assembled++
 					}
 					cA.Sync()
-					cB.cache.takeDirty() // empties the log; the oracle flushes instead
-					cB.transferWrite(batchOf(copyingTakeDirty(all)), nil)
+					cB.cache.takeDirty() // empties the log; the reference books it instead
+					cB.transferWrite(Batch{Ext: all.Normalize()}, nil)
 
 					if clkA.Now() != clkB.Now() {
-						t.Fatalf("log %d: clock %v from the log, %v from copies", k, clkA.Now(), clkB.Now())
+						t.Fatalf("log %d: clock %v from the log, %v booked as one batch", k, clkA.Now(), clkB.Now())
 					}
-					whole := interval.Extent{Off: 0, Len: span + 600}
-					snapA, _ := fsA.Snapshot("f", whole)
-					snapB, _ := fsB.Snapshot("f", whole)
-					if !bytes.Equal(snapA, snapB) {
-						t.Fatalf("log %d: stored bytes differ\nfrom the log %x\nfrom copies  %x", k, snapA, snapB)
-					}
-					extA, _ := fsA.WrittenExtents("f")
-					extB, _ := fsB.WrittenExtents("f")
 					damA, _ := fsA.Damaged("f")
 					damB, _ := fsB.Damaged("f")
-					if !extA.Equal(extB) || !reflect.DeepEqual(damA, damB) {
-						t.Fatalf("log %d: written %v, damage %v from the log; %v, %v from copies", k, extA, damA, extB, damB)
+					if a, b := written(t, fsA, "f"), written(t, fsB, "f"); !a.Equal(b) || !reflect.DeepEqual(damA, damB) {
+						t.Fatalf("log %d: written %v, damage %v from the log; %v, %v booked as one batch", k, a, damA, b, damB)
 					}
 					if a, b := fsA.ServerStats(), fsB.ServerStats(); !reflect.DeepEqual(a, b) {
-						t.Fatalf("log %d: server stats\nfrom the log %+v\nfrom copies  %+v", k, a, b)
+						t.Fatalf("log %d: server stats\nfrom the log %+v\nas one batch %+v", k, a, b)
 					}
-					if a, b := recA.Events(), recB.Events(); !reflect.DeepEqual(a, b) {
-						t.Fatalf("log %d: events differ:\nfrom the log %+v\nfrom copies  %+v", k, a, b)
+					events := recA.Events()
+					if b := recB.Events(); !reflect.DeepEqual(events, b) {
+						t.Fatalf("log %d: events differ:\nfrom the log %+v\nas one batch %+v", k, events, b)
+					}
+					// The model: the log replayed in write order over the bytes
+					// this flush did not drop.
+					dropped := make([]bool, len(model))
+					for _, ev := range events[seen:] {
+						if ev.Kind == obs.KindDrop {
+							for o := ev.Off; o < ev.Off+ev.Len; o++ {
+								dropped[o] = true
+							}
+						}
+					}
+					seen = len(events)
+					for _, b := range log {
+						for i, e := range b.Ext {
+							for o := e.Off; o < e.End(); o++ {
+								if !dropped[o] {
+									model[o] = b.writer(i, rank)
+								}
+							}
+						}
+					}
+					want := make([]byte, len(model))
+					for o, w := range model {
+						want[o] = '.'
+						if w >= 0 {
+							want[o] = byte('0' + w)
+						}
+					}
+					if got := image(t, fsA, "f", 0, int64(len(model))); got != string(want) {
+						t.Fatalf("log %d: owners differ from the log replayed in write order\ngot  %s\nwant %s", k, got, want)
 					}
 				}
 				drops := 0
@@ -154,40 +165,40 @@ func TestFlushStoresFromTheLog(t *testing.T) {
 }
 
 // TestFlushCopiesNothingBeforeTheStore: a flush that coalesces many
-// touching and overlapping pieces allocates less than twice the payload it
-// flushes — the store's records hold the coalesced bytes once, the last
-// write to each, the bookkeeping is per piece, and the bytes go from the
-// caller's buffers to the records.
+// touching and overlapping pieces allocates a bounded amount per piece —
+// the log's grouping, the coalesced extent and the records, each at its
+// size — and stores the last write to each byte.
 func TestFlushCopiesNothingBeforeTheStore(t *testing.T) {
-	const pieces, n = 512, 256 // 64 KB in pieces that overlap their neighbours by half
+	const pieces, n = 512, 256 // pieces that overlap their neighbours by half
 	for _, mode := range []StripeMode{RoundRobin, ClientAffinity} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := writeBehindConfig(mode)
 			cfg.StripeSize = 0
 			fs := MustNew(cfg)
 			c, _ := fs.Open("f", 0, sim.NewClock(0))
-			segs := make([]Segment, pieces)
-			for i := range segs {
-				segs[i] = filledSeg(int64(i)*n/2, n, byte(i))
+			var ws []logged
+			for i := range pieces {
+				ws = append(ws, logged{int64(i) * n / 2, n, i % 10})
 			}
-			payload := uint64(pieces+1) * n / 2 // the coalesced extent
-			c.WriteV(segs)
+			c.Write(writes(ws...))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			c.Sync()
 			runtime.ReadMemStats(&after)
-			allowed := 2 * payload
+			const allowed = 256 * pieces
 			got := after.TotalAlloc - before.TotalAlloc
-			t.Logf("flushing %d bytes in %d pieces allocated %d bytes", payload, pieces, got)
+			t.Logf("flushing %d pieces allocated %d bytes", pieces, got)
 			if got >= allowed {
-				t.Errorf("flushing %d bytes allocated %d, want less than %d", payload, got, allowed)
+				t.Errorf("flushing %d pieces allocated %d bytes, want less than %d", pieces, got, allowed)
 			}
-			want := make([]byte, payload)
-			for _, s := range segs {
-				copy(want[s.Off:], s.Data)
+			want := make([]byte, (pieces+1)*n/2)
+			for _, w := range ws {
+				for o := w.off; o < w.off+w.n; o++ {
+					want[o] = byte('0' + w.writer)
+				}
 			}
-			if snap, _ := fs.Snapshot("f", interval.Extent{Off: 0, Len: int64(payload)}); !bytes.Equal(snap, want) {
-				t.Error("flushed bytes differ from the log replayed in write order")
+			if got := image(t, fs, "f", 0, int64(len(want))); got != string(want) {
+				t.Error("flushed owners differ from the log replayed in write order")
 			}
 		})
 	}

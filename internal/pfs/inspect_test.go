@@ -1,7 +1,7 @@
 package pfs
 
-// State only the tests read: what faults surrendered, what a client read
-// and still holds dirty, and the server pool behind the file system.
+// State only the tests read: what faults surrendered, what a client still
+// holds dirty, and the server pool behind the file system.
 
 import (
 	"atomio/internal/interval"
@@ -17,9 +17,6 @@ func (fs *FileSystem) Damaged(name string) (interval.List, error) {
 	}
 	return f.damage.Extents(), nil
 }
-
-// BytesRead returns the total bytes this client has read.
-func (c *Client) BytesRead() int64 { return c.bytesRead }
 
 // DirtyBytes returns the amount of write-behind data not yet flushed.
 func (c *Client) DirtyBytes() int64 {

@@ -2,8 +2,11 @@ package pfs
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
 )
@@ -33,7 +36,7 @@ func atomicFS() *FileSystem {
 func TestWriteVAtomicRequiresCapability(t *testing.T) {
 	fs := basicFS(1)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	err := c.WriteAtomic(batchOf([]Segment{{Off: 0, Data: []byte("x")}}))
+	err := c.WriteAtomic(Batch{Ext: interval.List{{Off: 0, Len: 1}}})
 	if !errors.Is(err, ErrNoAtomicListIO) {
 		t.Fatalf("err = %v", err)
 	}
@@ -42,15 +45,11 @@ func TestWriteVAtomicRequiresCapability(t *testing.T) {
 func TestWriteVAtomicStoresData(t *testing.T) {
 	fs := atomicFS()
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	if err := c.WriteAtomic(batchOf([]Segment{
-		{Off: 0, Data: []byte("AA")},
-		{Off: 10, Data: []byte("BB")},
-	})); err != nil {
+	if err := c.WriteAtomic(Batch{Ext: interval.List{ext(0, 2), ext(10, 2)}, Writers: []int{3, 4}}); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := fs.Snapshot("f", ext(0, 12))
-	if string(snap[:2]) != "AA" || string(snap[10:12]) != "BB" {
-		t.Fatalf("snapshot = %q", snap)
+	if got, want := image(t, fs, "f", 0, 12), "33........44"; got != want {
+		t.Fatalf("owners = %q, want %q", got, want)
 	}
 	if c.BytesWritten() != 4 {
 		t.Fatalf("bytes written = %d", c.BytesWritten())
@@ -65,40 +64,20 @@ func TestWriteVAtomicNeverInterleaves(t *testing.T) {
 	const segCount = 16
 	onEngine(t, fs, writers, func(w int) {
 		c, _ := fs.Open("f", w, sim.NewClock(0))
-		segs := make([]Segment, segCount)
-		for i := range segs {
-			data := make([]byte, 8)
-			for k := range data {
-				data[k] = byte(w + 1)
-			}
-			segs[i] = Segment{Off: int64(i * 16), Data: data}
+		b := Batch{Ext: make(interval.List, segCount)}
+		for i := range b.Ext {
+			b.Ext[i] = ext(int64(i*16), 8)
 		}
-		if err := c.WriteAtomic(batchOf(segs)); err != nil {
+		if err := c.WriteAtomic(b); err != nil {
 			t.Error(err)
 		}
 	})
-	// Every 8-byte segment region must be uniform (single writer).
-	for i := 0; i < segCount; i++ {
-		snap, _ := fs.Snapshot("f", ext(int64(i*16), 8))
-		first := snap[0]
-		if first == 0 || first > writers {
-			t.Fatalf("region %d has foreign byte %d", i, first)
-		}
-		for _, b := range snap {
-			if b != first {
-				t.Fatalf("region %d interleaved: %v", i, snap)
-			}
-		}
-	}
-	// Moreover, ALL regions must come from the same writer: the whole
-	// vectored call is atomic, not just each segment.
-	first, _ := fs.Snapshot("f", ext(0, 1))
-	for i := 1; i < segCount; i++ {
-		snap, _ := fs.Snapshot("f", ext(int64(i*16), 1))
-		if snap[0] != first[0] {
-			t.Fatalf("call-level atomicity broken: region 0 by %d, region %d by %d",
-				first[0], i, snap[0])
-		}
+	// Every 8-byte segment region must be one writer's, and ALL regions
+	// the same writer's: the whole vectored call is atomic, not just each
+	// segment.
+	want := strings.Repeat(strings.Repeat(image(t, fs, "f", 0, 1), 8)+"........", segCount)
+	if got := image(t, fs, "f", 0, segCount*16); got != want || want[0] == '.' {
+		t.Fatalf("owners = %q, want one writer's %q", got, want)
 	}
 }
 
@@ -107,10 +86,10 @@ func TestWriteVAtomicSerializesVirtualTime(t *testing.T) {
 	clkA, clkB := sim.NewClock(0), sim.NewClock(0)
 	a, _ := fs.Open("f", 0, clkA)
 	b, _ := fs.Open("f", 1, clkB)
-	if err := a.WriteAtomic(batchOf([]Segment{{Off: 0, Data: make([]byte, 1<<20)}})); err != nil {
+	if err := a.WriteAtomic(Batch{Ext: interval.List{ext(0, 1<<20)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.WriteAtomic(batchOf([]Segment{{Off: 0, Data: make([]byte, 1<<20)}})); err != nil {
+	if err := b.WriteAtomic(Batch{Ext: interval.List{ext(0, 1<<20)}}); err != nil {
 		t.Fatal(err)
 	}
 	if clkB.Now() < clkA.Now() {
@@ -127,18 +106,12 @@ func TestConcurrentDisjointWritersContentAndConservation(t *testing.T) {
 	const writers, size = 16, 4096
 	onEngine(t, fs, writers, func(w int) {
 		c, _ := fs.Open("f", w, sim.NewClock(0))
-		data := make([]byte, size)
-		for i := range data {
-			data[i] = byte(w)
-		}
-		c.WriteAt(int64(w*size), data)
+		writeAt(c, int64(w*size), size)
 	})
+	owners, _ := fs.Owners("f")
 	for w := 0; w < writers; w++ {
-		snap, _ := fs.Snapshot("f", ext(int64(w*size), size))
-		for i, b := range snap {
-			if b != byte(w) {
-				t.Fatalf("writer %d byte %d = %d", w, i, b)
-			}
+		if want := (index.Owned{Extent: ext(int64(w*size), size), Rank: w}); len(owners) != writers || owners[w] != want {
+			t.Fatalf("owners = %v, want run %d to be %v", owners, w, want)
 		}
 	}
 	var busy sim.VTime

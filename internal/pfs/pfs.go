@@ -3,10 +3,9 @@
 // shared striped file, accessed by per-process clients that may cache with
 // the read-ahead and write-behind policies the paper discusses in §3.
 //
-// With Config.StoreData on, every file keeps who wrote each byte (so
-// atomicity violations are observable in the file), and the bytes
-// themselves where the writes carried them; requests need only carry
-// extents either way (see Batch). It accounts virtual time
+// With Config.StoreData on, every file keeps who wrote each byte, so
+// atomicity violations are observable in the file; requests carry extents
+// and writers, never content (see Batch). It accounts virtual time
 // on the clients' clocks and on per-server FCFS queues (see package sim),
 // from byte counts alone. Aggregate bandwidth
 // reported by the experiment harness is data volume divided by the virtual
@@ -71,8 +70,8 @@ type Config struct {
 	SegOverhead sim.VTime
 
 	// StoreData keeps who wrote each byte of every file — write records
-	// of extents and writers, plus the bytes of any batch that carries
-	// them (see Batch). Off, a file keeps only its size.
+	// of extents and writers (see FileSystem.Owners). Off, a file keeps
+	// only its size.
 	StoreData bool
 
 	// WAL enables the per-file write-ahead intent log: collective writes

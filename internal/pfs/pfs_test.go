@@ -2,9 +2,11 @@ package pfs
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 	"atomio/internal/sim"
 )
 
@@ -21,6 +23,54 @@ func basicFS(servers int) *FileSystem {
 	})
 }
 
+// writeAt writes the n bytes at off as one extent of the client's own.
+func writeAt(c *Client, off, n int64) {
+	c.Write(Batch{Ext: interval.List{{Off: off, Len: n}}})
+}
+
+// writeAs writes the n bytes at off as rank writer's data, as an
+// aggregator does.
+func writeAs(c *Client, off, n int64, writer int) {
+	c.Write(Batch{Ext: interval.List{{Off: off, Len: n}}, Writers: []int{writer}})
+}
+
+// ownersImage renders owner runs over [off, off+n), one character per
+// byte: '0'+rank where the byte is rank's, '.' where it was never written.
+func ownersImage(owners []index.Owned, off, n int64) string {
+	img := bytes.Repeat([]byte{'.'}, int(n))
+	for _, o := range owners {
+		for b := max(o.Off, off); b < min(o.End(), off+n); b++ {
+			img[b-off] = byte('0' + o.Rank)
+		}
+	}
+	return string(img)
+}
+
+// image is ownersImage of the named file.
+func image(t *testing.T, fs *FileSystem, name string, off, n int64) string {
+	t.Helper()
+	owners, err := fs.Owners(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ownersImage(owners, off, n)
+}
+
+// written is every byte range ever stored in the named file: the union of
+// its owner runs.
+func written(t *testing.T, fs *FileSystem, name string) interval.List {
+	t.Helper()
+	owners, err := fs.Owners(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all interval.List
+	for _, o := range owners {
+		all = append(all, o.Extent)
+	}
+	return all.Normalize()
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	fs := basicFS(2)
 	clk := sim.NewClock(0)
@@ -28,67 +78,57 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.WriteAt(10, []byte("hello world"))
-	buf := make([]byte, 11)
-	c.ReadAt(10, buf)
-	if string(buf) != "hello world" {
-		t.Fatalf("read back %q", buf)
+	writeAt(c, 10, 11)
+	wrote := clk.Now()
+	c.ReadAt(10, 11)
+	if got, want := image(t, fs, "f", 8, 15), "..00000000000.."; got != want {
+		t.Fatalf("owners %q, want %q", got, want)
 	}
-	if c.BytesWritten() != 11 || c.BytesRead() != 11 {
-		t.Fatalf("counters = %d/%d", c.BytesWritten(), c.BytesRead())
+	if c.BytesWritten() != 11 {
+		t.Fatalf("bytes written = %d", c.BytesWritten())
 	}
-	if clk.Now() == 0 {
-		t.Fatal("I/O charged no virtual time")
+	if wrote == 0 || clk.Now() == wrote {
+		t.Fatalf("write charged %v, read %v", wrote, clk.Now()-wrote)
 	}
 }
 
 func TestUnwrittenBytesReadZero(t *testing.T) {
 	fs := basicFS(1)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	c.WriteAt(100, []byte{1, 2, 3})
-	buf := make([]byte, 6)
-	c.ReadAt(98, buf)
-	want := []byte{0, 0, 1, 2, 3, 0}
-	if !bytes.Equal(buf, want) {
-		t.Fatalf("read = %v, want %v", buf, want)
+	writeAt(c, 100, 3)
+	if got, want := image(t, fs, "f", 98, 6), "..000."; got != want {
+		t.Fatalf("owners = %q, want %q: bytes never written belong to no run", got, want)
 	}
 }
 
 // TestWriteCrossesStripeBoundary writes one extent over four stripes of
-// three servers and reads it back whole and from inside: each server keeps
-// its pieces, and a read puts them back in place.
+// three servers: each server keeps its pieces, and the owners put them back
+// together as one run.
 func TestWriteCrossesStripeBoundary(t *testing.T) {
 	fs := basicFS(3)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	data := make([]byte, 3*16+10)
-	for i := range data {
-		data[i] = byte(i + 1)
+	writeAt(c, 16-5, 3*16+10)
+	owners, _ := fs.Owners("f")
+	if want := []index.Owned{{Extent: ext(11, 58)}}; !reflect.DeepEqual(owners, want) {
+		t.Fatalf("owners = %v, want %v", owners, want)
 	}
-	c.WriteAt(16-5, data)
-	buf := make([]byte, len(data))
-	c.ReadAt(16-5, buf)
-	if !bytes.Equal(buf, data) {
-		t.Fatalf("cross-stripe write read back as %v", buf)
-	}
-	c.ReadAt(20, buf[:20])
-	if !bytes.Equal(buf[:20], data[9:29]) {
-		t.Fatalf("read from inside = %v, want %v", buf[:20], data[9:29])
+	if n := len(fs.files["f"].content.(*stripedStore).servers[2]); n != 1 {
+		t.Fatalf("server 2 holds %d records, want 1", n)
 	}
 }
 
 func TestSnapshotAndFileSize(t *testing.T) {
 	fs := basicFS(1)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	c.WriteAt(0, []byte("abcdef"))
-	snap, err := fs.Snapshot("f", ext(2, 3))
-	if err != nil || string(snap) != "cde" {
-		t.Fatalf("snapshot = %q, %v", snap, err)
+	writeAt(c, 0, 6)
+	if got := image(t, fs, "f", 2, 3); got != "000" {
+		t.Fatalf("owners of [2,5) = %q", got)
 	}
 	size, err := fs.FileSize("f")
 	if err != nil || size != 6 {
 		t.Fatalf("size = %d, %v", size, err)
 	}
-	if _, err := fs.Snapshot("missing", ext(0, 1)); err == nil {
+	if _, err := fs.Owners("missing"); err == nil {
 		t.Fatal("expected error for missing file")
 	}
 }
@@ -101,12 +141,8 @@ func TestWriteVSegmentsLandSeparately(t *testing.T) {
 		{Off: 10, Data: []byte("BB")},
 		{Off: 20, Data: []byte("CC")},
 	})
-	snap, _ := fs.Snapshot("f", ext(0, 22))
-	if string(snap[0:2]) != "AA" || string(snap[10:12]) != "BB" || string(snap[20:22]) != "CC" {
-		t.Fatalf("snapshot = %q", snap)
-	}
-	if snap[5] != 0 {
-		t.Fatal("hole written")
+	if got, want := image(t, fs, "f", 0, 22), "00........00........00"; got != want {
+		t.Fatalf("owners = %q, want %q", got, want)
 	}
 }
 
@@ -114,7 +150,7 @@ func TestStripingSpreadsLoad(t *testing.T) {
 	// 4 servers, stripe 16: a 64-byte write at 0 touches all 4 equally.
 	fs := basicFS(4)
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	c.WriteAt(0, make([]byte, 64))
+	writeAt(c, 0, 64)
 	for i := 0; i < 4; i++ {
 		ops, busy := fs.Servers().Member(i).Stats()
 		if ops != 1 || busy == 0 {
@@ -128,7 +164,7 @@ func TestClientAffinityUsesOneServer(t *testing.T) {
 	cfg.Mode = ClientAffinity
 	fs := MustNew(cfg)
 	c, _ := fs.Open("f", 2, sim.NewClock(0)) // rank 2 -> server 2
-	c.WriteAt(0, make([]byte, 64))
+	writeAt(c, 0, 64)
 	for i := 0; i < 4; i++ {
 		ops, _ := fs.Servers().Member(i).Stats()
 		want := int64(0)
@@ -147,8 +183,8 @@ func TestServerContentionSerializes(t *testing.T) {
 	fs := basicFS(1)
 	c0, _ := fs.Open("f", 0, sim.NewClock(0))
 	c1, _ := fs.Open("f", 1, sim.NewClock(0))
-	c0.WriteAt(0, make([]byte, 1<<20))
-	c1.WriteAt(1<<20, make([]byte, 1<<20))
+	writeAt(c0, 0, 1<<20)
+	writeAt(c1, 1<<20, 1<<20)
 	svc := sim.LinearCost{Latency: 10 * sim.Microsecond, BytesPerSec: 1 << 20}.Cost(1 << 20)
 	if got := fs.Servers().Member(0).FreeAt(); got < 2*svc {
 		t.Fatalf("server drained at %v, want >= %v", got, 2*svc)
@@ -169,7 +205,7 @@ func TestSegOverheadCharged(t *testing.T) {
 	fs2 := basicFS(1)
 	clkB := sim.NewClock(0)
 	b, _ := fs2.Open("f", 0, clkB)
-	b.WriteAt(0, make([]byte, 100))
+	writeAt(b, 0, 100)
 	tc := clkB.Now()
 
 	if tv <= tc {
@@ -184,8 +220,8 @@ func TestZeroLengthOpsAreFree(t *testing.T) {
 	fs := basicFS(1)
 	clk := sim.NewClock(0)
 	c, _ := fs.Open("f", 0, clk)
-	c.WriteAt(0, nil)
-	c.ReadAt(0, nil)
+	writeAt(c, 0, 0)
+	c.ReadAt(0, 0)
 	c.WriteV(nil)
 	if clk.Now() != 0 {
 		t.Fatalf("zero-length ops charged %v", clk.Now())
@@ -198,7 +234,7 @@ func TestStoreDataOffAccountsTimeOnly(t *testing.T) {
 	fs := MustNew(cfg)
 	clk := sim.NewClock(0)
 	c, _ := fs.Open("f", 0, clk)
-	c.WriteAt(0, make([]byte, 1<<20))
+	writeAt(c, 0, 1<<20)
 	if clk.Now() == 0 {
 		t.Fatal("time not accounted with StoreData=false")
 	}
@@ -206,9 +242,8 @@ func TestStoreDataOffAccountsTimeOnly(t *testing.T) {
 	if size != 1<<20 {
 		t.Fatalf("size = %d", size)
 	}
-	snap, _ := fs.Snapshot("f", ext(0, 8))
-	if !bytes.Equal(snap, make([]byte, 8)) {
-		t.Fatal("dataless store returned bytes")
+	if owners, err := fs.Owners("f"); owners != nil || err != nil {
+		t.Fatalf("a file system that keeps no records returned owners %v, %v", owners, err)
 	}
 }
 
@@ -266,37 +301,20 @@ func TestModeString(t *testing.T) {
 
 func TestWrittenExtentsTrackStores(t *testing.T) {
 	fs := basicFS(1)
-	clock := sim.NewClock(0)
-	c, err := fs.Open("w.dat", 0, clock)
+	c, err := fs.Open("w.dat", 0, sim.NewClock(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.WriteAt(100, []byte("abcd"))
-	c.WriteAt(104, []byte("efgh")) // touching: coalesces
-	c.WriteAt(1<<20, []byte("zz")) // far hole in between
-	got, err := fs.WrittenExtents("w.dat")
-	if err != nil {
-		t.Fatal(err)
-	}
+	writeAt(c, 100, 4)
+	writeAt(c, 104, 4)    // touching: coalesces
+	writeAt(c, 1<<20, 2)  // far hole in between
+	writeAs(c, 102, 2, 3) // another rank's data inside the first run
 	want := interval.List{ext(100, 8), ext(1<<20, 2)}
-	if !got.Equal(want) {
+	if got := written(t, fs, "w.dat"); !got.Equal(want) {
 		t.Fatalf("written extents = %v, want %v", got, want)
 	}
-
-	// A sparse read spanning the hole: written parts return data, the hole
-	// reads zero even into a dirty buffer.
-	buf := make([]byte, 1<<20+2-100)
-	for i := range buf {
-		buf[i] = 0xff
-	}
-	c.ReadAt(100, buf)
-	if string(buf[:8]) != "abcdefgh" || string(buf[len(buf)-2:]) != "zz" {
-		t.Fatalf("sparse read edges = %q %q", buf[:8], buf[len(buf)-2:])
-	}
-	for i := 8; i < len(buf)-2; i++ {
-		if buf[i] != 0 {
-			t.Fatalf("hole byte %d = %#x, want 0", i, buf[i])
-		}
+	if got := image(t, fs, "w.dat", 99, 10); got != ".00330000." {
+		t.Fatalf("owners = %q", got)
 	}
 }
 
@@ -304,19 +322,19 @@ func TestWrittenExtentsEmptyWhenDataless(t *testing.T) {
 	cfg := basicFS(1).Config()
 	cfg.StoreData = false
 	fs := MustNew(cfg)
-	c, err := fs.Open("d.dat", 0, sim.NewClock(0))
+	clk := sim.NewClock(0)
+	c, err := fs.Open("d.dat", 0, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.WriteAt(0, []byte("data"))
-	got, err := fs.WrittenExtents("d.dat")
-	if err != nil || len(got) != 0 {
-		t.Fatalf("dataless written extents = %v, %v", got, err)
+	writeAt(c, 0, 4)
+	if got := written(t, fs, "d.dat"); len(got) != 0 {
+		t.Fatalf("dataless written extents = %v", got)
 	}
-	buf := []byte{1, 2, 3, 4}
-	c.ReadAt(0, buf)
-	if !bytes.Equal(buf, []byte{0, 0, 0, 0}) {
-		t.Fatalf("dataless read = %v, want zeros", buf)
+	before := clk.Now()
+	c.ReadAt(0, 4)
+	if clk.Now() == before {
+		t.Fatal("a read of a file that keeps no records charged nothing")
 	}
 	if n, err := fs.FileSize("d.dat"); err != nil || n != 4 {
 		t.Fatalf("size = %d, %v", n, err)

@@ -2,7 +2,6 @@ package pfs
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"atomio/internal/interval"
@@ -10,16 +9,13 @@ import (
 	"atomio/internal/sim"
 )
 
-// content is the storage layer of one file — who wrote each byte, and its
-// bytes where the writes carried them: stripedStore, in which each
-// simulated I/O server keeps its own write records (see striped.go).
-// The pfs tests pin it against a second implementation, a flat image every
-// server writes into: on any healthy configuration reads, written extents,
-// owners and snapshots are identical.
+// content is the storage layer of one file — who wrote each byte:
+// stripedStore, in which each simulated I/O server keeps its own write
+// records (see striped.go). The pfs tests pin it against a second
+// implementation, a flat array of each byte's writer: on any healthy
+// configuration the owners are identical.
 type content interface {
-	write(call *writeCall, e interval.Extent, src source) // e's writer and any bytes, from src, as the call's next extent
-	read(off int64, buf []byte)                           // bytes never written read as zero; stored without payload, panic
-	extents() interval.List                               // every byte range ever stored, canonical
+	write(call *writeCall, e interval.Extent, src source) // e's writer, from src, as the call's next extent
 	owners() []index.Owned                                // file-ordered runs of the rank that wrote last
 }
 
@@ -56,37 +52,29 @@ func (f *file) growTo(end int64) {
 	f.size = max(f.size, end)
 }
 
-// source is where a stored extent's bytes come from: a slice that is
-// exactly them (nil when the batch carries none), written as writer's, or —
-// for a write-behind flush — the logged pieces of the coalesced extent that
-// holds it, in write order.
+// source is whose data a stored extent is: writer's, or — for a
+// write-behind flush — that of the logged pieces of the coalesced extent
+// that holds it, in write order.
 type source struct {
-	data   []byte
 	writer int
 	pieces []piece
 }
 
-// each calls f with the runs of e in ascending file order, each run's bytes
-// (nil when it has none) and the rank whose data it is. Where logged pieces
-// overlap, the run is cut from the one written last: a flush stores what its
-// client would read.
-func (s source) each(e interval.Extent, f func(run interval.Extent, data []byte, writer int)) {
+// each calls f with the runs of e in ascending file order and the rank
+// whose data each is. Where logged pieces overlap, the run is cut from the
+// one written last: a flush stores what its client wrote last.
+func (s source) each(e interval.Extent, f func(run interval.Extent, writer int)) {
 	if s.pieces == nil {
-		f(e, s.data, s.writer)
+		f(e, s.writer)
 		return
 	}
 	clip := func(p piece) interval.Extent {
 		return e.Intersect(interval.Extent{Off: p.off, Len: p.n})
 	}
 	emit := func(run interval.Extent, p piece) {
-		if run.Empty() {
-			return
+		if !run.Empty() {
+			f(run, p.writer)
 		}
-		var data []byte
-		if p.data != nil {
-			data = p.data[run.Off-p.off : run.End()-p.off]
-		}
-		f(run, data, p.writer)
 	}
 	ascending := true
 	for k := 1; k < len(s.pieces); k++ {
@@ -119,57 +107,21 @@ func (s source) each(e interval.Extent, f func(run interval.Extent, data []byte,
 }
 
 // writeAt stores e, from src, as the call's next extent and extends the
-// file size. A data-less file only grows; a file with a content store keeps
-// who wrote e, and its bytes when src carries them — exactly e.Len of them.
+// file size. A file without a content store only grows; one with a store
+// keeps who wrote e.
 func (f *file) writeAt(call *writeCall, e interval.Extent, src source) {
 	f.growTo(e.End())
 	if f.content == nil || e.Empty() {
 		return
 	}
-	if src.data != nil && int64(len(src.data)) != e.Len {
-		panic(fmt.Sprintf("pfs: extent %v written to %q with %d bytes", e, f.name, len(src.data)))
-	}
 	f.content.write(call, e, src)
-}
-
-// readAt fills buf from off; bytes never written read as zero, and bytes
-// stored without their payload panic: no read ever invents them.
-func (f *file) readAt(off int64, buf []byte) {
-	if f.content == nil {
-		clear(buf)
-		return
-	}
-	f.content.read(off, buf)
-}
-
-// Snapshot copies the bytes of extent e out of the named file; offsets never
-// written read as zero. It panics, naming the range, if e reaches bytes
-// written without their payload.
-func (fs *FileSystem) Snapshot(name string, e interval.Extent) ([]byte, error) {
-	f, err := fs.lookup(name, false)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, e.Len)
-	f.readAt(e.Off, buf)
-	return buf, nil
-}
-
-// WrittenExtents returns the canonical list of byte ranges ever written to
-// the named file — the union of every server's write records. Data-less
-// runs (StoreData off) track no extents and return an empty list.
-func (fs *FileSystem) WrittenExtents(name string) (interval.List, error) {
-	f, err := fs.lookup(name, false)
-	if err != nil || f.content == nil {
-		return nil, err
-	}
-	return f.content.extents(), nil
 }
 
 // Owners returns who wrote the named file: its stored bytes as file-ordered
 // maximal runs, each owned by the rank whose data the latest write to those
 // bytes carried. Bytes never written belong to no run. It is what
-// verification checks MPI atomicity against. Data-less runs return nil.
+// verification checks MPI atomicity against. A file system that keeps no
+// records (StoreData off) returns nil.
 func (fs *FileSystem) Owners(name string) ([]index.Owned, error) {
 	f, err := fs.lookup(name, false)
 	if err != nil || f.content == nil {

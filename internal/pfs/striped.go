@@ -2,28 +2,22 @@ package pfs
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
 )
 
 // record is one write call's pieces on one server: their extents in file
-// order, the rank each piece's data is from — the client's own, or the ones
-// an aggregator names (Batch.Writers) — and, when the pieces carried bytes,
-// those back to back. seq is the store-wide order records were opened in:
-// where records overlap, the higher seq holds the file's bytes.
+// order and the rank each piece's data is from — the client's own, or the
+// ones an aggregator names (Batch.Writers). seq is the store-wide order
+// records were opened in: where records overlap, the higher seq owns the
+// file's bytes.
 type record struct {
 	seq     int64
 	ext     interval.List // ascending, disjoint
 	writers []int         // the rank whose data each extent is
-	at      []int64       // where each extent's bytes start in data; nil: no bytes
-	// data is a strings.Builder because its Grow, unlike make or append,
-	// does not zero the room it reserves: every byte is copied in anyway.
-	data strings.Builder
 }
 
 // writeCall is one write call on its way into the store: its open record
@@ -35,7 +29,7 @@ type record struct {
 type writeCall struct {
 	rank int       // the client: its server in affinity mode
 	open []*record // per server: the call's open record, or nil
-	left []load    // per server: the bytes and pieces not yet stored
+	left []load    // per server: what the call has yet to store; its pieces size a record
 }
 
 // begin starts the call: client rank writes the extents ext.
@@ -53,10 +47,9 @@ func (call *writeCall) begin(cfg *Config, ext interval.List, rank int) {
 // append-only list of records. In RoundRobin mode a call's extents are cut
 // at stripe boundaries, each piece stored on its home server; in
 // ClientAffinity mode they land whole on the writer's boot-assigned server,
-// so a byte may be stored on several servers. One read path serves both: a
-// read replays the overlapping records in seq order — arrival order, as on
-// one shared store — and owners resolves the same order into who wrote
-// each byte.
+// so a byte may be stored on several servers. Either way owners replays the
+// records in seq order — arrival order, as on one shared store — to find
+// who wrote each byte.
 type stripedStore struct {
 	cfg     Config
 	servers [][]*record
@@ -84,38 +77,29 @@ func (st *stripedStore) write(call *writeCall, e interval.Extent, src source) {
 		st.last = call
 		clear(call.open)
 	}
-	src.each(e, func(run interval.Extent, data []byte, writer int) {
+	src.each(e, func(run interval.Extent, writer int) {
 		if st.cfg.Mode == ClientAffinity {
-			st.put(call, st.cfg.serverFor(run.Off, call.rank), run.Off, run.Len, data, writer)
+			st.put(call, st.cfg.serverFor(run.Off, call.rank), run.Off, run.Len, writer)
 			return
 		}
 		eachStripePiece(st.cfg.StripeSize, len(st.servers), run.Off, run.Len, func(server int, off, n int64) {
-			var part []byte
-			if data != nil {
-				part = data[off-run.Off : off-run.Off+n]
-			}
-			st.put(call, server, off, n, part, writer)
+			st.put(call, server, off, n, writer)
 		})
 	})
 }
 
-// put stores the n-byte piece at off on server, with its bytes when data is
-// not nil: in the call's open record there if the piece follows its last
-// extent and has bytes exactly when the record does, else in a new record
-// sized for what the call has left to store on the server.
-func (st *stripedStore) put(call *writeCall, server int, off, n int64, data []byte, writer int) {
+// put stores the n-byte piece at off on server as writer's: in the call's
+// open record there if the piece follows its last extent, else in a new
+// record sized for the pieces the call has left to store on the server.
+func (st *stripedStore) put(call *writeCall, server int, off, n int64, writer int) {
 	left := &call.left[server]
 	r := call.open[server]
-	if r == nil || r.ext[len(r.ext)-1].End() > off || (r.at == nil) != (data == nil) {
+	if r == nil || r.ext[len(r.ext)-1].End() > off {
 		pieces := max(left.reqs, 1)
 		r = &record{
 			seq:     st.seq,
 			ext:     make(interval.List, 0, pieces),
 			writers: make([]int, 0, pieces),
-		}
-		if data != nil {
-			r.at = make([]int64, 0, pieces)
-			r.data.Grow(int(max(left.bytes, n)))
 		}
 		st.seq++
 		st.servers[server] = append(st.servers[server], r)
@@ -126,12 +110,7 @@ func (st *stripedStore) put(call *writeCall, server int, off, n int64, data []by
 	} else {
 		r.ext = append(r.ext, interval.Extent{Off: off, Len: n})
 		r.writers = append(r.writers, writer)
-		if data != nil {
-			r.at = append(r.at, int64(r.data.Len()))
-		}
 	}
-	r.data.Write(data)
-	left.bytes -= n
 	left.reqs--
 }
 
@@ -151,30 +130,6 @@ func (r *record) each(q interval.Extent, f func(i int, part interval.Extent)) {
 	for i := sort.Search(len(r.ext), func(i int) bool { return r.ext[i].End() > q.Off }); i < len(r.ext) && r.ext[i].Off < q.End(); i++ {
 		f(i, r.ext[i].Intersect(q))
 	}
-}
-
-func (st *stripedStore) read(off int64, buf []byte) {
-	clear(buf)
-	req := interval.Extent{Off: off, Len: int64(len(buf))}
-	for _, r := range st.inSeq() {
-		r.each(req, func(i int, part interval.Extent) {
-			if r.at == nil {
-				panic(fmt.Sprintf("pfs: read of %v reaches %v, which was written without its bytes", req, part))
-			}
-			from := r.at[i] + part.Off - r.ext[i].Off
-			copy(buf[part.Off-off:part.End()-off], r.data.String()[from:])
-		})
-	}
-}
-
-func (st *stripedStore) extents() interval.List {
-	var all interval.List
-	for _, recs := range st.servers {
-		for _, r := range recs {
-			all = append(all, r.ext...)
-		}
-	}
-	return all.Normalize()
 }
 
 // owners is index.Winners over the records in seq order — the latest record

@@ -1,13 +1,13 @@
 package pfs
 
-// Property tests pinning the per-server striped store to the shared-store
-// oracle: on any healthy configuration the two layouts must be observably
-// identical — same read bytes, same snapshots, same written extents, same
+// Property tests pinning the per-server striped store to the owner oracle:
+// a flat array of each byte's writer, which every server writes into. On
+// any configuration the two layouts must be observably identical — same
 // owners, same file sizes, and byte-identical virtual clocks after every
-// operation.
+// operation — through server crashes, write-ahead replay, write-behind logs
+// whose pieces overlap, and batches naming other ranks as writers.
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,44 +17,30 @@ import (
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
 	"atomio/internal/sim"
+	"atomio/internal/sim/fault"
 )
 
-// sharedStore is the pre-striping content layout, kept as the oracle: one
-// flat image of the file every server writes into, the rank whose data each
-// byte is, and the set of bytes ever written. Two writes to the same bytes
-// land in arrival order, so overlapping segment writes from different ranks
-// genuinely interleave. The two layouts are observably identical on every
-// healthy configuration: stripes partition the byte space, and records
-// replay in global write order.
+// sharedStore is the owner oracle: one flat array of the rank whose data
+// each byte is, every server writing into it, and the set of bytes ever
+// written. Two writes to the same bytes land in arrival order, so
+// overlapping segment writes from different ranks genuinely interleave.
+// The striped layout must agree with it on every configuration: stripes
+// partition the byte space, and records replay in global write order.
 type sharedStore struct {
-	data    []byte
 	writer  []int
 	written index.Set
 }
 
 func (s *sharedStore) write(_ *writeCall, e interval.Extent, src source) {
-	if grow := int(e.End()) - len(s.data); grow > 0 {
-		s.data = append(s.data, make([]byte, grow)...)
+	if grow := int(e.End()) - len(s.writer); grow > 0 {
 		s.writer = append(s.writer, make([]int, grow)...)
 	}
 	s.written.Add(e)
-	src.each(e, func(run interval.Extent, data []byte, writer int) {
-		copy(s.data[run.Off:], data)
+	src.each(e, func(run interval.Extent, writer int) {
 		for off := run.Off; off < run.End(); off++ {
 			s.writer[off] = writer
 		}
 	})
-}
-
-func (s *sharedStore) read(off int64, buf []byte) {
-	clear(buf)
-	if off < int64(len(s.data)) {
-		copy(buf, s.data[off:])
-	}
-}
-
-func (s *sharedStore) extents() interval.List {
-	return s.written.Extents()
 }
 
 func (s *sharedStore) owners() []index.Owned {
@@ -96,8 +82,9 @@ func oraclePair(servers int, mode StripeMode) (striped, shared *FileSystem) {
 
 // TestStripedStoreMatchesSharedOracle drives randomized read/write/listio
 // workloads from several client ranks through both layouts for servers ∈
-// {1, 4, 7} × both stripe modes, comparing every observable after every
-// operation.
+// {1, 4, 7} × both stripe modes, comparing every observable; then random
+// scenarios with crashes, replay and write-behind logs (see
+// randomScenario).
 func TestStripedStoreMatchesSharedOracle(t *testing.T) {
 	const (
 		ranks = 5
@@ -121,74 +108,48 @@ func TestStripedStoreMatchesSharedOracle(t *testing.T) {
 					}
 				}
 				rnd := rand.New(rand.NewSource(int64(servers)*31 + int64(mode)))
-				randSegs := func(n int) []Segment {
-					segs := make([]Segment, n)
-					for i := range segs {
-						data := make([]byte, 1+rnd.Intn(120))
-						rnd.Read(data)
-						segs[i] = Segment{Off: int64(rnd.Intn(span)), Data: data}
+				randBatch := func(n int, aggregated bool) Batch {
+					var b Batch
+					for range n {
+						b.Ext = append(b.Ext, interval.Extent{Off: int64(rnd.Intn(span)), Len: 1 + rnd.Int63n(120)})
+						if aggregated {
+							b.Writers = append(b.Writers, rnd.Intn(ranks))
+						}
 					}
-					return segs
+					return b
 				}
 				for op := 0; op < ops; op++ {
 					r := rnd.Intn(ranks)
 					switch rnd.Intn(5) {
 					case 0: // contiguous write
-						segs := randSegs(1)
-						cS[r].WriteAt(segs[0].Off, segs[0].Data)
-						cO[r].WriteAt(segs[0].Off, segs[0].Data)
+						b := randBatch(1, false)
+						cS[r].Write(b)
+						cO[r].Write(b)
 					case 1: // vectored write
-						segs := randSegs(1 + rnd.Intn(3))
-						cS[r].WriteV(segs)
-						cO[r].WriteV(segs)
+						b := randBatch(1+rnd.Intn(3), false)
+						cS[r].Write(b)
+						cO[r].Write(b)
 					case 2: // atomic listio write
-						segs := randSegs(1 + rnd.Intn(3))
-						if err := cS[r].WriteAtomic(batchOf(segs)); err != nil {
+						b := randBatch(1+rnd.Intn(3), false)
+						if err := cS[r].WriteAtomic(b); err != nil {
 							t.Fatal(err)
 						}
-						if err := cO[r].WriteAtomic(batchOf(segs)); err != nil {
+						if err := cO[r].WriteAtomic(b); err != nil {
 							t.Fatal(err)
 						}
 					case 3: // read
-						off := int64(rnd.Intn(span))
-						bufS := make([]byte, 1+rnd.Intn(300))
-						bufO := make([]byte, len(bufS))
-						cS[r].ReadAt(off, bufS)
-						cO[r].ReadAt(off, bufO)
-						if !bytes.Equal(bufS, bufO) {
-							t.Fatalf("op %d: read [%d,%d) differs between layouts", op, off, off+int64(len(bufS)))
-						}
-					case 4: // vectored read
-						segsS := randSegs(2)
-						segsO := make([]Segment, len(segsS))
-						for i, s := range segsS {
-							segsS[i].Data = make([]byte, len(s.Data))
-							segsO[i] = Segment{Off: s.Off, Data: make([]byte, len(s.Data))}
-						}
-						cS[r].Read(batchOf(segsS))
-						cO[r].Read(batchOf(segsO))
-						for i := range segsS {
-							if !bytes.Equal(segsS[i].Data, segsO[i].Data) {
-								t.Fatalf("op %d: vectored read seg %d differs", op, i)
-							}
-						}
+						off, n := int64(rnd.Intn(span)), 1+rnd.Int63n(300)
+						cS[r].ReadAt(off, n)
+						cO[r].ReadAt(off, n)
+					case 4: // an aggregator's write, on other ranks' behalf
+						b := randBatch(1+rnd.Intn(3), true)
+						cS[r].Write(b)
+						cO[r].Write(b)
 					}
 					if clkS[r].Now() != clkO[r].Now() {
 						t.Fatalf("op %d: rank %d clocks diverged: striped %v, shared %v",
 							op, r, clkS[r].Now(), clkO[r].Now())
 					}
-				}
-				// Final cross-server merges: extents, size, full snapshot.
-				extS, err := fsS.WrittenExtents("f")
-				if err != nil {
-					t.Fatal(err)
-				}
-				extO, err := fsO.WrittenExtents("f")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !extS.Equal(extO) {
-					t.Fatalf("written extents differ:\nstriped %v\nshared  %v", extS, extO)
 				}
 				ownS, _ := fsS.Owners("f")
 				ownO, _ := fsO.Owners("f")
@@ -200,47 +161,148 @@ func TestStripedStoreMatchesSharedOracle(t *testing.T) {
 				if sizeS != sizeO {
 					t.Fatalf("file sizes differ: striped %d, shared %d", sizeS, sizeO)
 				}
-				full := interval.Extent{Off: 0, Len: span + 256}
-				snapS, err := fsS.Snapshot("f", full)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snapO, err := fsO.Snapshot("f", full)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(snapS, snapO) {
-					for i := range snapS {
-						if snapS[i] != snapO[i] {
-							t.Fatalf("snapshot differs first at byte %d: striped %#x, shared %#x",
-								i, snapS[i], snapO[i])
-						}
-					}
-				}
 			})
 		}
 	}
+	t.Run("crashes-replay-write-behind", func(t *testing.T) {
+		cases := map[string]int{}
+		for seed := range int64(300) {
+			cases[randomScenario(t, seed)]++
+		}
+		for _, c := range []string{"cached=false/crash=false", "cached=true/crash=false", "cached=false/crash=true", "cached=true/crash=true"} {
+			if cases[c] == 0 {
+				t.Errorf("no run was %s (%v): the comparison misses a case", c, cases)
+			}
+		}
+	})
 }
 
-// TestAffinityOverwriteAcrossServers pins the cross-server merge read: in
-// affinity mode two ranks on different servers write the same range, and a
-// reader must see the later write even though both copies exist on
-// different servers' stores.
+// randomScenario stores one seed's random batches from several ranks at
+// random virtual times — vectored writes and atomic listio, straight to the
+// servers and through write-behind logs whose pieces overlap, a third of
+// them naming other ranks in Writers as an aggregator's do — in either
+// stripe mode, with a server crash dropping the pieces routed to it and the
+// write-ahead log replayed over the damage, on both layouts. They must
+// agree on who wrote each byte, on the file size and on every clock. It
+// returns which of the cached and crash cases the seed drew.
+func randomScenario(t *testing.T, seed int64) string {
+	const span = 500
+	rnd := rand.New(rand.NewSource(seed))
+	p, servers := 2+rnd.Intn(5), 1+rnd.Intn(4)
+	cfg := Config{
+		Servers: servers, StripeSize: 1 + rnd.Int63n(48), Mode: StripeMode(rnd.Intn(2)),
+		ServerModel:  sim.LinearCost{Latency: sim.Microsecond, BytesPerSec: 1 << 20},
+		ClientModel:  sim.LinearCost{Latency: sim.Microsecond, BytesPerSec: 8 << 20},
+		StoreData:    true,
+		WAL:          true,
+		AtomicListIO: true,
+	}
+	cached := rnd.Intn(2) == 0
+	if cached {
+		cfg.Cache = CacheConfig{Enabled: true, BlockSize: 32, WriteBehind: true}
+	}
+	crash := rnd.Intn(2) == 0
+	var script fault.Script
+	if crash {
+		from := sim.VTime(rnd.Intn(3)) * sim.Millisecond
+		script.Events = []fault.Event{{Kind: fault.ServerCrash, Server: rnd.Intn(servers), From: from, Until: from + sim.Millisecond}}
+	}
+	fss := [2]*FileSystem{MustNew(cfg), withSharedStore(MustNew(cfg))} // striped, oracle
+	clients := make([][2]*Client, p)
+	clocks := make([][2]*sim.Clock, p)
+	for i, fs := range fss {
+		if crash {
+			fs.SetFault(fault.New(script))
+		}
+		for rank := range clients {
+			clocks[rank][i] = sim.NewClock(0)
+			clients[rank][i], _ = fs.Open("f", rank, clocks[rank][i])
+		}
+	}
+	for range 4 * p {
+		rank := rnd.Intn(p)
+		var b Batch
+		off := rnd.Int63n(span)
+		for range 1 + rnd.Intn(5) {
+			if rnd.Intn(3) == 0 { // anywhere: pieces overlap and descend
+				off = rnd.Int63n(span)
+			}
+			e := interval.Extent{Off: off, Len: 1 + rnd.Int63n(60)}
+			b.Ext = append(b.Ext, e)
+			off = e.End() + rnd.Int63n(8)
+		}
+		if rnd.Intn(3) == 0 {
+			for range b.Ext {
+				b.Writers = append(b.Writers, rnd.Intn(p))
+			}
+		}
+		at := clocks[rank][0].Now() + sim.VTime(rnd.Intn(3))*sim.Millisecond
+		atomic, sync := rnd.Intn(4) == 0, rnd.Intn(3) == 0
+		for i, fs := range fss {
+			c := clients[rank][i]
+			if err := fs.LogIntent("f", rank, b); err != nil {
+				t.Fatal(err)
+			}
+			clocks[rank][i].AdvanceTo(at)
+			if atomic {
+				if err := c.WriteAtomic(b); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				c.Write(b)
+			}
+			if sync {
+				c.Sync()
+			}
+		}
+	}
+	recovered := crash && rnd.Intn(2) == 0
+	for i, fs := range fss {
+		for rank := range clients {
+			clients[rank][i].Close()
+		}
+		if recovered {
+			if _, err := fs.Recover("f"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	name := fmt.Sprintf("seed %d (P=%d, %d servers, %v, cached %v, crash %v, recovered %v)",
+		seed, p, servers, cfg.Mode, cached, crash, recovered)
+	var owners [2]any
+	var sizes [2]int64
+	for i, fs := range fss {
+		owners[i], _ = fs.Owners("f")
+		sizes[i], _ = fs.FileSize("f")
+	}
+	if !reflect.DeepEqual(owners[0], owners[1]) || sizes[0] != sizes[1] {
+		t.Fatalf("%s: owners differ:\nstriped %v (size %d)\noracle  %v (size %d)", name, owners[0], sizes[0], owners[1], sizes[1])
+	}
+	for rank := range clocks {
+		if clocks[rank][0].Now() != clocks[rank][1].Now() {
+			t.Fatalf("%s: rank %d clocks diverged: %v striped, %v oracle", name, rank, clocks[rank][0].Now(), clocks[rank][1].Now())
+		}
+	}
+	return fmt.Sprintf("cached=%v/crash=%v", cached, crash)
+}
+
+// TestAffinityOverwriteAcrossServers pins the cross-server merge: in
+// affinity mode two ranks on different servers write the same range, and
+// the later write must own it even though both records exist on different
+// servers' stores.
 func TestAffinityOverwriteAcrossServers(t *testing.T) {
 	fsS, fsO := oraclePair(4, ClientAffinity)
 	for i, fs := range []*FileSystem{fsS, fsO} {
 		c0, _ := fs.Open("f", 0, sim.NewClock(0)) // server 0
 		c1, _ := fs.Open("f", 1, sim.NewClock(0)) // server 1
-		c0.WriteAt(10, []byte("aaaaaaaa"))
-		c1.WriteAt(12, []byte("bbbb"))
-		c0.WriteAt(14, []byte("cc"))
-		// Final content: [10,12) from c0's first write, [12,14) from c1,
-		// [14,16) from c0's later write, [16,18) from c0's first write.
-		const want = "\x00aabbccaa\x00"
-		buf := make([]byte, 10)
-		c1.ReadAt(9, buf)
-		if string(buf) != want {
-			t.Fatalf("shared=%v: merged read = %q, want %q", i == 1, buf, want)
+		writeAt(c0, 10, 8)
+		writeAt(c1, 12, 4)
+		writeAt(c0, 14, 2)
+		// [10,12) from c0's first write, [12,14) from c1, [14,16) from
+		// c0's later write, [16,18) from c0's first write.
+		const want = ".00110000."
+		if got := image(t, fs, "f", 9, 10); got != want {
+			t.Fatalf("shared=%v: owners = %q, want %q", i == 1, got, want)
 		}
 	}
 }
@@ -251,7 +313,7 @@ func TestAffinityOverwriteAcrossServers(t *testing.T) {
 func TestRoundRobinStripesPartitionServers(t *testing.T) {
 	fs := MustNew(Config{Servers: 4, StripeSize: 16, StoreData: true})
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	c.WriteAt(0, bytes.Repeat([]byte{1}, 64)) // one full stripe per server
+	writeAt(c, 0, 64) // one full stripe per server
 	st := fs.files["f"].content.(*stripedStore)
 	for i, recs := range st.servers {
 		want := interval.List{{Off: int64(i) * 16, Len: 16}}
@@ -268,10 +330,9 @@ func TestRoundRobinStripesPartitionServers(t *testing.T) {
 func TestStoredWriteAllocatesPerRecord(t *testing.T) {
 	for _, mode := range []StripeMode{RoundRobin, ClientAffinity} {
 		allocs := func(extents int) float64 {
-			b := Batch{Ext: make(interval.List, extents), Data: make([][]byte, extents)}
-			buf := make([]byte, 8*extents)
+			b := Batch{Ext: make(interval.List, extents)}
 			for i := range b.Ext {
-				b.Ext[i], b.Data[i] = interval.Extent{Off: int64(i) * 40, Len: 8}, buf[8*i:8*i+8]
+				b.Ext[i] = interval.Extent{Off: int64(i) * 40, Len: 8}
 			}
 			return testing.AllocsPerRun(100, func() {
 				fs := MustNew(Config{Servers: 4, StripeSize: 16, Mode: mode, StoreData: true})

@@ -5,18 +5,18 @@ package pfs
 // flush hands a log of one batch to the servers as it stands when it is
 // already the flush (sorted, disjoint, non-touching); any other it books as
 // the logged extents' Normalize() and stores from the logged pieces, in
-// write order, with no copy in between. Either way the flush must be what a
-// cache that always assembles produces — the logged extents' Normalize() in
-// shape, later write wins in content — pfs must never write through a slice
-// it was lent, and once Sync returns the store must own every byte it holds
-// and the cache no part of the caller's batches.
+// write order. Either way the flush must be what a cache that always
+// assembles produces — the logged extents' Normalize() in shape, later write
+// wins in ownership — pfs must never write through a list it was lent, and
+// once Sync returns the store must hold its own records and the cache no
+// part of the caller's batches.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"atomio/internal/interval"
@@ -43,50 +43,53 @@ func writeBehindConfig(mode StripeMode) Config {
 	}
 }
 
-// scriptSegs draws one WriteV of the shapes the log has to get right:
-// segments that overlap, touch, duplicate or precede the one before, empty
+// scriptBatch draws one Write of the shapes the log has to get right:
+// extents that overlap, touch, duplicate or precede the one before, empty
 // ones, ones long enough to cross stripes and cache blocks, and whole
-// requests in file order with and without touching neighbours.
-func scriptSegs(rnd *rand.Rand, span int) []Segment {
-	segs := make([]Segment, 1+rnd.Intn(5))
-	for i := range segs {
-		data := make([]byte, 1+rnd.Intn(90))
-		rnd.Read(data)
-		off := int64(rnd.Intn(span))
+// requests in file order with and without touching neighbours. Two batches
+// in three name a writer among ranks for each extent, as an aggregator's
+// do.
+func scriptBatch(rnd *rand.Rand, span, ranks int) Batch {
+	var b Batch
+	b.Ext = make(interval.List, 1+rnd.Intn(5))
+	for i := range b.Ext {
+		e := interval.Extent{Off: int64(rnd.Intn(span)), Len: 1 + int64(rnd.Intn(90))}
 		if i > 0 {
-			prev := segs[i-1]
+			prev := b.Ext[i-1]
 			switch rnd.Intn(6) {
 			case 0: // touching: starts where the previous one ends
-				off = prev.Off + prev.Len()
-			case 1: // the same extent again, different bytes
-				if n := len(prev.Data); n > 0 {
-					off, data = prev.Off, make([]byte, n)
-					rnd.Read(data)
+				e.Off = prev.End()
+			case 1: // the same extent again
+				if prev.Len > 0 {
+					e = prev
 				}
 			case 2: // overlapping the previous one's tail
-				off = prev.Off + prev.Len()/2
+				e.Off = prev.Off + prev.Len/2
 			case 3: // empty
-				data = data[:0]
+				e.Len = 0
 			}
 		}
-		segs[i] = Segment{Off: off, Data: data}
+		b.Ext[i] = e
 	}
 	if sorted := rnd.Intn(4); sorted < 2 {
-		// A request in file order: canonical when every segment leaves a
+		// A request in file order: canonical when every extent leaves a
 		// gap (sorted == 0), merely sorted when some touch the next.
 		off := int64(rnd.Intn(span / 4))
-		for i := range segs {
-			if len(segs[i].Data) == 0 {
-				segs[i].Data = []byte{byte(i)}
-			}
-			segs[i].Off = off
-			off += segs[i].Len()
+		for i := range b.Ext {
+			b.Ext[i].Off, b.Ext[i].Len = off, max(b.Ext[i].Len, 1)
+			off += b.Ext[i].Len
 			if sorted == 0 || rnd.Intn(2) == 0 {
 				off += 1 + int64(rnd.Intn(20))
 			}
 		}
 	}
-	return segs
+	if rnd.Intn(3) > 0 {
+		b.Writers = make([]int, len(b.Ext))
+		for i := range b.Writers {
+			b.Writers[i] = rnd.Intn(ranks)
+		}
+	}
+	return b
 }
 
 // flush is Client.Sync returning the extents it flushed.
@@ -98,15 +101,26 @@ func flush(c *Client) interval.List {
 	return b.Ext
 }
 
-// borrowed is one slice handed to WriteV beside a copy of its headers: until
-// the Sync pfs may read the slice, and it may never write it.
-type borrowed struct{ segs, was []Segment }
+// borrowed is one batch handed to Write beside a copy of its lists: until
+// the Sync pfs may read them, and it may never write them.
+type borrowed struct{ b, was Batch }
 
-func (b borrowed) intact() bool {
-	return slices.EqualFunc(b.segs, b.was, func(s, w Segment) bool {
-		return s.Off == w.Off && s.N == w.N && len(s.Data) == len(w.Data) &&
-			(len(s.Data) == 0 || &s.Data[0] == &w.Data[0])
-	})
+func lend(b Batch) borrowed {
+	return borrowed{b, Batch{Ext: slices.Clone(b.Ext), Writers: slices.Clone(b.Writers)}}
+}
+
+func (l borrowed) intact() bool {
+	return slices.Equal(l.b.Ext, l.was.Ext) && slices.Equal(l.b.Writers, l.was.Writers)
+}
+
+// poison overwrites the lists of a batch whose borrow is over.
+func (l borrowed) poison() {
+	for i := range l.b.Ext {
+		l.b.Ext[i] = interval.Extent{Off: 1 << 40, Len: 1}
+	}
+	for i := range l.b.Writers {
+		l.b.Writers[i] = 99
+	}
 }
 
 // ownLog makes c's next flush assemble: an empty log is seeded with one empty
@@ -118,19 +132,18 @@ func ownLog(c *Client) {
 	}
 }
 
-// TestWriteBehindLogMatchesModel drives random WriteV scripts from several
+// TestWriteBehindLogMatchesModel drives random Write scripts from several
 // ranks through four file systems — a retaining write-behind cache, a
 // non-retaining one (StoreData off), a retaining one that always assembles
-// its flush (ownLog) and no cache at all — and a flat byte image. All
-// three caches must flush the normalized form of the extents written since
-// the last Sync at the same virtual cost, a read before the Sync must see
-// the client's own unflushed bytes over the store's, and the file must be
-// the one the cache-less clients and the image hold when each batch is
-// applied in write order at its Sync. Batches arrive whole or one segment
-// per WriteV in any order — windows onto the caller's array with room behind
-// them — and no slice handed over may ever differ from the copy taken
-// before. Every caller buffer and every caller slice is overwritten as soon
-// as its Sync returns.
+// its flush (ownLog) and no cache at all — and a flat image of each byte's
+// writer. All three caches must flush the normalized form of the extents
+// written since the last Sync at the same virtual cost, reads before a Sync
+// must keep them in step, and the file must be owned as the cache-less
+// clients and the image say when each batch is applied in write order at
+// its Sync. Batches arrive whole or one extent per Write in any order —
+// windows onto the caller's lists with room behind them — and no list
+// handed over may ever differ from the copy taken before. Every caller list
+// is overwritten as soon as its Sync returns.
 func TestWriteBehindLogMatchesModel(t *testing.T) {
 	const (
 		ranks = 3
@@ -153,62 +166,51 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 				cC[r], _ = fsC.Open("f", r, sim.NewClock(0))
 				cN[r], _ = fsN.Open("f", r, clkN[r])
 			}
-			image := make([]byte, span+600) // room for a chain of touching segments past span
-			var pending [ranks][][]Segment
+			model := slices.Repeat([]int{-1}, span+600) // room for a chain of touching extents past span
+			var pending [ranks][]Batch
 			var lentOut [ranks][]borrowed
 			rnd := rand.New(rand.NewSource(19 + int64(mode)))
 			lent, touching, assembled, windows, reads := 0, 0, 0, 0, 0
 			for op := 0; op < ops; op++ {
 				r := rnd.Intn(ranks)
 				if rnd.Intn(3) > 0 {
-					segs := scriptSegs(rnd, span)
-					lentOut[r] = append(lentOut[r], borrowed{segs, slices.Clone(segs)})
-					batches := [][]Segment{segs}
+					b := scriptBatch(rnd, span, 10)
+					lentOut[r] = append(lentOut[r], lend(b))
+					batches := []Batch{b}
 					if rnd.Intn(4) == 0 {
 						batches = batches[:0]
-						for _, i := range rnd.Perm(len(segs)) {
-							batches = append(batches, segs[i:i+1])
+						for _, i := range rnd.Perm(len(b.Ext)) {
+							batches = append(batches, b.Slice(i, i+1))
 						}
 						windows++
 					}
 					for _, batch := range batches {
 						ownLog(cN[r])
-						cA[r].WriteV(batch)
-						cB[r].WriteV(batch)
-						cN[r].WriteV(batch)
+						cA[r].Write(batch)
+						cB[r].Write(batch)
+						cN[r].Write(batch)
 						pending[r] = append(pending[r], batch)
 					}
 					continue
 				}
 				if rnd.Intn(2) == 0 {
-					// Read-your-own-writes, whoever's slice the log is. The
-					// non-retaining client reads too, to keep its clock and
-					// its readable blocks in step.
-					e := interval.Extent{Off: int64(rnd.Intn(span)), Len: 1 + int64(rnd.Intn(200))}
-					want := bytes.Clone(image[e.Off:e.End()])
-					for _, segs := range pending[r] {
-						for _, s := range segs {
-							if ov := e.Intersect(interval.Extent{Off: s.Off, Len: s.Len()}); !ov.Empty() {
-								copy(want[ov.Off-e.Off:ov.End()-e.Off], s.Data[ov.Off-s.Off:])
-							}
-						}
-					}
+					// A read before the Sync, which costs the same on every
+					// cache and keeps their readable blocks in step.
+					off, n := int64(rnd.Intn(span)), 1+int64(rnd.Intn(200))
 					for _, c := range []*Client{cA[r], cB[r], cN[r]} {
-						got := make([]byte, e.Len)
-						c.ReadAt(e.Off, got)
-						if c != cB[r] && !bytes.Equal(got, want) {
-							t.Fatalf("op %d: rank %d read %v before its Sync:\ngot  %x\nwant %x", op, r, e, got, want)
-						}
+						c.ReadAt(off, n)
 					}
 					reads++
 				}
 				var log interval.List
-				for _, segs := range pending[r] {
-					cC[r].WriteV(segs)
-					for _, s := range segs {
-						copy(image[s.Off:], s.Data)
-						if s.Len() > 0 {
-							log = append(log, interval.Extent{Off: s.Off, Len: s.Len()})
+				for _, b := range pending[r] {
+					cC[r].Write(b)
+					for i, e := range b.Ext {
+						for o := e.Off; o < e.End(); o++ {
+							model[o] = b.writer(i, r)
+						}
+						if !e.Empty() {
+							log = append(log, e)
 						}
 					}
 				}
@@ -226,18 +228,11 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 				if want := log.Normalize(); !slices.Equal(gotA, want) || !slices.Equal(gotB, want) || !slices.Equal(gotN, want) {
 					t.Fatalf("op %d: flushed %v (retaining), %v (not) and %v (own log), want %v", op, gotA, gotB, gotN, want)
 				}
-				for _, b := range lentOut[r] {
-					if !b.intact() {
-						t.Fatalf("op %d: pfs wrote through a slice it was lent: %v, was %v", op, shapes(b.segs), shapes(b.was))
+				for _, l := range lentOut[r] {
+					if !l.intact() {
+						t.Fatalf("op %d: pfs wrote through a list it was lent: %+v, was %+v", op, l.b, l.was)
 					}
-					// The borrow is over: the bytes and the slice are the
-					// caller's to reuse.
-					for i, s := range b.segs {
-						for j := range s.Data {
-							s.Data[j] = 0xEE
-						}
-						b.segs[i] = Segment{Off: 1 << 40, Data: []byte{0xEE}}
-					}
+					l.poison() // the borrow is over: the lists are the caller's to reuse
 				}
 				pending[r], lentOut[r] = nil, nil
 
@@ -249,36 +244,33 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 				if b, n := fsB.ServerStats(), fsN.ServerStats(); !reflect.DeepEqual(statsA, b) || !reflect.DeepEqual(statsA, n) {
 					t.Fatalf("op %d: server stats differ:\nretaining %+v\nnot       %+v\nown log   %+v", op, statsA, b, n)
 				}
-				part := interval.Extent{Off: int64(rnd.Intn(span)), Len: 1 + int64(rnd.Intn(200))}
-				for _, e := range []interval.Extent{{Off: 0, Len: int64(len(image))}, part} {
-					snapA, _ := fsA.Snapshot("f", e)
-					snapC, _ := fsC.Snapshot("f", e)
-					snapN, _ := fsN.Snapshot("f", e)
-					want := image[e.Off:min(e.End(), int64(len(image)))]
-					if !bytes.Equal(snapA[:len(want)], want) || !bytes.Equal(snapC[:len(want)], want) || !bytes.Equal(snapN[:len(want)], want) {
-						t.Fatalf("op %d: snapshot %v differs from the image\nwrite-behind %x\ncache-less   %x\nown log      %x\nimage        %x",
-							op, e, snapA, snapC, snapN, want)
+				want := make([]byte, len(model))
+				for o, w := range model {
+					want[o] = '.'
+					if w >= 0 {
+						want[o] = byte('0' + w)
 					}
 				}
-				extA, _ := fsA.WrittenExtents("f")
-				extC, _ := fsC.WrittenExtents("f")
-				if !extA.Equal(extC) {
-					t.Fatalf("op %d: written extents %v through the cache, %v without", op, extA, extC)
+				whole := int64(len(model))
+				for name, fs := range map[string]*FileSystem{"write-behind": fsA, "cache-less": fsC, "own log": fsN} {
+					if got := image(t, fs, "f", 0, whole); got != string(want) {
+						t.Fatalf("op %d: %s owners differ from the image\ngot  %s\nwant %s", op, name, got, want)
+					}
 				}
 			}
 			if lent == 0 || touching == 0 || assembled == 0 || windows == 0 || reads == 0 {
 				t.Fatalf("script flushed %d logs of one canonical batch, %d other disjoint and %d overlapping logs, wrote %d requests "+
-					"one segment at a time and read %d times before a Sync; it must do all five",
+					"one extent at a time and read %d times before a Sync; it must do all five",
 					lent, touching, assembled, windows, reads)
 			}
 		})
 	}
 }
 
-// TestStoreOwnsItsBytesAfterSync is the borrow's far end: bytes handed to
-// WriteV belong to the caller again once Sync returns, so scribbling on
-// them must not reach the file — on a flush that lent the caller's slices
-// to the store as they were, and on one that assembled them first.
+// TestStoreOwnsItsBytesAfterSync is the borrow's far end: the lists handed
+// to Write belong to the caller again once Sync returns, so scribbling on
+// them must not reach the file — on a flush that lent the caller's batch to
+// the store as it was, and on one that assembled the log first.
 func TestStoreOwnsItsBytesAfterSync(t *testing.T) {
 	logs := []struct {
 		name string
@@ -292,38 +284,36 @@ func TestStoreOwnsItsBytesAfterSync(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", mode, log.name), func(t *testing.T) {
 				fs := MustNew(writeBehindConfig(mode))
 				c, _ := fs.Open("f", 1, sim.NewClock(0))
-				var bufs [][]byte
-				var segs []Segment
+				b := Batch{}
 				for i, off := range log.offs {
-					buf := bytes.Repeat([]byte{byte('a' + i)}, 30)
-					bufs = append(bufs, buf)
-					segs = append(segs, Segment{Off: off, Data: buf})
+					b.Ext = append(b.Ext, interval.Extent{Off: off, Len: 30})
+					b.Writers = append(b.Writers, 2+i)
 				}
+				var lent []borrowed
 				if log.name == "lent" {
-					c.WriteV(segs) // one canonical batch: the flush lends it on
+					lent = append(lent, lend(b))
+					c.Write(b) // one canonical batch: the flush lends it on
 				} else {
-					for _, s := range segs {
-						c.WriteAt(s.Off, s.Data)
+					for i := range b.Ext {
+						one := b.Slice(i, i+1)
+						lent = append(lent, lend(one))
+						c.Write(one)
 					}
 				}
 				dirty := c.cache.dirty
-				if lend := len(dirty) == 1 && dirty[0].Ext.IsCanonical(); lend != (log.name == "lent") {
-					t.Fatalf("log of %d batches, the first %v: lent as it stands = %v", len(dirty), dirty[0].Ext, lend)
+				if asIs := len(dirty) == 1 && dirty[0].Ext.IsCanonical(); asIs != (log.name == "lent") {
+					t.Fatalf("log of %d batches, the first %v: lent as it stands = %v", len(dirty), dirty[0].Ext, asIs)
 				}
 				c.Sync()
-				whole := interval.Extent{Off: 0, Len: 400}
-				before, _ := fs.Snapshot("f", whole)
-				for _, buf := range bufs {
-					for i := range buf {
-						buf[i] = 0xEE
-					}
+				before := image(t, fs, "f", 0, 400)
+				for _, l := range lent {
+					l.poison()
 				}
-				after, _ := fs.Snapshot("f", whole)
-				if !bytes.Equal(before, after) {
-					t.Fatal("scribbling on a caller buffer after Sync changed the file")
+				if after := image(t, fs, "f", 0, 400); after != before {
+					t.Fatalf("scribbling on the caller's lists after Sync changed the file:\n%s\n%s", before, after)
 				}
-				if bytes.Contains(after, []byte{0xEE}) || !bytes.Contains(after, []byte("dddd")) {
-					t.Fatalf("file content wrong: %q", after)
+				if !strings.Contains(before, "555555") {
+					t.Fatalf("file owners wrong: %s", before)
 				}
 			})
 		}

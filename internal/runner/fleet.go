@@ -65,17 +65,16 @@ func fleetID(e harness.Experiment) string {
 func NegativeControlCell() Cell {
 	script := fault.ServerOutage()
 	e := harness.Experiment{
-		Platform:  platform.Origin2000(),
-		M:         32,
-		N:         512,
-		Procs:     4,
-		Overlap:   4,
-		Pattern:   harness.ColumnWise,
-		Strategy:  core.Locking{},
-		Servers:   fleetServers,
-		StoreData: true,
-		Verify:    true,
-		Faults:    &script,
+		Platform: platform.Origin2000(),
+		M:        32,
+		N:        512,
+		Procs:    4,
+		Overlap:  4,
+		Pattern:  harness.ColumnWise,
+		Strategy: core.Locking{},
+		Servers:  fleetServers,
+		Verify:   true,
+		Faults:   &script,
 	}
 	return Cell{ID: fleetID(e), Experiment: e}
 }
@@ -110,18 +109,17 @@ func FleetGrid(seed uint64, cells int) []Cell {
 			WriterCrash: name == "locking" || name == "twophase",
 		})
 		e := harness.Experiment{
-			Platform:  prof,
-			M:         procs * fleetRowsPer[rng.Intn(len(fleetRowsPer))],
-			N:         fleetNs[rng.Intn(len(fleetNs))],
-			Procs:     procs,
-			Overlap:   fleetOverlaps[rng.Intn(len(fleetOverlaps))],
-			Pattern:   fleetPatterns[rng.Intn(len(fleetPatterns))],
-			Strategy:  strat,
-			Servers:   fleetServers,
-			StoreData: true,
-			Verify:    true,
-			Faults:    &script,
-			Recovery:  rng.Intn(2) == 1,
+			Platform: prof,
+			M:        procs * fleetRowsPer[rng.Intn(len(fleetRowsPer))],
+			N:        fleetNs[rng.Intn(len(fleetNs))],
+			Procs:    procs,
+			Overlap:  fleetOverlaps[rng.Intn(len(fleetOverlaps))],
+			Pattern:  fleetPatterns[rng.Intn(len(fleetPatterns))],
+			Strategy: strat,
+			Servers:  fleetServers,
+			Verify:   true,
+			Faults:   &script,
+			Recovery: rng.Intn(2) == 1,
 		}
 		out = append(out, Cell{ID: fleetID(e), Experiment: e})
 	}

@@ -57,7 +57,7 @@ func TestFleetGridShape(t *testing.T) {
 	seen := make(map[string]bool)
 	for i, c := range cells {
 		e := c.Experiment
-		if !e.Verify || !e.StoreData {
+		if !e.Verify {
 			t.Errorf("cell %d (%s) does not verify content", i, c.ID)
 		}
 		if e.Servers != fleetServers {

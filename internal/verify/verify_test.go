@@ -22,11 +22,7 @@ func write(t *testing.T, fs *pfs.FileSystem, rank int, segs ...interval.Extent) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range segs {
-		buf := make([]byte, e.Len)
-		Fill(rank, buf)
-		c.WriteAt(e.Off, buf)
-	}
+	c.Write(pfs.Batch{Ext: segs})
 }
 
 func TestMarkerAndFill(t *testing.T) {
