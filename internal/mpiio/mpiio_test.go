@@ -296,10 +296,10 @@ func TestFigure2AtomicVsNonAtomic(t *testing.T) {
 	// overlapped columns; atomic mode never does.
 	const m, n, p, r = 6, 8, 2, 2
 
-	// Part 1: non-atomic, zig-zag schedule -> interleaving. Each
-	// segment write is admitted at its own virtual instant: row i is
-	// written R0-then-R1 for even i, R1-then-R0 for odd i, so who wrote
-	// the overlapped columns last alternates from row to row.
+	// Part 1: non-atomic, zig-zag schedule -> interleaving. Each rank
+	// issues its m rows as m independent writes, and row i is admitted
+	// R0-then-R1 for even i, R1-then-R0 for odd i, so who wrote the
+	// overlapped columns last alternates from row to row.
 	fs := testFS()
 	views := make([]interval.List, p)
 	coord := des.New().NewCoord(p)
@@ -313,17 +313,16 @@ func TestFigure2AtomicVsNonAtomic(t *testing.T) {
 		f.SetView(0, datatype.Byte, piece.Filetype)
 		// MPI non-atomic mode.
 		rank := c.Rank()
-		f.Client().BeforeSegment = func(seg int) {
+		for row := range m {
 			turn := rank
-			if seg%2 == 1 {
+			if row%2 == 1 {
 				turn = 1 - rank
 			}
-			coord.Await(rank, sim.Second*sim.VTime(1+2*seg+turn))
+			coord.Await(rank, sim.Second*sim.VTime(1+2*row+turn))
+			if err := f.Write(int64(piece.Cols)); err != nil {
+				return err
+			}
 		}
-		if err := f.WriteAll(piece.BufBytes); err != nil {
-			return err
-		}
-		f.Client().BeforeSegment = nil
 		return f.Close()
 	})
 	rep, err := verify.Check(fs, "fig2.dat", views)

@@ -12,10 +12,11 @@ import (
 // request carries offsets and lengths only: a file system that stores data
 // keeps who wrote each byte, which is what verification checks. In atomic
 // mode the configured strategy guarantees MPI atomicity for overlapping
-// requests; in non-atomic mode each contiguous file segment is issued as an
-// individual request and the overlapped result is undefined (it can
-// interleave, as the paper's Figure 2 shows). Every rank of the
-// communicator must call WriteAll together; ranks may write zero bytes.
+// requests; in non-atomic mode the request goes to the file system as one
+// vectored call and the overlapped result is undefined: it interleaves, as
+// the paper's Figure 2 shows, where a process's data reaches the servers
+// in several calls. Every rank of the communicator must call WriteAll
+// together; ranks may write zero bytes.
 func (f *File) WriteAll(n int64) error {
 	if err := f.checkRequest(n); err != nil {
 		return err

@@ -187,7 +187,7 @@ func (a *assembly) source(e interval.Extent) source {
 	if j > 0 {
 		start = a.ends[j-1]
 	}
-	return source{pieces: a.pieces[start:a.ends[j]]}
+	return a.pieces[start:a.ends[j]]
 }
 
 // read charges a read of the n bytes at off through the cache: missing

@@ -54,8 +54,7 @@ type Client struct {
 	clock *sim.Clock
 	rank  int
 	cache *cache
-	loads []load     // queueServerService scratch, indexed by server
-	call  *writeCall // the store's view of the write call in progress; nil if it stores nothing
+	loads []load // queueServerService scratch, indexed by server
 
 	bytesWritten int64
 
@@ -64,16 +63,6 @@ type Client struct {
 	// must not re-enter the coordinator (the turn is what serializes
 	// atomic listio calls).
 	inAtomic bool
-
-	// BeforeSegment and AfterSegment, when non-nil, run around each
-	// extent of a write landing in the file store, by its index in the
-	// batch.
-	// Tests use them to force deterministic interleavings of concurrent
-	// non-atomic writers — the failure injection behind the Figure 2
-	// reproduction. A hook that has to wait for another client does so
-	// through the run's coordinator (Await at a chosen virtual time).
-	BeforeSegment func(segIndex int)
-	AfterSegment  func(segIndex int)
 }
 
 // Open returns a client handle for rank on the named file, creating the
@@ -84,9 +73,6 @@ func (fs *FileSystem) Open(name string, rank int, clock *sim.Clock) (*Client, er
 		return nil, err
 	}
 	c := &Client{fs: fs, f: f, clock: clock, rank: rank, loads: make([]load, fs.cfg.Servers)}
-	if f.content != nil {
-		c.call = new(writeCall)
-	}
 	if fs.cfg.Cache.Enabled {
 		c.cache = newCache(fs.cfg.Cache, fs.cfg.StoreData, rank)
 	}
@@ -140,34 +126,13 @@ func (c *Client) transferWrite(b Batch, log *assembly) {
 	// the link cost, but a down server neither stores nor serves them.
 	b = c.dropFaulted(b)
 
-	// Store who wrote each extent (per extent, so concurrent overlapping
-	// writers genuinely interleave in the file). A file that stores nothing
-	// only grows, once per batch.
-	if c.f.content != nil {
-		c.call.begin(&c.fs.cfg, b.Ext, c.rank)
-	}
-	var end int64
-	for i, e := range b.Ext {
-		if c.BeforeSegment != nil {
-			c.BeforeSegment(i)
-		}
-		switch {
-		case e.Empty():
-		case c.f.content == nil:
-			end = max(end, e.End())
-		case log != nil:
-			c.f.writeAt(c.call, e, log.source(e))
-		default:
-			c.f.writeAt(c.call, e, source{writer: b.writer(i, c.rank)})
-		}
-		if c.AfterSegment != nil {
-			c.AfterSegment(i)
-		}
-	}
-	c.f.growTo(end)
-
 	// Server-side: accumulate service per server and queue it.
 	c.queueServerService(b.Ext)
+
+	// Store who wrote each extent in the turn that booked the servers: the
+	// file's write log is then in booking order, which is the order the
+	// calls complete in on every server.
+	c.f.store(b, log, c.rank)
 }
 
 // queueServerService books per-server FCFS service for the given extents

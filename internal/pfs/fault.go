@@ -16,8 +16,7 @@ import (
 // discarded — nothing stored, no service booked — and its extent is
 // recorded in the file's damage set. The decision is a pure function of
 // the writing client's own clock and the script, so faulted runs stay
-// byte-identical across engines and across the shared and striped store
-// layouts (the drop happens before storage routing).
+// byte-identical across engines.
 //
 // Recovery is the write-ahead/replay path: with Config.WAL on, collective
 // writes log their full mapped request per rank before touching the
@@ -163,18 +162,12 @@ func (fs *FileSystem) Recover(name string) ([]int, error) {
 	}
 	sort.Ints(ranks)
 	var replayed []int
-	var call writeCall
 	for _, rank := range ranks {
 		if !intentsIntersect(f.intents[rank], damaged) {
 			continue
 		}
 		for _, b := range f.intents[rank] {
-			call.begin(&fs.cfg, b.Ext, rank)
-			for _, e := range b.Ext {
-				if !e.Empty() {
-					f.writeAt(&call, e, source{writer: rank})
-				}
-			}
+			f.store(b, nil, rank)
 		}
 		replayed = append(replayed, rank)
 	}

@@ -10,28 +10,28 @@ import (
 )
 
 // faultFS builds a 2-server round-robin file system with a small stripe
-// and the given script armed, on the shared-store oracle when shared.
-func faultFS(t *testing.T, script fault.Script, shared bool) *FileSystem {
+// and the given script armed, on the owner oracle when oracle.
+func faultFS(t *testing.T, script fault.Script, oracle bool) *FileSystem {
 	t.Helper()
 	fs := MustNew(Config{Servers: 2, StripeSize: 8, StoreData: true, WAL: true})
 	fs.SetFault(fault.New(script))
-	if shared {
-		withSharedStore(fs)
+	if oracle {
+		withOwnerOracle(fs)
 	}
 	return fs
 }
 
 // TestServerCrashDropsStripes pins the drop semantics: with server 0 down
 // forever, exactly the stripes homed on server 0 are owned by nobody and
-// appear in the damage set, for both store layouts.
+// appear in the damage set, on the write log and on the owner oracle.
 func TestServerCrashDropsStripes(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		fs := faultFS(t, fault.ServerOutage(), shared)
+	for _, oracle := range []bool{false, true} {
+		fs := faultFS(t, fault.ServerOutage(), oracle)
 		c, _ := fs.Open("f", 0, sim.NewClock(0))
 		writeAt(c, 0, 32) // 4 stripes: s0 s1 s0 s1
 		// Stripes 1 and 3 → server 1.
 		if got, want := image(t, fs, "f", 0, 32), "........00000000........00000000"; got != want {
-			t.Errorf("shared=%v: owners = %q, want %q", shared, got, want)
+			t.Errorf("oracle=%v: owners = %q, want %q", oracle, got, want)
 		}
 
 		damaged, err := fs.Damaged("f")
@@ -40,7 +40,7 @@ func TestServerCrashDropsStripes(t *testing.T) {
 		}
 		wantDamage := interval.List{{Off: 0, Len: 8}, {Off: 16, Len: 8}}
 		if !reflect.DeepEqual(damaged, wantDamage) {
-			t.Errorf("shared=%v: damage = %v, want %v", shared, damaged, wantDamage)
+			t.Errorf("oracle=%v: damage = %v, want %v", oracle, damaged, wantDamage)
 		}
 	}
 }

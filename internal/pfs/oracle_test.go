@@ -1,11 +1,11 @@
 package pfs
 
-// Property tests pinning the per-server striped store to the owner oracle:
-// a flat array of each byte's writer, which every server writes into. On
-// any configuration the two layouts must be observably identical — same
-// owners, same file sizes, and byte-identical virtual clocks after every
-// operation — through server crashes, write-ahead replay, write-behind logs
-// whose pieces overlap, and batches naming other ranks as writers.
+// Property tests pinning the write log to the owner oracle: a flat array
+// of each byte's writer. On any configuration the two must be observably
+// identical — same owners, same file sizes, and byte-identical virtual
+// clocks after every operation — through server crashes, write-ahead
+// replay, write-behind logs whose pieces overlap, and batches naming other
+// ranks as writers.
 
 import (
 	"fmt"
@@ -20,30 +20,28 @@ import (
 	"atomio/internal/sim/fault"
 )
 
-// sharedStore is the owner oracle: one flat array of the rank whose data
-// each byte is, every server writing into it, and the set of bytes ever
-// written. Two writes to the same bytes land in arrival order, so
-// overlapping segment writes from different ranks genuinely interleave.
-// The striped layout must agree with it on every configuration: stripes
-// partition the byte space, and records replay in global write order.
-type sharedStore struct {
+// ownerOracle is the owner oracle: one flat array of the rank whose data
+// each byte is, and the set of bytes ever written. Each run overwrites the
+// bytes it covers as it is stored, so a call's overlapping runs and later
+// calls land in the order they are stored.
+type ownerOracle struct {
 	writer  []int
 	written index.Set
 }
 
-func (s *sharedStore) write(_ *writeCall, e interval.Extent, src source) {
-	if grow := int(e.End()) - len(s.writer); grow > 0 {
+func (s *ownerOracle) open(int) {}
+
+func (s *ownerOracle) put(run interval.Extent, writer int) {
+	if grow := int(run.End()) - len(s.writer); grow > 0 {
 		s.writer = append(s.writer, make([]int, grow)...)
 	}
-	s.written.Add(e)
-	src.each(e, func(run interval.Extent, writer int) {
-		for off := run.Off; off < run.End(); off++ {
-			s.writer[off] = writer
-		}
-	})
+	s.written.Add(run)
+	for off := run.Off; off < run.End(); off++ {
+		s.writer[off] = writer
+	}
 }
 
-func (s *sharedStore) owners() []index.Owned {
+func (s *ownerOracle) owners() []index.Owned {
 	var out []index.Owned
 	for _, e := range s.written.Extents() {
 		for off := e.Off; off < e.End(); off++ {
@@ -57,16 +55,16 @@ func (s *sharedStore) owners() []index.Owned {
 	return out
 }
 
-// withSharedStore gives fs's file "f" — the one file the oracle tests
-// use — the shared-store layout, before anything opens it.
-func withSharedStore(fs *FileSystem) *FileSystem {
-	fs.files["f"] = &file{name: "f", content: &sharedStore{}}
+// withOwnerOracle gives fs's file "f" — the one file the oracle tests
+// use — the owner oracle for its content, before anything opens it.
+func withOwnerOracle(fs *FileSystem) *FileSystem {
+	fs.files["f"] = &file{name: "f", content: &ownerOracle{}}
 	return fs
 }
 
-// oraclePair builds the same file system twice: once on per-server stores,
-// once on the shared-store oracle layout.
-func oraclePair(servers int, mode StripeMode) (striped, shared *FileSystem) {
+// oraclePair builds the same file system twice: once on the write log, once
+// on the owner oracle.
+func oraclePair(servers int, mode StripeMode) (logged, oracle *FileSystem) {
 	cfg := Config{
 		Servers:      servers,
 		StripeSize:   16,
@@ -77,15 +75,15 @@ func oraclePair(servers int, mode StripeMode) (striped, shared *FileSystem) {
 		StoreData:    true,
 		AtomicListIO: true,
 	}
-	return MustNew(cfg), withSharedStore(MustNew(cfg))
+	return MustNew(cfg), withOwnerOracle(MustNew(cfg))
 }
 
-// TestStripedStoreMatchesSharedOracle drives randomized read/write/listio
-// workloads from several client ranks through both layouts for servers ∈
+// TestStoreMatchesOwnerOracle drives randomized read/write/listio
+// workloads from several client ranks through both stores for servers ∈
 // {1, 4, 7} × both stripe modes, comparing every observable; then random
 // scenarios with crashes, replay and write-behind logs (see
 // randomScenario).
-func TestStripedStoreMatchesSharedOracle(t *testing.T) {
+func TestStoreMatchesOwnerOracle(t *testing.T) {
 	const (
 		ranks = 5
 		span  = 2000
@@ -147,19 +145,19 @@ func TestStripedStoreMatchesSharedOracle(t *testing.T) {
 						cO[r].Write(b)
 					}
 					if clkS[r].Now() != clkO[r].Now() {
-						t.Fatalf("op %d: rank %d clocks diverged: striped %v, shared %v",
+						t.Fatalf("op %d: rank %d clocks diverged: log %v, oracle %v",
 							op, r, clkS[r].Now(), clkO[r].Now())
 					}
 				}
 				ownS, _ := fsS.Owners("f")
 				ownO, _ := fsO.Owners("f")
 				if !reflect.DeepEqual(ownS, ownO) {
-					t.Fatalf("owners differ:\nstriped %v\nshared  %v", ownS, ownO)
+					t.Fatalf("owners differ:\nlog    %v\noracle %v", ownS, ownO)
 				}
 				sizeS, _ := fsS.FileSize("f")
 				sizeO, _ := fsO.FileSize("f")
 				if sizeS != sizeO {
-					t.Fatalf("file sizes differ: striped %d, shared %d", sizeS, sizeO)
+					t.Fatalf("file sizes differ: log %d, oracle %d", sizeS, sizeO)
 				}
 			})
 		}
@@ -182,7 +180,7 @@ func TestStripedStoreMatchesSharedOracle(t *testing.T) {
 // servers and through write-behind logs whose pieces overlap, a third of
 // them naming other ranks in Writers as an aggregator's do — in either
 // stripe mode, with a server crash dropping the pieces routed to it and the
-// write-ahead log replayed over the damage, on both layouts. They must
+// write-ahead log replayed over the damage, on both stores. They must
 // agree on who wrote each byte, on the file size and on every clock. It
 // returns which of the cached and crash cases the seed drew.
 func randomScenario(t *testing.T, seed int64) string {
@@ -207,7 +205,7 @@ func randomScenario(t *testing.T, seed int64) string {
 		from := sim.VTime(rnd.Intn(3)) * sim.Millisecond
 		script.Events = []fault.Event{{Kind: fault.ServerCrash, Server: rnd.Intn(servers), From: from, Until: from + sim.Millisecond}}
 	}
-	fss := [2]*FileSystem{MustNew(cfg), withSharedStore(MustNew(cfg))} // striped, oracle
+	fss := [2]*FileSystem{MustNew(cfg), withOwnerOracle(MustNew(cfg))} // log, oracle
 	clients := make([][2]*Client, p)
 	clocks := make([][2]*sim.Clock, p)
 	for i, fs := range fss {
@@ -276,20 +274,19 @@ func randomScenario(t *testing.T, seed int64) string {
 		sizes[i], _ = fs.FileSize("f")
 	}
 	if !reflect.DeepEqual(owners[0], owners[1]) || sizes[0] != sizes[1] {
-		t.Fatalf("%s: owners differ:\nstriped %v (size %d)\noracle  %v (size %d)", name, owners[0], sizes[0], owners[1], sizes[1])
+		t.Fatalf("%s: owners differ:\nlog    %v (size %d)\noracle %v (size %d)", name, owners[0], sizes[0], owners[1], sizes[1])
 	}
 	for rank := range clocks {
 		if clocks[rank][0].Now() != clocks[rank][1].Now() {
-			t.Fatalf("%s: rank %d clocks diverged: %v striped, %v oracle", name, rank, clocks[rank][0].Now(), clocks[rank][1].Now())
+			t.Fatalf("%s: rank %d clocks diverged: %v log, %v oracle", name, rank, clocks[rank][0].Now(), clocks[rank][1].Now())
 		}
 	}
 	return fmt.Sprintf("cached=%v/crash=%v", cached, crash)
 }
 
-// TestAffinityOverwriteAcrossServers pins the cross-server merge: in
-// affinity mode two ranks on different servers write the same range, and
-// the later write must own it even though both records exist on different
-// servers' stores.
+// TestAffinityOverwriteAcrossServers: in affinity mode two ranks on
+// different servers write the same range, and the later write owns it
+// although no server queue holds both.
 func TestAffinityOverwriteAcrossServers(t *testing.T) {
 	fsS, fsO := oraclePair(4, ClientAffinity)
 	for i, fs := range []*FileSystem{fsS, fsO} {
@@ -302,31 +299,15 @@ func TestAffinityOverwriteAcrossServers(t *testing.T) {
 		// c0's later write, [16,18) from c0's first write.
 		const want = ".00110000."
 		if got := image(t, fs, "f", 9, 10); got != want {
-			t.Fatalf("shared=%v: owners = %q, want %q", i == 1, got, want)
+			t.Fatalf("oracle=%v: owners = %q, want %q", i == 1, got, want)
 		}
 	}
 }
 
-// TestRoundRobinStripesPartitionServers pins storage routing: with the
-// striped layout each server's store holds exactly the stripes the
-// round-robin map assigns it.
-func TestRoundRobinStripesPartitionServers(t *testing.T) {
-	fs := MustNew(Config{Servers: 4, StripeSize: 16, StoreData: true})
-	c, _ := fs.Open("f", 0, sim.NewClock(0))
-	writeAt(c, 0, 64) // one full stripe per server
-	st := fs.files["f"].content.(*stripedStore)
-	for i, recs := range st.servers {
-		want := interval.List{{Off: int64(i) * 16, Len: 16}}
-		if len(recs) != 1 || !recs[0].ext.Equal(want) {
-			t.Fatalf("server %d stores %d records, want one of %v", i, len(recs), want)
-		}
-	}
-}
-
-// TestStoredWriteAllocatesPerRecord pins the record layout's bookkeeping: a
-// stored write allocates a constant number of objects per (call, server) —
-// the record and its lists, each at its size — so a batch of 4096 extents,
-// spread over every server, allocates as many as a batch of 16.
+// TestStoredWriteAllocatesPerRecord pins the log's bookkeeping: a stored
+// write allocates a constant number of objects per call — its record's
+// lists, each at its size — so a batch of 4096 extents, spread over every
+// server, allocates as many as a batch of 16.
 func TestStoredWriteAllocatesPerRecord(t *testing.T) {
 	for _, mode := range []StripeMode{RoundRobin, ClientAffinity} {
 		allocs := func(extents int) float64 {

@@ -308,6 +308,19 @@ func (c *Config) tally(loads []load, ext interval.List, rank int) {
 	}
 }
 
+// eachStripePiece splits [off, off+n) at stripe boundaries and calls f with
+// each piece and its round-robin home server. It is the one definition of
+// the stripe→server map, shared by queue routing (tally) and the fault
+// filter (dropFaulted) — the two must never diverge.
+func eachStripePiece(stripe int64, servers int, off, n int64, f func(server int, off, n int64)) {
+	for n > 0 {
+		take := min(n, stripe-off%stripe)
+		f(int((off/stripe)%int64(servers)), off, take)
+		off += take
+		n -= take
+	}
+}
+
 // serverModel returns the service cost model of one server — the uniform
 // ServerModel unless the server is degraded.
 func (fs *FileSystem) serverModel(server int) sim.LinearCost {

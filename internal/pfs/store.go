@@ -3,25 +3,25 @@ package pfs
 import (
 	"cmp"
 	"slices"
+	"sort"
 
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
 	"atomio/internal/sim"
 )
 
-// content is the storage layer of one file — who wrote each byte:
-// stripedStore, in which each simulated I/O server keeps its own write
-// records (see striped.go). The pfs tests pin it against a second
-// implementation, a flat array of each byte's writer: on any healthy
-// configuration the owners are identical.
+// content is the storage layer of one file — who wrote each byte: a
+// writeLog in production. The pfs tests pin it against a second
+// implementation, a flat array of each byte's writer: on any configuration
+// the owners are identical.
 type content interface {
-	write(call *writeCall, e interval.Extent, src source) // e's writer, from src, as the call's next extent
-	owners() []index.Owned                                // file-ordered runs of the rank that wrote last
+	open(runs int)                       // starts the next call's writes, about runs of them
+	put(run interval.Extent, writer int) // run is writer's, as the call's next run
+	owners() []index.Owned               // file-ordered runs of the rank that wrote last
 }
 
 // file is one file's server-side state: its size, its content store (nil for
-// data-less runs), and the atomic-listio serialization point. Which content
-// layout backs it is decided by the file system's configuration.
+// data-less runs), and the atomic-listio serialization point.
 type file struct {
 	name    string
 	size    int64
@@ -38,11 +38,12 @@ type file struct {
 	intents map[int][]Batch
 }
 
-// newFile creates a file backed by the configured store layout.
+// newFile creates a file that keeps a write log if the file system stores
+// data.
 func (fs *FileSystem) newFile(name string) *file {
 	f := &file{name: name}
 	if fs.cfg.StoreData {
-		f.content = &stripedStore{cfg: fs.cfg, servers: make([][]*record, fs.cfg.Servers)}
+		f.content = new(writeLog)
 	}
 	return f
 }
@@ -52,22 +53,14 @@ func (f *file) growTo(end int64) {
 	f.size = max(f.size, end)
 }
 
-// source is whose data a stored extent is: writer's, or — for a
-// write-behind flush — that of the logged pieces of the coalesced extent
-// that holds it, in write order.
-type source struct {
-	writer int
-	pieces []piece
-}
+// source is where a flushed extent is stored from: the logged pieces of
+// the coalesced extent that holds it, in write order.
+type source []piece
 
 // each calls f with the runs of e in ascending file order and the rank
 // whose data each is. Where logged pieces overlap, the run is cut from the
 // one written last: a flush stores what its client wrote last.
 func (s source) each(e interval.Extent, f func(run interval.Extent, writer int)) {
-	if s.pieces == nil {
-		f(e, s.writer)
-		return
-	}
 	clip := func(p piece) interval.Extent {
 		return e.Intersect(interval.Extent{Off: p.off, Len: p.n})
 	}
@@ -77,11 +70,11 @@ func (s source) each(e interval.Extent, f func(run interval.Extent, writer int))
 		}
 	}
 	ascending := true
-	for k := 1; k < len(s.pieces); k++ {
-		ascending = ascending && s.pieces[k-1].off+s.pieces[k-1].n <= s.pieces[k].off
+	for k := 1; k < len(s); k++ {
+		ascending = ascending && s[k-1].off+s[k-1].n <= s[k].off
 	}
 	if ascending {
-		for _, p := range s.pieces {
+		for _, p := range s {
 			emit(clip(p), p)
 		}
 		return
@@ -89,9 +82,9 @@ func (s source) each(e interval.Extent, f func(run interval.Extent, writer int))
 	// Later pieces win: walk them newest first, each keeping what no later
 	// one covers, then store the runs kept in file order.
 	var covered index.Set
-	runs := make([]index.Owned, 0, len(s.pieces)) // a run and the piece it is cut from
-	for k := len(s.pieces) - 1; k >= 0; k-- {
-		run := clip(s.pieces[k])
+	runs := make([]index.Owned, 0, len(s)) // a run and the piece it is cut from
+	for k := len(s) - 1; k >= 0; k-- {
+		run := clip(s[k])
 		covered.Visit(run, func(part interval.Extent, done bool) bool {
 			if !done {
 				runs = append(runs, index.Owned{Extent: part, Rank: k})
@@ -102,19 +95,105 @@ func (s source) each(e interval.Extent, f func(run interval.Extent, writer int))
 	}
 	slices.SortFunc(runs, func(a, b index.Owned) int { return cmp.Compare(a.Off, b.Off) })
 	for _, run := range runs {
-		emit(run.Extent, s.pieces[run.Rank])
+		emit(run.Extent, s[run.Rank])
 	}
 }
 
-// writeAt stores e, from src, as the call's next extent and extends the
-// file size. A file without a content store only grows; one with a store
-// keeps who wrote e.
-func (f *file) writeAt(call *writeCall, e interval.Extent, src source) {
-	f.growTo(e.End())
-	if f.content == nil || e.Empty() {
+// store writes b as client rank's call and extends the file size; a
+// write-behind flush passes the log its coalesced extents are assembled
+// from. A file without a content store only grows; one with a store keeps
+// who wrote each extent, in one record per call.
+func (f *file) store(b Batch, log *assembly, rank int) {
+	if f.content != nil {
+		runs := len(b.Ext)
+		if log != nil {
+			runs = len(log.pieces)
+		}
+		f.content.open(runs)
+	}
+	for i, e := range b.Ext {
+		if e.Empty() {
+			continue
+		}
+		f.growTo(e.End())
+		switch {
+		case f.content == nil:
+		case log != nil:
+			log.source(e).each(e, f.content.put)
+		default:
+			f.content.put(e, b.writer(i, rank))
+		}
+	}
+}
+
+// record is one write call's runs in file order and the rank each run's
+// data is from — the client's own, or the ones an aggregator names
+// (Batch.Writers).
+type record struct {
+	ext     interval.List // ascending, disjoint
+	writers []int         // the rank whose data each extent is
+}
+
+// writeLog is the append-only log of a file's write records, in the order
+// their calls booked the servers. Every server is a FCFS queue and a call
+// books all of its servers in one coordinator turn, so that is the order
+// the calls complete in on every server they share: where records overlap,
+// the later one owns the file's bytes.
+type writeLog []record
+
+func (l *writeLog) open(runs int) {
+	*l = append(*l, record{ext: make(interval.List, 0, runs), writers: make([]int, 0, runs)})
+}
+
+// put appends run to the newest record, or — if run does not ascend past
+// its last extent — to a new record after it, so a call's overlapping runs
+// land in the order it wrote them. Only the newest record grows, so the
+// new one takes the room the call's record has left.
+func (l *writeLog) put(run interval.Extent, writer int) {
+	r := &(*l)[len(*l)-1]
+	k := len(r.ext) - 1
+	switch {
+	case k < 0:
+	case r.ext[k].End() > run.Off:
+		*l = append(*l, record{ext: r.ext[k+1:], writers: r.writers[k+1:]})
+		r = &(*l)[len(*l)-1]
+	case r.ext[k].End() == run.Off && r.writers[k] == writer:
+		r.ext[k].Len += run.Len
 		return
 	}
-	f.content.write(call, e, src)
+	r.ext = append(r.ext, run)
+	r.writers = append(r.writers, writer)
+}
+
+// each calls f with every extent of r that overlaps q and the index of the
+// extent, found by binary search.
+func (r *record) each(q interval.Extent, f func(i int, part interval.Extent)) {
+	for i := sort.Search(len(r.ext), func(i int) bool { return r.ext[i].End() > q.Off }); i < len(r.ext) && r.ext[i].Off < q.End(); i++ {
+		f(i, r.ext[i].Intersect(q))
+	}
+}
+
+// owners is index.Winners over the log — the latest record holding a byte
+// owns it — with each run handed to the writers of the record's extents it
+// spans, and touching runs of one rank joined.
+func (l *writeLog) owners() []index.Owned {
+	lists := make([]interval.List, len(*l))
+	for i, r := range *l {
+		lists[i] = r.ext
+	}
+	runs := index.Winners(lists)
+	out := make([]index.Owned, 0, len(runs))
+	for _, run := range runs {
+		r := &(*l)[run.Rank]
+		r.each(run.Extent, func(i int, part interval.Extent) {
+			if n := len(out); n > 0 && out[n-1].Rank == r.writers[i] && out[n-1].End() == part.Off {
+				out[n-1].Len += part.Len
+				return
+			}
+			out = append(out, index.Owned{Extent: part, Rank: r.writers[i]})
+		})
+	}
+	return out
 }
 
 // Owners returns who wrote the named file: its stored bytes as file-ordered
