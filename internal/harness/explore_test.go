@@ -215,9 +215,9 @@ func pinIdentity(t *testing.T, e Experiment) (identity schedule, want *Result) {
 // in file order. The atoms are the same in every schedule of a cell — the
 // views fix them — so the ranks alone tell outcomes apart.
 func winners(r *Result) string {
-	b := make([]byte, len(r.Report.WinnerByRegion))
-	for i, w := range r.Report.WinnerByRegion {
-		b[i] = byte(w.Rank)
+	b := make([]byte, len(r.Report.Winners))
+	for i, w := range r.Report.Winners {
+		b[i] = byte(w)
 	}
 	return string(b)
 }

@@ -6,6 +6,7 @@ import (
 
 	"atomio/internal/core"
 	"atomio/internal/harness"
+	"atomio/internal/interval/index"
 	"atomio/internal/platform"
 	"atomio/internal/verify"
 )
@@ -80,25 +81,37 @@ func TestStoredCellAllocatesWhatItStores(t *testing.T) {
 func TestStoredCellPastMarkerWrap(t *testing.T) {
 	const m, p, w, r = 2, 1024, 4, 2
 	for _, s := range []core.Strategy{core.Locking{}, core.Coloring{}, core.RankOrder{}, core.TwoPhase{}, core.ListIO{}} {
-		res, err := harness.Experiment{
+		e := harness.Experiment{
 			Platform: platform.IBMSP(),
 			M:        m, N: p * w, Procs: p, Overlap: r,
 			Pattern:  harness.ColumnWise,
 			Strategy: s,
 			Verify:   true,
-		}.Run()
+		}
+		res, err := e.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Verdict != verify.Serializable || len(res.Report.WinnerByRegion) != m*(p-1) {
-			t.Fatalf("%s: verdict %q with %d clean atoms, want %d", s.Name(), res.Verdict, len(res.Report.WinnerByRegion), m*(p-1))
+		won := res.Report.Winners
+		if res.Verdict != verify.Serializable || len(won) != m*(p-1) {
+			t.Fatalf("%s: verdict %q with %d clean atoms, want %d", s.Name(), res.Verdict, len(won), m*(p-1))
 		}
+		views, err := e.Views()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A serializable report's winners are those of the views' atoms.
 		rankOrder := s.Name() == "ordering" || s.Name() == "twophase"
-		for _, won := range res.Report.WinnerByRegion {
-			high := int(won.Off%(p*w)+r/2) / w // the columns of ranks high-1 and high meet here
-			if won.Rank != high && (rankOrder || won.Rank != high-1) {
-				t.Fatalf("%s: atom %v won by rank %d, between ranks %d and %d", s.Name(), won.Extent, won.Rank, high-1, high)
+		atoms := index.NewAtoms(views)
+		for i := range won {
+			atom, _, _ := atoms.Next()
+			high := int(atom.Off%(p*w)+r/2) / w // the columns of ranks high-1 and high meet here
+			if rank := int(won[i]); rank != high && (rankOrder || rank != high-1) {
+				t.Fatalf("%s: atom %v won by rank %d, between ranks %d and %d", s.Name(), atom, rank, high-1, high)
 			}
+		}
+		if _, _, more := atoms.Next(); more {
+			t.Fatalf("%s: more atoms than winners", s.Name())
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // stabbing and range-overlap queries (Index), a streamed k-way sweep-line
 // that computes the pairwise overlaps, ownership or atoms of many extent
 // lists in one pass and O(P) state (SweepOverlaps, Winners/ClipAll,
-// SweepAtoms), and a coverage set that appends on Add and sorts on read
+// Atoms), and a coverage set that appends on Add and sorts on read
 // (Set).
 //
 // Every conflict-answering layer of the repository queries byte ranges —

@@ -254,10 +254,10 @@ func TestSweepAtomsMatchesByteModel(t *testing.T) {
 			}
 		}
 		var got []atom
-		SweepAtoms(views, func(e interval.Extent, writers []int) bool {
+		atoms := NewAtoms(views)
+		for e, writers, ok := atoms.Next(); ok; e, writers, ok = atoms.Next() {
 			got = append(got, atom{e, slices.Clone(writers)})
-			return true
-		})
+		}
 		if !slices.EqualFunc(got, want, func(a, b atom) bool { return a.e == b.e && slices.Equal(a.writers, b.writers) }) {
 			t.Fatalf("round %d: atoms\n%v\nwant\n%v\nviews=%v", round, got, want, views)
 		}
@@ -281,7 +281,7 @@ func allocated(f func()) uint64 {
 }
 
 // TestSweepScratchIsIndependentOfExtentCount holds the sweep's memory: with
-// P fixed, 64 times the extents cost SweepOverlaps and SweepAtoms no more
+// P fixed, 64 times the extents cost SweepOverlaps and Atoms no more
 // bytes, and ClipAll and Winners only their output.
 func TestSweepScratchIsIndependentOfExtentCount(t *testing.T) {
 	const p = 16
@@ -292,8 +292,11 @@ func TestSweepScratchIsIndependentOfExtentCount(t *testing.T) {
 		perRun uintptr // output bytes per run of the ownership map: not scratch
 	}{
 		{"SweepOverlaps", func(v []interval.List) { sink = SweepOverlaps(v) }, 0},
-		{"SweepAtoms", func(v []interval.List) {
-			sink = SweepAtoms(v, func(interval.Extent, []int) bool { return true })
+		{"Atoms", func(v []interval.List) {
+			atoms := NewAtoms(v)
+			for _, _, ok := atoms.Next(); ok; _, _, ok = atoms.Next() {
+			}
+			sink = atoms
 		}, 0},
 		{"ClipAll", func(v []interval.List) { sink = ClipAll(v) }, unsafe.Sizeof(interval.Extent{})},
 		{"Winners", func(v []interval.List) { sink = Winners(v) }, unsafe.Sizeof(Owned{})},

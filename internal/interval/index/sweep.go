@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -124,6 +125,9 @@ type Owned struct {
 	Rank int
 }
 
+// String renders the run as its extent and rank, "[off,end)=rank".
+func (o Owned) String() string { return fmt.Sprintf("%v=%d", o.Extent, o.Rank) }
+
 // winners is the highest-rank-wins rule of the paper's §3.3.2, the one
 // implementation behind Winners and ClipAll: it partitions the union of the
 // views into maximal runs over which one rank is the highest writer and
@@ -159,6 +163,11 @@ func (m *merger) winners(emit func(run interval.Extent, rank int)) {
 	settle(math.MaxInt64)
 }
 
+// EachWinner streams the runs of Winners to emit, without building the list.
+func EachWinner(views []interval.List, emit func(run interval.Extent, rank int)) {
+	newMerger(views).winners(emit)
+}
+
 // Winners computes the offset-sorted, coalesced map of who owns which bytes
 // under the highest-rank-wins rule: every byte any view covers appears in
 // exactly one run, owned by the highest rank whose view covers it.
@@ -184,42 +193,50 @@ func ClipAll(views []interval.List) []interval.List {
 	return out
 }
 
-// SweepAtoms partitions the bytes that two or more of the lists cover into
-// atoms — the pieces between neighbouring endpoints, over each of which the
-// covering set is constant — and visits them in file order with the
-// covering lists' positions in ascending order. The slice is reused from
-// one call to the next: a visitor that keeps it copies it. The visitor
-// returns false to stop early; SweepAtoms reports whether the walk ran to
-// completion.
-func SweepAtoms(lists []interval.List, visit func(atom interval.Extent, covering []int) bool) bool {
-	var active []int                   // ascending
-	endOf := make([]int64, len(lists)) // end of each list's latest extent
-	pos := int64(0)                    // every atom before pos has been visited
-	// advance visits the atoms in [pos, upto), closing extents on the way.
-	advance := func(upto int64) bool {
-		for pos < upto && len(active) > 0 {
+// Atoms is a pull cursor over the atoms of extent lists: the pieces
+// between neighbouring endpoints of the bytes two or more lists cover, over
+// each of which the covering set is constant, in file order. It holds O(P)
+// state, whatever the number of extents.
+type Atoms struct {
+	m      *merger
+	active []int   // the lists open at pos, ascending
+	endOf  []int64 // end of each list's latest extent
+	pos    int64   // every atom before pos has been yielded
+}
+
+// NewAtoms returns a cursor over the atoms of lists.
+func NewAtoms(lists []interval.List) *Atoms {
+	return &Atoms{m: newMerger(lists), active: make([]int, 0, len(lists)), endOf: make([]int64, len(lists))}
+}
+
+// Next returns the next atom and the positions of the lists that cover
+// it, ascending, or false once the atoms are exhausted. The slice is
+// reused by the next call: a caller that keeps it copies it.
+func (a *Atoms) Next() (atom interval.Extent, covering []int, ok bool) {
+	for {
+		a.active = slices.DeleteFunc(a.active, func(j int) bool { return a.endOf[j] <= a.pos })
+		upto := int64(math.MaxInt64) // where the next extent opens
+		if a.m.left > 0 {
+			upto = a.m.head[a.m.tree[1]]
+		}
+		if len(a.active) > 0 && a.pos < upto {
 			cut := upto
-			for _, j := range active {
-				cut = min(cut, endOf[j])
+			for _, j := range a.active {
+				cut = min(cut, a.endOf[j])
 			}
-			if len(active) >= 2 && !visit(interval.Extent{Off: pos, Len: cut - pos}, active) {
-				return false
+			atom, a.pos = interval.Extent{Off: a.pos, Len: cut - a.pos}, cut
+			if len(a.active) >= 2 {
+				return atom, a.active, true
 			}
-			active = slices.DeleteFunc(active, func(j int) bool { return endOf[j] <= cut })
-			pos = cut
+			continue
 		}
-		pos = upto
-		return true
-	}
-	for m := newMerger(lists); m.left > 0; {
-		e, id := m.next()
-		if !advance(e.Off) {
-			return false
+		if a.m.left == 0 {
+			return interval.Extent{}, nil, false
 		}
+		e, id := a.m.next()
 		// A normalized list has one extent open at a time, so id is absent.
-		at, _ := slices.BinarySearch(active, id)
-		active = slices.Insert(active, at, id)
-		endOf[id] = e.End()
+		at, _ := slices.BinarySearch(a.active, id)
+		a.active = slices.Insert(a.active, at, id)
+		a.endOf[id], a.pos = e.End(), e.Off
 	}
-	return advance(math.MaxInt64)
 }

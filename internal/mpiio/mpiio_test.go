@@ -8,6 +8,7 @@ import (
 	"atomio/internal/core"
 	"atomio/internal/datatype"
 	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 	"atomio/internal/lock"
 	"atomio/internal/mpi"
 	"atomio/internal/pfs"
@@ -189,16 +190,22 @@ func TestRankOrderingHighestRankWins(t *testing.T) {
 			if !rep.Atomic() {
 				t.Fatalf("violations: %v", rep.Violations)
 			}
-			for _, won := range rep.WinnerByRegion {
+			// An atomic report's winners are those of the views' atoms.
+			atoms := index.NewAtoms(views)
+			for _, won := range rep.Winners {
+				atom, _, _ := atoms.Next()
 				max := -1
 				for rank, v := range views {
-					if v.ContainsOffset(won.Off) && rank > max {
+					if v.ContainsOffset(atom.Off) && rank > max {
 						max = rank
 					}
 				}
-				if won.Rank != max {
-					t.Fatalf("region %v won by %d, want highest rank %d", won.Extent, won.Rank, max)
+				if int(won) != max {
+					t.Fatalf("region %v won by %d, want highest rank %d", atom, won, max)
 				}
+			}
+			if _, _, more := atoms.Next(); more {
+				t.Fatal("more atoms than winners")
 			}
 		})
 	}

@@ -14,10 +14,10 @@ import (
 // keeps who wrote each byte; no byte of content travels.
 //
 // A batch is lent, not copied: its lists stay the caller's and are
-// read-only to pfs. Handed to Write on a write-behind client they are
-// borrowed until the client's next Sync or Close returns, after which the
-// store holds its own records; anywhere else the loan ends when the call
-// returns.
+// read-only to pfs, and the caller never writes a list it has lent. A
+// storing file system keeps a canonical Ext of the client's own extents
+// as the call's record; any other list it copies, by the time the call
+// returns — on a write-behind client, its next Sync or Close.
 type Batch struct {
 	Ext interval.List
 	// Writers, when non-nil, names for each extent the rank whose data it

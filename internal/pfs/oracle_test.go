@@ -41,18 +41,29 @@ func (s *ownerOracle) put(run interval.Extent, writer int) {
 	}
 }
 
-func (s *ownerOracle) owners() []index.Owned {
-	var out []index.Owned
+func (s *ownerOracle) lend(ext interval.List, writer int) {
+	for _, e := range ext {
+		s.put(e, writer)
+	}
+}
+
+func (s *ownerOracle) owners(visit func(run interval.Extent, rank int)) {
+	var cur index.Owned // the run being joined
 	for _, e := range s.written.Extents() {
 		for off := e.Off; off < e.End(); off++ {
-			if n := len(out); n > 0 && out[n-1].End() == off && out[n-1].Rank == s.writer[off] {
-				out[n-1].Len++
+			if !cur.Empty() && cur.End() == off && cur.Rank == s.writer[off] {
+				cur.Len++
 				continue
 			}
-			out = append(out, index.Owned{Extent: interval.Extent{Off: off, Len: 1}, Rank: s.writer[off]})
+			if !cur.Empty() {
+				visit(cur.Extent, cur.Rank)
+			}
+			cur = index.Owned{Extent: interval.Extent{Off: off, Len: 1}, Rank: s.writer[off]}
 		}
 	}
-	return out
+	if !cur.Empty() {
+		visit(cur.Extent, cur.Rank)
+	}
 }
 
 // withOwnerOracle gives fs's file "f" — the one file the oracle tests
@@ -305,18 +316,25 @@ func TestAffinityOverwriteAcrossServers(t *testing.T) {
 }
 
 // TestStoredWriteAllocatesPerRecord pins the log's bookkeeping: a stored
-// write allocates a constant number of objects per call — its record's
-// lists, each at its size — so a batch of 4096 extents, spread over every
-// server, allocates as many as a batch of 16.
+// write allocates a constant number of objects per call — a copied
+// record's lists, each at its size — so a batch of 4096 extents, spread over
+// every server, allocates as many as a batch of 16, whether it names its
+// writers (copied) or is the client's own canonical list (lent to the log
+// as its record). A lent record costs nothing beyond the log itself: at
+// most two objects more than the same write to a file system that stores
+// nothing.
 func TestStoredWriteAllocatesPerRecord(t *testing.T) {
 	for _, mode := range []StripeMode{RoundRobin, ClientAffinity} {
-		allocs := func(extents int) float64 {
+		allocs := func(extents int, named, store bool) float64 {
 			b := Batch{Ext: make(interval.List, extents)}
 			for i := range b.Ext {
 				b.Ext[i] = interval.Extent{Off: int64(i) * 40, Len: 8}
 			}
+			if named {
+				b.Writers = make([]int, extents)
+			}
 			return testing.AllocsPerRun(100, func() {
-				fs := MustNew(Config{Servers: 4, StripeSize: 16, Mode: mode, StoreData: true})
+				fs := MustNew(Config{Servers: 4, StripeSize: 16, Mode: mode, StoreData: store})
 				c, _ := fs.Open("f", 1, sim.NewClock(0))
 				c.Write(b)
 			})
@@ -324,8 +342,13 @@ func TestStoredWriteAllocatesPerRecord(t *testing.T) {
 		// One object either way is slack for the race detector's runtime,
 		// which allocates differently for large objects; a per-extent or
 		// per-growth allocation would show as thousands or a dozen.
-		if small, large := allocs(16), allocs(4096); math.Abs(small-large) > 1 {
-			t.Errorf("%s: a stored write of 16 extents allocates %v objects, of 4096 extents %v", mode, small, large)
+		for _, named := range []bool{false, true} {
+			if small, large := allocs(16, named, true), allocs(4096, named, true); math.Abs(small-large) > 1 {
+				t.Errorf("%s: a stored write of 16 extents (writers named: %v) allocates %v objects, of 4096 extents %v", mode, named, small, large)
+			}
+		}
+		if lent, plain := allocs(4096, false, true), allocs(4096, false, false); lent-plain > 2 {
+			t.Errorf("%s: a lent write allocates %v objects stored, %v unstored", mode, lent, plain)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package pfs
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
@@ -15,9 +14,10 @@ import (
 // implementation, a flat array of each byte's writer: on any configuration
 // the owners are identical.
 type content interface {
-	open(runs int)                       // starts the next call's writes, about runs of them
-	put(run interval.Extent, writer int) // run is writer's, as the call's next run
-	owners() []index.Owned               // file-ordered runs of the rank that wrote last
+	open(runs int)                                    // starts the next call's writes, about runs of them
+	put(run interval.Extent, writer int)              // run is writer's, as the call's next run
+	lend(ext interval.List, writer int)               // ext, canonical and never written again, is a whole call of writer's
+	owners(visit func(run interval.Extent, rank int)) // file-ordered runs of the rank that wrote last
 }
 
 // file is one file's server-side state: its size, its content store (nil for
@@ -102,14 +102,17 @@ func (s source) each(e interval.Extent, f func(run interval.Extent, writer int))
 // store writes b as client rank's call and extends the file size; a
 // write-behind flush passes the log its coalesced extents are assembled
 // from. A file without a content store only grows; one with a store keeps
-// who wrote each extent, in one record per call.
+// who wrote each extent, in one record per call. A call that is one
+// canonical list of rank's own extents is lent to the store as it stands.
 func (f *file) store(b Batch, log *assembly, rank int) {
-	if f.content != nil {
-		runs := len(b.Ext)
-		if log != nil {
-			runs = len(log.pieces)
-		}
-		f.content.open(runs)
+	lent := f.content != nil && log == nil && b.Writers == nil && b.Ext.IsCanonical()
+	switch {
+	case lent:
+		f.content.lend(b.Ext, rank)
+	case f.content != nil && log != nil:
+		f.content.open(len(log.pieces))
+	case f.content != nil:
+		f.content.open(len(b.Ext))
 	}
 	for i, e := range b.Ext {
 		if e.Empty() {
@@ -117,7 +120,7 @@ func (f *file) store(b Batch, log *assembly, rank int) {
 		}
 		f.growTo(e.End())
 		switch {
-		case f.content == nil:
+		case f.content == nil || lent:
 		case log != nil:
 			log.source(e).each(e, f.content.put)
 		default:
@@ -131,7 +134,8 @@ func (f *file) store(b Batch, log *assembly, rank int) {
 // (Batch.Writers).
 type record struct {
 	ext     interval.List // ascending, disjoint
-	writers []int         // the rank whose data each extent is
+	writers []int         // the rank whose data each extent is; nil when all are writer's
+	writer  int
 }
 
 // writeLog is the append-only log of a file's write records, in the order
@@ -143,6 +147,11 @@ type writeLog []record
 
 func (l *writeLog) open(runs int) {
 	*l = append(*l, record{ext: make(interval.List, 0, runs), writers: make([]int, 0, runs)})
+}
+
+// lend appends ext as a whole call's record, uncopied; put never grows it.
+func (l *writeLog) lend(ext interval.List, writer int) {
+	*l = append(*l, record{ext: ext, writer: writer})
 }
 
 // put appends run to the newest record, or — if run does not ascend past
@@ -165,48 +174,68 @@ func (l *writeLog) put(run interval.Extent, writer int) {
 	r.writers = append(r.writers, writer)
 }
 
-// each calls f with every extent of r that overlaps q and the index of the
-// extent, found by binary search.
-func (r *record) each(q interval.Extent, f func(i int, part interval.Extent)) {
-	for i := sort.Search(len(r.ext), func(i int) bool { return r.ext[i].End() > q.Off }); i < len(r.ext) && r.ext[i].Off < q.End(); i++ {
-		f(i, r.ext[i].Intersect(q))
-	}
-}
-
-// owners is index.Winners over the log — the latest record holding a byte
-// owns it — with each run handed to the writers of the record's extents it
-// spans, and touching runs of one rank joined.
-func (l *writeLog) owners() []index.Owned {
-	lists := make([]interval.List, len(*l))
-	for i, r := range *l {
+// owners streams index.EachWinner over the log — the latest record holding
+// a byte owns it — with each run handed to the writers of the record's
+// extents it spans, and touching runs of one rank joined. A record's runs
+// arrive in file order, so one cursor per record walks its extents.
+func (l writeLog) owners(visit func(run interval.Extent, rank int)) {
+	lists := make([]interval.List, len(l))
+	for i, r := range l {
 		lists[i] = r.ext
 	}
-	runs := index.Winners(lists)
-	out := make([]index.Owned, 0, len(runs))
-	for _, run := range runs {
-		r := &(*l)[run.Rank]
-		r.each(run.Extent, func(i int, part interval.Extent) {
-			if n := len(out); n > 0 && out[n-1].Rank == r.writers[i] && out[n-1].End() == part.Off {
-				out[n-1].Len += part.Len
-				return
+	next := make([]int, len(l)) // each record's first extent not wholly handed out
+	var cur index.Owned         // the run being joined; the empty one before the first joins any at 0 of rank 0
+	index.EachWinner(lists, func(run interval.Extent, i int) {
+		r, k := &l[i], next[i]
+		for r.ext[k].End() <= run.Off {
+			k++
+		}
+		for ; k < len(r.ext) && r.ext[k].Off < run.End(); k++ {
+			part, w := r.ext[k].Intersect(run), r.writer
+			if r.writers != nil {
+				w = r.writers[k]
 			}
-			out = append(out, index.Owned{Extent: part, Rank: r.writers[i]})
-		})
+			if cur.Rank != w || cur.End() != part.Off {
+				if !cur.Empty() {
+					visit(cur.Extent, cur.Rank)
+				}
+				cur = index.Owned{Extent: interval.Extent{Off: part.Off}, Rank: w}
+			}
+			cur.Len += part.Len
+			if r.ext[k].End() > run.End() {
+				break // the record's next run resumes inside this extent
+			}
+		}
+		next[i] = k
+	})
+	if !cur.Empty() {
+		visit(cur.Extent, cur.Rank)
 	}
-	return out
 }
 
 // Owners returns who wrote the named file: its stored bytes as file-ordered
 // maximal runs, each owned by the rank whose data the latest write to those
-// bytes carried. Bytes never written belong to no run. It is what
-// verification checks MPI atomicity against. A file system that keeps no
-// records (StoreData off) returns nil.
+// bytes carried. Bytes never written belong to no run. A file system that
+// keeps no records (StoreData off) returns nil.
 func (fs *FileSystem) Owners(name string) ([]index.Owned, error) {
+	var out []index.Owned
+	err := fs.EachOwner(name, func(run interval.Extent, rank int) {
+		out = append(out, index.Owned{Extent: run, Rank: rank})
+	})
+	return out, err
+}
+
+// EachOwner streams the runs Owners returns to visit, in file order, without
+// building the list: what verification checks MPI atomicity against.
+func (fs *FileSystem) EachOwner(name string, visit func(run interval.Extent, rank int)) error {
 	f, err := fs.lookup(name, false)
-	if err != nil || f.content == nil {
-		return nil, err
+	if err != nil {
+		return err
 	}
-	return f.content.owners(), nil
+	if f.content != nil {
+		f.content.owners(visit)
+	}
+	return nil
 }
 
 // FileSize returns the current size of the named file.

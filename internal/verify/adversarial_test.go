@@ -34,7 +34,7 @@ func TestCheckBytesCleanSerial(t *testing.T) {
 	if !rep.Atomic() {
 		t.Fatalf("clean serial file rejected: %+v", rep)
 	}
-	if got, ok := rep.Winner(interval.Extent{Off: 5, Len: 10}); !ok || got != 1 {
+	if got, ok := rep.winner(views, interval.Extent{Off: 5, Len: 10}); !ok || got != 1 {
 		t.Errorf("winner = %d, %v, want 1", got, ok)
 	}
 	if Classify(rep, false) != Serializable {

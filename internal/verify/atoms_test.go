@@ -22,7 +22,7 @@ type atom struct {
 // atomsByCuts is the partition the checker used before it swept: collect
 // every endpoint of every normalized view into a cut set, sort it, and ask
 // each view by binary search whether it covers each piece between two cuts.
-// It shares nothing with index.SweepAtoms — no schedule, no active set — so
+// It shares nothing with index.Atoms — no schedule, no active set — so
 // it stays as the oracle for it.
 func atomsByCuts(views []interval.List) []atom {
 	norm := make([]interval.List, len(views))
@@ -57,13 +57,13 @@ func atomsByCuts(views []interval.List) []atom {
 	return out
 }
 
-// sweptAtoms collects what index.SweepAtoms visits.
+// sweptAtoms collects what index.Atoms yields.
 func sweptAtoms(views []interval.List) []atom {
 	var out []atom
-	index.SweepAtoms(views, func(region interval.Extent, writers []int) bool {
+	atoms := index.NewAtoms(views)
+	for region, writers, ok := atoms.Next(); ok; region, writers, ok = atoms.Next() {
 		out = append(out, atom{region, append([]int(nil), writers...)})
-		return true
-	})
+	}
 	return out
 }
 
@@ -147,10 +147,12 @@ func TestSweepAtomsMatchesCutOracle(t *testing.T) {
 	if multi < 1000 {
 		t.Fatalf("only %d atoms compared; the shapes overlap too little", multi)
 	}
-	// The walk stops where the visitor says so.
-	visits := 0
-	if index.SweepAtoms(cases["three-way"], func(interval.Extent, []int) bool { visits++; return false }) || visits != 1 {
-		t.Fatalf("early stop: %d visits", visits)
+	// An exhausted cursor stays exhausted.
+	atoms := index.NewAtoms(cases["three-way"])
+	for _, _, ok := atoms.Next(); ok; _, _, ok = atoms.Next() {
+	}
+	if _, _, ok := atoms.Next(); ok {
+		t.Fatal("an exhausted cursor yielded another atom")
 	}
 }
 

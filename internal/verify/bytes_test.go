@@ -2,11 +2,9 @@ package verify
 
 // The file-system-free side of the checker, which only tests drive:
 // CheckBytes runs Check's algorithm over an in-memory image of marker
-// bytes, and Winner reads one atom's verdict back out of a report.
+// bytes, and won pairs a report's winners with the atoms they won.
 
 import (
-	"sort"
-
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
 )
@@ -18,39 +16,48 @@ import (
 // hand-constructed torn files, and the byte oracle Check's owner runs are
 // held to.
 func CheckBytes(data []byte, views []interval.List) *Report {
-	return checkAtoms(markerRuns(data), views)
+	c := newChecker(views)
+	markerRuns(data, c.run)
+	return c.finish()
 }
 
-// markerRuns turns an image of marker bytes into owner runs: maximal runs
-// of one nonzero byte b, owned by rank b-1. It counts the runs first, so
-// the list is allocated once, at its size.
-func markerRuns(data []byte) []index.Owned {
-	n := 0
-	for i, b := range data {
-		if b != 0 && (i == 0 || data[i-1] != b) {
-			n++
+// markerRuns visits the owner runs of an image of marker bytes in file
+// order: maximal runs of one nonzero byte b, owned by rank b-1.
+func markerRuns(data []byte, visit func(run interval.Extent, rank int)) {
+	start := 0 // the first byte of the run at i
+	for i := 1; i <= len(data); i++ {
+		if i < len(data) && data[i] == data[start] {
+			continue
 		}
-	}
-	runs := make([]index.Owned, 0, n)
-	for i, b := range data {
-		switch {
-		case b == 0:
-		case i > 0 && data[i-1] == b:
-			runs[len(runs)-1].Len++
-		default:
-			runs = append(runs, index.Owned{Extent: interval.Extent{Off: int64(i), Len: 1}, Rank: int(b) - 1})
+		if data[start] != 0 {
+			visit(interval.Extent{Off: int64(start), Len: int64(i - start)}, int(data[start])-1)
 		}
+		start = i
 	}
-	return runs
 }
 
-// Winner returns the rank whose marker the clean atom held, and false when
-// atom is not a clean atom of the check.
-func (r *Report) Winner(atom interval.Extent) (int, bool) {
-	won := r.WinnerByRegion
-	i := sort.Search(len(won), func(i int) bool { return won[i].Off >= atom.Off })
-	if i == len(won) || won[i].Extent != atom {
-		return 0, false
+// won pairs each clean atom of views — the atoms less the report's
+// violations — with the rank that won it, in file order.
+func (r *Report) won(views []interval.List) []index.Owned {
+	var won []index.Owned
+	atoms, torn := index.NewAtoms(views), r.Violations
+	for atom, _, ok := atoms.Next(); ok; atom, _, ok = atoms.Next() {
+		if len(torn) > 0 && torn[0].Region == atom {
+			torn = torn[1:]
+			continue
+		}
+		won = append(won, index.Owned{Extent: atom, Rank: int(r.Winners[len(won)])})
 	}
-	return won[i].Rank, true
+	return won
+}
+
+// winner returns the rank whose data the clean atom of views held, and
+// false when atom is not a clean atom of the check.
+func (r *Report) winner(views []interval.List, atom interval.Extent) (int, bool) {
+	for _, w := range r.won(views) {
+		if w.Extent == atom {
+			return w.Rank, true
+		}
+	}
+	return 0, false
 }

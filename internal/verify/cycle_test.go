@@ -9,27 +9,24 @@ import (
 )
 
 func TestFindCycleDirect(t *testing.T) {
-	after := func(edges map[int][]int) map[int]map[int]bool {
-		m := make(map[int]map[int]bool)
+	after := func(edges map[int][]int32) [][]int32 {
+		rows := make([][]int32, 4)
 		for u, vs := range edges {
-			m[u] = make(map[int]bool)
-			for _, v := range vs {
-				m[u][v] = true
-			}
+			rows[u] = vs
 		}
-		return m
+		return rows
 	}
-	if c := findCycle(after(map[int][]int{0: {1}, 1: {2}})); c != nil {
+	if c := findCycle(after(map[int][]int32{0: {1}, 1: {2}})); c != nil {
 		t.Fatalf("acyclic graph reported cycle %v", c)
 	}
-	c := findCycle(after(map[int][]int{0: {1}, 1: {0}}))
+	c := findCycle(after(map[int][]int32{0: {1}, 1: {0}}))
 	if c == nil {
 		t.Fatal("2-cycle missed")
 	}
 	if c[0] != c[len(c)-1] {
 		t.Fatalf("cycle %v does not close", c)
 	}
-	if findCycle(after(map[int][]int{0: {1}, 1: {2}, 2: {0}, 3: {0}})) == nil {
+	if findCycle(after(map[int][]int32{0: {1}, 1: {2}, 2: {0}, 3: {0}})) == nil {
 		t.Fatal("3-cycle missed")
 	}
 	if findCycle(nil) != nil {

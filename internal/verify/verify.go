@@ -1,6 +1,6 @@
 // Package verify checks MPI atomicity on who wrote the simulated file
 // system's bytes. The store keeps, with every write, the rank whose data it
-// carries (pfs.FileSystem.Owners); after a concurrent overlapping write the
+// carries (pfs.FileSystem.EachOwner); after a concurrent overlapping write the
 // file is partitioned into atoms (maximal regions covered by the same set of
 // writers) and MPI atomicity requires every multi-writer atom to hold the
 // data of exactly one of its covering writers ("the results of the
@@ -11,7 +11,6 @@ package verify
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"atomio/internal/interval"
@@ -45,12 +44,15 @@ type Violation struct {
 	// Found are the distinct ranks whose data the atom holds, ascending,
 	// with -1 for bytes never written (at most 8, enough for a diagnostic).
 	Found []int
+	// Runs are the atom's owner runs clipped to it, in file order, with
+	// rank -1 for bytes never written (the first 8): where it tore.
+	Runs []index.Owned
 }
 
 // Error renders the violation.
 func (v Violation) Error() string {
-	return fmt.Sprintf("verify: region %v covered by ranks %v holds data of ranks %v",
-		v.Region, v.Writers, v.Found)
+	return fmt.Sprintf("verify: region %v covered by ranks %v holds data of ranks %v in runs %v",
+		v.Region, v.Writers, v.Found, v.Runs)
 }
 
 // OrderViolation reports that, although every atom was uniform, no single
@@ -80,10 +82,10 @@ type Report struct {
 	// individually clean but mutually inconsistent (no serialization
 	// order exists).
 	OrderViolation *OrderViolation
-	// WinnerByRegion records which covering rank's data each clean atom
-	// held, for policy checks such as highest-rank-wins: one run per clean
-	// atom, in file order.
-	WinnerByRegion []index.Owned
+	// Winners records which covering rank's data each clean atom held, for
+	// policy checks such as highest-rank-wins: one rank per clean atom in
+	// file order — the views' atoms (index.Atoms) less the Violations.
+	Winners []int32
 }
 
 // Atomic reports whether the outcome satisfies MPI atomicity: every
@@ -97,125 +99,157 @@ func (r *Report) Atomic() bool { return len(r.Violations) == 0 && r.OrderViolati
 // among its writers — and across atoms the winners must admit a total
 // serialization order of the writers (each atom forces its winner to
 // serialize after the atom's other writers; those constraints must be
-// acyclic).
+// acyclic). It merges the owner runs the store streams with the atoms a
+// cursor over the views yields, both in file order: O(P) state.
 func Check(fs *pfs.FileSystem, name string, views []interval.List) (*Report, error) {
-	owners, err := fs.Owners(name)
-	if err != nil {
+	c := newChecker(views)
+	if err := fs.EachOwner(name, c.run); err != nil {
 		return nil, err
 	}
-	return checkAtoms(owners, views), nil
+	return c.finish(), nil
 }
 
-// checkAtoms is the core of Check: sweep the views into atoms — the regions
-// covered by one constant set of two or more writers — and apply the
-// one-writer and serialization-order rules to each against owners, the
-// file's owner runs in file order. Atoms arrive in file order too, so one
-// cursor walks the runs. A clean atom allocates nothing: WinnerByRegion is
-// sized for as many atoms as the views have extents.
-func checkAtoms(owners []index.Owned, views []interval.List) *Report {
-	rep := &Report{}
-	after := make(map[int]map[int]bool) // winner -> set of ranks it must follow
-	extents := 0                        // a hint for the number of atoms
-	for _, v := range views {
-		extents += len(v)
+// checker merges owner runs, pushed in file order, with the atoms it
+// pulls from a cursor. It holds one atom at a time: the first one that
+// ends past the runs seen so far.
+type checker struct {
+	rep     *Report
+	atoms   *index.Atoms
+	atom    interval.Extent // the pending atom, empty when the atoms are exhausted
+	writers []int           // the pending atom's writers, the cursor's
+	torn    *Violation      // the pending atom's violation, once a run shows it torn
+	at      int64           // the pending atom's first byte no run has accounted for
+	views   []interval.List // the ranks' views
+	after   [][]int32       // row w: the writers w serializes after, ascending and once each; nil before the first clean atom
+}
+
+func newChecker(views []interval.List) *checker {
+	c := &checker{rep: &Report{}, atoms: index.NewAtoms(views), views: views}
+	c.pull()
+	return c
+}
+
+// firstWin sizes Winners for an atom per view extent and every row of after
+// for two writers, the column-wise degree: a check with no clean atom never.
+func (c *checker) firstWin() {
+	slab, extents := make([]int32, 2*len(c.views)), 0
+	c.after = make([][]int32, len(c.views))
+	for w, v := range c.views {
+		c.after[w], extents = slab[2*w:2*w:2*w+2], extents+len(v)
 	}
-	next := 0 // the first run that ends past the atoms swept so far
-	index.SweepAtoms(views, func(atom interval.Extent, writers []int) bool {
-		rep.Atoms++
-		rep.OverlappedBytes += atom.Len
-		for next < len(owners) && owners[next].End() <= atom.Off {
-			next++
-		}
-		winner := -1
-		if next < len(owners) {
-			if run := owners[next]; run.Off <= atom.Off && run.End() >= atom.End() && slices.Contains(writers, run.Rank) {
-				winner = run.Rank
+	c.rep.Winners = make([]int32, 0, extents)
+}
+
+// pull makes the cursor's next atom the pending one.
+func (c *checker) pull() {
+	atom, writers, ok := c.atoms.Next()
+	c.atom, c.writers, c.torn, c.at = atom, writers, nil, atom.Off
+	if ok {
+		c.rep.Atoms++
+		c.rep.OverlappedBytes += atom.Len
+	}
+}
+
+// run takes rank's owner run, the next in file order, and settles every atom
+// starting before its end: one inside one run of one of its writers is
+// clean, won by that writer, who serializes after the others; any other is torn.
+func (c *checker) run(run interval.Extent, rank int) {
+	for !c.atom.Empty() && c.atom.Off < run.End() {
+		switch {
+		case c.torn == nil && run.Off <= c.atom.Off && run.End() >= c.atom.End() && slices.Contains(c.writers, rank):
+			if c.after == nil {
+				c.firstWin()
 			}
-		}
-		if winner < 0 {
-			rep.Violations = append(rep.Violations, Violation{
-				Region:  atom,
-				Writers: slices.Clone(writers),
-				Found:   found(owners[next:], atom),
-			})
-			return true
-		}
-		if rep.WinnerByRegion == nil {
-			rep.WinnerByRegion = make([]index.Owned, 0, extents)
-		}
-		rep.WinnerByRegion = append(rep.WinnerByRegion, index.Owned{Extent: atom, Rank: winner})
-		if after[winner] == nil {
-			after[winner] = make(map[int]bool)
-		}
-		for _, w := range writers {
-			if w != winner {
-				after[winner][w] = true
+			c.rep.Winners = append(c.rep.Winners, int32(rank))
+			row := c.after[rank]
+			for _, w := range c.writers {
+				if at, found := slices.BinarySearch(row, int32(w)); w != rank && !found {
+					row = slices.Insert(row, at, int32(w))
+				}
 			}
+			c.after[rank] = row
+		case run.Off >= c.atom.End(): // the atom's tail was never written
+			c.tear()
+		default:
+			c.part(run.Intersect(c.atom), rank)
+			if run.End() < c.atom.End() {
+				return // the atom goes on past this run
+			}
+			c.tear()
 		}
-		return true
-	})
-	if cycle := findCycle(after); cycle != nil {
-		rep.OrderViolation = &OrderViolation{Cycle: cycle}
+		c.pull()
 	}
-	return rep
 }
 
-// found returns the distinct ranks of the runs that hold a part of atom,
-// ascending, with -1 first if a part is never written (capped at 8). runs
-// starts with the first run that ends past atom's start.
-func found(runs []index.Owned, atom interval.Extent) []int {
-	var out []int
-	add := func(rank int) {
-		if len(out) < 8 && !slices.Contains(out, rank) {
-			out = append(out, rank)
+// part records that the pending atom, which is torn, holds rank's data
+// over part, and nobody's between the last part recorded and part: the
+// distinct ranks in Found, the pieces in Runs, at most 8 of each.
+func (c *checker) part(part interval.Extent, rank int) {
+	if c.torn == nil {
+		c.torn = &Violation{Region: c.atom, Writers: slices.Clone(c.writers)}
+	}
+	v, gap := c.torn, interval.Extent{Off: c.at, Len: part.Off - c.at}
+	for _, o := range [...]index.Owned{{Extent: gap, Rank: -1}, {Extent: part, Rank: rank}} {
+		if o.Len > 0 && len(v.Found) < 8 && !slices.Contains(v.Found, o.Rank) {
+			v.Found = append(v.Found, o.Rank)
+		}
+		if o.Len > 0 && len(v.Runs) < 8 {
+			v.Runs = append(v.Runs, o)
 		}
 	}
-	at := atom.Off // the first byte not yet accounted for
-	for _, run := range runs {
-		if run.Off >= atom.End() {
-			break
-		}
-		if run.Off > at {
-			add(-1)
-		}
-		add(run.Rank)
-		at = run.End()
-	}
-	if at < atom.End() {
-		add(-1)
-	}
-	slices.Sort(out)
-	return out
+	c.at = max(c.at, part.End())
 }
 
-// findCycle looks for a cycle in the "must serialize after" digraph and
-// returns it (ending where it starts), or nil. It walks nodes and edges in
-// ascending order, so the cycle it reports is the same on every run.
-func findCycle(after map[int]map[int]bool) []int {
+// tear reports the pending atom as a violation, its bytes past the last
+// part recorded never written.
+func (c *checker) tear() {
+	c.part(interval.Extent{Off: c.atom.End()}, -1)
+	slices.Sort(c.torn.Found)
+	c.rep.Violations = append(c.rep.Violations, *c.torn)
+}
+
+// finish settles the atoms no run reaches — wholly or partly never
+// written — and the serialization order of the winners.
+func (c *checker) finish() *Report {
+	for !c.atom.Empty() {
+		c.tear()
+		c.pull()
+	}
+	if cycle := findCycle(c.after); cycle != nil {
+		c.rep.OrderViolation = &OrderViolation{Cycle: cycle}
+	}
+	return c.rep
+}
+
+// findCycle looks for a cycle in the "must serialize after" digraph, row u
+// listing u's out-neighbours ascending, and returns it (ending where it
+// starts), or nil. It walks nodes and edges in ascending order, so the
+// cycle it reports is the same on every run.
+func findCycle(after [][]int32) []int {
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
-	color := make(map[int]int)
+	color := make([]int8, len(after))
 	var stack []int
 	var cycle []int
 	var dfs func(u int) bool
 	dfs = func(u int) bool {
 		color[u] = grey
 		stack = append(stack, u)
-		for _, v := range slices.Sorted(maps.Keys(after[u])) {
+		for _, v := range after[u] {
 			switch color[v] {
 			case grey:
 				// Found: slice the stack from v's position.
 				for i, w := range stack {
-					if w == v {
-						cycle = append(append([]int(nil), stack[i:]...), v)
+					if w == int(v) {
+						cycle = append(append([]int(nil), stack[i:]...), w)
 						return true
 					}
 				}
 			case white:
-				if dfs(v) {
+				if dfs(int(v)) {
 					return true
 				}
 			}
@@ -224,7 +258,7 @@ func findCycle(after map[int]map[int]bool) []int {
 		color[u] = black
 		return false
 	}
-	for _, u := range slices.Sorted(maps.Keys(after)) {
+	for u := range after {
 		if color[u] == white && dfs(u) {
 			return cycle
 		}

@@ -49,7 +49,8 @@ func TestCleanOverlapPasses(t *testing.T) {
 	// is uniformly rank 1. Atomic.
 	write(t, fs, 0, ext(0, 100))
 	write(t, fs, 1, ext(50, 100))
-	rep, err := Check(fs, "f", []interval.List{{ext(0, 100)}, {ext(50, 100)}})
+	views := []interval.List{{ext(0, 100)}, {ext(50, 100)}}
+	rep, err := Check(fs, "f", views)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestCleanOverlapPasses(t *testing.T) {
 	if rep.Atoms != 1 || rep.OverlappedBytes != 50 {
 		t.Fatalf("atoms=%d bytes=%d", rep.Atoms, rep.OverlappedBytes)
 	}
-	if w, ok := rep.Winner(ext(50, 50)); !ok || w != 1 {
+	if w, ok := rep.winner(views, ext(50, 50)); !ok || w != 1 {
 		t.Fatalf("winner = %d, %v, want 1", w, ok)
 	}
 }
@@ -81,8 +82,10 @@ func TestInterleavingDetected(t *testing.T) {
 	if v.Region != ext(50, 50) || !slices.Equal(v.Found, []int{0, 1}) {
 		t.Fatalf("violation = %+v", v)
 	}
-	if v.Error() == "" {
-		t.Fatal("violation should render")
+	// The tear is named: rank 1's data, then rank 0's, then rank 1's again.
+	want := "verify: region [50,100) covered by ranks [0 1] holds data of ranks [0 1] in runs [[50,60)=1 [60,70)=0 [70,100)=1]"
+	if got := v.Error(); got != want {
+		t.Fatalf("violation renders as\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -117,11 +120,11 @@ func TestTripleOverlapAtoms(t *testing.T) {
 	if rep.Atoms != 2 {
 		t.Fatalf("atoms = %d, want 2", rep.Atoms)
 	}
-	if w, _ := rep.Winner(ext(30, 30)); w != 1 {
-		t.Fatalf("winners = %v", rep.WinnerByRegion)
+	if w, _ := rep.winner(views, ext(30, 30)); w != 1 {
+		t.Fatalf("winners = %v", rep.won(views))
 	}
-	if w, _ := rep.Winner(ext(60, 30)); w != 2 {
-		t.Fatalf("winners = %v", rep.WinnerByRegion)
+	if w, _ := rep.winner(views, ext(60, 30)); w != 2 {
+		t.Fatalf("winners = %v", rep.won(views))
 	}
 }
 
@@ -177,9 +180,9 @@ func TestNoOverlapNoAtoms(t *testing.T) {
 
 // TestCleanAtomsAllocateNothing pins the clean-atom path: checking a clean
 // image allocates as much at 4 096 atoms as at 8 192 — no map entry, byte
-// slice or slice growth per atom — and Winner finds every atom's winner in
-// the file-ordered WinnerByRegion. The collector is off while it counts:
-// a cycle started by the image's own buffers allocates too.
+// slice or slice growth per atom — and Winners holds every atom's winner in
+// file order. The collector is off while it counts: a cycle started by the
+// image's own buffers allocates too.
 func TestCleanAtomsAllocateNothing(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(atoms int) float64 {
@@ -192,16 +195,16 @@ func TestCleanAtomsAllocateNothing(t *testing.T) {
 			Fill(1, data[off+40:off+80]) // rank 1 wins [off+40, off+60)
 		}
 		rep := CheckBytes(data, views)
-		if !rep.Atomic() || rep.Atoms != atoms || len(rep.WinnerByRegion) != atoms {
-			t.Fatalf("%d atoms: report %d atoms, %d winners, atomic %v", atoms, rep.Atoms, len(rep.WinnerByRegion), rep.Atomic())
+		if !rep.Atomic() || rep.Atoms != atoms || len(rep.Winners) != atoms {
+			t.Fatalf("%d atoms: report %d atoms, %d winners, atomic %v", atoms, rep.Atoms, len(rep.Winners), rep.Atomic())
 		}
-		for i := range atoms {
-			if w, ok := rep.Winner(ext(int64(i)*100+40, 20)); !ok || w != 1 {
-				t.Fatalf("atom %d: winner %d, %v, want 1", i, w, ok)
+		for i, w := range rep.won(views) {
+			if w.Extent != ext(int64(i)*100+40, 20) || w.Rank != 1 {
+				t.Fatalf("atom %d: %v won by %d, want %v by 1", i, w.Extent, w.Rank, ext(int64(i)*100+40, 20))
 			}
 		}
-		if _, ok := rep.Winner(ext(40, 19)); ok {
-			t.Fatal("Winner answered for a region that is not an atom")
+		if _, ok := rep.winner(views, ext(40, 19)); ok {
+			t.Fatal("winner answered for a region that is not an atom")
 		}
 		return testing.AllocsPerRun(5, func() { CheckBytes(data, views) })
 	}
