@@ -473,7 +473,7 @@ func shapedViews(r *rand.Rand, p int) []interval.List {
 // now compute once per collective — the swept matrix and the one-sweep
 // clips — to the per-rank reference implementations they replaced, on the
 // adversarial shapes and at rank counts (1..33) that leave the merge's
-// tournament tree with leaves at two depths.
+// loser tree with leaves at two depths.
 func TestSharedHandshakeAlgebraMatchesPerRankOracles(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	for round := 0; round < 400; round++ {

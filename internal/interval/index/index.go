@@ -1,10 +1,10 @@
 // Package index provides fast spatial indexes over interval.Extent: a
 // dynamic interval index with O(log n) insert/delete and output-sensitive
 // stabbing and range-overlap queries (Index), a streamed k-way sweep-line
-// that computes the pairwise overlaps, ownership or atoms of many extent
-// lists in one pass and O(P) state (SweepOverlaps, Winners/ClipAll,
-// Atoms), and a coverage set that appends on Add and sorts on read
-// (Set).
+// that computes the pairwise overlaps or ownership of many extent lists, or
+// the owners and covering views of a write log's bytes, in one pass and
+// O(P) state (SweepOverlaps, Winners/ClipAll, Sweep), and a coverage set
+// that appends on Add and sorts on read (Set).
 //
 // Every conflict-answering layer of the repository queries byte ranges —
 // the overlap matrix of the paper's Figure 5, byte-range lock conflicts,

@@ -5,6 +5,7 @@ package index
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -143,33 +144,61 @@ func coverage(views []interval.List) [][]int {
 	return cover
 }
 
-// TestQuickMergerMatchesSort pins the tournament tree's draw order to a
-// plain sort of the normalized extents by (offset, list id), for list counts
-// that leave leaves at two depths of the tree.
+// randRecords draws n write records: ascending runs that touch, leave gaps
+// or are empty, some naming a writer per run, on the coordinates of
+// shapedViews.
+func randRecords(r *rand.Rand, n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		rec := &recs[i]
+		rec.Writer = r.Intn(9)
+		named := r.Intn(2) == 0
+		for off, k := int64(r.Intn(60)), r.Intn(6); k > 0; k-- {
+			e := interval.Extent{Off: off, Len: int64(r.Intn(12))}
+			rec.Ext = append(rec.Ext, e)
+			if named {
+				rec.Writers = append(rec.Writers, r.Intn(9))
+			}
+			off = e.End() + int64(r.Intn(3))*int64(r.Intn(8))
+		}
+	}
+	return recs
+}
+
+// TestQuickMergerMatchesSort pins the loser tree's draw order to a plain
+// sort of the non-empty extents by (offset, list id), for list counts that
+// leave leaves at two depths of the tree: normalized views, and write
+// records merged as they stand, whose runs touch and may be empty. Each
+// drawn extent's index is its place in its list.
 func TestQuickMergerMatchesSort(t *testing.T) {
 	type drawn struct {
-		e  interval.Extent
-		id int
+		e     interval.Extent
+		id, k int
 	}
 	r := rand.New(rand.NewSource(6))
 	for round := 0; round < 400; round++ {
-		views := shapedViews(r, r.Intn(34))
+		lists := normalized(shapedViews(r, r.Intn(34)))
+		for _, rec := range randRecords(r, r.Intn(8)) {
+			lists = append(lists, rec.Ext)
+		}
 		var want []drawn
-		for i, l := range views {
-			for _, e := range l.Normalize() {
-				want = append(want, drawn{e, i})
+		for i, l := range lists {
+			for k, e := range l {
+				if !e.Empty() {
+					want = append(want, drawn{e, i, k})
+				}
 			}
 		}
 		slices.SortFunc(want, func(a, b drawn) int {
 			return cmp.Or(cmp.Compare(a.e.Off, b.e.Off), cmp.Compare(a.id, b.id))
 		})
 		var got []drawn
-		for m := newMerger(views); m.left > 0; {
-			e, id := m.next()
-			got = append(got, drawn{e, id})
+		for m := newMerger(lists); !m.done(); {
+			e, id, k := m.next()
+			got = append(got, drawn{e, id, k})
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("round %d: merged order\n%v\nwant sorted\n%v\nviews=%v", round, got, want, views)
+			t.Fatalf("round %d: merged order\n%v\nwant sorted\n%v\nlists=%v", round, got, want, lists)
 		}
 	}
 }
@@ -231,19 +260,54 @@ func TestWinnersMatchesByteModel(t *testing.T) {
 	}
 }
 
-// TestSweepAtomsMatchesByteModel pins the atoms to the per-byte covering
-// sets: the maximal runs of bytes covered by one same set of two or more
-// lists, in file order.
+// TestSweepAtomsMatchesByteModel pins Sweep to the per-byte model: each byte's
+// owner — the writer of the last record holding it, which may be a view
+// lent as it stands — and the views covering it. Pieces ascend without overlapping, cover exactly the bytes
+// a record or a view holds, carry each of their bytes' owner and views,
+// and are cut where a view opens or closes; the atoms they make — runs of
+// two or more views between cuts — are the maximal runs of bytes one set
+// of two or more views covers.
 func TestSweepAtomsMatchesByteModel(t *testing.T) {
 	type atom struct {
 		e       interval.Extent
 		writers []int
 	}
 	r := rand.New(rand.NewSource(9))
-	for round := 0; round < 400; round++ {
-		views := shapedViews(r, 1+r.Intn(33))
+	for round := 0; round < 600; round++ {
+		views := shapedViews(r, r.Intn(34))
+		recs := randRecords(r, r.Intn(10))
+		for v, l := range views { // some ranks lend their own view, as it stands, once or twice
+			if l.IsCanonical() && r.Intn(3) == 0 {
+				recs = slices.Insert(recs, r.Intn(len(recs)+1), Record{Ext: l, Writer: v})
+			}
+		}
+		cover := coverage(views)
+		size := len(cover) + 1 // past every extent's end
+		for _, rec := range recs {
+			size = max(size, int(rec.Ext.Span().End())+1)
+		}
+		owner := make([]int, size)
+		for i := range owner {
+			owner[i] = -1
+		}
+		for _, rec := range recs {
+			for k, e := range rec.Ext {
+				for o := e.Off; o < e.End(); o++ {
+					owner[o] = rec.writer(k)
+				}
+			}
+		}
+		at := func(o int64) (int, []int) {
+			switch {
+			case o < 0:
+				return -1, nil
+			case o >= int64(len(cover)):
+				return owner[o], nil
+			}
+			return owner[o], cover[o]
+		}
 		var want []atom
-		for o, c := range coverage(views) {
+		for o, c := range cover {
 			if len(c) < 2 {
 				continue
 			}
@@ -254,14 +318,54 @@ func TestSweepAtomsMatchesByteModel(t *testing.T) {
 			}
 		}
 		var got []atom
-		atoms := NewAtoms(views)
-		for e, writers, ok := atoms.Next(); ok; e, writers, ok = atoms.Next() {
-			got = append(got, atom{e, slices.Clone(writers)})
+		next := int64(0) // the first byte no piece has reached
+		where := func() string { return fmt.Sprintf("round %d: views %v\nrecords %+v", round, views, recs) }
+		Sweep(recs, views, func(p *Piece) {
+			views := slices.Sorted(slices.Values(p.Views))
+			if p.Empty() || p.Off < next {
+				t.Fatalf("%s\npiece %+v is empty or starts before %d", where(), p, next)
+			}
+			for o := next; o < p.Off; o++ {
+				if w, c := at(o); w >= 0 || len(c) > 0 {
+					t.Fatalf("%s\nbyte %d, owned by %d and covered by %v, is in no piece", where(), o, w, c)
+				}
+			}
+			for o := p.Off; o < p.End(); o++ {
+				w, c := at(o)
+				if w != p.Owner || !slices.Equal(c, slicesInt(views)) || w < 0 && len(c) == 0 {
+					t.Fatalf("%s\npiece %+v: byte %d owned by %d, covered by %v", where(), p, o, w, c)
+				}
+			}
+			if _, before := at(p.Off - 1); p.Cut != !slices.Equal(before, slicesInt(views)) {
+				t.Fatalf("%s\npiece %+v: cut %v, but the views before it are %v", where(), p, p.Cut, before)
+			}
+			switch n := len(got); {
+			case len(views) < 2:
+			case !p.Cut && n > 0 && got[n-1].e.End() == p.Off:
+				got[n-1].e.Len += p.Len
+			default:
+				got = append(got, atom{p.Extent, slicesInt(views)})
+			}
+			next = p.End()
+		})
+		for o := next; o < int64(len(owner)); o++ {
+			if w, c := at(o); w >= 0 || len(c) > 0 {
+				t.Fatalf("%s\nbyte %d, owned by %d and covered by %v, is in no piece", where(), o, w, c)
+			}
 		}
 		if !slices.EqualFunc(got, want, func(a, b atom) bool { return a.e == b.e && slices.Equal(a.writers, b.writers) }) {
-			t.Fatalf("round %d: atoms\n%v\nwant\n%v\nviews=%v", round, got, want, views)
+			t.Fatalf("%s\natoms\n%v\nwant\n%v", where(), got, want)
 		}
 	}
+}
+
+// slicesInt widens view ids to ints.
+func slicesInt(ids []int32) []int {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		out[i] = int(id)
+	}
+	return out
 }
 
 // allocated reports the bytes f allocates, after one warm-up call: the
@@ -281,7 +385,7 @@ func allocated(f func()) uint64 {
 }
 
 // TestSweepScratchIsIndependentOfExtentCount holds the sweep's memory: with
-// P fixed, 64 times the extents cost SweepOverlaps and Atoms no more
+// P fixed, 64 times the extents cost SweepOverlaps and Sweep no more
 // bytes, and ClipAll and Winners only their output.
 func TestSweepScratchIsIndependentOfExtentCount(t *testing.T) {
 	const p = 16
@@ -292,11 +396,10 @@ func TestSweepScratchIsIndependentOfExtentCount(t *testing.T) {
 		perRun uintptr // output bytes per run of the ownership map: not scratch
 	}{
 		{"SweepOverlaps", func(v []interval.List) { sink = SweepOverlaps(v) }, 0},
-		{"Atoms", func(v []interval.List) {
-			atoms := NewAtoms(v)
-			for _, _, ok := atoms.Next(); ok; _, _, ok = atoms.Next() {
-			}
-			sink = atoms
+		{"Sweep", func(v []interval.List) {
+			bytes := int64(0)
+			Sweep(nil, v, func(p *Piece) { bytes += p.Len })
+			sink = bytes
 		}, 0},
 		{"ClipAll", func(v []interval.List) { sink = ClipAll(v) }, unsafe.Sizeof(interval.Extent{})},
 		{"Winners", func(v []interval.List) { sink = Winners(v) }, unsafe.Sizeof(Owned{})},

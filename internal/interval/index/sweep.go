@@ -9,11 +9,18 @@ import (
 )
 
 // merger streams the extents of P lists in (Off, list id) order: a P-way
-// merge over the heads of the normalized lists, run as a tournament tree —
-// one comparison per level for each extent drawn. Normalization makes a
-// list's extents disjoint, non-touching, non-empty and ascending, so a list
-// has at most one extent open at a time and its next extent opens strictly
-// after the previous one closed.
+// merge run as a loser tree. Every list ascends — each extent opens at or
+// after the previous one's end, and empty ones are skipped — so a list has
+// at most one extent open at a time. A normalized list's next extent opens
+// strictly after the previous one closed; a write record's may touch it.
+// Each list has a cursor, so no list is re-sliced, and a drawn extent comes
+// with its index in its list.
+//
+// Node n ≥ 1 of the tree keeps the loser of the match played there — the
+// losing list's head extent itself, so a match reads no list — and node 0
+// the overall winner; leaf i, list i's head, is node P+i. Drawing replays
+// the drawn list's matches on the way to the root: one comparison and one
+// load per level.
 //
 // No close is ever scheduled. Each sweep driver keeps the end of every
 // list's latest extent and settles closes lazily, when the next extent
@@ -21,49 +28,99 @@ import (
 // half-open: [a,x) and [x,b) are disjoint). A sweep therefore holds O(P)
 // state, whatever the number of extents.
 type merger struct {
-	lists []interval.List // what is left of each normalized list
-	head  []int64         // Off of each list's next extent; MaxInt64 once exhausted
-	tree  []int32         // node n holds the winner below it; leaf i is node P+i, the root node 1
-	left  int             // extents not yet drawn
+	cur  []cursor // each list, and where it is
+	node []entry  // node 0: the winner; node n ≥ 1: the loser of the match at n
 }
 
-func newMerger(lists []interval.List) *merger {
-	p := len(lists)
-	m := &merger{lists: make([]interval.List, p), head: make([]int64, p), tree: make([]int32, 2*p)}
-	// Seating the lists one by one builds the tree: a node is last replayed
-	// when the last list below it is seated, with every head below it final.
+// cursor is a list and the index of its next extent.
+type cursor struct {
+	ext interval.List
+	at  int
+}
+
+// entry is a list's head in the tree: its next extent, at offset
+// math.MaxInt64 once the list is exhausted, and the list's id.
+type entry struct {
+	interval.Extent
+	id int
+}
+
+// beats orders heads by offset, ties to the lower list id.
+func (a entry) beats(b entry) bool { return a.Off < b.Off || a.Off == b.Off && a.id < b.id }
+
+// newMerger merges lists as they stand; a caller whose lists may not ascend
+// passes them normalized.
+func newMerger(lists []interval.List) merger {
+	m := merger{cur: make([]cursor, len(lists)), node: make([]entry, max(len(lists), 1))}
 	for i, l := range lists {
-		m.lists[i], m.tree[p+i] = l.Normalize(), int32(i)
-		m.left += len(m.lists[i])
-		m.reseat(i)
+		m.cur[i].ext = l
+	}
+	m.node[0] = entry{Extent: interval.Extent{Off: math.MaxInt64}}
+	if len(lists) > 0 {
+		m.node[0] = m.play(1)
 	}
 	return m
 }
 
-// reseat re-reads list id's head and replays its matches up to the root: at
-// each node the child with the lower head offset wins, ties to the lower id.
-func (m *merger) reseat(id int) {
-	m.head[id] = math.MaxInt64
-	if l := m.lists[id]; len(l) > 0 {
-		m.head[id] = l[0].Off
+// play builds the tree below node n, keeping each match's loser, and returns
+// its winner.
+func (m *merger) play(n int) entry {
+	if p := len(m.cur); n >= p {
+		return m.head(n-p, 0)
 	}
-	for n := (len(m.lists) + id) / 2; n >= 1; n /= 2 {
-		a, b := m.tree[2*n], m.tree[2*n+1]
-		if m.head[b] < m.head[a] || m.head[b] == m.head[a] && b < a {
-			a = b
-		}
-		m.tree[n] = a
+	a, b := m.play(2*n), m.play(2*n+1)
+	if b.beats(a) {
+		a, b = b, a
 	}
+	m.node[n] = b
+	return a
 }
 
-// next draws the next extent and the id of its list; call it m.left times.
-func (m *merger) next() (interval.Extent, int) {
-	id := int(m.tree[1])
-	e := m.lists[id][0]
-	m.lists[id] = m.lists[id][1:]
-	m.left--
-	m.reseat(id)
-	return e, id
+// head moves list id's cursor to its first nonempty extent from k and
+// returns the list's head.
+func (m *merger) head(id, k int) entry {
+	c := &m.cur[id]
+	for ; k < len(c.ext); k++ {
+		if e := c.ext[k]; e.Len > 0 {
+			c.at = k
+			return entry{e, id}
+		}
+	}
+	c.at = k
+	return entry{interval.Extent{Off: math.MaxInt64}, id}
+}
+
+// done reports whether every extent has been drawn.
+func (m *merger) done() bool { return m.node[0].Off == math.MaxInt64 }
+
+// next draws the next extent, the id of its list and its index there; call
+// it only while !done().
+func (m *merger) next() (interval.Extent, int, int) {
+	e, id := m.node[0].Extent, m.node[0].id
+	k := m.cur[id].at
+	w := m.head(id, k+1)
+	for n := (len(m.cur) + id) / 2; n >= 1; n /= 2 {
+		if m.node[n].beats(w) {
+			m.node[n], w = w, m.node[n]
+		}
+	}
+	m.node[0] = w
+	return e, id, k
+}
+
+// normalized returns lists with every list in canonical form: lists itself,
+// with no allocation, when all already are.
+func normalized(lists []interval.List) []interval.List {
+	for i, l := range lists {
+		if !l.IsCanonical() {
+			out := slices.Clone(lists)
+			for j := i; j < len(out); j++ {
+				out[j] = out[j].Normalize()
+			}
+			return out
+		}
+	}
+	return lists
 }
 
 // SweepOverlaps computes the overlap graph of the given extent lists as
@@ -85,8 +142,8 @@ func SweepOverlaps(lists []interval.List) [][]int32 {
 	}
 	active := make([]int32, 0, p) // lists opened and not yet seen closed
 	endOf := make([]int64, p)     // end of each list's latest extent
-	for m := newMerger(lists); m.left > 0; {
-		e, id := m.next()
+	for m := newMerger(normalized(lists)); !m.done(); {
+		e, id, _ := m.next()
 		open := active[:0]
 		for _, j := range active {
 			if endOf[j] <= e.Off { // closed; id's own previous extent always has
@@ -134,7 +191,7 @@ func (o Owned) String() string { return fmt.Sprintf("%v=%d", o.Extent, o.Rank) }
 // emits them in file order. A rank's runs never touch (a higher rank owns
 // what lies between them) and two neighbouring runs differ in rank.
 func (m *merger) winners(emit func(run interval.Extent, rank int)) {
-	endOf := make([]int64, len(m.lists)) // end of each rank's latest extent
+	endOf := make([]int64, len(m.cur)) // end of each rank's latest extent
 	for r := range endOf {
 		endOf[r] = math.MinInt64 // never opened: closed everywhere
 	}
@@ -149,8 +206,8 @@ func (m *merger) winners(emit func(run interval.Extent, rank int)) {
 			}
 		}
 	}
-	for m.left > 0 {
-		e, id := m.next()
+	for !m.done() {
+		e, id, _ := m.next()
 		settle(e.Off)
 		endOf[id] = e.End()
 		if id > top {
@@ -163,17 +220,15 @@ func (m *merger) winners(emit func(run interval.Extent, rank int)) {
 	settle(math.MaxInt64)
 }
 
-// EachWinner streams the runs of Winners to emit, without building the list.
-func EachWinner(views []interval.List, emit func(run interval.Extent, rank int)) {
-	newMerger(views).winners(emit)
-}
-
 // Winners computes the offset-sorted, coalesced map of who owns which bytes
 // under the highest-rank-wins rule: every byte any view covers appears in
 // exactly one run, owned by the highest rank whose view covers it.
 func Winners(views []interval.List) []Owned {
-	m := newMerger(views)
-	out := make([]Owned, 0, m.left) // a hint: exact when no extent is split
+	m, n := newMerger(normalized(views)), 0
+	for _, c := range m.cur {
+		n += len(c.ext)
+	}
+	out := make([]Owned, 0, n) // a hint: exact when no extent is split
 	m.winners(func(run interval.Extent, rank int) { out = append(out, Owned{run, rank}) })
 	return out
 }
@@ -184,7 +239,8 @@ func Winners(views []interval.List) []Owned {
 // higher views from each view in O(E log P) total, not O(P·E) per rank.
 func ClipAll(views []interval.List) []interval.List {
 	out := make([]interval.List, len(views))
-	newMerger(views).winners(func(run interval.Extent, rank int) {
+	m := newMerger(normalized(views))
+	m.winners(func(run interval.Extent, rank int) {
 		if out[rank] == nil { // a hint: a view split by higher ranks keeps more pieces
 			out[rank] = make(interval.List, 0, len(views[rank]))
 		}
@@ -193,50 +249,111 @@ func ClipAll(views []interval.List) []interval.List {
 	return out
 }
 
-// Atoms is a pull cursor over the atoms of extent lists: the pieces
-// between neighbouring endpoints of the bytes two or more lists cover, over
-// each of which the covering set is constant, in file order. It holds O(P)
-// state, whatever the number of extents.
-type Atoms struct {
-	m      *merger
-	active []int   // the lists open at pos, ascending
-	endOf  []int64 // end of each list's latest extent
-	pos    int64   // every atom before pos has been yielded
+// Record is one write call's runs in ascending file order — neighbours may
+// touch, and empty runs are skipped — and whose data each run is:
+// Writers[k] for run k, or Writer for every run when Writers is nil. In a
+// log of records, the later of two records holding a byte owns it.
+type Record struct {
+	Ext     interval.List
+	Writers []int
+	Writer  int
 }
 
-// NewAtoms returns a cursor over the atoms of lists.
-func NewAtoms(lists []interval.List) *Atoms {
-	return &Atoms{m: newMerger(lists), active: make([]int, 0, len(lists)), endOf: make([]int64, len(lists))}
+// writer returns the rank whose data run k is.
+func (r *Record) writer(k int) int {
+	if r.Writers == nil {
+		return r.Writer
+	}
+	return r.Writers[k]
 }
 
-// Next returns the next atom and the positions of the lists that cover
-// it, ascending, or false once the atoms are exhausted. The slice is
-// reused by the next call: a caller that keeps it copies it.
-func (a *Atoms) Next() (atom interval.Extent, covering []int, ok bool) {
-	for {
-		a.active = slices.DeleteFunc(a.active, func(j int) bool { return a.endOf[j] <= a.pos })
-		upto := int64(math.MaxInt64) // where the next extent opens
-		if a.m.left > 0 {
-			upto = a.m.head[a.m.tree[1]]
+// Piece is one step of Sweep: a run of bytes over which the owner and the
+// covering views stay the same.
+type Piece struct {
+	interval.Extent
+	// Owner is the rank whose data the latest record holding the bytes
+	// carries, -1 when no record holds them.
+	Owner int
+	// Views are the ids of the views covering the bytes, in no order. The
+	// slice is the sweep's: the next piece reuses it.
+	Views []int32
+	// Cut reports that a view opens or closes at the piece's start, so an
+	// atom — a run between neighbouring view endpoints — starts there.
+	Cut bool
+}
+
+// Sweep visits, in file order, the pieces of the bytes a log of write
+// records or some views cover. It cuts wherever an extent opens, where the
+// owning run ends and where a view ends, so neighbouring pieces may share
+// owner and views. One merge draws the records' runs, each list as it
+// stands — the cursor of a drawn run indexes its writer — and the views'
+// normalized extents: the owner is the writer of the latest open record's
+// run, the views the ones open. A record of its writer's own view, lent as
+// it stands, opens and closes that view too: the merge draws the list once.
+// It holds O(R + V) state, whatever the number of extents.
+func Sweep(records []Record, views []interval.List, visit func(p *Piece)) {
+	nr := len(records)
+	lists := make([]interval.List, nr+len(views))
+	opens := make([]int32, len(lists)) // the view each list's extents open, -1 for none
+	for i := range records {
+		lists[i], opens[i] = records[i].Ext, -1
+	}
+	for v, l := range views {
+		lists[nr+v], opens[nr+v] = l.Normalize(), int32(v)
+	}
+	for i := range records {
+		r, v := &records[i], records[i].Writer
+		if r.Writers == nil && v >= 0 && v < len(views) && opens[nr+v] >= 0 &&
+			len(r.Ext) > 0 && len(r.Ext) == len(lists[nr+v]) && &r.Ext[0] == &lists[nr+v][0] {
+			opens[i], opens[nr+v] = int32(v), -1
 		}
-		if len(a.active) > 0 && a.pos < upto {
-			cut := upto
-			for _, j := range a.active {
-				cut = min(cut, a.endOf[j])
+	}
+	n := nr // the views no record opens follow the records
+	for id := nr; id < len(lists); id++ {
+		if opens[id] >= 0 {
+			lists[n], opens[n], n = lists[id], opens[id], n+1
+		}
+	}
+	m := newMerger(lists[:n])
+	endOf := make([]int64, nr+len(views)) // end of each record's latest run, then of each view's latest extent
+	for i := range endOf {
+		endOf[i] = math.MinInt64 // never opened: closed everywhere
+	}
+	run := make([]int, nr) // each record's latest run
+	top := -1              // the latest record open at pos
+	p := Piece{Views: make([]int32, 0, len(views))}
+	for pos := m.node[0].Off; pos != math.MaxInt64; {
+		p.Cut = false
+		for m.node[0].Off == pos {
+			e, id, k := m.next()
+			if id < nr {
+				endOf[id], run[id], top = e.End(), k, max(top, id)
 			}
-			atom, a.pos = interval.Extent{Off: a.pos, Len: cut - a.pos}, cut
-			if len(a.active) >= 2 {
-				return atom, a.active, true
+			if v := opens[id]; v >= 0 {
+				endOf[nr+int(v)], p.Views, p.Cut = e.End(), append(p.Views, v), true
 			}
-			continue
 		}
-		if a.m.left == 0 {
-			return interval.Extent{}, nil, false
+		for top >= 0 && endOf[top] <= pos {
+			top--
 		}
-		e, id := a.m.next()
-		// A normalized list has one extent open at a time, so id is absent.
-		at, _ := slices.BinarySearch(a.active, id)
-		a.active = slices.Insert(a.active, at, id)
-		a.endOf[id], a.pos = e.End(), e.Off
+		next, open := m.node[0].Off, 0
+		for _, v := range p.Views {
+			if end := endOf[nr+int(v)]; end > pos {
+				p.Views[open], open, next = v, open+1, min(next, end)
+			} else {
+				p.Cut = true
+			}
+		}
+		p.Views = p.Views[:open]
+		if top >= 0 {
+			next, p.Owner = min(next, endOf[top]), records[top].writer(run[top])
+		} else {
+			p.Owner = -1
+		}
+		if top >= 0 || open > 0 {
+			p.Extent = interval.Extent{Off: pos, Len: next - pos}
+			visit(&p)
+		}
+		pos = next
 	}
 }

@@ -190,11 +190,19 @@ func TestRankOrderingHighestRankWins(t *testing.T) {
 			if !rep.Atomic() {
 				t.Fatalf("violations: %v", rep.Violations)
 			}
-			// An atomic report's winners are those of the views' atoms.
-			atoms := index.NewAtoms(views)
-			for _, won := range rep.Winners {
-				atom, _, _ := atoms.Next()
-				max := -1
+			// An atomic report's winners are those of the views' atoms: with no
+			// records, each sweep piece of two or more views is one.
+			var atoms []interval.Extent
+			index.Sweep(nil, views, func(p *index.Piece) {
+				if len(p.Views) >= 2 {
+					atoms = append(atoms, p.Extent)
+				}
+			})
+			if len(atoms) != len(rep.Winners) {
+				t.Fatalf("%d atoms, %d winners", len(atoms), len(rep.Winners))
+			}
+			for i, won := range rep.Winners {
+				atom, max := atoms[i], -1
 				for rank, v := range views {
 					if v.ContainsOffset(atom.Off) && rank > max {
 						max = rank
@@ -203,9 +211,6 @@ func TestRankOrderingHighestRankWins(t *testing.T) {
 				if int(won) != max {
 					t.Fatalf("region %v won by %d, want highest rank %d", atom, won, max)
 				}
-			}
-			if _, _, more := atoms.Next(); more {
-				t.Fatal("more atoms than winners")
 			}
 		})
 	}

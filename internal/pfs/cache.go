@@ -2,7 +2,6 @@ package pfs
 
 import (
 	"slices"
-	"sort"
 
 	"atomio/internal/interval"
 	"atomio/internal/sim"
@@ -38,21 +37,19 @@ func (c CacheConfig) blockSize() int64 {
 // cache is one client's private cache. It is not shared: cross-client
 // staleness is the point being modelled.
 type cache struct {
-	cfg    CacheConfig
-	retain bool // log whose data a flush stores (mirrors Config.StoreData)
-	rank   int  // the client's: the writer of its own bytes
+	cfg CacheConfig
 
 	valid interval.List // readable blocks: runs of block numbers, as marked
 
 	// Write-behind state: the log of unflushed batches in write order, each
-	// the caller's own, borrowed until the flush (see Batch). The cache never
-	// writes through the log.
+	// the caller's own, lent (see Batch). The cache never writes through the
+	// log.
 	dirty      []Batch
 	dirtyBytes int64
 }
 
-func newCache(cfg CacheConfig, retain bool, rank int) *cache {
-	return &cache{cfg: cfg, retain: retain, rank: rank}
+func newCache(cfg CacheConfig) *cache {
+	return &cache{cfg: cfg}
 }
 
 // markValid makes a run of blocks readable. Requests mostly arrive in file
@@ -86,21 +83,19 @@ func (c *cache) absorb(b Batch) {
 	}
 }
 
-// takeDirty empties the write-behind log and returns what a flush sends:
-// coalesced extents in file order — the batching a write-behind cache exists
-// to provide. A log of one batch already in that form (canonical) is handed
-// over as it stands. Any other is normalized into one batch; a retaining
-// cache also returns the log it is to be stored from, so a client's own
-// later write wins an overlap.
-func (c *cache) takeDirty() (Batch, *assembly) {
+// takeDirty empties the write-behind log and returns it, in write order,
+// with what its flush sends: the logged extents coalesced in file order —
+// the batching a write-behind cache exists to provide. A log of one batch
+// already in that form (canonical) is sent as it stands. The log stays in
+// the cache's array: the caller clears it once the flush has stored it.
+func (c *cache) takeDirty() (Batch, []Batch) {
 	log := c.dirty
 	c.dirty, c.dirtyBytes = log[:0], 0
-	defer clear(log) // the borrow of the caller's batches ends with the flush
 	switch {
 	case len(log) == 0:
 		return Batch{}, nil
 	case len(log) == 1 && log[0].Ext.IsCanonical():
-		return log[0], nil
+		return log[0], log
 	}
 	logged := log[0].Ext
 	if len(log) > 1 {
@@ -113,81 +108,7 @@ func (c *cache) takeDirty() (Batch, *assembly) {
 			logged = append(logged, b.Ext...)
 		}
 	}
-	flushed := Batch{Ext: logged.Normalize()}
-	if !c.retain {
-		return flushed, nil
-	}
-	return flushed, newAssembly(log, flushed.Ext, c.rank)
-}
-
-// piece is one logged extent, the n bytes at off, and the rank whose data
-// they are.
-type piece struct {
-	off, n int64
-	writer int
-}
-
-// assembly is a retaining cache's log as its flush stores it: the logged
-// pieces grouped by the coalesced extent each lies in, in write order
-// within a group.
-type assembly struct {
-	exts   interval.List // the coalesced extents, canonical
-	ends   []int32       // group j is pieces[ends[j-1]:ends[j]], from 0 for j = 0
-	pieces []piece
-}
-
-// newAssembly groups log's pieces by the extent of exts — the log's
-// normalized extents — each lies in: a counting sort, stable, so write
-// order holds within a group. A piece no batch names a writer for is rank's.
-func newAssembly(log []Batch, exts interval.List, rank int) *assembly {
-	a := &assembly{exts: exts, ends: make([]int32, len(exts))}
-	j := 0 // the group of the last piece: a log mostly runs in file order
-	group := func(e interval.Extent) int {
-		if !exts[j].ContainsExtent(e) {
-			j = a.group(e.Off)
-		}
-		return j
-	}
-	n := int32(0)
-	for _, b := range log {
-		for _, e := range b.Ext {
-			if !e.Empty() {
-				a.ends[group(e)]++
-				n++
-			}
-		}
-	}
-	var at int32 // ends[j] becomes group j's start, and the fill moves it to its end
-	for j, count := range a.ends {
-		a.ends[j], at = at, at+count
-	}
-	a.pieces = make([]piece, n)
-	for _, b := range log {
-		for i, e := range b.Ext {
-			if !e.Empty() {
-				g := group(e)
-				a.pieces[a.ends[g]] = piece{e.Off, e.Len, b.writer(i, rank)}
-				a.ends[g]++
-			}
-		}
-	}
-	return a
-}
-
-// group returns the index of the coalesced extent holding offset off.
-func (a *assembly) group(off int64) int {
-	return sort.Search(len(a.exts), func(j int) bool { return a.exts[j].End() > off })
-}
-
-// source returns where e, which lies inside one coalesced extent, is stored
-// from: that extent's pieces, in write order.
-func (a *assembly) source(e interval.Extent) source {
-	j := a.group(e.Off)
-	var start int32
-	if j > 0 {
-		start = a.ends[j-1]
-	}
-	return a.pieces[start:a.ends[j]]
+	return Batch{Ext: logged.Normalize()}, log
 }
 
 // read charges a read of the n bytes at off through the cache: missing

@@ -15,9 +15,7 @@ import (
 //
 // A batch is lent, not copied: its lists stay the caller's and are
 // read-only to pfs, and the caller never writes a list it has lent. A
-// storing file system keeps a canonical Ext of the client's own extents
-// as the call's record; any other list it copies, by the time the call
-// returns — on a write-behind client, its next Sync or Close.
+// storing file system keeps them as the call's record, as they stand.
 type Batch struct {
 	Ext interval.List
 	// Writers, when non-nil, names for each extent the rank whose data it
@@ -74,7 +72,7 @@ func (fs *FileSystem) Open(name string, rank int, clock *sim.Clock) (*Client, er
 	}
 	c := &Client{fs: fs, f: f, clock: clock, rank: rank, loads: make([]load, fs.cfg.Servers)}
 	if fs.cfg.Cache.Enabled {
-		c.cache = newCache(fs.cfg.Cache, fs.cfg.StoreData, rank)
+		c.cache = newCache(fs.cfg.Cache)
 	}
 	return c, nil
 }
@@ -107,10 +105,12 @@ func (c *Client) Write(b Batch) {
 func (c *Client) KeepsWriters() bool { return c.f.content != nil }
 
 // transferWrite moves a batch to the servers, charging client-side cost
-// serially and queueing per-server service on the server pool. A flush of a
-// retaining cache passes the log its batch of coalesced extents is
-// assembled from; every other caller passes nil.
-func (c *Client) transferWrite(b Batch, log *assembly) {
+// serially and queueing per-server service on the server pool. A flush
+// passes the log its batch of coalesced extents was written as, and the log
+// is stored, each batch as its own record in write order, so a client's
+// later write wins an overlap; every other caller passes nil, and the batch
+// is stored.
+func (c *Client) transferWrite(b Batch, log []Batch) {
 	total := b.Ext.TotalLen()
 	if total == 0 {
 		return
@@ -124,7 +124,7 @@ func (c *Client) transferWrite(b Batch, log *assembly) {
 
 	// Surrender the pieces routed to crashed servers: the client has paid
 	// the link cost, but a down server neither stores nor serves them.
-	b = c.dropFaulted(b)
+	b, log = c.dropFaulted(b, log)
 
 	// Server-side: accumulate service per server and queue it.
 	c.queueServerService(b.Ext)
@@ -132,7 +132,12 @@ func (c *Client) transferWrite(b Batch, log *assembly) {
 	// Store who wrote each extent in the turn that booked the servers: the
 	// file's write log is then in booking order, which is the order the
 	// calls complete in on every server.
-	c.f.store(b, log, c.rank)
+	if log == nil {
+		c.f.store(b, c.rank)
+	}
+	for _, logged := range log {
+		c.f.store(logged, c.rank)
+	}
 }
 
 // queueServerService books per-server FCFS service for the given extents
@@ -237,10 +242,10 @@ func (c *Client) Sync() {
 		return
 	}
 	b, log := c.cache.takeDirty()
-	if len(b.Ext) == 0 {
-		return
+	defer clear(log) // the cache's hold on the caller's batches ends with the flush
+	if len(b.Ext) > 0 {
+		c.transferWrite(b, log)
 	}
-	c.transferWrite(b, log)
 }
 
 // Invalidate discards cached *clean* data so subsequent reads fetch fresh

@@ -6,6 +6,7 @@ import (
 
 	"atomio/internal/interval"
 	"atomio/internal/obs"
+	"atomio/internal/sim"
 	"atomio/internal/sim/fault"
 )
 
@@ -36,13 +37,41 @@ func (fs *FileSystem) SetFault(in *fault.Injector) { fs.fault = in }
 // dropFaulted partitions a write request over its target servers and
 // removes the pieces routed to servers that are down at the client's
 // current virtual time, recording their extents as damage. A surviving
-// piece keeps its extent's writer. Healthy runs return b unchanged.
-func (c *Client) dropFaulted(b Batch) Batch {
+// piece keeps its extent's writer. A flush passes the log it coalesced b
+// from and gets it back with the same pieces removed from every logged
+// batch. Healthy runs return b and log unchanged.
+func (c *Client) dropFaulted(b Batch, log []Batch) (Batch, []Batch) {
 	in := c.fs.fault
 	if in == nil || !in.HasServerFaults() {
-		return b
+		return b, log
 	}
 	now := c.clock.Now()
+	b, damaged := c.surviving(b, now)
+	if log != nil {
+		log = slices.Clone(log)
+		for i := range log {
+			log[i], _ = c.surviving(log[i], now)
+		}
+	}
+	if len(damaged) > 0 {
+		if o := c.fs.obs; o != nil {
+			for _, e := range damaged {
+				o.Emit(obs.Event{
+					T: now, Actor: c.rank, Layer: obs.LayerFault, Kind: obs.KindDrop,
+					Peer: -1, Off: e.Off, Len: e.Len,
+				})
+			}
+			o.Count(c.rank, obs.MetricFaultPrefix+obs.KindDrop, int64(len(damaged)))
+		}
+		c.f.recordDamage(damaged)
+	}
+	return b, log
+}
+
+// surviving returns b less the pieces routed to servers down at now, and
+// those pieces.
+func (c *Client) surviving(b Batch, now sim.VTime) (Batch, interval.List) {
+	in := c.fs.fault
 	out := Batch{Ext: make(interval.List, 0, len(b.Ext))}
 	// keep adds the part p of extent i.
 	keep := func(i int, p interval.Extent) {
@@ -76,19 +105,7 @@ func (c *Client) dropFaulted(b Batch) Batch {
 			}
 		})
 	}
-	if len(damaged) > 0 {
-		if o := c.fs.obs; o != nil {
-			for _, e := range damaged {
-				o.Emit(obs.Event{
-					T: now, Actor: c.rank, Layer: obs.LayerFault, Kind: obs.KindDrop,
-					Peer: -1, Off: e.Off, Len: e.Len,
-				})
-			}
-			o.Count(c.rank, obs.MetricFaultPrefix+obs.KindDrop, int64(len(damaged)))
-		}
-		c.f.recordDamage(damaged)
-	}
-	return out
+	return out, damaged
 }
 
 // Damage records extents as damaged without writing them — the hook a
@@ -167,7 +184,7 @@ func (fs *FileSystem) Recover(name string) ([]int, error) {
 			continue
 		}
 		for _, b := range f.intents[rank] {
-			f.store(b, nil, rank)
+			f.store(b, rank)
 		}
 		replayed = append(replayed, rank)
 	}

@@ -2,10 +2,10 @@ package pfs
 
 // The write-behind flush against independent expectations. A flush that is
 // not already one canonical batch books the logged extents' Normalize() and
-// stores each coalesced extent straight from the logged pieces, in write
-// order. In shape, server traffic and events it must be the flush it
-// replaced, which booked the normalized extents as one batch; in ownership,
-// every stored byte must be the last logged writer's.
+// stores each logged batch as its own record, in write order. In shape,
+// server traffic and events it must be the flush it replaced, which booked
+// the normalized extents as one batch; in ownership, every stored byte must
+// be the last logged writer's.
 
 import (
 	"fmt"
@@ -166,8 +166,8 @@ func TestFlushStoresFromTheLog(t *testing.T) {
 
 // TestFlushCopiesNothingBeforeTheStore: a flush that coalesces many
 // touching and overlapping pieces allocates a bounded amount per piece —
-// the log's grouping, the coalesced extent and the records, each at its
-// size — and stores the last write to each byte.
+// the coalesced extents and the log's records, none of them a copy of a
+// piece list — and stores the last write to each byte.
 func TestFlushCopiesNothingBeforeTheStore(t *testing.T) {
 	const pieces, n = 512, 256 // pieces that overlap their neighbours by half
 	for _, mode := range []StripeMode{RoundRobin, ClientAffinity} {

@@ -76,12 +76,13 @@ func TestDropFaultedSplitsPayloadless(t *testing.T) {
 		mode         StripeMode
 		kept, damage interval.List
 		keptWriters  []int
+		keptSecond   int // of b's second extent, alone in a logged batch
 	}{
 		// Server 0 homes the even stripes: [0,8), [16,24), [32,40).
 		{RoundRobin, interval.List{{Off: 8, Len: 8}, {Off: 24, Len: 8}, {Off: 40, Len: 8}, {Off: 64}},
-			interval.List{{Off: 5, Len: 3}, {Off: 16, Len: 8}, {Off: 32, Len: 3}}, []int{3, 3, 4, 5}},
+			interval.List{{Off: 5, Len: 3}, {Off: 16, Len: 8}, {Off: 32, Len: 3}}, []int{3, 3, 4, 5}, 1},
 		// Rank 0's home server is down: every extent with bytes goes.
-		{ClientAffinity, interval.List{{Off: 64}}, interval.List{{Off: 5, Len: 30}, {Off: 40, Len: 8}}, []int{5}},
+		{ClientAffinity, interval.List{{Off: 64}}, interval.List{{Off: 5, Len: 30}, {Off: 40, Len: 8}}, []int{5}, 0},
 	} {
 		fs := MustNew(Config{Servers: 2, StripeSize: 8, Mode: tc.mode})
 		fs.SetFault(fault.New(fault.ServerOutage()))
@@ -89,10 +90,14 @@ func TestDropFaultedSplitsPayloadless(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := c.dropFaulted(b)
+		got, log := c.dropFaulted(b, []Batch{b, b.Slice(1, 2)})
 		damage, _ := fs.Damaged("f")
 		if !reflect.DeepEqual(got.Ext, tc.kept) || !reflect.DeepEqual(got.Writers, tc.keptWriters) {
 			t.Errorf("%v: kept %v by %v, want %v by %v", tc.mode, got.Ext, got.Writers, tc.kept, tc.keptWriters)
+		}
+		// A flush's logged batches lose the same pieces, and record no damage twice.
+		if !reflect.DeepEqual(log[0], got) || len(log[1].Ext) != tc.keptSecond {
+			t.Errorf("%v: logged batches kept %+v, want %+v and %d extents of the second", tc.mode, log, got, tc.keptSecond)
 		}
 		if !reflect.DeepEqual(damage, tc.damage) {
 			t.Errorf("%v: damage = %v, want %v", tc.mode, damage, tc.damage)

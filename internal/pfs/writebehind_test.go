@@ -1,16 +1,15 @@
 package pfs
 
-// The write-behind log against a model, and the borrows it takes against a
-// poisoner. The log is the batches Write was lent, in write order, and a
-// flush hands a log of one batch to the servers as it stands when it is
-// already the flush (sorted, disjoint, non-touching); any other it books as
-// the logged extents' Normalize() and stores from the logged pieces, in
-// write order. Either way the flush must be what a cache that always
-// assembles produces — the logged extents' Normalize() in shape, later write
-// wins in ownership — pfs must never write through a list it was lent, and
-// once Sync returns the cache must hold no part of the caller's batches and
-// the store none but the one a flush lent it as its record: a whole log of
-// one canonical batch of the client's own extents.
+// The write-behind log against a model, and the lists it is lent. The log
+// is the batches Write was lent, in write order, and a flush hands a log of
+// one batch to the servers as it stands when it is already the flush
+// (sorted, disjoint, non-touching); any other it books as the logged
+// extents' Normalize(). Either way the flush must be what a cache that
+// always coalesces produces — the logged extents' Normalize() in shape,
+// later write wins in ownership — and the store keeps each logged batch as
+// its own record, in write order, its lists as they were lent: pfs must
+// never write through a list it was lent, and once Sync returns the cache
+// must hold no part of the caller's batches.
 
 import (
 	"fmt"
@@ -21,6 +20,7 @@ import (
 	"testing"
 
 	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 	"atomio/internal/sim"
 )
 
@@ -96,14 +96,15 @@ func scriptBatch(rnd *rand.Rand, span, ranks int) Batch {
 // flush is Client.Sync returning the extents it flushed.
 func flush(c *Client) interval.List {
 	b, log := c.cache.takeDirty()
+	defer clear(log)
 	if len(b.Ext) > 0 {
 		c.transferWrite(b, log)
 	}
 	return b.Ext
 }
 
-// borrowed is one batch handed to Write beside a copy of its lists: until
-// the Sync pfs may read them, and it may never write them.
+// borrowed is one batch handed to Write beside a copy of its lists: pfs
+// may read them for as long as it keeps them, and it may never write them.
 type borrowed struct{ b, was Batch }
 
 func lend(b Batch) borrowed {
@@ -114,22 +115,15 @@ func (l borrowed) intact() bool {
 	return slices.Equal(l.b.Ext, l.was.Ext) && slices.Equal(l.b.Writers, l.was.Writers)
 }
 
-// poison overwrites the lists of a batch whose borrow is over, unless they
-// hold kept: the list a flush lent the store as its record (a canonical
-// batch of the client's own extents, the whole log), which its caller
-// never writes again.
-func (l borrowed) poison(kept interval.List) {
-	for i := range l.b.Ext {
-		if len(kept) > 0 && &l.b.Ext[i] == &kept[0] {
-			return
+// holdsNone reports whether c's cache has let go of every batch it was
+// lent: its log's array holds no list.
+func holdsNone(c *Client) bool {
+	for _, b := range c.cache.dirty[:cap(c.cache.dirty)] {
+		if b.Ext != nil || b.Writers != nil {
+			return false
 		}
 	}
-	for i := range l.b.Ext {
-		l.b.Ext[i] = interval.Extent{Off: 1 << 40, Len: 1}
-	}
-	for i := range l.b.Writers {
-		l.b.Writers[i] = 99
-	}
+	return true
 }
 
 // ownLog makes c's next flush assemble: an empty log is seeded with one empty
@@ -151,8 +145,8 @@ func ownLog(c *Client) {
 // clients and the image say when each batch is applied in write order at
 // its Sync. Batches arrive whole or one extent per Write in any order —
 // windows onto the caller's lists with room behind them — and no list
-// handed over may ever differ from the copy taken before. Every caller list
-// is overwritten as soon as its Sync returns.
+// handed over may ever differ from the copy taken before. Once a Sync
+// returns, the cache holds none of them.
 func TestWriteBehindLogMatchesModel(t *testing.T) {
 	const (
 		ranks = 3
@@ -177,14 +171,14 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 			}
 			model := slices.Repeat([]int{-1}, span+600) // room for a chain of touching extents past span
 			var pending [ranks][]Batch
-			var lentOut [ranks][]borrowed
+			var lentOut []borrowed
 			rnd := rand.New(rand.NewSource(19 + int64(mode)))
 			lent, touching, assembled, windows, reads := 0, 0, 0, 0, 0
 			for op := 0; op < ops; op++ {
 				r := rnd.Intn(ranks)
 				if rnd.Intn(3) > 0 {
 					b := scriptBatch(rnd, span, 10)
-					lentOut[r] = append(lentOut[r], lend(b))
+					lentOut = append(lentOut, lend(b))
 					batches := []Batch{b}
 					if rnd.Intn(4) == 0 {
 						batches = batches[:0]
@@ -213,9 +207,7 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 				}
 				var log interval.List
 				for _, b := range pending[r] {
-					// The cache-less store may keep a canonical list as its
-					// record, so it gets copies the poisoner never reaches.
-					cC[r].Write(Batch{Ext: slices.Clone(b.Ext), Writers: slices.Clone(b.Writers)})
+					cC[r].Write(b)
 					for i, e := range b.Ext {
 						for o := e.Off; o < e.End(); o++ {
 							model[o] = b.writer(i, r)
@@ -226,14 +218,10 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 					}
 				}
 				dirty := cA[r].cache.dirty
-				var kept interval.List
 				switch {
 				case len(log) == 0:
 				case len(dirty) == 1 && dirty[0].Ext.IsCanonical():
 					lent++ // the flush hands the one batch on as it stands
-					if dirty[0].Writers == nil {
-						kept = dirty[0].Ext // and the store keeps it as its record
-					}
 				case log.TotalLen() == log.Normalize().TotalLen():
 					touching++ // disjoint, assembled from more than one batch or not coalesced
 				default:
@@ -243,13 +231,15 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 				if want := log.Normalize(); !slices.Equal(gotA, want) || !slices.Equal(gotB, want) || !slices.Equal(gotN, want) {
 					t.Fatalf("op %d: flushed %v (retaining), %v (not) and %v (own log), want %v", op, gotA, gotB, gotN, want)
 				}
-				for _, l := range lentOut[r] {
+				for _, l := range lentOut {
 					if !l.intact() {
 						t.Fatalf("op %d: pfs wrote through a list it was lent: %+v, was %+v", op, l.b, l.was)
 					}
-					l.poison(kept) // the borrow is over: the lists are the caller's to reuse
 				}
-				pending[r], lentOut[r] = nil, nil
+				if !holdsNone(cA[r]) || !holdsNone(cB[r]) || !holdsNone(cN[r]) {
+					t.Fatalf("op %d: a cache holds a batch past its Sync", op)
+				}
+				pending[r] = nil
 
 				if clkA[r].Now() != clkB[r].Now() || clkA[r].Now() != clkN[r].Now() {
 					t.Fatalf("op %d: rank %d clock %v retaining, %v not, %v with its own log",
@@ -282,17 +272,19 @@ func TestWriteBehindLogMatchesModel(t *testing.T) {
 	}
 }
 
-// TestStoreOwnsItsBytesAfterSync is the borrow's far end: the lists handed
-// to Write belong to the caller again once Sync returns, so scribbling on
-// them must not reach the file — on a flush that lent the caller's batch to
-// the store as it was, and on one that assembled the log first.
-func TestStoreOwnsItsBytesAfterSync(t *testing.T) {
+// TestFlushKeepsTheLoggedBatches is the far end of the lend: a flush stores
+// each logged batch as its own record, in write order, its lists the very
+// ones Write was lent — on a flush that hands one canonical batch on as it
+// stands and on one that coalesces a log of several, out of order,
+// overlapping and touching — and the cache holds none of them once Sync
+// returns.
+func TestFlushKeepsTheLoggedBatches(t *testing.T) {
 	logs := []struct {
 		name string
 		offs []int64
 	}{
-		{"lent", []int64{0, 40, 100, 300}},    // canonical as written
-		{"assembled", []int64{40, 0, 20, 70}}, // out of order, overlapping, touching
+		{"as-it-stands", []int64{0, 40, 100, 300}}, // canonical as written
+		{"coalesced", []int64{40, 0, 20, 70}},      // out of order, overlapping, touching
 	}
 	for _, mode := range []StripeMode{RoundRobin, ClientAffinity} {
 		for _, log := range logs {
@@ -304,31 +296,34 @@ func TestStoreOwnsItsBytesAfterSync(t *testing.T) {
 					b.Ext = append(b.Ext, interval.Extent{Off: off, Len: 30})
 					b.Writers = append(b.Writers, 2+i)
 				}
-				var lent []borrowed
-				if log.name == "lent" {
-					lent = append(lent, lend(b))
-					c.Write(b) // one canonical batch: the flush lends it on
-				} else {
+				batches := []Batch{b} // one canonical batch: the flush hands it on
+				if log.name == "coalesced" {
+					batches = nil
 					for i := range b.Ext {
-						one := b.Slice(i, i+1)
-						lent = append(lent, lend(one))
-						c.Write(one)
+						batches = append(batches, b.Slice(i, i+1))
 					}
 				}
-				dirty := c.cache.dirty
-				if asIs := len(dirty) == 1 && dirty[0].Ext.IsCanonical(); asIs != (log.name == "lent") {
-					t.Fatalf("log of %d batches, the first %v: lent as it stands = %v", len(dirty), dirty[0].Ext, asIs)
+				for _, one := range batches {
+					c.Write(one)
 				}
 				c.Sync()
-				before := image(t, fs, "f", 0, 400)
-				for _, l := range lent {
-					l.poison(nil) // batches that name their writers: the store keeps none
+				var records []index.Record
+				if err := fs.EachRecord("f", func(r index.Record) { records = append(records, r) }); err != nil {
+					t.Fatal(err)
 				}
-				if after := image(t, fs, "f", 0, 400); after != before {
-					t.Fatalf("scribbling on the caller's lists after Sync changed the file:\n%s\n%s", before, after)
+				if len(records) != len(batches) {
+					t.Fatalf("%d records of %d logged batches", len(records), len(batches))
 				}
-				if !strings.Contains(before, "555555") {
-					t.Fatalf("file owners wrong: %s", before)
+				for i, r := range records {
+					if &r.Ext[0] != &batches[i].Ext[0] || &r.Writers[0] != &batches[i].Writers[0] || r.Writer != 1 {
+						t.Fatalf("record %d is %+v, not logged batch %d's lists as lent", i, r, i)
+					}
+				}
+				if !holdsNone(c) {
+					t.Fatal("the cache holds a batch past its Sync")
+				}
+				if got := image(t, fs, "f", 0, 400); !strings.Contains(got, "555555") {
+					t.Fatalf("file owners wrong: %s", got)
 				}
 			})
 		}

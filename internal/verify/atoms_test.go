@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -22,8 +23,8 @@ type atom struct {
 // atomsByCuts is the partition the checker used before it swept: collect
 // every endpoint of every normalized view into a cut set, sort it, and ask
 // each view by binary search whether it covers each piece between two cuts.
-// It shares nothing with index.Atoms — no schedule, no active set — so
-// it stays as the oracle for it.
+// It shares nothing with index.Sweep — no schedule, no open set — so it
+// stays as the oracle for the atoms Check assembles.
 func atomsByCuts(views []interval.List) []atom {
 	norm := make([]interval.List, len(views))
 	cutSet := make(map[int64]bool)
@@ -57,13 +58,21 @@ func atomsByCuts(views []interval.List) []atom {
 	return out
 }
 
-// sweptAtoms collects what index.Atoms yields.
+// sweptAtoms collects the atoms of views as Check assembles them from
+// index.Sweep: with no records, every piece of two or more views is one,
+// its writers the views, ascending.
 func sweptAtoms(views []interval.List) []atom {
 	var out []atom
-	atoms := index.NewAtoms(views)
-	for region, writers, ok := atoms.Next(); ok; region, writers, ok = atoms.Next() {
-		out = append(out, atom{region, append([]int(nil), writers...)})
-	}
+	index.Sweep(nil, views, func(p *index.Piece) {
+		if len(p.Views) >= 2 {
+			writers := make([]int, 0, len(p.Views))
+			for _, w := range p.Views {
+				writers = append(writers, int(w))
+			}
+			slices.Sort(writers)
+			out = append(out, atom{p.Extent, writers})
+		}
+	})
 	return out
 }
 
@@ -146,13 +155,6 @@ func TestSweepAtomsMatchesCutOracle(t *testing.T) {
 	}
 	if multi < 1000 {
 		t.Fatalf("only %d atoms compared; the shapes overlap too little", multi)
-	}
-	// An exhausted cursor stays exhausted.
-	atoms := index.NewAtoms(cases["three-way"])
-	for _, _, ok := atoms.Next(); ok; _, _, ok = atoms.Next() {
-	}
-	if _, _, ok := atoms.Next(); ok {
-		t.Fatal("an exhausted cursor yielded another atom")
 	}
 }
 

@@ -16,9 +16,14 @@ import (
 // hand-constructed torn files, and the byte oracle Check's owner runs are
 // held to.
 func CheckBytes(data []byte, views []interval.List) *Report {
-	c := newChecker(views)
-	markerRuns(data, c.run)
-	return c.finish()
+	n := 0
+	markerRuns(data, func(interval.Extent, int) { n++ })
+	// One record: the runs, each its marker's rank's.
+	image := index.Record{Ext: make(interval.List, 0, n), Writers: make([]int, 0, n)}
+	markerRuns(data, func(run interval.Extent, rank int) {
+		image.Ext, image.Writers = append(image.Ext, run), append(image.Writers, rank)
+	})
+	return check([]index.Record{image}, views)
 }
 
 // markerRuns visits the owner runs of an image of marker bytes in file
@@ -40,13 +45,13 @@ func markerRuns(data []byte, visit func(run interval.Extent, rank int)) {
 // violations — with the rank that won it, in file order.
 func (r *Report) won(views []interval.List) []index.Owned {
 	var won []index.Owned
-	atoms, torn := index.NewAtoms(views), r.Violations
-	for atom, _, ok := atoms.Next(); ok; atom, _, ok = atoms.Next() {
-		if len(torn) > 0 && torn[0].Region == atom {
+	torn := r.Violations
+	for _, a := range atomsByCuts(views) {
+		if len(torn) > 0 && torn[0].Region == a.region {
 			torn = torn[1:]
 			continue
 		}
-		won = append(won, index.Owned{Extent: atom, Rank: int(r.Winners[len(won)])})
+		won = append(won, index.Owned{Extent: a.region, Rank: int(r.Winners[len(won)])})
 	}
 	return won
 }

@@ -1,9 +1,10 @@
 package verify
 
-// The checker Check replaced, kept as the reference the streamed merge is
-// held to: it materializes the file's owner runs (pfs.FileSystem.Owners),
-// walks the atoms with one cursor into that list, and keeps each clean
-// atom's extent beside its winner.
+// The reference Check is held to: it paints each byte's owner from the
+// file's write records, one record after another in log order, cuts the
+// views into atoms at every endpoint (atomsByCuts), and checks each atom
+// against the painted owner runs, keeping each clean atom's extent beside
+// its winner. It shares no sweep with Check.
 
 import (
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"atomio/internal/interval/index"
 	"atomio/internal/pfs"
 	"atomio/internal/sim"
+	"atomio/internal/sim/fault"
 )
 
 // referenceReport is what checkAtoms finds: a Report, and the atom each
@@ -25,14 +27,49 @@ type referenceReport struct {
 	won []index.Owned
 }
 
+// painted returns the owner runs of the named file: an array of each
+// byte's writer, painted from the file's write records in log order — each
+// run of a record over whatever earlier records left — read back as
+// maximal runs of one writer.
+func painted(t *testing.T, fs *pfs.FileSystem, name string) []index.Owned {
+	t.Helper()
+	var owner []int // each byte's writer plus one; 0 for never written
+	err := fs.EachRecord(name, func(r index.Record) {
+		for k, e := range r.Ext {
+			w := r.Writer
+			if r.Writers != nil {
+				w = r.Writers[k]
+			}
+			if grow := int(e.End()) - len(owner); grow > 0 {
+				owner = append(owner, make([]int, grow)...)
+			}
+			for o := e.Off; o < e.End(); o++ {
+				owner[o] = w + 1
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []index.Owned
+	for o, w := range owner {
+		if n := len(runs) - 1; w > 0 && n >= 0 && runs[n].Rank == w-1 && runs[n].End() == int64(o) {
+			runs[n].Len++
+		} else if w > 0 {
+			runs = append(runs, index.Owned{Extent: interval.Extent{Off: int64(o), Len: 1}, Rank: w - 1})
+		}
+	}
+	return runs
+}
+
 // checkAtoms applies the one-writer and serialization-order rules to each
 // atom of views against owners, the file's owner runs in file order.
 func checkAtoms(owners []index.Owned, views []interval.List) referenceReport {
 	rep := referenceReport{Report: &Report{}}
 	after := make(map[int]map[int]bool) // winner -> set of ranks it must follow
 	next := 0                           // the first run that ends past the atoms swept so far
-	atoms := index.NewAtoms(views)
-	for atom, writers, ok := atoms.Next(); ok; atom, writers, ok = atoms.Next() {
+	for _, a := range atomsByCuts(views) {
+		atom, writers := a.region, a.writers
 		rep.Atoms++
 		rep.OverlappedBytes += atom.Len
 		for next < len(owners) && owners[next].End() <= atom.Off {
@@ -125,14 +162,39 @@ func clipRuns(owners []index.Owned, region interval.Extent) []index.Owned {
 	return out
 }
 
+// logShape is what one randomLog drew.
+type logShape struct {
+	cached, faulted, aggregated, batched bool
+}
+
 // randomLog writes views to a fresh storing file system the way a broken
 // strategy might: every rank's extents in calls of one to all of them,
 // the calls of all ranks shuffled together, some extents dropped, some
 // written twice, and stray batches naming writers in and out of the views.
-// It returns the file system.
-func randomLog(t *testing.T, r *rand.Rand, views []interval.List) *pfs.FileSystem {
+// Aggregators write runs of touching extents, each named for a rank: a
+// view's own extents cut into pieces, or strays. A third of the file
+// systems cache write-behind and flush at random, so a flush stores several
+// logged batches; a fifth crash a server for a window of the run, so some
+// writes and flushes lose the pieces routed to it. It returns the file
+// system and what it drew.
+func randomLog(t *testing.T, r *rand.Rand, views []interval.List) (*pfs.FileSystem, logShape) {
 	t.Helper()
-	fs := pfs.MustNew(pfs.Config{Servers: 1 + r.Intn(3), StripeSize: 8, StoreData: true})
+	var shape logShape
+	cfg := pfs.Config{
+		Servers: 1 + r.Intn(3), StripeSize: 8, StoreData: true,
+		ServerModel: sim.LinearCost{Latency: sim.Microsecond},
+		ClientModel: sim.LinearCost{Latency: sim.Microsecond},
+	}
+	if shape.cached = r.Intn(3) == 0; shape.cached {
+		cfg.Cache = pfs.CacheConfig{Enabled: true, BlockSize: 16, WriteBehind: true}
+	}
+	fs := pfs.MustNew(cfg)
+	if shape.faulted = r.Intn(5) == 0; shape.faulted {
+		from := sim.VTime(r.Intn(20)) * sim.Microsecond
+		fs.SetFault(fault.New(fault.Script{Events: []fault.Event{
+			{Kind: fault.ServerCrash, Server: r.Intn(cfg.Servers), From: from, Until: from + sim.VTime(1+r.Intn(30))*sim.Microsecond},
+		}}))
+	}
 	clients := make([]*pfs.Client, len(views)+1) // the last one writes strays
 	for rank := range clients {
 		c, err := fs.Open("f", rank, sim.NewClock(0))
@@ -147,8 +209,19 @@ func randomLog(t *testing.T, r *rand.Rand, views []interval.List) *pfs.FileSyste
 	}
 	var calls []call
 	for rank, v := range views {
-		if r.Intn(4) == 0 { // the whole view in one call, as it stands
+		switch r.Intn(5) {
+		case 0: // the whole view in one call, as it stands
 			calls = append(calls, call{rank, pfs.Batch{Ext: v}})
+			continue
+		case 1: // an aggregator's: the view cut into touching pieces, each named for the rank
+			var b pfs.Batch
+			for _, e := range v.Normalize() {
+				cut := e.Off + 1 + r.Int63n(e.Len) // the second piece may be empty
+				b.Ext = append(b.Ext, ext(e.Off, cut-e.Off), ext(cut, e.End()-cut))
+				b.Writers = append(b.Writers, rank, rank)
+			}
+			calls = append(calls, call{r.Intn(len(clients)), b})
+			shape.aggregated = true
 			continue
 		}
 		for _, e := range v.Normalize() {
@@ -168,40 +241,62 @@ func randomLog(t *testing.T, r *rand.Rand, views []interval.List) *pfs.FileSyste
 	}
 	for k := r.Intn(3); k > 0; k-- {
 		var b pfs.Batch
+		off := int64(r.Intn(80))
 		for n := 1 + r.Intn(3); n > 0; n-- {
-			b.Ext = append(b.Ext, ext(int64(r.Intn(80)), 1+int64(r.Intn(12))))
+			e := ext(off, 1+int64(r.Intn(12)))
+			b.Ext = append(b.Ext, e)
 			b.Writers = append(b.Writers, r.Intn(len(views)+1))
+			if off = int64(r.Intn(80)); r.Intn(2) == 0 {
+				off = e.End() // touching: an aggregator's run of several writers
+			}
 		}
 		calls = append(calls, call{len(views), b})
 	}
 	r.Shuffle(len(calls), func(i, j int) { calls[i], calls[j] = calls[j], calls[i] })
+	logged := make([]int, len(clients)) // each client's batches since its last flush
 	for _, c := range calls {
 		clients[c.rank].Write(c.b)
+		logged[c.rank]++
+		if shape.cached && r.Intn(3) == 0 {
+			shape.batched = shape.batched || logged[c.rank] > 1
+			clients[c.rank].Sync()
+			logged[c.rank] = 0
+		}
 	}
-	return fs
+	for rank, c := range clients {
+		shape.batched = shape.batched || shape.cached && logged[rank] > 1
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fs, shape
 }
 
-// TestStreamedCheckMatchesReference holds Check — owner runs streamed by
-// the store, atoms pulled from a cursor, one merge — to the materializing
-// reference on random logs: every atom count, violation (region, writers,
-// ranks found), order violation and winner must be equal, over torn,
-// unwritten, cyclic and clean outcomes alike.
-func TestStreamedCheckMatchesReference(t *testing.T) {
+// TestCheckMatchesPaintedReference holds Check — one sweep over the write
+// records and the views — to the reference on random logs: written
+// straight, through write-behind flushes of several batches, by aggregators
+// naming writers on touching extents, and under server crashes. Every atom
+// count, violation (region, writers, ranks found, runs), order violation
+// and winner must be equal, over torn, unwritten, cyclic and clean
+// outcomes alike.
+func TestCheckMatchesPaintedReference(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	var torn, cyclic, clean int
+	var drew logShape
 	for round := 0; round < 1500; round++ {
 		views := randomViews(r, 2+r.Intn(7))
-		fs := randomLog(t, r, views)
+		fs, shape := randomLog(t, r, views)
+		drew.cached = drew.cached || shape.cached
+		drew.faulted = drew.faulted || shape.faulted
+		drew.aggregated = drew.aggregated || shape.aggregated
+		drew.batched = drew.batched || shape.batched
 		got, err := Check(fs, "f", views)
 		if err != nil {
 			t.Fatal(err)
 		}
-		owners, err := fs.Owners("f")
-		if err != nil {
-			t.Fatal(err)
-		}
+		owners := painted(t, fs, "f")
 		want := checkAtoms(owners, views)
-		where := fmt.Sprintf("round %d: views %v\nowners %v", round, views, owners)
+		where := fmt.Sprintf("round %d (%+v): views %v\nowners %v", round, shape, views, owners)
 		if got.Atoms != want.Atoms || got.OverlappedBytes != want.OverlappedBytes {
 			t.Fatalf("%s\n%d atoms of %d bytes, want %d of %d", where, got.Atoms, got.OverlappedBytes, want.Atoms, want.OverlappedBytes)
 		}
@@ -235,5 +330,8 @@ func TestStreamedCheckMatchesReference(t *testing.T) {
 	t.Logf("%d torn, %d cyclic, %d clean outcomes", torn, cyclic, clean)
 	if torn < 100 || cyclic < 20 || clean < 100 {
 		t.Fatalf("%d torn, %d cyclic, %d clean outcomes: the logs do not reach every verdict", torn, cyclic, clean)
+	}
+	if drew != (logShape{true, true, true, true}) {
+		t.Fatalf("the logs drew %+v: a shape is never tested", drew)
 	}
 }

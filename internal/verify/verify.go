@@ -1,6 +1,6 @@
 // Package verify checks MPI atomicity on who wrote the simulated file
 // system's bytes. The store keeps, with every write, the rank whose data it
-// carries (pfs.FileSystem.EachOwner); after a concurrent overlapping write the
+// carries (pfs.FileSystem.EachRecord); after a concurrent overlapping write the
 // file is partitioned into atoms (maximal regions covered by the same set of
 // writers) and MPI atomicity requires every multi-writer atom to hold the
 // data of exactly one of its covering writers ("the results of the
@@ -84,7 +84,7 @@ type Report struct {
 	OrderViolation *OrderViolation
 	// Winners records which covering rank's data each clean atom held, for
 	// policy checks such as highest-rank-wins: one rank per clean atom in
-	// file order — the views' atoms (index.Atoms) less the Violations.
+	// file order — the views' atoms less the Violations.
 	Winners []int32
 }
 
@@ -99,34 +99,40 @@ func (r *Report) Atomic() bool { return len(r.Violations) == 0 && r.OrderViolati
 // among its writers — and across atoms the winners must admit a total
 // serialization order of the writers (each atom forces its winner to
 // serialize after the atom's other writers; those constraints must be
-// acyclic). It merges the owner runs the store streams with the atoms a
-// cursor over the views yields, both in file order: O(P) state.
+// acyclic). One sweep merges the file's write records with the views
+// (index.Sweep) and settles each atom as it ends: O(R + V) state.
 func Check(fs *pfs.FileSystem, name string, views []interval.List) (*Report, error) {
-	c := newChecker(views)
-	if err := fs.EachOwner(name, c.run); err != nil {
+	var log []index.Record
+	if err := fs.EachRecord(name, func(r index.Record) { log = append(log, r) }); err != nil {
 		return nil, err
 	}
-	return c.finish(), nil
+	return check(log, views), nil
 }
 
-// checker merges owner runs, pushed in file order, with the atoms it
-// pulls from a cursor. It holds one atom at a time: the first one that
-// ends past the runs seen so far.
+// check runs the sweep over log and views and settles its atoms.
+func check(log []index.Record, views []interval.List) *Report {
+	c := &checker{rep: &Report{}, views: views}
+	index.Sweep(log, views, c.piece)
+	if c.atom.Len > 0 {
+		c.settle()
+	}
+	if cycle := findCycle(c.after); cycle != nil {
+		c.rep.OrderViolation = &OrderViolation{Cycle: cycle}
+	}
+	return c.rep
+}
+
+// checker assembles atoms from the sweep's pieces, one at a time: the
+// pending atom grows while pieces of two or more views follow it uncut.
 type checker struct {
 	rep     *Report
-	atoms   *index.Atoms
-	atom    interval.Extent // the pending atom, empty when the atoms are exhausted
-	writers []int           // the pending atom's writers, the cursor's
-	torn    *Violation      // the pending atom's violation, once a run shows it torn
-	at      int64           // the pending atom's first byte no run has accounted for
+	atom    interval.Extent // the pending atom so far; empty when there is none
+	writers []int32         // the pending atom's views
+	owner   int             // the rank whose run holds the pending atom so far, while it is clean
+	torn    bool            // the pending atom is torn: tear is its violation so far
+	tear    Violation
 	views   []interval.List // the ranks' views
 	after   [][]int32       // row w: the writers w serializes after, ascending and once each; nil before the first clean atom
-}
-
-func newChecker(views []interval.List) *checker {
-	c := &checker{rep: &Report{}, atoms: index.NewAtoms(views), views: views}
-	c.pull()
-	return c
 }
 
 // firstWin sizes Winners for an atom per view extent and every row of after
@@ -140,85 +146,86 @@ func (c *checker) firstWin() {
 	c.rep.Winners = make([]int32, 0, extents)
 }
 
-// pull makes the cursor's next atom the pending one.
-func (c *checker) pull() {
-	atom, writers, ok := c.atoms.Next()
-	c.atom, c.writers, c.torn, c.at = atom, writers, nil, atom.Off
-	if ok {
-		c.rep.Atoms++
-		c.rep.OverlappedBytes += atom.Len
+// piece takes the sweep's next piece. A cut, or fewer than two views, ends
+// the pending atom; a piece of two or more views starts an atom or extends
+// it. The atom stays clean while one run of one of its writers holds all of
+// it; the first piece of another owner tears it.
+func (c *checker) piece(p *index.Piece) {
+	if c.atom.Len > 0 && (p.Cut || len(p.Views) < 2) {
+		c.settle()
 	}
-}
-
-// run takes rank's owner run, the next in file order, and settles every atom
-// starting before its end: one inside one run of one of its writers is
-// clean, won by that writer, who serializes after the others; any other is torn.
-func (c *checker) run(run interval.Extent, rank int) {
-	for !c.atom.Empty() && c.atom.Off < run.End() {
-		switch {
-		case c.torn == nil && run.Off <= c.atom.Off && run.End() >= c.atom.End() && slices.Contains(c.writers, rank):
-			if c.after == nil {
-				c.firstWin()
-			}
-			c.rep.Winners = append(c.rep.Winners, int32(rank))
-			row := c.after[rank]
-			for _, w := range c.writers {
-				if at, found := slices.BinarySearch(row, int32(w)); w != rank && !found {
-					row = slices.Insert(row, at, int32(w))
-				}
-			}
-			c.after[rank] = row
-		case run.Off >= c.atom.End(): // the atom's tail was never written
-			c.tear()
-		default:
-			c.part(run.Intersect(c.atom), rank)
-			if run.End() < c.atom.End() {
-				return // the atom goes on past this run
-			}
-			c.tear()
+	if len(p.Views) < 2 {
+		return
+	}
+	if c.atom.Len == 0 {
+		c.atom, c.owner, c.torn = p.Extent, p.Owner, false
+		c.writers = append(c.writers[:0], p.Views...)
+		if p.Owner >= 0 && slices.Contains(c.writers, int32(p.Owner)) {
+			return
 		}
-		c.pull()
+	} else if c.atom.Len += p.Len; !c.torn && p.Owner == c.owner {
+		return
+	}
+	if !c.torn {
+		c.tearAt(p.Off)
+	}
+	c.run(p.Extent, p.Owner)
+}
+
+// tearAt makes the pending atom a violation: its bytes before off were one
+// run of the owner so far.
+func (c *checker) tearAt(off int64) {
+	c.torn, c.tear = true, Violation{Writers: make([]int, len(c.writers))}
+	for i, w := range c.writers {
+		c.tear.Writers[i] = int(w)
+	}
+	slices.Sort(c.tear.Writers)
+	c.run(interval.Extent{Off: c.atom.Off, Len: off - c.atom.Off}, c.owner)
+}
+
+// run records that the torn pending atom holds rank's data over part, -1
+// for bytes never written: the distinct ranks in Found, the runs in Runs —
+// pieces of one rank that touch make one — at most 8 of each.
+func (c *checker) run(part interval.Extent, rank int) {
+	v := &c.tear
+	if part.Empty() {
+		return
+	}
+	if len(v.Found) < 8 && !slices.Contains(v.Found, rank) {
+		v.Found = append(v.Found, rank)
+	}
+	if n := len(v.Runs) - 1; n >= 0 && v.Runs[n].Rank == rank && v.Runs[n].End() == part.Off {
+		v.Runs[n].Len += part.Len
+	} else if n < 7 {
+		v.Runs = append(v.Runs, index.Owned{Extent: part, Rank: rank})
 	}
 }
 
-// part records that the pending atom, which is torn, holds rank's data
-// over part, and nobody's between the last part recorded and part: the
-// distinct ranks in Found, the pieces in Runs, at most 8 of each.
-func (c *checker) part(part interval.Extent, rank int) {
-	if c.torn == nil {
-		c.torn = &Violation{Region: c.atom, Writers: slices.Clone(c.writers)}
-	}
-	v, gap := c.torn, interval.Extent{Off: c.at, Len: part.Off - c.at}
-	for _, o := range [...]index.Owned{{Extent: gap, Rank: -1}, {Extent: part, Rank: rank}} {
-		if o.Len > 0 && len(v.Found) < 8 && !slices.Contains(v.Found, o.Rank) {
-			v.Found = append(v.Found, o.Rank)
+// settle ends the pending atom: a torn one is a violation; a clean one is
+// won by its owner, who serializes after its other writers.
+func (c *checker) settle() {
+	c.rep.Atoms++
+	c.rep.OverlappedBytes += c.atom.Len
+	if c.torn {
+		c.tear.Region = c.atom
+		slices.Sort(c.tear.Found)
+		c.rep.Violations = append(c.rep.Violations, c.tear)
+	} else {
+		if c.after == nil {
+			c.firstWin()
 		}
-		if o.Len > 0 && len(v.Runs) < 8 {
-			v.Runs = append(v.Runs, o)
+		c.rep.Winners = append(c.rep.Winners, int32(c.owner))
+		row := &c.after[c.owner]
+		for _, w := range c.writers {
+			if w == int32(c.owner) {
+				continue
+			}
+			if at, found := slices.BinarySearch(*row, w); !found {
+				*row = slices.Insert(*row, at, w)
+			}
 		}
 	}
-	c.at = max(c.at, part.End())
-}
-
-// tear reports the pending atom as a violation, its bytes past the last
-// part recorded never written.
-func (c *checker) tear() {
-	c.part(interval.Extent{Off: c.atom.End()}, -1)
-	slices.Sort(c.torn.Found)
-	c.rep.Violations = append(c.rep.Violations, *c.torn)
-}
-
-// finish settles the atoms no run reaches — wholly or partly never
-// written — and the serialization order of the winners.
-func (c *checker) finish() *Report {
-	for !c.atom.Empty() {
-		c.tear()
-		c.pull()
-	}
-	if cycle := findCycle(c.after); cycle != nil {
-		c.rep.OrderViolation = &OrderViolation{Cycle: cycle}
-	}
-	return c.rep
+	c.atom = interval.Extent{}
 }
 
 // findCycle looks for a cycle in the "must serialize after" digraph, row u
