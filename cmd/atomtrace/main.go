@@ -7,17 +7,16 @@
 //	atomtrace -scaling trace-P64.jsonl trace-P256.jsonl trace-P1024.jsonl
 //
 // The default mode prints one trace's attribution report: virtual time and
-// bytes per (layer, kind, tag) bucket, per-phase totals, delivered message
-// counts per collective, the critical path (the longest blocking chain
-// through program order, message edges and lock-grant edges), and the
-// metrics registry.
+// bytes per (layer, kind, tag) bucket, per-phase totals, the critical path
+// (the longest blocking chain through program order, bcast message edges,
+// collective joins and lock-grant edges), and the metrics registry.
 //
 // -scaling reads several traces of the same workload at different process
-// counts and fits the message-count growth exponent: the handshaking
-// strategies open with a ring allgather of all P file views, so their
-// message count grows ~P² — the cost the paper's §4 weighs against lock
-// contention. An exponent near 2 confirms the quadratic regime; locking
-// traces sit near 1. Given traces of both kinds (one that requested locks is
+// counts and fits the growth exponent of their mpi.msgs counters: the
+// handshaking strategies open with a ring allgather of all P file views,
+// so their message count grows ~P² — the cost the paper's §4 weighs
+// against lock contention. An exponent near 2 confirms the quadratic
+// regime; locking traces sit near 1. Given traces of both kinds (one that requested locks is
 // a locking run) it reports the smallest P at which a handshake — the
 // fastest, when traces of several strategies share a P — ends first.
 //
@@ -116,20 +115,10 @@ func reportScaling(w io.Writer, paths []string, traces []*obs.TraceData) {
 		if prev, ok := kind[t.Procs]; !ok || end < prev {
 			kind[t.Procs] = end
 		}
-		msgs := obs.MessageCounts(t.Events)
-		var sum int64
-		for _, n := range msgs {
-			sum += n
-		}
-		// The metrics registry survives ring-buffer truncation; prefer its
-		// exact counter when the trace carries one.
-		if m := t.Metrics; m != nil && m.Counter(obs.MetricMsgs) > 0 {
-			sum = m.Counter(obs.MetricMsgs)
-			msgs[obs.TagAllgather] = m.Counter(obs.MetricMsgsPrefix + obs.TagAllgather)
-		}
-		fmt.Fprintf(w, "%-40s %8d %12d %12d %14v\n", paths[i], t.Procs, sum, msgs[obs.TagAllgather], end)
+		sum, ring := t.Metrics.Counter(obs.MetricMsgs), t.Metrics.Counter(obs.MetricMsgsPrefix+obs.TagAllgather)
+		fmt.Fprintf(w, "%-40s %8d %12d %12d %14v\n", paths[i], t.Procs, sum, ring, end)
 		total = append(total, obs.ScalingPoint{Procs: t.Procs, Msgs: sum})
-		allgather = append(allgather, obs.ScalingPoint{Procs: t.Procs, Msgs: msgs[obs.TagAllgather]})
+		allgather = append(allgather, obs.ScalingPoint{Procs: t.Procs, Msgs: ring})
 	}
 	fmt.Fprintf(w, "\nmessage growth: msgs ~ P^%.2f", obs.FitExponent(total))
 	if b := obs.FitExponent(allgather); b != 0 {

@@ -12,27 +12,20 @@ import (
 )
 
 // writeTrace serializes a synthetic ring-allgather trace of procs actors:
-// every ordered pair exchanges one tagged message, so the message count is
-// exactly P·(P-1) — the quadratic handshake regime.
+// one mpi.coll event per rank, and counters of one 8-byte message from
+// every other rank, so the message count is exactly P·(P-1) — the
+// quadratic handshake regime.
 func writeTrace(t *testing.T, dir string, procs int) string {
 	t.Helper()
 	rec := obs.NewRecorder(procs, 0)
 	// at is sim.VTime; deriving it from the zero Event keeps the binary's
 	// import set to internal/obs alone, matching its layering contract.
 	at := obs.Event{}.T
-	for i := 0; i < procs; i++ {
-		for j := 0; j < procs; j++ {
-			if i == j {
-				continue
-			}
-			rec.Emit(obs.Event{T: at, Actor: i, Layer: obs.LayerMPI, Kind: obs.KindSend,
-				Tag: obs.TagAllgather, Peer: j, Size: 8})
-			rec.Emit(obs.Event{T: at + 1, Actor: j, Layer: obs.LayerMPI, Kind: obs.KindRecv,
-				Tag: obs.TagAllgather, Peer: i, Size: 8, Dur: 1})
-			rec.Count(j, obs.MetricMsgs, 1)
-			rec.Count(j, obs.MetricMsgsPrefix+obs.TagAllgather, 1)
-			at += 2
-		}
+	for r := 0; r < procs; r++ {
+		rec.Emit(obs.Event{T: at + 1, Actor: r, Layer: obs.LayerMPI, Kind: obs.KindColl,
+			Tag: obs.TagAllgather, Peer: -1, Size: int64(8 * (procs - 1)), Dur: at + 2})
+		rec.Count(r, obs.MetricMsgs, int64(procs-1))
+		rec.Count(r, obs.MetricMsgsPrefix+obs.TagAllgather, int64(procs-1))
 	}
 	path := filepath.Join(dir, fmt.Sprintf("trace-P%d.jsonl", procs))
 	f, err := os.Create(path)

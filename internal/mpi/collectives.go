@@ -1,5 +1,7 @@
 package mpi
 
+import "atomio/internal/obs"
+
 // Collective operations. All of them are collective in the MPI sense: every
 // rank of the communicator must call them in the same order. Each call uses
 // a fresh tag drawn from a per-communicator sequence, which is
@@ -16,7 +18,7 @@ package mpi
 //	Alltoall   pairwise exchange, P-1 steps         (solved at a rendezvous)
 //
 // Barrier, AllgatherOf and Alltoall keep that schedule — message counts,
-// sizes, clocks, trace events — but simulate no message: the ranks meet
+// sizes, clocks — but simulate no message: the ranks meet
 // (rendezvous.go) and the last to arrive runs the schedule as a recurrence
 // over the P entry clocks. Only a synchronizing collective may: every rank's
 // exit is at or after every rank's entry in virtual time, so parking the
@@ -35,8 +37,7 @@ func (c *Comm) nextTag() int {
 // It is timed as the dissemination algorithm: in round k each rank signals
 // rank+2^k (mod P) and waits for a signal from rank-2^k (mod P).
 func (c *Comm) Barrier() {
-	defer c.beginOp("barrier")()
-	c.meet(0, nil, func(rv *rendezvous) {
+	c.meet(barrierKind, 0, nil, func(rv *rendezvous) {
 		for dist := 1; dist < c.Size(); dist *= 2 {
 			rv.step(c, dist, 0)
 		}
@@ -45,21 +46,24 @@ func (c *Comm) Barrier() {
 
 // bcast distributes root's data to every rank along a binomial tree and
 // returns it. Non-root ranks pass nil (any value they pass is ignored).
+// With a recorder attached, each message is traced as a send and a recv.
 func (c *Comm) bcast(data []byte, root int) []byte {
-	defer c.beginOp("bcast")()
 	c.checkRank(root)
 	tag := c.nextTag()
 	p := c.Size()
 	if p == 1 {
 		return data
 	}
-	vrank := (c.rank - root + p) % p
+	vrank, o := (c.rank-root+p)%p, c.world.cfg.Obs
 
 	mask := 1
 	for mask < p {
 		if vrank&mask != 0 {
 			src := (c.rank - mask + p) % p
 			data = c.recv(src, tag)
+			if o != nil {
+				c.traceBcast(o, obs.KindRecv, src, data)
+			}
 			break
 		}
 		mask *= 2
@@ -69,10 +73,27 @@ func (c *Comm) bcast(data []byte, root int) []byte {
 		if vrank+mask < p {
 			dst := (c.rank + mask) % p
 			c.send(dst, tag, data)
+			if o != nil {
+				c.traceBcast(o, obs.KindSend, dst, data)
+			}
 		}
 		mask /= 2
 	}
 	return data
+}
+
+// traceBcast emits the event of this rank sending data to peer, or
+// receiving it from peer with the timing applied, and counts a received
+// message.
+func (c *Comm) traceBcast(o *obs.Recorder, kind string, peer int, data []byte) {
+	me, size := c.group[c.rank], int64(len(data))
+	o.Emit(obs.Event{T: c.clock.Now(), Actor: me, Layer: obs.LayerMPI, Kind: kind,
+		Tag: "bcast", Peer: c.group[peer], Size: size})
+	if kind == obs.KindRecv {
+		o.Count(me, obs.MetricMsgs, 1)
+		o.Count(me, obs.MetricMsgBytes, size)
+		o.Count(me, obs.MetricMsgsPrefix+"bcast", 1)
+	}
 }
 
 // AllgatherOf collects every rank's block on every rank, indexed by rank,
@@ -86,8 +107,7 @@ func (c *Comm) bcast(data []byte, root int) []byte {
 // every rank returns that same table. The table is read-only, and no rank
 // may write its block while any rank can still read the table.
 func AllgatherOf[T any](c *Comm, block T, size int64) []T {
-	defer c.beginOp("allgather")()
-	return c.meet(size, func(rv *rendezvous) {
+	return c.meet(allgatherKind, size, func(rv *rendezvous) {
 		if rv.table == nil {
 			rv.table = make([]T, c.Size())
 		}
@@ -129,14 +149,13 @@ type Part struct {
 // in practice until a later synchronizing collective. The returned slice
 // is read-only.
 func (c *Comm) Alltoall(parts []Part) []Part {
-	defer c.beginOp("alltoall")()
 	for i, pt := range parts {
 		c.checkRank(pt.Peer)
 		if i > 0 && pt.Peer <= parts[i-1].Peer {
 			panic("mpi: Alltoall parts must name distinct peers in ascending order")
 		}
 	}
-	rv := c.meet(0, func(rv *rendezvous) {
+	rv := c.meet(alltoallKind, 0, func(rv *rendezvous) {
 		if len(parts) > 0 {
 			if rv.parts == nil {
 				rv.parts = make([][]Part, c.Size())

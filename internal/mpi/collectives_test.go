@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"atomio/internal/obs"
 	"atomio/internal/sim"
 )
 
@@ -222,26 +223,47 @@ func TestBarrierMessageComplexity(t *testing.T) {
 	}
 }
 
+// tally is what the message loops below count as their ranks receive: the
+// counters the rendezvous keeps in closed form, and the bytes each world
+// rank received in the collective in progress.
+type tally struct {
+	counters map[string]int64
+	bytes    []int64
+}
+
+func newTally(procs int) *tally {
+	return &tally{counters: map[string]int64{}, bytes: make([]int64, procs)}
+}
+
+// recv is c.recv counted as one message of collective op.
+func (t *tally) recv(c *Comm, op string, from, tag int) []byte {
+	data := c.recv(from, tag)
+	n := int64(len(data))
+	t.bytes[c.group[c.rank]] += n
+	t.counters[obs.MetricMsgs]++
+	t.counters[obs.MetricMsgBytes] += n
+	t.counters[obs.MetricMsgsPrefix+op]++
+	return data
+}
+
 // messageBarrier is the dissemination barrier as simulated messages — the
 // production Barrier until it was solved at a rendezvous, kept as the oracle
 // TestRendezvousMatchesMessageSchedule compares it against.
-func messageBarrier(c *Comm) {
-	defer c.beginOp("barrier")()
+func messageBarrier(c *Comm, t *tally) {
 	tag := c.nextTag()
 	p := c.Size()
 	for dist := 1; dist < p; dist *= 2 {
 		to := (c.rank + dist) % p
 		from := (c.rank - dist + p) % p
 		c.send(to, tag, nil)
-		c.recv(from, tag)
+		t.recv(c, "barrier", from, tag)
 	}
 }
 
 // messageAlltoall is the pairwise alltoall as simulated messages, the oracle
 // of Alltoall's timing: in step s a rank sends rank+s a message of its part's
 // size — empty without one — and receives from rank-s. It delivers no part.
-func messageAlltoall(c *Comm, parts []Part) []Part {
-	defer c.beginOp("alltoall")()
+func messageAlltoall(c *Comm, t *tally, parts []Part) []Part {
 	tag := c.nextTag()
 	p := c.Size()
 	size := make([]int64, p)
@@ -249,17 +271,16 @@ func messageAlltoall(c *Comm, parts []Part) []Part {
 		size[pt.Peer] = pt.Size
 	}
 	for s := 1; s < p; s++ {
-		c.sendOwned((c.rank+s)%p, tag, make([]byte, size[(c.rank+s)%p]))
-		c.recv((c.rank-s+p)%p, tag)
+		c.send((c.rank+s)%p, tag, make([]byte, size[(c.rank+s)%p]))
+		t.recv(c, "alltoall", (c.rank-s+p)%p, tag)
 	}
 	return nil
 }
 
 // messageAllgather is the ring allgather as simulated messages, the oracle
 // of Allgather: in step s a rank forwards the block that originated at
-// rank-s — its own private copy first, then blocks received from the left.
-func messageAllgather(c *Comm, data []byte) [][]byte {
-	defer c.beginOp("allgather")()
+// rank-s — its own first, then blocks received from the left.
+func messageAllgather(c *Comm, t *tally, data []byte) [][]byte {
 	tag := c.nextTag()
 	p := c.Size()
 	out := make([][]byte, p)
@@ -268,9 +289,9 @@ func messageAllgather(c *Comm, data []byte) [][]byte {
 	left := (c.rank - 1 + p) % p
 	for s := 0; s < p-1; s++ {
 		sendIdx := (c.rank - s + p) % p
-		c.sendOwned(right, tag, out[sendIdx])
+		c.send(right, tag, out[sendIdx])
 		recvIdx := (c.rank - s - 1 + p) % p
-		out[recvIdx] = c.recv(left, tag)
+		out[recvIdx] = t.recv(c, obs.TagAllgather, left, tag)
 	}
 	return out
 }

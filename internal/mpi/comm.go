@@ -19,21 +19,6 @@ type Comm struct {
 
 	tagSeq    int // sequence number of collective calls, their message tag
 	sharedSeq int // sequence number of Shared calls
-
-	// curOp labels the collective currently executing on this rank so its
-	// messages carry the collective's name in trace events.
-	curOp string
-}
-
-// beginOp marks the start of a collective for event attribution and returns
-// the matching end function. With tracing off this is a nil test and a
-// static closure.
-func (c *Comm) beginOp(name string) func() {
-	if c.world.cfg.Obs == nil {
-		return func() {}
-	}
-	c.curOp = name
-	return func() { c.curOp = "" }
 }
 
 // Rank returns the calling process's rank within the communicator.

@@ -57,10 +57,9 @@ type Config struct {
 	// Engine is an error: a coordinator only works on the engine it came
 	// from.
 	Coord sim.Coord
-	// Obs, when non-nil, receives an mpi.send/mpi.recv event (tagged with
-	// the enclosing collective, sized, with world-rank peers) for every
-	// message, plus message counters. Nil costs one pointer test per
-	// message.
+	// Obs, when non-nil, receives one mpi.coll event per rank and
+	// synchronizing collective, an mpi.send/mpi.recv pair per bcast
+	// message, and message counters. Nil costs one pointer test per call.
 	Obs *obs.Recorder
 }
 

@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"math/bits"
 	"slices"
 
+	"atomio/internal/obs"
 	"atomio/internal/sim"
 )
 
@@ -15,8 +17,9 @@ import (
 type rendezvous struct {
 	arrived int
 	clock   []sim.VTime // by communicator rank: entry clocks, then exit clocks
-	size    []int64     // by communicator rank: the size of a message carrying block i (an alltoall's: see exchange)
-	cost    []sim.VTime // transfer cost of a message of size[i]
+	size    []int64     // by communicator rank: the size of a message carrying block i (0 in an alltoall)
+	total   int64       // the sum of size
+	cost    []sim.VTime // transfer cost of a message of size[i] (an alltoall's: see exchange)
 	next    []sim.VTime // the solver's second clock buffer
 	table   any         // an allgather's []T of blocks, by communicator rank; nil for the others
 	parts   [][]Part    // by communicator rank: an alltoall's parts; nil while none has any
@@ -26,17 +29,28 @@ type rendezvous struct {
 	starts []int
 }
 
+// collKind names a synchronizing collective: the Tag of its mpi.coll
+// events and its counter of messages, spelled out so that tracing a call
+// builds no string.
+type collKind struct{ tag, msgs string }
+
+var (
+	barrierKind   = collKind{"barrier", obs.MetricMsgsPrefix + "barrier"}
+	allgatherKind = collKind{obs.TagAllgather, obs.MetricMsgsPrefix + obs.TagAllgather}
+	alltoallKind  = collKind{"alltoall", obs.MetricMsgsPrefix + "alltoall"}
+)
+
 // meet takes the calling rank through the rendezvous of the next collective
-// call: deposit (its block priced at size bytes, then whatever deposit
-// adds), then sleep until the last arriver has run solve — or, as the last
-// arriver, run it and wake every peer — and advance to the exit clock solve
-// left in rv.clock. Ranks arrive as admitted actions at their entry clocks,
-// so which rank solves is the same on every engine.
-func (c *Comm) meet(size int64, deposit func(rv *rendezvous), solve func(rv *rendezvous)) *rendezvous {
+// call of the given kind: deposit (its block priced at size bytes, then
+// whatever deposit adds), then sleep until the last arriver has run solve —
+// or, as the last arriver, run it and wake every peer — and advance to the
+// exit clock solve left in rv.clock. Ranks arrive as admitted actions at
+// their entry clocks, so which rank solves is the same on every engine.
+func (c *Comm) meet(kind collKind, size int64, deposit func(rv *rendezvous), solve func(rv *rendezvous)) *rendezvous {
 	w, p, me := c.world, len(c.group), c.group[c.rank]
 	key := sharedKey{ctx: c.ctx, seq: c.nextTag()}
-	coord := w.cfg.Coord
-	coord.Await(me, c.clock.Now())
+	coord, entry := w.cfg.Coord, c.clock.Now()
+	coord.Await(me, entry)
 	if w.aborted {
 		panic(abortError{})
 	}
@@ -45,7 +59,7 @@ func (c *Comm) meet(size int64, deposit func(rv *rendezvous), solve func(rv *ren
 		rv = &rendezvous{clock: make([]sim.VTime, p), size: make([]int64, p)}
 		w.meetings[key] = rv
 	}
-	rv.clock[c.rank], rv.size[c.rank] = c.clock.Now(), size
+	rv.clock[c.rank], rv.size[c.rank] = entry, size
 	if deposit != nil {
 		deposit(rv)
 	}
@@ -60,6 +74,7 @@ func (c *Comm) meet(size int64, deposit func(rv *rendezvous), solve func(rv *ren
 		rv.next, rv.cost = make([]sim.VTime, p), make([]sim.VTime, p)
 		for i, n := range rv.size {
 			rv.cost[i] = w.cfg.Net.Cost(n)
+			rv.total += n
 		}
 		solve(rv)
 		// Every sleeper appended its park event before this Wake appends
@@ -72,17 +87,46 @@ func (c *Comm) meet(size int64, deposit func(rv *rendezvous), solve func(rv *ren
 		}
 	}
 	c.clock.AdvanceTo(rv.clock[c.rank])
+	if o := w.cfg.Obs; o != nil {
+		c.traceColl(o, kind, key, entry, rv)
+	}
 	return rv
+}
+
+// traceColl emits the calling rank's mpi.coll event, entry to exit, and
+// counts the messages the schedule delivered to it in closed form: one per
+// dissemination round in a barrier, one from every other rank in the ring
+// and the pairwise exchange. Aux names the call, the same on every rank.
+func (c *Comm) traceColl(o *obs.Recorder, kind collKind, key sharedKey, entry sim.VTime, rv *rendezvous) {
+	me, p := c.group[c.rank], len(c.group)
+	msgs := p - 1
+	if kind == barrierKind {
+		msgs = bits.Len(uint(p - 1))
+	}
+	bytes := rv.total - rv.size[c.rank] // every other rank's block, or an alltoall's parts from them
+	if rv.starts != nil {
+		for _, pt := range rv.inbox[rv.starts[c.rank]:rv.starts[c.rank+1]] {
+			if pt.Peer != c.rank {
+				bytes += pt.Size
+			}
+		}
+	}
+	o.Emit(obs.Event{T: entry, Dur: c.clock.Now() - entry, Actor: me, Layer: obs.LayerMPI, Kind: obs.KindColl,
+		Tag: kind.tag, Peer: -1, Size: bytes, Aux: int64(key.ctx)<<32 | int64(key.seq)})
+	if msgs > 0 {
+		o.Count(me, obs.MetricMsgs, int64(msgs))
+		o.Count(me, obs.MetricMsgBytes, bytes)
+		o.Count(me, kind.msgs, int64(msgs))
+	}
 }
 
 // step advances every clock through one round of a shift schedule, in which
 // rank r sends block r-s to rank r+dist and receives block r-dist-s from
-// rank r-dist (indices mod P), timed as sendOwned and recv would:
-// a'[r] = max(a[r]+so, a[r-dist]+so+cost) + ro. Only with a recorder
-// attached is anything more done per message: its two events and counts.
+// rank r-dist (indices mod P), timed as send and recv would:
+// a'[r] = max(a[r]+so, a[r-dist]+so+cost) + ro.
 func (rv *rendezvous) step(c *Comm, dist, s int) {
 	cfg := &c.world.cfg
-	so, ro, o, p := cfg.SendOverhead, cfg.RecvOverhead, cfg.Obs, len(rv.clock)
+	so, ro, p := cfg.SendOverhead, cfg.RecvOverhead, len(rv.clock)
 	for r := range rv.next {
 		from := r - dist // wrapped by hand: two divisions here double the loop
 		if from < 0 {
@@ -93,10 +137,6 @@ func (rv *rendezvous) step(c *Comm, dist, s int) {
 			b += p
 		}
 		rv.next[r] = max(rv.clock[r], rv.clock[from]+rv.cost[b]) + so + ro
-		if o != nil {
-			c.traceSend(o, rv.clock[r]+so, r, (r+dist)%p, rv.size[(r-s+p)%p])
-			c.traceRecv(o, rv.next[r], r, from, rv.size[b])
-		}
 	}
 	rv.clock, rv.next = rv.next, rv.clock
 }
@@ -113,11 +153,11 @@ func (rv *rendezvous) exchange(c *Comm) {
 	for s := 1; s < p; s++ {
 		now := sends[round[s]:round[s+1]] // Peer names the sender
 		for _, pt := range now {
-			rv.size[pt.Peer], rv.cost[pt.Peer] = pt.Size, net.Cost(pt.Size)
+			rv.cost[pt.Peer] = net.Cost(pt.Size)
 		}
 		rv.step(c, s, 0)
 		for _, pt := range now {
-			rv.size[pt.Peer], rv.cost[pt.Peer] = 0, empty
+			rv.cost[pt.Peer] = empty
 		}
 	}
 	rv.inbox, rv.starts = rv.bucket(p, func(_ int, pt Part) int { return pt.Peer })

@@ -87,29 +87,27 @@ func (tc scheduleCase) subset() []int {
 	return members
 }
 
-// mpiEvent is the engine-independent part of one mpi-layer trace event.
-type mpiEvent struct {
-	T         sim.VTime
-	Kind, Tag string
-	Peer      int
-	Size      int64
-}
+// collectiveKinds are the Tags of a case's four collectives, in call order.
+var collectiveKinds = [4]string{obs.TagAllgather, "barrier", obs.TagAllgather, "alltoall"}
 
 // scheduleResult is everything a world's collectives are observable by.
 type scheduleResult struct {
-	exits     [4][]sim.VTime
-	tables    [2][][][]byte // the two allgathers' results, by world rank
-	delivered [][]Part      // the alltoall's results, by world rank
-	events    [][]mpiEvent  // by actor
-	counters  map[string]int64
+	entries, exits [4][]sim.VTime
+	tables         [2][][][]byte // the two allgathers' results, by world rank
+	delivered      [][]Part      // the alltoall's results, by world rank
+	mpi            [][]obs.Event // every mpi event, by actor
+	recvd          [4][]int64    // bytes received in each collective, by world rank (oracle runs)
+	counters       map[string]int64
 }
 
 // run executes the case with the given Barrier, Allgather and Alltoall.
-func (tc scheduleCase) run(t *testing.T, barrier func(*Comm), allgather func(*Comm, []byte) [][]byte, alltoall func(*Comm, []Part) []Part) scheduleResult {
+// Message loops pass the tally they count into, and the result's counters
+// and received bytes are the tally's; otherwise they are the recorder's.
+func (tc scheduleCase) run(t *testing.T, tl *tally, barrier func(*Comm), allgather func(*Comm, []byte) [][]byte, alltoall func(*Comm, []Part) []Part) scheduleResult {
 	t.Helper()
 	var res scheduleResult
 	for i := range res.exits {
-		res.exits[i] = make([]sim.VTime, tc.procs)
+		res.entries[i], res.exits[i], res.recvd[i] = make([]sim.VTime, tc.procs), make([]sim.VTime, tc.procs), make([]int64, tc.procs)
 	}
 	for i := range res.tables {
 		res.tables[i] = make([][][]byte, tc.procs)
@@ -126,41 +124,46 @@ func (tc scheduleCase) run(t *testing.T, barrier func(*Comm), allgather func(*Co
 				return nil
 			}
 		}
-		c.Clock().Advance(tc.skews[0][me])
-		res.tables[0][me] = allgather(c, tc.blocks[me])
-		res.exits[0][me] = c.Now()
-		c.Clock().Advance(tc.skews[1][me])
-		barrier(c)
-		res.exits[1][me] = c.Now()
-		c.Clock().Advance(tc.skews[2][me])
-		res.tables[1][me] = allgather(c, nil)
-		res.exits[2][me] = c.Now()
-		c.Clock().Advance(tc.skews[3][me])
-		res.delivered[me] = alltoall(c, tc.parts(c.Rank(), c.Size()))
-		res.exits[3][me] = c.Now()
+		for i, call := range [4]func(){
+			func() { res.tables[0][me] = allgather(c, tc.blocks[me]) },
+			func() { barrier(c) },
+			func() { res.tables[1][me] = allgather(c, nil) },
+			func() { res.delivered[me] = alltoall(c, tc.parts(c.Rank(), c.Size())) },
+		} {
+			c.Clock().Advance(tc.skews[i][me])
+			res.entries[i][me] = c.Now()
+			call()
+			res.exits[i][me] = c.Now()
+			if tl != nil {
+				res.recvd[i][me], tl.bytes[me] = tl.bytes[me], 0
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	res.events = make([][]mpiEvent, tc.procs)
+	res.mpi = make([][]obs.Event, tc.procs)
 	for _, e := range rec.Events() {
 		if e.Layer == obs.LayerMPI {
-			res.events[e.Actor] = append(res.events[e.Actor], mpiEvent{T: e.T, Kind: e.Kind, Tag: e.Tag, Peer: e.Peer, Size: e.Size})
+			res.mpi[e.Actor] = append(res.mpi[e.Actor], e)
 		}
 	}
 	res.counters = map[string]int64{}
-	for _, name := range []string{obs.MetricMsgs, obs.MetricMsgBytes, obs.MetricMsgsPrefix + "barrier", obs.MetricMsgsPrefix + "allgather", obs.MetricMsgsPrefix + "alltoall"} {
-		res.counters[name] = rec.Metrics().Counter(name)
+	for _, name := range []string{obs.MetricMsgs, obs.MetricMsgBytes, obs.MetricMsgsPrefix + "barrier", obs.MetricMsgsPrefix + obs.TagAllgather, obs.MetricMsgsPrefix + "alltoall"} {
+		if res.counters[name] = rec.Metrics().Counter(name); tl != nil {
+			res.counters[name] = tl.counters[name]
+		}
 	}
 	return res
 }
 
 // TestRendezvousMatchesMessageSchedule pins the rendezvous to the message
-// loops it replaced: the same exit clocks, the same blocks, the same
-// per-actor mpi events and the same message counters — for byte blocks and
-// for typed blocks priced at the bytes' length — and pins the counts to
-// their formulas.
+// loops it replaced: the same exit clocks, the same blocks and the same
+// message counters — for byte blocks and for typed blocks priced at the
+// bytes' length — and pins the counts to their formulas. Each rank traces
+// a collective as one mpi.coll event, from its clock at the call to its
+// exit, sized by the bytes the loop's messages brought it.
 func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	cases := []scheduleCase{newScheduleCase(rng, 12, true), newScheduleCase(rng, 31, true)}
@@ -169,8 +172,11 @@ func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("P=%d/split=%v/%s", tc.procs, tc.split, loop.Name()), func(t *testing.T) {
-			got := tc.run(t, (*Comm).Barrier, (*Comm).Allgather, (*Comm).Alltoall)
-			want := tc.run(t, messageBarrier, messageAllgather, messageAlltoall)
+			got := tc.run(t, nil, (*Comm).Barrier, (*Comm).Allgather, (*Comm).Alltoall)
+			tl := newTally(tc.procs)
+			want := tc.run(t, tl, func(c *Comm) { messageBarrier(c, tl) },
+				func(c *Comm, b []byte) [][]byte { return messageAllgather(c, tl, b) },
+				func(c *Comm, parts []Part) []Part { return messageAlltoall(c, tl, parts) })
 			if !reflect.DeepEqual(got.exits, want.exits) {
 				t.Errorf("exit clocks\n got %v\nwant %v", got.exits, want.exits)
 			}
@@ -197,17 +203,35 @@ func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 					t.Errorf("rank %d received %v, want %v", me, got.delivered[world], want)
 				}
 			}
-			for a := range want.events {
-				if !reflect.DeepEqual(got.events[a], want.events[a]) {
-					t.Errorf("actor %d: mpi events\n got %v\nwant %v", a, got.events[a], want.events[a])
+			var calls [4]int64 // each collective's Aux, as its first rank traced it
+			for i, world := range members {
+				events := got.mpi[world]
+				if len(events) != len(collectiveKinds) {
+					t.Fatalf("actor %d traced %d mpi events, want one per collective: %v", world, len(events), events)
 				}
+				for k, e := range events {
+					if i == 0 {
+						calls[k] = e.Aux
+					}
+					if e.Kind != obs.KindColl || e.Tag != collectiveKinds[k] || e.Peer != -1 || e.Aux != calls[k] {
+						t.Errorf("actor %d, collective %d: %s.%s:%s peer %d call %d, want coll:%s peer -1 call %d",
+							world, k, e.Layer, e.Kind, e.Tag, e.Peer, e.Aux, collectiveKinds[k], calls[k])
+					}
+					if e.T != want.entries[k][world] || e.T+e.Dur != want.exits[k][world] || e.Size != want.recvd[k][world] {
+						t.Errorf("actor %d, collective %d: [%v, %v] size %d, the loop's [%v, %v] size %d", world, k,
+							e.T, e.T+e.Dur, e.Size, want.entries[k][world], want.exits[k][world], want.recvd[k][world])
+					}
+				}
+			}
+			if n := len(slices.Compact(slices.Sorted(slices.Values(calls[:])))); n != len(calls) {
+				t.Errorf("collectives share instances: %v", calls)
 			}
 			if !reflect.DeepEqual(got.counters, want.counters) {
 				t.Errorf("counters: got %v, want %v", got.counters, want.counters)
 			}
 			// A typed block priced at n bytes is timed, traced and counted
 			// as a []byte of length n, and arrives as itself.
-			typed := tc.run(t, (*Comm).Barrier, func(c *Comm, b []byte) [][]byte {
+			typed := tc.run(t, nil, (*Comm).Barrier, func(c *Comm, b []byte) [][]byte {
 				for r, block := range AllgatherOf(c, c.Rank(), int64(len(b))) {
 					if block != r {
 						t.Errorf("rank %d: typed table row %d holds rank %d's block", c.Rank(), r, block)
@@ -218,17 +242,14 @@ func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 			if !reflect.DeepEqual(typed.exits, want.exits) {
 				t.Errorf("typed allgather: exit clocks\n got %v\nwant %v", typed.exits, want.exits)
 			}
-			if !reflect.DeepEqual(typed.events, want.events) || !reflect.DeepEqual(typed.counters, want.counters) {
+			if !reflect.DeepEqual(typed.mpi, got.mpi) || !reflect.DeepEqual(typed.counters, want.counters) {
 				t.Error("typed allgather: mpi events or counters differ from the ring's over []byte blocks")
 			}
-			p := int64(tc.procs)
-			if tc.split {
-				p = int64(len(tc.subset()))
-			}
+			p := int64(len(members))
 			if n, f := got.counters[obs.MetricMsgsPrefix+"barrier"], p*int64(bits.Len(uint(p-1))); n != f {
 				t.Errorf("barrier delivered %d messages, want P*ceil(log2 P) = %d", n, f)
 			}
-			if n, f := got.counters[obs.MetricMsgsPrefix+"allgather"], 2*p*(p-1); n != f {
+			if n, f := got.counters[obs.MetricMsgsPrefix+obs.TagAllgather], 2*p*(p-1); n != f {
 				t.Errorf("two allgathers delivered %d messages, want 2*P*(P-1) = %d", n, f)
 			}
 			if n, f := got.counters[obs.MetricMsgsPrefix+"alltoall"], p*(p-1); n != f {

@@ -73,24 +73,6 @@ func statName(s LayerStat) string {
 	return name
 }
 
-// MessageCounts tallies delivered MPI messages per collective tag;
-// point-to-point traffic counts under "p2p". Counting recv (not send)
-// events makes the tally robust to ring-buffer truncation biasing one side.
-func MessageCounts(events []Event) map[string]int64 {
-	out := make(map[string]int64)
-	for _, e := range events {
-		if e.Layer != LayerMPI || e.Kind != KindRecv {
-			continue
-		}
-		tag := e.Tag
-		if tag == "" {
-			tag = "p2p"
-		}
-		out[tag]++
-	}
-	return out
-}
-
 // PhaseTotals sums phase-span durations per (actor-agnostic) phase name.
 func PhaseTotals(events []Event) map[string]sim.VTime {
 	out := make(map[string]sim.VTime)
@@ -106,10 +88,13 @@ func PhaseTotals(events []Event) map[string]sim.VTime {
 // finishing event and returns the longest blocking chain, earliest event
 // first. Edges considered: program order within an actor, message edges
 // (each mpi.recv matched FIFO to its mpi.send by the (sender, receiver)
-// pair), and grant edges (each waited lock.grant matched to the latest
+// pair), join edges (an mpi.coll depends on the same call's mpi.coll with
+// the latest entry on another actor, when that entry is later than its
+// own) and grant edges (each waited lock.grant matched to the latest
 // earlier lock.release overlapping its byte range). At every step the
 // predecessor with the latest finish time wins — the chain an actor was
-// actually waiting on.
+// actually waiting on — except that a rank that entered a collective
+// before its last peer waited on that peer, whatever it did meanwhile.
 func CriticalPath(events []Event) []Event {
 	if len(events) == 0 {
 		return nil
@@ -143,6 +128,7 @@ func CriticalPath(events []Event) []Event {
 	for i := range crossEdge {
 		crossEdge[i] = -1
 	}
+	lastEntry := make(map[int64]int) // per collective call: the latest-entering rank's mpi.coll
 	for i, e := range events {
 		if e.Layer != LayerMPI {
 			continue
@@ -156,6 +142,17 @@ func CriticalPath(events []Event) []Event {
 			if q := pending[key]; len(q) > 0 {
 				crossEdge[i] = q[0]
 				pending[key] = q[1:]
+			}
+		case KindColl:
+			if last, ok := lastEntry[e.Aux]; !ok || e.T > events[last].T {
+				lastEntry[e.Aux] = i
+			}
+		}
+	}
+	for i, e := range events {
+		if e.Layer == LayerMPI && e.Kind == KindColl {
+			if last := lastEntry[e.Aux]; events[last].T > e.T {
+				crossEdge[i] = last
 			}
 		}
 	}
@@ -201,7 +198,7 @@ func CriticalPath(events []Event) []Event {
 		path = append(path, events[at])
 		next := prevInActor[at]
 		if ce := crossEdge[at]; ce >= 0 {
-			if next < 0 || finish(events[ce]) > finish(events[next]) {
+			if next < 0 || finish(events[ce]) > finish(events[next]) || events[at].Kind == KindColl {
 				next = ce
 			}
 		}
@@ -280,18 +277,6 @@ func Report(t *TraceData) string {
 		sort.Strings(names)
 		for _, name := range names {
 			fmt.Fprintf(&b, "  %-12s %14d ns\n", name, int64(phases[name]))
-		}
-	}
-	msgs := MessageCounts(t.Events)
-	if len(msgs) > 0 {
-		b.WriteString("\nmessages per collective:\n")
-		names := make([]string, 0, len(msgs))
-		for name := range msgs {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(&b, "  %-12s %10d\n", name, msgs[name])
 		}
 	}
 	if path := CriticalPath(t.Events); len(path) > 0 {

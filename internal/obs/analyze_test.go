@@ -31,18 +31,11 @@ func TestAttributionOrdersByDuration(t *testing.T) {
 	}
 }
 
-func TestMessageCountsAndPhaseTotals(t *testing.T) {
+func TestPhaseTotals(t *testing.T) {
 	events := []Event{
-		{Layer: LayerMPI, Kind: KindSend, Tag: TagAllgather, Peer: 1},
-		{Layer: LayerMPI, Kind: KindRecv, Tag: TagAllgather, Peer: 0},
-		{Layer: LayerMPI, Kind: KindRecv, Tag: TagAllgather, Peer: 0},
-		{Layer: LayerMPI, Kind: KindRecv, Peer: 0},
+		{Layer: LayerMPI, Kind: KindColl, Tag: TagAllgather, Peer: -1, Dur: 70},
 		{Layer: LayerPhase, Kind: KindPhaseSpan, Tag: "lockwait", Peer: -1, Dur: 100},
 		{Layer: LayerPhase, Kind: KindPhaseSpan, Tag: "lockwait", Peer: -1, Dur: 150},
-	}
-	msgs := MessageCounts(events)
-	if !reflect.DeepEqual(msgs, map[string]int64{TagAllgather: 2, "p2p": 1}) {
-		t.Errorf("MessageCounts = %v", msgs)
 	}
 	phases := PhaseTotals(events)
 	if !reflect.DeepEqual(phases, map[string]sim.VTime{"lockwait": 250}) {
@@ -96,6 +89,36 @@ func TestCriticalPathFollowsGrantEdge(t *testing.T) {
 	}
 }
 
+// TestCriticalPathFollowsCollectiveJoin: rank 2 enters a barrier late,
+// after a long write, so ranks 0 and 1 wait in it, parked and woken as a
+// rendezvous traces them. Whichever rank finishes the run last, the path
+// reaches back through the join to rank 2's write.
+func TestCriticalPathFollowsCollectiveJoin(t *testing.T) {
+	const exit = 130
+	entries := []sim.VTime{10, 20, 100}
+	for last := range entries {
+		rec := NewRecorder(len(entries), 0)
+		rec.Emit(Event{T: 0, Actor: 2, Layer: LayerPFS, Kind: KindServiceDone, Peer: -1, Dur: 100})
+		for r, entry := range entries {
+			if r < 2 {
+				rec.Emit(Event{T: 0, Actor: r, Layer: LayerPhase, Kind: KindPhaseSpan, Tag: "compute", Peer: -1, Dur: entry})
+				rec.Emit(Event{T: entry, Actor: r, Layer: LayerSched, Kind: KindPark, Peer: -1})
+				rec.Emit(Event{T: exit, Actor: r, Layer: LayerSched, Kind: KindWake, Peer: 2})
+				rec.Emit(Event{T: exit, Actor: r, Layer: LayerSched, Kind: KindResume, Peer: -1})
+			}
+			rec.Emit(Event{T: entry, Actor: r, Layer: LayerMPI, Kind: KindColl, Tag: "barrier", Peer: -1, Dur: exit - entry, Aux: 7})
+		}
+		rec.Emit(Event{T: exit, Actor: last, Layer: LayerPhase, Kind: KindPhaseSpan, Tag: "transfer", Peer: -1, Dur: 50})
+		path := CriticalPath(rec.Events())
+		if end := path[len(path)-1]; end.Actor != last || end.Tag != "transfer" {
+			t.Errorf("rank %d finishes last, but the path ends at %+v", last, end)
+		}
+		if first := path[0]; first.Actor != 2 || first.Kind != KindServiceDone {
+			t.Errorf("rank %d finishes last: the path starts at %+v, want rank 2's write\n%+v", last, first, path)
+		}
+	}
+}
+
 func TestFitExponent(t *testing.T) {
 	quadratic := []ScalingPoint{
 		{Procs: 4, Msgs: 4 * 3},
@@ -119,8 +142,8 @@ func TestFitExponent(t *testing.T) {
 
 func TestReportRendersAllSections(t *testing.T) {
 	rec := NewRecorder(2, 0)
-	rec.Emit(Event{T: 0, Actor: 0, Layer: LayerMPI, Kind: KindSend, Tag: TagAllgather, Peer: 1, Size: 8})
-	rec.Emit(Event{T: 10, Actor: 1, Layer: LayerMPI, Kind: KindRecv, Tag: TagAllgather, Peer: 0, Size: 8, Dur: 5})
+	rec.Emit(Event{T: 0, Actor: 0, Layer: LayerMPI, Kind: KindColl, Tag: TagAllgather, Peer: -1, Size: 8, Dur: 15})
+	rec.Emit(Event{T: 10, Actor: 1, Layer: LayerMPI, Kind: KindColl, Tag: TagAllgather, Peer: -1, Size: 8, Dur: 5})
 	rec.Emit(Event{T: 20, Actor: 1, Layer: LayerPhase, Kind: KindPhaseSpan, Tag: "transfer", Peer: -1, Dur: 40})
 	rec.Count(0, MetricMsgs, 1)
 	out := Report(&TraceData{Procs: 2, Events: rec.Events(), Metrics: rec.Metrics()})
@@ -129,8 +152,7 @@ func TestReportRendersAllSections(t *testing.T) {
 		"attribution",
 		"phase totals",
 		"transfer",
-		"messages per collective",
-		"allgather",
+		"mpi.coll:allgather",
 		"critical path",
 		"metrics:",
 		MetricMsgs,

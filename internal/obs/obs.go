@@ -1,6 +1,6 @@
 // Package obs is the structured observability layer of the simulator: a
 // deterministic event tracer plus a metrics registry, spanning every layer
-// of the stack (scheduler park/wake, MPI messages, lock grants, PFS server
+// of the stack (scheduler park/wake, MPI collectives, lock grants, PFS server
 // bookings, WAL activity, fault instants).
 //
 // Determinism contract: every event is keyed purely by
@@ -42,8 +42,9 @@ const (
 	KindWake   = "wake"   // sched: a peer publishes this actor's wake bound
 	KindResume = "resume" // sched: the parked actor runs again
 
-	KindSend = "send" // mpi: message handed to the network
-	KindRecv = "recv" // mpi: message delivered (timing applied)
+	KindSend = "send" // mpi: bcast message handed to the network
+	KindRecv = "recv" // mpi: bcast message delivered (timing applied)
+	KindColl = "coll" // mpi: one rank's span through a barrier, allgather or alltoall
 
 	KindLockRequest = "request" // lock: client asks for a byte range
 	KindLockGrant   = "grant"   // lock: range granted (Aux = ticket)
@@ -86,7 +87,7 @@ type Event struct {
 	Off   int64     // byte offset (lock, pfs)
 	Len   int64     // byte length (lock, pfs)
 	Dur   sim.VTime // span duration, ns (0 for instants)
-	Aux   int64     // layer extra: lock ticket, queue depth
+	Aux   int64     // layer extra: lock ticket, queue depth, collective instance
 }
 
 // stream is one actor's private event and metrics shard. Only the owning

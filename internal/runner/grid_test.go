@@ -7,6 +7,7 @@ import (
 
 	"atomio/internal/core"
 	"atomio/internal/harness"
+	"atomio/internal/obs"
 )
 
 // TestFigure8GridShape pins the canonical evaluation grid: 3 sizes × 3
@@ -114,6 +115,51 @@ func TestScalingSmallestCellRuns(t *testing.T) {
 		if res.Makespan <= 0 || res.BandwidthMBs <= 0 {
 			t.Fatalf("%s: degenerate result %+v", c.ID, res)
 		}
+	}
+}
+
+// TestTracedScalingCellIsLinearInP traces the P=4096 coloring cell. A rank
+// traces each synchronizing collective as one mpi.coll event, so the trace
+// holds O(P) mpi events per collective — only Dup's broadcast still traces
+// its 2(P-1) messages — while the counters still count the ring's P(P-1)
+// messages per allgather.
+func TestTracedScalingCellIsLinearInP(t *testing.T) {
+	const p = 4096
+	var e harness.Experiment
+	for _, c := range ScalingGridTo(p) {
+		if c.Experiment.Procs == p && c.Experiment.Strategy.Name() == "coloring" {
+			e = c.Experiment
+		}
+	}
+	e.TraceEvents = true
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mpi, calls, allgathers, bcast int64
+	for _, ev := range res.Events.Events() {
+		if ev.Layer != obs.LayerMPI {
+			continue
+		}
+		mpi++
+		switch {
+		case ev.Kind == obs.KindColl && ev.Actor == 0:
+			calls++
+			if ev.Tag == obs.TagAllgather {
+				allgathers++
+			}
+		case ev.Tag == "bcast":
+			bcast++
+		}
+	}
+	if dups := bcast / (2 * (p - 1)); bcast != dups*2*(p-1) || dups < 1 || dups > 2 {
+		t.Errorf("%d bcast events, want 2(P-1) per Dup and a Dup or two", bcast)
+	}
+	if mpi > p*calls+bcast || calls == 0 || calls > 16 {
+		t.Errorf("%d mpi events for %d collective calls per rank, want at most P·calls + %d broadcast events", mpi, calls, bcast)
+	}
+	if got, want := res.Metrics.Counter(obs.MetricMsgsPrefix+obs.TagAllgather), allgathers*p*(p-1); allgathers == 0 || got != want {
+		t.Errorf("%s = %d over %d allgathers, want P(P-1) each = %d", obs.MetricMsgsPrefix+obs.TagAllgather, got, allgathers, want)
 	}
 }
 
