@@ -110,7 +110,7 @@ func BenchmarkAblationCacheSync(b *testing.B) {
 	base := platform.Cplant()
 	for name, enabled := range map[string]bool{"write-behind": true, "no-cache": false} {
 		prof := base
-		prof.Cache.Enabled = enabled
+		prof.Cache.WriteBehind = enabled
 		e := harness.Experiment{
 			Platform: prof,
 			M:        1024, N: 16384, Procs: 8, Overlap: 32,

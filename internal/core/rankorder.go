@@ -33,7 +33,6 @@ func (RankOrder) WriteAll(ctx *Context, req interval.List) error {
 	// Flush so the collective completes with data visible to all; no
 	// barrier is needed because no two ranks touch the same byte.
 	ctx.Client.Sync()
-	ctx.Client.Invalidate()
 	xfer.Stop()
 	return nil
 }

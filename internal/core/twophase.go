@@ -74,7 +74,6 @@ func (TwoPhase) WriteAll(ctx *Context, req interval.List) error {
 		ctx.Client.Damage(merged.Ext[k:].Normalize())
 	}
 	ctx.Client.Sync()
-	ctx.Client.Invalidate()
 	xfer.Stop()
 	sw := ctx.span(trace.PhaseSyncWait)
 	comm.Barrier()

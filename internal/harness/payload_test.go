@@ -105,18 +105,21 @@ func TestPayloadlessRunMatchesStoredRunUnderFaults(t *testing.T) {
 }
 
 // TestDatalessCellAllocatesNoPayload is the allocation ceiling on the
-// payload-less path, in the unit the path works in: bytes per extent. An
-// IBM SP P=8 column-wise cell of Figure 8 carries 4 096 extents per rank from
+// payload-less path, in the unit the path works in: bytes per extent. A
+// P=8 column-wise cell of Figure 8 carries 4 096 extents per rank from
 // the filetype to the server queues and has nothing else to do on the host,
 // so it may allocate the lists it reads — the flattened tile, which is the
 // request, the exchanged view and the batch the servers get, and ordering's
-// clips — and little more: 16.8 / 16.8 / 32.7 B per extent measured for
-// locking / coloring / ordering, and 97 B for twophase, whose routed
+// clips — and little more: 16.7 / 16.7 / 32.7 B per extent measured for
+// locking / coloring / ordering, and 73 B for twophase, whose routed
 // pieces, ownership runs and merged domain list are lists of their own.
-// None of it may depend on the array size: the 1 GB cell has the extents of
-// the 128 MB one (a block map made it 28 % dearer). With payload buffers
-// the 128 MB locking cell allocated 190 MB, and with a 40 B segment per
-// extent copied from the request 57 / 57 / 73 B per extent.
+// None of it may depend on the array size or the platform: the 1 GB cells
+// have the extents of the 128 MB one (a block map made the IBM SP one 28 %
+// dearer, and while each cached write marked its blocks readable the
+// Origin2000 one, whose rows lie 4 of those 64 KB blocks apart, cost 32.8 /
+// 32.7 / 48.7 B). With payload buffers the 128 MB locking cell allocated
+// 190 MB, and with a 40 B segment per extent copied from the request
+// 57 / 57 / 73 B per extent.
 func TestDatalessCellAllocatesNoPayload(t *testing.T) {
 	for _, tc := range []struct {
 		strategy  core.Strategy
@@ -129,9 +132,17 @@ func TestDatalessCellAllocatesNoPayload(t *testing.T) {
 	} {
 		t.Run(tc.strategy.Name(), func(t *testing.T) {
 			var small float64
-			for _, n := range []int{32768, 262144} { // 128 MB, 1 GB
+			for _, cell := range []struct {
+				platform platform.Profile
+				n        int
+			}{
+				{platform.IBMSP(), 32768},       // 128 MB
+				{platform.IBMSP(), 262144},      // 1 GB
+				{platform.Origin2000(), 262144}, // 1 GB, rows 256 KB apart
+			} {
+				n := cell.n
 				e := Experiment{
-					Platform: platform.IBMSP(),
+					Platform: cell.platform,
 					M:        Figure8M, N: n, Procs: 8, Overlap: Figure8Overlap,
 					Pattern:  ColumnWise,
 					Strategy: tc.strategy,
@@ -148,21 +159,21 @@ func TestDatalessCellAllocatesNoPayload(t *testing.T) {
 				bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 				extents := float64(e.M * e.Procs)
 				perExtent := float64(bytes) / extents
-				t.Logf("N=%d: allocated %d bytes in %d objects, %.1f B per extent", n, bytes, objects, perExtent)
+				t.Logf("%s N=%d: allocated %d bytes in %d objects, %.1f B per extent", e.Platform.Name, n, bytes, objects, perExtent)
 				maxBytes := uint64(tc.perExtent * extents)
 				if rankPayload := uint64(e.M) * uint64(e.N) / uint64(e.Procs); maxBytes >= rankPayload {
 					t.Fatalf("ceiling %d is not below one rank's payload %d", maxBytes, rankPayload)
 				}
 				const maxObjects = 2000
 				if bytes > maxBytes || objects > maxObjects {
-					t.Errorf("N=%d: data-less cell allocated %d bytes in %d objects, ceilings %d (%v B per extent) and %d",
-						n, bytes, objects, maxBytes, tc.perExtent, maxObjects)
+					t.Errorf("%s N=%d: data-less cell allocated %d bytes in %d objects, ceilings %d (%v B per extent) and %d",
+						e.Platform.Name, n, bytes, objects, maxBytes, tc.perExtent, maxObjects)
 				}
 				if small == 0 {
 					small = perExtent
 				} else if perExtent > 1.02*small {
-					t.Errorf("the 1 GB cell allocates %.1f B per extent, the 128 MB cell %.1f: more than 2 %% apart for the same extents",
-						perExtent, small)
+					t.Errorf("the %s 1 GB cell allocates %.1f B per extent, the 128 MB cell %.1f: more than 2 %% apart for the same extents",
+						e.Platform.Name, perExtent, small)
 				}
 			}
 		})

@@ -111,9 +111,6 @@ func (f *File) SetAtomicity(on bool) error {
 	return nil
 }
 
-// Atomicity reports whether atomic mode is on.
-func (f *File) Atomicity() bool { return f.atomic }
-
 // SetStrategy selects the atomicity implementation used by collective
 // writes in atomic mode. Collective; all ranks must pick the same strategy.
 func (f *File) SetStrategy(s core.Strategy) error {
@@ -143,21 +140,6 @@ func (f *File) SetFaults(p core.Faults) { f.faults = p }
 // transfer, ...). Pass nil to disable. Local (non-collective).
 func (f *File) SetEvents(o *obs.Recorder) { f.events = o }
 
-// Tell returns the file pointer in etype units.
-func (f *File) Tell() int64 { return f.pos / f.view.Etype.Size() }
-
-// SeekSet positions the file pointer at off etype units into the view.
-func (f *File) SeekSet(off int64) error {
-	if f.closed {
-		return ErrClosed
-	}
-	if off < 0 {
-		return fmt.Errorf("mpiio: negative seek offset %d", off)
-	}
-	f.pos = off * f.view.Etype.Size()
-	return nil
-}
-
 // Sync flushes this rank's cached data and synchronizes the ranks, like
 // MPI_File_sync (collective).
 func (f *File) Sync() error {
@@ -165,7 +147,6 @@ func (f *File) Sync() error {
 		return ErrClosed
 	}
 	f.client.Sync()
-	f.client.Invalidate()
 	f.comm.Barrier()
 	return nil
 }

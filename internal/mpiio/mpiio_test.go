@@ -30,15 +30,12 @@ func testFS() *pfs.FileSystem {
 	})
 }
 
-// cachingFS returns a storing file system with write-behind + read-ahead.
+// cachingFS returns a storing file system with write-behind.
 func cachingFS() *pfs.FileSystem {
 	cfg := testFS().Config()
 	cfg.Cache = pfs.CacheConfig{
-		Enabled:         true,
-		BlockSize:       64,
-		ReadAheadBlocks: 1,
-		WriteBehind:     true,
-		MemModel:        sim.LinearCost{Latency: 100, BytesPerSec: 1 << 30},
+		WriteBehind: true,
+		MemModel:    sim.LinearCost{Latency: 100, BytesPerSec: 1 << 30},
 	}
 	return pfs.MustNew(cfg)
 }
@@ -159,7 +156,7 @@ func TestStrategiesLeaveTheLentTileUnwritten(t *testing.T) {
 }
 
 func TestAtomicityWithWriteBehindCache(t *testing.T) {
-	// Same claim on a caching file system (sync/invalidate paths).
+	// Same claim on a write-behind file system (the sync paths).
 	for _, strat := range []core.Strategy{core.Locking{}, core.Coloring{}, core.RankOrder{}, core.TwoPhase{}} {
 		t.Run(strat.Name(), func(t *testing.T) {
 			fs := cachingFS()

@@ -44,7 +44,7 @@ func (b Batch) writer(i, own int) int {
 
 // Client is one process's handle to a file. A client is owned by a single
 // rank: it advances that rank's virtual clock as it charges I/O
-// time and, when caching is enabled, holds that rank's private cache —
+// time and, with write-behind, holds that rank's private cache —
 // which is exactly what makes concurrent overlapping I/O interesting.
 type Client struct {
 	fs    *FileSystem
@@ -71,8 +71,8 @@ func (fs *FileSystem) Open(name string, rank int, clock *sim.Clock) (*Client, er
 		return nil, err
 	}
 	c := &Client{fs: fs, f: f, clock: clock, rank: rank, loads: make([]load, fs.cfg.Servers)}
-	if fs.cfg.Cache.Enabled {
-		c.cache = newCache(fs.cfg.Cache)
+	if fs.cfg.Cache.WriteBehind {
+		c.cache = &cache{}
 	}
 	return c, nil
 }
@@ -91,7 +91,7 @@ func (c *Client) BytesWritten() int64 { return c.bytesWritten }
 func (c *Client) Write(b Batch) {
 	total := b.Ext.TotalLen()
 	c.bytesWritten += total
-	if c.cache != nil && c.fs.cfg.Cache.WriteBehind {
+	if c.cache != nil {
 		c.clock.Advance(c.fs.cfg.Cache.MemModel.Cost(total))
 		c.cache.absorb(b)
 		return
@@ -219,21 +219,6 @@ func (c *Client) WriteAtomic(b Batch) error {
 	return nil
 }
 
-// ReadAt reads the n bytes at off for their cost alone: with caching
-// enabled, whole cache blocks are fetched (plus read-ahead) and hits are
-// served at memory cost; otherwise the read goes straight to the servers.
-func (c *Client) ReadAt(off, n int64) {
-	if n <= 0 {
-		return
-	}
-	if c.cache != nil {
-		c.cache.read(c, off, n)
-		return
-	}
-	c.clock.Advance(c.fs.cfg.ClientModel.Cost(n))
-	c.queueServerService(interval.List{{Off: off, Len: n}})
-}
-
 // Sync flushes write-behind data to the servers and waits for it, the
 // file-sync call the paper requires after every write when handshaking is
 // used on a caching file system.
@@ -245,16 +230,6 @@ func (c *Client) Sync() {
 	defer clear(log) // the cache's hold on the caller's batches ends with the flush
 	if len(b.Ext) > 0 {
 		c.transferWrite(b, log)
-	}
-}
-
-// Invalidate discards cached *clean* data so subsequent reads fetch fresh
-// bytes from the servers — the cache-invalidation step the paper pairs with
-// Sync for the handshaking strategies. Dirty write-behind data is not
-// discarded; call Sync first.
-func (c *Client) Invalidate() {
-	if c.cache != nil {
-		c.cache.invalidate()
 	}
 }
 

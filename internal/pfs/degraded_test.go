@@ -63,10 +63,10 @@ func TestServerStatsAccumulate(t *testing.T) {
 	fs := basicFS(4) // stripe 16
 	c, _ := fs.Open("f", 0, sim.NewClock(0))
 	writeAt(c, 0, 128) // 2 stripes per server
-	c.ReadAt(0, 64)    // 1 stripe per server
+	writeAt(c, 0, 64)  // 1 stripe per server
 	for _, s := range fs.ServerStats() {
 		if s.Requests != 3 {
-			t.Fatalf("server %d requests = %d, want 3 (2 write stripes + 1 read stripe)", s.Server, s.Requests)
+			t.Fatalf("server %d requests = %d, want 3 (2 + 1 write stripes)", s.Server, s.Requests)
 		}
 		if s.Bytes != 48 {
 			t.Fatalf("server %d bytes = %d, want 48", s.Server, s.Bytes)

@@ -23,7 +23,11 @@ func (c *Client) DirtyBytes() int64 {
 	if c.cache == nil {
 		return 0
 	}
-	return c.cache.dirtyBytes
+	var n int64
+	for _, b := range c.cache.dirty {
+		n += b.Ext.TotalLen()
+	}
+	return n
 }
 
 // Servers exposes the server pool (for utilization reporting in benches).

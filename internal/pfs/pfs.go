@@ -1,7 +1,7 @@
 // Package pfs simulates the parallel file systems the paper evaluates on
 // (ENFS on ASCI Cplant, SGI XFS, IBM GPFS): a set of I/O servers serving a
-// shared striped file, accessed by per-process clients that may cache with
-// the read-ahead and write-behind policies the paper discusses in §3.
+// shared striped file, accessed by per-process clients that may cache
+// writes behind, one of the two policies the paper discusses in §3.
 //
 // With Config.StoreData on, every file keeps who wrote each byte, so
 // atomicity violations are observable in the file; requests carry extents
@@ -91,8 +91,8 @@ type Config struct {
 	// observation.
 	AtomicListIO bool
 
-	// Cache configures the per-client cache. A zero value disables
-	// caching (every request goes to the servers).
+	// Cache configures the per-client write-behind cache. A zero value
+	// disables it (every request goes to the servers).
 	Cache CacheConfig
 
 	// Degraded overrides the service model of individual servers (index →

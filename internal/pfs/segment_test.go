@@ -16,7 +16,7 @@ import (
 // that stores nothing and on one that keeps who wrote each byte.
 func TestPayloadlessSegmentsChargeLikeData(t *testing.T) {
 	direct := basicFS(2).Config()
-	cached := cachingFS(0).Config()
+	cached := cachingFS().Config()
 	// Unaligned, stripe-crossing, adjacent (coalescing) and overlapping.
 	segs := []Segment{
 		{Off: 3, Data: make([]byte, 200)},

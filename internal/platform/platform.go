@@ -148,11 +148,8 @@ func Cplant() Profile {
 		ClientModel: sim.LinearCost{Latency: 100 * sim.Microsecond, BytesPerSec: 11 * mb / 5},
 		SegOverhead: 30 * sim.Microsecond,
 		Cache: pfs.CacheConfig{
-			Enabled:         true,
-			BlockSize:       32 << 10,
-			ReadAheadBlocks: 2,
-			WriteBehind:     true,
-			MemModel:        sim.LinearCost{Latency: 2 * sim.Microsecond, BytesPerSec: 300 * mb},
+			WriteBehind: true,
+			MemModel:    sim.LinearCost{Latency: 2 * sim.Microsecond, BytesPerSec: 300 * mb},
 		},
 		NetModel:     sim.LinearCost{Latency: 25 * sim.Microsecond, BytesPerSec: 120 * mb},
 		SendOverhead: 3 * sim.Microsecond,
@@ -183,11 +180,8 @@ func Origin2000() Profile {
 		ClientModel: sim.LinearCost{Latency: 10 * sim.Microsecond, BytesPerSec: 11 * mb},
 		SegOverhead: 10 * sim.Microsecond,
 		Cache: pfs.CacheConfig{
-			Enabled:         true,
-			BlockSize:       64 << 10,
-			ReadAheadBlocks: 2,
-			WriteBehind:     true,
-			MemModel:        sim.LinearCost{Latency: 1 * sim.Microsecond, BytesPerSec: 600 * mb},
+			WriteBehind: true,
+			MemModel:    sim.LinearCost{Latency: 1 * sim.Microsecond, BytesPerSec: 600 * mb},
 		},
 		NetModel:     sim.LinearCost{Latency: 8 * sim.Microsecond, BytesPerSec: 250 * mb},
 		SendOverhead: 2 * sim.Microsecond,
@@ -218,11 +212,8 @@ func IBMSP() Profile {
 		ClientModel: sim.LinearCost{Latency: 30 * sim.Microsecond, BytesPerSec: 7 * mb},
 		SegOverhead: 20 * sim.Microsecond,
 		Cache: pfs.CacheConfig{
-			Enabled:         true,
-			BlockSize:       256 << 10,
-			ReadAheadBlocks: 1,
-			WriteBehind:     true,
-			MemModel:        sim.LinearCost{Latency: 1 * sim.Microsecond, BytesPerSec: 500 * mb},
+			WriteBehind: true,
+			MemModel:    sim.LinearCost{Latency: 1 * sim.Microsecond, BytesPerSec: 500 * mb},
 		},
 		NetModel:     sim.LinearCost{Latency: 20 * sim.Microsecond, BytesPerSec: 140 * mb},
 		SendOverhead: 3 * sim.Microsecond,

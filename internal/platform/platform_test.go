@@ -70,7 +70,7 @@ func TestPFSConfigWiring(t *testing.T) {
 	if cfg.Servers != p.SimServers || !cfg.StoreData || cfg.SegOverhead != p.SegOverhead {
 		t.Errorf("PFSConfig wiring wrong: %+v", cfg)
 	}
-	if !cfg.Cache.Enabled || !cfg.Cache.WriteBehind {
+	if !cfg.Cache.WriteBehind {
 		t.Error("platform caches should model write-behind")
 	}
 	fs, err := pfs.New(cfg) // every platform config must construct

@@ -186,7 +186,7 @@ func randomLog(t *testing.T, r *rand.Rand, views []interval.List) (*pfs.FileSyst
 		ClientModel: sim.LinearCost{Latency: sim.Microsecond},
 	}
 	if shape.cached = r.Intn(3) == 0; shape.cached {
-		cfg.Cache = pfs.CacheConfig{Enabled: true, BlockSize: 16, WriteBehind: true}
+		cfg.Cache = pfs.CacheConfig{WriteBehind: true}
 	}
 	fs := pfs.MustNew(cfg)
 	if shape.faulted = r.Intn(5) == 0; shape.faulted {
