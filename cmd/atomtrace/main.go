@@ -109,7 +109,7 @@ func reportScaling(w io.Writer, paths []string, traces []*obs.TraceData) {
 		t := traces[i]
 		var end time.Duration
 		for _, e := range t.Events {
-			end = max(end, time.Duration(e.T)) // a run ends on an event
+			end = max(end, time.Duration(e.T+e.Dur)) // a run ends with an event
 		}
 		kind := ends[t.Metrics.Counter(obs.MetricLockReqs) > 0]
 		if prev, ok := kind[t.Procs]; !ok || end < prev {

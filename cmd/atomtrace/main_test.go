@@ -107,7 +107,7 @@ func TestRunExitCodes(t *testing.T) {
 // same P come in.
 func TestRunScalingReportsTheCrossover(t *testing.T) {
 	dir := t.TempDir()
-	// last is the trace's final event: its T is the makespan.
+	// last is the trace's final event: its end is the makespan.
 	write := func(name string, procs int, last obs.Event, locking bool) string {
 		rec := obs.NewRecorder(procs, 0)
 		last.Layer, last.Kind = obs.LayerMPI, obs.KindSend

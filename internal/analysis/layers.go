@@ -135,8 +135,8 @@ var Layers = []Layer{
 	},
 	{
 		Match: "internal/obs",
-		Allow: []string{"internal/sim"},
-		Why:   "event tracing is virtual-time instants and metrics; every layer may emit into it, it sees none of them",
+		Allow: []string{"internal/interval", "internal/sim"},
+		Why:   "event tracing is virtual-time spans over byte ranges and metrics; every layer above extent algebra may emit into it, it sees none of them",
 	},
 	{
 		Match: "internal/interval",

@@ -82,8 +82,8 @@ type Experiment struct {
 	// implies it, so only a run probing the capability itself sets it.
 	AtomicListIO bool
 	// TraceEvents records the structured virtual-time event stream and the
-	// metrics registry (see internal/obs): scheduler park/wake, MPI
-	// messages, lock grants, server queueing, fault instants, and each
+	// metrics registry (see internal/obs): scheduler parks, MPI
+	// collectives, lock grants, server pieces, fault instants, and each
 	// rank's phase spans and per-phase counters (see PhaseBreakdown). The
 	// stream is byte-identical across worker counts.
 	TraceEvents bool
@@ -360,9 +360,9 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 	coord := eng.NewCoord(e.Procs)
 
 	// Event tracing wraps the coordinator before any layer sees it, so the
-	// scheduler events (park/wake/resume) observe the same admission
-	// protocol every layer coordinates through. The engine unwraps tracers
-	// when it needs its own concrete coordinator back.
+	// scheduler's park spans observe the same admission protocol every
+	// layer coordinates through. The engine unwraps tracers when it needs
+	// its own concrete coordinator back.
 	var events *obs.Recorder
 	if e.TraceEvents {
 		events = obs.NewRecorder(e.Procs, e.EventLimit)

@@ -57,28 +57,29 @@ func (c *Central) SetObs(o *obs.Recorder) { c.obs = o }
 // service, then waits out conflicting holders; the reply travels back.
 func (c *Central) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime) sim.VTime {
 	c.coord.Await(owner, at)
-	if c.obs != nil {
-		c.obs.Emit(obs.Event{
-			T: at, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockRequest,
-			Tag: mode.String(), Peer: -1, Off: e.Off, Len: e.Len,
-		})
-	}
 	arrive := at + c.cfg.MsgCost
 	_, served := c.service.Acquire(arrive, c.cfg.ServiceTime)
 	grant := c.tbl.acquire(owner, e, mode, served)
 	ret := grant + c.cfg.MsgCost
-	if c.obs != nil {
-		// Aux carries the ticket: the earliest-grant time that orders the
-		// request in the table-wide (ticket, seq) grant order.
-		c.obs.Emit(obs.Event{
-			T: ret, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockGrant,
-			Tag: mode.String(), Peer: -1, Off: e.Off, Len: e.Len,
-			Dur: ret - at, Aux: int64(served),
-		})
-		c.obs.Count(owner, obs.MetricLockReqs, 1)
-		c.obs.Observe(owner, obs.MetricLockWait, int64(ret-at))
-	}
+	traceGrant(c.obs, owner, e, mode, at, ret, served)
 	return ret
+}
+
+// traceGrant emits owner's lock.grant span — from the request at `at` to
+// the grant's return at ret, Aux the ticket (the earliest-grant time that
+// orders the request in the table-wide (ticket, seq) grant order) — and
+// counts the request and its wait. Every manager's grant goes through it.
+func traceGrant(o *obs.Recorder, owner int, e interval.Extent, mode Mode, at, ret, ticket sim.VTime) {
+	if o == nil {
+		return
+	}
+	o.Emit(obs.Event{
+		T: at, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockGrant,
+		Tag: mode.String(), Peer: -1, Off: e.Off, Len: e.Len,
+		Dur: ret - at, Aux: int64(ticket),
+	})
+	o.Count(owner, obs.MetricLockReqs, 1)
+	o.Observe(owner, obs.MetricLockWait, int64(ret-at))
 }
 
 // Unlock implements Manager: the release message travels to the manager
@@ -91,11 +92,12 @@ func (c *Central) Unlock(owner int, e interval.Extent, at sim.VTime) sim.VTime {
 	c.coord.Await(owner, at)
 	served := at + c.cfg.MsgCost + c.cfg.ServiceTime
 	if c.obs != nil {
-		// Dur spans until the manager actually frees the range, so the
-		// event's finish time is the instant waiters can be granted.
+		// The span is the caller's, to its return: the manager frees the
+		// range ServiceTime later, inside the spans of the grants waiting
+		// for it, and possibly after the run's last rank has finished.
 		c.obs.Emit(obs.Event{
 			T: at, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockRelease,
-			Peer: -1, Off: e.Off, Len: e.Len, Dur: served - at,
+			Peer: -1, Off: e.Off, Len: e.Len, Dur: c.cfg.MsgCost,
 		})
 	}
 	if err := c.tbl.release(owner, e, served); err != nil {

@@ -52,7 +52,9 @@ func tableOf(m Manager) *table {
 // and shared locks over any byte of e (the observable state of the release
 // history).
 func (t *table) relLatest(e interval.Extent) (excl, shared sim.VTime) {
-	return t.exclRel.latest(e), t.sharedRel.latest(e)
+	excl, _ = t.exclRel.Max(e)
+	shared, _ = t.sharedRel.Max(e)
+	return excl, shared
 }
 
 // locks returns every granted lock.

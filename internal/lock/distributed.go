@@ -81,12 +81,6 @@ func (d *Distributed) SetObs(o *obs.Recorder) { d.obs = o }
 // Lock implements Manager.
 func (d *Distributed) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime) sim.VTime {
 	d.coord.Await(owner, at)
-	if d.obs != nil {
-		d.obs.Emit(obs.Event{
-			T: at, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockRequest,
-			Tag: mode.String(), Peer: -1, Off: e.Off, Len: e.Len,
-		})
-	}
 	// The runs overlapping e are [lo, hi); an owner's token covers e only
 	// within one run.
 	lo := sort.Search(len(d.runs), func(i int) bool { return d.runs[i].ext.End() > e.Off })
@@ -112,24 +106,16 @@ func (d *Distributed) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime
 	// Revoked holders may still be actively using their locks; acquire
 	// waits them out and folds their release times into the grant.
 	ret := d.tbl.acquire(owner, e, mode, ticket) + reply
-	if d.obs != nil {
-		if revoked > 0 {
-			// Token revocation: Aux counts the holders whose cached tokens
-			// this request invalidated.
-			d.obs.Emit(obs.Event{
-				T: at, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockRevoke,
-				Peer: -1, Off: e.Off, Len: e.Len, Aux: int64(revoked),
-			})
-			d.obs.Count(owner, obs.MetricLockRevokes, int64(revoked))
-		}
+	if d.obs != nil && revoked > 0 {
+		// Token revocation: Aux counts the holders whose cached tokens
+		// this request invalidated.
 		d.obs.Emit(obs.Event{
-			T: ret, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockGrant,
-			Tag: mode.String(), Peer: -1, Off: e.Off, Len: e.Len,
-			Dur: ret - at, Aux: int64(ticket),
+			T: at, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockRevoke,
+			Peer: -1, Off: e.Off, Len: e.Len, Aux: int64(revoked),
 		})
-		d.obs.Count(owner, obs.MetricLockReqs, 1)
-		d.obs.Observe(owner, obs.MetricLockWait, int64(ret-at))
+		d.obs.Count(owner, obs.MetricLockRevokes, int64(revoked))
 	}
+	traceGrant(d.obs, owner, e, mode, at, ret, ticket)
 	return ret
 }
 

@@ -30,9 +30,9 @@ import (
 // order.
 type table struct {
 	granted   index.Index[*held]
-	waiting   index.Index[*waiter] // shared waiters only: see release
-	exclRel   releaseMap           // release times of past exclusive locks
-	sharedRel releaseMap           // release times of past shared locks
+	waiting   index.Index[*waiter]       // shared waiters only: see release
+	exclRel   interval.MaxMap[sim.VTime] // release times of past exclusive locks
+	sharedRel interval.MaxMap[sim.VTime] // release times of past shared locks
 	coord     sim.Coord
 
 	nextSeq int64 // waiter registration order
@@ -102,9 +102,11 @@ func (t *table) witness(owner int, e interval.Extent, mode Mode) *held {
 func (t *table) grant(owner int, e interval.Extent, mode Mode, floor sim.VTime) (*held, sim.VTime) {
 	hd := &held{owner: owner, ext: e, mode: mode}
 	hd.handle = t.granted.Insert(e, hd)
-	start := max(floor, t.exclRel.latest(e))
+	excl, _ := t.exclRel.Max(e)
+	start := max(floor, excl)
 	if mode == Exclusive {
-		start = max(start, t.sharedRel.latest(e))
+		shared, _ := t.sharedRel.Max(e)
+		start = max(start, shared)
 	}
 	return hd, start
 }
@@ -210,8 +212,8 @@ func (t *table) locate(owner int, e interval.Extent) *held {
 // mode.
 func (t *table) recordRelease(e interval.Extent, mode Mode, releaseAt sim.VTime) {
 	if mode == Exclusive {
-		t.exclRel.record(e, releaseAt)
+		t.exclRel.Record(e, releaseAt)
 	} else {
-		t.sharedRel.record(e, releaseAt)
+		t.sharedRel.Record(e, releaseAt)
 	}
 }

@@ -32,12 +32,6 @@ type listDistributed struct {
 
 func (d *listDistributed) Lock(owner int, e interval.Extent, mode Mode, at sim.VTime) sim.VTime {
 	d.coord.Await(owner, at)
-	if d.obs != nil {
-		d.obs.Emit(obs.Event{
-			T: at, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockRequest,
-			Tag: mode.String(), Peer: -1, Off: e.Off, Len: e.Len,
-		})
-	}
 	need := interval.List{e}
 
 	slot, known := slices.BinarySearchFunc(d.tokens, owner,
@@ -49,15 +43,7 @@ func (d *listDistributed) Lock(owner int, e interval.Extent, mode Mode, at sim.V
 		d.localGrants++
 		ticket := at + d.cfg.LocalCost
 		grant := d.tbl.acquire(owner, e, mode, ticket)
-		if d.obs != nil {
-			d.obs.Emit(obs.Event{
-				T: grant, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockGrant,
-				Tag: mode.String(), Peer: -1, Off: e.Off, Len: e.Len,
-				Dur: grant - at, Aux: int64(ticket),
-			})
-			d.obs.Count(owner, obs.MetricLockReqs, 1)
-			d.obs.Observe(owner, obs.MetricLockWait, int64(grant-at))
-		}
+		traceGrant(d.obs, owner, e, mode, at, grant, ticket)
 		return grant
 	}
 	var revoked int
@@ -75,22 +61,14 @@ func (d *listDistributed) Lock(owner int, e interval.Extent, mode Mode, at sim.V
 
 	_, served := d.service.Acquire(at+d.cfg.MsgCost, d.cfg.ServiceTime+sim.VTime(revoked)*d.cfg.RevokeCost)
 	ret := d.tbl.acquire(owner, e, mode, served) + d.cfg.MsgCost
-	if d.obs != nil {
-		if revoked > 0 {
-			d.obs.Emit(obs.Event{
-				T: at, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockRevoke,
-				Peer: -1, Off: e.Off, Len: e.Len, Aux: int64(revoked),
-			})
-			d.obs.Count(owner, obs.MetricLockRevokes, int64(revoked))
-		}
+	if d.obs != nil && revoked > 0 {
 		d.obs.Emit(obs.Event{
-			T: ret, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockGrant,
-			Tag: mode.String(), Peer: -1, Off: e.Off, Len: e.Len,
-			Dur: ret - at, Aux: int64(served),
+			T: at, Actor: owner, Layer: obs.LayerLock, Kind: obs.KindLockRevoke,
+			Peer: -1, Off: e.Off, Len: e.Len, Aux: int64(revoked),
 		})
-		d.obs.Count(owner, obs.MetricLockReqs, 1)
-		d.obs.Observe(owner, obs.MetricLockWait, int64(ret-at))
+		d.obs.Count(owner, obs.MetricLockRevokes, int64(revoked))
 	}
+	traceGrant(d.obs, owner, e, mode, at, ret, served)
 	return ret
 }
 

@@ -277,17 +277,17 @@ func TestRendezvousWakesSleepersAtTheirExitClocks(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	wakes := 0
+	parks := 0
 	for _, e := range rec.Events() {
-		if e.Layer == obs.LayerSched && e.Kind == obs.KindWake {
-			wakes++
-			if e.T != exits[e.Actor] {
-				t.Errorf("rank %d woken at %v, exits the barrier at %v", e.Actor, e.T, exits[e.Actor])
+		if e.Layer == obs.LayerSched && e.Kind == obs.KindPark {
+			parks++
+			if woken := e.T + e.Dur; woken != exits[e.Actor] {
+				t.Errorf("rank %d woken at %v, exits the barrier at %v", e.Actor, woken, exits[e.Actor])
 			}
 		}
 	}
-	if wakes != p-1 {
-		t.Errorf("%d wakes, want one per sleeper (%d)", wakes, p-1)
+	if parks != p-1 {
+		t.Errorf("%d parks, want one per sleeper (%d)", parks, p-1)
 	}
 }
 

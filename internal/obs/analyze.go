@@ -1,11 +1,14 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
+	"atomio/internal/interval"
 	"atomio/internal/sim"
 )
 
@@ -84,130 +87,126 @@ func PhaseTotals(events []Event) map[string]sim.VTime {
 	return out
 }
 
-// CriticalPath walks the event dependency DAG backwards from the latest-
-// finishing event and returns the longest blocking chain, earliest event
-// first. Edges considered: program order within an actor, message edges
-// (each mpi.recv matched FIFO to its mpi.send by the (sender, receiver)
-// pair), join edges (an mpi.coll depends on the same call's mpi.coll with
-// the latest entry on another actor, when that entry is later than its
-// own) and grant edges (each waited lock.grant matched to the latest
-// earlier lock.release overlapping its byte range). At every step the
-// predecessor with the latest finish time wins — the chain an actor was
-// actually waiting on — except that a rank that entered a collective
-// before its last peer waited on that peer, whatever it did meanwhile.
-func CriticalPath(events []Event) []Event {
-	if len(events) == 0 {
-		return nil
-	}
-	// Per-actor program order: group by (actor, seq). The global order
-	// sorts by (T, actor, seq) and wake bounds make T locally
-	// non-monotonic, so re-sorting by seq is required, not a precaution.
-	order := make([]int, len(events))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := events[order[a]], events[order[b]]
-		if ea.Actor != eb.Actor {
-			return ea.Actor < eb.Actor
-		}
-		return ea.Seq < eb.Seq
-	})
-	prevInActor := make([]int, len(events))
-	for i := range prevInActor {
-		prevInActor[i] = -1
-	}
-	for k := 1; k < len(order); k++ {
-		if events[order[k]].Actor == events[order[k-1]].Actor {
-			prevInActor[order[k]] = order[k-1]
-		}
-	}
-	// FIFO message matching per (sender, receiver) pair.
-	crossEdge := make([]int, len(events))
-	pending := make(map[[2]int][]int)
-	for i := range crossEdge {
-		crossEdge[i] = -1
-	}
-	lastEntry := make(map[int64]int) // per collective call: the latest-entering rank's mpi.coll
+// graph is a trace's event-dependency graph. Every event but a sched.park
+// is a node — a park is the wait inside the grant, collective or receive
+// that depends on its waker — and a node has at most two predecessors:
+//   - prev, its actor's previous node in program (sequence) order;
+//   - cross, the event on another actor it waited on: a bcast recv's send
+//     (FIFO per sender and receiver), a collective span's latest-entering
+//     rank in the same call when that entry is later than its own, or a
+//     grant's release — of the releases overlapping its byte range that
+//     finished by the grant's end, the one that finished last (the lock
+//     table's own rule, interval.MaxMap), when it is another actor's.
+//
+// A program-order predecessor need not start earlier: a span is appended
+// when it closes, after the spans nested in it (a phase span after its
+// events), so per-actor T is non-monotonic and only Seq orders an actor.
+type graph struct {
+	prev, cross []int // -1 when absent
+	examined    int   // releases the grant lookups read
+}
+
+// newGraph builds the graph of events in O(n log n).
+func newGraph(events []Event) *graph {
+	g := &graph{prev: make([]int, len(events)), cross: make([]int, len(events))}
+	var nodes, releases, grants []int
+	pending := make(map[[2]int][]int) // bcast sends not yet received, per (sender, receiver)
+	lastEntry := make(map[int64]int)  // per collective call: the latest-entering rank's mpi.coll
 	for i, e := range events {
-		if e.Layer != LayerMPI {
-			continue
+		g.prev[i], g.cross[i] = -1, -1
+		if e.Layer != LayerSched {
+			nodes = append(nodes, i)
 		}
-		switch e.Kind {
-		case KindSend:
+		switch {
+		case e.Layer == LayerMPI && e.Kind == KindSend:
 			key := [2]int{e.Actor, e.Peer}
 			pending[key] = append(pending[key], i)
-		case KindRecv:
+		case e.Layer == LayerMPI && e.Kind == KindRecv:
 			key := [2]int{e.Peer, e.Actor}
 			if q := pending[key]; len(q) > 0 {
-				crossEdge[i] = q[0]
+				g.cross[i] = q[0]
 				pending[key] = q[1:]
 			}
-		case KindColl:
+		case e.Layer == LayerMPI && e.Kind == KindColl:
 			if last, ok := lastEntry[e.Aux]; !ok || e.T > events[last].T {
 				lastEntry[e.Aux] = i
 			}
+		case e.Layer == LayerLock && e.Kind == KindLockRelease:
+			releases = append(releases, i)
+		case e.Layer == LayerLock && e.Kind == KindLockGrant:
+			grants = append(grants, i)
+		}
+	}
+	slices.SortFunc(nodes, func(a, b int) int {
+		return cmp.Or(cmp.Compare(events[a].Actor, events[b].Actor), cmp.Compare(events[a].Seq, events[b].Seq))
+	})
+	for k := 1; k < len(nodes); k++ {
+		if events[nodes[k]].Actor == events[nodes[k-1]].Actor {
+			g.prev[nodes[k]] = nodes[k-1]
 		}
 	}
 	for i, e := range events {
 		if e.Layer == LayerMPI && e.Kind == KindColl {
 			if last := lastEntry[e.Aux]; events[last].T > e.T {
-				crossEdge[i] = last
+				g.cross[i] = last
 			}
 		}
 	}
-	// Grant edges: a grant that waited (Dur > 0) depends on the latest
-	// earlier release overlapping its range on another actor.
-	var releases []int
-	for i, e := range events {
-		if e.Layer == LayerLock && e.Kind == KindLockRelease {
-			releases = append(releases, i)
+	// Sweep the grants in order of their end, recording each release that
+	// finished by then under its byte range as its rank in finish order
+	// (plus one: zero is no release).
+	byFinish := func(a, b int) int { return cmp.Compare(finish(events[a]), finish(events[b])) }
+	slices.SortStableFunc(releases, byFinish)
+	slices.SortStableFunc(grants, byFinish)
+	var finished interval.MaxMap[int]
+	next := 0
+	for _, i := range grants {
+		for ; next < len(releases) && finish(events[releases[next]]) <= finish(events[i]); next++ {
+			r := events[releases[next]]
+			finished.Record(interval.Extent{Off: r.Off, Len: r.Len}, next+1)
+		}
+		e := events[i]
+		k, read := finished.Max(interval.Extent{Off: e.Off, Len: e.Len})
+		g.examined += read
+		if k > 0 && events[releases[k-1]].Actor != e.Actor {
+			g.cross[i] = releases[k-1]
 		}
 	}
-	for i, e := range events {
-		if e.Layer != LayerLock || e.Kind != KindLockGrant || e.Dur <= 0 {
-			continue
-		}
-		best := -1
-		for _, ri := range releases {
-			r := events[ri]
-			if r.Actor == e.Actor || r.T > e.T {
-				continue
-			}
-			if r.Off+r.Len <= e.Off || e.Off+e.Len <= r.Off {
-				continue
-			}
-			if best < 0 || finish(events[ri]) > finish(events[best]) {
-				best = ri
-			}
-		}
-		crossEdge[i] = best
+	return g
+}
+
+// CriticalPath walks the event-dependency graph (see graph) backwards from
+// the latest-finishing event and returns the longest blocking chain,
+// earliest event first. At every step the predecessor with the latest
+// finish time wins — the chain an actor was actually waiting on — except
+// that a rank that entered a collective before its last peer waited on
+// that peer, whatever it did meanwhile.
+func CriticalPath(events []Event) []Event {
+	if len(events) == 0 {
+		return nil
 	}
-	// Start from the latest finish (ties: last in total order) and walk
-	// back along the latest-finishing predecessor.
+	g := newGraph(events)
+	// Start from the latest-finishing node (ties: last in total order).
 	start := 0
-	for i := range events {
-		if finish(events[i]) >= finish(events[start]) {
+	for i, e := range events {
+		if e.Layer != LayerSched && finish(e) >= finish(events[start]) {
 			start = i
 		}
 	}
 	var path []Event
-	seen := make(map[int]bool)
+	seen := make([]bool, len(events)) // hostile traces may hold cycles
 	for at := start; at >= 0 && !seen[at]; {
 		seen[at] = true
 		path = append(path, events[at])
-		next := prevInActor[at]
-		if ce := crossEdge[at]; ce >= 0 {
+		next := g.prev[at]
+		if ce := g.cross[at]; ce >= 0 {
 			if next < 0 || finish(events[ce]) > finish(events[next]) || events[at].Kind == KindColl {
 				next = ce
 			}
 		}
 		at = next
 	}
-	// Reverse into chronological order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	slices.Reverse(path)
 	return path
 }
 
@@ -215,8 +214,27 @@ func CriticalPath(events []Event) []Event {
 func finish(e Event) sim.VTime { return e.T + e.Dur }
 
 // PathSummary buckets a critical path by (layer, kind, tag) — the "what
-// is the bottleneck made of" view.
-func PathSummary(path []Event) []LayerStat { return Attribution(path) }
+// is the bottleneck made of" view. Each event is charged only the path
+// time it adds: from the latest finish before it on the path (or its own
+// start, if later) to its own finish. A phase span is charged none of the
+// time its nested events already account for, and a grant none of the
+// release's chain it waited out, so the durations sum to at most the
+// path's span.
+func PathSummary(path []Event) []LayerStat {
+	charged := slices.Clone(path)
+	var reached sim.VTime
+	for i, e := range path {
+		from := e.T
+		if i > 0 {
+			from = max(from, reached)
+		}
+		charged[i].Dur = max(0, finish(e)-from)
+		if i == 0 || finish(e) > reached {
+			reached = finish(e)
+		}
+	}
+	return Attribution(charged)
+}
 
 // ScalingPoint is one trace's contribution to a message-scaling fit.
 type ScalingPoint struct {
@@ -280,11 +298,13 @@ func Report(t *TraceData) string {
 		}
 	}
 	if path := CriticalPath(t.Events); len(path) > 0 {
-		makespan := finish(path[len(path)-1]) - path[0].T
-		fmt.Fprintf(&b, "\ncritical path: %d events spanning %d ns\n", len(path), int64(makespan))
+		span := finish(path[len(path)-1]) - path[0].T
+		fmt.Fprintf(&b, "\ncritical path: %d events spanning %d ns\n", len(path), int64(span))
 		for _, s := range PathSummary(path) {
 			fmt.Fprintf(&b, "  %-28s %10d %14d\n", statName(s), s.Count, int64(s.Dur))
+			span -= s.Dur
 		}
+		fmt.Fprintf(&b, "  %-28s %10s %14d\n", "(untraced, between events)", "", int64(span))
 	}
 	if t.Metrics != nil {
 		b.WriteString("\nmetrics:\n")

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -14,13 +15,13 @@ func TestAttributionOrdersByDuration(t *testing.T) {
 		{Layer: LayerMPI, Kind: KindSend, Peer: 1, Size: 10},
 		{Layer: LayerMPI, Kind: KindSend, Peer: 1, Size: 10},
 		{Layer: LayerLock, Kind: KindLockGrant, Peer: -1, Dur: 500},
-		{Layer: LayerPFS, Kind: KindServiceDone, Peer: -1, Dur: 200, Size: 64},
+		{Layer: LayerPFS, Kind: KindServe, Peer: -1, Dur: 200, Size: 64},
 	}
 	stats := Attribution(events)
 	if len(stats) != 3 {
 		t.Fatalf("got %d buckets, want 3", len(stats))
 	}
-	if stats[0].Kind != KindLockGrant || stats[1].Kind != KindServiceDone {
+	if stats[0].Kind != KindLockGrant || stats[1].Kind != KindServe {
 		t.Errorf("not sorted by descending duration: %+v", stats)
 	}
 	if stats[2].Count != 2 || stats[2].Bytes != 20 {
@@ -48,9 +49,9 @@ func TestPhaseTotals(t *testing.T) {
 // must cross the send→recv edge back into actor 0's early work.
 func TestCriticalPathFollowsMessageEdge(t *testing.T) {
 	events := []Event{
-		{T: 0, Actor: 0, Seq: 0, Layer: LayerPFS, Kind: KindServiceDone, Peer: -1, Dur: 90},
+		{T: 0, Actor: 0, Seq: 0, Layer: LayerPFS, Kind: KindServe, Peer: -1, Dur: 90},
 		{T: 90, Actor: 0, Seq: 1, Layer: LayerMPI, Kind: KindSend, Peer: 1},
-		{T: 5, Actor: 1, Seq: 0, Layer: LayerPFS, Kind: KindServiceDone, Peer: -1, Dur: 10},
+		{T: 5, Actor: 1, Seq: 0, Layer: LayerPFS, Kind: KindServe, Peer: -1, Dur: 10},
 		{T: 100, Actor: 1, Seq: 1, Layer: LayerMPI, Kind: KindRecv, Peer: 0, Dur: 10},
 	}
 	path := CriticalPath(events)
@@ -65,24 +66,23 @@ func TestCriticalPathFollowsMessageEdge(t *testing.T) {
 }
 
 // TestCriticalPathFollowsGrantEdge checks a waited lock grant chains to the
-// overlapping release on the other actor. Grant events are stamped at the
-// grant instant with Dur carrying the wait since the request.
+// overlapping release on the other actor, not to a later release elsewhere
+// in the file. A grant spans from its request to its return, Dur the wait.
 func TestCriticalPathFollowsGrantEdge(t *testing.T) {
 	events := []Event{
 		{T: 0, Actor: 0, Seq: 0, Layer: LayerLock, Kind: KindLockGrant, Peer: -1, Off: 0, Len: 100},
 		{T: 70, Actor: 0, Seq: 1, Layer: LayerLock, Kind: KindLockRelease, Peer: -1, Off: 0, Len: 100, Dur: 10},
-		{T: 10, Actor: 1, Seq: 0, Layer: LayerLock, Kind: KindLockRequest, Peer: -1, Off: 50, Len: 100},
-		{T: 80, Actor: 1, Seq: 1, Layer: LayerLock, Kind: KindLockGrant, Peer: -1, Off: 50, Len: 100, Dur: 70},
+		{T: 10, Actor: 1, Seq: 0, Layer: LayerLock, Kind: KindLockGrant, Peer: -1, Off: 50, Len: 100, Dur: 80},
+		{T: 0, Actor: 2, Seq: 0, Layer: LayerLock, Kind: KindLockGrant, Peer: -1, Off: 500, Len: 100},
+		{T: 75, Actor: 2, Seq: 1, Layer: LayerLock, Kind: KindLockRelease, Peer: -1, Off: 500, Len: 100, Dur: 10},
 	}
 	path := CriticalPath(events)
-	if len(path) < 2 {
-		t.Fatalf("path too short: %+v", path)
+	var got [][2]int
+	for _, e := range path {
+		got = append(got, [2]int{e.Actor, int(e.Seq)})
 	}
-	if first := path[0]; first.Actor != 0 || first.Kind != KindLockGrant {
-		t.Errorf("path starts at %+v, want actor 0's grant via the release edge", first)
-	}
-	if last := path[len(path)-1]; last.Actor != 1 || last.Kind != KindLockGrant {
-		t.Errorf("path ends at %+v, want actor 1's waited grant", last)
+	if want := [][2]int{{0, 0}, {0, 1}, {1, 0}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("path = %v, want %v: actor 1's grant waited on actor 0's overlapping release", got, want)
 	}
 	if CriticalPath(nil) != nil {
 		t.Error("empty trace must yield an empty path")
@@ -90,21 +90,19 @@ func TestCriticalPathFollowsGrantEdge(t *testing.T) {
 }
 
 // TestCriticalPathFollowsCollectiveJoin: rank 2 enters a barrier late,
-// after a long write, so ranks 0 and 1 wait in it, parked and woken as a
-// rendezvous traces them. Whichever rank finishes the run last, the path
+// after a long write, so ranks 0 and 1 wait in it, each in one park span as
+// a rendezvous traces them. Whichever rank finishes the run last, the path
 // reaches back through the join to rank 2's write.
 func TestCriticalPathFollowsCollectiveJoin(t *testing.T) {
 	const exit = 130
 	entries := []sim.VTime{10, 20, 100}
 	for last := range entries {
 		rec := NewRecorder(len(entries), 0)
-		rec.Emit(Event{T: 0, Actor: 2, Layer: LayerPFS, Kind: KindServiceDone, Peer: -1, Dur: 100})
+		rec.Emit(Event{T: 0, Actor: 2, Layer: LayerPFS, Kind: KindServe, Peer: -1, Dur: 100})
 		for r, entry := range entries {
 			if r < 2 {
 				rec.Emit(Event{T: 0, Actor: r, Layer: LayerPhase, Kind: KindPhaseSpan, Tag: "compute", Peer: -1, Dur: entry})
-				rec.Emit(Event{T: entry, Actor: r, Layer: LayerSched, Kind: KindPark, Peer: -1})
-				rec.Emit(Event{T: exit, Actor: r, Layer: LayerSched, Kind: KindWake, Peer: 2})
-				rec.Emit(Event{T: exit, Actor: r, Layer: LayerSched, Kind: KindResume, Peer: -1})
+				rec.Emit(Event{T: entry, Actor: r, Layer: LayerSched, Kind: KindPark, Peer: -1, Dur: exit - entry})
 			}
 			rec.Emit(Event{T: entry, Actor: r, Layer: LayerMPI, Kind: KindColl, Tag: "barrier", Peer: -1, Dur: exit - entry, Aux: 7})
 		}
@@ -113,9 +111,52 @@ func TestCriticalPathFollowsCollectiveJoin(t *testing.T) {
 		if end := path[len(path)-1]; end.Actor != last || end.Tag != "transfer" {
 			t.Errorf("rank %d finishes last, but the path ends at %+v", last, end)
 		}
-		if first := path[0]; first.Actor != 2 || first.Kind != KindServiceDone {
+		if first := path[0]; first.Actor != 2 || first.Kind != KindServe {
 			t.Errorf("rank %d finishes last: the path starts at %+v, want rank 2's write\n%+v", last, first, path)
 		}
+	}
+}
+
+// TestPathSummaryChargesPathTimeOnce: rank 1's grant waits out rank 0's
+// write and release, and its transfer phase closes 10 ns after its write.
+// The path runs through all of it, but the grant is charged only the
+// hand-off after the release and the phase only its tail, so the summary
+// sums to the path's span instead of double-counting nested and waited-out
+// time.
+func TestPathSummaryChargesPathTimeOnce(t *testing.T) {
+	rec := NewRecorder(2, 0)
+	for _, e := range []Event{
+		{T: 0, Actor: 0, Layer: LayerLock, Kind: KindLockGrant, Peer: -1, Off: 0, Len: 100},
+		{T: 0, Actor: 0, Layer: LayerPFS, Kind: KindServe, Peer: 0, Dur: 60},
+		{T: 60, Actor: 0, Layer: LayerLock, Kind: KindLockRelease, Peer: -1, Off: 0, Len: 100, Dur: 10},
+		{T: 0, Actor: 0, Layer: LayerPhase, Kind: KindPhaseSpan, Tag: "transfer", Peer: -1, Dur: 60},
+		{T: 5, Actor: 1, Layer: LayerLock, Kind: KindLockGrant, Peer: -1, Off: 50, Len: 100, Dur: 70},
+		{T: 75, Actor: 1, Layer: LayerPFS, Kind: KindServe, Peer: 0, Dur: 25},
+		{T: 5, Actor: 1, Layer: LayerPhase, Kind: KindPhaseSpan, Tag: "transfer", Peer: -1, Dur: 105},
+	} {
+		rec.Emit(e)
+	}
+	path := CriticalPath(rec.Events())
+	var got []string
+	for _, e := range path {
+		got = append(got, fmt.Sprintf("%d:%s.%s", e.Actor, e.Layer, e.Kind))
+	}
+	want := []string{"0:lock.grant", "0:pfs.serve", "0:lock.release", "1:lock.grant", "1:pfs.serve", "1:phase.span"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("path = %v, want %v", got, want)
+	}
+	charged := map[string]sim.VTime{}
+	var sum sim.VTime
+	for _, s := range PathSummary(path) {
+		charged[statName(s)] = s.Dur
+		sum += s.Dur
+	}
+	wantCharged := map[string]sim.VTime{"lock.grant": 5, "pfs.serve": 85, "lock.release": 10, "phase.span:transfer": 10}
+	if !reflect.DeepEqual(charged, wantCharged) {
+		t.Errorf("summary = %v, want %v", charged, wantCharged)
+	}
+	if span := finish(path[len(path)-1]) - path[0].T; sum != span {
+		t.Errorf("summary sums to %d ns, want the path's span %d", sum, span)
 	}
 }
 

@@ -2,27 +2,20 @@ package obs
 
 import "atomio/internal/sim"
 
-// CoordTracer wraps a sim.Coord and emits scheduler events: a sched.park
-// when an actor goes to sleep, a sched.wake (stamped by the waker, on the
-// sleeper's stream) publishing the wake bound, and a sched.resume when the
-// sleeper runs again.
-//
-// The one cross-actor append — the waker's sched.wake on the sleeper's
-// stream — is ordered by the engine, which runs one actor at a time: the
-// sleeper appends its park before the inner Park yields, so before any
-// waker runs, and its resume only after the inner Park returns, which the
-// matching Wake precedes. Otherwise only the owning actor touches its slot.
+// CoordTracer wraps a sim.Coord and emits one sched.park span per sleep,
+// appended by the sleeper when it runs again: T is its clock at the park,
+// Dur runs to the wake bound a peer published meanwhile. Each actor
+// appends only to its own stream; a Wake only raises the sleeper's clock.
 type CoordTracer struct {
 	inner sim.Coord
 	rec   *Recorder
-	// lastT tracks each actor's latest announced virtual time so park and
-	// resume events carry the actor's current clock without reaching into
-	// layer internals.
+	// lastT tracks each actor's latest announced virtual time so park
+	// spans carry the actor's clock without reaching into layer internals.
 	lastT []sim.VTime
 }
 
-// Trace wraps c so that park/wake/resume flow into rec. A nil rec returns
-// c unwrapped — tracing off costs nothing.
+// Trace wraps c so that parks flow into rec. A nil rec returns c
+// unwrapped — tracing off costs nothing.
 func Trace(c sim.Coord, rec *Recorder) sim.Coord {
 	if rec == nil || c == nil {
 		return c
@@ -42,24 +35,21 @@ func (t *CoordTracer) Await(id int, at sim.VTime) {
 	t.inner.Await(id, at)
 }
 
-// Park implements sim.Coord, emitting the park event before the inner
-// Park yields and the resume event when the sleeper runs again. The resume
-// timestamp reflects the wake bound published while parked: the inner Park
-// returns only after the matching Wake, which set lastT.
+// Park implements sim.Coord, emitting the park span once the sleeper runs
+// again: the inner Park returns only after the matching Wake, which raised
+// lastT to the wake bound.
 func (t *CoordTracer) Park(id int) {
-	t.rec.Emit(Event{T: t.lastT[id], Actor: id, Layer: LayerSched, Kind: KindPark, Peer: -1})
+	at := t.lastT[id]
 	t.rec.Count(id, MetricParks, 1)
 	t.inner.Park(id)
-	t.rec.Emit(Event{T: t.lastT[id], Actor: id, Layer: LayerSched, Kind: KindResume, Peer: -1})
+	t.rec.Emit(Event{T: at, Actor: id, Layer: LayerSched, Kind: KindPark, Peer: -1, Dur: t.lastT[id] - at})
 }
 
-// Wake implements sim.Coord, stamping the wake bound onto the sleeper's
-// stream before resuming it.
+// Wake implements sim.Coord, raising the sleeper's clock to the wake bound.
 func (t *CoordTracer) Wake(id int, at sim.VTime) {
 	if at > t.lastT[id] {
 		t.lastT[id] = at
 	}
-	t.rec.Emit(Event{T: at, Actor: id, Layer: LayerSched, Kind: KindWake, Peer: -1})
 	t.inner.Wake(id, at)
 }
 

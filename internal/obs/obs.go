@@ -1,17 +1,14 @@
 // Package obs is the structured observability layer of the simulator: a
 // deterministic event tracer plus a metrics registry, spanning every layer
-// of the stack (scheduler park/wake, MPI collectives, lock grants, PFS server
-// bookings, WAL activity, fault instants).
+// of the stack (scheduler parks, MPI collectives, lock grants, PFS server
+// bookings, WAL activity, fault instants). Every event is an instant or one
+// span [T, T+Dur), stamped at its start.
 //
 // Determinism contract: every event is keyed purely by
 // (virtual time, actor id, per-actor sequence number). Events are appended
-// to per-actor streams — an actor appends to its own stream, and the only
-// cross-actor append (a waker stamping a sched.wake onto a blocked actor's
-// stream) is ordered by the engine, which runs one actor at a time: the
-// sleeper's park append happens before its Park yields, and its resume
-// append only after the inner Park returns, which the matching Wake
-// precedes. Because the engine admits actions in (virtual time, actor id)
-// order, the merged stream is byte-identical across worker counts.
+// to per-actor streams, each only by the actor it belongs to, and the
+// engine runs one actor at a time in (virtual time, actor id) order, so the
+// merged stream is byte-identical across worker counts.
 //
 // Memory: NewRecorder's limit selects unbounded capture (0), a per-actor
 // ring buffer keeping the newest events (limit > 0, for P=16384 runs), or
@@ -28,7 +25,7 @@ import (
 
 // Layer names, one per instrumented subsystem.
 const (
-	LayerSched = "sched" // coordinator park/wake/resume
+	LayerSched = "sched" // coordinator parks
 	LayerMPI   = "mpi"   // message passing
 	LayerLock  = "lock"  // byte-range lock service
 	LayerPFS   = "pfs"   // I/O servers and WAL
@@ -38,29 +35,24 @@ const (
 
 // Event kinds, grouped by layer.
 const (
-	KindPark   = "park"   // sched: actor goes to sleep on a peer
-	KindWake   = "wake"   // sched: a peer publishes this actor's wake bound
-	KindResume = "resume" // sched: the parked actor runs again
+	KindPark = "park" // sched: one sleep on a peer, from the park to the wake bound
 
 	KindSend = "send" // mpi: bcast message handed to the network
 	KindRecv = "recv" // mpi: bcast message delivered (timing applied)
 	KindColl = "coll" // mpi: one rank's span through a barrier, allgather or alltoall
 
-	KindLockRequest = "request" // lock: client asks for a byte range
-	KindLockGrant   = "grant"   // lock: range granted (Aux = ticket)
+	KindLockGrant   = "grant"   // lock: request to granted return (Aux = ticket)
 	KindLockRelease = "release" // lock: client gives the range back
 	KindLockRevoke  = "revoke"  // lock: lease/timeout revocation fired
 
-	KindQueue        = "queue"  // pfs: request enters a server queue (Aux = depth)
-	KindServiceStart = "sstart" // pfs: server starts the request
-	KindServiceDone  = "sdone"  // pfs: server finishes the request
-	KindWALAppend    = "wal"    // pfs: intent-log append
-	KindWALReplay    = "replay" // pfs: recovery replays an intent
-	KindDrop         = "drop"   // fault: server crash window swallowed pieces
-	KindCrash        = "crash"  // fault: writer crash truncated a write
-	KindUnlockDrop   = "udrop"  // fault: unlock message dropped
-	KindUnlockDup    = "udup"   // fault: unlock message duplicated
-	KindPhaseSpan    = "span"   // phase: one trace.Span (Tag = phase)
+	KindServe      = "serve"  // pfs: one server piece, queue arrival to service end (Aux = service start)
+	KindWALAppend  = "wal"    // pfs: intent-log append
+	KindWALReplay  = "replay" // pfs: recovery replays an intent
+	KindDrop       = "drop"   // fault: server crash window swallowed pieces
+	KindCrash      = "crash"  // fault: writer crash truncated a write
+	KindUnlockDrop = "udrop"  // fault: unlock message dropped
+	KindUnlockDup  = "udup"   // fault: unlock message duplicated
+	KindPhaseSpan  = "span"   // phase: one trace.Span (Tag = phase)
 )
 
 // TagAllgather is the collective tag of the view-exchange allgather — the
@@ -69,12 +61,12 @@ const (
 // name outside the trace itself.
 const TagAllgather = "allgather"
 
-// Event is one instant or span of simulated activity. The identity triple
-// (T, Actor, Seq) totally orders a trace; Seq is unique and dense per
-// actor, while T may be locally non-monotonic (a wake bound can precede
-// the park that consumed it). Peer is -1 when the event has no partner
-// actor; the remaining fields carry layer-specific payload and are zero
-// when unused.
+// Event is one instant or span [T, T+Dur) of simulated activity. The
+// identity triple (T, Actor, Seq) totally orders a trace; Seq is unique and
+// dense per actor, while T may be locally non-monotonic (a span is appended
+// when it closes, after the spans nested in it). Peer is -1 when the event
+// has no partner actor; the remaining fields carry layer-specific payload
+// and are zero when unused.
 type Event struct {
 	T     sim.VTime // virtual timestamp, ns
 	Actor int       // emitting actor (rank)
@@ -87,13 +79,12 @@ type Event struct {
 	Off   int64     // byte offset (lock, pfs)
 	Len   int64     // byte length (lock, pfs)
 	Dur   sim.VTime // span duration, ns (0 for instants)
-	Aux   int64     // layer extra: lock ticket, queue depth, collective instance
+	Aux   int64     // layer extra: lock ticket, service start, collective instance
 }
 
 // stream is one actor's private event and metrics shard. Only the owning
-// actor appends, except for the coordinator wake path documented on the
-// package; no per-stream lock is needed because the engine runs one actor
-// at a time, so every append happens on its one thread.
+// actor appends; no per-stream lock is needed because the engine runs one
+// actor at a time, so every append happens on its one thread.
 type stream struct {
 	seq     int64
 	events  []Event

@@ -40,7 +40,7 @@ func TestRecorderRingKeepsNewest(t *testing.T) {
 	const limit, emitted = 4, 10
 	r := NewRecorder(1, limit)
 	for i := 0; i < emitted; i++ {
-		r.Emit(Event{T: sim.VTime(i), Actor: 0, Layer: LayerPFS, Kind: KindQueue, Peer: -1})
+		r.Emit(Event{T: sim.VTime(i), Actor: 0, Layer: LayerPFS, Kind: KindServe, Peer: -1})
 	}
 	events := r.Events()
 	if len(events) != limit {
@@ -250,8 +250,7 @@ func TestCoordTracer(t *testing.T) {
 		t.Fatalf("Trace returned %T; want a CoordTracer wrapping inner", c)
 	}
 	// The protocol order every call site follows: announce time, Park,
-	// and a peer Wakes the sleeper, publishing the wake bound onto actor
-	// 0's stream.
+	// and a peer Wakes the sleeper, raising its clock to the wake bound.
 	inner.onPark = func() { c.Wake(0, 250) }
 	c.Await(0, 100)
 	c.Park(0)
@@ -259,23 +258,10 @@ func TestCoordTracer(t *testing.T) {
 	if inner.awaits != 1 || inner.wakes != 1 || inner.parks != 1 || inner.dones != 1 {
 		t.Errorf("calls not passed through: %+v", inner)
 	}
-	events := rec.Events()
-	var kinds []string
-	for _, e := range events {
-		if e.Layer != LayerSched {
-			t.Errorf("unexpected layer in %+v", e)
-		}
-		kinds = append(kinds, e.Kind)
-	}
-	if !reflect.DeepEqual(kinds, []string{KindPark, KindWake, KindResume}) {
-		t.Fatalf("kinds = %v, want park,wake,resume", kinds)
-	}
-	// The park carries the announced time; wake and resume carry the bound.
-	wantT := []int64{100, 250, 250}
-	for i, e := range events {
-		if int64(e.T) != wantT[i] {
-			t.Errorf("%s at T=%d, want %d", e.Kind, e.T, wantT[i])
-		}
+	// One park span, from the announced time to the wake bound.
+	want := []Event{{T: 100, Actor: 0, Layer: LayerSched, Kind: KindPark, Peer: -1, Dur: 150}}
+	if got := rec.Events(); !reflect.DeepEqual(got, want) {
+		t.Errorf("events = %+v, want %+v", got, want)
 	}
 	if got := rec.Metrics().Counter(MetricParks); got != 1 {
 		t.Errorf("park counter = %d, want 1", got)

@@ -168,17 +168,11 @@ func (c *Client) queueServerService(ext interval.List) {
 		start, end := c.fs.servers.Member(server).Acquire(now, svc)
 		if o := c.fs.obs; o != nil {
 			depth := c.fs.noteBooking(server, now, end)
+			// One span from the arrival at the queue to the end of
+			// service; Aux is the service start.
 			o.Emit(obs.Event{
-				T: now, Actor: c.rank, Layer: obs.LayerPFS, Kind: obs.KindQueue,
-				Peer: server, Size: l.bytes, Aux: depth,
-			})
-			o.Emit(obs.Event{
-				T: start, Actor: c.rank, Layer: obs.LayerPFS, Kind: obs.KindServiceStart,
-				Peer: server, Size: l.bytes,
-			})
-			o.Emit(obs.Event{
-				T: end, Actor: c.rank, Layer: obs.LayerPFS, Kind: obs.KindServiceDone,
-				Peer: server, Size: l.bytes, Dur: end - start,
+				T: now, Actor: c.rank, Layer: obs.LayerPFS, Kind: obs.KindServe,
+				Peer: server, Size: l.bytes, Dur: end - now, Aux: int64(start),
 			})
 			o.Count(c.rank, obs.MetricPFSReqs, l.reqs)
 			o.Observe(c.rank, obs.MetricPFSService, int64(end-start))

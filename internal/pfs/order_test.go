@@ -85,11 +85,9 @@ func TestWritersCompleteInOneOrder(t *testing.T) {
 			}
 			done := make([][]completion, servers) // per server
 			for _, e := range rec.Events() {
-				switch e.Kind {
-				case obs.KindQueue:
+				if e.Kind == obs.KindServe { // from the booking to the completion
 					booked[e.Actor] = e.T
-				case obs.KindServiceDone:
-					done[e.Peer] = append(done[e.Peer], completion{e.Actor, e.T})
+					done[e.Peer] = append(done[e.Peer], completion{e.Actor, e.T + e.Dur})
 				}
 			}
 			order := make([]int, p)
