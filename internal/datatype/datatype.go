@@ -76,8 +76,12 @@ func (e Elem) String() string {
 // element. Size()==Extent() alone is not sufficient — a type whose data
 // starts past offset 0 can have equal size and extent. Flattening a base
 // can be arbitrarily expensive and allocates, so a container's Flatten
-// calls this once, outside its block loop.
+// calls this once, outside its block loop. An elementary base is dense
+// (or, with a negative width, selects nothing) and is not flattened.
 func flattenBase(base Datatype) (flat []interval.Extent, dense bool) {
+	if e, ok := base.(Elem); ok {
+		return nil, e.Width >= 0
+	}
 	flat = base.Flatten()
 	switch {
 	case base.Size() != base.Extent():

@@ -37,10 +37,13 @@ func NewSubarray(sizes, subsizes, starts []int, base Datatype) Subarray {
 				d, subsizes[d], starts[d], sizes[d]))
 		}
 	}
+	// One array holds the three, each slice capped at its own part.
+	dims := make([]int, 0, 3*n)
+	dims = append(append(append(dims, sizes...), subsizes...), starts...)
 	return Subarray{
-		Sizes:    append([]int(nil), sizes...),
-		Subsizes: append([]int(nil), subsizes...),
-		Starts:   append([]int(nil), starts...),
+		Sizes:    dims[:n:n],
+		Subsizes: dims[n : 2*n : 2*n],
+		Starts:   dims[2*n:],
 		Base:     base,
 	}
 }
@@ -66,6 +69,9 @@ func (t Subarray) Extent() int64 {
 	return n * t.Base.Extent()
 }
 
+// stackDims is the rank up to which Flatten keeps its scratch on the stack.
+const stackDims = 8
+
 // Flatten implements Datatype.
 //
 // For a dense base the last dimension yields one segment per "row" of the
@@ -76,8 +82,13 @@ func (t Subarray) Flatten() []interval.Extent {
 	nd := len(t.Sizes)
 	be := t.Base.Extent()
 
-	// strides[d]: distance in elements between successive indices in dim d.
-	strides := make([]int64, nd)
+	// strides[d]: distance in elements between successive indices in dim d;
+	// idx: the current row index per leading dimension. Both live on the
+	// stack up to stackDims dimensions.
+	var stackStrides [stackDims]int64
+	var stackIdx [stackDims - 1]int
+	strides := append(stackStrides[:0], make([]int64, nd)...)
+	idx := append(stackIdx[:0], make([]int, nd-1)...)
 	strides[nd-1] = 1
 	for d := nd - 2; d >= 0; d-- {
 		strides[d] = strides[d+1] * int64(t.Sizes[d+1])
@@ -96,7 +107,6 @@ func (t Subarray) Flatten() []interval.Extent {
 		rows *= int64(t.Subsizes[d])
 	}
 
-	idx := make([]int, nd-1) // current row index per leading dimension
 	baseFlat, dense := flattenBase(t.Base)
 	var out []interval.Extent
 	if dense {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"atomio/internal/sim"
@@ -44,12 +45,11 @@ func (c *Comm) checkRank(r int) {
 // that libraries can communicate without colliding with application traffic.
 // Dup is collective: every rank of the communicator must call it.
 func (c *Comm) Dup() *Comm {
-	// Rank 0 allocates the context and broadcasts it.
+	// Rank 0 allocates the context and broadcasts it, little-endian.
 	var buf []byte
 	if c.rank == 0 {
-		buf = putInt64s(nil, int64(c.world.allocCtx()))
+		buf = binary.LittleEndian.AppendUint64(nil, uint64(c.world.allocCtx()))
 	}
-	buf = c.bcast(buf, 0)
-	newCtx := int(getInt64s(buf, 1)[0])
+	newCtx := int(binary.LittleEndian.Uint64(c.bcast(buf, 0)))
 	return &Comm{world: c.world, ctx: newCtx, rank: c.rank, group: c.group, clock: c.clock}
 }

@@ -29,7 +29,7 @@ func (abortError) Error() string { return "mpi: world aborted after failure on a
 // on the owner's post-receive virtual time. That handshake is what keeps
 // admissions deterministic across a blocking receive.
 type mailbox struct {
-	queue   []*message
+	queue   []message
 	aborted bool
 
 	// coord is the world's coordinator and owner the mailbox's world rank;
@@ -38,7 +38,8 @@ type mailbox struct {
 	owner        int
 	net          sim.CostModel
 	recvOverhead sim.VTime
-	wait         *waitPattern // owner's registered blocked receive, if any
+	waiting      bool        // the owner is parked in a receive
+	wait         waitPattern // that receive's pattern, while waiting
 }
 
 // waitPattern is the match pattern of a blocked receive.
@@ -46,26 +47,21 @@ type waitPattern struct {
 	ctx, src, tag int
 }
 
-// newMailbox returns a mailbox outside any world: under sim.Solo a receive
-// with no queued match panics instead of sleeping. newWorld hands each
-// mailbox the world's coordinator.
-func newMailbox() *mailbox { return &mailbox{coord: sim.Solo{}, net: sim.Free{}} }
-
 // matches reports whether msg is the one the (ctx, src, tag) pattern names.
 // Matching is exact — there are no wildcards — so which message a receive
 // takes never depends on the order in which senders were admitted.
-func matches(msg *message, ctx, src, tag int) bool {
+func matches(msg message, ctx, src, tag int) bool {
 	return msg.ctx == ctx && msg.src == src && msg.tag == tag
 }
 
 // put enqueues a message. A put that satisfies the owner's registered
 // receive wakes the owner, publishing the earliest virtual time the owner
 // could act at after completing the receive.
-func (m *mailbox) put(msg *message) {
+func (m *mailbox) put(msg message) {
 	m.queue = append(m.queue, msg)
-	if m.wait != nil && matches(msg, m.wait.ctx, m.wait.src, m.wait.tag) {
+	if m.waiting && matches(msg, m.wait.ctx, m.wait.src, m.wait.tag) {
 		bound := msg.sentAt + m.net.Cost(int64(len(msg.data))) + m.recvOverhead
-		m.wait = nil
+		m.waiting = false
 		m.coord.Wake(m.owner, bound)
 	}
 }
@@ -75,22 +71,22 @@ func (m *mailbox) put(msg *message) {
 // observe the abort and unwind with a panic.
 func (m *mailbox) abort() {
 	m.aborted = true
-	if m.wait != nil {
-		m.wait = nil
+	if m.waiting {
+		m.waiting = false
 		m.coord.Wake(m.owner, 0)
 	}
 }
 
 // take removes and returns the first queued message matching the pattern,
-// or nil.
-func (m *mailbox) take(ctx, src, tag int) *message {
+// and whether there was one.
+func (m *mailbox) take(ctx, src, tag int) (message, bool) {
 	for i, msg := range m.queue {
 		if matches(msg, ctx, src, tag) {
 			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			return msg
+			return msg, true
 		}
 	}
-	return nil
+	return message{}, false
 }
 
 // match blocks until a message matching the given context, source and tag is
@@ -99,15 +95,15 @@ func (m *mailbox) take(ctx, src, tag int) *message {
 // registers its pattern and parks through the coordinator so peers can keep
 // making progress; the wake comes from the put that satisfies the pattern
 // (or from an abort), which clears the registration.
-func (m *mailbox) match(ctx, src, tag int) *message {
+func (m *mailbox) match(ctx, src, tag int) message {
 	for {
-		if msg := m.take(ctx, src, tag); msg != nil {
+		if msg, ok := m.take(ctx, src, tag); ok {
 			return msg
 		}
 		if m.aborted {
 			panic(abortError{})
 		}
-		m.wait = &waitPattern{ctx: ctx, src: src, tag: tag}
+		m.waiting, m.wait = true, waitPattern{ctx: ctx, src: src, tag: tag}
 		m.coord.Park(m.owner)
 	}
 }

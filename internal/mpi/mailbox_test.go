@@ -3,6 +3,8 @@ package mpi
 import (
 	"strings"
 	"testing"
+
+	"atomio/internal/sim"
 )
 
 // TestSoloMailbox pins the no-engine default of a mailbox outside any
@@ -10,8 +12,8 @@ import (
 // goroutine, and a receive that would have to sleep fails at once — no
 // sender exists that could ever wake it — instead of hanging.
 func TestSoloMailbox(t *testing.T) {
-	m := newMailbox()
-	m.put(&message{ctx: 1, src: 3, tag: 7, data: []byte("queued")})
+	m := &mailbox{coord: sim.Solo{}, net: sim.Free{}}
+	m.put(message{ctx: 1, src: 3, tag: 7, data: []byte("queued")})
 	if msg := m.match(1, 3, 7); string(msg.data) != "queued" || msg.src != 3 {
 		t.Fatalf("match returned %+v", msg)
 	}

@@ -74,8 +74,8 @@ func (c Config) withDefaults() Config {
 // clocks, and the bookkeeping of its communicators.
 type World struct {
 	cfg       Config
-	mailboxes []*mailbox
-	clocks    []*sim.Clock
+	mailboxes []mailbox
+	clocks    []sim.Clock
 
 	// Cross-rank bookkeeping: the communicator context-id allocator; the
 	// collective calls in flight (shared, the memo table behind
@@ -93,16 +93,13 @@ type World struct {
 func newWorld(cfg Config) *World {
 	w := &World{cfg: cfg, nextCtx: 1, parked: make([]bool, cfg.Procs),
 		shared: make(map[sharedKey]*sharedEntry), meetings: make(map[sharedKey]*rendezvous)}
-	w.mailboxes = make([]*mailbox, cfg.Procs)
-	w.clocks = make([]*sim.Clock, cfg.Procs)
+	w.mailboxes = make([]mailbox, cfg.Procs)
+	w.clocks = make([]sim.Clock, cfg.Procs) // every clock starts at zero
 	for i := range w.mailboxes {
 		// The mailbox wakes its blocked owner through the coordinator; it
 		// needs the owner's id and the receive cost model to publish a
 		// sound lower bound on the owner's post-receive time.
-		m := newMailbox()
-		m.coord, m.owner, m.net, m.recvOverhead = cfg.Coord, i, cfg.Net, cfg.RecvOverhead
-		w.mailboxes[i] = m
-		w.clocks[i] = sim.NewClock(0)
+		w.mailboxes[i] = mailbox{coord: cfg.Coord, owner: i, net: cfg.Net, recvOverhead: cfg.RecvOverhead}
 	}
 	return w
 }
@@ -111,8 +108,8 @@ func newWorld(cfg Config) *World {
 // a rank fails so the failure surfaces as its own error instead of as an
 // engine stall (this mirrors MPI's job-abort-on-error behaviour).
 func (w *World) abortAll() {
-	for _, m := range w.mailboxes {
-		m.abort()
+	for i := range w.mailboxes {
+		w.mailboxes[i].abort()
 	}
 	w.aborted = true
 	for id, asleep := range w.parked {
@@ -210,7 +207,7 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 				w.abortAll()
 			}
 		}()
-		c := &Comm{world: w, ctx: ctx, rank: rank, group: group, clock: w.clocks[rank]}
+		c := &Comm{world: w, ctx: ctx, rank: rank, group: group, clock: &w.clocks[rank]}
 		if err := body(c); err != nil {
 			errs[rank] = &RankError{Rank: rank, Err: err}
 			w.abortAll()
@@ -253,8 +250,8 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 			fmt.Errorf("mpi: %d collectives were not reached by every rank of their communicator", n))
 	}
 	queued := 0
-	for _, m := range w.mailboxes {
-		queued += len(m.queue)
+	for i := range w.mailboxes {
+		queued += len(w.mailboxes[i].queue)
 	}
 	if queued != 0 {
 		stranded = append(stranded, fmt.Errorf("mpi: %d messages were sent but never received", queued))

@@ -12,7 +12,7 @@ func (c *Comm) send(to, tag int, data []byte) {
 	c.checkRank(to)
 	c.clock.Advance(c.world.cfg.SendOverhead)
 	c.world.cfg.Coord.Await(c.group[c.rank], c.clock.Now())
-	c.world.mailboxes[c.group[to]].put(&message{
+	c.world.mailboxes[c.group[to]].put(message{
 		ctx:    c.ctx,
 		src:    c.rank,
 		tag:    tag,

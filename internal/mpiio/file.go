@@ -30,6 +30,11 @@ import (
 // ErrClosed is returned for operations on a closed file.
 var ErrClosed = errors.New("mpiio: file is closed")
 
+// defaultView is the view every file opens with, MPI's default: a byte
+// stream over the whole file. Every handle shares it, and with it its
+// stored tile, which Extents lends out and no one writes.
+var defaultView = fileview.New(0, datatype.Byte, datatype.NewContiguous(1, datatype.Byte))
+
 // File is an MPI file handle: one per rank, collectively opened.
 type File struct {
 	comm     *mpi.Comm // library-private dup
@@ -62,7 +67,7 @@ func Open(comm *mpi.Comm, fs *pfs.FileSystem, mgr lock.Manager, name string) (*F
 		client: client,
 		mgr:    mgr,
 		name:   name,
-		view:   fileview.New(0, datatype.Byte, datatype.NewContiguous(1, datatype.Byte)),
+		view:   defaultView,
 	}
 	// ROMIO's default for atomic mode is byte-range locking; platforms
 	// without locking default to the best handshaking strategy.

@@ -7,6 +7,7 @@ import (
 
 	"atomio/internal/core"
 	"atomio/internal/datatype"
+	"atomio/internal/fileview"
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
 	"atomio/internal/lock"
@@ -153,6 +154,57 @@ func TestStrategiesLeaveTheLentTileUnwritten(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDefaultViewTileIsUnwritten: every file opens with the one shared
+// default view, whose stored tile a one-byte request at position 0 lends
+// to the strategy and the file system. After two ranks write three bytes
+// each through default-view files, atomically under each strategy and
+// non-atomically through a write-behind cache, the files' views and the
+// default view still hold that tile unchanged: one extent [0, 1).
+func TestDefaultViewTileIsUnwritten(t *testing.T) {
+	want := interval.List{{Off: 0, Len: 1}}
+	check := func(t *testing.T, who string, v fileview.View) {
+		t.Helper()
+		if tile := v.Extents(0, 1); !tile.Equal(want) || cap(tile) != 1 {
+			t.Errorf("%s: tile %v (cap %d), want %v (cap 1)", who, tile, cap(tile), want)
+		}
+	}
+	write := func(t *testing.T, fs *pfs.FileSystem, mgr lock.Manager, strat core.Strategy) {
+		t.Helper()
+		runOn(t, des.New().NewCoord(2), fs, mgr, func(c *mpi.Comm) error {
+			f, err := Open(c, fs, mgr, "default.dat")
+			if err != nil {
+				return err
+			}
+			if strat != nil {
+				if err := f.SetAtomicity(true); err != nil {
+					return err
+				}
+				if err := f.SetStrategy(strat); err != nil {
+					return err
+				}
+			}
+			for range 3 {
+				if err := f.WriteAll(1); err != nil {
+					return err
+				}
+			}
+			check(t, fmt.Sprintf("rank %d's file", c.Rank()), f.View())
+			return f.Close()
+		})
+		check(t, "the default view", defaultView)
+	}
+	for _, strat := range []core.Strategy{core.Locking{}, core.Coloring{}, core.RankOrder{}, core.TwoPhase{}, core.ListIO{}} {
+		t.Run(strat.Name(), func(t *testing.T) {
+			fs := testFS()
+			if _, ok := strat.(core.ListIO); ok {
+				fs = listioFS()
+			}
+			write(t, fs, testMgr(), strat)
+		})
+	}
+	t.Run("write-behind", func(t *testing.T) { write(t, cachingFS(), nil, nil) })
 }
 
 func TestAtomicityWithWriteBehindCache(t *testing.T) {

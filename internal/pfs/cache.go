@@ -25,13 +25,18 @@ type CacheConfig struct {
 // staleness is the point being modelled.
 type cache struct {
 	dirty []Batch
+	first [1]Batch // dirty's array until a second batch is logged
 }
 
 // absorb records a write-behind write in write order.
 func (c *cache) absorb(b Batch) {
-	if len(b.Ext) > 0 {
-		c.dirty = append(c.dirty, b)
+	if len(b.Ext) == 0 {
+		return
 	}
+	if c.dirty == nil {
+		c.dirty = c.first[:0]
+	}
+	c.dirty = append(c.dirty, b)
 }
 
 // takeDirty empties the write-behind log and returns it, in write order,

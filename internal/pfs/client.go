@@ -51,8 +51,7 @@ type Client struct {
 	f     *file
 	clock *sim.Clock
 	rank  int
-	cache *cache
-	loads []load // queueServerService scratch, indexed by server
+	cache cache // write-behind log, empty unless the file system writes behind
 
 	bytesWritten int64
 
@@ -70,11 +69,7 @@ func (fs *FileSystem) Open(name string, rank int, clock *sim.Clock) (*Client, er
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{fs: fs, f: f, clock: clock, rank: rank, loads: make([]load, fs.cfg.Servers)}
-	if fs.cfg.Cache.WriteBehind {
-		c.cache = &cache{}
-	}
-	return c, nil
+	return &Client{fs: fs, f: f, clock: clock, rank: rank}, nil
 }
 
 // Rank returns the owning rank.
@@ -91,7 +86,7 @@ func (c *Client) BytesWritten() int64 { return c.bytesWritten }
 func (c *Client) Write(b Batch) {
 	total := b.Ext.TotalLen()
 	c.bytesWritten += total
-	if c.cache != nil {
+	if c.fs.cfg.Cache.WriteBehind {
 		c.clock.Advance(c.fs.cfg.Cache.MemModel.Cost(total))
 		c.cache.absorb(b)
 		return
@@ -143,8 +138,6 @@ func (c *Client) transferWrite(b Batch, log []Batch) {
 // queueServerService books per-server FCFS service for the given extents
 // and advances the client clock to the last completion.
 func (c *Client) queueServerService(ext interval.List) {
-	loads := c.loads
-	c.fs.cfg.tally(loads, ext, c.rank)
 	now := c.clock.Now()
 	if !c.inAtomic {
 		// The whole batch books at `now` under one coordinator turn, so
@@ -152,6 +145,10 @@ func (c *Client) queueServerService(ext interval.List) {
 		// deterministic virtual-time order.
 		c.fs.coord.Await(c.rank, now)
 	}
+	// Nothing below yields the turn, so every client tallies into the
+	// file system's one scratch.
+	loads := c.fs.loads
+	c.fs.cfg.tally(loads, ext, c.rank)
 	// Book the per-server service in ascending server order: every queue
 	// is hit at the same `now`, but a fixed order keeps the booking
 	// sequence (and so any tie-breaking inside the queues) deterministic.
@@ -217,9 +214,6 @@ func (c *Client) WriteAtomic(b Batch) error {
 // file-sync call the paper requires after every write when handshaking is
 // used on a caching file system.
 func (c *Client) Sync() {
-	if c.cache == nil {
-		return
-	}
 	b, log := c.cache.takeDirty()
 	defer clear(log) // the cache's hold on the caller's batches ends with the flush
 	if len(b.Ext) > 0 {

@@ -20,9 +20,6 @@ func (fs *FileSystem) Damaged(name string) (interval.List, error) {
 
 // DirtyBytes returns the amount of write-behind data not yet flushed.
 func (c *Client) DirtyBytes() int64 {
-	if c.cache == nil {
-		return 0
-	}
 	var n int64
 	for _, b := range c.cache.dirty {
 		n += b.Ext.TotalLen()

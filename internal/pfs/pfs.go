@@ -166,6 +166,7 @@ type FileSystem struct {
 	servers *sim.Pool
 	models  []sim.LinearCost // per-server service models (Degraded applied)
 	stats   []serverCounter  // per-server request/byte counters
+	loads   []load           // queueServerService scratch, indexed by server
 	coord   sim.Coord
 	fault   *fault.Injector // nil on healthy runs
 	obs     *obs.Recorder   // nil unless event tracing is on
@@ -204,6 +205,7 @@ func New(cfg Config) (*FileSystem, error) {
 		servers: sim.NewPool("ioserver", cfg.Servers),
 		models:  models,
 		stats:   make([]serverCounter, cfg.Servers),
+		loads:   make([]load, cfg.Servers),
 		coord:   sim.Solo{},
 		files:   make(map[string]*file),
 	}, nil

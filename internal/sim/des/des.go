@@ -1,12 +1,17 @@
 // Package des is the simulation engine: a single-threaded discrete-event
 // scheduler that runs every simulated rank as a resumable coroutine, so a
-// simulated event costs a heap pop and a coroutine switch.
+// simulated event that hands the turn to another actor costs a heap push,
+// a heap pop and a coroutine switch, and one that keeps it costs a look at
+// the head of the queue.
 //
 // The scheduler maintains one event queue keyed lexicographically by
 // (virtual time, actor id), with a per-actor sequence stamp for lazy
 // invalidation. Await pushes the actor's announcement and yields; the main
 // loop pops the globally earliest valid event and resumes its actor, which
-// then runs exclusively until its next Await, Park or return. Because only
+// then runs exclusively until its next Await, Park or return. An Await
+// whose announcement would itself be the earliest entry returns at once:
+// the main loop would pop it next and resume the same actor, so skipping
+// that round trip changes no admission. Because only
 // one actor ever runs at a time, the exclusive turn of the sim.Coord
 // protocol is implicit, the structures actors share need no locks, and
 // every virtual timestamp a simulation produces is a function of its
@@ -86,12 +91,13 @@ type event struct {
 	seq int64
 }
 
+// earlier orders events lexicographically by (t, id).
+func earlier(a, b event) bool { return a.t < b.t || (a.t == b.t && a.id < b.id) }
+
 // eventHeap is a min-heap of events keyed lexicographically (t, id).
 type eventHeap []event
 
-func (h eventHeap) less(i, j int) bool {
-	return h[i].t < h[j].t || (h[i].t == h[j].t && h[i].id < h[j].id)
-}
+func (h eventHeap) less(i, j int) bool { return earlier(h[i], h[j]) }
 
 func (h *eventHeap) push(e event) {
 	*h = append(*h, e)
@@ -182,10 +188,16 @@ func (s *scheduler) announce(id int) {
 // Await implements sim.Coord: announce (pub[id], id) — pub raised to t —
 // and yield to the scheduler, which resumes this actor when its
 // announcement is the globally earliest. On return the actor runs
-// exclusively: the event-loop form of holding the turn.
+// exclusively: the event-loop form of holding the turn. An announcement
+// that sorts before the queue's head would be the next one popped, so
+// Await returns at once instead, pushing nothing; behind any head, even a
+// stale one the loop would skip, it yields.
 func (s *scheduler) Await(id int, t sim.VTime) {
 	if t > s.pub[id] {
 		s.pub[id] = t
+	}
+	if len(s.queue) == 0 || earlier(event{t: s.pub[id], id: id}, s.queue[0]) {
+		return
 	}
 	s.state[id] = ready
 	s.announce(id)
