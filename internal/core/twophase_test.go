@@ -126,7 +126,7 @@ func TestMergePiecesClampsToDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !merged.Ext.Equal(interval.List{ext(40, 20)}) || !slices.Equal(merged.Writers, []int{0}) {
+	if !slices.Equal(merged.Ext, interval.List{ext(40, 20)}) || !slices.Equal(merged.Writers, []int{0}) {
 		t.Fatalf("merged %v by %v", merged.Ext, merged.Writers)
 	}
 }
@@ -200,23 +200,26 @@ func TestQuickMergeMatchesHighestRankModel(t *testing.T) {
 
 // setMergePieces is the merge as it stood before the shared winners map —
 // the oracle of TestMergeSegmentsMatchSetMerge. Pieces are processed from
-// the highest rank down; each claims only the bytes not yet covered, tracked
-// in an index.Set whose Visit finds the parts an Add newly covers, and the
-// claims — each credited to its sender — are sorted into file order at the
-// end.
+// the highest rank down; each claims, as maximal runs, only the bytes not
+// yet claimed, tracked in a flag per domain byte, and the claims — each
+// credited to its sender — are sorted into file order at the end.
 func setMergePieces(recv []mpi.Part, domain interval.Extent) pfs.Batch {
-	var covered index.Set
+	claimed := make([]bool, domain.Len)
 	var claims []index.Owned
 	for k := len(recv) - 1; k >= 0; k-- {
 		for _, pc := range recv[k].Data.(interval.List) {
-			ext := pc.Intersect(domain)
-			covered.Visit(ext, func(keep interval.Extent, claimed bool) bool {
-				if !claimed {
-					claims = append(claims, index.Owned{Extent: keep, Rank: recv[k].Peer})
+			ext, first := pc.Intersect(domain), len(claims) // the piece's first claim
+			for off := ext.Off; off < ext.End(); off++ {
+				if claimed[off-domain.Off] {
+					continue
 				}
-				return true
-			})
-			covered.Add(ext)
+				claimed[off-domain.Off] = true
+				if n := len(claims) - 1; n >= first && claims[n].End() == off {
+					claims[n].Len++
+					continue
+				}
+				claims = append(claims, index.Owned{Extent: interval.Extent{Off: off, Len: 1}, Rank: recv[k].Peer})
+			}
 		}
 	}
 	slices.SortFunc(claims, func(a, b index.Owned) int { return cmp.Compare(a.Off, b.Off) })
@@ -273,7 +276,7 @@ func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 					t.Fatalf("%s %v: %v", name, domain, err)
 				}
 				// A file that keeps no writers is handed the extents alone.
-				if lengths, _ := mergePieces(recv, domain, owners, false); !lengths.Ext.Equal(merged.Ext) || lengths.Writers != nil {
+				if lengths, _ := mergePieces(recv, domain, owners, false); !slices.Equal(lengths.Ext, merged.Ext) || lengths.Writers != nil {
 					t.Fatalf("%s %v: a merge for a file that keeps no writers gives %v, writers %v", name, domain, lengths.Ext, lengths.Writers)
 				}
 				want := setMergePieces(recv, domain)

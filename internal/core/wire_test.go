@@ -41,7 +41,7 @@ func TestExchangeViews(t *testing.T) {
 				{Off: int64(r * 100), Len: 10},
 				{Off: int64(r*100 + 50), Len: 5},
 			}
-			if !v.Equal(want) {
+			if !slices.Equal(v, want) {
 				return fmt.Errorf("view of rank %d = %v, want %v", r, v, want)
 			}
 		}
@@ -65,7 +65,7 @@ func TestExchangeViewsNormalizes(t *testing.T) {
 		if !views[c.Rank()].IsCanonical() {
 			return fmt.Errorf("exchanged view not canonical: %v", views[c.Rank()])
 		}
-		if !views[c.Rank()].Equal(interval.List{{Off: 0, Len: 15}}) {
+		if !slices.Equal(views[c.Rank()], interval.List{{Off: 0, Len: 15}}) {
 			return fmt.Errorf("view = %v", views[c.Rank()])
 		}
 		return nil

@@ -90,7 +90,7 @@ func TestDisplacementShiftsEverything(t *testing.T) {
 	v := New(1000, datatype.Byte, ft)
 	got := v.Extents(0, 2)
 	want := interval.List{ext(1000, 1), ext(1004, 1)}
-	if !got.Equal(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("extents = %v, want %v", got, want)
 	}
 }
@@ -114,7 +114,7 @@ func TestMultiTileRequestOfSubarray(t *testing.T) {
 	v := New(0, datatype.Byte, ft)
 	got := v.Extents(0, 8)
 	want := interval.List{ext(0, 2), ext(4, 2), ext(8, 2), ext(12, 2)}
-	if !got.Equal(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("extents = %v, want %v", got, want)
 	}
 }
@@ -188,7 +188,7 @@ func TestMapAtResumesMidStream(t *testing.T) {
 				ref = append(ref, interval.Extent{Off: e.Off + keepLo, Len: keepHi - keepLo})
 			}
 		}
-		if !gotExts.Equal(ref) {
+		if !slices.Equal(gotExts, ref) {
 			t.Fatalf("MapAt(%d): got %v, want %v", start, gotExts, ref)
 		}
 		// Buffer offsets must restart at 0 and partition [0, n).
@@ -339,14 +339,14 @@ func TestExtentsLendsTheStoredTile(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { req = v.Extents(0, ft.Size()) }); allocs != 0 {
 		t.Fatalf("whole-tile Extents made %v allocations, want 0", allocs)
 	}
-	if want := interval.List(ft.Flatten()).Shift(128); !req.Equal(want) || cap(req) != len(req) {
+	if want := interval.List(ft.Flatten()).Shift(128); !slices.Equal(req, want) || cap(req) != len(req) {
 		t.Fatalf("whole-tile Extents = %v (cap %d), want %v", req, cap(req), want)
 	}
 	if again := v.Extents(0, ft.Size()); unsafe.SliceData(again) != unsafe.SliceData(req) {
 		t.Fatal("two whole-tile requests returned different lists, not the stored tile")
 	}
 	literal := View{Disp: 128, Etype: datatype.Byte, Filetype: ft}
-	if own := literal.Extents(0, ft.Size()); !own.Equal(req) || unsafe.SliceData(own) == unsafe.SliceData(req) {
+	if own := literal.Extents(0, ft.Size()); !slices.Equal(own, req) || unsafe.SliceData(own) == unsafe.SliceData(req) {
 		t.Fatalf("literal view's whole-tile Extents = %v, want a copy of %v", own, req)
 	}
 }

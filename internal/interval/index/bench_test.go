@@ -126,56 +126,3 @@ func BenchmarkIndexConflictQuery(b *testing.B) {
 		}
 	})
 }
-
-// bridgeWidth is the width of a bridging piece.
-const bridgeWidth = 64
-
-// bridging returns n touching pieces of one file, the even ones first and
-// then the odd ones: every odd piece joins two canonical extents — a
-// striped server's written set when even ranks land before odd ones.
-func bridging(n int) []interval.Extent {
-	out := make([]interval.Extent, 0, n)
-	for first := 0; first < 2; first++ {
-		for k := first; k < n; k += 2 {
-			out = append(out, interval.Extent{Off: int64(k) * bridgeWidth, Len: bridgeWidth})
-		}
-	}
-	return out
-}
-
-// BenchmarkSetAdd measures coverage claiming. rewrite is n disjoint adds
-// followed by n fully-covered re-adds, each probed for new parts first — a
-// rewritten file's written-set shape, settling on every probe. bridging is
-// 1<<16 pieces added even-first with one query at the end; inserting each
-// in place made it quadratic in the pieces.
-func BenchmarkSetAdd(b *testing.B) {
-	b.Run("rewrite", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var s Set
-			for k := 0; k < 1024; k++ {
-				s.Add(interval.Extent{Off: int64(k) * 64, Len: 48})
-			}
-			for k := 0; k < 1024; k++ {
-				e := interval.Extent{Off: int64(k) * 64, Len: 48}
-				if uncovered(&s, e) != nil {
-					b.Fatal("re-add has new parts")
-				}
-				s.Add(e)
-			}
-		}
-	})
-	b.Run("bridging", func(b *testing.B) {
-		pieces := bridging(1 << 16)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var s Set
-			for _, e := range pieces {
-				s.Add(e)
-			}
-			if s.Len() != 1 {
-				b.Fatalf("%d extents, want 1", s.Len())
-			}
-		}
-	})
-}

@@ -3,8 +3,7 @@
 // stabbing and range-overlap queries (Index), a streamed k-way sweep-line
 // that computes the pairwise overlaps or ownership of many extent lists, or
 // the owners and covering views of a write log's bytes, in one pass and
-// O(P) state (SweepOverlaps, Winners/ClipAll, Sweep), and a coverage set
-// that appends on Add and sorts on read (Set).
+// O(P) state (SweepOverlaps, Winners/ClipAll, Sweep).
 //
 // Every conflict-answering layer of the repository queries byte ranges —
 // the overlap matrix of the paper's Figure 5, byte-range lock conflicts,

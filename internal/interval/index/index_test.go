@@ -99,82 +99,6 @@ func TestIndexEmptyExtents(t *testing.T) {
 	}
 }
 
-// uncovered returns the parts of e that s does not cover — what Add(e)
-// newly covers — from Visit's uncovered runs.
-func uncovered(s *Set, e interval.Extent) interval.List {
-	var out interval.List
-	s.Visit(e, func(part interval.Extent, covered bool) bool {
-		if !covered {
-			out = append(out, part)
-		}
-		return true
-	})
-	return out
-}
-
-func TestSetVisitFindsNewParts(t *testing.T) {
-	var s Set
-	if got := uncovered(&s, ext(10, 10)); len(got) != 1 || got[0] != ext(10, 10) {
-		t.Fatalf("first Add's new parts = %v", got)
-	}
-	s.Add(ext(10, 10))
-	// Overlapping add: only [20,25) is new.
-	if got := uncovered(&s, ext(15, 10)); len(got) != 1 || got[0] != ext(20, 5) {
-		t.Fatalf("overlap Add's new parts = %v, want [[20,25)]", got)
-	}
-	s.Add(ext(15, 10))
-	// Straddling add with a hole: [5,10) and [25,30) are new.
-	got := uncovered(&s, ext(5, 25))
-	if len(got) != 2 || got[0] != ext(5, 5) || got[1] != ext(25, 5) {
-		t.Fatalf("straddle Add's new parts = %v", got)
-	}
-	s.Add(ext(5, 25))
-	if s.Len() != 1 || s.CoveredBytes() != 25 {
-		t.Fatalf("set = %v (%d bytes), want one extent of 25", s.Extents(), s.CoveredBytes())
-	}
-	// Touching extents coalesce, also when they arrive out of order and
-	// unsettled: [40,45) is bridged to the rest by [35,40) added after it.
-	s.Add(ext(30, 5))
-	s.Add(ext(40, 5))
-	s.Add(ext(35, 5))
-	if s.Len() != 1 || s.CoveredBytes() != 40 {
-		t.Fatalf("touching adds did not coalesce: %v", s.Extents())
-	}
-	if got := uncovered(&s, ext(6, 20)); got != nil {
-		t.Fatalf("fully covered extent has new parts %v", got)
-	}
-}
-
-func TestSetVisitPartitions(t *testing.T) {
-	var s Set
-	s.Add(ext(10, 10))
-	s.Add(ext(30, 10))
-	type part struct {
-		e   interval.Extent
-		cov bool
-	}
-	var got []part
-	s.Visit(ext(5, 40), func(e interval.Extent, covered bool) bool {
-		got = append(got, part{e, covered})
-		return true
-	})
-	want := []part{
-		{ext(5, 5), false}, {ext(10, 10), true}, {ext(20, 10), false},
-		{ext(30, 10), true}, {ext(40, 5), false},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("parts = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("part %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if !s.Covers(ext(12, 5)) || s.Covers(ext(12, 10)) || !s.Covers(interval.Extent{}) {
-		t.Fatal("Covers wrong")
-	}
-}
-
 func TestSweepOverlapsColumnWise(t *testing.T) {
 	// Three interleaved "column" views: neighbours share a column, rank 0
 	// and rank 2 do not.
@@ -211,7 +135,7 @@ func TestClipAllHighestRankWins(t *testing.T) {
 	got := ClipAll(views)
 	want := []interval.List{{ext(0, 5)}, {ext(5, 7)}, {ext(12, 3)}}
 	for r := range want {
-		if !got[r].Equal(want[r]) {
+		if !slices.Equal(got[r], want[r]) {
 			t.Fatalf("rank %d clip = %v, want %v", r, got[r], want[r])
 		}
 	}

@@ -481,88 +481,12 @@ func TestQuickClipAllMatchesSubtract(t *testing.T) {
 				higher = append(higher, views[j]...)
 			}
 			want := views[rank].Subtract(higher)
-			if !got[rank].Equal(want) {
+			if !slices.Equal(got[rank], want) {
 				t.Fatalf("rank %d clip = %v, want %v\nviews=%v", rank, got[rank], want, views)
 			}
 			if !got[rank].IsCanonical() {
 				t.Fatalf("rank %d clip not canonical: %v", rank, got[rank])
 			}
 		}
-	}
-}
-
-// TestQuickSetMatchesListAlgebra drives a Set and an interval.List through
-// the same adds. At random points between adds — so the set settles after
-// runs of arbitrary length — it checks Visit's uncovered runs (what the
-// next Add newly covers) against Subtract, and the canonical list,
-// CoveredBytes, Visit and Covers against the accumulated union.
-func TestQuickSetMatchesListAlgebra(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for round := 0; round < 100; round++ {
-		var s Set
-		var mirror interval.List // canonical accumulated coverage
-		for op := 0; op < 60; op++ {
-			e := randExtent(r)
-			if r.Intn(4) == 0 {
-				wantNew := (interval.List{e}).Subtract(mirror)
-				if gotNew := uncovered(&s, e); !gotNew.Equal(wantNew) {
-					t.Fatalf("new parts of %v = %v, want %v (set %v)", e, gotNew, wantNew, mirror)
-				}
-			}
-			s.Add(e)
-			mirror = mirror.Union(interval.List{e})
-			if r.Intn(4) != 0 && op < 59 {
-				continue
-			}
-			if !s.Extents().Equal(mirror) {
-				t.Fatalf("set extents = %v, want %v", s.Extents(), mirror)
-			}
-			if s.CoveredBytes() != mirror.TotalLen() {
-				t.Fatalf("covered = %d, want %d", s.CoveredBytes(), mirror.TotalLen())
-			}
-			q := randExtent(r)
-			var visited, coveredParts interval.List
-			s.Visit(q, func(part interval.Extent, covered bool) bool {
-				visited = append(visited, part)
-				if covered {
-					coveredParts = append(coveredParts, part)
-				}
-				return true
-			})
-			if q.Empty() {
-				continue
-			}
-			if visited.TotalLen() != q.Len {
-				t.Fatalf("Visit(%v) covered %d bytes, want %d", q, visited.TotalLen(), q.Len)
-			}
-			if !coveredParts.Equal(mirror.Intersect(interval.List{q})) {
-				t.Fatalf("Visit(%v) covered parts = %v, want %v", q, coveredParts,
-					mirror.Intersect(interval.List{q}))
-			}
-			if s.Covers(q) != mirror.Contains(interval.List{q}) {
-				t.Fatalf("Covers(%v) = %v, want %v", q, s.Covers(q), !s.Covers(q))
-			}
-		}
-	}
-}
-
-// TestSetSettlesLongAddRuns pins the settle Add triggers itself: through a
-// run of adds with no query the pending list stays shorter than the
-// canonical list or 4096 entries, whichever is longer, and the set it
-// settles into is exact — here the bridging shape, where every second add
-// joins two canonical extents.
-func TestSetSettlesLongAddRuns(t *testing.T) {
-	const floor = 1 << 12
-	pieces := bridging(3*floor + 7)
-	var s Set
-	for k, e := range pieces {
-		s.Add(e)
-		if len(s.pending) >= max(len(s.ext), floor) {
-			t.Fatalf("after add %d: %d pending beside %d canonical", k, len(s.pending), len(s.ext))
-		}
-	}
-	want := interval.List{{Off: 0, Len: int64(len(pieces)) * bridgeWidth}}
-	if got := s.Extents(); !got.Equal(want) || s.CoveredBytes() != want.TotalLen() {
-		t.Fatalf("settled to %v (%d bytes), want %v", got, s.CoveredBytes(), want)
 	}
 }

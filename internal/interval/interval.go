@@ -22,9 +22,6 @@ func (e Extent) End() int64 { return e.Off + e.Len }
 // Empty reports whether the extent covers no bytes.
 func (e Extent) Empty() bool { return e.Len <= 0 }
 
-// Contains reports whether offset off lies inside the extent.
-func (e Extent) Contains(off int64) bool { return off >= e.Off && off < e.End() }
-
 // ContainsExtent reports whether o lies entirely inside e.
 // The empty extent is contained in every extent.
 func (e Extent) ContainsExtent(o Extent) bool {

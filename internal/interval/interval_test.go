@@ -26,20 +26,6 @@ func TestExtentEmpty(t *testing.T) {
 	}
 }
 
-func TestExtentContains(t *testing.T) {
-	e := Extent{Off: 10, Len: 5}
-	for _, off := range []int64{10, 12, 14} {
-		if !e.Contains(off) {
-			t.Errorf("%v should contain %d", e, off)
-		}
-	}
-	for _, off := range []int64{9, 15, 100, -1} {
-		if e.Contains(off) {
-			t.Errorf("%v should not contain %d", e, off)
-		}
-	}
-}
-
 func TestExtentContainsExtent(t *testing.T) {
 	e := Extent{10, 10}
 	if !e.ContainsExtent(Extent{10, 10}) {

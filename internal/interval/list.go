@@ -3,7 +3,6 @@ package interval
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -204,32 +203,6 @@ func (l List) Overlaps(m List) bool {
 		}
 	}
 	return false
-}
-
-// Contains reports whether every byte of m is also in l.
-func (l List) Contains(m List) bool {
-	return len(m.Subtract(l)) == 0
-}
-
-// Equal reports whether l and m cover exactly the same bytes.
-func (l List) Equal(m List) bool {
-	a, b := l.Normalize(), m.Normalize()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsOffset reports whether the canonical list covers byte off.
-func (l List) ContainsOffset(off int64) bool {
-	a := l.Normalize()
-	i := sort.Search(len(a), func(i int) bool { return a[i].End() > off })
-	return i < len(a) && a[i].Contains(off)
 }
 
 // Shift returns a copy of the list with every extent displaced by d bytes.

@@ -1,6 +1,9 @@
 package interval
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestListTotalLen(t *testing.T) {
 	l := List{{0, 5}, {10, 5}, {100, 1}}
@@ -48,7 +51,7 @@ func TestListNormalize(t *testing.T) {
 	l := List{{10, 5}, {0, 5}, {12, 10}, {30, 0}, {22, 3}}
 	got := l.Normalize()
 	want := List{{0, 5}, {10, 15}}
-	if !got.Equal(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("Normalize = %v, want %v", got, want)
 	}
 	if !got.IsCanonical() {
@@ -63,7 +66,7 @@ func TestListNormalize(t *testing.T) {
 func TestListNormalizeFastPath(t *testing.T) {
 	l := List{{0, 5}, {10, 5}}
 	got := l.Normalize()
-	if !got.Equal(l) {
+	if !slices.Equal(got, l) {
 		t.Fatalf("fast path changed list: %v", got)
 	}
 	// The canonical fast path returns the receiver itself — no copy, no
@@ -78,7 +81,7 @@ func TestListUnion(t *testing.T) {
 	b := List{{5, 20}, {40, 5}}
 	got := a.Union(b)
 	want := List{{0, 30}, {40, 5}}
-	if !got.Equal(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("Union = %v, want %v", got, want)
 	}
 }
@@ -88,7 +91,7 @@ func TestListIntersect(t *testing.T) {
 	b := List{{5, 20}, {45, 100}}
 	got := a.Intersect(b)
 	want := List{{5, 5}, {20, 5}, {45, 5}}
-	if !got.Equal(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("Intersect = %v, want %v", got, want)
 	}
 	if got := a.Intersect(List{}); len(got) != 0 {
@@ -101,7 +104,7 @@ func TestListSubtract(t *testing.T) {
 	b := List{{10, 10}, {50, 10}}
 	got := a.Subtract(b)
 	want := List{{0, 10}, {20, 30}, {60, 40}}
-	if !got.Equal(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("Subtract = %v, want %v", got, want)
 	}
 	if got := a.Subtract(a); len(got) != 0 {
@@ -110,7 +113,7 @@ func TestListSubtract(t *testing.T) {
 	if got := (List{}).Subtract(a); len(got) != 0 {
 		t.Fatalf("empty - a = %v", got)
 	}
-	if got := a.Subtract(List{}); !got.Equal(a) {
+	if got := a.Subtract(List{}); !slices.Equal(got, a) {
 		t.Fatalf("a - empty = %v", got)
 	}
 }
@@ -122,7 +125,7 @@ func TestListSubtractInterleaved(t *testing.T) {
 	b := List{{2, 4}, {12, 4}, {22, 4}} // rows of rank i+1 shifted
 	got := a.Subtract(b)
 	want := List{{0, 2}, {10, 2}, {20, 2}}
-	if !got.Equal(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("Subtract = %v, want %v", got, want)
 	}
 }
@@ -140,54 +143,18 @@ func TestListOverlaps(t *testing.T) {
 	}
 }
 
-func TestListContains(t *testing.T) {
-	a := List{{0, 100}}
-	if !a.Contains(List{{5, 10}, {90, 10}}) {
-		t.Error("superset should contain subset")
-	}
-	if a.Contains(List{{95, 10}}) {
-		t.Error("should not contain overhanging list")
-	}
-}
-
-func TestListContainsOffset(t *testing.T) {
-	a := List{{10, 5}, {30, 5}}
-	for _, off := range []int64{10, 14, 30, 34} {
-		if !a.ContainsOffset(off) {
-			t.Errorf("should contain %d", off)
-		}
-	}
-	for _, off := range []int64{9, 15, 29, 35, 0} {
-		if a.ContainsOffset(off) {
-			t.Errorf("should not contain %d", off)
-		}
-	}
-}
-
 func TestListClampShiftClone(t *testing.T) {
 	a := List{{0, 10}, {20, 10}}
-	if got := a.Intersect(List{{5, 18}}); !got.Equal(List{{5, 5}, {20, 3}}) {
+	if got := a.Intersect(List{{5, 18}}); !slices.Equal(got, List{{5, 5}, {20, 3}}) {
 		t.Errorf("clamped to a window = %v", got)
 	}
-	if got := a.Shift(100); !got.Equal(List{{100, 10}, {120, 10}}) {
+	if got := a.Shift(100); !slices.Equal(got, List{{100, 10}, {120, 10}}) {
 		t.Errorf("Shift = %v", got)
 	}
 	c := a.Clone()
 	c[0].Off = 999
 	if a[0].Off == 999 {
 		t.Error("Clone aliased receiver")
-	}
-}
-
-func TestListEqual(t *testing.T) {
-	// Equal is set equality after normalization.
-	a := List{{0, 5}, {5, 5}}
-	b := List{{0, 10}}
-	if !a.Equal(b) {
-		t.Error("touching extents should equal their coalesced form")
-	}
-	if a.Equal(List{{0, 11}}) {
-		t.Error("different coverage should not be equal")
 	}
 }
 

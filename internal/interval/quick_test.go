@@ -7,6 +7,7 @@ package interval
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -133,7 +134,7 @@ func TestQuickSubtractUnionPartition(t *testing.T) {
 		if amb.Overlaps(bma) || amb.Overlaps(ab) || bma.Overlaps(ab) {
 			return false
 		}
-		return amb.Union(bma).Union(ab).Equal(a.Union(b))
+		return slices.Equal(amb.Union(bma).Union(ab), a.Union(b))
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ func (d *listDistributed) Lock(owner int, e interval.Extent, mode Mode, at sim.V
 	if !known {
 		d.tokens = slices.Insert(d.tokens, slot, ownerTokens{owner: owner})
 	}
-	if d.tokens[slot].toks.Contains(need) {
+	if len(need.Subtract(d.tokens[slot].toks)) == 0 {
 		d.localGrants++
 		ticket := at + d.cfg.LocalCost
 		grant := d.tbl.acquire(owner, e, mode, ticket)

@@ -74,7 +74,7 @@ func TestWriteReadRoundTripThroughView(t *testing.T) {
 				for x, got := range owner {
 					var want []int // the ranks got may be
 					for rank := p - 1; rank >= 0; rank-- {
-						if reqs[rank].ContainsOffset(int64(x)) && (!highestWins || len(want) == 0) {
+						if reqs[rank].Overlaps(interval.List{{Off: int64(x), Len: 1}}) && (!highestWins || len(want) == 0) {
 							want = append(want, rank)
 						}
 					}
@@ -345,8 +345,8 @@ func TestMultiTileWriteAppendsSlabs(t *testing.T) {
 	owners, _ := fs.Owners("tiles.dat")
 	for slab := int64(0); slab < 2; slab++ {
 		off := slab*32 + 3 // row 0, overlapped column 3 of that slab
-		i := slices.IndexFunc(owners, func(o index.Owned) bool { return o.Contains(off) })
-		if i < 0 || owners[i].Rank != 1 || !owners[i].Contains(off+1) {
+		i := slices.IndexFunc(owners, func(o index.Owned) bool { return o.Overlaps(interval.Extent{Off: off, Len: 1}) })
+		if i < 0 || owners[i].Rank != 1 || !owners[i].ContainsExtent(interval.Extent{Off: off, Len: 2}) {
 			t.Fatalf("slab %d overlap [%d,%d) in owners %v, want rank 1's", slab, off, off+2, owners)
 		}
 	}

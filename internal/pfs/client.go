@@ -121,63 +121,91 @@ func (c *Client) transferWrite(b Batch, log []Batch) {
 	// the link cost, but a down server neither stores nor serves them.
 	b, log = c.dropFaulted(b, log)
 
-	// Server-side: accumulate service per server and queue it.
-	c.queueServerService(b.Ext)
-
-	// Store who wrote each extent in the turn that booked the servers: the
-	// file's write log is then in booking order, which is the order the
-	// calls complete in on every server.
-	if log == nil {
-		c.f.store(b, c.rank)
-	}
-	for _, logged := range log {
-		c.f.store(logged, c.rank)
-	}
+	// Server-side: book each server at its piece's arrival, and store who
+	// wrote each extent in the turn that books it.
+	c.queueServerService(b, log)
 }
 
-// queueServerService books per-server FCFS service for the given extents
-// and advances the client clock to the last completion.
-func (c *Client) queueServerService(ext interval.List) {
-	now := c.clock.Now()
-	if !c.inAtomic {
-		// The whole batch books at `now` under one coordinator turn, so
-		// concurrent clients hit the per-server FCFS queues in
-		// deterministic virtual-time order.
-		c.fs.coord.Await(c.rank, now)
+// arrival returns when a piece the client sends at now reaches server:
+// every server shares the client's link, so it is now itself, plus the
+// per-(rank, server) offset tests may set (FileSystem.skew).
+func (c *Client) arrival(server int, now sim.VTime) sim.VTime {
+	if c.fs.skew == nil {
+		return now
 	}
-	// Nothing below yields the turn, so every client tallies into the
-	// file system's one scratch.
-	loads := c.fs.loads
-	c.fs.cfg.tally(loads, ext, c.rank)
-	// Book the per-server service in ascending server order: every queue
-	// is hit at the same `now`, but a fixed order keeps the booking
-	// sequence (and so any tie-breaking inside the queues) deterministic.
+	return now + c.fs.skew(c.rank, server)
+}
+
+// queueServerService books per-server FCFS service for the batch, each
+// server at its piece's arrival, and advances the client clock to the last
+// completion. It walks the arrival instants in ascending order from the
+// send instant (no piece arrives before it); at each it takes the
+// coordinator turn, so every server takes the pieces in (arrival, rank)
+// order, and books the servers arriving then in ascending server order.
+// The store runs in the same turn, so the file's write log is in booking
+// order, which is the order each server completes its pieces in. A call
+// whose servers all book at one instant stores b, or a flush's log, whole;
+// one split over several instants stores each instant's pieces.
+func (c *Client) queueServerService(b Batch, log []Batch) {
+	now := c.clock.Now()
 	var latest sim.VTime
-	for server, l := range loads {
-		if l.reqs == 0 {
-			continue
+	for t := now; ; {
+		if !c.inAtomic {
+			c.fs.coord.Await(c.rank, t)
 		}
-		m := c.fs.serverModel(server)
-		svc := sim.VTime(l.reqs)*m.Latency +
-			sim.LinearCost{BytesPerSec: m.BytesPerSec}.Cost(l.bytes)
-		c.fs.stats[server].requests += l.reqs
-		c.fs.stats[server].bytes += l.bytes
-		start, end := c.fs.servers.Member(server).Acquire(now, svc)
-		if o := c.fs.obs; o != nil {
-			depth := c.fs.noteBooking(server, now, end)
-			// One span from the arrival at the queue to the end of
-			// service; Aux is the service start.
-			o.Emit(obs.Event{
-				T: now, Actor: c.rank, Layer: obs.LayerPFS, Kind: obs.KindServe,
-				Peer: server, Size: l.bytes, Dur: end - now, Aux: int64(start),
-			})
-			o.Count(c.rank, obs.MetricPFSReqs, l.reqs)
-			o.Observe(c.rank, obs.MetricPFSService, int64(end-start))
-			o.MaxGauge(c.rank, obs.MetricQueueDepth, depth)
+		// Nothing below yields the turn, so every client tallies into the
+		// file system's one scratch, again after each Await.
+		loads := c.fs.loads
+		c.fs.cfg.tally(loads, b.Ext, c.rank)
+		next, whole := t, true // the next arrival instant, none if t; whether every piece arrives at t
+		for server, l := range loads {
+			if l.reqs == 0 {
+				continue
+			}
+			if a := c.arrival(server, now); a != t {
+				if a > t && (next == t || a < next) {
+					next = a
+				}
+				whole = false
+				continue
+			}
+			m := c.fs.serverModel(server)
+			svc := sim.VTime(l.reqs)*m.Latency +
+				sim.LinearCost{BytesPerSec: m.BytesPerSec}.Cost(l.bytes)
+			c.fs.stats[server].requests += l.reqs
+			c.fs.stats[server].bytes += l.bytes
+			start, end := c.fs.servers.Member(server).Acquire(t, svc)
+			if o := c.fs.obs; o != nil {
+				depth := c.fs.noteBooking(server, t, end)
+				// One span from the arrival at the queue to the end of
+				// service; Aux is the service start.
+				o.Emit(obs.Event{
+					T: t, Actor: c.rank, Layer: obs.LayerPFS, Kind: obs.KindServe,
+					Peer: server, Size: l.bytes, Dur: end - t, Aux: int64(start),
+				})
+				o.Count(c.rank, obs.MetricPFSReqs, l.reqs)
+				o.Observe(c.rank, obs.MetricPFSService, int64(end-start))
+				o.MaxGauge(c.rank, obs.MetricQueueDepth, depth)
+			}
+			latest = max(latest, end)
 		}
-		if end > latest {
-			latest = end
+		// A call split over several instants stores, at each, only the
+		// pieces arriving then. Such a call is striped, so each byte lives
+		// on one server, and "last covering record wins" still holds.
+		group := log
+		if log == nil {
+			group = []Batch{b}
 		}
+		for _, g := range group {
+			if !whole {
+				g, _ = c.pieces(g, func(server int) bool { return c.arrival(server, now) == t })
+			}
+			c.f.store(g, c.rank)
+		}
+		if next == t {
+			break
+		}
+		t = next
 	}
 	c.clock.AdvanceTo(latest)
 }
@@ -190,7 +218,9 @@ var ErrNoAtomicListIO = errors.New("pfs: file system does not provide atomic lis
 // every other WriteAtomic on the same file — the lio_listio-with-POSIX-
 // atomicity capability of the paper's §3.2. It bypasses the write-behind
 // cache (the data must be committed as one unit) and serializes with other
-// atomic vectored writes in virtual time.
+// atomic vectored writes in virtual time. The call holds the coordinator
+// turn throughout: where its servers' arrivals differ, each group of
+// servers books at its own arrival without yielding the turn.
 func (c *Client) WriteAtomic(b Batch) error {
 	if !c.fs.cfg.AtomicListIO {
 		return ErrNoAtomicListIO

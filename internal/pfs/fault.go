@@ -6,7 +6,6 @@ import (
 
 	"atomio/internal/interval"
 	"atomio/internal/obs"
-	"atomio/internal/sim"
 	"atomio/internal/sim/fault"
 )
 
@@ -15,7 +14,7 @@ import (
 // Injected server crashes act at the write path: a write piece routed to a
 // server whose drop window is open at the piece's virtual time is
 // discarded — nothing stored, no service booked — and its extent is
-// recorded in the file's damage set. The decision is a pure function of
+// recorded in the file's damage list. The decision is a pure function of
 // the writing client's own clock and the script, so faulted runs stay
 // byte-identical across engines.
 //
@@ -36,21 +35,23 @@ func (fs *FileSystem) SetFault(in *fault.Injector) { fs.fault = in }
 
 // dropFaulted partitions a write request over its target servers and
 // removes the pieces routed to servers that are down at the client's
-// current virtual time, recording their extents as damage. A surviving
-// piece keeps its extent's writer. A flush passes the log it coalesced b
-// from and gets it back with the same pieces removed from every logged
-// batch. Healthy runs return b and log unchanged.
+// current virtual time, recording their extents as damage. The decision is
+// made at the client clock, not at each piece's arrival. A surviving piece
+// keeps its extent's writer. A flush passes the log it coalesced b from and
+// gets it back with the same pieces removed from every logged batch.
+// Healthy runs return b and log unchanged.
 func (c *Client) dropFaulted(b Batch, log []Batch) (Batch, []Batch) {
 	in := c.fs.fault
 	if in == nil || !in.HasServerFaults() {
 		return b, log
 	}
 	now := c.clock.Now()
-	b, damaged := c.surviving(b, now)
+	up := func(server int) bool { return !in.ServerDropped(server, now) }
+	b, damaged := c.pieces(b, up)
 	if log != nil {
 		log = slices.Clone(log)
 		for i := range log {
-			log[i], _ = c.surviving(log[i], now)
+			log[i], _ = c.pieces(log[i], up)
 		}
 	}
 	if len(damaged) > 0 {
@@ -68,10 +69,10 @@ func (c *Client) dropFaulted(b Batch, log []Batch) (Batch, []Batch) {
 	return b, log
 }
 
-// surviving returns b less the pieces routed to servers down at now, and
-// those pieces.
-func (c *Client) surviving(b Batch, now sim.VTime) (Batch, interval.List) {
-	in := c.fs.fault
+// pieces splits b at its servers: it returns, as a batch, the pieces routed
+// to servers that on accepts, each with its extent's writer (empty extents
+// kept), and the extents of the other pieces.
+func (c *Client) pieces(b Batch, on func(server int) bool) (Batch, interval.List) {
 	out := Batch{Ext: make(interval.List, 0, len(b.Ext))}
 	// keep adds the part p of extent i.
 	keep := func(i int, p interval.Extent) {
@@ -80,7 +81,7 @@ func (c *Client) surviving(b Batch, now sim.VTime) (Batch, interval.List) {
 			out.Writers = append(out.Writers, b.Writers[i])
 		}
 	}
-	var damaged interval.List
+	var rest interval.List
 	for i, e := range b.Ext {
 		if e.Empty() {
 			keep(i, e)
@@ -88,24 +89,24 @@ func (c *Client) surviving(b Batch, now sim.VTime) (Batch, interval.List) {
 		}
 		if c.fs.cfg.Mode == ClientAffinity {
 			// Affinity mode: the whole extent has one home server.
-			if in.ServerDropped(c.fs.cfg.serverFor(e.Off, c.rank), now) {
-				damaged = append(damaged, e)
-			} else {
+			if on(c.fs.cfg.serverFor(e.Off, c.rank)) {
 				keep(i, e)
+			} else {
+				rest = append(rest, e)
 			}
 			continue
 		}
 		// Round-robin: split at stripe boundaries with the same piece
 		// iterator that routes queueing and storage.
 		eachStripePiece(c.fs.cfg.StripeSize, c.fs.cfg.Servers, e.Off, e.Len, func(server int, off, take int64) {
-			if in.ServerDropped(server, now) {
-				damaged = append(damaged, interval.Extent{Off: off, Len: take})
-			} else {
+			if on(server) {
 				keep(i, interval.Extent{Off: off, Len: take})
+			} else {
+				rest = append(rest, interval.Extent{Off: off, Len: take})
 			}
 		})
 	}
-	return out, damaged
+	return out, rest
 }
 
 // Damage records extents as damaged without writing them — the hook a
@@ -128,15 +129,11 @@ func (c *Client) Damage(exts interval.List) {
 	c.f.recordDamage(exts)
 }
 
-// recordDamage unions extents into the file's damage set. The set is
-// canonical and union is commutative, so the result is independent of the
-// order clients record in.
+// recordDamage appends extents to the file's damage list. Recover reads
+// it normalized, so the result is independent of the order clients record
+// in.
 func (f *file) recordDamage(exts interval.List) {
-	for _, e := range exts {
-		if !e.Empty() {
-			f.damage.Add(e)
-		}
-	}
+	f.damage = append(f.damage, exts...)
 }
 
 // LogIntent appends rank's full mapped write request to the named file's
@@ -169,7 +166,7 @@ func (fs *FileSystem) Recover(name string) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	damaged := f.damage.Extents()
+	damaged := f.damage.Normalize()
 	if len(damaged) == 0 {
 		return nil, nil
 	}

@@ -109,7 +109,7 @@ func TestFlushStoresFromTheLog(t *testing.T) {
 					}
 					damA, _ := fsA.Damaged("f")
 					damB, _ := fsB.Damaged("f")
-					if a, b := written(t, fsA, "f"), written(t, fsB, "f"); !a.Equal(b) || !reflect.DeepEqual(damA, damB) {
+					if a, b := written(t, fsA, "f"), written(t, fsB, "f"); !slices.Equal(a, b) || !reflect.DeepEqual(damA, damB) {
 						t.Fatalf("log %d: written %v, damage %v from the log; %v, %v booked as one batch", k, a, damA, b, damB)
 					}
 					if a, b := fsA.ServerStats(), fsB.ServerStats(); !reflect.DeepEqual(a, b) {

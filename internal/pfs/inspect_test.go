@@ -1,7 +1,8 @@
 package pfs
 
-// State only the tests read: what faults surrendered, what a client still
-// holds dirty, and the server pool behind the file system.
+// State only the tests read or set: what faults surrendered, what a client
+// still holds dirty, the server pool behind the file system, and the
+// per-server arrival offsets.
 
 import (
 	"atomio/internal/interval"
@@ -15,7 +16,7 @@ func (fs *FileSystem) Damaged(name string) (interval.List, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.damage.Extents(), nil
+	return f.damage.Normalize(), nil
 }
 
 // DirtyBytes returns the amount of write-behind data not yet flushed.
@@ -29,3 +30,7 @@ func (c *Client) DirtyBytes() int64 {
 
 // Servers exposes the server pool (for utilization reporting in benches).
 func (fs *FileSystem) Servers() *sim.Pool { return fs.servers }
+
+// SetSkew sets the arrival seam (FileSystem.skew): rank's pieces reach
+// server skew(rank, server) after the client sends them.
+func (fs *FileSystem) SetSkew(skew func(rank, server int) sim.VTime) { fs.skew = skew }

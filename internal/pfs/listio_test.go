@@ -58,8 +58,16 @@ func TestWriteVAtomicStoresData(t *testing.T) {
 
 func TestWriteVAtomicNeverInterleaves(t *testing.T) {
 	// Concurrent atomic vectored writes to the same overlapped region:
-	// the result must be entirely one writer's data, for every region.
+	// the result must be entirely one writer's data, for every region —
+	// even where each writer reaches the two servers at different times,
+	// odd ranks server 0 late and even ranks server 1.
 	fs := atomicFS()
+	fs.skew = func(rank, server int) sim.VTime {
+		if (rank+server)%2 == 1 {
+			return 50 * sim.Microsecond
+		}
+		return 0
+	}
 	const writers = 8
 	const segCount = 16
 	onEngine(t, fs, writers, func(w int) {

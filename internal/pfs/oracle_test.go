@@ -22,22 +22,22 @@ import (
 )
 
 // ownerOracle is the owner oracle: one flat array of the rank whose data
-// each byte is, and the set of bytes ever written. Each record overwrites
+// each byte is, and a flag per byte ever written. Each record overwrites
 // the bytes its runs cover as it is added, so a call's records and later
 // calls land in the order they are stored.
 type ownerOracle struct {
 	writer  []int
-	written index.Set
+	written []bool
 }
 
 func (s *ownerOracle) add(r index.Record) {
 	for k, run := range r.Ext {
 		if grow := int(run.End()) - len(s.writer); grow > 0 {
 			s.writer = append(s.writer, make([]int, grow)...)
+			s.written = append(s.written, make([]bool, grow)...)
 		}
-		s.written.Add(run)
 		for off := run.Off; off < run.End(); off++ {
-			s.writer[off] = r.Writer
+			s.writer[off], s.written[off] = r.Writer, true
 			if r.Writers != nil {
 				s.writer[off] = r.Writers[k]
 			}
@@ -49,15 +49,16 @@ func (s *ownerOracle) add(r index.Record) {
 // in file order.
 func (s *ownerOracle) records(visit func(r index.Record)) {
 	var r index.Record
-	for _, e := range s.written.Extents() {
-		for off := e.Off; off < e.End(); off++ {
-			if n := len(r.Ext) - 1; n >= 0 && r.Ext[n].End() == off && r.Writers[n] == s.writer[off] {
-				r.Ext[n].Len++
-				continue
-			}
-			r.Ext = append(r.Ext, interval.Extent{Off: off, Len: 1})
-			r.Writers = append(r.Writers, s.writer[off])
+	for off, w := range s.written {
+		if !w {
+			continue
 		}
+		if n := len(r.Ext) - 1; n >= 0 && r.Ext[n].End() == int64(off) && r.Writers[n] == s.writer[off] {
+			r.Ext[n].Len++
+			continue
+		}
+		r.Ext = append(r.Ext, interval.Extent{Off: int64(off), Len: 1})
+		r.Writers = append(r.Writers, s.writer[off])
 	}
 	if len(r.Ext) > 0 {
 		visit(r)

@@ -39,14 +39,28 @@ func TestOwnerFollowsTheServer(t *testing.T) {
 	}
 }
 
-// TestWritersCompleteInOneOrder pins what one write log per file rests on:
-// random single-call writers, each starting at its own virtual time,
-// complete in the order they booked the servers on every server they
-// share — so any two complete in the same order wherever both are served —
+// TestWritersCompleteInOneOrder: with no skew, as in production, a call
+// reaches all its servers at one instant, so random single-call writers
+// complete in one order, (send instant, rank), on every server they share,
 // and the owners are their writes applied in that order.
-func TestWritersCompleteInOneOrder(t *testing.T) {
+func TestWritersCompleteInOneOrder(t *testing.T) { writersCompleteInArrivalOrder(t, 0, false) }
+
+// TestWritersCompleteInArrivalOrderOnEachServer pins what one write log per
+// file rests on: random single-call writers, each starting at its own
+// virtual time and reaching each server after its own random offset
+// (FileSystem.skew), complete on every server in the order their pieces
+// arrive there, equal arrivals in rank order; and each byte is owned by the
+// writer whose piece its server completes last.
+func TestWritersCompleteInArrivalOrderOnEachServer(t *testing.T) {
+	writersCompleteInArrivalOrder(t, 40, true)
+}
+
+// writersCompleteInArrivalOrder runs 40 random seeds from first, with
+// random per-(rank, server) arrival offsets if skewed, and checks each
+// server's completion order and the owners against (arrival, rank) order.
+func writersCompleteInArrivalOrder(t *testing.T, first int64, skewed bool) {
 	const span = 600
-	for seed := range int64(40) {
+	for seed := first; seed < first+40; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		p, servers := 2+rnd.Intn(7), 2+rnd.Intn(4)
 		mode := StripeMode(rnd.Intn(2))
@@ -58,6 +72,18 @@ func TestWritersCompleteInOneOrder(t *testing.T) {
 				SegOverhead: sim.Microsecond,
 				StoreData:   true,
 			})
+			skew := make([][]sim.VTime, p) // zero unless skewed
+			for rank := range skew {
+				skew[rank] = make([]sim.VTime, servers)
+				for server := range skew[rank] {
+					if skewed {
+						skew[rank][server] = sim.VTime(rnd.Intn(100)) * sim.Microsecond
+					}
+				}
+			}
+			if skewed {
+				fs.skew = func(rank, server int) sim.VTime { return skew[rank][server] }
+			}
 			rec := obs.NewRecorder(p, 0)
 			fs.SetObs(rec)
 			starts := make([]sim.VTime, p)
@@ -76,47 +102,59 @@ func TestWritersCompleteInOneOrder(t *testing.T) {
 				c.Write(batches[rank])
 			})
 
-			// A call books all its servers at one instant; the coordinator
-			// admits equal instants in rank order.
-			booked := make([]sim.VTime, p)
-			type completion struct {
-				rank int
-				at   sim.VTime
+			// Each serve span runs from the piece's arrival to its
+			// completion; a rank's arrivals differ by their offsets.
+			type piece struct {
+				rank          int
+				arrival, done sim.VTime
 			}
-			done := make([][]completion, servers) // per server
+			served := make([][]piece, servers)
+			arrival := make([][]sim.VTime, p) // per rank and server; -1 where none
+			for rank := range arrival {
+				arrival[rank] = slices.Repeat([]sim.VTime{-1}, servers)
+			}
 			for _, e := range rec.Events() {
-				if e.Kind == obs.KindServe { // from the booking to the completion
-					booked[e.Actor] = e.T
-					done[e.Peer] = append(done[e.Peer], completion{e.Actor, e.T + e.Dur})
+				if e.Kind == obs.KindServe {
+					served[e.Peer] = append(served[e.Peer], piece{e.Actor, e.T, e.T + e.Dur})
+					arrival[e.Actor][e.Peer] = e.T
 				}
 			}
-			order := make([]int, p)
-			for rank := range order {
-				order[rank] = rank
+			sent := make([]sim.VTime, p) // the instant each rank sent its call
+			for rank, as := range arrival {
+				for server, a := range as {
+					if a >= 0 {
+						sent[rank] = a - skew[rank][server]
+					}
+				}
+				for server, a := range as {
+					if a >= 0 && a != sent[rank]+skew[rank][server] {
+						t.Fatalf("rank %d reaches server %d at %v, want %v", rank, server, a, sent[rank]+skew[rank][server])
+					}
+				}
 			}
-			slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(booked[a], booked[b]) })
-			pos := make([]int, p) // each rank's place in booking order
-			for i, rank := range order {
-				pos[rank] = i
-			}
-			for s, cs := range done {
-				slices.SortFunc(cs, func(a, b completion) int { return cmp.Compare(a.at, b.at) })
-				for i := 1; i < len(cs); i++ {
-					if a, b := cs[i-1], cs[i]; a.at == b.at || pos[a.rank] > pos[b.rank] {
-						t.Fatalf("server %d completes rank %d at %v and rank %d at %v, booked in order %v", s, a.rank, a.at, b.rank, b.at, order)
+			before := func(a, b piece) int { return cmp.Or(cmp.Compare(a.arrival, b.arrival), cmp.Compare(a.rank, b.rank)) }
+			for s, ps := range served {
+				slices.SortFunc(ps, func(a, b piece) int { return cmp.Compare(a.done, b.done) })
+				for i := 1; i < len(ps); i++ {
+					if a, b := ps[i-1], ps[i]; a.done == b.done || before(a, b) > 0 {
+						t.Fatalf("server %d completes rank %d (arrived %v) at %v and rank %d (arrived %v) at %v", s, a.rank, a.arrival, a.done, b.rank, b.arrival, b.done)
 					}
 				}
 			}
 			want := bytes.Repeat([]byte{'.'}, 2*span)
-			for _, rank := range order {
-				for _, e := range batches[rank].Ext {
+			last := make([]piece, len(want)) // the latest piece on each byte's server
+			for rank, b := range batches {
+				for _, e := range b.Ext {
 					for o := e.Off; o < e.End(); o++ {
-						want[o] = byte('0' + rank)
+						pc := piece{rank: rank, arrival: arrival[rank][fs.cfg.serverFor(o, rank)]}
+						if want[o] == '.' || before(last[o], pc) < 0 {
+							want[o], last[o] = byte('0'+rank), pc
+						}
 					}
 				}
 			}
 			if got := image(t, fs, "f", 0, int64(len(want))); got != string(want) {
-				t.Fatalf("owners differ from the writes applied in booking order:\ngot  %s\nwant %s", got, want)
+				t.Fatalf("owners differ from each server's writes applied in arrival order:\ngot  %s\nwant %s", got, want)
 			}
 		})
 	}

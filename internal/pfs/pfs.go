@@ -171,6 +171,11 @@ type FileSystem struct {
 	fault   *fault.Injector // nil on healthy runs
 	obs     *obs.Recorder   // nil unless event tracing is on
 
+	// skew, when set, delays the arrival of rank's pieces at server by
+	// skew(rank, server) >= 0 (see Client.arrival): a seam only tests
+	// set, to give servers different arrival orders.
+	skew func(rank, server int) sim.VTime
+
 	// qdPending tracks, per server, the end times of bookings not yet
 	// finished — the live queue-depth gauge. Ends are monotone per server
 	// (sim.Resource's free time only grows), so a FIFO suffices. Only

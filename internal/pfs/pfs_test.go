@@ -3,6 +3,7 @@ package pfs
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"atomio/internal/interval"
@@ -303,7 +304,7 @@ func TestWrittenExtentsTrackStores(t *testing.T) {
 	writeAt(c, 1<<20, 2)  // far hole in between
 	writeAs(c, 102, 2, 3) // another rank's data inside the first run
 	want := interval.List{ext(100, 8), ext(1<<20, 2)}
-	if got := written(t, fs, "w.dat"); !got.Equal(want) {
+	if got := written(t, fs, "w.dat"); !slices.Equal(got, want) {
 		t.Fatalf("written extents = %v, want %v", got, want)
 	}
 	if got := image(t, fs, "w.dat", 99, 10); got != ".00330000." {

@@ -26,10 +26,10 @@ type file struct {
 	// facility next becomes idle.
 	listioFreeAt sim.VTime
 
-	// Fault bookkeeping (see fault.go): damage is the set of byte ranges
-	// surrendered to injected faults, intents the write-ahead log that
+	// Fault bookkeeping (see fault.go): damage lists the byte ranges
+	// surrendered to injected faults, intents is the write-ahead log that
 	// Recover replays over them. Both stay empty on healthy runs.
-	damage  index.Set
+	damage  interval.List
 	intents map[int][]Batch
 }
 
@@ -84,10 +84,10 @@ func (f *file) record(b Batch, rank int) {
 }
 
 // writeLog is the append-only log of a file's write records, in the order
-// their calls booked the servers. Every server is a FCFS queue and a call
-// books all of its servers in one coordinator turn, so that is the order
-// the calls complete in on every server they share: where records overlap,
-// the later one owns the file's bytes.
+// they booked their servers. Every server is a FCFS queue that takes pieces
+// in (arrival, rank) order, and a record is appended in the turn that books
+// its servers, so on each server the log is in completion order: where
+// records overlap, the later one owns the file's bytes.
 type writeLog []index.Record
 
 func (l *writeLog) add(r index.Record) { *l = append(*l, r) }

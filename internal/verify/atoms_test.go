@@ -47,7 +47,7 @@ func atomsByCuts(views []interval.List) []atom {
 		var writers []int
 		for i, l := range norm {
 			j := sort.Search(len(l), func(j int) bool { return l[j].End() > region.Off })
-			if j < len(l) && l[j].Contains(region.Off) {
+			if j < len(l) && l[j].Off <= region.Off {
 				writers = append(writers, i)
 			}
 		}

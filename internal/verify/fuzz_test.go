@@ -128,7 +128,7 @@ func coveringRanks(views []interval.List, pos int64) int {
 
 func listContains(l interval.List, pos int64) bool {
 	for _, e := range l {
-		if e.Contains(pos) {
+		if e.Off <= pos && pos < e.End() {
 			return true
 		}
 	}
