@@ -39,15 +39,6 @@ func (e Extent) Overlaps(o Extent) bool {
 	return e.Off < o.End() && o.Off < e.End()
 }
 
-// Touches reports whether e and o overlap or are directly adjacent, so that
-// their union is a single extent.
-func (e Extent) Touches(o Extent) bool {
-	if e.Empty() || o.Empty() {
-		return false
-	}
-	return e.Off <= o.End() && o.Off <= e.End()
-}
-
 // Intersect returns the overlap of e and o. If they do not overlap the
 // result is the empty extent {0, 0}.
 func (e Extent) Intersect(o Extent) Extent {
@@ -59,19 +50,18 @@ func (e Extent) Intersect(o Extent) Extent {
 	return Extent{Off: lo, Len: hi - lo}
 }
 
-// Union returns the smallest single extent covering both e and o, and
-// reports whether that extent is exact (the two touch). If either input is
-// empty the other is returned exactly.
-func (e Extent) Union(o Extent) (Extent, bool) {
+// Union returns the smallest single extent covering both e and o. If
+// either input is empty it returns the other.
+func (e Extent) Union(o Extent) Extent {
 	if e.Empty() {
-		return o, true
+		return o
 	}
 	if o.Empty() {
-		return e, true
+		return e
 	}
 	lo := min64(e.Off, o.Off)
 	hi := max64(e.End(), o.End())
-	return Extent{Off: lo, Len: hi - lo}, e.Touches(o)
+	return Extent{Off: lo, Len: hi - lo}
 }
 
 // Subtract returns the up-to-two pieces of e not covered by o.

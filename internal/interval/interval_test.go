@@ -67,19 +67,6 @@ func TestExtentOverlaps(t *testing.T) {
 	}
 }
 
-func TestExtentTouches(t *testing.T) {
-	a := Extent{0, 10}
-	if !a.Touches(Extent{10, 5}) {
-		t.Error("adjacent extents should touch")
-	}
-	if a.Touches(Extent{11, 5}) {
-		t.Error("separated extents should not touch")
-	}
-	if a.Touches(Extent{0, 0}) {
-		t.Error("empty extent touches nothing")
-	}
-}
-
 func TestExtentIntersect(t *testing.T) {
 	cases := []struct {
 		a, b, want Extent
@@ -97,17 +84,18 @@ func TestExtentIntersect(t *testing.T) {
 }
 
 func TestExtentUnion(t *testing.T) {
-	u, exact := Extent{0, 10}.Union(Extent{10, 5})
-	if u != (Extent{0, 15}) || !exact {
-		t.Errorf("adjacent union = %v exact=%v, want [0,15) exact", u, exact)
+	cases := []struct {
+		a, b, want Extent
+	}{
+		{Extent{0, 10}, Extent{10, 5}, Extent{0, 15}}, // adjacent
+		{Extent{0, 10}, Extent{20, 5}, Extent{0, 25}}, // gapped: the cover
+		{Extent{}, Extent{3, 4}, Extent{3, 4}},        // empty: the other
+		{Extent{3, 4}, Extent{}, Extent{3, 4}},
 	}
-	u, exact = Extent{0, 10}.Union(Extent{20, 5})
-	if u != (Extent{0, 25}) || exact {
-		t.Errorf("gapped union = %v exact=%v, want [0,25) inexact", u, exact)
-	}
-	u, exact = Extent{}.Union(Extent{3, 4})
-	if u != (Extent{3, 4}) || !exact {
-		t.Errorf("empty union = %v exact=%v", u, exact)
+	for _, c := range cases {
+		if got := c.a.Union(c.b); got != c.want {
+			t.Errorf("%v.Union(%v) = %v, want %v", c.a, c.b, got, c.want)
+		}
 	}
 }
 

@@ -142,13 +142,13 @@ func (d *Distributed) take(lo, hi, owner int, e interval.Extent) int {
 	from, to := 1, 2
 	if lo < hi {
 		if first := d.runs[lo]; first.owner == owner {
-			pieces[1].ext, _ = pieces[1].ext.Union(first.ext)
+			pieces[1].ext = pieces[1].ext.Union(first.ext)
 		} else if first.ext.Off < e.Off {
 			pieces[0] = tokenRun{ext: interval.Extent{Off: first.ext.Off, Len: e.Off - first.ext.Off}, owner: first.owner}
 			from = 0
 		}
 		if last := d.runs[hi-1]; last.owner == owner {
-			pieces[1].ext, _ = pieces[1].ext.Union(last.ext)
+			pieces[1].ext = pieces[1].ext.Union(last.ext)
 		} else if last.ext.End() > e.End() {
 			pieces[2] = tokenRun{ext: interval.Extent{Off: e.End(), Len: last.ext.End() - e.End()}, owner: last.owner}
 			to = 3

@@ -123,7 +123,7 @@ func runTokenWorkload(t *testing.T, m tokenManager, seed int64, owners int) toke
 					e = ext(max(0, last.Off-n), last.Off-max(0, last.Off-n))
 				}
 			default:
-				e, _ = last.Union(before)
+				e = last.Union(before)
 			}
 			before, last = last, e
 			mode := Mode(r.Intn(2))

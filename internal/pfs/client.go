@@ -1,7 +1,9 @@
 package pfs
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"atomio/internal/interval"
 	"atomio/internal/obs"
@@ -136,54 +138,94 @@ func (c *Client) arrival(server int, now sim.VTime) sim.VTime {
 	return now + c.fs.skew(c.rank, server)
 }
 
+// booking is the service a call asks of one server, and when it arrives.
+type booking struct {
+	server      int
+	bytes, reqs int64
+	at          sim.VTime
+}
+
+// tally lists, in (arrival, server) order, the servers the extents load
+// when the client sends them at now, with the bytes and pieces each takes:
+// whole extents on the client's server in affinity mode, stripe pieces on
+// their home servers in round-robin mode. The list is the front of the
+// file system's scratch.
+func (c *Client) tally(ext interval.List, now sim.VTime) []booking {
+	cfg, loads := &c.fs.cfg, c.fs.loads
+	clear(loads)
+	for _, e := range ext {
+		if e.Empty() {
+			continue
+		}
+		if cfg.Mode == ClientAffinity {
+			l := &loads[cfg.serverFor(e.Off, c.rank)]
+			l.bytes += e.Len
+			l.reqs++
+			continue
+		}
+		eachStripePiece(cfg.StripeSize, cfg.Servers, e.Off, e.Len, func(server int, _, take int64) {
+			loads[server].bytes += take
+			loads[server].reqs++
+		})
+	}
+	list := loads[:0] // entry k is written only after it is read
+	for server, l := range loads {
+		if l.reqs > 0 {
+			l.server, l.at = server, c.arrival(server, now)
+			list = append(list, l)
+		}
+	}
+	slices.SortStableFunc(list, func(x, y booking) int { return cmp.Compare(x.at, y.at) })
+	return list
+}
+
 // queueServerService books per-server FCFS service for the batch, each
 // server at its piece's arrival, and advances the client clock to the last
-// completion. It walks the arrival instants in ascending order from the
-// send instant (no piece arrives before it); at each it takes the
-// coordinator turn, so every server takes the pieces in (arrival, rank)
-// order, and books the servers arriving then in ascending server order.
-// The store runs in the same turn, so the file's write log is in booking
-// order, which is the order each server completes its pieces in. A call
-// whose servers all book at one instant stores b, or a flush's log, whole;
-// one split over several instants stores each instant's pieces.
+// completion. At each distinct arrival of its loaded servers, from the
+// first, it takes the coordinator turn, so every server takes the pieces in
+// (arrival, rank) order, books the servers arriving then and stores their
+// pieces: the file's write log is in the order each server completes them.
 func (c *Client) queueServerService(b Batch, log []Batch) {
 	now := c.clock.Now()
-	var latest sim.VTime
-	for t := now; ; {
+	// Without FileSystem.skew every piece arrives now: the call tallies in its
+	// one turn. With it, the call tallies before its first turn, to find it,
+	// and keeps a copy, as other clients tally while it yields.
+	var list []booking
+	if c.fs.skew != nil {
+		list = slices.Clone(c.tally(b.Ext, now))
+	}
+	split := len(list) > 0 && list[0].at != list[len(list)-1].at
+	group := log
+	if log == nil {
+		group = []Batch{b}
+	}
+	t, latest := now, sim.VTime(0)
+	for {
+		if len(list) > 0 {
+			t = list[0].at // the next arrival; now if every piece was dropped
+		}
 		if !c.inAtomic {
 			c.fs.coord.Await(c.rank, t)
 		}
-		// Nothing below yields the turn, so every client tallies into the
-		// file system's one scratch, again after each Await.
-		loads := c.fs.loads
-		c.fs.cfg.tally(loads, b.Ext, c.rank)
-		next, whole := t, true // the next arrival instant, none if t; whether every piece arrives at t
-		for server, l := range loads {
-			if l.reqs == 0 {
-				continue
-			}
-			if a := c.arrival(server, now); a != t {
-				if a > t && (next == t || a < next) {
-					next = a
-				}
-				whole = false
-				continue
-			}
-			m := c.fs.serverModel(server)
-			svc := sim.VTime(l.reqs)*m.Latency +
-				sim.LinearCost{BytesPerSec: m.BytesPerSec}.Cost(l.bytes)
-			c.fs.stats[server].requests += l.reqs
-			c.fs.stats[server].bytes += l.bytes
-			start, end := c.fs.servers.Member(server).Acquire(t, svc)
+		if c.fs.skew == nil {
+			list = c.tally(b.Ext, now)
+		}
+		for ; len(list) > 0 && list[0].at == t; list = list[1:] {
+			s := list[0]
+			m := c.fs.serverModel(s.server)
+			svc := sim.VTime(s.reqs)*m.Latency + sim.LinearCost{BytesPerSec: m.BytesPerSec}.Cost(s.bytes)
+			c.fs.stats[s.server].requests += s.reqs
+			c.fs.stats[s.server].bytes += s.bytes
+			start, end := c.fs.servers.Member(s.server).Acquire(t, svc)
 			if o := c.fs.obs; o != nil {
-				depth := c.fs.noteBooking(server, t, end)
+				depth := c.fs.noteBooking(s.server, t, end)
 				// One span from the arrival at the queue to the end of
 				// service; Aux is the service start.
 				o.Emit(obs.Event{
 					T: t, Actor: c.rank, Layer: obs.LayerPFS, Kind: obs.KindServe,
-					Peer: server, Size: l.bytes, Dur: end - t, Aux: int64(start),
+					Peer: s.server, Size: s.bytes, Dur: end - t, Aux: int64(start),
 				})
-				o.Count(c.rank, obs.MetricPFSReqs, l.reqs)
+				o.Count(c.rank, obs.MetricPFSReqs, s.reqs)
 				o.Observe(c.rank, obs.MetricPFSService, int64(end-start))
 				o.MaxGauge(c.rank, obs.MetricQueueDepth, depth)
 			}
@@ -192,20 +234,15 @@ func (c *Client) queueServerService(b Batch, log []Batch) {
 		// A call split over several instants stores, at each, only the
 		// pieces arriving then. Such a call is striped, so each byte lives
 		// on one server, and "last covering record wins" still holds.
-		group := log
-		if log == nil {
-			group = []Batch{b}
-		}
 		for _, g := range group {
-			if !whole {
+			if split {
 				g, _ = c.pieces(g, func(server int) bool { return c.arrival(server, now) == t })
 			}
 			c.f.store(g, c.rank)
 		}
-		if next == t {
+		if len(list) == 0 {
 			break
 		}
-		t = next
 	}
 	c.clock.AdvanceTo(latest)
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 
-	"atomio/internal/interval"
 	"atomio/internal/obs"
 	"atomio/internal/sim"
 	"atomio/internal/sim/fault"
@@ -166,7 +165,7 @@ type FileSystem struct {
 	servers *sim.Pool
 	models  []sim.LinearCost // per-server service models (Degraded applied)
 	stats   []serverCounter  // per-server request/byte counters
-	loads   []load           // queueServerService scratch, indexed by server
+	loads   []booking        // queueServerService scratch, one per server
 	coord   sim.Coord
 	fault   *fault.Injector // nil on healthy runs
 	obs     *obs.Recorder   // nil unless event tracing is on
@@ -210,7 +209,7 @@ func New(cfg Config) (*FileSystem, error) {
 		servers: sim.NewPool("ioserver", cfg.Servers),
 		models:  models,
 		stats:   make([]serverCounter, cfg.Servers),
-		loads:   make([]load, cfg.Servers),
+		loads:   make([]booking, cfg.Servers),
 		coord:   sim.Solo{},
 		files:   make(map[string]*file),
 	}, nil
@@ -283,35 +282,6 @@ func (c *Config) serverFor(off int64, clientRank int) int {
 		return clientRank % c.Servers
 	default:
 		return int((off / c.StripeSize) % int64(c.Servers))
-	}
-}
-
-// load is the service one request batch asks of one server.
-type load struct {
-	bytes int64
-	reqs  int64
-}
-
-// tally fills loads, indexed by server, with the bytes and pieces the
-// extents put on each server when client rank writes or reads them: whole
-// extents on the client's server in affinity mode, stripe pieces on their
-// home servers in round-robin mode.
-func (c *Config) tally(loads []load, ext interval.List, rank int) {
-	clear(loads)
-	for _, e := range ext {
-		if e.Empty() {
-			continue
-		}
-		if c.Mode == ClientAffinity {
-			l := &loads[c.serverFor(e.Off, rank)]
-			l.bytes += e.Len
-			l.reqs++
-			continue
-		}
-		eachStripePiece(c.StripeSize, c.Servers, e.Off, e.Len, func(server int, _, take int64) {
-			loads[server].bytes += take
-			loads[server].reqs++
-		})
 	}
 }
 
