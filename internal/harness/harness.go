@@ -392,6 +392,13 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 		return fmt.Sprintf("experiment-%03d.dat", step)
 	}
 
+	// Each rank's piece, whose filetype its file views borrow.
+	pieces := make([]workload.Piece, e.Procs)
+	for rank := range pieces {
+		if pieces[rank], err = e.piece(rank); err != nil {
+			return nil, err
+		}
+	}
 	views := make([]interval.List, e.Procs)
 	written := make([]int64, e.Procs)
 	ioTimes := make([]sim.VTime, e.Procs)
@@ -400,10 +407,7 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 	mpiCfg.Engine = eng
 	mpiCfg.Obs = events
 	res, runErr := mpi.Run(mpiCfg, func(c *mpi.Comm) error {
-		piece, err := e.piece(c.Rank())
-		if err != nil {
-			return err
-		}
+		piece := &pieces[c.Rank()]
 		for step := 0; step < steps; step++ {
 			if e.Compute > 0 {
 				c.Clock().Advance(e.Compute)
@@ -412,7 +416,7 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 			if err != nil {
 				return err
 			}
-			if err := f.SetView(0, datatype.Byte, piece.Filetype); err != nil {
+			if err := f.SetView(0, datatype.Byte, &piece.Filetype); err != nil {
 				return err
 			}
 			if e.Verify {

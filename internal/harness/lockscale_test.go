@@ -87,29 +87,31 @@ func TestHandshakeCellAllocationGrowsLinearly(t *testing.T) {
 }
 
 // TestLockingCellAllocatesFewObjectsPerRank bounds the heap objects one
-// locking scaling cell allocates per rank, at P=1024 and P=4096. Each rank
+// locking scaling cell allocates per rank, at P=1024 and P=4096, and logs
+// the P=64 cell's, where the cell's own objects weigh more. Each rank
 // opens a file, sets a column-wise view and writes it under one lock, and
 // the objects it keeps or throws away along that path are what the bound
 // counts: 41–42 per rank while Open flattened a default view that SetView
 // replaced, a subarray kept three coordinate slices and flattened with
 // heap scratch, the world held a pointer per mailbox and clock, a message
 // and a blocked receive's pattern were objects of their own and each
-// client allocated its write-behind cache and its server tally apart; 26
-// without them (28 under the race detector), six of them iter.Pull's, the
-// rank's coroutine.
+// client allocated its write-behind cache and its server tally apart;
+// 25–26 while each rank's communicators, file client, write context and
+// first message queue were objects of their own, its subarray was boxed
+// and its lock, waiter and index node were allocated per request; 16–17
+// without them (18 under the race detector), about nine of them
+// iter.Pull's, the rank's coroutine.
 func TestLockingCellAllocatesFewObjectsPerRank(t *testing.T) {
-	const maxPerRank = 30
-	warm := false
+	const maxPerRank = 20
 	for _, c := range runner.ScalingGridTo(4096) {
 		e := c.Experiment
-		if e.Strategy.Name() != "locking" || (e.Procs != 1024 && e.Procs != 4096) {
+		if e.Strategy.Name() != "locking" || (e.Procs != 64 && e.Procs != 1024 && e.Procs != 4096) {
 			continue
 		}
-		if !warm {
-			if _, err := e.Run(); err != nil { // warm up lazy runtime state
-				t.Fatal(err)
-			}
-			warm = true
+		// Warm up lazy runtime state, such as the goroutines a cell's
+		// coroutines reuse, as the cell's repeated runs find it.
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -119,7 +121,7 @@ func TestLockingCellAllocatesFewObjectsPerRank(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		perRank := float64(after.Mallocs-before.Mallocs) / float64(e.Procs)
 		t.Logf("%s: %.1f objects per rank", c.ID, perRank)
-		if perRank > maxPerRank {
+		if e.Procs >= 1024 && perRank > maxPerRank {
 			t.Errorf("%s allocated %.1f objects per rank; ceiling %d", c.ID, perRank, maxPerRank)
 		}
 	}

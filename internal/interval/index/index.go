@@ -3,7 +3,8 @@
 // stabbing and range-overlap queries (Index), a streamed k-way sweep-line
 // that computes the pairwise overlaps or ownership of many extent lists, or
 // the owners and covering views of a write log's bytes, in one pass and
-// O(P) state (SweepOverlaps, Winners/ClipAll, Sweep).
+// O(P) state (SweepOverlaps, Winners/ClipAll, Sweep); and the Slab that
+// recycles the index's nodes and its caller's per-request objects.
 //
 // Every conflict-answering layer of the repository queries byte ranges —
 // the overlap matrix of the paper's Figure 5, byte-range lock conflicts,
@@ -11,7 +12,11 @@
 // store — and all of them build on this package instead of linear scans.
 package index
 
-import "atomio/internal/interval"
+import (
+	"slices"
+
+	"atomio/internal/interval"
+)
 
 // Handle identifies one stored extent within an Index. Handles are assigned
 // in insertion order and are never reused, so they double as a deterministic
@@ -37,12 +42,14 @@ type node[T any] struct {
 //
 // Treap priorities come from a deterministic xorshift stream, so the tree
 // shape — and therefore every iteration order — is a pure function of the
-// operation sequence. That keeps simulation runs bit-reproducible.
+// operation sequence. That keeps simulation runs bit-reproducible. Nodes
+// come from a Slab, and deleted ones go back to it.
 type Index[T any] struct {
-	root *node[T]
-	next Handle
-	rng  uint64
-	size int
+	root  *node[T]
+	nodes Slab[node[T]]
+	next  Handle
+	rng   uint64
+	size  int
 }
 
 // Len returns the number of stored extents.
@@ -53,7 +60,8 @@ func (ix *Index[T]) Len() int { return ix.size }
 // but can still be removed via their handle.
 func (ix *Index[T]) Insert(e interval.Extent, v T) Handle {
 	ix.next++
-	n := &node[T]{ext: e, h: ix.next, val: v, prio: ix.rand()}
+	n := ix.nodes.Get()
+	n.ext, n.h, n.val, n.prio = e, ix.next, v, ix.rand()
 	ix.root = insert(ix.root, n)
 	ix.size++
 	return n.h
@@ -70,7 +78,9 @@ func (ix *Index[T]) Delete(e interval.Extent, h Handle) (T, bool) {
 	}
 	ix.root = root
 	ix.size--
-	return removed.val, true
+	v := removed.val
+	ix.nodes.Put(removed)
+	return v, true
 }
 
 // Overlapping visits every stored extent sharing at least one byte with e,
@@ -222,4 +232,41 @@ func all[T any](n *node[T], visit func(interval.Extent, Handle, T) bool) bool {
 	return all(n.left, visit) &&
 		visit(n.ext, n.h, n.val) &&
 		all(n.right, visit)
+}
+
+// Slab hands out zeroed *T from arrays it allocates a few at a time, and
+// takes them back for reuse: n objects that come and go cost O(log n)
+// allocations, not n. The zero value is an empty slab ready for use.
+type Slab[T any] struct {
+	free []*T // taken back, handed out first
+	rest []T  // the newest array's unused tail
+	made int  // entries allocated so far: the next array's size, to 256
+}
+
+// Get returns a zeroed T.
+func (s *Slab[T]) Get() *T {
+	if n := len(s.free); n > 0 {
+		p := s.free[n-1]
+		s.free = s.free[:n-1]
+		return p
+	}
+	if len(s.rest) == 0 {
+		s.rest = make([]T, min(max(s.made, 4), 256))
+		s.made += len(s.rest)
+	}
+	p := &s.rest[0]
+	s.rest = s.rest[1:]
+	return p
+}
+
+// Put zeroes p, which its caller may not use after, and takes it back.
+// It grows the free list out of line, through slices.Grow, not append: the
+// lock table's frames that Put is inlined into stay their size.
+func (s *Slab[T]) Put(p *T) {
+	*p = *new(T)
+	if len(s.free) == cap(s.free) {
+		s.free = slices.Grow(s.free, 1)
+	}
+	s.free = s.free[:len(s.free)+1]
+	s.free[len(s.free)-1] = p
 }

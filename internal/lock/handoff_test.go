@@ -549,11 +549,12 @@ func handOffChain(t testing.TB, n int) (tbl *table, cycle func()) {
 }
 
 // TestHandOffAllocationIndependentOfWaiters measures one cycle of the
-// contended chain with n further overlapping waiters. What a cycle
-// allocates is the new waiter, the granted lock and its index node,
-// whatever n is: the queue moves to the new lock whole, in its own array.
-// The count is exact, so one more object anywhere on the hand-off path —
-// witness, the queue heap, the release history — fails it.
+// contended chain with n further overlapping waiters. A cycle allocates
+// nothing, whatever n is: the queue moves to the new lock whole, in its own
+// array, and the new waiter, the granted lock and its index node are the
+// ones the last cycle gave back. The count is exact, so one object anywhere
+// on the hand-off path — witness, the queue heap, the release history, a
+// lock or waiter not recycled — fails it.
 func TestHandOffAllocationIndependentOfWaiters(t *testing.T) {
 	allocs := func(n int) float64 {
 		tbl, cycle := handOffChain(t, n)
@@ -565,8 +566,50 @@ func TestHandOffAllocationIndependentOfWaiters(t *testing.T) {
 	}
 	few, many := allocs(16), allocs(1024)
 	t.Logf("allocations per cycle: %v with 16 waiters, %v with 1024", few, many)
-	if few != 3 || many != 3 {
-		t.Errorf("a hand-off cycle allocates %v objects with 16 waiters and %v with 1024, want 3 for both", few, many)
+	if few != 0 || many != 0 {
+		t.Errorf("a hand-off cycle allocates %v objects with 16 waiters and %v with 1024, want 0 for both", few, many)
+	}
+}
+
+// unwindCoord parks by unwinding the caller out of acquire, with a panic
+// value that allocates nothing, so the waiter stays queued.
+type unwindCoord struct{ sim.Solo }
+
+type unwound struct{}
+
+func (unwindCoord) Park(int) { panic(unwound{}) }
+
+// TestGrantChainAllocatesAmortizedZero runs a whole chain on a fresh table:
+// 1024 overlapping exclusive requests queue behind the first holder, then
+// each holder releases in turn, granting the next. Locks, waiters and index
+// nodes come from the table's slabs and go back to them, so the chain
+// allocates a few arrays, not an object per request; a lock or node
+// allocated per grant reads 1 or more per request.
+func TestGrantChainAllocatesAmortizedZero(t *testing.T) {
+	const requests = 1024
+	var tbl *table
+	chain := func() {
+		tbl = newTable()
+		tbl.setCoord(unwindCoord{})
+		for owner := range requests {
+			func() {
+				defer func() { _ = recover() }()
+				tbl.acquire(owner, massExtent, Exclusive, sim.VTime(owner))
+			}()
+		}
+		for owner := range requests {
+			if err := tbl.release(owner, massExtent, sim.VTime(requests+owner)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	perRequest := testing.AllocsPerRun(5, chain) / requests
+	t.Logf("%.3f objects per request", perRequest)
+	if h, w := tbl.holders(), tbl.waiters(); h != 0 || w != 0 {
+		t.Errorf("%d held, %d waiting after the chain, want none", h, w)
+	}
+	if perRequest >= 0.1 {
+		t.Errorf("a grant/release chain allocates %.3f objects per request, want < 0.1", perRequest)
 	}
 }
 

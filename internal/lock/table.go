@@ -35,7 +35,10 @@ type table struct {
 	sharedRel interval.MaxMap[sim.VTime] // release times of past shared locks
 	coord     sim.Coord
 
-	nextSeq int64 // waiter registration order
+	// Locks go back when released, waiters when their owner has woken.
+	heldSlab   index.Slab[held]
+	waiterSlab index.Slab[waiter]
+	nextSeq    int64 // waiter registration order
 }
 
 // held is one granted lock: its index handle and the waiters queued
@@ -100,7 +103,8 @@ func (t *table) witness(owner int, e interval.Extent, mode Mode) *held {
 // conflicting locks on the range — always after exclusive releases; after
 // shared releases too when acquiring exclusively.
 func (t *table) grant(owner int, e interval.Extent, mode Mode, floor sim.VTime) (*held, sim.VTime) {
-	hd := &held{owner: owner, ext: e, mode: mode}
+	hd := t.heldSlab.Get()
+	hd.owner, hd.ext, hd.mode = owner, e, mode
 	hd.handle = t.granted.Insert(e, hd)
 	excl, _ := t.exclRel.Max(e)
 	start := max(floor, excl)
@@ -124,17 +128,33 @@ func (t *table) acquire(owner int, e interval.Extent, mode Mode, earliest sim.VT
 		_, g := t.grant(owner, e, mode, earliest)
 		return g
 	}
+	w := t.enqueue(witness, owner, e, mode, earliest)
+	t.coord.Park(owner)
+	return t.woken(w)
+}
+
+// woken returns w's grant time and takes w back: only its woken owner may,
+// as the releaser reads w until it wakes it. woken and enqueue stay out of
+// line, which keeps acquire's frame, on every parked rank's stack, small.
+//
+//go:noinline
+func (t *table) woken(w *waiter) sim.VTime {
+	g := w.grantAt
+	t.waiterSlab.Put(w)
+	return g
+}
+
+// enqueue queues a waiter for (owner, e, mode) behind witness.
+func (t *table) enqueue(witness *held, owner int, e interval.Extent, mode Mode, earliest sim.VTime) *waiter {
 	t.nextSeq++
-	w := &waiter{
-		owner: owner, ext: e, mode: mode,
-		minStart: earliest, ticket: earliest, seq: t.nextSeq,
-	}
+	w := t.waiterSlab.Get()
+	w.owner, w.ext, w.mode = owner, e, mode
+	w.minStart, w.ticket, w.seq = earliest, earliest, t.nextSeq
 	if mode == Shared {
 		w.handle = t.waiting.Insert(e, w)
 	}
 	witness.queue.push(w)
-	t.coord.Park(owner)
-	return w.grantAt
+	return w
 }
 
 // release drops owner's lock on exactly e, records the virtual release time
@@ -185,6 +205,8 @@ func (t *table) release(owner int, e interval.Extent, releaseAt sim.VTime) error
 			g.queue, q = q, waitQueue{}
 		}
 	}
+	// Put clears target's queue, whose array may now be another lock's.
+	t.heldSlab.Put(target)
 	return nil
 }
 

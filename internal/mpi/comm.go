@@ -43,13 +43,15 @@ func (c *Comm) checkRank(r int) {
 
 // Dup returns a communicator with the same group but a fresh context, so
 // that libraries can communicate without colliding with application traffic.
-// Dup is collective: every rank of the communicator must call it.
-func (c *Comm) Dup() *Comm {
+// Dup is collective: every rank of the communicator must call it. The
+// communicator comes back by value, for the caller to keep where it keeps
+// its own per-rank state.
+func (c *Comm) Dup() Comm {
 	// Rank 0 allocates the context and broadcasts it, little-endian.
 	var buf []byte
 	if c.rank == 0 {
 		buf = binary.LittleEndian.AppendUint64(nil, uint64(c.world.allocCtx()))
 	}
 	newCtx := int(binary.LittleEndian.Uint64(c.bcast(buf, 0)))
-	return &Comm{world: c.world, ctx: newCtx, rank: c.rank, group: c.group, clock: c.clock}
+	return Comm{world: c.world, ctx: newCtx, rank: c.rank, group: c.group, clock: c.clock}
 }

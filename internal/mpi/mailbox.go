@@ -30,6 +30,7 @@ func (abortError) Error() string { return "mpi: world aborted after failure on a
 // admissions deterministic across a blocking receive.
 type mailbox struct {
 	queue   []message
+	first   [1]message // queue's array until it holds two messages at once
 	aborted bool
 
 	// coord is the world's coordinator and owner the mailbox's world rank;
@@ -56,8 +57,12 @@ func matches(msg message, ctx, src, tag int) bool {
 
 // put enqueues a message. A put that satisfies the owner's registered
 // receive wakes the owner, publishing the earliest virtual time the owner
-// could act at after completing the receive.
+// could act at after completing the receive. A queue that never holds two
+// messages at once lives in the mailbox itself and allocates nothing.
 func (m *mailbox) put(msg message) {
+	if m.queue == nil {
+		m.queue = m.first[:0]
+	}
 	m.queue = append(m.queue, msg)
 	if m.waiting && matches(msg, m.wait.ctx, m.wait.src, m.wait.tag) {
 		bound := msg.sentAt + m.net.Cost(int64(len(msg.data))) + m.recvOverhead

@@ -70,12 +70,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// World is one running message-passing program: its ranks' mailboxes and
-// clocks, and the bookkeeping of its communicators.
+// World is one running message-passing program: its ranks' mailboxes,
+// clocks and world communicators, and the bookkeeping of its communicators.
 type World struct {
 	cfg       Config
 	mailboxes []mailbox
 	clocks    []sim.Clock
+	comms     []Comm // each rank's world communicator, handed to its body
 
 	// Cross-rank bookkeeping: the communicator context-id allocator; the
 	// collective calls in flight (shared, the memo table behind
@@ -182,8 +183,10 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 	w := newWorld(cfg)
 	ctx := w.allocCtx()
 	group := make([]int, cfg.Procs)
+	w.comms = make([]Comm, cfg.Procs)
 	for i := range group {
 		group[i] = i
+		w.comms[i] = Comm{world: w, ctx: ctx, rank: i, group: group, clock: &w.clocks[i]}
 	}
 
 	errs := make([]*RankError, cfg.Procs)
@@ -207,8 +210,7 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 				w.abortAll()
 			}
 		}()
-		c := &Comm{world: w, ctx: ctx, rank: rank, group: group, clock: &w.clocks[rank]}
-		if err := body(c); err != nil {
+		if err := body(&w.comms[rank]); err != nil {
 			errs[rank] = &RankError{Rank: rank, Err: err}
 			w.abortAll()
 		}

@@ -99,7 +99,7 @@ func TestSharedIsolatesCommunicators(t *testing.T) {
 					c    *Comm
 				}{
 					{"world", c},
-					{"dup", dup},
+					{"dup", &dup},
 					{fmt.Sprintf("half%d", c.Rank()%2), half},
 				}
 				for call := 0; call < 3; call++ {

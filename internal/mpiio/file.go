@@ -35,19 +35,19 @@ var ErrClosed = errors.New("mpiio: file is closed")
 // stored tile, which Extents lends out and no one writes.
 var defaultView = fileview.New(0, datatype.Byte, datatype.NewContiguous(1, datatype.Byte))
 
-// File is an MPI file handle: one per rank, collectively opened.
+// File is an MPI file handle: one per rank, collectively opened. It holds
+// the rank's library communicator and file-system client by value, and the
+// context its atomic writes hand a strategy, which points at both.
 type File struct {
-	comm     *mpi.Comm // library-private dup
+	ctx      core.Context // &comm, &client and the lock manager, recorder and faults
+	comm     mpi.Comm     // library-private dup
+	client   pfs.Client
 	fs       *pfs.FileSystem
-	client   *pfs.Client
-	mgr      lock.Manager
 	name     string
 	view     fileview.View
 	pos      int64 // file pointer, in bytes of the view's linear stream
 	atomic   bool
 	strategy core.Strategy
-	events   *obs.Recorder
-	faults   core.Faults
 	closed   bool
 }
 
@@ -56,19 +56,11 @@ type File struct {
 // locking (ENFS); the locking strategy then reports ErrNoLockManager.
 // Every rank of comm must call Open together.
 func Open(comm *mpi.Comm, fs *pfs.FileSystem, mgr lock.Manager, name string) (*File, error) {
-	lib := comm.Dup()
-	client, err := fs.Open(name, lib.Rank(), lib.Clock())
-	if err != nil {
+	f := &File{comm: comm.Dup(), fs: fs, name: name, view: defaultView}
+	if err := fs.OpenInto(&f.client, name, f.comm.Rank(), f.comm.Clock()); err != nil {
 		return nil, err
 	}
-	f := &File{
-		comm:   lib,
-		fs:     fs,
-		client: client,
-		mgr:    mgr,
-		name:   name,
-		view:   defaultView,
-	}
+	f.ctx = core.Context{Comm: &f.comm, Client: &f.client, LockMgr: mgr}
 	// ROMIO's default for atomic mode is byte-range locking; platforms
 	// without locking default to the best handshaking strategy.
 	if mgr != nil {
@@ -76,7 +68,7 @@ func Open(comm *mpi.Comm, fs *pfs.FileSystem, mgr lock.Manager, name string) (*F
 	} else {
 		f.strategy = core.RankOrder{}
 	}
-	lib.Barrier()
+	f.comm.Barrier()
 	return f, nil
 }
 
@@ -84,11 +76,11 @@ func Open(comm *mpi.Comm, fs *pfs.FileSystem, mgr lock.Manager, name string) (*F
 func (f *File) Name() string { return f.name }
 
 // Comm returns the library communicator the file was opened on.
-func (f *File) Comm() *mpi.Comm { return f.comm }
+func (f *File) Comm() *mpi.Comm { return &f.comm }
 
 // Client exposes the underlying file-system client (for cache control and
 // traffic accounting in experiments).
-func (f *File) Client() *pfs.Client { return f.client }
+func (f *File) Client() *pfs.Client { return &f.client }
 
 // SetView installs the (displacement, etype, filetype) triple and resets
 // the file pointer, like MPI_File_set_view. Collective.
@@ -137,13 +129,13 @@ func (f *File) Strategy() core.Strategy { return f.strategy }
 // writes consult for writer crashes. Pass nil to disable. Local
 // (non-collective): every rank carries the same plan but only its own
 // entry applies.
-func (f *File) SetFaults(p core.Faults) { f.faults = p }
+func (f *File) SetFaults(p core.Faults) { f.ctx.Fault = p }
 
 // SetEvents attaches an event recorder for MPI-IO-layer instants this handle
 // emits (write-ahead-log appends) and for the phase spans and per-phase
 // counters of its atomic collective writes (handshake, lock wait,
 // transfer, ...). Pass nil to disable. Local (non-collective).
-func (f *File) SetEvents(o *obs.Recorder) { f.events = o }
+func (f *File) SetEvents(o *obs.Recorder) { f.ctx.Obs = o }
 
 // Sync flushes this rank's cached data and synchronizes the ranks, like
 // MPI_File_sync (collective).

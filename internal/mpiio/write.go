@@ -35,7 +35,7 @@ func (f *File) WriteAll(n int64) error {
 		if err := f.fs.LogIntent(f.name, f.comm.Rank(), pfs.Batch{Ext: req}); err != nil {
 			return err
 		}
-		if o := f.events; o != nil {
+		if o := f.ctx.Obs; o != nil {
 			o.Emit(obs.Event{
 				T: f.comm.Clock().Now(), Actor: f.comm.Rank(), Layer: obs.LayerPFS,
 				Kind: obs.KindWALAppend, Peer: -1, Size: n,
@@ -43,8 +43,7 @@ func (f *File) WriteAll(n int64) error {
 			o.Count(f.comm.Rank(), obs.MetricWALAppends, 1)
 		}
 	}
-	ctx := &core.Context{Comm: f.comm, Client: f.client, LockMgr: f.mgr, Obs: f.events, Fault: f.faults}
-	return f.strategy.WriteAll(ctx, req)
+	return f.strategy.WriteAll(&f.ctx, req)
 }
 
 // Write performs an independent (non-collective) write of n bytes through
@@ -65,7 +64,8 @@ func (f *File) Write(n int64) error {
 		f.client.Write(pfs.Batch{Ext: req})
 		return nil
 	}
-	if f.mgr == nil {
+	mgr := f.ctx.LockMgr
+	if mgr == nil {
 		return core.ErrNoLockManager
 	}
 	clock := f.comm.Clock()
@@ -73,10 +73,10 @@ func (f *File) Write(n int64) error {
 	if span.Len == 0 {
 		return nil
 	}
-	grant := f.mgr.Lock(f.comm.Rank(), span, lock.Exclusive, clock.Now())
+	grant := mgr.Lock(f.comm.Rank(), span, lock.Exclusive, clock.Now())
 	clock.AdvanceTo(grant)
 	f.client.Write(pfs.Batch{Ext: req})
 	f.client.Sync()
-	clock.AdvanceTo(f.mgr.Unlock(f.comm.Rank(), span, clock.Now()))
+	clock.AdvanceTo(mgr.Unlock(f.comm.Rank(), span, clock.Now()))
 	return nil
 }

@@ -67,11 +67,22 @@ type Client struct {
 // Open returns a client handle for rank on the named file, creating the
 // file on first open. The clock is the rank's virtual clock.
 func (fs *FileSystem) Open(name string, rank int, clock *sim.Clock) (*Client, error) {
-	f, err := fs.lookup(name, true)
-	if err != nil {
+	c := new(Client)
+	if err := fs.OpenInto(c, name, rank, clock); err != nil {
 		return nil, err
 	}
-	return &Client{fs: fs, f: f, clock: clock, rank: rank}, nil
+	return c, nil
+}
+
+// OpenInto is Open into a client the caller holds, such as a field of its
+// own per-rank state, so that the handle is no object of its own.
+func (fs *FileSystem) OpenInto(c *Client, name string, rank int, clock *sim.Clock) error {
+	f, err := fs.lookup(name, true)
+	if err != nil {
+		return err
+	}
+	*c = Client{fs: fs, f: f, clock: clock, rank: rank}
+	return nil
 }
 
 // Rank returns the owning rank.

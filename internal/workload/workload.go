@@ -17,8 +17,10 @@ import (
 // Piece is one rank's share of a partitioned array.
 type Piece struct {
 	// Filetype is the subarray datatype selecting the rank's file region;
-	// use it with a zero displacement and byte etype.
-	Filetype datatype.Datatype
+	// use it with a zero displacement and byte etype. It is a value: a
+	// caller that keeps the piece can lend &Filetype as the Datatype of a
+	// view, which boxes nothing.
+	Filetype datatype.Subarray
 	// BufBytes is the number of bytes the rank writes (the size of its
 	// sub-array).
 	BufBytes int64
