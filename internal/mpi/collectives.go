@@ -1,6 +1,9 @@
 package mpi
 
-import "atomio/internal/obs"
+import (
+	"atomio/internal/obs"
+	"atomio/internal/sim"
+)
 
 // Collective operations. All of them are collective in the MPI sense: every
 // rank of the communicator must call them in the same order. Each call uses
@@ -45,8 +48,9 @@ func (c *Comm) Barrier() {
 }
 
 // bcast distributes root's data to every rank along a binomial tree and
-// returns it. Non-root ranks pass nil (any value they pass is ignored).
-// With a recorder attached, each message is traced as a send and a recv.
+// returns it, lent as send lends it. Non-root ranks pass nil (any value
+// they pass is ignored). With a recorder attached, each message is traced
+// as a send, over its overhead, and a recv, from its send to its delivery.
 func (c *Comm) bcast(data []byte, root int) []byte {
 	c.checkRank(root)
 	tag := c.nextTag()
@@ -60,9 +64,9 @@ func (c *Comm) bcast(data []byte, root int) []byte {
 	for mask < p {
 		if vrank&mask != 0 {
 			src := (c.rank - mask + p) % p
-			data = c.recv(src, tag)
-			if o != nil {
-				c.traceBcast(o, obs.KindRecv, src, data)
+			msg := c.recv(src, tag)
+			if data = msg.data; o != nil {
+				c.traceBcast(o, obs.KindRecv, src, data, msg.sentAt)
 			}
 			break
 		}
@@ -71,10 +75,10 @@ func (c *Comm) bcast(data []byte, root int) []byte {
 	mask /= 2
 	for mask > 0 {
 		if vrank+mask < p {
-			dst := (c.rank + mask) % p
+			dst, from := (c.rank+mask)%p, c.clock.Now()
 			c.send(dst, tag, data)
 			if o != nil {
-				c.traceBcast(o, obs.KindSend, dst, data)
+				c.traceBcast(o, obs.KindSend, dst, data, from)
 			}
 		}
 		mask /= 2
@@ -82,12 +86,12 @@ func (c *Comm) bcast(data []byte, root int) []byte {
 	return data
 }
 
-// traceBcast emits the event of this rank sending data to peer, or
-// receiving it from peer with the timing applied, and counts a received
-// message.
-func (c *Comm) traceBcast(o *obs.Recorder, kind string, peer int, data []byte) {
+// traceBcast emits the span of this rank sending data to peer, or
+// receiving it from peer, from the instant from to now, and counts a
+// received message.
+func (c *Comm) traceBcast(o *obs.Recorder, kind string, peer int, data []byte, from sim.VTime) {
 	me, size := c.group[c.rank], int64(len(data))
-	o.Emit(obs.Event{T: c.clock.Now(), Actor: me, Layer: obs.LayerMPI, Kind: kind,
+	o.Emit(obs.Event{T: from, Dur: c.clock.Now() - from, Actor: me, Layer: obs.LayerMPI, Kind: kind,
 		Tag: "bcast", Peer: c.group[peer], Size: size})
 	if kind == obs.KindRecv {
 		o.Count(me, obs.MetricMsgs, 1)

@@ -187,8 +187,8 @@ func TestDup(t *testing.T) {
 			c.send(1, 0, []byte("on-parent"))
 		}
 		if c.Rank() == 1 {
-			fromParent := c.recv(0, 0)
-			fromDup := d.recv(0, 0)
+			fromParent := c.recv(0, 0).data
+			fromDup := d.recv(0, 0).data
 			if string(fromParent) != "on-parent" || string(fromDup) != "on-dup" {
 				return fmt.Errorf("dup contexts collided: %q %q", fromParent, fromDup)
 			}
@@ -237,7 +237,7 @@ func newTally(procs int) *tally {
 
 // recv is c.recv counted as one message of collective op.
 func (t *tally) recv(c *Comm, op string, from, tag int) []byte {
-	data := c.recv(from, tag)
+	data := c.recv(from, tag).data
 	n := int64(len(data))
 	t.bytes[c.group[c.rank]] += n
 	t.counters[obs.MetricMsgs]++

@@ -155,21 +155,30 @@ func TestSendRecvBasic(t *testing.T) {
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.send(1, 7, []byte("hello"))
-		} else if data := c.recv(0, 7); !bytes.Equal(data, []byte("hello")) {
+		} else if data := c.recv(0, 7).data; !bytes.Equal(data, []byte("hello")) {
 			return fmt.Errorf("data = %q", data)
 		}
 		return nil
 	})
 }
 
-func TestSendCopiesPayload(t *testing.T) {
+// TestSendLendsPayload: a message carries the sender's slice itself, so a
+// send allocates nothing — Dup's broadcast of a context id once cost every
+// rank but the root a copy of it.
+func TestSendLendsPayload(t *testing.T) {
+	const runs = 100
+	buf := []byte("context!")
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			buf := []byte("aaaa")
-			c.send(1, 0, buf)
-			copy(buf, "zzzz") // must not affect the in-flight message
-		} else if data := c.recv(0, 0); string(data) != "aaaa" {
-			return fmt.Errorf("message mutated after send: %q", data)
+			if a := testing.AllocsPerRun(runs, func() { c.send(1, 0, buf) }); a != 0 {
+				return fmt.Errorf("a send allocates %v objects, want 0", a)
+			}
+			return nil
+		}
+		for i := 0; i <= runs; i++ { // AllocsPerRun runs once more to warm up
+			if data := c.recv(0, 0).data; &data[0] != &buf[0] {
+				return fmt.Errorf("message %d is a copy of the sent payload", i)
+			}
 		}
 		return nil
 	})
@@ -182,8 +191,8 @@ func TestTagMatching(t *testing.T) {
 			c.send(1, 2, []byte("two"))
 		} else {
 			// Receive out of send order by tag.
-			d2 := c.recv(0, 2)
-			d1 := c.recv(0, 1)
+			d2 := c.recv(0, 2).data
+			d1 := c.recv(0, 1).data
 			if string(d1) != "one" || string(d2) != "two" {
 				return fmt.Errorf("tag matching broken: %q %q", d1, d2)
 			}
@@ -201,7 +210,7 @@ func TestPerSenderFIFO(t *testing.T) {
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				if got := DecodeInt64s(c.recv(0, 3))[0]; got != int64(i) {
+				if got := DecodeInt64s(c.recv(0, 3).data)[0]; got != int64(i) {
 					return fmt.Errorf("message %d arrived as %d", i, got)
 				}
 			}
@@ -217,7 +226,7 @@ func TestSendrecvExchange(t *testing.T) {
 		p := c.Size()
 		right, left := (c.Rank()+1)%p, (c.Rank()-1+p)%p
 		c.send(right, 5, EncodeInt64s(int64(c.Rank())))
-		if got := DecodeInt64s(c.recv(left, 5))[0]; got != int64(left) {
+		if got := DecodeInt64s(c.recv(left, 5).data)[0]; got != int64(left) {
 			return fmt.Errorf("got %d from left, want %d", got, left)
 		}
 		return nil

@@ -53,7 +53,7 @@ func TestStressRandomPointToPoint(t *testing.T) {
 					if tags[k] != tag {
 						continue
 					}
-					data := c.recv(src, tag)
+					data := c.recv(src, tag).data
 					if len(data) != len(expect[k]) {
 						return fmt.Errorf("rank %d from %d tag %d: got %d bytes, want %d",
 							c.Rank(), src, tag, len(data), len(expect[k]))

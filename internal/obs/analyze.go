@@ -182,14 +182,17 @@ func newGraph(events []Event) *graph {
 // that a rank that entered a collective before its last peer waited on
 // that peer, whatever it did meanwhile.
 func CriticalPath(events []Event) []Event {
-	if len(events) == 0 {
-		return nil
-	}
 	g := newGraph(events)
-	// Start from the latest-finishing node (ties: last in total order).
-	start := 0
+	// Start from the latest-finishing node. On a tie a span beats an
+	// instant (replayed logs are stamped at the makespan, after the run),
+	// then the last in total order wins.
+	start := -1
 	for i, e := range events {
-		if e.Layer != LayerSched && finish(e) >= finish(events[start]) {
+		if e.Layer == LayerSched {
+			continue
+		}
+		if start < 0 || finish(e) > finish(events[start]) ||
+			finish(e) == finish(events[start]) && (e.Dur > 0 || events[start].Dur == 0) {
 			start = i
 		}
 	}
@@ -214,24 +217,18 @@ func CriticalPath(events []Event) []Event {
 func finish(e Event) sim.VTime { return e.T + e.Dur }
 
 // PathSummary buckets a critical path by (layer, kind, tag) — the "what
-// is the bottleneck made of" view. Each event is charged only the path
-// time it adds: from the latest finish before it on the path (or its own
-// start, if later) to its own finish. A phase span is charged none of the
-// time its nested events already account for, and a grant none of the
-// release's chain it waited out, so the durations sum to at most the
-// path's span.
+// is the bottleneck made of" view. Each event is charged the part of its
+// span that no earlier event on the path covers: a grant none of the
+// release's chain it waited out, a phase span only the time between the
+// events nested in it. Path time is charged once, so the durations sum to
+// the union of the path's spans.
 func PathSummary(path []Event) []LayerStat {
 	charged := slices.Clone(path)
-	var reached sim.VTime
+	var covered interval.List
 	for i, e := range path {
-		from := e.T
-		if i > 0 {
-			from = max(from, reached)
-		}
-		charged[i].Dur = max(0, finish(e)-from)
-		if i == 0 || finish(e) > reached {
-			reached = finish(e)
-		}
+		own := interval.List{{Off: int64(e.T), Len: int64(e.Dur)}}
+		charged[i].Dur = sim.VTime(own.Subtract(covered).TotalLen())
+		covered = covered.Union(own)
 	}
 	return Attribution(charged)
 }
@@ -298,13 +295,10 @@ func Report(t *TraceData) string {
 		}
 	}
 	if path := CriticalPath(t.Events); len(path) > 0 {
-		span := finish(path[len(path)-1]) - path[0].T
-		fmt.Fprintf(&b, "\ncritical path: %d events spanning %d ns\n", len(path), int64(span))
+		fmt.Fprintf(&b, "\ncritical path: %d events spanning %d ns\n", len(path), int64(finish(path[len(path)-1])-path[0].T))
 		for _, s := range PathSummary(path) {
 			fmt.Fprintf(&b, "  %-28s %10d %14d\n", statName(s), s.Count, int64(s.Dur))
-			span -= s.Dur
 		}
-		fmt.Fprintf(&b, "  %-28s %10s %14d\n", "(untraced, between events)", "", int64(span))
 	}
 	if t.Metrics != nil {
 		b.WriteString("\nmetrics:\n")

@@ -145,18 +145,73 @@ func TestPathSummaryChargesPathTimeOnce(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("path = %v, want %v", got, want)
 	}
-	charged := map[string]sim.VTime{}
-	var sum sim.VTime
-	for _, s := range PathSummary(path) {
-		charged[statName(s)] = s.Dur
-		sum += s.Dur
-	}
+	charged, dark := pathCharges(path)
 	wantCharged := map[string]sim.VTime{"lock.grant": 5, "pfs.serve": 85, "lock.release": 10, "phase.span:transfer": 10}
 	if !reflect.DeepEqual(charged, wantCharged) {
 		t.Errorf("summary = %v, want %v", charged, wantCharged)
 	}
-	if span := finish(path[len(path)-1]) - path[0].T; sum != span {
-		t.Errorf("summary sums to %d ns, want the path's span %d", sum, span)
+	if dark != 0 {
+		t.Errorf("the summary leaves %d ns of the path's span uncharged", dark)
+	}
+}
+
+// pathCharges returns what PathSummary charges each bucket of path, and
+// the path's span minus their sum: the path time charged to nothing.
+func pathCharges(path []Event) (map[string]sim.VTime, sim.VTime) {
+	charged := map[string]sim.VTime{}
+	dark := finish(path[len(path)-1]) - path[0].T
+	for _, s := range PathSummary(path) {
+		charged[statName(s)] = s.Dur
+		dark -= s.Dur
+	}
+	return charged, dark
+}
+
+// TestPathSummaryChargesAnEnclosingSpanItsGap is the locking shape: after
+// its grant a rank spends 20 ns on its side of the link before the server
+// serves its piece, and its transfer phase, which spans both, is appended
+// after the serve. The phase is charged the gap no other event covers.
+// While each event was charged only the time past the latest finish before
+// it, the phase closed after the serve was charged nothing and the gap
+// nothing either.
+func TestPathSummaryChargesAnEnclosingSpanItsGap(t *testing.T) {
+	rec := NewRecorder(1, 0)
+	for _, e := range []Event{
+		{T: 0, Layer: LayerLock, Kind: KindLockGrant, Peer: -1, Off: 0, Len: 100, Dur: 10},
+		{T: 0, Layer: LayerPhase, Kind: KindPhaseSpan, Tag: "lockwait", Peer: -1, Dur: 10},
+		{T: 30, Layer: LayerPFS, Kind: KindServe, Peer: 0, Dur: 50},
+		{T: 10, Layer: LayerPhase, Kind: KindPhaseSpan, Tag: "transfer", Peer: -1, Dur: 70},
+		{T: 80, Layer: LayerLock, Kind: KindLockRelease, Peer: -1, Off: 0, Len: 100, Dur: 5},
+	} {
+		rec.Emit(e)
+	}
+	path := CriticalPath(rec.Events())
+	if len(path) != 5 {
+		t.Fatalf("path = %+v, want all five events", path)
+	}
+	charged, dark := pathCharges(path)
+	want := map[string]sim.VTime{"lock.grant": 10, "phase.span:lockwait": 0, "pfs.serve": 50, "phase.span:transfer": 20, "lock.release": 5}
+	if !reflect.DeepEqual(charged, want) || dark != 0 {
+		t.Errorf("summary = %v with %d ns charged to nothing, want %v and none", charged, dark, want)
+	}
+}
+
+// TestCriticalPathStartsAtASpan: recovery replays rank 1's log after the
+// run, an instant stamped at the makespan, when rank 0's write finishes.
+// The path ends at that write, the work that took the run to its
+// makespan, not at the replay on rank 1, whose path would leave rank 1's
+// idle end charged to nothing.
+func TestCriticalPathStartsAtASpan(t *testing.T) {
+	rec := NewRecorder(2, 0)
+	rec.Emit(Event{T: 0, Actor: 0, Layer: LayerPFS, Kind: KindServe, Peer: 0, Dur: 100})
+	rec.Emit(Event{T: 0, Actor: 1, Layer: LayerPFS, Kind: KindServe, Peer: 1, Dur: 50})
+	rec.Emit(Event{T: 100, Actor: 1, Layer: LayerPFS, Kind: KindWALReplay, Peer: -1})
+	path := CriticalPath(rec.Events())
+	if end := path[len(path)-1]; end.Actor != 0 || end.Kind != KindServe {
+		t.Errorf("the path ends at %+v, want rank 0's write", end)
+	}
+	if _, dark := pathCharges(path); dark != 0 {
+		t.Errorf("%d ns of the path are charged to nothing", dark)
 	}
 }
 

@@ -329,10 +329,12 @@ func TestAffinityOverwriteAcrossServers(t *testing.T) {
 func TestStoredWriteAllocatesPerRecord(t *testing.T) {
 	const runs = 300
 	for _, mode := range []StripeMode{RoundRobin, ClientAffinity} {
-		// allocs is the mean number of objects a write allocates. The race
-		// detector's runtime adds a fraction of an object per run, which
-		// AllocsPerRun's whole-object floor turns into one more in some
-		// measurements and not in others; the unfloored mean does not.
+		// allocs is the mean number of objects a write allocates, over the
+		// cleanest of several loops of runs. The race detector's runtime
+		// adds a fraction of an object per run, which AllocsPerRun's
+		// whole-object floor turns into one more in some measurements and
+		// not in others; the unfloored mean does not. Allocations by other
+		// goroutines only add to a loop's mean, so the least is the write's.
 		allocs := func(extents int, named, store bool) float64 {
 			b := Batch{Ext: make(interval.List, extents)}
 			for i := range b.Ext {
@@ -347,24 +349,29 @@ func TestStoredWriteAllocatesPerRecord(t *testing.T) {
 				c.Write(b)
 			}
 			write()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for range runs {
-				write()
+			least := math.Inf(1)
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range runs {
+					write()
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, float64(after.Mallocs-before.Mallocs)/runs)
 			}
-			runtime.ReadMemStats(&after)
-			return float64(after.Mallocs-before.Mallocs) / runs
+			return least
 		}
 		// One object either way is slack for the race detector's runtime,
 		// which allocates differently for large objects; a per-extent or
 		// per-growth allocation would show as thousands or a dozen, a
 		// copied list as one more object.
 		for _, named := range []bool{false, true} {
-			if small, large := allocs(16, named, true), allocs(4096, named, true); math.Abs(small-large) > 1 {
+			small, large, plain := allocs(16, named, true), allocs(4096, named, true), allocs(4096, named, false)
+			if math.Abs(small-large) > 1 {
 				t.Errorf("%s: a stored write of 16 extents (writers named: %v) allocates %v objects, of 4096 extents %v", mode, named, small, large)
 			}
-			if lent, plain := allocs(4096, named, true), allocs(4096, named, false); lent-plain >= 2.5 {
-				t.Errorf("%s: a write (writers named: %v) allocates %v objects stored, %v unstored", mode, named, lent, plain)
+			if large-plain >= 2.5 {
+				t.Errorf("%s: a write (writers named: %v) allocates %v objects stored, %v unstored", mode, named, large, plain)
 			}
 		}
 	}
