@@ -263,9 +263,7 @@ func TestFigure7ClippedViews(t *testing.T) {
 	for _, v := range views {
 		surrendered += v.TotalLen()
 	}
-	for _, o := range index.Winners(views) {
-		surrendered -= o.Len
-	}
+	index.EachWinner(views, func(run interval.Extent, _ int) { surrendered -= run.Len })
 	if surrendered != int64((p-1)*r*m) {
 		t.Fatalf("surrendered = %d, want %d", surrendered, (p-1)*r*m)
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"slices"
 	"sort"
 
 	"atomio/internal/interval"
@@ -17,9 +15,9 @@ import (
 // paper's handshaking methods. Ranks exchange file views, the aggregate
 // span is split into P contiguous, disjoint *file domains*, and an exchange
 // phase routes every rank's data to the domain owners (alltoall). Each
-// owner merges the pieces it received through index.Winners(views) — the
-// one highest-rank-wins map, shared per collective, that RankOrder's clips
-// are grouped from — and issues one mostly-contiguous write for its domain.
+// owner resolves only its own domain — as ROMIO's aggregators do — merging
+// the shared views of the ranks that sent to it highest-rank-wins, and
+// issues one mostly-contiguous write for its domain.
 //
 // MPI atomicity holds by construction: file domains are disjoint, so after
 // the exchange no two processes write the same byte, and every contested
@@ -37,10 +35,10 @@ func (TwoPhase) WriteAll(ctx *Context, req interval.List) error {
 	hs := ctx.span(trace.PhaseHandshake)
 	defer hs.Stop()
 	views := ExchangeViews(comm, req)
-	// Who owns which byte is the same on every rank: one sweep, shared.
-	owners := shared(comm, func() []index.Owned { return index.Winners(views) })
+	// The aggregate span is the same on every rank: one pass, shared.
+	span := shared(comm, func() interval.Extent { return aggregateSpan(views) })
 	hs.Stop()
-	if len(owners) == 0 {
+	if span.Empty() {
 		// Nothing to write anywhere; only the collective's closing
 		// synchronization remains.
 		sw := ctx.span(trace.PhaseSyncWait)
@@ -48,21 +46,16 @@ func (TwoPhase) WriteAll(ctx *Context, req interval.List) error {
 		sw.Stop()
 		return nil
 	}
-	// The runs cover what the views cover: first to last is the aggregate span.
-	span := interval.Extent{Off: owners[0].Off, Len: owners[len(owners)-1].End() - owners[0].Off}
 	domains := newFileDomains(span, comm.Size())
 
-	// Phase 1: route each of my extents to the domain owners.
+	// Phase 1: send each domain owner my bytes in its domain.
 	parts := route(req, domains)
 	ex := ctx.span(trace.PhaseExchange)
 	recv := comm.Alltoall(parts)
 	ex.Stop()
 
-	// Phase 2: merge received pieces highest-rank-wins and write my domain.
-	merged, err := mergePieces(recv, domains.at(comm.Rank()), owners, ctx.Client.KeepsWriters())
-	if err != nil {
-		return err
-	}
+	// Phase 2: merge my senders' views highest-rank-wins and write my domain.
+	merged := mergeDomain(recv, views, domains.at(comm.Rank()), ctx.Client.KeepsWriters())
 	k, crashed := ctx.crashPoint(len(merged.Ext))
 	xfer := ctx.span(trace.PhaseTransfer)
 	ctx.Client.Write(merged.Slice(0, k))
@@ -79,6 +72,18 @@ func (TwoPhase) WriteAll(ctx *Context, req interval.List) error {
 	comm.Barrier()
 	sw.Stop()
 	return nil
+}
+
+// aggregateSpan returns the first offset to the last end the canonical
+// views cover: empty when they cover nothing.
+func aggregateSpan(views []interval.List) interval.Extent {
+	var span interval.Extent
+	for _, v := range views {
+		if len(v) > 0 {
+			span = span.Union(interval.Extent{Off: v[0].Off, Len: v[len(v)-1].End() - v[0].Off})
+		}
+	}
+	return span
 }
 
 // fileDomains splits span into n contiguous disjoint domains of near-equal
@@ -116,15 +121,14 @@ func (d fileDomains) owner(off int64) int {
 // wire the exchange is timed as.
 const pieceHeader = 16
 
-// route cuts a request at the domain boundaries into pieces and groups them
-// into one Alltoall part per owner. Extents ascend in file order and so do
-// domains, so the parts come out in ascending owner order, and each extent
-// starts at its first owner and walks forward only while domains still
-// intersect it — O(1 + owners touched) per extent. A part's Size is what
-// the wire would carry, a header plus the bytes of each piece; its Data is
-// the pieces' extents, an interval.List shared with the owner, never
-// copied. The walk runs twice, to count and then to fill, so each list is
-// allocated once, at its size.
+// route prices the exchange: one Alltoall part per domain owner that a
+// request's bytes fall in, its Size what the wire would carry — a header
+// plus the bytes of each piece the domain boundaries cut the request into.
+// Extents ascend in file order and so do domains, so the parts come out in
+// ascending owner order, and each extent starts at its first owner and
+// walks forward only while domains still intersect it — O(1 + owners
+// touched) per extent. The walk runs twice, to count and then to price, so
+// the parts are allocated once, at their number.
 func route(req interval.List, domains fileDomains) []mpi.Part {
 	each := func(visit func(owner int, ov interval.Extent)) {
 		for _, e := range req {
@@ -135,79 +139,57 @@ func route(req interval.List, domains fileDomains) []mpi.Part {
 			}
 		}
 	}
-	npieces, nparts, last := 0, 0, -1
+	nparts, last := 0, -1
 	each(func(owner int, _ interval.Extent) {
-		npieces++
 		if owner != last {
 			nparts, last = nparts+1, owner
 		}
 	})
-	pieces, parts := make(interval.List, 0, npieces), make([]mpi.Part, 0, nparts)
-	first := 0 // the current part's first piece
+	parts := make([]mpi.Part, 0, nparts)
 	each(func(owner int, ov interval.Extent) {
 		if n := len(parts); n == 0 || parts[n-1].Peer != owner {
-			if n > 0 {
-				parts[n-1].Data = pieces[first:]
-			}
-			parts, first = append(parts, mpi.Part{Peer: owner}), len(pieces)
+			parts = append(parts, mpi.Part{Peer: owner})
 		}
-		pieces = append(pieces, ov)
 		parts[len(parts)-1].Size += pieceHeader + ov.Len
 	})
-	if n := len(parts); n > 0 {
-		parts[n-1].Data = pieces[first:]
-	}
 	return parts
 }
 
-// mergePieces combines the parts received from every rank (in ascending
-// sender order, as Alltoall delivers them) into one batch of disjoint,
-// offset-sorted extents covering at most the owner's domain, with the
-// pieces of the highest sending rank winning every overlap. It names the
-// rank each extent's data is from whenever writers is set — the file keeps
-// who wrote each byte, and the aggregator writes on other ranks' behalf.
-// It decides nothing itself: it walks the runs of owners — the
-// collective's shared index.Winners map — inside the domain with one
-// cursor per sender, emitting one extent per (piece ∩ run). Pieces short of a run their sender's view wins are an
-// error naming the sender, never a panic.
-func mergePieces(recv []mpi.Part, domain interval.Extent, owners []index.Owned, writers bool) (pfs.Batch, error) {
-	rest := make([]interval.List, len(recv)) // by sender's place in recv: its pieces not yet passed
+// mergeDomain is an owner's batch for its domain: the highest-rank-wins map
+// of the views of the ranks that sent to it — recv, in ascending sender
+// order, as Alltoall delivers it — clipped to the domain. A rank that sent
+// nothing covers no byte of the domain, so the map there is the
+// collective's. Each sender's row of the shared views is cut to the
+// extents that reach into the domain — two binary searches, no copy — and
+// each run of index.EachWinner is clipped to the domain, in file order,
+// naming the sender whose data it is whenever writers is set: the file
+// keeps who wrote each byte, and the aggregator writes on other ranks'
+// behalf. Requests are canonical (fileview.Extents coalesces touching
+// pieces), so each run clipped to the domain is exactly the one piece of
+// the sender's it falls in: extent counts, and with them the per-extent
+// charges and virtual times, are those of merging the pieces route prices.
+func mergeDomain(recv []mpi.Part, views []interval.List, domain interval.Extent, writers bool) pfs.Batch {
+	rows, n := make([]interval.List, len(recv)), 0
 	for k, pt := range recv {
-		rest[k], _ = pt.Data.(interval.List)
+		v := views[pt.Peer]
+		lo := sort.Search(len(v), func(i int) bool { return v[i].End() > domain.Off })
+		hi := lo + sort.Search(len(v)-lo, func(i int) bool { return v[lo+i].Off >= domain.End() })
+		rows[k], n = v[lo:hi], n+hi-lo
 	}
-	lo := sort.Search(len(owners), func(i int) bool { return owners[i].End() > domain.Off })
-	hi := max(lo, sort.Search(len(owners), func(i int) bool { return owners[i].Off >= domain.End() }))
 	var merged pfs.Batch
-	merged.Ext = make(interval.List, 0, hi-lo) // exact unless a run spans several pieces
+	merged.Ext = make(interval.List, 0, n) // a hint: exact when no higher rank splits or hides an extent
 	if writers {
-		merged.Writers = make([]int, 0, hi-lo)
+		merged.Writers = make([]int, 0, n)
 	}
-	for _, o := range owners[lo:hi] {
-		k, found := slices.BinarySearchFunc(recv, o.Rank, func(pt mpi.Part, rank int) int { return pt.Peer - rank })
-		var ps interval.List
-		if found {
-			ps = rest[k]
-		}
-		run := o.Intersect(domain)
-		for at := run.Off; at < run.End(); {
-			for len(ps) > 0 && ps[0].End() <= at { // wholly before at: lost to higher ranks, or merged
-				ps = ps[1:]
-			}
-			if len(ps) == 0 || ps[0].Off > at {
-				return pfs.Batch{}, fmt.Errorf("from rank %d: core: two-phase pieces do not cover %v from %d, which the sender's view wins", o.Rank, run, at)
-			}
-			n := min(ps[0].End(), run.End())
-			merged.Ext = append(merged.Ext, interval.Extent{Off: at, Len: n - at})
+	index.EachWinner(rows, func(run interval.Extent, k int) {
+		if run = run.Intersect(domain); !run.Empty() {
+			merged.Ext = append(merged.Ext, run)
 			if writers {
-				merged.Writers = append(merged.Writers, o.Rank)
+				merged.Writers = append(merged.Writers, recv[k].Peer)
 			}
-			at = n
 		}
-		if found {
-			rest[k] = ps
-		}
-	}
-	return merged, nil // pieces never reached lost to higher ranks: unread
+	})
+	return merged
 }
 
 var _ Strategy = TwoPhase{}

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -56,25 +55,161 @@ func TestFileDomains(t *testing.T) {
 	}
 }
 
-// part is a received part of pieces from rank from.
-func part(from int, pieces ...interval.Extent) mpi.Part {
-	return mpi.Part{Peer: from, Data: interval.List(pieces)}
-}
-
-// viewsOf recovers the views a set of received parts came from: each
-// sender's view is the union of its pieces.
-func viewsOf(recv []mpi.Part) []interval.List {
-	views := make([]interval.List, len(recv))
-	for k, pt := range recv {
-		views[k] = slices.Clone(pt.Data.(interval.List)).Normalize()
+// exchange runs both phases of a collective over views with n domain
+// owners, as TwoPhase does but without the communicator: each rank routes
+// its view, each owner is delivered the parts addressed to it in ascending
+// sender order and merges its domain. It returns the domains and each
+// owner's parts and batch.
+func exchange(views []interval.List, n int, writers bool) (fileDomains, [][]mpi.Part, []pfs.Batch) {
+	domains := newFileDomains(aggregateSpan(views), n)
+	inbox := make([][]mpi.Part, n)
+	for rank, v := range views {
+		for _, pt := range route(v, domains) {
+			inbox[pt.Peer] = append(inbox[pt.Peer], mpi.Part{Peer: rank, Size: pt.Size})
+		}
 	}
-	return views
+	batches := make([]pfs.Batch, n)
+	for owner := range batches {
+		batches[owner] = mergeDomain(inbox[owner], views, domains.at(owner), writers)
+	}
+	return domains, inbox, batches
 }
 
-// mergeReceived merges recv, sent by ranks 0..len-1, against the winners map
-// of its own pieces.
-func mergeReceived(recv []mpi.Part, domain interval.Extent) (pfs.Batch, error) {
-	return mergePieces(recv, domain, index.Winners(viewsOf(recv)), true)
+// winnersCut is the oracle of the domain merge, the map it replaced: the
+// collective's highest-rank-wins runs over every view, cut at the domain
+// boundaries, in file order.
+func winnersCut(views []interval.List, domains fileDomains) pfs.Batch {
+	var b pfs.Batch
+	index.EachWinner(views, func(run interval.Extent, rank int) {
+		for owner := domains.owner(run.Off); owner < domains.n; owner++ {
+			if cut := run.Intersect(domains.at(owner)); !cut.Empty() {
+				b.Ext, b.Writers = append(b.Ext, cut), append(b.Writers, rank)
+			}
+		}
+	})
+	return b
+}
+
+// price is what route charges an owner for the bytes of req in domain: a
+// header and the bytes of each piece.
+func price(req interval.List, domain interval.Extent) int64 {
+	var size int64
+	for _, e := range req {
+		if ov := e.Intersect(domain); !ov.Empty() {
+			size += pieceHeader + ov.Len
+		}
+	}
+	return size
+}
+
+// randCanonical draws a canonical view of up to k extents below limit.
+func randCanonical(r *rand.Rand, k int, limit int64) interval.List {
+	var l interval.List
+	for range r.Intn(k + 1) {
+		l = append(l, ext(r.Int63n(limit), 1+r.Int63n(max(limit/8, 1))))
+	}
+	return l.Normalize()
+}
+
+// TestDomainMergeMatchesGlobalWinners pins the two-phase merge: with every
+// owner resolving only its own domain from the shared views, the owners'
+// batches — extents and writers — concatenate to the collective's winners
+// map cut at the domain boundaries; a file that keeps no writers gets the
+// same extents alone; each owner hears from exactly the ranks whose views
+// reach into its domain, priced a header and the bytes per piece; and views
+// that cover nothing leave an empty span, which TwoPhase writes nothing
+// for.
+func TestDomainMergeMatchesGlobalWinners(t *testing.T) {
+	r := rand.New(rand.NewSource(54))
+	shapes := map[string]func(p int) []interval.List{
+		"random": func(p int) []interval.List {
+			views := make([]interval.List, p)
+			for rank := range views {
+				views[rank] = randCanonical(r, 6, 400)
+			}
+			return views
+		},
+		"some empty": func(p int) []interval.List {
+			views := make([]interval.List, p)
+			for rank := range views {
+				if r.Intn(2) == 0 {
+					views[rank] = randCanonical(r, 6, 400)
+				}
+			}
+			return views
+		},
+		"span shorter than P": func(p int) []interval.List { // chunk 0: every domain but the last is empty
+			views := make([]interval.List, p)
+			for rank := range views {
+				views[rank] = randCanonical(r, 2, max(int64(p)-1, 1))
+			}
+			return views
+		},
+		"one covers all": func(p int) []interval.List {
+			views := make([]interval.List, p)
+			for rank := range views {
+				views[rank] = randCanonical(r, 6, 400)
+			}
+			views[r.Intn(p)] = interval.List{ext(0, 500)}
+			return views
+		},
+	}
+	for name, shape := range shapes {
+		for _, p := range []int{1, 2, 3, 7, 64} {
+			for round := range 40 {
+				views := shape(p)
+				if aggregateSpan(views).Empty() {
+					if slices.ContainsFunc(views, func(v interval.List) bool { return len(v) > 0 }) {
+						t.Fatalf("%s P=%d round %d: empty span over %v", name, p, round, views)
+					}
+					continue
+				}
+				domains, inbox, batches := exchange(views, p, true)
+				var got pfs.Batch
+				for owner, b := range batches {
+					got.Ext, got.Writers = append(got.Ext, b.Ext...), append(got.Writers, b.Writers...)
+					var senders []int
+					for rank, v := range views {
+						if size := price(v, domains.at(owner)); size > 0 {
+							senders = append(senders, rank)
+							if k := slices.IndexFunc(inbox[owner], func(pt mpi.Part) bool { return pt.Peer == rank }); k < 0 || inbox[owner][k].Size != size {
+								t.Fatalf("%s P=%d round %d: owner %d received %v, want %d B from rank %d", name, p, round, owner, inbox[owner], size, rank)
+							}
+						}
+					}
+					if len(senders) != len(inbox[owner]) {
+						t.Fatalf("%s P=%d round %d: owner %d received %v, want parts from %v", name, p, round, owner, inbox[owner], senders)
+					}
+				}
+				want := winnersCut(views, domains)
+				if !slices.Equal(got.Ext, want.Ext) || !slices.Equal(got.Writers, want.Writers) {
+					t.Fatalf("%s P=%d round %d: owners merged %v by %v, the winners cut at the domains are %v by %v\nviews=%v",
+						name, p, round, got.Ext, got.Writers, want.Ext, want.Writers, views)
+				}
+				_, _, lengths := exchange(views, p, false)
+				for owner, b := range lengths {
+					if !slices.Equal(b.Ext, batches[owner].Ext) || b.Writers != nil {
+						t.Fatalf("%s P=%d round %d: a file that keeps no writers gets %v by %v from owner %d", name, p, round, b.Ext, b.Writers, owner)
+					}
+				}
+			}
+		}
+	}
+	if span := aggregateSpan(make([]interval.List, 5)); !span.Empty() {
+		t.Fatalf("all-empty views span %v", span)
+	}
+}
+
+// senders lists, as Alltoall delivers them, the parts of the ranks whose
+// views reach into domain.
+func senders(views []interval.List, domain interval.Extent) []mpi.Part {
+	var recv []mpi.Part
+	for rank, v := range views {
+		if size := price(v, domain); size > 0 {
+			recv = append(recv, mpi.Part{Peer: rank, Size: size})
+		}
+	}
+	return recv
 }
 
 // writerImage renders a merged batch as the writer of each of the first n
@@ -95,11 +230,8 @@ func writerImage(b pfs.Batch, n int64) ([]int, bool) {
 
 func TestMergePiecesHighestRankWins(t *testing.T) {
 	domain := ext(0, 100)
-	recv := []mpi.Part{part(0, ext(0, 50)), part(1, ext(25, 50)), part(2, ext(40, 20))}
-	merged, err := mergeReceived(recv, domain)
-	if err != nil {
-		t.Fatal(err)
-	}
+	views := []interval.List{{ext(0, 50)}, {ext(25, 50)}, {ext(40, 20)}}
+	merged := mergeDomain(senders(views, domain), views, domain, true)
 	img, ok := writerImage(merged, 100)
 	if !ok {
 		t.Fatalf("merged extents overlap: %v", merged.Ext)
@@ -122,74 +254,43 @@ func TestMergePiecesHighestRankWins(t *testing.T) {
 }
 
 func TestMergePiecesClampsToDomain(t *testing.T) {
-	merged, err := mergeReceived([]mpi.Part{part(0, ext(0, 100))}, ext(40, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
+	views := []interval.List{{ext(0, 100)}}
+	merged := mergeDomain(senders(views, ext(40, 20)), views, ext(40, 20), true)
 	if !slices.Equal(merged.Ext, interval.List{ext(40, 20)}) || !slices.Equal(merged.Writers, []int{0}) {
 		t.Fatalf("merged %v by %v", merged.Ext, merged.Writers)
 	}
 }
 
-// TestMergePiecesFailsLoudly feeds the merge pieces that fall short of a run
-// the winners map gives their sender: each is an error naming the sender.
-func TestMergePiecesFailsLoudly(t *testing.T) {
-	domain := ext(0, 100)
-	low := part(0, ext(0, 50))
-	owners := index.Winners([]interval.List{{ext(0, 50)}, {ext(10, 4), ext(20, 4)}})
-	if _, err := mergePieces([]mpi.Part{low, part(1, ext(10, 4), ext(20, 4))}, domain, owners, true); err != nil {
-		t.Fatalf("covering pieces: %v", err)
-	}
-	for name, tc := range map[string]struct {
-		recv []mpi.Part
-		want string
-	}{
-		"gap inside a run":     {[]mpi.Part{low, part(1, ext(10, 2), ext(20, 4))}, "do not cover [10,14) from 12"},
-		"run starts uncovered": {[]mpi.Part{low, part(1, ext(11, 3), ext(20, 4))}, "do not cover [10,14) from 10"},
-		"pieces end early":     {[]mpi.Part{low, part(1, ext(10, 4))}, "do not cover [20,24) from 20"},
-		"no pieces at all":     {[]mpi.Part{low, part(1)}, "do not cover [10,14) from 10"},
-		"no part at all":       {[]mpi.Part{low}, "do not cover [10,14) from 10"},
-	} {
-		_, err := mergePieces(tc.recv, domain, owners, true)
-		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "from rank 1") {
-			t.Errorf("%s: err = %v, want one from rank 1 containing %q", name, err, tc.want)
-		}
-	}
-}
-
-// randPieces draws one sender's pieces the way the routing produces them:
-// ascending, disjoint (at times touching) pieces.
-func randPieces(r *rand.Rand, dom int64) []interval.Extent {
-	var out []interval.Extent
+// randPieces draws one rank's view as a request lists it: ascending,
+// disjoint (at times touching) extents, normalized.
+func randPieces(r *rand.Rand, dom int64) interval.List {
+	var out interval.List
 	off := int64(r.Intn(20))
 	for k := r.Intn(5); k > 0 && off < dom; k-- {
 		n := min(1+int64(r.Intn(30)), dom-off)
 		out = append(out, ext(off, n))
 		off += n + int64(r.Intn(3)/2*r.Intn(20)) // touching two times in three
 	}
-	return out
+	return out.Normalize()
 }
 
 func TestQuickMergeMatchesHighestRankModel(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		const dom = 120
-		p := 1 + r.Intn(4)
-		recv := make([]mpi.Part, p)
+		views := make([]interval.List, 1+r.Intn(4))
 		model := slices.Repeat([]int{-1}, dom) // winning rank per byte, -1 = unwritten
-		for src := range recv {
-			recv[src] = part(src, randPieces(r, dom)...)
-			for _, pc := range recv[src].Data.(interval.List) {
-				// src ascends, so the later (higher) rank always wins.
-				for o := pc.Off; o < pc.End(); o++ {
-					model[o] = src
+		for rank := range views {
+			views[rank] = randPieces(r, dom)
+			for _, e := range views[rank] {
+				// rank ascends, so the later (higher) rank always wins.
+				for o := e.Off; o < e.End(); o++ {
+					model[o] = rank
 				}
 			}
 		}
-		merged, err := mergeReceived(recv, ext(0, dom))
-		if err != nil {
-			return false
-		}
+		domain := ext(0, dom)
+		merged := mergeDomain(senders(views, domain), views, domain, true)
 		img, ok := writerImage(merged, dom)
 		return ok && slices.Equal(img, model)
 	}
@@ -198,17 +299,17 @@ func TestQuickMergeMatchesHighestRankModel(t *testing.T) {
 	}
 }
 
-// setMergePieces is the merge as it stood before the shared winners map —
-// the oracle of TestMergeSegmentsMatchSetMerge. Pieces are processed from
-// the highest rank down; each claims, as maximal runs, only the bytes not
-// yet claimed, tracked in a flag per domain byte, and the claims — each
-// credited to its sender — are sorted into file order at the end.
-func setMergePieces(recv []mpi.Part, domain interval.Extent) pfs.Batch {
+// setMerge is a per-byte oracle of a domain's merge, as the merge stood
+// before the winners map: each sender's view inside the domain, from the
+// highest rank down, claims as maximal runs only the bytes not yet
+// claimed — a flag per domain byte — and the claims, each credited to its
+// sender, are sorted into file order at the end.
+func setMerge(views []interval.List, domain interval.Extent) pfs.Batch {
 	claimed := make([]bool, domain.Len)
 	var claims []index.Owned
-	for k := len(recv) - 1; k >= 0; k-- {
-		for _, pc := range recv[k].Data.(interval.List) {
-			ext, first := pc.Intersect(domain), len(claims) // the piece's first claim
+	for rank := len(views) - 1; rank >= 0; rank-- {
+		for _, e := range views[rank] {
+			ext, first := e.Intersect(domain), len(claims) // the extent's first claim
 			for off := ext.Off; off < ext.End(); off++ {
 				if claimed[off-domain.Off] {
 					continue
@@ -218,7 +319,7 @@ func setMergePieces(recv []mpi.Part, domain interval.Extent) pfs.Batch {
 					claims[n].Len++
 					continue
 				}
-				claims = append(claims, index.Owned{Extent: interval.Extent{Off: off, Len: 1}, Rank: recv[k].Peer})
+				claims = append(claims, index.Owned{Extent: interval.Extent{Off: off, Len: 1}, Rank: rank})
 			}
 		}
 	}
@@ -230,14 +331,12 @@ func setMergePieces(recv []mpi.Part, domain interval.Extent) pfs.Batch {
 	return b
 }
 
-// TestMergeSegmentsMatchSetMerge pins the cursor merge to its predecessor,
-// extent for extent — offsets, lengths and the sender each is credited
-// to — on the three partitioning patterns, with every extent cut in two
-// touching halves (non-canonical, as a fileview over a split datatype
-// produces) and domain boundaries that fall inside pieces. The pieces are
-// the ones route cuts, so the routing is pinned too. Extent-for-extent
-// matters beyond ownership: crashPoint counts extents and a write charges
-// per extent.
+// TestMergeSegmentsMatchSetMerge pins the domain merge to a per-byte set
+// merge, extent for extent — offsets, lengths and the sender each is
+// credited to — on the three partitioning patterns, with domain
+// boundaries that fall inside view extents and as many owners as ranks,
+// more, or one. Extent-for-extent matters beyond ownership: crashPoint
+// counts extents and a write charges per extent.
 func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 	const m, n, p, r = 24, 48, 4, 4
 	patterns := map[string]func(rank int) (workload.Piece, error){
@@ -246,42 +345,21 @@ func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 		"block":  func(rank int) (workload.Piece, error) { return workload.BlockBlock(m, n, 2, 2, r, rank) },
 	}
 	for name, pattern := range patterns {
-		reqs := make([]interval.List, p)
 		views := make([]interval.List, p)
-		for rank := range reqs {
+		for rank := range views {
 			piece, err := pattern(rank)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range piece.Filetype.Flatten() {
-				half := e.Len / 2
-				reqs[rank] = append(reqs[rank], ext(e.Off, half), ext(e.Off+half, e.Len-half))
-			}
-			views[rank] = reqs[rank].Normalize()
+			views[rank] = interval.List(piece.Filetype.Flatten()).Normalize()
 		}
-		owners := index.Winners(views)
-		span := ext(owners[0].Off, owners[len(owners)-1].End()-owners[0].Off)
 		for _, n := range []int{p, 7, 1} {
-			domains := newFileDomains(span, n)
-			inbox := make([][]mpi.Part, n) // by owner
-			for rank, req := range reqs {
-				for _, pt := range route(req, domains) {
-					inbox[pt.Peer] = append(inbox[pt.Peer], mpi.Part{Peer: rank, Size: pt.Size, Data: pt.Data})
-				}
-			}
-			for owner, recv := range inbox {
+			domains, _, batches := exchange(views, n, true)
+			for owner, merged := range batches {
 				domain := domains.at(owner)
-				merged, err := mergePieces(recv, domain, owners, true)
-				if err != nil {
-					t.Fatalf("%s %v: %v", name, domain, err)
-				}
-				// A file that keeps no writers is handed the extents alone.
-				if lengths, _ := mergePieces(recv, domain, owners, false); !slices.Equal(lengths.Ext, merged.Ext) || lengths.Writers != nil {
-					t.Fatalf("%s %v: a merge for a file that keeps no writers gives %v, writers %v", name, domain, lengths.Ext, lengths.Writers)
-				}
-				want := setMergePieces(recv, domain)
+				want := setMerge(views, domain)
 				if len(want.Ext) == 0 || !slices.Equal(merged.Ext, want.Ext) || !slices.Equal(merged.Writers, want.Writers) {
-					t.Fatalf("%s %v: cursor merge gave %v by %v, set merge %v by %v",
+					t.Fatalf("%s %v: domain merge gave %v by %v, set merge %v by %v",
 						name, domain, merged.Ext, merged.Writers, want.Ext, want.Writers)
 				}
 			}
@@ -289,11 +367,11 @@ func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 	}
 }
 
-// fuzzPieces reads one sender's pieces from b: an offset step (signed, so
-// pieces need not ascend) and a length byte, then that many bytes the piece
-// skips — fewer at b's end.
-func fuzzPieces(b []byte) []interval.Extent {
-	var out []interval.Extent
+// fuzzView reads one rank's view from b: an offset step (signed, so
+// extents need not ascend) and a length byte, then that many bytes the
+// extent skips — fewer at b's end — normalized.
+func fuzzView(b []byte) interval.List {
+	var out interval.List
 	off := int64(0)
 	for len(b) >= 2 {
 		off += int64(int8(b[0]))
@@ -301,43 +379,39 @@ func fuzzPieces(b []byte) []interval.Extent {
 		out = append(out, ext(off, int64(n)))
 		b = b[2+n:]
 	}
-	return out
+	return out.Normalize()
 }
 
-// FuzzMergePieces: whatever pieces three ranks send, the merge returns an
-// error or offset-sorted, disjoint, non-empty extents inside the domain,
-// each inside a piece of the rank it is credited to. The winners map comes
-// from the pieces — or, with swap, from the wrong ranks' pieces, so that it
-// promises bytes the senders do not hold.
+// FuzzMergePieces: whatever views three ranks hold, an owner that hears
+// from all of them merges, for any domain, offset-sorted, disjoint,
+// non-empty extents inside the domain, each inside the view of the rank it
+// is credited to — the winners map over the views cut to the domain.
 func FuzzMergePieces(f *testing.F) {
-	f.Add([]byte{0, 50}, []byte{25, 50}, []byte{40, 20}, int64(0), int64(100), false)
-	f.Add([]byte{0, 100}, []byte{}, []byte{}, int64(40), int64(20), true)
+	f.Add([]byte{0, 50}, []byte{25, 50}, []byte{40, 20}, int64(0), int64(100))
+	f.Add([]byte{0, 100}, []byte{}, []byte{}, int64(40), int64(20))
 	f.Add([]byte{42, 5, 'h', 'e', 'l', 'l', 'o', 100, 0, 0x80, 3, 1, 2, 3}, []byte{1, 2, 3},
-		[]byte{0, 3, 'a', 'b', 'c'}, int64(-200), int64(400), false)
-	f.Fuzz(func(t *testing.T, a, b, c []byte, off, n int64, swap bool) {
-		sent := [][]byte{a, b, c}
-		recv := make([]mpi.Part, len(sent))
-		for k, s := range sent {
-			recv[k] = part(k, fuzzPieces(s)...)
-		}
-		views := viewsOf(recv)
-		if swap {
-			views[0], views[2] = views[2], views[0]
-		}
-		domain := ext(off, n)
-		merged, err := mergePieces(recv, domain, index.Winners(views), true)
-		if err != nil {
+		[]byte{0, 3, 'a', 'b', 'c'}, int64(-200), int64(400))
+	f.Fuzz(func(t *testing.T, a, b, c []byte, off, n int64) {
+		if n < 0 || n > 1<<40 || off < -1<<40 || off > 1<<40 { // domains are spans of a file
 			return
 		}
+		views := []interval.List{fuzzView(a), fuzzView(b), fuzzView(c)}
+		recv := []mpi.Part{{Peer: 0}, {Peer: 1}, {Peer: 2}}
+		domain := ext(off, n)
+		merged := mergeDomain(recv, views, domain, true)
 		at := domain.Off
 		for i, e := range merged.Ext {
 			if e.Empty() || e.Off < at || e.End() > domain.End() {
 				t.Fatalf("extent %v after %d in domain %v", e, at, domain)
 			}
 			at = e.End()
-			if !slices.ContainsFunc(recv[merged.Writers[i]].Data.(interval.List), func(pc interval.Extent) bool { return pc.ContainsExtent(e) }) {
-				t.Fatalf("extent %v credited to rank %d, which sent no piece holding it", e, merged.Writers[i])
+			if !slices.ContainsFunc(views[merged.Writers[i]], func(v interval.Extent) bool { return v.ContainsExtent(e) }) {
+				t.Fatalf("extent %v credited to rank %d, whose view does not hold it", e, merged.Writers[i])
 			}
+		}
+		want := winnersCut(views, newFileDomains(domain, 1))
+		if !slices.Equal(merged.Ext, want.Ext) || !slices.Equal(merged.Writers, want.Writers) {
+			t.Fatalf("merged %v by %v, the winners in %v are %v by %v", merged.Ext, merged.Writers, domain, want.Ext, want.Writers)
 		}
 	})
 }

@@ -11,7 +11,6 @@ import (
 	"atomio/internal/platform"
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
-	"atomio/internal/sim/fault"
 	"atomio/internal/verify"
 )
 
@@ -270,7 +269,7 @@ func TestExploreStrategies(t *testing.T) {
 // schedule of locking, two-phase and coloring at P=3. The verdict never
 // tears and never depends on the schedule.
 func TestExploreFaults(t *testing.T) {
-	for _, script := range fault.Builtins() {
+	for _, script := range builtinScripts() {
 		for _, strategy := range []string{"locking", "twophase", "coloring"} {
 			e := faultExperiment(strategy)
 			e.Procs, e.N = 3, 384

@@ -10,6 +10,14 @@ import (
 	"atomio/internal/verify"
 )
 
+// builtinScripts are the named fault scripts, in registration order.
+func builtinScripts() []fault.Script {
+	return []fault.Script{
+		fault.ServerOutage(), fault.ServerBlip(), fault.UnlockDropLease(),
+		fault.UnlockDupScript(), fault.LockReorder(), fault.WriterCrashEarly(),
+	}
+}
+
 // faultExperiment is the base cell the end-to-end fault tests perturb: a
 // small column-wise overlapping write on Origin2000 with content checking.
 // The strategy pool is the platform's methods plus two-phase (which
@@ -163,7 +171,7 @@ func TestFaultHealthyRunUnaffected(t *testing.T) {
 // without recovery: identical verdicts, replay sets, reports, timings and
 // server stats. TestExploreFaults explores the delayed schedules.
 func TestFaultVerdictsByteIdenticalAcrossEngines(t *testing.T) {
-	for _, script := range fault.Builtins() {
+	for _, script := range builtinScripts() {
 		script := script
 		for _, recovery := range []bool{false, true} {
 			name := script.Name

@@ -126,3 +126,33 @@ func TestLockingCellAllocatesFewObjectsPerRank(t *testing.T) {
 		}
 	}
 }
+
+// TestTwoPhaseCellAllocatesFewObjectsPerRank bounds the heap objects the
+// P=64 two-phase scaling cell allocates per rank: 86 while the collective
+// built one winners map of the whole file, each sender copied its request
+// into routed piece lists and each owner walked them against the map; 24
+// (26 under the race detector) once each aggregator merges its own domain
+// from the shared views.
+func TestTwoPhaseCellAllocatesFewObjectsPerRank(t *testing.T) {
+	const maxPerRank = 30
+	for _, c := range runner.ScalingGridTo(64) {
+		e := c.Experiment
+		if e.Strategy.Name() != "twophase" {
+			continue
+		}
+		if _, err := e.Run(); err != nil { // warm up, as TestLockingCellAllocatesFewObjectsPerRank does
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perRank := float64(after.Mallocs-before.Mallocs) / float64(e.Procs)
+		t.Logf("%s: %.1f objects per rank", c.ID, perRank)
+		if perRank > maxPerRank {
+			t.Errorf("%s allocated %.1f objects per rank; ceiling %d", c.ID, perRank, maxPerRank)
+		}
+	}
+}

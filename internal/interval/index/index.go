@@ -3,7 +3,7 @@
 // stabbing and range-overlap queries (Index), a streamed k-way sweep-line
 // that computes the pairwise overlaps or ownership of many extent lists, or
 // the owners and covering views of a write log's bytes, in one pass and
-// O(P) state (SweepOverlaps, Winners/ClipAll, Sweep); and the Slab that
+// O(P) state (SweepOverlaps, EachWinner/ClipAll, Sweep); and the Slab that
 // recycles the index's nodes and its caller's per-request objects.
 //
 // Every conflict-answering layer of the repository queries byte ranges —

@@ -228,6 +228,15 @@ func TestQuickSweepShapesMatchOracles(t *testing.T) {
 	}
 }
 
+// Winners is EachWinner's runs collected into the offset-sorted, coalesced
+// map of who owns which bytes: every byte any view covers appears in
+// exactly one run, owned by the highest rank whose view covers it.
+func Winners(views []interval.List) []Owned {
+	var out []Owned
+	EachWinner(views, func(run interval.Extent, rank int) { out = append(out, Owned{run, rank}) })
+	return out
+}
+
 // TestWinnersMatchesByteModel pins the ownership map to the per-byte
 // highest-rank array: runs ascend, cover exactly the written bytes, name the
 // highest covering rank and are maximal (neighbours that touch differ in
@@ -386,7 +395,7 @@ func allocated(f func()) uint64 {
 
 // TestSweepScratchIsIndependentOfExtentCount holds the sweep's memory: with
 // P fixed, 64 times the extents cost SweepOverlaps and Sweep no more
-// bytes, and ClipAll and Winners only their output.
+// bytes, EachWinner none, and ClipAll only its output.
 func TestSweepScratchIsIndependentOfExtentCount(t *testing.T) {
 	const p = 16
 	var sink any
@@ -402,7 +411,11 @@ func TestSweepScratchIsIndependentOfExtentCount(t *testing.T) {
 			sink = bytes
 		}, 0},
 		{"ClipAll", func(v []interval.List) { sink = ClipAll(v) }, unsafe.Sizeof(interval.Extent{})},
-		{"Winners", func(v []interval.List) { sink = Winners(v) }, unsafe.Sizeof(Owned{})},
+		{"EachWinner", func(v []interval.List) {
+			bytes := int64(0)
+			EachWinner(v, func(run interval.Extent, _ int) { bytes += run.Len })
+			sink = bytes
+		}, 0},
 	} {
 		var scratch [2]int64
 		for i, extents := range []int{1 << 10, 1 << 16} {

@@ -185,19 +185,22 @@ type Owned struct {
 // String renders the run as its extent and rank, "[off,end)=rank".
 func (o Owned) String() string { return fmt.Sprintf("%v=%d", o.Extent, o.Rank) }
 
-// winners is the highest-rank-wins rule of the paper's §3.3.2, the one
-// implementation behind Winners and ClipAll: it partitions the union of the
-// views into maximal runs over which one rank is the highest writer and
-// emits them in file order. A rank's runs never touch (a higher rank owns
-// what lies between them) and two neighbouring runs differ in rank.
-func (m *merger) winners(emit func(run interval.Extent, rank int)) {
-	endOf := make([]int64, len(m.cur)) // end of each rank's latest extent
+// EachWinner streams the highest-rank-wins rule of the paper's §3.3.2, the
+// one implementation behind ClipAll and the two-phase merge: it partitions
+// the union of the lists into maximal runs over which one list — the
+// highest-numbered covering the bytes — is the top writer, and emits each
+// run and its list's id in file order. A list's runs never touch (a higher
+// list owns what lies between them) and two neighbouring runs differ in
+// id. It holds O(len(lists)) state and builds no output of its own.
+func EachWinner(lists []interval.List, emit func(run interval.Extent, id int)) {
+	m := newMerger(normalized(lists))
+	endOf := make([]int64, len(m.cur)) // end of each list's latest extent
 	for r := range endOf {
 		endOf[r] = math.MinInt64 // never opened: closed everywhere
 	}
-	top, from := -1, int64(0) // the highest open rank owns [from, …)
-	// settle closes the top rank's extents ending at or before upto; the
-	// next highest rank still open inherits the bytes.
+	top, from := -1, int64(0) // the highest open list owns [from, …)
+	// settle closes the top list's extents ending at or before upto; the
+	// next highest list still open inherits the bytes.
 	settle := func(upto int64) {
 		for top >= 0 && endOf[top] <= upto {
 			emit(interval.Extent{Off: from, Len: endOf[top] - from}, top)
@@ -220,27 +223,14 @@ func (m *merger) winners(emit func(run interval.Extent, rank int)) {
 	settle(math.MaxInt64)
 }
 
-// Winners computes the offset-sorted, coalesced map of who owns which bytes
-// under the highest-rank-wins rule: every byte any view covers appears in
-// exactly one run, owned by the highest rank whose view covers it.
-func Winners(views []interval.List) []Owned {
-	m, n := newMerger(normalized(views)), 0
-	for _, c := range m.cur {
-		n += len(c.ext)
-	}
-	out := make([]Owned, 0, n) // a hint: exact when no extent is split
-	m.winners(func(run interval.Extent, rank int) { out = append(out, Owned{run, rank}) })
-	return out
-}
-
-// ClipAll computes every rank's clipped view under the same rule — Winners
-// grouped by rank: result[r] covers exactly the bytes of views[r] covered
-// by no higher-ranked view, the all-ranks form of subtracting the union of
-// higher views from each view in O(E log P) total, not O(P·E) per rank.
+// ClipAll computes every rank's clipped view under the same rule —
+// EachWinner's runs grouped by rank: result[r] covers exactly the bytes of
+// views[r] covered by no higher-ranked view, the all-ranks form of
+// subtracting the union of higher views from each view in O(E log P) total,
+// not O(P·E) per rank.
 func ClipAll(views []interval.List) []interval.List {
 	out := make([]interval.List, len(views))
-	m := newMerger(normalized(views))
-	m.winners(func(run interval.Extent, rank int) {
+	EachWinner(views, func(run interval.Extent, rank int) {
 		if out[rank] == nil { // a hint: a view split by higher ranks keeps more pieces
 			out[rank] = make(interval.List, 0, len(views[rank]))
 		}

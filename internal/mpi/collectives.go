@@ -131,13 +131,11 @@ func (c *Comm) Allgather(data []byte) [][]byte {
 
 // Part is one message of an Alltoall: Size modelled bytes between the
 // calling rank and rank Peer — the receiver of a part handed to Alltoall,
-// the sender of one it returns. Data rides along by reference and may be
-// anything, or nil when only the timing matters; it is never copied, and
-// its size is never read, so Size alone prices the message.
+// the sender of one it returns. No content travels: a receiver that needs
+// its senders' data reads it from a table they share.
 type Part struct {
 	Peer int
 	Size int64
-	Data any
 }
 
 // Alltoall sends each part to its Peer and returns the parts sent to this
@@ -146,12 +144,8 @@ type Part struct {
 // rank-s. The form is sparse — parts name distinct peers in ascending
 // order, and a peer without a part is sent an empty message — so a rank
 // that routes to few peers costs O(parts), not P, in host memory. A part
-// for the caller itself is delivered untimed.
-//
-// Data is shared, not copied: a receiver reads the sender's very value, so
-// neither side may write what it points at until both are done with it —
-// in practice until a later synchronizing collective. The returned slice
-// is read-only.
+// for the caller itself is delivered untimed. The returned slice is
+// read-only.
 func (c *Comm) Alltoall(parts []Part) []Part {
 	for i, pt := range parts {
 		c.checkRank(pt.Peer)

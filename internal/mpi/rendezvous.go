@@ -180,7 +180,7 @@ func (rv *rendezvous) bucket(n int, key func(from int, pt Part) int) (out []Part
 	for from, parts := range rv.parts {
 		for _, pt := range parts {
 			k := key(from, pt)
-			out[fill[k]] = Part{Peer: from, Size: pt.Size, Data: pt.Data}
+			out[fill[k]] = Part{Peer: from, Size: pt.Size}
 			fill[k]++
 		}
 	}

@@ -60,13 +60,13 @@ func newScheduleCase(rng *rand.Rand, procs int, split bool) scheduleCase {
 
 // parts draws the alltoall parts of rank of a communicator of size ranks:
 // about half the peers, the rank itself included at times, and sizes that
-// are zero at times too, with the (sender, receiver) pair as Data.
+// are zero at times too.
 func (tc scheduleCase) parts(rank, size int) []Part {
 	rng := rand.New(rand.NewSource(tc.seed + int64(rank)))
 	var out []Part
 	for peer := range size {
 		if rng.Intn(2) == 0 {
-			out = append(out, Part{Peer: peer, Size: int64(sizes[rng.Intn(len(sizes))]), Data: [2]int{rank, peer}})
+			out = append(out, Part{Peer: peer, Size: int64(sizes[rng.Intn(len(sizes))])})
 		}
 	}
 	return out
@@ -195,7 +195,7 @@ func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 				for from := range members {
 					for _, pt := range tc.parts(from, len(members)) {
 						if pt.Peer == me {
-							want = append(want, Part{Peer: from, Size: pt.Size, Data: [2]int{from, me}})
+							want = append(want, Part{Peer: from, Size: pt.Size})
 						}
 					}
 				}

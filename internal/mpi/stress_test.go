@@ -88,14 +88,15 @@ func TestStressCollectiveStorm(t *testing.T) {
 					return fmt.Errorf("dup allgather corrupted")
 				}
 			}
-			// Parts are shared with their receivers: built fresh, never reused.
+			// Each part's size names its iteration, sender and receiver.
+			size := func(src, dst int) int64 { return int64((iter*dup.Size()+src)*dup.Size() + dst) }
 			parts := make([]Part, dup.Size())
 			for dst := range parts {
-				parts[dst] = Part{Peer: dst, Size: 24, Data: EncodeInt64s(int64(iter), int64(c.Rank()), int64(dst))}
+				parts[dst] = Part{Peer: dst, Size: size(c.Rank(), dst)}
 			}
 			for src, pt := range dup.Alltoall(parts) {
-				if v := DecodeInt64s(pt.Data.([]byte)); pt.Peer != src || v[0] != int64(iter) || v[1] != int64(src) || v[2] != int64(c.Rank()) {
-					return fmt.Errorf("dup alltoall iter %d: from %d got %v", iter, src, v)
+				if pt.Peer != src || pt.Size != size(src, c.Rank()) {
+					return fmt.Errorf("dup alltoall iter %d: from %d got %+v", iter, src, pt)
 				}
 			}
 			for r, b := range sub.Allgather(EncodeInt64s(int64(iter), int64(c.Rank()))) {

@@ -14,7 +14,6 @@ import (
 	"atomio/internal/interval/index"
 	"atomio/internal/mpi"
 	"atomio/internal/obs"
-	"atomio/internal/pfs"
 	"atomio/internal/sim"
 	"atomio/internal/sim/des"
 	"atomio/internal/trace"
@@ -37,7 +36,7 @@ func TestWriteReadRoundTripThroughView(t *testing.T) {
 				if cached {
 					cfg.Cache = cachingFS().Config().Cache
 				}
-				fs, mgr := pfs.MustNew(cfg), testMgr()
+				fs, mgr := fsOf(cfg), testMgr()
 				reqs := make([]interval.List, p)
 				runOn(t, des.New().NewCoord(p), fs, mgr, func(c *mpi.Comm) error {
 					piece, err := workload.ColumnWise(m, n, p, r, c.Rank())
@@ -57,7 +56,7 @@ func TestWriteReadRoundTripThroughView(t *testing.T) {
 					reqs[c.Rank()] = f.View().Extents(0, piece.BufBytes)
 					return f.Close()
 				})
-				owners, err := fs.Owners("rt.dat")
+				owners, err := ownersOf(fs, "rt.dat")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,7 +134,7 @@ func TestSuccessiveWritesAdvancePointer(t *testing.T) {
 		}
 		return f.Close()
 	})
-	owners, err := fs.Owners("adv.dat")
+	owners, err := ownersOf(fs, "adv.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestWriteAllSized(t *testing.T) {
 		}
 		return f.Close()
 	})
-	owners, _ := fs.Owners("sized.dat")
+	owners, _ := ownersOf(fs, "sized.dat")
 	if want := []index.Owned{{Extent: intervalExt(0, 8)}, {Extent: intervalExt(16, 8)}, {Extent: intervalExt(32, 8)}}; !reflect.DeepEqual(owners, want) {
 		t.Errorf("stored owners %v, want %v", owners, want)
 	}
@@ -264,7 +263,7 @@ func TestIndependentWriteAtomicWithLocking(t *testing.T) {
 		}
 		return f.Close()
 	})
-	owners, err := fs.Owners("indep.dat")
+	owners, err := ownersOf(fs, "indep.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,15 +333,14 @@ func TestMultiTileWriteAppendsSlabs(t *testing.T) {
 		}
 		return f.Close()
 	})
-	size, err := fs.FileSize("tiles.dat")
+	owners, err := ownersOf(fs, "tiles.dat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size != 2*4*8 {
-		t.Fatalf("file size = %d, want two full slabs (%d)", size, 2*4*8)
+	if n := len(owners); n == 0 || owners[0].Off != 0 || owners[n-1].End() != 2*4*8 {
+		t.Fatalf("written runs %v, want two full slabs (%d bytes)", owners, 2*4*8)
 	}
 	// Both slabs' overlap columns hold the higher rank's data.
-	owners, _ := fs.Owners("tiles.dat")
 	for slab := int64(0); slab < 2; slab++ {
 		off := slab*32 + 3 // row 0, overlapped column 3 of that slab
 		i := slices.IndexFunc(owners, func(o index.Owned) bool { return o.Overlaps(interval.Extent{Off: off, Len: 1}) })

@@ -16,7 +16,7 @@ import (
 func listioFS() *pfs.FileSystem {
 	cfg := testFS().Config()
 	cfg.AtomicListIO = true
-	return pfs.MustNew(cfg)
+	return fsOf(cfg)
 }
 
 func TestListIOStrategyIsAtomic(t *testing.T) {

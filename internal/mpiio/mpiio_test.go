@@ -20,9 +20,34 @@ import (
 	"atomio/internal/workload"
 )
 
+// fsOf is pfs.New for a static configuration.
+func fsOf(cfg pfs.Config) *pfs.FileSystem {
+	fs, err := pfs.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return fs
+}
+
+// ownersOf returns who wrote the named file: its stored bytes as
+// file-ordered maximal runs, each owned by the rank whose data the latest
+// write to those bytes carried — the records swept with no views.
+func ownersOf(fs *pfs.FileSystem, name string) ([]index.Owned, error) {
+	var log []index.Record
+	err := fs.EachRecord(name, func(r index.Record) { log = append(log, r) })
+	var out []index.Owned
+	index.Sweep(log, nil, func(p *index.Piece) {
+		if n := len(out) - 1; n < 0 || out[n].Rank != p.Owner || out[n].End() != p.Off {
+			out = append(out, index.Owned{Extent: interval.Extent{Off: p.Off}, Rank: p.Owner})
+		}
+		out[len(out)-1].Len += p.Len
+	})
+	return out, err
+}
+
 // testFS returns a small, fast, storing file system without caching.
 func testFS() *pfs.FileSystem {
-	return pfs.MustNew(pfs.Config{
+	return fsOf(pfs.Config{
 		Servers:     2,
 		StripeSize:  64,
 		ServerModel: sim.LinearCost{Latency: 10 * sim.Microsecond, BytesPerSec: 16 << 20},
@@ -39,7 +64,7 @@ func cachingFS() *pfs.FileSystem {
 		WriteBehind: true,
 		MemModel:    sim.LinearCost{Latency: 100, BytesPerSec: 1 << 30},
 	}
-	return pfs.MustNew(cfg)
+	return fsOf(cfg)
 }
 
 func testMgr() lock.Manager {

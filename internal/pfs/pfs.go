@@ -215,16 +215,6 @@ func New(cfg Config) (*FileSystem, error) {
 	}, nil
 }
 
-// MustNew is New panicking on an invalid configuration, for tests and
-// examples whose configurations are static.
-func MustNew(cfg Config) *FileSystem {
-	fs, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return fs
-}
-
 // Config returns the file system's configuration.
 func (fs *FileSystem) Config() Config { return fs.cfg }
 

@@ -13,6 +13,42 @@ import (
 
 func ext(off, l int64) interval.Extent { return interval.Extent{Off: off, Len: l} }
 
+// MustNew is New panicking on an invalid configuration, for tests whose
+// configurations are static.
+func MustNew(cfg Config) *FileSystem {
+	fs, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return fs
+}
+
+// Owners returns who wrote the named file: its stored bytes as file-ordered
+// maximal runs, each owned by the rank whose data the latest write to those
+// bytes carried — the records swept with no views. Bytes never written
+// belong to no run. A file system that keeps no records returns nil.
+func (fs *FileSystem) Owners(name string) ([]index.Owned, error) {
+	var log []index.Record
+	err := fs.EachRecord(name, func(r index.Record) { log = append(log, r) })
+	var out []index.Owned
+	index.Sweep(log, nil, func(p *index.Piece) {
+		if n := len(out) - 1; n < 0 || out[n].Rank != p.Owner || out[n].End() != p.Off {
+			out = append(out, index.Owned{Extent: interval.Extent{Off: p.Off}, Rank: p.Owner})
+		}
+		out[len(out)-1].Len += p.Len
+	})
+	return out, err
+}
+
+// FileSize returns the current size of the named file.
+func (fs *FileSystem) FileSize(name string) (int64, error) {
+	f, err := fs.lookup(name, false)
+	if err != nil {
+		return 0, err
+	}
+	return f.size, nil
+}
+
 func basicFS(servers int) *FileSystem {
 	return MustNew(Config{
 		Servers:     servers,

@@ -248,14 +248,3 @@ func DegradedGrid() []Cell {
 	}
 	return cells
 }
-
-// DegradedSmokeCell returns the smallest cell of the degraded grid that
-// actually perturbs a server — the cell CI's bench-smoke job runs.
-func DegradedSmokeCell() Cell {
-	for _, cell := range DegradedGrid() {
-		if cell.Experiment.Scenario.Perturbs() && cell.Experiment.Procs == 4 {
-			return cell
-		}
-	}
-	panic("runner: degraded grid has no perturbing cell")
-}

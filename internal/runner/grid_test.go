@@ -252,6 +252,17 @@ func TestDegradedGridShape(t *testing.T) {
 	}
 }
 
+// DegradedSmokeCell returns the smallest cell of the degraded grid that
+// actually perturbs a server — the cell CI's bench-smoke job runs.
+func DegradedSmokeCell() Cell {
+	for _, cell := range DegradedGrid() {
+		if cell.Experiment.Scenario.Perturbs() && cell.Experiment.Procs == 4 {
+			return cell
+		}
+	}
+	panic("runner: degraded grid has no perturbing cell")
+}
+
 func TestDegradedSmokeCellRunsWithStats(t *testing.T) {
 	cell := DegradedSmokeCell()
 	results := Run([]Cell{cell}, Options{Workers: 1})

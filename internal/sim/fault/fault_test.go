@@ -137,6 +137,14 @@ func TestGenerateRespectsParams(t *testing.T) {
 	}
 }
 
+// Builtins returns the named scripts in registration order.
+func Builtins() []Script {
+	return []Script{
+		ServerOutage(), ServerBlip(), UnlockDropLease(),
+		UnlockDupScript(), LockReorder(), WriterCrashEarly(),
+	}
+}
+
 // TestBuiltinsNamed pins that every built-in script carries a unique name
 // and a positive lease (fleet scripts must never stall).
 func TestBuiltinsNamed(t *testing.T) {

@@ -187,11 +187,3 @@ func WriterCrashEarly() Script {
 		Events: []Event{{Kind: WriterCrash, Owner: 1, Segments: 1}},
 	}
 }
-
-// Builtins returns the named scripts in registration order.
-func Builtins() []Script {
-	return []Script{
-		ServerOutage(), ServerBlip(), UnlockDropLease(),
-		UnlockDupScript(), LockReorder(), WriterCrashEarly(),
-	}
-}

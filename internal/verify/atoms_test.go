@@ -181,7 +181,7 @@ func TestCheckWindowedMatchesCheckBytes(t *testing.T) {
 	for _, mode := range []pfs.StripeMode{pfs.RoundRobin, pfs.ClientAffinity} {
 		for _, torn := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/torn=%v", mode, torn), func(t *testing.T) {
-				fs := pfs.MustNew(pfs.Config{Servers: 3, StripeSize: stripe, Mode: mode, StoreData: true})
+				fs := fsOf(pfs.Config{Servers: 3, StripeSize: stripe, Mode: mode, StoreData: true})
 				// image is the marker image of the writes made: each byte the
 				// marker of the rank that wrote it last, zero if none did.
 				image := make([]byte, big.End()+300)

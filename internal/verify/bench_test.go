@@ -14,7 +14,7 @@ import (
 func BenchmarkCheckFigure8Cell(b *testing.B) {
 	const p, rows = 16, 4096
 	views := columnViews(p, rows, 512, 32)
-	fs := pfs.MustNew(pfs.Config{Servers: 4, StripeSize: 64 << 10, StoreData: true})
+	fs := fsOf(pfs.Config{Servers: 4, StripeSize: 64 << 10, StoreData: true})
 	for rank, v := range views {
 		c, err := fs.Open("f", rank, sim.NewClock(0))
 		if err != nil {

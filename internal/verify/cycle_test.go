@@ -44,7 +44,7 @@ func TestOrderViolationDetectedAcrossAtoms(t *testing.T) {
 	// clean, jointly unserializable. This is the "interleaved at request
 	// granularity" failure of the paper's Figure 2 expressed at atom
 	// level.
-	fs := pfs.MustNew(pfs.Config{Servers: 1, StoreData: true})
+	fs := fsOf(pfs.Config{Servers: 1, StoreData: true})
 	clk := sim.NewClock(0)
 	c0, _ := fs.Open("f", 0, clk)
 	c1, _ := fs.Open("f", 1, clk)
@@ -79,7 +79,7 @@ func TestOrderViolationDetectedAcrossAtoms(t *testing.T) {
 
 func TestConsistentWinnersAcrossAtomsPass(t *testing.T) {
 	// Same two atoms, but rank 1 wins both: serializable as 0 then 1.
-	fs := pfs.MustNew(pfs.Config{Servers: 1, StoreData: true})
+	fs := fsOf(pfs.Config{Servers: 1, StoreData: true})
 	clk := sim.NewClock(0)
 	c0, _ := fs.Open("f", 0, clk)
 	c1, _ := fs.Open("f", 1, clk)

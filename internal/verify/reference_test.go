@@ -188,7 +188,7 @@ func randomLog(t *testing.T, r *rand.Rand, views []interval.List) (*pfs.FileSyst
 	if shape.cached = r.Intn(3) == 0; shape.cached {
 		cfg.Cache = pfs.CacheConfig{WriteBehind: true}
 	}
-	fs := pfs.MustNew(cfg)
+	fs := fsOf(cfg)
 	if shape.faulted = r.Intn(5) == 0; shape.faulted {
 		from := sim.VTime(r.Intn(20)) * sim.Microsecond
 		fs.SetFault(fault.New(fault.Script{Events: []fault.Event{

@@ -13,7 +13,16 @@ import (
 func ext(off, l int64) interval.Extent { return interval.Extent{Off: off, Len: l} }
 
 func newFS() *pfs.FileSystem {
-	return pfs.MustNew(pfs.Config{Servers: 1, StoreData: true})
+	return fsOf(pfs.Config{Servers: 1, StoreData: true})
+}
+
+// fsOf is pfs.New for a static configuration.
+func fsOf(cfg pfs.Config) *pfs.FileSystem {
+	fs, err := pfs.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return fs
 }
 
 func write(t *testing.T, fs *pfs.FileSystem, rank int, segs ...interval.Extent) {
