@@ -27,20 +27,11 @@ func (t Contiguous) Size() int64 { return int64(t.Count) * t.Base.Size() }
 // Extent implements Datatype.
 func (t Contiguous) Extent() int64 { return int64(t.Count) * t.Base.Extent() }
 
-// Flatten implements Datatype.
+// Flatten implements Datatype: it is the walk of a one-dimensional
+// subarray that selects its whole array.
 func (t Contiguous) Flatten() []interval.Extent {
-	if t.Count == 0 || t.Size() == 0 {
-		return nil
-	}
-	base, dense := flattenBase(t.Base)
-	if dense {
-		return []interval.Extent{{Off: 0, Len: t.Size()}}
-	}
-	var out []interval.Extent
-	for i := 0; i < t.Count; i++ {
-		out = appendShifted(out, base, int64(i)*t.Base.Extent())
-	}
-	return out
+	dims := [2]int{t.Count, 0}
+	return walk(dims[:1], dims[:1], dims[1:], t.Base)
 }
 
 // String implements Datatype.

@@ -92,24 +92,3 @@ func flattenBase(base Datatype) (flat []interval.Extent, dense bool) {
 		return flat, len(flat) == 1 && flat[0].Off == 0 && flat[0].Len == base.Size()
 	}
 }
-
-// coalesce appends seg to list, merging it with the last entry when they are
-// adjacent in both file order and logical order.
-func coalesce(list []interval.Extent, seg interval.Extent) []interval.Extent {
-	if seg.Empty() {
-		return list
-	}
-	if n := len(list); n > 0 && list[n-1].End() == seg.Off {
-		list[n-1].Len += seg.Len
-		return list
-	}
-	return append(list, seg)
-}
-
-// appendShifted appends base's segments shifted by off, coalescing.
-func appendShifted(list []interval.Extent, base []interval.Extent, off int64) []interval.Extent {
-	for _, s := range base {
-		list = coalesce(list, s.Shift(off))
-	}
-	return list
-}

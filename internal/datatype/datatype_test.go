@@ -236,3 +236,34 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+// TestFlattenAllocatesOneListAtItsSize pins the subarray walk to one
+// allocation, the result, at exactly its length — however many rows
+// coalesce — beside whatever the base's own Flatten allocates.
+func TestFlattenAllocatesOneListAtItsSize(t *testing.T) {
+	sparse := padded{Base: NewContiguous(2, Byte), Ext: 3}
+	for _, tc := range []struct {
+		name string
+		sa   Subarray
+		want int
+	}{
+		{"column-wise 4096 rows", NewSubarray([]int{4096, 4096}, []int{4096, 64}, []int{0, 128}, Byte), 4096},
+		// Rows of the two full trailing dimensions coalesce across a
+		// carry of dimension 1 into one extent per index of dimension 0.
+		{"3-D full trailing dims", NewSubarray([]int{6, 5, 8}, []int{3, 5, 8}, []int{1, 0, 0}, Elem{4, ""}), 1},
+		{"3-D partial middle dim", NewSubarray([]int{6, 5, 8}, []int{3, 2, 8}, []int{1, 3, 0}, Byte), 3},
+		{"non-dense base", NewSubarray([]int{4, 6}, []int{3, 4}, []int{1, 1}, sparse), 12},
+	} {
+		flat := checkFlat(t, tc.sa)
+		if len(flat) != tc.want || cap(flat) != len(flat) {
+			t.Errorf("%s: %d extents, cap %d; want %d at cap %d", tc.name, len(flat), cap(flat), tc.want, tc.want)
+		}
+		var base float64
+		if _, ok := tc.sa.Base.(Elem); !ok {
+			base = testing.AllocsPerRun(10, func() { tc.sa.Base.Flatten() })
+		}
+		if got := testing.AllocsPerRun(10, func() { tc.sa.Flatten() }); got != base+1 {
+			t.Errorf("%s: Flatten allocates %v objects, want 1 beyond the base's %v", tc.name, got, base)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package datatype
 
 import (
 	"fmt"
+	"slices"
 
 	"atomio/internal/interval"
 )
@@ -69,72 +70,103 @@ func (t Subarray) Extent() int64 {
 	return n * t.Base.Extent()
 }
 
-// stackDims is the rank up to which Flatten keeps its scratch on the stack.
+// stackDims is the rank up to which Flatten keeps its walk on the stack.
 const stackDims = 8
+
+// walkDim is one dimension of Flatten's walk: count positions, step bytes
+// apart, and the current position's index.
+type walkDim struct{ count, step, idx int64 }
 
 // Flatten implements Datatype.
 //
-// For a dense base the last dimension yields one segment per "row" of the
-// sub-block: prod(Subsizes[:N-1]) segments of Subsizes[N-1]*base bytes.
-// Adjacent rows coalesce automatically when the sub-block spans the full
-// width of the trailing dimensions.
+// The walk lays down one unit at each position of an odometer over the
+// sub-block's leading dimensions, row-major. For a dense base the unit is a
+// whole row, one segment of Subsizes[N-1]*base bytes; otherwise it is the
+// base's type map, and the last dimension is walked element by element.
+// Each position's offset advances by the innermost step and carries only
+// where a dimension wraps. Segments that touch coalesce as they are laid
+// down: adjacent rows do when the sub-block spans the full width of the
+// trailing dimensions. The list is allocated once, at its size.
 func (t Subarray) Flatten() []interval.Extent {
-	nd := len(t.Sizes)
-	be := t.Base.Extent()
+	return walk(t.Sizes, t.Subsizes, t.Starts, t.Base)
+}
 
-	// strides[d]: distance in elements between successive indices in dim d;
-	// idx: the current row index per leading dimension. Both live on the
-	// stack up to stackDims dimensions.
-	var stackStrides [stackDims]int64
-	var stackIdx [stackDims - 1]int
-	strides := append(stackStrides[:0], make([]int64, nd)...)
-	idx := append(stackIdx[:0], make([]int, nd-1)...)
-	strides[nd-1] = 1
-	for d := nd - 2; d >= 0; d-- {
-		strides[d] = strides[d+1] * int64(t.Sizes[d+1])
-	}
-
-	rowElems := int64(t.Subsizes[nd-1])
-	if rowElems == 0 {
+// walk is Flatten on the subarray's fields: the base alone leaks, so a
+// caller's dimensions stay on its stack.
+func walk(sizes, subsizes, starts []int, base Datatype) []interval.Extent {
+	nd := len(sizes)
+	be, bs := base.Extent(), base.Size()
+	if bs <= 0 || slices.Contains(subsizes, 0) {
 		return nil
 	}
-	// Count the rows (all dims but the last).
-	rows := int64(1)
-	for d := 0; d < nd-1; d++ {
-		if t.Subsizes[d] == 0 {
-			return nil
-		}
-		rows *= int64(t.Subsizes[d])
+	var stack [stackDims]walkDim
+	dims := stack[:]
+	if nd > stackDims {
+		dims = make([]walkDim, nd)
+	}
+	dims = dims[:nd]
+	off, stride := int64(0), be // the first position's offset; dimension d's step
+	for d := nd - 1; d >= 0; d-- {
+		dims[d] = walkDim{count: int64(subsizes[d]), step: stride}
+		off += int64(starts[d]) * stride
+		stride *= int64(sizes[d])
+	}
+	var whole [1]interval.Extent
+	unit, dense := flattenBase(base)
+	if dense {
+		whole[0] = interval.Extent{Len: dims[nd-1].count * bs}
+		unit, dims = whole[:], dims[:nd-1]
 	}
 
-	baseFlat, dense := flattenBase(t.Base)
-	var out []interval.Extent
-	if dense {
-		out = make([]interval.Extent, 0, rows)
-	}
-	for r := int64(0); r < rows; r++ {
-		// Element offset of this row's first element.
-		elemOff := int64(t.Starts[nd-1])
-		for d := 0; d < nd-1; d++ {
-			elemOff += int64(t.Starts[d]+idx[d]) * strides[d]
-		}
-		if dense {
-			out = coalesce(out, interval.Extent{Off: elemOff * be, Len: rowElems * t.Base.Size()})
-		} else {
-			for j := int64(0); j < rowElems; j++ {
-				out = appendShifted(out, baseFlat, (elemOff+j)*be)
+	out := make([]interval.Extent, flatLen(dims, unit))
+	n, end := 0, int64(0) // the extents laid down, and where the last one ends
+	for {
+		for _, s := range unit {
+			if n > 0 && off+s.Off == end {
+				out[n-1].Len += s.Len
+			} else {
+				out[n] = s.Shift(off)
+				n++
 			}
+			end = off + s.End()
 		}
-		// Advance the row index odometer (row-major).
-		for d := nd - 2; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < t.Subsizes[d] {
+		d := len(dims) - 1
+		for ; d >= 0; d-- {
+			w := &dims[d]
+			off += w.step
+			if w.idx++; w.idx < w.count {
 				break
 			}
-			idx[d] = 0
+			w.idx = 0
+			off -= w.count * w.step
+		}
+		if d < 0 {
+			return out[:n]
 		}
 	}
-	return out
+}
+
+// flatLen returns the number of extents Flatten lays down: every segment of
+// unit at every position, less each pair of successive positions whose
+// units touch. They touch when the offset advances by exactly the unit's
+// span, and the advance depends only on the dimension that steps.
+func flatLen(dims []walkDim, unit []interval.Extent) int {
+	positions := int64(1)
+	for _, w := range dims {
+		positions *= w.count
+	}
+	n := positions * int64(len(unit))
+	span := unit[len(unit)-1].End() - unit[0].Off
+	inner, back := int64(1), int64(0) // positions per step of d; the offset a carry into d rewinds
+	for d := len(dims) - 1; d >= 0; d-- {
+		w := dims[d]
+		if w.step-back == span {
+			n -= positions / (inner * w.count) * (w.count - 1)
+		}
+		inner *= w.count
+		back += (w.count - 1) * w.step
+	}
+	return int(n)
 }
 
 // String implements Datatype.

@@ -49,8 +49,10 @@ func New(disp int64, etype, filetype datatype.Datatype) View {
 			filetype.Size(), etype.Size()))
 	}
 	tile := interval.List(filetype.Flatten())
-	for i := range tile {
-		tile[i].Off += disp
+	if disp != 0 {
+		for i := range tile {
+			tile[i].Off += disp
+		}
 	}
 	return View{Disp: disp, Etype: etype, Filetype: filetype, tile: slices.Clip(tile)}
 }

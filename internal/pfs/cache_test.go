@@ -99,9 +99,8 @@ func TestWriteBehindWithoutStoreData(t *testing.T) {
 	if clk.Now() <= before {
 		t.Fatal("dataless sync charged no time")
 	}
-	size, _ := fs.FileSize("f")
-	if size != 128 {
-		t.Fatalf("size = %d", size)
+	if n := bookedBytes(fs); n != 128 {
+		t.Fatalf("servers booked %d bytes", n)
 	}
 }
 

@@ -69,8 +69,8 @@ type Config struct {
 	SegOverhead sim.VTime
 
 	// StoreData keeps who wrote each byte of every file — write records
-	// of extents and writers (see FileSystem.Owners). Off, a file keeps
-	// only its size.
+	// of extents and writers (see FileSystem.EachRecord). Off, a file
+	// keeps no record of its writes.
 	StoreData bool
 
 	// WAL enables the per-file write-ahead intent log: collective writes

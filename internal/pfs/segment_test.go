@@ -130,6 +130,10 @@ func TestWALWithoutStoreDataLogsExtents(t *testing.T) {
 	}
 	c0.Write(b0)
 	c1.Write(b1)
+	booked := fs.ServerStats()
+	if booked[0].Bytes != 0 || booked[1].Bytes != 8 {
+		t.Fatalf("servers booked %+v, want only rank 1's 8 bytes on server 1", booked)
+	}
 	replayed, err := fs.Recover("f")
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +141,9 @@ func TestWALWithoutStoreDataLogsExtents(t *testing.T) {
 	if want := []int{0}; !reflect.DeepEqual(replayed, want) {
 		t.Fatalf("replayed = %v, want %v", replayed, want)
 	}
-	if size, _ := fs.FileSize("f"); size != 16 {
-		t.Errorf("size after replay = %d, want 16", size)
+	// Replay writes into the store, which keeps nothing here: it books no
+	// server.
+	if got := fs.ServerStats(); !reflect.DeepEqual(got, booked) {
+		t.Errorf("replay booked the servers: %+v, before %+v", got, booked)
 	}
 }

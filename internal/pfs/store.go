@@ -15,11 +15,10 @@ type content interface {
 	records(visit func(r index.Record)) // the records, in log order
 }
 
-// file is one file's server-side state: its size, its content store (nil for
-// data-less runs), and the atomic-listio serialization point.
+// file is one file's server-side state: its content store (nil for
+// data-less runs) and the atomic-listio serialization point.
 type file struct {
 	name    string
-	size    int64
 	content content
 
 	// listioFreeAt is the virtual time at which the file's atomic-listio
@@ -43,25 +42,22 @@ func (fs *FileSystem) newFile(name string) *file {
 	return f
 }
 
-// growTo extends the file size to end if it is shorter.
-func (f *file) growTo(end int64) {
-	f.size = max(f.size, end)
-}
-
-// store appends b, client rank's call, to the file's write log and extends
-// the file size. A file without a content store only grows. One with a
-// store keeps the call's lists as they stand (see Batch), one record per
-// run of ascending extents — touching allowed, as an aggregator's batch of
-// several writers' extents has them; every strategy's call is one run — so
-// an extent that does not ascend past the one before starts the next
-// record, and a call's overlapping extents land in the order it wrote them.
+// store appends b, client rank's call, to the file's write log. A file
+// without a content store keeps nothing. One with a store keeps the call's
+// lists as they stand (see Batch), one record per run of ascending extents
+// — touching allowed, as an aggregator's batch of several writers' extents
+// has them; every strategy's call is one run — so an extent that does not
+// ascend past the one before starts the next record, and a call's
+// overlapping extents land in the order it wrote them.
 func (f *file) store(b Batch, rank int) {
+	if f.content == nil {
+		return
+	}
 	first, end := -1, int64(0) // the open record's first extent, and where its last nonempty one ends
 	for i, e := range b.Ext {
 		if e.Empty() {
 			continue
 		}
-		f.growTo(e.End())
 		if first >= 0 && end > e.Off {
 			f.record(b.Slice(first, i), rank)
 			first = -1
@@ -78,9 +74,7 @@ func (f *file) store(b Batch, rank int) {
 
 // record appends one run of b's ascending extents to the file's content.
 func (f *file) record(b Batch, rank int) {
-	if f.content != nil {
-		f.content.add(index.Record{Ext: b.Ext, Writers: b.Writers, Writer: rank})
-	}
+	f.content.add(index.Record{Ext: b.Ext, Writers: b.Writers, Writer: rank})
 }
 
 // writeLog is the append-only log of a file's write records, in the order
