@@ -56,7 +56,7 @@ func (s Locking) WriteAll(ctx *Context, req interval.List) error {
 		}
 		return nil
 	}
-	span := req.Span()
+	span := req.Bounds()
 	if span.Empty() {
 		return nil
 	}
@@ -74,7 +74,7 @@ func (s Locking) WriteAll(ctx *Context, req interval.List) error {
 		// issued and become damage. The lock still comes back (lease
 		// revocation on the real system); charging it as a normal release
 		// keeps the run deterministic.
-		ctx.Client.Damage(req[k:].Normalize())
+		ctx.Client.Damage(req[k:])
 	}
 	ctx.Client.Sync()
 	xfer.Stop()

@@ -269,6 +269,16 @@ func TestFigure7ClippedViews(t *testing.T) {
 	}
 }
 
+// canonical returns each view normalized, as a request's producers build
+// it and the sweeps take it.
+func canonical(views []interval.List) []interval.List {
+	out := make([]interval.List, len(views))
+	for i, v := range views {
+		out[i] = v.Normalize()
+	}
+	return out
+}
+
 // randViews draws bounded random view sets for the property tests.
 func randViews(r *rand.Rand, p int) []interval.List {
 	views := make([]interval.List, p)
@@ -388,7 +398,7 @@ func buildOverlapMatrixLinear(views []interval.List) OverlapMatrix {
 func TestSweepMatrixMatchesLinearOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for round := 0; round < 300; round++ {
-		views := randViews(r, 1+r.Intn(33))
+		views := canonical(randViews(r, 1+r.Intn(33)))
 		got := BuildOverlapMatrix(views)
 		want := buildOverlapMatrixLinear(views)
 		if got.String() != want.String() {
@@ -425,7 +435,7 @@ func TestSpanMatrixMatchesPairwiseOracle(t *testing.T) {
 func TestClipAllMatchesClipForRank(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	for round := 0; round < 200; round++ {
-		views := randViews(r, 1+r.Intn(33))
+		views := canonical(randViews(r, 1+r.Intn(33)))
 		clips := index.ClipAll(views)
 		for rank := range views {
 			want := ClipForRank(views, rank)
@@ -440,7 +450,8 @@ func TestClipAllMatchesClipForRank(t *testing.T) {
 // lazy closes: empty views, one-extent views, copies of an earlier view
 // (equal offsets across ranks), chains of touching and empty extents
 // [a,x) [x,x) [x,b), canonical views and unsorted overlapping ones, on
-// coordinates small enough that endpoints tie often.
+// coordinates small enough that endpoints tie often — each then made
+// canonical, as the strategies take them.
 func shapedViews(r *rand.Rand, p int) []interval.List {
 	views := make([]interval.List, p)
 	for i := range views {
@@ -464,7 +475,7 @@ func shapedViews(r *rand.Rand, p int) []interval.List {
 			views[i] = randViews(r, 1)[0]
 		}
 	}
-	return views
+	return canonical(views)
 }
 
 // TestSharedHandshakeAlgebraMatchesPerRankOracles pins what the strategies

@@ -80,7 +80,7 @@ func aggregateSpan(views []interval.List) interval.Extent {
 	var span interval.Extent
 	for _, v := range views {
 		if len(v) > 0 {
-			span = span.Union(interval.Extent{Off: v[0].Off, Len: v[len(v)-1].End() - v[0].Off})
+			span = span.Union(v.Bounds())
 		}
 	}
 	return span

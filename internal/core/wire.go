@@ -46,14 +46,14 @@ func shared[T any](comm *mpi.Comm, compute func() T) T {
 
 // ExchangeViews allgathers every rank's file extents — the process
 // handshake both the coloring and ordering strategies start with. The
-// result is indexed by rank. Extents are sent in canonical form, priced as
-// the 16 bytes per extent EncodeExtents would put on the wire.
+// result is indexed by rank. Each rank's extents are its request, canonical
+// as Strategy.WriteAll takes it, priced as the 16 bytes per extent
+// EncodeExtents would put on the wire.
 //
-// Views travel by reference: row r of the result is rank r's own canonical
-// list (its request itself when that is already canonical), and the result
-// is the same table on every rank. All of it is read-only.
+// Views travel by reference: row r of the result is rank r's request
+// itself, and the result is the same table on every rank. All of it is
+// read-only.
 func ExchangeViews(comm *mpi.Comm, mine interval.List) []interval.List {
-	mine = mine.Normalize()
 	return mpi.AllgatherOf(comm, mine, 16*int64(len(mine)))
 }
 
@@ -63,5 +63,5 @@ func ExchangeViews(comm *mpi.Comm, mine interval.List) []interval.List {
 // A span is priced as its two int64s; the result, as ExchangeViews', is one
 // read-only table shared by every rank.
 func ExchangeSpans(comm *mpi.Comm, mine interval.List) []interval.Extent {
-	return mpi.AllgatherOf(comm, mine.Span(), 16)
+	return mpi.AllgatherOf(comm, mine.Bounds(), 16)
 }

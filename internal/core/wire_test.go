@@ -57,21 +57,6 @@ func TestExchangeViews(t *testing.T) {
 	}
 }
 
-func TestExchangeViewsNormalizes(t *testing.T) {
-	runRanks(t, 2, func(c *mpi.Comm) error {
-		// Messy input: unsorted, touching extents.
-		mine := interval.List{{Off: 10, Len: 5}, {Off: 0, Len: 10}}
-		views := ExchangeViews(c, mine)
-		if !views[c.Rank()].IsCanonical() {
-			return fmt.Errorf("exchanged view not canonical: %v", views[c.Rank()])
-		}
-		if !slices.Equal(views[c.Rank()], interval.List{{Off: 0, Len: 15}}) {
-			return fmt.Errorf("view = %v", views[c.Rank()])
-		}
-		return nil
-	})
-}
-
 func TestExchangeSpans(t *testing.T) {
 	runRanks(t, 4, func(c *mpi.Comm) error {
 		mine := interval.List{

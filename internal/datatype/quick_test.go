@@ -60,19 +60,29 @@ func refCover(dt Datatype) map[int64]bool {
 }
 
 // randType draws a random derived-type tree of bounded depth and size.
+// Flatten's walk carries where one of its dimensions wraps into the next,
+// which takes a subarray of three or more dimensions, or one over a base
+// that is not dense; leaves are drawn with holes and subarrays up to 4-D
+// so that these are common (TestRandTypeDrawsCarryingWalks).
 func randType(r *rand.Rand, depth int) Datatype {
 	if depth == 0 {
-		if r.Intn(2) == 0 {
+		switch r.Intn(3) {
+		case 0:
 			return Byte
+		case 1:
+			return Elem{Width: int64(1 + r.Intn(4)), Name: ""}
+		default:
+			e := Elem{Width: int64(1 + r.Intn(3)), Name: ""}
+			lead := int64(r.Intn(3))
+			return padded{Base: e, Lead: lead, Ext: lead + e.Width + int64(r.Intn(3))}
 		}
-		return Elem{Width: int64(1 + r.Intn(4)), Name: ""}
 	}
 	base := randType(r, depth-1)
 	switch r.Intn(3) {
 	case 0:
 		return NewContiguous(r.Intn(4), base)
 	case 1:
-		nd := 1 + r.Intn(3)
+		nd := 1 + r.Intn(4)
 		sizes := make([]int, nd)
 		subs := make([]int, nd)
 		starts := make([]int, nd)
@@ -87,6 +97,39 @@ func randType(r *rand.Rand, depth int) Datatype {
 	default:
 		// A trailing hole: at least the natural extent.
 		return padded{Base: base, Ext: base.Extent() + int64(r.Intn(5))}
+	}
+}
+
+// carries reports whether dt holds a subarray whose walk carries: one of
+// three or more dimensions, or one over a base that is not dense.
+func carries(dt Datatype) bool {
+	switch t := dt.(type) {
+	case Subarray:
+		_, dense := flattenBase(t.Base)
+		return len(t.Sizes) >= 3 || !dense || carries(t.Base)
+	case Contiguous:
+		return carries(t.Base)
+	case padded:
+		return carries(t.Base)
+	}
+	return false
+}
+
+// TestRandTypeDrawsCarryingWalks holds the quick tests' generator to types
+// whose walk carries: at least a quarter of the types drawn, at the depths
+// the tests draw, from a fixed seed.
+func TestRandTypeDrawsCarryingWalks(t *testing.T) {
+	const n = 2000
+	r := rand.New(rand.NewSource(1))
+	carrying := 0
+	for range n {
+		if carries(randType(r, 1+r.Intn(2))) {
+			carrying++
+		}
+	}
+	t.Logf("%d of %d drawn types carry", carrying, n)
+	if 4*carrying < n {
+		t.Fatalf("only %d of %d drawn types carry; want at least a quarter", carrying, n)
 	}
 }
 

@@ -92,12 +92,56 @@ func TestQuickIndexMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// The sweeps take canonical lists and do not check them; the tests call
+// them through these wrappers, which do.
+
+// mustCanonical fails t unless every list is canonical, and returns lists.
+func mustCanonical(t testing.TB, lists []interval.List) []interval.List {
+	t.Helper()
+	for i, l := range lists {
+		if !l.IsCanonical() {
+			t.Fatalf("list %d is not canonical, as the sweeps require: %v", i, l)
+		}
+	}
+	return lists
+}
+
+func sweepOverlaps(t testing.TB, lists []interval.List) [][]int32 {
+	t.Helper()
+	return SweepOverlaps(mustCanonical(t, lists))
+}
+
+func clipAll(t testing.TB, views []interval.List) []interval.List {
+	t.Helper()
+	return ClipAll(mustCanonical(t, views))
+}
+
+func eachWinner(t testing.TB, lists []interval.List, emit func(run interval.Extent, id int)) {
+	t.Helper()
+	EachWinner(mustCanonical(t, lists), emit)
+}
+
+func sweep(t testing.TB, records []Record, views []interval.List, visit func(p *Piece)) {
+	t.Helper()
+	Sweep(records, mustCanonical(t, views), visit)
+}
+
+// canonical returns each list normalized, as the views' producers build
+// them.
+func canonical(lists []interval.List) []interval.List {
+	out := make([]interval.List, len(lists))
+	for i, l := range lists {
+		out[i] = l.Normalize()
+	}
+	return out
+}
+
 // shapedViews draws p lists from the shapes the streamed merge and the lazy
 // closes have to get right: empty lists, one-extent lists, exact copies of
 // an earlier list (every offset ties across lists), chains of touching and
 // empty extents [a,x) [x,x) [x,b) (a close and an open at the same
-// coordinate, within a list before normalization and across lists after),
-// already-canonical lists, and unsorted overlapping ones. Coordinates are
+// coordinate across lists once normalized), already-canonical lists, and
+// unsorted overlapping ones, each then made canonical. Coordinates are
 // small so ties are the common case.
 func shapedViews(r *rand.Rand, p int) []interval.List {
 	views := make([]interval.List, p)
@@ -122,7 +166,7 @@ func shapedViews(r *rand.Rand, p int) []interval.List {
 			views[i] = randList(r)
 		}
 	}
-	return views
+	return canonical(views)
 }
 
 // coverage is the per-byte model the sweep drivers are pinned to: for every
@@ -177,7 +221,7 @@ func TestQuickMergerMatchesSort(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(6))
 	for round := 0; round < 400; round++ {
-		lists := normalized(shapedViews(r, r.Intn(34)))
+		lists := shapedViews(r, r.Intn(34))
 		for _, rec := range randRecords(r, r.Intn(8)) {
 			lists = append(lists, rec.Ext)
 		}
@@ -209,8 +253,8 @@ func TestQuickSweepShapesMatchOracles(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for round := 0; round < 400; round++ {
 		views := shapedViews(r, 1+r.Intn(33))
-		w := SweepOverlaps(views)
-		clips := ClipAll(views)
+		w := sweepOverlaps(t, views)
+		clips := clipAll(t, views)
 		for i := range views {
 			for j := range views {
 				if want := i != j && views[i].Overlaps(views[j]); linked(w, i, j) != want {
@@ -231,9 +275,10 @@ func TestQuickSweepShapesMatchOracles(t *testing.T) {
 // Winners is EachWinner's runs collected into the offset-sorted, coalesced
 // map of who owns which bytes: every byte any view covers appears in
 // exactly one run, owned by the highest rank whose view covers it.
-func Winners(views []interval.List) []Owned {
+func Winners(t testing.TB, views []interval.List) []Owned {
+	t.Helper()
 	var out []Owned
-	EachWinner(views, func(run interval.Extent, rank int) { out = append(out, Owned{run, rank}) })
+	eachWinner(t, views, func(run interval.Extent, rank int) { out = append(out, Owned{run, rank}) })
 	return out
 }
 
@@ -246,7 +291,7 @@ func TestWinnersMatchesByteModel(t *testing.T) {
 	for round := 0; round < 400; round++ {
 		views := shapedViews(r, 1+r.Intn(33))
 		cover := coverage(views)
-		owners := Winners(views)
+		owners := Winners(t, views)
 		owner := make([]int, len(cover)) // rank+1 of the run holding each byte, 0 = none
 		grouped := make([]interval.List, len(views))
 		for k, o := range owners {
@@ -263,7 +308,7 @@ func TestWinnersMatchesByteModel(t *testing.T) {
 				t.Fatalf("round %d: byte %d goes to rank %d, covered by %v\nowners=%v\nviews=%v", round, b, owner[b]-1, c, owners, views)
 			}
 		}
-		if clips := ClipAll(views); !slices.EqualFunc(clips, grouped, slices.Equal[interval.List]) {
+		if clips := clipAll(t, views); !slices.EqualFunc(clips, grouped, slices.Equal[interval.List]) {
 			t.Fatalf("round %d: ClipAll = %v, Winners grouped by rank = %v", round, clips, grouped)
 		}
 	}
@@ -286,7 +331,7 @@ func TestSweepAtomsMatchesByteModel(t *testing.T) {
 		views := shapedViews(r, r.Intn(34))
 		recs := randRecords(r, r.Intn(10))
 		for v, l := range views { // some ranks lend their own view, as it stands, once or twice
-			if l.IsCanonical() && r.Intn(3) == 0 {
+			if r.Intn(3) == 0 {
 				recs = slices.Insert(recs, r.Intn(len(recs)+1), Record{Ext: l, Writer: v})
 			}
 		}
@@ -329,7 +374,7 @@ func TestSweepAtomsMatchesByteModel(t *testing.T) {
 		var got []atom
 		next := int64(0) // the first byte no piece has reached
 		where := func() string { return fmt.Sprintf("round %d: views %v\nrecords %+v", round, views, recs) }
-		Sweep(recs, views, func(p *Piece) {
+		sweep(t, recs, views, func(p *Piece) {
 			views := slices.Sorted(slices.Values(p.Views))
 			if p.Empty() || p.Off < next {
 				t.Fatalf("%s\npiece %+v is empty or starts before %d", where(), p, next)
@@ -440,9 +485,9 @@ func TestQuickSweepMatchesPairwise(t *testing.T) {
 		p := 1 + r.Intn(8)
 		views := make([]interval.List, p)
 		for i := range views {
-			views[i] = randList(r)
+			views[i] = randList(r).Normalize()
 		}
-		got := SweepOverlaps(views)
+		got := sweepOverlaps(t, views)
 		for i := 0; i < p; i++ {
 			for j := 0; j < p; j++ {
 				want := i != j && views[i].Overlaps(views[j])
@@ -485,9 +530,9 @@ func TestQuickClipAllMatchesSubtract(t *testing.T) {
 		p := 1 + r.Intn(6)
 		views := make([]interval.List, p)
 		for i := range views {
-			views[i] = randList(r)
+			views[i] = randList(r).Normalize()
 		}
-		got := ClipAll(views)
+		got := clipAll(t, views)
 		for rank := 0; rank < p; rank++ {
 			var higher interval.List
 			for j := rank + 1; j < p; j++ {

@@ -11,7 +11,7 @@ import (
 // merger streams the extents of P lists in (Off, list id) order: a P-way
 // merge run as a loser tree. Every list ascends — each extent opens at or
 // after the previous one's end, and empty ones are skipped — so a list has
-// at most one extent open at a time. A normalized list's next extent opens
+// at most one extent open at a time. A canonical list's next extent opens
 // strictly after the previous one closed; a write record's may touch it.
 // Each list has a cursor, so no list is re-sliced, and a drawn extent comes
 // with its index in its list.
@@ -48,8 +48,7 @@ type entry struct {
 // beats orders heads by offset, ties to the lower list id.
 func (a entry) beats(b entry) bool { return a.Off < b.Off || a.Off == b.Off && a.id < b.id }
 
-// newMerger merges lists as they stand; a caller whose lists may not ascend
-// passes them normalized.
+// newMerger merges lists as they stand: each must ascend.
 func newMerger(lists []interval.List) merger {
 	m := merger{cur: make([]cursor, len(lists)), node: make([]entry, max(len(lists), 1))}
 	for i, l := range lists {
@@ -108,21 +107,6 @@ func (m *merger) next() (interval.Extent, int, int) {
 	return e, id, k
 }
 
-// normalized returns lists with every list in canonical form: lists itself,
-// with no allocation, when all already are.
-func normalized(lists []interval.List) []interval.List {
-	for i, l := range lists {
-		if !l.IsCanonical() {
-			out := slices.Clone(lists)
-			for j := i; j < len(out); j++ {
-				out[j] = out[j].Normalize()
-			}
-			return out
-		}
-	}
-	return lists
-}
-
 // SweepOverlaps computes the overlap graph of the given extent lists as
 // adjacency rows: row i lists, ascending and once each, the lists j ≠ i that
 // share at least one byte with list i — the columns of the ones in row i of
@@ -130,7 +114,8 @@ func normalized(lists []interval.List) []interval.List {
 // found pairs · log degree) for E total extents instead of the O(P²·E) of
 // pairwise list merges, and in O(P + edges) memory instead of P² cells.
 // When an extent opens, every list still open overlaps it; the lists that
-// closed since the last open are dropped in the same pass.
+// closed since the last open are dropped in the same pass. Every list must
+// be canonical, as its producers build it; the sweep does not check.
 func SweepOverlaps(lists []interval.List) [][]int32 {
 	p := len(lists)
 	w := make([][]int32, p)
@@ -142,7 +127,7 @@ func SweepOverlaps(lists []interval.List) [][]int32 {
 	}
 	active := make([]int32, 0, p) // lists opened and not yet seen closed
 	endOf := make([]int64, p)     // end of each list's latest extent
-	for m := newMerger(normalized(lists)); !m.done(); {
+	for m := newMerger(lists); !m.done(); {
 		e, id, _ := m.next()
 		open := active[:0]
 		for _, j := range active {
@@ -167,11 +152,13 @@ func SweepOverlaps(lists []interval.List) [][]int32 {
 // intersect count as overlapping even if the underlying non-contiguous
 // views interleave without sharing bytes. It runs the same sweep core as
 // SweepOverlaps over one-extent lists, so span mode and exact mode cannot
-// drift apart.
+// drift apart. An empty span overlaps nothing.
 func SweepSpans(spans []interval.Extent) [][]int32 {
 	lists := make([]interval.List, len(spans))
 	for i, s := range spans {
-		lists[i] = interval.List{s}
+		if !s.Empty() {
+			lists[i] = interval.List{s}
+		}
 	}
 	return SweepOverlaps(lists)
 }
@@ -191,9 +178,11 @@ func (o Owned) String() string { return fmt.Sprintf("%v=%d", o.Extent, o.Rank) }
 // highest-numbered covering the bytes — is the top writer, and emits each
 // run and its list's id in file order. A list's runs never touch (a higher
 // list owns what lies between them) and two neighbouring runs differ in
-// id. It holds O(len(lists)) state and builds no output of its own.
+// id. It holds O(len(lists)) state and builds no output of its own. Every
+// list must be canonical, as its producers build it; EachWinner does not
+// check.
 func EachWinner(lists []interval.List, emit func(run interval.Extent, id int)) {
-	m := newMerger(normalized(lists))
+	m := newMerger(lists)
 	endOf := make([]int64, len(m.cur)) // end of each list's latest extent
 	for r := range endOf {
 		endOf[r] = math.MinInt64 // never opened: closed everywhere
@@ -227,7 +216,8 @@ func EachWinner(lists []interval.List, emit func(run interval.Extent, id int)) {
 // EachWinner's runs grouped by rank: result[r] covers exactly the bytes of
 // views[r] covered by no higher-ranked view, the all-ranks form of
 // subtracting the union of higher views from each view in O(E log P) total,
-// not O(P·E) per rank.
+// not O(P·E) per rank. The views must be canonical, as EachWinner takes
+// them, and so is every clip.
 func ClipAll(views []interval.List) []interval.List {
 	out := make([]interval.List, len(views))
 	EachWinner(views, func(run interval.Extent, rank int) {
@@ -277,9 +267,10 @@ type Piece struct {
 // owning run ends and where a view ends, so neighbouring pieces may share
 // owner and views. One merge draws the records' runs, each list as it
 // stands — the cursor of a drawn run indexes its writer — and the views'
-// normalized extents: the owner is the writer of the latest open record's
-// run, the views the ones open. A record of its writer's own view, lent as
-// it stands, opens and closes that view too: the merge draws the list once.
+// extents: the owner is the writer of the latest open record's run, the
+// views the ones open. Every view must be canonical, as its producers build
+// it; Sweep does not check. A record of its writer's own view, lent as it
+// stands, opens and closes that view too: the merge draws the list once.
 // It holds O(R + V) state, whatever the number of extents.
 func Sweep(records []Record, views []interval.List, visit func(p *Piece)) {
 	nr := len(records)
@@ -289,7 +280,7 @@ func Sweep(records []Record, views []interval.List, visit func(p *Piece)) {
 		lists[i], opens[i] = records[i].Ext, -1
 	}
 	for v, l := range views {
-		lists[nr+v], opens[nr+v] = l.Normalize(), int32(v)
+		lists[nr+v], opens[nr+v] = l, int32(v)
 	}
 	for i := range records {
 		r, v := &records[i], records[i].Writer

@@ -42,8 +42,8 @@ func (e Extent) Overlaps(o Extent) bool {
 // Intersect returns the overlap of e and o. If they do not overlap the
 // result is the empty extent {0, 0}.
 func (e Extent) Intersect(o Extent) Extent {
-	lo := max64(e.Off, o.Off)
-	hi := min64(e.End(), o.End())
+	lo := max(e.Off, o.Off)
+	hi := min(e.End(), o.End())
 	if hi <= lo {
 		return Extent{}
 	}
@@ -59,8 +59,8 @@ func (e Extent) Union(o Extent) Extent {
 	if o.Empty() {
 		return e
 	}
-	lo := min64(e.Off, o.Off)
-	hi := max64(e.End(), o.End())
+	lo := min(e.Off, o.Off)
+	hi := max(e.End(), o.End())
 	return Extent{Off: lo, Len: hi - lo}
 }
 
@@ -88,17 +88,3 @@ func (e Extent) Shift(d int64) Extent { return Extent{Off: e.Off + d, Len: e.Len
 
 // String formats the extent as [off,end).
 func (e Extent) String() string { return fmt.Sprintf("[%d,%d)", e.Off, e.End()) }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

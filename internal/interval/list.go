@@ -6,13 +6,14 @@ import (
 	"strings"
 )
 
-// List is a sequence of extents. A List in canonical form (as produced by
-// Normalize and all the set operations below) is sorted by offset, has no
-// empty extents, and no two extents overlap or touch.
+// List is a sequence of extents. A List in canonical form is sorted by
+// offset, has no empty extents, and no two extents overlap or touch.
 //
-// Flattened MPI datatypes and file views are *ordered* extent sequences and
-// are not necessarily canonical; convert with Normalize before using the
-// set-algebra operations.
+// Lists are canonical where they are built — Flatten, a file view's
+// Extents, index.ClipAll and the set operations below — and the consumers
+// that take them so (the index sweeps, the view exchange, Bounds) do not
+// check. Normalize stays where lists are not built that way: a
+// write-behind log, fault damage, the set operations' arguments.
 type List []Extent
 
 // TotalLen returns the sum of the lengths of all extents.
@@ -26,28 +27,25 @@ func (l List) TotalLen() int64 {
 
 // Span returns the smallest single extent covering every extent in the list.
 // The span of an empty (or all-empty) list is the empty extent.
-//
-// Span is what the byte-range locking strategy must lock: the paper (§3.2)
-// observes that for a non-contiguous view "the file lock must start at the
-// process's first file offset and end at the very last file offset the
-// process will write".
 func (l List) Span() Extent {
 	var span Extent
-	first := true
 	for _, e := range l {
-		if e.Empty() {
-			continue
+		if !e.Empty() {
+			span = span.Union(e)
 		}
-		if first {
-			span = e
-			first = false
-			continue
-		}
-		lo := min64(span.Off, e.Off)
-		hi := max64(span.End(), e.End())
-		span = Extent{Off: lo, Len: hi - lo}
 	}
 	return span
+}
+
+// Bounds is Span for a canonical list, in O(1): its first extent's offset
+// to its last extent's end. It is what the byte-range locking strategy
+// locks: "the file lock must start at the process's first file offset and
+// end at the very last file offset the process will write" (§3.2).
+func (l List) Bounds() Extent {
+	if len(l) == 0 {
+		return Extent{}
+	}
+	return Extent{Off: l[0].Off, Len: l[len(l)-1].End() - l[0].Off}
 }
 
 // IsCanonical reports whether the list is sorted, free of empty extents, and

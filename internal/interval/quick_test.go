@@ -186,3 +186,22 @@ func TestQuickExtentSubtractModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// bounds is List.Bounds behind its precondition, which Bounds does not
+// check: the list is canonical.
+func bounds(t *testing.T, l List) Extent {
+	t.Helper()
+	if !l.IsCanonical() {
+		t.Fatalf("Bounds of %v, which is not canonical", l)
+	}
+	return l.Bounds()
+}
+
+func TestQuickBoundsOfCanonicalListIsSpan(t *testing.T) {
+	f := func(l List) bool {
+		return bounds(t, l.Normalize()) == l.Span()
+	}
+	if err := quick.Check(f, quickCfg); err != nil {
+		t.Fatal(err)
+	}
+}

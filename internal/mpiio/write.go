@@ -69,7 +69,7 @@ func (f *File) Write(n int64) error {
 		return core.ErrNoLockManager
 	}
 	clock := f.comm.Clock()
-	span := req.Span()
+	span := req.Bounds()
 	if span.Len == 0 {
 		return nil
 	}

@@ -1,6 +1,8 @@
 package pfs
 
 import (
+	"math"
+
 	"atomio/internal/interval"
 	"atomio/internal/sim"
 )
@@ -26,32 +28,47 @@ type CacheConfig struct {
 type cache struct {
 	dirty []Batch
 	first [1]Batch // dirty's array until a second batch is logged
+	whole int64    // the log's bytes while it is one canonical batch, else 0
 }
 
-// absorb records a write-behind write in write order.
-func (c *cache) absorb(b Batch) {
+// absorb logs a write-behind write and returns its bytes. The pass that
+// sums them also notes whether the log is one canonical batch: a view's
+// request is, but an aggregator's runs for different writers may touch.
+func (c *cache) absorb(b Batch) int64 {
+	total, end, canonical := int64(0), int64(math.MinInt64), len(c.dirty) == 0
+	for _, e := range b.Ext {
+		if e.Len <= 0 || e.Off <= end {
+			canonical = false
+		}
+		total, end = total+e.Len, e.End()
+	}
 	if len(b.Ext) == 0 {
-		return
+		return 0
 	}
 	if c.dirty == nil {
 		c.dirty = c.first[:0]
 	}
-	c.dirty = append(c.dirty, b)
+	c.dirty, c.whole = append(c.dirty, b), 0
+	if canonical {
+		c.whole = total
+	}
+	return total
 }
 
 // takeDirty empties the write-behind log and returns it, in write order,
-// with what its flush sends: the logged extents coalesced in file order —
-// the batching a write-behind cache exists to provide. A log of one batch
-// already in that form (canonical) is sent as it stands. The log stays in
-// the cache's array: the caller clears it once the flush has stored it.
-func (c *cache) takeDirty() (Batch, []Batch) {
-	log := c.dirty
-	c.dirty = log[:0]
+// with what its flush sends and that batch's bytes: the logged extents
+// coalesced in file order — the batching a write-behind cache exists to
+// provide. One canonical batch is sent as it stands, with absorb's count;
+// any other log is counted coalesced, as an overlap shrinks it. The log
+// stays in the cache's array: the caller clears it after the flush.
+func (c *cache) takeDirty() (Batch, []Batch, int64) {
+	log, whole := c.dirty, c.whole
+	c.dirty, c.whole = log[:0], 0
 	switch {
 	case len(log) == 0:
-		return Batch{}, nil
-	case len(log) == 1 && log[0].Ext.IsCanonical():
-		return log[0], log
+		return Batch{}, nil, 0
+	case whole > 0:
+		return log[0], log, whole
 	}
 	logged := log[0].Ext
 	if len(log) > 1 {
@@ -64,5 +81,6 @@ func (c *cache) takeDirty() (Batch, []Batch) {
 			logged = append(logged, b.Ext...)
 		}
 	}
-	return Batch{Ext: logged.Normalize()}, log
+	logged = logged.Normalize()
+	return Batch{Ext: logged}, log, logged.TotalLen()
 }

@@ -97,14 +97,15 @@ func (c *Client) BytesWritten() int64 { return c.bytesWritten }
 // is absorbed into the client cache at memory cost and reaches the servers
 // at the next Sync; otherwise it is transferred immediately.
 func (c *Client) Write(b Batch) {
-	total := b.Ext.TotalLen()
-	c.bytesWritten += total
 	if c.fs.cfg.Cache.WriteBehind {
+		total := c.cache.absorb(b)
+		c.bytesWritten += total
 		c.clock.Advance(c.fs.cfg.Cache.MemModel.Cost(total))
-		c.cache.absorb(b)
 		return
 	}
-	c.transferWrite(b, nil)
+	total := b.Ext.TotalLen()
+	c.bytesWritten += total
+	c.transferWrite(b, nil, total)
 }
 
 // KeepsWriters reports whether the file keeps who wrote each byte
@@ -112,14 +113,13 @@ func (c *Client) Write(b Batch) {
 // name them in Writers.
 func (c *Client) KeepsWriters() bool { return c.f.content != nil }
 
-// transferWrite moves a batch to the servers, charging client-side cost
-// serially and queueing per-server service on the server pool. A flush
-// passes the log its batch of coalesced extents was written as, and the log
-// is stored, each batch as its own record in write order, so a client's
-// later write wins an overlap; every other caller passes nil, and the batch
-// is stored.
-func (c *Client) transferWrite(b Batch, log []Batch) {
-	total := b.Ext.TotalLen()
+// transferWrite moves a batch of total bytes to the servers, charging
+// client-side cost serially and queueing per-server service on the server
+// pool. A flush passes the log its batch of coalesced extents was written
+// as, and the log is stored, each batch as its own record in write order,
+// so a client's later write wins an overlap; every other caller passes nil,
+// and the batch is stored.
+func (c *Client) transferWrite(b Batch, log []Batch, total int64) {
 	if total == 0 {
 		return
 	}
@@ -162,22 +162,16 @@ type booking struct {
 // their home servers in round-robin mode. The list is the front of the
 // file system's scratch.
 func (c *Client) tally(ext interval.List, now sim.VTime) []booking {
-	cfg, loads := &c.fs.cfg, c.fs.loads
+	loads := c.fs.loads
 	clear(loads)
+	walk := c.fs.cfg.walk(c.rank)
 	for _, e := range ext {
-		if e.Empty() {
-			continue
-		}
-		if cfg.Mode == ClientAffinity {
-			l := &loads[cfg.serverFor(e.Off, c.rank)]
-			l.bytes += e.Len
-			l.reqs++
-			continue
-		}
-		eachStripePiece(cfg.StripeSize, cfg.Servers, e.Off, e.Len, func(server int, _, take int64) {
+		for off, n := e.Off, e.Len; n > 0; {
+			server, take := walk.piece(off, n)
 			loads[server].bytes += take
 			loads[server].reqs++
-		})
+			off, n = off+take, n-take
+		}
 	}
 	list := loads[:0] // entry k is written only after it is read
 	for server, l := range loads {
@@ -282,8 +276,9 @@ func (c *Client) WriteAtomic(b Batch) error {
 	defer func() { c.inAtomic = false }()
 	// Queue behind earlier atomic vectored writes in virtual time.
 	c.clock.AdvanceTo(c.f.listioFreeAt)
-	c.bytesWritten += b.Ext.TotalLen()
-	c.transferWrite(b, nil)
+	total := b.Ext.TotalLen()
+	c.bytesWritten += total
+	c.transferWrite(b, nil, total)
 	c.f.listioFreeAt = c.clock.Now()
 	return nil
 }
@@ -292,11 +287,9 @@ func (c *Client) WriteAtomic(b Batch) error {
 // file-sync call the paper requires after every write when handshaking is
 // used on a caching file system.
 func (c *Client) Sync() {
-	b, log := c.cache.takeDirty()
+	b, log, total := c.cache.takeDirty()
 	defer clear(log) // the cache's hold on the caller's batches ends with the flush
-	if len(b.Ext) > 0 {
-		c.transferWrite(b, log)
-	}
+	c.transferWrite(b, log, total)
 }
 
 // Close flushes any write-behind data and releases the handle.

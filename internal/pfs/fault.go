@@ -82,29 +82,21 @@ func (c *Client) pieces(b Batch, on func(server int) bool) (Batch, interval.List
 		}
 	}
 	var rest interval.List
+	walk := c.fs.cfg.walk(c.rank) // the walk that routes queueing and storage
 	for i, e := range b.Ext {
 		if e.Empty() {
 			keep(i, e)
 			continue
 		}
-		if c.fs.cfg.Mode == ClientAffinity {
-			// Affinity mode: the whole extent has one home server.
-			if on(c.fs.cfg.serverFor(e.Off, c.rank)) {
-				keep(i, e)
+		for off, n := e.Off, e.Len; n > 0; {
+			server, take := walk.piece(off, n)
+			if p := (interval.Extent{Off: off, Len: take}); on(server) {
+				keep(i, p)
 			} else {
-				rest = append(rest, e)
+				rest = append(rest, p)
 			}
-			continue
+			off, n = off+take, n-take
 		}
-		// Round-robin: split at stripe boundaries with the same piece
-		// iterator that routes queueing and storage.
-		eachStripePiece(c.fs.cfg.StripeSize, c.fs.cfg.Servers, e.Off, e.Len, func(server int, off, take int64) {
-			if on(server) {
-				keep(i, interval.Extent{Off: off, Len: take})
-			} else {
-				rest = append(rest, interval.Extent{Off: off, Len: take})
-			}
-		})
 	}
 	return out, rest
 }

@@ -102,7 +102,8 @@ func TestFlushStoresFromTheLog(t *testing.T) {
 					}
 					cA.Sync()
 					cB.cache.takeDirty() // empties the log; the reference books it instead
-					cB.transferWrite(Batch{Ext: all.Normalize()}, nil)
+					one := all.Normalize()
+					cB.transferWrite(Batch{Ext: one}, nil, one.TotalLen())
 
 					if clkA.Now() != clkB.Now() {
 						t.Fatalf("log %d: clock %v from the log, %v booked as one batch", k, clkA.Now(), clkB.Now())

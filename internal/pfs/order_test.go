@@ -146,7 +146,7 @@ func writersCompleteInArrivalOrder(t *testing.T, first int64, skewed bool) {
 			for rank, b := range batches {
 				for _, e := range b.Ext {
 					for o := e.Off; o < e.End(); o++ {
-						pc := piece{rank: rank, arrival: arrival[rank][fs.cfg.serverFor(o, rank)]}
+						pc := piece{rank: rank, arrival: arrival[rank][homeOf(&fs.cfg, o, rank)]}
 						if want[o] == '.' || before(last[o], pc) < 0 {
 							want[o], last[o] = byte('0'+rank), pc
 						}
@@ -158,4 +158,16 @@ func writersCompleteInArrivalOrder(t *testing.T, first int64, skewed bool) {
 			}
 		})
 	}
+}
+
+// homeOf is the server that holds byte off of rank's writes, by each mode's
+// definition.
+func homeOf(cfg *Config, off int64, rank int) int {
+	switch {
+	case cfg.Mode == ClientAffinity && len(cfg.Affinity) > 0:
+		return cfg.Affinity[rank%len(cfg.Affinity)]
+	case cfg.Mode == ClientAffinity:
+		return rank % cfg.Servers
+	}
+	return int(off / cfg.StripeSize % int64(cfg.Servers))
 }

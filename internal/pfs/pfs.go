@@ -14,6 +14,7 @@ package pfs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"atomio/internal/obs"
@@ -261,31 +262,50 @@ func (fs *FileSystem) lookup(name string, create bool) (*file, error) {
 	return f, nil
 }
 
-// serverFor returns the server index holding byte offset off for the given
-// client rank.
-func (c *Config) serverFor(off int64, clientRank int) int {
-	switch c.Mode {
-	case ClientAffinity:
-		if len(c.Affinity) > 0 {
-			return c.Affinity[clientRank%len(c.Affinity)]
-		}
-		return clientRank % c.Servers
-	default:
-		return int((off / c.StripeSize) % int64(c.Servers))
-	}
+// serverWalk splits a list's extents, in order, into the pieces each
+// server holds: the one byte→server map, shared by queue routing (tally)
+// and the fault filter (dropFaulted). A round-robin walk divides only for
+// an extent that starts past the next stripe; in ClientAffinity mode its
+// one stripe is the whole file, on the client's server.
+type serverWalk struct {
+	size    int64
+	servers int
+	end     int64 // the end of the stripe the walk is in
+	server  int   // that stripe's home server
 }
 
-// eachStripePiece splits [off, off+n) at stripe boundaries and calls f with
-// each piece and its round-robin home server. It is the one definition of
-// the stripe→server map, shared by queue routing (tally) and the fault
-// filter (dropFaulted) — the two must never diverge.
-func eachStripePiece(stripe int64, servers int, off, n int64, f func(server int, off, n int64)) {
-	for n > 0 {
-		take := min(n, stripe-off%stripe)
-		f(int((off/stripe)%int64(servers)), off, take)
-		off += take
-		n -= take
+// walk starts rank's walk; a round-robin one in stripe −1, homed on the
+// last server.
+func (c *Config) walk(rank int) serverWalk {
+	if c.Mode != ClientAffinity {
+		return serverWalk{size: c.StripeSize, servers: c.Servers, server: c.Servers - 1}
 	}
+	w := serverWalk{size: math.MaxInt64, end: math.MaxInt64, server: rank % c.Servers}
+	if len(c.Affinity) > 0 {
+		w.server = c.Affinity[rank%len(c.Affinity)]
+	}
+	return w
+}
+
+// piece returns the first piece of [off, off+n), n > 0: server and length.
+func (w *serverWalk) piece(off, n int64) (server int, take int64) {
+	if uint64(off-(w.end-w.size)) >= uint64(w.size) { // off is outside the walk's stripe
+		w.seek(off)
+	}
+	return w.server, min(n, w.end-off)
+}
+
+// seek moves the walk to the stripe holding off.
+func (w *serverWalk) seek(off int64) {
+	if uint64(off-w.end) < uint64(w.size) { // the next stripe, on the next server
+		w.end += w.size
+		if w.server++; w.server == w.servers {
+			w.server = 0
+		}
+		return
+	}
+	k := off / w.size
+	w.server, w.end = int(k%int64(w.servers)), (k+1)*w.size
 }
 
 // serverModel returns the service cost model of one server — the uniform

@@ -92,11 +92,9 @@ func scriptBatch(rnd *rand.Rand, span, ranks int) Batch {
 
 // flush is Client.Sync returning the extents it flushed.
 func flush(c *Client) interval.List {
-	b, log := c.cache.takeDirty()
+	b, log, total := c.cache.takeDirty()
 	defer clear(log)
-	if len(b.Ext) > 0 {
-		c.transferWrite(b, log)
-	}
+	c.transferWrite(b, log, total)
 	return b.Ext
 }
 

@@ -59,11 +59,11 @@ func atomsByCuts(views []interval.List) []atom {
 }
 
 // sweptAtoms collects the atoms of views as Check assembles them from
-// index.Sweep: with no records, every piece of two or more views is one,
-// its writers the views, ascending.
+// index.Sweep, which takes them canonical: with no records, every piece of
+// two or more views is one, its writers the views, ascending.
 func sweptAtoms(views []interval.List) []atom {
 	var out []atom
-	index.Sweep(nil, views, func(p *index.Piece) {
+	index.Sweep(nil, canonical(views), func(p *index.Piece) {
 		if len(p.Views) >= 2 {
 			writers := make([]int, 0, len(p.Views))
 			for _, w := range p.Views {
@@ -90,10 +90,21 @@ func columnViews(p, rows int, w, ov int64) []interval.List {
 	return views
 }
 
+// canonical returns each view normalized, as a view's producers build it
+// and Check takes it.
+func canonical(views []interval.List) []interval.List {
+	out := make([]interval.List, len(views))
+	for i, v := range views {
+		out[i] = v.Normalize()
+	}
+	return out
+}
+
 // randomViews draws p lists of the shapes a merged schedule has to get
 // right: empty lists, single extents, exact copies of an earlier list,
 // chains of touching extents, extents nested in one another, and unsorted
-// self-overlapping lists — on small coordinates, so endpoints tie.
+// self-overlapping lists — on small coordinates, so endpoints tie — and
+// returns them canonical.
 func randomViews(r *rand.Rand, p int) []interval.List {
 	views := make([]interval.List, p)
 	for i := range views {
@@ -121,7 +132,7 @@ func randomViews(r *rand.Rand, p int) []interval.List {
 			}
 		}
 	}
-	return views
+	return canonical(views)
 }
 
 // TestSweepAtomsMatchesCutOracle compares the sweep's atoms — regions, their
