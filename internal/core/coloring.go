@@ -30,25 +30,19 @@ func (s Coloring) Name() string {
 // WriteAll implements Strategy.
 func (s Coloring) WriteAll(ctx *Context, req interval.List) error {
 	// Handshake: exchange views, build W, color. W and the coloring are
-	// the same on every rank, so they are computed once and shared.
+	// the same on every rank, so the exchange derives them once.
 	hs := ctx.span(trace.PhaseHandshake)
 	defer hs.Stop()
-	var build func() OverlapMatrix
+	var col coloring
 	if s.UseSpans {
-		spans := ExchangeSpans(ctx.Comm, req)
-		build = func() OverlapMatrix { return BuildOverlapMatrixFromSpans(spans) }
+		_, col = ExchangeSpans(ctx.Comm, req, func(spans []interval.Extent) coloring {
+			return colorOf(BuildOverlapMatrixFromSpans(spans))
+		})
 	} else {
-		views := ExchangeViews(ctx.Comm, req)
-		build = func() OverlapMatrix { return BuildOverlapMatrix(views) }
+		_, col = ExchangeViews(ctx.Comm, req, func(views []interval.List) coloring {
+			return colorOf(BuildOverlapMatrix(views))
+		})
 	}
-	type coloring struct {
-		colors    []int
-		numColors int
-	}
-	col := shared(ctx.Comm, func() coloring {
-		colors, numColors := GreedyColor(build())
-		return coloring{colors, numColors}
-	})
 	myColor, numColors := col.colors[ctx.Comm.Rank()], col.numColors
 	hs.Stop()
 
@@ -69,6 +63,17 @@ func (s Coloring) WriteAll(ctx *Context, req interval.List) error {
 	// No rank reads, so §3's cache invalidation before reading the
 	// overlapped regions has nothing to drop.
 	return nil
+}
+
+// coloring is W's greedy coloring: each rank's color, and how many there are.
+type coloring struct {
+	colors    []int
+	numColors int
+}
+
+func colorOf(w OverlapMatrix) coloring {
+	colors, numColors := GreedyColor(w)
+	return coloring{colors, numColors}
 }
 
 var _ Strategy = Coloring{}

@@ -22,9 +22,8 @@ func (RankOrder) Name() string { return "ordering" }
 func (RankOrder) WriteAll(ctx *Context, req interval.List) error {
 	hs := ctx.span(trace.PhaseHandshake)
 	defer hs.Stop()
-	views := ExchangeViews(ctx.Comm, req)
 	// One sweep clips every rank's view; each rank reads its own row.
-	clips := shared(ctx.Comm, func() []interval.List { return index.ClipAll(views) })
+	_, clips := ExchangeViews(ctx.Comm, req, index.ClipAll)
 	hs.Stop()
 	xfer := ctx.span(trace.PhaseTransfer)
 	// The clipped view — the "re-calculation of each process's file view"

@@ -34,9 +34,8 @@ func (TwoPhase) WriteAll(ctx *Context, req interval.List) error {
 	comm := ctx.Comm
 	hs := ctx.span(trace.PhaseHandshake)
 	defer hs.Stop()
-	views := ExchangeViews(comm, req)
 	// The aggregate span is the same on every rank: one pass, shared.
-	span := shared(comm, func() interval.Extent { return aggregateSpan(views) })
+	views, span := ExchangeViews(comm, req, aggregateSpan)
 	hs.Stop()
 	if span.Empty() {
 		// Nothing to write anywhere; only the collective's closing

@@ -35,15 +35,6 @@ func DecodeExtents(b []byte) (interval.List, error) {
 	return out, nil
 }
 
-// shared evaluates compute once for the whole communicator (see
-// mpi.Comm.Shared) and returns the one read-only value on every rank. It is
-// how the handshake algebra — a pure function of the allgathered views that
-// the paper has every process evaluate locally — is computed once per
-// collective on the host while staying local, and free, in virtual time.
-func shared[T any](comm *mpi.Comm, compute func() T) T {
-	return comm.Shared(func() any { return compute() }).(T)
-}
-
 // ExchangeViews allgathers every rank's file extents — the process
 // handshake both the coloring and ordering strategies start with. The
 // result is indexed by rank. Each rank's extents are its request, canonical
@@ -53,15 +44,20 @@ func shared[T any](comm *mpi.Comm, compute func() T) T {
 // Views travel by reference: row r of the result is rank r's request
 // itself, and the result is the same table on every rank. All of it is
 // read-only.
-func ExchangeViews(comm *mpi.Comm, mine interval.List) []interval.List {
-	return mpi.AllgatherOf(comm, mine, 16*int64(len(mine)))
+//
+// derive is the handshake algebra over the views — the work the paper has
+// every process do locally, such as building and coloring W — and is
+// evaluated once for the whole communicator (see mpi.AllgatherOf): every
+// rank gets back the one read-only value, free in virtual time.
+func ExchangeViews[D any](comm *mpi.Comm, mine interval.List, derive func([]interval.List) D) ([]interval.List, D) {
+	return mpi.AllgatherOf(comm, mine, 16*int64(len(mine)), derive)
 }
 
 // ExchangeSpans allgathers only each rank's bounding span — the cheaper,
 // conservative handshake sufficient to build an overlap matrix when views
 // are known to be interval-like. Used by the handshake-cost ablation (A5).
-// A span is priced as its two int64s; the result, as ExchangeViews', is one
-// read-only table shared by every rank.
-func ExchangeSpans(comm *mpi.Comm, mine interval.List) []interval.Extent {
-	return mpi.AllgatherOf(comm, mine.Bounds(), 16)
+// A span is priced as its two int64s; the result and what derive makes of
+// it are, as ExchangeViews', read-only and shared by every rank.
+func ExchangeSpans[D any](comm *mpi.Comm, mine interval.List, derive func([]interval.Extent) D) ([]interval.Extent, D) {
+	return mpi.AllgatherOf(comm, mine.Bounds(), 16, derive)
 }

@@ -31,7 +31,7 @@ func TestExchangeViews(t *testing.T) {
 			{Off: int64(c.Rank()*100 + 50), Len: 5},
 		}
 		sent[c.Rank()] = mine
-		views := ExchangeViews(c, mine)
+		views, _ := ExchangeViews[any](c, mine, nil)
 		tables[c.Rank()] = views
 		if len(views) != c.Size() {
 			return fmt.Errorf("got %d views", len(views))
@@ -63,7 +63,7 @@ func TestExchangeSpans(t *testing.T) {
 			{Off: int64(c.Rank() * 10), Len: 2},
 			{Off: int64(c.Rank()*10 + 6), Len: 2},
 		}
-		spans := ExchangeSpans(c, mine)
+		spans, _ := ExchangeSpans[any](c, mine, nil)
 		for r, s := range spans {
 			want := interval.Extent{Off: int64(r * 10), Len: 8}
 			if s != want {
@@ -80,7 +80,7 @@ func TestEmptyViewExchange(t *testing.T) {
 		if c.Rank() == 1 {
 			mine = interval.List{{Off: 5, Len: 5}}
 		}
-		views := ExchangeViews(c, mine)
+		views, _ := ExchangeViews[any](c, mine, nil)
 		if len(views[0]) != 0 || len(views[2]) != 0 {
 			return fmt.Errorf("empty views decoded non-empty")
 		}

@@ -108,13 +108,13 @@ func TestEnginesByteIdenticalCheckpoint(t *testing.T) {
 
 // TestEnginesByteIdenticalSharedHandshake pins every strategy whose
 // handshake is computed once per collective and shared between ranks, and
-// checks single-delay schedules of each: which rank arrives first and runs
-// the computation differs between schedules, and neither the verdict nor
-// the winners may depend on it. The writer-crash cells are the fleet's
-// shape — rank 1 dies after one segment, intents replay: the crash
-// surrenders data, not control flow, so the crashed rank still reaches
-// every shared computation (mpi.Run fails a world that ends with one
-// unreached).
+// checks single-delay schedules of each: which rank arrives last at the
+// view exchange and runs the algebra (the allgather's derive) differs
+// between schedules, and neither the verdict nor the winners may depend on
+// it. The writer-crash cells are the fleet's shape — rank 1 dies after one
+// segment, intents replay: the crash surrenders data, not control flow, so
+// the crashed rank still reaches every exchange (mpi.Run fails a world that
+// ends with one unreached).
 func TestEnginesByteIdenticalSharedHandshake(t *testing.T) {
 	strategies := []core.Strategy{core.RankOrder{}, core.Coloring{}, core.Coloring{UseSpans: true}, core.TwoPhase{}}
 	for _, strat := range strategies {

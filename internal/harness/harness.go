@@ -370,11 +370,9 @@ func (e Experiment) run(eng sim.Engine) (*Result, error) {
 	}
 	fs.SetCoord(coord)
 	fs.SetObs(events)
-	if m, ok := mgr.(interface{ SetCoord(sim.Coord) }); ok {
-		m.SetCoord(coord)
-	}
-	if m, ok := mgr.(interface{ SetObs(*obs.Recorder) }); ok {
-		m.SetObs(events)
+	if mgr != nil {
+		mgr.SetCoord(coord)
+		mgr.SetObs(events)
 	}
 
 	// A single-step run writes "experiment.dat"; checkpoint runs write one

@@ -10,13 +10,6 @@ import (
 	"atomio/internal/sim/des"
 )
 
-// coordManager is a manager that can run under a determinism coordinator
-// and expose its grant table for release-history probes.
-type coordManager interface {
-	Manager
-	SetCoord(sim.Coord)
-}
-
 // onEngine runs body as actors 0..actors-1 of the event loop. setCoord
 // hands the run's coordinator to the structure under test first; bodies
 // that sequence themselves in virtual time (Await) get it too.

@@ -97,19 +97,13 @@ func NewFaulty(inner Manager, plan FaultPlan, lease sim.VTime) *Faulty {
 func (f *Faulty) Name() string { return f.inner.Name() + "+faults" }
 
 // SetCoord forwards the determinism coordinator to the wrapped manager.
-func (f *Faulty) SetCoord(co sim.Coord) {
-	if m, ok := f.inner.(interface{ SetCoord(sim.Coord) }); ok {
-		m.SetCoord(co)
-	}
-}
+func (f *Faulty) SetCoord(co sim.Coord) { f.inner.SetCoord(co) }
 
 // SetObs keeps a recorder for the fault instants this wrapper injects and
 // forwards it to the wrapped manager for the regular lock events.
 func (f *Faulty) SetObs(o *obs.Recorder) {
 	f.obs = o
-	if m, ok := f.inner.(interface{ SetObs(*obs.Recorder) }); ok {
-		m.SetObs(o)
-	}
+	f.inner.SetObs(o)
 }
 
 // Unwrap returns the wrapped manager.

@@ -25,6 +25,7 @@ package lock
 
 import (
 	"atomio/internal/interval"
+	"atomio/internal/obs"
 	"atomio/internal/sim"
 )
 
@@ -57,4 +58,10 @@ type Manager interface {
 	Unlock(owner int, e interval.Extent, at sim.VTime) sim.VTime
 	// Name identifies the manager flavour.
 	Name() string
+	// SetCoord routes the manager's shared-state transitions through the
+	// run's coordinator. Call before the run starts.
+	SetCoord(sim.Coord)
+	// SetObs routes lock events and metrics into a recorder; nil disarms.
+	// Call before the run starts.
+	SetObs(*obs.Recorder)
 }

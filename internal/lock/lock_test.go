@@ -29,8 +29,8 @@ func newDistributedForTest() *Distributed {
 }
 
 // managers returns every manager flavour under test.
-func managers() map[string]coordManager {
-	return map[string]coordManager{
+func managers() map[string]Manager {
+	return map[string]Manager{
 		"central":     newCentralForTest(),
 		"distributed": newDistributedForTest(),
 	}
@@ -91,7 +91,7 @@ func TestNonOverlappingLocksDontWait(t *testing.T) {
 // releaseAt; owner 1 asks for e1 in mode1 one nanosecond after owner 0 did —
 // so the engine admits it second, while e0 is held — and releases at once.
 // It returns both grant times.
-func contend(t *testing.T, m coordManager, e0 interval.Extent, mode0 Mode, releaseAt sim.VTime, e1 interval.Extent, mode1 Mode) (g0, g1 sim.VTime) {
+func contend(t *testing.T, m Manager, e0 interval.Extent, mode0 Mode, releaseAt sim.VTime, e1 interval.Extent, mode1 Mode) (g0, g1 sim.VTime) {
 	t.Helper()
 	onEngine(t, 2, m.SetCoord, func(owner int, _ sim.Coord) {
 		if owner == 0 {

@@ -20,10 +20,10 @@ import (
 func TestDESTeardownUnwindsLockWaiter(t *testing.T) {
 	flavours := []struct {
 		name string
-		mk   func() coordManager
+		mk   func() Manager
 	}{
-		{"central", func() coordManager { return newCentralForTest() }},
-		{"distributed", func() coordManager { return newDistributedForTest() }},
+		{"central", func() Manager { return newCentralForTest() }},
+		{"distributed", func() Manager { return newDistributedForTest() }},
 	}
 	for _, flavour := range flavours {
 		t.Run(flavour.name, func(t *testing.T) {

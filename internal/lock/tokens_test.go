@@ -74,8 +74,7 @@ func (d *listDistributed) Lock(owner int, e interval.Extent, mode Mode, at sim.V
 
 // tokenManager is what the token oracle observes of a manager.
 type tokenManager interface {
-	coordManager
-	SetObs(*obs.Recorder)
+	Manager
 	Stats() (localGrants, serverGrants, revocations int64)
 }
 

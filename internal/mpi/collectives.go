@@ -110,8 +110,16 @@ func (c *Comm) traceBcast(o *obs.Recorder, kind string, peer int, data []byte, f
 // is placed by reference in the one table assembled at the rendezvous, and
 // every rank returns that same table. The table is read-only, and no rank
 // may write its block while any rank can still read the table.
-func AllgatherOf[T any](c *Comm, block T, size int64) []T {
-	return c.meet(allgatherKind, size, func(rv *rendezvous) {
+//
+// derive, unless nil, is what every rank would compute locally from the
+// table, and must be a pure function of it, the same on every rank: the
+// last rank to arrive evaluates its own once over the whole table, and
+// every rank returns that one value, read-only as the table is (the zero D
+// without derive). It is a host-side saving, not a modelled operation: P
+// identical evaluations would cost P times the host time and change
+// nothing, so derive sends no message, advances no clock and emits no event.
+func AllgatherOf[T, D any](c *Comm, block T, size int64, derive func([]T) D) ([]T, D) {
+	rv := c.meet(allgatherKind, size, func(rv *rendezvous) {
 		if rv.table == nil {
 			rv.table = make([]T, c.Size())
 		}
@@ -120,13 +128,19 @@ func AllgatherOf[T any](c *Comm, block T, size int64) []T {
 		for s := 0; s < c.Size()-1; s++ {
 			rv.step(c, 1, s)
 		}
-	}).table.([]T)
+		if derive != nil {
+			rv.derived = derive(rv.table.([]T))
+		}
+	})
+	d, _ := rv.derived.(D)
+	return rv.table.([]T), d
 }
 
 // Allgather is AllgatherOf of a private copy of data, priced at its length.
 // Kept only as the pin of atombench's mpi.allgather_ns_per_msg probe.
 func (c *Comm) Allgather(data []byte) [][]byte {
-	return AllgatherOf(c, append([]byte(nil), data...), int64(len(data)))
+	table, _ := AllgatherOf[[]byte, any](c, append([]byte(nil), data...), int64(len(data)), nil)
+	return table
 }
 
 // Part is one message of an Alltoall: Size modelled bytes between the

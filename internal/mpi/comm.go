@@ -18,8 +18,7 @@ type Comm struct {
 	group []int // communicator rank -> world rank
 	clock *sim.Clock
 
-	tagSeq    int // sequence number of collective calls, their message tag
-	sharedSeq int // sequence number of Shared calls
+	tagSeq int // sequence number of collective calls, their message tag
 }
 
 // Rank returns the calling process's rank within the communicator.

@@ -79,21 +79,17 @@ type World struct {
 	comms     []Comm // each rank's world communicator, handed to its body
 
 	// Cross-rank bookkeeping: the communicator context-id allocator; the
-	// collective calls in flight (shared, the memo table behind
-	// Comm.Shared, and meetings, the rendezvous of the synchronizing
-	// collectives: an entry goes once every rank of its communicator
-	// arrived); which world ranks sleep in a rendezvous; and whether the
-	// world was aborted.
+	// synchronizing collective calls in flight, each at its rendezvous (an
+	// entry goes once every rank of its communicator arrived); which world
+	// ranks sleep in a rendezvous; and whether the world was aborted.
 	nextCtx  int
-	shared   map[sharedKey]*sharedEntry
-	meetings map[sharedKey]*rendezvous
+	meetings map[callKey]*rendezvous
 	parked   []bool
 	aborted  bool
 }
 
 func newWorld(cfg Config) *World {
-	w := &World{cfg: cfg, nextCtx: 1, parked: make([]bool, cfg.Procs),
-		shared: make(map[sharedKey]*sharedEntry), meetings: make(map[sharedKey]*rendezvous)}
+	w := &World{cfg: cfg, nextCtx: 1, parked: make([]bool, cfg.Procs), meetings: make(map[callKey]*rendezvous)}
 	w.mailboxes = make([]mailbox, cfg.Procs)
 	w.clocks = make([]sim.Clock, cfg.Procs) // every clock starts at zero
 	for i := range w.mailboxes {
@@ -243,11 +239,10 @@ func Run(cfg Config, body RankFunc) (*Result, error) {
 		}
 	}
 	// A run that leaves a collective call in flight skipped it on some rank:
-	// the ranks asleep in its rendezvous stalled the engine, or, after a
-	// Shared call, the later ones on that communicator paired up wrongly.
-	// A message still queued was sent to a receive no rank ever made.
+	// the ranks asleep in its rendezvous stalled the engine. A message
+	// still queued was sent to a receive no rank ever made.
 	stranded := []error{engErr}
-	if n := len(w.shared) + len(w.meetings); n != 0 {
+	if n := len(w.meetings); n != 0 {
 		stranded = append(stranded,
 			fmt.Errorf("mpi: %d collectives were not reached by every rank of their communicator", n))
 	}

@@ -8,12 +8,20 @@ import (
 	"atomio/internal/sim"
 )
 
+// callKey names one synchronizing collective call: the communicator's
+// context (unique per communicator within a World, so a communicator and its
+// Dup never collide) and that communicator's call sequence, its tag, which is
+// identical on every rank precisely because the call is collective.
+type callKey struct {
+	ctx, seq int
+}
+
 // rendezvous is the meeting point of one synchronizing collective call,
-// held in World.meetings under the call's (context, tag) until its
-// last rank arrives. Every rank deposits its entry clock and the size of its
-// block, and an allgather's block or an alltoall's parts; the last one
-// solves the collective's message schedule as arithmetic (step) and wakes
-// the others at their exit clocks.
+// held in World.meetings under its callKey until its last rank arrives.
+// Every rank deposits its entry clock and the size of its block, and an
+// allgather's block or an alltoall's parts; the last one solves the
+// collective's message schedule as arithmetic (step) and wakes the others
+// at their exit clocks.
 type rendezvous struct {
 	arrived int
 	clock   []sim.VTime // by communicator rank: entry clocks, then exit clocks
@@ -22,6 +30,7 @@ type rendezvous struct {
 	cost    []sim.VTime // transfer cost of a message of size[i] (an alltoall's: see exchange)
 	next    []sim.VTime // the solver's second clock buffer
 	table   any         // an allgather's []T of blocks, by communicator rank; nil for the others
+	derived any         // what an allgather's derive made of the whole table
 	parts   [][]Part    // by communicator rank: an alltoall's parts; nil while none has any
 
 	// An alltoall's deliveries: receiver q's parts are inbox[starts[q]:starts[q+1]].
@@ -48,7 +57,7 @@ var (
 // their entry clocks, so which rank solves is the same on every engine.
 func (c *Comm) meet(kind collKind, size int64, deposit func(rv *rendezvous), solve func(rv *rendezvous)) *rendezvous {
 	w, p, me := c.world, len(c.group), c.group[c.rank]
-	key := sharedKey{ctx: c.ctx, seq: c.nextTag()}
+	key := callKey{ctx: c.ctx, seq: c.nextTag()}
 	coord, entry := w.cfg.Coord, c.clock.Now()
 	coord.Await(me, entry)
 	if w.aborted {
@@ -97,7 +106,7 @@ func (c *Comm) meet(kind collKind, size int64, deposit func(rv *rendezvous), sol
 // counts the messages the schedule delivered to it in closed form: one per
 // dissemination round in a barrier, one from every other rank in the ring
 // and the pairwise exchange. Aux names the call, the same on every rank.
-func (c *Comm) traceColl(o *obs.Recorder, kind collKind, key sharedKey, entry sim.VTime, rv *rendezvous) {
+func (c *Comm) traceColl(o *obs.Recorder, kind collKind, key callKey, entry sim.VTime, rv *rendezvous) {
 	me, p := c.group[c.rank], len(c.group)
 	msgs := p - 1
 	if kind == barrierKind {

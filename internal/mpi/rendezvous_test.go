@@ -161,7 +161,8 @@ func (tc scheduleCase) run(t *testing.T, tl *tally, barrier func(*Comm), allgath
 // TestRendezvousMatchesMessageSchedule pins the rendezvous to the message
 // loops it replaced: the same exit clocks, the same blocks and the same
 // message counters — for byte blocks and for typed blocks priced at the
-// bytes' length — and pins the counts to their formulas. Each rank traces
+// bytes' length, with a value derived from them — and pins the counts to
+// their formulas. Each rank traces
 // a collective as one mpi.coll event, from its clock at the call to its
 // exit, sized by the bytes the loop's messages brought it.
 func TestRendezvousMatchesMessageSchedule(t *testing.T) {
@@ -230,12 +231,23 @@ func TestRendezvousMatchesMessageSchedule(t *testing.T) {
 				t.Errorf("counters: got %v, want %v", got.counters, want.counters)
 			}
 			// A typed block priced at n bytes is timed, traced and counted
-			// as a []byte of length n, and arrives as itself.
+			// as a []byte of length n, and arrives as itself; deriving a
+			// value from the table, here the sum of its blocks, changes
+			// none of that.
 			typed := tc.run(t, nil, (*Comm).Barrier, func(c *Comm, b []byte) [][]byte {
-				for r, block := range AllgatherOf(c, c.Rank(), int64(len(b))) {
+				table, sum := AllgatherOf(c, c.Rank(), int64(len(b)), func(blocks []int) (sum int) {
+					for _, r := range blocks {
+						sum += r
+					}
+					return sum
+				})
+				for r, block := range table {
 					if block != r {
 						t.Errorf("rank %d: typed table row %d holds rank %d's block", c.Rank(), r, block)
 					}
+				}
+				if p := c.Size(); sum != p*(p-1)/2 {
+					t.Errorf("rank %d: derived sum %d, want %d", c.Rank(), sum, p*(p-1)/2)
 				}
 				return nil
 			}, (*Comm).Alltoall)

@@ -86,8 +86,8 @@ func run(t *testing.T, procs int, body mpi.RankFunc) {
 func runOn(t *testing.T, coord sim.Coord, fs *pfs.FileSystem, mgr lock.Manager, body mpi.RankFunc) {
 	t.Helper()
 	fs.SetCoord(coord)
-	if m, ok := mgr.(interface{ SetCoord(sim.Coord) }); ok {
-		m.SetCoord(coord)
+	if mgr != nil {
+		mgr.SetCoord(coord)
 	}
 	cfg := mpi.Config{Procs: coord.Actors(), Engine: des.New(), Coord: coord}
 	if _, err := mpi.Run(cfg, body); err != nil {

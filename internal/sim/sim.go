@@ -42,14 +42,6 @@ func (t VTime) String() string { return time.Duration(t).String() }
 // Seconds returns the virtual time as a float64 number of seconds.
 func (t VTime) Seconds() float64 { return float64(t) / float64(Second) }
 
-// MaxVTime returns the later of a and b.
-func MaxVTime(a, b VTime) VTime {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Clock is the local virtual clock of one simulated actor. A Clock is not
 // safe for concurrent use; each actor owns exactly one and other actors see
 // its value only through timestamps carried on messages.
@@ -138,7 +130,7 @@ func (r *Resource) Acquire(at, dur VTime) (start, end VTime) {
 	if dur < 0 {
 		panic(fmt.Sprintf("sim: negative service time %v on %s", dur, r.name))
 	}
-	start = MaxVTime(at, r.freeAt)
+	start = max(at, r.freeAt)
 	end = start + dur
 	r.freeAt = end
 	r.busy += dur

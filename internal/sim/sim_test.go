@@ -86,7 +86,7 @@ func TestResourceSequentialTotalServiceConserved(t *testing.T) {
 			t.Fatalf("duplicate completion time %v", e)
 		}
 		seen[e] = true
-		last = MaxVTime(last, e)
+		last = max(last, e)
 	}
 	if last != n*svc {
 		t.Fatalf("drain time = %v, want %v", last, VTime(n*svc))
@@ -138,9 +138,6 @@ func TestPoolZeroSizePanics(t *testing.T) {
 }
 
 func TestVTimeHelpers(t *testing.T) {
-	if MaxVTime(3, 5) != 5 || MaxVTime(5, 3) != 5 {
-		t.Fatal("MaxVTime broken")
-	}
 	if (2 * Second).Seconds() != 2.0 {
 		t.Fatal("Seconds broken")
 	}

@@ -1,13 +1,17 @@
 #!/bin/sh
 # pairs.sh compares two checkouts on one atombench workload. It runs each
-# checkout's own atombench/run.sh --seconds 3 --trace TRACE alternately, N
-# times per side, so slow spells of the host fall on both sides alike, and
-# prints every metric's median and quartiles per side: the end-to-end ones,
-# and with TRACE 1 the per-layer ones too, dotted names such as
-# obs.overhead_share included. A metric whose interquartile ranges overlap
-# is marked "unresolved": its runs spread too widely to tell the two sides
-# apart ("equal" when every run of both sides gave one value). Failed
-# operations are counted per side.
+# checkout's own atombench/run.sh --seconds 3 --trace TRACE in N pairs, one
+# run per side, so slow spells of the host fall on both sides alike; the side
+# that runs first alternates from pair to pair, so neither always runs on a
+# cold or a warm host. It prints every metric's median and quartiles per
+# side: the end-to-end ones, and with TRACE 1 the per-layer ones too, dotted
+# names such as obs.overhead_share included. A metric whose interquartile
+# ranges overlap is marked "unresolved": its runs spread too widely to tell
+# the two sides apart ("equal" when every run of both sides gave one value).
+# "won P/C" counts the pairs whose parent run (P) or change run (C) was the
+# better one, in the direction CHANGE's BENCHMARK.json declares (lower when
+# it names none); a tie counts for neither. Failed operations are counted per
+# side.
 #
 # Usage: sh scripts/pairs.sh PARENT CHANGE WORKLOAD SEED N [TRACE]
 #   TRACE is atombench's --trace mode, 0 (the default) or 1.
@@ -29,24 +33,31 @@ case $trace in 0 | 1) ;; *)
 esac
 
 runs=$(mktemp)
-trap 'rm -f "$runs"' EXIT
-i=0
-while [ "$i" -lt "$n" ]; do
-    for side in parent change; do
+better=$(mktemp)
+trap 'rm -f "$runs" "$better"' EXIT
+# One "metric direction" line per metric BENCHMARK.json declares.
+grep -o '"name": *"[a-z_.]*", *"unit": *"[^"]*", *"better": *"[a-z]*"' "$change/BENCHMARK.json" |
+    sed -E 's/"name": *"([^"]*)".*"better": *"([a-z]*)"/\1 \2/' >"$better"
+i=1
+while [ "$i" -le "$n" ]; do
+    order="parent change"
+    [ $((i % 2)) = 1 ] || order="change parent"
+    for side in $order; do
         if [ "$side" = parent ]; then dir=$parent; else dir=$change; fi
         last=$(cd "$dir" && bash atombench/run.sh --workload "$workload" --seed "$seed" --seconds 3 --trace "$trace" | tail -1)
-        # One "side metric value" line per metric, and the failed count.
+        # One "side metric pair value" line per metric, and the failed count.
         echo "$last" | grep -o '"[a-z_.]*": *{"value": *[-0-9.eE+]*' |
-            sed -E "s/\"([a-z_.]*)\": *\{\"value\": *(.*)/$side \1 \2/" >>"$runs"
-        echo "$last" | sed -E "s/.*\"failed\": *([0-9]+).*/$side failed \1/" >>"$runs"
+            sed -E "s/\"([a-z_.]*)\": *\{\"value\": *(.*)/$side \1 $i \2/" >>"$runs"
+        echo "$last" | sed -E "s/.*\"failed\": *([0-9]+).*/$side failed $i \1/" >>"$runs"
     done
     i=$((i + 1))
 done
 
 mode=""
 [ "$trace" = 0 ] || mode=", trace $trace"
-echo "$workload, seed $seed$mode, $n runs per side (median [first quartile, third quartile])"
-sort -k2,2 -k1,1 -k3,3g "$runs" | awk '
+echo "$workload, seed $seed$mode, $n runs per side (median [first quartile, third quartile]; pairs won by parent/change)"
+sort -k2,2 -k1,1 -k4,4g "$runs" | awk -v n="$n" -v better="$better" '
+    BEGIN { while ((getline line < better) > 0) { split(line, f, " "); higher[f[1]] = f[2] == "higher" } }
     function q(p,   x, k) { x = 1 + (c - 1) * p; k = int(x); return v[k] + (x - k) * (v[k + 1] - v[k]) }
     function flush() {
         if (c == 0) return
@@ -55,7 +66,7 @@ sort -k2,2 -k1,1 -k3,3g "$runs" | awk '
             sum = 0; for (j = 1; j <= c; j++) sum += v[j]
             fail[side] = sum
         } else {
-            med[side] = q(0.5); lo[side] = q(0.25); hi[side] = q(0.75)
+            med[side] = q(0.5); lo[side] = q(0.25); hi[side] = q(0.75); mn[side] = v[1]; mx[side] = v[c]
         }
         c = 0
     }
@@ -64,15 +75,23 @@ sort -k2,2 -k1,1 -k3,3g "$runs" | awk '
             printf "%-14s parent %d, change %d failed operations in all\n", metric, fail["parent"], fail["change"]
             return
         }
+        won["parent"] = won["change"] = 0
+        for (j = 1; j <= n; j++) {
+            d = pv["change", j] - pv["parent", j]
+            if (higher[metric]) d = -d
+            if (d < 0) won["change"]++
+            if (d > 0) won["parent"]++
+        }
         verdict = (hi["parent"] < lo["change"] || hi["change"] < lo["parent"]) ? "" : "  unresolved"
-        if (lo["parent"] == hi["change"] && hi["parent"] == lo["change"]) verdict = "  equal"
-        printf "%-14s parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  %+.1f%%%s\n", metric,
+        if (mn["parent"] == mx["change"] && mx["parent"] == mn["change"]) verdict = "  equal"
+        printf "%-14s parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  %+.1f%%  won %d/%d%s\n", metric,
             med["parent"], lo["parent"], hi["parent"], med["change"], lo["change"], hi["change"],
-            med["parent"] == 0 ? 0 : 100 * (med["change"] - med["parent"]) / med["parent"], verdict
+            med["parent"] == 0 ? 0 : 100 * (med["change"] - med["parent"]) / med["parent"],
+            won["parent"], won["change"], verdict
     }
     {
         if ($2 != metric || $1 != side) { flush() }
-        if ($2 != metric && metric != "") { report() }
-        metric = $2; side = $1; v[++c] = $3
+        if ($2 != metric && metric != "") { report(); delete pv }
+        metric = $2; side = $1; v[++c] = $4; pv[side, $3] = $4
     }
     END { flush(); report() }'
