@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -55,6 +56,57 @@ func TestFileDomains(t *testing.T) {
 	}
 }
 
+// routeByDivision is the oracle of route: every extent of the request
+// intersected with every domain, each piece's owner checked by division.
+func routeByDivision(t *testing.T, req interval.List, domains fileDomains) []mpi.Part {
+	var parts []mpi.Part
+	for _, e := range req {
+		for owner := range domains.n {
+			ov := e.Intersect(domains.at(owner))
+			if ov.Empty() {
+				continue
+			}
+			if got := domains.owner(ov.Off); got != owner {
+				t.Fatalf("piece %v lies in domain %d, owner(%d) = %d", ov, owner, ov.Off, got)
+			}
+			if n := len(parts); n == 0 || parts[n-1].Peer != owner {
+				parts = append(parts, mpi.Part{Peer: owner})
+			}
+			parts[len(parts)-1].Size += pieceHeader + ov.Len
+		}
+	}
+	return parts
+}
+
+// TestQuickRouteMatchesPerExtentDivision pins route's domain cursor to the
+// per-extent oracle, parts allocated at their number, on random canonical
+// requests inside spans shorter than P (every domain but the last empty),
+// a few times P (extents that cross several domains) and far longer
+// (extents that skip domains).
+func TestQuickRouteMatchesPerExtentDivision(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		p := 1 + r.Intn(70)
+		span := ext(r.Int63n(1000), 1+r.Int63n([]int64{int64(p), 4 * int64(p), 5000}[r.Intn(3)]))
+		var req interval.List
+		for range r.Intn(12) {
+			off := span.Off + r.Int63n(span.Len)
+			req = append(req, ext(off, min(1+r.Int63n(max(span.Len/3, 1)), span.End()-off)))
+		}
+		req = req.Normalize()
+		domains := newFileDomains(span, p)
+		got, want := route(req, domains), routeByDivision(t, req, domains)
+		if !slices.Equal(got, want) || cap(got) != len(want) {
+			t.Logf("P=%d span %v req %v: route %v (cap %d), want %v", p, span, req, got, cap(got), want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // exchange runs both phases of a collective over views with n domain
 // owners, as TwoPhase does but without the communicator: each rank routes
 // its view, each owner is delivered the parts addressed to it in ascending
@@ -70,7 +122,7 @@ func exchange(views []interval.List, n int, writers bool) (fileDomains, [][]mpi.
 	}
 	batches := make([]pfs.Batch, n)
 	for owner := range batches {
-		batches[owner] = mergeDomain(inbox[owner], views, domains.at(owner), writers)
+		batches[owner], _ = mergeDomain(inbox[owner], views, domains.at(owner), writers, math.MaxInt)
 	}
 	return domains, inbox, batches
 }
@@ -115,7 +167,8 @@ func randCanonical(r *rand.Rand, k int, limit int64) interval.List {
 // owner resolving only its own domain from the shared views, the owners'
 // batches — extents and writers — concatenate to the collective's winners
 // map cut at the domain boundaries; a file that keeps no writers gets the
-// same extents alone; each owner hears from exactly the ranks whose views
+// canonical form of those extents alone, no writers named, which a
+// write-behind flush sends as it stands; each owner hears from exactly the ranks whose views
 // reach into its domain, priced a header and the bytes per piece; and views
 // that cover nothing leave an empty span, which TwoPhase writes nothing
 // for.
@@ -188,8 +241,8 @@ func TestDomainMergeMatchesGlobalWinners(t *testing.T) {
 				}
 				_, _, lengths := exchange(views, p, false)
 				for owner, b := range lengths {
-					if !slices.Equal(b.Ext, batches[owner].Ext) || b.Writers != nil {
-						t.Fatalf("%s P=%d round %d: a file that keeps no writers gets %v by %v from owner %d", name, p, round, b.Ext, b.Writers, owner)
+					if want := batches[owner].Ext.Normalize(); !slices.Equal(b.Ext, want) || !b.Ext.IsCanonical() || b.Writers != nil {
+						t.Fatalf("%s P=%d round %d: a file that keeps no writers gets %v by %v from owner %d, want %v", name, p, round, b.Ext, b.Writers, owner, want)
 					}
 				}
 			}
@@ -231,7 +284,7 @@ func writerImage(b pfs.Batch, n int64) ([]int, bool) {
 func TestMergePiecesHighestRankWins(t *testing.T) {
 	domain := ext(0, 100)
 	views := []interval.List{{ext(0, 50)}, {ext(25, 50)}, {ext(40, 20)}}
-	merged := mergeDomain(senders(views, domain), views, domain, true)
+	merged, _ := mergeDomain(senders(views, domain), views, domain, true, math.MaxInt)
 	img, ok := writerImage(merged, 100)
 	if !ok {
 		t.Fatalf("merged extents overlap: %v", merged.Ext)
@@ -255,7 +308,7 @@ func TestMergePiecesHighestRankWins(t *testing.T) {
 
 func TestMergePiecesClampsToDomain(t *testing.T) {
 	views := []interval.List{{ext(0, 100)}}
-	merged := mergeDomain(senders(views, ext(40, 20)), views, ext(40, 20), true)
+	merged, _ := mergeDomain(senders(views, ext(40, 20)), views, ext(40, 20), true, math.MaxInt)
 	if !slices.Equal(merged.Ext, interval.List{ext(40, 20)}) || !slices.Equal(merged.Writers, []int{0}) {
 		t.Fatalf("merged %v by %v", merged.Ext, merged.Writers)
 	}
@@ -290,7 +343,7 @@ func TestQuickMergeMatchesHighestRankModel(t *testing.T) {
 			}
 		}
 		domain := ext(0, dom)
-		merged := mergeDomain(senders(views, domain), views, domain, true)
+		merged, _ := mergeDomain(senders(views, domain), views, domain, true, math.MaxInt)
 		img, ok := writerImage(merged, dom)
 		return ok && slices.Equal(img, model)
 	}
@@ -367,6 +420,74 @@ func TestMergeSegmentsMatchSetMerge(t *testing.T) {
 	}
 }
 
+// TestMergeSplitsAtTheCrashRun pins the partial two-phase commit: for every
+// crash run k of every owner, with and without writers, the written batch
+// is the merge's first k runs — as they are when the file keeps writers,
+// their canonical form when it does not — and the damage is the canonical
+// form of the rest, even where the runs on either side of the crash run
+// touch.
+func TestMergeSplitsAtTheCrashRun(t *testing.T) {
+	r := rand.New(rand.NewSource(58))
+	var cases [][]interval.List
+	for range 40 {
+		views := make([]interval.List, 1+r.Intn(5))
+		for rank := range views {
+			views[rank] = randPieces(r, 120)
+		}
+		cases = append(cases, views)
+	}
+	for _, procs := range []int{2, 4} {
+		views := make([]interval.List, procs)
+		for rank := range views {
+			piece, err := workload.ColumnWise(8, 32, procs, 2, rank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views[rank] = interval.List(piece.Filetype.Flatten()).Normalize()
+		}
+		cases = append(cases, views)
+	}
+	touching := 0
+	for c, views := range cases {
+		span := aggregateSpan(views)
+		if span.Empty() {
+			continue
+		}
+		for _, owners := range []int{1, 3} {
+			domains := newFileDomains(span, owners)
+			for owner := range owners {
+				domain := domains.at(owner)
+				recv := senders(views, domain)
+				all, _ := mergeDomain(recv, views, domain, true, math.MaxInt)
+				for k := 0; k <= len(all.Ext)+1; k++ {
+					kk := min(k, len(all.Ext))
+					if kk > 0 && kk < len(all.Ext) && all.Ext[kk-1].End() == all.Ext[kk].Off {
+						touching++
+					}
+					wantDamage := all.Ext[kk:].Normalize()
+					for _, writers := range []bool{true, false} {
+						written, damage := mergeDomain(recv, views, domain, writers, k)
+						want := all.Slice(0, kk)
+						if !writers {
+							want = pfs.Batch{Ext: want.Ext.Normalize()}
+						}
+						if !slices.Equal(written.Ext, want.Ext) || !slices.Equal(written.Writers, want.Writers) || !slices.Equal(damage, wantDamage) {
+							t.Fatalf("case %d domain %v crash %d writers %v: wrote %v by %v, damaged %v; want %v by %v, damage %v",
+								c, domain, k, writers, written.Ext, written.Writers, damage, want.Ext, want.Writers, wantDamage)
+						}
+						if !writers && (written.Writers != nil || !written.Ext.IsCanonical()) {
+							t.Fatalf("case %d domain %v crash %d: a file without writers gets %v by %v", c, domain, k, written.Ext, written.Writers)
+						}
+					}
+				}
+			}
+		}
+	}
+	if touching == 0 {
+		t.Fatal("no crash run touched the run before it")
+	}
+}
+
 // fuzzView reads one rank's view from b: an offset step (signed, so
 // extents need not ascend) and a length byte, then that many bytes the
 // extent skips — fewer at b's end — normalized.
@@ -398,7 +519,7 @@ func FuzzMergePieces(f *testing.F) {
 		views := []interval.List{fuzzView(a), fuzzView(b), fuzzView(c)}
 		recv := []mpi.Part{{Peer: 0}, {Peer: 1}, {Peer: 2}}
 		domain := ext(off, n)
-		merged := mergeDomain(recv, views, domain, true)
+		merged, _ := mergeDomain(recv, views, domain, true, math.MaxInt)
 		at := domain.Off
 		for i, e := range merged.Ext {
 			if e.Empty() || e.Off < at || e.End() > domain.End() {

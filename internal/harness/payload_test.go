@@ -111,8 +111,10 @@ func TestPayloadlessRunMatchesStoredRunUnderFaults(t *testing.T) {
 // so it may allocate the lists it reads — the flattened tile, which is the
 // request, the exchanged view and the batch the servers get, and ordering's
 // clips and twophase's merged domains — and little more: 16.7 / 16.7 /
-// 32.7 / 32.9 B per extent measured for locking / coloring / ordering /
-// twophase (73 B while twophase also built routed pieces and a winners map).
+// 32.7 / 16.9 B per extent measured for locking / coloring / ordering /
+// twophase, whose domains' runs coalesce to a few extents when the file
+// keeps no writers (32.9 B while each domain listed a run per writer, 73 B
+// while twophase also built routed pieces and a winners map).
 // None of it may depend on the array size or the platform: the 1 GB cells
 // have the extents of the 128 MB one (a block map made the IBM SP one 28 %
 // dearer, and while each cached write marked its blocks readable the
@@ -128,7 +130,7 @@ func TestDatalessCellAllocatesNoPayload(t *testing.T) {
 		{core.Locking{}, 21},
 		{core.Coloring{}, 21},
 		{core.RankOrder{}, 40},
-		{core.TwoPhase{}, 40},
+		{core.TwoPhase{}, 21},
 	} {
 		t.Run(tc.strategy.Name(), func(t *testing.T) {
 			var small float64

@@ -5,13 +5,14 @@
 # that runs first alternates from pair to pair, so neither always runs on a
 # cold or a warm host. It prints every metric's median and quartiles per
 # side: the end-to-end ones, and with TRACE 1 the per-layer ones too, dotted
-# names such as obs.overhead_share included. A metric whose interquartile
-# ranges overlap is marked "unresolved": its runs spread too widely to tell
-# the two sides apart ("equal" when every run of both sides gave one value).
-# "won P/C" counts the pairs whose parent run (P) or change run (C) was the
-# better one, in the direction CHANGE's BENCHMARK.json declares (lower when
-# it names none); a tie counts for neither. Failed operations are counted per
-# side.
+# names such as obs.overhead_share included. "won P/C" counts the pairs
+# whose parent run (P) or change run (C) was the better one, in the
+# direction CHANGE's BENCHMARK.json declares (lower when it names none); a
+# tie counts for neither. A metric is resolved only when one side wins at
+# least 9 of every 10 pairs and its median is better than the other side's
+# by more than the parent's interquartile distance; any other is marked
+# "unresolved" ("equal" when every run of both sides gave one value).
+# Failed operations are counted per side.
 #
 # Usage: sh scripts/pairs.sh PARENT CHANGE WORKLOAD SEED N [TRACE]
 #   TRACE is atombench's --trace mode, 0 (the default) or 1.
@@ -82,7 +83,12 @@ sort -k2,2 -k1,1 -k4,4g "$runs" | awk -v n="$n" -v better="$better" '
             if (d < 0) won["change"]++
             if (d > 0) won["parent"]++
         }
-        verdict = (hi["parent"] < lo["change"] || hi["change"] < lo["parent"]) ? "" : "  unresolved"
+        # The gain of the change over the parent median, and the parent spread.
+        gain = med["parent"] - med["change"]
+        if (higher[metric]) gain = -gain
+        iqr = hi["parent"] - lo["parent"]
+        resolved = (10 * won["change"] >= 9 * n && gain > iqr) || (10 * won["parent"] >= 9 * n && -gain > iqr)
+        verdict = resolved ? "" : "  unresolved"
         if (mn["parent"] == mx["change"] && mx["parent"] == mn["change"]) verdict = "  equal"
         printf "%-14s parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  %+.1f%%  won %d/%d%s\n", metric,
             med["parent"], lo["parent"], hi["parent"], med["change"], lo["change"], hi["change"],
