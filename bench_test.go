@@ -228,7 +228,8 @@ func BenchmarkScaling(b *testing.B) {
 // CI's bench-smoke job exercises.
 func BenchmarkDegraded(b *testing.B) {
 	for _, cell := range runner.DegradedGrid() {
-		if testing.Short() && (!cell.Experiment.Scenario.Perturbs() || cell.Experiment.Procs != 4) {
+		// A perturbing scenario slows a server or skews affinity.
+		if s := cell.Experiment.Scenario; testing.Short() && (len(s.Slow) == 0 && len(s.Affinity) == 0 || cell.Experiment.Procs != 4) {
 			continue
 		}
 		b.Run(cell.ID, func(b *testing.B) { runExperiment(b, cell.Experiment) })

@@ -265,27 +265,24 @@ func TestRankOrderingHighestRankWins(t *testing.T) {
 			if !rep.Atomic() {
 				t.Fatalf("violations: %v", rep.Violations)
 			}
-			// An atomic report's winners are those of the views' atoms: with no
-			// records, each sweep piece of two or more views is one.
-			var atoms []interval.Extent
-			index.Sweep(nil, views, func(p *index.Piece) {
-				if len(p.Views) >= 2 {
-					atoms = append(atoms, p.Extent)
-				}
-			})
-			if len(atoms) != len(rep.Winners) {
-				t.Fatalf("%d atoms, %d winners", len(atoms), len(rep.Winners))
+			// Every byte two or more views cover holds the highest covering
+			// rank's data: the owner of each such sweep piece of the records.
+			var log []index.Record
+			if err := fs.EachRecord("shared.dat", func(r index.Record) { log = append(log, r) }); err != nil {
+				t.Fatal(err)
 			}
-			for i, won := range rep.Winners {
-				atom, max := atoms[i], -1
-				for rank, v := range views {
-					if v.Overlaps(interval.List{{Off: atom.Off, Len: 1}}) && rank > max {
-						max = rank
-					}
+			contested := int64(0)
+			index.Sweep(log, views, func(p *index.Piece) {
+				if len(p.Views) < 2 {
+					return
 				}
-				if int(won) != max {
-					t.Fatalf("region %v won by %d, want highest rank %d", atom, won, max)
+				if high := int(slices.Max(p.Views)); p.Owner != high {
+					t.Fatalf("region %v won by %d, want highest rank %d", p.Extent, p.Owner, high)
 				}
+				contested += p.Len
+			})
+			if contested == 0 || contested != rep.OverlappedBytes {
+				t.Fatalf("%d contested bytes checked, the report overlaps %d", contested, rep.OverlappedBytes)
 			}
 		})
 	}

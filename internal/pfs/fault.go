@@ -38,14 +38,15 @@ func (fs *FileSystem) SetFault(in *fault.Injector) { fs.fault = in }
 // current virtual time, recording their extents as damage. The decision is
 // made at the client clock, not at each piece's arrival. A surviving piece
 // keeps its extent's writer. A flush passes the log it coalesced b from and
-// gets it back with the same pieces removed from every logged batch.
-// Healthy runs return b and log unchanged.
+// gets it back with the same pieces removed from every logged batch. A call
+// made while every server is up returns b and log as they stand, uncopied:
+// a record is not per server, so cutting it into stripe pieces would change
+// no owner.
 func (c *Client) dropFaulted(b Batch, log []Batch) (Batch, []Batch) {
-	in := c.fs.fault
-	if in == nil || !in.HasServerFaults() {
+	in, now := c.fs.fault, c.clock.Now()
+	if in == nil || !in.ServerDownAt(now) {
 		return b, log
 	}
-	now := c.clock.Now()
 	up := func(server int) bool { return !in.ServerDropped(server, now) }
 	b, damaged := c.pieces(b, up)
 	if log != nil {

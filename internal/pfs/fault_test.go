@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"atomio/internal/interval"
+	"atomio/internal/interval/index"
 	"atomio/internal/sim"
 	"atomio/internal/sim/fault"
 )
@@ -65,6 +66,51 @@ func TestServerCrashWindowCloses(t *testing.T) {
 }
 
 func time200() sim.VTime { return 200 * sim.Microsecond }
+
+// TestUpServersTakeTheCallUncopied pins the fault filter at instants when
+// no server is down: under a script that crashes server 0 from 1 s on, a
+// call made before is stored as the caller lent it — its record's extents
+// are the batch's array — and dropFaulted allocates nothing, a flush's log
+// included. A call made once the window is open is still cut at the
+// servers, rank 1's as well as rank 0's: its server-0 stripes are damage.
+func TestUpServersTakeTheCallUncopied(t *testing.T) {
+	fs := faultFS(t, fault.Script{Events: []fault.Event{
+		{Kind: fault.ServerCrash, Server: 0, From: sim.Second},
+	}}, false)
+	clk := sim.NewClock(0)
+	c, _ := fs.Open("f", 1, clk)
+	b := Batch{Ext: interval.List{{Off: 0, Len: 32}}} // 4 stripes: s0 s1 s0 s1
+	c.Write(b)
+	var recs []index.Record
+	visit := func(r index.Record) { recs = append(recs, r) }
+	if err := fs.EachRecord("f", visit); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || &recs[0].Ext[0] != &b.Ext[0] {
+		t.Fatalf("records %+v: want the lent batch %v itself", recs, b.Ext)
+	}
+	log := []Batch{b, b}
+	if n := testing.AllocsPerRun(10, func() { c.dropFaulted(b, log) }); n != 0 {
+		t.Errorf("dropFaulted allocates %v objects while every server is up", n)
+	}
+	if damaged, _ := fs.Damaged("f"); len(damaged) != 0 {
+		t.Errorf("damage %v while every server is up", damaged)
+	}
+
+	clk.AdvanceTo(sim.Second)
+	late := Batch{Ext: interval.List{{Off: 0, Len: 32}}}
+	c.Write(late)
+	recs = recs[:0]
+	if err := fs.EachRecord("f", visit); err != nil {
+		t.Fatal(err)
+	}
+	if want := (interval.List{{Off: 8, Len: 8}, {Off: 24, Len: 8}}); len(recs) != 2 || !reflect.DeepEqual(recs[1].Ext, want) {
+		t.Errorf("records %+v: want the late call's server-1 stripes %v", recs, want)
+	}
+	if damaged, _ := fs.Damaged("f"); !reflect.DeepEqual(damaged, interval.List{{Off: 0, Len: 8}, {Off: 16, Len: 8}}) {
+		t.Errorf("damage %v: want the late call's server-0 stripes", damaged)
+	}
+}
 
 // TestRecoverReplaysDamagedIntents pins the WAL path: after a crash drops
 // server 0's stripes of both ranks' writes, Recover replays exactly the

@@ -127,10 +127,3 @@ func (p Profile) Apply(cfg pfs.Config) (pfs.Config, error) {
 	}
 	return cfg, nil
 }
-
-// Perturbs reports whether the profile changes virtual timing relative to
-// the healthy configuration (slow servers or skewed affinity); such runs
-// are explicitly non-comparable to healthy output. Pure rebalances also
-// change timing but remain ordinary healthy configurations at their new
-// server count.
-func (p Profile) Perturbs() bool { return len(p.Slow) > 0 || len(p.Affinity) > 0 }

@@ -17,6 +17,13 @@ func baseCfg() pfs.Config {
 	}
 }
 
+// Perturbs reports whether the profile changes virtual timing relative to
+// the healthy configuration (slow servers or skewed affinity); such runs
+// are explicitly non-comparable to healthy output. Pure rebalances also
+// change timing but remain ordinary healthy configurations at their new
+// server count.
+func (p Profile) Perturbs() bool { return len(p.Slow) > 0 || len(p.Affinity) > 0 }
+
 func TestHealthyIsIdentity(t *testing.T) {
 	cfg, err := Healthy().Apply(baseCfg())
 	if err != nil {

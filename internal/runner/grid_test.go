@@ -8,6 +8,7 @@ import (
 	"atomio/internal/core"
 	"atomio/internal/harness"
 	"atomio/internal/obs"
+	"atomio/internal/pfs/scenario"
 )
 
 // TestFigure8GridShape pins the canonical evaluation grid: 3 sizes × 3
@@ -247,16 +248,21 @@ func TestDegradedGridShape(t *testing.T) {
 		}
 	}
 	smoke := DegradedSmokeCell()
-	if !smoke.Experiment.Scenario.Perturbs() || smoke.Experiment.Procs != 4 {
+	if !perturbs(smoke.Experiment.Scenario) || smoke.Experiment.Procs != 4 {
 		t.Fatalf("smoke cell %s is not a smallest perturbing cell", smoke.ID)
 	}
 }
+
+// perturbs reports whether a scenario slows a server or skews affinity —
+// changes virtual timing against the healthy configuration, as a pure
+// rebalance does not.
+func perturbs(p *scenario.Profile) bool { return len(p.Slow) > 0 || len(p.Affinity) > 0 }
 
 // DegradedSmokeCell returns the smallest cell of the degraded grid that
 // actually perturbs a server — the cell CI's bench-smoke job runs.
 func DegradedSmokeCell() Cell {
 	for _, cell := range DegradedGrid() {
-		if cell.Experiment.Scenario.Perturbs() && cell.Experiment.Procs == 4 {
+		if perturbs(cell.Experiment.Scenario) && cell.Experiment.Procs == 4 {
 			return cell
 		}
 	}

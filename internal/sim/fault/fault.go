@@ -19,6 +19,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 
 	"atomio/internal/sim"
 )
@@ -135,7 +136,7 @@ func (s Script) String() string {
 // injector may be shared by every actor without synchronization.
 type Injector struct {
 	script      Script
-	crash       map[int][]Event // server → drop windows
+	crash       []Event // the drop windows, in script order
 	lockDelay   map[opKey]sim.VTime
 	unlockDrop  map[opKey]bool
 	unlockDup   map[opKey]bool
@@ -148,7 +149,6 @@ type opKey struct{ owner, op int }
 func New(s Script) *Injector {
 	in := &Injector{
 		script:      s,
-		crash:       make(map[int][]Event),
 		lockDelay:   make(map[opKey]sim.VTime),
 		unlockDrop:  make(map[opKey]bool),
 		unlockDup:   make(map[opKey]bool),
@@ -157,7 +157,7 @@ func New(s Script) *Injector {
 	for _, e := range s.Events {
 		switch e.Kind {
 		case ServerCrash:
-			in.crash[e.Server] = append(in.crash[e.Server], e)
+			in.crash = append(in.crash, e)
 		case LockDelay:
 			in.lockDelay[opKey{e.Owner, e.Op}] += e.Delay
 		case UnlockDrop:
@@ -177,13 +177,17 @@ func (in *Injector) Lease() sim.VTime { return in.script.Lease }
 // ServerDropped reports whether a write routed to server at virtual time
 // at falls inside one of the server's drop windows.
 func (in *Injector) ServerDropped(server int, at sim.VTime) bool {
-	for _, w := range in.crash[server] {
-		if at >= w.From && (w.Until == 0 || at < w.Until) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(in.crash, func(w Event) bool { return w.Server == server && w.open(at) })
 }
+
+// ServerDownAt reports whether any server's drop window is open at virtual
+// time at: false on every instant of a script that crashes no server.
+func (in *Injector) ServerDownAt(at sim.VTime) bool {
+	return slices.ContainsFunc(in.crash, func(w Event) bool { return w.open(at) })
+}
+
+// open reports whether the drop window of the server crash w covers at.
+func (w Event) open(at sim.VTime) bool { return at >= w.From && (w.Until == 0 || at < w.Until) }
 
 // LockDelay returns the added virtual latency of the owner's op-th lock
 // request (zero when unfaulted).
@@ -214,6 +218,3 @@ func (in *Injector) WriterCrash(rank int) (segments int, crashed bool) {
 func (in *Injector) HasLockFaults() bool {
 	return len(in.lockDelay) > 0 || len(in.unlockDrop) > 0 || len(in.unlockDup) > 0
 }
-
-// HasServerFaults reports whether the script crashes any server.
-func (in *Injector) HasServerFaults() bool { return len(in.crash) > 0 }

@@ -28,8 +28,13 @@ func TestServerDroppedWindows(t *testing.T) {
 			t.Errorf("ServerDropped(%d, %d) = %v, want %v", c.server, c.at, got, c.want)
 		}
 	}
-	if !in.HasServerFaults() {
-		t.Error("HasServerFaults = false")
+	for _, c := range []struct {
+		at   sim.VTime
+		want bool
+	}{{0, true}, {4, true}, {5, false}, {9, false}, {10, true}, {20, false}, {50, true}} {
+		if got := in.ServerDownAt(c.at); got != c.want {
+			t.Errorf("ServerDownAt(%d) = %v, want %v", c.at, got, c.want)
+		}
 	}
 	if in.HasLockFaults() {
 		t.Error("HasLockFaults = true for a crash-only script")

@@ -34,8 +34,8 @@ func TestCheckBytesCleanSerial(t *testing.T) {
 	if !rep.Atomic() {
 		t.Fatalf("clean serial file rejected: %+v", rep)
 	}
-	if got, ok := rep.winner(views, interval.Extent{Off: 5, Len: 10}); !ok || got != 1 {
-		t.Errorf("winner = %d, %v, want 1", got, ok)
+	if rep.Outcome != outcome(1) {
+		t.Errorf("outcome %x, want rank 1's %x", rep.Outcome, outcome(1))
 	}
 	if Classify(rep, false) != Serializable {
 		t.Errorf("verdict = %v, want %v", Classify(rep, false), Serializable)

@@ -2,9 +2,12 @@ package verify
 
 // The file-system-free side of the checker, which only tests drive:
 // CheckBytes runs Check's algorithm over an in-memory image of marker
-// bytes, and won pairs a report's winners with the atoms they won.
+// bytes, and outcome hashes the winners a report's Outcome should name.
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+
 	"atomio/internal/interval"
 	"atomio/internal/interval/index"
 )
@@ -16,14 +19,19 @@ import (
 // hand-constructed torn files, and the byte oracle Check's owner runs are
 // held to.
 func CheckBytes(data []byte, views []interval.List) *Report {
+	return check(imageLog(data), views)
+}
+
+// imageLog is the write log of an image of marker bytes: one record, its
+// owner runs, each its marker's rank's.
+func imageLog(data []byte) []index.Record {
 	n := 0
 	markerRuns(data, func(interval.Extent, int) { n++ })
-	// One record: the runs, each its marker's rank's.
 	image := index.Record{Ext: make(interval.List, 0, n), Writers: make([]int, 0, n)}
 	markerRuns(data, func(run interval.Extent, rank int) {
 		image.Ext, image.Writers = append(image.Ext, run), append(image.Writers, rank)
 	})
-	return check([]index.Record{image}, views)
+	return []index.Record{image}
 }
 
 // markerRuns visits the owner runs of an image of marker bytes in file
@@ -41,28 +49,12 @@ func markerRuns(data []byte, visit func(run interval.Extent, rank int)) {
 	}
 }
 
-// won pairs each clean atom of views — the atoms less the report's
-// violations — with the rank that won it, in file order.
-func (r *Report) won(views []interval.List) []index.Owned {
-	var won []index.Owned
-	torn := r.Violations
-	for _, a := range atomsByCuts(views) {
-		if len(torn) > 0 && torn[0].Region == a.region {
-			torn = torn[1:]
-			continue
-		}
-		won = append(won, index.Owned{Extent: a.region, Rank: int(r.Winners[len(won)])})
+// outcome is the Report.Outcome of clean atoms won by ranks, in file order,
+// hashed by the standard library's FNV-1a.
+func outcome(ranks ...int) uint64 {
+	h := fnv.New64a()
+	for _, rank := range ranks {
+		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(rank)))
 	}
-	return won
-}
-
-// winner returns the rank whose data the clean atom of views held, and
-// false when atom is not a clean atom of the check.
-func (r *Report) winner(views []interval.List, atom interval.Extent) (int, bool) {
-	for _, w := range r.won(views) {
-		if w.Extent == atom {
-			return w.Rank, true
-		}
-	}
-	return 0, false
+	return h.Sum64()
 }

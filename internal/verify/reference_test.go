@@ -315,8 +315,12 @@ func TestCheckMatchesPaintedReference(t *testing.T) {
 		if !reflect.DeepEqual(got.OrderViolation, want.OrderViolation) {
 			t.Fatalf("%s\norder violation %+v, want %+v", where, got.OrderViolation, want.OrderViolation)
 		}
-		if won := got.won(views); !slices.Equal(won, want.won) {
-			t.Fatalf("%s\nwinners %v\nwant %v", where, won, want.won)
+		ranks := make([]int, len(want.won))
+		for i, w := range want.won {
+			ranks[i] = w.Rank
+		}
+		if got.Outcome != outcome(ranks...) {
+			t.Fatalf("%s\noutcome %x, want that of winners %v", where, got.Outcome, want.won)
 		}
 		switch {
 		case len(want.Violations) > 0:

@@ -82,10 +82,12 @@ type Report struct {
 	// individually clean but mutually inconsistent (no serialization
 	// order exists).
 	OrderViolation *OrderViolation
-	// Winners records which covering rank's data each clean atom held, for
-	// policy checks such as highest-rank-wins: one rank per clean atom in
-	// file order — the views' atoms less the Violations.
-	Winners []int32
+	// Outcome hashes which covering rank's data each clean atom held (the
+	// views' atoms less the Violations): 64-bit FNV-1a over their ranks in
+	// file order, four little-endian bytes each. Runs of a cell share its
+	// atoms, so equal winners give equal outcomes; a test that wants the
+	// ranks recomputes them from the records.
+	Outcome uint64
 }
 
 // Atomic reports whether the outcome satisfies MPI atomicity: every
@@ -111,7 +113,7 @@ func Check(fs *pfs.FileSystem, name string, views []interval.List) (*Report, err
 
 // check runs the sweep over log and views and settles its atoms.
 func check(log []index.Record, views []interval.List) *Report {
-	c := &checker{rep: &Report{}, views: views}
+	c := &checker{rep: &Report{Outcome: 14695981039346656037}, ranks: len(views)} // FNV-1a's offset basis
 	index.Sweep(log, views, c.piece)
 	if c.atom.Len > 0 {
 		c.settle()
@@ -131,19 +133,8 @@ type checker struct {
 	owner   int             // the rank whose run holds the pending atom so far, while it is clean
 	torn    bool            // the pending atom is torn: tear is its violation so far
 	tear    Violation
-	views   []interval.List // the ranks' views
-	after   [][]int32       // row w: the writers w serializes after, ascending and once each; nil before the first clean atom
-}
-
-// firstWin sizes Winners for an atom per view extent and every row of after
-// for two writers, the column-wise degree: a check with no clean atom never.
-func (c *checker) firstWin() {
-	slab, extents := make([]int32, 2*len(c.views)), 0
-	c.after = make([][]int32, len(c.views))
-	for w, v := range c.views {
-		c.after[w], extents = slab[2*w:2*w:2*w+2], extents+len(v)
-	}
-	c.rep.Winners = make([]int32, 0, extents)
+	ranks   int       // the number of views, one row of after each
+	after   [][]int32 // row w: the writers w serializes after, ascending and once each; nil before the first clean atom
 }
 
 // piece takes the sweep's next piece. A cut, or fewer than two views, ends
@@ -211,10 +202,16 @@ func (c *checker) settle() {
 		slices.Sort(c.tear.Found)
 		c.rep.Violations = append(c.rep.Violations, c.tear)
 	} else {
-		if c.after == nil {
-			c.firstWin()
+		if c.after == nil { // the first clean atom sizes every row for two writers, the column-wise degree
+			slab := make([]int32, 2*c.ranks)
+			c.after = make([][]int32, c.ranks)
+			for w := range c.after {
+				c.after[w] = slab[2*w : 2*w : 2*w+2]
+			}
 		}
-		c.rep.Winners = append(c.rep.Winners, int32(c.owner))
+		for i := 0; i < 32; i += 8 { // one FNV-1a step per byte of the owner
+			c.rep.Outcome = (c.rep.Outcome ^ uint64(uint32(c.owner)>>i&0xff)) * 1099511628211
+		}
 		row := &c.after[c.owner]
 		for _, w := range c.writers {
 			if w == int32(c.owner) {

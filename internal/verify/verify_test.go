@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -69,8 +70,8 @@ func TestCleanOverlapPasses(t *testing.T) {
 	if rep.Atoms != 1 || rep.OverlappedBytes != 50 {
 		t.Fatalf("atoms=%d bytes=%d", rep.Atoms, rep.OverlappedBytes)
 	}
-	if w, ok := rep.winner(views, ext(50, 50)); !ok || w != 1 {
-		t.Fatalf("winner = %d, %v, want 1", w, ok)
+	if rep.Outcome != outcome(1) {
+		t.Fatalf("outcome %x, want rank 1's %x", rep.Outcome, outcome(1))
 	}
 }
 
@@ -129,11 +130,8 @@ func TestTripleOverlapAtoms(t *testing.T) {
 	if rep.Atoms != 2 {
 		t.Fatalf("atoms = %d, want 2", rep.Atoms)
 	}
-	if w, _ := rep.winner(views, ext(30, 30)); w != 1 {
-		t.Fatalf("winners = %v", rep.won(views))
-	}
-	if w, _ := rep.winner(views, ext(60, 30)); w != 2 {
-		t.Fatalf("winners = %v", rep.won(views))
+	if rep.Outcome != outcome(1, 2) {
+		t.Fatalf("outcome %x, want ranks 1 and 2's %x", rep.Outcome, outcome(1, 2))
 	}
 }
 
@@ -188,37 +186,44 @@ func TestNoOverlapNoAtoms(t *testing.T) {
 }
 
 // TestCleanAtomsAllocateNothing pins the clean-atom path: checking a clean
-// image allocates as much at 4 096 atoms as at 8 192 — no map entry, byte
-// slice or slice growth per atom — and Winners holds every atom's winner in
-// file order. The collector is off while it counts: a cycle started by the
-// image's own buffers allocates too.
+// image allocates as many objects and bytes at 4 096 atoms as at 8 192 — no
+// map entry, byte slice, winner or slice growth per atom — and Outcome
+// names every atom's winner in file order. The collector is off while it
+// counts: a cycle started by the image's own buffers allocates too.
 func TestCleanAtomsAllocateNothing(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocs := func(atoms int) float64 {
+	type cost struct{ objects, bytes uint64 }
+	allocs := func(atoms int) cost {
 		views := []interval.List{make(interval.List, atoms), make(interval.List, atoms)}
 		data := make([]byte, atoms*100)
+		won := make([]int, atoms)
 		for i := range atoms {
 			off := int64(i) * 100
 			views[0][i], views[1][i] = ext(off, 60), ext(off+40, 40)
 			Fill(0, data[off:off+60])
 			Fill(1, data[off+40:off+80]) // rank 1 wins [off+40, off+60)
+			won[i] = 1
 		}
-		rep := CheckBytes(data, views)
-		if !rep.Atomic() || rep.Atoms != atoms || len(rep.Winners) != atoms {
-			t.Fatalf("%d atoms: report %d atoms, %d winners, atomic %v", atoms, rep.Atoms, len(rep.Winners), rep.Atomic())
+		log := imageLog(data)
+		rep := check(log, views)
+		if !rep.Atomic() || rep.Atoms != atoms || rep.OverlappedBytes != int64(atoms)*20 {
+			t.Fatalf("%d atoms: report %d atoms of %d bytes, atomic %v", atoms, rep.Atoms, rep.OverlappedBytes, rep.Atomic())
 		}
-		for i, w := range rep.won(views) {
-			if w.Extent != ext(int64(i)*100+40, 20) || w.Rank != 1 {
-				t.Fatalf("atom %d: %v won by %d, want %v by 1", i, w.Extent, w.Rank, ext(int64(i)*100+40, 20))
-			}
+		if want := outcome(won...); rep.Outcome != want {
+			t.Fatalf("%d atoms: outcome %x, want rank 1's on each, %x", atoms, rep.Outcome, want)
 		}
-		if _, ok := rep.winner(views, ext(40, 19)); ok {
-			t.Fatal("winner answered for a region that is not an atom")
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			check(log, views)
 		}
-		return testing.AllocsPerRun(5, func() { CheckBytes(data, views) })
+		runtime.ReadMemStats(&after)
+		return cost{(after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs}
 	}
 	if small, large := allocs(4096), allocs(8192); small != large {
-		t.Fatalf("CheckBytes allocates %v objects at 4096 atoms and %v at 8192", small, large)
+		t.Fatalf("check allocates %d objects of %d bytes at 4096 atoms and %d of %d at 8192",
+			small.objects, small.bytes, large.objects, large.bytes)
 	}
 }
 

@@ -1,6 +1,9 @@
 #!/bin/sh
-# pairs.sh compares two checkouts on one atombench workload. It runs each
-# checkout's own atombench/run.sh --seconds 3 --trace TRACE in N pairs, one
+# pairs.sh compares two checkouts on one atombench workload. It builds each
+# checkout's own atombench once, before the first pair, into that checkout's
+# .bench_build (as atombench/run.sh does, with its environment), so an edit
+# made to a checkout while the comparison runs cannot enter its later runs.
+# It then runs each binary with --seconds 3 --trace TRACE in N pairs, one
 # run per side, so slow spells of the host fall on both sides alike; the side
 # that runs first alternates from pair to pair, so neither always runs on a
 # cold or a warm host. It prints every metric's median and quartiles per
@@ -36,6 +39,19 @@ esac
 runs=$(mktemp)
 better=$(mktemp)
 trap 'rm -f "$runs" "$better"' EXIT
+# build DIR builds DIR's atombench into DIR/.bench_build/pairs-atombench, a
+# name atombench/run.sh does not rebuild, with run.sh's build environment.
+build() {
+    (
+        b="$1/.bench_build"
+        mkdir -p "$b/tmp"
+        export GOCACHE="$b/go-cache" GOTMPDIR="$b/tmp" GOPATH="$b/go-path"
+        export GOTOOLCHAIN=local GOPROXY=off GOFLAGS=
+        go build -C "$1/atombench" -o "$b/pairs-atombench" .
+    )
+}
+build "$parent"
+[ "$change" = "$parent" ] || build "$change"
 # One "metric direction" line per metric BENCHMARK.json declares.
 grep -o '"name": *"[a-z_.]*", *"unit": *"[^"]*", *"better": *"[a-z]*"' "$change/BENCHMARK.json" |
     sed -E 's/"name": *"([^"]*)".*"better": *"([a-z]*)"/\1 \2/' >"$better"
@@ -45,7 +61,7 @@ while [ "$i" -le "$n" ]; do
     [ $((i % 2)) = 1 ] || order="change parent"
     for side in $order; do
         if [ "$side" = parent ]; then dir=$parent; else dir=$change; fi
-        last=$(cd "$dir" && bash atombench/run.sh --workload "$workload" --seed "$seed" --seconds 3 --trace "$trace" | tail -1)
+        last=$(cd "$dir" && .bench_build/pairs-atombench --workload "$workload" --seed "$seed" --seconds 3 --trace "$trace" | tail -1)
         # One "side metric pair value" line per metric, and the failed count.
         echo "$last" | grep -o '"[a-z_.]*": *{"value": *[-0-9.eE+]*' |
             sed -E "s/\"([a-z_.]*)\": *\{\"value\": *(.*)/$side \1 $i \2/" >>"$runs"
