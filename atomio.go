@@ -202,9 +202,8 @@ func TraceEvents(on bool) Option {
 	return func(s *Spec) error { s.TraceEvents = on; return nil }
 }
 
-// TraceLimit bounds per-actor event memory for traced runs: n > 0 keeps
-// only the newest n events per actor (ring buffer), 0 is unbounded, n < 0
-// records metrics only. Large-P cells use a ring.
+// TraceLimit selects what a traced run keeps: n = 0 every event, n = −1
+// (any negative n) metrics only. New rejects n > 0.
 func TraceLimit(n int) Option {
 	return func(s *Spec) error { s.EventLimit = n; return nil }
 }

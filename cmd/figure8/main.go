@@ -10,7 +10,7 @@
 //	        [-cpuprofile file] [-memprofile file]
 //	        [-scale] [-maxp P] [-servers N] [-degraded]
 //	        [-fleet] [-seed S] [-cells N]
-//	        [-trace-out file] [-trace-limit N] [-metrics]
+//	        [-trace-out file] [-metrics]
 //
 // Without flags all nine panels run data-less (time accounting only), which
 // keeps the 1 GB panels memory-flat. Cells run concurrently on a worker
@@ -43,14 +43,13 @@
 // time, so the whole report — verdicts included — is byte-identical across
 // runs for a fixed (seed, cells) pair.
 //
-// -trace-out records every cell's structured virtual-time event stream and
-// writes one trace file per cell: a ".json" path gets the Chrome
-// trace-event format (open it at ui.perfetto.dev), any other extension gets
-// atomio.trace/v1 JSONL (the format cmd/atomtrace consumes). The stream is
-// byte-identical across worker counts.
-// -trace-limit bounds per-actor event memory for large-P cells. -metrics
-// alone records the metrics registry — message counts, queue depths, lock
-// waits — into the emitted records without keeping event streams.
+// -trace-out records every event of every cell's structured virtual-time
+// event stream and writes one trace file per cell: a ".json" path gets the
+// Chrome trace-event format (open it at ui.perfetto.dev), any other
+// extension gets atomio.trace/v1 JSONL (the format cmd/atomtrace consumes).
+// The stream is byte-identical across worker counts. -metrics alone records
+// the metrics registry — message counts, queue depths, lock waits — into
+// the emitted records without keeping any event.
 //
 // Flags are declared through the shared internal/cli layer; grids are
 // resolved and executed by the public atomio facade.

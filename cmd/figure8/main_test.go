@@ -53,6 +53,7 @@ var parseCases = []struct {
 	{"non-numeric seed", []string{"-fleet", "-seed", "x"}, false, "invalid value"},
 	{"unknown engine", []string{"-engine", "threads"}, false, "flag provided but not defined: -engine"},
 	{"unknown flag", []string{"-nosuch"}, false, "not defined"},
+	{"trace limit", []string{"-trace-out", "t.jsonl", "-trace-limit", "4"}, false, "flag provided but not defined: -trace-limit"},
 	{"too many servers", []string{"-servers", "1073741824", "-platform", "Cplant", "-size", "32 MB"},
 		false, "figure8: -servers: harness: servers must be"},
 	{"too many cells", []string{"-fleet", "-cells", "1000000000"}, false, "-cells must be at most"},

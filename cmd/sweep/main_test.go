@@ -38,6 +38,7 @@ var parseCases = []struct {
 	{"negative servers", []string{"-servers", "-9"}, false, "non-negative"},
 	{"unknown flag", []string{"-nosuch"}, false, "not defined"},
 	{"store", []string{"-store"}, false, "flag provided but not defined: -store"},
+	{"trace limit", []string{"-trace-out", "t.jsonl", "-trace-limit", "4"}, false, "flag provided but not defined: -trace-limit"},
 	{"too many procs", []string{"-m", "1", "-n", "4194304", "-p", "4194304", "-r", "0", "-strategies", "ordering"},
 		false, "sweep: harness: process count must be"},
 	{"too many servers", []string{"-servers", "1073741824"}, false, "harness: servers must be"},

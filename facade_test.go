@@ -52,6 +52,7 @@ func TestNewValidation(t *testing.T) {
 		{"too many servers", []Option{Servers(1 << 30)}, "servers must be"},
 		{"bad checkpoints", []Option{Checkpoints(-1)}, "checkpoint steps must be non-negative"},
 		{"bad compute", []Option{Compute(-time.Second)}, "compute time must be non-negative"},
+		{"bounded trace", []Option{TraceEvents(true), TraceLimit(16)}, "event limit must be 0 (every event) or -1"},
 		{"indivisible shape", []Option{Procs(3)}, "not divisible"},
 		{"nil option", []Option{nil}, "nil option"},
 		{"locking on Cplant", []Option{Platform("Cplant"), Strategy("locking")}, "no byte-range locking"},
@@ -80,7 +81,7 @@ func TestEveryExperimentFieldHasAnOption(t *testing.T) {
 		"Platform": Platform("Cplant"), "M": Array(7, 9), "N": Array(7, 9), "Procs": Procs(2),
 		"Overlap": Overlap(2), "Pattern": Pattern("row"), "Strategy": Strategy("ordering"),
 		"Verify":      Verify(true),
-		"TraceEvents": TraceEvents(true), "EventLimit": TraceLimit(16),
+		"TraceEvents": TraceEvents(true), "EventLimit": TraceLimit(-1),
 		"Servers": Servers(3), "Scenario": Scenario("slow0x4"),
 		"Steps": Checkpoints(3), "Compute": Compute(time.Millisecond), "Faults": Fault("server-outage"),
 		"Recovery": Recovery(true),

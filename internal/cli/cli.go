@@ -239,10 +239,9 @@ func Apply(cells []atomio.Cell, opts ...atomio.Option) error {
 }
 
 // Trace is the event-tracing flag group the grid binaries share:
-// -trace-out, -trace-limit and -metrics.
+// -trace-out and -metrics.
 type Trace struct {
 	Out     string
-	Limit   int
 	Metrics bool
 }
 
@@ -252,41 +251,27 @@ func (a *App) Trace() *Trace {
 	a.Flags.StringVar(&t.Out, "trace-out", "",
 		"write per-cell event traces to this file (.json = Chrome trace-event format for Perfetto, "+
 			"anything else = atomio.trace/v1 JSONL; multi-cell runs insert the cell ID before the extension)")
-	a.Flags.IntVar(&t.Limit, "trace-limit", 0,
-		"per-actor event cap for -trace-out (> 0 keeps the newest events, 0 = unbounded)")
 	a.Flags.BoolVar(&t.Metrics, "metrics", false,
 		"record the metrics registry (messages, queue depths, lock waits) into emitted records "+
 			"without keeping event streams")
-	a.Check(t.validate)
 	return t
-}
-
-func (t *Trace) validate() error {
-	if t.Limit < 0 {
-		return fmt.Errorf("-trace-limit must be non-negative, got %d", t.Limit)
-	}
-	return nil
 }
 
 // Enabled reports whether any tracing was requested.
 func (t *Trace) Enabled() bool { return t.Out != "" || t.Metrics }
 
-// limit resolves the recorder's per-actor bound: -metrics without
-// -trace-out records metrics only (no event memory at all).
-func (t *Trace) limit() int {
-	if t.Out == "" {
-		return -1
-	}
-	return t.Limit
-}
-
 // Options returns the facade options the group asks for: none unless
-// tracing was requested.
+// tracing was requested, every event with -trace-out, and metrics only with
+// -metrics alone.
 func (t *Trace) Options() []atomio.Option {
 	if !t.Enabled() {
 		return nil
 	}
-	return []atomio.Option{atomio.TraceEvents(true), atomio.TraceLimit(t.limit())}
+	opts := []atomio.Option{atomio.TraceEvents(true)}
+	if t.Out == "" {
+		opts = append(opts, atomio.TraceLimit(-1))
+	}
+	return opts
 }
 
 // Write emits the traces of completed cells. A run with one traced cell

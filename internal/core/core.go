@@ -17,8 +17,6 @@
 package core
 
 import (
-	"fmt"
-
 	"atomio/internal/interval"
 	"atomio/internal/lock"
 	"atomio/internal/mpi"
@@ -92,23 +90,4 @@ type Strategy interface {
 	// view's own stored tile — and read-only. It guarantees MPI atomic
 	// semantics for the overlaps.
 	WriteAll(ctx *Context, req interval.List) error
-}
-
-// ByName returns the strategy with the given name ("locking", "coloring",
-// "ordering", or the §3.2 extension "listio").
-func ByName(name string) (Strategy, error) {
-	switch name {
-	case "locking":
-		return Locking{}, nil
-	case "coloring":
-		return Coloring{}, nil
-	case "ordering":
-		return RankOrder{}, nil
-	case "listio":
-		return ListIO{}, nil
-	case "twophase":
-		return TwoPhase{}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %q", name)
-	}
 }

@@ -362,18 +362,6 @@ func TestExtentCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestByNameAndAll(t *testing.T) {
-	for _, name := range []string{"locking", "coloring", "ordering"} {
-		s, err := ByName(name)
-		if err != nil || s.Name() != name {
-			t.Fatalf("ByName(%q) = %v, %v", name, s, err)
-		}
-	}
-	if _, err := ByName("two-phase"); err == nil {
-		t.Fatal("unknown strategy should fail")
-	}
-}
-
 // buildOverlapMatrixLinear is the reference O(P²·E) pairwise construction of
 // W that BuildOverlapMatrix's sweep is pinned to.
 func buildOverlapMatrixLinear(views []interval.List) OverlapMatrix {

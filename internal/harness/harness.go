@@ -87,9 +87,8 @@ type Experiment struct {
 	// rank's phase spans and per-phase counters (see PhaseBreakdown). The
 	// stream is byte-identical across worker counts.
 	TraceEvents bool
-	// EventLimit bounds per-actor event memory when TraceEvents is on:
-	// > 0 keeps only the newest EventLimit events per actor (ring buffer),
-	// 0 is unbounded, < 0 records metrics only. Large-P cells use a ring.
+	// EventLimit selects what TraceEvents keeps: 0 every event, −1 (any
+	// negative value) metrics only. A positive bound is an error.
 	EventLimit int
 	// Servers overrides the platform's simulated I/O-server count (0
 	// keeps the platform default). Server count is a real model parameter:
@@ -298,6 +297,8 @@ func (e Experiment) config() (pfs.Config, error) {
 		return cfg, fmt.Errorf("harness: %d checkpoint steps of a %dx%d array exceed int64 bytes", e.Steps, e.M, e.N)
 	case e.Compute < 0:
 		return cfg, fmt.Errorf("harness: compute time must be non-negative, got %v", e.Compute)
+	case e.EventLimit > 0:
+		return cfg, fmt.Errorf("harness: event limit must be 0 (every event) or -1 (metrics only), got %d", e.EventLimit)
 	case e.Strategy == nil:
 		return cfg, fmt.Errorf("harness: nil strategy")
 	case e.Strategy.Name() == "locking" && !e.Platform.SupportsLocking():

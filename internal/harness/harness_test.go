@@ -56,8 +56,9 @@ func TestExperimentRejectsLockingWithoutManager(t *testing.T) {
 
 // TestRunValidatesBeforeBuilding checks a hand-built experiment — one that
 // never went through the facade's New — is still refused before anything is
-// sized from an absurd value: each of these ran the process out of memory
-// when Run built the file system, lock tables and ranks unchecked.
+// sized from an absurd value: each of these but the last ran the process out
+// of memory when Run built the file system, lock tables and ranks
+// unchecked. The last, a bounded trace, would keep every event instead.
 func TestRunValidatesBeforeBuilding(t *testing.T) {
 	base := Experiment{
 		Platform: platform.Origin2000(), M: 1, N: 1 << 22, Procs: 4,
@@ -69,6 +70,7 @@ func TestRunValidatesBeforeBuilding(t *testing.T) {
 		"array shape":   func(e *Experiment) { e.M = 1 << 62 },
 		"at most 65536": func(e *Experiment) { e.Steps = 1 << 40 },
 		"steps of a":    func(e *Experiment) { e.M, e.Steps = 1<<26, MaxSteps },
+		"0 (every event) or -1 (metrics only), got 16": func(e *Experiment) { e.TraceEvents, e.EventLimit = true, 16 },
 	} {
 		e := base
 		mutate(&e)

@@ -84,10 +84,3 @@ func TestListIOSerializesInVirtualTime(t *testing.T) {
 		t.Fatalf("atomic listio calls overlapped in virtual time: %d vs %d", early, late)
 	}
 }
-
-func TestByNameIncludesListIO(t *testing.T) {
-	s, err := core.ByName("listio")
-	if err != nil || s.Name() != "listio" {
-		t.Fatalf("ByName(listio) = %v, %v", s, err)
-	}
-}

@@ -274,9 +274,6 @@ func FitExponent(points []ScalingPoint) float64 {
 func Report(t *TraceData) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace: %d procs, %d events", t.Procs, len(t.Events))
-	if t.Dropped > 0 {
-		fmt.Fprintf(&b, " (%d dropped)", t.Dropped)
-	}
 	b.WriteString("\n\nattribution (by summed virtual duration):\n")
 	fmt.Fprintf(&b, "  %-28s %10s %14s %12s\n", "event", "count", "dur(ns)", "bytes")
 	for _, s := range Attribution(t.Events) {

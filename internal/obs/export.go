@@ -18,9 +18,8 @@ const SchemaJSONL = "atomio.trace/v1"
 // (Schema set), events (Layer set) and the trailer (Metrics set). Field
 // order and omitempty choices are part of the byte-identical contract.
 type jsonLine struct {
-	Schema  string `json:"schema,omitempty"`
-	Procs   int    `json:"procs,omitempty"`
-	Dropped int64  `json:"dropped,omitempty"`
+	Schema string `json:"schema,omitempty"`
+	Procs  int    `json:"procs,omitempty"`
 
 	T     int64  `json:"t,omitempty"`
 	Actor int    `json:"a,omitempty"`
@@ -39,13 +38,13 @@ type jsonLine struct {
 }
 
 // WriteJSONL writes the recorder's merged trace as compact JSONL: a
-// schema header, every retained event, then the merged metrics snapshot.
+// schema header, every event, then the merged metrics snapshot.
 // Output is byte-identical for byte-identical traces (json.Marshal sorts
 // map keys; events are already totally ordered).
 func WriteJSONL(w io.Writer, r *Recorder) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonLine{Schema: SchemaJSONL, Procs: r.Actors(), Dropped: r.Dropped()}); err != nil {
+	if err := enc.Encode(jsonLine{Schema: SchemaJSONL, Procs: r.Actors()}); err != nil {
 		return err
 	}
 	for _, e := range r.Events() {
@@ -71,7 +70,6 @@ func WriteJSONL(w io.Writer, r *Recorder) error {
 // TraceData is a decoded JSONL trace: what atomtrace analyzes.
 type TraceData struct {
 	Procs   int
-	Dropped int64
 	Events  []Event
 	Metrics *Metrics
 }
@@ -101,7 +99,6 @@ func ReadJSONL(r io.Reader) (*TraceData, error) {
 				return nil, fmt.Errorf("obs: unknown trace schema %q", line.Schema)
 			}
 			t.Procs = line.Procs
-			t.Dropped = line.Dropped
 		case line.Metrics != nil:
 			for _, k := range sortedHistKeys(line.Metrics.Hists) {
 				if line.Metrics.Hists[k] == nil {

@@ -10,9 +10,8 @@
 // engine runs one actor at a time in (virtual time, actor id) order, so the
 // merged stream is byte-identical across worker counts.
 //
-// Memory: NewRecorder's limit selects unbounded capture (0), a per-actor
-// ring buffer keeping the newest events (limit > 0, for P=16384 runs), or
-// metrics-only mode retaining no events at all (limit < 0).
+// Memory: a recorder keeps every event (NewRecorder's limit 0) or none
+// (limit < 0, metrics only). A traced cell is O(P) events.
 package obs
 
 import (
@@ -86,11 +85,7 @@ type Event struct {
 // actor appends; no per-stream lock is needed because the engine runs one
 // actor at a time, so every append happens on its one thread.
 type stream struct {
-	seq     int64
-	events  []Event
-	start   int   // ring read position once the buffer wrapped
-	wrapped bool  // ring has overwritten at least one event
-	dropped int64 // events overwritten (ring) or discarded (metrics-only)
+	events []Event
 
 	counters map[string]int64
 	gauges   map[string]int64
@@ -102,15 +97,14 @@ type stream struct {
 // should still guard with a nil check to avoid building Event values that
 // would be thrown away.
 type Recorder struct {
-	limit   int
-	streams []stream
+	metricsOnly bool
+	streams     []stream
 }
 
-// NewRecorder returns a recorder for actors 0..actors-1. limit == 0
-// captures every event; limit > 0 keeps only the newest limit events per
-// actor (ring buffer); limit < 0 retains no events (metrics only).
+// NewRecorder returns a recorder for actors 0..actors-1. limit 0 captures
+// every event; limit < 0 retains none (metrics only).
 func NewRecorder(actors, limit int) *Recorder {
-	return &Recorder{limit: limit, streams: make([]stream, actors)}
+	return &Recorder{metricsOnly: limit < 0, streams: make([]stream, actors)}
 }
 
 // Actors returns the number of per-actor streams.
@@ -124,26 +118,12 @@ func (r *Recorder) Actors() int {
 // Emit appends e to its actor's stream, assigning the per-actor sequence
 // number. The caller supplies every field except Seq.
 func (r *Recorder) Emit(e Event) {
-	if r == nil {
+	if r == nil || r.metricsOnly {
 		return
 	}
 	s := &r.streams[e.Actor]
-	e.Seq = s.seq
-	s.seq++
-	switch {
-	case r.limit < 0:
-		s.dropped++
-	case r.limit == 0 || len(s.events) < r.limit:
-		s.events = append(s.events, e)
-	default:
-		s.events[s.start] = e
-		s.start++
-		if s.start == r.limit {
-			s.start = 0
-		}
-		s.wrapped = true
-		s.dropped++
-	}
+	e.Seq = int64(len(s.events))
+	s.events = append(s.events, e)
 }
 
 // Count adds d to the named counter on actor's metrics shard.
@@ -198,31 +178,6 @@ func (r *Recorder) Observe(actor int, name string, v int64) {
 	h.Observe(v)
 }
 
-// Dropped reports how many events were discarded across all streams
-// (ring-buffer overwrites plus metrics-only discards).
-func (r *Recorder) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	var n int64
-	for i := range r.streams {
-		n += r.streams[i].dropped
-	}
-	return n
-}
-
-// ordered returns one stream's retained events in sequence order (the ring
-// is unrolled from its oldest retained event).
-func (s *stream) ordered() []Event {
-	if !s.wrapped {
-		return s.events
-	}
-	out := make([]Event, 0, len(s.events))
-	out = append(out, s.events[s.start:]...)
-	out = append(out, s.events[:s.start]...)
-	return out
-}
-
 // Events merges every stream into the trace's total order: ascending
 // (T, Actor, Seq). The result is freshly allocated.
 func (r *Recorder) Events() []Event {
@@ -235,7 +190,7 @@ func (r *Recorder) Events() []Event {
 	}
 	out := make([]Event, 0, total)
 	for i := range r.streams {
-		out = append(out, r.streams[i].ordered()...)
+		out = append(out, r.streams[i].events...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

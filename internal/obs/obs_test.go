@@ -31,30 +31,6 @@ func TestRecorderAssignsDenseSequences(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("(actor, seq) order = %v, want %v", got, want)
 	}
-	if r.Dropped() != 0 {
-		t.Errorf("Dropped() = %d, want 0", r.Dropped())
-	}
-}
-
-func TestRecorderRingKeepsNewest(t *testing.T) {
-	const limit, emitted = 4, 10
-	r := NewRecorder(1, limit)
-	for i := 0; i < emitted; i++ {
-		r.Emit(Event{T: sim.VTime(i), Actor: 0, Layer: LayerPFS, Kind: KindServe, Peer: -1})
-	}
-	events := r.Events()
-	if len(events) != limit {
-		t.Fatalf("got %d events, want the %d newest", len(events), limit)
-	}
-	for i, e := range events {
-		wantSeq := int64(emitted - limit + i)
-		if e.Seq != wantSeq {
-			t.Errorf("events[%d].Seq = %d, want %d (ring must keep the newest)", i, e.Seq, wantSeq)
-		}
-	}
-	if r.Dropped() != emitted-limit {
-		t.Errorf("Dropped() = %d, want %d", r.Dropped(), emitted-limit)
-	}
 }
 
 func TestRecorderMetricsOnly(t *testing.T) {
@@ -64,9 +40,6 @@ func TestRecorderMetricsOnly(t *testing.T) {
 	r.Count(1, MetricMsgs, 4)
 	if got := r.Events(); len(got) != 0 {
 		t.Errorf("metrics-only recorder retained %d events", len(got))
-	}
-	if r.Dropped() != 1 {
-		t.Errorf("Dropped() = %d, want 1", r.Dropped())
 	}
 	if got := r.Metrics().Counter(MetricMsgs); got != 7 {
 		t.Errorf("counter sum = %d, want 7", got)
@@ -79,7 +52,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Count(0, "x", 1)
 	r.MaxGauge(0, "x", 1)
 	r.Observe(0, "x", 1)
-	if r.Events() != nil || r.Dropped() != 0 || r.Actors() != 0 || r.Metrics() != nil {
+	if r.Events() != nil || r.Actors() != 0 || r.Metrics() != nil {
 		t.Error("nil recorder must be a zero-valued no-op")
 	}
 	var m *Metrics
@@ -156,8 +129,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Procs != 2 || got.Dropped != 0 {
-		t.Errorf("header: procs %d dropped %d, want 2 and 0", got.Procs, got.Dropped)
+	if got.Procs != 2 {
+		t.Errorf("header: procs %d, want 2", got.Procs)
 	}
 	if !reflect.DeepEqual(got.Events, r.Events()) {
 		t.Errorf("events do not round-trip:\n in=%+v\nout=%+v", r.Events(), got.Events)
@@ -178,6 +151,21 @@ func TestReadJSONLRejectsMalformed(t *testing.T) {
 		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: want error", name)
 		}
+	}
+}
+
+// TestReadJSONLReadsADroppedCountHeader: a trace whose header carries the
+// "dropped" count that recorders once wrote still reads, its events intact.
+func TestReadJSONLReadsADroppedCountHeader(t *testing.T) {
+	in := `{"schema":"atomio.trace/v1","procs":4,"dropped":15}` + "\n" +
+		`{"t":7,"a":1,"s":3,"l":"mpi","k":"coll","tag":"barrier","dur":2}` + "\n"
+	got, err := ReadJSONL(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Event{{T: 7, Actor: 1, Seq: 3, Layer: LayerMPI, Kind: KindColl, Tag: "barrier", Peer: -1, Dur: 2}}
+	if got.Procs != 4 || !reflect.DeepEqual(got.Events, want) {
+		t.Errorf("read procs %d, events %+v; want 4 and %+v", got.Procs, got.Events, want)
 	}
 }
 

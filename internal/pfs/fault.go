@@ -39,15 +39,19 @@ func (fs *FileSystem) SetFault(in *fault.Injector) { fs.fault = in }
 // made at the client clock, not at each piece's arrival. A surviving piece
 // keeps its extent's writer. A flush passes the log it coalesced b from and
 // gets it back with the same pieces removed from every logged batch. A call
-// made while every server is up returns b and log as they stand, uncopied:
-// a record is not per server, so cutting it into stripe pieces would change
-// no owner.
+// none of whose pieces lies on a down server returns b and log as they
+// stand, uncopied: a record is not per server, so cutting it into stripe
+// pieces would change no owner. b holds every byte of its log, so its
+// pieces alone decide.
 func (c *Client) dropFaulted(b Batch, log []Batch) (Batch, []Batch) {
 	in, now := c.fs.fault, c.clock.Now()
 	if in == nil || !in.ServerDownAt(now) {
 		return b, log
 	}
 	up := func(server int) bool { return !in.ServerDropped(server, now) }
+	if c.allOn(b.Ext, up) {
+		return b, log
+	}
 	b, damaged := c.pieces(b, up)
 	if log != nil {
 		log = slices.Clone(log)
@@ -55,19 +59,33 @@ func (c *Client) dropFaulted(b Batch, log []Batch) (Batch, []Batch) {
 			log[i], _ = c.pieces(log[i], up)
 		}
 	}
-	if len(damaged) > 0 {
-		if o := c.fs.obs; o != nil {
-			for _, e := range damaged {
-				o.Emit(obs.Event{
-					T: now, Actor: c.rank, Layer: obs.LayerFault, Kind: obs.KindDrop,
-					Peer: -1, Off: e.Off, Len: e.Len,
-				})
-			}
-			o.Count(c.rank, obs.MetricFaultPrefix+obs.KindDrop, int64(len(damaged)))
+	if o := c.fs.obs; o != nil {
+		for _, e := range damaged {
+			o.Emit(obs.Event{
+				T: now, Actor: c.rank, Layer: obs.LayerFault, Kind: obs.KindDrop,
+				Peer: -1, Off: e.Off, Len: e.Len,
+			})
 		}
-		c.f.recordDamage(damaged)
+		o.Count(c.rank, obs.MetricFaultPrefix+obs.KindDrop, int64(len(damaged)))
 	}
+	c.f.recordDamage(damaged)
 	return b, log
+}
+
+// allOn reports whether every piece of ext lies on a server on accepts; it
+// stops at the first that does not.
+func (c *Client) allOn(ext interval.List, on func(server int) bool) bool {
+	walk := c.fs.cfg.walk(c.rank)
+	for _, e := range ext {
+		for off, n := e.Off, e.Len; n > 0; {
+			server, take := walk.piece(off, n)
+			if !on(server) {
+				return false
+			}
+			off, n = off+take, n-take
+		}
+	}
+	return true
 }
 
 // pieces splits b at its servers: it returns, as a batch, the pieces routed

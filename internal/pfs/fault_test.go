@@ -67,12 +67,13 @@ func TestServerCrashWindowCloses(t *testing.T) {
 
 func time200() sim.VTime { return 200 * sim.Microsecond }
 
-// TestUpServersTakeTheCallUncopied pins the fault filter at instants when
-// no server is down: under a script that crashes server 0 from 1 s on, a
-// call made before is stored as the caller lent it — its record's extents
-// are the batch's array — and dropFaulted allocates nothing, a flush's log
-// included. A call made once the window is open is still cut at the
-// servers, rank 1's as well as rank 0's: its server-0 stripes are damage.
+// TestUpServersTakeTheCallUncopied pins the fault filter on calls that
+// lose nothing: under a script that crashes server 0 from 1 s on, a call
+// made before, and one made after that lies on server 1 alone, are stored
+// as the caller lent them — each record's extents are the batch's array —
+// and dropFaulted allocates nothing, a flush's log included. A call with a
+// piece on server 0 once the window is open is still cut at the servers,
+// rank 1's as well as rank 0's: its server-0 stripes are damage.
 func TestUpServersTakeTheCallUncopied(t *testing.T) {
 	fs := faultFS(t, fault.Script{Events: []fault.Event{
 		{Kind: fault.ServerCrash, Server: 0, From: sim.Second},
@@ -98,13 +99,22 @@ func TestUpServersTakeTheCallUncopied(t *testing.T) {
 	}
 
 	clk.AdvanceTo(sim.Second)
+	onOne := Batch{Ext: interval.List{{Off: 8, Len: 8}, {Off: 24, Len: 4}}} // server 1's stripes
+	oneLog := []Batch{onOne}
+	if n := testing.AllocsPerRun(10, func() { c.dropFaulted(onOne, oneLog) }); n != 0 {
+		t.Errorf("dropFaulted allocates %v objects for a call on up servers alone", n)
+	}
+	c.Write(onOne)
 	late := Batch{Ext: interval.List{{Off: 0, Len: 32}}}
 	c.Write(late)
 	recs = recs[:0]
 	if err := fs.EachRecord("f", visit); err != nil {
 		t.Fatal(err)
 	}
-	if want := (interval.List{{Off: 8, Len: 8}, {Off: 24, Len: 8}}); len(recs) != 2 || !reflect.DeepEqual(recs[1].Ext, want) {
+	if len(recs) != 3 || &recs[1].Ext[0] != &onOne.Ext[0] {
+		t.Fatalf("records %+v: want the lent batch %v second", recs, onOne.Ext)
+	}
+	if want := (interval.List{{Off: 8, Len: 8}, {Off: 24, Len: 8}}); !reflect.DeepEqual(recs[2].Ext, want) {
 		t.Errorf("records %+v: want the late call's server-1 stripes %v", recs, want)
 	}
 	if damaged, _ := fs.Damaged("f"); !reflect.DeepEqual(damaged, interval.List{{Off: 0, Len: 8}, {Off: 16, Len: 8}}) {

@@ -68,7 +68,7 @@ func (s *ownerOracle) records(visit func(r index.Record)) {
 // withOwnerOracle gives fs's file "f" — the one file the oracle tests
 // use — the owner oracle for its content, before anything opens it.
 func withOwnerOracle(fs *FileSystem) *FileSystem {
-	fs.files["f"] = &file{name: "f", content: &ownerOracle{}}
+	fs.files["f"] = &file{content: &ownerOracle{}}
 	return fs
 }
 

@@ -256,7 +256,7 @@ func (fs *FileSystem) lookup(name string, create bool) (*file, error) {
 		if !create {
 			return nil, fmt.Errorf("pfs: file %q does not exist", name)
 		}
-		f = fs.newFile(name)
+		f = fs.newFile()
 		fs.files[name] = f
 	}
 	return f, nil

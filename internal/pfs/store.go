@@ -18,7 +18,6 @@ type content interface {
 // file is one file's server-side state: its content store (nil for
 // data-less runs) and the atomic-listio serialization point.
 type file struct {
-	name    string
 	content content
 
 	// listioFreeAt is the virtual time at which the file's atomic-listio
@@ -34,8 +33,8 @@ type file struct {
 
 // newFile creates a file that keeps a write log if the file system stores
 // data.
-func (fs *FileSystem) newFile(name string) *file {
-	f := &file{name: name}
+func (fs *FileSystem) newFile() *file {
+	f := &file{}
 	if fs.cfg.StoreData {
 		f.content = new(writeLog)
 	}

@@ -177,10 +177,7 @@ func ScalingGridTo(maxP int) []Cell {
 func ShardSweepGrid() []Cell {
 	prof := platform.Origin2000()
 	const m, n, procs = 512, 64 * 64, 64
-	strat, err := core.ByName("locking")
-	if err != nil {
-		panic(err)
-	}
+	strat := core.Locking{}
 	label := fmt.Sprintf("%dx%d", m, n)
 	var cells []Cell
 	for _, s := range []int{1, 2, 4, 8} {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -189,26 +190,25 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
-// TestTraceRingBoundsMemory checks the large-P story: a positive TraceLimit
-// keeps only the newest events per actor while the metrics registry still
-// counts everything.
-func TestTraceRingBoundsMemory(t *testing.T) {
+// TestTraceMetricsOnlyMatchesFull: a TraceLimit(-1) run keeps no event,
+// and its merged metrics equal a full trace's on every counter, gauge and
+// histogram.
+func TestTraceMetricsOnlyMatchesFull(t *testing.T) {
 	full, err := traceSpec(t, "locking").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := traceSpec(t, "locking", TraceLimit(16)).Run()
+	bare, err := traceSpec(t, "locking", TraceLimit(-1)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(ring.Events.Events()); n > 16*4 {
-		t.Errorf("ring retained %d events, want at most limit*procs = 64", n)
+	if n := len(bare.Events.Events()); n != 0 {
+		t.Errorf("metrics-only run kept %d events", n)
 	}
-	if ring.Events.Dropped() == 0 {
-		t.Error("ring dropped nothing; cell too small for the test to bite")
+	if len(full.Events.Events()) == 0 || len(full.Metrics.Hists) == 0 {
+		t.Fatal("full trace holds no events or histograms; the comparison is vacuous")
 	}
-	if full.Metrics.Counter(obs.MetricMsgs) != ring.Metrics.Counter(obs.MetricMsgs) ||
-		full.Metrics.Counter(obs.MetricLockReqs) != ring.Metrics.Counter(obs.MetricLockReqs) {
-		t.Error("metrics must be identical regardless of the event ring")
+	if !reflect.DeepEqual(bare.Metrics, full.Metrics) {
+		t.Errorf("metrics differ:\nmetrics only %+v\nfull %+v", bare.Metrics, full.Metrics)
 	}
 }
